@@ -21,10 +21,8 @@ the report; CI wires both together (.github/workflows/ci.yml).
 from __future__ import annotations
 
 import argparse
-import datetime
 import json
 import os
-import platform
 import subprocess
 import sys
 import tempfile
@@ -35,9 +33,15 @@ from typing import Callable, Dict, List, Optional
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.core.flexcast import FlexCastGroup  # noqa: E402
+from repro.core.flexcast import _MAX_PIVOTS, FlexCastGroup  # noqa: E402
 from repro.core.history import History, HistoryDiffTracker  # noqa: E402
-from repro.core.message import FlexCastBatch, FlexCastTsPropose, Message  # noqa: E402
+from repro.core.message import (  # noqa: E402
+    FlexCastBatch,
+    FlexCastNotif,
+    FlexCastTsPropose,
+    HistoryDelta,
+    Message,
+)
 from repro.obs import Observability  # noqa: E402
 from repro.overlay.cdag import CDagOverlay  # noqa: E402
 from repro.protocols.base import RecordingSink  # noqa: E402
@@ -46,6 +50,7 @@ from repro.reconfig.planner import Planner  # noqa: E402
 from repro.sim.latencies import aws_latency_matrix  # noqa: E402
 from repro.sim.transport import RecordingTransport  # noqa: E402
 from repro.storage import FileStorage, InMemoryStorage  # noqa: E402
+from repro.workload.soak import provenance  # noqa: E402
 
 DEFAULT_SIZES = (200, 1000, 5000)
 #: Aim for roughly this much wall time per measurement.
@@ -330,6 +335,62 @@ def bench_delivery_round_batched(
     return op
 
 
+def bench_delivery_round_pivots(size: int) -> Callable[[], None]:
+    """``delivery_round`` in the state the pivot guard works in.
+
+    A three-group round at group 3, which has acked ``_MAX_PIVOTS`` (64)
+    Strategy (c) pivots — each ordered after the whole |H|-sized history —
+    and holds three undelivered local messages, each followed by a few
+    messages an ancestor ordered after it.  Every round asks whether the new
+    message or a blocker precedes any pivot (guard, then promise-maintenance
+    re-ack).  Asked backward from the pivots that was 2 x 64 walks over the
+    whole history per round; asked forward from the undelivered end it must
+    be flat in |H| (the ``--flat`` gate enforces it).
+    """
+    overlay = CDagOverlay(list(range(12)))
+    group = FlexCastGroup(3, overlay, RecordingTransport(3), RecordingSink())
+    dst = frozenset({3, 7, 9})
+    for i in range(size):
+        group.history.record_delivery(Message(msg_id=f"fill-{i}", dst=dst))
+    for dest in (7, 9):
+        group.diff_tracker.diff_for(dest, group.history)
+    last = f"fill-{size - 1}"
+    elsewhere = frozenset({0, 9})
+    for k in range(_MAX_PIVOTS):
+        pivot = Message(msg_id=f"pivot-{k}", dst=elsewhere)
+        delta = HistoryDelta(
+            vertices=((pivot.msg_id, elsewhere),), edges=((last, pivot.msg_id),)
+        )
+        group.on_envelope(0, FlexCastNotif(message=pivot, history=delta, from_group=0))
+    vertices, edges = [], []
+    for u in range(3):
+        chain = [f"open-{u}"] + [f"after-{u}-{j}" for j in range(5)]
+        vertices.append((chain[0], frozenset({0, 3})))
+        vertices += [(mid, elsewhere) for mid in chain[1:]]
+        edges += list(zip([last] + chain, chain))
+    # A further notif carries the open messages; it parks behind them.
+    parked = Message(msg_id="pivot-parked", dst=elsewhere)
+    group.on_envelope(
+        0,
+        FlexCastNotif(
+            message=parked,
+            history=HistoryDelta(vertices=tuple(vertices), edges=tuple(edges)),
+            from_group=0,
+        ),
+    )
+    assert len(group._notif_pivots) == _MAX_PIVOTS
+    assert len(group.open_dependencies()) == 3
+    counter = {"i": 0}
+
+    def op() -> None:
+        counter["i"] += 1
+        mid = f"bench-{counter['i']}"
+        group.on_client_request(Message(msg_id=mid, dst=dst))
+        assert mid in group.delivered_in_g
+
+    return op
+
+
 def bench_wal_append(size: int) -> Callable[[], None]:
     """One durable WAL append (FileStorage, default fsync batching).
 
@@ -461,6 +522,7 @@ BENCHMARKS: Dict[str, Callable[[int], Callable[[], None]]] = {
     "delivery_round_batched": bench_delivery_round_batched,
     "delivery_round_durable": bench_delivery_round_durable,
     "delivery_round_obs": bench_delivery_round_obs,
+    "delivery_round_pivots": bench_delivery_round_pivots,
     "wal_append": bench_wal_append,
     "recovery_replay": bench_recovery_replay,
     "reconfig_plan": bench_reconfig_plan,
@@ -524,30 +586,6 @@ def run_batch_sweep(
         )
     sweep["windows"] = windows
     return sweep
-
-
-def provenance() -> Dict[str, object]:
-    """Environment metadata making BENCH_micro.json comparable across PRs."""
-    try:
-        sha = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=REPO_ROOT,
-            capture_output=True,
-            text=True,
-            timeout=10,
-        ).stdout.strip() or None
-    except (OSError, subprocess.SubprocessError):
-        sha = None
-    return {
-        "python": platform.python_version(),
-        "implementation": platform.python_implementation(),
-        "platform": platform.platform(),
-        "machine": platform.machine(),
-        "git_sha": sha,
-        "timestamp_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(
-            timespec="seconds"
-        ),
-    }
 
 
 def compare_against_baseline(
@@ -634,7 +672,7 @@ def main(argv: List[str] | None = None) -> int:
         "--gate",
         default="diff_for,delivery_round,delivery_round_hybrid,"
         "delivery_round_batched,delivery_round_durable,delivery_round_obs,"
-        "wal_append,recovery_replay",
+        "delivery_round_pivots,wal_append,recovery_replay",
         help="comma-separated benchmarks the --compare gate checks "
         "(default: %(default)s)",
     )
@@ -675,7 +713,7 @@ def main(argv: List[str] | None = None) -> int:
     )
     parser.add_argument(
         "--flat",
-        default="merge_delta,diff_for_cold,depends",
+        default="merge_delta,diff_for_cold,depends,delivery_round_pivots",
         help="with --compare: comma-separated benchmarks whose op/s at the "
         "largest history size must stay within --max-flat-ratio of the "
         "smallest size — i.e. the operation is flat in |H| "

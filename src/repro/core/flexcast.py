@@ -318,7 +318,8 @@ class FlexCastGroup(AtomicMulticastGroup):
         #: capped at :data:`_MAX_PIVOTS` (oldest promises retire first — a
         #: pivot only matters until its destinations have delivered it, which
         #: is long past by the time dozens of newer pivots were acked), so
-        #: the guard's per-delivery ancestor scans stay bounded.
+        #: the target set of the guard's and the re-ack loop's forward
+        #: queries (:meth:`History.reached_from`) stays bounded.
         self._notif_pivots: Dict[str, Message] = {}
         #: Messages allowed through the guard by the escape path below.
         self._guard_exempt: Set[str] = set()
@@ -349,6 +350,9 @@ class FlexCastGroup(AtomicMulticastGroup):
             "notifs_received": 0,
             "notifs_sent": 0,
             "acks_sent": 0,
+            # Promise-maintenance re-acks (end of a_deliver), a subset of
+            # acks_sent: a delivery turned out to precede an acked pivot.
+            "reacks_sent": 0,
             "gc_pruned": 0,
             "journal_compacted": 0,
             "guard_escapes": 0,
@@ -988,23 +992,31 @@ class FlexCastGroup(AtomicMulticastGroup):
         if message.is_flush:
             self._garbage_collect(message)
 
-        # Promise maintenance: if the delivered message precedes a pivot this
-        # group has already acked (a late arrival forced the violation — the
-        # guard cannot hold it back forever, the message is addressed here),
-        # re-ack the pivot so its destinations merge the new chain *before*
-        # they deliver the pivot.  Acks are idempotent and diffs incremental,
-        # so a re-ack is cheap and monotone.
-        for pivot_id, pivot_message in prior_pivots:
-            if (
-                pivot_id in self._notif_pivots
-                and pivot_id in self.history
-                and message.msg_id in self._pivot_ancestors(pivot_id)
-            ):
-                self.send_descendants(pivot_message, ack=True)
+        if prior_pivots:
+            self._reack_pivots(message, prior_pivots)
 
         # Removing this message from the open-dependency set may have
         # unblocked the head of any queue.
         self._mark_all_queues_dirty()
+
+    def _reack_pivots(
+        self, message: Message, prior_pivots: List[Tuple[str, Message]]
+    ) -> None:
+        """Promise maintenance: if the delivered ``message`` precedes a pivot
+        this group has already acked (a late arrival forced the violation —
+        the guard cannot hold it back forever, the message is addressed
+        here), re-ack the pivot so its destinations merge the new chain
+        *before* they deliver the pivot.  Acks are idempotent and diffs
+        incremental, so a re-ack is cheap and monotone."""
+        reached = self.history.reached_from(
+            (message.msg_id,),
+            [p for p, _ in prior_pivots if p in self._notif_pivots],
+        )
+        first_acks = self.stats["acks_sent"]
+        for pivot_id, pivot_message in prior_pivots:
+            if pivot_id in reached:
+                self.send_descendants(pivot_message, ack=True)
+        self.stats["reacks_sent"] += self.stats["acks_sent"] - first_acks
 
     def send_descendants(self, message: Message, ack: bool) -> None:
         """Send ``msg`` or ``ack`` envelopes to the destinations above us
@@ -1194,25 +1206,12 @@ class FlexCastGroup(AtomicMulticastGroup):
         else:
             self._escape_stalls += 1
 
-        def blockers_of(msg_id: str) -> Set[str]:
-            found: Set[str] = set()
-            for pivot in self._notif_pivots:
-                if pivot not in self.history:
-                    continue
-                ancestors = self._pivot_ancestors(pivot)
-                if msg_id in ancestors:
-                    continue
-                found.update(
-                    b
-                    for b in self._undelivered_to_me
-                    if b != msg_id and b in ancestors
-                )
-            return found
-
+        # Blockers that are themselves blocked heads cannot move first.
+        others = self._undelivered_to_me - blocked_heads.keys()
         mutual = [
             msg_id
             for msg_id in blocked_heads
-            if blockers_of(msg_id) <= set(blocked_heads)
+            if not self._guard_blocked_by(msg_id, others)
         ]
         force = self._escape_stalls >= 4
         candidates = mutual if mutual else (list(blocked_heads) if force else [])
@@ -1295,17 +1294,20 @@ class FlexCastGroup(AtomicMulticastGroup):
         blocking = self._undelivered_to_me
         if not blocking or (len(blocking) == 1 and msg_id in blocking):
             return True
+        return not self._guard_blocked_by(msg_id, blocking)
+
+    def _guard_blocked_by(self, msg_id: str, candidates: Set[str]) -> bool:
+        """True iff some candidate other than ``msg_id`` precedes an acked
+        pivot that ``msg_id`` does not precede (the ``Y`` of the guard).
+
+        Asked forward from the undelivered messages, the new end of the DAG
+        (:meth:`History.reached_from`), never backward from the pivots:
+        ``Y`` blocks ``X`` iff ``reached(Y) ⊄ reached(X)`` over the pivots.
+        """
         history = self.history
-        for pivot in self._notif_pivots:
-            if pivot not in history:
-                continue
-            ancestors = self._pivot_ancestors(pivot)
-            if msg_id in ancestors:
-                continue
-            for blocked in blocking:
-                if blocked != msg_id and blocked in ancestors:
-                    return False
-        return True
+        pivots = self._notif_pivots
+        unreached = pivots.keys() - history.reached_from((msg_id,), pivots)
+        return bool(history.reached_from(candidates - {msg_id}, unreached))
 
     def _register_pivot(self, message: Message) -> None:
         """Remember an acked pivot, retiring the oldest past the cap."""
@@ -1315,19 +1317,15 @@ class FlexCastGroup(AtomicMulticastGroup):
             oldest = next(iter(pivots))
             del pivots[oldest]
 
-    def _pivot_ancestors(self, pivot: str) -> Set[str]:
-        """``history.ancestors_of(pivot)`` — memoized inside the history
-        itself (per mutation epoch), shared with ``depends`` and GC."""
-        return self.history.ancestors_of(pivot)
-
     def _dependencies_satisfied(self, msg_id: str) -> bool:
         """True iff no undelivered message addressed to this group precedes
         ``msg_id``.
 
-        A single backward reachability pass over the candidate's ancestors,
-        instead of the seed's one forward BFS over the whole DAG per open
-        dependency.  The result is memoized against the dependency epoch, so
-        re-checks of a still-blocked head after unrelated events are O(1).
+        One forward walk shared by all open dependencies
+        (:meth:`History.reached_from`): they sit at the new end of the DAG,
+        the candidate's ancestors are the whole history.  The result is
+        memoized against the dependency epoch, so re-checks of a
+        still-blocked head after unrelated events are O(1).
         """
         blocking = self._undelivered_to_me
         if not blocking or (len(blocking) == 1 and msg_id in blocking):
@@ -1336,19 +1334,9 @@ class FlexCastGroup(AtomicMulticastGroup):
         cached = self._dep_cache.get(msg_id)
         if cached is not None and cached[0] == epoch:
             return cached[1]
-        satisfied = True
-        predecessors = self.history.predecessors
-        queue = deque(predecessors.get(msg_id, ()))
-        seen: Set[str] = set()
-        while queue:
-            node = queue.popleft()
-            if node in seen:
-                continue
-            seen.add(node)
-            if node in blocking and node != msg_id:
-                satisfied = False
-                break
-            queue.extend(predecessors.get(node, ()))
+        history = self.history
+        others = blocking - {msg_id}
+        satisfied = not history.reached_from(others, (msg_id,))
         if not satisfied and not self.hybrid:
             # Poison tolerance: a blocking "predecessor" that is *also* a
             # descendant of the candidate sits in a delivery cycle with it —
@@ -1364,11 +1352,8 @@ class FlexCastGroup(AtomicMulticastGroup):
             # cycle-contradictory blocker would indicate a genuine protocol
             # bug — blocking (and failing the fuzz liveness oracle) is the
             # loud outcome a guaranteed property wants, not deliver-through.
-            satisfied = all(
-                self.history.depends(later=node, earlier=msg_id)
-                for node in self.history.ancestors_of(msg_id)
-                if node in blocking and node != msg_id
-            )
+            cyclic = history.reached_from((msg_id,), others)
+            satisfied = not history.reached_from(others - cyclic, (msg_id,))
         self._dep_cache[msg_id] = (epoch, satisfied)
         return satisfied
 

@@ -419,9 +419,9 @@ class History:
 
         Implements the paper's ``depend(m, m')``: there is a path of
         dependency edges from ``earlier`` to ``later``.  Answered from the
-        memoized backward-reachability set of ``later`` (the same index the
-        delivery guard uses), so repeated queries against a stable DAG are
-        O(1) after the first instead of a fresh BFS each time.
+        memoized backward-reachability set of ``later``, so repeated queries
+        against a stable DAG are O(1) after the first instead of a fresh BFS
+        each time.  (The delivery gate asks :meth:`reached_from` instead.)
         """
         if earlier == later:
             return False
@@ -455,6 +455,40 @@ class History:
             cache.clear()
         cache[msg_id] = result
         return result
+
+    def reached_from(self, sources: Iterable[str], targets: Iterable[str]) -> Set[str]:
+        """The ``targets`` that transitively depend on any of ``sources``.
+
+        ``t in reached_from([m], ts)`` ⇔ ``m in ancestors_of(t)``, asked from
+        the other end: one walk over :attr:`successors` from the sources
+        (shared between them, so never more than O(|H|)) that stops once
+        every live target is found.  The protocol asks this about
+        just-delivered or still-undelivered sources, whose descendants are
+        the few messages ordered after them, where a target's ancestors are
+        the whole history since the last flush.  The worst case is a source
+        that stayed undelivered while the DAG grew behind it.
+        """
+        successors = self.successors
+        stack = [n for s in sources for n in successors.get(s, ())]
+        found: Set[str] = set()
+        if not stack:
+            return found
+        destinations = self.destinations
+        wanted = {t for t in targets if t in destinations}
+        if not wanted:
+            return found
+        seen: Set[str] = set()
+        while stack:
+            node = stack.pop()
+            if node in seen:
+                continue
+            seen.add(node)
+            if node in wanted:
+                found.add(node)
+                if len(found) == len(wanted):
+                    break
+            stack.extend(successors[node])
+        return found
 
     def messages_addressed_to(self, group: GroupId) -> List[str]:
         """Ids of all messages in the history addressed to ``group``.

@@ -144,25 +144,32 @@ def _metric_values(text: str, name: str) -> List[float]:
     return values
 
 
-def provenance() -> Dict[str, Any]:
-    """Environment metadata (same shape as BENCH_micro.json provenance)."""
+def _git(*args: str) -> Optional[str]:
+    root = os.path.dirname(os.path.dirname(os.path.dirname(
+        os.path.dirname(os.path.abspath(__file__)))))
     try:
-        sha = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=os.path.dirname(os.path.dirname(os.path.dirname(
-                os.path.dirname(os.path.abspath(__file__))))),
-            capture_output=True,
-            text=True,
-            timeout=10,
-        ).stdout.strip() or None
+        done = subprocess.run(
+            ["git", *args], cwd=root, capture_output=True, text=True, timeout=10
+        )
     except (OSError, subprocess.SubprocessError):
-        sha = None
+        return None
+    return done.stdout.strip() if done.returncode == 0 else None
+
+
+def provenance() -> Dict[str, Any]:
+    """Environment metadata, shared by BENCH_soak.json and BENCH_micro.json.
+
+    ``dirty`` is true when the checkout held uncommitted changes and
+    ``git_sha`` is null outside a checkout: neither can pass for a commit.
+    """
+    status = _git("status", "--porcelain")
     return {
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "platform": platform.platform(),
         "machine": platform.machine(),
-        "git_sha": sha,
+        "git_sha": _git("rev-parse", "HEAD") or None,
+        "dirty": bool(status) if status is not None else None,
         "timestamp_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
 

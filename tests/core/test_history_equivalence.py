@@ -8,6 +8,9 @@ watermarks — and drives both implementations through the same randomly
 generated operation sequences (deliveries, merges, prunes, interleaved diffs
 for several descendants), asserting at every step that queries and shipped
 deltas are identical.
+
+The forward point query the delivery gate asks (``reached_from``) is pinned
+against the backward set it replaced (``ancestors_of``) the same way.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -235,3 +238,61 @@ class TestDifferentialEquivalence:
         # Both descendants are now fully caught up.
         for descendant in DESCENDANTS:
             assert tracker.diff_for(descendant, indexed).is_empty
+
+
+# ------------------------------------------------- forward vs backward query
+#: Ids 61..64 are never created by any operation: absent from every history.
+_ids = st.integers(0, 64).map(lambda i: f"m{i}")
+_queries = st.lists(
+    st.tuples(st.lists(_ids, max_size=3), st.lists(_ids, max_size=6)),
+    min_size=1,
+    max_size=6,
+)
+
+
+def _backward(history, sources, targets):
+    """``reached_from`` as the gate used to ask it: one full ancestor set
+    per target."""
+    return {
+        t for t in targets if any(m in history.ancestors_of(t) for m in sources)
+    }
+
+
+class TestReachedFromEqualsAncestorMembership:
+    @given(operations, _queries)
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_after_every_operation(self, ops, queries):
+        """Merged edges are arbitrary pairs, so the DAGs include cycles
+        (``m == t`` reachable from itself); prunes leave forgotten ids."""
+        indexed, tracker = History(), HistoryDiffTracker()
+        naive, naive_tracker = NaiveHistory(), NaiveDiffTracker()
+        for index, op in enumerate(ops):
+            apply_op(op, indexed, tracker, naive, naive_tracker)
+            sources, targets = queries[index % len(queries)]
+            expected = _backward(indexed, sources, targets)
+            assert indexed.reached_from(sources, targets) == expected
+            assert expected == _backward(naive, sources, targets)
+        for mid in indexed.message_ids():
+            everything = indexed.message_ids()
+            assert indexed.reached_from([mid], everything) == _backward(
+                indexed, [mid], everything
+            )
+
+    def test_forgotten_absent_and_self(self):
+        history = History()
+        for mid in ("a", "b", "c"):
+            history.record_delivery(Message(msg_id=mid, dst=frozenset({0})))
+        assert history.reached_from(["a"], ["a", "b", "c", "ghost"]) == {"b", "c"}
+        assert history.reached_from(["ghost"], ["a", "b"]) == set()
+        assert history.reached_from(["a", "b"], ["b"]) == {"b"}
+        assert history.reached_from([], ["a", "b"]) == set()
+        history.collect_garbage("c", keep={"c"})
+        assert history.is_forgotten("a")
+        assert history.reached_from(["a"], ["c"]) == set()
+        assert history.reached_from(["c"], ["a", "b"]) == set()
+        history.merge_delta(
+            HistoryDelta(
+                vertices=(("d", frozenset({0})),), edges=(("c", "d"), ("d", "c"))
+            )
+        )
+        assert history.reached_from(["c"], ["c", "d"]) == {"c", "d"}

@@ -73,3 +73,46 @@ class TestRunExperiment:
         history_sizes = [g.history_size() for g in result.groups.values()]
         # Without GC histories would hold every delivered message (hundreds).
         assert max(history_sizes) < result.completed
+
+
+class TestLongHorizonGtpcc:
+    """The benchmark's gTPC-C shape (overlay O1, 12 groups, 48 clients) for
+    4,000 virtual ms: long enough to cross a GC flush and for per-delivery
+    cost that grows with |H| to show.  51 s when the gate asked pivot
+    reachability backward, about 3 s asked forward (ISSUE 12)."""
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        from repro.checker import check_trace
+
+        config = flexcast_config(
+            overlay="O1", locality=0.90, num_clients=48, duration_ms=4000.0,
+            global_only=True, seed=3, record_deliveries=True,
+        )
+        result = run_experiment(config)
+        messages = {r.message.msg_id: r.message for r in result.deliveries.records}
+        report = check_trace(
+            result.deliveries, messages.values(), expect_all_delivered=True
+        )
+        return result, report
+
+    def test_every_transaction_completes_across_a_gc_flush(self, run):
+        result, report = run
+        assert result.issued == result.completed > 4000
+        assert all(g.stats["gc_pruned"] > 0 for g in result.groups.values())
+        # Integrity, validity, agreement and prefix order hold outright.
+        assert [
+            str(v) for v in report.violations if v.property_name != "acyclic-order"
+        ] == []
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="run_experiment builds the claim-free plain protocol (no "
+        "conflict_shapes), and gTPC-C pairs that share exactly one group can "
+        "still close a delivery cycle there (ROADMAP 'No silent degradation' "
+        "(a)); identical at the parent commit, where the run took too long "
+        "for anyone to look",
+    )
+    def test_delivery_relation_is_acyclic(self, run):
+        _, report = run
+        report.raise_if_failed()
