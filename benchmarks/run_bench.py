@@ -42,6 +42,7 @@ from repro.core.message import (  # noqa: E402
     HistoryDelta,
     Message,
 )
+from repro.core.timestamps import Exposure  # noqa: E402
 from repro.obs import Observability  # noqa: E402
 from repro.overlay.cdag import CDagOverlay  # noqa: E402
 from repro.protocols.base import RecordingSink  # noqa: E402
@@ -264,7 +265,7 @@ def bench_delivery_round_hybrid(size: int) -> Callable[[], None]:
     """
     overlay = CDagOverlay(list(range(12)))
     group = FlexCastGroup(
-        0, overlay, RecordingTransport(0), RecordingSink(), hybrid=True
+        0, overlay, RecordingTransport(0), RecordingSink(), exposure=Exposure.all()
     )
     for i in range(size):
         group.history.record_delivery(

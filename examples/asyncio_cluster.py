@@ -14,6 +14,7 @@ import asyncio
 
 from repro.overlay.builders import build_complete, build_o1, build_t1
 from repro.core.flexcast import FlexCastProtocol
+from repro.core.timestamps import Exposure
 from repro.protocols.hierarchical import HierarchicalProtocol
 from repro.protocols.skeen import SkeenProtocol
 from repro.runtime.cluster import LocalCluster
@@ -25,9 +26,9 @@ def build_protocol(name: str):
     if name == "flexcast":
         return FlexCastProtocol(build_o1(latencies)), latencies
     if name == "flexcast-hybrid":
-        # Skeen-timestamp ordering authority fused in: global messages also
-        # acquire final timestamps (ts-propose envelopes over the real wire).
-        return FlexCastProtocol(build_o1(latencies), hybrid=True), latencies
+        # Every global message exposed to the Skeen-timestamp authority: they
+        # also acquire final timestamps (ts-propose envelopes over the wire).
+        return FlexCastProtocol(build_o1(latencies), exposure=Exposure.all()), latencies
     if name == "hierarchical":
         return HierarchicalProtocol(build_t1(latencies)), latencies
     if name == "distributed":

@@ -176,7 +176,7 @@ def find_delivery_cycle(
 
     Returns the cycle as a closed path ``[a, b, …, a]``.  Used by the
     acyclic-order check and the sequential-replay oracle so a violation names
-    an actual witness — with hybrid mode promoting ``acyclic-order`` to a
+    an actual witness — with exposure promoting ``acyclic-order`` to a
     hard CI failure, "a cycle exists" alone is not an actionable report.
     """
     colors: Dict[str, int] = {}

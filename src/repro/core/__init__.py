@@ -1,8 +1,8 @@
 """FlexCast core: messages, histories, the protocol itself, GC, clients and batching.
 
 Main entry points: :class:`FlexCastProtocol` (deploy the protocol on a C-DAG
-overlay, optionally with ``hybrid=True`` for the Skeen-timestamp ordering
-authority), :class:`Message` (the application multicast unit),
+overlay; ``exposure=`` an :class:`Exposure` picks what the Skeen-timestamp
+authority orders), :class:`Message` (the application multicast unit),
 :class:`MulticastClient` / :class:`BatchingClient` (submission + response
 tracking, unbatched and window-coalesced), and :class:`FlushCoordinator`
 (periodic garbage-collection flush multicasts).
@@ -31,6 +31,7 @@ from .message import (
     fresh_message_id,
     reset_message_ids,
 )
+from .timestamps import Exposure
 
 __all__ = [
     "BatchingClient",
@@ -40,6 +41,7 @@ __all__ = [
     "FlexCastProtocol",
     "PendingMessage",
     "FlushCoordinator",
+    "Exposure",
     "History",
     "HistoryDiffTracker",
     "ClientRequest",

@@ -1,8 +1,8 @@
 """Client-side adaptive message batching.
 
 Every submission in the base client pays its own envelope: one client
-request, one msg/ack round per destination, one Skeen-timestamp convoy in
-hybrid mode, one codec pass and one simulator event per hop.  Under heavy
+request, one msg/ack round per destination, one Skeen-timestamp convoy when
+exposed, one codec pass and one simulator event per hop.  Under heavy
 traffic that per-message overhead — not the ordering logic — dominates the
 delivery path (PR 1 made the history work O(affected); PR 4 bounded the
 convoy cost).  :class:`BatchingClient` amortizes it the standard middleware

@@ -23,55 +23,41 @@ dependency information that could order another message before ``m``:
   down to the destinations of ``m``.  Notified groups are carried in the
   envelopes so destinations know to wait for their acks as well.
 
-On top of the paper's protocol, an optional **hybrid mode** fuses the
-Distributed baseline's ordering authority (Skeen-style final timestamps,
-:class:`~repro.core.timestamps.TimestampAuthority`) into the delivery gate:
-every *global* message additionally acquires a final timestamp from its
-destination groups, and contested deliveries follow ``(final timestamp, id)``
-order.  This closes the c-DAG's one residual ordering hole — under extreme
-cross-group conflict density, disjoint-destination chains could previously
-commit complementary halves of a global delivery cycle that the down-only
-information flow surfaces only after the fact (a *detected* ``acyclic-order``
-anomaly).  With hybrid mode on, global acyclic order is a guaranteed
-property; with it off (the default), behaviour is bit-identical to the
-timestamp-free protocol.  See DESIGN.md "hybrid Skeen-timestamp ordering
-authority" for the argument and the overhead trade-off (the paper's convoy
-effect, §5).
+On top of the paper's protocol sit two ordering mechanisms, and every
+message is ordered by exactly one of them (DESIGN.md "Ordering: pivot guard
++ exposure"):
 
-Between the two sit **conflict-scoped order claims** (``conflict_shapes``):
-plain mode's answer to the *single-shared-group 3-cycle*.  Three messages
-whose pairs each intersect in exactly one group get their three pairwise
-orders decided at three independent groups, and no down-flowing history can
-relate those decisions in time — the pivot guard never even sees the race
-(DESIGN.md "anatomy of the single-shared-group 3-cycle").  Given a declared
-universe of destination-set shapes, shapes that share groups form *conflict
-components*, and a component containing some pair that intersects in exactly
-one group is **hot**.  Every global message addressed into a hot component
-is *exposed*: it acquires a final Skeen timestamp exactly like hybrid mode
-(the order claim, arbitrated by the same
-:class:`~repro.core.timestamps.TimestampAuthority` and piggybacked on the
-existing msg/ack traffic), and its deliveries follow ``(final timestamp,
-id)`` order at every group, with the authority subsuming the pivot guard for
-it just as in hybrid mode.  Exposing the whole component — not only the
-single-intersecting shapes — is load-bearing: a timestamp edge between a
-single-shared pair must never be composable with guard-ordered
-(two-plus-shared) edges into a cycle, and bounded model exploration
-(``repro.fuzz.explore``) found exactly that composition when exposure
-stopped at the single-intersecting shapes themselves.  Component closure
-removes every mixed pair wholesale: groups of different components are
-disjoint, so two messages that meet at any group are either both
-claim-ordered (their edge embeds in the global timestamp order) or both
-guard-ordered (the covered class the pivot guard already handles).
-Workloads whose declared shapes admit no single-shared pair anywhere get
-``ts = None`` and run bit-identical to the classic protocol.
+* **The pivot guard** (:meth:`FlexCastGroup._pivot_guard_allows`) closes the
+  Strategy (c) ack race: a notif-ack promises the pivot's destinations that
+  this group's dependency contribution is final, so later local deliveries
+  must not mint new orderings before an acked pivot.  Two pivots can impose
+  contradictory waits, so a blocked head is released by an escape timer once
+  the stand-off provably cannot resolve, and a dependency cycle that arrives
+  in a merged delta is delivered through instead of honoured (poison
+  tolerance).  With the guard alone, global acyclic order holds except under
+  one conflict class — messages whose pairs each meet at exactly one group —
+  where it is a *detected* anomaly, never a lost delivery.
+
+* **Exposure** (:class:`~repro.core.timestamps.Exposure`) closes that class.
+  A global message whose destination set the deployment's exposure covers
+  additionally acquires a final Skeen timestamp from its destination groups
+  (:class:`~repro.core.timestamps.TimestampAuthority`, proposals piggybacked
+  on the msg/ack traffic), and contested deliveries follow the global
+  ``(final timestamp, id)`` order.  The authority subsumes the guard for
+  exposed messages, and needs neither escape timer nor poison tolerance: a
+  total order has no stand-offs and no cycles.  The deployment picks what is
+  exposed — nothing (the paper's protocol, bit-identical to a group with no
+  authority at all), the hot conflict components of a declared shape
+  universe, or every global message — and pays the paper's convoy effect
+  (§5) only for what it exposes.
 
 Also on top of the paper's protocol: **batch carriers**.  A client may
 coalesce same-destination submissions into one ordering unit
 (:meth:`~repro.core.message.Message.batch_of`, shipped as a
 :class:`~repro.core.message.FlexCastBatch` request by
 :class:`~repro.core.batching.BatchingClient`).  The carrier flows through
-every rule below as a single message — one pivot, one hybrid timestamp
-convoy, one history vertex, one msg/ack per destination — and
+every rule below as a single message — one pivot, one timestamp convoy, one
+history vertex, one msg/ack per destination — and
 :meth:`FlexCastGroup.a_deliver` fans it out into per-member application
 deliveries, so batching amortizes envelope overhead without touching the
 ordering logic (DESIGN.md "batching the delivery path").
@@ -119,48 +105,12 @@ from .message import (
     Message,
     TsProposal,
 )
-from .timestamps import TimestampAuthority
+from .timestamps import Exposure, TimestampAuthority
 
 #: Shared empty notified-set: the overwhelming majority of envelopes carry no
 #: Strategy (c) notifications, so the send path reuses one immutable instance
 #: instead of minting a fresh frozenset per hop.
 _NO_NOTIFIED: frozenset = frozenset()
-
-
-def _hot_conflict_groups(shapes: Sequence[frozenset]) -> frozenset:
-    """Union of the groups of every *hot* conflict component.
-
-    Declared shapes are nodes of a graph with an edge wherever two shapes
-    share a group; a connected component is hot when some pair inside it
-    intersects in exactly one group (the 3-cycle conflict class).  Groups of
-    different components are disjoint by construction, so membership of a
-    destination set in a hot component reduces to intersecting the returned
-    group set.
-    """
-    # Union-find keyed by group id: shapes sharing a group merge their roots.
-    parent: Dict[GroupId, GroupId] = {}
-
-    def find(g: GroupId) -> GroupId:
-        while parent[g] != g:
-            parent[g] = parent[parent[g]]
-            g = parent[g]
-        return g
-
-    for shape in shapes:
-        anchor = None
-        for g in shape:
-            parent.setdefault(g, g)
-            if anchor is None:
-                anchor = find(g)
-            else:
-                parent[find(g)] = anchor
-    hot_roots = {
-        find(next(iter(a & b)))
-        for i, a in enumerate(shapes)
-        for b in shapes[i:]
-        if len(a & b) == 1
-    }
-    return frozenset(g for g in parent if find(g) in hot_roots)
 
 
 @dataclass(slots=True)
@@ -210,6 +160,8 @@ class FlexCastGroup(AtomicMulticastGroup):
         Outbound communication channel (simulated or asyncio).
     sink:
         Application delivery callback.
+    exposure:
+        What the timestamp authority orders (default: nothing).
     """
 
     def __init__(
@@ -218,52 +170,18 @@ class FlexCastGroup(AtomicMulticastGroup):
         overlay: CDagOverlay,
         transport: Transport,
         sink: DeliverySink,
-        pivot_guard: bool = True,
-        hybrid: bool = False,
-        conflict_shapes: Optional[Sequence[Set[GroupId]]] = None,
+        exposure: Exposure = Exposure.none(),
     ) -> None:
         super().__init__(group_id, transport, sink)
         self.overlay = overlay
-        #: Enables the pivot-consistency guard (see :meth:`_pivot_guard_allows`).
-        #: ``False`` reverts to the seed's unguarded behaviour — kept only so
-        #: regression schedules can demonstrate the lost-delivery bug they pin.
-        self.pivot_guard = pivot_guard
-        #: Full hybrid mode: *every* global message is timestamp-ordered and
-        #: the authority subsumes the pivot guard entirely.
-        self.hybrid = hybrid
-        #: Conflict-scoped order claims (module docstring): the declared
-        #: universe of global destination-set shapes this deployment admits.
-        #: Shapes connected by shared groups form *conflict components*; a
-        #: component containing a pair that intersects in exactly one group
-        #: is **hot**, and every global message addressed into a hot
-        #: component is *exposed* — claim-ordered through the timestamp
-        #: authority.  The closure over whole components is what makes the
-        #: claims sound: a single-shared-group timestamp edge must not be
-        #: composable with guard-ordered (two-plus-shared) edges into a
-        #: cycle, and component closure removes every mixed pair — each
-        #: group belongs to at most one component, so two messages that
-        #: meet anywhere are either both exposed or both guard-ordered.
-        #: ``None``/empty disables the machinery; local (single-group)
-        #: shapes never count.  Ignored in hybrid mode, which timestamps
-        #: everything anyway.
-        shapes = tuple(
-            frozenset(s) for s in (conflict_shapes or ()) if len(frozenset(s)) > 1
-        )
-        if not hybrid and shapes:
-            self.conflict_shapes: Tuple[frozenset, ...] = shapes
-            self._hot_groups: frozenset = _hot_conflict_groups(shapes)
-        else:
-            self.conflict_shapes = ()
-            self._hot_groups = frozenset()
-        #: Skeen-timestamp ordering authority (None = no timestamping at
-        #: all).  Hybrid mode routes every global message through it; order
-        #: claims route only the hot conflict components — when no declared
-        #: pair can single-intersect, there is no authority and the code
-        #: path is bit-identical to the claim-free protocol.
+        #: Which destination sets the timestamp authority orders (module
+        #: docstring); one value shared by every group of the deployment.
+        self.exposure = exposure
+        #: Skeen-timestamp ordering authority, present iff something is
+        #: exposed; :meth:`_timestamped` decides per message.  With nothing
+        #: exposed the code path is bit-identical to the paper's protocol.
         self.ts: Optional[TimestampAuthority] = (
-            TimestampAuthority(group_id)
-            if hybrid or self._hot_groups
-            else None
+            TimestampAuthority(group_id) if exposure else None
         )
         self.history = History()
         #: Messages delivered at this group (``deliveredInG``).
@@ -439,7 +357,7 @@ class FlexCastGroup(AtomicMulticastGroup):
         )
         registry.gauge(
             "flexcast_ts_pending",
-            "Hybrid timestamp entries awaiting a final timestamp.",
+            "Timestamp entries awaiting a final timestamp.",
             labels,
             fn=lambda: self.ts.pending_count() if self.ts is not None else 0,
         )
@@ -513,7 +431,7 @@ class FlexCastGroup(AtomicMulticastGroup):
         re-submission) that outlived the flush GC from re-enqueuing its
         pruned — already delivered — message: the GC discards
         ``delivered_in_g``, so without it the duplicate would re-deliver,
-        and in hybrid mode it could not even re-acquire a timestamp
+        and an exposed one could not even re-acquire a timestamp
         (``_acquire_timestamp`` refuses forgotten ids), leaving the convoy
         gate to trip on a queued message with no timestamp entry.
 
@@ -577,8 +495,8 @@ class FlexCastGroup(AtomicMulticastGroup):
             if me in dst and mid not in self.delivered_in_g and mid in self.history:
                 self._undelivered_to_me.add(mid)
                 if self.ts is not None and len(dst) > 1:
-                    # Hybrid: a merged delta revealed a global message
-                    # addressed to us before its own envelope arrived —
+                    # A merged delta revealed a global message addressed to
+                    # us before its own envelope arrived: if it is exposed,
                     # propose now so its final timestamp converges early
                     # (the vertex carries everything a proposal needs).
                     self._acquire_timestamp(Message(msg_id=mid, dst=dst))
@@ -612,6 +530,12 @@ class FlexCastGroup(AtomicMulticastGroup):
             raise ProtocolError(
                 f"client sent {message.msg_id} to {self.group_id}, "
                 f"but its lca is {self.lca_of(message)}"
+            )
+        if not self.exposure.admits(message.dst):
+            raise ProtocolError(
+                f"{message.msg_id} is addressed to {sorted(message.dst)}, "
+                f"which is not a shape of the declared universe "
+                f"{sorted(map(sorted, self.exposure.universe or ()))}"
             )
         self._enqueue_local(message)
 
@@ -746,7 +670,7 @@ class FlexCastGroup(AtomicMulticastGroup):
         self.reprocess_queues()
 
     def _on_ts_propose(self, envelope: FlexCastTsPropose) -> None:
-        """Hybrid mode: another destination's Skeen proposal for ``message``.
+        """Another destination's Skeen proposal for an exposed ``message``.
 
         Proposals are rank-independent (they depend only on the destination
         set), so this handler has no epoch/rank preconditions — it also runs
@@ -761,10 +685,10 @@ class FlexCastGroup(AtomicMulticastGroup):
                 f"{message.msg_id} addressed to {sorted(message.dst)}"
             )
         if self.ts is None:
-            # Mixed hybrid/non-hybrid deployments are invalid: a group that
-            # never proposes would block every timestamp decision forever.
+            # Groups that disagree on the exposure are an invalid deployment:
+            # one that never proposes blocks every timestamp decision forever.
             raise ProtocolError(
-                f"group {self.group_id} runs with hybrid mode off but received "
+                f"group {self.group_id} exposes nothing but received "
                 f"a timestamp proposal for {message.msg_id}"
             )
         self._acquire_timestamp(message)
@@ -772,7 +696,7 @@ class FlexCastGroup(AtomicMulticastGroup):
         self.reprocess_queues()
 
     def _acquire_timestamp(self, message: Message) -> None:
-        """Hybrid mode: first-contact Skeen proposal for a global message.
+        """First-contact Skeen proposal for an exposed message.
 
         Piggybacks on whatever made this group learn of ``message`` (client
         request, msg/ack envelope, merged history vertex, or a peer's
@@ -816,7 +740,7 @@ class FlexCastGroup(AtomicMulticastGroup):
     def _observe_proposals(
         self, message: Message, proposals: Sequence[TsProposal]
     ) -> None:
-        """Hybrid mode: max-merge piggybacked/direct proposals for ``message``.
+        """Max-merge piggybacked/direct proposals for ``message``.
 
         A recorded proposal *raises* the message's effective timestamp (or
         decides it), which can unblock a head in **any** queue — the convoy
@@ -842,28 +766,17 @@ class FlexCastGroup(AtomicMulticastGroup):
             self._mark_all_queues_dirty()
 
     def _timestamped(self, message: Message) -> bool:
-        """True iff ``message`` is ordered by the timestamp authority —
-        every global message in hybrid mode, exposed shapes under order
-        claims (module docstring)."""
-        if self.ts is None or not message.is_global:
-            return False
-        return self.hybrid or self._exposed(message.dst)
-
-    def _exposed(self, dst: frozenset) -> bool:
-        """Order claims: ``dst`` lands in a hot conflict component.
-
-        Pure in ``dst``, symmetric, and transitively closed: every message
-        that can meet an exposed message at some group is itself exposed
-        (hot components own their groups outright), so timestamp edges and
-        guard edges can never mix into one cycle."""
-        return bool(dst & self._hot_groups)
+        """True iff ``message`` is ordered by the timestamp authority (and
+        therefore not by the pivot guard) — the only reader of the exposure
+        on the delivery path."""
+        return self.ts is not None and self.exposure.covers(message.dst)
 
     def _enqueue_local(self, message: Message) -> None:
         """Queue a client-submitted message at its lca and drain.
 
         The lca almost always delivers the message within this very call (it
         is the first destination to order it).  The queue only matters when
-        the pivot guard defers it — or, in hybrid mode, while the message's
+        the pivot guard defers it — or, for an exposed message, while its
         final timestamp is still being acquired: delivering it *now* would
         slot it before an in-flight message that this group already knows
         precedes a notif pivot, retroactively invalidating an ack it has
@@ -910,11 +823,7 @@ class FlexCastGroup(AtomicMulticastGroup):
         """Deliver ``message`` and propagate ordering information (``a-deliver``)."""
         # Promises made before this delivery; acks sent *during* it (parked
         # notif flushes below) already carry this message in their diff.
-        prior_pivots = (
-            list(self._notif_pivots.items())
-            if self.pivot_guard and self._notif_pivots
-            else []
-        )
+        prior_pivots = list(self._notif_pivots.items())
         if self._tracer is not None:
             self._tracer.record(
                 message.trace, STAGE_DELIVER, self.transport.now(), self._site
@@ -963,8 +872,8 @@ class FlexCastGroup(AtomicMulticastGroup):
         if queue and queue[0].msg_id == message.msg_id:
             queue.popleft()
         elif queue and self.ts is not None:
-            # Hybrid delivers in (final ts, id) order, which may legally
-            # invert the FIFO arrival order within one lca queue.
+            # Exposed messages deliver in (final ts, id) order, which may
+            # legally invert the FIFO arrival order within one lca queue.
             for index, queued in enumerate(queue):
                 if queued.msg_id == message.msg_id:
                     del queue[index]
@@ -1102,12 +1011,13 @@ class FlexCastGroup(AtomicMulticastGroup):
         while dirty:
             lca = dirty.pop()
             queue = self.queues.get(lca)
-            if self.ts is not None and (self.hybrid or self.ts.pending_count()):
-                # Hybrid: the timestamp order may invert the FIFO arrival
-                # order within a queue (a later arrival can hold a smaller
-                # final timestamp), so a blocked head must not wall off a
-                # deliverable message behind it — scan the whole queue and
-                # restart after every delivery.
+            if self.ts is not None and self.ts.pending_count():
+                # Some undelivered message is timestamped, and the timestamp
+                # order may invert the FIFO arrival order within a queue (a
+                # later arrival can hold a smaller final timestamp), so a
+                # blocked head must not wall off a deliverable message
+                # behind it — scan the whole queue and restart after every
+                # delivery.
                 progressed = True
                 while queue and progressed:
                     progressed = False
@@ -1152,7 +1062,7 @@ class FlexCastGroup(AtomicMulticastGroup):
                 and self._timestamped(queue[0])
                 and self.ts.is_pending(queue[0].msg_id)
             ):
-                # Hybrid: the head is waiting out its ts-propose convoy.
+                # The head is waiting out its ts-propose convoy.
                 self._tracer.record(
                     queue[0].trace,
                     STAGE_TS_WAIT,
@@ -1174,7 +1084,7 @@ class FlexCastGroup(AtomicMulticastGroup):
             return False
         return (
             self._acks_satisfied(message)
-            and self._dependencies_satisfied(message.msg_id)
+            and self._dependencies_satisfied(message)
             and not self._pivot_guard_allows(message.msg_id)
         )
 
@@ -1232,19 +1142,17 @@ class FlexCastGroup(AtomicMulticastGroup):
         """Delivery condition for non-lca destinations (``can-deliver``)."""
         if not self._acks_satisfied(message):
             return False
-        if not self._dependencies_satisfied(message.msg_id):
+        if not self._dependencies_satisfied(message):
             return False
         if self._timestamped(message):
-            # The timestamp authority subsumes the pivot guard for
-            # timestamped messages — every global message in hybrid mode,
-            # the hot conflict components under order claims.  The convoy
-            # gate delivers contested messages in ``(final ts, id)`` order —
-            # a *global* total order — so any ordering this delivery mints
-            # is consistent everywhere and the guard's concern (a new
-            # pre-pivot ordering closing a cycle) cannot materialise.
-            # Contradictory pivot waits, which the guarded protocol can
-            # only escape heuristically, are broken by the timestamp tie
-            # instead.  Under claims this is sound precisely because
+            # The timestamp authority subsumes the pivot guard for the
+            # messages it orders.  The convoy gate delivers contested
+            # messages in ``(final ts, id)`` order — a *global* total order
+            # — so any ordering this delivery mints is consistent
+            # everywhere and the guard's concern (a new pre-pivot ordering
+            # closing a cycle) cannot materialise.  Contradictory pivot
+            # waits, which the guard can only escape heuristically, are
+            # broken by the timestamp tie instead.  This is sound because
             # exposure is component-closed: an exposed message never meets
             # a guard-ordered one at any group, so skipping the guard here
             # cannot invalidate a guard promise about a mixed pair.
@@ -1252,14 +1160,14 @@ class FlexCastGroup(AtomicMulticastGroup):
         return self._pivot_guard_allows(message.msg_id)
 
     def _ts_gate_allows(self, message: Message) -> bool:
-        """Hybrid convoy gate: deliver in global ``(final ts, id)`` order."""
+        """Convoy gate: deliver in global ``(final ts, id)`` order."""
         assert self.ts is not None
         if not self.ts.is_pending(message.msg_id):
             # Every enqueue path proposes on first contact, and the authority
             # completes a message only at delivery (which also unlinks it
             # from its queue), so a queued global message without a pending
             # entry is an invariant breach.  Fail loudly: delivering it
-            # anyway would be exactly the unordered delivery hybrid mode
+            # anyway would be exactly the unordered delivery exposure
             # exists to rule out.
             raise ProtocolError(
                 f"group {self.group_id}: queued global message "
@@ -1280,14 +1188,14 @@ class FlexCastGroup(AtomicMulticastGroup):
         after the promise was made.  Chained across groups, exactly that race
         builds a global delivery cycle that deadlocks the highest-ranked
         destination (the ``replicated_inventory`` lost-delivery bug, see
-        DESIGN.md "anatomy of a lost delivery").
+        DESIGN.md "Ordering: pivot guard + exposure").
 
         The guard therefore delays ``X`` while some other undelivered local
         message ``Y`` precedes a known pivot that ``X`` does not precede:
         ``Y`` must go first (its position before ``P`` is already committed
         information, so delivering it creates nothing new).
         """
-        if not self.pivot_guard or not self._notif_pivots:
+        if not self._notif_pivots:
             return True
         if msg_id in self._guard_exempt:
             return True
@@ -1317,9 +1225,9 @@ class FlexCastGroup(AtomicMulticastGroup):
             oldest = next(iter(pivots))
             del pivots[oldest]
 
-    def _dependencies_satisfied(self, msg_id: str) -> bool:
+    def _dependencies_satisfied(self, message: Message) -> bool:
         """True iff no undelivered message addressed to this group precedes
-        ``msg_id``.
+        ``message``.
 
         One forward walk shared by all open dependencies
         (:meth:`History.reached_from`): they sit at the new end of the DAG,
@@ -1327,6 +1235,7 @@ class FlexCastGroup(AtomicMulticastGroup):
         memoized against the dependency epoch, so re-checks of a
         still-blocked head after unrelated events are O(1).
         """
+        msg_id = message.msg_id
         blocking = self._undelivered_to_me
         if not blocking or (len(blocking) == 1 and msg_id in blocking):
             return True
@@ -1337,7 +1246,7 @@ class FlexCastGroup(AtomicMulticastGroup):
         history = self.history
         others = blocking - {msg_id}
         satisfied = not history.reached_from(others, (msg_id,))
-        if not satisfied and not self.hybrid:
+        if not satisfied and not self._timestamped(message):
             # Poison tolerance: a blocking "predecessor" that is *also* a
             # descendant of the candidate sits in a delivery cycle with it —
             # a merged delta carried an upstream acyclic-order violation this
@@ -1347,11 +1256,12 @@ class FlexCastGroup(AtomicMulticastGroup):
             # deadlock), so cycle-void blockers are ignored; genuine acyclic
             # blockers still hold the candidate back.
             #
-            # Hybrid mode deliberately does NOT tolerate poison: the
-            # timestamp authority makes delivery cycles impossible, so a
-            # cycle-contradictory blocker would indicate a genuine protocol
-            # bug — blocking (and failing the fuzz liveness oracle) is the
-            # loud outcome a guaranteed property wants, not deliver-through.
+            # A timestamped candidate deliberately does NOT tolerate poison:
+            # the authority makes delivery cycles among the messages it
+            # orders impossible, so a cycle-contradictory blocker would
+            # indicate a genuine protocol bug — blocking (and failing the
+            # fuzz liveness oracle) is the loud outcome a guaranteed
+            # property wants, not deliver-through.
             cyclic = history.reached_from((msg_id,), others)
             satisfied = not history.reached_from(others - cyclic, (msg_id,))
         self._dep_cache[msg_id] = (epoch, satisfied)
@@ -1359,7 +1269,11 @@ class FlexCastGroup(AtomicMulticastGroup):
 
     def _acks_satisfied(self, message: Message) -> bool:
         """``ancestors-to-ack ⊆ ancestors-that-acked`` without materialising
-        either set — this runs once per queue-head check, every pass."""
+        either set — this runs once per queue-head check, every pass.
+
+        The groups to wait for are every ancestor destination except the
+        lca, and every notified group that is an ancestor of this one (a
+        notified group only acks to its own descendants)."""
         entry = self._pending_for(message)
         acks = entry.acks
         my_rank = self._rank(self.group_id)
@@ -1371,30 +1285,6 @@ class FlexCastGroup(AtomicMulticastGroup):
             if g not in acks and self._rank(g) < my_rank:
                 return False
         return True
-
-    def ancestors_to_ack(self, message: Message) -> Set[GroupId]:
-        """Groups whose ack this group must wait for (``ancestors-to-ack``).
-
-        These are (i) every ancestor destination except the lca, and (ii) every
-        notified group that is an ancestor of this group (a notified group only
-        sends acks to its own descendants, so lower notified groups are the
-        only ones we can — and must — wait for).
-        """
-        entry = self._pending_for(message)
-        my_rank = self._rank(self.group_id)
-        required = {
-            g
-            for g in message.dst
-            if g != self.lca_of(message) and self._rank(g) < my_rank
-        }
-        required.update(
-            g for g in entry.notified if self._rank(g) < my_rank
-        )
-        return required
-
-    def ancestors_that_acked(self, message: Message) -> Set[GroupId]:
-        """Groups that have acked ``message`` (``ancestors-that-acked``)."""
-        return set(self._pending_for(message).acks)
 
     # ------------------------------------------------------- garbage collection
     def _garbage_collect(self, flush: Message) -> None:
@@ -1458,7 +1348,7 @@ class FlexCastGroup(AtomicMulticastGroup):
         watermarks survive as-is: watermarks are absolute journal sequence
         numbers, and a group that only now became a descendant falls below
         ``journal_base`` and simply receives a full live snapshot on first
-        contact (the PR-1 late-joiner path).  The hybrid timestamp authority
+        contact (the PR-1 late-joiner path).  The timestamp authority
         (``self.ts``) also survives untouched: timestamps are a property of
         a message's destination set, not of any rank order, so the Lamport
         clock and any in-flight proposal state stay valid across the switch
@@ -1496,40 +1386,23 @@ class FlexCastProtocol(AtomicMulticastProtocol):
     def __init__(
         self,
         overlay: CDagOverlay,
-        pivot_guard: bool = True,
-        hybrid: bool = False,
-        conflict_shapes: Optional[Sequence[Set[GroupId]]] = None,
+        exposure: Exposure = Exposure.none(),
     ) -> None:
         if not isinstance(overlay, CDagOverlay):
             raise TypeError("FlexCast requires a complete-DAG overlay")
         super().__init__(overlay)
-        self.pivot_guard = pivot_guard
-        #: Hybrid Skeen-timestamp ordering authority for global messages
-        #: (see the module docstring); every group must agree on this flag.
-        self.hybrid = hybrid
-        #: Declared destination-set universe for conflict-scoped order
-        #: claims (module docstring).  Every group must agree on it —
-        #: exposure is a pure function of a message's shape, so agreement
-        #: makes claim decisions consistent deployment-wide.  The
-        #: declaration must cover every global destination set the workload
-        #: can submit (the fuzz harness derives it from the scenario).
-        self.conflict_shapes = (
-            tuple(frozenset(s) for s in conflict_shapes)
-            if conflict_shapes is not None
-            else None
-        )
+        #: What the timestamp authority orders (module docstring).  Built
+        #: once here and handed to every group: exposure is a pure function
+        #: of a message's shape, so sharing it is what makes the decision
+        #: consistent deployment-wide.  A declared universe must cover every
+        #: global destination set the workload can submit.
+        self.exposure = exposure
 
     def create_group(
         self, group_id: GroupId, transport: Transport, sink: DeliverySink
     ) -> FlexCastGroup:
         return FlexCastGroup(
-            group_id,
-            self.overlay,
-            transport,
-            sink,
-            pivot_guard=self.pivot_guard,
-            hybrid=self.hybrid,
-            conflict_shapes=self.conflict_shapes,
+            group_id, self.overlay, transport, sink, exposure=self.exposure
         )
 
     def entry_groups(self, message: Message) -> List[GroupId]:

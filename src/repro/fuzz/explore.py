@@ -36,13 +36,14 @@ reached when no channel has traffic and no timer can make progress.
 CLI (see ``python -m repro.fuzz explore --help``)::
 
     # exhaustive sweep of every single-shared-group shape up to 3 msgs x 3
-    # groups, plain mode with order claims (the fixed protocol):
+    # groups, each case declaring its own shapes (the default exposure):
     python -m repro.fuzz explore --max-msgs 3 --max-groups 3
 
-    # demonstrate the legacy hole: same sweep without order claims finds
-    # the 3-cycle and writes each violating interleaving as a schedule:
+    # demonstrate the hole exposure closes: the same sweep with nothing
+    # exposed finds the 3-cycle and writes each violating interleaving as
+    # a schedule:
     python -m repro.fuzz explore --max-msgs 3 --max-groups 3 \
-        --no-claims --out-dir explore-artifacts
+        --exposure none --out-dir explore-artifacts
 
     # replay one committed interleaving:
     python -m repro.fuzz explore --replay <schedule.json>
@@ -79,6 +80,7 @@ from ..core.message import ClientRequest, Message
 from ..overlay.cdag import CDagOverlay
 from ..protocols.base import RecordingSink
 from ..sim.transport import Transport
+from .harness import EXPOSURE_MODES, exposure_for
 
 CLIENT = "explore-client"
 
@@ -108,11 +110,9 @@ class ShapeCase:
 
     num_groups: int
     destinations: Tuple[Tuple[int, ...], ...]
-    #: Conflict-scoped order claims (the plain-mode fix) on/off.
-    order_claims: bool = True
-    #: Full hybrid (Skeen) mode; overrides claims.
-    hybrid: bool = False
-    pivot_guard: bool = True
+    #: What the timestamp authority orders (``EXPOSURE_MODES``); the
+    #: universe ``"declared"`` declares is :attr:`destinations` itself.
+    mode: str = "declared"
 
     @property
     def order(self) -> Tuple[int, ...]:
@@ -120,21 +120,14 @@ class ShapeCase:
 
     def label(self) -> str:
         dsts = "+".join("".join(map(str, d)) for d in self.destinations)
-        mode = (
-            "hybrid"
-            if self.hybrid
-            else ("claims" if self.order_claims else "legacy")
-        )
-        return f"g{self.num_groups}[{dsts}]-{mode}"
+        return f"g{self.num_groups}[{dsts}]-{self.mode}"
 
     def to_dict(self, choices: Sequence[Channel]) -> dict:
         return {
             "schema": SCHEMA,
             "num_groups": self.num_groups,
             "destinations": [list(d) for d in self.destinations],
-            "order_claims": self.order_claims,
-            "hybrid": self.hybrid,
-            "pivot_guard": self.pivot_guard,
+            "exposure": self.mode,
             "choices": [[str(s), str(d)] for s, d in choices],
         }
 
@@ -142,12 +135,18 @@ class ShapeCase:
     def from_dict(data: dict) -> Tuple["ShapeCase", List[Channel]]:
         if data.get("schema") != SCHEMA:
             raise ValueError(f"not an explorer schedule: {data.get('schema')!r}")
+        mode = data.get("exposure")
+        if mode is None:
+            # Schedules recorded before the modes were one value.
+            mode = (
+                "all"
+                if data["hybrid"]
+                else ("declared" if data["order_claims"] else "none")
+            )
         case = ShapeCase(
             num_groups=int(data["num_groups"]),
             destinations=tuple(tuple(d) for d in data["destinations"]),
-            order_claims=bool(data["order_claims"]),
-            hybrid=bool(data["hybrid"]),
-            pivot_guard=bool(data.get("pivot_guard", True)),
+            mode=mode,
         )
         choices = [_parse_node_pair(s, d, case) for s, d in data["choices"]]
         return case, choices
@@ -289,13 +288,7 @@ def execute(
     fabric = _Fabric()
     overlay = CDagOverlay(list(case.order))
     dsts = [frozenset(d) for d in case.destinations]
-    conflict_shapes = dsts if (case.order_claims and not case.hybrid) else None
-    protocol = FlexCastProtocol(
-        overlay,
-        pivot_guard=case.pivot_guard,
-        hybrid=case.hybrid,
-        conflict_shapes=conflict_shapes,
-    )
+    protocol = FlexCastProtocol(overlay, exposure=exposure_for(case.mode, dsts))
     sink = RecordingSink(clock=lambda: fabric.time)
     groups = {}
     for gid in case.order:
@@ -506,9 +499,7 @@ def explore_shape(
 def enumerate_shapes(
     max_msgs: int,
     max_groups: int,
-    order_claims: bool = True,
-    hybrid: bool = False,
-    pivot_guard: bool = True,
+    mode: str = "declared",
     single_shared_only: bool = True,
 ) -> Iterator[ShapeCase]:
     """All labelled destination-set multisets up to the given bounds.
@@ -539,9 +530,7 @@ def enumerate_shapes(
                 yield ShapeCase(
                     num_groups=k,
                     destinations=tuple(tuple(sorted(d)) for d in combo),
-                    order_claims=order_claims,
-                    hybrid=hybrid,
-                    pivot_guard=pivot_guard,
+                    mode=mode,
                 )
 
 
@@ -554,17 +543,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--max-msgs", type=int, default=3)
     parser.add_argument("--max-groups", type=int, default=3)
     parser.add_argument(
-        "--no-claims",
-        dest="order_claims",
-        action="store_false",
-        help="explore the legacy claim-free plain protocol (demonstrates "
-        "the single-shared-group 3-cycle the order claims close)",
-    )
-    parser.add_argument(
-        "--hybrid", action="store_true", help="explore full hybrid mode"
-    )
-    parser.add_argument(
-        "--unguarded", action="store_true", help="disable the pivot guard"
+        "--exposure",
+        choices=EXPOSURE_MODES,
+        default="declared",
+        help="what the timestamp authority orders: the hot components of "
+        "each case's own shapes (default), all global messages, or none "
+        "(the paper's protocol — demonstrates the single-shared-group "
+        "3-cycle exposure closes)",
     )
     parser.add_argument(
         "--all-shapes",
@@ -621,9 +606,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         enumerate_shapes(
             args.max_msgs,
             args.max_groups,
-            order_claims=args.order_claims,
-            hybrid=args.hybrid,
-            pivot_guard=not args.unguarded,
+            mode=args.exposure,
             single_shared_only=not args.all_shapes,
         )
     )

@@ -27,7 +27,7 @@ shrunk (:mod:`repro.fuzz.shrink`) and committed as a regression schedule.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 from ..checker.properties import check_epochs, check_trace
 from ..checker.recovery import check_recovery
@@ -35,6 +35,7 @@ from ..checker.replay import check_sequential_replay, conservation_check
 from ..core.batching import BatchingClient
 from ..core.flexcast import FlexCastGroup, FlexCastProtocol
 from ..core.message import ClientRequest, Message
+from ..core.timestamps import Exposure
 from ..obs import Observability
 from ..overlay.base import GroupId
 from ..overlay.cdag import CDagOverlay
@@ -74,19 +75,15 @@ class FuzzResult:
       groups commit complementary halves of a delivery cycle no local rule
       can see in time; the pivot guard makes this rare and poison tolerance
       keeps it from ever losing messages, but it cannot be excluded — see
-      DESIGN.md "anatomy of a lost delivery".  These are *reported* (and
-      shrinkable) so the limitation stays measured, not hidden.
+      DESIGN.md "Ordering: pivot guard + exposure".  These are *reported*
+      (and shrinkable) so the limitation stays measured, not hidden.
 
-    With **hybrid mode** on, the second bucket is retired: the Skeen
-    timestamp authority makes global acyclic order a guaranteed property, so
-    an acyclic-order finding is a genuine violation and stays in
-    :attr:`violations` (``finalize_buckets(strict=True)``).
-
-    Since the conflict-scoped **order claims** closed the single-shared-group
-    3-cycle, the same is true for guarded plain-mode runs (the harness
-    default): the anomaly bucket only survives for explicitly legacy runs —
-    ``order_claims=False`` or ``pivot_guard=False`` — which regression
-    schedules use to demonstrate the holes the fixes close.
+    The second bucket only exists for ``exposure="none"`` runs (which
+    regression schedules use to demonstrate the hole exposure closes).  With
+    a declared universe or everything exposed, the timestamp authority makes
+    global acyclic order a guaranteed property, so an acyclic-order finding
+    is a genuine violation and stays in :attr:`violations`
+    (``finalize_buckets(strict=True)``).
     """
 
     scenario: FuzzScenario
@@ -122,9 +119,9 @@ class FuzzResult:
         Without a cycle, prefix/replay failures are genuine guarantee
         breaches and stay in :attr:`violations`.
 
-        ``strict`` (hybrid mode) disables the re-bucketing entirely: acyclic
-        order is guaranteed there, so a cycle is a first-class violation and
-        the sweep gate must fail on it.
+        ``strict`` (any exposure but none) disables the re-bucketing
+        entirely: acyclic order is guaranteed there, so a cycle is a
+        first-class violation and the sweep gate must fail on it.
         """
         if strict:
             return
@@ -177,17 +174,21 @@ def _flush_submissions(scenario: FuzzScenario) -> List[Submission]:
 
 def run_scenario(
     scenario: FuzzScenario,
-    pivot_guard: bool = True,
-    hybrid: Optional[bool] = None,
+    exposure: Optional[str] = None,
     use_batching_client: bool = False,
     obs: Optional[Observability] = None,
-    order_claims: Optional[bool] = None,
 ) -> FuzzResult:
     """Execute ``scenario`` deterministically and return the checked result.
 
-    ``hybrid=None`` (the default) follows the scenario's own ``hybrid``
-    field; an explicit ``True``/``False`` overrides it (the sweep's hybrid
-    on/off axis).  ``use_batching_client`` forces submissions through a
+    ``exposure`` names what the timestamp authority orders
+    (:data:`EXPOSURE_MODES`).  ``None`` (the default)
+    follows the scenario: ``"all"`` when it pins ``hybrid``, else
+    ``"declared"`` — the harness derives the shape universe from the
+    scenario's own destination sets (:func:`scenario_conflict_shapes`).
+    Either makes ``acyclic-order`` a *hard* property; ``"none"`` runs the
+    paper's protocol, where it is a reported anomaly (regression schedules
+    use it to demonstrate the 3-cycle exposure closes).
+    ``use_batching_client`` forces submissions through a
     :class:`~repro.core.batching.BatchingClient` even when the scenario's
     ``batch_window`` is 1 — the differential equivalence tests use this to
     pin that a window of one is bit-identical to the unbatched client.
@@ -196,24 +197,13 @@ def run_scenario(
     per-message lifecycle trace behind (the sweep dumps it next to a shrunk
     failing schedule).  Timestamps are virtual simulator milliseconds, so a
     trace is as deterministic as the run itself.
-
-    ``order_claims`` controls the conflict-scoped order claims that close
-    plain mode's single-shared-group 3-cycle: ``None`` (the default) enables
-    them for every guarded non-hybrid run — the harness derives the declared
-    shape universe from the scenario's own destination sets — making
-    ``acyclic-order`` a *hard* property for plain mode; ``False`` reverts to
-    the legacy claim-free protocol (regression schedules use it to
-    demonstrate the 3-cycle the claims close).
     """
-    if hybrid is None:
-        hybrid = scenario.hybrid
-    if order_claims is None:
-        order_claims = pivot_guard and not hybrid
     if scenario.replication_factor > 1:
-        return _run_replicated(scenario, pivot_guard, hybrid, obs)
-    return _run_flexcast(
-        scenario, pivot_guard, hybrid, use_batching_client, obs, order_claims
-    )
+        # One replicated group: no global message, nothing to expose.
+        return _run_replicated(scenario, obs)
+    if exposure is None:
+        exposure = "all" if scenario.hybrid else "declared"
+    return _run_flexcast(scenario, exposure, use_batching_client, obs)
 
 
 # ----------------------------------------------------------- batch atomicity
@@ -311,9 +301,9 @@ def _check_leaks(
 
 # ------------------------------------------------------------------ flexcast
 def scenario_conflict_shapes(scenario: FuzzScenario) -> Tuple[frozenset, ...]:
-    """The declared destination-shape universe for order claims: every
-    global destination set the scenario can submit, plus the all-groups
-    shape used by GC flushes and epoch barriers."""
+    """The destination-shape universe a scenario declares: every global
+    destination set it can submit, plus the all-groups shape used by GC
+    flushes and epoch barriers."""
     shapes = {frozenset(sub.dst) for sub in scenario.submissions}
     shapes.add(frozenset(scenario.order))
     return tuple(sorted(
@@ -322,13 +312,28 @@ def scenario_conflict_shapes(scenario: FuzzScenario) -> Tuple[frozenset, ...]:
     ))
 
 
+#: Names of the three :class:`Exposure` constructors, for the fuzz surfaces
+#: that pick one by name (harness, explorer, their CLIs).
+EXPOSURE_MODES = ("none", "declared", "all")
+
+
+def exposure_for(mode: str, shapes: Iterable[frozenset]) -> Exposure:
+    """The exposure named ``mode``; ``shapes`` is the universe to declare,
+    read only by ``"declared"``."""
+    if mode == "none":
+        return Exposure.none()
+    if mode == "declared":
+        return Exposure.declared(shapes)
+    if mode == "all":
+        return Exposure.all()
+    raise ValueError(f"unknown exposure {mode!r} (know {EXPOSURE_MODES})")
+
+
 def _run_flexcast(
     scenario: FuzzScenario,
-    pivot_guard: bool,
-    hybrid: bool,
+    exposure: str,
     use_batching_client: bool = False,
     obs: Optional[Observability] = None,
-    order_claims: bool = False,
 ) -> FuzzResult:
     loop = EventLoop()
     latencies = _latency_matrix(scenario)
@@ -337,23 +342,13 @@ def _run_flexcast(
     )
     overlay = CDagOverlay(list(scenario.order))
     reconfigurable = bool(scenario.reconfigs)
-    conflict_shapes = (
-        scenario_conflict_shapes(scenario) if order_claims and not hybrid else None
+    protocol_class = (
+        ReconfigurableFlexCastProtocol if reconfigurable else FlexCastProtocol
     )
-    if reconfigurable:
-        protocol = ReconfigurableFlexCastProtocol(
-            overlay,
-            pivot_guard=pivot_guard,
-            hybrid=hybrid,
-            conflict_shapes=conflict_shapes,
-        )
-    else:
-        protocol = FlexCastProtocol(
-            overlay,
-            pivot_guard=pivot_guard,
-            hybrid=hybrid,
-            conflict_shapes=conflict_shapes,
-        )
+    protocol = protocol_class(
+        overlay,
+        exposure=exposure_for(exposure, scenario_conflict_shapes(scenario)),
+    )
 
     sink = RecordingSink(clock=lambda: loop.now)
     groups: Dict[GroupId, object] = {}
@@ -488,15 +483,13 @@ def _run_flexcast(
         epoch_report = check_epochs(delivery_epochs, barriers=coordinator.barriers)
         result.violations.extend(str(v) for v in epoch_report.violations)
 
-    result.finalize_buckets(strict=hybrid or order_claims)
+    result.finalize_buckets(strict=exposure != "none")
     return result
 
 
 # ---------------------------------------------------------------- replicated
 def _run_replicated(
     scenario: FuzzScenario,
-    pivot_guard: bool,
-    hybrid: bool,
     obs: Optional[Observability] = None,
 ) -> FuzzResult:
     """Crash-profile runs: one multi-Paxos replicated group.
@@ -517,7 +510,7 @@ def _run_replicated(
     network = Network(
         loop, latencies, jitter_ms=scenario.jitter_ms, seed=scenario.net_seed
     )
-    protocol = FlexCastProtocol(CDagOverlay([0]), pivot_guard=pivot_guard, hybrid=hybrid)
+    protocol = FlexCastProtocol(CDagOverlay([0]))
 
     sink = RecordingSink(clock=lambda: loop.now)
     delivered_ids: set = set()

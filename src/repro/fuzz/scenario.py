@@ -93,10 +93,10 @@ class FuzzScenario:
     #: channels FlexCast assumes reliable), so the oracle checks that what
     #: *was* delivered is consistent, not that everything was delivered.
     expect_all_delivered: bool = True
-    #: Hybrid Skeen-timestamp ordering authority (see repro.core.flexcast).
-    #: With hybrid on, global acyclic order is a *guaranteed* property: the
-    #: harness promotes ``acyclic-order`` findings (and their replay/prefix
-    #: shadows) from reported anomalies to hard violations.
+    #: Expose every global message to the Skeen-timestamp authority
+    #: (``exposure="all"``, see repro.fuzz.harness.run_scenario); off, the
+    #: harness declares the scenario's own shapes instead.  The field keeps
+    #: the name committed schedules serialize it under.
     hybrid: bool = False
     #: Client-side batching window (repro.core.batching.BatchingClient):
     #: same-destination submissions are coalesced up to this many per

@@ -27,29 +27,19 @@ from .scenario import FuzzScenario, Submission
 Predicate = Callable[[FuzzScenario], bool]
 
 
-def default_predicate(
-    pivot_guard: bool = True,
-    hybrid: Optional[bool] = None,
-    order_claims: Optional[bool] = None,
-) -> Predicate:
+def default_predicate(exposure: Optional[str] = None) -> Predicate:
     """Fail on *any* checked property, ordering anomalies included — a
     regression schedule should pin whatever the checker can see.
 
-    ``hybrid`` and ``order_claims`` mirror
-    :func:`repro.fuzz.harness.run_scenario`: ``None`` follows the harness
-    defaults, an explicit value pins the mode so a finding from a forced
-    sweep shrinks under the same protocol that produced it (a legacy
-    ``order_claims=False`` 3-cycle would otherwise stop failing — and stop
-    shrinking — the moment the claims re-engage).
+    ``exposure`` mirrors :func:`repro.fuzz.harness.run_scenario`: ``None``
+    follows the scenario, a name pins the mode so a finding from a forced
+    sweep shrinks under the same protocol that produced it (an
+    ``exposure="none"`` 3-cycle would otherwise stop failing — and stop
+    shrinking — the moment the authority re-engages).
     """
 
     def fails(scenario: FuzzScenario) -> bool:
-        return not run_scenario(
-            scenario,
-            pivot_guard=pivot_guard,
-            hybrid=hybrid,
-            order_claims=order_claims,
-        ).strict_ok
+        return not run_scenario(scenario, exposure=exposure).strict_ok
 
     return fails
 

@@ -10,12 +10,13 @@ meet at exactly one dedicated group and nowhere else (extra per-message
 groups are drawn from disjoint pools, so they can never widen an
 intersection), plus optional unconstrained filler traffic.
 
-This is the adversarial input class for the conflict-scoped order claims
-(:mod:`repro.core.flexcast`): each pairwise order in the cycle is decided at
-an independent group, which is exactly what let plain mode compose a global
-delivery cycle before the claims.  Property tests drive these scenarios
-through plain, hybrid, and batched modes and assert ``strict_ok`` — since
-the claims, ``acyclic-order`` is a hard property in all three.
+This is the adversarial input class for exposure
+(:class:`repro.core.timestamps.Exposure`): each pairwise order in the cycle
+is decided at an independent group, which is exactly what lets the protocol
+compose a global delivery cycle with nothing exposed.  Property tests drive
+these scenarios with their shapes declared, with everything exposed, and
+batched, and assert ``strict_ok`` — ``acyclic-order`` is a hard property in
+all three.
 
 Hypothesis is a dev-only dependency: this module is imported by tests, never
 by the runtime package.

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from ..obs import Observability
-from .harness import FuzzResult, run_scenario
+from .harness import EXPOSURE_MODES, FuzzResult, run_scenario
 from .profiles import PROFILES, apply_profile
 from .scenario import FuzzScenario
 from .shrink import default_predicate, shrink_scenario
@@ -56,24 +56,20 @@ class SweepSummary:
 def run_sweep(
     seeds: Sequence[int],
     profiles: Sequence[str] = ("none", "dup", "reconfig"),
-    pivot_guard: bool = True,
     shrink_failures: bool = True,
     time_cap_s: Optional[float] = None,
     progress=None,
-    hybrid: Optional[bool] = None,
+    exposure: Optional[str] = None,
     batch_window: Optional[int] = None,
-    order_claims: Optional[bool] = None,
 ) -> SweepSummary:
     """Run every ``(seed, profile)`` scenario; shrink and collect failures.
 
-    ``hybrid`` selects the ordering mode for every run: ``True`` forces the
-    Skeen-timestamp hybrid on (acyclic-order findings become hard failures),
-    ``False`` forces it off, ``None`` follows each scenario's own flag.
-    ``batch_window`` likewise forces the client-side batching window for
-    every run (``1`` = unbatched); ``None`` follows each scenario.
-    ``order_claims=None`` (the default) keeps the harness rule — claims on
-    for every guarded plain run, making acyclic-order a hard failure there
-    too; ``False`` is the legacy-comparison axis.
+    ``exposure`` forces what the timestamp authority orders for every run
+    (:func:`~repro.fuzz.harness.run_scenario`): ``"all"`` and ``"declared"``
+    make acyclic-order findings hard failures, ``"none"`` reports them as
+    anomalies; ``None`` follows each scenario.  ``batch_window`` likewise
+    forces the client-side batching window for every run (``1`` =
+    unbatched); ``None`` follows each scenario.
     """
     for profile in profiles:
         if profile not in PROFILES:
@@ -87,13 +83,15 @@ def run_sweep(
                 summary.elapsed_s = time.monotonic() - started
                 return summary
             scenario = apply_profile(generate_scenario(seed, profile), profile)
-            if hybrid is not None:
-                scenario = replace(scenario, hybrid=hybrid)
+            if exposure is not None:
+                # `hybrid` is the one exposure bit a scenario serializes: a
+                # shrunk artifact from an `all` or `declared` sweep replays
+                # as found; one from a `none` sweep loads as `declared` and
+                # needs `--replay <schedule> --exposure none`.
+                scenario = replace(scenario, hybrid=exposure == "all")
             if batch_window is not None:
                 scenario = replace(scenario, batch_window=batch_window)
-            result = run_scenario(
-                scenario, pivot_guard=pivot_guard, order_claims=order_claims
-            )
+            result = run_scenario(scenario, exposure=exposure)
             summary.runs += 1
             if result.strict_ok:
                 summary.clean += 1
@@ -108,9 +106,7 @@ def run_sweep(
                     # so one finding cannot blow a CI time cap.  Probes past
                     # the deadline report "not failing", which stops the
                     # reduction quickly and keeps the best scenario so far.
-                    base_fails = default_predicate(
-                        pivot_guard, order_claims=order_claims
-                    )
+                    base_fails = default_predicate(exposure)
                     if time_cap_s is not None:
                         deadline = started + time_cap_s
                         if time.monotonic() >= deadline:
@@ -160,23 +156,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--time-cap-s", type=float, default=None)
     parser.add_argument("--no-shrink", action="store_true")
     parser.add_argument(
-        "--unguarded",
-        action="store_true",
-        help="run with the legacy (pre-fix) protocol, pivot guard disabled",
-    )
-    parser.add_argument(
-        "--hybrid",
-        dest="hybrid",
-        action="store_true",
+        "--exposure",
+        choices=EXPOSURE_MODES,
         default=None,
-        help="force the Skeen-timestamp hybrid ordering authority ON for "
-        "every run (acyclic-order findings become hard failures)",
-    )
-    parser.add_argument(
-        "--no-hybrid",
-        dest="hybrid",
-        action="store_false",
-        help="force hybrid mode OFF (default: follow each scenario's flag)",
+        help="force what the Skeen-timestamp authority orders for every run: "
+        "all global messages, the hot components of each scenario's declared "
+        "shapes, or none (the paper's protocol; acyclic-order findings are "
+        "then reported anomalies instead of hard failures).  Default: "
+        "follow each scenario",
     )
     parser.add_argument(
         "--batch",
@@ -187,27 +174,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="force the client-side batching window to N for every run "
         "(1 = unbatched; default: follow each scenario's batch_window)",
     )
-    parser.add_argument(
-        "--no-claims",
-        dest="order_claims",
-        action="store_false",
-        default=None,
-        help="disable the conflict-scoped order claims for every run "
-        "(legacy-comparison axis; acyclic-order findings become reported "
-        "anomalies again instead of hard failures)",
-    )
     parser.add_argument("--replay", default=None, help="replay one schedule JSON")
     parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
 
     if args.replay:
         scenario = FuzzScenario.load(args.replay)
-        result = run_scenario(
-            scenario,
-            pivot_guard=not args.unguarded,
-            hybrid=args.hybrid,
-            order_claims=args.order_claims,
-        )
+        result = run_scenario(scenario, exposure=args.exposure)
         print(
             f"replayed {scenario.name}: submitted={result.submitted} "
             f"delivered={result.delivered} violations={len(result.violations)} "
@@ -239,13 +212,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     summary = run_sweep(
         seeds,
         profiles=profiles,
-        pivot_guard=not args.unguarded,
         shrink_failures=not args.no_shrink,
         time_cap_s=args.time_cap_s,
         progress=progress,
-        hybrid=args.hybrid,
+        exposure=args.exposure,
         batch_window=args.batch_window,
-        order_claims=args.order_claims,
     )
     print(
         f"\nsweep: {summary.clean}/{summary.runs} clean, "
@@ -266,13 +237,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             # so the trace describes exactly the committed failure).  Inspect
             # with: PYTHONPATH=src python -m repro.obs trace <trace.json>
             obs = Observability.with_tracing()
-            run_scenario(
-                scenario,
-                pivot_guard=not args.unguarded,
-                hybrid=args.hybrid,
-                obs=obs,
-                order_claims=args.order_claims,
-            )
+            run_scenario(scenario, exposure=args.exposure, obs=obs)
             trace_path = out / f"trace-{scenario.name}-{index}.json"
             obs.tracer.dump_json(trace_path)
             print(f"wrote {trace_path}")

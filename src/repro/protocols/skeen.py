@@ -22,7 +22,7 @@ two communication steps after the client's send, which is optimal.
 
 The timestamp machinery itself — clock, proposal max-merge, the convoy-wait
 delivery gate — lives in :class:`repro.core.timestamps.TimestampAuthority`,
-shared with FlexCast's hybrid mode so both deployments run one tested
+shared with FlexCast's exposed traffic so both deployments run one tested
 implementation; this module only adds the wire protocol around it.
 """
 

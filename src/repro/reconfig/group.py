@@ -23,7 +23,7 @@ group-side half of the epoch state machine (the coordinator side lives in
 
 from __future__ import annotations
 
-from typing import Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Hashable, List, Tuple
 
 from ..core.flexcast import FlexCastGroup, FlexCastProtocol
 from ..core.message import (
@@ -41,6 +41,7 @@ from ..core.message import (
     QuiesceQuery,
     QuiesceReply,
 )
+from ..core.timestamps import Exposure
 from ..overlay.base import GroupId
 from ..overlay.cdag import CDagOverlay
 from ..protocols.base import DeliverySink
@@ -64,19 +65,9 @@ class ReconfigurableFlexCastGroup(FlexCastGroup):
         overlay: CDagOverlay,
         transport: Transport,
         sink: DeliverySink,
-        pivot_guard: bool = True,
-        hybrid: bool = False,
-        conflict_shapes: Optional[Sequence[Set[GroupId]]] = None,
+        exposure: Exposure = Exposure.none(),
     ) -> None:
-        super().__init__(
-            group_id,
-            overlay,
-            transport,
-            sink,
-            pivot_guard=pivot_guard,
-            hybrid=hybrid,
-            conflict_shapes=conflict_shapes,
-        )
+        super().__init__(group_id, overlay, transport, sink, exposure=exposure)
         #: True between EpochPrepare and EpochSwitch (client intake parked).
         self.quiescing = False
         #: The announced epoch barrier — the only flush intake stays open for.
@@ -260,13 +251,7 @@ class ReconfigurableFlexCastProtocol(FlexCastProtocol):
         self, group_id: GroupId, transport: Transport, sink: DeliverySink
     ) -> ReconfigurableFlexCastGroup:
         return ReconfigurableFlexCastGroup(
-            group_id,
-            self.overlay,
-            transport,
-            sink,
-            pivot_guard=self.pivot_guard,
-            hybrid=self.hybrid,
-            conflict_shapes=self.conflict_shapes,
+            group_id, self.overlay, transport, sink, exposure=self.exposure
         )
 
     def install_overlay(self, overlay: CDagOverlay) -> None:

@@ -50,6 +50,7 @@ from urllib.parse import parse_qs, quote, urlsplit
 
 from ..core.flexcast import FlexCastProtocol
 from ..core.message import ClientResponse, Message, NodeHello
+from ..core.timestamps import Exposure
 from ..obs import Observability
 from ..overlay.base import GroupId
 from ..overlay.cdag import CDagOverlay
@@ -96,7 +97,10 @@ class ClusterSpec:
 
     def build_protocol(self) -> FlexCastProtocol:
         """The (deterministic) protocol instance every process agrees on."""
-        return FlexCastProtocol(CDagOverlay(list(self.groups)), hybrid=self.hybrid)
+        return FlexCastProtocol(
+            CDagOverlay(list(self.groups)),
+            exposure=Exposure.all() if self.hybrid else Exposure.none(),
+        )
 
     # -------------------------------------------------------------------- json
     def to_json(self) -> str:

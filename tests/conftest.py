@@ -8,6 +8,8 @@ import random
 import pytest
 from hypothesis import settings as hypothesis_settings
 
+import repro.core.flexcast as flexcast_module
+import repro.reconfig.group as reconfig_module
 from repro.core.message import reset_message_ids
 from repro.overlay.builders import standard_overlays
 from repro.sim.latencies import aws_latency_matrix
@@ -28,6 +30,21 @@ def _fresh_message_ids():
     """Keep message ids short and deterministic within each test."""
     reset_message_ids()
     yield
+
+
+@pytest.fixture
+def substitute_groups(monkeypatch):
+    """Make the protocol factories build the given group subclasses (a
+    differential reference, a deliberately broken variant) until teardown."""
+
+    def enable(group_class, reconfigurable_class=None):
+        monkeypatch.setattr(flexcast_module, "FlexCastGroup", group_class)
+        if reconfigurable_class is not None:
+            monkeypatch.setattr(
+                reconfig_module, "ReconfigurableFlexCastGroup", reconfigurable_class
+            )
+
+    return enable
 
 
 @pytest.fixture(scope="session")

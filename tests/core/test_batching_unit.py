@@ -6,6 +6,7 @@ import pytest
 from repro.core.batching import BatchingClient
 from repro.core.message import ClientRequest, FlexCastBatch, Message
 from repro.core.flexcast import FlexCastProtocol
+from repro.core.timestamps import Exposure
 from repro.overlay.cdag import CDagOverlay
 from repro.protocols.base import RecordingSink
 from repro.sim.transport import RecordingTransport
@@ -177,7 +178,7 @@ class TestBatchFanOutAtGate:
         # timestamp, so a batch of N costs |dst|-1 ts-propose envelopes
         # total, not N * (|dst|-1).
         overlay = CDagOverlay([0, 1, 2])
-        group = FlexCastProtocol(overlay, hybrid=True).create_group(
+        group = FlexCastProtocol(overlay, exposure=Exposure.all()).create_group(
             0, RecordingTransport(0), RecordingSink()
         )
         members = [make_message(i, dst=(0, 1, 2)) for i in range(8)]
@@ -261,7 +262,7 @@ class TestBatchFanOutAtGate:
 
         overlay = CDagOverlay([0, 1, 2])
         sink = RecordingSink()
-        group = FlexCastProtocol(overlay, hybrid=True).create_group(
+        group = FlexCastProtocol(overlay, exposure=Exposure.all()).create_group(
             0, RecordingTransport(0), sink
         )
         members = [make_message(i, dst=(0, 1)) for i in range(2)]

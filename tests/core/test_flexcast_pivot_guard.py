@@ -3,7 +3,8 @@
 The guard closes the Strategy (c) ack race: a notified group's ack promises
 the pivot's destinations that its dependency contribution is final, so the
 group must not let unrelated messages overtake known predecessors of an
-acked pivot.  See DESIGN.md "anatomy of a lost delivery".
+acked pivot.  See DESIGN.md "Ordering: pivot guard
++ exposure".
 """
 
 from collections import deque
@@ -27,12 +28,10 @@ from repro.sim.transport import RecordingTransport
 A, B, C, D = 0, 1, 2, 3
 
 
-def make_group(gid, order=(A, B, C, D), pivot_guard=True):
+def make_group(gid, order=(A, B, C, D)):
     transport = RecordingTransport(gid)
     sink = RecordingSink()
-    group = FlexCastGroup(
-        gid, CDagOverlay(list(order)), transport, sink, pivot_guard=pivot_guard
-    )
+    group = FlexCastGroup(gid, CDagOverlay(list(order)), transport, sink)
     return group, transport, sink
 
 
@@ -81,14 +80,6 @@ class TestGuardBlocks:
         assert not group2._pivot_guard_allows("X")
         # Y itself precedes the pivot: allowed (delivers first).
         assert group2._pivot_guard_allows("Y")
-
-    def test_unguarded_mode_lets_everything_through(self):
-        group, transport, sink = make_group(B, pivot_guard=False)
-        group.on_envelope(A, FlexCastNotif(message=msg("P", {A, C}), history=EMPTY_DELTA, from_group=A))
-        group._merge_history(
-            delta([("Y", {A, B}), ("P", {A, C})], edges=[("Y", "P")])
-        )
-        assert group._pivot_guard_allows("X")
 
     def test_client_message_parks_behind_pivot_predecessor(self):
         """The lca no longer jumps client messages ahead of a known

@@ -17,6 +17,7 @@ from repro.core.message import (
     HistoryDelta,
     Message,
 )
+from repro.core.timestamps import Exposure
 from repro.overlay.cdag import CDagOverlay
 from repro.protocols.base import ProtocolError, RecordingSink
 from repro.sim.transport import RecordingTransport
@@ -77,6 +78,45 @@ class TestLcaBehaviour:
         group, _, _ = make_group(B, overlay)
         with pytest.raises(ProtocolError):
             group.on_client_request(msg("m1", {A, C}))
+
+    def test_undeclared_global_shape_rejected(self, overlay):
+        """An out-of-universe shape is outside the conflict analysis: it
+        must not run guard-ordered next to a single-shared partner."""
+        exposure = Exposure.declared([{A, B}, {B, C}])
+        group = FlexCastGroup(
+            A, overlay, RecordingTransport(A), RecordingSink(), exposure=exposure
+        )
+        with pytest.raises(ProtocolError) as excinfo:
+            group.on_client_request(msg("m1", {A, C}))
+        # The error names the offending shape and the declared universe.
+        assert "['A', 'C']" in str(excinfo.value)
+        assert "[['A', 'B'], ['B', 'C']]" in str(excinfo.value)
+        assert group.delivered_count == 0
+        # Declared shapes and local messages pass.
+        group.on_client_request(msg("m2", {A, B}))
+        group.on_client_request(msg("m3", {A}))
+        assert group.has_delivered("m3")
+
+    @pytest.mark.parametrize("exposure", [Exposure.none(), Exposure.all()])
+    def test_without_a_declared_universe_every_shape_is_admitted(
+        self, overlay, exposure
+    ):
+        group = FlexCastGroup(
+            A, overlay, RecordingTransport(A), RecordingSink(), exposure=exposure
+        )
+        group.on_client_request(msg("m1", {A, C}))
+        group.on_client_request(msg("m2", {A, B, C}))
+        assert group.pending.keys() == {"m1", "m2"}
+
+    def test_exposure_has_one_degree_of_freedom_per_mode(self):
+        """``hot_groups`` is derived, and all + a universe is contradictory."""
+        raw = Exposure(universe=[{A}, {A, B}, {B, C}])
+        assert raw == Exposure.declared([{A, B}, {B, C}])
+        assert raw.hot_groups == {A, B, C}
+        with pytest.raises(TypeError):
+            Exposure(hot_groups=frozenset({A}))
+        with pytest.raises(ValueError):
+            Exposure(universe=[{A, B}], everything=True)
 
     def test_forwarded_msg_carries_history_diff(self, overlay):
         group, transport, _ = make_group(A, overlay)
@@ -353,7 +393,7 @@ class TestForgottenDuplicates:
 
     def test_duplicate_of_gc_pruned_message_inert_in_hybrid_mode(self, overlay):
         transport, sink = RecordingTransport(C), RecordingSink()
-        group = FlexCastGroup(C, overlay, transport, sink, hybrid=True)
+        group = FlexCastGroup(C, overlay, transport, sink, exposure=Exposure.all())
         self._deliver_and_gc(group, ts=True)
         assert sink.sequence(C) == ["m1", "f1"]
         assert group.history.is_forgotten("m1")

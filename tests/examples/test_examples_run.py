@@ -45,7 +45,7 @@ class TestReplicatedInventory:
         prefix order — the properties the inventory's correctness rests on —
         must hold outright.  Global acyclic order across chains of
         disjoint-destination transfers is the protocol's documented residual
-        limitation (DESIGN.md "anatomy of a lost delivery"); it is reported
+        limitation (DESIGN.md "Ordering: pivot guard + exposure"); it is reported
         but does not affect per-pair stock consistency.
         """
         report = check_trace(part1["trace"], part1["messages"], expect_all_delivered=True)

@@ -26,12 +26,12 @@ from repro.fuzz.explore import (
 SCHEDULES = Path(__file__).parent.parent / "regression" / "schedules"
 
 TRIANGLE = ShapeCase(
-    num_groups=3, destinations=((0, 1), (1, 2), (0, 2)), order_claims=True
+    num_groups=3, destinations=((0, 1), (1, 2), (0, 2))
 )
 #: The shape whose exhaustive exploration caught the pre-component-closure
 #: deadlock (see module docstring).
 CLOSURE_REGRESSION = ShapeCase(
-    num_groups=3, destinations=((0, 2), (1, 2), (0, 1, 2)), order_claims=True
+    num_groups=3, destinations=((0, 2), (1, 2), (0, 1, 2))
 )
 
 
@@ -82,9 +82,7 @@ class TestExploreShape:
     def test_sleep_sets_preserve_verdict_and_shrink_tree(self):
         # Two messages keep the unpruned tree small enough to enumerate in
         # full; the triangle's unpruned tree takes minutes.
-        case = ShapeCase(
-            num_groups=3, destinations=((0, 1), (1, 2)), order_claims=True
-        )
+        case = ShapeCase(num_groups=3, destinations=((0, 1), (1, 2)))
         pruned = explore_shape(case)
         full = explore_shape(case, prune=False)
         assert pruned.ok == full.ok

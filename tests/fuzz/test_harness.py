@@ -60,6 +60,21 @@ class TestOracles:
         assert result.strict_ok
         assert result.submitted > 4  # flush multicasts counted too
 
+    def test_flushes_and_barriers_are_inside_the_declared_universe(self):
+        """The universe the harness declares includes the all-groups shape,
+        so the GC flushes and the epoch barrier it injects are admitted."""
+        scenario = small_scenario(
+            order=(0, 1, 2, 3),
+            gc_interval_ms=20.0,
+            reconfigs=(Reconfig(at_ms=6.0, order=(3, 2, 1, 0)),),
+        )
+        assert (0, 1, 2, 3) not in {s.dst for s in scenario.submissions}
+        result = run_scenario(scenario, exposure="declared")
+        assert result.strict_ok, result.violations
+        everywhere = set.intersection(*map(set, result.sequences.values()))
+        assert any("flush" in mid for mid in everywhere)
+        assert any("barrier" in mid for mid in everywhere)
+
     def test_reconfig_scenario_checks_epochs(self):
         scenario = small_scenario(
             reconfigs=(Reconfig(at_ms=30.0, order=(2, 1, 0)),)

@@ -34,7 +34,7 @@ class TestGeneratorShape:
 
 class TestStrictOrderAcrossModes:
     @given(scenario=single_shared_group_scenarios())
-    def test_plain_mode_with_claims_is_strictly_acyclic(self, scenario):
+    def test_declared_shapes_are_strictly_acyclic(self, scenario):
         result = run_scenario(scenario)
         assert result.strict_ok, result.violations + result.ordering_anomalies
         assert result.delivered == sum(
@@ -42,8 +42,8 @@ class TestStrictOrderAcrossModes:
         )
 
     @given(scenario=single_shared_group_scenarios())
-    def test_hybrid_mode_is_strictly_acyclic(self, scenario):
-        result = run_scenario(scenario, hybrid=True)
+    def test_everything_exposed_is_strictly_acyclic(self, scenario):
+        result = run_scenario(scenario, exposure="all")
         assert result.strict_ok, result.violations + result.ordering_anomalies
 
     @given(scenario=batched_single_shared_group_scenarios())

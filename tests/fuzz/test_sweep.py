@@ -36,7 +36,15 @@ class TestCli:
             Path(__file__).parents[1] / "regression" / "schedules"
             / "lost_delivery_inventory.json"
         )
-        # Fixed protocol replays clean...
         assert main(["--replay", str(schedule)]) == 0
-        # ...and the legacy unguarded protocol still exhibits the bug.
-        assert main(["--replay", str(schedule), "--unguarded"]) == 1
+
+    def test_cli_exposure_flag_overrides_the_scenario(self, capsys):
+        from pathlib import Path
+
+        schedule = (
+            Path(__file__).parents[1] / "regression" / "schedules"
+            / "single_shared_group_3cycle.json"
+        )
+        assert main(["--replay", str(schedule)]) == 0
+        # With nothing exposed the 3-cycle the schedule pins is back.
+        assert main(["--replay", str(schedule), "--exposure", "none"]) == 1

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from repro.checker import check_genuineness, check_trace
 from repro.core.flexcast import FlexCastProtocol
 from repro.core.message import ClientRequest, ClientResponse, Message, PAYLOAD_KINDS
+from repro.core.timestamps import Exposure
 from repro.overlay.builders import build_complete, build_o1, build_t1
 from repro.protocols.base import RecordingSink
 from repro.protocols.hierarchical import HierarchicalProtocol
@@ -152,11 +153,9 @@ class TestHypothesisDrivenOrdering:
         {3, 5}, {0, 1}, {0, 1}, {1, 3, 4},
     ]
 
-    def _run_three_cycle_witness(self, conflict_shapes):
+    def _run_three_cycle_witness(self, exposure):
         seed = 0
-        protocol = FlexCastProtocol(
-            build_o1(LATENCIES), conflict_shapes=conflict_shapes
-        )
+        protocol = FlexCastProtocol(build_o1(LATENCIES), exposure=exposure)
         loop, network, groups, sink = deploy(protocol, seed=seed)
         network.register("client", site=0, handler=lambda s, p: None)
         messages = []
@@ -176,13 +175,13 @@ class TestHypothesisDrivenOrdering:
 
     def test_single_shared_group_three_cycle_counterexample(self):
         """Deterministic replay of a hypothesis-found acyclic-order violation,
-        closed by the conflict-scoped order claims (ISSUE 10; was xfail)."""
-        shapes = [frozenset(d) for d in self.THREE_CYCLE_DESTINATIONS]
-        self._run_three_cycle_witness(shapes).raise_if_failed()
+        closed by declaring the shapes (ISSUE 10; was xfail)."""
+        exposure = Exposure.declared(self.THREE_CYCLE_DESTINATIONS)
+        self._run_three_cycle_witness(exposure).raise_if_failed()
 
-    def test_three_cycle_witness_still_fails_without_order_claims(self):
-        """The same schedule on the claim-free protocol still closes the
-        cycle — pinning that the hole was real and the claims fix it."""
-        report = self._run_three_cycle_witness(None)
+    def test_three_cycle_witness_still_fails_with_nothing_exposed(self):
+        """The same schedule with nothing exposed still closes the cycle —
+        pinning that the hole was real and exposure fixes it."""
+        report = self._run_three_cycle_witness(Exposure.none())
         assert not report.ok
         assert any("[acyclic-order]" in str(v) for v in report.violations)

@@ -22,8 +22,6 @@ from typing import Set
 
 import pytest
 
-import repro.core.flexcast as flexcast_module
-import repro.reconfig.group as reconfig_module
 from repro.core.flexcast import FlexCastGroup
 from repro.core.message import reset_message_ids
 from repro.experiments.config import flexcast_config
@@ -49,7 +47,7 @@ class BackwardPredicates:
         self.stats["reacks_sent"] += self.stats["acks_sent"] - first_acks
 
     def _pivot_guard_allows(self, msg_id):
-        if not self.pivot_guard or not self._notif_pivots:
+        if not self._notif_pivots:
             return True
         if msg_id in self._guard_exempt:
             return True
@@ -85,7 +83,8 @@ class BackwardPredicates:
             )
         return bool(found & candidates)
 
-    def _dependencies_satisfied(self, msg_id):
+    def _dependencies_satisfied(self, message):
+        msg_id = message.msg_id
         blocking = self._undelivered_to_me
         if not blocking or (len(blocking) == 1 and msg_id in blocking):
             return True
@@ -106,7 +105,7 @@ class BackwardPredicates:
                 satisfied = False
                 break
             queue.extend(predecessors.get(node, ()))
-        if not satisfied and not self.hybrid:
+        if not satisfied and not self._timestamped(message):
             satisfied = all(
                 self.history.depends(later=node, earlier=msg_id)
                 for node in self.history.ancestors_of(msg_id)
@@ -125,24 +124,15 @@ class BackwardReconfigurableGroup(BackwardPredicates, ReconfigurableFlexCastGrou
 
 
 @pytest.fixture
-def backward(monkeypatch):
+def backward(substitute_groups):
     """Make the protocol factories build reference groups while active."""
-
-    def enable():
-        monkeypatch.setattr(flexcast_module, "FlexCastGroup", BackwardGroup)
-        monkeypatch.setattr(
-            reconfig_module,
-            "ReconfigurableFlexCastGroup",
-            BackwardReconfigurableGroup,
-        )
-
-    return enable
+    return lambda: substitute_groups(BackwardGroup, BackwardReconfigurableGroup)
 
 
-def _fuzz_run(scenario, order_claims):
+def _fuzz_run(scenario, exposure):
     reset_message_ids()  # epoch barriers draw from the process-wide counter
     obs = Observability()
-    result = run_scenario(scenario, obs=obs, order_claims=order_claims)
+    result = run_scenario(scenario, obs=obs, exposure=exposure)
     return result, obs.registry.snapshot()["counters"]
 
 
@@ -151,16 +141,16 @@ def _total(counters, stat):
     return sum(v for k, v in counters.items() if k.startswith(prefix))
 
 
-#: Guarded plain mode (pivot guard on, no hybrid).  ``order_claims=False``
-#: sends every conflict through the guard; the harness default exposes hot
-#: components to the timestamp authority and leaves the guard the rest.
+#: ``exposure="none"`` sends every conflict through the guard; the harness
+#: default exposes hot components to the timestamp authority and leaves the
+#: guard the rest.
 FUZZ_CASES = [
-    (seed, profile, order_claims)
+    (seed, profile, exposure)
     for profile in ("none", "loss", "dup", "reconfig", "crash-restart")
     for seed in range(1, 9)
-    for order_claims in (None, False)
-    # The crash profiles run one replicated group: no claims axis there.
-    if not (profile == "crash-restart" and order_claims is False)
+    for exposure in (None, "none")
+    # The crash profiles run one replicated group: no exposure axis there.
+    if not (profile == "crash-restart" and exposure == "none")
 ]
 
 
@@ -170,16 +160,16 @@ class TestFuzzScenariosAreBitIdentical:
     exercised = {"reacks_sent": 0, "pivot_guard_stalls": 0, "guard_escapes": 0}
     cases_passed = 0
 
-    @pytest.mark.parametrize("seed,profile,order_claims", FUZZ_CASES)
+    @pytest.mark.parametrize("seed,profile,exposure", FUZZ_CASES)
     def test_sequences_and_counters_identical(
-        self, seed, profile, order_claims, backward
+        self, seed, profile, exposure, backward
     ):
         scenario = apply_profile(generate_scenario(seed, profile), profile)
         if profile != "crash-restart":
             assert len(scenario.order) >= 3
-        forward, forward_counters = _fuzz_run(scenario, order_claims)
+        forward, forward_counters = _fuzz_run(scenario, exposure)
         backward()
-        reference, reference_counters = _fuzz_run(scenario, order_claims)
+        reference, reference_counters = _fuzz_run(scenario, exposure)
         assert forward.sequences == reference.sequences
         assert forward_counters == reference_counters
         assert forward.violations == reference.violations

@@ -1,15 +1,15 @@
-"""Differential equivalence: order claims are invisible off the hot path.
+"""Differential equivalence: a declared universe is invisible off the hot path.
 
-The conflict-scoped order claims (ISSUE 10) must cost nothing — not even a
+Declaring the shape universe (ISSUE 10) must cost nothing — not even a
 changed tiebreak — for workloads that cannot form a single-shared-group
-pair: claims only activate for conflict components containing a pair of
-declared shapes intersecting in exactly one group, and a scenario with no
+pair: only conflict components containing a pair of declared shapes
+intersecting in exactly one group are exposed, and a scenario with no
 such pair has no hot component, no timestamp authority, and therefore the
-*identical* delivery schedule as the legacy claim-free protocol.
+*identical* delivery schedule as the protocol with nothing exposed.
 
 These tests pin that as a bit-identity: per-group delivery sequences from
-``order_claims=False`` and the (claims-on) harness default must be equal,
-element for element.  The harness adds the all-groups shape (GC flushes,
+``exposure="none"`` and the (declared-universe) harness default must be
+equal, element for element.  The harness adds the all-groups shape (GC flushes,
 epoch barriers) to the declared universe, so the scenarios below are built
 so no shape pair — including against the full-order shape — meets at
 exactly one group.
@@ -17,7 +17,7 @@ exactly one group.
 
 import pytest
 
-from repro.core.flexcast import _hot_conflict_groups
+from repro.core.timestamps import Exposure
 from repro.fuzz import FuzzScenario, Submission, run_scenario
 from repro.fuzz.harness import scenario_conflict_shapes
 from repro.fuzz.strategies import single_shared_pairs
@@ -71,12 +71,11 @@ class TestColdWorkloadsAreBitIdentical:
         assert single_shared_pairs(scenario) == []
 
     def test_no_hot_component(self, scenario):
-        shapes = list(scenario_conflict_shapes(scenario))
-        assert _hot_conflict_groups(shapes) == frozenset()
+        assert not Exposure.declared(scenario_conflict_shapes(scenario))
 
     def test_sequences_identical_with_and_without_claims(self, scenario):
         with_claims = run_scenario(scenario)
-        without = run_scenario(scenario, order_claims=False)
+        without = run_scenario(scenario, exposure="none")
         assert with_claims.strict_ok, (
             with_claims.violations + with_claims.ordering_anomalies
         )
@@ -93,5 +92,4 @@ class TestHotWorkloadStaysDifferent:
         scenario = _scenario(
             "hot-control", (0, 1, 2), [(0, 1), (1, 2), (0, 2)]
         )
-        shapes = list(scenario_conflict_shapes(scenario))
-        assert _hot_conflict_groups(shapes) != frozenset()
+        assert Exposure.declared(scenario_conflict_shapes(scenario))

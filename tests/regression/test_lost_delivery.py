@@ -8,9 +8,9 @@ lets groups commit complementary halves of a delivery cycle, which then
 deadlocked the highest-ranked destination forever (four transfers applied at
 only one endpoint).
 
-``pivot_guard=False`` reverts to the seed's unguarded behaviour, so the
-shrunk schedule still demonstrably fails there and must stay clean on the
-fixed protocol.
+:class:`UnguardedGroup` is the seed's protocol (no pivot guard, no promise
+maintenance), kept here as a test-only subclass: the shrunk schedule still
+demonstrably fails on it and must stay clean on the production protocol.
 
 The full schedule doubles as the gate for the hybrid Skeen-timestamp
 ordering authority (ISSUE 4): the committed JSON pins ``hybrid: true``, under
@@ -19,17 +19,28 @@ acyclic-order anomalies.  With hybrid *and* the conflict-scoped order claims
 (ISSUE 10) both forced off, the same schedule still exhibits the residual
 anomaly of the down-only c-DAG information flow (never a
 lost/duplicated/misordered-per-pair delivery), which pins both that the hole
-is real and that an ordering authority is what closes it; guarded plain mode
-with claims on passes strictly, like hybrid.
+is real and that an ordering authority is what closes it; with the scenario's
+shapes declared the run passes strictly, like with everything exposed.
 """
 
 from pathlib import Path
 
 import pytest
 
+from repro.core.flexcast import FlexCastGroup
 from repro.fuzz import FuzzScenario, run_scenario
 
 SCHEDULES = Path(__file__).parent / "schedules"
+
+
+class UnguardedGroup(FlexCastGroup):
+    """FlexCast as the seed had it: acked pivots bind nothing."""
+
+    def _pivot_guard_allows(self, msg_id):
+        return True
+
+    def _reack_pivots(self, message, prior_pivots):
+        pass
 
 
 @pytest.fixture(scope="module")
@@ -43,8 +54,9 @@ def full():
 
 
 class TestShrunkSchedule:
-    def test_fails_on_unguarded_protocol(self, shrunk):
-        result = run_scenario(shrunk, pivot_guard=False)
+    def test_fails_on_unguarded_protocol(self, shrunk, substitute_groups):
+        substitute_groups(UnguardedGroup)
+        result = run_scenario(shrunk, exposure="none")
         assert not result.strict_ok
         assert any(
             "[acyclic-order]" in v
@@ -52,13 +64,13 @@ class TestShrunkSchedule:
         )
 
     def test_passes_on_fixed_protocol(self, shrunk):
-        result = run_scenario(shrunk, pivot_guard=True)
+        result = run_scenario(shrunk)
         assert result.strict_ok, result.violations + result.ordering_anomalies
         # Everything submitted is delivered at every destination.
         assert result.delivered == sum(len(s.dst) for s in shrunk.submissions)
 
     def test_passes_on_hybrid_protocol(self, shrunk):
-        result = run_scenario(shrunk, pivot_guard=True, hybrid=True)
+        result = run_scenario(shrunk, exposure="all")
         assert result.strict_ok, result.violations + result.ordering_anomalies
         assert result.delivered == sum(len(s.dst) for s in shrunk.submissions)
 
@@ -79,25 +91,25 @@ class TestFullInventorySchedule:
         # Every transfer reaches both endpoints (the original bug lost 4).
         assert result.delivered == sum(len(s.dst) for s in full.submissions)
 
-    def test_strictly_clean_in_plain_mode_with_order_claims(self, full):
-        # Since the conflict-scoped order claims (ISSUE 10) closed the
-        # single-shared-group 3-cycle, guarded plain mode passes this
-        # schedule strictly too — the inventory residual anomaly was the
-        # same conflict class the claims arbitrate.
-        result = run_scenario(full, hybrid=False)
+    def test_strictly_clean_with_declared_shapes(self, full):
+        # Exposing the hot components of the scenario's own shapes closes
+        # the single-shared-group 3-cycle (ISSUE 10), so this schedule
+        # passes strictly without exposing everything — the inventory
+        # residual anomaly was that same conflict class.
+        result = run_scenario(full, exposure="declared")
         assert result.strict_ok, result.violations + result.ordering_anomalies
         assert result.delivered == sum(len(s.dst) for s in full.submissions)
 
-    def test_residual_anomaly_without_hybrid_or_claims(self, full):
-        result = run_scenario(full, hybrid=False, order_claims=False)
-        # Guaranteed properties still hold without either authority...
+    def test_residual_anomaly_with_nothing_exposed(self, full):
+        result = run_scenario(full, exposure="none")
+        # Guaranteed properties still hold without the authority...
         assert result.ok, result.violations
         assert result.delivered == sum(len(s.dst) for s in full.submissions)
         # ...but the down-only information flow leaves the documented
         # acyclic-order hole this schedule was committed to reproduce.
         assert result.ordering_anomalies, (
-            "expected the known acyclic-order anomaly with hybrid and "
-            "order claims both off; if the base protocol now closes it, "
+            "expected the known acyclic-order anomaly with nothing "
+            "exposed; if the base protocol now closes it, "
             "fold this into DESIGN.md"
         )
 

@@ -8,11 +8,11 @@ independent groups, which closes a global delivery cycle
 order of each pair is forced the moment its shared group delivers the pair's
 first element, before that group has heard of the second.
 
-``order_claims=False`` reverts to the claim-free protocol, so the schedule
-still demonstrably fails there; on the fixed protocol (conflict-scoped order
-claims, the harness default for guarded plain runs) it must be *strictly*
-clean — plain-mode ``acyclic-order`` is a hard property now.  Hybrid mode
-was never affected (final timestamps order everything) and stays clean too.
+``exposure="none"`` runs the protocol with nothing exposed, so the schedule
+still demonstrably fails there; with the scenario's shapes declared (the
+harness default) it must be *strictly* clean — ``acyclic-order`` is a hard
+property then.  Exposing everything was never affected (final timestamps
+order every global message) and stays clean too.
 """
 
 from pathlib import Path
@@ -30,25 +30,25 @@ def shrunk():
 
 
 class TestSingleSharedGroupCycleSchedule:
-    def test_fails_without_order_claims(self, shrunk):
-        result = run_scenario(shrunk, order_claims=False)
+    def test_fails_with_nothing_exposed(self, shrunk):
+        result = run_scenario(shrunk, exposure="none")
         assert not result.strict_ok
         assert any(
             "[acyclic-order]" in v
             for v in result.violations + result.ordering_anomalies
         )
-        # The legacy hole never loses a delivery — poison tolerance turns
+        # The hole never loses a delivery — poison tolerance turns
         # the cycle into a detected anomaly, not a deadlock.
         assert result.ok, result.violations
         assert result.delivered == sum(len(s.dst) for s in shrunk.submissions)
 
-    def test_passes_on_fixed_plain_protocol(self, shrunk):
+    def test_passes_with_declared_shapes(self, shrunk):
         result = run_scenario(shrunk)
         assert result.strict_ok, result.violations + result.ordering_anomalies
         assert result.delivered == sum(len(s.dst) for s in shrunk.submissions)
 
-    def test_passes_on_hybrid_protocol(self, shrunk):
-        result = run_scenario(shrunk, hybrid=True)
+    def test_passes_with_everything_exposed(self, shrunk):
+        result = run_scenario(shrunk, exposure="all")
         assert result.strict_ok, result.violations + result.ordering_anomalies
         assert result.delivered == sum(len(s.dst) for s in shrunk.submissions)
 

@@ -5,6 +5,7 @@ import asyncio
 import pytest
 
 from repro.core.flexcast import FlexCastProtocol
+from repro.core.timestamps import Exposure
 from repro.overlay.cdag import CDagOverlay
 from repro.overlay.tree import TreeOverlay
 from repro.protocols.hierarchical import HierarchicalProtocol
@@ -73,7 +74,7 @@ class TestBatchedCluster:
 
     def test_batched_and_plain_multicasts_interleave(self):
         async def scenario():
-            protocol = FlexCastProtocol(CDagOverlay([0, 1, 2]), hybrid=True)
+            protocol = FlexCastProtocol(CDagOverlay([0, 1, 2]), exposure=Exposure.all())
             async with LocalCluster(protocol) as cluster:
                 client = await cluster.new_client("client-1")
                 await client.multicast([0, 1], payload="before")
