@@ -213,7 +213,7 @@ def bench_cold_sync(size: int) -> Callable[[], None]:
     """One full cold sync: packed snapshot bulk-installed into a new history.
 
     O(|H|)/op by design — this measures the per-entry constant of the
-    wholesale index swap (:meth:`History.install_snapshot`'s fresh fast
+    wholesale index swap (:meth:`History.merge_delta`'s fresh fast
     path), not flatness, so it is *not* in the ``--flat`` gate; divide
     op/s by |H| to compare per-entry rates across sizes.
     """

@@ -49,8 +49,8 @@ _JOURNAL_EDGE = "e"
 #: Extra WAL-only record kinds (never in the in-memory journal): a local
 #: delivery (the ``lastDlvd`` / delivered-set transition must survive a
 #: restart even though diffs never ship it), a garbage-collection round, and
-#: a batched delta merge (one record per :meth:`History.merge_delta` /
-#: :meth:`History.install_snapshot` instead of one per vertex/edge).
+#: a batched delta merge (one record per :meth:`History.merge_delta`
+#: instead of one per vertex/edge).
 _WAL_DELIVERY = "d"
 _WAL_FORGET = "f"
 _WAL_DELTA = "D"
@@ -206,9 +206,6 @@ class History:
         """Sequence number of the oldest retained journal entry."""
         return self._journal_base
 
-    def destinations_of(self, msg_id: str) -> FrozenSet[GroupId]:
-        return self.destinations[msg_id]
-
     def message_ids(self) -> List[str]:
         return list(self.destinations)
 
@@ -289,19 +286,6 @@ class History:
         applied_v += av
         applied_e += ae
         self._wal_log_delta(applied_v, applied_e)
-
-    def install_snapshot(self, snapshot: HistorySnapshot) -> Tuple[int, int]:
-        """Bulk-merge a packed snapshot into this history.
-
-        On an empty, never-compacted history the indexes are swapped in
-        wholesale (no per-entry journal replay); otherwise the content is
-        batch-applied through the same incremental path as
-        :meth:`merge_delta`.  Either way durability costs one WAL record.
-        Returns ``(vertices_applied, edges_applied)``.
-        """
-        applied_v, applied_e = self._install_snapshot_content(snapshot)
-        self._wal_log_delta(applied_v, applied_e)
-        return len(applied_v), len(applied_e)
 
     def _install_snapshot_content(
         self, snapshot: HistorySnapshot
@@ -900,16 +884,6 @@ class HistoryDiffTracker:
     def __init__(self) -> None:
         #: descendant -> journal sequence number shipped so far.
         self._watermarks: Dict[GroupId, int] = {}
-        #: descendant -> vertex ids shipped so far (introspection/debugging
-        #: only; the diff computation never consults it).
-        self._sent_vertices: Dict[GroupId, Set[str]] = {}
-        #: descendant -> packed snapshots shipped on the cold path.  The
-        #: snapshot object is shared with the history's cache, so recording a
-        #: cold sync is O(1); :meth:`sent_to` flattens lazily.
-        self._sent_snapshots: Dict[GroupId, List[HistorySnapshot]] = {}
-        #: ids garbage-collected after a snapshot shipped them (subtracted
-        #: lazily in :meth:`sent_to`; empty while no cold sync happened).
-        self._forgotten_sent: Set[str] = set()
 
     def diff_for(self, descendant: GroupId, history: History) -> HistoryDelta:
         """Compute the delta for ``descendant`` and advance its watermark."""
@@ -918,10 +892,6 @@ class HistoryDiffTracker:
         self._watermarks[descendant] = version
         if not vertices and not edges and snapshot is None:
             return EMPTY_DELTA
-        sent_v = self._sent_vertices.setdefault(descendant, set())
-        if snapshot is not None:
-            self._sent_snapshots.setdefault(descendant, []).append(snapshot)
-        sent_v.update(mid for mid, _ in vertices)
         return HistoryDelta(
             vertices=vertices,
             edges=edges,
@@ -936,10 +906,11 @@ class HistoryDiffTracker:
     _JOURNAL_MIN = 64
 
     def forget(self, msg_ids: Iterable[str], history: Optional[History] = None) -> int:
-        """Drop bookkeeping for garbage-collected messages.
+        """Compact the journal after a garbage-collection round.
 
-        O(victims): the per-descendant sets shed the victims by difference and
-        the watermarks stay valid as-is (they are absolute sequence numbers).
+        The tracker holds nothing per message — watermarks are absolute
+        sequence numbers and stay valid as-is — so ``msg_ids`` needs no
+        bookkeeping of its own.
         When ``history`` is provided its journal is compacted up to the lowest
         watermark — entries every descendant has already seen can never appear
         in a future diff.  A descendant this group has stopped sending to
@@ -950,11 +921,6 @@ class HistoryDiffTracker:
         and forgotten ids are filtered).  Returns the number of journal
         entries dropped.
         """
-        victims = set(msg_ids)
-        for sent_v in self._sent_vertices.values():
-            sent_v -= victims
-        if self._sent_snapshots:
-            self._forgotten_sent |= victims
         if history is None:
             return 0
         floor = min(self._watermarks.values(), default=history.version)
@@ -965,10 +931,3 @@ class HistoryDiffTracker:
     def watermark(self, descendant: GroupId) -> int:
         """Journal sequence shipped to ``descendant`` so far (introspection)."""
         return self._watermarks.get(descendant, 0)
-
-    def sent_to(self, descendant: GroupId) -> Set[str]:
-        """Vertex ids already shipped to ``descendant`` (introspection)."""
-        sent = set(self._sent_vertices.get(descendant, ()))
-        for snapshot in self._sent_snapshots.get(descendant, ()):
-            sent.update(snapshot.ids)
-        return sent - self._forgotten_sent

@@ -2,8 +2,8 @@
 
 The coordinator logic itself (:class:`~repro.reconfig.coordinator.EpochCoordinator`)
 is transport-agnostic; this module gives it a network identity in the asyncio
-runtime: a TCP server (like :class:`~repro.runtime.node.GroupServer`) that
-feeds incoming frames to ``coordinator.on_message`` and an
+runtime: a :class:`~repro.runtime.node.FrameServer` that feeds incoming
+frames to ``coordinator.on_message`` and an
 :class:`~repro.runtime.transport.AsyncioTransport` for its outbound control
 envelopes and timers.  Together with the codec entries for the epoch control
 envelopes, this makes a live overlay switch work over real sockets exactly as
@@ -13,9 +13,9 @@ it does in the simulator.
 from __future__ import annotations
 
 import asyncio
-from typing import Hashable, Optional, Tuple
+from typing import Any, Hashable, Optional, Tuple
 
-from ..runtime.codec import CodecError, read_frame
+from ..runtime.node import FrameServer
 from ..runtime.transport import AddressBook, AsyncioTransport
 from .coordinator import EpochCoordinator, SwitchRecord
 from .group import ReconfigurableFlexCastProtocol
@@ -23,7 +23,7 @@ from .monitor import WorkloadMonitor
 from .planner import Planner
 
 
-class ReconfigCoordinatorServer:
+class ReconfigCoordinatorServer(FrameServer):
     """An :class:`EpochCoordinator` listening on a localhost TCP port."""
 
     def __init__(
@@ -38,9 +38,8 @@ class ReconfigCoordinatorServer:
         check_interval_ms: float = 500.0,
         quiesce_interval_ms: float = 50.0,
     ) -> None:
+        super().__init__(host=host, port=port)
         self.node_id = node_id
-        self.host = host
-        self.port = port
         self.transport = AsyncioTransport(node_id=node_id, addresses=addresses)
         self.coordinator = EpochCoordinator(
             node_id=node_id,
@@ -51,37 +50,19 @@ class ReconfigCoordinatorServer:
             check_interval_ms=check_interval_ms,
             quiesce_interval_ms=quiesce_interval_ms,
         )
-        self._server: Optional[asyncio.AbstractServer] = None
 
     # ----------------------------------------------------------------- server
     async def start(self) -> Tuple[str, int]:
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
-        )
-        sockname = self._server.sockets[0].getsockname()
-        self.host, self.port = sockname[0], sockname[1]
-        self.transport.register_address(self.node_id, self.host, self.port)
-        return self.host, self.port
+        host, port = await super().start()
+        self.transport.register_address(self.node_id, host, port)
+        return host, port
 
     async def stop(self) -> None:
         self.coordinator.stop()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        await super().stop()
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while True:
-                try:
-                    sender, envelope = await read_frame(reader)
-                except (asyncio.IncompleteReadError, CodecError):
-                    break
-                self.coordinator.on_message(sender, envelope)
-        finally:
-            writer.close()
+    def handle_frame(self, sender: Hashable, envelope: Any) -> None:
+        self.coordinator.on_message(sender, envelope)
 
     # ------------------------------------------------------------ convenience
     async def switch_and_wait(

@@ -3,19 +3,19 @@
 from __future__ import annotations
 
 import asyncio
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Hashable, Iterable, List, Tuple
 
 from ..core.message import ClientRequest, ClientResponse, FlexCastBatch, Message
 from ..overlay.base import GroupId
 from ..protocols.base import AtomicMulticastProtocol
-from .codec import CodecError, read_frame
+from .node import FrameServer
 from .transport import AddressBook, AsyncioTransport
 
 
-class AsyncMulticastClient:
+class AsyncMulticastClient(FrameServer):
     """A client that multicasts messages over TCP and awaits all responses.
 
-    The client runs a tiny server of its own so groups can push delivery
+    The client is a tiny frame server of its own so groups can push delivery
     confirmations back to it (the same shape as the paper's evaluation, where
     "upon delivering a message, each message destination replies to the
     message's sender").
@@ -28,48 +28,23 @@ class AsyncMulticastClient:
         addresses: AddressBook,
         host: str = "127.0.0.1",
         port: int = 0,
-        pool: bool = False,
     ) -> None:
+        super().__init__(host=host, port=port)
         self.client_id = client_id
         self._protocol = protocol
-        self.host = host
-        self.port = port
-        # ``pool=True`` keeps one persistent connection per destination —
-        # what the soak harness needs to push millions of frames without
-        # drowning in TCP handshakes (see AsyncioTransport).
-        self.transport = AsyncioTransport(
-            node_id=client_id, addresses=addresses, pool=pool
-        )
-        self._server: Optional[asyncio.AbstractServer] = None
+        self.transport = AsyncioTransport(node_id=client_id, addresses=addresses)
         #: msg_id -> (expected destination count, responses received, done event)
         self._waiting: Dict[str, Tuple[int, Dict[GroupId, float], asyncio.Event]] = {}
         self._loop = asyncio.get_event_loop()
 
     async def start(self) -> Tuple[str, int]:
-        self._server = await asyncio.start_server(self._handle, self.host, self.port)
-        sockname = self._server.sockets[0].getsockname()
-        self.host, self.port = sockname[0], sockname[1]
-        self.transport.register_address(self.client_id, self.host, self.port)
-        return self.host, self.port
+        host, port = await super().start()
+        self.transport.register_address(self.client_id, host, port)
+        return host, port
 
-    async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        await self.transport.aclose()
-
-    async def _handle(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-        try:
-            while True:
-                try:
-                    _, envelope = await read_frame(reader)
-                except (asyncio.IncompleteReadError, CodecError):
-                    break
-                if isinstance(envelope, ClientResponse):
-                    self._on_response(envelope)
-        finally:
-            writer.close()
+    def handle_frame(self, sender: Hashable, envelope: Any) -> None:
+        if isinstance(envelope, ClientResponse):
+            self._on_response(envelope)
 
     def _on_response(self, response: ClientResponse) -> None:
         waiting = self._waiting.get(response.msg_id)

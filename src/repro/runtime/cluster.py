@@ -16,7 +16,7 @@ from ..overlay.base import GroupId
 from ..protocols.base import AtomicMulticastProtocol
 from ..sim.latencies import LatencyMatrix
 from .client import AsyncMulticastClient
-from .node import GroupServer
+from .node import GroupServer, _http_get
 from .transport import AddressBook
 
 
@@ -104,18 +104,8 @@ class LocalCluster:
         """
         bodies: Dict[GroupId, str] = {}
         for gid, server in self.servers.items():
-            reader, writer = await asyncio.open_connection(server.host, server.port)
-            try:
-                writer.write(b"GET /metrics HTTP/1.0\r\nHost: localhost\r\n\r\n")
-                await writer.drain()
-                raw = await reader.read(-1)
-            finally:
-                writer.close()
-            head, _, body = raw.partition(b"\r\n\r\n")
-            status = head.split(b"\r\n", 1)[0].split(b" ")
-            if len(status) < 2 or status[1] != b"200":
-                raise RuntimeError(
-                    f"scrape of group {gid} failed: {head.decode('latin-1')!r}"
-                )
+            status, body = await _http_get(server.host, server.port, "/metrics")
+            if status != 200:
+                raise RuntimeError(f"scrape of group {gid} failed with HTTP {status}")
             bodies[gid] = body.decode("utf-8")
         return bodies

@@ -1,11 +1,11 @@
 """Wire codec for the asyncio runtime.
 
-Every envelope the protocols exchange (plus the application-level
-:class:`~repro.core.message.Message` and history deltas) is encoded as
-length-prefixed JSON.  JSON keeps the frames debuggable with ``tcpdump``/
-``wireshark`` and avoids pickling code objects across trust boundaries; the
-size model used by the simulator (``size_bytes``) intentionally stays separate
-so simulated byte counts do not depend on JSON verbosity.
+Every frame is length-prefixed JSON.  ``_SCHEMA`` holds one row per envelope
+class and both directions read it; :class:`~repro.core.message.Message` and
+history deltas are the hand-written leaves inside.  JSON keeps the frames
+debuggable with ``tcpdump``/``wireshark`` and avoids pickling code objects
+across trust boundaries; the simulator's size model (``size_bytes``) stays
+separate so simulated byte counts do not depend on JSON verbosity.
 """
 
 from __future__ import annotations
@@ -13,17 +13,11 @@ from __future__ import annotations
 import json
 import struct
 import sys
-from typing import Any, Dict, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from ..core import message as msg
-from ..smr.multipaxos import (
-    CatchupReply,
-    CatchupRequest,
-    ClientCommand,
-    Commit,
-    Heartbeat,
-)
-from ..smr.paxos import Accept, Accepted, Ballot, Nack, Prepare, Promise
+from ..smr import multipaxos as smr, paxos
+from ..smr.replica import OrderedEnvelope
 
 #: 4-byte big-endian length prefix.
 _LENGTH = struct.Struct(">I")
@@ -127,411 +121,172 @@ def _delta_from_dict(d: Dict[str, Any]) -> msg.HistoryDelta:
     )
 
 
-# ---------------------------------------------------------------- SMR values
-# SMR frames carry log *values*: OrderedEnvelope wrappers around protocol
-# envelopes (the process-cluster runtime), or plain JSON-able commands
-# (tests).  The wrapper's own wire form lives in repro.smr.replica; the
-# import is lazy because that module imports this codec inside functions.
-def _smr_value_to_wire(value: Any) -> Any:
-    from ..smr.replica import _entry_to_wire
-
-    return _entry_to_wire(value)
-
-
-def _smr_value_from_wire(wire: Any) -> Any:
-    from ..smr.replica import _entry_from_wire
-
-    return _entry_from_wire(wire)
-
-
-def _ballot_to_list(ballot: Ballot) -> list:
+def _ballot_to_list(ballot: paxos.Ballot) -> list:
     return [ballot.round, ballot.proposer]
 
 
-# ------------------------------------------------------------------- envelopes
-def _encode_envelope(envelope: Any) -> Dict[str, Any]:
-    if isinstance(envelope, msg.FlexCastBatch):
-        # Before ClientRequest: FlexCastBatch subclasses it, and the frame
-        # type must survive the round-trip so receivers account batches.
-        return {"type": "flexcast-batch", "message": _message_to_dict(envelope.message)}
-    if isinstance(envelope, msg.ClientRequest):
-        return {"type": "request", "message": _message_to_dict(envelope.message)}
-    if isinstance(envelope, msg.ClientResponse):
-        return {"type": "response", "msg_id": envelope.msg_id, "group": envelope.group}
-    if isinstance(envelope, msg.FlexCastMsg):
-        return {
-            "type": "flexcast-msg",
-            "message": _message_to_dict(envelope.message),
-            "history": _delta_to_dict(envelope.history),
-            "notified": sorted(envelope.notified),
-            "epoch": envelope.epoch,
-            "ts_proposals": [list(p) for p in envelope.ts_proposals],
-        }
-    if isinstance(envelope, msg.FlexCastAck):
-        return {
-            "type": "flexcast-ack",
-            "message": _message_to_dict(envelope.message),
-            "history": _delta_to_dict(envelope.history),
-            "from_group": envelope.from_group,
-            "notified": sorted(envelope.notified),
-            "epoch": envelope.epoch,
-            "ts_proposals": [list(p) for p in envelope.ts_proposals],
-        }
-    if isinstance(envelope, msg.HistorySnapshotFrame):
-        return {
-            "type": "history-snapshot",
-            "group": envelope.group,
-            "history": _delta_to_dict(envelope.delta),
-            "epoch": envelope.epoch,
-        }
-    if isinstance(envelope, msg.FlexCastTsPropose):
-        return {
-            "type": "flexcast-ts-propose",
-            "message": _message_to_dict(envelope.message),
-            "timestamp": envelope.timestamp,
-            "from_group": envelope.from_group,
-            "epoch": envelope.epoch,
-        }
-    if isinstance(envelope, msg.FlexCastNotif):
-        return {
-            "type": "flexcast-notif",
-            "message": _message_to_dict(envelope.message),
-            "history": _delta_to_dict(envelope.history),
-            "from_group": envelope.from_group,
-            "epoch": envelope.epoch,
-        }
-    if isinstance(envelope, msg.EpochPrepare):
-        return {
-            "type": "epoch-prepare",
-            "new_epoch": envelope.new_epoch,
-            "reply_to": envelope.reply_to,
-            "barrier_id": envelope.barrier_id,
-        }
-    if isinstance(envelope, msg.EpochPrepareAck):
-        return {
-            "type": "epoch-prepare-ack",
-            "new_epoch": envelope.new_epoch,
-            "group": envelope.group,
-        }
-    if isinstance(envelope, msg.QuiesceQuery):
-        return {
-            "type": "quiesce-query",
-            "new_epoch": envelope.new_epoch,
-            "round_id": envelope.round_id,
-            "barrier_id": envelope.barrier_id,
-            "reply_to": envelope.reply_to,
-        }
-    if isinstance(envelope, msg.QuiesceReply):
-        return {
-            "type": "quiesce-reply",
-            "new_epoch": envelope.new_epoch,
-            "round_id": envelope.round_id,
-            "group": envelope.group,
-            "quiescent": envelope.quiescent,
-            "barrier_delivered": envelope.barrier_delivered,
-            "envelopes_sent": envelope.envelopes_sent,
-            "envelopes_received": envelope.envelopes_received,
-        }
-    if isinstance(envelope, msg.EpochSwitch):
-        return {
-            "type": "epoch-switch",
-            "new_epoch": envelope.new_epoch,
-            "order": list(envelope.order),
-            "reply_to": envelope.reply_to,
-        }
-    if isinstance(envelope, msg.EpochSwitchAck):
-        return {
-            "type": "epoch-switch-ack",
-            "epoch": envelope.epoch,
-            "group": envelope.group,
-        }
-    if isinstance(envelope, msg.EpochBounce):
-        return {
-            "type": "epoch-bounce",
-            "message": _message_to_dict(envelope.message),
-            "epoch": envelope.epoch,
-            "from_group": envelope.from_group,
-        }
-    if isinstance(envelope, msg.SkeenTimestamp):
-        return {
-            "type": "skeen-timestamp",
-            "msg_id": envelope.msg_id,
-            "timestamp": envelope.timestamp,
-            "from_group": envelope.from_group,
-        }
-    if isinstance(envelope, msg.SkeenPropose):
-        return {"type": "skeen-propose", "message": _message_to_dict(envelope.message)}
-    if isinstance(envelope, msg.TreeForward):
-        return {
-            "type": "tree-forward",
-            "message": _message_to_dict(envelope.message),
-            "sequence": envelope.sequence,
-        }
-    if isinstance(envelope, msg.NodeHello):
-        return {
-            "type": "node-hello",
-            "node_id": envelope.node_id,
-            "host": envelope.host,
-            "port": envelope.port,
-        }
-    # SMR / Paxos frames: the process-cluster runtime replicates each group
-    # over real TCP, so the intra-group consensus traffic must survive the
-    # wire too.  Ballots travel as [round, proposer] pairs; log values go
-    # through the OrderedEnvelope wire form (repro.smr.replica).
-    if isinstance(envelope, ClientCommand):
-        return {"type": "smr-command", "payload": _smr_value_to_wire(envelope.payload)}
-    if isinstance(envelope, Commit):
-        return {
-            "type": "smr-commit",
-            "instance": envelope.instance,
-            "value": _smr_value_to_wire(envelope.value),
-        }
-    if isinstance(envelope, Heartbeat):
-        return {"type": "smr-heartbeat", "leader": envelope.leader}
-    if isinstance(envelope, CatchupRequest):
-        return {
-            "type": "smr-catchup",
-            "from_instance": envelope.from_instance,
-            "from_replica": envelope.from_replica,
-        }
-    if isinstance(envelope, CatchupReply):
-        return {
-            "type": "smr-catchup-reply",
-            "entries": [
-                [instance, _smr_value_to_wire(value)]
-                for instance, value in envelope.entries
-            ],
-        }
-    if isinstance(envelope, Prepare):
-        return {
-            "type": "paxos-prepare",
-            "instance": envelope.instance,
-            "ballot": _ballot_to_list(envelope.ballot),
-        }
-    if isinstance(envelope, Promise):
-        return {
-            "type": "paxos-promise",
-            "instance": envelope.instance,
-            "ballot": _ballot_to_list(envelope.ballot),
-            "accepted_ballot": (
-                _ballot_to_list(envelope.accepted_ballot)
-                if envelope.accepted_ballot is not None
-                else None
-            ),
-            "accepted_value": (
-                _smr_value_to_wire(envelope.accepted_value)
-                if envelope.accepted_value is not None
-                else None
-            ),
-            "from_replica": envelope.from_replica,
-        }
-    if isinstance(envelope, Accept):
-        return {
-            "type": "paxos-accept",
-            "instance": envelope.instance,
-            "ballot": _ballot_to_list(envelope.ballot),
-            "value": _smr_value_to_wire(envelope.value),
-        }
-    if isinstance(envelope, Accepted):
-        return {
-            "type": "paxos-accepted",
-            "instance": envelope.instance,
-            "ballot": _ballot_to_list(envelope.ballot),
-            "value": _smr_value_to_wire(envelope.value),
-            "from_replica": envelope.from_replica,
-        }
-    if isinstance(envelope, Nack):
-        return {
-            "type": "paxos-nack",
-            "instance": envelope.instance,
-            "ballot": _ballot_to_list(envelope.ballot),
-            "promised": _ballot_to_list(envelope.promised),
-            "from_replica": envelope.from_replica,
-        }
-    raise CodecError(f"cannot encode envelope of type {type(envelope).__name__}")
+def _ballot_from_list(pair: Sequence[int]) -> paxos.Ballot:
+    return paxos.Ballot(*pair)
 
 
-def _decode_envelope(data: Dict[str, Any]) -> Any:
-    env_type = data.get("type")
-    if env_type == "request":
-        return msg.ClientRequest(message=_message_from_dict(data["message"]))
-    if env_type == "flexcast-batch":
-        return msg.FlexCastBatch(message=_message_from_dict(data["message"]))
-    if env_type == "response":
-        return msg.ClientResponse(msg_id=data["msg_id"], group=data["group"])
-    if env_type == "flexcast-msg":
-        return msg.FlexCastMsg(
-            message=_message_from_dict(data["message"]),
-            history=_delta_from_dict(data["history"]),
-            notified=frozenset(data.get("notified", [])),
-            epoch=data.get("epoch", 0),
-            ts_proposals=tuple(
-                (group, ts) for group, ts in data.get("ts_proposals", [])
-            ),
-        )
-    if env_type == "flexcast-ack":
-        return msg.FlexCastAck(
-            message=_message_from_dict(data["message"]),
-            history=_delta_from_dict(data["history"]),
-            from_group=data["from_group"],
-            notified=frozenset(data.get("notified", [])),
-            epoch=data.get("epoch", 0),
-            ts_proposals=tuple(
-                (group, ts) for group, ts in data.get("ts_proposals", [])
-            ),
-        )
-    if env_type == "history-snapshot":
-        return msg.HistorySnapshotFrame(
-            group=data["group"],
-            delta=_delta_from_dict(data["history"]),
-            epoch=data.get("epoch", 0),
-        )
-    if env_type == "flexcast-ts-propose":
-        return msg.FlexCastTsPropose(
-            message=_message_from_dict(data["message"]),
-            timestamp=data["timestamp"],
-            from_group=data["from_group"],
-            epoch=data.get("epoch", 0),
-        )
-    if env_type == "flexcast-notif":
-        return msg.FlexCastNotif(
-            message=_message_from_dict(data["message"]),
-            history=_delta_from_dict(data["history"]),
-            from_group=data["from_group"],
-            epoch=data.get("epoch", 0),
-        )
-    if env_type == "epoch-prepare":
-        return msg.EpochPrepare(
-            new_epoch=data["new_epoch"],
-            reply_to=data["reply_to"],
-            barrier_id=data.get("barrier_id", ""),
-        )
-    if env_type == "epoch-prepare-ack":
-        return msg.EpochPrepareAck(new_epoch=data["new_epoch"], group=data["group"])
-    if env_type == "quiesce-query":
-        return msg.QuiesceQuery(
-            new_epoch=data["new_epoch"],
-            round_id=data["round_id"],
-            barrier_id=data["barrier_id"],
-            reply_to=data["reply_to"],
-        )
-    if env_type == "quiesce-reply":
-        return msg.QuiesceReply(
-            new_epoch=data["new_epoch"],
-            round_id=data["round_id"],
-            group=data["group"],
-            quiescent=data["quiescent"],
-            barrier_delivered=data["barrier_delivered"],
-            envelopes_sent=data["envelopes_sent"],
-            envelopes_received=data["envelopes_received"],
-        )
-    if env_type == "epoch-switch":
-        return msg.EpochSwitch(
-            new_epoch=data["new_epoch"],
-            order=tuple(data["order"]),
-            reply_to=data["reply_to"],
-        )
-    if env_type == "epoch-switch-ack":
-        return msg.EpochSwitchAck(epoch=data["epoch"], group=data["group"])
-    if env_type == "epoch-bounce":
-        return msg.EpochBounce(
-            message=_message_from_dict(data["message"]),
-            epoch=data["epoch"],
-            from_group=data["from_group"],
-        )
-    if env_type == "skeen-timestamp":
-        return msg.SkeenTimestamp(
-            msg_id=data["msg_id"],
-            timestamp=data["timestamp"],
-            from_group=data["from_group"],
-        )
-    if env_type == "skeen-propose":
-        return msg.SkeenPropose(message=_message_from_dict(data["message"]))
-    if env_type == "tree-forward":
-        return msg.TreeForward(
-            message=_message_from_dict(data["message"]), sequence=data["sequence"]
-        )
-    if env_type == "node-hello":
-        return msg.NodeHello(
-            node_id=data["node_id"], host=data["host"], port=data["port"]
-        )
-    if env_type == "smr-command":
-        return ClientCommand(payload=_smr_value_from_wire(data["payload"]))
-    if env_type == "smr-commit":
-        return Commit(
-            instance=data["instance"], value=_smr_value_from_wire(data["value"])
-        )
-    if env_type == "smr-heartbeat":
-        return Heartbeat(leader=data["leader"])
-    if env_type == "smr-catchup":
-        return CatchupRequest(
-            from_instance=data["from_instance"], from_replica=data["from_replica"]
-        )
-    if env_type == "smr-catchup-reply":
-        return CatchupReply(
-            entries=tuple(
-                (instance, _smr_value_from_wire(value))
-                for instance, value in data.get("entries", [])
-            )
-        )
-    if env_type == "paxos-prepare":
-        return Prepare(instance=data["instance"], ballot=Ballot(*data["ballot"]))
-    if env_type == "paxos-promise":
-        accepted_ballot = data.get("accepted_ballot")
-        accepted_value = data.get("accepted_value")
-        return Promise(
-            instance=data["instance"],
-            ballot=Ballot(*data["ballot"]),
-            accepted_ballot=(
-                Ballot(*accepted_ballot) if accepted_ballot is not None else None
-            ),
-            accepted_value=(
-                _smr_value_from_wire(accepted_value)
-                if accepted_value is not None
-                else None
-            ),
-            from_replica=data["from_replica"],
-        )
-    if env_type == "paxos-accept":
-        return Accept(
-            instance=data["instance"],
-            ballot=Ballot(*data["ballot"]),
-            value=_smr_value_from_wire(data["value"]),
-        )
-    if env_type == "paxos-accepted":
-        return Accepted(
-            instance=data["instance"],
-            ballot=Ballot(*data["ballot"]),
-            value=_smr_value_from_wire(data["value"]),
-            from_replica=data["from_replica"],
-        )
-    if env_type == "paxos-nack":
-        return Nack(
-            instance=data["instance"],
-            ballot=Ballot(*data["ballot"]),
-            promised=Ballot(*data["promised"]),
-            from_replica=data["from_replica"],
-        )
-    raise CodecError(f"cannot decode envelope type {env_type!r}")
+def _optional(convert: Callable[[Any], Any]) -> Callable[[Any], Any]:
+    """Lift a converter over ``None`` (an acceptor that has accepted nothing)."""
+    return lambda value: None if value is None else convert(value)
 
 
-# The WAL layer (repro.storage users) persists envelopes in the same JSON
-# shape the wire uses; these public aliases are the supported entry points.
+# ------------------------------------------------------------------ the schema
+_REQUIRED: Any = object()
+_Converter = Optional[Callable[[Any], Any]]
+
+
+def _field(
+    attr: str, to_wire: _Converter = None, from_wire: _Converter = None,
+    key: Optional[str] = None, default: Any = _REQUIRED,
+) -> tuple:
+    """One attribute of a wire class, read by both directions.
+
+    A converter is ``None`` when the value is JSON-able as it stands (tuples
+    already travel as arrays).  ``default`` is the *wire-form* value assumed
+    when a frame lacks the key (frames older than the field); without one
+    the key is required and its absence is a ``KeyError``.
+    """
+    return (attr, key or attr, to_wire, from_wire, default)
+
+
+def _fields(*fields: Any) -> Tuple[tuple, ...]:
+    """A bare string names a field that travels as it stands."""
+    return tuple(_field(f) if isinstance(f, str) else f for f in fields)
+
+
+def _pack(data: Dict[str, Any], fields: Tuple[tuple, ...], obj: Any) -> Dict[str, Any]:
+    for attr, key, to_wire, _, _ in fields:
+        value = getattr(obj, attr)
+        data[key] = value if to_wire is None else to_wire(value)
+    return data
+
+
+def _unpack(cls: type, fields: Tuple[tuple, ...], data: Dict[str, Any]) -> Any:
+    kwargs = {}
+    for attr, key, _, from_wire, default in fields:
+        raw = data[key] if default is _REQUIRED else data.get(key, default)
+        kwargs[attr] = raw if from_wire is None else from_wire(raw)
+    return cls(**kwargs)
+
+
 def envelope_to_dict(envelope: Any) -> Dict[str, Any]:
-    """Encode any protocol envelope to its JSON-able wire dictionary."""
-    return _encode_envelope(envelope)
+    """Encode any protocol envelope to its JSON-able wire dictionary.
+
+    Dispatch is on the exact class: a subclass travels only under an entry
+    of its own (``FlexCastBatch`` is not its base ``ClientRequest``).
+    """
+    entry = _BY_CLASS.get(type(envelope))
+    if entry is None:
+        raise CodecError(f"cannot encode envelope of type {type(envelope).__name__}")
+    return _pack({"type": entry[0]}, entry[1], envelope)
 
 
 def envelope_from_dict(data: Dict[str, Any]) -> Any:
     """Decode an envelope from its JSON wire dictionary (inverse of above)."""
-    return _decode_envelope(data)
+    entry = _BY_TAG.get(data.get("type"))
+    if entry is None:
+        raise CodecError(f"cannot decode envelope type {data.get('type')!r}")
+    return _unpack(entry[0], entry[1], data)
+
+
+# SMR frames and the commit/acceptor WALs carry log *values*: OrderedEnvelope
+# wrappers around protocol envelopes (every GroupReplica), or plain JSON-able
+# commands (tests driving multi-Paxos directly), which pass through untouched.
+# The wrapper is marked ``"__oe__": 1`` rather than by ``type``: it is a value
+# *inside* frames and records, never a frame of its own.
+_LOG_ENTRY = _fields("sender", _field("envelope", envelope_to_dict, envelope_from_dict))
+
+
+def _entry_to_wire(value: Any) -> Any:
+    if type(value) is not OrderedEnvelope:
+        return value
+    return _pack({"__oe__": 1}, _LOG_ENTRY, value)
+
+
+def _entry_from_wire(wire: Any) -> Any:
+    if isinstance(wire, dict) and wire.get("__oe__") == 1:
+        return _unpack(OrderedEnvelope, _LOG_ENTRY, wire)
+    return wire
+
+
+_MESSAGE = _field("message", _message_to_dict, _message_from_dict)
+_HISTORY = _field("history", _delta_to_dict, _delta_from_dict)
+_NOTIFIED = _field("notified", sorted, frozenset, default=())
+_EPOCH = _field("epoch", default=0)
+_TS_PROPOSALS = _field(
+    "ts_proposals", None, lambda pairs: tuple((g, ts) for g, ts in pairs), default=()
+)
+_BALLOT = _field("ballot", _ballot_to_list, _ballot_from_list)
+_VALUE = _field("value", _entry_to_wire, _entry_from_wire)
+
+#: ``(class, wire tag, *fields)`` for every class that can be a frame: adding
+#: an envelope is one row.  Field order is wire order
+#: (tests/runtime/test_wire_golden.py pins it byte for byte).
+_SCHEMA: Tuple[tuple, ...] = (
+    (msg.ClientRequest, "request", _MESSAGE),
+    (msg.FlexCastBatch, "flexcast-batch", _MESSAGE),
+    (msg.ClientResponse, "response", "msg_id", "group"),
+    (msg.FlexCastMsg, "flexcast-msg",
+     _MESSAGE, _HISTORY, _NOTIFIED, _EPOCH, _TS_PROPOSALS),
+    (msg.FlexCastAck, "flexcast-ack",
+     _MESSAGE, _HISTORY, "from_group", _NOTIFIED, _EPOCH, _TS_PROPOSALS),
+    (msg.HistorySnapshotFrame, "history-snapshot",
+     "group", _field("delta", _delta_to_dict, _delta_from_dict, key="history"), _EPOCH),
+    (msg.FlexCastTsPropose, "flexcast-ts-propose",
+     _MESSAGE, "timestamp", "from_group", _EPOCH),
+    (msg.FlexCastNotif, "flexcast-notif", _MESSAGE, _HISTORY, "from_group", _EPOCH),
+    (msg.EpochPrepare, "epoch-prepare",
+     "new_epoch", "reply_to", _field("barrier_id", default="")),
+    (msg.EpochPrepareAck, "epoch-prepare-ack", "new_epoch", "group"),
+    (msg.QuiesceQuery, "quiesce-query", "new_epoch", "round_id", "barrier_id", "reply_to"),
+    (msg.QuiesceReply, "quiesce-reply",
+     "new_epoch", "round_id", "group", "quiescent", "barrier_delivered",
+     "envelopes_sent", "envelopes_received"),
+    (msg.EpochSwitch, "epoch-switch",
+     "new_epoch", _field("order", None, tuple), "reply_to"),
+    (msg.EpochSwitchAck, "epoch-switch-ack", "epoch", "group"),
+    (msg.EpochBounce, "epoch-bounce", _MESSAGE, "epoch", "from_group"),
+    (msg.SkeenTimestamp, "skeen-timestamp", "msg_id", "timestamp", "from_group"),
+    (msg.SkeenPropose, "skeen-propose", _MESSAGE),
+    (msg.TreeForward, "tree-forward", _MESSAGE, "sequence"),
+    (msg.NodeHello, "node-hello", "node_id", "host", "port"),
+    # SMR / Paxos: the process runtime replicates each group over real TCP,
+    # so the intra-group consensus traffic crosses the wire too.
+    (smr.ClientCommand, "smr-command", _field("payload", _entry_to_wire, _entry_from_wire)),
+    (smr.Commit, "smr-commit", "instance", _VALUE),
+    (smr.Heartbeat, "smr-heartbeat", "leader"),
+    (smr.CatchupRequest, "smr-catchup", "from_instance", "from_replica"),
+    (smr.CatchupReply, "smr-catchup-reply",
+     _field("entries",
+            lambda entries: [[i, _entry_to_wire(v)] for i, v in entries],
+            lambda entries: tuple((i, _entry_from_wire(v)) for i, v in entries),
+            default=())),
+    (paxos.Prepare, "paxos-prepare", "instance", _BALLOT),
+    (paxos.Promise, "paxos-promise",
+     "instance", _BALLOT,
+     _field("accepted_ballot",
+            _optional(_ballot_to_list), _optional(_ballot_from_list), default=None),
+     _field("accepted_value", _entry_to_wire, _entry_from_wire, default=None),
+     "from_replica"),
+    (paxos.Accept, "paxos-accept", "instance", _BALLOT, _VALUE),
+    (paxos.Accepted, "paxos-accepted", "instance", _BALLOT, _VALUE, "from_replica"),
+    (paxos.Nack, "paxos-nack",
+     "instance", _BALLOT, _field("promised", _ballot_to_list, _ballot_from_list),
+     "from_replica"),
+)
+_BY_CLASS = {cls: (tag, _fields(*fields)) for cls, tag, *fields in _SCHEMA}
+_BY_TAG = {tag: (cls, _fields(*fields)) for cls, tag, *fields in _SCHEMA}
 
 
 # --------------------------------------------------------------------- framing
 def encode_frame(sender: Any, envelope: Any) -> bytes:
     """Encode one (sender, envelope) frame with its length prefix."""
     body = json.dumps(
-        {"sender": sender, "envelope": _encode_envelope(envelope)},
+        {"sender": sender, "envelope": envelope_to_dict(envelope)},
         separators=(",", ":"),
     ).encode("utf-8")
     if len(body) > MAX_FRAME_BYTES:
@@ -545,7 +300,7 @@ def decode_frame(body: bytes) -> Tuple[Any, Any]:
         data = json.loads(body.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CodecError(f"malformed frame: {exc}") from exc
-    return data.get("sender"), _decode_envelope(data.get("envelope", {}))
+    return data.get("sender"), envelope_from_dict(data.get("envelope", {}))
 
 
 async def read_frame(reader, preread: bytes = b"") -> Tuple[Any, Any]:

@@ -1,4 +1,8 @@
-"""Runtime node: runs one protocol group as an asyncio TCP server."""
+"""Runtime nodes: the frame server every listener shares, and the group server.
+
+:class:`FrameServer` is the only reader of wire frames in the runtime;
+:class:`GroupServer` runs one protocol group on top of it.
+"""
 
 from __future__ import annotations
 
@@ -22,26 +26,37 @@ HttpResponse = Tuple[bytes, bytes, bytes]
 
 
 class FrameServer:
-    """Shared TCP front end: length-prefixed frames + HTTP on one port.
+    """The runtime's one TCP front end: length-prefixed frames + HTTP on one port.
 
-    Both runtime server flavours — :class:`GroupServer` (one process per
-    *group*) and :class:`~repro.runtime.proc.ReplicaServer` (one process per
-    *replica*) — accept the same two kinds of traffic on a single port:
+    Everything that listens — :class:`GroupServer` (one process per *group*),
+    :class:`~repro.runtime.proc.ReplicaServer` (one process per *replica*),
+    the reconfiguration coordinator, the multicast client and the soak
+    harness's response plane — is a subclass, so frames are read in exactly
+    one place.  A port accepts two kinds of traffic:
 
     * wire frames (:mod:`repro.runtime.codec`), fed to :meth:`handle_frame`
-      one by one for as long as the peer keeps the connection open (so both
-      ephemeral and pooled transports work against it); and
+      one by one for as long as the peer keeps the connection open; and
     * plain HTTP ``GET`` requests, answered by :meth:`handle_http` —
       ``/metrics`` scrapes, readiness probes, and (for the process runtime)
       the supervisor's admin plane.
 
     The first four bytes of every connection decide which it is.
+
+    A subclass that also sends sets :attr:`transport`; the base then
+    registers :class:`~repro.core.message.NodeHello` announcements in it,
+    answers delivered messages' senders through it (:meth:`_sink`) and
+    closes it on :meth:`stop`.  One that is observed calls
+    :meth:`_register_metrics`, which also turns on ``/metrics``.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0) -> None:
         self.host = host
         self.port = port
         self.frames_received = 0
+        #: Messages handed to :meth:`_sink` since start.
+        self.reported_deliveries = 0
+        self.transport: Optional[AsyncioTransport] = None
+        self.obs: Optional[Observability] = None
         self._server: Optional[asyncio.AbstractServer] = None
         # Established connections (pooled transports hold theirs open for the
         # server's whole life); stop() must close them or handlers linger.
@@ -65,6 +80,8 @@ class FrameServer:
         for writer in list(self._conn_writers):
             writer.close()
         self._conn_writers.clear()
+        if self.transport is not None:
+            await self.transport.aclose()
 
     # ------------------------------------------------------------------ hooks
     def handle_frame(self, sender: Hashable, envelope: Any) -> None:
@@ -76,15 +93,51 @@ class FrameServer:
 
         ``path`` includes any query string; the base class serves ``/ready``
         (200 once the server listens — by construction, if this runs the
-        socket is accepting).
+        socket is accepting) and, once :meth:`_register_metrics` attached a
+        hub, ``/metrics`` in Prometheus text exposition format.
         """
-        if path.split("?", 1)[0] == "/ready":
+        route = path.split("?", 1)[0]
+        if route == "/ready":
             return b"200 OK", b"ready\n", b"text/plain; charset=utf-8"
+        if route == "/metrics" and self.obs is not None:
+            return (
+                b"200 OK",
+                self.obs.registry.render_prometheus().encode("utf-8"),
+                b"text/plain; version=0.0.4; charset=utf-8",
+            )
         return (
             b"404 Not Found",
-            b"not found\n",
+            b"not found (for /metrics: is observability attached?)\n",
             b"text/plain; charset=utf-8",
         )
+
+    # ----------------------------------------------------------- shared duties
+    def _register_metrics(self, obs: Observability, labels: Dict[str, str]) -> None:
+        """Expose the two ``server_*`` series on ``obs`` and serve ``/metrics``."""
+        self.obs = obs
+        obs.registry.counter(
+            "server_frames_received_total",
+            "Wire frames accepted by this server.",
+            labels,
+            fn=lambda: self.frames_received,
+        )
+        obs.registry.gauge(
+            "server_delivered",
+            "Messages this server delivered and answered for since start.",
+            labels,
+            fn=lambda: self.reported_deliveries,
+        )
+
+    def _sink(self, group_id: GroupId, message: Message) -> None:
+        """Delivery sink: count the message and answer its sender, if the
+        address book knows how to reach it."""
+        self.reported_deliveries += 1
+        try:
+            self.transport.send(
+                message.sender, ClientResponse(msg_id=message.msg_id, group=group_id)
+            )
+        except KeyError:
+            pass
 
     # ------------------------------------------------------------ connections
     async def _handle_connection(
@@ -109,7 +162,15 @@ class FrameServer:
                     break
                 preread = b""
                 self.frames_received += 1
-                self.handle_frame(sender, envelope)
+                if isinstance(envelope, NodeHello) and self.transport is not None:
+                    # Transport-level address announcement (a late-joining
+                    # client): register and drop — it must never reach a
+                    # protocol or be ordered through a log.
+                    self.transport.register_address(
+                        envelope.node_id, envelope.host, envelope.port
+                    )
+                else:
+                    self.handle_frame(sender, envelope)
         finally:
             self._conn_writers.discard(writer)
             writer.close()
@@ -139,6 +200,30 @@ class FrameServer:
             + b"\r\nConnection: close\r\n\r\n" + body
         )
         await writer.drain()
+
+
+async def _http_get(
+    host: str, port: int, path: str, timeout: float = 5.0
+) -> Tuple[int, bytes]:
+    """The client side of :meth:`FrameServer._serve_http`: one HTTP/1.0 GET,
+    returning ``(status, body)``."""
+    reader, writer = await asyncio.open_connection(host, port)
+    try:
+        writer.write(
+            f"GET {path} HTTP/1.0\r\nHost: {host}\r\n\r\n".encode("ascii")
+        )
+        await writer.drain()
+        raw = await asyncio.wait_for(reader.read(-1), timeout)
+    finally:
+        writer.close()
+        try:
+            await writer.wait_closed()
+        except OSError:  # pragma: no cover - platform dependent
+            pass
+    head, _, body = raw.partition(b"\r\n\r\n")
+    status_parts = head.split(b"\r\n", 1)[0].split(b" ")
+    status = int(status_parts[1]) if len(status_parts) >= 2 else 0
+    return status, body
 
 
 class GroupServer(FrameServer):
@@ -187,7 +272,6 @@ class GroupServer(FrameServer):
                 self.group, storage, name=f"group-{group_id}"
             )
         self.delivered: list = []
-        self.obs: Optional[Observability] = None
         if obs is not None:
             self.attach_obs(obs)
 
@@ -198,21 +282,8 @@ class GroupServer(FrameServer):
         with the registry in Prometheus text exposition format (regular frame
         traffic on the same port is unaffected — see ``_HTTP_GET``).
         """
-        self.obs = obs
         self.group.attach_obs(obs)
-        labels = {"group": str(self.group_id)}
-        obs.registry.counter(
-            "server_frames_received_total",
-            "Wire frames accepted by this group server.",
-            labels,
-            fn=lambda: self.frames_received,
-        )
-        obs.registry.gauge(
-            "server_delivered",
-            "Messages delivered by this group server since start.",
-            labels,
-            fn=lambda: len(self.delivered),
-        )
+        self._register_metrics(obs, {"group": str(self.group_id)})
 
     # ----------------------------------------------------------------- server
     async def start(self) -> Tuple[str, int]:
@@ -221,46 +292,13 @@ class GroupServer(FrameServer):
         self.transport.register_address(self.group_id, host, port)
         return host, port
 
-    async def stop(self) -> None:
-        await super().stop()
-        await self.transport.aclose()
-
     # ------------------------------------------------------------------ hooks
     def handle_frame(self, sender: Hashable, envelope: Any) -> None:
-        if isinstance(envelope, NodeHello):
-            # Transport-level address announcement (late-joining clients):
-            # register and drop — it must never reach the protocol.
-            self.transport.register_address(
-                envelope.node_id, envelope.host, envelope.port
-            )
-            return
         self.group.on_envelope(sender, envelope)
-
-    def handle_http(self, path: str) -> HttpResponse:
-        if path.split("?", 1)[0] == "/metrics":
-            if self.obs is None:
-                return (
-                    b"404 Not Found",
-                    b"not found (is observability attached?)\n",
-                    b"text/plain; charset=utf-8",
-                )
-            return (
-                b"200 OK",
-                self.obs.registry.render_prometheus().encode("utf-8"),
-                b"text/plain; version=0.0.4; charset=utf-8",
-            )
-        return super().handle_http(path)
 
     # --------------------------------------------------------------- delivery
     def _sink(self, group_id: GroupId, message: Message) -> None:
         self.delivered.append(message)
         if self._on_deliver is not None:
             self._on_deliver(group_id, message)
-        sender = message.sender
-        # Respond to the client if we know how to reach it.
-        try:
-            self.transport.send(
-                sender, ClientResponse(msg_id=message.msg_id, group=group_id)
-            )
-        except KeyError:
-            pass
+        super()._sink(group_id, message)

@@ -2,7 +2,7 @@
 
 Everything below one process boundary reuses the existing building blocks —
 the wire codec (which since this module also carries the multi-Paxos frames),
-:class:`~repro.runtime.transport.AsyncioTransport` in pooled mode,
+:class:`~repro.runtime.transport.AsyncioTransport`,
 :class:`~repro.smr.replica.GroupReplica` for the gated leader/follower state
 machine, and :class:`~repro.storage.file.FileStorage` for per-replica WAL
 durability.  What this module adds is the topology and the supervision:
@@ -49,7 +49,7 @@ from typing import Any, Dict, Hashable, List, Optional, Tuple
 from urllib.parse import parse_qs, quote, urlsplit
 
 from ..core.flexcast import FlexCastProtocol
-from ..core.message import ClientResponse, Message, NodeHello
+from ..core.message import NodeHello
 from ..core.timestamps import Exposure
 from ..obs import Observability
 from ..overlay.base import GroupId
@@ -57,7 +57,7 @@ from ..overlay.cdag import CDagOverlay
 from ..smr.replica import GroupReplica, replica_node
 from ..storage.file import FileStorage
 from .client import AsyncMulticastClient
-from .node import FrameServer, HttpResponse
+from .node import FrameServer, HttpResponse, _http_get
 from .transport import AddressBook, AsyncioTransport
 
 
@@ -177,20 +177,14 @@ class ReplicaServer(FrameServer):
         addresses = spec.address_book()
         host, port = addresses[self.replica_id]
         super().__init__(host=host, port=port)
-        self.obs = obs if obs is not None else Observability()
-        # Pooled: intra-group consensus traffic is ~4 frames per ordered
-        # envelope — ephemeral connections would dominate the cost.
-        self.transport = AsyncioTransport(
-            node_id=self.replica_id, addresses=addresses, pool=True
-        )
-        storage = FileStorage(
-            spec.replica_dir(group_id, index), obs=self.obs
-        )
-        #: Count only — a soak run pushes millions of messages through one
-        #: process; retaining the Message objects would dwarf the protocol
-        #: state.  The id sequence (for oracles) lives in
-        #: ``replica.local_deliveries``.
-        self.reported_deliveries = 0
+        obs = obs if obs is not None else Observability()
+        self.transport = AsyncioTransport(node_id=self.replica_id, addresses=addresses)
+        storage = FileStorage(spec.replica_dir(group_id, index), obs=obs)
+        # Deliveries are only counted (the base's ``reported_deliveries``):
+        # a soak run pushes millions of messages through one process, and
+        # retaining the Message objects would dwarf the protocol state.  The
+        # id sequence (for oracles) lives in ``replica.local_deliveries``.
+        # Only the current leader's sink fires (the gate inside GroupReplica).
         self.replica = GroupReplica(
             group_id=group_id,
             replica_id=self.replica_id,
@@ -200,56 +194,21 @@ class ReplicaServer(FrameServer):
             sink=self._sink,
             storage=storage,
         )
-        self.replica.attach_obs(self.obs)
-        labels = {"group": str(group_id), "replica": self.replica_id}
-        self.obs.registry.counter(
-            "server_frames_received_total",
-            "Wire frames accepted by this replica server.",
-            labels,
-            fn=lambda: self.frames_received,
-        )
-        self.obs.registry.gauge(
-            "server_delivered",
-            "Messages this replica reported to clients since start.",
-            labels,
-            fn=lambda: self.reported_deliveries,
+        self.replica.attach_obs(obs)
+        self._register_metrics(
+            obs, {"group": str(group_id), "replica": self.replica_id}
         )
         self.stop_requested = asyncio.Event()
 
     # ------------------------------------------------------------------ frames
     def handle_frame(self, sender: Hashable, envelope: Any) -> None:
-        if isinstance(envelope, NodeHello):
-            # A client announcing its response address: every replica needs
-            # it (any replica may lead after a fail-over), and it must never
-            # be ordered through the log.
-            self.transport.register_address(
-                envelope.node_id, envelope.host, envelope.port
-            )
-            return
         self.replica.on_message(sender, envelope)
-
-    def _sink(self, group_id: GroupId, message: Message) -> None:
-        # Only the current leader's sink fires (the gate inside
-        # GroupReplica); respond to the client if we can reach it.
-        self.reported_deliveries += 1
-        try:
-            self.transport.send(
-                message.sender, ClientResponse(msg_id=message.msg_id, group=group_id)
-            )
-        except KeyError:
-            pass
 
     # -------------------------------------------------------------------- http
     def handle_http(self, path: str) -> HttpResponse:
         split = urlsplit(path)
         route = split.path
         query = parse_qs(split.query)
-        if route == "/metrics":
-            return (
-                b"200 OK",
-                self.obs.registry.render_prometheus().encode("utf-8"),
-                b"text/plain; version=0.0.4; charset=utf-8",
-            )
         if route == "/ready":
             return self._json_response(
                 {
@@ -279,7 +238,9 @@ class ReplicaServer(FrameServer):
             self.replica.rejoin()
             return self._json_response({"rejoined": self.replica_id})
         if route == "/admin/offer-snapshot":
-            return self._json_response({"offered": self._offer_snapshot()})
+            # The supervisor asks *every* survivor after a restart; only the
+            # current leader acts.
+            return self._json_response({"offered": self.replica.offer_snapshot()})
         if route == "/stop":
             self.stop_requested.set()
             return self._json_response({"stopping": self.replica_id})
@@ -289,27 +250,6 @@ class ReplicaServer(FrameServer):
     def _json_response(payload: Dict[str, Any]) -> HttpResponse:
         body = json.dumps(payload).encode("utf-8") + b"\n"
         return b"200 OK", body, b"application/json"
-
-    def _offer_snapshot(self) -> bool:
-        """Order a packed history snapshot through the log (leaders only).
-
-        Mirrors :meth:`repro.smr.replica.ReplicatedGroup._offer_snapshot_catchup`
-        across the process boundary: the supervisor asks *every* survivor
-        after a restart, and only the current leader acts.  Survivors apply
-        the frame too and no-op on the idempotent merge.
-        """
-        if not self.replica.is_leader:
-            return False
-        state = self.replica.protocol_state
-        if not hasattr(state, "history") or len(state.history) == 0:
-            return False
-        from ..storage.recovery import snapshot_frame_for
-
-        frame = snapshot_frame_for(state, epoch=getattr(state, "epoch", 0))
-        if frame.delta.is_empty:
-            return False
-        self.replica.on_message("rejoin-catchup", frame)
-        return True
 
     # --------------------------------------------------------------- lifecycle
     async def serve_until_stopped(self) -> None:
@@ -323,7 +263,6 @@ class ReplicaServer(FrameServer):
                 pass
         await self.stop_requested.wait()
         await self.stop()
-        await self.transport.aclose()
 
 
 async def _serve_child(spec_path: str, group_id: GroupId, index: int) -> None:
@@ -468,9 +407,7 @@ class ProcessCluster:
         await self.stop()
 
     # ----------------------------------------------------------------- clients
-    async def new_client(
-        self, client_id: str, pool: bool = True
-    ) -> AsyncMulticastClient:
+    async def new_client(self, client_id: str) -> AsyncMulticastClient:
         """Create a client and announce its response address to every replica.
 
         The client routes requests by group id (→ the group's replica 0, the
@@ -482,7 +419,6 @@ class ProcessCluster:
             client_id=client_id,
             protocol=self.protocol,
             addresses=self.spec.address_book(),
-            pool=pool,
         )
         host, port = await client.start()
         hello = NodeHello(node_id=client_id, host=host, port=port)
@@ -656,29 +592,6 @@ class ProcessCluster:
                 pass
             await asyncio.sleep(0.05)
         raise TimeoutError(f"replica {group_id}/{index} not ready in {timeout}s")
-
-
-async def _http_get(
-    host: str, port: int, path: str, timeout: float = 5.0
-) -> Tuple[int, bytes]:
-    """Minimal HTTP/1.0 GET against a replica's admin plane."""
-    reader, writer = await asyncio.open_connection(host, port)
-    try:
-        writer.write(
-            f"GET {path} HTTP/1.0\r\nHost: {host}\r\n\r\n".encode("ascii")
-        )
-        await writer.drain()
-        raw = await asyncio.wait_for(reader.read(-1), timeout)
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except OSError:  # pragma: no cover - platform dependent
-            pass
-    head, _, body = raw.partition(b"\r\n\r\n")
-    status_parts = head.split(b"\r\n", 1)[0].split(b" ")
-    status = int(status_parts[1]) if len(status_parts) >= 2 else 0
-    return status, body
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised as a subprocess

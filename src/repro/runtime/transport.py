@@ -4,7 +4,8 @@ The paper's prototype runs over TCP between machines; this transport runs the
 same protocol code over real sockets (typically on localhost for examples and
 integration tests).  It implements the :class:`~repro.sim.transport.Transport`
 interface, so :class:`~repro.core.flexcast.FlexCastGroup` and the baselines
-are byte-for-byte the same classes used in the simulator.
+are byte-for-byte the same classes used in the simulator.  Every destination
+gets one persistent connection, which makes the links FIFO.
 
 Optionally, an artificial one-way delay can be injected per (source site,
 destination site) pair using the same latency matrix as the simulator, turning
@@ -26,21 +27,22 @@ AddressBook = Dict[Hashable, Tuple[str, int]]
 
 
 class AsyncioTransport(Transport):
-    """Outbound half of a runtime node.
+    """Outbound half of a runtime node: FIFO links over pooled TCP.
 
-    By default each ``send`` opens a short-lived TCP connection to the
-    destination node, writes one frame, and closes.  This trades throughput
-    for simplicity and robustness (no connection state machine), which is the
-    right trade-off for examples and integration tests.
+    The transport keeps one persistent connection per destination endpoint
+    and writes frames down it under a per-endpoint lock (the receiving
+    :class:`~repro.runtime.node.FrameServer` loops over frames on one
+    connection).  Sends to one destination therefore arrive in send order —
+    the "FIFO reliable point-to-point links" the paper assumes (§4.2): each
+    ``send`` becomes a task in call order, ``asyncio.Lock`` wakes waiters in
+    arrival order, and TCP orders the bytes of one connection.  A stale
+    connection — the peer restarted, or an idle socket was reset — is dropped
+    and the send retried once on a fresh one before it counts as failed;
+    a frame written just before the peer died can still be lost, which is
+    the asynchronous-model loss the protocols already tolerate.
 
-    With ``pool=True`` the transport keeps one persistent connection per
-    destination and writes frames down it under a per-destination lock (the
-    receiving frame server already loops over frames on one connection).  A
-    stale pooled connection — the peer restarted, or an idle socket was
-    reset — is dropped and the send retried once on a fresh connection before
-    it counts as failed.  The process-cluster soak harness needs this: at
-    ~5 frames per message, 1M messages through ephemeral connections would
-    spend most of their time in TCP handshakes and TIME_WAIT exhaustion.
+    ``pool`` is accepted for callers written when a one-connection-per-frame
+    mode existed; ``True`` is the only value and selects nothing.
     """
 
     def __init__(
@@ -50,8 +52,10 @@ class AsyncioTransport(Transport):
         loop: Optional[asyncio.AbstractEventLoop] = None,
         latencies: Optional[LatencyMatrix] = None,
         sites: Optional[Dict[Hashable, int]] = None,
-        pool: bool = False,
+        pool: bool = True,
     ) -> None:
+        if pool is not True:
+            raise ValueError("AsyncioTransport has one connection mode (pooled)")
         self._node_id = node_id
         # Kept by reference on purpose: the cluster's address book is shared so
         # nodes learn about peers/clients that join after this transport is built.
@@ -59,7 +63,6 @@ class AsyncioTransport(Transport):
         self._loop = loop
         self._latencies = latencies
         self._sites = sites or {}
-        self._pool_enabled = pool
         # Keyed by (host, port), not by destination id: many logical node
         # ids can share one physical endpoint (e.g. thousands of simulated
         # soak clients answering on one driver port), and they must share
@@ -107,27 +110,6 @@ class AsyncioTransport(Transport):
     async def _deliver(self, dst: Hashable, frame: bytes, delay: float) -> None:
         if delay > 0:
             await asyncio.sleep(delay)
-        if self._pool_enabled:
-            await self._deliver_pooled(dst, frame)
-            return
-        host, port = self._addresses[dst]
-        try:
-            _, writer = await asyncio.open_connection(host, port)
-        except OSError:
-            self.failed_sends += 1
-            return
-        try:
-            writer.write(frame)
-            await writer.drain()
-            self.sent_frames += 1
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except OSError:  # pragma: no cover - platform dependent
-                pass
-
-    async def _deliver_pooled(self, dst: Hashable, frame: bytes) -> None:
         # One frame in flight per endpoint: the lock keeps interleaved
         # sends from corrupting the stream, and serialises the open/retry
         # dance so two racing sends cannot both open a connection.
@@ -195,7 +177,7 @@ class AsyncioTransport(Transport):
             pass
 
     async def aclose(self) -> None:
-        """Close every pooled connection (no-op for the ephemeral mode)."""
+        """Close every pooled connection (a later send reopens its own)."""
         watchers, self._pool_watchers = list(self._pool_watchers.values()), {}
         for watcher in watchers:
             watcher.cancel()

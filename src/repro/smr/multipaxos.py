@@ -423,6 +423,9 @@ class MultiPaxosReplica:
         if instance in self._decided:
             return
         self._decided[instance] = value
+        # Decided is decided, whoever drove it: stop driving.  Late replies
+        # for the instance find no proposer and are dropped.
+        self._proposers.pop(instance, None)
         if self._log_wal is not None:
             # Persist the decision before applying it: after a restart the
             # replica replays exactly the prefix it already exposed.
@@ -451,6 +454,3 @@ class MultiPaxosReplica:
     def log(self) -> List[Any]:
         """The applied prefix of the replicated log."""
         return [self._decided[i] for i in range(self._applied_up_to + 1)]
-
-    def decided_count(self) -> int:
-        return len(self._decided)

@@ -43,28 +43,6 @@ class OrderedEnvelope:
         return 16 + self.envelope.size_bytes()
 
 
-def _entry_to_wire(entry: Any) -> Any:
-    """Encode a log entry for the WAL (JSON-able), via the runtime codec.
-
-    Non-envelope values (tests submit plain strings) pass through untouched.
-    """
-    if not isinstance(entry, OrderedEnvelope):
-        return entry
-    from ..runtime.codec import envelope_to_dict
-
-    return {"__oe__": 1, "sender": entry.sender, "envelope": envelope_to_dict(entry.envelope)}
-
-
-def _entry_from_wire(wire: Any) -> Any:
-    if not (isinstance(wire, dict) and wire.get("__oe__") == 1):
-        return wire
-    from ..runtime.codec import envelope_from_dict
-
-    return OrderedEnvelope(
-        sender=wire["sender"], envelope=envelope_from_dict(wire["envelope"])
-    )
-
-
 class _GatedTransport(Transport):
     """Transport wrapper that drops outbound traffic unless the gate is open.
 
@@ -130,6 +108,10 @@ class GroupReplica:
         if storage is not None:
             acceptor_wal = storage.wal(f"{replica_id}.acceptor")
             log_wal = storage.wal(f"{replica_id}.log")
+        # The WALs hold log entries in their wire form; imported here because
+        # the codec's schema names OrderedEnvelope (defined above).
+        from ..runtime.codec import _entry_from_wire, _entry_to_wire
+
         # While the commit WAL replays (inside the MultiPaxosReplica
         # constructor) the replica re-applies its pre-crash log prefix: the
         # outbound gate stays shut and nothing is reported — peers and
@@ -206,6 +188,30 @@ class GroupReplica:
     def rejoin(self) -> None:
         """Announce the restarted replica to its peers and catch up the delta."""
         self.smr.rejoin()
+
+    def offer_snapshot(self) -> bool:
+        """Order a packed history snapshot through the log, if this replica leads.
+
+        After a peer's restart the leader's protocol copy packs its live
+        history into a ``history-snapshot`` frame
+        (:func:`repro.storage.recovery.snapshot_frame_for`) and submits it
+        like any other envelope, so the rejoiner bulk-installs the missing
+        history in one O(affected) merge instead of accumulating per-entry
+        deltas.  Routing it *through* the log keeps every replica's protocol
+        state a pure function of the log (the recovery oracle's invariant):
+        survivors apply the same frame and no-op on the idempotent merge.
+        Returns whether a frame was submitted.
+        """
+        state = self.protocol_state
+        if not self.is_leader or len(getattr(state, "history", ())) == 0:
+            return False
+        from ..storage.recovery import snapshot_frame_for
+
+        frame = snapshot_frame_for(state, epoch=getattr(state, "epoch", 0))
+        if frame.delta.is_empty:
+            return False
+        self.on_message("rejoin-catchup", frame)
+        return True
 
     @property
     def is_leader(self) -> bool:
@@ -332,32 +338,10 @@ class ReplicatedGroup:
         if self._obs is not None:
             replica.attach_obs(self._obs)
         replica.rejoin()
-        self._offer_snapshot_catchup(replica)
-        return replica
-
-    def _offer_snapshot_catchup(self, rejoined: GroupReplica) -> None:
-        """Order a packed history snapshot through the log for a rejoiner.
-
-        The current leader's protocol copy packs its live history into a
-        ``history-snapshot`` frame (:func:`repro.storage.recovery.snapshot_frame_for`)
-        and submits it like any other envelope, so the rejoined replica
-        bulk-installs the missing history in one O(affected) merge instead
-        of accumulating per-entry deltas.  Routing it *through* the log
-        keeps every replica's protocol state a pure function of the log
-        (the recovery oracle's invariant): survivors apply the same frame
-        and no-op on the idempotent merge.
-        """
         leader = self.leader
-        if leader is rejoined:
-            return
-        state = leader.protocol_state
-        if not hasattr(state, "history") or len(state.history) == 0:
-            return
-        from ..storage.recovery import snapshot_frame_for
-
-        frame = snapshot_frame_for(state, epoch=getattr(state, "epoch", 0))
-        if not frame.delta.is_empty:
-            leader.on_message("rejoin-catchup", frame)
+        if leader is not replica:
+            leader.offer_snapshot()
+        return replica
 
     def delivered_sequences(self) -> Dict[ReplicaId, List[str]]:
         """Delivery order applied at each replica (for consistency checks)."""

@@ -103,14 +103,14 @@ class FileWAL(WAL):
         self._unsynced = 0
         self.append_hist = append_hist
         self.fsync_hist = fsync_hist
-        self._records = self._recover()
+        self._count = self._recover()
         self._file = open(self.path, "ab")
 
     # ------------------------------------------------------------------ open
-    def _recover(self) -> List[Any]:
-        """Load surviving records, truncating any torn tail in place."""
+    def _recover(self) -> int:
+        """Count the surviving records, truncating any torn tail in place."""
         if not os.path.exists(self.path):
-            return []
+            return 0
         with open(self.path, "rb") as fh:
             data = fh.read()
         records, good_end = _scan_frames(data)
@@ -119,14 +119,14 @@ class FileWAL(WAL):
                 fh.truncate(good_end)
                 fh.flush()
                 os.fsync(fh.fileno())
-        return records
+        return len(records)
 
     # ------------------------------------------------------------------- api
     def append(self, record: Any) -> None:
         started = time.perf_counter() if self.append_hist is not None else 0.0
         frame = _encode_record(record)
         self._file.write(frame)
-        self._records.append(json.loads(frame[_HEADER.size :].decode("utf-8")))
+        self._count += 1
         self._unsynced += 1
         if self._unsynced >= self._fsync_every:
             self.sync()
@@ -136,13 +136,17 @@ class FileWAL(WAL):
             self.append_hist.observe((time.perf_counter() - started) * 1000.0)
 
     def records(self) -> List[Any]:
-        return list(self._records)
+        # The file is the only copy: a WAL is read when a state machine is
+        # rebuilt, not while it runs, and every append has reached the OS
+        # (flush or fsync) by the time it returns.
+        with open(self.path, "rb") as fh:
+            return _scan_frames(fh.read())[0]
 
     def reset(self, records: Iterable[Any] = ()) -> None:
-        new_records = list(records)
+        replacement = list(records)
         tmp_path = self.path + ".tmp"
         with open(tmp_path, "wb") as fh:
-            for record in new_records:
+            for record in replacement:
                 fh.write(_encode_record(record))
             fh.flush()
             os.fsync(fh.fileno())
@@ -150,7 +154,7 @@ class FileWAL(WAL):
         os.replace(tmp_path, self.path)
         _fsync_dir(os.path.dirname(self.path))
         self._file = open(self.path, "ab")
-        self._records = [json.loads(json.dumps(r)) for r in new_records]
+        self._count = len(replacement)
         self._unsynced = 0
 
     def sync(self) -> None:
@@ -162,7 +166,7 @@ class FileWAL(WAL):
             self.fsync_hist.observe((time.perf_counter() - started) * 1000.0)
 
     def __len__(self) -> int:
-        return len(self._records)
+        return self._count
 
     def close(self) -> None:
         if not self._file.closed:

@@ -41,14 +41,14 @@ import random
 import subprocess
 import time
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.batching import BatchingClient
 from ..core.message import ClientRequest, ClientResponse, Message, NodeHello
 from ..obs import Histogram
-from ..runtime.codec import CodecError, read_frame
+from ..runtime.node import FrameServer
 from ..runtime.proc import ProcessCluster
-from ..runtime.transport import AsyncioTransport
+from ..runtime.transport import AddressBook, AsyncioTransport
 from ..smr.replica import replica_node
 from .clients import BoundedResubmitter
 
@@ -174,6 +174,22 @@ def provenance() -> Dict[str, Any]:
     }
 
 
+class _ResponsePlane(FrameServer):
+    """The driver's one port: every logical client's responses arrive here,
+    and every request leaves through its transport."""
+
+    def __init__(
+        self, addresses: AddressBook, on_response: Callable[[ClientResponse], None]
+    ) -> None:
+        super().__init__()
+        self.transport = AsyncioTransport(node_id="soak-driver", addresses=addresses)
+        self._on_response = on_response
+
+    def handle_frame(self, sender: Any, envelope: Any) -> None:
+        if isinstance(envelope, ClientResponse):
+            self._on_response(envelope)
+
+
 class SoakHarness:
     """One soak run against a freshly started :class:`ProcessCluster`."""
 
@@ -187,8 +203,7 @@ class SoakHarness:
         )
         self._rng = random.Random(config.seed)
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._transport: Optional[AsyncioTransport] = None
+        self._plane: Optional[_ResponsePlane] = None
         self._batcher: Optional[BatchingClient] = None
         self._resubmitter: Optional[BoundedResubmitter] = None
 
@@ -221,29 +236,10 @@ class SoakHarness:
         assert self._loop is not None
         return self._loop.call_later(delay_ms / 1000.0, callback)
 
-    async def _start_response_plane(self) -> Tuple[str, int]:
-        """One listening port receives every logical client's responses."""
-
-        async def handle(reader, writer):
-            try:
-                while True:
-                    try:
-                        _, envelope = await read_frame(reader)
-                    except (asyncio.IncompleteReadError, CodecError):
-                        break
-                    if isinstance(envelope, ClientResponse):
-                        self._on_response(envelope)
-            finally:
-                writer.close()
-
-        self._server = await asyncio.start_server(handle, "127.0.0.1", 0)
-        sockname = self._server.sockets[0].getsockname()
-        return sockname[0], sockname[1]
-
     def _announce_clients(self, host: str, port: int) -> None:
         """NodeHello every logical client id (and the flusher) to every
         replica — they all answer on the one response-plane port."""
-        assert self._transport is not None
+        assert self._plane is not None
         cfg = self.config
         node_ids = [f"soak-client-{i}" for i in range(cfg.clients)]
         node_ids.append("soak-flush")
@@ -251,7 +247,7 @@ class SoakHarness:
             for index in range(cfg.replication):
                 rid = replica_node(gid, index)
                 for node_id in node_ids:
-                    self._transport.send(
+                    self._plane.transport.send(
                         rid, NodeHello(node_id=node_id, host=host, port=port)
                     )
 
@@ -312,7 +308,7 @@ class SoakHarness:
     async def _flush_loop(self) -> None:
         """Periodic GC flush: an ``is_flush`` multicast to all groups."""
         cfg = self.config
-        assert self._transport is not None
+        assert self._plane is not None
         all_groups = list(range(cfg.groups))
         while not self._stopping:
             await asyncio.sleep(cfg.flush_every_ms / 1000.0)
@@ -323,7 +319,7 @@ class SoakHarness:
             request = ClientRequest(message=message)
             for entry in self.cluster.protocol.entry_groups(message):
                 try:
-                    self._transport.send(entry, request)
+                    self._plane.transport.send(entry, request)
                 except KeyError:  # pragma: no cover - book is pre-populated
                     pass
 
@@ -390,28 +386,23 @@ class SoakHarness:
             return await self._drive(started_wall)
         finally:
             self._stopping = True
-            if self._server is not None:
-                self._server.close()
-                await self._server.wait_closed()
-            if self._transport is not None:
-                await self._transport.aclose()
+            if self._plane is not None:
+                await self._plane.stop()
             await self.cluster.stop()
 
     async def _drive(self, started_wall: float) -> Dict[str, Any]:
         cfg = self.config
-        host, port = await self._start_response_plane()
-        self._transport = AsyncioTransport(
-            node_id="soak-driver",
-            addresses=self.cluster.spec.address_book(),
-            pool=True,
+        self._plane = _ResponsePlane(
+            self.cluster.spec.address_book(), self._on_response
         )
+        host, port = await self._plane.start()
         self._announce_clients(host, port)
         await asyncio.sleep(0.1)
 
         self._batcher = BatchingClient(
             client_id="soak-ingress",
             protocol=self.cluster.protocol,
-            send_request=lambda group, request: self._transport.send(group, request),
+            send_request=self._plane.transport.send,
             clock=self._now_ms,
             max_batch=cfg.max_batch,
             max_delay_ms=cfg.max_delay_ms,
@@ -547,7 +538,7 @@ class SoakHarness:
                 "singles_sent": self._batcher.stats["singles_sent"],
                 "flushes_sent": len(self._flush_ids),
                 "driver_failed_sends": (
-                    self._transport.failed_sends if self._transport else 0
+                    self._plane.transport.failed_sends if self._plane else 0
                 ),
             },
             "latency_ms": {

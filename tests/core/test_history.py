@@ -188,13 +188,17 @@ class TestDiffTracker:
         tracker.diff_for(7, h)
         assert tracker.diff_for(7, h).is_empty
 
-    def test_forget_allows_bookkeeping_to_shrink(self):
+    def test_forget_holds_no_per_message_state(self):
+        # What forget guarantees is journal compaction (TestJournal below);
+        # the tracker itself keeps only absolute watermarks, so forgetting
+        # ids without a history to compact changes nothing a diff can see.
         h = History()
         h.record_delivery(msg("m1", {1}))
         tracker = HistoryDiffTracker()
         tracker.diff_for(7, h)
-        tracker.forget(["m1"])
-        assert tracker.sent_to(7) == set()
+        assert tracker.forget(["m1"]) == 0
+        assert tracker.watermark(7) == h.version
+        assert tracker.diff_for(7, h).is_empty
 
 
 class TestJournal:

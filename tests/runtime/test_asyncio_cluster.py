@@ -5,6 +5,7 @@ import asyncio
 import pytest
 
 from repro.core.flexcast import FlexCastProtocol
+from repro.core.message import ClientRequest, Message
 from repro.core.timestamps import Exposure
 from repro.overlay.cdag import CDagOverlay
 from repro.overlay.tree import TreeOverlay
@@ -44,6 +45,36 @@ class TestFlexCastCluster:
                     == cluster.delivered_at(2)
                 )
                 assert len(cluster.delivered_at(0)) == 5
+
+        run(scenario())
+
+
+class TestFifoLinks:
+    def test_back_to_back_frames_between_groups_arrive_in_send_order(self):
+        # The paper assumes FIFO links between groups (§4.2).  One pooled
+        # connection per destination provides them; one task and connection
+        # per frame (the removed default) promised no order at all.
+        async def scenario():
+            protocol = FlexCastProtocol(CDagOverlay([0, 1]))
+            async with LocalCluster(protocol) as cluster:
+                sent = [f"fifo-{i}" for i in range(200)]
+                for msg_id in sent:
+                    # A local message is delivered the moment it arrives, so
+                    # group 1's delivery order is its arrival order.
+                    cluster.servers[0].transport.send(
+                        1,
+                        ClientRequest(
+                            message=Message(
+                                msg_id=msg_id, dst=frozenset({1}), sender="nobody"
+                            )
+                        ),
+                    )
+                deadline = asyncio.get_running_loop().time() + 10.0
+                while len(cluster.delivered_at(1)) < len(sent):
+                    assert asyncio.get_running_loop().time() < deadline
+                    await asyncio.sleep(0.01)
+                assert cluster.delivered_at(1) == sent
+                assert cluster.servers[0].transport.failed_sends == 0
 
         run(scenario())
 

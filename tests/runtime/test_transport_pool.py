@@ -2,6 +2,8 @@
 
 import asyncio
 
+import pytest
+
 from repro.core.message import NodeHello
 from repro.runtime.node import FrameServer
 from repro.runtime.transport import AsyncioTransport
@@ -138,3 +140,9 @@ class TestPooledTransport:
             await transport.aclose()
 
         run(scenario())
+
+    def test_pooled_is_the_only_mode(self):
+        # ``pool`` survives as a keyword for callers written when a
+        # one-connection-per-frame mode existed; it can no longer select it.
+        with pytest.raises(ValueError):
+            AsyncioTransport(node_id="pool-test", addresses={}, pool=False)

@@ -1,0 +1,226 @@
+"""Golden wire corpus: every registered frame, byte for byte.
+
+``data/wire_golden.tsv`` holds one ``name<TAB>frame body`` line per sample
+below.  It was written by the commit *before* the codec became a registry
+(``PYTHONPATH=<parent checkout>/src python tests/runtime/test_wire_golden.py``),
+so passing here means old and new peers — and old and new WAL files, whose
+log entries are the same dictionaries — read each other's bytes.
+
+Regenerate only for a deliberate wire-format change; a new envelope type adds
+a sample here and one line to the corpus.
+"""
+
+import dataclasses
+import os
+import struct
+import sys
+
+import pytest
+
+from repro.core import message as msg
+from repro.runtime import codec
+from repro.runtime.codec import decode_frame, encode_frame
+from repro.smr import multipaxos, paxos
+from repro.smr.multipaxos import (
+    CatchupReply,
+    CatchupRequest,
+    ClientCommand,
+    Commit,
+    Heartbeat,
+)
+from repro.smr.paxos import Accept, Accepted, Ballot, Nack, Prepare, Promise
+from repro.smr.replica import OrderedEnvelope
+
+CORPUS = os.path.join(os.path.dirname(__file__), "data", "wire_golden.tsv")
+SENDER = "group-0-replica-1"
+
+PLAIN = msg.Message(
+    msg_id="m42",
+    dst=frozenset({3, 1}),
+    sender="client-7",
+    payload={"op": "new_order", "qty": [1, 2]},
+    payload_bytes=320,
+)
+TRACED = msg.Message(msg_id="m43", dst=frozenset({1}), sender="c", trace_id="t-7f")
+FLUSH = msg.Message(msg_id="f1", dst=frozenset({0, 1}), is_flush=True)
+CARRIER = msg.Message.batch_of(
+    [
+        PLAIN,
+        msg.Message(
+            msg_id="m44", dst=frozenset({1, 3}), sender="c", payload="é", trace_id="t-80"
+        ),
+    ],
+    batch_id="b9",
+)
+WARM = msg.HistoryDelta(
+    vertices=(("m1", frozenset({1})), ("m2", frozenset({3, 1}))),
+    edges=(("m1", "m2"),),
+    last_delivered="m2",
+    seq=4,
+)
+SNAPSHOT = msg.HistorySnapshot(
+    ids=("m1", "m2", "m3"),
+    dsts=(frozenset({1}), frozenset({1, 3}), frozenset({3})),
+    edges_a=("m1", "m2"),
+    edges_b=("m2", "m3"),
+    last_delivered="m3",
+    version=5,
+)
+COLD = msg.HistoryDelta(
+    vertices=(("m4", frozenset({1})),),
+    edges=(("m3", "m4"),),
+    last_delivered="m4",
+    seq=7,
+    snapshot=SNAPSHOT,
+)
+ORDERED = OrderedEnvelope(sender="client-7", envelope=msg.ClientRequest(message=PLAIN))
+ORDERED_PEER = OrderedEnvelope(
+    sender=2,
+    envelope=msg.FlexCastAck(message=TRACED, history=WARM, from_group=2),
+)
+
+SAMPLES = {
+    "request": msg.ClientRequest(message=PLAIN),
+    "request-traced": msg.ClientRequest(message=TRACED),
+    "request-flush": msg.ClientRequest(message=FLUSH),
+    "flexcast-batch": msg.FlexCastBatch(message=CARRIER),
+    "response": msg.ClientResponse(msg_id="m42", group=3),
+    "flexcast-msg": msg.FlexCastMsg(
+        message=PLAIN,
+        history=WARM,
+        notified=frozenset({4, 2}),
+        epoch=1,
+        ts_proposals=((1, 5), (3, 9)),
+    ),
+    "flexcast-msg-defaults": msg.FlexCastMsg(message=PLAIN, history=msg.EMPTY_DELTA),
+    "flexcast-msg-batch-carrier": msg.FlexCastMsg(message=CARRIER, history=WARM),
+    "flexcast-msg-cold": msg.FlexCastMsg(message=PLAIN, history=COLD),
+    "flexcast-ack": msg.FlexCastAck(
+        message=PLAIN,
+        history=WARM,
+        from_group=1,
+        notified=frozenset({2, 4}),
+        epoch=2,
+        ts_proposals=((3, 9),),
+    ),
+    "history-snapshot": msg.HistorySnapshotFrame(group=3, delta=COLD, epoch=2),
+    "flexcast-ts-propose": msg.FlexCastTsPropose(
+        message=PLAIN, timestamp=23, from_group=3, epoch=2
+    ),
+    "flexcast-notif": msg.FlexCastNotif(
+        message=TRACED, history=WARM, from_group=1, epoch=1
+    ),
+    "epoch-prepare": msg.EpochPrepare(
+        new_epoch=2, reply_to="reconfig-coordinator", barrier_id="barrier-2"
+    ),
+    "epoch-prepare-ack": msg.EpochPrepareAck(new_epoch=2, group=1),
+    "quiesce-query": msg.QuiesceQuery(
+        new_epoch=2, round_id=3, barrier_id="barrier-2", reply_to="reconfig-coordinator"
+    ),
+    "quiesce-reply": msg.QuiesceReply(
+        new_epoch=2,
+        round_id=3,
+        group=1,
+        quiescent=True,
+        barrier_delivered=False,
+        envelopes_sent=17,
+        envelopes_received=16,
+    ),
+    "epoch-switch": msg.EpochSwitch(
+        new_epoch=2, order=(2, 1, 0), reply_to="reconfig-coordinator"
+    ),
+    "epoch-switch-ack": msg.EpochSwitchAck(epoch=2, group=0),
+    "epoch-bounce": msg.EpochBounce(message=PLAIN, epoch=2, from_group=0),
+    "skeen-timestamp": msg.SkeenTimestamp(msg_id="m42", timestamp=17, from_group=4),
+    "skeen-propose": msg.SkeenPropose(message=PLAIN),
+    "tree-forward": msg.TreeForward(message=PLAIN, sequence=9),
+    "node-hello": msg.NodeHello(node_id="soak-client-3", host="127.0.0.1", port=45123),
+    "smr-command-oe": ClientCommand(payload=ORDERED),
+    "smr-command-plain": ClientCommand(payload="cmd-a"),
+    "smr-commit-oe": Commit(instance=7, value=ORDERED_PEER),
+    "smr-commit-plain": Commit(instance=0, value={"k": [1, None]}),
+    "smr-heartbeat": Heartbeat(leader="group-0-replica-0"),
+    "smr-catchup": CatchupRequest(from_instance=3, from_replica="group-0-replica-2"),
+    "smr-catchup-reply": CatchupReply(entries=((3, ORDERED), (4, "cmd-b"))),
+    "smr-catchup-reply-empty": CatchupReply(entries=()),
+    "paxos-prepare": Prepare(instance=5, ballot=Ballot(2, 1)),
+    "paxos-promise": Promise(
+        instance=5,
+        ballot=Ballot(2, 1),
+        accepted_ballot=Ballot(1, 0),
+        accepted_value=ORDERED,
+        from_replica="group-0-replica-2",
+    ),
+    "paxos-promise-fresh": Promise(
+        instance=6,
+        ballot=Ballot(2, 1),
+        accepted_ballot=None,
+        accepted_value=None,
+        from_replica="group-0-replica-2",
+    ),
+    "paxos-accept": Accept(instance=5, ballot=Ballot(2, 1), value=ORDERED),
+    "paxos-accepted": Accepted(
+        instance=5, ballot=Ballot(2, 1), value="cmd-a", from_replica="group-0-replica-0"
+    ),
+    "paxos-nack": Nack(
+        instance=5,
+        ballot=Ballot(1, 0),
+        promised=Ballot(2, 1),
+        from_replica="group-0-replica-2",
+    ),
+}
+
+
+def _corpus():
+    with open(CORPUS, "r", encoding="utf-8") as handle:
+        return dict(line.rstrip("\n").split("\t", 1) for line in handle)
+
+
+def test_corpus_and_samples_name_the_same_frames():
+    assert sorted(_corpus()) == sorted(SAMPLES)
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLES))
+def test_frame_is_byte_identical_and_round_trips(name):
+    body = _corpus()[name].encode("utf-8")
+    assert encode_frame(SENDER, SAMPLES[name]) == struct.pack(">I", len(body)) + body
+    assert decode_frame(body) == (SENDER, SAMPLES[name])
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        # ``@dataclass(slots=True)`` builds a second class and leaves the
+        # first one behind until collected; only the bound name counts.
+        if getattr(sys.modules[sub.__module__], sub.__name__, None) is sub:
+            yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_wire_class_has_a_schema_row_and_a_golden_sample():
+    # A new envelope without a wire form must fail here, in tier-1, not as a
+    # CodecError in a running cluster.
+    smr_messages = {
+        cls
+        for module in (multipaxos, paxos)
+        for cls in vars(module).values()
+        if isinstance(cls, type)
+        and dataclasses.is_dataclass(cls)
+        and cls.__module__ == module.__name__
+        and cls is not Ballot  # a value inside frames, not a frame
+    }
+    wire_classes = set(_subclasses(msg.Envelope)) | {msg.NodeHello} | smr_messages
+    registered = {row[0] for row in codec._SCHEMA}
+    assert wire_classes - registered == set()
+    assert registered - wire_classes == set()
+    assert {type(envelope) for envelope in SAMPLES.values()} == registered
+    tags = [row[1] for row in codec._SCHEMA]
+    assert len(set(tags)) == len(tags)
+
+
+if __name__ == "__main__":
+    os.makedirs(os.path.dirname(CORPUS), exist_ok=True)
+    with open(CORPUS, "w", encoding="utf-8") as out:
+        for sample_name, envelope in SAMPLES.items():
+            out.write(
+                f"{sample_name}\t{encode_frame(SENDER, envelope)[4:].decode('utf-8')}\n"
+            )

@@ -2,15 +2,24 @@
 
 from __future__ import annotations
 
+import json
+import os
+import shutil
+
 import pytest
 
+from repro.core.flexcast import FlexCastProtocol
+from repro.overlay.cdag import CDagOverlay
+from repro.runtime.codec import _entry_from_wire, _entry_to_wire
 from repro.sim.events import EventLoop
 from repro.sim.latencies import LatencyMatrix
 from repro.sim.network import Network
 from repro.sim.transport import SimTransport
 from repro.smr.multipaxos import MultiPaxosReplica
 from repro.smr.paxos import ZERO_BALLOT, Accept, Acceptor, Ballot, Nack, Prepare, Promise
-from repro.storage import InMemoryStorage
+from repro.smr.replica import GroupReplica, replica_node
+from repro.storage import FileStorage, InMemoryStorage
+from repro.storage.file import _encode_record, _scan_frames
 
 
 # ----------------------------------------------------------------- acceptor WAL
@@ -218,6 +227,47 @@ class TestCommitLogReplay:
         loop.run_until_idle()
         assert rebuilt_applied == ["a", "b", "c"]
         assert applied["r0"] == ["a", "b", "c"]
+
+
+class TestParentCommitWal:
+    """``data/parent_wal`` was written by the commit before the codec became
+    a registry and ``FileWAL`` stopped mirroring its records (replica 0 of a
+    3-replica FlexCast group: ten requests, a peer crash, its restart and the
+    snapshot frame ordered for it).  New code must replay old files."""
+
+    DATA = os.path.join(os.path.dirname(__file__), "data", "parent_wal")
+
+    def test_replica_replays_a_wal_written_by_the_parent_commit(self, tmp_path):
+        for name in os.listdir(self.DATA):
+            shutil.copy(os.path.join(self.DATA, name), tmp_path / name)
+        with open(os.path.join(self.DATA, "expected.json"), encoding="utf-8") as fh:
+            expected = json.load(fh)
+        network = Network(EventLoop(), LatencyMatrix([[0.1]], ["s0"]))
+        replica_ids = [replica_node(0, i) for i in range(3)]
+        replica = GroupReplica(
+            group_id=0,
+            replica_id=replica_ids[0],
+            peer_replicas=replica_ids,
+            protocol=FlexCastProtocol(CDagOverlay([0, 1])),
+            transport=SimTransport(network, replica_ids[0]),
+            sink=lambda group, message: None,
+            storage=FileStorage(str(tmp_path)),
+        )
+        assert replica.local_deliveries == expected["local_deliveries"]
+        assert len(replica.applied) == expected["applied"]
+        assert replica.smr.recovered_instances == expected["applied"]
+
+    def test_log_entries_re_encode_to_the_parent_commits_bytes(self):
+        path = os.path.join(self.DATA, "group-0-replica-0.log.wal")
+        with open(path, "rb") as fh:
+            parent_bytes = fh.read()
+        records, good_end = _scan_frames(parent_bytes)
+        assert good_end == len(parent_bytes) and records
+        rewritten = b"".join(
+            _encode_record([kind, instance, _entry_to_wire(_entry_from_wire(wire))])
+            for kind, instance, wire in records
+        )
+        assert rewritten == parent_bytes
 
 
 def deploy_one_with_log(storage):

@@ -10,7 +10,9 @@ from repro.sim.events import EventLoop
 from repro.sim.latencies import LatencyMatrix
 from repro.sim.network import Network
 from repro.sim.transport import SimTransport
+from repro.obs import MetricsRegistry
 from repro.smr.multipaxos import MultiPaxosReplica
+from repro.smr.paxos import Accept, Ballot
 from repro.smr.replica import ReplicatedGroup
 
 
@@ -86,6 +88,40 @@ class TestReplication:
         loop.run_until_idle()
         assert applied["r1"] == ["lost-then-recovered"]
         assert applied["r2"] == ["lost-then-recovered"]
+
+    def test_open_proposers_gauge_returns_to_zero_when_quiescent(self):
+        # The leader used to keep one Proposer per instance for life, so the
+        # "instances this replica is still driving" gauge only ever grew.
+        loop, _, replicas, applied = deploy_replicas()
+        registry = MetricsRegistry()
+        replicas["r0"].register_metrics(registry)
+        for i in range(20):
+            replicas[f"r{i % 3}"].submit(f"cmd-{i}")
+        assert replicas["r0"]._proposers  # mid-burst: instances in flight
+        loop.run_until_idle()
+        assert len(applied["r0"]) == 20
+        gauges = registry.snapshot()["gauges"]
+        assert gauges['smr_open_proposers{replica="r0"}'] == 0
+        assert all(not replica._proposers for replica in replicas.values())
+
+    def test_displaced_command_is_reproposed_after_its_proposer_is_dropped(self):
+        loop, network, replicas, applied = deploy_replicas()
+        # The old leader got "old" accepted at instance 0 by both followers,
+        # then crashed before anyone learned the decision.
+        network.unregister("r0")
+        for rid in ("r1", "r2"):
+            replicas[rid].on_message(
+                "r0", Accept(instance=0, ballot=Ballot(0, 0), value="old")
+            )
+            replicas[rid].mark_failed("r0")
+        # The new leader aims "new" at instance 0 too; Paxos forces it to
+        # adopt "old" there, so "new" must move to a fresh instance — after
+        # instance 0's proposer is gone.
+        replicas["r1"].submit("new")
+        loop.run_until_idle()
+        assert applied["r1"] == ["old", "new"]
+        assert applied["r2"] == ["old", "new"]
+        assert not replicas["r1"]._proposers
 
     def test_single_replica_group_works(self):
         loop, _, replicas, applied = deploy_replicas(n=1)

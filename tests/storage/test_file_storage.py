@@ -202,3 +202,41 @@ def test_direct_filewal_reopen_after_close(tmp_path):
     wal.append({"x": 1})
     wal.close()
     assert FileWAL(path).records() == [{"x": 1}]
+
+
+def test_records_always_equal_a_fresh_open_of_the_same_path(tmp_path):
+    # FileWAL keeps no parsed copy of its records: records() reads the file,
+    # so at every point it must say what a process restarting now would see.
+    path = os.path.join(str(tmp_path), "log.wal")
+
+    def fresh_open():
+        other = FileWAL(path)
+        try:
+            return other.records(), len(other)
+        finally:
+            other.close()
+
+    wal = FileWAL(path, fsync_every=4)
+    expected = []
+    for i in range(11):  # crosses fsync boundaries and stops between two
+        wal.append({"i": i, "pair": (i, str(i))})
+        expected.append({"i": i, "pair": [i, str(i)]})
+        assert len(wal) == len(expected)
+    assert wal.records() == expected
+    assert fresh_open() == (expected, 11)
+
+    wal.reset([["compacted", 7]])
+    assert (wal.records(), len(wal)) == ([["compacted", 7]], 1)
+    assert fresh_open() == ([["compacted", 7]], 1)
+    wal.append("after")
+    assert wal.records() == [["compacted", 7], "after"]
+    wal.close()
+
+    with open(path, "ab") as fh:  # a crash mid-append: half a frame
+        fh.write(_HEADER.pack(50, 0) + b"torn")
+    reopened = FileWAL(path)
+    assert (reopened.records(), len(reopened)) == ([["compacted", 7], "after"], 2)
+    reopened.append("next")
+    assert reopened.records() == [["compacted", 7], "after", "next"]
+    assert fresh_open() == ([["compacted", 7], "after", "next"], 3)
+    reopened.close()
