@@ -1,9 +1,10 @@
 #!/usr/bin/env python
 """Standalone micro-benchmark harness for the FlexCast core hot path.
 
-Times the operations that dominate per-delivery cost — ``depends``,
-``diff_for``, ``merge_delta``, the full lca delivery round (plain, hybrid
-and batched) and a coordinator re-planning pass — at several history sizes,
+Times the operations that dominate per-delivery cost — ``diff_for``,
+``merge_delta``, the full lca delivery round (plain, hybrid, batched and
+behind 64 acked pivots) and a coordinator re-planning pass — at several
+history sizes,
 plus a throughput-vs-batch-size sweep, and writes the numbers to
 ``BENCH_micro.json`` so the perf trajectory is tracked across PRs (see
 DESIGN.md for the complexity tables and amortization claims these numbers
@@ -33,7 +34,7 @@ from typing import Callable, Dict, List, Optional
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.core.flexcast import _MAX_PIVOTS, FlexCastGroup  # noqa: E402
+from repro.core.flexcast import FlexCastGroup  # noqa: E402
 from repro.core.history import History, HistoryDiffTracker  # noqa: E402
 from repro.core.message import (  # noqa: E402
     FlexCastBatch,
@@ -42,6 +43,7 @@ from repro.core.message import (  # noqa: E402
     HistoryDelta,
     Message,
 )
+from repro.core.pivot_guard import PivotGuard  # noqa: E402
 from repro.core.timestamps import Exposure  # noqa: E402
 from repro.obs import Observability  # noqa: E402
 from repro.overlay.cdag import CDagOverlay  # noqa: E402
@@ -129,16 +131,6 @@ def _measure_paired(
 
 
 # ------------------------------------------------------------- benchmark defs
-def bench_depends(size: int) -> Callable[[], None]:
-    history = build_chain_history(size)
-    first, last = "m0", f"m{size - 1}"
-
-    def op() -> None:
-        assert history.depends(last, first)
-
-    return op
-
-
 def bench_diff_for(size: int) -> Callable[[], None]:
     """Steady state: the descendant is up to date, the diff is empty.
 
@@ -289,7 +281,7 @@ def bench_delivery_round_hybrid(size: int) -> Callable[[], None]:
                     message=message, timestamp=local_ts, from_group=peer
                 ),
             )
-        assert mid in group.delivered_in_g
+        assert group.has_delivered(mid)
 
     return op
 
@@ -331,7 +323,7 @@ def bench_delivery_round_batched(
         )
         carrier = Message.batch_of(members, batch_id=f"bench-batch-{counter['i']}")
         group.on_envelope("client", FlexCastBatch(message=carrier))
-        assert carrier.msg_id in group.delivered_in_g
+        assert group.has_delivered(carrier.msg_id)
 
     return op
 
@@ -339,7 +331,7 @@ def bench_delivery_round_batched(
 def bench_delivery_round_pivots(size: int) -> Callable[[], None]:
     """``delivery_round`` in the state the pivot guard works in.
 
-    A three-group round at group 3, which has acked ``_MAX_PIVOTS`` (64)
+    A three-group round at group 3, which has acked ``MAX_PIVOTS`` (64)
     Strategy (c) pivots — each ordered after the whole |H|-sized history —
     and holds three undelivered local messages, each followed by a few
     messages an ancestor ordered after it.  Every round asks whether the new
@@ -357,7 +349,7 @@ def bench_delivery_round_pivots(size: int) -> Callable[[], None]:
         group.diff_tracker.diff_for(dest, group.history)
     last = f"fill-{size - 1}"
     elsewhere = frozenset({0, 9})
-    for k in range(_MAX_PIVOTS):
+    for k in range(PivotGuard.MAX_PIVOTS):
         pivot = Message(msg_id=f"pivot-{k}", dst=elsewhere)
         delta = HistoryDelta(
             vertices=((pivot.msg_id, elsewhere),), edges=((last, pivot.msg_id),)
@@ -379,7 +371,7 @@ def bench_delivery_round_pivots(size: int) -> Callable[[], None]:
             from_group=0,
         ),
     )
-    assert len(group._notif_pivots) == _MAX_PIVOTS
+    assert len(group.guard.pivots) == PivotGuard.MAX_PIVOTS
     assert len(group.open_dependencies()) == 3
     counter = {"i": 0}
 
@@ -387,7 +379,7 @@ def bench_delivery_round_pivots(size: int) -> Callable[[], None]:
         counter["i"] += 1
         mid = f"bench-{counter['i']}"
         group.on_client_request(Message(msg_id=mid, dst=dst))
-        assert mid in group.delivered_in_g
+        assert group.has_delivered(mid)
 
     return op
 
@@ -513,7 +505,6 @@ def bench_reconfig_plan(size: int) -> Callable[[], None]:
 
 
 BENCHMARKS: Dict[str, Callable[[int], Callable[[], None]]] = {
-    "depends": bench_depends,
     "diff_for": bench_diff_for,
     "diff_for_cold": bench_diff_for_cold,
     "merge_delta": bench_merge_delta,
@@ -714,7 +705,7 @@ def main(argv: List[str] | None = None) -> int:
     )
     parser.add_argument(
         "--flat",
-        default="merge_delta,diff_for_cold,depends,delivery_round_pivots",
+        default="merge_delta,diff_for_cold,delivery_round_pivots",
         help="with --compare: comma-separated benchmarks whose op/s at the "
         "largest history size must stay within --max-flat-ratio of the "
         "smallest size — i.e. the operation is flat in |H| "

@@ -174,7 +174,10 @@ def find_delivery_cycle(
 ) -> Optional[List[str]]:
     """One concrete cycle in the delivery relation, or ``None`` if acyclic.
 
-    Returns the cycle as a closed path ``[a, b, …, a]``.  Used by the
+    Returns the cycle as a closed path ``[a, b, …, a]`` — the first one a
+    depth-first walk meets when start nodes are taken in the order given and
+    successors in sorted order, so the witness is a function of the relation
+    alone.  Used by the
     acyclic-order check and the sequential-replay oracle so a violation names
     an actual witness — with exposure promoting ``acyclic-order`` to a
     hard CI failure, "a cycle exists" alone is not an actionable report.
@@ -183,10 +186,15 @@ def find_delivery_cycle(
     stack: List[str] = []
     on_stack: Dict[str, int] = {}
 
+    def edges_of(node: str) -> Iterator[str]:
+        # Sorted, like the start nodes: a set iterates in string-hash order,
+        # and the witness a report names must not change with PYTHONHASHSEED.
+        return iter(sorted(successors.get(node, ())))
+
     def visit(start: str) -> Optional[List[str]]:
         # Iterative DFS with an explicit path so deep chains cannot blow the
         # recursion limit (delivery relations reach thousands of messages).
-        work: List[Tuple[str, Iterator[str]]] = [(start, iter(successors.get(start, ())))]
+        work: List[Tuple[str, Iterator[str]]] = [(start, edges_of(start))]
         colors[start] = 1
         on_stack[start] = len(stack)
         stack.append(start)
@@ -202,7 +210,7 @@ def find_delivery_cycle(
                     colors[succ] = 1
                     on_stack[succ] = len(stack)
                     stack.append(succ)
-                    work.append((succ, iter(successors.get(succ, ()))))
+                    work.append((succ, edges_of(succ)))
                     advanced = True
                     break
             if not advanced:

@@ -23,33 +23,34 @@ dependency information that could order another message before ``m``:
   down to the destinations of ``m``.  Notified groups are carried in the
   envelopes so destinations know to wait for their acks as well.
 
-On top of the paper's protocol sit two ordering mechanisms, and every
-message is ordered by exactly one of them (DESIGN.md "Ordering: pivot guard
-+ exposure"):
+On top of the paper's protocol a group holds two ordering authorities, and
+:meth:`FlexCastGroup._blocker` sends every message past exactly one of them
+(DESIGN.md "Ordering: pivot guard + exposure"):
 
-* **The pivot guard** (:meth:`FlexCastGroup._pivot_guard_allows`) closes the
-  Strategy (c) ack race: a notif-ack promises the pivot's destinations that
-  this group's dependency contribution is final, so later local deliveries
-  must not mint new orderings before an acked pivot.  Two pivots can impose
-  contradictory waits, so a blocked head is released by an escape timer once
-  the stand-off provably cannot resolve, and a dependency cycle that arrives
-  in a merged delta is delivered through instead of honoured (poison
-  tolerance).  With the guard alone, global acyclic order holds except under
-  one conflict class — messages whose pairs each meet at exactly one group —
-  where it is a *detected* anomaly, never a lost delivery.
+* ``self.guard`` (:class:`~repro.core.pivot_guard.PivotGuard`) orders what
+  nothing exposes.  It closes the Strategy (c) ack race: a notif-ack
+  promises the pivot's destinations that this group's dependency
+  contribution is final, so later local deliveries must not mint new
+  orderings before an acked pivot.  Two pivots can impose contradictory
+  waits, so the group keeps an escape timer and asks the guard which blocked
+  head to release once a stand-off provably cannot resolve, and a dependency
+  cycle that arrives in a merged delta is delivered through instead of
+  honoured (poison tolerance).  With the guard alone, global acyclic order
+  holds except under one conflict class — messages whose pairs each meet at
+  exactly one group — where it is a *detected* anomaly, never a lost
+  delivery.
 
-* **Exposure** (:class:`~repro.core.timestamps.Exposure`) closes that class.
-  A global message whose destination set the deployment's exposure covers
-  additionally acquires a final Skeen timestamp from its destination groups
-  (:class:`~repro.core.timestamps.TimestampAuthority`, proposals piggybacked
-  on the msg/ack traffic), and contested deliveries follow the global
-  ``(final timestamp, id)`` order.  The authority subsumes the guard for
-  exposed messages, and needs neither escape timer nor poison tolerance: a
-  total order has no stand-offs and no cycles.  The deployment picks what is
-  exposed — nothing (the paper's protocol, bit-identical to a group with no
-  authority at all), the hot conflict components of a declared shape
-  universe, or every global message — and pays the paper's convoy effect
-  (§5) only for what it exposes.
+* ``self.ts`` (:class:`~repro.core.timestamps.TimestampAuthority`, present
+  iff the deployment's :class:`~repro.core.timestamps.Exposure` covers
+  anything) closes that class.  A global message whose destination set is
+  exposed additionally acquires a final Skeen timestamp from its destination
+  groups (proposals piggybacked on the msg/ack traffic), and contested
+  deliveries follow the global ``(final timestamp, id)`` order.  It needs
+  neither escape timer nor poison tolerance: a total order has no stand-offs
+  and no cycles.  The deployment picks what is exposed — nothing (the paper's
+  protocol, bit-identical to a group with no authority at all), the hot
+  conflict components of a declared shape universe, or every global message
+  — and pays the paper's convoy effect (§5) only for what it exposes.
 
 Also on top of the paper's protocol: **batch carriers**.  A client may
 coalesce same-destination submissions into one ordering unit
@@ -63,7 +64,7 @@ deliveries, so batching amortizes envelope overhead without touching the
 ordering logic (DESIGN.md "batching the delivery path").
 
 The implementation below follows the paper's pseudo-code closely; method names
-echo the pseudo-code (``can_deliver`` = ``can-deliver``, ``reprocess_queues``
+echo the pseudo-code (``a_deliver`` = ``a-deliver``, ``reprocess_queues``
 = ``reprocess-queues``, …) to keep the correspondence auditable.
 """
 
@@ -105,6 +106,7 @@ from .message import (
     Message,
     TsProposal,
 )
+from .pivot_guard import PivotGuard
 from .timestamps import Exposure, TimestampAuthority
 
 #: Shared empty notified-set: the overwhelming majority of envelopes carry no
@@ -122,7 +124,6 @@ class PendingMessage:
     shared between simulated nodes and must stay immutable.
     """
 
-    message: Message
     #: Groups whose ack for this message has been received.
     acks: Set[GroupId] = field(default_factory=set)
     #: Groups that were notified (Strategy (c)) and therefore must also ack.
@@ -131,8 +132,9 @@ class PendingMessage:
     enqueued: bool = False
 
 
-#: Upper bound on remembered acked pivots (see ``_notif_pivots``).
-_MAX_PIVOTS = 64
+#: Trace stage recorded for a head :meth:`FlexCastGroup._blocker` found waiting
+#: on an ordering authority (the pivot guard, the ts-propose convoy).
+_WAIT_STAGES = {"guard": STAGE_PIVOT_WAIT, "ts": STAGE_TS_WAIT}
 
 #: Observe every Nth non-empty diff in the size histogram (weighted by N so
 #: the histogram still estimates the full population); see ``_diff_for``.
@@ -183,9 +185,10 @@ class FlexCastGroup(AtomicMulticastGroup):
         self.ts: Optional[TimestampAuthority] = (
             TimestampAuthority(group_id) if exposure else None
         )
+        #: Orders every message the authority above does not: the Strategy
+        #: (c) pivots this group has acked and what they oblige it to.
+        self.guard = PivotGuard()
         self.history = History()
-        #: Messages delivered at this group (``deliveredInG``).
-        self.delivered_in_g: Set[str] = set()
         #: One FIFO queue of not-yet-delivered messages per ancestor lca, plus
         #: a queue under this group's own id for client-submitted messages
         #: (the lca usually delivers them in the same event, but the pivot
@@ -197,10 +200,11 @@ class FlexCastGroup(AtomicMulticastGroup):
         #: Per-message protocol state (acks received, notified groups).
         self.pending: Dict[str, PendingMessage] = {}
         #: member id -> carrier id for every batch this group knows of.
-        #: Lets the enqueue guard absorb a client retrying one *member* as a
+        #: Lets both enqueue paths absorb a client retrying one *member* as a
         #: plain request while its batch is still in flight (the member has
-        #: no pending entry or history vertex of its own, so none of the
-        #: other guards can see it).  Lifecycle mirrors :attr:`pending`:
+        #: no pending entry or history vertex of its own, and ordered as a
+        #: second unit it would break batch atomicity at the carrier's
+        #: fan-out).  Lifecycle mirrors :attr:`pending`:
         #: populated when a carrier's entry is created, pruned with it by GC.
         self._batch_members: Dict[str, str] = {}
         #: Notifications waiting for open dependencies (``pendNotif``).
@@ -212,49 +216,12 @@ class FlexCastGroup(AtomicMulticastGroup):
         #: Updated on merge (additions), delivery (removal) and GC (removal),
         #: replacing the seed's full history scan.
         self._undelivered_to_me: Set[str] = set()
-        #: msg_id -> (dependency epoch, dependencies_satisfied) memo for
-        #: :meth:`can_deliver`'s reachability check.
-        self._dep_cache: Dict[str, tuple] = {}
-        #: Bumped whenever the dependency state (history structure or the
-        #: open-dependency set) may have changed; versions the memo above.
-        #: A plain history mutation counter is not enough: delivering a
-        #: vertex that was already merged shrinks the blocking set without
-        #: touching the history.
-        self._dep_epoch = 0
         #: Ancestor queues whose head may have become deliverable since the
         #: last :meth:`reprocess_queues` drain (dirty-set scheduling).
         self._dirty_queues: Set[GroupId] = set()
-        #: Strategy (c) pivots this group has *acked*: pivot id -> message.
-        #: A notif-ack promises the destinations of the pivot that this
-        #: group's dependency contribution is final, so subsequent local
-        #: deliveries must never create *new* orderings before a pivot (see
-        #: :meth:`_pivot_guard_allows`) — and when one is forced anyway (a
-        #: late-arriving message that already precedes the pivot), the group
-        #: re-acks with its fresh history so the pivot's destinations can
-        #: still order correctly.  Pruned by garbage collection; in
-        #: flush-less deployments the insertion-ordered dict is additionally
-        #: capped at :data:`_MAX_PIVOTS` (oldest promises retire first — a
-        #: pivot only matters until its destinations have delivered it, which
-        #: is long past by the time dozens of newer pivots were acked), so
-        #: the target set of the guard's and the re-ack loop's forward
-        #: queries (:meth:`History.reached_from`) stays bounded.
-        self._notif_pivots: Dict[str, Message] = {}
-        #: Messages allowed through the guard by the escape path below.
-        self._guard_exempt: Set[str] = set()
-        #: Pending escape timer handle (at most one in flight).
+        #: Handle of the guard's escape timer while a head is guard-blocked
+        #: (at most one in flight; see :meth:`_guard_escape_tick`).
         self._escape_timer = None
-        #: Escape ticks observed without any delivery progress (backstop).
-        self._escape_stalls = 0
-        self._escape_progress_mark = -1
-        #: Grace period before a guard-only block may be escaped.  Two acked
-        #: pivots can impose *mutually* contradictory waits (either delivery
-        #: order creates a new pre-pivot ordering for one of them); such
-        #: stand-offs cannot resolve locally, so after the grace period the
-        #: smallest blocked head (a deterministic, overlay-wide tiebreak) is
-        #: delivered anyway.  Ordinary guard blocks resolve long before the
-        #: timer fires — the blocker delivers or a merged delta shows the
-        #: blocked head its own path to the pivot.
-        self.guard_escape_ms = 500.0
         #: Overlay-configuration epoch this group is in.  The base protocol
         #: never changes it; the reconfiguration subsystem (repro.reconfig)
         #: bumps it during a live overlay switch, and every outbound protocol
@@ -353,7 +320,7 @@ class FlexCastGroup(AtomicMulticastGroup):
             "flexcast_notif_pivots",
             "Acked pivots the pivot-consistency guard is honouring.",
             labels,
-            fn=lambda: len(self._notif_pivots),
+            fn=lambda: len(self.guard.pivots),
         )
         registry.gauge(
             "flexcast_ts_pending",
@@ -397,61 +364,26 @@ class FlexCastGroup(AtomicMulticastGroup):
         )
 
     # --------------------------------------------------------------- helpers
-    def _rank(self, group: GroupId) -> int:
-        return self.overlay.rank(group)
-
     def _pending_for(self, message: Message) -> PendingMessage:
         entry = self.pending.get(message.msg_id)
         if entry is None:
-            entry = PendingMessage(message=message)
-            self.pending[message.msg_id] = entry
+            entry = self.pending[message.msg_id] = PendingMessage()
             for member in message.members:
                 self._batch_members[member.msg_id] = message.msg_id
         return entry
 
-    def _discard_created_entry(self, message: Message) -> None:
-        """Undo a :meth:`_pending_for` side effect for an absorbed arrival.
+    def _resolved(self, msg_id: str) -> bool:
+        """True iff this group is done with ``msg_id`` for good.
 
-        An envelope for a *resolved* id (delivered batch member, GC'd
-        message) must not leave behind the pending entry — and, for a batch
-        carrier, the member-index entries — that were created just to
-        evaluate the enqueue guard: resolved ids never re-enter the
-        history, so no future GC pass could ever prune that state, and it
-        would leak for the lifetime of the group.
+        Both records are permanent: the delivery registry covers everything
+        delivered here (batch members and carriers included), the history's
+        forgotten set everything the flush GC pruned — including pivots this
+        group acked but was never a destination of.  An arrival for a
+        resolved id is absorbed before any per-message state exists: such an
+        id never re-enters the history, so no GC pass could prune what the
+        arrival left behind.
         """
-        self.pending.pop(message.msg_id, None)
-        for member in message.members:
-            self._batch_members.pop(member.msg_id, None)
-
-    def _may_enqueue(self, entry: "PendingMessage", message: Message) -> bool:
-        """Single gate every enqueue path must pass (``_on_msg``,
-        ``_enqueue_local``).
-
-        The ``is_forgotten`` clause stops a duplicated envelope (or
-        re-submission) that outlived the flush GC from re-enqueuing its
-        pruned — already delivered — message: the GC discards
-        ``delivered_in_g``, so without it the duplicate would re-deliver,
-        and an exposed one could not even re-acquire a timestamp
-        (``_acquire_timestamp`` refuses forgotten ids), leaving the convoy
-        gate to trip on a queued message with no timestamp entry.
-
-        The ``has_delivered`` and ``_batch_members`` clauses cover ids
-        neither set above tracks: a batch *member* has no pending entry or
-        history vertex of its own (only its carrier does), so a client
-        retrying one member as a plain request — after the batch delivered
-        (permanent delivery record) or while it is still in flight (the
-        member index) — must be absorbed here, exactly the idempotent
-        re-submission contract unbatched messages already have.  Without
-        the in-flight clause the retry would be ordered as a second unit
-        and the later carrier fan-out would break batch atomicity.
-        """
-        return (
-            not entry.enqueued
-            and message.msg_id not in self.delivered_in_g
-            and not self.has_delivered(message.msg_id)
-            and message.msg_id not in self._batch_members
-            and not self.history.is_forgotten(message.msg_id)
-        )
+        return self.has_delivered(msg_id) or self.history.is_forgotten(msg_id)
 
     def lca_of(self, message: Message) -> GroupId:
         """The lowest common ancestor (entry group) of ``message``."""
@@ -489,10 +421,10 @@ class FlexCastGroup(AtomicMulticastGroup):
         if delta is None or delta.is_empty:
             return
         self.history.merge_delta(delta)
-        self._dep_epoch += 1
         me = self.group_id
+        delivered = self._delivered_ids
         for mid, dst in delta.iter_vertices():
-            if me in dst and mid not in self.delivered_in_g and mid in self.history:
+            if me in dst and mid not in delivered and mid in self.history:
                 self._undelivered_to_me.add(mid)
                 if self.ts is not None and len(dst) > 1:
                     # A merged delta revealed a global message addressed to
@@ -506,10 +438,6 @@ class FlexCastGroup(AtomicMulticastGroup):
         # (poison tolerance).  Any queue head may therefore have become
         # deliverable, not only the arriving envelope's own.
         self._mark_all_queues_dirty()
-
-    def _mark_queue_dirty(self, lca: GroupId) -> None:
-        if lca in self.queues:
-            self._dirty_queues.add(lca)
 
     def _mark_all_queues_dirty(self) -> None:
         self._dirty_queues.update(g for g, q in self.queues.items() if q)
@@ -573,23 +501,13 @@ class FlexCastGroup(AtomicMulticastGroup):
         self._acquire_timestamp(message)
         self._observe_proposals(message, envelope.ts_proposals)
         self._merge_history(envelope.history)
-        created = message.msg_id not in self.pending
-        entry = self._pending_for(message)
-        entry.notified.update(envelope.notified)
-        if self._may_enqueue(entry, message):
-            self.queues[self.lca_of(message)].append(message)
-            entry.enqueued = True
-            if self._tracer is not None:
-                self._tracer.record(
-                    message.trace,
-                    STAGE_ENQUEUE,
-                    self.transport.now(),
-                    self._site,
-                    "msg",
-                )
-        elif created:
-            self._discard_created_entry(message)
-        self._mark_queue_dirty(self.lca_of(message))
+        msg_id = message.msg_id
+        if not (self._resolved(msg_id) or msg_id in self._batch_members):
+            entry = self._pending_for(message)
+            entry.notified.update(envelope.notified)
+            if not entry.enqueued:
+                self._enqueue(entry, message, self.lca_of(message), "msg")
+        self._dirty_queues.add(self.lca_of(message))
         self.reprocess_queues()
 
     def _on_ack(self, envelope: FlexCastAck) -> None:
@@ -599,22 +517,13 @@ class FlexCastGroup(AtomicMulticastGroup):
         self._acquire_timestamp(message)
         self._observe_proposals(message, envelope.ts_proposals)
         self._merge_history(envelope.history)
-        created = message.msg_id not in self.pending
-        entry = self._pending_for(message)
-        entry.acks.add(envelope.from_group)
-        entry.notified.update(envelope.notified)
-        if created and (
-            self.has_delivered(message.msg_id)
-            or self.history.is_forgotten(message.msg_id)
-        ):
-            # A late/duplicated ack for a message this group already
-            # resolved (possibly GC'd): the entry just created can serve
-            # no future delivery and — resolved ids never re-enter the
-            # history — no GC pass would ever prune it.
-            self._discard_created_entry(message)
+        if not self._resolved(message.msg_id):
+            entry = self._pending_for(message)
+            entry.acks.add(envelope.from_group)
+            entry.notified.update(envelope.notified)
         # _merge_history marked all queues dirty; the ack additionally
         # relaxes this message's own ack-wait condition.
-        self._mark_queue_dirty(self.lca_of(message))
+        self._dirty_queues.add(self.lca_of(message))
         self.reprocess_queues()
 
     def _on_notif(self, envelope: FlexCastNotif) -> None:
@@ -630,32 +539,25 @@ class FlexCastGroup(AtomicMulticastGroup):
                 PendingNotification(message=message, open_deps=open_deps)
             )
         else:
-            # The ack is a *promise*: the pivot's destinations will deliver
-            # relying on this group's dependency contribution being final, so
-            # from here on the group must not let unrelated messages overtake
-            # known predecessors of the pivot (see _pivot_guard_allows).
-            self._register_pivot(message)
-            self._send_notif_ack(message)
+            self._ack_notif(message)
         # The merged delta may have relaxed (or tightened) guard decisions.
         self.reprocess_queues()
 
-    def _send_notif_ack(self, message: Message) -> None:
+    def _ack_notif(self, message: Message) -> None:
         """Answer a notif with the promised ack (``send-descendants``).
+
+        The ack is a *promise*: the pivot's destinations will deliver relying
+        on this group's dependency contribution being final, so from here on
+        the pivot binds this group's delivery order (``self.guard``).
 
         This group is *not* a destination of ``message``, so its local flush
         GC may have forgotten the pivot's id already (GC order is per group
         — it says nothing about the destinations, which may still be waiting
-        for this very ack).  The ack must therefore always go out; what must
-        not survive the call is pending-set state for a forgotten id: such
-        an id never re-enters the history, so no later GC pass could prune
-        the entry and it would leak for the lifetime of the group (the leak
-        gauge ``flexcast_leaked_pending_entries`` and the fuzz harness's
-        end-of-run oracle pin this).
+        for this very ack).  The ack therefore always goes out;
+        :meth:`send_notifs` keeps no state for a forgotten id.
         """
-        created = message.msg_id not in self.pending
+        self.guard.register(message)
         self.send_descendants(message, ack=True)
-        if created and self.history.is_forgotten(message.msg_id):
-            self._discard_created_entry(message)
 
     def _on_history_snapshot(self, envelope: HistorySnapshotFrame) -> None:
         """Cold sync: a peer pushed its packed live history in one frame.
@@ -707,9 +609,7 @@ class FlexCastGroup(AtomicMulticastGroup):
         """
         if not self._timestamped(message):
             return
-        if self.has_delivered(message.msg_id) or self.history.is_forgotten(
-            message.msg_id
-        ):
+        if self._resolved(message.msg_id):
             return
         local_ts = self.ts.propose(message.msg_id, message.dst)
         if local_ts is None:
@@ -749,9 +649,7 @@ class FlexCastGroup(AtomicMulticastGroup):
         """
         if self.ts is None or not proposals:
             return
-        if self.has_delivered(message.msg_id) or self.history.is_forgotten(
-            message.msg_id
-        ):
+        if self._resolved(message.msg_id):
             # Late/duplicated proposals for a resolved (possibly already
             # garbage-collected) message: advance the clock (Lamport receive
             # rule) but never buffer state that nothing would clean up.
@@ -790,24 +688,28 @@ class FlexCastGroup(AtomicMulticastGroup):
         proposing for it would park an undeliverable entry at the convoy
         gate's head and stall every later global message.
         """
-        created = message.msg_id not in self.pending
-        entry = self._pending_for(message)
-        if self._may_enqueue(entry, message):
-            self._acquire_timestamp(message)
-            self.queues[self.group_id].append(message)
-            entry.enqueued = True
-            if self._tracer is not None:
-                self._tracer.record(
-                    message.trace,
-                    STAGE_ENQUEUE,
-                    self.transport.now(),
-                    self._site,
-                    "local",
-                )
-        elif created:
-            self._discard_created_entry(message)
-        self._mark_queue_dirty(self.group_id)
+        msg_id = message.msg_id
+        if not (self._resolved(msg_id) or msg_id in self._batch_members):
+            entry = self._pending_for(message)
+            if not entry.enqueued:
+                self._acquire_timestamp(message)
+                self._enqueue(entry, message, self.group_id, "local")
+        self._dirty_queues.add(self.group_id)
         self.reprocess_queues()
+
+    def _enqueue(
+        self, entry: PendingMessage, message: Message, lca: GroupId, origin: str
+    ) -> None:
+        self.queues[lca].append(message)
+        entry.enqueued = True
+        if self._tracer is not None:
+            self._tracer.record(
+                message.trace,
+                STAGE_ENQUEUE,
+                self.transport.now(),
+                self._site,
+                origin,
+            )
 
     # ----------------------------------------------------------- core functions
     def open_dependencies(self) -> Set[str]:
@@ -823,17 +725,14 @@ class FlexCastGroup(AtomicMulticastGroup):
         """Deliver ``message`` and propagate ordering information (``a-deliver``)."""
         # Promises made before this delivery; acks sent *during* it (parked
         # notif flushes below) already carry this message in their diff.
-        prior_pivots = list(self._notif_pivots.items())
+        prior_pivots = list(self.guard.pivots.values())
         if self._tracer is not None:
             self._tracer.record(
                 message.trace, STAGE_DELIVER, self.transport.now(), self._site
             )
         self.history.record_delivery(message)
-        self.delivered_in_g.add(message.msg_id)
         self._undelivered_to_me.discard(message.msg_id)
-        self._guard_exempt.discard(message.msg_id)
-        self._dep_cache.pop(message.msg_id, None)
-        self._dep_epoch += 1
+        self.guard.delivered(message.msg_id)
         if message.members:
             # Batch fan-out: the carrier was ordered as one unit (one pivot,
             # one timestamp, one history vertex); the application observes
@@ -862,22 +761,18 @@ class FlexCastGroup(AtomicMulticastGroup):
                     self.deliver(member)
             # Integrity bookkeeping for the carrier id itself: re-submitted
             # or bounced duplicates of the batch check `has_delivered`
-            # against it, and it must survive the flush GC (which prunes
-            # `delivered_in_g`) the way any delivered id does.
+            # against it the way they do for any delivered id.
             self._delivered_ids.add(message.msg_id)
         else:
             self.deliver(message)
 
-        queue = self.queues.get(self.lca_of(message))
-        if queue and queue[0].msg_id == message.msg_id:
-            queue.popleft()
-        elif queue and self.ts is not None:
-            # Exposed messages deliver in (final ts, id) order, which may
-            # legally invert the FIFO arrival order within one lca queue.
-            for index, queued in enumerate(queue):
-                if queued.msg_id == message.msg_id:
-                    del queue[index]
-                    break
+        # Usually the head; exposed messages deliver in (final ts, id) order,
+        # which may legally invert the FIFO arrival order within a queue.
+        queue = self.queues[self.lca_of(message)]
+        for index, queued in enumerate(queue):
+            if queued.msg_id == message.msg_id:
+                del queue[index]
+                break
         self.send_descendants(message, ack=(self.lca_of(message) != self.group_id))
         if self._timestamped(message):
             # Retire the timestamp entry only after the outgoing msg/ack
@@ -892,49 +787,33 @@ class FlexCastGroup(AtomicMulticastGroup):
             if notif.open_deps:
                 still_pending.append(notif)
             else:
-                # Flushing the parked notif sends the promised ack; the pivot
-                # becomes binding for this group's future delivery order.
-                self._register_pivot(notif.message)
-                self._send_notif_ack(notif.message)
+                self._ack_notif(notif.message)
         self.pending_notifications = still_pending
 
         if message.is_flush:
             self._garbage_collect(message)
 
         if prior_pivots:
-            self._reack_pivots(message, prior_pivots)
+            # Promise maintenance: acks are idempotent and diffs incremental,
+            # so re-acking a pivot this delivery precedes is cheap and monotone.
+            first_acks = self.stats["acks_sent"]
+            for pivot in self.guard.reack_targets(
+                message.msg_id, prior_pivots, self.history
+            ):
+                self.send_descendants(pivot, ack=True)
+            self.stats["reacks_sent"] += self.stats["acks_sent"] - first_acks
 
         # Removing this message from the open-dependency set may have
         # unblocked the head of any queue.
         self._mark_all_queues_dirty()
 
-    def _reack_pivots(
-        self, message: Message, prior_pivots: List[Tuple[str, Message]]
-    ) -> None:
-        """Promise maintenance: if the delivered ``message`` precedes a pivot
-        this group has already acked (a late arrival forced the violation —
-        the guard cannot hold it back forever, the message is addressed
-        here), re-ack the pivot so its destinations merge the new chain
-        *before* they deliver the pivot.  Acks are idempotent and diffs
-        incremental, so a re-ack is cheap and monotone."""
-        reached = self.history.reached_from(
-            (message.msg_id,),
-            [p for p, _ in prior_pivots if p in self._notif_pivots],
-        )
-        first_acks = self.stats["acks_sent"]
-        for pivot_id, pivot_message in prior_pivots:
-            if pivot_id in reached:
-                self.send_descendants(pivot_message, ack=True)
-        self.stats["reacks_sent"] += self.stats["acks_sent"] - first_acks
-
     def send_descendants(self, message: Message, ack: bool) -> None:
         """Send ``msg`` or ``ack`` envelopes to the destinations above us
         (``send-descendants``), preceded by any required notifs."""
-        self.send_notifs(message)
-        entry = self._pending_for(message)
+        groups = self.send_notifs(message)
         # Almost every envelope carries no notifications; skip the per-hop
         # frozenset copy for that common case.
-        notified = frozenset(entry.notified) if entry.notified else _NO_NOTIFIED
+        notified = frozenset(groups) if groups else _NO_NOTIFIED
         ts_proposals: Tuple[TsProposal, ...] = (
             self.ts.proposals_of(message.msg_id)
             if self._timestamped(message)
@@ -962,12 +841,20 @@ class FlexCastGroup(AtomicMulticastGroup):
                 self.stats["msgs_sent"] += 1
             self.send(dest, envelope)
 
-    def send_notifs(self, message: Message) -> None:
+    def send_notifs(self, message: Message) -> Set[GroupId]:
         """Strategy (c): notify non-destination descendants that must flush
-        their dependencies toward ``message``'s destinations (``send-notifs``)."""
-        entry = self._pending_for(message)
+        their dependencies toward ``message``'s destinations (``send-notifs``).
+
+        Returns every group notified about ``message`` so far.  The set lives
+        in the message's pending entry; a group acking a pivot it is not a
+        destination of has none, and gets one only when there is a notified
+        group to remember and the id is not resolved (the ack for a pivot the
+        local GC already forgot still carries the set, but keeps nothing).
+        """
+        entry = self.pending.get(message.msg_id)
+        notified: Set[GroupId] = entry.notified if entry is not None else set()
         for dest in self.overlay.descendants(self.group_id):
-            if dest in message.dst or dest in entry.notified:
+            if dest in message.dst or dest in notified:
                 continue
             has_higher_destination = any(
                 self.overlay.is_ancestor(dest, other)
@@ -991,8 +878,11 @@ class FlexCastGroup(AtomicMulticastGroup):
                     epoch=self.epoch,
                 ),
             )
-            entry.notified.add(dest)
+            notified.add(dest)
             self.stats["notifs_sent"] += 1
+        if entry is None and notified and not self._resolved(message.msg_id):
+            self._pending_for(message).notified = notified
+        return notified
 
     def reprocess_queues(self) -> None:
         """Repeatedly deliver queue heads whose dependencies are satisfied
@@ -1009,141 +899,96 @@ class FlexCastGroup(AtomicMulticastGroup):
         dirty = self._dirty_queues
         guard_blocked = False
         while dirty:
-            lca = dirty.pop()
-            queue = self.queues.get(lca)
-            if self.ts is not None and self.ts.pending_count():
-                # Some undelivered message is timestamped, and the timestamp
-                # order may invert the FIFO arrival order within a queue (a
-                # later arrival can hold a smaller final timestamp), so a
-                # blocked head must not wall off a deliverable message
-                # behind it — scan the whole queue and restart after every
-                # delivery.
-                progressed = True
-                while queue and progressed:
-                    progressed = False
-                    # Only the authority's unique minimum-key message can
-                    # pass the convoy gate, so other timestamped candidates
-                    # are skipped without running the full O(|pending|)
-                    # gate per entry (a contested burst would otherwise
-                    # make each dirty pass quadratic in the queue).
-                    nxt = self.ts.next_deliverable()
-                    for message in list(queue):
-                        if (
-                            self._timestamped(message)
-                            and self.ts.is_pending(message.msg_id)
-                            and message.msg_id != nxt
-                        ):
-                            continue
-                        # Non-pending timestamped entries fall through so
-                        # _ts_gate_allows can flag the invariant breach.
-                        if self.can_deliver(message):
-                            # a_deliver unlinks the message from the queue.
-                            self.a_deliver(message)
-                            progressed = True
-                            break
-            else:
-                while queue and self.can_deliver(queue[0]):
-                    # a_deliver pops the head and re-marks all queues dirty.
-                    self.a_deliver(queue[0])
-            if queue and self._guard_only_blocked(queue[0]):
+            queue = self.queues.get(dirty.pop())
+            if not queue:
+                continue
+            blocker = self._drain(queue)
+            if blocker == "guard":
                 guard_blocked = True
                 self.stats["pivot_guard_stalls"] += 1
-                if self._tracer is not None:
-                    self._tracer.record(
-                        queue[0].trace,
-                        STAGE_PIVOT_WAIT,
-                        self.transport.now(),
-                        self._site,
-                    )
-            elif (
-                self._tracer is not None
-                and queue
-                and self.ts is not None
-                and self._timestamped(queue[0])
-                and self.ts.is_pending(queue[0].msg_id)
-            ):
-                # The head is waiting out its ts-propose convoy.
+            if blocker in _WAIT_STAGES and self._tracer is not None:
                 self._tracer.record(
                     queue[0].trace,
-                    STAGE_TS_WAIT,
+                    _WAIT_STAGES[blocker],
                     self.transport.now(),
                     self._site,
                 )
         if guard_blocked and self._escape_timer is None:
             self._escape_timer = self.transport.schedule(
-                self.guard_escape_ms, self._guard_escape_tick
+                PivotGuard.GRACE_MS, self._guard_escape_tick
             )
 
-    def _guard_only_blocked(self, message: Message) -> bool:
-        """True iff only the pivot guard holds ``message`` back."""
-        if self._timestamped(message):
-            # Timestamped messages never wait on the guard (the authority
-            # subsumes it — see :meth:`can_deliver`), so no escape timer is
-            # ever needed: a timestamp block resolves on the next proposal
-            # arrival or smaller-timestamp delivery, both ordinary events.
-            return False
-        return (
-            self._acks_satisfied(message)
-            and self._dependencies_satisfied(message)
-            and not self._pivot_guard_allows(message.msg_id)
-        )
+    def _drain(self, queue: Deque[Message]) -> Optional[str]:
+        """Deliver from ``queue`` while something in it can go; return what
+        blocks the head that is left (``None`` once the queue is empty)."""
+        ts = self.ts
+        blocker: Optional[str] = None
+        if ts is None or not ts.pending_count():
+            while queue and (blocker := self._blocker(queue[0])) is None:
+                # a_deliver pops the head and re-marks all queues dirty.
+                self.a_deliver(queue[0])
+            return blocker
+        # Some undelivered message is timestamped, and the timestamp order
+        # may invert the FIFO arrival order within a queue (a later arrival
+        # can hold a smaller final timestamp), so a blocked head must not
+        # wall off a deliverable message behind it — scan the whole queue
+        # and restart after every delivery.
+        while queue:
+            # Only the authority's unique minimum-key message can pass the
+            # convoy gate, so other timestamped candidates are skipped
+            # without running the full O(|pending|) gate per entry (a
+            # contested burst would otherwise make each dirty pass quadratic
+            # in the queue).  Non-pending timestamped entries fall through so
+            # _blocker can flag the invariant breach.
+            nxt = ts.next_deliverable()
+            head_blocker: Optional[str] = None
+            for message in list(queue):
+                if (
+                    message.msg_id != nxt
+                    and self._timestamped(message)
+                    and ts.is_pending(message.msg_id)
+                ):
+                    blocker = "ts"
+                else:
+                    blocker = self._blocker(message)
+                if blocker is None:
+                    # a_deliver unlinks the message from the queue.
+                    self.a_deliver(message)
+                    break
+                head_blocker = head_blocker or blocker
+            else:
+                return head_blocker
+        return None
 
     def _guard_escape_tick(self) -> None:
-        """Break a guard stand-off that outlived the grace period.
-
-        A blocked head is escaped only when the wait provably cannot resolve
-        locally: every message it is waiting for is itself a guard-blocked
-        queue head (a mutual stand-off — two acked pivots imposing
-        contradictory waits).  A blocker that is merely waiting for remote
-        acks or queued behind other messages still makes progress, so its
-        dependants keep waiting — except that a *distributed* stand-off
-        (groups blocking each other through the guard) is not locally
-        detectable, so after several ticks with no delivery progress the
-        smallest blocked head is forced through as a backstop.
-        """
+        """Break a guard stand-off that outlived the grace period: release
+        the head :meth:`PivotGuard.pick_escape` names, or keep waiting."""
         self._escape_timer = None
-        blocked_heads = {
-            queue[0].msg_id: queue[0]
+        blocked_heads = [
+            queue[0].msg_id
             for queue in self.queues.values()
-            if queue and self._guard_only_blocked(queue[0])
-        }
-        if not blocked_heads:
-            self._escape_stalls = 0
-            return
-        if self.delivered_count != self._escape_progress_mark:
-            self._escape_progress_mark = self.delivered_count
-            self._escape_stalls = 0
-        else:
-            self._escape_stalls += 1
-
-        # Blockers that are themselves blocked heads cannot move first.
-        others = self._undelivered_to_me - blocked_heads.keys()
-        mutual = [
-            msg_id
-            for msg_id in blocked_heads
-            if not self._guard_blocked_by(msg_id, others)
+            if queue and self._blocker(queue[0]) == "guard"
         ]
-        force = self._escape_stalls >= 4
-        candidates = mutual if mutual else (list(blocked_heads) if force else [])
-        if candidates:
-            # One head per tick, smallest id first: the tiebreak is global,
-            # so groups facing the same free choice break it the same way.
-            self._guard_exempt.add(min(candidates, key=str))
+        released = self.guard.pick_escape(
+            blocked_heads, self._undelivered_to_me, self.history, self.delivered_count
+        )
+        if released is not None:
             self.stats["guard_escapes"] += 1
-            self._escape_stalls = 0
             self._mark_all_queues_dirty()
             self.reprocess_queues()
-        elif self._escape_timer is None:
+        elif blocked_heads:
             self._escape_timer = self.transport.schedule(
-                self.guard_escape_ms, self._guard_escape_tick
+                PivotGuard.GRACE_MS, self._guard_escape_tick
             )
 
-    def can_deliver(self, message: Message) -> bool:
-        """Delivery condition for non-lca destinations (``can-deliver``)."""
+    def _blocker(self, message: Message) -> Optional[str]:
+        """The paper's ``can-deliver``, naming the first condition that holds
+        ``message`` back — ``"acks"``, ``"deps"``, ``"ts"`` or ``"guard"`` —
+        or ``None`` if it can go."""
         if not self._acks_satisfied(message):
-            return False
+            return "acks"
         if not self._dependencies_satisfied(message):
-            return False
+            return "deps"
         if self._timestamped(message):
             # The timestamp authority subsumes the pivot guard for the
             # messages it orders.  The convoy gate delivers contested
@@ -1156,74 +1001,23 @@ class FlexCastGroup(AtomicMulticastGroup):
             # exposure is component-closed: an exposed message never meets
             # a guard-ordered one at any group, so skipping the guard here
             # cannot invalidate a guard promise about a mixed pair.
-            return self._ts_gate_allows(message)
-        return self._pivot_guard_allows(message.msg_id)
-
-    def _ts_gate_allows(self, message: Message) -> bool:
-        """Convoy gate: deliver in global ``(final ts, id)`` order."""
-        assert self.ts is not None
-        if not self.ts.is_pending(message.msg_id):
-            # Every enqueue path proposes on first contact, and the authority
-            # completes a message only at delivery (which also unlinks it
-            # from its queue), so a queued global message without a pending
-            # entry is an invariant breach.  Fail loudly: delivering it
-            # anyway would be exactly the unordered delivery exposure
-            # exists to rule out.
-            raise ProtocolError(
-                f"group {self.group_id}: queued global message "
-                f"{message.msg_id} has no timestamp entry"
-            )
-        return self.ts.deliverable(message.msg_id)
-
-    def _pivot_guard_allows(self, msg_id: str) -> bool:
-        """Pivot-consistency guard closing the Strategy (c) ack race.
-
-        A notif-ack for pivot ``P`` tells ``P``'s destinations that this
-        group's dependency contribution to ``P`` is final — they deliver
-        ``P`` relying on it.  But local deliveries keep happening after the
-        ack, and delivering ``X`` before ``Y`` (both pending here) creates
-        the brand-new ordering ``X ≺ Y``; if the history already shows
-        ``Y ≺ … ≺ P`` while ``X`` has no path to ``P``, that new edge
-        transitively slots ``X`` (and everything behind it) *before* ``P``
-        after the promise was made.  Chained across groups, exactly that race
-        builds a global delivery cycle that deadlocks the highest-ranked
-        destination (the ``replicated_inventory`` lost-delivery bug, see
-        DESIGN.md "Ordering: pivot guard + exposure").
-
-        The guard therefore delays ``X`` while some other undelivered local
-        message ``Y`` precedes a known pivot that ``X`` does not precede:
-        ``Y`` must go first (its position before ``P`` is already committed
-        information, so delivering it creates nothing new).
-        """
-        if not self._notif_pivots:
-            return True
-        if msg_id in self._guard_exempt:
-            return True
-        blocking = self._undelivered_to_me
-        if not blocking or (len(blocking) == 1 and msg_id in blocking):
-            return True
-        return not self._guard_blocked_by(msg_id, blocking)
-
-    def _guard_blocked_by(self, msg_id: str, candidates: Set[str]) -> bool:
-        """True iff some candidate other than ``msg_id`` precedes an acked
-        pivot that ``msg_id`` does not precede (the ``Y`` of the guard).
-
-        Asked forward from the undelivered messages, the new end of the DAG
-        (:meth:`History.reached_from`), never backward from the pivots:
-        ``Y`` blocks ``X`` iff ``reached(Y) ⊄ reached(X)`` over the pivots.
-        """
-        history = self.history
-        pivots = self._notif_pivots
-        unreached = pivots.keys() - history.reached_from((msg_id,), pivots)
-        return bool(history.reached_from(candidates - {msg_id}, unreached))
-
-    def _register_pivot(self, message: Message) -> None:
-        """Remember an acked pivot, retiring the oldest past the cap."""
-        pivots = self._notif_pivots
-        pivots[message.msg_id] = message
-        while len(pivots) > _MAX_PIVOTS:
-            oldest = next(iter(pivots))
-            del pivots[oldest]
+            assert self.ts is not None
+            if not self.ts.is_pending(message.msg_id):
+                # Every enqueue path proposes on first contact, and the
+                # authority completes a message only at delivery (which also
+                # unlinks it from its queue), so a queued global message
+                # without a pending entry is an invariant breach.  Fail
+                # loudly: delivering it anyway would be exactly the unordered
+                # delivery exposure exists to rule out.
+                raise ProtocolError(
+                    f"group {self.group_id}: queued global message "
+                    f"{message.msg_id} has no timestamp entry"
+                )
+            # Convoy gate: deliver in global ``(final ts, id)`` order.
+            return None if self.ts.deliverable(message.msg_id) else "ts"
+        if not self.guard.allows(message.msg_id, self._undelivered_to_me, self.history):
+            return "guard"
+        return None
 
     def _dependencies_satisfied(self, message: Message) -> bool:
         """True iff no undelivered message addressed to this group precedes
@@ -1231,18 +1025,12 @@ class FlexCastGroup(AtomicMulticastGroup):
 
         One forward walk shared by all open dependencies
         (:meth:`History.reached_from`): they sit at the new end of the DAG,
-        the candidate's ancestors are the whole history.  The result is
-        memoized against the dependency epoch, so re-checks of a
-        still-blocked head after unrelated events are O(1).
+        the candidate's ancestors are the whole history.
         """
         msg_id = message.msg_id
         blocking = self._undelivered_to_me
         if not blocking or (len(blocking) == 1 and msg_id in blocking):
             return True
-        epoch = self._dep_epoch
-        cached = self._dep_cache.get(msg_id)
-        if cached is not None and cached[0] == epoch:
-            return cached[1]
         history = self.history
         others = blocking - {msg_id}
         satisfied = not history.reached_from(others, (msg_id,))
@@ -1264,7 +1052,6 @@ class FlexCastGroup(AtomicMulticastGroup):
             # property wants, not deliver-through.
             cyclic = history.reached_from((msg_id,), others)
             satisfied = not history.reached_from(others - cyclic, (msg_id,))
-        self._dep_cache[msg_id] = (epoch, satisfied)
         return satisfied
 
     def _acks_satisfied(self, message: Message) -> bool:
@@ -1276,13 +1063,14 @@ class FlexCastGroup(AtomicMulticastGroup):
         notified group only acks to its own descendants)."""
         entry = self._pending_for(message)
         acks = entry.acks
-        my_rank = self._rank(self.group_id)
+        rank = self.overlay.rank
+        my_rank = rank(self.group_id)
         lca = self.lca_of(message)
         for g in message.dst:
-            if g != lca and g not in acks and self._rank(g) < my_rank:
+            if g != lca and g not in acks and rank(g) < my_rank:
                 return False
         for g in entry.notified:
-            if g not in acks and self._rank(g) < my_rank:
+            if g not in acks and rank(g) < my_rank:
                 return False
         return True
 
@@ -1294,10 +1082,7 @@ class FlexCastGroup(AtomicMulticastGroup):
         before/after snapshot diff) and the diff tracker compacts the change
         journal up to the lowest descendant watermark.
         """
-        keep = set()
-        if self.history.last_delivered is not None:
-            keep.add(self.history.last_delivered)
-        victims = self.history.collect_garbage(flush.msg_id, keep=keep)
+        victims = self.history.collect_garbage(flush.msg_id)
         compacted = self.diff_tracker.forget(victims, history=self.history)
         self._undelivered_to_me -= victims
         if self.ts is not None:
@@ -1305,13 +1090,9 @@ class FlexCastGroup(AtomicMulticastGroup):
             # (checked in _acquire_timestamp), so the authority can shed its
             # completed-memory for them.
             self.ts.forget(victims)
-        for victim in victims & set(self._notif_pivots):
-            del self._notif_pivots[victim]
-        self._dep_epoch += 1
+        self.guard.forget(victims)
         for victim in victims:
             self.pending.pop(victim, None)
-            self.delivered_in_g.discard(victim)
-            self._dep_cache.pop(victim, None)
         if self._batch_members:
             # Member index entries live exactly as long as their carrier's
             # pending entry; retries of a pruned batch's members are still
@@ -1364,8 +1145,6 @@ class FlexCastGroup(AtomicMulticastGroup):
         self.queues = {ancestor: deque() for ancestor in overlay.ancestors(self.group_id)}
         self.queues[self.group_id] = deque()
         self._dirty_queues = set()
-        self._dep_cache.clear()
-        self._dep_epoch += 1
 
     # ------------------------------------------------------------- inspection
     def queue_sizes(self) -> Dict[GroupId, int]:

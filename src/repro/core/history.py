@@ -61,10 +61,6 @@ _WAL_DELTA = "D"
 #: building/caching a snapshot.
 COLD_SYNC_MIN_ENTRIES = 256
 
-#: Memoized backward-reachability sets kept per mutation epoch (bounded so a
-#: pathological query pattern cannot pin O(|H|^2) memory).
-_ANC_CACHE_MAX = 128
-
 #: Default WAL length (records) above which journal compaction also writes a
 #: snapshot and resets the WAL, so recovery replays snapshot + suffix.
 SNAPSHOT_MIN_WAL_RECORDS = 512
@@ -134,10 +130,6 @@ class History:
         "_snapshot_min",
         "_delivered_local",
         "_snapshot_cache",
-        "_anc_cache",
-        "_anc_cache_epoch",
-        "_mutation_epoch",
-        "_cold_sync_min",
     )
 
     def __init__(self) -> None:
@@ -171,14 +163,6 @@ class History:
         # been removed since it was built (the journal suffix past its version
         # then reconstructs the live DAG exactly); GC invalidates it.
         self._snapshot_cache: Optional[HistorySnapshot] = None
-        # Memoized backward reachability (ancestors_of).  Keyed per vertex,
-        # valid for one mutation epoch: the epoch advances whenever an edge is
-        # added or a vertex removed (vertex *additions* cannot change existing
-        # reachability, so they do not invalidate).
-        self._anc_cache: Dict[str, Set[str]] = {}
-        self._anc_cache_epoch = 0
-        self._mutation_epoch = 0
-        self._cold_sync_min = COLD_SYNC_MIN_ENTRIES
 
     # ---------------------------------------------------------------- basics
     def __contains__(self, msg_id: str) -> bool:
@@ -244,7 +228,6 @@ class History:
             return
         succ.add(after)
         self.predecessors[after].add(before)
-        self._mutation_epoch += 1
         self._journal.append((_JOURNAL_EDGE, before, after))
         if self._wal is not None:
             self._wal.append([_JOURNAL_EDGE, before, after])
@@ -329,8 +312,6 @@ class History:
             succ.add(b)
             predecessors[b].add(a)
             applied_e.append((a, b))
-        if applied_e:
-            self._mutation_epoch += 1
         self._journal_base = len(ids) + len(applied_e)
         self._snapshot_cache = None
         return list(zip(ids, dsts)), applied_e
@@ -378,8 +359,6 @@ class History:
             predecessors[after].add(before)
             journal.append((_JOURNAL_EDGE, before, after))
             applied_e.append((before, after))
-        if applied_e:
-            self._mutation_epoch += 1
         return applied_v, applied_e
 
     def _wal_log_delta(
@@ -402,31 +381,14 @@ class History:
         """True iff ``later`` (transitively) depends on ``earlier``.
 
         Implements the paper's ``depend(m, m')``: there is a path of
-        dependency edges from ``earlier`` to ``later``.  Answered from the
-        memoized backward-reachability set of ``later``, so repeated queries
-        against a stable DAG are O(1) after the first instead of a fresh BFS
-        each time.  (The delivery gate asks :meth:`reached_from` instead.)
+        dependency edges from ``earlier`` to ``later``.  (The delivery gate
+        asks :meth:`reached_from` instead.)
         """
-        if earlier == later:
-            return False
-        if earlier not in self.destinations:
-            return False
-        return earlier in self.ancestors_of(later)
+        return earlier != later and earlier in self.ancestors_of(later)
 
     def ancestors_of(self, msg_id: str) -> Set[str]:
-        """All messages ``msg_id`` transitively depends on.
-
-        Memoized per mutation epoch; the returned set is shared with the
-        memo, so callers must treat it as **read-only** (derive new sets via
-        ``-``/``|`` as :meth:`collect_garbage` does).
-        """
-        cache = self._anc_cache
-        if self._anc_cache_epoch != self._mutation_epoch:
-            cache.clear()
-            self._anc_cache_epoch = self._mutation_epoch
-        cached = cache.get(msg_id)
-        if cached is not None:
-            return cached
+        """All messages ``msg_id`` transitively depends on (one backward
+        walk; garbage collection's victim set and the tests' reference)."""
         result: Set[str] = set()
         queue = deque(self.predecessors.get(msg_id, ()))
         while queue:
@@ -435,9 +397,6 @@ class History:
                 continue
             result.add(node)
             queue.extend(self.predecessors.get(node, ()))
-        if len(cache) >= _ANC_CACHE_MAX:
-            cache.clear()
-        cache[msg_id] = result
         return result
 
     def reached_from(self, sources: Iterable[str], targets: Iterable[str]) -> Set[str]:
@@ -532,7 +491,7 @@ class History:
         if watermark >= version:
             return (), (), None, version
         cold = watermark < self._journal_base or (
-            watermark == 0 and version >= self._cold_sync_min
+            watermark == 0 and version >= COLD_SYNC_MIN_ENTRIES
         )
         if not cold:
             vertices, edges = self._journal_slice(watermark)
@@ -580,7 +539,7 @@ class History:
         if (
             snapshot is None
             or snapshot.version < self._journal_base
-            or version - snapshot.version > max(self._cold_sync_min, len(self.destinations))
+            or version - snapshot.version > max(COLD_SYNC_MIN_ENTRIES, len(self.destinations))
         ):
             edges_a: List[str] = []
             edges_b: List[str] = []
@@ -602,11 +561,7 @@ class History:
     def cold_delta(self) -> HistoryDelta:
         """The full live history as a snapshot-bearing delta (cold sync)."""
         snapshot = self.live_snapshot()
-        vertices, edges = (
-            ((), ())
-            if snapshot.version >= self.version
-            else self._journal_slice(snapshot.version)
-        )
+        vertices, edges = self._journal_slice(snapshot.version)
         return HistoryDelta(
             vertices=vertices,
             edges=edges,
@@ -664,9 +619,8 @@ class History:
 
     def _remove_vertex(self, msg_id: str) -> None:
         # A pruned vertex must never appear in a future delta, so the packed
-        # snapshot (if any) is stale from here on; reachability changed too.
+        # snapshot (if any) is stale from here on.
         self._snapshot_cache = None
-        self._mutation_epoch += 1
         for succ in self.successors.pop(msg_id, set()):
             self.predecessors.get(succ, set()).discard(msg_id)
         for pred in self.predecessors.pop(msg_id, set()):
@@ -821,12 +775,9 @@ class History:
                 self._remove_vertex(victim)
             self._forgotten.update(record[1])
         elif kind == _WAL_DELTA:
-            # Batched merge: replay through the idempotent per-entry path
-            # (no WAL attached during replay, so nothing is re-logged).
-            for mid, dst in record[1]:
-                self.add_vertex(mid, frozenset(dst))
-            for before, after in record[2]:
-                self.add_edge(before, after)
+            # Batched merge: replay through the idempotent path it took
+            # (which never logs by itself, so nothing is re-logged).
+            self._bulk_apply(((m, frozenset(d)) for m, d in record[1]), record[2])
         else:
             raise ValueError(f"unknown history WAL record kind: {kind!r}")
 

@@ -144,13 +144,8 @@ class ReconfigurableFlexCastGroup(FlexCastGroup):
     # --------------------------------------------------------- client requests
     def _on_request(self, sender: Hashable, envelope: ClientRequest) -> None:
         message = envelope.message
-        if self.has_delivered(message.msg_id) or self.history.is_forgotten(
-            message.msg_id
-        ):
-            # Idempotent re-route / re-submission of a resolved message.
-            # ``delivered_in_g`` is not enough here: the epoch barrier's GC
-            # prunes it, while the base class's delivery record and the
-            # history's forgotten set are permanent.
+        if self._resolved(message.msg_id):
+            # Idempotent re-route / re-submission.
             return
         if self.quiescing and message.msg_id != self._pending_barrier_id:
             # Intake is closed while the old epoch drains; only the announced
@@ -190,9 +185,6 @@ class ReconfigurableFlexCastGroup(FlexCastGroup):
                 round_id=envelope.round_id,
                 group=self.group_id,
                 quiescent=self.is_quiescent(),
-                # has_delivered, not delivered_in_g: a later periodic GC
-                # flush prunes the latter, and the barrier must stay
-                # observably delivered for the whole drain.
                 barrier_delivered=self.has_delivered(envelope.barrier_id),
                 envelopes_sent=stats["msgs_sent"]
                 + stats["acks_sent"]

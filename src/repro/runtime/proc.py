@@ -130,7 +130,10 @@ class ClusterSpec:
 
 
 def _sequence_digest(ids: List[str]) -> str:
-    """Stable digest of a delivery sequence (cheap cross-process comparison)."""
+    """Stable digest of a delivery sequence (cheap cross-process comparison).
+
+    The definition of ``/delivered``'s ``digest``; the server answers from
+    :attr:`GroupReplica.delivery_hash`, which maintains it incrementally."""
     return hashlib.sha256("\n".join(ids).encode("utf-8")).hexdigest()
 
 
@@ -216,18 +219,21 @@ class ReplicaServer(FrameServer):
                     "group": self.group_id,
                     "replica": self.replica_id,
                     "leader": self.replica.is_leader,
-                    "applied": len(self.replica.applied),
+                    "applied": self.replica.smr.applied_count,
                     "recovered_instances": self.replica.smr.recovered_instances,
                 }
             )
         if route == "/delivered":
-            ids = list(self.replica.local_deliveries)
+            # Polled every ~50 ms per replica while a cluster converges:
+            # nothing here may cost O(deliveries) unless the caller asks for
+            # the sequence itself.
+            ids = self.replica.local_deliveries
             body: Dict[str, Any] = {
                 "count": len(ids),
-                "digest": _sequence_digest(ids),
+                "digest": self.replica.delivery_hash.copy().hexdigest(),
             }
             if query.get("full", ["0"])[-1] == "1":
-                body["sequence"] = ids
+                body["sequence"] = list(ids)
             return self._json_response(body)
         if route == "/admin/mark-failed":
             victims = query.get("replica", [])

@@ -451,6 +451,11 @@ class MultiPaxosReplica:
 
     # ------------------------------------------------------------- inspection
     @property
+    def applied_count(self) -> int:
+        """Length of the applied prefix (``len(log)`` without building it)."""
+        return self._applied_up_to + 1
+
+    @property
     def log(self) -> List[Any]:
         """The applied prefix of the replicated log."""
-        return [self._decided[i] for i in range(self._applied_up_to + 1)]
+        return [self._decided[i] for i in range(self.applied_count)]

@@ -21,6 +21,7 @@ replication ... groups do not fail as a whole".
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence
 
@@ -99,11 +100,14 @@ class GroupReplica:
         #: it is a pure function of the replicated log — which is exactly what
         #: the recovery oracle checks across the restart boundary.
         self.local_deliveries: List[str] = []
+        #: Running SHA-256 over ``"\n".join(local_deliveries)``, so comparing
+        #: replicas costs a ``copy().hexdigest()`` per poll instead of a
+        #: rehash of the whole sequence.
+        self.delivery_hash = hashlib.sha256()
         # Each replica holds its own copy of the protocol state machine.
         self.protocol_state: AtomicMulticastGroup = protocol.create_group(
             group_id, self._gated, self._make_sink(sink)
         )
-        self.applied: List[OrderedEnvelope] = []
         acceptor_wal = log_wal = None
         if storage is not None:
             acceptor_wal = storage.wal(f"{replica_id}.acceptor")
@@ -134,6 +138,8 @@ class GroupReplica:
             # Every replica records the delivery locally (state machine), but
             # only the leader reports it to the outside world — exactly once
             # per message, even when leadership changes mid-instance.
+            separator = "\n" if self.local_deliveries else ""
+            self.delivery_hash.update((separator + message.msg_id).encode("utf-8"))
             self.local_deliveries.append(message.msg_id)
             if self.dead or self._recovering:
                 return
@@ -158,7 +164,6 @@ class GroupReplica:
             self.smr.on_message(sender, payload)
 
     def _apply(self, instance: int, entry: OrderedEnvelope) -> None:
-        self.applied.append(entry)
         # During WAL replay self.smr is still mid-construction; the recovery
         # check must short-circuit first (the gate stays shut regardless).
         self._gated.open = not self._recovering and self.smr.is_leader
@@ -349,7 +354,7 @@ class ReplicatedGroup:
         for replica in self.replicas:
             ids = [
                 entry.envelope.message.msg_id
-                for entry in replica.applied
+                for entry in replica.smr.log
                 if isinstance(entry.envelope, ClientRequest)
             ]
             sequences[replica.replica_id] = ids

@@ -6,11 +6,10 @@ group as usual, then :func:`attach_group_storage` swaps in the recovered
 history (snapshot + WAL-suffix replay via :meth:`History.recover`) and
 rebuilds the derived protocol state the history alone determines:
 
-* the group's delivered set (``delivered_in_g`` and the base class's
-  duplicate-delivery registry) from the history's locally-delivered ids;
+* the group's delivery registry (what ``has_delivered`` answers from) from
+  the history's locally-delivered ids;
 * the pending-delivery index ``_undelivered_to_me`` (history vertices
-  addressed to this group and not yet delivered);
-* dependency-cache epochs are bumped so nothing stale survives the swap.
+  addressed to this group and not yet delivered).
 
 In-flight protocol exchanges (queued envelopes, unacked notifs) are *not*
 durable — by design.  They are the peers' responsibility: ancestors keep
@@ -36,9 +35,9 @@ def attach_group_storage(
     """Restore ``group``'s durable history state from ``storage`` and attach it.
 
     ``group`` is any protocol group exposing a ``history`` attribute (the
-    FlexCast family); protocol state derived from the history is rebuilt
-    where present.  Returns the number of locally delivered messages
-    restored (0 on a cold start).
+    FlexCast family); the protocol state derived from the history is
+    rebuilt.  Returns the number of locally delivered messages restored
+    (0 on a cold start).
     """
     if not hasattr(group, "history"):
         raise TypeError(f"{type(group).__name__} has no history to make durable")
@@ -46,23 +45,16 @@ def attach_group_storage(
         storage, name, snapshot_min_wal_records=snapshot_min_wal_records
     )
     group.history = recovered
-    delivered = set(recovered.delivered_locally)
-    if hasattr(group, "delivered_in_g"):
-        group.delivered_in_g |= delivered
-    if hasattr(group, "_delivered_ids"):
-        # The base class raises on double-delivery; seed its registry so a
-        # replayed envelope for an already-delivered message is a no-op
-        # upstream (the protocol checks delivered_in_g first).
-        group._delivered_ids |= delivered
-    if hasattr(group, "_undelivered_to_me"):
-        pending = {
-            mid
-            for mid in recovered.messages_addressed_to(group.group_id)
-            if mid not in delivered
-        }
-        group._undelivered_to_me |= pending
-    if hasattr(group, "_dep_epoch"):
-        group._dep_epoch += 1
+    delivered = recovered.delivered_locally
+    # The base class raises on double-delivery; seed its registry so a
+    # replayed envelope for an already-delivered message is absorbed
+    # upstream (the enqueue paths ask has_delivered first).
+    group._delivered_ids |= delivered
+    group._undelivered_to_me.update(
+        mid
+        for mid in recovered.messages_addressed_to(group.group_id)
+        if mid not in delivered
+    )
     return len(delivered)
 
 

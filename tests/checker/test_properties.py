@@ -1,8 +1,18 @@
 """Tests for the atomic multicast trace checker."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.checker.properties import check_genuineness, check_trace
+import repro
+from repro.checker.properties import (
+    check_genuineness,
+    check_trace,
+    find_delivery_cycle,
+)
 from repro.core.message import Message
 from repro.protocols.base import RecordingSink
 
@@ -87,3 +97,58 @@ class TestGenuineness:
         report = check_genuineness({1: 10}, {1: 7}, groups=[1])
         assert not report.ok
         assert report.violations[0].property_name == "minimality"
+
+
+class TestCycleWitnessIsDeterministic:
+    def test_names_the_lexicographically_first_cycle(self):
+        # Two cycles reachable from "a": through "b" and through "c".  A set
+        # iterates in string-hash order, so an unsorted walk would name
+        # either, depending on PYTHONHASHSEED.
+        successors = {
+            "a": {"c", "b"},
+            "b": {"a"},
+            "c": {"d"},
+            "d": {"a"},
+        }
+        assert find_delivery_cycle(successors, sorted(successors)) == ["a", "b", "a"]
+        successors["b"] = {"e"}  # only the longer cycle is left
+        assert find_delivery_cycle(successors, sorted(successors)) == [
+            "a",
+            "c",
+            "d",
+            "a",
+        ]
+
+    def test_report_text_is_the_same_under_every_hash_seed(self):
+        """The committed inventory schedule is cyclic with nothing exposed;
+        the anomaly's text — what findings and shrunk artifacts carry — is
+        compared across interpreters with different string hashing."""
+        schedule = (
+            Path(__file__).parent.parent
+            / "regression"
+            / "schedules"
+            / "inventory_seed3_full.json"
+        )
+        script = (
+            "import sys\n"
+            "from repro.fuzz import FuzzScenario, run_scenario\n"
+            "result = run_scenario(FuzzScenario.load(sys.argv[1]), exposure='none')\n"
+            "print('\\n'.join(result.violations + result.ordering_anomalies))\n"
+        )
+        reports = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (str(Path(repro.__file__).parent.parent), env.get("PYTHONPATH")) if p
+            )
+            done = subprocess.run(
+                [sys.executable, "-c", script, str(schedule)],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+                check=True,
+            )
+            reports.append(done.stdout)
+        assert "[acyclic-order]" in reports[0]
+        assert reports[0] == reports[1]

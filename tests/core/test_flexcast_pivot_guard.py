@@ -12,6 +12,7 @@ from collections import deque
 import pytest
 
 from repro.core.flexcast import FlexCastGroup, FlexCastProtocol
+from repro.core.history import History
 from repro.core.message import (
     EMPTY_DELTA,
     ClientRequest,
@@ -21,6 +22,7 @@ from repro.core.message import (
     HistoryDelta,
     Message,
 )
+from repro.core.pivot_guard import PivotGuard
 from repro.overlay.cdag import CDagOverlay
 from repro.protocols.base import RecordingSink
 from repro.sim.transport import RecordingTransport
@@ -52,7 +54,7 @@ class TestGuardBlocks:
         group, transport, sink = make_group(B)
         # Notif for P (dst {A, C}) with empty history: acked immediately.
         group.on_envelope(A, FlexCastNotif(message=msg("P", {A, C}), history=EMPTY_DELTA, from_group=A))
-        assert "P" in group._notif_pivots
+        assert "P" in group.guard.pivots
         # Now B learns: Y (addressed to B) precedes P — Y's msg is pending.
         group.on_envelope(
             A,
@@ -77,9 +79,10 @@ class TestGuardBlocks:
         group2.queues[A].append(msg("Y", {A, B}))
         entry.enqueued = True
         # X is unrelated to P: the guard must hold it behind Y.
-        assert not group2._pivot_guard_allows("X")
+        open_deps, history = group2._undelivered_to_me, group2.history
+        assert not group2.guard.allows("X", open_deps, history)
         # Y itself precedes the pivot: allowed (delivers first).
-        assert group2._pivot_guard_allows("Y")
+        assert group2.guard.allows("Y", open_deps, history)
 
     def test_client_message_parks_behind_pivot_predecessor(self):
         """The lca no longer jumps client messages ahead of a known
@@ -99,7 +102,7 @@ class TestGuardBlocks:
         )
         # Y waits for nothing?  dst ancestors of A: only lca B — so Y
         # delivered already; force a pending Y variant instead:
-        if "Y" in group.delivered_in_g:
+        if group.has_delivered("Y"):
             # Y delivered immediately: the client message flows through too.
             group.on_client_request(msg("X", {A, C}))
             assert sink.sequence(A)[-1] == "X"
@@ -141,7 +144,7 @@ class TestEscape:
         # the mutual-stand-off fast path cannot see it; the stalled-progress
         # backstop forces the release after a few grace periods.
         for _ in range(8):
-            transport.advance(group.guard_escape_ms + 1)
+            transport.advance(PivotGuard.GRACE_MS + 1)
         assert sorted(sink.sequence(C)) == ["Y1", "Y2"]
         assert group.stats["guard_escapes"] >= 1
 
@@ -186,3 +189,99 @@ class TestReack:
             if isinstance(e, FlexCastAck) and e.message.msg_id == "P"
         ]
         assert len(acks_after) == 2  # re-acked toward P's destinations
+
+
+# ------------------------------------------------------- the guard on its own
+def history_of(vertices, edges=()):
+    history = History()
+    history.merge_delta(delta(vertices, edges))
+    return history
+
+
+class TestPivotGuardDirectly:
+    """:class:`PivotGuard` is a pure function of the history and open
+    dependencies handed to it — no group, transport or timer needed."""
+
+    def test_allows_until_a_pivot_predecessor_is_open(self):
+        guard = PivotGuard()
+        history = history_of(
+            [("Y", {A, B}), ("X", {B}), ("P", {A, C})], edges=[("Y", "P")]
+        )
+        open_deps = {"X", "Y"}
+        assert guard.allows("X", open_deps, history)  # no promise made yet
+        guard.register(msg("P", {A, C}))
+        assert not guard.allows("X", open_deps, history)  # Y ≺ P, X does not
+        assert guard.allows("Y", open_deps, history)
+        assert guard.allows("X", {"X"}, history)  # Y delivered: nothing to wait for
+        history.add_edge("X", "P")  # X gained its own path to the pivot
+        assert guard.allows("X", open_deps, history)
+
+    def test_reack_targets_are_the_bound_pivots_the_delivery_precedes(self):
+        guard = PivotGuard()
+        history = history_of(
+            [("Y", {A, B}), ("P1", {A, C}), ("P2", {A, D}), ("P3", {A, D})],
+            edges=[("Y", "P1"), ("Y", "P3")],
+        )
+        prior = [msg("P1", {A, C}), msg("P2", {A, D}), msg("P3", {A, D})]
+        for pivot in prior:
+            guard.register(pivot)
+        guard.forget({"P3"})  # pruned while the delivery was under way
+        assert guard.reack_targets("Y", prior, history) == prior[:1]
+
+    def test_mutual_standoff_releases_the_smallest_head(self):
+        guard = PivotGuard()
+        guard.register(msg("P1", {A, D}))
+        guard.register(msg("P2", {B, D}))
+        history = history_of(
+            [("Y1", {A, C}), ("Y2", {B, C}), ("P1", {A, D}), ("P2", {B, D})],
+            edges=[("Y1", "P1"), ("Y2", "P2")],
+        )
+        open_deps = {"Y1", "Y2"}
+        assert not guard.allows("Y1", open_deps, history)
+        assert not guard.allows("Y2", open_deps, history)
+        # Both are queue heads: each waits only for the other.
+        assert guard.pick_escape(["Y2", "Y1"], open_deps, history, 0) == "Y1"
+        assert guard.allows("Y1", open_deps, history)
+        assert not guard.allows("Y2", open_deps, history)
+        guard.delivered("Y1")  # the exemption is spent
+        assert not guard.allows("Y1", open_deps, history)
+        assert guard.pick_escape([], {"Y2"}, history, 1) is None
+
+    def test_backstop_forces_a_head_after_four_stalled_ticks(self):
+        guard = PivotGuard()
+        guard.register(msg("P1", {A, D}))
+        guard.register(msg("P2", {B, D}))
+        history = history_of(
+            [("Y1", {A, C}), ("Y2", {B, C}), ("P1", {A, D}), ("P2", {B, D})],
+            edges=[("Y1", "P1"), ("Y2", "P2")],
+        )
+        open_deps = {"Y1", "Y2"}
+        # Y2 sits behind Y1 in the same queue: a blocker that is not a head,
+        # so the stand-off is not provably mutual.
+        picks = [guard.pick_escape(["Y1"], open_deps, history, 7) for _ in range(5)]
+        assert picks == [None, None, None, None, "Y1"]
+
+    def test_progress_resets_the_backstop(self):
+        guard = PivotGuard()
+        guard.register(msg("P1", {A, D}))
+        guard.register(msg("P2", {B, D}))
+        history = history_of(
+            [("Y1", {A, C}), ("Y2", {B, C}), ("P1", {A, D}), ("P2", {B, D})],
+            edges=[("Y1", "P1"), ("Y2", "P2")],
+        )
+        delivered = [0, 0, 0, 0, 1, 1, 1, 1, 1]
+        picks = [
+            guard.pick_escape(["Y1"], {"Y1", "Y2"}, history, count)
+            for count in delivered
+        ]
+        assert picks == [None] * 8 + ["Y1"]
+
+    def test_cap_retires_the_oldest_promise(self):
+        guard = PivotGuard()
+        for k in range(PivotGuard.MAX_PIVOTS + 3):
+            guard.register(msg(f"P{k}", {A, D}))
+        assert len(guard.pivots) == PivotGuard.MAX_PIVOTS
+        assert list(guard.pivots)[0] == "P3"
+        # A retired promise binds nothing any more.
+        history = history_of([("Y", {A, B}), ("P0", {A, D})], edges=[("Y", "P0")])
+        assert guard.allows("X", {"X", "Y"}, history)

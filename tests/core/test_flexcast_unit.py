@@ -14,6 +14,7 @@ from repro.core.message import (
     FlexCastAck,
     FlexCastMsg,
     FlexCastNotif,
+    FlexCastTsPropose,
     HistoryDelta,
     Message,
 )
@@ -349,66 +350,158 @@ class TestFlexCastProtocol:
         assert isinstance(group, FlexCastGroup)
 
 
-class TestForgottenDuplicates:
-    """A duplicated envelope that outlives the flush GC must be inert.
+# --------------------------------------------------------- duplicate arrivals
+#: Every way an id can reach a group again ...
+ARRIVALS = ("msg", "ack", "notif", "ts-propose", "retry")
+#: ... and every way the group can already be past it.  ``in-flight`` is a
+#: batch *member* retried while its carrier is still queued: it has no
+#: pending entry or history vertex of its own, only the member index sees it.
+STATES = ("delivered", "forgotten", "in-flight")
 
-    After GC prunes a delivered message, ``delivered_in_g`` no longer
-    remembers it — the history's forgotten-set is the only guard left, and
-    the enqueue paths must honour it or the duplicate is re-delivered (and,
-    in hybrid mode, could not even re-acquire a timestamp).
+#: What an arrival legitimately moves, by (arrival, state); everything else
+#: in :func:`_observable` must come out as it went in.  An envelope about a
+#: member id means some group ordered that member as a unit of its own (a
+#: non-compliant client submitted it both ways), so the authority proposes
+#: for it like for any first contact, and an ack — which may precede its
+#: msg — is kept.
+MAY_CHANGE = {
+    ("msg", "in-flight"): {"ts"},
+    ("ts-propose", "in-flight"): {"ts"},
+    ("ack", "in-flight"): {"ts", "pending"},
+}
+
+
+def _observable(group, sink, obs):
+    gauges = obs.registry.snapshot()["gauges"]
+    label = f'{{group="{group.group_id}"}}'
+    ts = group.ts
+    return {
+        "pending": {
+            mid: (set(e.acks), set(e.notified), e.enqueued)
+            for mid, e in group.pending.items()
+        },
+        "members": dict(group._batch_members),
+        "queues": group.queue_sizes(),
+        # The clock is left out: the Lamport receive rule moves it.
+        "ts": ts
+        and (
+            sorted(ts.pending),
+            {mid: dict(known) for mid, known in ts._early.items()},
+            set(ts._completed),
+        ),
+        "leaked": gauges["flexcast_leaked_pending_entries" + label],
+        "orphans": gauges["flexcast_member_index_orphans" + label],
+        "delivered": sink.sequence(group.group_id),
+    }
+
+
+class TestDuplicateArrivalMatrix:
+    """An arrival about an id the group is already past leaves no trace:
+    no pending entry, no member-index row, no timestamp state, both leak
+    gauges at zero — whether the id was delivered, delivered and then pruned
+    by the flush GC (the history's forgotten set is then the only record of
+    it), or rides in a batch that is still in flight.
+
+    ``retry`` runs at the lca ``A`` (clients submit there), the envelopes at
+    the highest destination ``C``; the subject is addressed to all three
+    groups, so ``C`` waits for ``B``'s ack and, when exposed, for everyone's
+    proposal.
     """
 
-    def _deliver_and_gc(self, group, ts=False):
-        proposals = {"m1": ((B, 1),), "f1": ((A, 5),)} if ts else {}
-        group.on_envelope(
-            B,
-            FlexCastMsg(
-                message=msg("m1", {B, C}),
-                history=EMPTY_DELTA,
-                ts_proposals=proposals.get("m1", ()),
-            ),
-        )
-        group.on_envelope(
-            A,
-            FlexCastMsg(
-                message=msg("f1", {A, C}, is_flush=True),
-                history=delta(
-                    [("m1", {B, C}), ("f1", {A, C})], edges=[("m1", "f1")]
+    DST = {A, B, C}
+
+    def _exposed_everywhere(self, group, message):
+        for peer in self.DST - {group.group_id}:
+            group.on_envelope(
+                peer,
+                FlexCastTsPropose(
+                    message=msg(message.msg_id, message.dst),
+                    timestamp=1,
+                    from_group=peer,
                 ),
-                ts_proposals=proposals.get("f1", ()),
+            )
+
+    def _build(self, site, state, exposure, overlay):
+        from repro.obs import Observability
+
+        sink, obs = RecordingSink(), Observability()
+        group = FlexCastGroup(
+            site, overlay, RecordingTransport(site), sink, exposure=exposure
+        )
+        group.attach_obs(obs)
+        subject = msg("m1", self.DST)
+        unit = subject
+        if state == "in-flight":
+            unit = Message.batch_of([subject, msg("m2", self.DST)], batch_id="b0")
+        if site == A:
+            group.on_envelope("client", ClientRequest(message=unit))
+        else:
+            group.on_envelope(A, FlexCastMsg(message=unit, history=EMPTY_DELTA))
+        if state == "in-flight":
+            assert sink.sequence(site) == []
+            return group, sink, obs, subject
+        if site == C:
+            group.on_envelope(
+                B, FlexCastAck(message=unit, history=EMPTY_DELTA, from_group=B)
+            )
+        if exposure:
+            self._exposed_everywhere(group, unit)
+        assert sink.sequence(site) == ["m1"]
+        if state == "forgotten":
+            flush = msg("f1", {A, C}, is_flush=True)
+            if site == A:
+                group.on_envelope("client", ClientRequest(message=flush))
+            else:
+                group.on_envelope(
+                    A,
+                    FlexCastMsg(
+                        message=flush,
+                        history=delta(
+                            [("m1", self.DST), ("f1", {A, C})], edges=[("m1", "f1")]
+                        ),
+                    ),
+                )
+            if exposure:
+                self._exposed_everywhere(group, flush)
+            assert sink.sequence(site) == ["m1", "f1"]
+            assert group.history.is_forgotten("m1") and "m1" not in group.pending
+        return group, sink, obs, subject
+
+    @pytest.mark.parametrize(
+        "exposure", [Exposure.none(), Exposure.all()], ids=["unexposed", "exposed"]
+    )
+    @pytest.mark.parametrize("state", STATES)
+    @pytest.mark.parametrize("arrival", ARRIVALS)
+    def test_arrival_leaves_no_trace(self, arrival, state, exposure, overlay):
+        if arrival == "ts-propose" and not exposure:
+            pytest.skip("a group that exposes nothing rejects proposals")
+        site = A if arrival == "retry" else C
+        if state == "in-flight" and site == A and not exposure:
+            pytest.skip("an unexposed lca delivers the batch on submission")
+        group, sink, obs, subject = self._build(site, state, exposure, overlay)
+        before = _observable(group, sink, obs)
+        proposals = ((B, 1),) if exposure else ()
+        envelope = {
+            "msg": FlexCastMsg(
+                message=subject, history=EMPTY_DELTA, ts_proposals=proposals
             ),
-        )
-
-    def test_duplicate_of_gc_pruned_message_not_redelivered(self, overlay):
-        group, transport, sink = make_group(C, overlay)
-        self._deliver_and_gc(group)
-        assert sink.sequence(C) == ["m1", "f1"]
-        assert group.history.is_forgotten("m1")
-        # The duplicate arrives after the GC discarded delivered_in_g.
-        group.on_envelope(
-            B, FlexCastMsg(message=msg("m1", {B, C}), history=EMPTY_DELTA)
-        )
-        assert sink.sequence(C) == ["m1", "f1"]
-        assert all(size == 0 for size in group.queue_sizes().values())
-
-    def test_duplicate_of_gc_pruned_message_inert_in_hybrid_mode(self, overlay):
-        transport, sink = RecordingTransport(C), RecordingSink()
-        group = FlexCastGroup(C, overlay, transport, sink, exposure=Exposure.all())
-        self._deliver_and_gc(group, ts=True)
-        assert sink.sequence(C) == ["m1", "f1"]
-        assert group.history.is_forgotten("m1")
-        # Without the forgotten-id enqueue guard this would re-enqueue a
-        # message the authority refuses to re-propose, and the convoy gate
-        # would (correctly) refuse to pass it — crashing the run instead of
-        # absorbing the duplicate.
-        group.on_envelope(
-            B,
-            FlexCastMsg(
-                message=msg("m1", {B, C}),
+            "ack": FlexCastAck(
+                message=subject,
                 history=EMPTY_DELTA,
-                ts_proposals=((B, 1),),
+                from_group=B,
+                ts_proposals=proposals,
             ),
-        )
-        assert sink.sequence(C) == ["m1", "f1"]
-        assert all(size == 0 for size in group.queue_sizes().values())
-        assert group.ts is not None and not group.ts.is_pending("m1")
+            "notif": FlexCastNotif(
+                message=subject, history=EMPTY_DELTA, from_group=A
+            ),
+            "ts-propose": FlexCastTsPropose(
+                message=msg("m1", self.DST), timestamp=7, from_group=B
+            ),
+            "retry": ClientRequest(message=subject),
+        }[arrival]
+        group.on_envelope("client" if arrival == "retry" else B, envelope)
+        after = _observable(group, sink, obs)
+        assert after["leaked"] == after["orphans"] == 0
+        for key in MAY_CHANGE.get((arrival, state), ()):
+            before.pop(key), after.pop(key)
+        assert after == before

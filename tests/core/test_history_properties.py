@@ -3,7 +3,7 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.core.history import History, HistoryDiffTracker
-from repro.core.message import Message
+from repro.core.message import HistoryDelta, Message
 
 
 def deliveries(min_size=1, max_size=30):
@@ -85,3 +85,55 @@ class TestHistoryInvariants:
         second_ids = {v[0] for v in second.vertices}
         assert not (first_ids & second_ids)
         assert first_ids | second_ids == {f"m{idx}" for idx, _ in sequence}
+
+
+# ------------------------------------------------- backward == forward, always
+_ids = st.integers(0, 12).map(lambda i: f"m{i}")
+_dsts = st.sets(st.integers(0, 3), min_size=1, max_size=2).map(frozenset)
+_mutations = st.lists(
+    st.one_of(
+        st.tuples(st.just("deliver"), _ids, _dsts),
+        st.tuples(
+            st.just("merge"),
+            st.lists(st.tuples(_ids, _dsts), max_size=3),
+            st.lists(st.tuples(_ids, _ids), max_size=4),
+        ),
+        st.tuples(st.just("gc"), _ids),
+    ),
+    min_size=1,
+    max_size=25,
+)
+
+
+class TestBackwardAgreesWithForward:
+    @given(_mutations)
+    @settings(max_examples=120, deadline=None)
+    def test_ancestors_and_depends_after_every_mutation(self, mutations):
+        """``ancestors_of`` / ``depends`` are plain walks over the live DAG:
+        the same pairs are asked again after every add, merge and GC, and
+        each answer must match ``reached_from`` on the DAG as it is *now*
+        (merged edges are arbitrary pairs, so cycles are included)."""
+        history = History()
+        for mutation in mutations:
+            if mutation[0] == "deliver":
+                history.record_delivery(Message(msg_id=mutation[1], dst=mutation[2]))
+            elif mutation[0] == "merge":
+                history.merge_delta(
+                    HistoryDelta(vertices=tuple(mutation[1]), edges=tuple(mutation[2]))
+                )
+            elif mutation[1] in history:
+                keep = {history.last_delivered} - {None}
+                history.collect_garbage(mutation[1], keep=keep)
+            live = history.message_ids()
+            for later in live:
+                ancestors = history.ancestors_of(later)
+                assert ancestors == {
+                    m for m in live if history.reached_from([m], [later])
+                }
+                for earlier in live:
+                    assert history.depends(later, earlier) == (
+                        earlier != later and earlier in ancestors
+                    )
+            for gone in (f"m{i}" for i in range(13) if f"m{i}" not in history):
+                assert history.ancestors_of(gone) == set()
+                assert not any(history.depends(m, gone) for m in live)

@@ -94,12 +94,13 @@ class TestExploreShape:
         # End-to-end oracle wiring: blackhole one message's delivery
         # condition so it wedges at every destination, and the explorer's
         # per-leaf oracles must flag the quiescent-but-undelivered state.
-        orig = FlexCastGroup.can_deliver
+        orig = FlexCastGroup._blocker
         monkeypatch.setattr(
             FlexCastGroup,
-            "can_deliver",
-            lambda self, message: message.msg_id != "e2"
-            and orig(self, message),
+            "_blocker",
+            lambda self, message: "acks"
+            if message.msg_id == "e2"
+            else orig(self, message),
         )
         stats = explore_shape(TRIANGLE, max_leaves=50)
         assert not stats.ok

@@ -10,11 +10,12 @@ from the pivot or the candidate.  ``m in ancestors_of(t)`` and
 ``t in reached_from([m], [t])`` are the same statement, so nothing the
 protocol does may move: not a delivery, not an ack.
 
-:class:`BackwardPredicates` carries the replaced code verbatim.  Every
-scenario runs once with the production group and once with the reference;
-per-group delivery sequences and *every* ``flexcast_*_total`` counter
-(``acks_sent``, ``reacks_sent``, ``pivot_guard_stalls``, ``guard_escapes``
-among them, read through the stats → ``/metrics`` bridge) must be equal.
+:class:`BackwardGuard` (substituted for ``group.guard``) and
+:class:`BackwardPredicates` carry the replaced code verbatim.  Every scenario
+runs once with the production group and once with the reference; per-group
+delivery sequences and *every* ``flexcast_*_total`` counter (``acks_sent``,
+``reacks_sent``, ``pivot_guard_stalls``, ``guard_escapes`` among them, read
+through the stats → ``/metrics`` bridge) must be equal.
 """
 
 from collections import deque
@@ -24,6 +25,7 @@ import pytest
 
 from repro.core.flexcast import FlexCastGroup
 from repro.core.message import reset_message_ids
+from repro.core.pivot_guard import PivotGuard
 from repro.experiments.config import flexcast_config
 from repro.experiments.runner import run_experiment
 from repro.fuzz import generate_scenario, run_scenario
@@ -32,30 +34,30 @@ from repro.obs import Observability
 from repro.reconfig.group import ReconfigurableFlexCastGroup
 
 
-class BackwardPredicates:
-    """The gate's reachability predicates as they were at PR 11."""
+class BackwardGuard(PivotGuard):
+    """The guard's reachability predicates as they were at PR 11: one full
+    backward ``ancestors_of`` set per acked pivot."""
 
-    def _reack_pivots(self, message, prior_pivots):
-        first_acks = self.stats["acks_sent"]
-        for pivot_id, pivot_message in prior_pivots:
+    def reack_targets(self, msg_id, prior, history):
+        return [
+            pivot
+            for pivot in prior
             if (
-                pivot_id in self._notif_pivots
-                and pivot_id in self.history
-                and message.msg_id in self.history.ancestors_of(pivot_id)
-            ):
-                self.send_descendants(pivot_message, ack=True)
-        self.stats["reacks_sent"] += self.stats["acks_sent"] - first_acks
+                pivot.msg_id in self.pivots
+                and pivot.msg_id in history
+                and msg_id in history.ancestors_of(pivot.msg_id)
+            )
+        ]
 
-    def _pivot_guard_allows(self, msg_id):
-        if not self._notif_pivots:
+    def allows(self, msg_id, open_deps, history):
+        if not self.pivots:
             return True
-        if msg_id in self._guard_exempt:
+        if msg_id in self._exempt:
             return True
-        blocking = self._undelivered_to_me
+        blocking = open_deps
         if not blocking or (len(blocking) == 1 and msg_id in blocking):
             return True
-        history = self.history
-        for pivot in self._notif_pivots:
+        for pivot in self.pivots:
             if pivot not in history:
                 continue
             ancestors = history.ancestors_of(pivot)
@@ -66,32 +68,38 @@ class BackwardPredicates:
                     return False
         return True
 
-    def _guard_blocked_by(self, msg_id, candidates):
+    def blocked_by(self, msg_id, candidates, history):
         """Escape tick: the old ``blockers_of(msg_id) <= blocked_heads`` is
-        ``not (blockers_of(msg_id) & (undelivered - blocked_heads))``."""
+        ``not (blockers_of(msg_id) & (undelivered - blocked_heads))``; the
+        candidates passed in are that difference, a subset of the
+        undelivered set the old code collected ``found`` from."""
         found: Set[str] = set()
-        for pivot in self._notif_pivots:
-            if pivot not in self.history:
+        for pivot in self.pivots:
+            if pivot not in history:
                 continue
-            ancestors = self.history.ancestors_of(pivot)
+            ancestors = history.ancestors_of(pivot)
             if msg_id in ancestors:
                 continue
             found.update(
-                b
-                for b in self._undelivered_to_me
-                if b != msg_id and b in ancestors
+                b for b in candidates if b != msg_id and b in ancestors
             )
-        return bool(found & candidates)
+        return bool(found)
+
+
+class BackwardPredicates:
+    """Builds the group around :class:`BackwardGuard` and answers the
+    dependency check backward from the candidate, as at PR 11 (minus the
+    per-epoch memo, which went with the epoch)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.guard = BackwardGuard()
 
     def _dependencies_satisfied(self, message):
         msg_id = message.msg_id
         blocking = self._undelivered_to_me
         if not blocking or (len(blocking) == 1 and msg_id in blocking):
             return True
-        epoch = self._dep_epoch
-        cached = self._dep_cache.get(msg_id)
-        if cached is not None and cached[0] == epoch:
-            return cached[1]
         satisfied = True
         predecessors = self.history.predecessors
         queue = deque(predecessors.get(msg_id, ()))
@@ -111,7 +119,6 @@ class BackwardPredicates:
                 for node in self.history.ancestors_of(msg_id)
                 if node in blocking and node != msg_id
             )
-        self._dep_cache[msg_id] = (epoch, satisfied)
         return satisfied
 
 

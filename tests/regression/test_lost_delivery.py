@@ -28,19 +28,28 @@ from pathlib import Path
 import pytest
 
 from repro.core.flexcast import FlexCastGroup
+from repro.core.pivot_guard import PivotGuard
 from repro.fuzz import FuzzScenario, run_scenario
 
 SCHEDULES = Path(__file__).parent / "schedules"
 
 
-class UnguardedGroup(FlexCastGroup):
-    """FlexCast as the seed had it: acked pivots bind nothing."""
+class NoGuard(PivotGuard):
+    """Acked pivots bind nothing."""
 
-    def _pivot_guard_allows(self, msg_id):
+    def allows(self, msg_id, open_deps, history):
         return True
 
-    def _reack_pivots(self, message, prior_pivots):
-        pass
+    def reack_targets(self, msg_id, prior, history):
+        return []
+
+
+class UnguardedGroup(FlexCastGroup):
+    """FlexCast as the seed had it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.guard = NoGuard()
 
 
 @pytest.fixture(scope="module")

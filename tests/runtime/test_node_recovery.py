@@ -44,7 +44,7 @@ class TestGroupServerRecovery:
         assert reborn.recovered_deliveries == 3
         for msg_id in delivered:
             assert msg_id in reborn.group.history
-            assert msg_id in reborn.group.delivered_in_g
+            assert reborn.group.has_delivered(msg_id)
         assert reborn.group.history.last_delivered == delivered[-1]
 
     def test_restarted_cluster_keeps_delivering(self, tmp_path):

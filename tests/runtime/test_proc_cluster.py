@@ -20,7 +20,7 @@ import asyncio
 import pytest
 
 from repro.checker.recovery import check_recovery
-from repro.runtime.proc import ProcessCluster
+from repro.runtime.proc import ProcessCluster, _sequence_digest
 from repro.workload.soak import SoakConfig, run_soak
 
 
@@ -103,6 +103,9 @@ class TestKillRestart:
 
                 rejoined = await cluster.delivered_sequence(0, 2)
                 survivor = await cluster.delivered_sequence(0, 0)
+                # The served digest is a running hash; after a WAL replay and
+                # a catch-up it must still be the digest of the sequence.
+                assert agreed["digest"] == _sequence_digest(rejoined)
                 check_recovery(
                     pre_crash,
                     rejoined,

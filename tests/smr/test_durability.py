@@ -254,7 +254,7 @@ class TestParentCommitWal:
             storage=FileStorage(str(tmp_path)),
         )
         assert replica.local_deliveries == expected["local_deliveries"]
-        assert len(replica.applied) == expected["applied"]
+        assert replica.smr.applied_count == expected["applied"]
         assert replica.smr.recovered_instances == expected["applied"]
 
     def test_log_entries_re_encode_to_the_parent_commits_bytes(self):

@@ -11,6 +11,7 @@ from repro.core.flexcast import FlexCastProtocol
 from repro.core.message import ClientRequest, HistorySnapshotFrame, Message
 from repro.overlay.cdag import CDagOverlay
 from repro.protocols.base import RecordingSink
+from repro.runtime.proc import _sequence_digest
 from repro.sim.events import EventLoop
 from repro.sim.latencies import LatencyMatrix
 from repro.sim.network import Network
@@ -49,7 +50,7 @@ def submit(network, target, ids):
 def snapshot_frames_applied(replica):
     return [
         entry
-        for entry in replica.applied
+        for entry in replica.smr.log
         if isinstance(entry.envelope, HistorySnapshotFrame)
     ]
 
@@ -112,3 +113,36 @@ class TestRejoinSnapshotCatchup:
         restarted = group.restart_replica(2, network)
         loop.run_until_idle()
         assert snapshot_frames_applied(restarted) == []
+
+
+class TestRunningDeliveryDigest:
+    """``/delivered`` answers from :attr:`GroupReplica.delivery_hash`; it must
+    stay byte-identical to the digest of the sequence it summarises."""
+
+    def test_matches_the_sequence_digest_through_replay_and_catchup(self):
+        loop, network, group, sink = deploy(storage=InMemoryStorage())
+        leader_id = group.replicas[0].replica_id
+
+        def check():
+            for replica in group.replicas:
+                assert replica.delivery_hash.hexdigest() == _sequence_digest(
+                    replica.local_deliveries
+                )
+
+        check()  # empty sequence
+        submit(network, leader_id, ["a0"])
+        loop.run_until_idle()
+        check()  # one id: no separator yet
+        submit(network, leader_id, ["a1", "a2"])
+        submit(network, group.replicas[1].replica_id, ["a3"])
+        loop.run_until_idle()
+        check()
+        group.crash_replica(2, network)
+        submit(network, leader_id, ["b0", "b1"])
+        loop.run_until_idle()
+        restarted = group.restart_replica(2, network)  # replays its WAL ...
+        assert restarted.local_deliveries == ["a0", "a1", "a2", "a3"]
+        check()
+        loop.run_until_idle()  # ... then catches up on what it missed
+        assert len(restarted.local_deliveries) == 6
+        check()
