@@ -52,7 +52,7 @@ from repro.reconfig.monitor import WorkloadMonitor  # noqa: E402
 from repro.reconfig.planner import Planner  # noqa: E402
 from repro.sim.latencies import aws_latency_matrix  # noqa: E402
 from repro.sim.transport import RecordingTransport  # noqa: E402
-from repro.storage import FileStorage, InMemoryStorage  # noqa: E402
+from repro.storage import FileStorage  # noqa: E402
 from repro.workload.soak import provenance  # noqa: E402
 
 DEFAULT_SIZES = (200, 1000, 5000)
@@ -406,55 +406,6 @@ def bench_wal_append(size: int) -> Callable[[], None]:
     return op
 
 
-def bench_recovery_replay(size: int) -> Callable[[], None]:
-    """Rebuild a group history from storage (snapshot + ``size``-record WAL).
-
-    The boot-time cost of crash recovery: :meth:`History.recover` restoring
-    the chain-shaped history entirely from its journal.  InMemoryStorage
-    keeps the measurement on the replay logic itself rather than disk reads.
-    """
-    storage = InMemoryStorage()
-    source = History()
-    source.attach_storage(storage, "bench", snapshot_min_wal_records=10**9)
-    for i in range(size):
-        source.record_delivery(Message(msg_id=f"m{i}", dst=frozenset({i % 4})))
-
-    def op() -> None:
-        recovered = History.recover(storage, "bench")
-        assert len(recovered) == size
-
-    return op
-
-
-def bench_delivery_round_durable(size: int) -> Callable[[], None]:
-    """``delivery_round`` with the history journaled to InMemoryStorage.
-
-    Same steady-state lca round as ``delivery_round``, but every history
-    mutation also lands in the attached WAL — the configuration the fuzz
-    harness's crash profiles run.  The gap to ``delivery_round`` is the
-    durability overhead on the hot path, which the CI gate bounds at
-    ``--max-durable-overhead`` (2x).
-    """
-    overlay = CDagOverlay(list(range(12)))
-    group = FlexCastGroup(0, overlay, RecordingTransport(0), RecordingSink())
-    group.history.attach_storage(InMemoryStorage(), "bench")
-    for i in range(size):
-        group.history.record_delivery(
-            Message(msg_id=f"fill-{i}", dst=frozenset({0, 3, 7}))
-        )
-    for dest in (3, 7):
-        group.diff_tracker.diff_for(dest, group.history)
-    counter = {"i": 0}
-
-    def op() -> None:
-        counter["i"] += 1
-        group.on_client_request(
-            Message(msg_id=f"bench-{counter['i']}", dst=frozenset({0, 3, 7}))
-        )
-
-    return op
-
-
 def bench_delivery_round_obs(size: int) -> Callable[[], None]:
     """``delivery_round`` with the full observability layer attached.
 
@@ -512,11 +463,9 @@ BENCHMARKS: Dict[str, Callable[[int], Callable[[], None]]] = {
     "delivery_round": bench_delivery_round,
     "delivery_round_hybrid": bench_delivery_round_hybrid,
     "delivery_round_batched": bench_delivery_round_batched,
-    "delivery_round_durable": bench_delivery_round_durable,
     "delivery_round_obs": bench_delivery_round_obs,
     "delivery_round_pivots": bench_delivery_round_pivots,
     "wal_append": bench_wal_append,
-    "recovery_replay": bench_recovery_replay,
     "reconfig_plan": bench_reconfig_plan,
 }
 
@@ -663,8 +612,8 @@ def main(argv: List[str] | None = None) -> int:
     parser.add_argument(
         "--gate",
         default="diff_for,delivery_round,delivery_round_hybrid,"
-        "delivery_round_batched,delivery_round_durable,delivery_round_obs,"
-        "delivery_round_pivots,wal_append,recovery_replay",
+        "delivery_round_batched,delivery_round_obs,"
+        "delivery_round_pivots,wal_append",
         help="comma-separated benchmarks the --compare gate checks "
         "(default: %(default)s)",
     )
@@ -681,13 +630,6 @@ def main(argv: List[str] | None = None) -> int:
         help="with --compare: fail unless delivery_round_batched is at least "
         "this many times the delivery_round message throughput "
         "(default: %(default)s)",
-    )
-    parser.add_argument(
-        "--max-durable-overhead",
-        type=float,
-        default=2.0,
-        help="with --compare: fail unless delivery_round_durable stays within "
-        "this slowdown factor of delivery_round (default: %(default)s)",
     )
     parser.add_argument(
         "--max-obs-overhead",
@@ -818,23 +760,6 @@ def main(argv: List[str] | None = None) -> int:
                         f"{batched_ops:,.0f} msg/s is below "
                         f"{args.min_batch_speedup:.1f}x delivery_round "
                         f"({plain_ops:,.0f} msg/s)"
-                    )
-        # The durability claim too: journaling every history mutation must
-        # not cost the hot path more than --max-durable-overhead.
-        if args.max_durable_overhead > 0:
-            plain = results.get("delivery_round", {})
-            durable = results.get("delivery_round_durable", {})
-            for size in plain:
-                if size not in durable:
-                    continue
-                plain_ops = float(plain[size]["ops_per_sec"])
-                durable_ops = float(durable[size]["ops_per_sec"])
-                if durable_ops > 0 and plain_ops > args.max_durable_overhead * durable_ops:
-                    failures.append(
-                        f"delivery_round_durable |H|={size}: "
-                        f"{durable_ops:,.0f} op/s is more than "
-                        f"{args.max_durable_overhead:.1f}x slower than "
-                        f"delivery_round ({plain_ops:,.0f} op/s)"
                     )
         # And the observability claim: the metrics/tracing layer must stay
         # within --max-obs-overhead of the uninstrumented delivery round

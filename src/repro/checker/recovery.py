@@ -1,6 +1,6 @@
 """Recovery oracle: a rejoined replica's deliveries across a restart.
 
-When a crashed replica reboots from its WAL + snapshot and rejoins the
+When a crashed replica reboots from its WALs and rejoins the
 group, three things must hold of its delivery sequence (the order its own
 protocol copy delivered messages, pre-crash incarnation and rebooted
 incarnation concatenated by the WAL replay):

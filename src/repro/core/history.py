@@ -17,8 +17,8 @@ The structure is maintained *incrementally* so the delivery hot path scales
 with the delta, not with ``|H|`` (see DESIGN.md for the complexity table and
 invariants):
 
-* a per-group destination index makes ``messages_addressed_to`` /
-  ``contains_message_to`` O(1)-amortized lookups instead of full scans;
+* a per-group destination index makes ``contains_message_to`` an O(1)
+  lookup instead of a full scan;
 * an append-only, monotonically versioned *change journal* records every
   vertex/edge insertion; diff computation is a slice of the journal past a
   descendant's watermark (:meth:`History.changes_since`), not a rescan of the
@@ -27,15 +27,17 @@ invariants):
   predates the retained journal) ships a packed
   :class:`~repro.core.message.HistorySnapshot` plus the journal suffix past
   the snapshot's version instead of re-materialising per-vertex tuples, and
-  :meth:`History.merge_delta` batch-applies the whole delta with one WAL
-  record — so reconnects and rejoins cost O(affected), not O(|H|) python
-  object churn.
+  :meth:`History.merge_delta` batch-applies the whole delta — so reconnects
+  and rejoins cost O(affected), not O(|H|) python object churn.
+
+A history is not durable by itself: it is part of a replica's protocol state,
+which :mod:`repro.smr` rebuilds by replaying the replicated log.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Protocol, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..obs.registry import MetricsRegistry
 from ..overlay.base import GroupId
@@ -46,50 +48,11 @@ from .message import EMPTY_DELTA, HistoryDelta, HistorySnapshot, Message
 _JOURNAL_VERTEX = "v"
 _JOURNAL_EDGE = "e"
 
-#: Extra WAL-only record kinds (never in the in-memory journal): a local
-#: delivery (the ``lastDlvd`` / delivered-set transition must survive a
-#: restart even though diffs never ship it), a garbage-collection round, and
-#: a batched delta merge (one record per :meth:`History.merge_delta`
-#: instead of one per vertex/edge).
-_WAL_DELIVERY = "d"
-_WAL_FORGET = "f"
-_WAL_DELTA = "D"
-
 #: A diff request at watermark 0 switches from the journal slice to the
 #: packed-snapshot cold path once the history's version reaches this many
 #: journal entries; below it, slicing a short journal is cheaper than
 #: building/caching a snapshot.
 COLD_SYNC_MIN_ENTRIES = 256
-
-#: Default WAL length (records) above which journal compaction also writes a
-#: snapshot and resets the WAL, so recovery replays snapshot + suffix.
-SNAPSHOT_MIN_WAL_RECORDS = 512
-
-
-class WALLike(Protocol):
-    """The slice of :class:`repro.storage.base.WAL` the history needs.
-
-    Structural typing keeps the dependency one-directional: ``repro.storage``
-    imports ``repro.core`` (for recovery helpers), never the other way.
-    """
-
-    def append(self, record: Any) -> None: ...
-
-    def records(self) -> List[Any]: ...
-
-    def reset(self, records: Iterable[Any] = ()) -> None: ...
-
-    def __len__(self) -> int: ...
-
-
-class StorageLike(Protocol):
-    """The slice of :class:`repro.storage.base.Storage` the history needs."""
-
-    def wal(self, name: str) -> WALLike: ...
-
-    def write_snapshot(self, name: str, payload: Any) -> None: ...
-
-    def read_snapshot(self, name: str) -> Optional[Any]: ...
 
 
 class History:
@@ -124,11 +87,6 @@ class History:
         "_by_group",
         "_journal",
         "_journal_base",
-        "_wal",
-        "_storage",
-        "_store_name",
-        "_snapshot_min",
-        "_delivered_local",
         "_snapshot_cache",
     )
 
@@ -149,16 +107,6 @@ class History:
         # every tracked descendant's watermark had passed them).
         self._journal: List[Tuple] = []
         self._journal_base = 0
-        # Optional durability (attach_storage): every mutation is mirrored to
-        # a write-ahead log; snapshots piggyback on journal compaction.
-        self._wal: Optional[WALLike] = None
-        self._storage: Optional[StorageLike] = None
-        self._store_name: Optional[str] = None
-        self._snapshot_min = SNAPSHOT_MIN_WAL_RECORDS
-        # Ids this group delivered *itself* (record_delivery), as opposed to
-        # vertices merged from ancestors' deltas.  Needed at recovery to
-        # rebuild the protocol's delivered set; cheap to maintain otherwise.
-        self._delivered_local: Set[str] = set()
         # Packed snapshot reused across cold diffs.  Valid while no vertex has
         # been removed since it was built (the journal suffix past its version
         # then reconstructs the live DAG exactly); GC invalidates it.
@@ -207,8 +155,6 @@ class History:
         for group in dst:
             self._by_group.setdefault(group, set()).add(msg_id)
         self._journal.append((_JOURNAL_VERTEX, msg_id, dst))
-        if self._wal is not None:
-            self._wal.append([_JOURNAL_VERTEX, msg_id, sorted(dst, key=str)])
 
     def add_edge(self, before: str, after: str) -> None:
         """Record that ``before`` was ordered before ``after``.
@@ -229,8 +175,6 @@ class History:
         succ.add(after)
         self.predecessors[after].add(before)
         self._journal.append((_JOURNAL_EDGE, before, after))
-        if self._wal is not None:
-            self._wal.append([_JOURNAL_EDGE, before, after])
 
     def record_delivery(self, message: Message) -> None:
         """Append a locally delivered message to the group's total order.
@@ -244,37 +188,22 @@ class History:
             # edge would be meaningless) is rejected there.
             self.add_edge(self.last_delivered, message.msg_id)
         self.last_delivered = message.msg_id
-        self._delivered_local.add(message.msg_id)
-        if self._wal is not None:
-            self._wal.append([_WAL_DELIVERY, message.msg_id])
 
     def merge_delta(self, delta: HistoryDelta) -> None:
         """Integrate an ancestor's history delta (``update-hst``).
 
-        The whole delta — packed snapshot (cold sync), then journal suffix —
-        is applied as one batch: indexes are updated incrementally per entry
-        but the WAL receives a *single* record covering everything actually
-        applied, so a reconnect-sized delta costs one durable append instead
-        of one per vertex/edge.
+        The packed snapshot (cold sync) is applied first, then the journal
+        suffix; indexes are updated incrementally per entry.
         """
         if delta is None or delta.is_empty:
             return
-        applied_v: List[Tuple[str, FrozenSet[GroupId]]] = []
-        applied_e: List[Tuple[str, str]] = []
         if delta.snapshot is not None:
-            av, ae = self._install_snapshot_content(delta.snapshot)
-            applied_v += av
-            applied_e += ae
-        av, ae = self._bulk_apply(delta.vertices, delta.edges)
-        applied_v += av
-        applied_e += ae
-        self._wal_log_delta(applied_v, applied_e)
+            self._install_snapshot_content(delta.snapshot)
+        self._bulk_apply(delta.vertices, delta.edges)
 
-    def _install_snapshot_content(
-        self, snapshot: HistorySnapshot
-    ) -> Tuple[List[Tuple[str, FrozenSet[GroupId]]], List[Tuple[str, str]]]:
+    def _install_snapshot_content(self, snapshot: HistorySnapshot) -> None:
         if snapshot.is_empty:
-            return [], []
+            return
         fresh = (
             not self.destinations
             and not self._forgotten
@@ -282,10 +211,11 @@ class History:
             and self._journal_base == 0
         )
         if not fresh:
-            return self._bulk_apply(
+            self._bulk_apply(
                 zip(snapshot.ids, snapshot.dsts),
                 zip(snapshot.edges_a, snapshot.edges_b),
             )
+            return
         # Brand-new history: swap the indexes in wholesale.  The installed
         # entries are treated as pre-compacted journal history (journal_base
         # advances past them), so this node's own descendants fall below the
@@ -302,7 +232,7 @@ class History:
                 if members is None:
                     by_group[group] = members = set()
                 members.add(mid)
-        applied_e: List[Tuple[str, str]] = []
+        edge_count = 0
         successors = self.successors
         predecessors = self.predecessors
         for a, b in zip(snapshot.edges_a, snapshot.edges_b):
@@ -311,27 +241,24 @@ class History:
                 continue
             succ.add(b)
             predecessors[b].add(a)
-            applied_e.append((a, b))
-        self._journal_base = len(ids) + len(applied_e)
+            edge_count += 1
+        self._journal_base = len(ids) + edge_count
         self._snapshot_cache = None
-        return list(zip(ids, dsts)), applied_e
 
     def _bulk_apply(
         self,
         vertices: Iterable[Tuple[str, FrozenSet[GroupId]]],
         edges: Iterable[Tuple[str, str]],
-    ) -> Tuple[List[Tuple[str, FrozenSet[GroupId]]], List[Tuple[str, str]]]:
+    ) -> None:
         """Apply vertices/edges with :meth:`add_vertex`/:meth:`add_edge`
-        semantics (idempotent, forgotten-filtered, journaled) but without
-        per-entry WAL appends; returns what was actually applied."""
+        semantics (idempotent, forgotten-filtered, journaled), with the
+        per-entry attribute lookups hoisted out of the loops."""
         destinations = self.destinations
         forgotten = self._forgotten
         successors = self.successors
         predecessors = self.predecessors
         by_group = self._by_group
         journal = self._journal
-        applied_v: List[Tuple[str, FrozenSet[GroupId]]] = []
-        applied_e: List[Tuple[str, str]] = []
         for msg_id, dst in vertices:
             if msg_id in forgotten or msg_id in destinations:
                 continue
@@ -344,7 +271,6 @@ class History:
                     by_group[group] = members = set()
                 members.add(msg_id)
             journal.append((_JOURNAL_VERTEX, msg_id, dst))
-            applied_v.append((msg_id, dst))
         for before, after in edges:
             if before in forgotten or after in forgotten:
                 continue
@@ -358,23 +284,6 @@ class History:
             succ.add(after)
             predecessors[after].add(before)
             journal.append((_JOURNAL_EDGE, before, after))
-            applied_e.append((before, after))
-        return applied_v, applied_e
-
-    def _wal_log_delta(
-        self,
-        applied_v: List[Tuple[str, FrozenSet[GroupId]]],
-        applied_e: List[Tuple[str, str]],
-    ) -> None:
-        if self._wal is None or not (applied_v or applied_e):
-            return
-        self._wal.append(
-            [
-                _WAL_DELTA,
-                [[mid, sorted(dst, key=str)] for mid, dst in applied_v],
-                [[a, b] for a, b in applied_e],
-            ]
-        )
 
     # --------------------------------------------------------------- queries
     def depends(self, later: str, earlier: str) -> bool:
@@ -432,14 +341,6 @@ class History:
                     break
             stack.extend(successors[node])
         return found
-
-    def messages_addressed_to(self, group: GroupId) -> List[str]:
-        """Ids of all messages in the history addressed to ``group``.
-
-        O(answer) thanks to the per-group destination index (the seed scanned
-        every vertex on every call).
-        """
-        return list(self._by_group.get(group, ()))
 
     def contains_message_to(self, group: GroupId) -> bool:
         """Paper's ``hst.containsMsgTo(g)`` used by Strategy (c).  O(1)."""
@@ -583,11 +484,6 @@ class History:
         dropped = upto - self._journal_base
         del self._journal[:dropped]
         self._journal_base = upto
-        # Snapshot cadence piggybacks on compaction (the GC path): once the
-        # WAL has accumulated enough records, fold it into a snapshot so
-        # recovery replays snapshot + suffix instead of the node's whole life.
-        if self._wal is not None and len(self._wal) >= self._snapshot_min:
-            self.snapshot_now()
         return dropped
 
     # --------------------------------------------------------------- pruning
@@ -613,8 +509,6 @@ class History:
         for victim in victims:
             self._remove_vertex(victim)
         self._forgotten.update(victims)
-        if victims and self._wal is not None:
-            self._wal.append([_WAL_FORGET, sorted(victims)])
         return victims
 
     def _remove_vertex(self, msg_id: str) -> None:
@@ -690,125 +584,6 @@ class History:
             labels,
             fn=lambda: self.forgotten_count,
         )
-
-    # ------------------------------------------------------------- durability
-    @property
-    def delivered_locally(self) -> FrozenSet[str]:
-        """Ids this group delivered itself (survives recovery)."""
-        return frozenset(self._delivered_local)
-
-    def attach_storage(
-        self,
-        storage: StorageLike,
-        name: str,
-        snapshot_min_wal_records: int = SNAPSHOT_MIN_WAL_RECORDS,
-    ) -> None:
-        """Mirror every future mutation of this history to ``storage``.
-
-        The WAL is ``<name>.journal``; snapshots are written under ``name``.
-        If the history already holds state that the storage does not (attach
-        after the fact rather than at birth/recovery), a snapshot is taken
-        immediately so durable state never lags the in-memory DAG.
-        """
-        self._storage = storage
-        self._store_name = name
-        self._snapshot_min = snapshot_min_wal_records
-        self._wal = storage.wal(name + ".journal")
-        has_state = bool(self.destinations) or self.last_delivered is not None
-        if has_state and len(self._wal) == 0 and storage.read_snapshot(name) is None:
-            self.snapshot_now()
-
-    def snapshot_now(self) -> None:
-        """Write a full snapshot and reset the WAL to empty (explicit trigger)."""
-        if self._storage is None or self._store_name is None or self._wal is None:
-            raise RuntimeError("no storage attached (call attach_storage first)")
-        self._storage.write_snapshot(self._store_name, self._snapshot_payload())
-        self._wal.reset()
-
-    def _snapshot_payload(self) -> Dict[str, Any]:
-        return {
-            "schema": 1,
-            "version": self.version,
-            "last_delivered": self.last_delivered,
-            "forgotten": sorted(self._forgotten),
-            "delivered": sorted(self._delivered_local),
-            "vertices": [
-                [mid, sorted(dst, key=str)] for mid, dst in self.destinations.items()
-            ],
-            "edges": [[a, b] for a, b in self.edges()],
-        }
-
-    def _restore_snapshot(self, payload: Dict[str, Any]) -> None:
-        """Load a snapshot into an empty history (no journal/WAL writes)."""
-        if payload.get("schema") != 1:
-            raise ValueError(f"unknown history snapshot schema: {payload.get('schema')!r}")
-        self._journal_base = int(payload["version"])
-        self.last_delivered = payload["last_delivered"]
-        self._forgotten = set(payload["forgotten"])
-        self._delivered_local = set(payload["delivered"])
-        for mid, dst in payload["vertices"]:
-            dst_set = frozenset(dst)
-            self.destinations[mid] = dst_set
-            self.successors.setdefault(mid, set())
-            self.predecessors.setdefault(mid, set())
-            for group in dst_set:
-                self._by_group.setdefault(group, set()).add(mid)
-        for before, after in payload["edges"]:
-            self.successors[before].add(after)
-            self.predecessors[after].add(before)
-
-    def _apply_wal_record(self, record: List[Any]) -> None:
-        """Replay one WAL record (only meaningful while ``_wal`` is detached)."""
-        kind = record[0]
-        if kind == _JOURNAL_VERTEX:
-            # add_vertex is idempotent and skips forgotten ids, so replaying a
-            # pre-snapshot record (possible after a crash between snapshot and
-            # WAL reset) is harmless.
-            self.add_vertex(record[1], frozenset(record[2]))
-        elif kind == _JOURNAL_EDGE:
-            self.add_edge(record[1], record[2])
-        elif kind == _WAL_DELIVERY:
-            self.last_delivered = record[1]
-            self._delivered_local.add(record[1])
-        elif kind == _WAL_FORGET:
-            for victim in record[1]:
-                self._remove_vertex(victim)
-            self._forgotten.update(record[1])
-        elif kind == _WAL_DELTA:
-            # Batched merge: replay through the idempotent path it took
-            # (which never logs by itself, so nothing is re-logged).
-            self._bulk_apply(((m, frozenset(d)) for m, d in record[1]), record[2])
-        else:
-            raise ValueError(f"unknown history WAL record kind: {kind!r}")
-
-    @classmethod
-    def recover(
-        cls,
-        storage: StorageLike,
-        name: str,
-        snapshot_min_wal_records: int = SNAPSHOT_MIN_WAL_RECORDS,
-    ) -> "History":
-        """Rebuild a history from ``storage``: restore snapshot, replay WAL.
-
-        The returned history has the storage attached, so it keeps journaling
-        where the crashed incarnation left off.  Its in-memory change journal
-        restarts at the snapshot version; descendants' diff watermarks from a
-        previous incarnation simply fall below ``journal_base`` and receive
-        one full live snapshot on their next diff (overshipping is safe:
-        merges are idempotent and forgotten ids are filtered).
-        """
-        history = cls()
-        payload = storage.read_snapshot(name)
-        if payload is not None:
-            history._restore_snapshot(payload)
-        wal = storage.wal(name + ".journal")
-        for record in wal.records():
-            history._apply_wal_record(record)
-        history._storage = storage
-        history._store_name = name
-        history._snapshot_min = snapshot_min_wal_records
-        history._wal = wal
-        return history
 
     # ----------------------------------------------------------------- export
     def full_delta(self) -> HistoryDelta:

@@ -16,7 +16,7 @@ the matching oracle expectations:
   replica mid-run; survivors must agree, and — thanks to the bounded client
   retry layer — *every* submission must still be delivered exactly once;
 * ``crash-restart`` — like ``crash``, but the victim also reboots from its
-  persisted WAL + snapshot mid-run (sometimes twice, sometimes a second
+  persisted WALs mid-run (sometimes twice, sometimes a second
   victim).  On top of the ``crash`` oracle, the recovery oracle pins the
   rejoined replica's delivery sequence: duplicate-free, prefix-consistent
   with its own pre-crash deliveries, and convergent with the survivors;

@@ -55,7 +55,7 @@ class Crash:
 class Restart:
     """A scripted reboot of crashed replica ``replica`` at ``at_ms``.
 
-    The replica comes back with only its persisted state (WAL + snapshot)
+    The replica comes back with only its persisted state (its WALs)
     and must rejoin via replay + peer catch-up; a no-op if the replica is
     not down at ``at_ms``.
     """

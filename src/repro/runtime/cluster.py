@@ -28,15 +28,10 @@ class LocalCluster:
         protocol: AtomicMulticastProtocol,
         latencies: Optional[LatencyMatrix] = None,
         emulate_wan: bool = False,
-        storage: Optional[Dict[GroupId, object]] = None,
         obs: Optional[Observability] = None,
     ) -> None:
         self._protocol = protocol
         self._latencies = latencies if emulate_wan else None
-        #: Optional per-group durable storage backends (:mod:`repro.storage`);
-        #: a restarted cluster handed the same mapping resumes each group
-        #: from its persisted history instead of a blank one.
-        self._storage = storage or {}
         #: Optional observability hub, shared by every server (series are
         #: labelled per group, so one registry holds the whole cluster and
         #: any port's ``/metrics`` shows the full picture).
@@ -55,7 +50,6 @@ class LocalCluster:
                 addresses=self.addresses,
                 latencies=self._latencies,
                 sites=sites if self._latencies is not None else None,
-                storage=self._storage.get(gid),
                 obs=self.obs,
             )
             host, port = await server.start()

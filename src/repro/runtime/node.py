@@ -235,13 +235,9 @@ class GroupServer(FrameServer):
     ``on_deliver`` callback lets applications consume deliveries directly
     (that is the integration point for building replicated services on top).
 
-    With a ``storage`` backend (:mod:`repro.storage`) the group's history —
-    DAG, delivered set, ``lastDlvd`` — becomes durable: the server restores
-    it at construction (snapshot + WAL-suffix replay) and journals every
-    mutation from then on, so a restarted server node resumes from its
-    pre-crash delivery state instead of a blank group.
-    ``recovered_deliveries`` reports how many local deliveries were restored
-    (0 on a cold start).
+    Nothing here is durable: a group that must survive a restart runs as
+    replicas of a replicated log (:class:`~repro.runtime.proc.ReplicaServer`,
+    one replica is enough).
     """
 
     def __init__(
@@ -254,7 +250,6 @@ class GroupServer(FrameServer):
         on_deliver: Optional[Callable[[GroupId, Message], None]] = None,
         latencies=None,
         sites: Optional[Dict[Hashable, int]] = None,
-        storage: Optional[Any] = None,
         obs: Optional[Observability] = None,
     ) -> None:
         super().__init__(host=host, port=port)
@@ -264,13 +259,6 @@ class GroupServer(FrameServer):
             node_id=group_id, addresses=addresses, latencies=latencies, sites=sites
         )
         self.group = protocol.create_group(group_id, self.transport, self._sink)
-        self.recovered_deliveries = 0
-        if storage is not None:
-            from ..storage.recovery import attach_group_storage
-
-            self.recovered_deliveries = attach_group_storage(
-                self.group, storage, name=f"group-{group_id}"
-            )
         self.delivered: list = []
         if obs is not None:
             self.attach_obs(obs)

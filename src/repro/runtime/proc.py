@@ -182,7 +182,7 @@ class ReplicaServer(FrameServer):
         super().__init__(host=host, port=port)
         obs = obs if obs is not None else Observability()
         self.transport = AsyncioTransport(node_id=self.replica_id, addresses=addresses)
-        storage = FileStorage(spec.replica_dir(group_id, index), obs=obs)
+        self._storage = FileStorage(spec.replica_dir(group_id, index), obs=obs)
         # Deliveries are only counted (the base's ``reported_deliveries``):
         # a soak run pushes millions of messages through one process, and
         # retaining the Message objects would dwarf the protocol state.  The
@@ -195,7 +195,7 @@ class ReplicaServer(FrameServer):
             protocol=spec.build_protocol(),
             transport=self.transport,
             sink=self._sink,
-            storage=storage,
+            storage=self._storage,
         )
         self.replica.attach_obs(obs)
         self._register_metrics(
@@ -258,6 +258,15 @@ class ReplicaServer(FrameServer):
         return b"200 OK", body, b"application/json"
 
     # --------------------------------------------------------------- lifecycle
+    async def stop(self) -> None:
+        """Stop listening, then fsync and close the WALs: a graceful stop
+        leaves no record in an fsync batch and no file handle open."""
+        await super().stop()
+        # A connection handler may still be draining frames it had buffered;
+        # the log no longer takes them.
+        self.replica.dead = True
+        self._storage.close()
+
     async def serve_until_stopped(self) -> None:
         """Serve frames and HTTP until ``/stop`` (or SIGTERM/SIGINT)."""
         await self.start()

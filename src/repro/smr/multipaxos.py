@@ -412,7 +412,10 @@ class MultiPaxosReplica:
 
     def _on_nack(self, nack: Nack) -> None:
         proposer = self._proposers.get(nack.instance)
-        if proposer is None or proposer.chosen:
+        # A refused ballot is usually refused by several acceptors; only the
+        # first nack finds it still running.  The rest would each outbid the
+        # retry already in flight.
+        if proposer is None or proposer.chosen or nack.ballot != proposer.ballot:
             return
         self.stats["nacks"] += 1
         proposer.on_nack(nack)

@@ -25,7 +25,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence
 
-from ..core.message import ClientRequest, Envelope, Message
+from ..core.message import ClientRequest, Envelope, HistorySnapshotFrame, Message
 from ..obs import Observability
 from ..overlay.base import GroupId
 from ..protocols.base import AtomicMulticastGroup, AtomicMulticastProtocol, DeliverySink
@@ -198,23 +198,22 @@ class GroupReplica:
         """Order a packed history snapshot through the log, if this replica leads.
 
         After a peer's restart the leader's protocol copy packs its live
-        history into a ``history-snapshot`` frame
-        (:func:`repro.storage.recovery.snapshot_frame_for`) and submits it
-        like any other envelope, so the rejoiner bulk-installs the missing
-        history in one O(affected) merge instead of accumulating per-entry
-        deltas.  Routing it *through* the log keeps every replica's protocol
-        state a pure function of the log (the recovery oracle's invariant):
-        survivors apply the same frame and no-op on the idempotent merge.
-        Returns whether a frame was submitted.
+        history into a ``history-snapshot`` frame (packed snapshot + journal
+        suffix, :meth:`History.cold_delta` — the same O(affected) transfer
+        shape every diff path uses) and submits it like any other envelope,
+        so the rejoiner bulk-installs the missing history in one merge
+        instead of accumulating per-entry deltas.  Routing it *through* the
+        log keeps every replica's protocol state a pure function of the log
+        (the recovery oracle's invariant): survivors apply the same frame
+        and no-op on the idempotent merge.  Returns whether a frame was
+        submitted.
         """
         state = self.protocol_state
-        if not self.is_leader or len(getattr(state, "history", ())) == 0:
+        if not self.is_leader or len(state.history) == 0:
             return False
-        from ..storage.recovery import snapshot_frame_for
-
-        frame = snapshot_frame_for(state, epoch=getattr(state, "epoch", 0))
-        if frame.delta.is_empty:
-            return False
+        frame = HistorySnapshotFrame(
+            group=self.group_id, delta=state.history.cold_delta(), epoch=state.epoch
+        )
         self.on_message("rejoin-catchup", frame)
         return True
 

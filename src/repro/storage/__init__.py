@@ -4,10 +4,8 @@ Production nodes restart; everything a replica needs to survive its own crash
 lives behind the two small interfaces in :mod:`~repro.storage.base`:
 
 * :class:`~repro.storage.base.WAL` — an append-only log of JSON-able records
-  (the history change journal, the Paxos acceptor state, the commit log);
-* :class:`~repro.storage.base.Storage` — a namespace of WALs plus atomic
-  point-in-time snapshots (history snapshots piggyback on journal compaction
-  so recovery replays snapshot + suffix, not the whole life of the node).
+  (the Paxos acceptor state, the commit log);
+* :class:`~repro.storage.base.Storage` — a namespace of WALs.
 
 Two backends are provided:
 
@@ -17,14 +15,13 @@ Two backends are provided:
 * :class:`~repro.storage.file.FileStorage` — real files: length-prefixed
   CRC-checked frames, fsync batching, torn-tail truncation on open.
 
-:mod:`~repro.storage.recovery` holds the glue that restores a protocol
-group's history state from a :class:`Storage` at boot.
+What is rebuilt from them at boot is :mod:`repro.smr`'s business: a replica's
+protocol state is a pure function of its replicated log.
 """
 
 from .base import WAL, Storage, StorageError
 from .file import FileStorage
 from .memory import InMemoryStorage
-from .recovery import apply_snapshot_frame, attach_group_storage, snapshot_frame_for
 
 __all__ = [
     "WAL",
@@ -32,7 +29,4 @@ __all__ = [
     "StorageError",
     "FileStorage",
     "InMemoryStorage",
-    "attach_group_storage",
-    "apply_snapshot_frame",
-    "snapshot_frame_for",
 ]

@@ -1,4 +1,4 @@
-"""Abstract durable-storage interfaces (WAL + snapshots).
+"""Abstract durable-storage interfaces (a namespace of WALs).
 
 The contract is deliberately tiny so the same protocol code runs against the
 deterministic in-memory backend in the simulator/fuzzer and against real
@@ -11,16 +11,14 @@ files in the asyncio runtime:
 * :meth:`WAL.records` returns every surviving record in append order — after
   a crash that may exclude a torn or unsynced tail, never reorder or invent
   records;
-* :meth:`WAL.reset` atomically replaces the log's contents (used when a
-  snapshot makes the prefix redundant, and by acceptor-state compaction);
-* :meth:`Storage.write_snapshot` atomically replaces the named snapshot —
-  a reader sees either the old or the new payload, never a torn mix.
+* :meth:`WAL.reset` atomically replaces the log's contents (used by
+  acceptor-state compaction).
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Iterable, List, Optional
+from typing import Any, Iterable, List
 
 
 class StorageError(Exception):
@@ -55,19 +53,11 @@ class WAL(ABC):
 
 
 class Storage(ABC):
-    """A namespace of WALs plus atomically replaced snapshots."""
+    """A namespace of WALs."""
 
     @abstractmethod
     def wal(self, name: str) -> WAL:
         """Open (creating if needed) the WAL called ``name``."""
-
-    @abstractmethod
-    def write_snapshot(self, name: str, payload: Any) -> None:
-        """Atomically replace snapshot ``name`` with ``payload`` (JSON-able)."""
-
-    @abstractmethod
-    def read_snapshot(self, name: str) -> Optional[Any]:
-        """Return snapshot ``name``'s payload, or ``None`` if absent."""
 
     def sync(self) -> None:
         """Force all pending writes to durable storage (no-op by default)."""

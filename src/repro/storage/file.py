@@ -1,4 +1,4 @@
-"""File-backed storage: CRC-framed append-only WAL segments + snapshots.
+"""File-backed storage: CRC-framed append-only WAL segments.
 
 WAL file format — a sequence of frames, nothing else::
 
@@ -17,9 +17,9 @@ the OS still has the written pages).  Callers that need a hard durability
 point (the Paxos acceptor before replying) call :meth:`FileWAL.sync`
 explicitly or use ``fsync_every=1``.
 
-Snapshots are written to a temporary file, fsynced, then atomically renamed
-over the old snapshot, so a reader sees the old or the new payload — never a
-torn mix.  :meth:`FileWAL.reset` replaces a WAL the same way.
+:meth:`FileWAL.reset` writes the replacement to a temporary file, fsyncs it,
+then atomically renames it over the old WAL, so a reader sees the old or the
+new contents — never a torn mix.
 """
 
 from __future__ import annotations
@@ -188,7 +188,7 @@ def _safe_name(name: str) -> str:
 
 
 class FileStorage(Storage):
-    """Directory-per-node storage: ``<dir>/<name>.wal`` + ``<dir>/<name>.snap``."""
+    """Directory-per-node storage: ``<dir>/<name>.wal``."""
 
     def __init__(
         self,
@@ -255,40 +255,6 @@ class FileStorage(Storage):
         )
         self._open_wals[name] = wal
         return wal
-
-    def _snap_path(self, name: str) -> str:
-        return os.path.join(self.root, _safe_name(name) + ".snap")
-
-    def write_snapshot(self, name: str, payload: Any) -> None:
-        path = self._snap_path(name)
-        tmp_path = path + ".tmp"
-        try:
-            body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
-        except (TypeError, ValueError) as exc:
-            raise StorageError(f"snapshot is not JSON-serializable: {exc}") from exc
-        with open(tmp_path, "wb") as fh:
-            fh.write(_HEADER.pack(len(body), zlib.crc32(body)))
-            fh.write(body)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp_path, path)
-        _fsync_dir(self.root)
-
-    def read_snapshot(self, name: str) -> Optional[Any]:
-        path = self._snap_path(name)
-        if not os.path.exists(path):
-            return None
-        with open(path, "rb") as fh:
-            data = fh.read()
-        if len(data) < _HEADER.size:
-            raise StorageError(f"snapshot {name!r} is truncated")
-        length, crc = _HEADER.unpack_from(data, 0)
-        body = data[_HEADER.size : _HEADER.size + length]
-        if len(body) != length or zlib.crc32(body) != crc:
-            # Snapshots are written atomically (tmp + rename), so a bad CRC is
-            # genuine corruption, not a torn write — surface it loudly.
-            raise StorageError(f"snapshot {name!r} failed its CRC check")
-        return json.loads(body.decode("utf-8"))
 
     def sync(self) -> None:
         for wal in self._open_wals.values():

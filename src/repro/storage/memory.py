@@ -12,7 +12,7 @@ keys as strings), fails or changes shape identically here.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List
 
 from .base import WAL, Storage, StorageError
 
@@ -53,9 +53,8 @@ class InMemoryStorage(Storage):
     def __init__(self, normalize: bool = True) -> None:
         self._normalize = normalize
         self._wals: Dict[str, List[Any]] = {}
-        self._snapshots: Dict[str, Any] = {}
-        #: Counters for tests/benchmarks: appends and snapshot writes seen.
-        self.stats = {"appends": 0, "snapshots": 0}
+        #: Counter for tests/benchmarks: appends seen.
+        self.stats = {"appends": 0}
 
     def wal(self, name: str) -> InMemoryWAL:
         backing = self._wals.setdefault(name, [])
@@ -67,18 +66,6 @@ class InMemoryStorage(Storage):
                 storage.stats["appends"] += 1
 
         return _CountingWAL(backing, self._normalize)
-
-    def write_snapshot(self, name: str, payload: Any) -> None:
-        if self._normalize:
-            try:
-                payload = json.loads(json.dumps(payload))
-            except (TypeError, ValueError) as exc:
-                raise StorageError(f"snapshot is not JSON-serializable: {exc}") from exc
-        self._snapshots[name] = payload
-        self.stats["snapshots"] += 1
-
-    def read_snapshot(self, name: str) -> Optional[Any]:
-        return self._snapshots.get(name)
 
     def wal_names(self) -> List[str]:
         """Names of every WAL ever opened (introspection)."""

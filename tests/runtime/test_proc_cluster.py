@@ -20,7 +20,14 @@ import asyncio
 import pytest
 
 from repro.checker.recovery import check_recovery
-from repro.runtime.proc import ProcessCluster, _sequence_digest
+from repro.core.message import ClientRequest, Message
+from repro.runtime.proc import (
+    ClusterSpec,
+    ProcessCluster,
+    ReplicaServer,
+    _sequence_digest,
+)
+from repro.smr.replica import replica_node
 from repro.workload.soak import SoakConfig, run_soak
 
 
@@ -76,6 +83,44 @@ class TestClusterLifecycle:
             with pytest.raises(RuntimeError, match="log"):
                 await cluster.start(ready_timeout=5.0)
             await cluster.stop()
+
+        run(scenario())
+
+
+class TestGracefulStop:
+    def test_stop_fsyncs_and_closes_the_wals(self, tmp_path):
+        spec = ClusterSpec(
+            groups=[0],
+            replication=1,
+            storage_root=str(tmp_path),
+            addresses=[(replica_node(0, 0), "127.0.0.1", 0)],
+        )
+        ids = [f"m{i}" for i in range(5)]
+
+        async def scenario():
+            server = ReplicaServer(spec, 0, 0)
+            await server.start()
+            for msg_id in ids:
+                server.handle_frame(
+                    "client",
+                    ClientRequest(
+                        message=Message.create([0], sender="client", msg_id=msg_id)
+                    ),
+                )
+            assert server.replica.local_deliveries == ids
+            wals = list(server._storage._open_wals.values())
+            # Fewer records than one fsync batch: nothing is on disk for sure.
+            assert wals and all(0 < len(wal) == wal._unsynced for wal in wals)
+            fsyncs = server._storage._fsync_hist
+            before = fsyncs.total
+            await server.stop()
+            assert fsyncs.total == before + len(wals)
+            assert all(wal._file.closed for wal in wals)
+
+            reborn = ReplicaServer(spec, 0, 0)
+            assert reborn.replica.smr.recovered_instances == len(ids)
+            assert reborn.replica.local_deliveries == ids
+            await reborn.stop()
 
         run(scenario())
 

@@ -123,6 +123,52 @@ class TestReplication:
         assert applied["r2"] == ["old", "new"]
         assert not replicas["r1"]._proposers
 
+    @staticmethod
+    def duelling_leaders():
+        """r1 wrongly suspects r0, so both believe they lead; r1 neither
+        asks r0 for votes nor tells it what was decided."""
+        loop, _, replicas, applied = deploy_replicas()
+        replicas["r1"].mark_failed("r0")
+        assert replicas["r0"].is_leader and replicas["r1"].is_leader
+        return loop, replicas, applied
+
+    def test_duelling_leaders_retry_and_converge(self):
+        loop, replicas, applied = self.duelling_leaders()
+        # Interleaved, each command settling before the next: r0 keeps
+        # proposing at instances r1 has already filled behind its back.
+        for i in range(5):
+            loop.schedule_at(20.0 * i, lambda i=i: replicas["r0"].submit(f"a{i}"))
+            loop.schedule_at(20.0 * i + 10.0, lambda i=i: replicas["r1"].submit(f"b{i}"))
+        loop.run_until_idle()
+        commands = sorted([f"a{i}" for i in range(5)] + [f"b{i}" for i in range(5)])
+        assert applied["r1"] == applied["r2"]
+        assert sorted(applied["r1"]) == commands  # all ten, each exactly once
+        # r0 never hears r1's last decision; what it applied is a prefix.
+        assert applied["r0"] == applied["r1"][: len(applied["r0"])]
+        assert len(applied["r0"]) >= 5
+        # One retry per instance r0 lost: it is nacked, re-prepares, adopts
+        # the decided value and moves its own command on.  The second
+        # acceptor's nack for the same ballot must not outbid that retry.
+        lost = sum(1 for command in applied["r0"] if command.startswith("b"))
+        assert replicas["r0"].stats["ballot_retries"] == lost > 0
+        assert replicas["r0"].stats["nacks"] == lost
+        assert replicas["r1"].stats["ballot_retries"] == 0
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=RuntimeError,
+        reason="duelling proposers outbid each other forever when their "
+        "messages move in lockstep; nothing backs a preempted proposer off "
+        "(ROADMAP, correctness: the faults we don't yet inject)",
+    )
+    def test_simultaneous_duelling_leaders_terminate(self):
+        loop, replicas, applied = self.duelling_leaders()
+        for i in range(5):
+            replicas["r0"].submit(f"a{i}")
+            replicas["r1"].submit(f"b{i}")
+        loop.run_until_idle(max_events=20_000)
+        assert len(applied["r1"]) == 10
+
     def test_single_replica_group_works(self):
         loop, _, replicas, applied = deploy_replicas(n=1)
         replicas["r0"].submit("solo")

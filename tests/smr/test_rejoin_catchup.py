@@ -7,7 +7,7 @@ missed in one O(affected) merge, every replica's protocol state stays a pure
 function of the log, and survivors no-op on the idempotent install.
 """
 
-from repro.core.flexcast import FlexCastProtocol
+from repro.core.flexcast import FlexCastGroup, FlexCastProtocol
 from repro.core.message import ClientRequest, HistorySnapshotFrame, Message
 from repro.overlay.cdag import CDagOverlay
 from repro.protocols.base import RecordingSink
@@ -15,6 +15,7 @@ from repro.runtime.proc import _sequence_digest
 from repro.sim.events import EventLoop
 from repro.sim.latencies import LatencyMatrix
 from repro.sim.network import Network
+from repro.sim.transport import RecordingTransport
 from repro.smr.replica import ReplicatedGroup
 from repro.storage import InMemoryStorage
 
@@ -113,6 +114,41 @@ class TestRejoinSnapshotCatchup:
         restarted = group.restart_replica(2, network)
         loop.run_until_idle()
         assert snapshot_frames_applied(restarted) == []
+
+
+class TestOfferedSnapshotFrame:
+    """The frame :meth:`GroupReplica.offer_snapshot` orders, and what a
+    receiving group's ``on_envelope`` does with it."""
+
+    def offered_frame(self, fill):
+        loop, network, group, sink = deploy()
+        submit(network, group.leader.replica_id, [f"m{i}" for i in range(fill)])
+        loop.run_until_idle()
+        assert group.leader.offer_snapshot()
+        loop.run_until_idle()
+        (entry,) = snapshot_frames_applied(group.leader)
+        return entry.envelope, group.leader.protocol_state
+
+    def test_packs_the_full_live_history(self):
+        frame, state = self.offered_frame(fill=12)
+        assert frame.group == 0 and frame.epoch == state.epoch
+        assert len(state.history) == 12
+        assert set(frame.delta.iter_vertices()) == set(
+            state.history.full_delta().vertices
+        )
+        assert set(frame.delta.iter_edges()) == set(state.history.edges())
+
+    def test_application_is_idempotent(self):
+        frame, source = self.offered_frame(fill=8)
+        target = FlexCastGroup(
+            1, CDagOverlay([0, 1]), RecordingTransport(1), RecordingSink()
+        )
+        target.on_envelope("recovery", frame)
+        installed = (set(target.history.message_ids()), target.history.version)
+        assert installed[0] == set(source.history.message_ids())
+        assert set(target.history.edges()) == set(source.history.edges())
+        target.on_envelope("recovery", frame)
+        assert (set(target.history.message_ids()), target.history.version) == installed
 
 
 class TestRunningDeliveryDigest:

@@ -1,4 +1,4 @@
-"""FileStorage/FileWAL: framing, torn-write recovery, snapshots, fsync batching."""
+"""FileStorage/FileWAL: framing, torn-write recovery, fsync batching."""
 
 from __future__ import annotations
 
@@ -150,29 +150,6 @@ def test_fsync_batching_still_flushes_every_append(tmp_path):
         frames += 1
         offset += _HEADER.size + length
     assert frames == 7
-
-
-def test_snapshot_round_trip_and_replace(tmp_path):
-    storage = FileStorage(str(tmp_path))
-    assert storage.read_snapshot("hist") is None
-    storage.write_snapshot("hist", {"version": 1, "vertices": [["m1", [0]]]})
-    storage.write_snapshot("hist", {"version": 2, "vertices": []})
-    assert FileStorage(str(tmp_path)).read_snapshot("hist") == {
-        "version": 2,
-        "vertices": [],
-    }
-
-
-def test_corrupt_snapshot_raises(tmp_path):
-    storage = FileStorage(str(tmp_path))
-    storage.write_snapshot("hist", {"version": 1})
-    snap = os.path.join(str(tmp_path), "hist.snap")
-    data = bytearray(open(snap, "rb").read())
-    data[-1] ^= 0xFF
-    with open(snap, "wb") as fh:
-        fh.write(bytes(data))
-    with pytest.raises(StorageError):
-        storage.read_snapshot("hist")
 
 
 def test_non_serializable_record_rejected(tmp_path):

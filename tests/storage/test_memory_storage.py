@@ -24,8 +24,6 @@ def test_normalization_mirrors_json_round_trip():
     assert wal.records() == [["v", "m1", [0, 1]]]  # tuple became a list
     with pytest.raises(StorageError):
         wal.append(object())
-    with pytest.raises(StorageError):
-        storage.write_snapshot("s", {1, 2})
 
 
 def test_reset_and_len():
@@ -38,13 +36,8 @@ def test_reset_and_len():
     assert len(wal) == 2
 
 
-def test_snapshots_and_stats():
+def test_append_stats_and_wal_names():
     storage = InMemoryStorage()
-    assert storage.read_snapshot("s") is None
-    storage.write_snapshot("s", {"v": 1})
-    storage.write_snapshot("s", {"v": 2})
-    assert storage.read_snapshot("s") == {"v": 2}
-    assert storage.stats["snapshots"] == 2
     storage.wal("w").append(1)
     assert storage.stats["appends"] == 1
     assert storage.wal_names() == ["w"]
