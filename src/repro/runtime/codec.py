@@ -129,11 +129,6 @@ def _ballot_from_list(pair: Sequence[int]) -> paxos.Ballot:
     return paxos.Ballot(*pair)
 
 
-def _optional(convert: Callable[[Any], Any]) -> Callable[[Any], Any]:
-    """Lift a converter over ``None`` (an acceptor that has accepted nothing)."""
-    return lambda value: None if value is None else convert(value)
-
-
 # ------------------------------------------------------------------ the schema
 _REQUIRED: Any = object()
 _Converter = Optional[Callable[[Any], Any]]
@@ -257,7 +252,7 @@ _SCHEMA: Tuple[tuple, ...] = (
     # SMR / Paxos: the process runtime replicates each group over real TCP,
     # so the intra-group consensus traffic crosses the wire too.
     (smr.ClientCommand, "smr-command", _field("payload", _entry_to_wire, _entry_from_wire)),
-    (smr.Commit, "smr-commit", "instance", _VALUE),
+    (smr.Commit, "smr-commit", "instance", _BALLOT),
     (smr.Heartbeat, "smr-heartbeat", "leader"),
     (smr.CatchupRequest, "smr-catchup", "from_instance", "from_replica"),
     (smr.CatchupReply, "smr-catchup-reply",
@@ -268,12 +263,14 @@ _SCHEMA: Tuple[tuple, ...] = (
     (paxos.Prepare, "paxos-prepare", "instance", _BALLOT),
     (paxos.Promise, "paxos-promise",
      "instance", _BALLOT,
-     _field("accepted_ballot",
-            _optional(_ballot_to_list), _optional(_ballot_from_list), default=None),
-     _field("accepted_value", _entry_to_wire, _entry_from_wire, default=None),
+     _field("accepted",
+            lambda entries: [
+                [i, _ballot_to_list(b), _entry_to_wire(v)] for i, b, v in entries],
+            lambda entries: tuple(
+                (i, _ballot_from_list(b), _entry_from_wire(v)) for i, b, v in entries)),
      "from_replica"),
     (paxos.Accept, "paxos-accept", "instance", _BALLOT, _VALUE),
-    (paxos.Accepted, "paxos-accepted", "instance", _BALLOT, _VALUE, "from_replica"),
+    (paxos.Accepted, "paxos-accepted", "instance", _BALLOT, "from_replica"),
     (paxos.Nack, "paxos-nack",
      "instance", _BALLOT, _field("promised", _ballot_to_list, _ballot_from_list),
      "from_replica"),

@@ -149,7 +149,8 @@ class ReplicaServer(FrameServer):
     ``/metrics``
         Prometheus text exposition of this process's registry.
     ``/ready``
-        JSON readiness document (also reports leadership and log position).
+        JSON readiness document (also reports leadership, the ballot of this
+        replica's latest leadership and log position).
     ``/delivered``
         Local delivery sequence as ``{count, digest}``; ``?full=1`` adds the
         ids themselves (used by the convergence checks and the tests'
@@ -213,14 +214,16 @@ class ReplicaServer(FrameServer):
         route = split.path
         query = parse_qs(split.query)
         if route == "/ready":
+            smr = self.replica.smr
             return self._json_response(
                 {
                     "ready": True,
                     "group": self.group_id,
                     "replica": self.replica_id,
                     "leader": self.replica.is_leader,
-                    "applied": self.replica.smr.applied_count,
-                    "recovered_instances": self.replica.smr.recovered_instances,
+                    "ballot": [smr.ballot.round, smr.ballot.proposer],
+                    "applied": smr.applied_count,
+                    "recovered_instances": smr.recovered_instances,
                 }
             )
         if route == "/delivered":

@@ -6,8 +6,9 @@ away ("each group is a replicated state machine").  The main entry point is
 :class:`MultiPaxosReplica` ensemble so envelopes are applied through a
 replicated log and survive leader crashes (exactly-once per logical group,
 displaced commands re-proposed after fail-over — both pinned by the fuzz
-crash profile).  :mod:`~repro.smr.paxos` holds the single-decree roles the
-multi-Paxos log is built from.
+crash profile).  :mod:`~repro.smr.paxos` holds the acceptor and the synod
+messages as the multi-Paxos log runs them: one promise per leadership, one
+accept per instance.
 """
 
 from .multipaxos import ClientCommand, Commit, Heartbeat, MultiPaxosReplica
@@ -19,7 +20,6 @@ from .paxos import (
     Nack,
     Prepare,
     Promise,
-    Proposer,
     ZERO_BALLOT,
 )
 from .replica import GroupReplica, OrderedEnvelope, ReplicatedGroup, replica_node
@@ -36,7 +36,6 @@ __all__ = [
     "Nack",
     "Prepare",
     "Promise",
-    "Proposer",
     "ZERO_BALLOT",
     "GroupReplica",
     "OrderedEnvelope",

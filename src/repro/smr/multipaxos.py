@@ -9,24 +9,38 @@ commands, in log order, to an application callback.
 Design points (kept simple on purpose — this is the substrate, not the paper's
 contribution):
 
-* a stable leader (lowest-id live replica) runs phase 1 lazily per instance
-  and drives phase 2; followers forward client commands to the leader;
+* a stable leader (lowest-id live replica) runs phase 1 **once per
+  leadership**: one ``Prepare`` asks every acceptor for a log-wide promise and
+  for what it has accepted above its applied prefix; after a quorum the
+  leader re-proposes the highest-ballot accepted value of every undecided
+  instance it was told about, and from then on every command is a bare
+  ``Accept`` at the leadership ballot.  Followers forward client commands to
+  the leader;
 * every replica is also an acceptor and a learner;
-* commit notifications are piggybacked as explicit ``Commit`` messages from
-  the leader, so followers apply commands without observing quorums
-  themselves;
-* leader failure is handled by an explicit ``fail_over`` trigger (tests) or by
-  a heartbeat timeout when running on the simulator with timers enabled.
+* the value crosses the wire once, in the ``Accept``: ``Accepted`` and the
+  leader's ``Commit(instance, ballot)`` name it, and a follower decides from
+  the entry it already accepted (or, if it missed the ``Accept``, fetches the
+  decision by catch-up);
+* the commit log records such a decision as a reference to the acceptor's
+  record; a full ``["c", instance, value]`` record is written only for
+  decisions learned by catch-up or when no acceptor WAL is attached;
+* a ``Nack`` ends a leadership; leader failure is handled by an explicit
+  ``mark_failed`` trigger (tests, the supervisor's admin plane).
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Any, Callable, Deque, Dict, Hashable, List, Optional, Sequence, Set, Tuple,
+)
 
 from ..obs.registry import MetricsRegistry
 from ..sim.transport import Transport
-from .paxos import Accept, Accepted, Acceptor, Ballot, Nack, Prepare, Promise, Proposer
+from .paxos import (
+    ZERO_BALLOT, Accept, Accepted, Acceptor, Ballot, Nack, Prepare, Promise,
+)
 
 ReplicaId = Hashable
 ApplyCallback = Callable[[int, Any], None]
@@ -47,16 +61,15 @@ class ClientCommand:
 
 @dataclass(frozen=True)
 class Commit:
-    """Leader -> followers: instance ``instance`` decided on ``value``."""
+    """Leader -> followers: what was accepted for ``instance`` at ``ballot``
+    (or any later ballot: those carry the same value) is decided."""
 
     instance: int
-    value: Any
+    ballot: Ballot
     kind: str = field(default="smr-commit", init=False)
 
     def size_bytes(self) -> int:
-        from ..sim.network import payload_size
-
-        return 40 + payload_size(self.value)
+        return 48
 
 
 @dataclass(frozen=True)
@@ -137,6 +150,7 @@ class MultiPaxosReplica:
         self.peers: List[ReplicaId] = sorted(peers, key=str)
         self.transport = transport
         self._apply = apply
+        self._others = [peer for peer in self.peers if peer != replica_id]
         self.quorum_size = len(self.peers) // 2 + 1
 
         self._encode_value = encode_value or (lambda value: value)
@@ -151,8 +165,19 @@ class MultiPaxosReplica:
             decode_value=self._decode_value,
         )
         self._log_wal = log_wal
-        self._proposers: Dict[int, Proposer] = {}
         self._proposer_index = self.peers.index(replica_id)
+        #: Ballot of this replica's latest leadership (none yet: ZERO_BALLOT).
+        self.ballot: Ballot = ZERO_BALLOT
+        #: Phase 1 of ``ballot`` is running: promises received so far.
+        self._promises: Optional[Dict[ReplicaId, Promise]] = None
+        #: Phase 1 of ``ballot`` completed and no Nack has ended it since.
+        self._leading = False
+        #: Highest ballot round a Nack has shown this replica.
+        self._seen_round = -1
+        #: instance -> (value, replicas that accepted it) for every instance
+        #: this replica is proposing in at ``ballot``.
+        self._proposers: Dict[int, Tuple[Any, Set[ReplicaId]]] = {}
+        #: Where this leadership looks for its next free instance.
         self._next_instance = 0
         #: instance -> command this replica originally proposed there.  After
         #: a fail-over the new leader can be forced (by Paxos) to adopt an old
@@ -161,18 +186,28 @@ class MultiPaxosReplica:
         #: would be silently lost.
         self._submitted: Dict[int, Any] = {}
         self._decided: Dict[int, Any] = {}
+        #: One past the highest decided instance (the decided set can have
+        #: holes above the applied prefix; catch-up serves up to here).
+        self._decided_end = 0
         self._applied_up_to = -1
-        self._pending_commands: List[Any] = []
+        #: Commands handed to this replica and not known decided, in
+        #: submission order.  A leader's wait here for phase 1; a follower's
+        #: are copies of what it forwarded, to be re-proposed should it
+        #: become the leader.
+        self._pending_commands: Deque[Any] = deque()
         #: Replicas believed to be alive (failure detection input).
         self.alive: Set[ReplicaId] = set(self.peers)
         self.stats = {
             "proposed": 0,
             "committed": 0,
             "forwarded": 0,
+            # Leaderships ended by an acceptor that had promised a higher
+            # ballot, and how many of those this replica answered with a new
+            # leadership of its own (contention / fail-over pressure).
             "nacks": 0,
-            # Ballot churn: instances re-run with a higher ballot after a
-            # nack (contention / fail-over pressure).
             "ballot_retries": 0,
+            # Completed phase 1s.  Rising with "committed" flat is a duel.
+            "leaderships": 0,
             # Catch-up traffic: requests this replica answered and entry
             # volume in both directions (rejoin cost).
             "catchup_served": 0,
@@ -182,16 +217,39 @@ class MultiPaxosReplica:
         #: Log length recovered from the commit WAL at construction.
         self.recovered_instances = 0
         if log_wal is not None:
-            for record in log_wal.records():
-                if record[0] != "c":
-                    raise ValueError(f"unknown commit WAL record kind: {record[0]!r}")
-                self._decided[record[1]] = self._decode_value(record[2])
-            if self._decided:
-                self._next_instance = max(self._decided) + 1
-            self.recovered_instances = len(self._decided)
-            while self._applied_up_to + 1 in self._decided:
-                self._applied_up_to += 1
-                self._apply(self._applied_up_to, self._decided[self._applied_up_to])
+            self._replay(log_wal)
+
+    def _replay(self, log_wal: Any) -> None:
+        """Rebuild the decided log from the commit WAL and re-apply its prefix.
+
+        The acceptor has replayed its own WAL by now, which a reference
+        record needs: ``["c", instance]`` stands for the value accepted at
+        ``instance``.  The two files fsync independently, so the accept a
+        reference points at may not have reached the disk; the log then ends
+        there exactly as at a torn tail, and catch-up refills the rest.
+        """
+        records = log_wal.records()
+        for position, record in enumerate(records):
+            if record[0] != "c":
+                raise ValueError(f"unknown commit WAL record kind: {record[0]!r}")
+            if len(record) > 2:
+                value = self._decode_value(record[2])
+            else:
+                if not self.acceptor.durable:
+                    raise ValueError(
+                        "commit WAL holds references: attach the acceptor WAL "
+                        "it was written beside"
+                    )
+                accepted = self.acceptor.accepted(record[1])
+                if accepted is None:
+                    log_wal.reset(records[:position])
+                    break
+                value = accepted[1]
+            self._decided[record[1]] = value
+        if self._decided:
+            self._decided_end = self._next_instance = max(self._decided) + 1
+        self.recovered_instances = len(self._decided)
+        self._apply_decided()
 
     # ---------------------------------------------------------- observability
     def register_metrics(
@@ -201,7 +259,8 @@ class MultiPaxosReplica:
 
         All series are pull-based callbacks over :attr:`stats` and the log
         book-keeping the replica already maintains, so registration adds no
-        hot-path cost.  Ballot churn shows up as ``smr_ballot_retries_total``;
+        hot-path cost.  Ballot churn shows up as ``smr_ballot_retries_total``
+        and ``smr_leaderships_total`` (who led when: ``smr_ballot_round``);
         catch-up traffic as the three ``smr_catchup_*_total`` counters.
         """
         labels = dict(labels or {})
@@ -237,6 +296,12 @@ class MultiPaxosReplica:
             labels,
             fn=lambda: len(self._pending_commands),
         )
+        registry.gauge(
+            "smr_ballot_round",
+            "Round of this replica's latest leadership ballot (-1 = never led).",
+            labels,
+            fn=lambda: self.ballot.round,
+        )
 
     # ------------------------------------------------------------- leadership
     @property
@@ -253,16 +318,24 @@ class MultiPaxosReplica:
         """Failure-detector input: ``replica`` is considered crashed.
 
         If the crashed replica was the leader, this replica may become the new
-        leader and will re-propose any undecided pending commands.
+        leader: it re-proposes the commands it had forwarded, and its phase 1
+        brings back whatever the old leader left accepted but undecided.
         """
         self.alive.discard(replica)
         if self.is_leader:
-            commands, self._pending_commands = self._pending_commands, []
-            for command in commands:
-                self.submit(command)
+            if self._leading:
+                self._drain()
+            elif self._promises is None:
+                self._start_leadership()
 
     def mark_alive(self, replica: ReplicaId) -> None:
         self.alive.add(replica)
+        if not self.is_leader and self._promises is not None:
+            # Demoted during phase 1: nothing was proposed at that ballot, so
+            # drop it and hand what queued behind it to the leader.
+            self._promises = None
+            for command in self._pending_commands:
+                self._forward(command)
 
     def rejoin(self) -> None:
         """Announce this (restarted) replica and pull the decided suffix.
@@ -273,109 +346,117 @@ class MultiPaxosReplica:
         while we were down.  Both messages are idempotent, so racing with
         in-flight traffic is harmless.
         """
-        for peer in self.peers:
-            if peer == self.replica_id:
-                continue
+        for peer in self._others:
             self.transport.send(peer, Heartbeat(leader=self.replica_id))
             self.transport.send(
                 peer,
                 CatchupRequest(
-                    from_instance=self._applied_up_to + 1,
-                    from_replica=self.replica_id,
+                    from_instance=self.applied_count, from_replica=self.replica_id
                 ),
             )
+
+    def _start_leadership(self) -> None:
+        """Phase 1, once: ask every acceptor for one log-wide promise.
+
+        The round is above this replica's own durable promise and above every
+        round a Nack has shown it, so a restarted replica never reuses a
+        ballot it may already have proposed a value under.
+        """
+        self.ballot = Ballot(
+            max(self._seen_round, self.acceptor.promised.round) + 1,
+            self._proposer_index,
+        )
+        self._promises = {}
+        prepare = Prepare(instance=self.applied_count, ballot=self.ballot)
+        for peer in self._others:
+            if peer in self.alive:
+                self.transport.send(peer, prepare)
+        # The proposer is its own acceptor, and cannot refuse this round.
+        self._on_promise(self.acceptor.on_prepare(prepare, self.applied_count))
 
     # ------------------------------------------------------------ client path
     def submit(self, command: Any) -> None:
         """Submit a command for total ordering.
 
-        Leaders start a Paxos instance for it; followers forward it to the
-        leader (and stash a copy so it can be re-proposed after fail-over).
+        A leader proposes it at the next free instance of its leadership
+        (after phase 1, which the first command starts and later ones queue
+        behind); followers forward it to the leader (and stash a copy so it
+        can be re-proposed after fail-over).
         """
-        if self.is_leader:
-            self._propose(command)
-        else:
-            self._pending_commands.append(command)
-            self.stats["forwarded"] += 1
-            self.transport.send(self.leader, ClientCommand(payload=command))
+        self._pending_commands.append(command)
+        if not self.is_leader:
+            self._forward(command)
+        elif self._leading:
+            self._drain()
+        elif self._promises is None:
+            self._start_leadership()
 
-    def _propose(self, command: Any) -> None:
-        instance = self._next_instance
-        self._next_instance += 1
-        ballot = Ballot(round=0, proposer=self._proposer_index)
-        proposer = Proposer(
-            instance=instance, ballot=ballot, value=command, quorum_size=self.quorum_size
-        )
-        self._proposers[instance] = proposer
-        self._submitted[instance] = command
-        self.stats["proposed"] += 1
-        self._broadcast(proposer.prepare_message())
+    def _forward(self, command: Any) -> None:
+        self.stats["forwarded"] += 1
+        self.transport.send(self.leader, ClientCommand(payload=command))
 
-    def _retry(self, instance: int) -> None:
-        """Re-run an instance with a higher ballot after a nack."""
-        self.stats["ballot_retries"] += 1
-        old = self._proposers[instance]
-        new_ballot = Ballot(
-            round=max(old.ballot.round, (old.preempted_by or old.ballot).round) + 1,
-            proposer=self._proposer_index,
-        )
-        proposer = Proposer(
-            instance=instance,
-            ballot=new_ballot,
-            value=old.value,
-            quorum_size=self.quorum_size,
-        )
-        self._proposers[instance] = proposer
-        self._broadcast(proposer.prepare_message())
+    def _drain(self) -> None:
+        """Propose pending commands, in order, for as long as this replica leads."""
+        while self._pending_commands and self._leading:
+            command = self._pending_commands.popleft()
+            instance = self._next_instance
+            while instance in self._decided or instance in self._proposers:
+                instance += 1
+            self._next_instance = instance + 1
+            self._submitted[instance] = command
+            nack = self._drive(instance, command)
+            if nack is not None:
+                # Our own acceptor refused, so nobody holds the command yet.
+                del self._submitted[instance]
+                self._pending_commands.appendleft(command)
+                self._on_nack(nack)
+                return
+            self.stats["proposed"] += 1
 
-    # -------------------------------------------------------------- messaging
-    def _broadcast(self, message: Any) -> None:
-        for peer in self.peers:
-            if peer == self.replica_id:
-                self._handle_local(message)
-            elif peer in self.alive:
+    def _drive(self, instance: int, value: Any) -> Optional[Nack]:
+        """Phase 2 for one instance at the leadership ballot.
+
+        Our own acceptor goes first; if it has promised a higher ballot since
+        phase 1 the leadership is over, nothing is sent and the Nack is
+        returned.
+        """
+        accept = Accept(instance=instance, ballot=self.ballot, value=value)
+        reply = self.acceptor.on_accept(accept)
+        if isinstance(reply, Nack):
+            return reply
+        self._proposers[instance] = (value, {self.replica_id})
+        for peer in self._others:
+            if peer in self.alive:
                 # Crashed replicas are skipped; quorums among the survivors
                 # are enough as long as a majority remains (Paxos guarantee).
-                self.transport.send(peer, message)
+                self.transport.send(peer, accept)
+        if self.quorum_size == 1:
+            self._chosen(instance, value)
+        return None
 
-    def _handle_local(self, message: Any) -> None:
-        # The proposer is its own acceptor; loop the message back directly.
-        self.on_message(self.replica_id, message)
-
+    # -------------------------------------------------------------- messaging
     def on_message(self, sender: ReplicaId, message: Any) -> None:
         """Network entry point: dispatch every SMR-related message."""
-        if isinstance(message, ClientCommand):
-            self.submit(message.payload)
-        elif isinstance(message, Prepare):
-            reply = self.acceptor.on_prepare(message)
-            self._reply(sender, reply)
-        elif isinstance(message, Accept):
-            reply = self.acceptor.on_accept(message)
-            self._reply(sender, reply)
-        elif isinstance(message, Promise):
-            self._on_promise(message)
+        if isinstance(message, Accept):
+            self.transport.send(sender, self.acceptor.on_accept(message))
         elif isinstance(message, Accepted):
             self._on_accepted(message)
+        elif isinstance(message, Commit):
+            self._on_commit(sender, message)
+        elif isinstance(message, ClientCommand):
+            self.submit(message.payload)
+        elif isinstance(message, Prepare):
+            self.transport.send(
+                sender, self.acceptor.on_prepare(message, self.applied_count)
+            )
+        elif isinstance(message, Promise):
+            self._on_promise(message)
         elif isinstance(message, Nack):
             self._on_nack(message)
-        elif isinstance(message, Commit):
-            self._learn(message.instance, message.value)
         elif isinstance(message, Heartbeat):
             self.mark_alive(message.leader)
         elif isinstance(message, CatchupRequest):
-            entries = tuple(
-                (instance, value)
-                for instance, value in sorted(self._decided.items())
-                if instance >= message.from_instance
-            )
-            if entries:
-                self.stats["catchup_served"] += 1
-                self.stats["catchup_entries_sent"] += len(entries)
-                for start in range(0, len(entries), CATCHUP_CHUNK):
-                    self.transport.send(
-                        message.from_replica,
-                        CatchupReply(entries=entries[start:start + CATCHUP_CHUNK]),
-                    )
+            self._serve_catchup(message)
         elif isinstance(message, CatchupReply):
             self.stats["catchup_entries_applied"] += len(message.entries)
             for instance, value in message.entries:
@@ -383,64 +464,153 @@ class MultiPaxosReplica:
         else:
             raise TypeError(f"unexpected SMR message {message!r}")
 
-    def _reply(self, sender: ReplicaId, reply: Any) -> None:
-        if sender == self.replica_id:
-            self.on_message(self.replica_id, reply)
-        else:
-            self.transport.send(sender, reply)
+    def _serve_catchup(self, request: CatchupRequest) -> None:
+        """Send every decision from ``request.from_instance`` on, in chunks."""
+        decided = self._decided
+        sent = 0
+        for start in range(request.from_instance, self._decided_end, CATCHUP_CHUNK):
+            entries = tuple(
+                (instance, decided[instance])
+                for instance in range(
+                    start, min(start + CATCHUP_CHUNK, self._decided_end)
+                )
+                if instance in decided
+            )
+            if entries:
+                sent += len(entries)
+                self.transport.send(request.from_replica, CatchupReply(entries=entries))
+        if sent:
+            self.stats["catchup_served"] += 1
+            self.stats["catchup_entries_sent"] += sent
 
     # ------------------------------------------------------------- proposer side
     def _on_promise(self, promise: Promise) -> None:
-        proposer = self._proposers.get(promise.instance)
-        if proposer is None:
+        if self._promises is None or promise.ballot != self.ballot:
             return
-        if proposer.on_promise(promise):
-            self._broadcast(proposer.accept_message())
+        self._promises[promise.from_replica] = promise
+        if len(self._promises) >= self.quorum_size:
+            promises, self._promises = list(self._promises.values()), None
+            self._lead(promises)
+
+    def _lead(self, promises: List[Promise]) -> None:
+        """Phase 1 is complete: recover what earlier leaders left, then lead."""
+        self._leading = True
+        self.stats["leaderships"] += 1
+        # Every acceptor answered from the end of its applied prefix, so
+        # everything below the highest such bound is decided.  What this
+        # replica lacks of it is fetched, never proposed into.
+        ahead = max(promises, key=lambda promise: promise.instance)
+        start = ahead.instance
+        if start > self.applied_count:
+            self.transport.send(
+                ahead.from_replica,
+                CatchupRequest(
+                    from_instance=self.applied_count, from_replica=self.replica_id
+                ),
+            )
+        # Above it, an instance some quorum member accepted a value in is
+        # re-driven with the highest-ballot one; the rest are free.
+        adopted: Dict[int, Tuple[Ballot, Any]] = {}
+        for promise in promises:
+            for instance, ballot, value in promise.accepted:
+                if instance < start or instance in self._decided:
+                    continue
+                if instance not in adopted or adopted[instance][0] < ballot:
+                    adopted[instance] = (ballot, value)
+        self._next_instance = start
+        # A pending command that phase 1 brought back (forwarded to the old
+        # leader, accepted, not decided) is already placed.
+        back = [value for _, value in adopted.values()]
+        self._pending_commands = deque(
+            c for c in self._pending_commands if c not in back
+        )
+        for instance in sorted(adopted):
+            nack = self._drive(instance, adopted[instance][1])
+            if nack is not None:
+                self._on_nack(nack)
+                return
+        self._drain()
 
     def _on_accepted(self, accepted: Accepted) -> None:
-        proposer = self._proposers.get(accepted.instance)
-        if proposer is None:
+        slot = self._proposers.get(accepted.instance)
+        if slot is None or accepted.ballot != self.ballot:
             return
-        if proposer.on_accepted(accepted):
-            self.stats["committed"] += 1
-            self._learn(accepted.instance, proposer.value)
-            for peer in self.peers:
-                if peer != self.replica_id and peer in self.alive:
-                    self.transport.send(
-                        peer, Commit(instance=accepted.instance, value=proposer.value)
-                    )
+        slot[1].add(accepted.from_replica)
+        if len(slot[1]) >= self.quorum_size:
+            self._chosen(accepted.instance, slot[0])
+
+    def _chosen(self, instance: int, value: Any) -> None:
+        commit = Commit(instance=instance, ballot=self.ballot)
+        self.stats["committed"] += 1
+        self._learn(instance, value)
+        for peer in self._others:
+            if peer in self.alive:
+                self.transport.send(peer, commit)
 
     def _on_nack(self, nack: Nack) -> None:
-        proposer = self._proposers.get(nack.instance)
-        # A refused ballot is usually refused by several acceptors; only the
-        # first nack finds it still running.  The rest would each outbid the
-        # retry already in flight.
-        if proposer is None or proposer.chosen or nack.ballot != proposer.ballot:
+        """A higher ballot exists: this leadership (or its phase 1) is over.
+
+        A refused ballot is usually refused by several acceptors; only the
+        first nack finds it still running.  The rest would each outbid the
+        new leadership already under way.
+        """
+        if nack.ballot != self.ballot or not (self._leading or self._promises is not None):
             return
         self.stats["nacks"] += 1
-        proposer.on_nack(nack)
-        self._retry(nack.instance)
+        self._seen_round = max(self._seen_round, nack.promised.round)
+        self._leading = False
+        self._promises = None
+        # What was in flight stays accepted wherever it was accepted: the
+        # next phase 1 (ours or the rival's) brings it back, and _learn
+        # re-submits our command if another value takes its instance.
+        self._proposers.clear()
+        if self.is_leader:
+            self.stats["ballot_retries"] += 1
+            self._start_leadership()
 
     # ---------------------------------------------------------------- learner
+    def _on_commit(self, sender: ReplicaId, commit: Commit) -> None:
+        if commit.instance in self._decided:
+            return
+        accepted = self.acceptor.accepted(commit.instance)
+        if accepted is not None and commit.ballot <= accepted[0]:
+            # Chosen at commit.ballot, so every later ballot carried the same
+            # value: what we hold *is* the decision.
+            self._learn(commit.instance, accepted[1])
+        else:
+            # We missed the Accept (restart, dropped connection): only the
+            # sender's decided log can tell us the value.
+            self.transport.send(
+                sender,
+                CatchupRequest(
+                    from_instance=commit.instance, from_replica=self.replica_id
+                ),
+            )
+
     def _learn(self, instance: int, value: Any) -> None:
         if instance in self._decided:
             return
         self._decided[instance] = value
+        if instance >= self._decided_end:
+            self._decided_end = instance + 1
         # Decided is decided, whoever drove it: stop driving.  Late replies
-        # for the instance find no proposer and are dropped.
+        # for the instance find nothing in flight and are dropped.
         self._proposers.pop(instance, None)
         if self._log_wal is not None:
             # Persist the decision before applying it: after a restart the
-            # replica replays exactly the prefix it already exposed.
-            self._log_wal.append(["c", instance, self._encode_value(value)])
-        self._next_instance = max(self._next_instance, instance + 1)
-        # A follower stashes forwarded commands so it can re-propose them after
-        # a leader crash; once a command is decided it must not be re-proposed.
-        self._pending_commands = [c for c in self._pending_commands if c != value]
-        # Apply every contiguous decided instance exactly once, in order.
-        while self._applied_up_to + 1 in self._decided:
-            self._applied_up_to += 1
-            self._apply(self._applied_up_to, self._decided[self._applied_up_to])
+            # replica replays exactly the prefix it already exposed.  When
+            # the durable acceptor holds this very value, name it instead of
+            # writing it a second time.
+            if self.acceptor.durable and self.acceptor.accepted_value(instance) is value:
+                self._log_wal.append(["c", instance])
+            else:
+                self._log_wal.append(["c", instance, self._encode_value(value)])
+        if self._pending_commands:
+            # Once decided, a command must not be proposed again.
+            self._pending_commands = deque(
+                c for c in self._pending_commands if c != value
+            )
+        self._apply_decided()
         # If Paxos forced this instance to decide an *older* accepted value,
         # the command we meant to place here was displaced: give it a fresh
         # instance (unless some other instance decided it meanwhile).
@@ -451,6 +621,12 @@ class MultiPaxosReplica:
             and displaced not in self._decided.values()
         ):
             self.submit(displaced)
+
+    def _apply_decided(self) -> None:
+        """Apply every contiguous decided instance exactly once, in order."""
+        while self._applied_up_to + 1 in self._decided:
+            self._applied_up_to += 1
+            self._apply(self._applied_up_to, self._decided[self._applied_up_to])
 
     # ------------------------------------------------------------- inspection
     @property

@@ -1,21 +1,22 @@
-"""Single-decree Paxos.
+"""Paxos roles for a replicated log: one promise per log, one accept per instance.
 
 Paper §4.4: FlexCast (like the other atomic multicast protocols it is compared
 against) tolerates failures by replicating each group with state machine
 replication; the paper explicitly mentions Paxos as the consensus protocol
-used inside a group.  This module implements the single-decree synod protocol
-(prepare/promise, accept/accepted) used by the multi-Paxos log in
-:mod:`repro.smr.multipaxos`.
+used inside a group.  This module holds the acceptor half of the multi-Paxos
+log in :mod:`repro.smr.multipaxos` and the five messages of the synod
+protocol as that log runs it: phase 1 (prepare/promise) covers *every*
+instance from a given one on, phase 2 (accept/accepted) one instance.
 
-The implementation is transport-agnostic: an :class:`Acceptor` is a pure state
-machine, and :class:`Proposer` drives one ballot.  Both are deliberately free
-of timers; leader election and retries live one level up.
+The :class:`Acceptor` is a pure, transport-agnostic state machine and is
+deliberately free of timers; leadership, retries and learning live one level
+up.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 ReplicaId = Any
 ValueCodec = Callable[[Any], Any]
@@ -45,7 +46,8 @@ ZERO_BALLOT = Ballot(-1, -1)
 # ------------------------------------------------------------------ wire types
 @dataclass(frozen=True)
 class Prepare:
-    """Phase 1a: a proposer asks acceptors to promise ballot ``ballot``."""
+    """Phase 1a: a new leader asks for one log-wide promise of ``ballot`` and
+    for everything accepted from ``instance`` on."""
 
     instance: int
     ballot: Ballot
@@ -57,22 +59,30 @@ class Prepare:
 
 @dataclass(frozen=True)
 class Promise:
-    """Phase 1b: an acceptor promises, reporting any previously accepted value."""
+    """Phase 1b: an acceptor promises ``ballot`` for the whole log.
+
+    ``accepted`` holds ``(instance, ballot, value)`` for every instance from
+    ``instance`` on that the acceptor has accepted a value in.  ``instance``
+    is where the answer starts: the prepare's, or the end of the acceptor's
+    replica's applied prefix if that is higher — everything below it is
+    decided, and the acceptor says so by not reporting it.
+    """
 
     instance: int
     ballot: Ballot
-    accepted_ballot: Ballot
-    accepted_value: Any
+    accepted: Tuple[Tuple[int, Ballot, Any], ...]
     from_replica: ReplicaId
     kind: str = field(default="paxos-promise", init=False)
 
     def size_bytes(self) -> int:
-        return 64
+        from ..sim.network import payload_size
+
+        return 64 + sum(24 + payload_size(value) for _, _, value in self.accepted)
 
 
 @dataclass(frozen=True)
 class Accept:
-    """Phase 2a: the proposer asks acceptors to accept ``value`` at ``ballot``."""
+    """Phase 2a: the leader asks acceptors to accept ``value`` at ``ballot``."""
 
     instance: int
     ballot: Ballot
@@ -85,16 +95,15 @@ class Accept:
 
 @dataclass(frozen=True)
 class Accepted:
-    """Phase 2b: an acceptor accepted ``value`` at ``ballot``."""
+    """Phase 2b: an acceptor accepted the value it was sent at ``ballot``."""
 
     instance: int
     ballot: Ballot
-    value: Any
     from_replica: ReplicaId
     kind: str = field(default="paxos-accepted", init=False)
 
     def size_bytes(self) -> int:
-        return 64
+        return 48
 
 
 @dataclass(frozen=True)
@@ -115,16 +124,20 @@ class Nack:
 class Acceptor:
     """Paxos acceptor state for a sequence of instances.
 
-    When constructed with a ``wal``, the acceptor satisfies the Paxos
-    stable-storage requirement: ``promised``/``accepted`` transitions are
-    persisted *before* the corresponding Promise/Accepted reply is handed
+    The promise is one ballot for the whole log; accepted values are kept per
+    instance.  When constructed with a ``wal``, the acceptor satisfies the
+    Paxos stable-storage requirement: ``promised``/``accepted`` transitions
+    are persisted *before* the corresponding Promise/Accepted reply is handed
     back to the caller, and a restarted acceptor replays the log on
     construction — so it can never promise or accept below a ballot it
     already answered for, no matter how many times it crashes.
 
     WAL records (JSON-able):
 
-    * ``["p", instance, [round, proposer]]`` — promise made;
+    * ``["p", [round, proposer]]`` — promise made (files written before the
+      promise became log-wide hold ``["p", instance, [round, proposer]]``;
+      replaying those as the highest of them only makes the acceptor refuse
+      more);
     * ``["a", instance, [round, proposer], value]`` — value accepted (also
       implies the promise, mirroring :meth:`on_accept`).
 
@@ -140,7 +153,8 @@ class Acceptor:
         decode_value: Optional[ValueCodec] = None,
     ) -> None:
         self.replica_id = replica_id
-        self._promised: Dict[int, Ballot] = {}
+        #: Highest ballot promised, for every instance of the log.
+        self.promised: Ballot = ZERO_BALLOT
         self._accepted: Dict[int, Tuple[Ballot, Any]] = {}
         self._wal = wal
         self._encode = encode_value or (lambda value: value)
@@ -150,81 +164,85 @@ class Acceptor:
                 self._replay(record)
 
     # ------------------------------------------------------------- durability
+    @property
+    def durable(self) -> bool:
+        """Whether accepted values survive a restart (a WAL is attached)."""
+        return self._wal is not None
+
     def _replay(self, record: List[Any]) -> None:
         kind = record[0]
-        if kind == "p":
-            self._promised[record[1]] = Ballot(*record[2])
-        elif kind == "a":
-            ballot = Ballot(*record[2])
-            self._promised[record[1]] = ballot
-            self._accepted[record[1]] = (ballot, self._decode(record[3]))
-        else:
+        if kind not in ("p", "a"):
             raise ValueError(f"unknown acceptor WAL record kind: {kind!r}")
+        ballot = Ballot(*(record[-1] if kind == "p" else record[2]))
+        if self.promised < ballot:
+            self.promised = ballot
+        if kind == "a":
+            self._accepted[record[1]] = (ballot, self._decode(record[3]))
 
     def _persist(self, record: List[Any]) -> None:
         if self._wal is None:
             return
         self._wal.append(record)
-        # The log only needs the *latest* promise/accept per instance; once it
-        # holds several generations of retries, fold it to current state.
-        live = 2 * (len(self._promised) + len(self._accepted)) + 64
-        if len(self._wal) > live:
+        # The log only needs the promise and the *latest* accept per
+        # instance; once it holds several generations of re-accepted
+        # instances, fold it to current state.
+        if len(self._wal) > 2 * len(self._accepted) + 64:
             self._wal.reset(self._durable_records())
 
     def _durable_records(self) -> List[List[Any]]:
         """Current state as a minimal record list (compaction target)."""
-        records: List[List[Any]] = []
-        for instance, (ballot, value) in sorted(self._accepted.items()):
-            records.append(
-                ["a", instance, [ballot.round, ballot.proposer], self._encode(value)]
-            )
-        for instance, ballot in sorted(self._promised.items()):
-            accepted = self._accepted.get(instance)
-            if accepted is None or accepted[0] != ballot:
-                records.append(["p", instance, [ballot.round, ballot.proposer]])
+        records: List[List[Any]] = [
+            ["a", instance, [ballot.round, ballot.proposer], self._encode(value)]
+            for instance, (ballot, value) in sorted(self._accepted.items())
+        ]
+        if self.promised != ZERO_BALLOT:
+            records.append(["p", [self.promised.round, self.promised.proposer]])
         return records
 
     def promised_ballot(self, instance: int) -> Ballot:
-        """Highest ballot promised for ``instance`` (introspection/tests)."""
-        return self._promised.get(instance, ZERO_BALLOT)
+        """Highest ballot promised for ``instance`` (introspection/tests); the
+        promise is log-wide, so every instance answers alike."""
+        return self.promised
 
     # --------------------------------------------------------------- protocol
-    def on_prepare(self, prepare: Prepare):
-        """Handle phase 1a; returns a :class:`Promise` or a :class:`Nack`."""
-        promised = self._promised.get(prepare.instance, ZERO_BALLOT)
-        if prepare.ballot <= promised and promised != ZERO_BALLOT:
+    def on_prepare(self, prepare: Prepare, applied: int = 0):
+        """Handle phase 1a; returns a :class:`Promise` or a :class:`Nack`.
+
+        ``applied`` is the length of the applied prefix of the replica this
+        acceptor belongs to: the promise reports accepted values from there
+        (or from ``prepare.instance``, if higher), so its size is bounded by
+        the un-applied window rather than by the length of the log.
+        """
+        if prepare.ballot <= self.promised:
             return Nack(
                 instance=prepare.instance,
                 ballot=prepare.ballot,
-                promised=promised,
+                promised=self.promised,
                 from_replica=self.replica_id,
             )
-        self._promised[prepare.instance] = prepare.ballot
-        self._persist(
-            ["p", prepare.instance, [prepare.ballot.round, prepare.ballot.proposer]]
-        )
-        accepted_ballot, accepted_value = self._accepted.get(
-            prepare.instance, (ZERO_BALLOT, None)
-        )
+        self.promised = prepare.ballot
+        self._persist(["p", [prepare.ballot.round, prepare.ballot.proposer]])
+        start = max(prepare.instance, applied)
         return Promise(
-            instance=prepare.instance,
+            instance=start,
             ballot=prepare.ballot,
-            accepted_ballot=accepted_ballot,
-            accepted_value=accepted_value,
+            accepted=tuple(
+                (instance, *self._accepted[instance])
+                for instance in sorted(i for i in self._accepted if i >= start)
+            ),
             from_replica=self.replica_id,
         )
 
     def on_accept(self, accept: Accept):
         """Handle phase 2a; returns an :class:`Accepted` or a :class:`Nack`."""
-        promised = self._promised.get(accept.instance, ZERO_BALLOT)
-        if accept.ballot < promised:
+        if accept.ballot < self.promised:
             return Nack(
                 instance=accept.instance,
                 ballot=accept.ballot,
-                promised=promised,
+                promised=self.promised,
                 from_replica=self.replica_id,
             )
-        self._promised[accept.instance] = accept.ballot
+        self.promised = accept.ballot
         self._accepted[accept.instance] = (accept.ballot, accept.value)
         self._persist(
             [
@@ -237,74 +255,13 @@ class Acceptor:
         return Accepted(
             instance=accept.instance,
             ballot=accept.ballot,
-            value=accept.value,
             from_replica=self.replica_id,
         )
+
+    def accepted(self, instance: int) -> Optional[Tuple[Ballot, Any]]:
+        """The ``(ballot, value)`` last accepted for ``instance``, if any."""
+        return self._accepted.get(instance)
 
     def accepted_value(self, instance: int) -> Optional[Any]:
         entry = self._accepted.get(instance)
         return entry[1] if entry else None
-
-
-# --------------------------------------------------------------------- proposer
-class Proposer:
-    """Drives one Paxos instance from one proposer's point of view."""
-
-    def __init__(
-        self,
-        instance: int,
-        ballot: Ballot,
-        value: Any,
-        quorum_size: int,
-    ) -> None:
-        self.instance = instance
-        self.ballot = ballot
-        self.value = value
-        self.quorum_size = quorum_size
-        self._promises: Dict[ReplicaId, Promise] = {}
-        self._accepts: Set[ReplicaId] = set()
-        self.phase2_started = False
-        self.chosen = False
-        self.preempted_by: Optional[Ballot] = None
-
-    # ----------------------------------------------------------------- phase 1
-    def on_promise(self, promise: Promise) -> bool:
-        """Record a promise; returns True when phase 2 may start."""
-        if promise.ballot != self.ballot or self.phase2_started:
-            return False
-        self._promises[promise.from_replica] = promise
-        if len(self._promises) < self.quorum_size:
-            return False
-        # Adopt the highest previously accepted value, if any (Paxos rule).
-        best: Tuple[Ballot, Any] = (ZERO_BALLOT, None)
-        for p in self._promises.values():
-            if p.accepted_value is not None and best[0] < p.accepted_ballot:
-                best = (p.accepted_ballot, p.accepted_value)
-        if best[1] is not None:
-            self.value = best[1]
-        self.phase2_started = True
-        return True
-
-    def accept_message(self) -> Accept:
-        if not self.phase2_started:
-            raise RuntimeError("phase 2 not started: quorum of promises missing")
-        return Accept(instance=self.instance, ballot=self.ballot, value=self.value)
-
-    def prepare_message(self) -> Prepare:
-        return Prepare(instance=self.instance, ballot=self.ballot)
-
-    # ----------------------------------------------------------------- phase 2
-    def on_accepted(self, accepted: Accepted) -> bool:
-        """Record an accepted; returns True exactly once, when the value is chosen."""
-        if accepted.ballot != self.ballot or self.chosen:
-            return False
-        self._accepts.add(accepted.from_replica)
-        if len(self._accepts) >= self.quorum_size:
-            self.chosen = True
-            return True
-        return False
-
-    def on_nack(self, nack: Nack) -> None:
-        """A higher ballot exists; the caller should retry with a higher ballot."""
-        if self.preempted_by is None or self.preempted_by < nack.promised:
-            self.preempted_by = nack.promised

@@ -20,7 +20,7 @@ from repro.core.message import (
     SkeenTimestamp,
     TreeForward,
 )
-from repro.runtime.codec import CodecError, decode_frame, encode_frame
+from repro.runtime.codec import CodecError, decode_frame, encode_frame, envelope_to_dict
 
 
 def round_trip(envelope, sender="node-1"):
@@ -304,20 +304,25 @@ class TestSmrRoundTrips:
 
     def test_client_command_and_commit(self):
         from repro.smr.multipaxos import ClientCommand, Commit
+        from repro.smr.paxos import Ballot
 
         entry = self._ordered()
         assert round_trip(ClientCommand(payload=entry)) == ClientCommand(payload=entry)
-        assert round_trip(Commit(instance=7, value=entry)) == Commit(
-            instance=7, value=entry
-        )
+        # A commit names the decision (instance, ballot); the value crossed
+        # the wire in the Accept.
+        commit = Commit(instance=7, ballot=Ballot(2, 1))
+        assert round_trip(commit) == commit
+        assert "value" not in envelope_to_dict(commit)
 
     def test_plain_values_pass_through(self):
         # Tests submit plain JSON-able commands; they must not be wrapped.
-        from repro.smr.multipaxos import Commit
+        from repro.smr.multipaxos import ClientCommand
+        from repro.smr.paxos import Accept, Ballot
 
-        assert round_trip(Commit(instance=0, value="cmd-a")) == Commit(
-            instance=0, value="cmd-a"
-        )
+        assert envelope_to_dict(ClientCommand(payload="cmd-a"))["payload"] == "cmd-a"
+        accept = Accept(instance=0, ballot=Ballot(0, 0), value="cmd-a")
+        assert envelope_to_dict(accept)["value"] == "cmd-a"
+        assert round_trip(accept) == accept
 
     def test_heartbeat_and_catchup(self):
         from repro.smr.multipaxos import CatchupReply, CatchupRequest, Heartbeat
@@ -339,7 +344,6 @@ class TestSmrRoundTrips:
             Nack,
             Prepare,
             Promise,
-            ZERO_BALLOT,
         )
 
         entry = self._ordered()
@@ -347,19 +351,21 @@ class TestSmrRoundTrips:
         assert round_trip(Prepare(instance=1, ballot=ballot)) == Prepare(
             instance=1, ballot=ballot
         )
-        # A fresh promise reports the ZERO_BALLOT sentinel and no value.
-        fresh = Promise(instance=1, ballot=ballot, accepted_ballot=ZERO_BALLOT,
-                        accepted_value=None, from_replica="group-0-replica-1")
+        # A fresh promise reports nothing accepted ...
+        fresh = Promise(instance=1, ballot=ballot, accepted=(),
+                        from_replica="group-0-replica-1")
         assert round_trip(fresh) == fresh
-        # A promise forced by an earlier accept carries the old value.
-        forced = Promise(instance=1, ballot=ballot, accepted_ballot=Ballot(1, 0),
-                         accepted_value=entry, from_replica="group-0-replica-1")
+        # ... one forced by earlier accepts carries every (instance, ballot,
+        # value) from where it starts, log entries in their wire form.
+        forced = Promise(instance=4, ballot=ballot,
+                         accepted=((4, Ballot(1, 0), entry), (6, Ballot(0, 2), "plain")),
+                         from_replica="group-0-replica-1")
         assert round_trip(forced) == forced
         accept = Accept(instance=1, ballot=ballot, value=entry)
         assert round_trip(accept) == accept
-        accepted = Accepted(instance=1, ballot=ballot, value=entry,
-                            from_replica="group-0-replica-2")
+        accepted = Accepted(instance=1, ballot=ballot, from_replica="group-0-replica-2")
         assert round_trip(accepted) == accepted
+        assert "value" not in envelope_to_dict(accepted)
         nack = Nack(instance=1, ballot=ballot, promised=Ballot(3, 0),
                     from_replica="group-0-replica-2")
         assert round_trip(nack) == nack

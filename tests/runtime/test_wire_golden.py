@@ -4,7 +4,11 @@
 below.  It was written by the commit *before* the codec became a registry
 (``PYTHONPATH=<parent checkout>/src python tests/runtime/test_wire_golden.py``),
 so passing here means old and new peers — and old and new WAL files, whose
-log entries are the same dictionaries — read each other's bytes.
+log entries are the same dictionaries — read each other's bytes.  The
+``paxos-promise*``, ``paxos-accepted`` and ``smr-commit`` lines are the
+exception: they were rewritten when phase 1 became once per leadership and
+the value stopped riding in phase-2 replies (a deliberate format change; a
+group's replicas upgrade together).
 
 Regenerate only for a deliberate wire-format change; a new envelope type adds
 a sample here and one line to the corpus.
@@ -137,8 +141,7 @@ SAMPLES = {
     "node-hello": msg.NodeHello(node_id="soak-client-3", host="127.0.0.1", port=45123),
     "smr-command-oe": ClientCommand(payload=ORDERED),
     "smr-command-plain": ClientCommand(payload="cmd-a"),
-    "smr-commit-oe": Commit(instance=7, value=ORDERED_PEER),
-    "smr-commit-plain": Commit(instance=0, value={"k": [1, None]}),
+    "smr-commit": Commit(instance=7, ballot=Ballot(2, 1)),
     "smr-heartbeat": Heartbeat(leader="group-0-replica-0"),
     "smr-catchup": CatchupRequest(from_instance=3, from_replica="group-0-replica-2"),
     "smr-catchup-reply": CatchupReply(entries=((3, ORDERED), (4, "cmd-b"))),
@@ -147,20 +150,18 @@ SAMPLES = {
     "paxos-promise": Promise(
         instance=5,
         ballot=Ballot(2, 1),
-        accepted_ballot=Ballot(1, 0),
-        accepted_value=ORDERED,
+        accepted=(
+            (5, Ballot(1, 0), ORDERED_PEER),
+            (7, Ballot(0, 2), {"k": [1, None]}),
+        ),
         from_replica="group-0-replica-2",
     ),
     "paxos-promise-fresh": Promise(
-        instance=6,
-        ballot=Ballot(2, 1),
-        accepted_ballot=None,
-        accepted_value=None,
-        from_replica="group-0-replica-2",
+        instance=6, ballot=Ballot(2, 1), accepted=(), from_replica="group-0-replica-2"
     ),
     "paxos-accept": Accept(instance=5, ballot=Ballot(2, 1), value=ORDERED),
     "paxos-accepted": Accepted(
-        instance=5, ballot=Ballot(2, 1), value="cmd-a", from_replica="group-0-replica-0"
+        instance=5, ballot=Ballot(2, 1), from_replica="group-0-replica-0"
     ),
     "paxos-nack": Nack(
         instance=5,

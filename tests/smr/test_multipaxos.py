@@ -97,7 +97,10 @@ class TestReplication:
         replicas["r0"].register_metrics(registry)
         for i in range(20):
             replicas[f"r{i % 3}"].submit(f"cmd-{i}")
-        assert replicas["r0"]._proposers  # mid-burst: instances in flight
+        # Mid-burst: the first command started phase 1, the rest queue behind.
+        assert replicas["r0"]._pending_commands and not replicas["r0"]._proposers
+        loop.run(until=2.5)
+        assert replicas["r0"]._proposers  # phase 1 done: instances in flight
         loop.run_until_idle()
         assert len(applied["r0"]) == 20
         gauges = registry.snapshot()["gauges"]
@@ -146,28 +149,49 @@ class TestReplication:
         # r0 never hears r1's last decision; what it applied is a prefix.
         assert applied["r0"] == applied["r1"][: len(applied["r0"])]
         assert len(applied["r0"]) >= 5
-        # One retry per instance r0 lost: it is nacked, re-prepares, adopts
-        # the decided value and moves its own command on.  The second
-        # acceptor's nack for the same ballot must not outbid that retry.
-        lost = sum(1 for command in applied["r0"] if command.startswith("b"))
-        assert replicas["r0"].stats["ballot_retries"] == lost > 0
-        assert replicas["r0"].stats["nacks"] == lost
-        assert replicas["r1"].stats["ballot_retries"] == 0
+        # Each turn deposes the other side once: its next Accept is refused
+        # (by its own acceptor, which promised the rival), it runs one new
+        # phase 1 and fetches what the rival decided behind its back.  The
+        # other acceptors' nacks for the same ballot must not outbid that
+        # new leadership.
+        for rid in ("r0", "r1"):
+            stats = replicas[rid].stats
+            assert 0 < stats["ballot_retries"] == stats["nacks"] <= 5
+            # ... every one of which completed its phase 1 (r0's very first
+            # did not: r1's prepare reached r2 before it).
+            assert stats["leaderships"] >= stats["ballot_retries"]
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=RuntimeError,
-        reason="duelling proposers outbid each other forever when their "
-        "messages move in lockstep; nothing backs a preempted proposer off "
-        "(ROADMAP, correctness: the faults we don't yet inject)",
-    )
     def test_simultaneous_duelling_leaders_terminate(self):
+        # A strict xfail while a leadership was one ballot per instance: ten
+        # lockstep instances meant ten duels to lose.  One ballot per
+        # leadership leaves one, and r0 (outbid once) wins it.
         loop, replicas, applied = self.duelling_leaders()
         for i in range(5):
             replicas["r0"].submit(f"a{i}")
             replicas["r1"].submit(f"b{i}")
         loop.run_until_idle(max_events=20_000)
         assert len(applied["r1"]) == 10
+        assert applied["r0"] == applied["r1"] == applied["r2"]
+        assert replicas["r0"].stats["ballot_retries"] == 1
+        assert replicas["r1"].stats["ballot_retries"] == 0
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=RuntimeError,
+        reason="duelling leaders still outbid each other forever when the "
+        "second starts while the first's Accepts are in flight and latencies "
+        "are exact: each one's Prepare reaches the shared acceptor just "
+        "before the other's Accept.  tools/duel_sweep.py: 32 of 240 seeded "
+        "schedules never settle (106 with a ballot per instance), all at "
+        "zero jitter; nothing backs a preempted leader off (ROADMAP, "
+        "correctness: the faults we don't yet inject)",
+    )
+    def test_staggered_duelling_leaders_terminate(self):
+        loop, replicas, applied = self.duelling_leaders()
+        loop.schedule_at(0.0, lambda: replicas["r0"].submit("a0"))
+        loop.schedule_at(2.5, lambda: replicas["r1"].submit("b0"))
+        loop.run_until_idle(max_events=20_000)
+        assert applied["r1"] == applied["r2"] and len(applied["r1"]) == 2
 
     def test_single_replica_group_works(self):
         loop, _, replicas, applied = deploy_replicas(n=1)
@@ -244,8 +268,11 @@ class TestCatchupChunking:
         replica = MultiPaxosReplica(
             "r1", ["r0", "r1"], transport, apply=lambda i, v: None,
         )
+        # A Commit names the decision, the Accept before it carried it.
+        ballot = Ballot(0, 0)
         for instance in range(count):
-            replica.on_message("r0", Commit(instance=instance, value=f"v{instance}"))
+            replica.on_message("r0", Accept(instance, ballot, f"v{instance}"))
+            replica.on_message("r0", Commit(instance=instance, ballot=ballot))
         transport.sent.clear()
         return replica, transport
 
