@@ -113,7 +113,8 @@ class FrameServer:
 
     # ----------------------------------------------------------- shared duties
     def _register_metrics(self, obs: Observability, labels: Dict[str, str]) -> None:
-        """Expose the two ``server_*`` series on ``obs`` and serve ``/metrics``."""
+        """Expose the two ``server_*`` series — and, for a server that also
+        sends, the five ``transport_*`` ones — on ``obs``; serve ``/metrics``."""
         self.obs = obs
         obs.registry.counter(
             "server_frames_received_total",
@@ -126,6 +127,31 @@ class FrameServer:
             "Messages this server delivered and answered for since start.",
             labels,
             fn=lambda: self.reported_deliveries,
+        )
+        transport = self.transport
+        if transport is None:
+            return
+        # Pull-based: the send path pays the integer increments and no more.
+        for name, help_text, fn in (
+            ("transport_frames_sent_total",
+             "Wire frames handed to a socket.",
+             lambda: transport.sent_frames),
+            ("transport_writes_total",
+             "Socket writes; frames sent / writes is the coalescing factor.",
+             lambda: transport.writes),
+            ("transport_failed_sends_total",
+             "Frames dropped: peer unreachable, or connection lost mid-write.",
+             lambda: transport.failed_sends),
+            ("transport_reconnects_total",
+             "Connections opened to an endpoint that had one before.",
+             lambda: transport.reconnects),
+        ):
+            obs.registry.counter(name, help_text, labels, fn=fn)
+        obs.registry.gauge(
+            "transport_queued_frames",
+            "Frames queued and not yet handed to a socket.",
+            labels,
+            fn=lambda: transport.queued_frames,
         )
 
     def _sink(self, group_id: GroupId, message: Message) -> None:
