@@ -17,7 +17,7 @@ from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from ..core import message as msg
 from ..smr import multipaxos as smr, paxos
-from ..smr.replica import OrderedEnvelope
+from ..smr.replica import OrderedEnvelope, Turn
 
 #: 4-byte big-endian length prefix.
 _LENGTH = struct.Struct(">I")
@@ -188,23 +188,28 @@ def envelope_from_dict(data: Dict[str, Any]) -> Any:
     return _unpack(entry[0], entry[1], data)
 
 
-# SMR frames and the commit/acceptor WALs carry log *values*: OrderedEnvelope
-# wrappers around protocol envelopes (every GroupReplica), or plain JSON-able
-# commands (tests driving multi-Paxos directly), which pass through untouched.
-# The wrapper is marked ``"__oe__": 1`` rather than by ``type``: it is a value
-# *inside* frames and records, never a frame of its own.
+# SMR frames and the commit/acceptor WALs carry log *values*: the Turn a
+# GroupReplica ordered, or plain JSON-able commands (tests driving multi-Paxos
+# directly), which pass through untouched.  A turn of one entry travels as
+# that entry's object — the bytes written when an entry was the value, so
+# every older frame and WAL file reads as a turn of one — and several entries
+# as an array of such objects.  An entry is marked ``"__oe__": 1`` rather
+# than by ``type``: it is a value *inside* frames and records, never a frame
+# of its own.
 _LOG_ENTRY = _fields("sender", _field("envelope", envelope_to_dict, envelope_from_dict))
 
 
 def _entry_to_wire(value: Any) -> Any:
-    if type(value) is not OrderedEnvelope:
+    if type(value) is not Turn:
         return value
-    return _pack({"__oe__": 1}, _LOG_ENTRY, value)
+    wire = [_pack({"__oe__": 1}, _LOG_ENTRY, entry) for entry in value.entries]
+    return wire[0] if len(wire) == 1 else wire
 
 
 def _entry_from_wire(wire: Any) -> Any:
-    if isinstance(wire, dict) and wire.get("__oe__") == 1:
-        return _unpack(OrderedEnvelope, _LOG_ENTRY, wire)
+    objects = wire if isinstance(wire, list) else [wire]
+    if objects and all(isinstance(o, dict) and o.get("__oe__") == 1 for o in objects):
+        return Turn(tuple(_unpack(OrderedEnvelope, _LOG_ENTRY, o) for o in objects))
     return wire
 
 

@@ -150,7 +150,8 @@ class ReplicaServer(FrameServer):
         Prometheus text exposition of this process's registry.
     ``/ready``
         JSON readiness document (also reports leadership, the ballot of this
-        replica's latest leadership and log position).
+        replica's latest leadership and log position: ``applied`` counts
+        consensus instances, each of which may carry several envelopes).
     ``/delivered``
         Local delivery sequence as ``{count, digest}``; ``?full=1`` adds the
         ids themselves (used by the convergence checks and the tests'
@@ -265,8 +266,8 @@ class ReplicaServer(FrameServer):
         """Stop listening, then fsync and close the WALs: a graceful stop
         leaves no record in an fsync batch and no file handle open."""
         await super().stop()
-        # A connection handler may still be draining frames it had buffered;
-        # the log no longer takes them.
+        # A connection handler may still be draining frames it had buffered,
+        # and a turn's flush may still be pending; the log no longer takes them.
         self.replica.dead = True
         self._storage.close()
 

@@ -22,7 +22,7 @@ from .paxos import (
     Promise,
     ZERO_BALLOT,
 )
-from .replica import GroupReplica, OrderedEnvelope, ReplicatedGroup, replica_node
+from .replica import GroupReplica, OrderedEnvelope, ReplicatedGroup, Turn, replica_node
 
 __all__ = [
     "ClientCommand",
@@ -40,5 +40,6 @@ __all__ = [
     "GroupReplica",
     "OrderedEnvelope",
     "ReplicatedGroup",
+    "Turn",
     "replica_node",
 ]

@@ -37,6 +37,7 @@ from typing import (
 )
 
 from ..obs.registry import MetricsRegistry
+from ..sim.network import payload_size
 from ..sim.transport import Transport
 from .paxos import (
     ZERO_BALLOT, Accept, Accepted, Acceptor, Ballot, Nack, Prepare, Promise,
@@ -54,8 +55,6 @@ class ClientCommand:
     kind: str = field(default="smr-command", init=False)
 
     def size_bytes(self) -> int:
-        from ..sim.network import payload_size
-
         return 32 + payload_size(self.payload)
 
 
@@ -95,12 +94,16 @@ class CatchupRequest:
         return 32
 
 
-# Decisions per CatchupReply.  A rejoining replica that lapsed for hundreds
-# of thousands of instances must not receive them as one message: over the
-# wire transport a single reply would exceed the frame-size cap.  Chunks are
-# applied independently (``_learn`` is idempotent and order-tolerant), so
-# losing one chunk degrades to a smaller catch-up, never a corrupt one.
+# Decisions per CatchupReply, and their modelled size (``payload_size``, about
+# half the JSON) at which a reply closes early; the decision that crosses it
+# still goes.  A rejoining replica that lapsed for hundreds of thousands of
+# instances must not receive them as one message, nor 2,048 large values as
+# one: over the wire transport such a reply would exceed the frame-size cap.
+# Chunks are applied independently (``_learn`` is idempotent and
+# order-tolerant), so losing one chunk degrades to a smaller catch-up, never
+# a corrupt one.
 CATCHUP_CHUNK = 2048
+CATCHUP_CHUNK_BYTES = 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -111,8 +114,6 @@ class CatchupReply:
     kind: str = field(default="smr-catchup-reply", init=False)
 
     def size_bytes(self) -> int:
-        from ..sim.network import payload_size
-
         return 32 + sum(12 + payload_size(value) for _, value in self.entries)
 
 
@@ -467,18 +468,26 @@ class MultiPaxosReplica:
     def _serve_catchup(self, request: CatchupRequest) -> None:
         """Send every decision from ``request.from_instance`` on, in chunks."""
         decided = self._decided
-        sent = 0
-        for start in range(request.from_instance, self._decided_end, CATCHUP_CHUNK):
-            entries = tuple(
-                (instance, decided[instance])
-                for instance in range(
-                    start, min(start + CATCHUP_CHUNK, self._decided_end)
-                )
-                if instance in decided
-            )
-            if entries:
+        entries: List[Tuple[int, Any]] = []
+        size = sent = 0
+        for instance in range(request.from_instance, self._decided_end):
+            if instance not in decided:
+                continue
+            value = decided[instance]
+            entries.append((instance, value))
+            size += payload_size(value)
+            # The last instance below ``_decided_end`` is decided by
+            # definition, so the final chunk is always closed here.
+            if (
+                instance == self._decided_end - 1
+                or len(entries) >= CATCHUP_CHUNK
+                or size >= CATCHUP_CHUNK_BYTES
+            ):
                 sent += len(entries)
-                self.transport.send(request.from_replica, CatchupReply(entries=entries))
+                self.transport.send(
+                    request.from_replica, CatchupReply(entries=tuple(entries))
+                )
+                entries, size = [], 0
         if sent:
             self.stats["catchup_served"] += 1
             self.stats["catchup_entries_sent"] += sent
@@ -542,10 +551,14 @@ class MultiPaxosReplica:
     def _chosen(self, instance: int, value: Any) -> None:
         commit = Commit(instance=instance, ballot=self.ballot)
         self.stats["committed"] += 1
-        self._learn(instance, value)
-        for peer in self._others:
-            if peer in self.alive:
-                self.transport.send(peer, commit)
+        try:
+            self._learn(instance, value)
+        finally:
+            # Decided is decided, even if applying it raised here: followers
+            # must learn it (and raise alike), not wait on a hole forever.
+            for peer in self._others:
+                if peer in self.alive:
+                    self.transport.send(peer, commit)
 
     def _on_nack(self, nack: Nack) -> None:
         """A higher ballot exists: this leadership (or its phase 1) is over.

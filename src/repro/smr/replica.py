@@ -9,10 +9,14 @@ replication ... groups do not fail as a whole".
 :class:`~repro.smr.multipaxos.MultiPaxosReplica` log:
 
 * every envelope addressed to the logical group is first submitted to the
-  group's replicated log (by whichever replica received it);
-* once a log position commits, **every** replica applies the envelope to its
-  own copy of the protocol state machine (FlexCast/Skeen/tree group logic), so
-  all replicas stay in sync;
+  group's replicated log (by whichever replica received it) — not one
+  consensus instance per envelope but one per *turn*: what a replica received
+  before its transport's clock moved is ordered as ONE log value
+  (:class:`Turn`), so under load one instance carries many envelopes and at
+  one envelope per turn the log holds exactly the bytes it always held;
+* once a log position commits, **every** replica applies its envelopes, in
+  arrival order, to its own copy of the protocol state machine
+  (FlexCast/Skeen/tree group logic), so all replicas stay in sync;
 * only the current leader's copy actually emits outbound protocol messages and
   client responses — otherwise descendants/clients would receive duplicates;
   after a fail-over, the new leader's copy continues from the same applied
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence
+from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..core.message import ClientRequest, Envelope, HistorySnapshotFrame, Message
 from ..obs import Observability
@@ -42,6 +46,27 @@ class OrderedEnvelope:
 
     def size_bytes(self) -> int:
         return 16 + self.envelope.size_bytes()
+
+
+@dataclass(frozen=True)
+class Turn:
+    """Log value: the entries one replica received in one turn, in arrival order.
+
+    A turn of one costs what its entry costs — in the size model here, and on
+    the wire and in the WALs, where it *is* the entry's object (several
+    entries are an array of them: ``runtime/codec.py``).
+    """
+
+    entries: Tuple[OrderedEnvelope, ...]
+
+    def size_bytes(self) -> int:
+        return sum(entry.size_bytes() for entry in self.entries)
+
+
+#: Modelled size (``size_bytes``, about half the JSON) at which a flush closes
+#: a value and starts the next; the entry that crosses it still goes.  Keeps
+#: an ``Accept`` near 0.5 MB against the 16 MiB frame cap.  Not an option.
+_TURN_VALUE_BYTES = 256 * 1024
 
 
 class _GatedTransport(Transport):
@@ -67,7 +92,12 @@ class _GatedTransport(Transport):
 
 
 class GroupReplica:
-    """One physical replica of a logical group."""
+    """One physical replica of a logical group.
+
+    Envelopes are collected per turn (:meth:`on_message`) and submitted to
+    the log by one :meth:`_flush` behind them; :meth:`_apply` runs a decided
+    value's entries in order under one gate decision.
+    """
 
     def __init__(
         self,
@@ -104,6 +134,11 @@ class GroupReplica:
         #: replicas costs a ``copy().hexdigest()`` per poll instead of a
         #: rehash of the whole sequence.
         self.delivery_hash = hashlib.sha256()
+        #: What this turn received so far; non-empty = a flush is scheduled.
+        self._turn: List[OrderedEnvelope] = []
+        #: Envelopes applied; over the leader's committed instances this is
+        #: the log's batching factor (``smr_applied_envelopes_total``).
+        self.applied_envelopes = 0
         # Each replica holds its own copy of the protocol state machine.
         self.protocol_state: AtomicMulticastGroup = protocol.create_group(
             group_id, self._gated, self._make_sink(sink)
@@ -153,24 +188,54 @@ class GroupReplica:
     def on_message(self, sender: Hashable, payload: Any) -> None:
         """Entry point for everything arriving at this replica.
 
-        Protocol envelopes (from clients or other groups) are ordered through
-        the group's log; SMR-internal messages go straight to multi-Paxos.
+        Protocol envelopes (from clients or other groups) join this turn's
+        list, which one :meth:`_flush` — scheduled by the first of them, at
+        delay 0 — orders through the group's log; SMR-internal messages go
+        straight to multi-Paxos.
         """
         if self.dead:
             return
         if isinstance(payload, Envelope):
-            self.smr.submit(OrderedEnvelope(sender=sender, envelope=payload))
+            if not self._turn:
+                self._outer_transport.schedule(0, self._flush)
+            self._turn.append(OrderedEnvelope(sender=sender, envelope=payload))
         else:
             self.smr.on_message(sender, payload)
 
-    def _apply(self, instance: int, entry: OrderedEnvelope) -> None:
+    def _flush(self) -> None:
+        """Submit what the turn collected: one log value, or several when it
+        outgrows ``_TURN_VALUE_BYTES``, in arrival order (FIFO per sender is
+        the list's).  A replica that died meanwhile submits nothing — the
+        turn is lost like frames it never read."""
+        turn, self._turn = self._turn, []
+        if self.dead:
+            return
+        start = size = 0
+        for end, entry in enumerate(turn, 1):
+            size += entry.size_bytes()
+            if size >= _TURN_VALUE_BYTES or end == len(turn):
+                self.smr.submit(Turn(tuple(turn[start:end])))
+                start, size = end, 0
+
+    def _apply(self, instance: int, turn: Turn) -> None:
         # During WAL replay self.smr is still mid-construction; the recovery
         # check must short-circuit first (the gate stays shut regardless).
         self._gated.open = not self._recovering and self.smr.is_leader
+        failure: Optional[Exception] = None
         try:
-            self.protocol_state.on_envelope(entry.sender, entry.envelope)
+            for entry in turn.entries:
+                # An entry that raises (a misrouted request, say) must not
+                # take its neighbours along: apply them all, then re-raise
+                # the first error — as loud, and the same on every replica.
+                try:
+                    self.protocol_state.on_envelope(entry.sender, entry.envelope)
+                except Exception as exc:
+                    failure = failure or exc
+                self.applied_envelopes += 1
         finally:
             self._gated.open = False
+        if failure is not None:
+            raise failure
 
     # ---------------------------------------------------------- observability
     def attach_obs(self, obs: Observability) -> None:
@@ -181,9 +246,14 @@ class GroupReplica:
         group and replica.
         """
         self.protocol_state.attach_obs(obs)
-        self.smr.register_metrics(
-            obs.registry,
-            {"group": str(self.group_id), "replica": str(self.replica_id)},
+        labels = {"group": str(self.group_id), "replica": str(self.replica_id)}
+        self.smr.register_metrics(obs.registry, labels)
+        obs.registry.counter(
+            "smr_applied_envelopes_total",
+            "Envelopes applied from the log; / smr_committed_total on the "
+            "leader = envelopes per consensus instance.",
+            labels,
+            fn=lambda: self.applied_envelopes,
         )
 
     # -------------------------------------------------------------- failover
@@ -353,7 +423,8 @@ class ReplicatedGroup:
         for replica in self.replicas:
             ids = [
                 entry.envelope.message.msg_id
-                for entry in replica.smr.log
+                for turn in replica.smr.log
+                for entry in turn.entries
                 if isinstance(entry.envelope, ClientRequest)
             ]
             sequences[replica.replica_id] = ids

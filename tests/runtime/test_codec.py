@@ -288,11 +288,12 @@ class TestSmrRoundTrips:
     wire with log values carried through the OrderedEnvelope wire form."""
 
     def _ordered(self):
-        from repro.smr.replica import OrderedEnvelope
+        from repro.smr.replica import OrderedEnvelope, Turn
 
-        return OrderedEnvelope(
+        # A log value: the turn of one entry a replica received.
+        return Turn((OrderedEnvelope(
             sender="client-7", envelope=ClientRequest(message=sample_message())
-        )
+        ),))
 
     def test_node_hello(self):
         from repro.core.message import NodeHello

@@ -107,6 +107,10 @@ class TestGracefulStop:
                         message=Message.create([0], sender="client", msg_id=msg_id)
                     ),
                 )
+                # One frame per event-loop turn, so one log instance each
+                # (frames of one turn would share an instance).
+                while server.replica._turn:
+                    await asyncio.sleep(0)
             assert server.replica.local_deliveries == ids
             wals = list(server._storage._open_wals.values())
             # Fewer records than one fsync batch: nothing is on disk for sure.

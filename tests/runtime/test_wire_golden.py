@@ -10,6 +10,12 @@ exception: they were rewritten when phase 1 became once per leadership and
 the value stopped riding in phase-2 replies (a deliberate format change; a
 group's replicas upgrade together).
 
+``data/wire_golden_turns.tsv`` is the second corpus, added when a log value
+became the :class:`~repro.smr.replica.Turn` a replica received: the four
+frames that carry a value, each with a value of *several* entries (an array
+of the objects above).  A value of one entry is the object itself, which is
+why no line of the first corpus changed.
+
 Regenerate only for a deliberate wire-format change; a new envelope type adds
 a sample here and one line to the corpus.
 """
@@ -33,9 +39,10 @@ from repro.smr.multipaxos import (
     Heartbeat,
 )
 from repro.smr.paxos import Accept, Accepted, Ballot, Nack, Prepare, Promise
-from repro.smr.replica import OrderedEnvelope
+from repro.smr.replica import OrderedEnvelope, Turn
 
 CORPUS = os.path.join(os.path.dirname(__file__), "data", "wire_golden.tsv")
+TURNS_CORPUS = os.path.join(os.path.dirname(__file__), "data", "wire_golden_turns.tsv")
 SENDER = "group-0-replica-1"
 
 PLAIN = msg.Message(
@@ -77,11 +84,15 @@ COLD = msg.HistoryDelta(
     seq=7,
     snapshot=SNAPSHOT,
 )
-ORDERED = OrderedEnvelope(sender="client-7", envelope=msg.ClientRequest(message=PLAIN))
-ORDERED_PEER = OrderedEnvelope(
+ENTRY = OrderedEnvelope(sender="client-7", envelope=msg.ClientRequest(message=PLAIN))
+ENTRY_PEER = OrderedEnvelope(
     sender=2,
     envelope=msg.FlexCastAck(message=TRACED, history=WARM, from_group=2),
 )
+# A log value is a Turn; a turn of one entry is that entry's bytes.
+ORDERED = Turn((ENTRY,))
+ORDERED_PEER = Turn((ENTRY_PEER,))
+SEVERAL = Turn((ENTRY, ENTRY_PEER, ENTRY))
 
 SAMPLES = {
     "request": msg.ClientRequest(message=PLAIN),
@@ -171,14 +182,28 @@ SAMPLES = {
     ),
 }
 
+#: The frames that carry a log value, each with a turn of several entries.
+TURN_SAMPLES = {
+    "smr-command": ClientCommand(payload=SEVERAL),
+    "smr-catchup-reply": CatchupReply(entries=((3, SEVERAL), (4, ORDERED), (5, "cmd-b"))),
+    "paxos-promise": Promise(
+        instance=5,
+        ballot=Ballot(2, 1),
+        accepted=((5, Ballot(1, 0), SEVERAL), (7, Ballot(0, 2), ORDERED_PEER)),
+        from_replica="group-0-replica-2",
+    ),
+    "paxos-accept": Accept(instance=5, ballot=Ballot(2, 1), value=SEVERAL),
+}
 
-def _corpus():
-    with open(CORPUS, "r", encoding="utf-8") as handle:
+
+def _corpus(path=CORPUS):
+    with open(path, "r", encoding="utf-8") as handle:
         return dict(line.rstrip("\n").split("\t", 1) for line in handle)
 
 
 def test_corpus_and_samples_name_the_same_frames():
     assert sorted(_corpus()) == sorted(SAMPLES)
+    assert sorted(_corpus(TURNS_CORPUS)) == sorted(TURN_SAMPLES)
 
 
 @pytest.mark.parametrize("name", sorted(SAMPLES))
@@ -186,6 +211,25 @@ def test_frame_is_byte_identical_and_round_trips(name):
     body = _corpus()[name].encode("utf-8")
     assert encode_frame(SENDER, SAMPLES[name]) == struct.pack(">I", len(body)) + body
     assert decode_frame(body) == (SENDER, SAMPLES[name])
+
+
+@pytest.mark.parametrize("name", sorted(TURN_SAMPLES))
+def test_several_entry_frame_is_byte_identical_and_round_trips(name):
+    body = _corpus(TURNS_CORPUS)[name].encode("utf-8")
+    assert encode_frame(SENDER, TURN_SAMPLES[name]) == struct.pack(">I", len(body)) + body
+    assert decode_frame(body) == (SENDER, TURN_SAMPLES[name])
+
+
+def test_several_entries_are_an_array_of_the_one_entry_object():
+    one = codec._entry_to_wire(ORDERED)
+    assert one["__oe__"] == 1 and codec._entry_from_wire(one) == ORDERED
+    assert codec._entry_to_wire(SEVERAL) == [
+        one, codec._entry_to_wire(ORDERED_PEER), one
+    ]
+    # Plain commands (multi-Paxos driven directly), lists included, pass through.
+    for plain in ("cmd", [], [1, 2], [{"k": 1}], {"k": [1, None]}):
+        assert codec._entry_to_wire(plain) is plain
+        assert codec._entry_from_wire(plain) is plain
 
 
 def _subclasses(cls):
@@ -220,8 +264,9 @@ def test_every_wire_class_has_a_schema_row_and_a_golden_sample():
 
 if __name__ == "__main__":
     os.makedirs(os.path.dirname(CORPUS), exist_ok=True)
-    with open(CORPUS, "w", encoding="utf-8") as out:
-        for sample_name, envelope in SAMPLES.items():
-            out.write(
-                f"{sample_name}\t{encode_frame(SENDER, envelope)[4:].decode('utf-8')}\n"
-            )
+    for corpus_path, samples in ((CORPUS, SAMPLES), (TURNS_CORPUS, TURN_SAMPLES)):
+        with open(corpus_path, "w", encoding="utf-8") as out:
+            for sample_name, envelope in samples.items():
+                out.write(
+                    f"{sample_name}\t{encode_frame(SENDER, envelope)[4:].decode('utf-8')}\n"
+                )

@@ -229,6 +229,62 @@ class TestCommitLogReplay:
         assert applied["r0"] == ["a", "b", "c"]
 
 
+@pytest.fixture
+def open_storage():
+    """``FileStorage`` factory; what it opened is closed at teardown (under the
+    CI leak gate a WAL file left open is an error)."""
+    opened = []
+
+    def factory(directory):
+        opened.append(FileStorage(str(directory)))
+        return opened[-1]
+
+    yield factory
+    for storage in opened:
+        storage.close()
+
+
+def copy_corpus(data, tmp_path):
+    """Copy a corpus to where a replica may open it; returns its expected.json."""
+    for name in os.listdir(data):
+        shutil.copy(os.path.join(data, name), tmp_path / name)
+    with open(os.path.join(data, "expected.json"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def replay(storage, index=0):
+    """Replica ``index`` of the corpora's group, rebuilt from ``storage`` alone."""
+    network = Network(EventLoop(), LatencyMatrix([[0.1]], ["s0"]))
+    replica_ids = [replica_node(0, i) for i in range(3)]
+    return GroupReplica(
+        group_id=0,
+        replica_id=replica_ids[index],
+        peer_replicas=replica_ids,
+        protocol=FlexCastProtocol(CDagOverlay([0, 1])),
+        transport=SimTransport(network, replica_ids[index]),
+        sink=lambda group, message: None,
+        storage=storage,
+    )
+
+
+def wal_records(directory, name):
+    with open(os.path.join(directory, f"{name}.wal"), "rb") as fh:
+        data = fh.read()
+    records, good_end = _scan_frames(data)
+    assert good_end == len(data) and records
+    return records, data
+
+
+def re_encoded(records):
+    """The bytes this commit writes for ``records`` read back through the
+    value codec (``a`` and full ``c`` records carry a log value last)."""
+    return b"".join(
+        _encode_record(record[:-1] + [_entry_to_wire(_entry_from_wire(record[-1]))])
+        if len(record) > 2 and record[0] in "ac" else _encode_record(record)
+        for record in records
+    )
+
+
 class TestParentCommitWal:
     """``data/parent_wal`` was written by the commit before the codec became
     a registry and ``FileWAL`` stopped mirroring its records (replica 0 of a
@@ -237,22 +293,11 @@ class TestParentCommitWal:
 
     DATA = os.path.join(os.path.dirname(__file__), "data", "parent_wal")
 
-    def test_replica_replays_a_wal_written_by_the_parent_commit(self, tmp_path):
-        for name in os.listdir(self.DATA):
-            shutil.copy(os.path.join(self.DATA, name), tmp_path / name)
-        with open(os.path.join(self.DATA, "expected.json"), encoding="utf-8") as fh:
-            expected = json.load(fh)
-        network = Network(EventLoop(), LatencyMatrix([[0.1]], ["s0"]))
-        replica_ids = [replica_node(0, i) for i in range(3)]
-        replica = GroupReplica(
-            group_id=0,
-            replica_id=replica_ids[0],
-            peer_replicas=replica_ids,
-            protocol=FlexCastProtocol(CDagOverlay([0, 1])),
-            transport=SimTransport(network, replica_ids[0]),
-            sink=lambda group, message: None,
-            storage=FileStorage(str(tmp_path)),
-        )
+    def test_replica_replays_a_wal_written_by_the_parent_commit(
+        self, tmp_path, open_storage
+    ):
+        expected = copy_corpus(self.DATA, tmp_path)
+        replica = replay(open_storage(tmp_path))
         assert replica.local_deliveries == expected["local_deliveries"]
         assert replica.smr.applied_count == expected["applied"]
         assert replica.smr.recovered_instances == expected["applied"]
@@ -274,16 +319,21 @@ LEADERSHIP_WAL = os.path.join(os.path.dirname(__file__), "data", "leadership_wal
 
 
 def write_corpus(directory):
-    """Write the ``leadership_wal`` corpus: the scenario of ``parent_wal``
-    (a 3-replica FlexCast group on the simulator: six requests, replica 2
-    crashes, four more requests, its restart and the snapshot frame ordered
-    for it), replica 0's two WAL files as this commit writes them, and what a
-    replay of them must rebuild.
+    """Write a WAL corpus: the scenario of ``parent_wal`` (a 3-replica
+    FlexCast group on the simulator: six requests, replica 2 crashes, four
+    more requests, its restart and the snapshot frame ordered for it), the
+    two WAL files of replica 0 and of the rejoiner as this commit writes
+    them, and what a replay of them must rebuild.
 
-    ``python tests/smr/test_durability.py --write-corpus DIR``; regenerate
-    ``data/leadership_wal`` only for a deliberate change of the WAL format,
-    and keep the old corpus under another name if old files must stay
-    readable.
+    Every request reaches the leader in a turn of its own — one log value
+    each, the records ``leadership_wal`` pins — except the last, which shares
+    its turn with a client's retry of ``b0``: a value of two entries, an
+    array in replica 0's ``a`` record and in the full ``c`` record of the
+    rejoiner, which learns it by catch-up (``turns_wal``).
+
+    ``python tests/smr/test_durability.py --write-corpus DIR``; regenerate a
+    committed corpus only for a deliberate change of the WAL format, and keep
+    the old one under another name if old files must stay readable.
     """
     import tempfile
 
@@ -302,25 +352,29 @@ def write_corpus(directory):
         network.register("client", site=1, handler=lambda sender, payload: None)
         leader = group.replicas[0]
 
-        def submit(ids):
-            for msg_id in ids:
-                message = Message(msg_id=msg_id, dst=frozenset({0}), sender="client")
-                network.send("client", leader.replica_id, ClientRequest(message=message))
-            loop.run_until_idle()
+        def submit(*turns):
+            # What is sent at one instant arrives at one instant: one turn.
+            for ids in turns:
+                for msg_id in ids:
+                    message = Message(msg_id=msg_id, dst=frozenset({0}), sender="client")
+                    network.send("client", leader.replica_id, ClientRequest(message=message))
+                loop.run_until_idle()
 
-        submit([f"a{i}" for i in range(6)])
+        submit(*([f"a{i}"] for i in range(6)))
         group.crash_replica(2, network)
-        submit([f"b{i}" for i in range(4)])
-        group.restart_replica(2, network)
+        submit(["b0"], ["b1"], ["b2"], ["b3", "b0"])
+        rejoiner = group.restart_replica(2, network)
         loop.run_until_idle()
         storage.close()
         os.makedirs(directory, exist_ok=True)
-        for kind in ("acceptor", "log"):
-            name = f"{leader.replica_id}.{kind}.wal"
-            shutil.copy(os.path.join(scratch, name), os.path.join(directory, name))
+        for replica in (leader, rejoiner):
+            for kind in ("acceptor", "log"):
+                name = f"{replica.replica_id}.{kind}.wal"
+                shutil.copy(os.path.join(scratch, name), os.path.join(directory, name))
     expected = {
         "local_deliveries": leader.local_deliveries,
         "applied": leader.smr.applied_count,
+        "rejoiner_applied": rejoiner.smr.applied_count,
     }
     with open(os.path.join(directory, "expected.json"), "w", encoding="utf-8") as fh:
         json.dump(expected, fh, indent=2)
@@ -335,12 +389,7 @@ class TestLeadershipWal:
     DATA = LEADERSHIP_WAL
 
     def _records(self, kind):
-        path = os.path.join(LEADERSHIP_WAL, f"group-0-replica-0.{kind}.wal")
-        with open(path, "rb") as fh:
-            data = fh.read()
-        records, good_end = _scan_frames(data)
-        assert good_end == len(data) and records
-        return records, data
+        return wal_records(LEADERSHIP_WAL, f"group-0-replica-0.{kind}")
 
     # The same replay as for the parent commit's files; only the corpus differs.
     test_replica_replays_its_own_format = (
@@ -376,6 +425,59 @@ class TestLeadershipWal:
             assert len(json.load(fh)["local_deliveries"]) == 10
         records, _ = _scan_frames((tmp_path / "group-0-replica-0.log.wal").read_bytes())
         assert len(records) == 11
+
+
+TURNS_WAL = os.path.join(os.path.dirname(__file__), "data", "turns_wal")
+
+
+class TestTurnsWal:
+    """``data/turns_wal`` was written by the commit that made a log value the
+    turn a replica received (:func:`write_corpus`): where a turn held one
+    entry, the records of ``leadership_wal`` byte for byte; where it held
+    several, an array — in the leader's ``a`` record and in the full ``c``
+    record of the rejoiner that learned the decision by catch-up."""
+
+    DATA = TURNS_WAL
+    SEVERAL = 9  # the instance whose turn held two requests
+
+    test_replica_replays_its_own_format = (
+        TestParentCommitWal.test_replica_replays_a_wal_written_by_the_parent_commit
+    )
+
+    def test_the_rejoiner_replays_its_full_records(self, tmp_path, open_storage):
+        expected = copy_corpus(self.DATA, tmp_path)
+        rejoiner = replay(open_storage(tmp_path), index=2)
+        assert rejoiner.local_deliveries == expected["local_deliveries"]
+        assert rejoiner.smr.recovered_instances == expected["rejoiner_applied"]
+        assert len(rejoiner.smr.log[self.SEVERAL].entries) == 2
+
+    def test_a_turn_of_one_is_the_leadership_corpus_byte_for_byte(self):
+        for kind in ("acceptor", "log"):
+            ours, _ = wal_records(TURNS_WAL, f"group-0-replica-0.{kind}")
+            theirs, _ = wal_records(LEADERSHIP_WAL, f"group-0-replica-0.{kind}")
+            differing = [
+                a[1] for a, b in zip(ours, theirs)
+                if _encode_record(a) != _encode_record(b)
+            ]
+            assert len(ours) == len(theirs)
+            assert differing == ([self.SEVERAL] if kind == "acceptor" else [])
+
+    def test_a_turn_of_several_is_an_array_in_both_record_kinds(self):
+        accepts, _ = wal_records(TURNS_WAL, "group-0-replica-0.acceptor")
+        learned, _ = wal_records(TURNS_WAL, "group-0-replica-2.log")
+        (accept,) = [r for r in accepts if r[:2] == ["a", self.SEVERAL]]
+        (commit,) = [r for r in learned if r[:2] == ["c", self.SEVERAL]]
+        assert accept[3] == commit[2] and isinstance(commit[2], list)
+        assert [e["envelope"]["message"]["msg_id"] for e in commit[2]] == ["b3", "b0"]
+        # Every other value on disk is the one-entry object, never an array.
+        others = [r[-1] for r in accepts + learned if len(r) > 2 and r[0] in "ac"]
+        assert sum(isinstance(value, list) for value in others) == 2
+
+    def test_records_re_encode_to_identical_bytes(self):
+        for index in (0, 2):
+            for kind in ("acceptor", "log"):
+                records, data = wal_records(TURNS_WAL, f"group-0-replica-{index}.{kind}")
+                assert re_encoded(records) == data
 
 
 def deploy_one_with_log(storage):

@@ -51,7 +51,8 @@ def submit(network, target, ids):
 def snapshot_frames_applied(replica):
     return [
         entry
-        for entry in replica.smr.log
+        for turn in replica.smr.log
+        for entry in turn.entries
         if isinstance(entry.envelope, HistorySnapshotFrame)
     ]
 
