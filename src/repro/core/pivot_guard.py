@@ -65,10 +65,11 @@ class PivotGuard:
         self._exempt.discard(msg_id)
 
     def forget(self, msg_ids: Collection[str]) -> None:
-        """Drop promises and exemptions about ids garbage collection pruned."""
+        """Drop promises about ids garbage collection pruned.  Exemptions
+        need no pruning: a released head is deliverable, so :meth:`delivered`
+        spends its exemption within the tick that granted it."""
         for msg_id in self.pivots.keys() & msg_ids:
             del self.pivots[msg_id]
-        self._exempt.difference_update(msg_ids)
 
     def allows(self, msg_id: str, open_deps: Set[str], history: History) -> bool:
         """May ``msg_id`` be delivered without minting a new pre-pivot order?

@@ -73,14 +73,12 @@ from typing import (
     Tuple,
 )
 
-from ..checker.properties import check_trace
-from ..checker.replay import check_sequential_replay, conservation_check
 from ..core.flexcast import FlexCastProtocol
 from ..core.message import ClientRequest, Message
 from ..overlay.cdag import CDagOverlay
 from ..protocols.base import RecordingSink
 from ..sim.transport import Transport
-from .harness import EXPOSURE_MODES, exposure_for
+from .harness import EXPOSURE_MODES, check_deliveries, exposure_for
 
 CLIENT = "explore-client"
 
@@ -354,17 +352,9 @@ def execute(
     outcome.path = tuple(path)
     outcome.steps = step
     if outcome.finished:
-        sequences = {gid: sink.sequence(gid) for gid in case.order}
+        sequences, violations = check_deliveries(sink, case.order, messages)
         outcome.delivered = sum(len(s) for s in sequences.values())
-        report = check_trace(sink, messages.values(), expect_all_delivered=True)
-        outcome.violations.extend(str(v) for v in report.violations)
-        tiebreak = {mid: i for i, mid in enumerate(messages)}
-        replay = check_sequential_replay(
-            sequences, messages, expect_all_delivered=True, tiebreak=tiebreak
-        )
-        outcome.violations.extend(str(v) for v in replay.violations)
-        conservation = conservation_check(sequences, messages)
-        outcome.violations.extend(str(v) for v in conservation.violations)
+        outcome.violations.extend(violations)
     return outcome
 
 

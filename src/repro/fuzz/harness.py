@@ -1,9 +1,11 @@
 """Run one fuzz scenario on the deterministic simulator and check it.
 
-The harness deploys the scenario's protocol stack (plain FlexCast groups, the
-epoch-reconfigurable variant when switches are scripted, or a multi-Paxos
-replicated group for crash profiles), drives the explicit submission schedule,
-then runs the *full* oracle suite over the captured trace:
+The harness deploys the scenario's protocol stack (FlexCast groups, or the
+epoch-reconfigurable variant when switches are scripted; each group bare or,
+when the scenario replicates, a multi-Paxos :class:`ReplicatedGroup` whose
+replicas the scenario may crash and reboot), drives the explicit submission
+schedule, then runs the *full* oracle suite over the captured trace — one
+path and one suite, whatever the scenario hosts:
 
 * :func:`repro.checker.check_trace` — integrity, validity/agreement (when the
   profile keeps liveness), prefix order, acyclic order;
@@ -12,7 +14,9 @@ then runs the *full* oracle suite over the captured trace:
 * :func:`repro.checker.conservation_check` — exactly-once effect accounting;
 * :func:`repro.checker.check_epochs` — epoch monotonic/agreement/barrier
   properties when the scenario reconfigures;
-* replica agreement / post-fail-over delivery for crash scenarios;
+* replica agreement and :func:`repro.checker.check_recovery` for every
+  replicated group (whatever a replica's restart must not lose, duplicate or
+  reorder);
 * batch atomicity when the scenario batches (``batch_window`` > 1): the
   delivery gate splits every batch into per-member deliveries *before* the
   oracles run, so all of the above apply unchanged, and an additional check
@@ -27,9 +31,9 @@ shrunk (:mod:`repro.fuzz.shrink`) and committed as a regression schedule.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
-from ..checker.properties import check_epochs, check_trace
+from ..checker.properties import CheckReport, check_epochs, check_trace
 from ..checker.recovery import check_recovery
 from ..checker.replay import check_sequential_replay, conservation_check
 from ..core.batching import BatchingClient
@@ -98,6 +102,12 @@ class FuzzResult:
     #: order (empty when the scenario runs unbatched).  Input to the
     #: batch-atomicity oracle and to tests.
     batches: List[Tuple[str, Tuple[str, ...]]] = field(default_factory=list)
+    #: Guard stand-offs the escape timer broke, summed over the groups (at a
+    #: replicated group: its leader's protocol copy), and replicas rebooted
+    #: mid-run — a sweep reports both, since one that never does either
+    #: proves nothing about the timer or the recovery path.
+    guard_escapes: int = 0
+    restarts: int = 0
 
     @property
     def ok(self) -> bool:
@@ -198,12 +208,33 @@ def run_scenario(
     failing schedule).  Timestamps are virtual simulator milliseconds, so a
     trace is as deterministic as the run itself.
     """
-    if scenario.replication_factor > 1:
-        # One replicated group: no global message, nothing to expose.
-        return _run_replicated(scenario, obs)
     if exposure is None:
         exposure = "all" if scenario.hybrid else "declared"
     return _run_flexcast(scenario, exposure, use_batching_client, obs)
+
+
+def check_deliveries(
+    sink: RecordingSink,
+    order: Iterable[GroupId],
+    messages: Dict[str, Message],
+    expect_all_delivered: bool = True,
+) -> Tuple[Dict[GroupId, List[str]], List[str]]:
+    """The oracle core every run gets, fuzzed or explored: ``check_trace``,
+    sequential replay (ties broken by submission order, which is the order of
+    ``messages``) and — when everything must arrive — conservation.  Returns
+    the per-group sequences and the findings."""
+    sequences = {gid: sink.sequence(gid) for gid in order}
+    tiebreak = {msg_id: index for index, msg_id in enumerate(messages)}
+    reports = [
+        check_trace(sink, messages.values(), expect_all_delivered=expect_all_delivered),
+        check_sequential_replay(
+            sequences, messages, expect_all_delivered=expect_all_delivered,
+            tiebreak=tiebreak,
+        ),
+    ]
+    if expect_all_delivered:
+        reports.append(conservation_check(sequences, messages))
+    return sequences, [str(v) for report in reports for v in report.violations]
 
 
 # ----------------------------------------------------------- batch atomicity
@@ -253,7 +284,7 @@ def _check_batch_atomicity(
 
 # ---------------------------------------------------------------- leak oracle
 def _check_leaks(
-    groups: Dict[GroupId, object], batcher: Optional[BatchingClient]
+    groups: Dict[GroupId, FlexCastGroup], batcher: Optional[BatchingClient]
 ) -> List[str]:
     """End-of-run resource-leak oracle (clean runs only).
 
@@ -272,8 +303,6 @@ def _check_leaks(
     """
     violations: List[str] = []
     for gid, group in groups.items():
-        if not isinstance(group, FlexCastGroup):
-            continue
         checks = [
             ("queue depth", sum(len(q) for q in group.queues.values())),
             ("open dependencies", len(group.open_dependencies())),
@@ -335,13 +364,19 @@ def _run_flexcast(
     use_batching_client: bool = False,
     obs: Optional[Observability] = None,
 ) -> FuzzResult:
+    replicated = scenario.replication_factor > 1
+    reconfigurable = bool(scenario.reconfigs)
+    if replicated and reconfigurable:
+        raise ValueError("the epoch coordinator does not address replicated groups")
+    if (scenario.crashes or scenario.restarts) and not replicated:
+        raise ValueError("crashes and restarts need replication_factor > 1")
+
     loop = EventLoop()
     latencies = _latency_matrix(scenario)
     network = Network(
         loop, latencies, jitter_ms=scenario.jitter_ms, seed=scenario.net_seed
     )
     overlay = CDagOverlay(list(scenario.order))
-    reconfigurable = bool(scenario.reconfigs)
     protocol_class = (
         ReconfigurableFlexCastProtocol if reconfigurable else FlexCastProtocol
     )
@@ -351,25 +386,50 @@ def _run_flexcast(
     )
 
     sink = RecordingSink(clock=lambda: loop.now)
-    groups: Dict[GroupId, object] = {}
+    #: Each group of the scenario: the bare protocol group, or — when the
+    #: scenario replicates — a ReplicatedGroup around ``replication_factor``
+    #: copies of it, the way ``ProcessCluster`` hosts it.
+    hosts: Dict[GroupId, object] = {}
+    #: Delivered at some destination, hence ordered by its entry group.
+    delivered_ids: Set[str] = set()
     delivery_epochs: Dict[GroupId, List[Tuple[str, int]]] = {
         gid: [] for gid in scenario.order
     }
 
-    def make_sink(gid):
-        def epoch_sink(group_id, message):
-            sink(group_id, message)
-            delivery_epochs[gid].append((message.msg_id, groups[gid].epoch))
+    def recording_sink(group_id, message):
+        sink(group_id, message)
+        delivered_ids.add(message.msg_id)
+        if reconfigurable:
+            delivery_epochs[group_id].append((message.msg_id, hosts[group_id].epoch))
 
-        return epoch_sink
-
+    # The disks: one store for every replica's WALs, which outlives a crash.
+    storage = InMemoryStorage()
     for gid in scenario.order:
-        group = protocol.create_group(gid, SimTransport(network, gid), make_sink(gid))
-        groups[gid] = group
+        site = int(gid) % latencies.num_sites
+        if replicated:
+            host = ReplicatedGroup(
+                group_id=gid,
+                protocol=protocol,
+                network=network,
+                site=site,
+                sink=recording_sink,
+                replication_factor=scenario.replication_factor,
+                storage=storage,
+            )
+        else:
+            host = protocol.create_group(gid, SimTransport(network, gid), recording_sink)
+            network.register(gid, site=site, handler=host.on_envelope)
+        hosts[gid] = host
         if obs is not None:
-            group.attach_obs(obs)
-        network.register(gid, site=int(gid) % latencies.num_sites, handler=group.on_envelope)
-    network.register(CLIENT, site=0, handler=lambda s, p: None)
+            host.attach_obs(obs)
+    # A one-group scenario's second site is the client's: its requests cross
+    # a real link, so a crashing replica takes some of them with it.
+    client_site = 1 if len(scenario.order) == 1 else 0
+    network.register(CLIENT, site=client_site, handler=lambda s, p: None)
+
+    def node_of(gid: GroupId):
+        """Where a client reaches group ``gid`` right now."""
+        return hosts[gid].leader.replica_id if replicated else gid
 
     coordinator: Optional[EpochCoordinator] = None
     if reconfigurable:
@@ -387,25 +447,79 @@ def _run_flexcast(
 
             loop.schedule_at(reconfig.at_ms, fire)
 
-    if scenario.profile == "dup":
+    # Crashes and restarts are scheduled before the submissions, so at equal
+    # virtual times they come first.  A crash snapshots the victim's delivery
+    # sequence for the recovery oracle to hold against what the rebooted
+    # incarnation ends the run with.
+    pre_crash: Dict[Tuple[GroupId, int], List[str]] = {}
+    restarted: Set[Tuple[GroupId, int]] = set()
+    for crash in scenario.crashes:
+        def crash_replica(gid=crash.group, index=crash.replica):
+            down = hosts[gid]._crashed_indices
+            # Never the last one standing: a group does not fail as a whole.
+            if index not in down and len(down) < scenario.replication_factor - 1:
+                pre_crash[gid, index] = list(
+                    hosts[gid].replicas[index].local_deliveries
+                )
+                hosts[gid].crash_replica(index, network)
+
+        loop.schedule_at(crash.at_ms, crash_replica)
+    for restart in scenario.restarts:
+        def restart_replica(gid=restart.group, index=restart.replica):
+            if index in hosts[gid]._crashed_indices:
+                hosts[gid].restart_replica(index, network)
+                restarted.add((gid, index))
+
+        loop.schedule_at(restart.at_ms, restart_replica)
+
+    fault_mode = {"dup": "dup", "loss": "drop"}.get(scenario.profile)
+    if fault_mode is not None:
         network.set_drop_filter(
             EnvelopeFaultFilter(
-                network, scenario.profile_rate, scenario.profile_seed, "dup"
+                network, scenario.profile_rate, scenario.profile_seed, fault_mode
             )
         )
-    elif scenario.profile == "loss":
-        network.set_drop_filter(
-            EnvelopeFaultFilter(
-                network, scenario.profile_rate, scenario.profile_seed, "drop"
-            )
+
+    # Every client request, batched or not, leaves through send_request.  With
+    # ``client_retries`` it is re-sent, to whoever leads its entry group by
+    # then, until one of its destinations has delivered what it carries: a
+    # request that died with a crashing replica is not lost, so full delivery
+    # stays in the oracle's contract.  Re-submission is idempotent end to end.
+    requests: Dict[str, Tuple[GroupId, ClientRequest]] = {}
+
+    def resend(key: str) -> None:
+        gid, request = requests[key]
+        network.send(CLIENT, node_of(gid), request)
+
+    def is_settled(key: str) -> bool:
+        message = requests[key][1].message
+        return all(
+            m.msg_id in delivered_ids for m in message.members or (message,)
         )
+
+    resubmitter: Optional[BoundedResubmitter] = None
+    if scenario.client_retries > 0:
+        resubmitter = BoundedResubmitter(
+            resend=resend,
+            is_settled=is_settled,
+            schedule=loop.schedule,
+            # Comfortably a client->group round trip plus SMR ordering.
+            timeout_ms=scenario.uniform_ms * 8 + 50.0,
+            max_retries=scenario.client_retries,
+        )
+
+    def send_request(gid: GroupId, request: ClientRequest) -> None:
+        requests[request.message.msg_id] = (gid, request)
+        resend(request.message.msg_id)
+        if resubmitter is not None:
+            resubmitter.track(request.message.msg_id)
 
     batcher: Optional[BatchingClient] = None
     if use_batching_client or scenario.batch_window > 1:
         batcher = BatchingClient(
             CLIENT,
             protocol,
-            send_request=lambda gid, envelope: network.send(CLIENT, gid, envelope),
+            send_request=send_request,
             clock=lambda: loop.now,
             max_batch=scenario.batch_window,
             max_delay_ms=scenario.batch_delay_ms,
@@ -416,7 +530,6 @@ def _run_flexcast(
 
     submissions = list(scenario.submissions) + _flush_submissions(scenario)
     messages: Dict[str, Message] = {}
-    tiebreak: Dict[str, int] = {}
     for index, sub in enumerate(submissions):
         message = Message.create(
             destinations=sub.dst,
@@ -427,14 +540,13 @@ def _run_flexcast(
             is_flush=sub.is_flush,
         )
         messages[message.msg_id] = message
-        tiebreak[message.msg_id] = index
 
         def submit(message=message):
             if batcher is not None:
                 batcher.submit(message)
             else:
                 entry = protocol.entry_groups(message)[0]
-                network.send(CLIENT, entry, ClientRequest(message=message))
+                send_request(entry, ClientRequest(message=message))
 
         loop.schedule_at(sub.at_ms, submit)
 
@@ -448,229 +560,81 @@ def _run_flexcast(
     if coordinator is not None:
         for barrier in coordinator.barrier_messages:
             messages[barrier.msg_id] = barrier
-            tiebreak.setdefault(barrier.msg_id, len(tiebreak))
 
-    sequences = {gid: sink.sequence(gid) for gid in scenario.order}
-    result.sequences = sequences
-    result.delivered = sum(len(s) for s in sequences.values())
+    expect_all = scenario.expect_all_delivered
+    result.sequences, result.violations = check_deliveries(
+        sink, scenario.order, messages, expect_all
+    )
+    result.delivered = sum(len(s) for s in result.sequences.values())
+    result.restarts = len(restarted)
+    # The protocol copy that speaks for each group: its own, or its leader's.
+    copies = {
+        gid: host.leader.protocol_state if replicated else host
+        for gid, host in hosts.items()
+    }
+    result.guard_escapes = sum(
+        copy.stats["guard_escapes"] for copy in copies.values()
+    )
 
     if batcher is not None:
         # The gate fans batches out into per-member deliveries, so the
-        # sequences the standard oracle suite below sees are already
-        # per-message — every existing invariant applies unchanged.  The
-        # batching layer adds exactly one new obligation, checked here.
+        # sequences the oracle core saw are already per-message — every
+        # invariant applies unchanged.  The batching layer adds exactly one
+        # new obligation, checked here.
         result.batches = list(batcher.batch_log)
         result.violations.extend(
-            _check_batch_atomicity(sequences, batcher.batch_log)
+            _check_batch_atomicity(result.sequences, batcher.batch_log)
         )
-
-    expect_all = scenario.expect_all_delivered
-    report = check_trace(sink, messages.values(), expect_all_delivered=expect_all)
-    result.violations.extend(str(v) for v in report.violations)
-
-    replay = check_sequential_replay(
-        sequences, messages, expect_all_delivered=expect_all, tiebreak=tiebreak
-    )
-    result.violations.extend(str(v) for v in replay.violations)
-
     if expect_all:
-        conservation = conservation_check(sequences, messages)
-        result.violations.extend(str(v) for v in conservation.violations)
         # Clean run: the per-message machinery must have wound down too.
-        result.violations.extend(_check_leaks(groups, batcher))
-
+        result.violations.extend(_check_leaks(copies, batcher))
+    reports = []
     if coordinator is not None:
-        epoch_report = check_epochs(delivery_epochs, barriers=coordinator.barriers)
-        result.violations.extend(str(v) for v in epoch_report.violations)
+        reports.append(check_epochs(delivery_epochs, barriers=coordinator.barriers))
+    if replicated:
+        reports.extend(_check_replicas(hosts, pre_crash, restarted))
+    result.violations.extend(str(v) for report in reports for v in report.violations)
 
     result.finalize_buckets(strict=exposure != "none")
     return result
 
 
-# ---------------------------------------------------------------- replicated
-def _run_replicated(
-    scenario: FuzzScenario,
-    obs: Optional[Observability] = None,
-) -> FuzzResult:
-    """Crash-profile runs: one multi-Paxos replicated group.
+# ------------------------------------------------------------- replica oracle
+def _check_replicas(
+    hosts: Dict[GroupId, ReplicatedGroup],
+    pre_crash: Dict[Tuple[GroupId, int], List[str]],
+    restarted: Set[Tuple[GroupId, int]],
+) -> List[CheckReport]:
+    """What replication adds to the oracle suite, per replicated group.
 
-    Replicas persist to a shared :class:`InMemoryStorage` (the simulated
-    "disk" that survives a crash); scripted :class:`Restart` events tear a
-    crashed replica down to that persisted state and reboot it mid-run, and
-    the recovery oracle then checks its delivery sequence across the restart
-    boundary.  With ``client_retries`` > 0 a bounded resubmit-on-timeout
-    layer re-sends undelivered requests, so full delivery stays in the
-    oracle's contract even when requests die with a crashing replica.
+    Agreement: every live replica's own protocol copy delivered the same
+    sequence (restarted replicas included — they are full members again).
+    Recovery (:func:`check_recovery`): each rebooted replica's sequence
+    across its restart, against its pre-crash snapshot and against a replica
+    that was never down.
     """
-    loop = EventLoop()
-    base = scenario.uniform_ms
-    latencies = LatencyMatrix(
-        matrix=[[0.3, base], [base, 0.3]], names=["group", "clients"]
-    )
-    network = Network(
-        loop, latencies, jitter_ms=scenario.jitter_ms, seed=scenario.net_seed
-    )
-    protocol = FlexCastProtocol(CDagOverlay([0]))
-
-    sink = RecordingSink(clock=lambda: loop.now)
-    delivered_ids: set = set()
-
-    def recording_sink(group_id: GroupId, message: Message) -> None:
-        delivered_ids.add(message.msg_id)
-        sink(group_id, message)
-
-    storage = InMemoryStorage()
-    group = ReplicatedGroup(
-        group_id=0,
-        protocol=protocol,
-        network=network,
-        site=0,
-        sink=recording_sink,
-        replication_factor=scenario.replication_factor,
-        storage=storage,
-    )
-    if obs is not None:
-        group.attach_obs(obs)
-    network.register(CLIENT, site=1, handler=lambda s, p: None)
-
-    # Crashes first: at equal virtual times they precede submissions, so the
-    # "submitted after the crash" expectation below is well defined.  Each
-    # crash snapshots the victim's delivery sequence for the recovery oracle.
-    crash_times = []
-    pre_crash: Dict[int, List[str]] = {}
-    for crash in scenario.crashes:
-        def fire(index=crash.replica):
-            if index not in group._crashed_indices and len(
-                group._crashed_indices
-            ) < scenario.replication_factor - 1:
-                pre_crash[index] = list(group.replicas[index].local_deliveries)
-                group.crash_replica(index, network)
-
-        crash_times.append(crash.at_ms)
-        loop.schedule_at(crash.at_ms, fire)
-
-    # Restarts: reboot a crashed replica from its persisted state.  The new
-    # incarnation is tracked so the oracle can compare it against the
-    # pre-crash snapshot and against a never-crashed survivor.
-    restarted: Dict[int, object] = {}
-    restart_times: List[float] = []
-    for restart in scenario.restarts:
-        def reboot(index=restart.replica):
-            if index in group._crashed_indices:
-                restarted[index] = group.restart_replica(index, network)
-
-        restart_times.append(restart.at_ms)
-        loop.schedule_at(restart.at_ms, reboot)
-
-    messages: Dict[str, Message] = {}
-    resubmitter: Optional[BoundedResubmitter] = None
-    if scenario.client_retries > 0:
-        # One timeout period comfortably covers a client->group round trip
-        # plus SMR ordering; deterministic (pure function of the scenario).
-        resubmitter = BoundedResubmitter(
-            resend=lambda msg_id: network.send(
-                CLIENT, group.leader.replica_id, ClientRequest(message=messages[msg_id])
-            ),
-            is_settled=lambda msg_id: msg_id in delivered_ids,
-            schedule=loop.schedule,
-            timeout_ms=scenario.uniform_ms * 8 + 50.0,
-            max_retries=scenario.client_retries,
-        )
-
-    for index, sub in enumerate(scenario.submissions):
-        message = Message.create(
-            destinations=(0,),
-            sender=CLIENT,
-            payload={"i": index},
-            payload_bytes=sub.payload_bytes,
-            msg_id=sub.msg_id,
-        )
-        messages[message.msg_id] = message
-
-        def submit(message=message):
-            network.send(CLIENT, group.leader.replica_id, ClientRequest(message=message))
-            if resubmitter is not None:
-                resubmitter.track(message.msg_id)
-
-        loop.schedule_at(sub.at_ms, submit)
-
-    result = FuzzResult(scenario=scenario, submitted=len(scenario.submissions))
-    try:
-        result.events = loop.run_until_idle(max_events=MAX_EVENTS)
-    except RuntimeError as exc:
-        result.violations.append(f"[livelock] {exc}")
-        return result
-
-    delivered = sink.sequence(0)
-    result.sequences = {0: delivered}
-    result.delivered = len(delivered)
-
-    # Safety: exactly-once, only-submitted.
-    seen = set()
-    for msg_id in delivered:
-        if msg_id in seen:
-            result.violations.append(f"[smr-integrity] {msg_id} delivered twice")
-        seen.add(msg_id)
-        if msg_id not in messages:
-            result.violations.append(
-                f"[smr-integrity] {msg_id} delivered but never submitted"
-            )
-
-    # Agreement: every active replica's own protocol copy delivered the same
-    # sequence (restarted replicas included — they are full members again).
-    active = [
-        replica
-        for index, replica in enumerate(group.replicas)
-        if index not in group._crashed_indices
-    ]
-    reference_seq: Optional[List[str]] = None
-    for index, replica in enumerate(group.replicas):
-        if index not in group._crashed_indices and index not in restarted:
-            reference_seq = list(replica.local_deliveries)
-            break
-    for replica in active[1:]:
-        if replica.local_deliveries != active[0].local_deliveries:
-            result.violations.append(
-                "[smr-agreement] surviving replicas applied different sequences"
-            )
-            break
-
-    # Recovery oracle: each rebooted replica's sequence across its restart.
-    for index, replica in restarted.items():
-        report = check_recovery(
-            pre_crash=pre_crash.get(index, []),
-            rejoined=replica.local_deliveries,
-            reference=reference_seq,
-            replica=str(replica.replica_id),
-        )
-        result.violations.extend(str(v) for v in report.violations)
-
-    if scenario.expect_all_delivered:
-        # With the client retry layer on, *every* submission must land.
-        missing = set(messages) - set(delivered)
-        if missing:
-            result.violations.append(
-                f"[smr-validity] {len(missing)} submissions never delivered "
-                f"despite retries: {sorted(missing)[:5]}"
-            )
-        if resubmitter is not None:
-            stuck = sorted(set(resubmitter.exhausted) - set(delivered))
-            if stuck:
-                result.violations.append(
-                    f"[smr-validity] retry budget exhausted for {stuck[:5]}"
-                )
-    else:
-        # Liveness across fail-over: everything submitted strictly after the
-        # last crash reached the application (earlier in-flight requests may
-        # be lost with the crashing replica when retries are off).
-        last_crash = max(crash_times, default=-1.0)
-        expected_after = {
-            sub.msg_id for sub in scenario.submissions if sub.at_ms > last_crash
+    agreement = CheckReport()
+    reports = [agreement]
+    for gid, host in hosts.items():
+        live = {
+            index: replica
+            for index, replica in enumerate(host.replicas)
+            if index not in host._crashed_indices
         }
-        missing = expected_after - set(delivered)
-        if missing:
-            result.violations.append(
-                f"[smr-failover] {len(missing)} post-crash submissions never "
-                f"delivered: {sorted(missing)[:5]}"
+        if len({replica.delivery_hash.digest() for replica in live.values()}) > 1:
+            agreement.add(
+                "smr-agreement",
+                f"group {gid}: surviving replicas applied different sequences",
             )
-    return result
+        never_down = [r for i, r in live.items() if (gid, i) not in restarted]
+        reports.extend(
+            check_recovery(
+                pre_crash=pre_crash.get((gid, index), []),
+                rejoined=replica.local_deliveries,
+                reference=never_down[0].local_deliveries if never_down else None,
+                replica=str(replica.replica_id),
+            )
+            for index, replica in live.items()
+            if (gid, index) in restarted
+        )
+    return reports

@@ -11,15 +11,22 @@ the matching oracle expectations:
   assumes reliable channels, so liveness is forfeit by design; the oracle
   switches to safety-only mode (everything that *was* delivered must still
   satisfy integrity/prefix/acyclic order and replay consistency);
-* ``crash`` — the run uses a multi-Paxos replicated group
-  (:class:`repro.smr.replica.ReplicatedGroup`) and crashes a seeded victim
-  replica mid-run; survivors must agree, and — thanks to the bounded client
+* ``crash`` — one multi-Paxos replicated group
+  (:class:`repro.smr.replica.ReplicatedGroup`, 3 replicas) absorbs the whole
+  submission stream and a seeded victim replica — leader or follower —
+  crashes mid-run; survivors must agree, and — thanks to the bounded client
   retry layer — *every* submission must still be delivered exactly once;
 * ``crash-restart`` — like ``crash``, but the victim also reboots from its
   persisted WALs mid-run (sometimes twice, sometimes a second
   victim).  On top of the ``crash`` oracle, the recovery oracle pins the
   rejoined replica's delivery sequence: duplicate-free, prefix-consistent
   with its own pre-crash deliveries, and convergent with the survivors;
+* ``cluster-crash`` / ``cluster-crash-restart`` — the shape that ships
+  (``ProcessCluster``: groups × replicas): the base scenario's groups and
+  destination sets are kept and every group gets 3 replicas; the victim is a
+  *follower* of a seeded group, because inter-group traffic is addressed to
+  replica 0 of a group and a crashed replica 0 would take the channel with
+  it (leader crashes are the single-group profiles' coverage);
 * ``reconfig`` — one or two scripted overlay switches (random permutations)
   run mid-traffic through the epoch coordinator; the whole multi-epoch trace
   must satisfy the regular properties plus ``check_epochs``.
@@ -29,7 +36,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
-from typing import Any, Callable, Optional
 
 from ..core.message import (
     FlexCastAck,
@@ -40,7 +46,10 @@ from ..core.message import (
 )
 from .scenario import Crash, FuzzScenario, Reconfig, Restart
 
-PROFILES = ("none", "dup", "loss", "crash", "reconfig", "crash-restart")
+PROFILES = (
+    "none", "dup", "loss", "crash", "reconfig", "crash-restart",
+    "cluster-crash", "cluster-crash-restart",
+)
 
 #: Bounded resubmit attempts for crash-family profiles (see
 #: :class:`repro.workload.clients.BoundedResubmitter`).
@@ -84,54 +93,54 @@ def apply_profile(scenario: FuzzScenario, profile: str) -> FuzzScenario:
             # would just stall too, so drop them for clarity.
             gc_interval_ms=None,
         )
-    if profile in ("crash", "crash-restart"):
-        # SMR mode: a single replicated group absorbing the whole submission
-        # stream, with a seeded victim replica crashed mid-run.  The crash
-        # time is drawn before the victim so every pre-existing ``crash``
-        # seed keeps its historical crash instant.
-        submissions = tuple(
-            replace(s, dst=(0,)) for s in scenario.submissions
-        )
+    if profile in ("crash", "crash-restart", "cluster-crash", "cluster-crash-restart"):
+        cluster = profile.startswith("cluster-")
+        # The crash time is drawn before the victim so every pre-existing
+        # ``crash`` seed keeps its historical crash instant.
         crash_at = round(rng.uniform(horizon * 0.2, horizon * 0.7), 3)
-        victim = rng.randrange(3)
-        common = dict(
-            order=(0,),
-            submissions=submissions,
+
+        def draw_victim() -> dict:
+            if cluster:
+                return dict(group=rng.choice(scenario.order), replica=rng.randint(1, 2))
+            return dict(replica=rng.randrange(3))
+
+        victim = draw_victim()
+        crashes = [Crash(at_ms=crash_at, **victim)]
+        restarts = []
+        if profile.endswith("crash-restart"):
+            # The victim reboots from its persisted state while traffic
+            # continues; ~1 in 3 seeds follows with a second crash-and-rejoin
+            # cycle (possibly of a different replica, possibly of the same
+            # one again — exercising WAL reuse across incarnations).
+            restart_at = round(crash_at + rng.uniform(0.15, 0.35) * horizon, 3)
+            restarts.append(Restart(at_ms=restart_at, **victim))
+            if rng.random() < 0.34:
+                victim = draw_victim()
+                crash_at = round(restart_at + rng.uniform(0.1, 0.25) * horizon, 3)
+                restart_at = round(crash_at + rng.uniform(0.1, 0.25) * horizon, 3)
+                crashes.append(Crash(at_ms=crash_at, **victim))
+                restarts.append(Restart(at_ms=restart_at, **victim))
+        scenario = replace(
+            scenario,
+            profile=profile,
+            crashes=tuple(crashes),
+            restarts=tuple(restarts),
             replication_factor=3,
             # Bounded resubmit-on-timeout: requests lost with a crashing
             # replica are retried by the client, so full delivery is back in
             # the oracle's contract (re-submission is idempotent end to end).
             client_retries=_CRASH_CLIENT_RETRIES,
             expect_all_delivered=True,
-            gc_interval_ms=None,
-            jitter_ms=min(scenario.jitter_ms, 1.0),
         )
-        if profile == "crash":
-            return replace(
-                scenario,
-                profile="crash",
-                crashes=(Crash(at_ms=crash_at, replica=victim),),
-                **common,
-            )
-        # crash-restart: the victim reboots from its persisted state while
-        # traffic continues; ~1 in 3 seeds follows with a second crash-and-
-        # rejoin cycle (possibly of a different replica, possibly of the same
-        # one again — exercising WAL reuse across incarnations).
-        restart_at = round(crash_at + rng.uniform(0.15, 0.35) * horizon, 3)
-        crashes = [Crash(at_ms=crash_at, replica=victim)]
-        restarts = [Restart(at_ms=restart_at, replica=victim)]
-        if rng.random() < 0.34:
-            victim2 = rng.randrange(3)
-            crash2_at = round(restart_at + rng.uniform(0.1, 0.25) * horizon, 3)
-            restart2_at = round(crash2_at + rng.uniform(0.1, 0.25) * horizon, 3)
-            crashes.append(Crash(at_ms=crash2_at, replica=victim2))
-            restarts.append(Restart(at_ms=restart2_at, replica=victim2))
+        if cluster:
+            return scenario
+        # One replicated group absorbs the whole submission stream.
         return replace(
             scenario,
-            profile="crash-restart",
-            crashes=tuple(crashes),
-            restarts=tuple(restarts),
-            **common,
+            order=(0,),
+            submissions=tuple(replace(s, dst=(0,)) for s in scenario.submissions),
+            gc_interval_ms=None,
+            jitter_ms=min(scenario.jitter_ms, 1.0),
         )
     if profile == "reconfig":
         num_switches = rng.randint(1, 2)
@@ -155,41 +164,26 @@ class EnvelopeFaultFilter:
     exact same fault schedule (the replay/shrink contract).
     """
 
-    def __init__(
-        self,
-        network,
-        rate: float,
-        seed: int,
-        mode: str,
-        predicate: Optional[Callable[[Any], bool]] = None,
-    ) -> None:
+    def __init__(self, network, rate: float, seed: int, mode: str) -> None:
         if mode not in ("drop", "dup"):
             raise ValueError(f"unknown fault mode {mode!r}")
-        if predicate is None:
-            kinds = _DROPPABLE_ENVELOPES if mode == "drop" else _DUPLICABLE_ENVELOPES
-            predicate = lambda p: isinstance(p, kinds)  # noqa: E731
         self._network = network
         self._rate = float(rate)
         self._rng = random.Random(seed)
         self._mode = mode
-        self._predicate = predicate
+        self._kinds = _DROPPABLE_ENVELOPES if mode == "drop" else _DUPLICABLE_ENVELOPES
         self._resending = False
-        self.dropped = 0
-        self.duplicated = 0
 
     def __call__(self, src, dst, payload) -> bool:
-        if self._resending or not self._predicate(payload):
+        if self._resending or not isinstance(payload, self._kinds):
+            return False
+        if self._rng.random() >= self._rate:
             return False
         if self._mode == "drop":
-            if self._rng.random() < self._rate:
-                self.dropped += 1
-                return True
-            return False
-        if self._rng.random() < self._rate:
-            self.duplicated += 1
-            self._resending = True
-            try:
-                self._network.send(src, dst, payload)
-            finally:
-                self._resending = False
+            return True
+        self._resending = True
+        try:
+            self._network.send(src, dst, payload)
+        finally:
+            self._resending = False
         return False

@@ -15,9 +15,9 @@ Scenarios serialize to plain JSON (``to_dict`` / ``from_dict`` /
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..overlay.base import GroupId
 
@@ -45,15 +45,17 @@ class Reconfig:
 
 @dataclass(frozen=True)
 class Crash:
-    """A scripted replica crash (``replica`` index) at ``at_ms``."""
+    """A scripted crash of replica ``replica`` of group ``group`` at ``at_ms``."""
 
     at_ms: float
     replica: int
+    group: GroupId = 0
 
 
 @dataclass(frozen=True)
 class Restart:
-    """A scripted reboot of crashed replica ``replica`` at ``at_ms``.
+    """A scripted reboot of crashed replica ``replica`` of group ``group`` at
+    ``at_ms``.
 
     The replica comes back with only its persisted state (its WALs)
     and must rejoin via replay + peer catch-up; a no-op if the replica is
@@ -62,6 +64,7 @@ class Restart:
 
     at_ms: float
     replica: int
+    group: GroupId = 0
 
 
 @dataclass(frozen=True)
@@ -84,7 +87,9 @@ class FuzzScenario:
     #: Scripted reboots of crashed replicas (crash-restart profile).  Old
     #: schedules deserialize to () — no restarts, unchanged behaviour.
     restarts: Tuple[Restart, ...] = ()
-    replication_factor: int = 1       # >1 switches the harness to SMR mode
+    #: Replicas per group: above 1 every group of the scenario is hosted as a
+    #: :class:`~repro.smr.replica.ReplicatedGroup` (a multi-Paxos log each).
+    replication_factor: int = 1
     #: Bounded client resubmit-on-timeout attempts per submission (0 = no
     #: retries).  With retries on, crash runs can assert every submission is
     #: delivered: re-submissions are idempotent end to end.
@@ -102,27 +107,10 @@ class FuzzScenario:
     #: same-destination submissions are coalesced up to this many per
     #: FlexCastBatch.  ``1`` (the default, and the value every pre-batching
     #: schedule deserializes to) disables batching — behaviour is then
-    #: bit-identical to the unbatched client.  Ignored by crash-profile
-    #: (SMR) runs, which exercise the replication layer's own path.
+    #: bit-identical to the unbatched client.
     batch_window: int = 1
     #: Time trigger closing a partially filled batch window (virtual ms).
     batch_delay_ms: float = 5.0
-
-    # ------------------------------------------------------------- transforms
-    def with_submissions(self, submissions: Sequence[Submission]) -> "FuzzScenario":
-        return replace(self, submissions=tuple(submissions))
-
-    def with_order(self, order: Sequence[GroupId]) -> "FuzzScenario":
-        return replace(self, order=tuple(order))
-
-    @property
-    def used_groups(self) -> Tuple[GroupId, ...]:
-        used = set()
-        for sub in self.submissions:
-            used.update(sub.dst)
-        for rec in self.reconfigs:
-            used.update(rec.order)
-        return tuple(g for g in self.order if g in used)
 
     # ---------------------------------------------------------- serialization
     def to_dict(self) -> Dict:
@@ -137,28 +125,17 @@ class FuzzScenario:
         if version != SCHEMA_VERSION:
             raise ValueError(f"unsupported scenario schema version {version}")
         data["order"] = tuple(data["order"])
+        # Keys a schedule predates (``group`` of a crash, say) take the
+        # dataclass defaults, so committed schedules load unchanged.
         data["submissions"] = tuple(
-            Submission(
-                at_ms=s["at_ms"],
-                msg_id=s["msg_id"],
-                dst=tuple(s["dst"]),
-                payload_bytes=s.get("payload_bytes", 64),
-                is_flush=s.get("is_flush", False),
-            )
-            for s in data["submissions"]
+            Submission(**{**s, "dst": tuple(s["dst"])}) for s in data["submissions"]
         )
         data["reconfigs"] = tuple(
             Reconfig(at_ms=r["at_ms"], order=tuple(r["order"]))
             for r in data.get("reconfigs", ())
         )
-        data["crashes"] = tuple(
-            Crash(at_ms=c["at_ms"], replica=c["replica"])
-            for c in data.get("crashes", ())
-        )
-        data["restarts"] = tuple(
-            Restart(at_ms=r["at_ms"], replica=r["replica"])
-            for r in data.get("restarts", ())
-        )
+        data["crashes"] = tuple(Crash(**c) for c in data.get("crashes", ()))
+        data["restarts"] = tuple(Restart(**r) for r in data.get("restarts", ()))
         return FuzzScenario(**data)
 
     def save(self, path) -> None:

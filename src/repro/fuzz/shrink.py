@@ -19,6 +19,7 @@ is what a regression schedule needs (any pinned violation is a real bug).
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable, List, Optional
 
 from .harness import run_scenario
@@ -64,12 +65,9 @@ def shrink_scenario(
         probes += 1
         return fails(candidate)
 
-    current = scenario
-    current = _ddmin_submissions(current, probe)
-    current = _prune_groups(current, probe)
+    current = _prune_groups(_ddmin_submissions(scenario, probe), probe)
     # A second submission pass often pays off after groups shrank.
-    current = _ddmin_submissions(current, probe)
-    return current
+    return _ddmin_submissions(current, probe)
 
 
 def _ddmin_submissions(scenario: FuzzScenario, probe: Predicate) -> FuzzScenario:
@@ -80,7 +78,7 @@ def _ddmin_submissions(scenario: FuzzScenario, probe: Predicate) -> FuzzScenario
         start = 0
         while start < len(submissions):
             candidate = submissions[:start] + submissions[start + chunk :]
-            if candidate and probe(scenario.with_submissions(candidate)):
+            if candidate and probe(replace(scenario, submissions=tuple(candidate))):
                 submissions = candidate
                 removed_any = True
                 # Re-test the same offset: a new chunk slid into it.
@@ -88,21 +86,18 @@ def _ddmin_submissions(scenario: FuzzScenario, probe: Predicate) -> FuzzScenario
                 start += chunk
         if not removed_any:
             chunk //= 2
-    return scenario.with_submissions(submissions)
+    return replace(scenario, submissions=tuple(submissions))
 
 
 def _prune_groups(scenario: FuzzScenario, probe: Predicate) -> FuzzScenario:
+    if scenario.reconfigs:
+        return scenario  # reconfig orders must stay permutations; skip pruning
+    used = {gid for sub in scenario.submissions for gid in sub.dst}
     current = scenario
-    for gid in list(current.order):
-        used = set()
-        for sub in current.submissions:
-            used.update(sub.dst)
+    for gid in scenario.order:
         if gid in used or len(current.order) <= 2:
             continue
-        candidate_order = tuple(g for g in current.order if g != gid)
-        candidate = current.with_order(candidate_order)
-        if candidate.reconfigs:
-            continue  # reconfig orders must stay permutations; skip pruning
+        candidate = replace(current, order=tuple(g for g in current.order if g != gid))
         if probe(candidate):
             current = candidate
     return current

@@ -45,6 +45,10 @@ class SweepSummary:
     failures: List[FuzzResult] = field(default_factory=list)
     anomalies: List[FuzzResult] = field(default_factory=list)
     shrunk: List[FuzzScenario] = field(default_factory=list)
+    #: Runs in which a guard escape fired / a replica rebooted mid-run: a
+    #: sweep that never does either says nothing about those paths.
+    escape_runs: int = 0
+    restart_runs: int = 0
     elapsed_s: float = 0.0
     timed_out: bool = False
 
@@ -76,9 +80,19 @@ def run_sweep(
             raise ValueError(f"unknown profile {profile!r} (know {PROFILES})")
     summary = SweepSummary()
     started = time.monotonic()
+    deadline = started + time_cap_s if time_cap_s is not None else float("inf")
+    base_fails = default_predicate(exposure)
+
+    def fails(candidate: FuzzScenario) -> bool:
+        # Shrinking re-runs the scenario up to max_probes times; a probe past
+        # the sweep's deadline reports "not failing", which stops the
+        # reduction quickly and keeps the best scenario so far — one finding
+        # cannot blow a CI time cap.
+        return time.monotonic() <= deadline and base_fails(candidate)
+
     for seed in seeds:
         for profile in profiles:
-            if time_cap_s is not None and time.monotonic() - started > time_cap_s:
+            if time.monotonic() > deadline:
                 summary.timed_out = True
                 summary.elapsed_s = time.monotonic() - started
                 return summary
@@ -93,40 +107,20 @@ def run_sweep(
                 scenario = replace(scenario, batch_window=batch_window)
             result = run_scenario(scenario, exposure=exposure)
             summary.runs += 1
+            summary.escape_runs += result.guard_escapes > 0
+            summary.restart_runs += result.restarts > 0
             if result.strict_ok:
                 summary.clean += 1
             else:
-                if result.ok:
-                    summary.anomalies.append(result)
-                else:
-                    summary.failures.append(result)
+                (summary.anomalies if result.ok else summary.failures).append(result)
                 if shrink_failures:
-                    # Shrinking re-runs the scenario up to max_probes times;
-                    # bound every probe by the sweep's remaining time budget
-                    # so one finding cannot blow a CI time cap.  Probes past
-                    # the deadline report "not failing", which stops the
-                    # reduction quickly and keeps the best scenario so far.
-                    base_fails = default_predicate(exposure)
-                    if time_cap_s is not None:
-                        deadline = started + time_cap_s
-                        if time.monotonic() >= deadline:
-                            summary.timed_out = True
-                            continue  # keep scanning cheaply; no more shrinks
-
-                        def fails(candidate, _fails=base_fails, _deadline=deadline):
-                            if time.monotonic() > _deadline:
-                                return False
-                            return _fails(candidate)
-
-                    else:
-                        fails = base_fails
                     try:
                         summary.shrunk.append(
                             shrink_scenario(scenario, fails=fails, max_probes=300)
                         )
                     except ValueError:
-                        # Deadline expired between the pre-check and the
-                        # shrinker's own initial failing-run validation.
+                        # The deadline passed before the shrinker's own
+                        # initial failing-run validation.
                         summary.timed_out = True
             if progress is not None:
                 progress(seed, profile, result)
@@ -204,7 +198,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else:
             status = "ok"
         print(
-            f"seed={seed:<4} profile={profile:<9} delivered="
+            f"seed={seed:<4} profile={profile:<21} delivered="
             f"{result.delivered:<5} {status}",
             flush=True,
         )
@@ -224,6 +218,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         f"{len(summary.anomalies)} ordering anomalies in "
         f"{summary.elapsed_s:.1f}s"
         + (" (time cap hit)" if summary.timed_out else "")
+    )
+    print(
+        f"       {summary.escape_runs} runs fired a guard escape, "
+        f"{summary.restart_runs} restarted a replica"
     )
     if args.out_dir and summary.shrunk:
         out = Path(args.out_dir)

@@ -60,10 +60,6 @@ class SlidingWindow:
         """Copy of all in-window ``key -> count`` pairs."""
         return dict(self._counts)
 
-    def latest_at(self) -> float:
-        """Timestamp of the newest in-window observation (0.0 if empty)."""
-        return self._entries[-1][0] if self._entries else 0.0
-
     def clear(self) -> None:
         """Drop all state, including the monotonic observed total."""
         self._entries.clear()

@@ -107,15 +107,6 @@ class WorkloadShiftResult:
         ]
         return sum(samples) / len(samples) if samples else float("nan")
 
-    def mean_completion_latency(
-        self, start_ms: float = 0.0, end_ms: Optional[float] = None
-    ) -> float:
-        samples = [
-            t.completed_at - t.submitted_at
-            for t in self.transactions_between(start_ms, end_ms)
-        ]
-        return sum(samples) / len(samples) if samples else float("nan")
-
     @property
     def switched(self) -> bool:
         return any(s.completed_ms is not None for s in self.switches)

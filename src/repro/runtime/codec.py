@@ -17,7 +17,7 @@ from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from ..core import message as msg
 from ..smr import multipaxos as smr, paxos
-from ..smr.replica import OrderedEnvelope, Turn
+from ..smr.replica import OrderedEnvelope, TimerFired, Turn
 
 #: 4-byte big-endian length prefix.
 _LENGTH = struct.Struct(">I")
@@ -260,6 +260,9 @@ _SCHEMA: Tuple[tuple, ...] = (
     (smr.Commit, "smr-commit", "instance", _BALLOT),
     (smr.Heartbeat, "smr-heartbeat", "leader"),
     (smr.CatchupRequest, "smr-catchup", "from_instance", "from_replica"),
+    # Only ever inside a log value: a replica reports a timer of its protocol
+    # copy due by ordering this through its group's log.
+    (TimerFired, "smr-timer", "index"),
     (smr.CatchupReply, "smr-catchup-reply",
      _field("entries",
             lambda entries: [[i, _entry_to_wire(v)] for i, v in entries],

@@ -268,7 +268,7 @@ class ReplicaServer(FrameServer):
         await super().stop()
         # A connection handler may still be draining frames it had buffered,
         # and a turn's flush may still be pending; the log no longer takes them.
-        self.replica.dead = True
+        self.replica.kill()
         self._storage.close()
 
     async def serve_until_stopped(self) -> None:

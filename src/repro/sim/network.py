@@ -108,7 +108,6 @@ class Network:
         # Last scheduled delivery time per channel, used to enforce FIFO when
         # jitter would otherwise reorder messages.
         self._channel_clock: Dict[Tuple[NodeId, NodeId], float] = {}
-        self._messages_in_flight = 0
         self._total_messages = 0
         self._drop_filter: Optional[Callable[[NodeId, NodeId, Any], bool]] = None
         # Delivery observers: called as fn(time, src, dst, payload) after a
@@ -146,9 +145,6 @@ class Network:
 
     def is_registered(self, node_id: NodeId) -> bool:
         return node_id in self._nodes
-
-    def site_of(self, node_id: NodeId) -> int:
-        return self._nodes[node_id].site
 
     # ------------------------------------------------------------- messaging
     def set_drop_filter(
@@ -204,7 +200,6 @@ class Network:
             deliver_at = previous  # preserve FIFO under jitter
         self._channel_clock[channel] = deliver_at
 
-        self._messages_in_flight += 1
         self._total_messages += 1
         self._loop.schedule_at(
             deliver_at, lambda: self._deliver(src, dst, payload, size)
@@ -212,7 +207,6 @@ class Network:
         return deliver_at
 
     def _deliver(self, src: NodeId, dst: NodeId, payload: Any, size: int) -> None:
-        self._messages_in_flight -= 1
         node = self._nodes.get(dst)
         if node is None:
             return  # destination departed (crash injection)
@@ -231,13 +225,6 @@ class Network:
     def traffic(self, node_id: NodeId) -> NodeTraffic:
         """Traffic counters for a node (zeros if it never communicated)."""
         return self._traffic[node_id]
-
-    def all_traffic(self) -> Dict[NodeId, NodeTraffic]:
-        return dict(self._traffic)
-
-    @property
-    def messages_in_flight(self) -> int:
-        return self._messages_in_flight
 
     @property
     def total_messages(self) -> int:

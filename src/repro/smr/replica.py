@@ -20,13 +20,18 @@ replication ... groups do not fail as a whole".
 * only the current leader's copy actually emits outbound protocol messages and
   client responses — otherwise descendants/clients would receive duplicates;
   after a fail-over, the new leader's copy continues from the same applied
-  state, because it applied the same log prefix.
+  state, because it applied the same log prefix;
+* a timer a protocol copy arms is an input like any other, so it too is
+  ordered through the log: when it is due the replica submits a
+  :class:`TimerFired` entry, and every copy runs the callback where that
+  entry commits — under the leader's gate, at one log position, once.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..core.message import ClientRequest, Envelope, HistorySnapshotFrame, Message
@@ -46,6 +51,20 @@ class OrderedEnvelope:
 
     def size_bytes(self) -> int:
         return 16 + self.envelope.size_bytes()
+
+
+@dataclass(frozen=True)
+class TimerFired(Envelope):
+    """Log entry: the ``index``-th timer the group's protocol copies armed is
+    due.  Every copy makes the same ``schedule`` calls at the same log
+    positions (arming only happens while an entry is applied), so the count
+    names the same timer on all of them."""
+
+    index: int
+    kind: str = field(default="smr-timer", init=False)
+
+    def size_bytes(self) -> int:
+        return 16
 
 
 @dataclass(frozen=True)
@@ -70,15 +89,25 @@ _TURN_VALUE_BYTES = 256 * 1024
 
 
 class _GatedTransport(Transport):
-    """Transport wrapper that drops outbound traffic unless the gate is open.
+    """What a replica's protocol copy sees of the world.
 
-    Replicas all apply every envelope to their protocol copy; only the leader
-    may let the resulting outbound messages reach the network.
+    Replicas all apply every log entry to their protocol copy; only the
+    leader may let the resulting outbound messages reach the network, so
+    ``send`` drops unless the gate is open.  ``schedule`` does not hand the
+    callback to the clock: it arms a real timer that reports the timer due
+    (``due(index)``, which orders a :class:`TimerFired` through the log) and
+    keeps the callback for :meth:`take` to hand out where that entry is
+    applied.
     """
 
-    def __init__(self, inner: Transport) -> None:
+    def __init__(self, inner: Transport, due: Callable[[int], None]) -> None:
         self._inner = inner
+        self._due = due
         self.open = False
+        #: ``schedule`` calls so far: the next timer's index.
+        self._armed = 0
+        #: index -> (callback, real timer) of every timer not yet run.
+        self._timers: Dict[int, Tuple[Callable[[], None], Any]] = {}
 
     def send(self, dst, payload) -> None:
         if self.open:
@@ -88,7 +117,26 @@ class _GatedTransport(Transport):
         return self._inner.now()
 
     def schedule(self, delay_ms: float, callback: Callable[[], None]):
-        return self._inner.schedule(delay_ms, callback)
+        index = self._armed
+        self._armed += 1
+        self._timers[index] = (
+            callback,
+            self._inner.schedule(delay_ms, lambda: self._due(index)),
+        )
+        return SimpleNamespace(cancel=lambda: self.take(index))
+
+    def take(self, index: int) -> Optional[Callable[[], None]]:
+        """Retire timer ``index`` and return its callback — ``None`` if it
+        already ran (each replica reports a timer due; the first report to
+        commit runs it) or was cancelled."""
+        callback, timer = self._timers.pop(index, (None, None))
+        if timer is not None:
+            timer.cancel()
+        return callback
+
+    def cancel_all(self) -> None:
+        for index in list(self._timers):
+            self.take(index)
 
 
 class GroupReplica:
@@ -96,7 +144,8 @@ class GroupReplica:
 
     Envelopes are collected per turn (:meth:`on_message`) and submitted to
     the log by one :meth:`_flush` behind them; :meth:`_apply` runs a decided
-    value's entries in order under one gate decision.
+    value's entries in order under one gate decision.  The protocol copy's
+    timers take the same road (:class:`TimerFired`).
     """
 
     def __init__(
@@ -112,7 +161,7 @@ class GroupReplica:
     ) -> None:
         self.group_id = group_id
         self.replica_id = replica_id
-        self._gated = _GatedTransport(transport)
+        self._gated = _GatedTransport(transport, self._timer_due)
         self._outer_transport = transport
         #: Message ids already reported to the application, shared across the
         #: logical group's replicas.  Around a fail-over, the old leader may
@@ -121,8 +170,8 @@ class GroupReplica:
         #: leader — without the shared set the application would see the
         #: delivery twice.
         self._reported = reported if reported is not None else set()
-        #: Set by :meth:`ReplicatedGroup.crash_replica`: a crashed incarnation
-        #: must never report deliveries, even if a stale timer still fires.
+        #: Set by :meth:`kill`: a crashed or stopped incarnation takes no
+        #: input and must never report deliveries.
         self.dead = False
         #: This replica's own delivery order, as produced by its protocol copy
         #: (leaders and followers alike, before the leader gate).  After a
@@ -202,6 +251,18 @@ class GroupReplica:
         else:
             self.smr.on_message(sender, payload)
 
+    def _timer_due(self, index: int) -> None:
+        """A real timer of this replica ran out: say so in the log.  Every
+        replica does (a follower's entry is forwarded like any command), so
+        the timer outlives any of them; the first entry to commit runs it."""
+        self.on_message(self.replica_id, TimerFired(index))
+
+    def kill(self) -> None:
+        """This incarnation is over (crash, or a graceful stop): it takes no
+        more input, reports nothing, and no timer of its outlives it."""
+        self.dead = True
+        self._gated.cancel_all()
+
     def _flush(self) -> None:
         """Submit what the turn collected: one log value, or several when it
         outgrows ``_TURN_VALUE_BYTES``, in arrival order (FIFO per sender is
@@ -228,7 +289,12 @@ class GroupReplica:
                 # take its neighbours along: apply them all, then re-raise
                 # the first error — as loud, and the same on every replica.
                 try:
-                    self.protocol_state.on_envelope(entry.sender, entry.envelope)
+                    if type(entry.envelope) is TimerFired:
+                        callback = self._gated.take(entry.envelope.index)
+                        if callback is not None:
+                            callback()
+                    else:
+                        self.protocol_state.on_envelope(entry.sender, entry.envelope)
                 except Exception as exc:
                     failure = failure or exc
                 self.applied_envelopes += 1
@@ -376,7 +442,7 @@ class ReplicatedGroup:
         """Crash one replica: unregister it and inform the survivors."""
         victim = self.replicas[index]
         self._crashed_indices.add(index)
-        victim.dead = True
+        victim.kill()
         network.unregister(victim.replica_id)
         for replica in self.replicas:
             if replica is not victim:

@@ -285,3 +285,45 @@ class TestPivotGuardDirectly:
         # A retired promise binds nothing any more.
         history = history_of([("Y", {A, B}), ("P0", {A, D})], edges=[("Y", "P0")])
         assert guard.allows("X", {"X", "Y"}, history)
+
+
+class TestWhatForgetIsReachedWith:
+    """Garbage collection hands :meth:`PivotGuard.forget` pruned ids that are
+    acked pivots, and nothing else the guard holds: no pruned id is exempt,
+    and — a group is never a destination of a pivot it acked — no id the
+    group delivers is one of its pivots.  So ``forget`` drops promises only,
+    and ``delivered`` never has one to drop."""
+
+    def test_on_the_schedule_that_fires_escapes(self, monkeypatch):
+        from dataclasses import replace
+        from pathlib import Path
+
+        import repro.core.flexcast as flexcast_module
+        from repro.fuzz import FuzzScenario, run_scenario
+
+        seen = {"pruned pivots": 0, "exemptions spent": 0}
+
+        class Recording(PivotGuard):
+            def forget(self, msg_ids):
+                assert not self._exempt & set(msg_ids)
+                seen["pruned pivots"] += len(self.pivots.keys() & msg_ids)
+                super().forget(msg_ids)
+
+            def delivered(self, msg_id):
+                assert msg_id not in self.pivots
+                seen["exemptions spent"] += msg_id in self._exempt
+                super().delivered(msg_id)
+
+        monkeypatch.setattr(flexcast_module, "PivotGuard", Recording)
+        schedules = Path(__file__).parents[1] / "regression" / "schedules"
+        # Flushes every 400 ms so garbage collection runs between and after
+        # the two guard escapes of this schedule.
+        scenario = replace(
+            FuzzScenario.load(schedules / "inventory_seed3_full.json"),
+            gc_interval_ms=400.0,
+        )
+        result = run_scenario(scenario, exposure="none")
+        assert result.ok, result.violations[:3]
+        assert result.guard_escapes > 0
+        assert seen["exemptions spent"] == result.guard_escapes
+        assert seen["pruned pivots"] > 0, seen

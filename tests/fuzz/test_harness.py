@@ -96,6 +96,23 @@ class TestOracles:
         assert result.ok, result.violations
         assert result.delivered >= 15
 
+    def test_replicated_run_is_judged_by_the_whole_suite(self, substitute_groups):
+        """One path, one suite: a delivery a replicated group swallows is
+        reported by ``check_trace`` and by conservation, as on bare groups."""
+        from repro.core.flexcast import FlexCastGroup
+
+        class Swallows(FlexCastGroup):
+            def deliver(self, message):
+                if (self.group_id, message.msg_id) != (2, "m2"):
+                    super().deliver(message)
+
+        substitute_groups(Swallows)
+        for replication_factor in (1, 3):
+            result = run_scenario(small_scenario(replication_factor=replication_factor))
+            kinds = {v.split("]")[0] + "]" for v in result.violations}
+            assert {"[validity/agreement]", "[conservation]"} <= kinds, kinds
+            assert result.sequences[0] == ["m0", "m2", "m3"]
+
     def test_loss_profile_keeps_safety_only(self):
         scenario = apply_profile(generate_scenario(1, "loss"), "loss")
         assert scenario.expect_all_delivered is False

@@ -39,7 +39,7 @@ from repro.smr.multipaxos import (
     Heartbeat,
 )
 from repro.smr.paxos import Accept, Accepted, Ballot, Nack, Prepare, Promise
-from repro.smr.replica import OrderedEnvelope, Turn
+from repro.smr.replica import OrderedEnvelope, TimerFired, Turn
 
 CORPUS = os.path.join(os.path.dirname(__file__), "data", "wire_golden.tsv")
 TURNS_CORPUS = os.path.join(os.path.dirname(__file__), "data", "wire_golden_turns.tsv")
@@ -157,6 +157,7 @@ SAMPLES = {
     "smr-catchup": CatchupRequest(from_instance=3, from_replica="group-0-replica-2"),
     "smr-catchup-reply": CatchupReply(entries=((3, ORDERED), (4, "cmd-b"))),
     "smr-catchup-reply-empty": CatchupReply(entries=()),
+    "smr-timer": TimerFired(index=7),
     "paxos-prepare": Prepare(instance=5, ballot=Ballot(2, 1)),
     "paxos-promise": Promise(
         instance=5,
