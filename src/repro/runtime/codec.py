@@ -2,10 +2,13 @@
 
 Every frame is length-prefixed JSON.  ``_SCHEMA`` holds one row per envelope
 class and both directions read it; :class:`~repro.core.message.Message` and
-history deltas are the hand-written leaves inside.  JSON keeps the frames
-debuggable with ``tcpdump``/``wireshark`` and avoids pickling code objects
-across trust boundaries; the simulator's size model (``size_bytes``) stays
-separate so simulated byte counts do not depend on JSON verbosity.
+history deltas are the hand-written leaves inside.  The four frames that
+carry log values hold them *after* that JSON, one line of value text each
+(``_VALUE_FRAMES``): a value is serialised where it is first needed, and from
+there on frames and WAL records are built around its bytes.  JSON keeps the
+frames debuggable with ``tcpdump``/``wireshark`` and avoids pickling code
+objects across trust boundaries; the simulator's size model (``size_bytes``)
+stays separate so simulated byte counts do not depend on JSON verbosity.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from ..core import message as msg
 from ..smr import multipaxos as smr, paxos
+from ..smr.paxos import json_text
 from ..smr.replica import OrderedEnvelope, TimerFired, Turn
 
 #: 4-byte big-endian length prefix.
@@ -190,26 +194,42 @@ def envelope_from_dict(data: Dict[str, Any]) -> Any:
 
 # SMR frames and the commit/acceptor WALs carry log *values*: the Turn a
 # GroupReplica ordered, or plain JSON-able commands (tests driving multi-Paxos
-# directly), which pass through untouched.  A turn of one entry travels as
-# that entry's object — the bytes written when an entry was the value, so
-# every older frame and WAL file reads as a turn of one — and several entries
-# as an array of such objects.  An entry is marked ``"__oe__": 1`` rather
-# than by ``type``: it is a value *inside* frames and records, never a frame
-# of its own.
+# directly), which are plain JSON.  A turn of one entry is that entry's
+# object — the bytes written when an entry was the value, so every older
+# frame and WAL file reads as a turn of one — and several entries are an
+# array of such objects.  An entry is marked ``"__oe__": 1`` rather than by
+# ``type``: it is a value *inside* frames and records, never a frame of its
+# own.
 _LOG_ENTRY = _fields("sender", _field("envelope", envelope_to_dict, envelope_from_dict))
 
 
-def _entry_to_wire(value: Any) -> Any:
-    if type(value) is not Turn:
-        return value
-    wire = [_pack({"__oe__": 1}, _LOG_ENTRY, entry) for entry in value.entries]
-    return wire[0] if len(wire) == 1 else wire
+def turn_text(entries: Sequence[OrderedEnvelope]) -> bytes:
+    """Serialise a turn: the one place a log value becomes text."""
+    wire = [_pack({"__oe__": 1}, _LOG_ENTRY, entry) for entry in entries]
+    return json_text(wire[0] if len(wire) == 1 else wire)
 
 
-def _entry_from_wire(wire: Any) -> Any:
+def turn_entries(text: bytes) -> Tuple[OrderedEnvelope, ...]:
+    """Parse a turn's text (inverse of above)."""
+    try:
+        return _value_from_wire(text).entries
+    except (AttributeError, ValueError) as exc:  # plain JSON, or not JSON
+        raise smr.UnreadableValue(f"not a turn: {text[:64]!r}") from exc
+
+
+def _value_text(value: Any) -> bytes:
+    return value.text if type(value) is Turn else json_text(value)
+
+
+def _value_from_wire(wire: Any) -> Any:
+    """A value from its line of a frame (``bytes``, which a turn keeps as its
+    text) or from its place inside the JSON of a frame older than that."""
+    text = None
+    if type(wire) is bytes:
+        text, wire = wire, json.loads(wire.decode("utf-8"))
     objects = wire if isinstance(wire, list) else [wire]
     if objects and all(isinstance(o, dict) and o.get("__oe__") == 1 for o in objects):
-        return Turn(tuple(_unpack(OrderedEnvelope, _LOG_ENTRY, o) for o in objects))
+        return Turn(tuple(_unpack(OrderedEnvelope, _LOG_ENTRY, o) for o in objects), text)
     return wire
 
 
@@ -221,7 +241,7 @@ _TS_PROPOSALS = _field(
     "ts_proposals", None, lambda pairs: tuple((g, ts) for g, ts in pairs), default=()
 )
 _BALLOT = _field("ballot", _ballot_to_list, _ballot_from_list)
-_VALUE = _field("value", _entry_to_wire, _entry_from_wire)
+_VALUE = _field("value", _value_text, _value_from_wire)
 
 #: ``(class, wire tag, *fields)`` for every class that can be a frame: adding
 #: an envelope is one row.  Field order is wire order
@@ -256,7 +276,7 @@ _SCHEMA: Tuple[tuple, ...] = (
     (msg.NodeHello, "node-hello", "node_id", "host", "port"),
     # SMR / Paxos: the process runtime replicates each group over real TCP,
     # so the intra-group consensus traffic crosses the wire too.
-    (smr.ClientCommand, "smr-command", _field("payload", _entry_to_wire, _entry_from_wire)),
+    (smr.ClientCommand, "smr-command", _field("payload", _value_text, _value_from_wire)),
     (smr.Commit, "smr-commit", "instance", _BALLOT),
     (smr.Heartbeat, "smr-heartbeat", "leader"),
     (smr.CatchupRequest, "smr-catchup", "from_instance", "from_replica"),
@@ -265,17 +285,17 @@ _SCHEMA: Tuple[tuple, ...] = (
     (TimerFired, "smr-timer", "index"),
     (smr.CatchupReply, "smr-catchup-reply",
      _field("entries",
-            lambda entries: [[i, _entry_to_wire(v)] for i, v in entries],
-            lambda entries: tuple((i, _entry_from_wire(v)) for i, v in entries),
+            lambda entries: [[i, _value_text(v)] for i, v in entries],
+            lambda entries: tuple((i, _value_from_wire(v)) for i, v in entries),
             default=())),
     (paxos.Prepare, "paxos-prepare", "instance", _BALLOT),
     (paxos.Promise, "paxos-promise",
      "instance", _BALLOT,
      _field("accepted",
             lambda entries: [
-                [i, _ballot_to_list(b), _entry_to_wire(v)] for i, b, v in entries],
+                [i, _ballot_to_list(b), _value_text(v)] for i, b, v in entries],
             lambda entries: tuple(
-                (i, _ballot_from_list(b), _entry_from_wire(v)) for i, b, v in entries)),
+                (i, _ballot_from_list(b), _value_from_wire(v)) for i, b, v in entries)),
      "from_replica"),
     (paxos.Accept, "paxos-accept", "instance", _BALLOT, _VALUE),
     (paxos.Accepted, "paxos-accepted", "instance", _BALLOT, "from_replica"),
@@ -286,14 +306,34 @@ _SCHEMA: Tuple[tuple, ...] = (
 _BY_CLASS = {cls: (tag, _fields(*fields)) for cls, tag, *fields in _SCHEMA}
 _BY_TAG = {tag: (cls, _fields(*fields)) for cls, tag, *fields in _SCHEMA}
 
+#: Wire tag -> key, for the frames that carry log values.  In the envelope's
+#: dictionary a value is its text (``bytes``), alone or last in each row of a
+#: list; on the wire the texts follow the JSON of everything else, a newline
+#: before each (text from ``json.dumps`` holds no raw newline), so encoding
+#: splices them in and decoding cuts them out, and neither parses a value to
+#: find where it ends.  Frames older than this held the value inside the JSON
+#: and decode as before.
+_VALUE_FRAMES = {
+    "smr-command": "payload", "paxos-accept": "value",
+    "smr-catchup-reply": "entries", "paxos-promise": "accepted",
+}
+
 
 # --------------------------------------------------------------------- framing
 def encode_frame(sender: Any, envelope: Any) -> bytes:
     """Encode one (sender, envelope) frame with its length prefix."""
-    body = json.dumps(
-        {"sender": sender, "envelope": envelope_to_dict(envelope)},
-        separators=(",", ":"),
-    ).encode("utf-8")
+    data = envelope_to_dict(envelope)
+    texts: Any = ()
+    key = _VALUE_FRAMES.get(data["type"])
+    if key is not None:
+        rows = data[key]
+        if type(rows) is bytes:
+            del data[key]
+            texts = (rows,)
+        else:
+            data[key] = [row[:-1] for row in rows]
+            texts = [row[-1] for row in rows]
+    body = b"\n".join((json_text({"sender": sender, "envelope": data}), *texts))
     if len(body) > MAX_FRAME_BYTES:
         raise CodecError(f"frame of {len(body)} bytes exceeds the {MAX_FRAME_BYTES} limit")
     return _LENGTH.pack(len(body)) + body
@@ -301,11 +341,23 @@ def encode_frame(sender: Any, envelope: Any) -> bytes:
 
 def decode_frame(body: bytes) -> Tuple[Any, Any]:
     """Decode a frame body (without its length prefix) into (sender, envelope)."""
+    head, newline, texts = body.partition(b"\n")
     try:
-        data = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        data = json.loads(head.decode("utf-8"))
+        envelope = data.get("envelope", {})
+        if newline:
+            key = _VALUE_FRAMES.get(envelope.get("type"))
+            rows, lines = envelope.get(key), texts.split(b"\n")
+            if key is None or len(lines) != (1 if rows is None else len(rows)):
+                raise CodecError(f"{len(lines)} value lines do not fit the frame")
+            envelope[key] = lines[0] if rows is None else [
+                row + [line] for row, line in zip(rows, lines)
+            ]
+        return data.get("sender"), envelope_from_dict(envelope)
+    except CodecError:
+        raise
+    except ValueError as exc:  # not UTF-8, or not JSON: the frame, or a value line
         raise CodecError(f"malformed frame: {exc}") from exc
-    return data.get("sender"), envelope_from_dict(data.get("envelope", {}))
 
 
 async def read_frame(reader, preread: bytes = b"") -> Tuple[Any, Any]:

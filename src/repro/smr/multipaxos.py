@@ -21,8 +21,12 @@ contribution):
   leader's ``Commit(instance, ballot)`` name it, and a follower decides from
   the entry it already accepted (or, if it missed the ``Accept``, fetches the
   decision by catch-up);
+* below ``apply`` a value is its JSON text (``encode_value``): what a WAL
+  record and a frame carry beside their own small JSON, what a catch-up chunk
+  is measured in, and — for a value that drops its decoded form once applied
+  (:class:`~repro.smr.replica.Turn`) — all the decided log keeps of it;
 * the commit log records such a decision as a reference to the acceptor's
-  record; a full ``["c", instance, value]`` record is written only for
+  record; a full ``["c", instance, text]`` record is written only for
   decisions learned by catch-up or when no acceptor WAL is attached;
 * a ``Nack`` ends a leadership; leader failure is handled by an explicit
   ``mark_failed`` trigger (tests, the supervisor's admin plane).
@@ -30,6 +34,7 @@ contribution):
 
 from __future__ import annotations
 
+import json
 from collections import deque
 from dataclasses import dataclass, field
 from typing import (
@@ -41,10 +46,17 @@ from ..sim.network import payload_size
 from ..sim.transport import Transport
 from .paxos import (
     ZERO_BALLOT, Accept, Accepted, Acceptor, Ballot, Nack, Prepare, Promise,
+    json_text, stored_text,
 )
 
 ReplicaId = Hashable
 ApplyCallback = Callable[[int, Any], None]
+
+
+class UnreadableValue(ValueError):
+    """A value's text does not decode to a value.  Raised where the text is
+    read — for one that ``decode_value`` took unparsed from a WAL, that is
+    when the value is applied."""
 
 
 @dataclass(frozen=True)
@@ -94,16 +106,16 @@ class CatchupRequest:
         return 32
 
 
-# Decisions per CatchupReply, and their modelled size (``payload_size``, about
-# half the JSON) at which a reply closes early; the decision that crosses it
-# still goes.  A rejoining replica that lapsed for hundreds of thousands of
-# instances must not receive them as one message, nor 2,048 large values as
-# one: over the wire transport such a reply would exceed the frame-size cap.
+# Decisions per CatchupReply, and the bytes of value text at which a reply
+# closes early; the decision that crosses it still goes.  A rejoining replica
+# that lapsed for hundreds of thousands of instances must not receive them as
+# one message, nor 2,048 large values as one: over the wire transport such a
+# reply would exceed the frame-size cap.
 # Chunks are applied independently (``_learn`` is idempotent and
 # order-tolerant), so losing one chunk degrades to a smaller catch-up, never
 # a corrupt one.
 CATCHUP_CHUNK = 2048
-CATCHUP_CHUNK_BYTES = 1024 * 1024
+CATCHUP_CHUNK_BYTES = 2 * 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -142,8 +154,8 @@ class MultiPaxosReplica:
         apply: ApplyCallback,
         acceptor_wal: Optional[Any] = None,
         log_wal: Optional[Any] = None,
-        encode_value: Optional[Callable[[Any], Any]] = None,
-        decode_value: Optional[Callable[[Any], Any]] = None,
+        encode_value: Optional[Callable[[Any], bytes]] = None,
+        decode_value: Optional[Callable[[bytes], Any]] = None,
     ) -> None:
         if replica_id not in peers:
             raise ValueError("replica_id must be listed in peers")
@@ -154,8 +166,8 @@ class MultiPaxosReplica:
         self._others = [peer for peer in self.peers if peer != replica_id]
         self.quorum_size = len(self.peers) // 2 + 1
 
-        self._encode_value = encode_value or (lambda value: value)
-        self._decode_value = decode_value or (lambda value: value)
+        self._encode_value = encode_value or json_text
+        self._decode_value = decode_value or json.loads
         # Durable acceptor state (Paxos safety across restarts) and a commit
         # log of decided instances (so a restarted replica re-applies its
         # prefix without touching the network).  Both optional.
@@ -227,14 +239,16 @@ class MultiPaxosReplica:
         record needs: ``["c", instance]`` stands for the value accepted at
         ``instance``.  The two files fsync independently, so the accept a
         reference points at may not have reached the disk; the log then ends
-        there exactly as at a torn tail, and catch-up refills the rest.
+        there exactly as at a torn tail, and catch-up refills the rest.  So
+        it does before an instance whose value text turns out not to be a
+        value (a record damaged past its checksum).
         """
         records = log_wal.records()
         for position, record in enumerate(records):
             if record[0] != "c":
                 raise ValueError(f"unknown commit WAL record kind: {record[0]!r}")
             if len(record) > 2:
-                value = self._decode_value(record[2])
+                value = self._decode_value(stored_text(record[2]))
             else:
                 if not self.acceptor.durable:
                     raise ValueError(
@@ -243,14 +257,21 @@ class MultiPaxosReplica:
                     )
                 accepted = self.acceptor.accepted(record[1])
                 if accepted is None:
-                    log_wal.reset(records[:position])
+                    records = records[:position]
+                    log_wal.reset(records)
                     break
                 value = accepted[1]
             self._decided[record[1]] = value
+        try:
+            self._apply_decided()
+        except UnreadableValue:
+            bad = self._applied_up_to
+            self._applied_up_to -= 1
+            self._decided = {i: v for i, v in self._decided.items() if i < bad}
+            log_wal.reset([record for record in records if record[1] < bad])
         if self._decided:
             self._decided_end = self._next_instance = max(self._decided) + 1
         self.recovered_instances = len(self._decided)
-        self._apply_decided()
 
     # ---------------------------------------------------------- observability
     def register_metrics(
@@ -475,7 +496,7 @@ class MultiPaxosReplica:
                 continue
             value = decided[instance]
             entries.append((instance, value))
-            size += payload_size(value)
+            size += len(self._encode_value(value))
             # The last instance below ``_decided_end`` is decided by
             # definition, so the final chunk is always closed here.
             if (

@@ -15,11 +15,23 @@ up.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 ReplicaId = Any
-ValueCodec = Callable[[Any], Any]
+
+
+def json_text(value: Any) -> bytes:
+    """A value's JSON text as the WALs and frames hold it (no raw newline)."""
+    return json.dumps(value, separators=(",", ":")).encode("utf-8")
+
+
+def stored_text(stored: Any) -> bytes:
+    """The value text of a WAL record: the line it was written on — or, from a
+    file written when the value sat inside the record's JSON, that part
+    dumped again (the same bytes: our JSON round-trips)."""
+    return stored if type(stored) is bytes else json_text(stored)
 
 
 @dataclass(frozen=True)
@@ -138,27 +150,31 @@ class Acceptor:
       promise became log-wide hold ``["p", instance, [round, proposer]]``;
       replaying those as the highest of them only makes the acceptor refuse
       more);
-    * ``["a", instance, [round, proposer], value]`` — value accepted (also
+    * ``["a", instance, [round, proposer], text]`` — value accepted (also
       implies the promise, mirroring :meth:`on_accept`).
 
     ``encode_value``/``decode_value`` translate accepted values to/from their
-    wire form (identity by default — fine for JSON-able commands).
+    JSON text (``bytes``; plain JSON by default — fine for JSON-able
+    commands).  The text is what a record holds, handed to the WAL as it is;
+    a value that remembers its text (:class:`~repro.smr.replica.Turn`) is
+    therefore never serialised to be stored, and ``decode_value`` may put off
+    the parse until somebody reads the value.
     """
 
     def __init__(
         self,
         replica_id: ReplicaId,
         wal: Optional[Any] = None,
-        encode_value: Optional[ValueCodec] = None,
-        decode_value: Optional[ValueCodec] = None,
+        encode_value: Optional[Callable[[Any], bytes]] = None,
+        decode_value: Optional[Callable[[bytes], Any]] = None,
     ) -> None:
         self.replica_id = replica_id
         #: Highest ballot promised, for every instance of the log.
         self.promised: Ballot = ZERO_BALLOT
         self._accepted: Dict[int, Tuple[Ballot, Any]] = {}
         self._wal = wal
-        self._encode = encode_value or (lambda value: value)
-        self._decode = decode_value or (lambda value: value)
+        self._encode = encode_value or json_text
+        self._decode = decode_value or json.loads
         if wal is not None:
             for record in wal.records():
                 self._replay(record)
@@ -177,7 +193,7 @@ class Acceptor:
         if self.promised < ballot:
             self.promised = ballot
         if kind == "a":
-            self._accepted[record[1]] = (ballot, self._decode(record[3]))
+            self._accepted[record[1]] = (ballot, self._decode(stored_text(record[3])))
 
     def _persist(self, record: List[Any]) -> None:
         if self._wal is None:
@@ -244,14 +260,15 @@ class Acceptor:
             )
         self.promised = accept.ballot
         self._accepted[accept.instance] = (accept.ballot, accept.value)
-        self._persist(
-            [
-                "a",
-                accept.instance,
-                [accept.ballot.round, accept.ballot.proposer],
-                self._encode(accept.value),
-            ]
-        )
+        if self.durable:  # else nobody needs the value's text here
+            self._persist(
+                [
+                    "a",
+                    accept.instance,
+                    [accept.ballot.round, accept.ballot.proposer],
+                    self._encode(accept.value),
+                ]
+            )
         return Accepted(
             instance=accept.instance,
             ballot=accept.ballot,

@@ -67,16 +67,65 @@ class TimerFired(Envelope):
         return 16
 
 
-@dataclass(frozen=True)
 class Turn:
     """Log value: the entries one replica received in one turn, in arrival order.
 
+    Below :meth:`GroupReplica._apply` a turn is its JSON ``text``: what the
+    frames and WAL records that carry it hold beside their own JSON, byte for
+    byte, and what two turns are compared by.  The replica that received the
+    entries serialises them when the text is first asked for, once; a turn
+    read from a frame keeps the line it was parsed from, and one read from a
+    WAL is not parsed until somebody wants its ``entries``.  Once applied, a
+    turn that has its text lets the entries go (:meth:`release`) — the
+    decided log and the acceptor then hold flat bytes, not a graph of
+    messages — and re-makes them for the rare reader that asks.
+
     A turn of one costs what its entry costs — in the size model here, and on
-    the wire and in the WALs, where it *is* the entry's object (several
+    the wire and in the WALs, where its text *is* the entry's object (several
     entries are an array of them: ``runtime/codec.py``).
     """
 
-    entries: Tuple[OrderedEnvelope, ...]
+    __slots__ = ("_entries", "_text")
+
+    def __init__(
+        self,
+        entries: Optional[Tuple[OrderedEnvelope, ...]] = None,
+        text: Optional[bytes] = None,
+    ) -> None:
+        self._entries = entries
+        self._text = text
+
+    @property
+    def entries(self) -> Tuple[OrderedEnvelope, ...]:
+        if self._entries is not None:
+            return self._entries
+        from ..runtime.codec import turn_entries
+
+        return turn_entries(self._text)
+
+    @property
+    def text(self) -> bytes:
+        if self._text is None:
+            from ..runtime.codec import turn_text
+
+            self._text = turn_text(self._entries)
+        return self._text
+
+    def release(self) -> None:
+        """Applied: keep one form — the text, if there is one."""
+        if self._text is not None:
+            self._entries = None
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Turn:
+            return NotImplemented
+        return other is self or self.text == other.text
+
+    def __hash__(self) -> int:
+        return hash(self.text)
+
+    def __repr__(self) -> str:
+        return f"Turn({self.text!r})"
 
     def size_bytes(self) -> int:
         return sum(entry.size_bytes() for entry in self.entries)
@@ -196,10 +245,6 @@ class GroupReplica:
         if storage is not None:
             acceptor_wal = storage.wal(f"{replica_id}.acceptor")
             log_wal = storage.wal(f"{replica_id}.log")
-        # The WALs hold log entries in their wire form; imported here because
-        # the codec's schema names OrderedEnvelope (defined above).
-        from ..runtime.codec import _entry_from_wire, _entry_to_wire
-
         # While the commit WAL replays (inside the MultiPaxosReplica
         # constructor) the replica re-applies its pre-crash log prefix: the
         # outbound gate stays shut and nothing is reported — peers and
@@ -212,8 +257,8 @@ class GroupReplica:
             apply=self._apply,
             acceptor_wal=acceptor_wal,
             log_wal=log_wal,
-            encode_value=_entry_to_wire,
-            decode_value=_entry_from_wire,
+            encode_value=lambda turn: turn.text,
+            decode_value=lambda text: Turn(text=text),
         )
         self._recovering = False
 
@@ -279,12 +324,15 @@ class GroupReplica:
                 start, size = end, 0
 
     def _apply(self, instance: int, turn: Turn) -> None:
+        # What this replica received or proposed it still holds; only a turn
+        # taken from a WAL is parsed here (and may prove unreadable).
+        entries = turn.entries
         # During WAL replay self.smr is still mid-construction; the recovery
         # check must short-circuit first (the gate stays shut regardless).
         self._gated.open = not self._recovering and self.smr.is_leader
         failure: Optional[Exception] = None
         try:
-            for entry in turn.entries:
+            for entry in entries:
                 # An entry that raises (a misrouted request, say) must not
                 # take its neighbours along: apply them all, then re-raise
                 # the first error — as loud, and the same on every replica.
@@ -300,6 +348,7 @@ class GroupReplica:
                 self.applied_envelopes += 1
         finally:
             self._gated.open = False
+            turn.release()
         if failure is not None:
             raise failure
 

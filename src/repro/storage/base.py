@@ -5,9 +5,11 @@ deterministic in-memory backend in the simulator/fuzzer and against real
 files in the asyncio runtime:
 
 * records appended to a :class:`WAL` must be JSON-serializable values; the
-  backend owns the encoding.  ``append`` is durable once :meth:`WAL.sync`
-  returns (backends may batch fsyncs — see :class:`~repro.storage.file.FileWAL`
-  for what that trades away);
+  backend owns the encoding — except of a log value, which its writer hands
+  over as JSON text (``bytes``, the last element of the record) and every
+  backend stores and returns as those bytes.  ``append`` is durable once
+  :meth:`WAL.sync` returns (backends may batch fsyncs — see
+  :class:`~repro.storage.file.FileWAL` for what that trades away);
 * :meth:`WAL.records` returns every surviving record in append order — after
   a crash that may exclude a torn or unsynced tail, never reorder or invent
   records;

@@ -4,7 +4,11 @@ WAL file format — a sequence of frames, nothing else::
 
     [u32 payload length][u32 CRC-32 of payload][payload: UTF-8 JSON]
 
-(big-endian, mirroring the runtime's length-prefixed wire framing).  A crash
+(big-endian, mirroring the runtime's length-prefixed wire framing).  The
+payload is one JSON document, or — a record that carries a log value — the
+record without it, a newline, and the value's JSON text as its writer was
+handed it (``bytes``, the record's last element): nothing below the state
+machine encodes or decodes a value to store it.  A crash
 can leave at most a *torn tail*: a final frame whose header, payload, or CRC
 is incomplete or wrong.  :meth:`FileWAL` handles that on open by truncating
 the file back to the last complete, CRC-valid frame — records before the tear
@@ -29,7 +33,7 @@ import os
 import struct
 import time
 import zlib
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, Iterator, List, Optional
 
 from ..obs import Observability
 from ..obs.registry import Histogram
@@ -42,8 +46,14 @@ MAX_RECORD_BYTES = 16 * 1024 * 1024
 
 
 def _encode_record(record: Any) -> bytes:
+    """One frame.  A record whose last element is ``bytes`` carries a log value
+    as JSON text its caller already produced: the text is stored as it is, on a
+    line of its own after the rest (our JSON never holds a raw newline)."""
+    text = b""
+    if type(record) is list and record and type(record[-1]) is bytes:
+        record, text = record[:-1], b"\n" + record[-1]
     try:
-        payload = json.dumps(record, separators=(",", ":")).encode("utf-8")
+        payload = json.dumps(record, separators=(",", ":")).encode("utf-8") + text
     except (TypeError, ValueError) as exc:
         raise StorageError(f"record is not JSON-serializable: {exc}") from exc
     if len(payload) > MAX_RECORD_BYTES:
@@ -51,33 +61,45 @@ def _encode_record(record: Any) -> bytes:
     return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 
 
-def _scan_frames(data: bytes) -> "tuple[List[Any], int]":
-    """Parse frames out of ``data``; returns (records, end-of-last-good-frame).
-
-    Stops at the first torn or corrupt frame — everything from there on is
-    treated as a tail to truncate (an interior corruption also invalidates
-    everything after it: frame boundaries can no longer be trusted).
-    """
-    records: List[Any] = []
+def _payloads(data: bytes) -> Iterator["tuple[bytes, int]"]:
+    """``(payload, end offset)`` of every frame up to the first torn or corrupt
+    one — everything from there on is a tail to truncate (an interior
+    corruption also invalidates what follows: frame boundaries can no longer
+    be trusted)."""
     offset = 0
     total = len(data)
     while offset + _HEADER.size <= total:
         length, crc = _HEADER.unpack_from(data, offset)
-        if length > MAX_RECORD_BYTES:
-            break  # corrupt length field
         start = offset + _HEADER.size
-        end = start + length
-        if end > total:
-            break  # short read: torn payload
-        payload = data[start:end]
+        offset = start + length
+        # A corrupt length field, a short read (torn payload), a bad CRC.
+        if length > MAX_RECORD_BYTES or offset > total:
+            return
+        payload = data[start:offset]
         if zlib.crc32(payload) != crc:
-            break  # bad CRC
+            return
+        yield payload, offset
+
+
+def _scan_frames(data: bytes) -> "tuple[List[Any], int]":
+    """Parse frames out of ``data``; returns (records, end-of-last-good-frame).
+
+    The one JSON parse of a record.  A value line comes back as the ``bytes``
+    it was appended as, not decoded.
+    """
+    records: List[Any] = []
+    good_end = 0
+    for payload, end in _payloads(data):
+        head, newline, text = payload.partition(b"\n")
         try:
-            records.append(json.loads(payload.decode("utf-8")))
-        except (UnicodeDecodeError, ValueError):
+            record = json.loads(head.decode("utf-8"))
+            if newline:
+                record.append(text)
+        except (AttributeError, ValueError):
             break  # CRC collision on garbage; treat as torn
-        offset = end
-    return records, offset
+        records.append(record)
+        good_end = end
+    return records, good_end
 
 
 class FileWAL(WAL):
@@ -113,13 +135,15 @@ class FileWAL(WAL):
             return 0
         with open(self.path, "rb") as fh:
             data = fh.read()
-        records, good_end = _scan_frames(data)
+        # Checksums only: records() is where a record is parsed, once.
+        ends = [end for _, end in _payloads(data)]
+        good_end = ends[-1] if ends else 0
         if good_end < len(data):
             with open(self.path, "r+b") as fh:
                 fh.truncate(good_end)
                 fh.flush()
                 os.fsync(fh.fileno())
-        return len(records)
+        return len(ends)
 
     # ------------------------------------------------------------------- api
     def append(self, record: Any) -> None:

@@ -3,56 +3,47 @@
 A simulated crash tears the *replica* down but leaves the
 :class:`InMemoryStorage` object alive in the harness, exactly like a real
 node's disk surviving its process.  To keep "works under fuzzing" equivalent
-to "works on the file backend", every record is round-tripped through JSON on
-append (``normalize=True``, the default): a record that the file backend could
-not encode, or that would come back subtly different (tuples as lists, dict
-keys as strings), fails or changes shape identically here.
+to "works on the file backend", a WAL here holds the frames the file backend
+would write and reads them back through the same scan: a record the file
+backend could not encode, or that would come back different (tuples as
+lists, a value line as ``bytes``), fails or changes shape identically here.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, Iterable, List
 
-from .base import WAL, Storage, StorageError
+from .base import WAL, Storage
+from .file import _encode_record, _scan_frames
 
 
 class InMemoryWAL(WAL):
-    """A WAL backed by a plain list (shared across replica incarnations)."""
+    """A WAL backed by a list of frames (shared across replica incarnations)."""
 
-    def __init__(self, records: List[Any], normalize: bool) -> None:
-        self._records = records
-        self._normalize = normalize
+    def __init__(self, frames: List[bytes]) -> None:
+        self._frames = frames
 
     def append(self, record: Any) -> None:
-        if self._normalize:
-            try:
-                record = json.loads(json.dumps(record))
-            except (TypeError, ValueError) as exc:
-                raise StorageError(f"record is not JSON-serializable: {exc}") from exc
-        self._records.append(record)
+        self._frames.append(_encode_record(record))
 
     def records(self) -> List[Any]:
-        return list(self._records)
+        return _scan_frames(b"".join(self._frames))[0]
 
     def reset(self, records: Iterable[Any] = ()) -> None:
-        self._records.clear()
-        for record in records:
-            self.append(record)
+        self._frames[:] = [_encode_record(record) for record in records]
 
     def sync(self) -> None:
         pass
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._frames)
 
 
 class InMemoryStorage(Storage):
     """Deterministic storage that survives simulated crash/restart cycles."""
 
-    def __init__(self, normalize: bool = True) -> None:
-        self._normalize = normalize
-        self._wals: Dict[str, List[Any]] = {}
+    def __init__(self) -> None:
+        self._wals: Dict[str, List[bytes]] = {}
         #: Counter for tests/benchmarks: appends seen.
         self.stats = {"appends": 0}
 
@@ -65,7 +56,7 @@ class InMemoryStorage(Storage):
                 super().append(record)
                 storage.stats["appends"] += 1
 
-        return _CountingWAL(backing, self._normalize)
+        return _CountingWAL(backing)
 
     def wal_names(self) -> List[str]:
         """Names of every WAL ever opened (introspection)."""

@@ -317,12 +317,13 @@ class TestSmrRoundTrips:
 
     def test_plain_values_pass_through(self):
         # Tests submit plain JSON-able commands; they must not be wrapped.
+        # (In the dictionary a log value is its JSON text, to be spliced in.)
         from repro.smr.multipaxos import ClientCommand
         from repro.smr.paxos import Accept, Ballot
 
-        assert envelope_to_dict(ClientCommand(payload="cmd-a"))["payload"] == "cmd-a"
+        assert envelope_to_dict(ClientCommand(payload="cmd-a"))["payload"] == b'"cmd-a"'
         accept = Accept(instance=0, ballot=Ballot(0, 0), value="cmd-a")
-        assert envelope_to_dict(accept)["value"] == "cmd-a"
+        assert envelope_to_dict(accept)["value"] == b'"cmd-a"'
         assert round_trip(accept) == accept
 
     def test_heartbeat_and_catchup(self):

@@ -16,11 +16,22 @@ frames that carry a value, each with a value of *several* entries (an array
 of the objects above).  A value of one entry is the object itself, which is
 why no line of the first corpus changed.
 
+The frames that carry a log value were rewritten in both corpora when the
+value moved out of the frame's JSON onto a line of its own after it (a
+deliberate format change: a value's text is produced once and spliced into
+frames and WAL records, and a splice that kept the old bytes would have to
+find the value's end inside JSON it has not parsed).  A corpus line holds
+such a frame's lines tab-separated — our JSON holds no raw tab either.  Every
+other line is byte-identical, and ``data/wire_golden_inline_values.tsv``
+keeps the old lines of those frames: decode-only, since a new binary still
+reads them (the reverse does not hold; a group's replicas upgrade together).
+
 Regenerate only for a deliberate wire-format change; a new envelope type adds
 a sample here and one line to the corpus.
 """
 
 import dataclasses
+import json
 import os
 import struct
 import sys
@@ -43,6 +54,9 @@ from repro.smr.replica import OrderedEnvelope, TimerFired, Turn
 
 CORPUS = os.path.join(os.path.dirname(__file__), "data", "wire_golden.tsv")
 TURNS_CORPUS = os.path.join(os.path.dirname(__file__), "data", "wire_golden_turns.tsv")
+INLINE_CORPUS = os.path.join(
+    os.path.dirname(__file__), "data", "wire_golden_inline_values.tsv"
+)
 SENDER = "group-0-replica-1"
 
 PLAIN = msg.Message(
@@ -198,8 +212,10 @@ TURN_SAMPLES = {
 
 
 def _corpus(path=CORPUS):
+    """name -> frame body; the tabs after the first stand for a frame's newlines."""
     with open(path, "r", encoding="utf-8") as handle:
-        return dict(line.rstrip("\n").split("\t", 1) for line in handle)
+        rows = (line.rstrip("\n").split("\t") for line in handle)
+        return {name: "\n".join(lines) for name, *lines in rows}
 
 
 def test_corpus_and_samples_name_the_same_frames():
@@ -221,16 +237,26 @@ def test_several_entry_frame_is_byte_identical_and_round_trips(name):
     assert decode_frame(body) == (SENDER, TURN_SAMPLES[name])
 
 
+@pytest.mark.parametrize("name", sorted(_corpus(INLINE_CORPUS)))
+def test_a_frame_with_its_value_inside_the_json_still_decodes(name):
+    body = _corpus(INLINE_CORPUS)[name].encode("utf-8")
+    sample = TURN_SAMPLES[name[6:]] if name.startswith("turns:") else SAMPLES[name]
+    assert b"\n" not in body and decode_frame(body) == (SENDER, sample)
+    # The value texts of today's frame are the ones inside the old: only moved.
+    today = encode_frame(SENDER, sample)[4:].split(b"\n")
+    assert all(line in body for line in today[1:])
+
+
 def test_several_entries_are_an_array_of_the_one_entry_object():
-    one = codec._entry_to_wire(ORDERED)
-    assert one["__oe__"] == 1 and codec._entry_from_wire(one) == ORDERED
-    assert codec._entry_to_wire(SEVERAL) == [
-        one, codec._entry_to_wire(ORDERED_PEER), one
-    ]
-    # Plain commands (multi-Paxos driven directly), lists included, pass through.
+    one = json.loads(ORDERED.text)
+    assert one["__oe__"] == 1 and codec._value_from_wire(one) == ORDERED
+    assert json.loads(SEVERAL.text) == [one, json.loads(ORDERED_PEER.text), one]
+    assert codec._value_from_wire(SEVERAL.text) == SEVERAL
+    # Plain commands (multi-Paxos driven directly), lists included, are plain JSON.
     for plain in ("cmd", [], [1, 2], [{"k": 1}], {"k": [1, None]}):
-        assert codec._entry_to_wire(plain) is plain
-        assert codec._entry_from_wire(plain) is plain
+        assert codec._value_text(plain) == json.dumps(plain, separators=(",", ":")).encode()
+        assert codec._value_from_wire(plain) is plain
+        assert codec._value_from_wire(codec._value_text(plain)) == plain
 
 
 def _subclasses(cls):
@@ -268,6 +294,5 @@ if __name__ == "__main__":
     for corpus_path, samples in ((CORPUS, SAMPLES), (TURNS_CORPUS, TURN_SAMPLES)):
         with open(corpus_path, "w", encoding="utf-8") as out:
             for sample_name, envelope in samples.items():
-                out.write(
-                    f"{sample_name}\t{encode_frame(SENDER, envelope)[4:].decode('utf-8')}\n"
-                )
+                body = encode_frame(SENDER, envelope)[4:].decode("utf-8")
+                out.write(sample_name + "\t" + body.replace("\n", "\t") + "\n")

@@ -10,16 +10,18 @@ import pytest
 
 from repro.core.flexcast import FlexCastProtocol
 from repro.overlay.cdag import CDagOverlay
-from repro.runtime.codec import _entry_from_wire, _entry_to_wire
+from repro.runtime.codec import turn_entries, turn_text
 from repro.sim.events import EventLoop
 from repro.sim.latencies import LatencyMatrix
 from repro.sim.network import Network
 from repro.sim.transport import SimTransport
 from repro.smr.multipaxos import MultiPaxosReplica
-from repro.smr.paxos import ZERO_BALLOT, Accept, Acceptor, Ballot, Nack, Prepare, Promise
+from repro.smr.paxos import (
+    ZERO_BALLOT, Accept, Acceptor, Ballot, Nack, Prepare, Promise, json_text, stored_text,
+)
 from repro.smr.replica import GroupReplica, replica_node
 from repro.storage import FileStorage, InMemoryStorage
-from repro.storage.file import _encode_record, _scan_frames
+from repro.storage.file import _encode_record, _payloads, _scan_frames
 
 
 # ----------------------------------------------------------------- acceptor WAL
@@ -66,7 +68,7 @@ class TestAcceptorDurability:
         acceptor.on_prepare(Prepare(instance=0, ballot=Ballot(1, 0)))
         assert ["p", [1, 0]] in storage.wal("w").records()
         acceptor.on_accept(Accept(instance=0, ballot=Ballot(1, 0), value="v"))
-        assert ["a", 0, [1, 0], "v"] in storage.wal("w").records()
+        assert ["a", 0, [1, 0], b'"v"'] in storage.wal("w").records()
 
     def test_wal_compaction_preserves_state(self):
         storage = InMemoryStorage()
@@ -91,17 +93,17 @@ class TestAcceptorDurability:
         acceptor = Acceptor(
             "r0",
             wal=storage.wal("w"),
-            encode_value=lambda v: {"wire": v},
-            decode_value=lambda v: v["wire"],
+            encode_value=lambda v: json_text({"wire": v}),
+            decode_value=lambda text: json.loads(text)["wire"],
         )
         ballot = Ballot(0, 0)
         acceptor.on_accept(Accept(instance=0, ballot=ballot, value="native"))
-        assert storage.wal("w").records() == [["a", 0, [0, 0], {"wire": "native"}]]
+        assert storage.wal("w").records() == [["a", 0, [0, 0], b'{"wire":"native"}']]
         restarted = Acceptor(
             "r0",
             wal=storage.wal("w"),
-            encode_value=lambda v: {"wire": v},
-            decode_value=lambda v: v["wire"],
+            encode_value=lambda v: json_text({"wire": v}),
+            decode_value=lambda text: json.loads(text)["wire"],
         )
         assert restarted.accepted_value(0) == "native"
 
@@ -268,21 +270,33 @@ def replay(storage, index=0):
 
 
 def wal_records(directory, name):
+    """The records of a corpus file, and the payload bytes of each."""
     with open(os.path.join(directory, f"{name}.wal"), "rb") as fh:
         data = fh.read()
     records, good_end = _scan_frames(data)
     assert good_end == len(data) and records
-    return records, data
+    return records, [payload for payload, _ in _payloads(data)]
 
 
-def re_encoded(records):
-    """The bytes this commit writes for ``records`` read back through the
-    value codec (``a`` and full ``c`` records carry a log value last)."""
-    return b"".join(
-        _encode_record(record[:-1] + [_entry_to_wire(_entry_from_wire(record[-1]))])
-        if len(record) > 2 and record[0] in "ac" else _encode_record(record)
-        for record in records
-    )
+def assert_value_texts_unchanged(records, payloads):
+    """What a corpus written before a value had a line of its own still pins.
+
+    The text this commit makes of a value (decoded, then serialised again) is
+    byte for byte the text *inside* the old record, where it sat between the
+    record's other fields and the closing bracket; only its framing moved —
+    the same fields, a newline, the same text.  A record without a value is
+    written as it always was.  Returns how many records carried a value.
+    """
+    valued = 0
+    for record, payload in zip(records, payloads):
+        if len(record) > 2 and record[0] in "ac":
+            head, text = json_text(record[:-1]), turn_text(turn_entries(stored_text(record[-1])))
+            assert payload == head[:-1] + b"," + text + b"]"
+            assert _encode_record(record[:-1] + [text])[8:] == head + b"\n" + text
+            valued += 1
+        else:
+            assert _encode_record(record)[8:] == payload
+    return valued
 
 
 class TestParentCommitWal:
@@ -303,16 +317,10 @@ class TestParentCommitWal:
         assert replica.smr.recovered_instances == expected["applied"]
 
     def test_log_entries_re_encode_to_the_parent_commits_bytes(self):
-        path = os.path.join(self.DATA, "group-0-replica-0.log.wal")
-        with open(path, "rb") as fh:
-            parent_bytes = fh.read()
-        records, good_end = _scan_frames(parent_bytes)
-        assert good_end == len(parent_bytes) and records
-        rewritten = b"".join(
-            _encode_record([kind, instance, _entry_to_wire(_entry_from_wire(wire))])
-            for kind, instance, wire in records
-        )
-        assert rewritten == parent_bytes
+        # Restated when the value got a line of its own: the value text is
+        # the parent commit's, byte for byte (every record here is a full c).
+        records, payloads = wal_records(self.DATA, "group-0-replica-0.log")
+        assert assert_value_texts_unchanged(records, payloads) == len(records)
 
 
 LEADERSHIP_WAL = os.path.join(os.path.dirname(__file__), "data", "leadership_wal")
@@ -321,19 +329,23 @@ LEADERSHIP_WAL = os.path.join(os.path.dirname(__file__), "data", "leadership_wal
 def write_corpus(directory):
     """Write a WAL corpus: the scenario of ``parent_wal`` (a 3-replica
     FlexCast group on the simulator: six requests, replica 2 crashes, four
-    more requests, its restart and the snapshot frame ordered for it), the
-    two WAL files of replica 0 and of the rejoiner as this commit writes
+    more requests, its restart and the snapshot frame ordered for it, and
+    last enough prepares at the rejoiner for its acceptor WAL to be folded),
+    the two WAL files of replica 0 and of the rejoiner as this commit writes
     them, and what a replay of them must rebuild.
 
     Every request reaches the leader in a turn of its own — one log value
     each, the records ``leadership_wal`` pins — except the last, which shares
     its turn with a client's retry of ``b0``: a value of two entries, an
     array in replica 0's ``a`` record and in the full ``c`` record of the
-    rejoiner, which learns it by catch-up (``turns_wal``).
+    rejoiner, which learns it by catch-up (``turns_wal``; in ``text_wal``
+    every value is a line of text after its record).
 
-    ``python tests/smr/test_durability.py --write-corpus DIR``; regenerate a
-    committed corpus only for a deliberate change of the WAL format, and keep
-    the old one under another name if old files must stay readable.
+    ``python tests/smr/test_durability.py --write-corpus DIR``; the output is
+    a function of the commit alone, and CI diffs it against the newest
+    committed corpus (``text_wal``).  Regenerate that one only for a
+    deliberate change of the WAL format, and keep the old one under another
+    name if old files must stay readable.
     """
     import tempfile
 
@@ -364,6 +376,11 @@ def write_corpus(directory):
         group.crash_replica(2, network)
         submit(["b0"], ["b1"], ["b2"], ["b3", "b0"])
         rejoiner = group.restart_replica(2, network)
+        loop.run_until_idle()
+        for round_no in range(1, 80):
+            rejoiner.on_message(
+                group.replicas[1].replica_id, Prepare(instance=0, ballot=Ballot(round_no, 1))
+            )
         loop.run_until_idle()
         storage.close()
         os.makedirs(directory, exist_ok=True)
@@ -404,16 +421,9 @@ class TestLeadershipWal:
         assert [r for r in accepts if r[0] == "p"] == [["p", [0, 0]]]
 
     def test_records_re_encode_to_identical_bytes(self):
-        for kind in ("acceptor", "log"):
-            records, data = self._records(kind)
-            rewritten = b"".join(
-                _encode_record(
-                    record[:3] + [_entry_to_wire(_entry_from_wire(record[3]))]
-                    if record[0] == "a" else record
-                )
-                for record in records
-            )
-            assert rewritten == data
+        # Restated: value texts identical, value-free records identical.
+        assert assert_value_texts_unchanged(*self._records("acceptor")) == 11
+        assert assert_value_texts_unchanged(*self._records("log")) == 0
 
     def test_the_writer_still_produces_a_replayable_corpus(self, tmp_path):
         # Not byte-compared with the committed files (those pin *this*
@@ -474,10 +484,70 @@ class TestTurnsWal:
         assert sum(isinstance(value, list) for value in others) == 2
 
     def test_records_re_encode_to_identical_bytes(self):
+        # Restated: value texts identical, value-free records identical.
+        valued = {
+            (index, kind): assert_value_texts_unchanged(
+                *wal_records(TURNS_WAL, f"group-0-replica-{index}.{kind}")
+            )
+            for index in (0, 2) for kind in ("acceptor", "log")
+        }
+        assert valued[0, "acceptor"] == 11 and valued[0, "log"] == 0
+        assert valued[2, "log"] >= 1  # what the rejoiner learned by catch-up
+
+
+TEXT_WAL = os.path.join(os.path.dirname(__file__), "data", "text_wal")
+
+
+class TestTextWal:
+    """``data/text_wal`` was written by the commit that made a log value text
+    below the state machine (:func:`write_corpus`): the records of
+    ``turns_wal``, each value moved out of its record's JSON onto a line of
+    its own, and the rejoiner's acceptor WAL folded once."""
+
+    DATA = TEXT_WAL
+    SEVERAL = TestTurnsWal.SEVERAL
+
+    test_replica_replays_its_own_format = (
+        TestParentCommitWal.test_replica_replays_a_wal_written_by_the_parent_commit
+    )
+    test_the_rejoiner_replays_its_full_records = (
+        TestTurnsWal.test_the_rejoiner_replays_its_full_records
+    )
+
+    def test_the_writer_reproduces_the_committed_files_byte_for_byte(self, tmp_path):
+        write_corpus(str(tmp_path))
+        assert sorted(os.listdir(tmp_path)) == sorted(os.listdir(TEXT_WAL))
+        for name in os.listdir(TEXT_WAL):
+            with open(os.path.join(TEXT_WAL, name), "rb") as ours:
+                assert (tmp_path / name).read_bytes() == ours.read(), name
+
+    def test_a_value_is_a_line_of_json_text_after_its_record(self):
+        seen = set()
         for index in (0, 2):
             for kind in ("acceptor", "log"):
-                records, data = wal_records(TURNS_WAL, f"group-0-replica-{index}.{kind}")
-                assert re_encoded(records) == data
+                records, payloads = wal_records(TEXT_WAL, f"group-0-replica-{index}.{kind}")
+                for record, payload in zip(records, payloads):
+                    valued = len(record) > 2 and record[0] in "ac"
+                    assert (type(record[-1]) is bytes) == valued
+                    if valued:
+                        assert payload == json_text(record[:-1]) + b"\n" + record[-1]
+                        assert b"\n" not in record[-1] and json.loads(record[-1])
+                        seen.add((record[0], isinstance(json.loads(record[-1]), list)))
+        # a and full c records, of turns of one and of several: all four.
+        assert seen == {("a", False), ("a", True), ("c", False), ("c", True)}
+
+    def test_the_value_texts_are_the_ones_inside_the_turns_corpus(self):
+        for index, kind in ((0, "acceptor"), (2, "log")):
+            ours, _ = wal_records(TEXT_WAL, f"group-0-replica-{index}.{kind}")
+            theirs, _ = wal_records(TURNS_WAL, f"group-0-replica-{index}.{kind}")
+            assert [r[:-1] + [stored_text(r[-1])] if len(r) > 2 else r for r in theirs] == ours
+
+    def test_the_rejoiners_acceptor_wal_was_folded(self):
+        records, _ = wal_records(TEXT_WAL, "group-0-replica-2.acceptor")
+        accepts = [r[1] for r in records if r[0] == "a"]
+        folded = records.index(next(r for r in records if r[0] == "p"))
+        assert accepts and accepts[:folded] == sorted(set(accepts[:folded]))
+        assert len(records) < 79  # the prepares alone were more
 
 
 def deploy_one_with_log(storage):

@@ -135,12 +135,13 @@ class TestSteadyStateCost:
                 for name in cluster.storage.wal_names()
             }
             instance = i + 1
+            text = json.dumps(command).encode()  # a value is stored as its JSON text
             for rid in IDS:
-                assert written[f"{rid}.acceptor"] == [["a", instance, [0, 0], command]]
+                assert written[f"{rid}.acceptor"] == [["a", instance, [0, 0], text]]
                 assert written[f"{rid}.log"] == [["c", instance]]
             holding = [
                 record for records in written.values() for record in records
-                if marker.decode() in json.dumps(record)
+                if marker in repr(record).encode()
             ]
             assert len(holding) == 3
 
@@ -272,7 +273,7 @@ class TestCommitWithoutAccept:
         assert cluster.applied["r2"] == cluster.applied["r0"] == ["c0", "c1", "c2"]
         assert r2.stats["catchup_entries_applied"] >= 1
         # Learned by catch-up, not through the acceptor: a full record.
-        assert cluster.records("r2.log") == [["c", 0], ["c", 2], ["c", 1, "c1"]]
+        assert cluster.records("r2.log") == [["c", 0], ["c", 2], ["c", 1, b'"c1"']]
 
     def test_an_entry_accepted_at_a_lower_ballot_is_not_the_decision(self):
         cluster = Cluster()
@@ -356,7 +357,7 @@ class TestReferenceRecords:
             log_wal=storage.wal("log"),
         )
         replica.submit("solo")
-        assert storage.wal("log").records() == [["c", 0, "solo"]]
+        assert storage.wal("log").records() == [["c", 0, b'"solo"']]
 
     def test_references_without_the_acceptor_wal_are_refused_not_dropped(self):
         storage = InMemoryStorage()
@@ -391,7 +392,7 @@ class TestReferenceRecords:
         restarted.rejoin()
         cluster.run()
         assert cluster.applied["r2"] == cluster.applied["r0"]
-        assert cluster.records("r2.log")[4:] == [["c", 4, "cmd-4"], ["c", 5, "cmd-5"]]
+        assert cluster.records("r2.log")[4:] == [["c", 4, b'"cmd-4"'], ["c", 5, b'"cmd-5"']]
 
     def test_old_per_instance_promise_records_replay_as_their_maximum(self):
         from repro.smr.paxos import Acceptor

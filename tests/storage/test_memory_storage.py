@@ -43,8 +43,18 @@ def test_append_stats_and_wal_names():
     assert storage.wal_names() == ["w"]
 
 
-def test_normalize_off_passthrough():
-    wal = InMemoryStorage(normalize=False).wal("w")
-    marker = object()
-    wal.append(marker)
-    assert wal.records()[0] is marker
+def test_records_go_through_the_file_backends_framing(tmp_path):
+    # Replaces the ``normalize=False`` passthrough test: there is no second
+    # mode any more — what is stored is the frame FileWAL would write, so a
+    # value line comes back as the bytes it was appended as, here as there.
+    from repro.storage import FileStorage
+
+    records = [["a", 0, [1, 0], b'{"k":[1,null]}'], ["c", 0], ["c", 1, b'"v"'], {"k": (1, 2)}]
+    memory, disk = InMemoryStorage().wal("w"), FileStorage(str(tmp_path)).wal("w")
+    for record in records:
+        memory.append(record)
+        disk.append(record)
+    assert memory.records() == disk.records() == records[:3] + [{"k": [1, 2]}]
+    with open(disk.path, "rb") as fh:
+        assert b"".join(memory._frames) == fh.read()
+    disk.close()
