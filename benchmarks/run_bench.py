@@ -48,9 +48,6 @@ from repro.core.timestamps import Exposure  # noqa: E402
 from repro.obs import Observability  # noqa: E402
 from repro.overlay.cdag import CDagOverlay  # noqa: E402
 from repro.protocols.base import RecordingSink  # noqa: E402
-from repro.reconfig.monitor import WorkloadMonitor  # noqa: E402
-from repro.reconfig.planner import Planner  # noqa: E402
-from repro.sim.latencies import aws_latency_matrix  # noqa: E402
 from repro.sim.transport import RecordingTransport  # noqa: E402
 from repro.storage import FileStorage  # noqa: E402
 from repro.workload.soak import provenance  # noqa: E402
@@ -436,25 +433,6 @@ def bench_delivery_round_obs(size: int) -> Callable[[], None]:
     return op
 
 
-def bench_reconfig_plan(size: int) -> Callable[[], None]:
-    """One coordinator re-planning pass with ``size`` observations in the
-    window (12-region AWS geometry, Asia-shifted workload)."""
-    monitor = WorkloadMonitor(window_ms=1e12)
-    asia = (8, 9, 10, 11)
-    for i in range(size):
-        home = asia[i % 4]
-        partner = asia[(i + 1) % 4] if i % 5 else (i % 8)
-        monitor.observe(home, {home, partner}, at=float(i))
-    snapshot = monitor.snapshot()
-    planner = Planner(aws_latency_matrix(), min_samples=1)
-    current = list(range(12))
-
-    def op() -> None:
-        assert planner.plan(current, snapshot) is not None
-
-    return op
-
-
 BENCHMARKS: Dict[str, Callable[[int], Callable[[], None]]] = {
     "diff_for": bench_diff_for,
     "diff_for_cold": bench_diff_for_cold,
@@ -466,7 +444,6 @@ BENCHMARKS: Dict[str, Callable[[int], Callable[[], None]]] = {
     "delivery_round_obs": bench_delivery_round_obs,
     "delivery_round_pivots": bench_delivery_round_pivots,
     "wal_append": bench_wal_append,
-    "reconfig_plan": bench_reconfig_plan,
 }
 
 #: Application messages processed per measured operation.  ``_measure`` times

@@ -6,8 +6,7 @@ and acyclic order — returning a :class:`CheckReport` of
 :class:`Violation`\\ s with concrete cycle witnesses), complemented by
 :func:`check_sequential_replay` (state-level divergence, the form
 applications see ordering bugs in), :func:`conservation_check`
-(exactly-once effect accounting), :func:`check_epochs` (epoch-boundary
-safety during live reconfiguration) and :func:`check_genuineness`.  The
+(exactly-once effect accounting) and :func:`check_genuineness`.  The
 fuzz harness (:mod:`repro.fuzz.harness`) runs the whole suite on every
 scenario; batched runs are split into per-message deliveries by the
 delivery gate before these oracles ever see them.  Crash-restart runs add
@@ -19,7 +18,6 @@ convergence with the survivors).
 from .properties import (
     CheckReport,
     Violation,
-    check_epochs,
     check_genuineness,
     check_trace,
 )
@@ -29,7 +27,6 @@ from .replay import check_sequential_replay, conservation_check, witness_order
 __all__ = [
     "CheckReport",
     "Violation",
-    "check_epochs",
     "check_genuineness",
     "check_recovery",
     "check_trace",

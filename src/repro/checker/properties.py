@@ -265,74 +265,6 @@ def _check_acyclic_order(
         )
 
 
-# --------------------------------------------------------------------- epochs
-def check_epochs(
-    delivery_epochs: Mapping[GroupId, Sequence[Tuple[str, int]]],
-    barriers: Optional[Mapping[str, int]] = None,
-) -> CheckReport:
-    """Atomic multicast safety *across* overlay reconfigurations.
-
-    ``delivery_epochs`` maps each group to its delivery sequence annotated
-    with the overlay epoch the group was in when it delivered:
-    ``[(msg_id, epoch), ...]``.  ``barriers`` maps each epoch-barrier message
-    id to the epoch it closed.  Checked properties:
-
-    * **epoch-monotonic** — a group's delivery epochs never decrease (a group
-      cannot travel back to a previous overlay);
-    * **epoch-agreement** — every message is delivered in the *same* epoch at
-      all of its destinations (the switch is atomic: no message straddles the
-      boundary, which is what makes the rank-order change safe);
-    * **epoch-barrier-boundary** — the barrier closing epoch ``e`` is
-      delivered in epoch ``e`` at every group, and no delivery from an epoch
-      *earlier* than ``e`` ever follows it.  (Same-epoch deliveries after the
-      barrier are legal: groups keep draining concurrent old-epoch messages
-      between delivering the barrier and switching.)
-
-    Loss/duplication/ordering across the boundary are covered by running the
-    regular :func:`check_trace` over the *whole* multi-epoch trace.
-    """
-    report = CheckReport()
-    report.checked_groups = len(delivery_epochs)
-    epoch_of: Dict[str, int] = {}
-    for group, sequence in delivery_epochs.items():
-        last_epoch: Optional[int] = None
-        for msg_id, epoch in sequence:
-            if last_epoch is not None and epoch < last_epoch:
-                report.add(
-                    "epoch-monotonic",
-                    f"group {group} delivered {msg_id} in epoch {epoch} after "
-                    f"delivering in epoch {last_epoch}",
-                )
-            last_epoch = epoch
-            known = epoch_of.setdefault(msg_id, epoch)
-            if known != epoch:
-                report.add(
-                    "epoch-agreement",
-                    f"{msg_id} delivered in epoch {epoch} at group {group} "
-                    f"but in epoch {known} elsewhere",
-                )
-    report.checked_messages = len(epoch_of)
-    for barrier_id, closed_epoch in (barriers or {}).items():
-        for group, sequence in delivery_epochs.items():
-            saw_barrier = False
-            for msg_id, epoch in sequence:
-                if msg_id == barrier_id:
-                    saw_barrier = True
-                    if epoch != closed_epoch:
-                        report.add(
-                            "epoch-barrier-boundary",
-                            f"barrier {barrier_id} closing epoch {closed_epoch} "
-                            f"delivered in epoch {epoch} at group {group}",
-                        )
-                elif saw_barrier and epoch < closed_epoch:
-                    report.add(
-                        "epoch-barrier-boundary",
-                        f"group {group} delivered {msg_id} (epoch {epoch}) after "
-                        f"the barrier closing epoch {closed_epoch}",
-                    )
-    return report
-
-
 # ----------------------------------------------------------------- genuineness
 def check_genuineness(
     payload_received_by_group: Mapping[GroupId, int],

@@ -57,8 +57,8 @@ class BatchingClient(MulticastClient):
     per *member* message and unchanged — only the dispatch path differs.
     Requires a protocol whose groups understand
     :class:`~repro.core.message.FlexCastBatch` (the FlexCast family; the
-    envelope subclasses ``ClientRequest``, so epoch reconfiguration parks,
-    re-routes and deduplicates batches like any other client request).
+    envelope subclasses ``ClientRequest``, so groups deduplicate batches
+    like any other client request).
     """
 
     def __init__(
@@ -91,7 +91,7 @@ class BatchingClient(MulticastClient):
             "singles_sent": 0,
             "messages_batched": 0,
             # Why each window closed (size trigger / delay timer / explicit
-            # flush call) — the knob feedback the SLO autopilot will read.
+            # flush call).
             "flush_size": 0,
             "flush_timer": 0,
             "flush_explicit": 0,

@@ -222,11 +222,6 @@ class FlexCastGroup(AtomicMulticastGroup):
         #: Handle of the guard's escape timer while a head is guard-blocked
         #: (at most one in flight; see :meth:`_guard_escape_tick`).
         self._escape_timer = None
-        #: Overlay-configuration epoch this group is in.  The base protocol
-        #: never changes it; the reconfiguration subsystem (repro.reconfig)
-        #: bumps it during a live overlay switch, and every outbound protocol
-        #: envelope is stamped with it so stale traffic is detectable.
-        self.epoch = 0
         # Statistics (exposed for tests, ablations and Figure 8 style reports).
         self.stats = {
             "msgs_received": 0,
@@ -575,9 +570,7 @@ class FlexCastGroup(AtomicMulticastGroup):
         """Another destination's Skeen proposal for an exposed ``message``.
 
         Proposals are rank-independent (they depend only on the destination
-        set), so this handler has no epoch/rank preconditions — it also runs
-        while the reconfiguration layer is quiescing, which is what lets a
-        convoy-blocked message finish deciding and drain before a switch.
+        set), so this handler has no rank preconditions.
         """
         message = envelope.message
         self.stats["ts_proposals_received"] += 1
@@ -629,7 +622,6 @@ class FlexCastGroup(AtomicMulticastGroup):
                     message=probe,
                     timestamp=local_ts,
                     from_group=self.group_id,
-                    epoch=self.epoch,
                 ),
             )
             self.stats["ts_proposals_sent"] += 1
@@ -829,14 +821,13 @@ class FlexCastGroup(AtomicMulticastGroup):
                     history=delta,
                     from_group=self.group_id,
                     notified=notified,
-                    epoch=self.epoch,
                     ts_proposals=ts_proposals,
                 )
                 self.stats["acks_sent"] += 1
             else:
                 envelope = FlexCastMsg(
                     message=message, history=delta, notified=notified,
-                    epoch=self.epoch, ts_proposals=ts_proposals,
+                    ts_proposals=ts_proposals,
                 )
                 self.stats["msgs_sent"] += 1
             self.send(dest, envelope)
@@ -875,7 +866,6 @@ class FlexCastGroup(AtomicMulticastGroup):
                     message=message,
                     history=delta,
                     from_group=self.group_id,
-                    epoch=self.epoch,
                 ),
             )
             notified.add(dest)
@@ -1104,47 +1094,6 @@ class FlexCastGroup(AtomicMulticastGroup):
             }
         self.stats["gc_pruned"] += len(victims)
         self.stats["journal_compacted"] += compacted
-
-    # -------------------------------------------------------- reconfiguration
-    def is_quiescent(self) -> bool:
-        """True iff this group holds no unfinished protocol work.
-
-        Used by the epoch coordinator's drain detection: every ancestor queue
-        empty, no open dependencies, and no notification waiting on them.
-        (In-flight envelopes on the wire are the coordinator's problem — it
-        cross-checks global sent/received counters.)
-        """
-        return (
-            not self._undelivered_to_me
-            and not self.pending_notifications
-            and all(not q for q in self.queues.values())
-        )
-
-    def install_overlay(self, overlay: CDagOverlay, epoch: int) -> None:
-        """Swap in a new overlay under a new epoch (live reconfiguration).
-
-        Only legal when the group is quiescent — the epoch coordinator drains
-        the old epoch first, so no queued message can reference the old rank
-        order.  The history, its change journal and the per-descendant diff
-        watermarks survive as-is: watermarks are absolute journal sequence
-        numbers, and a group that only now became a descendant falls below
-        ``journal_base`` and simply receives a full live snapshot on first
-        contact (the PR-1 late-joiner path).  The timestamp authority
-        (``self.ts``) also survives untouched: timestamps are a property of
-        a message's destination set, not of any rank order, so the Lamport
-        clock and any in-flight proposal state stay valid across the switch
-        (a proposal raced past the drain is still merged correctly after).
-        """
-        if not self.is_quiescent():
-            raise ProtocolError(
-                f"group {self.group_id} asked to switch overlays while not "
-                f"quiescent (open={sorted(self._undelivered_to_me)})"
-            )
-        self.overlay = overlay
-        self.epoch = epoch
-        self.queues = {ancestor: deque() for ancestor in overlay.ancestors(self.group_id)}
-        self.queues[self.group_id] = deque()
-        self._dirty_queues = set()
 
     # ------------------------------------------------------------- inspection
     def queue_sizes(self) -> Dict[GroupId, int]:

@@ -43,7 +43,6 @@ _GROUP_ID_BYTES = 2         # group ids are small integers
 _HISTORY_VERTEX_BYTES = _MSG_ID_BYTES + 4   # id + destination bitmap
 _HISTORY_EDGE_BYTES = 2 * _MSG_ID_BYTES
 _TIMESTAMP_BYTES = 8
-_EPOCH_BYTES = 4            # overlay-configuration epoch carried by envelopes
 
 _id_counter = itertools.count()
 
@@ -359,10 +358,10 @@ class FlexCastBatch(ClientRequest):
     destination set — this envelope *is* a :class:`ClientRequest` (the
     subclass only changes the wire ``kind`` and lets the traffic accounting
     attribute the batched payload bytes): every request-handling path
-    (submission validation, reconfiguration parking/re-routing, idempotent
-    re-submission) applies to batches with no further dispatch.  The
-    delivery gate fans the carrier out into per-member deliveries, so the
-    batch boundary is invisible to applications and to the checker.
+    (submission validation, idempotent re-submission) applies to batches
+    with no further dispatch.  The delivery gate fans the carrier out into
+    per-member deliveries, so the batch boundary is invisible to
+    applications and to the checker.
     """
 
     kind: str = field(default="batch", init=False)
@@ -413,8 +412,6 @@ class FlexCastMsg(Envelope):
     message: Message
     history: HistoryDelta
     notified: FrozenSet[GroupId] = frozenset()
-    #: Overlay-configuration epoch the sender was in (see repro.reconfig).
-    epoch: int = 0
     #: Hybrid mode: Skeen proposals for ``message`` known to the sender,
     #: piggybacked so destinations converge on the final timestamp without
     #: waiting for every dedicated ``ts-propose`` envelope.
@@ -424,7 +421,6 @@ class FlexCastMsg(Envelope):
     def size_bytes(self) -> int:
         return (
             _HEADER_BYTES
-            + _EPOCH_BYTES
             + self.message.size_bytes()
             + self.history.size_bytes()
             + len(self.notified) * _GROUP_ID_BYTES
@@ -440,8 +436,6 @@ class FlexCastAck(Envelope):
     history: HistoryDelta
     from_group: GroupId
     notified: FrozenSet[GroupId] = frozenset()
-    #: Overlay-configuration epoch the sender was in (see repro.reconfig).
-    epoch: int = 0
     #: Hybrid mode: Skeen proposals for ``message`` known to the sender.
     ts_proposals: Tuple[TsProposal, ...] = ()
     kind: str = field(default="ack", init=False)
@@ -449,7 +443,6 @@ class FlexCastAck(Envelope):
     def size_bytes(self) -> int:
         return (
             _HEADER_BYTES
-            + _EPOCH_BYTES
             + _MSG_ID_BYTES
             + _GROUP_ID_BYTES
             + self.history.size_bytes()
@@ -465,14 +458,11 @@ class FlexCastNotif(Envelope):
     message: Message
     history: HistoryDelta
     from_group: GroupId
-    #: Overlay-configuration epoch the sender was in (see repro.reconfig).
-    epoch: int = 0
     kind: str = field(default="notif", init=False)
 
     def size_bytes(self) -> int:
         return (
             _HEADER_BYTES
-            + _EPOCH_BYTES
             + _MSG_ID_BYTES
             + _GROUP_ID_BYTES
             + self.history.size_bytes()
@@ -496,12 +486,10 @@ class HistorySnapshotFrame(Envelope):
 
     group: GroupId
     delta: HistoryDelta
-    #: Overlay-configuration epoch the sender was in (observability only).
-    epoch: int = 0
     kind: str = field(default="history-snapshot", init=False)
 
     def size_bytes(self) -> int:
-        return _HEADER_BYTES + _EPOCH_BYTES + _GROUP_ID_BYTES + self.delta.size_bytes()
+        return _HEADER_BYTES + _GROUP_ID_BYTES + self.delta.size_bytes()
 
 
 @dataclass(frozen=True, slots=True)
@@ -520,149 +508,21 @@ class FlexCastTsPropose(Envelope):
 
     Only destinations of ``message`` exchange these, so genuineness is
     preserved.
-
-    Timestamps are a property of the destination set, not of any overlay
-    rank order, so the envelope is processed regardless of the epoch stamp
-    (carried for observability only) and is neither bounced nor parked by
-    the reconfiguration layer.
     """
 
     message: Message
     timestamp: int
     from_group: GroupId
-    #: Overlay-configuration epoch the sender was in (observability only).
-    epoch: int = 0
     kind: str = field(default="ts-propose", init=False)
 
     def size_bytes(self) -> int:
         return (
             _HEADER_BYTES
-            + _EPOCH_BYTES
             + _MSG_ID_BYTES
             + len(self.message.dst) * _GROUP_ID_BYTES
             + _TIMESTAMP_BYTES
             + _GROUP_ID_BYTES
         )
-
-
-# ------------------------------------------------- reconfiguration envelopes
-@dataclass(frozen=True, slots=True)
-class EpochPrepare(Envelope):
-    """Coordinator -> group: stop admitting new client requests, start drain.
-
-    The group parks client requests received from now on and keeps processing
-    in-flight protocol envelopes of the current epoch until it quiesces.
-    ``barrier_id`` pre-announces the epoch barrier: it is the *only* flush
-    allowed through the closed intake (ordinary periodic GC flushes park like
-    any other request, otherwise one could slip in after the drain and be
-    delivered under two different epochs).
-    """
-
-    new_epoch: int
-    reply_to: Any
-    barrier_id: str = ""
-    kind: str = field(default="epoch-prepare", init=False)
-
-    def size_bytes(self) -> int:
-        return _HEADER_BYTES + _EPOCH_BYTES + 2 * _MSG_ID_BYTES
-
-
-@dataclass(frozen=True, slots=True)
-class EpochPrepareAck(Envelope):
-    """Group -> coordinator: intake stopped for the old epoch."""
-
-    new_epoch: int
-    group: GroupId
-    kind: str = field(default="epoch-prepare-ack", init=False)
-
-    def size_bytes(self) -> int:
-        return _HEADER_BYTES + _EPOCH_BYTES + _GROUP_ID_BYTES
-
-
-@dataclass(frozen=True, slots=True)
-class QuiesceQuery(Envelope):
-    """Coordinator -> group: report your drain state for ``round_id``."""
-
-    new_epoch: int
-    round_id: int
-    barrier_id: str
-    reply_to: Any
-    kind: str = field(default="quiesce-query", init=False)
-
-    def size_bytes(self) -> int:
-        return _HEADER_BYTES + _EPOCH_BYTES + 2 * _MSG_ID_BYTES + _TIMESTAMP_BYTES
-
-
-@dataclass(frozen=True, slots=True)
-class QuiesceReply(Envelope):
-    """Group -> coordinator: local drain state.
-
-    ``envelopes_sent`` / ``envelopes_received`` count group-to-group protocol
-    envelopes (msg/ack/notif) only; the coordinator declares the old epoch
-    drained when every group is locally quiescent, has delivered the barrier,
-    and the global sent/received totals are equal and stable across two
-    consecutive rounds (no envelope can still be in flight).
-    """
-
-    new_epoch: int
-    round_id: int
-    group: GroupId
-    quiescent: bool
-    barrier_delivered: bool
-    envelopes_sent: int
-    envelopes_received: int
-    kind: str = field(default="quiesce-reply", init=False)
-
-    def size_bytes(self) -> int:
-        return _HEADER_BYTES + _EPOCH_BYTES + _GROUP_ID_BYTES + 3 * _TIMESTAMP_BYTES
-
-
-@dataclass(frozen=True, slots=True)
-class EpochSwitch(Envelope):
-    """Coordinator -> group: install the new overlay and enter ``new_epoch``."""
-
-    new_epoch: int
-    order: Tuple[GroupId, ...]
-    reply_to: Any
-    kind: str = field(default="epoch-switch", init=False)
-
-    def size_bytes(self) -> int:
-        return (
-            _HEADER_BYTES
-            + _EPOCH_BYTES
-            + _MSG_ID_BYTES
-            + len(self.order) * _GROUP_ID_BYTES
-        )
-
-
-@dataclass(frozen=True, slots=True)
-class EpochSwitchAck(Envelope):
-    """Group -> coordinator: switched to ``epoch`` and resumed intake."""
-
-    epoch: int
-    group: GroupId
-    kind: str = field(default="epoch-switch-ack", init=False)
-
-    def size_bytes(self) -> int:
-        return _HEADER_BYTES + _EPOCH_BYTES + _GROUP_ID_BYTES
-
-
-@dataclass(frozen=True, slots=True)
-class EpochBounce(Envelope):
-    """Receiver -> sender of a stale-epoch envelope: re-route this message.
-
-    Carries the application message so the (behind or racing) sender can
-    re-submit it to the correct lca once it reaches ``epoch``.  Idempotent by
-    construction: re-submission of an already-delivered message is ignored.
-    """
-
-    message: Message
-    epoch: int
-    from_group: GroupId
-    kind: str = field(default="epoch-bounce", init=False)
-
-    def size_bytes(self) -> int:
-        return _HEADER_BYTES + _EPOCH_BYTES + _GROUP_ID_BYTES + self.message.size_bytes()
 
 
 @dataclass(frozen=True, slots=True)

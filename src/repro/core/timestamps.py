@@ -30,9 +30,7 @@ group:
    timestamped messages cannot contain a cycle.
 
 The authority is deliberately overlay-agnostic: timestamps are a property of
-a message's destination set, not of any rank order, so the state survives a
-live overlay reconfiguration untouched (the epoch switch installs a new
-c-DAG; clocks and pending proposals carry over as-is).
+a message's destination set, not of any rank order.
 """
 
 from __future__ import annotations
@@ -216,8 +214,8 @@ class TimestampAuthority:
 
         Returns the local timestamp the caller must disseminate to the other
         destinations, or ``None`` when the message was already proposed or
-        completed (duplicate-propose handling: re-submissions, duplicated
-        envelopes and epoch re-routes must not mint a second proposal).
+        completed (duplicate-propose handling: re-submissions and duplicated
+        envelopes must not mint a second proposal).
         """
         if msg_id in self.pending or msg_id in self._completed:
             return None

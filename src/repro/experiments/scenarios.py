@@ -9,9 +9,8 @@ EXPERIMENTS.md) so the whole suite runs in minutes, while
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
-from ..overlay.base import GroupId
 from .config import (
     ExperimentConfig,
     distributed_config,
@@ -108,80 +107,6 @@ def figure8_scenarios(scale: Scale = DEFAULT_SCALE) -> List[ExperimentConfig]:
         distributed_config(locality=0.99, global_only=False),
     ]
     return [scale.apply(c) for c in configs]
-
-
-# -------------------------------------------------- workload-shift (reconfig)
-@dataclass(frozen=True)
-class TrafficPattern:
-    """One client cohort: ``clients`` closed-loop clients homed at ``home``,
-    each multicasting to ``{home} ∪ sample(partners, num_partners)``."""
-
-    home: GroupId
-    partners: Tuple[GroupId, ...]
-    clients: int = 4
-    num_partners: int = 1
-    payload_bytes: int = 64
-
-
-@dataclass(frozen=True)
-class WorkloadShiftScenario:
-    """A run whose traffic pattern shifts mid-way (exercises repro.reconfig).
-
-    Phase 1 runs ``phase1`` cohorts on ``[0, shift_ms)``; at ``shift_ms`` they
-    stop and the ``phase2`` cohorts take over until ``duration_ms``.  The
-    geometry is a synthetic clustered WAN
-    (:func:`repro.sim.latencies.clustered_latency_matrix`) so the effect of a
-    stale overlay is unambiguous.  ``post_eval_ms`` marks the start of the
-    evaluation window used to compare "reconfigured" vs "stale overlay" runs
-    (chosen to sit safely after the switch completes).
-    """
-
-    name: str
-    cluster_sizes: Tuple[int, ...]
-    initial_order: Tuple[GroupId, ...]
-    phase1: Tuple[TrafficPattern, ...]
-    phase2: Tuple[TrafficPattern, ...]
-    shift_ms: float
-    duration_ms: float
-    post_eval_ms: float
-    intra_ms: float = 5.0
-    inter_ms: float = 100.0
-    seed: int = 1
-    think_time_ms: float = 20.0
-    monitor_window_ms: float = 1_500.0
-    check_interval_ms: float = 500.0
-    min_samples: int = 10
-    improvement_threshold: float = 0.10
-    gc_interval_ms: Optional[float] = None
-
-
-def workload_shift_scenario(seed: int = 1) -> WorkloadShiftScenario:
-    """The canonical workload-shift experiment.
-
-    Two three-site clusters, 100 ms apart.  Phase 1 traffic is homed in
-    cluster 0 (which the initial rank order favours: the home is the lca of
-    every multicast).  Phase 2 moves the clients to cluster 1 and pairs them
-    with cluster-0 groups — on the stale overlay every submission now pays a
-    WAN hop to reach its lca, while a re-planned order that ranks the new
-    homes first delivers at the home immediately.
-    """
-    return WorkloadShiftScenario(
-        name="workload-shift",
-        cluster_sizes=(3, 3),
-        initial_order=(0, 1, 2, 3, 4, 5),
-        phase1=(
-            TrafficPattern(home=0, partners=(1, 2), clients=4),
-            TrafficPattern(home=1, partners=(0, 2), clients=2),
-        ),
-        phase2=(
-            TrafficPattern(home=4, partners=(0, 1), clients=4),
-            TrafficPattern(home=5, partners=(0, 2), clients=2),
-        ),
-        shift_ms=4_000.0,
-        duration_ms=12_000.0,
-        post_eval_ms=8_000.0,
-        seed=seed,
-    )
 
 
 def figure9_table4_scenarios(scale: Scale = DEFAULT_SCALE) -> List[ExperimentConfig]:

@@ -8,8 +8,8 @@ machine-driven state-space sweep, in the spirit of the CADP line of work:
 * :mod:`~repro.fuzz.workload` — seeded random scenario generation
   (destination-set shapes, burst submission, overlapping conflicts);
 * :mod:`~repro.fuzz.profiles` — deterministic fault injection (message
-  duplication/loss via ``Network.set_drop_filter``, leader crashes via
-  ``ReplicatedGroup``, mid-run reconfiguration epochs);
+  duplication/loss via ``Network.set_drop_filter``, replica crashes and
+  restarts via ``ReplicatedGroup``);
 * :mod:`~repro.fuzz.harness` — runs a scenario on the simulator and checks
   the full property suite plus the sequential-replay oracle (and, for
   batched scenarios, the batch-atomicity oracle);
@@ -20,7 +20,7 @@ machine-driven state-space sweep, in the spirit of the CADP line of work:
 """
 
 from .harness import FuzzResult, run_scenario
-from .scenario import FuzzScenario, Reconfig, Submission
+from .scenario import FuzzScenario, Submission
 from .shrink import shrink_scenario
 from .sweep import SweepSummary, run_sweep
 from .workload import generate_scenario
@@ -28,7 +28,6 @@ from .workload import generate_scenario
 __all__ = [
     "FuzzResult",
     "FuzzScenario",
-    "Reconfig",
     "Submission",
     "generate_scenario",
     "run_scenario",

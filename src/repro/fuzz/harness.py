@@ -1,9 +1,8 @@
 """Run one fuzz scenario on the deterministic simulator and check it.
 
-The harness deploys the scenario's protocol stack (FlexCast groups, or the
-epoch-reconfigurable variant when switches are scripted; each group bare or,
-when the scenario replicates, a multi-Paxos :class:`ReplicatedGroup` whose
-replicas the scenario may crash and reboot), drives the explicit submission
+The harness deploys the scenario's protocol stack (FlexCast groups, each
+bare or, when the scenario replicates, a multi-Paxos :class:`ReplicatedGroup`
+whose replicas the scenario may crash and reboot), drives the explicit submission
 schedule, then runs the *full* oracle suite over the captured trace — one
 path and one suite, whatever the scenario hosts:
 
@@ -12,8 +11,6 @@ path and one suite, whatever the scenario hosts:
 * :func:`repro.checker.check_sequential_replay` — the generic sequential
   replay oracle (state-level divergence, the form applications see bugs in);
 * :func:`repro.checker.conservation_check` — exactly-once effect accounting;
-* :func:`repro.checker.check_epochs` — epoch monotonic/agreement/barrier
-  properties when the scenario reconfigures;
 * replica agreement and :func:`repro.checker.check_recovery` for every
   replicated group (whatever a replica's restart must not lose, duplicate or
   reorder);
@@ -33,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
-from ..checker.properties import CheckReport, check_epochs, check_trace
+from ..checker.properties import CheckReport, check_trace
 from ..checker.recovery import check_recovery
 from ..checker.replay import check_sequential_replay, conservation_check
 from ..core.batching import BatchingClient
@@ -44,8 +41,6 @@ from ..obs import Observability
 from ..overlay.base import GroupId
 from ..overlay.cdag import CDagOverlay
 from ..protocols.base import RecordingSink
-from ..reconfig.coordinator import EpochCoordinator
-from ..reconfig.group import ReconfigurableFlexCastProtocol
 from ..sim.events import EventLoop
 from ..sim.latencies import LatencyMatrix, aws_latency_matrix
 from ..sim.network import Network
@@ -57,7 +52,6 @@ from .profiles import EnvelopeFaultFilter
 from .scenario import FuzzScenario, Submission
 
 CLIENT = "fuzz-client"
-COORDINATOR = "fuzz-coordinator"
 
 #: Event budget per run; exceeding it is reported as a livelock violation.
 MAX_EVENTS = 3_000_000
@@ -71,7 +65,7 @@ class FuzzResult:
 
     * :attr:`violations` — breaches of the properties the protocol
       *guarantees*: integrity, no-loss/no-dup (validity/agreement,
-      conservation), prefix order, epoch safety, liveness (no livelock).
+      conservation), prefix order, liveness (no livelock).
       The sweep gate fails on any of these.
     * :attr:`ordering_anomalies` — global acyclic-order violations (and the
       replay/prefix shadows of the same underlying cycle).  Under extreme
@@ -332,7 +326,7 @@ def _check_leaks(
 def scenario_conflict_shapes(scenario: FuzzScenario) -> Tuple[frozenset, ...]:
     """The destination-shape universe a scenario declares: every global
     destination set it can submit, plus the all-groups shape used by GC
-    flushes and epoch barriers."""
+    flushes."""
     shapes = {frozenset(sub.dst) for sub in scenario.submissions}
     shapes.add(frozenset(scenario.order))
     return tuple(sorted(
@@ -365,9 +359,6 @@ def _run_flexcast(
     obs: Optional[Observability] = None,
 ) -> FuzzResult:
     replicated = scenario.replication_factor > 1
-    reconfigurable = bool(scenario.reconfigs)
-    if replicated and reconfigurable:
-        raise ValueError("the epoch coordinator does not address replicated groups")
     if (scenario.crashes or scenario.restarts) and not replicated:
         raise ValueError("crashes and restarts need replication_factor > 1")
 
@@ -377,10 +368,7 @@ def _run_flexcast(
         loop, latencies, jitter_ms=scenario.jitter_ms, seed=scenario.net_seed
     )
     overlay = CDagOverlay(list(scenario.order))
-    protocol_class = (
-        ReconfigurableFlexCastProtocol if reconfigurable else FlexCastProtocol
-    )
-    protocol = protocol_class(
+    protocol = FlexCastProtocol(
         overlay,
         exposure=exposure_for(exposure, scenario_conflict_shapes(scenario)),
     )
@@ -392,15 +380,10 @@ def _run_flexcast(
     hosts: Dict[GroupId, object] = {}
     #: Delivered at some destination, hence ordered by its entry group.
     delivered_ids: Set[str] = set()
-    delivery_epochs: Dict[GroupId, List[Tuple[str, int]]] = {
-        gid: [] for gid in scenario.order
-    }
 
     def recording_sink(group_id, message):
         sink(group_id, message)
         delivered_ids.add(message.msg_id)
-        if reconfigurable:
-            delivery_epochs[group_id].append((message.msg_id, hosts[group_id].epoch))
 
     # The disks: one store for every replica's WALs, which outlives a crash.
     storage = InMemoryStorage()
@@ -430,22 +413,6 @@ def _run_flexcast(
     def node_of(gid: GroupId):
         """Where a client reaches group ``gid`` right now."""
         return hosts[gid].leader.replica_id if replicated else gid
-
-    coordinator: Optional[EpochCoordinator] = None
-    if reconfigurable:
-        coordinator = EpochCoordinator(
-            node_id=COORDINATOR,
-            transport=SimTransport(network, COORDINATOR),
-            protocol=protocol,
-        )
-        network.register(COORDINATOR, site=0, handler=coordinator.on_message)
-        for reconfig in scenario.reconfigs:
-            def fire(order=reconfig.order):
-                # Overlapping switches are illegal; skip if one is running.
-                if coordinator.state == "idle":
-                    coordinator.trigger_switch(list(order))
-
-            loop.schedule_at(reconfig.at_ms, fire)
 
     # Crashes and restarts are scheduled before the submissions, so at equal
     # virtual times they come first.  A crash snapshots the victim's delivery
@@ -557,10 +524,6 @@ def _run_flexcast(
         result.violations.append(f"[livelock] {exc}")
         return result
 
-    if coordinator is not None:
-        for barrier in coordinator.barrier_messages:
-            messages[barrier.msg_id] = barrier
-
     expect_all = scenario.expect_all_delivered
     result.sequences, result.violations = check_deliveries(
         sink, scenario.order, messages, expect_all
@@ -588,12 +551,12 @@ def _run_flexcast(
     if expect_all:
         # Clean run: the per-message machinery must have wound down too.
         result.violations.extend(_check_leaks(copies, batcher))
-    reports = []
-    if coordinator is not None:
-        reports.append(check_epochs(delivery_epochs, barriers=coordinator.barriers))
     if replicated:
-        reports.extend(_check_replicas(hosts, pre_crash, restarted))
-    result.violations.extend(str(v) for report in reports for v in report.violations)
+        result.violations.extend(
+            str(v)
+            for report in _check_replicas(hosts, pre_crash, restarted)
+            for v in report.violations
+        )
 
     result.finalize_buckets(strict=exposure != "none")
     return result

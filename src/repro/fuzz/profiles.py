@@ -26,10 +26,7 @@ the matching oracle expectations:
   destination sets are kept and every group gets 3 replicas; the victim is a
   *follower* of a seeded group, because inter-group traffic is addressed to
   replica 0 of a group and a crashed replica 0 would take the channel with
-  it (leader crashes are the single-group profiles' coverage);
-* ``reconfig`` — one or two scripted overlay switches (random permutations)
-  run mid-traffic through the epoch coordinator; the whole multi-epoch trace
-  must satisfy the regular properties plus ``check_epochs``.
+  it (leader crashes are the single-group profiles' coverage).
 """
 
 from __future__ import annotations
@@ -44,10 +41,10 @@ from ..core.message import (
     FlexCastNotif,
     FlexCastTsPropose,
 )
-from .scenario import Crash, FuzzScenario, Reconfig, Restart
+from .scenario import Crash, FuzzScenario, Restart
 
 PROFILES = (
-    "none", "dup", "loss", "crash", "reconfig", "crash-restart",
+    "none", "dup", "loss", "crash", "crash-restart",
     "cluster-crash", "cluster-crash-restart",
 )
 
@@ -142,15 +139,6 @@ def apply_profile(scenario: FuzzScenario, profile: str) -> FuzzScenario:
             gc_interval_ms=None,
             jitter_ms=min(scenario.jitter_ms, 1.0),
         )
-    if profile == "reconfig":
-        num_switches = rng.randint(1, 2)
-        reconfigs = []
-        for i in range(1, num_switches + 1):
-            at = round(horizon * i / (num_switches + 1.0), 3)
-            order = list(scenario.order)
-            rng.shuffle(order)
-            reconfigs.append(Reconfig(at_ms=at, order=tuple(order)))
-        return replace(scenario, profile="reconfig", reconfigs=tuple(reconfigs))
     raise ValueError(f"unknown fault profile {profile!r}")
 
 

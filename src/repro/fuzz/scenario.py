@@ -3,7 +3,7 @@
 A :class:`FuzzScenario` pins *everything* that determines a run: the overlay
 rank order, the latency geometry, the network jitter seed, the fault profile
 (and its seed), explicit client submissions with virtual-time offsets, and
-scripted reconfiguration/crash events.  Two runs of the same scenario are
+scripted crash/restart events.  Two runs of the same scenario are
 bit-identical, which is what makes shrinking and checked-in regression
 schedules possible.
 
@@ -15,7 +15,7 @@ Scenarios serialize to plain JSON (``to_dict`` / ``from_dict`` /
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
@@ -33,14 +33,6 @@ class Submission:
     dst: Tuple[GroupId, ...]
     payload_bytes: int = 64
     is_flush: bool = False
-
-
-@dataclass(frozen=True)
-class Reconfig:
-    """A scripted mid-run overlay switch to ``order`` starting at ``at_ms``."""
-
-    at_ms: float
-    order: Tuple[GroupId, ...]
 
 
 @dataclass(frozen=True)
@@ -74,7 +66,7 @@ class FuzzScenario:
     name: str
     order: Tuple[GroupId, ...]
     submissions: Tuple[Submission, ...]
-    latency: str = "uniform"          # "uniform" | "aws" | "clustered"
+    latency: str = "uniform"          # "uniform" | "aws"
     uniform_ms: float = 40.0
     jitter_ms: float = 2.0
     net_seed: int = 0
@@ -82,7 +74,6 @@ class FuzzScenario:
     profile_seed: int = 0
     profile_rate: float = 0.0         # loss/duplication probability
     gc_interval_ms: Optional[float] = None
-    reconfigs: Tuple[Reconfig, ...] = ()
     crashes: Tuple[Crash, ...] = ()
     #: Scripted reboots of crashed replicas (crash-restart profile).  Old
     #: schedules deserialize to () — no restarts, unchanged behaviour.
@@ -130,10 +121,11 @@ class FuzzScenario:
         data["submissions"] = tuple(
             Submission(**{**s, "dst": tuple(s["dst"])}) for s in data["submissions"]
         )
-        data["reconfigs"] = tuple(
-            Reconfig(at_ms=r["at_ms"], order=tuple(r["order"]))
-            for r in data.get("reconfigs", ())
-        )
+        # A key no field reads any more loads only while it is empty: a
+        # schedule that used it cannot be replayed without it.
+        for key in data.keys() - {f.name for f in fields(FuzzScenario)}:
+            if data.pop(key):
+                raise ValueError(f"scenario sets {key!r}, which no run can replay")
         data["crashes"] = tuple(Crash(**c) for c in data.get("crashes", ()))
         data["restarts"] = tuple(Restart(**r) for r in data.get("restarts", ()))
         return FuzzScenario(**data)

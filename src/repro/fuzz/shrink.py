@@ -90,8 +90,6 @@ def _ddmin_submissions(scenario: FuzzScenario, probe: Predicate) -> FuzzScenario
 
 
 def _prune_groups(scenario: FuzzScenario, probe: Predicate) -> FuzzScenario:
-    if scenario.reconfigs:
-        return scenario  # reconfig orders must stay permutations; skip pruning
     used = {gid for sub in scenario.submissions for gid in sub.dst}
     current = scenario
     for gid in scenario.order:

@@ -5,7 +5,7 @@ full oracle suite on each, and shrinks any failure to a minimal schedule.
 The CLI form powers both local exploration and the CI ``fuzz-sweep`` job::
 
     PYTHONPATH=src python -m repro.fuzz.sweep --seeds 50 \
-        --profiles none,dup,reconfig --out-dir fuzz-artifacts
+        --profiles none,dup --out-dir fuzz-artifacts
 
 Any shrunk failing schedule is written to ``--out-dir`` as JSON (one file per
 failure) so CI can upload it as an artifact and a developer can replay it::
@@ -59,7 +59,7 @@ class SweepSummary:
 
 def run_sweep(
     seeds: Sequence[int],
-    profiles: Sequence[str] = ("none", "dup", "reconfig"),
+    profiles: Sequence[str] = ("none", "dup"),
     shrink_failures: bool = True,
     time_cap_s: Optional[float] = None,
     progress=None,
@@ -143,7 +143,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--seed-base", type=int, default=0)
     parser.add_argument(
         "--profiles",
-        default="none,dup,reconfig",
+        default="none,dup",
         help=f"comma-separated subset of {','.join(PROFILES)}",
     )
     parser.add_argument("--out-dir", default=None, help="write shrunk failures here")

@@ -14,7 +14,7 @@ Shapes covered (the knobs the lost-delivery class of bugs is sensitive to):
   short window force concurrent ordering decisions), and a trickle tail;
 * **garbage collection** — some scenarios run periodic flush multicasts so
   the GC-vs-in-flight-delta edges get exercised;
-* **reconfiguration / crashes** — scripted events are attached by the
+* **crashes / restarts** — scripted events are attached by the
   profile (see :mod:`repro.fuzz.profiles`);
 * **batching** — a minority of scenarios route submissions through the
   client-side batching window (:mod:`repro.core.batching`), so coalesced

@@ -3,8 +3,7 @@
 This package is the **one documented surface** for everything that turns
 raw runs into numbers — import from ``repro.metrics``, not its submodules.
 The main entry points are :class:`LatencyCollector` (per-delivery latency
-samples; also the observation feed for the reconfiguration layer's
-:class:`~repro.reconfig.monitor.WorkloadMonitor`), :func:`traffic_report`
+samples), :func:`traffic_report`
 (per-node byte/envelope accounting behind the Figure 8 traffic numbers),
 :func:`compute_overhead` (payload vs protocol bytes, Figures 1/9), the
 ``format_*`` renderers, and the summary statistics in

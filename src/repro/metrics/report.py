@@ -22,12 +22,10 @@ from typing import (
     Iterable,
     List,
     Mapping,
-    Optional,
     Sequence,
     Tuple,
 )
 
-from ..obs import Observability
 from ..overlay.base import GroupId
 from ..sim.network import NodeTraffic
 from ..workload.clients import CompletedTransaction
@@ -36,37 +34,14 @@ from .stats import cdf_points, percentiles
 
 
 class LatencyCollector:
-    """Accumulates completed transactions and answers latency queries.
-
-    With an observability hub attached (:meth:`attach_obs`), every recorded
-    transaction is emitted on the hub's delivery feed
-    (:meth:`~repro.obs.Observability.emit_delivery`) — that is the
-    delivery-path signal the workload monitor
-    (:mod:`repro.reconfig.monitor`) subscribes to.
-    """
+    """Accumulates completed transactions and answers latency queries."""
 
     def __init__(self) -> None:
         self.transactions: List[CompletedTransaction] = []
-        self._obs: Optional[Observability] = None
 
     # ------------------------------------------------------------- collection
-    def attach_obs(self, obs: Observability) -> None:
-        """Attach an observability hub: recorded txns feed its delivery feed."""
-        self._obs = obs
-        obs.registry.counter(
-            "collector_transactions_total",
-            "Completed transactions recorded by the latency collector.",
-            fn=lambda: len(self.transactions),
-        )
-
     def record(self, txn: CompletedTransaction) -> None:
         self.transactions.append(txn)
-        if self._obs is not None:
-            # Transactions predating the ``destination_set`` field (or with
-            # an empty one) are skipped rather than guessed at.
-            dst = getattr(txn, "destination_set", frozenset())
-            if dst:
-                self._obs.emit_delivery(txn.home, frozenset(dst), txn.completed_at)
 
     def __len__(self) -> int:
         return len(self.transactions)

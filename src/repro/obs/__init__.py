@@ -11,8 +11,8 @@ runs (ISSUE 7).  Main pieces:
   covering submit -> batch flush -> ordering wait -> deliver -> fan-out,
   keyed by the ``trace_id`` that :mod:`repro.runtime.codec` round-trips
   on every payload envelope.
-- :class:`~repro.obs.hub.Observability` — the bundle (registry + tracer
-  + delivery feed) a protocol / server / harness attaches to its layers.
+- :class:`~repro.obs.hub.Observability` — the bundle (registry + tracer)
+  a protocol / server / harness attaches to its layers.
 - ``python -m repro.obs`` — text dashboard over a JSON metrics snapshot
   and per-message timeline rendering over a trace dump.
 

@@ -1,29 +1,22 @@
 """The ``Observability`` bundle a process attaches to its layers.
 
-One hub = one metrics registry + one optional tracer + the delivery
-feed.  Layers receive the hub at construction (``obs=`` keyword, always
-optional and defaulting to ``None``) and either grab instruments from
-``hub.registry`` or register pull-based gauges over their own state.
-
-The **delivery feed** is the instrumentation stream downstream consumers
-subscribe to: every completed delivery is announced once as
-``(home, destinations, at_ms)``.  ``reconfig.WorkloadMonitor`` consumes
-it in place of its former private ``LatencyCollector`` observer hook,
-and the SLO autopilot (ROADMAP) will consume it next.
+One hub = one metrics registry + one optional tracer.  Layers receive the
+hub at construction (``obs=`` keyword, always optional and defaulting to
+``None``) or through ``attach_obs(obs)``, and either grab instruments from
+``hub.registry`` or register pull-based gauges over their own state; the
+tracer, when present, records per-message lifecycle spans.
 """
 
 from __future__ import annotations
 
-from typing import Callable, FrozenSet, List, Optional
+from typing import Optional
 
 from .registry import MetricsRegistry
 from .trace import Tracer
 
-DeliveryListener = Callable[[object, FrozenSet[object], float], None]
-
 
 class Observability:
-    """Registry + tracer + delivery feed for one process."""
+    """Registry + tracer for one process."""
 
     def __init__(
         self,
@@ -34,34 +27,8 @@ class Observability:
         #: ``None`` keeps tracing entirely off: hot paths guard on
         #: ``obs.tracer is not None`` before building an event tuple.
         self.tracer = tracer
-        self._delivery_listeners: List[DeliveryListener] = []
 
     @classmethod
     def with_tracing(cls, max_events: int = 100_000) -> "Observability":
         """A hub with tracing enabled from the start."""
         return cls(tracer=Tracer(max_events=max_events))
-
-    # ------------------------------------------------------- delivery feed
-    def add_delivery_listener(self, listener: DeliveryListener) -> None:
-        """Subscribe to completed deliveries (idempotent per listener)."""
-        if listener not in self._delivery_listeners:
-            self._delivery_listeners.append(listener)
-
-    def remove_delivery_listener(self, listener: DeliveryListener) -> None:
-        """Unsubscribe; unknown listeners are ignored."""
-        try:
-            self._delivery_listeners.remove(listener)
-        except ValueError:
-            pass
-
-    def emit_delivery(
-        self, home: object, destinations: FrozenSet[object], at_ms: float
-    ) -> None:
-        """Announce one completed delivery to every subscriber."""
-        for listener in self._delivery_listeners:
-            listener(home, destinations, at_ms)
-
-    @property
-    def has_delivery_listeners(self) -> bool:
-        """True when at least one subscriber wants the delivery feed."""
-        return bool(self._delivery_listeners)

@@ -5,9 +5,9 @@ point is :class:`CDagOverlay` (the complete DAG FlexCast ranks groups on),
 alongside :class:`TreeOverlay` (hierarchical baseline),
 :class:`CompleteGraphOverlay` (Skeen baseline) and the builders from the
 paper's evaluation — :func:`build_o1` / :func:`build_o2` (latency-driven
-C-DAG orders), :func:`build_t1`–:func:`build_t3` (trees), plus the
-workload-aware orders the reconfiguration planner draws from
-(:func:`~repro.overlay.builders.nearest_neighbour_order` and friends).
+C-DAG orders, both nearest-neighbour chains from
+:func:`~repro.overlay.builders.nearest_neighbour_order`) and
+:func:`build_t1`–:func:`build_t3` (trees).
 """
 
 from .base import CompleteGraphOverlay, GroupId, Overlay, OverlayError

@@ -71,71 +71,6 @@ def build_cdag_from_order(order: Sequence[GroupId]) -> CDagOverlay:
     return CDagOverlay(order)
 
 
-# ------------------------------------------------- workload-aware C-DAG orders
-def traffic_weighted_order(
-    latencies: LatencyMatrix,
-    pair_weights: Dict[frozenset, float],
-    seed: GroupId,
-    alpha: float = 4.0,
-) -> List[GroupId]:
-    """Nearest-neighbour chain under a traffic-shrunk distance.
-
-    The effective distance between two sites is their latency divided by
-    ``1 + alpha * w`` where ``w`` is the pair's observed traffic share, so
-    heavily communicating pairs are pulled adjacent in the rank order (adjacent
-    ranks mean one of them is the other's lca for their pairwise messages).
-    With no observed traffic this degenerates to the paper's pure-latency
-    nearest-neighbour construction.
-    """
-    max_weight = max(pair_weights.values(), default=0.0)
-
-    def distance(a: GroupId, b: GroupId) -> float:
-        lat = latencies.latency(a, b)
-        if max_weight <= 0:
-            return lat
-        share = pair_weights.get(frozenset((a, b)), 0.0) / max_weight
-        return lat / (1.0 + alpha * share)
-
-    remaining = set(range(latencies.num_sites))
-    if seed not in remaining:
-        raise ValueError(f"seed site {seed} out of range")
-    order = [seed]
-    remaining.remove(seed)
-    while remaining:
-        last = order[-1]
-        nxt = min(remaining, key=lambda s: (distance(last, s), s))
-        order.append(nxt)
-        remaining.remove(nxt)
-    return order
-
-
-def home_ranked_order(
-    latencies: LatencyMatrix, home_weights: Dict[GroupId, float]
-) -> List[GroupId]:
-    """Rank order putting the busiest client homes first.
-
-    A group's rank decides when it can be the lca of its own messages: a
-    low-ranked home delivers its clients' multicasts locally before any WAN
-    hop.  Groups are therefore ordered by descending observed home traffic,
-    with latency to the previously placed group breaking ties (and ordering
-    the zero-traffic tail sensibly).
-    """
-    remaining = set(range(latencies.num_sites))
-    if not remaining:
-        return []
-    order = [max(remaining, key=lambda s: (home_weights.get(s, 0.0), -s))]
-    remaining.remove(order[0])
-    while remaining:
-        last = order[-1]
-        nxt = min(
-            remaining,
-            key=lambda s: (-home_weights.get(s, 0.0), latencies.latency(last, s), s),
-        )
-        order.append(nxt)
-        remaining.remove(nxt)
-    return order
-
-
 # --------------------------------------------------------------------------- trees
 def _clusters(latencies: LatencyMatrix) -> Dict[str, List[GroupId]]:
     """Group sites by geographic cluster.

@@ -30,9 +30,9 @@ class FrameServer:
 
     Everything that listens — :class:`GroupServer` (one process per *group*),
     :class:`~repro.runtime.proc.ReplicaServer` (one process per *replica*),
-    the reconfiguration coordinator, the multicast client and the soak
-    harness's response plane — is a subclass, so frames are read in exactly
-    one place.  A port accepts two kinds of traffic:
+    the multicast client and the soak harness's response plane — is a
+    subclass, so frames are read in exactly one place.  A port accepts two
+    kinds of traffic:
 
     * wire frames (:mod:`repro.runtime.codec`), fed to :meth:`handle_frame`
       one by one for as long as the peer keeps the connection open; and

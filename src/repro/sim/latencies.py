@@ -166,33 +166,3 @@ def default_regions() -> List[Region]:
 def aws_latency_matrix(local_latency: float = 0.3) -> LatencyMatrix:
     """The default 12-region AWS-style latency matrix used across the repo."""
     return LatencyMatrix(local_latency=local_latency)
-
-
-def clustered_latency_matrix(
-    cluster_sizes: Sequence[int],
-    intra_ms: float = 5.0,
-    inter_ms: float = 100.0,
-    local_latency: float = 0.1,
-) -> LatencyMatrix:
-    """Synthetic geography: tight clusters separated by a wide-area gap.
-
-    Sites are numbered cluster by cluster (``cluster_sizes=(3, 3)`` puts sites
-    0-2 in the first cluster and 3-5 in the second).  Used by reconfiguration
-    scenarios and tests that need a controllable "workload moved to another
-    continent" geometry without the full AWS matrix.
-    """
-    if not cluster_sizes or any(s < 1 for s in cluster_sizes):
-        raise ValueError("cluster_sizes must be positive")
-    membership: List[int] = []
-    for cluster_idx, size in enumerate(cluster_sizes):
-        membership.extend([cluster_idx] * size)
-    n = len(membership)
-    matrix = [
-        [
-            0.0 if a == b else (intra_ms if membership[a] == membership[b] else inter_ms)
-            for b in range(n)
-        ]
-        for a in range(n)
-    ]
-    names = [f"c{membership[i]}-s{i}" for i in range(n)]
-    return LatencyMatrix(matrix=matrix, names=names, local_latency=local_latency)

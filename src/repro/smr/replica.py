@@ -396,9 +396,7 @@ class GroupReplica:
         state = self.protocol_state
         if not self.is_leader or len(state.history) == 0:
             return False
-        frame = HistorySnapshotFrame(
-            group=self.group_id, delta=state.history.cold_delta(), epoch=state.epoch
-        )
+        frame = HistorySnapshotFrame(group=self.group_id, delta=state.history.cold_delta())
         self.on_message("rejoin-catchup", frame)
         return True
 

@@ -42,8 +42,6 @@ class CompletedTransaction:
     #: Latency of the 1st, 2nd, ... response (ms), sorted by arrival.
     latencies_by_arrival: List[float] = field(default_factory=list)
     is_global: bool = True
-    #: The actual destination groups (feeds the reconfig workload monitor).
-    destination_set: frozenset = frozenset()
 
 
 class BoundedResubmitter:
@@ -190,7 +188,6 @@ class ClosedLoopClient:
             completed_at=self._network.loop.now,
             latencies_by_arrival=call.latencies_by_arrival(),
             is_global=len(call.message.dst) > 1,
-            destination_set=frozenset(call.message.dst),
         )
         self._on_complete(record)
         if txn is not None and self._think_time_ms > 0:

@@ -1,6 +1,7 @@
 """Tests for the atomic multicast trace checker."""
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -13,8 +14,15 @@ from repro.checker.properties import (
     check_trace,
     find_delivery_cycle,
 )
-from repro.core.message import Message
+from repro.core.flexcast import FlexCastProtocol
+from repro.core.message import ClientRequest, Message
+from repro.core.timestamps import Exposure
+from repro.overlay.builders import build_o1
 from repro.protocols.base import RecordingSink
+from repro.sim.events import EventLoop
+from repro.sim.latencies import aws_latency_matrix
+from repro.sim.network import Network
+from repro.sim.transport import SimTransport
 
 
 def msg(mid, dst):
@@ -86,6 +94,91 @@ class TestViolations:
         m1 = msg("m1", {"A", "B"})
         sink = sink_from({"A": [m1]})
         assert check_trace(sink, [m1], expect_all_delivered=False).ok
+
+
+def flexcast_trace(seed, num_messages=60):
+    """A real FlexCast delivery trace on the simulated WAN (O1, shapes
+    declared, so it satisfies every property): ``(sequences, messages)``."""
+    rng = random.Random(seed)
+    latencies = aws_latency_matrix()
+    destinations = [
+        frozenset(rng.sample(range(12), rng.choice([2, 2, 3]))) for _ in range(num_messages)
+    ]
+    protocol = FlexCastProtocol(build_o1(latencies), exposure=Exposure.declared(destinations))
+    loop = EventLoop()
+    network = Network(loop, latencies, jitter_ms=3.0, seed=seed)
+    sink = RecordingSink()
+    for gid in protocol.groups:
+        group = protocol.create_group(gid, SimTransport(network, gid), sink)
+        network.register(gid, site=gid, handler=group.on_envelope)
+    network.register("client", site=rng.randrange(12), handler=lambda s, p: None)
+    messages = []
+    for i, dst in enumerate(destinations):
+        message = Message.create(dst, sender="client", msg_id=f"t{seed}-{i}")
+        messages.append(message)
+        (entry,) = protocol.entry_groups(message)
+        loop.schedule(
+            rng.uniform(0, 400.0),
+            lambda entry=entry, message=message: network.send(
+                "client", entry, ClientRequest(message=message)
+            ),
+        )
+    loop.run_until_idle()
+    return {g: list(sink.per_group[g]) for g in sink.per_group}, messages
+
+
+def swap_adjacent_pair(sequences, messages):
+    """Swap, at one group, two consecutive deliveries that another group
+    also delivers."""
+    for group, sequence in sorted(sequences.items()):
+        for i in range(len(sequence) - 1):
+            a, b = sequence[i], sequence[i + 1]
+            if (a.dst & b.dst) - {group}:
+                sequence[i], sequence[i + 1] = b, a
+                return
+    raise AssertionError("no pair of consecutive deliveries shares two groups")
+
+
+def drop_last_delivery(sequences, messages):
+    group = max(sequences, key=lambda g: len(sequences[g]))
+    sequences[group].pop()
+
+
+def deliver_twice(sequences, messages):
+    sequence = sequences[min(sequences)]
+    sequence.insert(1, sequence[0])
+
+
+def deliver_outside_destinations(sequences, messages):
+    sequences["outsider"] = [messages[0]]
+
+
+def deliver_never_multicast(sequences, messages):
+    sequences[min(sequences)].append(msg("ghost", set(range(12))))
+
+
+#: Each fault, injected into a correct trace, and exactly the properties the
+#: checker must then report.  A swap or a repeated delivery also closes a
+#: cycle in the union delivery relation (a -> b here, b -> a there; m -> m).
+INJECTED_FAULTS = {
+    "swap": (swap_adjacent_pair, {"prefix-order", "acyclic-order"}),
+    "drop": (drop_last_delivery, {"validity/agreement"}),
+    "duplicate": (deliver_twice, {"integrity", "acyclic-order"}),
+    "misaddress": (deliver_outside_destinations, {"integrity"}),
+    "phantom": (deliver_never_multicast, {"integrity"}),
+}
+
+
+class TestFaultsInjectedIntoRealTraces:
+    @pytest.mark.parametrize("fault", sorted(INJECTED_FAULTS))
+    @pytest.mark.parametrize("seed", range(1, 5))
+    def test_checker_names_exactly_the_broken_properties(self, seed, fault):
+        sequences, messages = flexcast_trace(seed)
+        assert check_trace(sink_from(sequences), messages).ok
+        inject, expected = INJECTED_FAULTS[fault]
+        inject(sequences, messages)
+        report = check_trace(sink_from(sequences), messages)
+        assert {v.property_name for v in report.violations} == expected
 
 
 class TestGenuineness:

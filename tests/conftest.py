@@ -9,7 +9,6 @@ import pytest
 from hypothesis import settings as hypothesis_settings
 
 import repro.core.flexcast as flexcast_module
-import repro.reconfig.group as reconfig_module
 from repro.core.message import reset_message_ids
 from repro.overlay.builders import standard_overlays
 from repro.sim.latencies import aws_latency_matrix
@@ -37,12 +36,8 @@ def substitute_groups(monkeypatch):
     """Make the protocol factories build the given group subclasses (a
     differential reference, a deliberately broken variant) until teardown."""
 
-    def enable(group_class, reconfigurable_class=None):
+    def enable(group_class):
         monkeypatch.setattr(flexcast_module, "FlexCastGroup", group_class)
-        if reconfigurable_class is not None:
-            monkeypatch.setattr(
-                reconfig_module, "ReconfigurableFlexCastGroup", reconfigurable_class
-            )
 
     return enable
 

@@ -49,8 +49,8 @@ class TestBatchOf:
             Message.batch_of([])
 
     def test_batch_envelope_is_a_client_request(self):
-        # The whole reconfiguration story (parking, re-routing, idempotent
-        # re-submission) rests on this subtyping.
+        # Submission validation and idempotent re-submission of batches
+        # rest on this subtyping.
         envelope = FlexCastBatch(message=Message.batch_of([make_message(0)]))
         assert isinstance(envelope, ClientRequest)
         assert envelope.kind == "batch"

@@ -4,8 +4,8 @@
 behind both the Distributed baseline (``protocols/skeen.py``) and FlexCast's
 hybrid mode (``core/flexcast.py``), so these tests pin the three behaviours
 both deployments lean on: proposal **max-merge**, the **convoy wait**, and
-**duplicate-propose** absorption (what makes envelope duplication and epoch
-re-routes harmless).
+**duplicate-propose** absorption (what makes envelope duplication and
+re-submission harmless).
 """
 
 import pytest
@@ -31,7 +31,7 @@ class TestPropose:
     def test_duplicate_propose_refused(self, authority):
         first = authority.propose("m1", {0, 1})
         assert first == 1
-        # Re-submissions / duplicated envelopes / epoch re-routes must not
+        # Re-submissions / duplicated envelopes must not
         # mint a second proposal (that could retract a disseminated bound).
         assert authority.propose("m1", {0, 1}) is None
         assert authority.clock == 1

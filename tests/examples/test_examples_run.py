@@ -110,27 +110,3 @@ class TestAsyncioCluster:
         load_example("asyncio_cluster").main()
         out = capsys.readouterr().out
         assert "deliveries per group" in out
-
-
-class TestWorkloadShift:
-    def test_example_main_scaled_down(self, capsys, monkeypatch):
-        """Run the example's real ``main`` against a shortened scenario.
-
-        The checker runs inside ``raise_if_unsafe`` (loss/dup/reorder across
-        the epoch boundary), so this also covers the trace-checking satellite
-        for the workload-shift example.
-        """
-        import dataclasses
-
-        module = load_example("workload_shift")
-        scaled = dataclasses.replace(
-            module.workload_shift_scenario(),
-            shift_ms=2_000.0,
-            duration_ms=6_000.0,
-            post_eval_ms=4_500.0,
-        )
-        monkeypatch.setattr(module, "workload_shift_scenario", lambda: scaled)
-        module.main()
-        out = capsys.readouterr().out
-        assert "atomic multicast safety checks passed across the epoch boundary" in out
-        assert "switch-over cost" in out

@@ -61,15 +61,6 @@ class TestDupProfile:
             assert len(sequence) == len(set(sequence))
 
 
-class TestReconfigProfile:
-    def test_batches_survive_epoch_switches(self):
-        # Batches are ClientRequests to the epoch layer: parked while
-        # quiescing, re-routed to the new lca after the switch.
-        result = run_scenario(batched(1, "reconfig"))
-        assert result.ok, result.violations[:5]
-        assert result.batches, "reconfig scenario formed no batches"
-
-
 class TestAtomicityOracle:
     """The oracle itself must reject what the gate makes impossible."""
 

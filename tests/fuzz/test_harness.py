@@ -11,7 +11,7 @@ from repro.fuzz import (
     run_scenario,
 )
 from repro.fuzz.profiles import PROFILES, apply_profile
-from repro.fuzz.scenario import Crash, Reconfig
+from repro.fuzz.scenario import Crash
 
 
 def small_scenario(**overrides):
@@ -43,7 +43,7 @@ class TestDeterminism:
         assert generate_scenario(5) != generate_scenario(6)
 
     def test_scenario_json_roundtrip(self, tmp_path):
-        scenario = apply_profile(generate_scenario(3, "reconfig"), "reconfig")
+        scenario = apply_profile(generate_scenario(3, "crash-restart"), "crash-restart")
         path = tmp_path / "s.json"
         scenario.save(path)
         assert FuzzScenario.load(path) == scenario
@@ -60,27 +60,15 @@ class TestOracles:
         assert result.strict_ok
         assert result.submitted > 4  # flush multicasts counted too
 
-    def test_flushes_and_barriers_are_inside_the_declared_universe(self):
+    def test_flushes_are_inside_the_declared_universe(self):
         """The universe the harness declares includes the all-groups shape,
-        so the GC flushes and the epoch barrier it injects are admitted."""
-        scenario = small_scenario(
-            order=(0, 1, 2, 3),
-            gc_interval_ms=20.0,
-            reconfigs=(Reconfig(at_ms=6.0, order=(3, 2, 1, 0)),),
-        )
+        so the GC flushes it injects are admitted."""
+        scenario = small_scenario(order=(0, 1, 2, 3), gc_interval_ms=20.0)
         assert (0, 1, 2, 3) not in {s.dst for s in scenario.submissions}
         result = run_scenario(scenario, exposure="declared")
         assert result.strict_ok, result.violations
         everywhere = set.intersection(*map(set, result.sequences.values()))
         assert any("flush" in mid for mid in everywhere)
-        assert any("barrier" in mid for mid in everywhere)
-
-    def test_reconfig_scenario_checks_epochs(self):
-        scenario = small_scenario(
-            reconfigs=(Reconfig(at_ms=30.0, order=(2, 1, 0)),)
-        )
-        result = run_scenario(scenario)
-        assert result.strict_ok
 
     def test_crash_scenario_survivors_agree(self):
         scenario = small_scenario(

@@ -1,6 +1,9 @@
 """Sweep runner: gating semantics and CLI plumbing (small, fast slices)."""
 
+import pytest
+
 from repro.fuzz import run_sweep
+from repro.fuzz.profiles import PROFILES
 from repro.fuzz.sweep import main
 
 
@@ -16,10 +19,19 @@ class TestRunSweep:
         assert summary.runs == 0
 
     def test_unknown_profile_rejected(self):
-        import pytest
-
         with pytest.raises(ValueError):
             run_sweep(range(1), profiles=("meteor-strike",))
+
+    def test_reconfig_is_no_longer_a_profile(self):
+        assert "reconfig" not in PROFILES
+        with pytest.raises(ValueError):
+            run_sweep(range(1), profiles=("reconfig",))
+
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_every_profile_runs_clean(self, profile):
+        summary = run_sweep(range(5, 7), profiles=(profile,), shrink_failures=False)
+        assert summary.runs == 2
+        assert summary.ok, [f.violations for f in summary.failures]
 
 
 class TestCli:

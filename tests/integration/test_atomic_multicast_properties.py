@@ -6,6 +6,7 @@ latencies, and validate every atomic multicast property from §2.2 on the
 recorded delivery traces.
 """
 
+import itertools
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from repro.core.flexcast import FlexCastProtocol
 from repro.core.message import ClientRequest, ClientResponse, Message, PAYLOAD_KINDS
 from repro.core.timestamps import Exposure
 from repro.overlay.builders import build_complete, build_o1, build_t1
+from repro.overlay.cdag import CDagOverlay
 from repro.protocols.base import RecordingSink
 from repro.protocols.hierarchical import HierarchicalProtocol
 from repro.protocols.skeen import SkeenProtocol
@@ -112,6 +114,57 @@ class TestSafetyProperties:
         }
         delivered = {gid: groups[gid].delivered_count for gid in protocol.groups}
         assert not check_genuineness(payload_received, delivered, protocol.groups).ok
+
+
+class TestEveryCDagOrder:
+    """FlexCast asks only for *a* complete DAG, not a good one: on each of the
+    24 orders of four groups (O1 and O2 are two such orders of twelve), a
+    random workload whose shapes are declared satisfies every property, is
+    delivered in full, and stays genuine."""
+
+    GROUPS = (0, 3, 5, 9)
+
+    @pytest.mark.parametrize(
+        "order",
+        list(itertools.permutations(GROUPS)),
+        ids=lambda order: "-".join(map(str, order)),
+    )
+    def test_random_workload_on_order(self, order):
+        seed = sum(rank * gid for rank, gid in enumerate(order))
+        rng = random.Random(seed)
+        destinations = [
+            frozenset(rng.sample(self.GROUPS, rng.choice([2, 2, 3, 4])))
+            for _ in range(40)
+        ]
+        protocol = FlexCastProtocol(
+            CDagOverlay(list(order)), exposure=Exposure.declared(destinations)
+        )
+        loop, network, groups, sink = deploy(protocol, seed=seed)
+        network.register("client", site=rng.randrange(12), handler=lambda s, p: None)
+        messages = []
+        for i, dst in enumerate(destinations):
+            message = Message.create(dst, sender="client", msg_id=f"o{seed}-{i}")
+            messages.append(message)
+            (entry,) = protocol.entry_groups(message)
+            assert entry == order[min(order.index(g) for g in dst)]
+            loop.schedule(
+                rng.uniform(0, 300.0),
+                lambda entry=entry, message=message: network.send(
+                    "client", entry, ClientRequest(message=message)
+                ),
+            )
+        loop.run_until_idle()
+        check_trace(sink, messages, expect_all_delivered=True).raise_if_failed()
+        payload_received = {
+            gid: sum(
+                count
+                for kind, count in network.traffic(gid).received_by_kind.items()
+                if kind in PAYLOAD_KINDS
+            )
+            for gid in protocol.groups
+        }
+        delivered = {gid: groups[gid].delivered_count for gid in protocol.groups}
+        check_genuineness(payload_received, delivered, protocol.groups).raise_if_failed()
 
 
 class TestHypothesisDrivenOrdering:

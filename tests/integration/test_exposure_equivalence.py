@@ -30,13 +30,13 @@ def every_group_hot(scenario):
 
 
 def _run(scenario, exposure):
-    reset_message_ids()  # epoch barriers draw from the process-wide counter
+    reset_message_ids()  # batch ids draw from the process-wide counter
     obs = Observability()
     result = run_scenario(scenario, exposure=exposure, obs=obs)
     return result, obs.registry.snapshot()["counters"]
 
 
-@pytest.mark.parametrize("profile", ["none", "loss", "dup", "reconfig"])
+@pytest.mark.parametrize("profile", ["none", "loss", "dup", "cluster-crash-restart"])
 @pytest.mark.parametrize("seed", range(1, 9))
 def test_all_equals_every_group_hot(seed, profile, monkeypatch):
     scenario = apply_profile(generate_scenario(seed, profile), profile)

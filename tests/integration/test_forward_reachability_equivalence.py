@@ -31,7 +31,6 @@ from repro.experiments.runner import run_experiment
 from repro.fuzz import generate_scenario, run_scenario
 from repro.fuzz.profiles import apply_profile
 from repro.obs import Observability
-from repro.reconfig.group import ReconfigurableFlexCastGroup
 
 
 class BackwardGuard(PivotGuard):
@@ -88,8 +87,8 @@ class BackwardGuard(PivotGuard):
 
 class BackwardPredicates:
     """Builds the group around :class:`BackwardGuard` and answers the
-    dependency check backward from the candidate, as at PR 11 (minus the
-    per-epoch memo, which went with the epoch)."""
+    dependency check backward from the candidate, as at PR 11 (minus its
+    per-epoch memo)."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -126,18 +125,14 @@ class BackwardGroup(BackwardPredicates, FlexCastGroup):
     pass
 
 
-class BackwardReconfigurableGroup(BackwardPredicates, ReconfigurableFlexCastGroup):
-    pass
-
-
 @pytest.fixture
 def backward(substitute_groups):
     """Make the protocol factories build reference groups while active."""
-    return lambda: substitute_groups(BackwardGroup, BackwardReconfigurableGroup)
+    return lambda: substitute_groups(BackwardGroup)
 
 
 def _fuzz_run(scenario, exposure):
-    reset_message_ids()  # epoch barriers draw from the process-wide counter
+    reset_message_ids()  # batch ids draw from the process-wide counter
     obs = Observability()
     result = run_scenario(scenario, obs=obs, exposure=exposure)
     return result, obs.registry.snapshot()["counters"]
@@ -153,10 +148,11 @@ def _total(counters, stat):
 #: guard the rest.
 FUZZ_CASES = [
     (seed, profile, exposure)
-    for profile in ("none", "loss", "dup", "reconfig", "crash-restart")
+    for profile in ("none", "loss", "dup", "crash-restart", "cluster-crash-restart")
     for seed in range(1, 9)
     for exposure in (None, "none")
-    # The crash profiles run one replicated group: no exposure axis there.
+    # ``crash-restart`` runs one replicated group: no exposure axis there.
+    # ``cluster-crash-restart`` replicates every group of the base scenario.
     if not (profile == "crash-restart" and exposure == "none")
 ]
 

@@ -9,8 +9,8 @@ such pair has no hot component, no timestamp authority, and therefore the
 
 These tests pin that as a bit-identity: per-group delivery sequences from
 ``exposure="none"`` and the (declared-universe) harness default must be
-equal, element for element.  The harness adds the all-groups shape (GC flushes,
-epoch barriers) to the declared universe, so the scenarios below are built
+equal, element for element.  The harness adds the all-groups shape (GC
+flushes) to the declared universe, so the scenarios below are built
 so no shape pair — including against the full-order shape — meets at
 exactly one group.
 """

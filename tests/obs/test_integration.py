@@ -1,8 +1,8 @@
-"""End-to-end observability: hub feed, instrumented protocol, live export.
+"""End-to-end observability: instrumented protocol, live export.
 
-Covers the tentpole's three export paths — Prometheus text over the frame
-port, ``LocalCluster.scrape``, JSON snapshot — plus the delivery feed and
-the leak gauges the fuzz oracle reads.
+Covers the three export paths — Prometheus text over the frame port,
+``LocalCluster.scrape``, JSON snapshot — plus the leak gauges the fuzz
+oracle reads.
 """
 
 import asyncio
@@ -27,21 +27,6 @@ def make_group(obs=None, group_id=0):
     if obs is not None:
         group.attach_obs(obs)
     return group
-
-
-class TestDeliveryFeed:
-    def test_listeners_receive_each_emission_once(self):
-        obs = Observability()
-        seen = []
-        listener = lambda home, dst, at: seen.append((home, dst, at))  # noqa: E731
-        obs.add_delivery_listener(listener)
-        obs.add_delivery_listener(listener)  # idempotent
-        obs.emit_delivery(0, frozenset({0, 1}), 5.0)
-        assert seen == [(0, frozenset({0, 1}), 5.0)]
-        obs.remove_delivery_listener(listener)
-        obs.emit_delivery(0, frozenset({0}), 6.0)
-        assert len(seen) == 1
-        assert not obs.has_delivery_listeners
 
 
 class TestInstrumentedGroup:

@@ -1,5 +1,7 @@
 """Unit tests for the O1/O2/T1/T2/T3 overlay builders."""
 
+import itertools
+
 import pytest
 
 from repro.overlay.base import CompleteGraphOverlay
@@ -54,6 +56,15 @@ class TestCDagBuilders:
         assert sorted(o1.order) == sorted(o2.order) == list(range(12))
         assert o1.order != o2.order
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_o2_from_any_region_is_its_nearest_neighbour_tour(self, latencies, seed):
+        o2 = build_o2(latencies, seed=seed)
+        assert o2.order == nearest_neighbour_order(latencies, seed=seed)
+        assert o2.order[0] == seed and sorted(o2.order) == list(range(12))
+        for rank, group in enumerate(o2.order):
+            assert o2.rank(group) == rank
+            assert o2.ancestors(group) == o2.order[:rank]
+
 
 class TestTreeBuilders:
     def test_all_trees_cover_all_regions(self, latencies):
@@ -99,3 +110,40 @@ class TestStandardOverlays:
 
     def test_default_matrix_used_when_none_given(self):
         assert set(standard_overlays()) == {"O1", "O2", "T1", "T2", "T3", "complete"}
+
+
+def downstream(overlay, entry):
+    """Groups a message entering at ``entry`` can reach: along edges for a
+    C-DAG or the complete graph, from parent to child for a tree."""
+    def edge(a, b):
+        if isinstance(overlay, TreeOverlay):
+            return overlay.parent(b) == a
+        return overlay.can_send(a, b)
+
+    reached, frontier = {entry}, [entry]
+    while frontier:
+        a = frontier.pop()
+        for b in overlay.groups:
+            if b not in reached and edge(a, b):
+                reached.add(b)
+                frontier.append(b)
+    return reached
+
+
+class TestEntryGroupReachesEveryDestination:
+    """For every destination set of up to three groups the entry group can
+    hand the message on to each destination; on a genuine overlay the entry
+    group is itself a destination."""
+
+    @pytest.mark.parametrize("name", ["O1", "O2", "T1", "T2", "T3", "complete"])
+    def test_every_small_destination_set(self, overlays, name):
+        overlay = overlays[name]
+        genuine = not isinstance(overlay, TreeOverlay)
+        for size in (1, 2, 3):
+            for dst in itertools.combinations(range(12), size):
+                entry = overlay.entry_group(dst)
+                assert set(dst) <= downstream(overlay, entry), (name, dst, entry)
+                if genuine:
+                    assert entry in dst
+                if isinstance(overlay, CDagOverlay):
+                    assert entry == overlay.sorted_by_rank(dst)[0]

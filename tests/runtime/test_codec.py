@@ -1,12 +1,14 @@
 """Tests for the wire codec."""
 
+import json
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.message import (
     ClientRequest,
     ClientResponse,
     EMPTY_DELTA,
-    EpochBounce,
     FlexCastAck,
     FlexCastBatch,
     FlexCastMsg,
@@ -76,9 +78,7 @@ class TestRoundTrips:
         assert round_trip(notif) == notif
 
     def test_flexcast_ts_propose(self):
-        propose = FlexCastTsPropose(
-            message=sample_message(), timestamp=23, from_group=3, epoch=2
-        )
+        propose = FlexCastTsPropose(message=sample_message(), timestamp=23, from_group=3)
         assert round_trip(propose) == propose
 
     def test_piggybacked_ts_proposals_survive(self):
@@ -141,7 +141,7 @@ class TestRoundTrips:
             for i in range(2)
         ]
         carrier = Message.batch_of(members, batch_id="b1")
-        envelope = FlexCastMsg(message=carrier, history=sample_delta(), epoch=1)
+        envelope = FlexCastMsg(message=carrier, history=sample_delta())
         decoded = round_trip(envelope)
         assert decoded == envelope
         assert decoded.message.members == tuple(members)
@@ -164,7 +164,6 @@ class TestRoundTrips:
                 seq=7,
                 snapshot=snapshot,
             ),
-            epoch=2,
         )
         decoded = round_trip(frame)
         assert type(decoded) is HistorySnapshotFrame
@@ -214,6 +213,111 @@ class TestRoundTrips:
         assert decoded.message.members == ()
 
 
+ids = st.text(alphabet="abmx0123456789-", min_size=1, max_size=8)
+groups = st.integers(0, 11)
+destinations = st.frozensets(groups, min_size=1, max_size=4)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**40), 2**40) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+messages = st.builds(
+    Message,
+    msg_id=ids,
+    dst=destinations,
+    sender=st.one_of(st.text(max_size=8), groups),
+    payload=json_values,
+    payload_bytes=st.integers(0, 4096),
+    is_flush=st.booleans(),
+    trace_id=st.none() | ids,
+)
+deltas = st.builds(
+    HistoryDelta,
+    vertices=st.lists(st.tuples(ids, destinations), max_size=5).map(tuple),
+    edges=st.lists(st.tuples(ids, ids), max_size=5).map(tuple),
+    last_delivered=st.none() | ids,
+    seq=st.none() | st.integers(0, 10**6),
+)
+ts_proposals = st.lists(st.tuples(groups, st.integers(0, 10**6)), max_size=3).map(tuple)
+notified = st.frozensets(groups, max_size=4)
+
+#: Every envelope a FlexCast group sends or a client submits, over any content.
+FLEXCAST_ENVELOPES = {
+    "request": st.builds(ClientRequest, message=messages),
+    "batch": st.builds(
+        lambda members, batch_id: FlexCastBatch(
+            message=Message.batch_of(members, batch_id=batch_id)
+        ),
+        st.lists(messages, min_size=1, max_size=3).map(
+            lambda ms: [
+                Message(msg_id=f"{m.msg_id}.{i}", dst=ms[0].dst, payload=m.payload)
+                for i, m in enumerate(ms)
+            ]
+        ),
+        ids,
+    ),
+    "msg": st.builds(
+        FlexCastMsg,
+        message=messages,
+        history=deltas,
+        notified=notified,
+        ts_proposals=ts_proposals,
+    ),
+    "ack": st.builds(
+        FlexCastAck,
+        message=messages,
+        history=deltas,
+        from_group=groups,
+        notified=notified,
+        ts_proposals=ts_proposals,
+    ),
+    "notif": st.builds(FlexCastNotif, message=messages, history=deltas, from_group=groups),
+    "ts-propose": st.builds(
+        FlexCastTsPropose,
+        message=messages,
+        timestamp=st.integers(0, 10**9),
+        from_group=groups,
+    ),
+    "history-snapshot": st.builds(HistorySnapshotFrame, group=groups, delta=deltas),
+}
+
+
+class TestAnyContentRoundTrips:
+    @pytest.mark.parametrize("kind", sorted(FLEXCAST_ENVELOPES))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_envelope_round_trips(self, kind, data):
+        envelope = data.draw(FLEXCAST_ENVELOPES[kind])
+        sender = data.draw(st.one_of(ids, groups))
+        decoded = round_trip(envelope, sender=sender)
+        assert type(decoded) is type(envelope)
+        assert decoded == envelope
+
+
+#: The envelopes that carried an overlay ``epoch`` stamp, as written today.
+ONCE_EPOCH_STAMPED = {
+    "msg": FlexCastMsg(
+        message=sample_message(), history=sample_delta(), notified=frozenset({2})
+    ),
+    "ack": FlexCastAck(message=sample_message(), history=sample_delta(), from_group=1),
+    "notif": FlexCastNotif(message=sample_message(), history=sample_delta(), from_group=1),
+    "ts-propose": FlexCastTsPropose(message=sample_message(), timestamp=23, from_group=3),
+    "history-snapshot": HistorySnapshotFrame(group=3, delta=sample_delta()),
+}
+
+
+class TestOldEpochStamp:
+    @pytest.mark.parametrize("kind", sorted(ONCE_EPOCH_STAMPED))
+    def test_a_stamped_frame_decodes_to_the_unstamped_envelope(self, kind):
+        envelope = ONCE_EPOCH_STAMPED[kind]
+        body = json.loads(encode_frame("node-1", envelope)[4:])
+        assert "epoch" not in body["envelope"]
+        body["envelope"]["epoch"] = 0
+        stamped = json.dumps(body).encode("utf-8")
+        assert decode_frame(stamped) == ("node-1", envelope)
+
+
 class TestTraceIdPropagation:
     """The observability trace id must survive every message-carrying hop.
 
@@ -236,7 +340,6 @@ class TestTraceIdPropagation:
             FlexCastAck(message=m, history=sample_delta(), from_group=1),
             FlexCastNotif(message=m, history=sample_delta(), from_group=1),
             FlexCastTsPropose(message=m, timestamp=5, from_group=1),
-            EpochBounce(message=m, epoch=2, from_group=1),
             SkeenPropose(message=m),
             TreeForward(message=m, sequence=9),
         ]

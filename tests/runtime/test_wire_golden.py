@@ -26,6 +26,11 @@ other line is byte-identical, and ``data/wire_golden_inline_values.tsv``
 keeps the old lines of those frames: decode-only, since a new binary still
 reads them (the reverse does not hold; a group's replicas upgrade together).
 
+The FlexCast frames (and the turns carrying one) were rewritten once more
+when envelopes lost their overlay ``epoch`` stamp; the key is all that went.
+Frames written before carry ``"epoch":0``, which decode ignores —
+:data:`EPOCH_STAMPED` pins one, and the inline corpus holds more.
+
 Regenerate only for a deliberate wire-format change; a new envelope type adds
 a sample here and one line to the corpus.
 """
@@ -118,7 +123,6 @@ SAMPLES = {
         message=PLAIN,
         history=WARM,
         notified=frozenset({4, 2}),
-        epoch=1,
         ts_proposals=((1, 5), (3, 9)),
     ),
     "flexcast-msg-defaults": msg.FlexCastMsg(message=PLAIN, history=msg.EMPTY_DELTA),
@@ -129,37 +133,11 @@ SAMPLES = {
         history=WARM,
         from_group=1,
         notified=frozenset({2, 4}),
-        epoch=2,
         ts_proposals=((3, 9),),
     ),
-    "history-snapshot": msg.HistorySnapshotFrame(group=3, delta=COLD, epoch=2),
-    "flexcast-ts-propose": msg.FlexCastTsPropose(
-        message=PLAIN, timestamp=23, from_group=3, epoch=2
-    ),
-    "flexcast-notif": msg.FlexCastNotif(
-        message=TRACED, history=WARM, from_group=1, epoch=1
-    ),
-    "epoch-prepare": msg.EpochPrepare(
-        new_epoch=2, reply_to="reconfig-coordinator", barrier_id="barrier-2"
-    ),
-    "epoch-prepare-ack": msg.EpochPrepareAck(new_epoch=2, group=1),
-    "quiesce-query": msg.QuiesceQuery(
-        new_epoch=2, round_id=3, barrier_id="barrier-2", reply_to="reconfig-coordinator"
-    ),
-    "quiesce-reply": msg.QuiesceReply(
-        new_epoch=2,
-        round_id=3,
-        group=1,
-        quiescent=True,
-        barrier_delivered=False,
-        envelopes_sent=17,
-        envelopes_received=16,
-    ),
-    "epoch-switch": msg.EpochSwitch(
-        new_epoch=2, order=(2, 1, 0), reply_to="reconfig-coordinator"
-    ),
-    "epoch-switch-ack": msg.EpochSwitchAck(epoch=2, group=0),
-    "epoch-bounce": msg.EpochBounce(message=PLAIN, epoch=2, from_group=0),
+    "history-snapshot": msg.HistorySnapshotFrame(group=3, delta=COLD),
+    "flexcast-ts-propose": msg.FlexCastTsPropose(message=PLAIN, timestamp=23, from_group=3),
+    "flexcast-notif": msg.FlexCastNotif(message=TRACED, history=WARM, from_group=1),
     "skeen-timestamp": msg.SkeenTimestamp(msg_id="m42", timestamp=17, from_group=4),
     "skeen-propose": msg.SkeenPropose(message=PLAIN),
     "tree-forward": msg.TreeForward(message=PLAIN, sequence=9),
@@ -211,6 +189,16 @@ TURN_SAMPLES = {
 }
 
 
+#: ``flexcast-msg-defaults`` as written while envelopes carried an epoch.
+EPOCH_STAMPED = (
+    '{"sender":"group-0-replica-1","envelope":{"type":"flexcast-msg",'
+    '"message":{"msg_id":"m42","dst":[1,3],"sender":"client-7",'
+    '"payload":{"op":"new_order","qty":[1,2]},"payload_bytes":320,"is_flush":false},'
+    '"history":{"vertices":[],"edges":[],"last_delivered":null,"seq":null},'
+    '"notified":[],"epoch":0,"ts_proposals":[]}}'
+)
+
+
 def _corpus(path=CORPUS):
     """name -> frame body; the tabs after the first stand for a frame's newlines."""
     with open(path, "r", encoding="utf-8") as handle:
@@ -242,9 +230,19 @@ def test_a_frame_with_its_value_inside_the_json_still_decodes(name):
     body = _corpus(INLINE_CORPUS)[name].encode("utf-8")
     sample = TURN_SAMPLES[name[6:]] if name.startswith("turns:") else SAMPLES[name]
     assert b"\n" not in body and decode_frame(body) == (SENDER, sample)
-    # The value texts of today's frame are the ones inside the old: only moved.
+    # The value texts of today's frame are the ones inside the old, moved
+    # and without the epoch stamp.
     today = encode_frame(SENDER, sample)[4:].split(b"\n")
-    assert all(line in body for line in today[1:])
+    unstamped = body.replace(b',"epoch":0', b"")
+    assert all(line in unstamped for line in today[1:])
+
+
+def test_a_frame_with_an_epoch_stamp_still_decodes():
+    body = EPOCH_STAMPED.encode("utf-8")
+    assert decode_frame(body) == (SENDER, SAMPLES["flexcast-msg-defaults"])
+    assert encode_frame(SENDER, SAMPLES["flexcast-msg-defaults"])[4:] == body.replace(
+        b',"epoch":0', b""
+    )
 
 
 def test_several_entries_are_an_array_of_the_one_entry_object():

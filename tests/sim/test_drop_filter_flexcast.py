@@ -1,17 +1,13 @@
 """Fault injection against FlexCast delivery via ``Network.set_drop_filter``.
 
-FlexCast (§4.2) assumes FIFO *reliable* channels; the epoch-reconfiguration
-barrier inherits that assumption — its drain detection declares the old epoch
-finished only when global sent == received envelope counters stabilise, which
-is only ever true on a reliable network.  These scenarios pin both sides of
-that assumption:
+FlexCast (§4.2) assumes FIFO *reliable* channels.  These scenarios pin both
+sides of that assumption:
 
 * **duplication** is tolerated: duplicated protocol envelopes never cause a
   double delivery (idempotent enqueue/ack bookkeeping);
 * **loss** is *not* tolerated: a dropped envelope stalls the affected message
   forever (no retransmission layer exists), and it leaves the global
-  sent/received counters permanently unequal — exactly the signal the
-  reconfiguration coordinator uses to refuse an unsafe switch.
+  sent/received counters permanently unequal.
 """
 
 from repro.core.flexcast import FlexCastGroup
@@ -112,8 +108,8 @@ class TestLoss:
         assert sink.sequence(C) == []
 
     def test_loss_leaves_sent_received_counters_unequal(self):
-        """The reconfig barrier's drain check (global sent == received) can
-        only ever pass on a reliable network — loss keeps them apart."""
+        """Global sent == received envelope counts hold only on a reliable
+        network — loss keeps them apart."""
         loop, network, groups, sink = deploy()
         # m0 is addressed to all three groups: C must wait for B's ack
         # (Strategy (b)) before delivering — and that ack is dropped.
@@ -140,4 +136,5 @@ class TestLoss:
         assert sent > received  # the dropped ack is counted out but never in
         # ...and the ack-starved destination is stuck with an open queue.
         assert sink.sequence(C) == []
-        assert not groups[C].is_quiescent()
+        assert groups[C].queue_sizes()[A] == 1
+        assert groups[C].history_size() == 1

@@ -278,20 +278,27 @@ def wal_records(directory, name):
     return records, [payload for payload, _ in _payloads(data)]
 
 
+def unstamped(text):
+    """``text`` less the ``"epoch":0`` every FlexCast envelope in a value
+    carried while envelopes had an overlay-epoch stamp."""
+    return text.replace(b',"epoch":0', b"")
+
+
 def assert_value_texts_unchanged(records, payloads):
     """What a corpus written before a value had a line of its own still pins.
 
     The text this commit makes of a value (decoded, then serialised again) is
     byte for byte the text *inside* the old record, where it sat between the
-    record's other fields and the closing bracket; only its framing moved —
-    the same fields, a newline, the same text.  A record without a value is
-    written as it always was.  Returns how many records carried a value.
+    record's other fields and the closing bracket, less its envelopes' epoch
+    stamps; only its framing moved — the same fields, a newline, the same
+    text.  A record without a value is written as it always was.  Returns
+    how many records carried a value.
     """
     valued = 0
     for record, payload in zip(records, payloads):
         if len(record) > 2 and record[0] in "ac":
             head, text = json_text(record[:-1]), turn_text(turn_entries(stored_text(record[-1])))
-            assert payload == head[:-1] + b"," + text + b"]"
+            assert unstamped(payload) == head[:-1] + b"," + text + b"]"
             assert _encode_record(record[:-1] + [text])[8:] == head + b"\n" + text
             valued += 1
         else:
@@ -540,7 +547,9 @@ class TestTextWal:
         for index, kind in ((0, "acceptor"), (2, "log")):
             ours, _ = wal_records(TEXT_WAL, f"group-0-replica-{index}.{kind}")
             theirs, _ = wal_records(TURNS_WAL, f"group-0-replica-{index}.{kind}")
-            assert [r[:-1] + [stored_text(r[-1])] if len(r) > 2 else r for r in theirs] == ours
+            assert [
+                r[:-1] + [unstamped(stored_text(r[-1]))] if len(r) > 2 else r for r in theirs
+            ] == ours
 
     def test_the_rejoiners_acceptor_wal_was_folded(self):
         records, _ = wal_records(TEXT_WAL, "group-0-replica-2.acceptor")

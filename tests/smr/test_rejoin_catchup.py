@@ -132,7 +132,7 @@ class TestOfferedSnapshotFrame:
 
     def test_packs_the_full_live_history(self):
         frame, state = self.offered_frame(fill=12)
-        assert frame.group == 0 and frame.epoch == state.epoch
+        assert frame.group == 0
         assert len(state.history) == 12
         assert set(frame.delta.iter_vertices()) == set(
             state.history.full_delta().vertices
