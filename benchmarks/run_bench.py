@@ -32,8 +32,9 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path[:0] = [str(REPO_ROOT / "src"), str(REPO_ROOT / "benchmarks" / "e2e")]
 
+from e2ebench.host import provenance  # noqa: E402
 from repro.core.flexcast import FlexCastGroup  # noqa: E402
 from repro.core.history import History, HistoryDiffTracker  # noqa: E402
 from repro.core.message import (  # noqa: E402
@@ -50,7 +51,6 @@ from repro.overlay.cdag import CDagOverlay  # noqa: E402
 from repro.protocols.base import RecordingSink  # noqa: E402
 from repro.sim.transport import RecordingTransport  # noqa: E402
 from repro.storage import FileStorage  # noqa: E402
-from repro.workload.soak import provenance  # noqa: E402
 
 DEFAULT_SIZES = (200, 1000, 5000)
 #: Aim for roughly this much wall time per measurement.
@@ -649,7 +649,8 @@ def main(argv: List[str] | None = None) -> int:
         "schema": 2,
         "unit": "ops_per_sec",
         "sizes": sizes,
-        "provenance": provenance(),
+        # No seed: every input here is fixed.
+        "provenance": provenance(str(REPO_ROOT), tempfile.gettempdir(), None, False),
         "benchmarks": {},
     }
 

@@ -133,18 +133,10 @@ class ShapeCase:
     def from_dict(data: dict) -> Tuple["ShapeCase", List[Channel]]:
         if data.get("schema") != SCHEMA:
             raise ValueError(f"not an explorer schedule: {data.get('schema')!r}")
-        mode = data.get("exposure")
-        if mode is None:
-            # Schedules recorded before the modes were one value.
-            mode = (
-                "all"
-                if data["hybrid"]
-                else ("declared" if data["order_claims"] else "none")
-            )
         case = ShapeCase(
             num_groups=int(data["num_groups"]),
             destinations=tuple(tuple(d) for d in data["destinations"]),
-            mode=mode,
+            mode=data["exposure"],
         )
         choices = [_parse_node_pair(s, d, case) for s, d in data["choices"]]
         return case, choices

@@ -185,11 +185,11 @@ def run_scenario(
     """Execute ``scenario`` deterministically and return the checked result.
 
     ``exposure`` names what the timestamp authority orders
-    (:data:`EXPOSURE_MODES`).  ``None`` (the default)
-    follows the scenario: ``"all"`` when it pins ``hybrid``, else
-    ``"declared"`` — the harness derives the shape universe from the
-    scenario's own destination sets (:func:`scenario_conflict_shapes`).
-    Either makes ``acyclic-order`` a *hard* property; ``"none"`` runs the
+    (:data:`EXPOSURE_MODES`) in place of the scenario's own
+    :attr:`~FuzzScenario.exposure`; ``None`` (the default) follows the
+    scenario.  ``"declared"`` derives the shape universe from the scenario's
+    own destination sets (:func:`scenario_conflict_shapes`).  It and
+    ``"all"`` make ``acyclic-order`` a *hard* property; ``"none"`` runs the
     paper's protocol, where it is a reported anomaly (regression schedules
     use it to demonstrate the 3-cycle exposure closes).
     ``use_batching_client`` forces submissions through a
@@ -202,9 +202,9 @@ def run_scenario(
     failing schedule).  Timestamps are virtual simulator milliseconds, so a
     trace is as deterministic as the run itself.
     """
-    if exposure is None:
-        exposure = "all" if scenario.hybrid else "declared"
-    return _run_flexcast(scenario, exposure, use_batching_client, obs)
+    return _run_flexcast(
+        scenario, exposure or scenario.exposure, use_batching_client, obs
+    )
 
 
 def check_deliveries(

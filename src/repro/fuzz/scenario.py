@@ -89,11 +89,10 @@ class FuzzScenario:
     #: channels FlexCast assumes reliable), so the oracle checks that what
     #: *was* delivered is consistent, not that everything was delivered.
     expect_all_delivered: bool = True
-    #: Expose every global message to the Skeen-timestamp authority
-    #: (``exposure="all"``, see repro.fuzz.harness.run_scenario); off, the
-    #: harness declares the scenario's own shapes instead.  The field keeps
-    #: the name committed schedules serialize it under.
-    hybrid: bool = False
+    #: What the Skeen-timestamp authority orders, by name
+    #: (``repro.fuzz.harness.EXPOSURE_MODES``): nothing, the hot components of
+    #: the scenario's own shapes, or every global message.
+    exposure: str = "declared"
     #: Client-side batching window (repro.core.batching.BatchingClient):
     #: same-destination submissions are coalesced up to this many per
     #: FlexCastBatch.  ``1`` (the default, and the value every pre-batching

@@ -28,19 +28,17 @@ from .scenario import FuzzScenario, Submission
 Predicate = Callable[[FuzzScenario], bool]
 
 
-def default_predicate(exposure: Optional[str] = None) -> Predicate:
+def default_predicate() -> Predicate:
     """Fail on *any* checked property, ordering anomalies included — a
     regression schedule should pin whatever the checker can see.
 
-    ``exposure`` mirrors :func:`repro.fuzz.harness.run_scenario`: ``None``
-    follows the scenario, a name pins the mode so a finding from a forced
-    sweep shrinks under the same protocol that produced it (an
-    ``exposure="none"`` 3-cycle would otherwise stop failing — and stop
-    shrinking — the moment the authority re-engages).
+    Every probe runs under the scenario's own ``exposure``, which a
+    candidate inherits, so a finding shrinks under the protocol that
+    produced it.
     """
 
     def fails(scenario: FuzzScenario) -> bool:
-        return not run_scenario(scenario, exposure=exposure).strict_ok
+        return not run_scenario(scenario).strict_ok
 
     return fails
 

@@ -69,11 +69,11 @@ def run_sweep(
     """Run every ``(seed, profile)`` scenario; shrink and collect failures.
 
     ``exposure`` forces what the timestamp authority orders for every run
-    (:func:`~repro.fuzz.harness.run_scenario`): ``"all"`` and ``"declared"``
-    make acyclic-order findings hard failures, ``"none"`` reports them as
-    anomalies; ``None`` follows each scenario.  ``batch_window`` likewise
-    forces the client-side batching window for every run (``1`` =
-    unbatched); ``None`` follows each scenario.
+    and is recorded on each scenario, shrunk ones included: ``"all"`` and
+    ``"declared"`` make acyclic-order findings hard failures, ``"none"``
+    reports them as anomalies; ``None`` follows each scenario.
+    ``batch_window`` likewise forces the client-side batching window for
+    every run (``1`` = unbatched); ``None`` follows each scenario.
     """
     for profile in profiles:
         if profile not in PROFILES:
@@ -81,7 +81,7 @@ def run_sweep(
     summary = SweepSummary()
     started = time.monotonic()
     deadline = started + time_cap_s if time_cap_s is not None else float("inf")
-    base_fails = default_predicate(exposure)
+    base_fails = default_predicate()
 
     def fails(candidate: FuzzScenario) -> bool:
         # Shrinking re-runs the scenario up to max_probes times; a probe past
@@ -98,14 +98,12 @@ def run_sweep(
                 return summary
             scenario = apply_profile(generate_scenario(seed, profile), profile)
             if exposure is not None:
-                # `hybrid` is the one exposure bit a scenario serializes: a
-                # shrunk artifact from an `all` or `declared` sweep replays
-                # as found; one from a `none` sweep loads as `declared` and
-                # needs `--replay <schedule> --exposure none`.
-                scenario = replace(scenario, hybrid=exposure == "all")
+                # Recorded on the scenario, so its shrunk schedule replays
+                # under the mode that found it.
+                scenario = replace(scenario, exposure=exposure)
             if batch_window is not None:
                 scenario = replace(scenario, batch_window=batch_window)
-            result = run_scenario(scenario, exposure=exposure)
+            result = run_scenario(scenario)
             summary.runs += 1
             summary.escape_runs += result.guard_escapes > 0
             summary.restart_runs += result.restarts > 0
@@ -135,8 +133,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         epilog=(
             "Fuzzing runs in the deterministic simulator.  The same "
             "crash-restart invariants are exercised against real OS "
-            "processes by the multi-process runtime and its soak benchmark "
-            "(benchmarks/run_soak.py) — see docs/OPERATIONS.md."
+            "processes by the end-to-end benchmark's rejoin workload, which "
+            "benchmarks/run_soak.py runs long — see docs/OPERATIONS.md."
         ),
     )
     parser.add_argument("--seeds", type=int, default=50, help="number of seeds")
@@ -235,7 +233,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             # so the trace describes exactly the committed failure).  Inspect
             # with: PYTHONPATH=src python -m repro.obs trace <trace.json>
             obs = Observability.with_tracing()
-            run_scenario(scenario, exposure=args.exposure, obs=obs)
+            run_scenario(scenario, obs=obs)
             trace_path = out / f"trace-{scenario.name}-{index}.json"
             obs.tracer.dump_json(trace_path)
             print(f"wrote {trace_path}")

@@ -29,10 +29,9 @@ class FrameServer:
     """The runtime's one TCP front end: length-prefixed frames + HTTP on one port.
 
     Everything that listens — :class:`GroupServer` (one process per *group*),
-    :class:`~repro.runtime.proc.ReplicaServer` (one process per *replica*),
-    the multicast client and the soak harness's response plane — is a
-    subclass, so frames are read in exactly one place.  A port accepts two
-    kinds of traffic:
+    :class:`~repro.runtime.proc.ReplicaServer` (one process per *replica*)
+    and the multicast client — is a subclass, so frames are read in
+    exactly one place.  A port accepts two kinds of traffic:
 
     * wire frames (:mod:`repro.runtime.codec`), fed to :meth:`handle_frame`
       one by one for as long as the peer keeps the connection open; and

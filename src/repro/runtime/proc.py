@@ -76,7 +76,6 @@ class ClusterSpec:
     replication: int
     storage_root: str
     host: str = "127.0.0.1"
-    hybrid: bool = False
     addresses: List[Tuple[Hashable, str, int]] = field(default_factory=list)
 
     # ----------------------------------------------------------- derived views
@@ -98,8 +97,7 @@ class ClusterSpec:
     def build_protocol(self) -> FlexCastProtocol:
         """The (deterministic) protocol instance every process agrees on."""
         return FlexCastProtocol(
-            CDagOverlay(list(self.groups)),
-            exposure=Exposure.all() if self.hybrid else Exposure.none(),
+            CDagOverlay(list(self.groups)), exposure=Exposure.none()
         )
 
     # -------------------------------------------------------------------- json
@@ -110,7 +108,6 @@ class ClusterSpec:
                 "replication": self.replication,
                 "storage_root": self.storage_root,
                 "host": self.host,
-                "hybrid": self.hybrid,
                 "addresses": [list(triple) for triple in self.addresses],
             },
             indent=2,
@@ -124,7 +121,6 @@ class ClusterSpec:
             replication=data["replication"],
             storage_root=data["storage_root"],
             host=data.get("host", "127.0.0.1"),
-            hybrid=data.get("hybrid", False),
             addresses=[tuple(triple) for triple in data["addresses"]],
         )
 
@@ -333,7 +329,6 @@ class ProcessCluster:
         groups: int = 2,
         replication: int = 3,
         storage_root: Optional[str] = None,
-        hybrid: bool = False,
         host: str = "127.0.0.1",
     ) -> None:
         if groups < 1 or replication < 1:
@@ -347,7 +342,6 @@ class ProcessCluster:
                 else tempfile.mkdtemp(prefix="repro-cluster-")
             ),
             host=host,
-            hybrid=hybrid,
         )
         self.protocol = self.spec.build_protocol()
         self.processes: Dict[Tuple[GroupId, int], subprocess.Popen] = {}

@@ -30,8 +30,8 @@ AddressBook = Dict[Hashable, Tuple[str, int]]
 
 #: What queues, connections and writers are keyed by — not the destination
 #: id: many logical node ids can share one physical endpoint (e.g. thousands
-#: of simulated soak clients answering on one driver port), and they must
-#: share one connection, not exhaust file descriptors.
+#: of logical clients answering on one driver port), and they must share one
+#: connection, not exhaust file descriptors.
 Endpoint = Tuple[str, int]
 
 #: Most bytes joined into one socket write (the frame that crosses the bound

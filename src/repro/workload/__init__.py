@@ -6,16 +6,14 @@ warehouses per region, locality rate, transaction mix), which samples
 :class:`Transaction`\\ s whose destination sets and payload sizes follow the
 profiles in :mod:`~repro.workload.tpcc`; :class:`ClosedLoopClient` drives
 them against a deployed protocol with a bounded number of outstanding
-multicasts.
+multicasts, and :class:`BoundedResubmitter` re-sends what a crash swallowed.
 
-:mod:`~repro.workload.soak` drives the multi-process runtime at scale:
-thousands of logical closed-loop clients through one batching ingress
-against a real :class:`~repro.runtime.proc.ProcessCluster`, with a full
-end-to-end oracle (``benchmarks/run_soak.py`` is the CLI).
+Load against the multi-process runtime is not generated here: the
+end-to-end benchmark (``benchmarks/e2e``) drives it, and
+``benchmarks/run_soak.py`` runs its ``rejoin`` round for as long as asked.
 """
 
 from .clients import BoundedResubmitter, ClosedLoopClient, CompletedTransaction
-from .soak import SoakConfig, SoakHarness, run_soak
 from .gtpcc import GTPCCConfig, GTPCCWorkload, Transaction
 from .tpcc import (
     GLOBAL_ONLY_MIX,
@@ -36,9 +34,6 @@ __all__ = [
     "BoundedResubmitter",
     "ClosedLoopClient",
     "CompletedTransaction",
-    "SoakConfig",
-    "SoakHarness",
-    "run_soak",
     "GTPCCConfig",
     "GTPCCWorkload",
     "Transaction",

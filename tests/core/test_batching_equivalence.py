@@ -9,8 +9,9 @@ Two claims are pinned, matching DESIGN.md "batching the delivery path":
 
 * **batch_window=1 is bit-identical** — with a window of one the batching
   client ships the exact same envelopes at the exact same (virtual) times,
-  so per-group delivery sequences are *equal as sequences*, in both plain
-  and hybrid modes.  This is the contract that lets batching default off.
+  so per-group delivery sequences are *equal as sequences*, with the
+  scenario's shapes declared or everything exposed.  This is the contract
+  that lets batching default off.
 * **batch_window>1 preserves every guarantee** — the delivered message
   *sets* per group are unchanged, all oracle-checked invariants hold, and
   batches are delivered atomically (all-or-nothing, contiguous, in member
@@ -30,18 +31,18 @@ from repro.fuzz.workload import generate_scenario
 SEEDS = (3, 7, 11, 19)
 
 
-def _scenario(seed, hybrid, batch_window, profile="none"):
+def _scenario(seed, exposure, batch_window, profile="none"):
     scenario = apply_profile(generate_scenario(seed, profile), profile)
-    return replace(scenario, hybrid=hybrid, batch_window=batch_window)
+    return replace(scenario, exposure=exposure, batch_window=batch_window)
 
 
 class TestWindowOneBitIdentical:
     """The differential pin: a window of one changes nothing at all."""
 
-    @pytest.mark.parametrize("hybrid", [False, True], ids=["plain", "hybrid"])
+    @pytest.mark.parametrize("exposure", ["declared", "all"])
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_sequences_identical(self, seed, hybrid):
-        scenario = _scenario(seed, hybrid=hybrid, batch_window=1)
+    def test_sequences_identical(self, seed, exposure):
+        scenario = _scenario(seed, exposure=exposure, batch_window=1)
         unbatched = run_scenario(scenario)
         batched = run_scenario(scenario, use_batching_client=True)
         # Bit-identical: same per-group delivery *sequences*, same oracle
@@ -56,7 +57,7 @@ class TestWindowOneBitIdentical:
         # coalesced or delayed, so window 1 (and the bypass) stays
         # bit-identical even with periodic flush traffic interleaved.
         scenario = replace(
-            _scenario(3, hybrid=False, batch_window=1), gc_interval_ms=200.0
+            _scenario(3, exposure="declared", batch_window=1), gc_interval_ms=200.0
         )
         unbatched = run_scenario(scenario)
         batched = run_scenario(scenario, use_batching_client=True)
@@ -65,17 +66,15 @@ class TestWindowOneBitIdentical:
 
 
 class TestBatchedRunsPreserveGuarantees:
-    @pytest.mark.parametrize("hybrid", [False, True], ids=["plain", "hybrid"])
+    @pytest.mark.parametrize("exposure", ["declared", "all"])
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("window", [4, 16])
-    def test_same_deliveries_all_invariants(self, seed, hybrid, window):
-        reference = run_scenario(_scenario(seed, hybrid=hybrid, batch_window=1))
-        batched = run_scenario(_scenario(seed, hybrid=hybrid, batch_window=window))
-        assert batched.ok, batched.violations[:5]
-        if hybrid:
-            # Hybrid guarantees global acyclic order; batching must not
-            # reintroduce anomalies the timestamp authority rules out.
-            assert batched.strict_ok, batched.ordering_anomalies[:5]
+    def test_same_deliveries_all_invariants(self, seed, exposure, window):
+        reference = run_scenario(_scenario(seed, exposure=exposure, batch_window=1))
+        batched = run_scenario(_scenario(seed, exposure=exposure, batch_window=window))
+        # Both exposures guarantee global acyclic order; batching must not
+        # reintroduce anomalies the timestamp authority rules out.
+        assert batched.strict_ok, (batched.violations + batched.ordering_anomalies)[:5]
         # Batching reorders legally (windows delay submissions) but must
         # deliver exactly the same messages everywhere.
         for group in batched.scenario.order:
@@ -85,7 +84,7 @@ class TestBatchedRunsPreserveGuarantees:
         # Guard against the axis silently degenerating: at least one
         # generated scenario must coalesce real batches under window 16.
         formed = sum(
-            len(run_scenario(_scenario(seed, hybrid=False, batch_window=16)).batches)
+            len(run_scenario(_scenario(seed, exposure="declared", batch_window=16)).batches)
             for seed in SEEDS
         )
         assert formed > 0
@@ -93,7 +92,7 @@ class TestBatchedRunsPreserveGuarantees:
     def test_members_contiguous_in_batch_order(self):
         # Direct structural check on top of the harness's own oracle: each
         # delivered batch appears as one contiguous run, in member order.
-        result = run_scenario(_scenario(3, hybrid=False, batch_window=16))
+        result = run_scenario(_scenario(3, exposure="declared", batch_window=16))
         assert result.batches
         for batch_id, members in result.batches:
             for group, sequence in result.sequences.items():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.fuzz import run_sweep
+from repro.fuzz import FuzzScenario, run_sweep
 from repro.fuzz.profiles import PROFILES
 from repro.fuzz.sweep import main
 
@@ -60,3 +60,14 @@ class TestCli:
         assert main(["--replay", str(schedule)]) == 0
         # With nothing exposed the 3-cycle the schedule pins is back.
         assert main(["--replay", str(schedule), "--exposure", "none"]) == 1
+
+    def test_schedule_of_a_none_sweep_replays_under_none(self, tmp_path, capsys):
+        # Seed 27 closes an acyclic-order anomaly with nothing exposed: the
+        # sweep passes (anomalies do not gate it) and writes the shrunk run.
+        sweep = ["--seeds", "1", "--seed-base", "27", "--profiles", "none"]
+        assert main(sweep + ["--exposure", "none", "--out-dir", str(tmp_path), "--quiet"]) == 0
+        (schedule,) = tmp_path.glob("shrunk-*.json")
+        assert FuzzScenario.load(schedule).exposure == "none"
+        # The replay needs no flag to reproduce it; declared shapes close it.
+        assert main(["--replay", str(schedule)]) == 1
+        assert main(["--replay", str(schedule), "--exposure", "declared"]) == 0

@@ -12,15 +12,15 @@ only one endpoint).
 maintenance), kept here as a test-only subclass: the shrunk schedule still
 demonstrably fails on it and must stay clean on the production protocol.
 
-The full schedule doubles as the gate for the hybrid Skeen-timestamp
-ordering authority (ISSUE 4): the committed JSON pins ``hybrid: true``, under
+The full schedule doubles as the gate for the Skeen-timestamp ordering
+authority (ISSUE 4): the committed JSON pins ``exposure: "all"``, under
 which the run must be *strictly* clean — zero violations **and** zero
-acyclic-order anomalies.  With hybrid *and* the conflict-scoped order claims
-(ISSUE 10) both forced off, the same schedule still exhibits the residual
-anomaly of the down-only c-DAG information flow (never a
-lost/duplicated/misordered-per-pair delivery), which pins both that the hole
-is real and that an ordering authority is what closes it; with the scenario's
-shapes declared the run passes strictly, like with everything exposed.
+acyclic-order anomalies.  With nothing exposed, the same schedule still
+exhibits the residual anomaly of the down-only c-DAG information flow (never
+a lost/duplicated/misordered-per-pair delivery), which pins both that the
+hole is real and that an ordering authority is what closes it; with the
+scenario's shapes declared the run passes strictly, like with everything
+exposed.
 """
 
 from pathlib import Path
@@ -78,7 +78,7 @@ class TestShrunkSchedule:
         # Everything submitted is delivered at every destination.
         assert result.delivered == sum(len(s.dst) for s in shrunk.submissions)
 
-    def test_passes_on_hybrid_protocol(self, shrunk):
+    def test_passes_with_everything_exposed(self, shrunk):
         result = run_scenario(shrunk, exposure="all")
         assert result.strict_ok, result.violations + result.ordering_anomalies
         assert result.delivered == sum(len(s.dst) for s in shrunk.submissions)
@@ -87,12 +87,12 @@ class TestShrunkSchedule:
 class TestFullInventorySchedule:
     """The example's full workload, replayed through the harness.
 
-    The committed schedule pins ``hybrid: true``, so this is the tier-1 form
+    The committed schedule pins ``exposure: "all"``, so this is the tier-1 form
     of the CI gate ``python -m repro.fuzz --replay .../inventory_seed3_full.json``.
     """
 
-    def test_strictly_clean_in_hybrid_mode(self, full):
-        assert full.hybrid, "committed schedule must pin hybrid mode"
+    def test_strictly_clean_with_everything_exposed(self, full):
+        assert full.exposure == "all", "committed schedule must expose everything"
         result = run_scenario(full)
         # Hard gate: zero violations of any kind, anomalies included — with
         # the ordering authority on, acyclic order is a guaranteed property.

@@ -73,8 +73,8 @@ class TestPooledTransport:
 
     def test_logical_ids_share_endpoint_connection(self):
         # Many destination ids mapped to one (host, port) must share one
-        # pooled socket — the soak harness registers thousands of logical
-        # client ids against a single response-plane port.
+        # pooled socket — a load generator may register thousands of
+        # logical client ids against a single response port.
         async def scenario():
             server = RecordingServer()
             await server.start()
