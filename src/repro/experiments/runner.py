@@ -87,6 +87,7 @@ class ExperimentResult:
     #: Per-group delivery sequences (only when config.record_deliveries).
     deliveries: Optional[RecordingSink] = None
     #: The protocol groups themselves (for white-box assertions in tests).
+    #: Their network is closed: it no longer leads back to them.
     groups: Dict[GroupId, object] = field(default_factory=dict)
 
     @property
@@ -103,15 +104,28 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run one experiment and return its measurements.
 
-    The run is deterministic for a given (config, latency matrix) pair.
+    The run is deterministic for a given (config, latency matrix) pair.  The
+    deployment is closed before this returns, so the result reaches neither
+    the loop's pending events nor the network's nodes, and dropping it frees
+    the whole run by reference counting.
     """
-    latencies = latencies or aws_latency_matrix()
-    protocol = build_protocol(config, latencies)
-    loop = EventLoop()
     network = Network(
-        loop, latencies, jitter_ms=config.jitter_ms, seed=config.seed
+        EventLoop(),
+        latencies or aws_latency_matrix(),
+        jitter_ms=config.jitter_ms,
+        seed=config.seed,
     )
+    try:
+        return _run(config, network)
+    finally:
+        network.close()
+        network.loop.close()
 
+
+def _run(config: ExperimentConfig, network: Network) -> ExperimentResult:
+    loop = network.loop
+    latencies = network.latencies
+    protocol = build_protocol(config, latencies)
     delivered_by_group: Dict[GroupId, int] = {g: 0 for g in protocol.groups}
     recording = RecordingSink(clock=lambda: loop.now) if config.record_deliveries else None
 

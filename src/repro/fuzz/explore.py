@@ -78,7 +78,7 @@ from ..core.message import ClientRequest, Message
 from ..overlay.cdag import CDagOverlay
 from ..protocols.base import RecordingSink
 from ..sim.transport import Transport
-from .harness import EXPOSURE_MODES, check_deliveries, exposure_for
+from .harness import EXPOSURE_MODES, check_deliveries, exposure_for, peak_rss_mib
 
 CLIENT = "explore-client"
 
@@ -150,6 +150,10 @@ def _parse_node_pair(src: str, dst: str, case: ShapeCase) -> Channel:
 
 
 # -------------------------------------------------------------------- fabric
+def _dropped() -> None:
+    """The callback of a timer its fabric closed on (never runs)."""
+
+
 class _Timer:
     __slots__ = ("due", "owner", "callback", "cancelled")
 
@@ -224,6 +228,15 @@ class _Fabric:
         timer.callback()
         return True
 
+    def close(self) -> None:
+        """End the execution: drop the handlers and the timers' callbacks,
+        which lead back to the groups that hold the fabric and the timers."""
+        for timer in self.timers:
+            timer.cancel()
+            timer.callback = _dropped
+        self.timers.clear()
+        self.handlers.clear()
+
 
 class _ExploreTransport(Transport):
     def __init__(self, fabric: _Fabric, node_id: Hashable) -> None:
@@ -274,8 +287,23 @@ def execute(
     oracles); ``None`` runs to quiescence and checks every oracle.
     ``strict_choices=False`` tolerates a recorded choice that is no longer
     enabled (the replay path for committed schedules — see the loop body).
+    The fabric is closed before this returns, so the execution is freed by
+    reference counting.
     """
     fabric = _Fabric()
+    try:
+        return _execute(fabric, case, choices, stop_after, strict_choices)
+    finally:
+        fabric.close()
+
+
+def _execute(
+    fabric: _Fabric,
+    case: ShapeCase,
+    choices: Sequence[Channel],
+    stop_after: Optional[int],
+    strict_choices: bool,
+) -> RunOutcome:
     overlay = CDagOverlay(list(case.order))
     dsts = [frozenset(d) for d in case.destinations]
     protocol = FlexCastProtocol(overlay, exposure=exposure_for(case.mode, dsts))
@@ -648,6 +676,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         f"\nexplore: {len(shapes)} shapes, {total_leaves} leaves, "
         f"{total_violations} distinct violations in {elapsed:.1f}s"
         + ("" if exhaustive else f" — PARTIAL ({truncated_shapes} shapes truncated)")
+        + f", peak RSS {peak_rss_mib():.0f} MiB"
     )
     for stats in dirty:
         print(f"\n{stats.case.label()}:")

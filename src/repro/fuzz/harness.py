@@ -27,6 +27,7 @@ shrunk (:mod:`repro.fuzz.shrink`) and committed as a regression schedule.
 
 from __future__ import annotations
 
+import resource
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
@@ -140,6 +141,12 @@ class FuzzResult:
             else:
                 keep.append(violation)
         self.violations = keep
+
+
+def peak_rss_mib() -> float:
+    """This process's peak resident set so far, in MiB (Linux reports KiB),
+    which the fuzz CLIs print on their summary lines."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 def _latency_matrix(scenario: FuzzScenario) -> LatencyMatrix:
@@ -358,15 +365,45 @@ def _run_flexcast(
     use_batching_client: bool = False,
     obs: Optional[Observability] = None,
 ) -> FuzzResult:
-    replicated = scenario.replication_factor > 1
-    if (scenario.crashes or scenario.restarts) and not replicated:
+    if (scenario.crashes or scenario.restarts) and scenario.replication_factor < 2:
         raise ValueError("crashes and restarts need replication_factor > 1")
-
-    loop = EventLoop()
-    latencies = _latency_matrix(scenario)
     network = Network(
-        loop, latencies, jitter_ms=scenario.jitter_ms, seed=scenario.net_seed
+        EventLoop(),
+        _latency_matrix(scenario),
+        jitter_ms=scenario.jitter_ms,
+        seed=scenario.net_seed,
     )
+    #: Each group of the scenario: the bare protocol group, or — when the
+    #: scenario replicates — a ReplicatedGroup around ``replication_factor``
+    #: copies of it, the way ``ProcessCluster`` hosts it.
+    hosts: Dict[GroupId, object] = {}
+    try:
+        return _run_deployment(
+            scenario, exposure, use_batching_client, obs, network, hosts
+        )
+    finally:
+        # The result holds none of the deployment: closed, it is freed by
+        # reference counting (DESIGN.md, "Lifetimes").
+        for host in hosts.values():
+            if isinstance(host, ReplicatedGroup):
+                host.close()
+        network.close()
+        network.loop.close()
+
+
+def _run_deployment(
+    scenario: FuzzScenario,
+    exposure: str,
+    use_batching_client: bool,
+    obs: Optional[Observability],
+    network: Network,
+    hosts: Dict[GroupId, object],
+) -> FuzzResult:
+    """Deploy ``scenario`` on ``network`` — each group's host goes into
+    ``hosts``, for the caller to close — drive it, and check it."""
+    replicated = scenario.replication_factor > 1
+    loop = network.loop
+    latencies = network.latencies
     overlay = CDagOverlay(list(scenario.order))
     protocol = FlexCastProtocol(
         overlay,
@@ -374,10 +411,6 @@ def _run_flexcast(
     )
 
     sink = RecordingSink(clock=lambda: loop.now)
-    #: Each group of the scenario: the bare protocol group, or — when the
-    #: scenario replicates — a ReplicatedGroup around ``replication_factor``
-    #: copies of it, the way ``ProcessCluster`` hosts it.
-    hosts: Dict[GroupId, object] = {}
     #: Delivered at some destination, hence ordered by its entry group.
     delivered_ids: Set[str] = set()
 

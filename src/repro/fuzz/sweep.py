@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from ..obs import Observability
-from .harness import EXPOSURE_MODES, FuzzResult, run_scenario
+from .harness import EXPOSURE_MODES, FuzzResult, peak_rss_mib, run_scenario
 from .profiles import PROFILES, apply_profile
 from .scenario import FuzzScenario
 from .shrink import default_predicate, shrink_scenario
@@ -216,6 +216,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         f"{len(summary.anomalies)} ordering anomalies in "
         f"{summary.elapsed_s:.1f}s"
         + (" (time cap hit)" if summary.timed_out else "")
+        + f", peak RSS {peak_rss_mib():.0f} MiB"
     )
     print(
         f"       {summary.escape_runs} runs fired a guard escape, "

@@ -11,7 +11,7 @@ destinations in a single communication step.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, FrozenSet, Iterable, List, Sequence
 
 from .base import GroupId, Overlay, OverlayError
 
@@ -31,6 +31,7 @@ class CDagOverlay(Overlay):
     def __init__(self, order: Sequence[GroupId]) -> None:
         super().__init__(order)
         self._rank: Dict[GroupId, int] = {g: r for r, g in enumerate(self._groups)}
+        self._lca: Dict[FrozenSet[GroupId], GroupId] = {}
 
     # ----------------------------------------------------------------- ranks
     def rank(self, group: GroupId) -> int:
@@ -75,9 +76,17 @@ class CDagOverlay(Overlay):
 
     # ------------------------------------------------------------------- lca
     def lca(self, destinations: Iterable[GroupId]) -> GroupId:
-        """Lowest common ancestor: the lowest-ranked destination group."""
-        dst = self.validate_destinations(destinations)
-        return min(dst, key=self.rank)
+        """Lowest common ancestor: the lowest-ranked destination group.
+
+        The protocol asks this many times per message, so the answer comes
+        from a table keyed by destination set, filled on the first ask.
+        """
+        dst = frozenset(destinations)
+        try:
+            return self._lca[dst]
+        except KeyError:
+            lca = self._lca[dst] = min(self.validate_destinations(dst), key=self.rank)
+            return lca
 
     def entry_group(self, destinations: Iterable[GroupId]) -> GroupId:
         return self.lca(destinations)

@@ -9,6 +9,13 @@ The loop is deterministic: events scheduled at the same virtual time are
 executed in scheduling order (FIFO tie-breaking through a monotonically
 increasing sequence number).  Determinism makes every benchmark and test
 reproducible from its random seed alone.
+
+A run ends with :meth:`EventLoop.close`.  A pending event holds its callback,
+and the callback usually leads back to whoever holds the event's handle (a
+protocol group and its timer), so an unclosed loop leaves every finished
+deployment to the cyclic garbage collector.  Closing cancels what is still
+queued and lets go of those callbacks; the clock and the counters stay
+readable.
 """
 
 from __future__ import annotations
@@ -16,6 +23,10 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
+
+
+def _dropped() -> None:
+    """The callback of an event its loop closed on (never runs)."""
 
 
 @dataclass(order=True)
@@ -114,6 +125,16 @@ class EventLoop:
         """Request the loop to stop before processing the next event."""
         self._stopped = True
 
+    def close(self) -> None:
+        """End the run: cancel every pending event and drop its callback.
+
+        A handle to a dropped event still answers ``cancel()`` and ``time``.
+        """
+        for event in self._heap:
+            event.cancelled = True
+            event.callback = _dropped
+        self._heap.clear()
+
     def step(self) -> bool:
         """Execute the next non-cancelled event.
 
@@ -182,8 +203,9 @@ class EventLoop:
 class PeriodicTimer:
     """Re-arms itself on the loop every ``interval`` until cancelled.
 
-    Used by the flush-based garbage collector and by closed-loop client
-    think-time models.
+    Used by the flush-based garbage collector
+    (:class:`~repro.core.garbage.FlushCoordinator`).  A cancelled timer lets
+    go of its callback and its handle, so neither keeps the other alive.
     """
 
     def __init__(
@@ -197,23 +219,23 @@ class PeriodicTimer:
             raise ValueError("interval must be positive")
         self._loop = loop
         self._interval = interval
-        self._callback = callback
-        self._active = True
-        self._handle = loop.schedule(
+        self._callback: Optional[Callable[[], None]] = callback
+        self._handle: Optional[EventHandle] = loop.schedule(
             interval if start_after is None else start_after, self._fire
         )
 
     def _fire(self) -> None:
-        if not self._active:
+        if self._callback is None:
             return
         self._callback()
-        if self._active:
+        if self._callback is not None:
             self._handle = self._loop.schedule(self._interval, self._fire)
 
     def cancel(self) -> None:
-        self._active = False
-        self._handle.cancel()
+        if self._handle is not None:
+            self._handle.cancel()
+        self._callback = self._handle = None
 
     @property
     def active(self) -> bool:
-        return self._active
+        return self._callback is not None

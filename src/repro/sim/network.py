@@ -13,6 +13,12 @@ substrate inside the discrete-event simulator:
 * per-node traffic counters record the number of messages and bytes sent and
   received, which is the raw material for Figure 8 (traffic per node) and for
   the communication-overhead analysis (Figures 1 and 9).
+
+The network owns the deployment for the length of a run: it reaches every
+node through its handler, and every node reaches it back through its
+transport.  :meth:`Network.close` ends the run by dropping the nodes, their
+handlers, the observers and the drop filter; the traffic counters stay
+readable.
 """
 
 from __future__ import annotations
@@ -145,6 +151,13 @@ class Network:
 
     def is_registered(self, node_id: NodeId) -> bool:
         return node_id in self._nodes
+
+    def close(self) -> None:
+        """End the run: drop every node with its handler, every observer and
+        the drop filter.  Sending afterwards raises ``KeyError``."""
+        self._nodes.clear()
+        self._delivery_observers.clear()
+        self._drop_filter = None
 
     # ------------------------------------------------------------- messaging
     def set_drop_filter(

@@ -188,6 +188,22 @@ class _GatedTransport(Transport):
             self.take(index)
 
 
+def _ignore(*args: Any) -> None:
+    """What a killed replica's callbacks become (nothing calls them)."""
+
+
+class ReportedCount:
+    """How many of the logical group's deliveries the application has seen,
+    shared by the group's replicas.  Every replica delivers the same
+    sequence, so delivery number *n* names the same message on all of them,
+    and the leader reports it only if *n* is above this watermark."""
+
+    __slots__ = ("count",)
+
+    def __init__(self) -> None:
+        self.count = 0
+
+
 class GroupReplica:
     """One physical replica of a logical group.
 
@@ -205,20 +221,20 @@ class GroupReplica:
         protocol: AtomicMulticastProtocol,
         transport: Transport,
         sink: DeliverySink,
-        reported: Optional[set] = None,
+        reported: Optional[ReportedCount] = None,
         storage: Optional[Any] = None,
     ) -> None:
         self.group_id = group_id
         self.replica_id = replica_id
         self._gated = _GatedTransport(transport, self._timer_due)
         self._outer_transport = transport
-        #: Message ids already reported to the application, shared across the
+        #: Deliveries already reported to the application, shared across the
         #: logical group's replicas.  Around a fail-over, the old leader may
         #: apply a committed instance (and report it) while a follower that
         #: just took over applies the same instance later, when *it* is the
-        #: leader — without the shared set the application would see the
-        #: delivery twice.
-        self._reported = reported if reported is not None else set()
+        #: leader — without the shared watermark the application would see
+        #: the delivery twice.
+        self._reported = reported if reported is not None else ReportedCount()
         #: Set by :meth:`kill`: a crashed or stopped incarnation takes no
         #: input and must never report deliveries.
         self.dead = False
@@ -272,8 +288,9 @@ class GroupReplica:
             self.local_deliveries.append(message.msg_id)
             if self.dead or self._recovering:
                 return
-            if self.smr.is_leader and message.msg_id not in self._reported:
-                self._reported.add(message.msg_id)
+            number = len(self.local_deliveries)
+            if self.smr.is_leader and number > self._reported.count:
+                self._reported.count = number
                 sink(group_id, message)
 
         return gated_sink
@@ -304,9 +321,14 @@ class GroupReplica:
 
     def kill(self) -> None:
         """This incarnation is over (crash, or a graceful stop): it takes no
-        more input, reports nothing, and no timer of its outlives it."""
+        more input, reports nothing, and no timer of its outlives it.  The
+        callbacks it handed out, each leading back to it, are dropped, so a
+        dead replica is freed by reference counting."""
         self.dead = True
         self._gated.cancel_all()
+        self._gated._due = _ignore
+        self.smr._apply = _ignore
+        self.protocol_state._sink = _ignore
 
     def _flush(self) -> None:
         """Submit what the turn collected: one log value, or several when it
@@ -434,7 +456,7 @@ class ReplicatedGroup:
         self.replicas: List[GroupReplica] = []
         self._crashed_indices: set = set()
         replica_ids = [replica_node(group_id, i) for i in range(replication_factor)]
-        reported: set = set()
+        reported = ReportedCount()
         # Kept for restart_replica: a rebooted replica is built from the same
         # ingredients (and the same storage) as its crashed incarnation.
         self._protocol = protocol
@@ -529,6 +551,12 @@ class ReplicatedGroup:
         if leader is not replica:
             leader.offer_snapshot()
         return replica
+
+    def close(self) -> None:
+        """End the run: kill every replica.  What they delivered stays
+        readable; nothing they hold leads back to them any more."""
+        for replica in self.replicas:
+            replica.kill()
 
     def delivered_sequences(self) -> Dict[ReplicaId, List[str]]:
         """Delivery order applied at each replica (for consistency checks)."""

@@ -18,13 +18,18 @@ from .file import _encode_record, _scan_frames
 
 
 class InMemoryWAL(WAL):
-    """A WAL backed by a list of frames (shared across replica incarnations)."""
+    """A WAL backed by a list of frames (shared across replica incarnations).
 
-    def __init__(self, frames: List[bytes]) -> None:
+    Each append counts into ``stats["appends"]``, the storage's counter.
+    """
+
+    def __init__(self, frames: List[bytes], stats: Dict[str, int]) -> None:
         self._frames = frames
+        self._stats = stats
 
     def append(self, record: Any) -> None:
         self._frames.append(_encode_record(record))
+        self._stats["appends"] += 1
 
     def records(self) -> List[Any]:
         return _scan_frames(b"".join(self._frames))[0]
@@ -48,15 +53,7 @@ class InMemoryStorage(Storage):
         self.stats = {"appends": 0}
 
     def wal(self, name: str) -> InMemoryWAL:
-        backing = self._wals.setdefault(name, [])
-        storage = self
-
-        class _CountingWAL(InMemoryWAL):
-            def append(self, record: Any) -> None:
-                super().append(record)
-                storage.stats["appends"] += 1
-
-        return _CountingWAL(backing)
+        return InMemoryWAL(self._wals.setdefault(name, []), self.stats)
 
     def wal_names(self) -> List[str]:
         """Names of every WAL ever opened (introspection)."""

@@ -53,7 +53,7 @@ class BoundedResubmitter:
     re-sends while the key is unsettled, up to ``max_retries`` attempts —
     bounded, so a genuinely undeliverable request cannot spin forever.
     Safe against over-delivery because the whole submission path is
-    idempotent: the SMR layer's shared reported-set and the protocol's
+    idempotent: the SMR layer's shared reported watermark and the protocol's
     duplicate absorption turn a re-submission of an already-delivered
     request into a no-op.
 
@@ -126,7 +126,6 @@ class ClosedLoopClient:
         self._workload = workload
         self._network = network
         self._rng = rng
-        self._group_node = group_node
         self._on_complete = on_complete
         self._stop_after_ms = stop_after_ms
         self._think_time_ms = think_time_ms
@@ -136,18 +135,20 @@ class ClosedLoopClient:
         self._active = False
         self._current: Optional[Transaction] = None
 
+        # A plain function, not a bound method: the multicast client this
+        # client owns must not lead back to it.
+        def send_request(group: GroupId, request: ClientRequest) -> None:
+            network.send(client_id, group_node(group), request)
+
         self._mc = MulticastClient(
             client_id=client_id,
             protocol=protocol,
-            send_request=self._send_request,
+            send_request=send_request,
             clock=lambda: network.loop.now,
         )
         network.register(client_id, site=home, handler=self._on_network_message)
 
     # ------------------------------------------------------------------ wiring
-    def _send_request(self, group: GroupId, request: ClientRequest) -> None:
-        self._network.send(self.client_id, self._group_node(group), request)
-
     def _on_network_message(self, sender: NodeId, payload: object) -> None:
         if not isinstance(payload, ClientResponse):
             return

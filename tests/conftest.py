@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import os
 import random
 
@@ -29,6 +30,17 @@ def _fresh_message_ids():
     """Keep message ids short and deterministic within each test."""
     reset_message_ids()
     yield
+
+
+@pytest.fixture
+def refcount_only():
+    """Run the test with the cyclic collector off: what the test drops is
+    freed by reference counting or not at all, and ``gc.collect()`` returns
+    how many objects were left as cyclic garbage."""
+    gc.collect()
+    gc.disable()
+    yield
+    gc.enable()
 
 
 @pytest.fixture

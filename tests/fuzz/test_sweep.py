@@ -1,5 +1,7 @@
 """Sweep runner: gating semantics and CLI plumbing (small, fast slices)."""
 
+import re
+
 import pytest
 
 from repro.fuzz import FuzzScenario, run_sweep
@@ -40,6 +42,17 @@ class TestCli:
         out = capsys.readouterr().out
         assert "sweep:" in out
         assert code == 0
+        # Every CI leg logs its memory on the summary line.
+        (summary,) = [line for line in out.splitlines() if line.startswith("sweep:")]
+        assert re.search(r", peak RSS \d+ MiB$", summary), summary
+
+    def test_explore_cli_summary_ends_with_peak_rss(self, capsys):
+        from repro.fuzz.__main__ import main as fuzz_main
+
+        assert fuzz_main(["explore", "--max-msgs", "2", "--max-groups", "3", "--quiet"]) == 0
+        out = capsys.readouterr().out
+        (summary,) = [line for line in out.splitlines() if line.startswith("explore:")]
+        assert re.search(r", peak RSS \d+ MiB$", summary), summary
 
     def test_cli_replay_of_committed_regression(self, capsys):
         from pathlib import Path

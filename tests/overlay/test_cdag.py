@@ -1,5 +1,7 @@
 """Unit tests for the complete-DAG overlay."""
 
+import itertools
+
 import pytest
 
 from repro.overlay.base import OverlayError
@@ -77,6 +79,30 @@ class TestLca:
             dag.lca({"A", "Z"})
         with pytest.raises(OverlayError):
             dag.lca(set())
+        # A rejected set is not remembered: asking again raises again.
+        with pytest.raises(OverlayError):
+            dag.lca(["Z", "A"])
+        with pytest.raises(OverlayError):
+            dag.lca(())
+
+    def test_lca_table_agrees_with_the_direct_computation(self):
+        # Every non-empty subset of four groups under all 24 rank orders,
+        # asked twice (the second answer comes from the table) and in every
+        # iterable shape a caller passes.
+        groups = (0, 1, 2, 3)
+        subsets = [
+            frozenset(c)
+            for size in range(1, 5)
+            for c in itertools.combinations(groups, size)
+        ]
+        for order in itertools.permutations(groups):
+            dag = CDagOverlay(order)
+            for dst in subsets:
+                expected = min(dst, key=order.index)
+                assert dag.lca(dst) == expected
+                assert dag.lca(sorted(dst, reverse=True)) == expected
+                assert dag.lca(set(dst)) == expected
+                assert dag.entry_group(tuple(dst)) == expected
 
     def test_sorted_by_rank(self, dag):
         assert dag.sorted_by_rank({"C", "A", "E"}) == ["A", "E", "C"]

@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event loop."""
 
+import weakref
+
 import pytest
 
 from repro.sim.events import EventLoop, PeriodicTimer
@@ -174,3 +176,53 @@ class TestPeriodicTimer:
     def test_rejects_non_positive_interval(self):
         with pytest.raises(ValueError):
             PeriodicTimer(EventLoop(), 0.0, lambda: None)
+
+    def test_a_cancelled_timer_and_its_owner_are_freed(self, refcount_only):
+        # The owner holds the timer, the timer holds the owner's bound method.
+        class Owner:
+            def __init__(self, loop):
+                self.timer = PeriodicTimer(loop, 10.0, self.tick)
+
+            def tick(self):
+                pass
+
+        loop = EventLoop()
+        owner = Owner(loop)
+        loop.run(until=25.0)
+        owner.timer.cancel()
+        assert not owner.timer.active
+        ref = weakref.ref(owner)
+        del owner
+        assert ref() is None
+
+
+class TestClose:
+    def test_close_cancels_and_forgets_pending_events(self):
+        loop = EventLoop()
+        fired = []
+        loop.schedule(5.0, lambda: fired.append("early"))
+        handle = loop.schedule(20.0, lambda: fired.append("late"))
+        loop.run(until=10.0)
+        loop.close()
+        assert loop.pending == 0
+        assert handle.cancelled and handle.time == 20.0
+        handle.cancel()  # still answers
+        loop.run()
+        assert fired == ["early"]
+        assert loop.now == 10.0 and loop.events_processed == 1
+
+    def test_a_pending_event_no_longer_holds_its_callback(self, refcount_only):
+        # The owner holds the handle, the event holds the owner's bound method.
+        class Owner:
+            def __init__(self, loop):
+                self.handle = loop.schedule(10.0, self.fire)
+
+            def fire(self):
+                pass
+
+        loop = EventLoop()
+        owner = Owner(loop)
+        loop.close()
+        ref = weakref.ref(owner)
+        del owner
+        assert ref() is None

@@ -1,10 +1,13 @@
 """Unit tests for the simulated network."""
 
+import weakref
+
 import pytest
 
 from repro.sim.events import EventLoop
 from repro.sim.latencies import LatencyMatrix
 from repro.sim.network import Network, payload_size
+from repro.sim.transport import SimTransport
 
 
 def make_network(jitter=0.0, seed=0):
@@ -150,6 +153,46 @@ class TestTrafficAccounting:
         net.send("n0", "n1", "keep-me")
         loop.run_until_idle()
         assert [p for _, p in sink.received] == ["keep-me"]
+
+
+class TestClose:
+    def test_close_forgets_nodes_observers_and_the_drop_filter(self):
+        loop, net = make_network()
+        observed = []
+        net.register("n0", 0, lambda s, p: None)
+        net.register("n1", 1, lambda s, p: None)
+        net.add_delivery_observer(lambda *args: observed.append(args))
+        net.set_drop_filter(lambda src, dst, payload: True)
+        net.send("n0", "n1", "dropped")
+        net.close()
+        assert not net.is_registered("n0") and not net.is_registered("n1")
+        with pytest.raises(KeyError):
+            net.send("n0", "n1", "after")
+        assert net.traffic("n0").messages_sent == 1  # counters stay readable
+
+        sink = Sink()
+        net.register("n0", 0, lambda s, p: None)
+        net.register("n1", 1, sink)
+        net.send("n0", "n1", "kept")
+        loop.run_until_idle()
+        assert sink.received == [("n0", "kept")] and observed == []
+
+    def test_a_closed_network_no_longer_leads_to_its_nodes(self, refcount_only):
+        # node -> transport -> network -> handler -> node
+        class Node:
+            def __init__(self, net):
+                self.transport = SimTransport(net, "n0")
+                net.register("n0", 0, self.on_message)
+
+            def on_message(self, sender, payload):
+                pass
+
+        loop, net = make_network()
+        node = Node(net)
+        net.close()
+        ref = weakref.ref(node)
+        del node
+        assert ref() is None
 
 
 class TestPayloadSize:

@@ -7,6 +7,9 @@ delivered twice (the protocol state machine would raise on a duplicate), and
 all surviving replicas apply the same log.
 """
 
+import gc
+import weakref
+
 from repro.core.flexcast import FlexCastProtocol
 from repro.core.message import ClientRequest, Message
 from repro.overlay.cdag import CDagOverlay
@@ -90,3 +93,48 @@ class TestLeaderFailoverMidStream:
             f"b{i}" for i in range(5)
         ]
         assert len(set(sink.sequence(0))) == 10
+
+
+def send(network, replica, msg_id):
+    message = Message(msg_id=msg_id, dst=frozenset({0}), sender="client")
+    network.send("client", replica.replica_id, ClientRequest(message=message))
+
+
+class TestReportedWatermark:
+    def test_one_delivery_count_is_shared_by_every_incarnation(self):
+        loop, network, group, sink = deploy()
+        for i in range(4):
+            send(network, group.replicas[2], f"a{i}")
+        loop.run_until_idle()
+        group.crash_replica(0, network)
+        for i in range(3):
+            send(network, group.replicas[2], f"b{i}")
+        loop.run_until_idle()
+        # The rebooted replica replays all seven and reports none of them.
+        rebooted = group.restart_replica(0, network)
+        loop.run_until_idle()
+        assert rebooted.local_deliveries == sink.sequence(0)
+        send(network, group.replicas[2], "c0")
+        loop.run_until_idle()
+
+        assert sink.sequence(0) == ["a0", "a1", "a2", "a3", "b0", "b1", "b2", "c0"]
+        assert len({id(replica._reported) for replica in group.replicas}) == 1
+        assert group.replicas[0]._reported.count == 8
+
+
+class TestClose:
+    def test_close_kills_every_replica_and_a_closed_run_is_freed(self, refcount_only):
+        loop, network, group, sink = deploy()
+        for i in range(3):
+            send(network, group.replicas[1], f"m{i}")
+        loop.run_until_idle()
+        replicas = [weakref.ref(replica) for replica in group.replicas]
+
+        group.close()
+        assert all(replica.dead for replica in group.replicas)
+        network.close()
+        loop.close()
+        del group, network, loop
+        assert [ref() for ref in replicas] == [None, None, None]
+        assert gc.collect() == 0
+        assert sink.sequence(0) == ["m0", "m1", "m2"]  # what was reported stays

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.storage import InMemoryStorage, StorageError
+from repro.storage.memory import InMemoryWAL
 
 
 def test_wal_survives_handle_loss():
@@ -41,6 +42,20 @@ def test_append_stats_and_wal_names():
     storage.wal("w").append(1)
     assert storage.stats["appends"] == 1
     assert storage.wal_names() == ["w"]
+
+
+def test_every_wal_is_one_class_and_appends_count_across_handles():
+    # A class made per call is cyclic garbage that outlives every run.
+    storage = InMemoryStorage()
+    first, second = storage.wal("a"), storage.wal("b")
+    assert type(first) is type(second) is InMemoryWAL
+    first.append(1)
+    second.append(2)
+    storage.wal("a").append(3)
+    with pytest.raises(StorageError):
+        second.append(object())  # a record that never lands is not counted
+    assert storage.stats["appends"] == 3
+    assert InMemoryStorage().stats["appends"] == 0
 
 
 def test_records_go_through_the_file_backends_framing(tmp_path):
