@@ -207,8 +207,7 @@ def run_replicated_failover(
     loop.run_until_idle()
 
     survivors = [r for i, r in enumerate(group.replicas) if i != 0]
-    logs = group.delivered_sequences()
-    agree = logs[survivors[0].replica_id] == logs[survivors[1].replica_id]
+    agree = survivors[0].local_deliveries == survivors[1].local_deliveries
     return {
         "adjustments": adjustments,
         "delivered": delivered,

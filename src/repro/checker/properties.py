@@ -177,10 +177,9 @@ def find_delivery_cycle(
     Returns the cycle as a closed path ``[a, b, …, a]`` — the first one a
     depth-first walk meets when start nodes are taken in the order given and
     successors in sorted order, so the witness is a function of the relation
-    alone.  Used by the
-    acyclic-order check and the sequential-replay oracle so a violation names
-    an actual witness — with exposure promoting ``acyclic-order`` to a
-    hard CI failure, "a cycle exists" alone is not an actionable report.
+    alone.  The acyclic-order check reports it so a violation names an
+    actual witness — with exposure promoting ``acyclic-order`` to a hard CI
+    failure, "a cycle exists" alone is not an actionable report.
     """
     colors: Dict[str, int] = {}
     stack: List[str] = []
@@ -243,11 +242,7 @@ def delivery_relation(
 
 
 def format_cycle(cycle: Sequence[str]) -> str:
-    """Render a closed cycle path compactly (long cycles capped at 12 nodes).
-
-    Shared by the acyclic-order check and the sequential-replay oracle so
-    both reports name the witness the same way.
-    """
+    """Render a closed cycle path compactly (long cycles capped at 12 nodes)."""
     shown = list(cycle) if len(cycle) <= 12 else list(cycle[:11]) + ["…", cycle[-1]]
     return " < ".join(shown)
 

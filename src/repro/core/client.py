@@ -3,9 +3,11 @@
 A client in the paper's system model multicasts a message and, in the
 evaluation, receives one response from each destination group when that group
 delivers the message.  :class:`MulticastCall` tracks one in-flight multicast;
-:class:`MulticastClient` is the reusable piece shared by the closed-loop
-workload clients (:mod:`repro.workload.clients`) and by the asyncio runtime's
-interactive client.
+:class:`MulticastClient` is what the simulator's closed-loop workload
+clients (:mod:`repro.workload.clients`) and the batching client
+(:class:`repro.core.batching.BatchingClient`) build on.  The asyncio
+runtime's :class:`repro.runtime.client.AsyncMulticastClient` is a frame
+server of its own and does not use it.
 """
 
 from __future__ import annotations
@@ -57,8 +59,7 @@ class MulticastClient:
     """Protocol-agnostic client: builds requests and tracks responses.
 
     The transport-specific part (how a request physically reaches a group and
-    how responses come back) is injected via ``send_request``; the simulator
-    and the asyncio runtime provide different implementations.
+    how responses come back) is injected via ``send_request``.
     """
 
     def __init__(

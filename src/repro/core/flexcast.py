@@ -555,13 +555,11 @@ class FlexCastGroup(AtomicMulticastGroup):
         self.send_descendants(message, ack=True)
 
     def _on_history_snapshot(self, envelope: HistorySnapshotFrame) -> None:
-        """Cold sync: a peer pushed its packed live history in one frame.
+        """A packed live history in one frame: legacy input only.
 
-        Used by rejoin catch-up (``restart_replica``) and any runtime that
-        wants to bring a cold group up to date without waiting for the
-        watermark machinery to overship per-vertex tuples.  Merging is
-        idempotent (duplicates and forgotten ids are filtered), so survivors
-        receiving the same frame are a cheap no-op.
+        Nothing sends one any more; a WAL written while replica restarts
+        ordered one through the log still holds it, and replays it here.
+        Merging is idempotent (duplicates and forgotten ids are filtered).
         """
         self._merge_history(envelope.delta)
         self.reprocess_queues()

@@ -473,15 +473,11 @@ class FlexCastNotif(Envelope):
 class HistorySnapshotFrame(Envelope):
     """A group's cold-sync transfer: its packed live history as one frame.
 
-    This is the explicit wire form of the snapshot-bearing delta the diff
-    tracker already produces for far-behind descendants.  It exists so
-    out-of-band catch-up paths — the asyncio runtime pushing state to a
-    rebooted peer, :meth:`repro.smr.replica.ReplicatedGroup.restart_replica`
-    ordering a bulk sync through the group's log — ship exactly the same
-    O(affected) payload the msg/ack/notif envelopes do, instead of growing a
-    second, per-entry transfer format.  Receivers merge it like any other
-    delta (idempotent; forgotten ids are filtered), so duplicated or stale
-    frames are harmless.
+    Legacy input only: nothing sends one any more.  A replica restart used
+    to order one through the group's log after the rejoin; the log alone
+    rebuilds a rejoiner, so the frame added nothing.  WALs written then hold
+    one such entry, and replaying them must still apply it: receivers merge
+    it like any other delta (idempotent; forgotten ids are filtered).
     """
 
     group: GroupId

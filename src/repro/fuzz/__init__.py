@@ -11,8 +11,12 @@ machine-driven state-space sweep, in the spirit of the CADP line of work:
   duplication/loss via ``Network.set_drop_filter``, replica crashes and
   restarts via ``ReplicatedGroup``);
 * :mod:`~repro.fuzz.harness` — runs a scenario on the simulator and checks
-  the full property suite plus the sequential-replay oracle (and, for
-  batched scenarios, the batch-atomicity oracle);
+  the paper's properties (:func:`repro.checker.check_trace`), plus replica
+  agreement and recovery for replicated scenarios and batch atomicity for
+  batched ones;
+* :mod:`~repro.fuzz.explore` — enumerates every interleaving of a small
+  instance and runs the same :func:`~repro.checker.check_trace` at each
+  leaf;
 * :mod:`~repro.fuzz.shrink` — ddmin-style reduction of failing scenarios to
   minimal, checked-in regression schedules;
 * :mod:`~repro.fuzz.sweep` — the multi-seed, multi-profile sweep runner and

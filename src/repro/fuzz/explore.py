@@ -7,11 +7,12 @@ order in which channel deliveries happen.  The explorer drives the protocol
 through an explicit-choice fabric instead of the timed simulator: at every
 step the set of *enabled* events (the head of each non-empty FIFO channel)
 is a branch point, and a depth-first search over those choices covers every
-reachable interleaving.  Each leaf runs the full oracle suite
-(:func:`repro.checker.properties.check_trace`, sequential replay,
-conservation), so a clean exploration is an exhaustive-on-this-model proof —
-the CADP-style methodology (PAPERS.md) applied to our own stack: small
-instances, all behaviours, every property.
+reachable interleaving.  Each leaf runs the harness's oracle core
+(:func:`repro.fuzz.harness.check_deliveries`, i.e.
+:func:`repro.checker.properties.check_trace`), so a clean exploration is an
+exhaustive-on-this-model proof — the CADP-style methodology (PAPERS.md)
+applied to our own stack: small instances, all behaviours, each property
+stated once and checked at every leaf.
 
 Two reductions keep small topologies tractable without losing coverage:
 
@@ -39,9 +40,11 @@ CLI (see ``python -m repro.fuzz explore --help``)::
     # groups, each case declaring its own shapes (the default exposure):
     python -m repro.fuzz explore --max-msgs 3 --max-groups 3
 
-    # demonstrate the hole exposure closes: the same sweep with nothing
-    # exposed finds the 3-cycle and writes each violating interleaving as
-    # a schedule:
+    # the same sweep with nothing exposed (the paper's protocol) writes each
+    # violating interleaving as a schedule.  Over 3 messages x 3 groups it
+    # is clean (164 leaves): the single-shared-group 3-cycle needs more
+    # groups than this bound, and tests/regression/
+    # test_single_shared_group_cycle.py pins it through the fuzz harness.
     python -m repro.fuzz explore --max-msgs 3 --max-groups 3 \
         --exposure none --out-dir explore-artifacts
 
@@ -558,8 +561,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         default="declared",
         help="what the timestamp authority orders: the hot components of "
         "each case's own shapes (default), all global messages, or none "
-        "(the paper's protocol — demonstrates the single-shared-group "
-        "3-cycle exposure closes)",
+        "(the paper's protocol)",
     )
     parser.add_argument(
         "--all-shapes",

@@ -7,10 +7,8 @@ schedule, then runs the *full* oracle suite over the captured trace — one
 path and one suite, whatever the scenario hosts:
 
 * :func:`repro.checker.check_trace` — integrity, validity/agreement (when the
-  profile keeps liveness), prefix order, acyclic order;
-* :func:`repro.checker.check_sequential_replay` — the generic sequential
-  replay oracle (state-level divergence, the form applications see bugs in);
-* :func:`repro.checker.conservation_check` — exactly-once effect accounting;
+  profile keeps liveness), prefix order, acyclic order: each of the paper's
+  properties once;
 * replica agreement and :func:`repro.checker.check_recovery` for every
   replicated group (whatever a replica's restart must not lose, duplicate or
   reorder);
@@ -33,7 +31,6 @@ from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 from ..checker.properties import CheckReport, check_trace
 from ..checker.recovery import check_recovery
-from ..checker.replay import check_sequential_replay, conservation_check
 from ..core.batching import BatchingClient
 from ..core.flexcast import FlexCastGroup, FlexCastProtocol
 from ..core.message import ClientRequest, Message
@@ -65,11 +62,11 @@ class FuzzResult:
     Violations are split into two buckets:
 
     * :attr:`violations` — breaches of the properties the protocol
-      *guarantees*: integrity, no-loss/no-dup (validity/agreement,
-      conservation), prefix order, liveness (no livelock).
+      *guarantees*: integrity, no-loss (validity/agreement), prefix order,
+      liveness (no livelock).
       The sweep gate fails on any of these.
     * :attr:`ordering_anomalies` — global acyclic-order violations (and the
-      replay/prefix shadows of the same underlying cycle).  Under extreme
+      prefix-order shadows of the same underlying cycle).  Under extreme
       cross-group conflict the c-DAG's down-only information flow lets
       groups commit complementary halves of a delivery cycle no local rule
       can see in time; the pivot guard makes this rare and poison tolerance
@@ -117,12 +114,12 @@ class FuzzResult:
     def finalize_buckets(self, strict: bool = False) -> None:
         """Move cycle-shadow violations into :attr:`ordering_anomalies`.
 
-        When (and only when) a run contains an acyclic-order violation, the
-        replay divergence and any prefix-order disagreement are downstream
-        manifestations of that same cycle (poison-tolerant delivery keeps
-        going through contradictory constraints instead of losing messages).
-        Without a cycle, prefix/replay failures are genuine guarantee
-        breaches and stay in :attr:`violations`.
+        When (and only when) a run contains an acyclic-order violation, any
+        prefix-order disagreement is a downstream manifestation of that same
+        cycle (poison-tolerant delivery keeps going through contradictory
+        constraints instead of losing messages).  Without a cycle, a
+        prefix-order failure is a genuine guarantee breach and stays in
+        :attr:`violations`.
 
         ``strict`` (any exposure but none) disables the re-bucketing
         entirely: acyclic order is guaranteed there, so a cycle is a
@@ -133,7 +130,7 @@ class FuzzResult:
         has_cycle = any("[acyclic-order]" in v for v in self.violations)
         if not has_cycle:
             return
-        shadows = ("[acyclic-order]", "[prefix-order]", "[replay]")
+        shadows = ("[acyclic-order]", "[prefix-order]")
         keep: List[str] = []
         for violation in self.violations:
             if any(violation.startswith(s) for s in shadows):
@@ -220,22 +217,13 @@ def check_deliveries(
     messages: Dict[str, Message],
     expect_all_delivered: bool = True,
 ) -> Tuple[Dict[GroupId, List[str]], List[str]]:
-    """The oracle core every run gets, fuzzed or explored: ``check_trace``,
-    sequential replay (ties broken by submission order, which is the order of
-    ``messages``) and — when everything must arrive — conservation.  Returns
-    the per-group sequences and the findings."""
+    """The oracle core every run gets, fuzzed or explored: ``check_trace``.
+    Returns the per-group sequences and the findings."""
     sequences = {gid: sink.sequence(gid) for gid in order}
-    tiebreak = {msg_id: index for index, msg_id in enumerate(messages)}
-    reports = [
-        check_trace(sink, messages.values(), expect_all_delivered=expect_all_delivered),
-        check_sequential_replay(
-            sequences, messages, expect_all_delivered=expect_all_delivered,
-            tiebreak=tiebreak,
-        ),
-    ]
-    if expect_all_delivered:
-        reports.append(conservation_check(sequences, messages))
-    return sequences, [str(v) for report in reports for v in report.violations]
+    report = check_trace(
+        sink, messages.values(), expect_all_delivered=expect_all_delivered
+    )
+    return sequences, [str(v) for v in report.violations]
 
 
 # ----------------------------------------------------------- batch atomicity

@@ -25,7 +25,7 @@ from .report import (
     format_traffic_report,
     traffic_report,
 )
-from .stats import Summary, cdf_at, cdf_points, mean, percentile, percentiles, stdev
+from .stats import cdf_points, mean, percentile, percentiles, stdev
 
 __all__ = [
     "LatencyCollector",
@@ -40,8 +40,6 @@ __all__ = [
     "format_table",
     "format_throughput_series",
     "format_traffic_report",
-    "Summary",
-    "cdf_at",
     "cdf_points",
     "mean",
     "percentile",

@@ -1,4 +1,4 @@
-"""Small statistics helpers: percentiles, CDFs and summaries.
+"""Small statistics helpers: percentiles, means and CDFs.
 
 Implemented without numpy on the hot path so they also work on raw Python
 lists coming out of the simulator; numpy is available and used only where it
@@ -8,7 +8,6 @@ genuinely helps (none of these datasets are large enough to matter).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 
@@ -65,51 +64,3 @@ def cdf_points(values: Sequence[float]) -> List[Tuple[float, float]]:
     ordered = sorted(values)
     n = len(ordered)
     return [(v, (i + 1) / n) for i, v in enumerate(ordered)]
-
-
-def cdf_at(values: Sequence[float], threshold: float) -> float:
-    """Fraction of values less than or equal to ``threshold``."""
-    if not values:
-        return 0.0
-    return sum(1 for v in values if v <= threshold) / len(values)
-
-
-@dataclass(frozen=True)
-class Summary:
-    """Compact distribution summary used in reports and EXPERIMENTS.md."""
-
-    count: int
-    mean: float
-    p50: float
-    p90: float
-    p95: float
-    p99: float
-    minimum: float
-    maximum: float
-
-    @staticmethod
-    def of(values: Sequence[float]) -> "Summary":
-        if not values:
-            raise ValueError("cannot summarise an empty sequence")
-        return Summary(
-            count=len(values),
-            mean=mean(values),
-            p50=percentile(values, 50),
-            p90=percentile(values, 90),
-            p95=percentile(values, 95),
-            p99=percentile(values, 99),
-            minimum=min(values),
-            maximum=max(values),
-        )
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "p50": self.p50,
-            "p90": self.p90,
-            "p95": self.p95,
-            "p99": self.p99,
-            "min": self.minimum,
-            "max": self.maximum,
-        }

@@ -12,7 +12,6 @@ C-DAG orders, both nearest-neighbour chains from
 
 from .base import CompleteGraphOverlay, GroupId, Overlay, OverlayError
 from .builders import (
-    build_cdag_from_order,
     build_complete,
     build_o1,
     build_o2,
@@ -32,7 +31,6 @@ __all__ = [
     "OverlayError",
     "CDagOverlay",
     "TreeOverlay",
-    "build_cdag_from_order",
     "build_complete",
     "build_o1",
     "build_o2",

@@ -66,11 +66,6 @@ def build_o2(latencies: LatencyMatrix, seed: GroupId = 0) -> CDagOverlay:
     return CDagOverlay(nearest_neighbour_order(latencies, seed))
 
 
-def build_cdag_from_order(order: Sequence[GroupId]) -> CDagOverlay:
-    """Explicit C-DAG from a rank order (used by ablations and tests)."""
-    return CDagOverlay(order)
-
-
 # --------------------------------------------------------------------------- trees
 def _clusters(latencies: LatencyMatrix) -> Dict[str, List[GroupId]]:
     """Group sites by geographic cluster.

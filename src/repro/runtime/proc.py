@@ -14,7 +14,7 @@ durability.  What this module adds is the topology and the supervision:
   ``python -m repro.runtime.proc --spec spec.json --group G --replica I``.
 * :class:`ProcessCluster` — the parent side.  Allocates ports, writes the
   cluster spec, spawns the children, polls readiness, and drives
-  kill/restart through the PR-6/PR-8 rejoin + snapshot-frame path.
+  kill/restart through WAL replay and the rejoin catch-up.
 
 Topology conventions (documented for operators in ``docs/OPERATIONS.md``):
 
@@ -157,9 +157,6 @@ class ReplicaServer(FrameServer):
     ``/admin/rejoin``
         Announce this (restarted) replica to its peers and pull the decided
         suffix (:meth:`~repro.smr.replica.GroupReplica.rejoin`).
-    ``/admin/offer-snapshot``
-        If this replica currently leads, order a packed history snapshot
-        through the log for any rejoiner (the PR-8 snapshot-frame path).
     ``/stop``
         Graceful shutdown: the serve loop exits and the process ends.
     """
@@ -243,10 +240,6 @@ class ReplicaServer(FrameServer):
         if route == "/admin/rejoin":
             self.replica.rejoin()
             return self._json_response({"rejoined": self.replica_id})
-        if route == "/admin/offer-snapshot":
-            # The supervisor asks *every* survivor after a restart; only the
-            # current leader acts.
-            return self._json_response({"offered": self.replica.offer_snapshot()})
         if route == "/stop":
             self.stop_requested.set()
             return self._json_response({"stopping": self.replica_id})
@@ -318,9 +311,9 @@ class ProcessCluster:
     Crash handling follows the PR-6/PR-8 model, driven over the admin plane:
     :meth:`kill_replica` SIGKILLs one child and tells its group's survivors
     to mark it failed; :meth:`restart_replica` respawns it from its WALs,
-    waits for readiness, triggers :meth:`GroupReplica.rejoin` catch-up, and
-    offers a packed history snapshot through the log from the current
-    leader.  :meth:`await_group_convergence` then polls the survivors' and
+    waits for readiness and triggers :meth:`GroupReplica.rejoin` catch-up:
+    the log alone rebuilds its state.
+    :meth:`await_group_convergence` then polls the survivors' and
     the rejoiner's ``/delivered`` digests until they agree.
     """
 
@@ -459,17 +452,12 @@ class ProcessCluster:
     async def restart_replica(
         self, group_id: GroupId, index: int, ready_timeout: float = 30.0
     ) -> None:
-        """Respawn a killed replica from its WALs and drive the rejoin path."""
+        """Respawn a killed replica from its WALs and drive the rejoin path:
+        it replays its log and catches up the decided suffix from its peers."""
         self._spawn(group_id, index)
         await self._await_ready(group_id, index, ready_timeout)
         host, port = self.spec.replica_address(group_id, index)
         await _http_get(host, port, "/admin/rejoin")
-        # Let the catch-up round land before offering the history snapshot
-        # (both are idempotent; the sleep only shortens convergence).
-        await asyncio.sleep(0.2)
-        for survivor in self.live_replicas(group_id):
-            shost, sport = self.spec.replica_address(group_id, survivor)
-            await _http_get(shost, sport, "/admin/offer-snapshot")
 
     async def await_group_convergence(
         self, group_id: GroupId, timeout: float = 30.0, min_count: int = 0

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
-from ..core.message import ClientRequest, Envelope, HistorySnapshotFrame, Message
+from ..core.message import Envelope, Message
 from ..obs import Observability
 from ..overlay.base import GroupId
 from ..protocols.base import AtomicMulticastGroup, AtomicMulticastProtocol, DeliverySink
@@ -401,27 +401,6 @@ class GroupReplica:
         """Announce the restarted replica to its peers and catch up the delta."""
         self.smr.rejoin()
 
-    def offer_snapshot(self) -> bool:
-        """Order a packed history snapshot through the log, if this replica leads.
-
-        After a peer's restart the leader's protocol copy packs its live
-        history into a ``history-snapshot`` frame (packed snapshot + journal
-        suffix, :meth:`History.cold_delta` — the same O(affected) transfer
-        shape every diff path uses) and submits it like any other envelope,
-        so the rejoiner bulk-installs the missing history in one merge
-        instead of accumulating per-entry deltas.  Routing it *through* the
-        log keeps every replica's protocol state a pure function of the log
-        (the recovery oracle's invariant): survivors apply the same frame
-        and no-op on the idempotent merge.  Returns whether a frame was
-        submitted.
-        """
-        state = self.protocol_state
-        if not self.is_leader or len(state.history) == 0:
-            return False
-        frame = HistorySnapshotFrame(group=self.group_id, delta=state.history.cold_delta())
-        self.on_message("rejoin-catchup", frame)
-        return True
-
     @property
     def is_leader(self) -> bool:
         return self.smr.is_leader
@@ -547,9 +526,6 @@ class ReplicatedGroup:
         if self._obs is not None:
             replica.attach_obs(self._obs)
         replica.rejoin()
-        leader = self.leader
-        if leader is not replica:
-            leader.offer_snapshot()
         return replica
 
     def close(self) -> None:
@@ -557,19 +533,6 @@ class ReplicatedGroup:
         readable; nothing they hold leads back to them any more."""
         for replica in self.replicas:
             replica.kill()
-
-    def delivered_sequences(self) -> Dict[ReplicaId, List[str]]:
-        """Delivery order applied at each replica (for consistency checks)."""
-        sequences: Dict[ReplicaId, List[str]] = {}
-        for replica in self.replicas:
-            ids = [
-                entry.envelope.message.msg_id
-                for turn in replica.smr.log
-                for entry in turn.entries
-                if isinstance(entry.envelope, ClientRequest)
-            ]
-            sequences[replica.replica_id] = ids
-        return sequences
 
 
 class _ReplicaTransport(Transport):

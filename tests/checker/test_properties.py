@@ -4,9 +4,11 @@ import os
 import random
 import subprocess
 import sys
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 import repro
 from repro.checker.properties import (
@@ -179,6 +181,77 @@ class TestFaultsInjectedIntoRealTraces:
         inject(sequences, messages)
         report = check_trace(sink_from(sequences), messages)
         assert {v.property_name for v in report.violations} == expected
+
+
+def reference_ok(sequences, messages, expect_all_delivered):
+    """What ``check_trace(...).ok`` means, stated as a sequential replay: one
+    total order of everything delivered exists, each group delivered that
+    order filtered to what it delivered, only messages addressed to it, and
+    (when everything must arrive) each message at each destination once."""
+    after = {m: set() for seq in sequences.values() for m in seq}
+    for seq in sequences.values():
+        for earlier, later in zip(seq, seq[1:]):
+            after[later].add(earlier)
+    try:
+        order = list(TopologicalSorter(after).static_order())
+    except CycleError:
+        return False
+    for group, seq in sequences.items():
+        if seq != [m for m in order if m in set(seq)]:
+            return False
+        if any(m not in messages or group not in messages[m].dst for m in seq):
+            return False
+    return not expect_all_delivered or all(
+        sequences.get(g, []).count(m) == 1 for m in messages for g in messages[m].dst
+    )
+
+
+GROUPS = (0, 1, 2, 3)
+
+
+@st.composite
+def mangled_traces(draw):
+    """A few messages, a correct trace of them, then up to three faults:
+    drops, duplicates, foreign ids, extra deliveries and reorderings."""
+    messages = [
+        msg(f"m{i}", draw(st.frozensets(st.sampled_from(GROUPS), min_size=1)))
+        for i in range(draw(st.integers(1, 5)))
+    ]
+    order = draw(st.permutations(messages))
+    sequences = {g: [m for m in order if g in m.dst] for g in GROUPS}
+    for _ in range(draw(st.integers(0, 3))):
+        group = draw(st.sampled_from(GROUPS))
+        seq = sequences[group]
+        at = draw(st.integers(0, len(seq)))
+        fault = draw(st.sampled_from(["drop", "duplicate", "foreign", "extra", "reorder"]))
+        if fault == "drop" and seq:
+            seq.pop(min(at, len(seq) - 1))
+        elif fault == "duplicate" and seq:
+            seq.insert(at, draw(st.sampled_from(seq)))
+        elif fault == "foreign":
+            seq.insert(at, msg("ghost", GROUPS))
+        elif fault == "extra":
+            seq.insert(at, draw(st.sampled_from(messages)))
+        elif fault == "reorder":
+            sequences[group] = draw(st.permutations(seq))
+    return messages, sequences
+
+
+class TestCheckTraceIsTheSequentialReplay:
+    """``check_trace`` passes exactly when a sequential replay of the run
+    reproduces every group's deliveries: the fuzz harness and the explorer
+    need no second oracle for it."""
+
+    @pytest.mark.parametrize("expect_all_delivered", [True, False])
+    @settings(max_examples=400, deadline=None)
+    @given(trace=mangled_traces())
+    def test_ok_iff_one_total_order_replays_every_group(self, expect_all_delivered, trace):
+        messages, sequences = trace
+        report = check_trace(sink_from(sequences), messages, expect_all_delivered)
+        ids = {g: [m.msg_id for m in seq] for g, seq in sequences.items()}
+        expected = reference_ok(ids, {m.msg_id: m for m in messages}, expect_all_delivered)
+        event(f"ok={expected}")
+        assert report.ok == expected, [str(v) for v in report.violations]
 
 
 class TestGenuineness:

@@ -86,7 +86,7 @@ class TestOracles:
 
     def test_replicated_run_is_judged_by_the_whole_suite(self, substitute_groups):
         """One path, one suite: a delivery a replicated group swallows is
-        reported by ``check_trace`` and by conservation, as on bare groups."""
+        reported by ``check_trace``, as on bare groups."""
         from repro.core.flexcast import FlexCastGroup
 
         class Swallows(FlexCastGroup):
@@ -98,7 +98,7 @@ class TestOracles:
         for replication_factor in (1, 3):
             result = run_scenario(small_scenario(replication_factor=replication_factor))
             kinds = {v.split("]")[0] + "]" for v in result.violations}
-            assert {"[validity/agreement]", "[conservation]"} <= kinds, kinds
+            assert "[validity/agreement]" in kinds, kinds
             assert result.sequences[0] == ["m0", "m2", "m3"]
 
     def test_loss_profile_keeps_safety_only(self):
@@ -125,7 +125,7 @@ class TestBuckets:
         result = run_scenario(small_scenario())
         result.violations = [
             "[acyclic-order] the delivery relation contains a cycle (3 nodes involved)",
-            "[replay] no sequential replay exists: the union delivery relation is cyclic",
+            "[prefix-order] groups 0 and 1 disagree on a vs b",
             "[integrity] group 0 delivered m0 twice",
         ]
         result.finalize_buckets()

@@ -2,15 +2,7 @@
 
 import pytest
 
-from repro.metrics.stats import (
-    Summary,
-    cdf_at,
-    cdf_points,
-    mean,
-    percentile,
-    percentiles,
-    stdev,
-)
+from repro.metrics.stats import cdf_points, mean, percentile, percentiles, stdev
 
 
 class TestPercentile:
@@ -68,25 +60,3 @@ class TestCdf:
 
     def test_cdf_points_empty(self):
         assert cdf_points([]) == []
-
-    def test_cdf_at(self):
-        data = [1, 2, 3, 4]
-        assert cdf_at(data, 0) == 0.0
-        assert cdf_at(data, 2) == 0.5
-        assert cdf_at(data, 10) == 1.0
-        assert cdf_at([], 5) == 0.0
-
-
-class TestSummary:
-    def test_summary_fields(self):
-        summary = Summary.of(list(range(1, 101)))
-        assert summary.count == 100
-        assert summary.minimum == 1 and summary.maximum == 100
-        assert summary.p50 < summary.p90 < summary.p99
-        assert set(summary.as_dict()) == {
-            "count", "mean", "p50", "p90", "p95", "p99", "min", "max"
-        }
-
-    def test_summary_of_empty_rejected(self):
-        with pytest.raises(ValueError):
-            Summary.of([])

@@ -9,6 +9,7 @@ import shutil
 import pytest
 
 from repro.core.flexcast import FlexCastProtocol
+from repro.core.message import HistorySnapshotFrame
 from repro.overlay.cdag import CDagOverlay
 from repro.runtime.codec import turn_entries, turn_text
 from repro.sim.events import EventLoop
@@ -336,8 +337,8 @@ LEADERSHIP_WAL = os.path.join(os.path.dirname(__file__), "data", "leadership_wal
 def write_corpus(directory):
     """Write a WAL corpus: the scenario of ``parent_wal`` (a 3-replica
     FlexCast group on the simulator: six requests, replica 2 crashes, four
-    more requests, its restart and the snapshot frame ordered for it, and
-    last enough prepares at the rejoiner for its acceptor WAL to be folded),
+    more requests, its restart and catch-up, and last enough prepares at the
+    rejoiner for its acceptor WAL to be folded),
     the two WAL files of replica 0 and of the rejoiner as this commit writes
     them, and what a replay of them must rebuild.
 
@@ -345,8 +346,10 @@ def write_corpus(directory):
     each, the records ``leadership_wal`` pins — except the last, which shares
     its turn with a client's retry of ``b0``: a value of two entries, an
     array in replica 0's ``a`` record and in the full ``c`` record of the
-    rejoiner, which learns it by catch-up (``turns_wal``; in ``text_wal``
-    every value is a line of text after its record).
+    rejoiner, which learns it by catch-up (``turns_wal``; since
+    ``snapshot_frame_wal`` every value is a line of text after its record).
+    The older corpora end with one more instance, the ``history-snapshot``
+    frame a restart used to order; ``text_wal`` has none.
 
     ``python tests/smr/test_durability.py --write-corpus DIR``; the output is
     a function of the commit alone, and CI diffs it against the newest
@@ -440,8 +443,9 @@ class TestLeadershipWal:
         write_corpus(str(tmp_path))
         with open(tmp_path / "expected.json", encoding="utf-8") as fh:
             assert len(json.load(fh)["local_deliveries"]) == 10
+        # One commit per request's turn: no snapshot frame follows the restart.
         records, _ = _scan_frames((tmp_path / "group-0-replica-0.log.wal").read_bytes())
-        assert len(records) == 11
+        assert len(records) == 10
 
 
 TURNS_WAL = os.path.join(os.path.dirname(__file__), "data", "turns_wal")
@@ -502,16 +506,20 @@ class TestTurnsWal:
         assert valued[2, "log"] >= 1  # what the rejoiner learned by catch-up
 
 
+SNAPSHOT_FRAME_WAL = os.path.join(os.path.dirname(__file__), "data", "snapshot_frame_wal")
 TEXT_WAL = os.path.join(os.path.dirname(__file__), "data", "text_wal")
+CORPUS_FILES = [f"group-0-replica-{i}.{kind}" for i in (0, 2) for kind in ("acceptor", "log")]
 
 
-class TestTextWal:
-    """``data/text_wal`` was written by the commit that made a log value text
-    below the state machine (:func:`write_corpus`): the records of
-    ``turns_wal``, each value moved out of its record's JSON onto a line of
-    its own, and the rejoiner's acceptor WAL folded once."""
+class TestSnapshotFrameWal:
+    """``data/snapshot_frame_wal`` was written by the commit that made a log
+    value text below the state machine (:func:`write_corpus`): the records
+    of ``turns_wal``, each value moved out of its record's JSON onto a line
+    of its own, and the rejoiner's acceptor WAL folded once.  Its last
+    instance is the ``history-snapshot`` frame a restart then ordered through
+    the log; nothing writes one any more, and a replay must still apply it."""
 
-    DATA = TEXT_WAL
+    DATA = SNAPSHOT_FRAME_WAL
     SEVERAL = TestTurnsWal.SEVERAL
 
     test_replica_replays_its_own_format = (
@@ -521,18 +529,20 @@ class TestTextWal:
         TestTurnsWal.test_the_rejoiner_replays_its_full_records
     )
 
-    def test_the_writer_reproduces_the_committed_files_byte_for_byte(self, tmp_path):
-        write_corpus(str(tmp_path))
-        assert sorted(os.listdir(tmp_path)) == sorted(os.listdir(TEXT_WAL))
-        for name in os.listdir(TEXT_WAL):
-            with open(os.path.join(TEXT_WAL, name), "rb") as ours:
-                assert (tmp_path / name).read_bytes() == ours.read(), name
+    def test_a_replay_applies_the_snapshot_frame(self, tmp_path, open_storage):
+        copy_corpus(self.DATA, tmp_path)
+        replica = replay(open_storage(tmp_path))
+        (entry,) = replica.smr.log[-1].entries
+        assert type(entry.envelope) is HistorySnapshotFrame
+        assert set(replica.protocol_state.history.message_ids()) == set(
+            replica.local_deliveries
+        )
 
     def test_a_value_is_a_line_of_json_text_after_its_record(self):
         seen = set()
         for index in (0, 2):
             for kind in ("acceptor", "log"):
-                records, payloads = wal_records(TEXT_WAL, f"group-0-replica-{index}.{kind}")
+                records, payloads = wal_records(self.DATA, f"group-0-replica-{index}.{kind}")
                 for record, payload in zip(records, payloads):
                     valued = len(record) > 2 and record[0] in "ac"
                     assert (type(record[-1]) is bytes) == valued
@@ -545,18 +555,56 @@ class TestTextWal:
 
     def test_the_value_texts_are_the_ones_inside_the_turns_corpus(self):
         for index, kind in ((0, "acceptor"), (2, "log")):
-            ours, _ = wal_records(TEXT_WAL, f"group-0-replica-{index}.{kind}")
+            ours, _ = wal_records(self.DATA, f"group-0-replica-{index}.{kind}")
             theirs, _ = wal_records(TURNS_WAL, f"group-0-replica-{index}.{kind}")
             assert [
                 r[:-1] + [unstamped(stored_text(r[-1]))] if len(r) > 2 else r for r in theirs
             ] == ours
 
     def test_the_rejoiners_acceptor_wal_was_folded(self):
-        records, _ = wal_records(TEXT_WAL, "group-0-replica-2.acceptor")
+        records, _ = wal_records(self.DATA, "group-0-replica-2.acceptor")
         accepts = [r[1] for r in records if r[0] == "a"]
         folded = records.index(next(r for r in records if r[0] == "p"))
         assert accepts and accepts[:folded] == sorted(set(accepts[:folded]))
         assert len(records) < 79  # the prepares alone were more
+
+
+class TestTextWal:
+    """``data/text_wal`` is what :func:`write_corpus` writes since a restarted
+    replica recovers from the log alone: the records of
+    ``snapshot_frame_wal`` less the snapshot frame's instance, in the same
+    format."""
+
+    DATA = TEXT_WAL
+    SEVERAL = TestTurnsWal.SEVERAL
+    FRAME = 10  # the snapshot frame's instance in the older corpus
+
+    test_replica_replays_its_own_format = (
+        TestParentCommitWal.test_replica_replays_a_wal_written_by_the_parent_commit
+    )
+    test_the_rejoiner_replays_its_full_records = (
+        TestTurnsWal.test_the_rejoiner_replays_its_full_records
+    )
+    test_a_value_is_a_line_of_json_text_after_its_record = (
+        TestSnapshotFrameWal.test_a_value_is_a_line_of_json_text_after_its_record
+    )
+    test_the_rejoiners_acceptor_wal_was_folded = (
+        TestSnapshotFrameWal.test_the_rejoiners_acceptor_wal_was_folded
+    )
+
+    def test_the_writer_reproduces_the_committed_files_byte_for_byte(self, tmp_path):
+        write_corpus(str(tmp_path))
+        assert sorted(os.listdir(tmp_path)) == sorted(os.listdir(TEXT_WAL))
+        for name in os.listdir(TEXT_WAL):
+            with open(os.path.join(TEXT_WAL, name), "rb") as ours:
+                assert (tmp_path / name).read_bytes() == ours.read(), name
+
+    def test_the_records_are_the_snapshot_frame_corpus_less_the_frame(self):
+        for name in CORPUS_FILES:
+            ours, _ = wal_records(TEXT_WAL, name)
+            theirs, _ = wal_records(SNAPSHOT_FRAME_WAL, name)
+            frame = (["a", self.FRAME], ["c", self.FRAME])
+            assert ours == [r for r in theirs if r[:2] not in frame], name
 
 
 def deploy_one_with_log(storage):

@@ -219,9 +219,8 @@ class TestReplicatedGroup:
         loop.run_until_idle()
         # Delivered exactly once to the outside world...
         assert sink.sequence(0) == ["m1"]
-        # ...and every replica applied the same ordered request.
-        sequences = group.delivered_sequences()
-        assert all(seq == ["m1"] for seq in sequences.values())
+        # ...and every replica's protocol copy delivered it.
+        assert all(r.local_deliveries == ["m1"] for r in group.replicas)
 
     def test_leader_crash_then_new_requests_still_delivered(self):
         loop = EventLoop()

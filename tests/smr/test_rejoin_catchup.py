@@ -1,11 +1,13 @@
-"""Rejoin catch-up via the ordered history snapshot (paper §4.4 + cold sync).
+"""Rejoin catch-up from the log alone (paper §4.4).
 
-``restart_replica`` follows the SMR rejoin with one ``history-snapshot``
-frame, packed from the current leader's live history and ordered *through*
-the replicated log — so the rebooted replica bulk-installs the history it
-missed in one O(affected) merge, every replica's protocol state stays a pure
-function of the log, and survivors no-op on the idempotent install.
+A restarted replica replays its WALs, then ``rejoin`` pulls the decided
+suffix it missed from its peers.  Its protocol state is a pure function of
+the log, so that is all it needs: after catch-up its FlexCast history holds
+the same messages and edges as a survivor's, and nothing but the requests
+themselves went through the log.
 """
+
+import pytest
 
 from repro.core.flexcast import FlexCastGroup, FlexCastProtocol
 from repro.core.message import ClientRequest, HistorySnapshotFrame, Message
@@ -48,46 +50,39 @@ def submit(network, target, ids):
         )
 
 
-def snapshot_frames_applied(replica):
-    return [
-        entry
-        for turn in replica.smr.log
-        for entry in turn.entries
-        if isinstance(entry.envelope, HistorySnapshotFrame)
-    ]
+def logged_envelope_kinds(replica):
+    return {type(entry.envelope) for turn in replica.smr.log for entry in turn.entries}
 
 
-class TestRejoinSnapshotCatchup:
-    def test_restarted_replica_bulk_installs_the_missed_history(self):
+def history_of(replica):
+    history = replica.protocol_state.history
+    return set(history.message_ids()), set(history.edges())
+
+
+class TestRejoinFromTheLogAlone:
+    @pytest.mark.parametrize("victim", [1, 2])
+    @pytest.mark.parametrize("missed", [0, 1, 4])
+    def test_rejoiner_history_is_a_survivors(self, victim, missed):
         loop, network, group, sink = deploy(storage=InMemoryStorage())
         leader_id = group.replicas[0].replica_id
 
         submit(network, leader_id, [f"a{i}" for i in range(6)])
         loop.run_until_idle()
-
-        group.crash_replica(2, network)
-        submit(network, leader_id, [f"b{i}" for i in range(4)])
+        group.crash_replica(victim, network)
+        submit(network, leader_id, [f"b{i}" for i in range(missed)])
         loop.run_until_idle()
 
-        restarted = group.restart_replica(2, network)
+        restarted = group.restart_replica(victim, network)
         loop.run_until_idle()
 
-        # The catch-up frame went through the log: the restarted replica
-        # applied it, and its protocol history now holds everything.
-        assert snapshot_frames_applied(restarted), "no snapshot frame ordered"
-        expected = {f"a{i}" for i in range(6)} | {f"b{i}" for i in range(4)}
-        assert expected <= set(restarted.protocol_state.history.message_ids())
-
-        # Survivors applied the same frame (same log) and no-op'd: their
-        # histories hold the same live content as the restarted copy.
+        expected = [f"a{i}" for i in range(6)] + [f"b{i}" for i in range(missed)]
+        assert history_of(restarted) == history_of(group.replicas[0])
+        assert history_of(restarted)[0] == set(expected)
+        # Only the requests went through the log: no frame rode along.
         for replica in group.replicas:
-            assert snapshot_frames_applied(replica) or replica is restarted
-            assert expected <= set(replica.protocol_state.history.message_ids())
-
+            assert logged_envelope_kinds(replica) == {ClientRequest}
         # The client-visible stream stayed exactly-once throughout.
-        assert sink.sequence(0) == [f"a{i}" for i in range(6)] + [
-            f"b{i}" for i in range(4)
-        ]
+        assert sink.sequence(0) == expected
 
     def test_stream_continues_cleanly_after_catchup(self):
         loop, network, group, sink = deploy(storage=InMemoryStorage())
@@ -105,42 +100,24 @@ class TestRejoinSnapshotCatchup:
         loop.run_until_idle()
         assert sink.sequence(0) == ["a0", "a1", "b0", "b1", "c0", "c1"]
 
-        # Every live replica converged on the identical applied log.
-        sequences = group.delivered_sequences()
-        assert len({tuple(s) for s in sequences.values()}) == 1
-
-    def test_no_frame_ordered_when_the_leader_has_no_history(self):
-        loop, network, group, sink = deploy(storage=InMemoryStorage())
-        group.crash_replica(2, network)
-        restarted = group.restart_replica(2, network)
-        loop.run_until_idle()
-        assert snapshot_frames_applied(restarted) == []
+        # Every live replica delivered the identical sequence.
+        assert {tuple(r.local_deliveries) for r in group.replicas} == {
+            ("a0", "a1", "b0", "b1", "c0", "c1")
+        }
 
 
-class TestOfferedSnapshotFrame:
-    """The frame :meth:`GroupReplica.offer_snapshot` orders, and what a
-    receiving group's ``on_envelope`` does with it."""
-
-    def offered_frame(self, fill):
-        loop, network, group, sink = deploy()
-        submit(network, group.leader.replica_id, [f"m{i}" for i in range(fill)])
-        loop.run_until_idle()
-        assert group.leader.offer_snapshot()
-        loop.run_until_idle()
-        (entry,) = snapshot_frames_applied(group.leader)
-        return entry.envelope, group.leader.protocol_state
-
-    def test_packs_the_full_live_history(self):
-        frame, state = self.offered_frame(fill=12)
-        assert frame.group == 0
-        assert len(state.history) == 12
-        assert set(frame.delta.iter_vertices()) == set(
-            state.history.full_delta().vertices
-        )
-        assert set(frame.delta.iter_edges()) == set(state.history.edges())
+class TestLegacySnapshotFrame:
+    """Nothing orders a ``history-snapshot`` frame any more, but WALs written
+    while a restart did still hold one: applying it stays an idempotent
+    merge."""
 
     def test_application_is_idempotent(self):
-        frame, source = self.offered_frame(fill=8)
+        loop, network, group, sink = deploy()
+        submit(network, group.leader.replica_id, [f"m{i}" for i in range(8)])
+        loop.run_until_idle()
+        source = group.leader.protocol_state
+        frame = HistorySnapshotFrame(group=0, delta=source.history.cold_delta())
+
         target = FlexCastGroup(
             1, CDagOverlay([0, 1]), RecordingTransport(1), RecordingSink()
         )

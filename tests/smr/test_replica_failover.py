@@ -64,13 +64,8 @@ class TestLeaderFailoverMidStream:
         assert group.leader.replica_id != group.replicas[0].replica_id
         assert sink.sequence(0) == [f"m{i}" for i in range(total)]
 
-        # All surviving replicas applied the identical ordered log.
-        sequences = group.delivered_sequences()
-        survivors = [
-            sequences[r.replica_id]
-            for i, r in enumerate(group.replicas)
-            if i != 0
-        ]
+        # All surviving replicas delivered the identical sequence.
+        survivors = [r.local_deliveries for r in group.replicas[1:]]
         assert survivors[0] == survivors[1] == [f"m{i}" for i in range(total)]
 
     def test_crash_between_streams_loses_nothing(self):
