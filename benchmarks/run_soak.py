@@ -5,8 +5,11 @@ A fresh 2 x 3 process cluster takes the rejoin mix open-loop at 2,000
 requests/s; follower (0, 2) is SIGKILLed at 12.5 % of the run and restarted
 at 50 %.  Then the end-to-end oracle runs (convergence, loss, duplication,
 integrity, pairwise prefix order, ``check_trace`` on a sample), and every
-replica's last ``/metrics`` scrape must read zero leaked pending entries and
-zero member-index orphans.  Writes one JSON report; exits 1 on any violation.
+replica's last ``/metrics`` scrape must read zero leaked pending entries,
+zero member-index orphans and no more decided values in memory than one
+catch-up chunk holds (an applied value lives in the WALs alone, so memory
+stays flat however long the run).  Writes one JSON report; exits 1 on any
+violation.
 
     python benchmarks/run_soak.py --seconds 500 --output BENCH_soak.json
 """
@@ -26,9 +29,14 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks" / "e2e")]
 
 from e2ebench import host, stats, workloads  # noqa: E402
 
+from repro.smr.multipaxos import CATCHUP_CHUNK  # noqa: E402
+
 #: Gauges a replica with nothing leaked reads as zero: the fuzz harness's
 #: end-of-run leak oracle, applied to the process cluster.
 LEAK_GAUGES = ("flexcast_leaked_pending_entries", "flexcast_member_index_orphans")
+#: Decided values a replica holds in memory: the un-applied window, at most
+#: ``CATCHUP_CHUNK`` once the run has drained, whatever its length.
+MEMORY_GAUGE = "smr_decided_in_memory"
 #: Fault marks that count something; the others are times.
 COUNT_MARKS = ("recovered_instances", "catchup_entries")
 
@@ -53,6 +61,10 @@ def main(argv=None) -> int:
         for gauge in LEAK_GAUGES:
             if values.get(gauge) != 0.0:
                 violations.append(f"leak: replica {group}/{index} reads {gauge} = {values.get(gauge)}")
+        held = values.get(MEMORY_GAUGE, float("inf"))
+        if held > CATCHUP_CHUNK:
+            violations.append(f"memory: replica {group}/{index} reads {MEMORY_GAUGE} = "
+                              f"{held} (> {CATCHUP_CHUNK})")
     latencies = done.opened.latencies_ms()
     report = {
         "provenance": provenance,

@@ -22,12 +22,14 @@ contribution):
   the entry it already accepted (or, if it missed the ``Accept``, fetches the
   decision by catch-up);
 * below ``apply`` a value is its JSON text (``encode_value``): what a WAL
-  record and a frame carry beside their own small JSON, what a catch-up chunk
-  is measured in, and — for a value that drops its decoded form once applied
-  (:class:`~repro.smr.replica.Turn`) — all the decided log keeps of it;
+  record and a frame carry beside their own small JSON, and what a catch-up
+  chunk is measured in;
 * the commit log records such a decision as a reference to the acceptor's
   record; a full ``["c", instance, text]`` record is written only for
   decisions learned by catch-up or when no acceptor WAL is attached;
+* with a commit log, an applied instance lives in the two WALs alone: memory
+  holds the un-applied window, and catch-up (and :attr:`log`) read the
+  applied prefix back from the files, a chunk of text at a time;
 * a ``Nack`` ends a leadership; leader failure is handled by an explicit
   ``mark_failed`` trigger (tests, the supervisor's admin plane).
 """
@@ -38,7 +40,8 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 from typing import (
-    Any, Callable, Deque, Dict, Hashable, List, Optional, Sequence, Set, Tuple,
+    Any, Callable, Deque, Dict, Hashable, Iterator, List, Optional, Sequence, Set,
+    Tuple,
 )
 
 from ..obs.registry import MetricsRegistry
@@ -177,6 +180,7 @@ class MultiPaxosReplica:
             encode_value=self._encode_value,
             decode_value=self._decode_value,
         )
+        self._acceptor_wal = acceptor_wal
         self._log_wal = log_wal
         self._proposer_index = self.peers.index(replica_id)
         #: Ballot of this replica's latest leadership (none yet: ZERO_BALLOT).
@@ -198,6 +202,8 @@ class MultiPaxosReplica:
         #: then *displaced* and must be re-proposed at a fresh instance, or it
         #: would be silently lost.
         self._submitted: Dict[int, Any] = {}
+        #: instance -> decided value.  With a commit log, only the instances
+        #: not yet applied: an applied one is read back from the WALs.
         self._decided: Dict[int, Any] = {}
         #: One past the highest decided instance (the decided set can have
         #: holes above the applied prefix; catch-up serves up to here).
@@ -233,7 +239,7 @@ class MultiPaxosReplica:
             self._replay(log_wal)
 
     def _replay(self, log_wal: Any) -> None:
-        """Rebuild the decided log from the commit WAL and re-apply its prefix.
+        """Re-apply the decided prefix of the commit WAL, as it is read.
 
         The acceptor has replayed its own WAL by now, which a reference
         record needs: ``["c", instance]`` stands for the value accepted at
@@ -244,34 +250,36 @@ class MultiPaxosReplica:
         value (a record damaged past its checksum).
         """
         records = log_wal.records()
-        for position, record in enumerate(records):
-            if record[0] != "c":
-                raise ValueError(f"unknown commit WAL record kind: {record[0]!r}")
-            if len(record) > 2:
-                value = self._decode_value(stored_text(record[2]))
-            else:
-                if not self.acceptor.durable:
-                    raise ValueError(
-                        "commit WAL holds references: attach the acceptor WAL "
-                        "it was written beside"
-                    )
-                accepted = self.acceptor.accepted(record[1])
-                if accepted is None:
-                    records = records[:position]
-                    log_wal.reset(records)
-                    break
-                value = accepted[1]
-            self._decided[record[1]] = value
         try:
-            self._apply_decided()
+            for position, record in enumerate(records):
+                if record[0] != "c":
+                    raise ValueError(f"unknown commit WAL record kind: {record[0]!r}")
+                if len(record) > 2:
+                    value = self._decode_value(stored_text(record[2]))
+                else:
+                    if not self.acceptor.durable:
+                        raise ValueError(
+                            "commit WAL holds references: attach the acceptor WAL "
+                            "it was written beside"
+                        )
+                    accepted = self.acceptor.accepted(record[1])
+                    if accepted is None:
+                        records = records[:position]
+                        log_wal.reset(records)
+                        break
+                    value = accepted[1]
+                self._decided[record[1]] = value
+                self._apply_decided()
         except UnreadableValue:
             bad = self._applied_up_to
             self._applied_up_to -= 1
             self._decided = {i: v for i, v in self._decided.items() if i < bad}
-            log_wal.reset([record for record in records if record[1] < bad])
-        if self._decided:
-            self._decided_end = self._next_instance = max(self._decided) + 1
-        self.recovered_instances = len(self._decided)
+            records = [record for record in records if record[1] < bad]
+            log_wal.reset(records)
+        instances = {record[1] for record in records}
+        if instances:
+            self._decided_end = self._next_instance = max(instances) + 1
+        self.recovered_instances = len(instances)
 
     # ---------------------------------------------------------- observability
     def register_metrics(
@@ -296,7 +304,16 @@ class MultiPaxosReplica:
             )
         registry.gauge(
             "smr_decided_instances",
-            "Log instances this replica knows the decision for.",
+            "Log instances this replica knows the decision for: the applied "
+            "prefix and the decided instances above it.",
+            labels,
+            fn=lambda: len(self._decided)
+            + (self.applied_count if self._log_wal is not None else 0),
+        )
+        registry.gauge(
+            "smr_decided_in_memory",
+            "Decided values this replica holds in memory; with a commit log, "
+            "only those not yet applied.",
             labels,
             fn=lambda: len(self._decided),
         )
@@ -421,7 +438,7 @@ class MultiPaxosReplica:
         """Propose pending commands, in order, for as long as this replica leads."""
         while self._pending_commands and self._leading:
             command = self._pending_commands.popleft()
-            instance = self._next_instance
+            instance = max(self._next_instance, self.applied_count)
             while instance in self._decided or instance in self._proposers:
                 instance += 1
             self._next_instance = instance + 1
@@ -461,6 +478,10 @@ class MultiPaxosReplica:
         """Network entry point: dispatch every SMR-related message."""
         if isinstance(message, Accept):
             self.transport.send(sender, self.acceptor.on_accept(message))
+            if message.instance <= self._applied_up_to and self._log_wal is not None:
+                # A new leader re-drove an instance applied here: the WALs
+                # already hold its (one possible) value.
+                self.acceptor.forget(message.instance)
         elif isinstance(message, Accepted):
             self._on_accepted(message)
         elif isinstance(message, Commit):
@@ -487,31 +508,61 @@ class MultiPaxosReplica:
             raise TypeError(f"unexpected SMR message {message!r}")
 
     def _serve_catchup(self, request: CatchupRequest) -> None:
-        """Send every decision from ``request.from_instance`` on, in chunks."""
-        decided = self._decided
+        """Send every decision from ``request.from_instance`` on, in chunks:
+        the one being filled is all the value text held for it at a time."""
         entries: List[Tuple[int, Any]] = []
         size = sent = 0
-        for instance in range(request.from_instance, self._decided_end):
-            if instance not in decided:
-                continue
-            value = decided[instance]
+        for instance, value, length in self._decisions(request.from_instance):
             entries.append((instance, value))
-            size += len(self._encode_value(value))
-            # The last instance below ``_decided_end`` is decided by
-            # definition, so the final chunk is always closed here.
-            if (
-                instance == self._decided_end - 1
-                or len(entries) >= CATCHUP_CHUNK
-                or size >= CATCHUP_CHUNK_BYTES
-            ):
-                sent += len(entries)
-                self.transport.send(
-                    request.from_replica, CatchupReply(entries=tuple(entries))
-                )
+            size += length
+            if len(entries) >= CATCHUP_CHUNK or size >= CATCHUP_CHUNK_BYTES:
+                sent += self._reply(request.from_replica, entries)
                 entries, size = [], 0
+        if entries:
+            sent += self._reply(request.from_replica, entries)
         if sent:
             self.stats["catchup_served"] += 1
             self.stats["catchup_entries_sent"] += sent
+
+    def _reply(self, to: ReplicaId, entries: List[Tuple[int, Any]]) -> int:
+        self.transport.send(to, CatchupReply(entries=tuple(entries)))
+        return len(entries)
+
+    def _decisions(self, start: int) -> Iterator[Tuple[int, Any, int]]:
+        """``(instance, value, length of its text)`` of every decision from
+        ``start`` on: from memory without a commit log, else from the WALs."""
+        if self._log_wal is None:
+            decided = self._decided
+            for instance in range(start, self._decided_end):
+                if instance in decided:
+                    value = decided[instance]
+                    yield instance, value, len(self._encode_value(value))
+            return
+        for instance, text in self._stored(start):
+            yield instance, self._decode_value(text), len(text)
+
+    def _stored(self, start: int) -> Iterator[Tuple[int, bytes]]:
+        """``(instance, value text)`` of every decision from ``start`` on, in
+        commit-log order, read from the WALs a record at a time.
+
+        A reference names the last accept of its instance in the acceptor
+        WAL; one pass over that file finds where each is (positions, not
+        values), and each is read when its turn in the commit log comes.
+        """
+        last_accept: Dict[int, int] = {}
+        if self._acceptor_wal is not None:
+            for position, record in self._acceptor_wal.scan():
+                if record[0] == "a" and record[1] >= start:
+                    last_accept[record[1]] = position
+        for _, record in self._log_wal.scan():
+            instance = record[1]
+            if instance < start:
+                continue
+            if len(record) > 2:
+                yield instance, stored_text(record[2])
+            elif instance in last_accept:
+                accept = self._acceptor_wal.read(last_accept[instance])
+                yield instance, stored_text(accept[3])
 
     # ------------------------------------------------------------- proposer side
     def _on_promise(self, promise: Promise) -> None:
@@ -543,7 +594,11 @@ class MultiPaxosReplica:
         adopted: Dict[int, Tuple[Ballot, Any]] = {}
         for promise in promises:
             for instance, ballot, value in promise.accepted:
-                if instance < start or instance in self._decided:
+                if (
+                    instance < start
+                    or instance <= self._applied_up_to
+                    or instance in self._decided
+                ):
                     continue
                 if instance not in adopted or adopted[instance][0] < ballot:
                     adopted[instance] = (ballot, value)
@@ -604,7 +659,7 @@ class MultiPaxosReplica:
 
     # ---------------------------------------------------------------- learner
     def _on_commit(self, sender: ReplicaId, commit: Commit) -> None:
-        if commit.instance in self._decided:
+        if commit.instance <= self._applied_up_to or commit.instance in self._decided:
             return
         accepted = self.acceptor.accepted(commit.instance)
         if accepted is not None and commit.ballot <= accepted[0]:
@@ -622,7 +677,7 @@ class MultiPaxosReplica:
             )
 
     def _learn(self, instance: int, value: Any) -> None:
-        if instance in self._decided:
+        if instance <= self._applied_up_to or instance in self._decided:
             return
         self._decided[instance] = value
         if instance >= self._decided_end:
@@ -645,22 +700,36 @@ class MultiPaxosReplica:
                 c for c in self._pending_commands if c != value
             )
         self._apply_decided()
+        placed = self._submitted.pop(instance, None)
+        if placed is not value and self._submitted:
+            # Decided where this replica did not place it (another leader's
+            # placement, or one phase 1 brought back): our placement of the
+            # command elsewhere is retired, so that if another value takes
+            # that instance the command is not proposed a second time.
+            for other in [i for i, command in self._submitted.items() if command == value]:
+                del self._submitted[other]
         # If Paxos forced this instance to decide an *older* accepted value,
         # the command we meant to place here was displaced: give it a fresh
-        # instance (unless some other instance decided it meanwhile).
-        displaced = self._submitted.pop(instance, None)
-        if (
-            displaced is not None
-            and displaced != value
-            and displaced not in self._decided.values()
-        ):
-            self.submit(displaced)
+        # instance.
+        if placed is not None and placed != value:
+            self.submit(placed)
 
     def _apply_decided(self) -> None:
-        """Apply every contiguous decided instance exactly once, in order."""
-        while self._applied_up_to + 1 in self._decided:
+        """Apply every contiguous decided instance exactly once, in order.
+
+        With a commit log, which holds the instance by now, an applied value
+        leaves memory: ``_decided`` and the acceptor let it go.
+        """
+        decided = self._decided
+        while self._applied_up_to + 1 in decided:
             self._applied_up_to += 1
-            self._apply(self._applied_up_to, self._decided[self._applied_up_to])
+            instance = self._applied_up_to
+            if self._log_wal is None:
+                self._apply(instance, decided[instance])
+            else:
+                # Let go first: an apply that raises still applied it.
+                self.acceptor.forget(instance)
+                self._apply(instance, decided.pop(instance))
 
     # ------------------------------------------------------------- inspection
     @property
@@ -670,5 +739,9 @@ class MultiPaxosReplica:
 
     @property
     def log(self) -> List[Any]:
-        """The applied prefix of the replicated log."""
-        return [self._decided[i] for i in range(self.applied_count)]
+        """The applied prefix of the replicated log (tests, inspection)."""
+        applied = self.applied_count
+        if self._log_wal is None:
+            return [self._decided[i] for i in range(applied)]
+        texts = {i: text for i, text in self._stored(0) if i < applied}
+        return [self._decode_value(texts[i]) for i in range(applied)]

@@ -153,6 +153,11 @@ class Acceptor:
     * ``["a", instance, [round, proposer], text]`` — value accepted (also
       implies the promise, mirroring :meth:`on_accept`).
 
+    The WAL is only ever appended to, so an instance's last ``a`` record is
+    its current accept — what a commit log's ``["c", instance]`` names, and
+    where its replica reads an applied value back from once :meth:`forget`
+    let it go from memory.
+
     ``encode_value``/``decode_value`` translate accepted values to/from their
     JSON text (``bytes``; plain JSON by default — fine for JSON-able
     commands).  The text is what a record holds, handed to the WAL as it is;
@@ -196,24 +201,16 @@ class Acceptor:
             self._accepted[record[1]] = (ballot, self._decode(stored_text(record[3])))
 
     def _persist(self, record: List[Any]) -> None:
-        if self._wal is None:
-            return
-        self._wal.append(record)
-        # The log only needs the promise and the *latest* accept per
-        # instance; once it holds several generations of re-accepted
-        # instances, fold it to current state.
-        if len(self._wal) > 2 * len(self._accepted) + 64:
-            self._wal.reset(self._durable_records())
+        # Never rewritten: a replica with a commit log keeps an applied
+        # instance's value here only, where the log's references point.
+        if self._wal is not None:
+            self._wal.append(record)
 
-    def _durable_records(self) -> List[List[Any]]:
-        """Current state as a minimal record list (compaction target)."""
-        records: List[List[Any]] = [
-            ["a", instance, [ballot.round, ballot.proposer], self._encode(value)]
-            for instance, (ballot, value) in sorted(self._accepted.items())
-        ]
-        if self.promised != ZERO_BALLOT:
-            records.append(["p", [self.promised.round, self.promised.proposer]])
-        return records
+    def forget(self, instance: int) -> None:
+        """``instance`` is applied and on its replica's commit log: let the
+        value go from memory (the WAL keeps it).  A promise never reports it —
+        it starts at the applied prefix."""
+        self._accepted.pop(instance, None)
 
     def promised_ballot(self, instance: int) -> Ballot:
         """Highest ballot promised for ``instance`` (introspection/tests); the

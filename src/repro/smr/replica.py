@@ -76,9 +76,10 @@ class Turn:
     entries serialises them when the text is first asked for, once; a turn
     read from a frame keeps the line it was parsed from, and one read from a
     WAL is not parsed until somebody wants its ``entries``.  Once applied, a
-    turn that has its text lets the entries go (:meth:`release`) — the
-    decided log and the acceptor then hold flat bytes, not a graph of
-    messages — and re-makes them for the rare reader that asks.
+    turn that has its text lets the entries go (:meth:`release`) and re-makes
+    them for the rare reader that asks; a replica with a commit log then lets
+    the turn itself go — the WALs hold it — and one without keeps flat bytes,
+    not a graph of messages.
 
     A turn of one costs what its entry costs — in the size model here, and on
     the wire and in the WALs, where its text *is* the entry's object (several
@@ -282,14 +283,16 @@ class GroupReplica:
         def gated_sink(group_id: GroupId, message: Message) -> None:
             # Every replica records the delivery locally (state machine), but
             # only the leader reports it to the outside world — exactly once
-            # per message, even when leadership changes mid-instance.
+            # per message, even when leadership changes mid-instance.  The
+            # gate is what _apply decided for this turn: open on the leader,
+            # shut while the WAL replays.
             separator = "\n" if self.local_deliveries else ""
             self.delivery_hash.update((separator + message.msg_id).encode("utf-8"))
             self.local_deliveries.append(message.msg_id)
-            if self.dead or self._recovering:
+            if self.dead or not self._gated.open:
                 return
             number = len(self.local_deliveries)
-            if self.smr.is_leader and number > self._reported.count:
+            if number > self._reported.count:
                 self._reported.count = number
                 sink(group_id, message)
 

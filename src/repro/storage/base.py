@@ -13,14 +13,17 @@ files in the asyncio runtime:
 * :meth:`WAL.records` returns every surviving record in append order — after
   a crash that may exclude a torn or unsynced tail, never reorder or invent
   records;
-* :meth:`WAL.reset` atomically replaces the log's contents (used by
-  acceptor-state compaction).
+* :meth:`WAL.scan` yields the same records one at a time, each with a
+  position :meth:`WAL.read` takes back, so a reader of a long log holds one
+  record, not the log;
+* :meth:`WAL.reset` atomically replaces the log's contents (used to cut a
+  commit log back to the prefix its replay could resolve).
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Iterable, List
+from typing import Any, Iterable, Iterator, List, Tuple
 
 
 class StorageError(Exception):
@@ -34,9 +37,18 @@ class WAL(ABC):
     def append(self, record: Any) -> None:
         """Append one record (durable after the next :meth:`sync`)."""
 
-    @abstractmethod
     def records(self) -> List[Any]:
         """All surviving records, in append order."""
+        return [record for _, record in self.scan()]
+
+    @abstractmethod
+    def scan(self) -> Iterator[Tuple[int, Any]]:
+        """``(position, record)`` for every surviving record, in append order,
+        read as the iteration asks for it."""
+
+    @abstractmethod
+    def read(self, position: int) -> Any:
+        """The record :meth:`scan` found at ``position``."""
 
     @abstractmethod
     def reset(self, records: Iterable[Any] = ()) -> None:

@@ -28,12 +28,13 @@ new contents — never a torn mix.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import struct
 import time
 import zlib
-from typing import Any, Dict, Iterable, Iterator, List, Optional
+from typing import Any, BinaryIO, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from ..obs import Observability
 from ..obs.registry import Histogram
@@ -61,44 +62,57 @@ def _encode_record(record: Any) -> bytes:
     return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 
 
-def _payloads(data: bytes) -> Iterator["tuple[bytes, int]"]:
-    """``(payload, end offset)`` of every frame up to the first torn or corrupt
-    one — everything from there on is a tail to truncate (an interior
-    corruption also invalidates what follows: frame boundaries can no longer
-    be trusted)."""
+def _payloads(data: Union[bytes, BinaryIO]) -> Iterator["tuple[bytes, int]"]:
+    """``(payload, end offset)`` of every frame of ``data`` (bytes, or a file
+    read from its current position one frame at a time) up to the first torn
+    or corrupt one — everything from there on is a tail to truncate (an
+    interior corruption also invalidates what follows: frame boundaries can
+    no longer be trusted)."""
+    stream = io.BytesIO(data) if isinstance(data, bytes) else data
     offset = 0
-    total = len(data)
-    while offset + _HEADER.size <= total:
-        length, crc = _HEADER.unpack_from(data, offset)
-        start = offset + _HEADER.size
-        offset = start + length
+    while True:
+        header = stream.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            return
+        length, crc = _HEADER.unpack(header)
         # A corrupt length field, a short read (torn payload), a bad CRC.
-        if length > MAX_RECORD_BYTES or offset > total:
+        if length > MAX_RECORD_BYTES:
             return
-        payload = data[start:offset]
-        if zlib.crc32(payload) != crc:
+        payload = stream.read(length)
+        if len(payload) < length or zlib.crc32(payload) != crc:
             return
+        offset += _HEADER.size + length
         yield payload, offset
 
 
-def _scan_frames(data: bytes) -> "tuple[List[Any], int]":
-    """Parse frames out of ``data``; returns (records, end-of-last-good-frame).
+def _record(payload: bytes) -> Any:
+    """The one JSON parse of a record.  A value line comes back as the
+    ``bytes`` it was appended as, not decoded.  Garbage behind a valid CRC (a
+    collision) raises ``ValueError`` or ``AttributeError``: a torn tail."""
+    head, newline, text = payload.partition(b"\n")
+    record = json.loads(head.decode("utf-8"))
+    if newline:
+        record.append(text)
+    return record
 
-    The one JSON parse of a record.  A value line comes back as the ``bytes``
-    it was appended as, not decoded.
-    """
+
+def _scan(data: Union[bytes, BinaryIO]) -> Iterator["tuple[Any, int]"]:
+    """``(record, end offset)`` of every frame of ``data`` up to the first
+    torn, corrupt or unparseable one."""
+    for payload, end in _payloads(data):
+        try:
+            record = _record(payload)
+        except (AttributeError, ValueError):
+            return  # CRC collision on garbage; treat as torn
+        yield record, end
+
+
+def _scan_frames(data: bytes) -> "tuple[List[Any], int]":
+    """Parse frames out of ``data``; returns (records, end-of-last-good-frame)."""
     records: List[Any] = []
     good_end = 0
-    for payload, end in _payloads(data):
-        head, newline, text = payload.partition(b"\n")
-        try:
-            record = json.loads(head.decode("utf-8"))
-            if newline:
-                record.append(text)
-        except (AttributeError, ValueError):
-            break  # CRC collision on garbage; treat as torn
+    for record, good_end in _scan(data):
         records.append(record)
-        good_end = end
     return records, good_end
 
 
@@ -127,23 +141,26 @@ class FileWAL(WAL):
         self.fsync_hist = fsync_hist
         self._count = self._recover()
         self._file = open(self.path, "ab")
+        #: What :meth:`read` seeks in; opened by the first read.
+        self._reader: Optional[BinaryIO] = None
 
     # ------------------------------------------------------------------ open
     def _recover(self) -> int:
         """Count the surviving records, truncating any torn tail in place."""
         if not os.path.exists(self.path):
             return 0
+        count = good_end = 0
         with open(self.path, "rb") as fh:
-            data = fh.read()
-        # Checksums only: records() is where a record is parsed, once.
-        ends = [end for _, end in _payloads(data)]
-        good_end = ends[-1] if ends else 0
-        if good_end < len(data):
+            # Checksums only: records() is where a record is parsed, once.
+            for _, good_end in _payloads(fh):
+                count += 1
+            size = fh.seek(0, os.SEEK_END)
+        if good_end < size:
             with open(self.path, "r+b") as fh:
                 fh.truncate(good_end)
                 fh.flush()
                 os.fsync(fh.fileno())
-        return len(ends)
+        return count
 
     # ------------------------------------------------------------------- api
     def append(self, record: Any) -> None:
@@ -159,12 +176,27 @@ class FileWAL(WAL):
         if self.append_hist is not None:
             self.append_hist.observe((time.perf_counter() - started) * 1000.0)
 
-    def records(self) -> List[Any]:
-        # The file is the only copy: a WAL is read when a state machine is
-        # rebuilt, not while it runs, and every append has reached the OS
-        # (flush or fsync) by the time it returns.
+    def scan(self) -> Iterator[Tuple[int, Any]]:
+        # The file is the only copy, and every append has reached the OS
+        # (flush or fsync) by the time it returns.  A position is the
+        # frame's byte offset.
         with open(self.path, "rb") as fh:
-            return _scan_frames(fh.read())[0]
+            position = 0
+            for record, end in _scan(fh):
+                yield position, record
+                position = end
+
+    def read(self, position: int) -> Any:
+        if self._reader is None:
+            self._reader = open(self.path, "rb")
+        self._reader.seek(position)
+        payload, _ = next(_payloads(self._reader))
+        return _record(payload)
+
+    def _close_reader(self) -> None:
+        if self._reader is not None:
+            self._reader.close()
+            self._reader = None
 
     def reset(self, records: Iterable[Any] = ()) -> None:
         replacement = list(records)
@@ -175,6 +207,7 @@ class FileWAL(WAL):
             fh.flush()
             os.fsync(fh.fileno())
         self._file.close()
+        self._close_reader()
         os.replace(tmp_path, self.path)
         _fsync_dir(os.path.dirname(self.path))
         self._file = open(self.path, "ab")
@@ -193,6 +226,7 @@ class FileWAL(WAL):
         return self._count
 
     def close(self) -> None:
+        self._close_reader()
         if not self._file.closed:
             self.sync()
             self._file.close()

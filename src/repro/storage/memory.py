@@ -11,10 +11,10 @@ lists, a value line as ``bytes``), fails or changes shape identically here.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List
+from typing import Any, Dict, Iterable, Iterator, List, Tuple
 
 from .base import WAL, Storage
-from .file import _encode_record, _scan_frames
+from .file import _encode_record, _scan
 
 
 class InMemoryWAL(WAL):
@@ -31,8 +31,16 @@ class InMemoryWAL(WAL):
         self._frames.append(_encode_record(record))
         self._stats["appends"] += 1
 
-    def records(self) -> List[Any]:
-        return _scan_frames(b"".join(self._frames))[0]
+    def scan(self) -> Iterator[Tuple[int, Any]]:
+        # A position is the frame's index; the first bad frame ends the log.
+        for position, frame in enumerate(self._frames):
+            parsed = next(_scan(frame), None)
+            if parsed is None:
+                return
+            yield position, parsed[0]
+
+    def read(self, position: int) -> Any:
+        return next(_scan(self._frames[position]))[0]
 
     def reset(self, records: Iterable[Any] = ()) -> None:
         self._frames[:] = [_encode_record(record) for record in records]

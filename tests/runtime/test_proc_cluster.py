@@ -31,13 +31,25 @@ from repro.runtime.proc import (
     ReplicaServer,
     _sequence_digest,
 )
+from repro.smr.multipaxos import CATCHUP_CHUNK_BYTES
 from repro.smr.replica import replica_node
 
 SOAK = Path(__file__).resolve().parents[2] / "benchmarks" / "run_soak.py"
+#: A quarter MiB of payload: ten such messages outgrow one catch-up chunk.
+PAD = "x" * (256 * 1024)
 
 
 def run(coro):
     return asyncio.run(coro)
+
+
+def metric(scraped, name):
+    """The value of an unlabelled-or-single series ``name`` in Prometheus text."""
+    (value,) = [
+        float(line.rpartition(" ")[2]) for line in scraped.splitlines()
+        if line.split("{", 1)[0].split(" ", 1)[0] == name
+    ]
+    return value
 
 
 class TestClusterLifecycle:
@@ -148,12 +160,18 @@ class TestKillRestart:
 
                 await cluster.kill_replica(0, 2)
                 assert cluster.live_replicas(0) == [0, 1]
-                for i in range(10, 20):
-                    await client.multicast([0, 1], payload={"seq": i})
+                # What it misses is more value text than one catch-up chunk
+                # holds, read back from the survivors' WAL files.
+                missed = range(10, 20)
+                assert len(missed) * len(PAD) > 1.2 * CATCHUP_CHUNK_BYTES
+                for i in missed:
+                    await client.multicast([0, 1], payload={"seq": i, "pad": PAD})
 
                 await cluster.restart_replica(0, 2)
                 agreed = await cluster.await_group_convergence(0, min_count=20)
                 assert agreed["count"] == 20
+                caught = await cluster.scrape(0, 2)
+                assert metric(caught, "smr_catchup_entries_applied_total") >= len(missed)
 
                 rejoined = await cluster.delivered_sequence(0, 2)
                 survivor = await cluster.delivered_sequence(0, 0)

@@ -71,23 +71,25 @@ class TestAcceptorDurability:
         acceptor.on_accept(Accept(instance=0, ballot=Ballot(1, 0), value="v"))
         assert ["a", 0, [1, 0], b'"v"'] in storage.wal("w").records()
 
-    def test_wal_compaction_preserves_state(self):
+    def test_restart_after_many_reaccepts_keeps_the_last_accept_and_highest_promise(self):
         storage = InMemoryStorage()
         wal = storage.wal("w")
         acceptor = Acceptor("r0", wal=wal)
-        # Many generations of retried ballots on a few instances force the
-        # fold-to-current-state compaction.
+        # Many generations of retried ballots re-accepting a few instances,
+        # each with a value of its generation.
         for round_no in range(120):
-            acceptor.on_prepare(Prepare(instance=round_no % 3, ballot=Ballot(round_no, 0)))
-        acceptor.on_accept(Accept(instance=1, ballot=Ballot(200, 0), value="kept"))
-        assert len(wal) < 120  # compaction actually ran
+            ballot = Ballot(round_no, round_no % 2)
+            acceptor.on_prepare(Prepare(instance=0, ballot=ballot))
+            acceptor.on_accept(Accept(round_no % 3, ballot, f"v{round_no}"))
+        acceptor.on_prepare(Prepare(instance=0, ballot=Ballot(200, 1)))
+        # Append-only: nothing is folded away, whatever the log's length.
+        assert len(wal) == 2 * 120 + 1
 
         restarted = Acceptor("r0", wal=storage.wal("w"))
+        assert restarted.promised == acceptor.promised == Ballot(200, 1)
         for instance in range(3):
-            assert restarted.promised_ballot(instance) == acceptor.promised_ballot(
-                instance
-            )
-        assert restarted.accepted_value(1) == "kept"
+            assert restarted.accepted(instance) == acceptor.accepted(instance)
+        assert [restarted.accepted_value(i) for i in range(3)] == ["v117", "v118", "v119"]
 
     def test_value_codec_round_trips_through_wal(self):
         storage = InMemoryStorage()
@@ -332,15 +334,35 @@ class TestParentCommitWal:
 
 
 LEADERSHIP_WAL = os.path.join(os.path.dirname(__file__), "data", "leadership_wal")
+#: The prepare after which the acceptor WAL compaction of earlier binaries
+#: folded the corpus rejoiner's acceptor WAL (it held 7 + 70 records, past
+#: twice its 6 accepts + 64).
+FOLDED_AT = 70
+
+
+def fold(wal):
+    """Rewrite an acceptor WAL as that compaction left it: the last accept
+    of every instance, in instance order, then the promise.  Nothing writes
+    such a file any more (a commit log's references point into the acceptor
+    WAL, which is therefore only appended to); the corpora keep one, and it
+    must replay."""
+    records = wal.records()
+    accepts = {record[1]: record for record in records if record[0] == "a"}
+    promised = max(
+        Ballot(*(record[2] if record[0] == "a" else record[-1])) for record in records
+    )
+    wal.reset(
+        [accepts[i] for i in sorted(accepts)] + [["p", [promised.round, promised.proposer]]]
+    )
 
 
 def write_corpus(directory):
     """Write a WAL corpus: the scenario of ``parent_wal`` (a 3-replica
     FlexCast group on the simulator: six requests, replica 2 crashes, four
-    more requests, its restart and catch-up, and last enough prepares at the
-    rejoiner for its acceptor WAL to be folded),
-    the two WAL files of replica 0 and of the rejoiner as this commit writes
-    them, and what a replay of them must rebuild.
+    more requests, its restart and catch-up, and last 79 prepares at the
+    rejoiner, its acceptor WAL folded after the 70th as earlier binaries
+    did: :func:`fold`), the two WAL files of replica 0 and of the rejoiner
+    as this commit writes them, and what a replay of them must rebuild.
 
     Every request reaches the leader in a turn of its own — one log value
     each, the records ``leadership_wal`` pins — except the last, which shares
@@ -391,6 +413,8 @@ def write_corpus(directory):
             rejoiner.on_message(
                 group.replicas[1].replica_id, Prepare(instance=0, ballot=Ballot(round_no, 1))
             )
+            if round_no == FOLDED_AT:
+                fold(storage.wal(f"{rejoiner.replica_id}.acceptor"))
         loop.run_until_idle()
         storage.close()
         os.makedirs(directory, exist_ok=True)

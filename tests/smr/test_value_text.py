@@ -210,7 +210,8 @@ class TestTextOnlyOnceApplied:
         return d, applied
 
     def test_no_message_is_reachable_from_the_decided_log_or_the_acceptor(self):
-        d, applied = self.run(InMemoryStorage())
+        # No commit log: the decided log keeps every value, as its text.
+        d, applied = self.run(None)
         for replica in d.replicas:
             smr = replica.smr
             assert smr.applied_count == 3 and len(smr._decided) == 3
@@ -226,6 +227,18 @@ class TestTextOnlyOnceApplied:
         assert d.replicas[2].local_deliveries == [
             "warm", "m0", "m1", "m2", "m3", "f0",
         ]
+
+    def test_with_a_commit_log_an_applied_value_is_held_nowhere(self, serialised):
+        d, applied = self.run(InMemoryStorage())
+        del serialised[:]
+        for replica in d.replicas:
+            smr = replica.smr
+            assert smr.applied_count == 3
+            assert smr._decided == {} and smr.acceptor._accepted == {}
+            # The rare reader gets it back from the WALs, parsed anew,
+            # serialised by nobody.
+            assert [turn.entries for turn in smr.log] == applied[id(replica)]
+        assert serialised == []
 
     def test_a_value_nobody_needed_as_text_keeps_its_entries_instead(self):
         # No WAL and no wire (the plain simulator): nothing asked for the
@@ -245,12 +258,12 @@ class TestRarePathsFromText:
         for i in range(5):
             d.send(request(f"m{i}"), request(f"n{i}"))
             d.run()
-        assert messages_reachable_from(d.replicas[0].smr._decided) == []
+        assert d.replicas[0].smr._decided == {}  # the WALs hold the log
         del serialised[:]
         rejoiner = d.group.restart_replica(2, d.network)
         d.run()
         assert rejoiner.smr.stats["catchup_entries_applied"] >= 5
-        # Catch-up ships texts the leader already holds: nothing is serialised.
+        # Catch-up ships the texts the leader's WALs hold: nothing is serialised.
         assert serialised == []
         assert len(d.hashes()) == 1 and len(rejoiner.local_deliveries) == 11
 
@@ -283,9 +296,7 @@ class TestRarePathsFromText:
             assert replica.local_deliveries == ["warm", "pending"]
         assert len({r.delivery_hash.hexdigest() for r in d.replicas[1:]}) == 1
 
-    def test_the_acceptor_wal_is_folded_from_text_and_replays_to_the_same_state(
-        self, serialised
-    ):
+    def test_an_acceptor_wal_of_many_promises_replays_to_the_same_state(self, serialised):
         storage = InMemoryStorage()
         d = WireDeployment(storage=storage)
         d.warm_up()
@@ -295,11 +306,13 @@ class TestRarePathsFromText:
         follower = d.replicas[2]
         wal = storage.wal(f"{follower.replica_id}.acceptor")
         before = [record for record in wal.records() if record[0] == "a"]
+        length = len(wal)
         del serialised[:]
         for round_no in range(1, 80):
             follower.on_message(d.replicas[1].replica_id, Prepare(0, Ballot(round_no, 1)))
         d.run()
-        assert len(wal) < 79 and serialised == []
+        # Appended, never folded: the commit log's references point into it.
+        assert len(wal) == length + 79 and serialised == []
         assert [record for record in wal.records() if record[0] == "a"] == before
         d.group.crash_replica(2, d.network)
         rejoiner = d.group.restart_replica(2, d.network)
