@@ -842,15 +842,10 @@ class FlexCastGroup(AtomicMulticastGroup):
         """
         entry = self.pending.get(message.msg_id)
         notified: Set[GroupId] = entry.notified if entry is not None else set()
-        for dest in self.overlay.descendants(self.group_id):
+        # Only a descendant ranked below some other destination can hold
+        # dependencies that destination must see: one rank slice.
+        for dest in self.overlay.descendants_below(self.group_id, message.dst):
             if dest in message.dst or dest in notified:
-                continue
-            has_higher_destination = any(
-                self.overlay.is_ancestor(dest, other)
-                for other in message.dst
-                if other != self.group_id
-            )
-            if not has_higher_destination:
                 continue
             if not self.history.contains_message_to(dest):
                 # We never communicated with `dest`; notifying it would break

@@ -22,7 +22,10 @@ invariants):
 * an append-only, monotonically versioned *change journal* records every
   vertex/edge insertion; diff computation is a slice of the journal past a
   descendant's watermark (:meth:`History.changes_since`), not a rescan of the
-  whole DAG;
+  whole DAG.  Each entry is the very tuple a delta ships (a merge journals
+  the received tuples themselves), so a warm diff is split by kind and builds
+  no per-entry tuple; only entries older than the last garbage collection
+  are checked for liveness;
 * the *cold* path (a brand-new or long-gone descendant whose watermark
   predates the retained journal) ships a packed
   :class:`~repro.core.message.HistorySnapshot` plus the journal suffix past
@@ -37,16 +40,16 @@ which :mod:`repro.smr` rebuilds by replaying the replicated log.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..obs.registry import MetricsRegistry
 from ..overlay.base import GroupId
 from .message import EMPTY_DELTA, HistoryDelta, HistorySnapshot, Message
 
-#: Journal entry kinds.  Entries are plain tuples to keep append cheap:
-#: ``(_JOURNAL_VERTEX, msg_id, dst)`` or ``(_JOURNAL_EDGE, before, after)``.
-_JOURNAL_VERTEX = "v"
-_JOURNAL_EDGE = "e"
+#: A journal entry is the very tuple a delta ships: ``(msg_id, dst)`` for a
+#: vertex, ``(before, after)`` for an edge.  Its second item tells the kind:
+#: a destination set for a vertex, a message id (``str``) for an edge.
+_Entry = Tuple[str, Any]
 
 #: A diff request at watermark 0 switches from the journal slice to the
 #: packed-snapshot cold path once the history's version reaches this many
@@ -71,11 +74,14 @@ class History:
 
     * ``_by_group`` — ``group -> {msg_id}`` over the *live* vertices, kept in
       sync by :meth:`add_vertex` / :meth:`_remove_vertex`;
-    * ``_journal`` — the append-only change journal.  ``version`` is the
-      sequence number of the next entry; removals are never journaled (diffs
-      only ship additions, exactly like the seed implementation) — pruned
-      entries are filtered lazily in :meth:`changes_since` and dropped for
-      good when the journal is compacted.
+    * ``_journal`` — the append-only change journal, each entry the tuple a
+      delta ships (:data:`_Entry`).  ``version`` is the sequence number of
+      the next entry; removals are never journaled (diffs only ship
+      additions, exactly like the seed implementation).  Entries journaled
+      before the last garbage collection (``_pruned_at``) may name pruned
+      vertices: they are filtered lazily in :meth:`changes_since` and
+      dropped for good when the journal is compacted.  Entries journaled
+      since are live and ship as they are.
     """
 
     __slots__ = (
@@ -87,6 +93,7 @@ class History:
         "_by_group",
         "_journal",
         "_journal_base",
+        "_pruned_at",
         "_snapshot_cache",
     )
 
@@ -105,8 +112,11 @@ class History:
         # Append-only change journal; _journal_base is the sequence number of
         # the first retained entry (entries below it were compacted away once
         # every tracked descendant's watermark had passed them).
-        self._journal: List[Tuple] = []
+        self._journal: List[_Entry] = []
         self._journal_base = 0
+        # The version at the last garbage collection that removed anything:
+        # journal entries from this sequence number on are all live.
+        self._pruned_at = 0
         # Packed snapshot reused across cold diffs.  Valid while no vertex has
         # been removed since it was built (the journal suffix past its version
         # then reconstructs the live DAG exactly); GC invalidates it.
@@ -147,34 +157,31 @@ class History:
     # -------------------------------------------------------------- mutation
     def add_vertex(self, msg_id: str, dst: FrozenSet[GroupId]) -> None:
         """Insert a message vertex (idempotent, ignores forgotten messages)."""
-        if msg_id in self._forgotten or msg_id in self.destinations:
+        if msg_id in self.destinations or msg_id in self._forgotten:
             return
         self.destinations[msg_id] = dst
-        self.successors.setdefault(msg_id, set())
-        self.predecessors.setdefault(msg_id, set())
+        self.successors[msg_id] = set()
+        self.predecessors[msg_id] = set()
         for group in dst:
             self._by_group.setdefault(group, set()).add(msg_id)
-        self._journal.append((_JOURNAL_VERTEX, msg_id, dst))
+        self._journal.append((msg_id, dst))
 
     def add_edge(self, before: str, after: str) -> None:
         """Record that ``before`` was ordered before ``after``.
 
         Both endpoints must already be vertices; edges touching forgotten
         messages are dropped because the dependency has been fully resolved.
-        Duplicate edges are ignored (and not journaled again).
+        Duplicate edges are ignored (and not journaled again).  A forgotten
+        id is never a live vertex, so the liveness lookup refuses it too.
         """
-        if before in self._forgotten or after in self._forgotten:
+        succ = self.successors.get(before)
+        if succ is None or after in succ or after == before:
             return
-        if before not in self.destinations or after not in self.destinations:
-            return
-        if before == after:
-            return
-        succ = self.successors[before]
-        if after in succ:
+        if after not in self.destinations:
             return
         succ.add(after)
         self.predecessors[after].add(before)
-        self._journal.append((_JOURNAL_EDGE, before, after))
+        self._journal.append((before, after))
 
     def record_delivery(self, message: Message) -> None:
         """Append a locally delivered message to the group's total order.
@@ -252,38 +259,40 @@ class History:
     ) -> None:
         """Apply vertices/edges with :meth:`add_vertex`/:meth:`add_edge`
         semantics (idempotent, forgotten-filtered, journaled), with the
-        per-entry attribute lookups hoisted out of the loops."""
+        per-entry attribute lookups hoisted out of the loops.
+
+        The received tuples themselves become the journal entries.
+        """
         destinations = self.destinations
         forgotten = self._forgotten
         successors = self.successors
         predecessors = self.predecessors
         by_group = self._by_group
         journal = self._journal
-        for msg_id, dst in vertices:
-            if msg_id in forgotten or msg_id in destinations:
+        for vertex in vertices:
+            msg_id, dst = vertex
+            if msg_id in destinations or msg_id in forgotten:
                 continue
             destinations[msg_id] = dst
-            successors.setdefault(msg_id, set())
-            predecessors.setdefault(msg_id, set())
+            successors[msg_id] = set()
+            predecessors[msg_id] = set()
             for group in dst:
                 members = by_group.get(group)
                 if members is None:
                     by_group[group] = members = set()
                 members.add(msg_id)
-            journal.append((_JOURNAL_VERTEX, msg_id, dst))
-        for before, after in edges:
-            if before in forgotten or after in forgotten:
+            journal.append(vertex)
+        for edge in edges:
+            before, after = edge
+            # A forgotten id is never live: successors.get refuses it.
+            succ = successors.get(before)
+            if succ is None or after in succ or after == before:
                 continue
-            if before not in destinations or after not in destinations:
-                continue
-            if before == after:
-                continue
-            succ = successors[before]
-            if after in succ:
+            if after not in destinations:
                 continue
             succ.add(after)
             predecessors[after].add(before)
-            journal.append((_JOURNAL_EDGE, before, after))
+            journal.append(edge)
 
     # --------------------------------------------------------------- queries
     def depends(self, later: str, earlier: str) -> bool:
@@ -410,20 +419,34 @@ class History:
     def _journal_slice(
         self, since: int
     ) -> Tuple[Tuple[Tuple[str, FrozenSet[GroupId]], ...], Tuple[Tuple[str, str], ...]]:
-        """Live vertices/edges journaled at or after ``since`` (>= base)."""
-        new_vertices: List[Tuple[str, FrozenSet[GroupId]]] = []
-        new_edges: List[Tuple[str, str]] = []
-        destinations = self.destinations
-        successors = self.successors
-        for entry in self._journal[since - self._journal_base :]:
-            if entry[0] == _JOURNAL_VERTEX:
-                if entry[1] in destinations:
-                    new_vertices.append((entry[1], entry[2]))
+        """Live vertices/edges journaled at or after ``since`` (>= base).
+
+        The journal's own tuples are shipped, split by kind.  Only entries
+        older than the last garbage collection are checked for liveness;
+        the rest are live by construction.
+        """
+        journal = self._journal
+        start = since - self._journal_base
+        live_from = self._pruned_at - self._journal_base
+        vertices: List[Tuple[str, FrozenSet[GroupId]]] = []
+        edges: List[Tuple[str, str]] = []
+        if start < live_from:
+            destinations = self.destinations
+            for entry in journal[start:live_from]:
+                first, second = entry
+                if isinstance(second, str):
+                    if first in destinations and second in destinations:
+                        edges.append(entry)
+                elif first in destinations:
+                    vertices.append(entry)
+        else:
+            live_from = start
+        for entry in journal[live_from:]:
+            if isinstance(entry[1], str):
+                edges.append(entry)
             else:
-                before, after = entry[1], entry[2]
-                if after in successors.get(before, ()):
-                    new_edges.append((before, after))
-        return tuple(new_vertices), tuple(new_edges)
+                vertices.append(entry)
+        return tuple(vertices), tuple(edges)
 
     def live_snapshot(self) -> HistorySnapshot:
         """The live history as a packed snapshot (parallel arrays), cached.
@@ -506,15 +529,19 @@ class History:
         """
         keep = keep or set()
         victims = self.ancestors_of(pivot_id) - keep - {pivot_id}
+        if not victims:
+            return victims
         for victim in victims:
             self._remove_vertex(victim)
         self._forgotten.update(victims)
+        # A pruned vertex must never appear in a future delta: the packed
+        # snapshot (if any) is stale from here on, and journal entries from
+        # before this point are checked for liveness when they ship.
+        self._snapshot_cache = None
+        self._pruned_at = self.version
         return victims
 
     def _remove_vertex(self, msg_id: str) -> None:
-        # A pruned vertex must never appear in a future delta, so the packed
-        # snapshot (if any) is stale from here on.
-        self._snapshot_cache = None
         for succ in self.successors.pop(msg_id, set()):
             self.predecessors.get(succ, set()).discard(msg_id)
         for pred in self.predecessors.pop(msg_id, set()):

@@ -70,6 +70,19 @@ class CDagOverlay(Overlay):
         r = self.rank(group)
         return self._groups[r + 1 :]
 
+    def descendants_below(
+        self, group: GroupId, destinations: FrozenSet[GroupId]
+    ) -> List[GroupId]:
+        """Descendants of ``group`` that are ancestors of some member of
+        ``destinations`` (rank order).
+
+        On a complete DAG that is one rank slice: everything ranked above
+        ``group`` and below the highest-ranked destination (``group`` may
+        be a destination itself; no descendant is its ancestor).
+        """
+        top = max(map(self.rank, destinations))
+        return self._groups[self.rank(group) + 1 : top]
+
     def can_send(self, src: GroupId, dst: GroupId) -> bool:
         """Edges go from lower to higher rank only."""
         return self.rank(src) < self.rank(dst)

@@ -10,6 +10,13 @@ executed in scheduling order (FIFO tie-breaking through a monotonically
 increasing sequence number).  Determinism makes every benchmark and test
 reproducible from its random seed alone.
 
+A queued event is the plain list ``[time, seq, callback]``, so the heap
+orders entries with the list comparison :mod:`heapq` runs in C; the
+sequence number is unique, so the callback is never compared.  Cancelling
+an event sets its callback to ``None`` at once: the entry stays in the heap
+until its time comes round, but what the callback closed over is freed at
+``cancel()``.
+
 A run ends with :meth:`EventLoop.close`.  A pending event holds its callback,
 and the callback usually leads back to whoever holds the event's handle (a
 protocol group and its timer), so an unclosed loop leaves every finished
@@ -20,49 +27,37 @@ readable.
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from heapq import heappop, heappush
+from typing import Any, Callable, List, Optional
 
-
-def _dropped() -> None:
-    """The callback of an event its loop closed on (never runs)."""
-
-
-@dataclass(order=True)
-class _ScheduledEvent:
-    """Internal heap entry.
-
-    Ordering is (time, sequence); the callback itself never participates in
-    comparisons.
-    """
-
-    time: float
-    seq: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
+#: A heap entry: ``[time, seq, callback]``, callback ``None`` once cancelled.
+_Entry = List[Any]
 
 
 class EventHandle:
     """Handle returned by :meth:`EventLoop.schedule`, used to cancel events."""
 
-    __slots__ = ("_event",)
+    __slots__ = ("_entry",)
 
-    def __init__(self, event: _ScheduledEvent) -> None:
-        self._event = event
+    def __init__(self, entry: _Entry) -> None:
+        self._entry = entry
 
     def cancel(self) -> None:
-        """Prevent the event from firing (no-op if it already fired)."""
-        self._event.cancelled = True
+        """Prevent the event from firing (no-op if it already fired).
+
+        The queued entry lets go of its callback here, not at its virtual
+        time, so whatever the callback closes over is freed now.
+        """
+        self._entry[2] = None
 
     @property
     def cancelled(self) -> bool:
-        return self._event.cancelled
+        return self._entry[2] is None
 
     @property
     def time(self) -> float:
         """Virtual time at which the event is (was) scheduled."""
-        return self._event.time
+        return self._entry[0]
 
 
 class EventLoop:
@@ -78,7 +73,7 @@ class EventLoop:
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
         self._seq = 0
-        self._heap: List[_ScheduledEvent] = []
+        self._heap: List[_Entry] = []
         self._events_processed = 0
         self._stopped = False
 
@@ -111,10 +106,10 @@ class EventLoop:
         """Schedule ``callback`` at absolute virtual time ``when``."""
         if when < self._now:
             when = self._now
-        event = _ScheduledEvent(time=when, seq=self._seq, callback=callback)
+        entry = [when, self._seq, callback]
         self._seq += 1
-        heapq.heappush(self._heap, event)
-        return EventHandle(event)
+        heappush(self._heap, entry)
+        return EventHandle(entry)
 
     def call_soon(self, callback: Callable[[], None]) -> EventHandle:
         """Schedule ``callback`` at the current virtual time."""
@@ -130,9 +125,8 @@ class EventLoop:
 
         A handle to a dropped event still answers ``cancel()`` and ``time``.
         """
-        for event in self._heap:
-            event.cancelled = True
-            event.callback = _dropped
+        for entry in self._heap:
+            entry[2] = None
         self._heap.clear()
 
     def step(self) -> bool:
@@ -140,13 +134,14 @@ class EventLoop:
 
         Returns ``True`` if an event ran, ``False`` if the queue was empty.
         """
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if event.cancelled:
+        heap = self._heap
+        while heap:
+            when, _, callback = heappop(heap)
+            if callback is None:
                 continue
-            self._now = event.time
+            self._now = when
             self._events_processed += 1
-            event.callback()
+            callback()
             return True
         return False
 
@@ -169,7 +164,7 @@ class EventLoop:
             next_event = self._peek()
             if next_event is None:
                 break
-            if until is not None and next_event.time > until:
+            if until is not None and next_event[0] > until:
                 self._now = max(self._now, until)
                 break
             if not self.step():
@@ -194,10 +189,11 @@ class EventLoop:
         return processed
 
     # ------------------------------------------------------------- internals
-    def _peek(self) -> Optional[_ScheduledEvent]:
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0] if self._heap else None
+    def _peek(self) -> Optional[_Entry]:
+        heap = self._heap
+        while heap and heap[0][2] is None:
+            heappop(heap)
+        return heap[0] if heap else None
 
 
 class PeriodicTimer:

@@ -7,13 +7,16 @@ the most obvious way possible — full scans everywhere, sent-sets instead of
 watermarks — and drives both implementations through the same randomly
 generated operation sequences (deliveries, merges, prunes, interleaved diffs
 for several descendants), asserting at every step that queries and shipped
-deltas are identical.
+deltas are identical.  Shipped deltas are compared twice: as sets against
+the seed's sent-set diff, and entry for entry, in order, against a slice of
+the naive model's list journal (the simulator's bit-identity rests on that
+order).
 
 The forward point query the delivery gate asks (``reached_from``) is pinned
 against the backward set it replaced (``ancestors_of``) the same way.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.history import History, HistoryDiffTracker
 from repro.core.message import HistoryDelta, Message
@@ -28,20 +31,24 @@ class NaiveHistory:
         self.edge_set = set()
         self.last_delivered = None
         self.forgotten = set()
+        # Every effective insertion, in order; never compacted.
+        self.journal = []
 
     def add_vertex(self, mid, dst):
         if mid in self.forgotten or mid in self.destinations:
             return
         self.destinations[mid] = dst
+        self.journal.append(("v", (mid, dst)))
 
     def add_edge(self, before, after):
         if before in self.forgotten or after in self.forgotten:
             return
         if before not in self.destinations or after not in self.destinations:
             return
-        if before == after:
+        if before == after or (before, after) in self.edge_set:
             return
         self.edge_set.add((before, after))
+        self.journal.append(("e", (before, after)))
 
     def record_delivery(self, message):
         self.add_vertex(message.msg_id, message.dst)
@@ -83,6 +90,17 @@ class NaiveHistory:
             frontier.update(a for a, b in self.edge_set if b == node)
         return result
 
+    def journal_since(self, position):
+        """Live vertices and edges journaled at or after ``position``, in
+        journal order."""
+        vertices, edges = [], []
+        for kind, entry in self.journal[position:]:
+            if kind == "v" and entry[0] in self.destinations:
+                vertices.append(entry)
+            elif kind == "e" and entry in self.edge_set:
+                edges.append(entry)
+        return tuple(vertices), tuple(edges)
+
     def messages_addressed_to(self, group):
         return {mid for mid, dst in self.destinations.items() if group in dst}
 
@@ -105,6 +123,8 @@ class NaiveDiffTracker:
     def __init__(self):
         self.sent_v = {}
         self.sent_e = {}
+        # descendant -> position in the naive journal shipped up to.
+        self.position = {}
 
     def diff_for(self, descendant, naive):
         sent_v = self.sent_v.setdefault(descendant, set())
@@ -116,6 +136,13 @@ class NaiveDiffTracker:
         sent_v.update(mid for mid, _ in vertices)
         sent_e.update(edges)
         return vertices, edges
+
+    def ordered_diff_for(self, descendant, naive):
+        """The warm diff as a journal slice: live entries past the
+        descendant's position, in the order they were journaled."""
+        shipped = naive.journal_since(self.position.get(descendant, 0))
+        self.position[descendant] = len(naive.journal)
+        return shipped
 
     def forget(self, victims):
         victims = set(victims)
@@ -149,6 +176,17 @@ _op_diff = st.tuples(st.just("diff"), st.sampled_from(DESCENDANTS))
 operations = st.lists(
     st.one_of(_op_deliver, _op_merge, _op_prune, _op_diff), min_size=1, max_size=40
 )
+
+#: A diff, a garbage collection of entries journaled after it, the next
+#: diff: the warm slice must drop what the collection removed.
+_DIFF_PRUNE_DIFF = [
+    ("deliver", 1, {0}),
+    ("diff", "d1"),
+    ("deliver", 2, {0}),
+    ("deliver", 3, {0}),
+    ("prune", 3),
+    ("diff", "d1"),
+]
 
 
 def apply_op(op, indexed, tracker, naive, naive_tracker):
@@ -188,10 +226,17 @@ def apply_op(op, indexed, tracker, naive, naive_tracker):
         assert set(delta.iter_vertices()) == vertices
         assert set(delta.iter_edges()) == edges
         assert delta.is_empty == (not vertices and not edges)
+        ordered = naive_tracker.ordered_diff_for(descendant, naive)
+        if delta.snapshot is None:
+            assert (delta.vertices, delta.edges) == ordered
+    # No snapshot is ever installed here, so both journals count the same
+    # effective insertions.
+    assert indexed.version == len(naive.journal)
 
 
 class TestDifferentialEquivalence:
     @given(operations)
+    @example(_DIFF_PRUNE_DIFF)
     @settings(max_examples=120, deadline=None)
     def test_random_sequences_agree(self, ops):
         indexed, tracker = History(), HistoryDiffTracker()
@@ -231,6 +276,9 @@ class TestDifferentialEquivalence:
             vertices, edges = naive_tracker.diff_for(descendant, naive)
             assert set(delta.iter_vertices()) == vertices
             assert set(delta.iter_edges()) == edges
+            ordered = naive_tracker.ordered_diff_for(descendant, naive)
+            if delta.snapshot is None:
+                assert (delta.vertices, delta.edges) == ordered
         # Both descendants are now fully caught up.
         for descendant in DESCENDANTS:
             assert tracker.diff_for(descendant, indexed).is_empty

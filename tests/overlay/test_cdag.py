@@ -113,3 +113,44 @@ class TestLca:
     def test_contains(self, dag):
         assert "A" in dag
         assert "Z" not in dag
+
+
+class TestNotifTargets:
+    """``descendants_below`` is Strategy (c)'s candidate list: the rank slice
+    must name exactly the groups the predicate it replaced in
+    ``FlexCastGroup.send_notifs`` selected, in descendant order."""
+
+    @staticmethod
+    def _predicate(overlay, group, dst):
+        """The reference: every descendant that is an ancestor of some
+        other destination."""
+        return [
+            dest
+            for dest in overlay.descendants(group)
+            if any(overlay.is_ancestor(dest, other) for other in dst if other != group)
+        ]
+
+    @pytest.mark.parametrize("name", ["O1", "O2", "complete"])
+    def test_rank_slice_equals_the_predicate(self, latencies, name):
+        from repro.overlay.builders import build_complete, build_o1, build_o2
+
+        if name == "complete":
+            # The complete graph has no ranks; take its groups in listed order.
+            overlay = CDagOverlay(build_complete(latencies).groups)
+        else:
+            overlay = {"O1": build_o1, "O2": build_o2}[name](latencies)
+        groups = overlay.groups
+        checked = 0
+        for size in (1, 2, 3):
+            for dst in map(frozenset, itertools.combinations(groups, size)):
+                for group in groups:
+                    expected = self._predicate(overlay, group, dst)
+                    assert overlay.descendants_below(group, dst) == expected, (group, dst)
+                    checked += bool(expected)
+        assert checked > 0
+
+    def test_figure_shape(self, dag):
+        assert dag.descendants_below("A", frozenset({"A", "E"})) == ["B", "D"]
+        assert dag.descendants_below("B", frozenset({"A", "C"})) == ["D", "E"]
+        assert dag.descendants_below("E", frozenset({"A", "E"})) == []
+        assert dag.descendants_below("C", frozenset({"A"})) == []

@@ -80,6 +80,24 @@ class TestCancellation:
         assert fired == []
         assert handle.cancelled
 
+    def test_cancel_frees_the_callback_before_its_time(self, refcount_only):
+        # The event stays queued until 10.0, but its callback must not.
+        class Owner:
+            def fire(self):
+                pass
+
+        loop = EventLoop()
+        owner = Owner()
+        handle = loop.schedule(10.0, owner.fire)
+        ref = weakref.ref(owner)
+        del owner
+        assert ref() is not None
+        handle.cancel()
+        assert ref() is None
+        assert loop.pending == 1 and handle.cancelled and handle.time == 10.0
+        loop.run()
+        assert loop.events_processed == 0
+
     def test_cancel_after_fire_is_noop(self):
         loop = EventLoop()
         fired = []
