@@ -3,7 +3,7 @@
 
 Times the operations that dominate per-delivery cost — ``diff_for``,
 ``merge_delta``, the full lca delivery round (plain, hybrid, batched and
-behind 64 acked pivots) and a coordinator re-planning pass — at several
+after 64 notif acks) and a coordinator re-planning pass — at several
 history sizes,
 plus a throughput-vs-batch-size sweep, and writes the numbers to
 ``BENCH_micro.json`` so the perf trajectory is tracked across PRs (see
@@ -44,7 +44,6 @@ from repro.core.message import (  # noqa: E402
     HistoryDelta,
     Message,
 )
-from repro.core.pivot_guard import PivotGuard  # noqa: E402
 from repro.core.timestamps import Exposure  # noqa: E402
 from repro.obs import Observability  # noqa: E402
 from repro.overlay.cdag import CDagOverlay  # noqa: E402
@@ -326,16 +325,14 @@ def bench_delivery_round_batched(
 
 
 def bench_delivery_round_pivots(size: int) -> Callable[[], None]:
-    """``delivery_round`` in the state the pivot guard works in.
+    """``delivery_round`` at a group that has answered Strategy (c) notifs.
 
-    A three-group round at group 3, which has acked ``MAX_PIVOTS`` (64)
-    Strategy (c) pivots — each ordered after the whole |H|-sized history —
-    and holds three undelivered local messages, each followed by a few
-    messages an ancestor ordered after it.  Every round asks whether the new
-    message or a blocker precedes any pivot (guard, then promise-maintenance
-    re-ack).  Asked backward from the pivots that was 2 x 64 walks over the
-    whole history per round; asked forward from the undelivered end it must
-    be flat in |H| (the ``--flat`` gate enforces it).
+    A three-group round at group 3, which has acked 64 notifs about pivots
+    — each ordered after the whole |H|-sized history — and holds three
+    undelivered local messages, each followed by a few messages an ancestor
+    ordered after it.  Every round asks whether a blocker precedes the new
+    message (the dependency check).  Asked forward from the undelivered end
+    it must be flat in |H| (the ``--flat`` gate enforces it).
     """
     overlay = CDagOverlay(list(range(12)))
     group = FlexCastGroup(3, overlay, RecordingTransport(3), RecordingSink())
@@ -346,7 +343,7 @@ def bench_delivery_round_pivots(size: int) -> Callable[[], None]:
         group.diff_tracker.diff_for(dest, group.history)
     last = f"fill-{size - 1}"
     elsewhere = frozenset({0, 9})
-    for k in range(PivotGuard.MAX_PIVOTS):
+    for k in range(64):
         pivot = Message(msg_id=f"pivot-{k}", dst=elsewhere)
         delta = HistoryDelta(
             vertices=((pivot.msg_id, elsewhere),), edges=((last, pivot.msg_id),)
@@ -368,7 +365,7 @@ def bench_delivery_round_pivots(size: int) -> Callable[[], None]:
             from_group=0,
         ),
     )
-    assert len(group.guard.pivots) == PivotGuard.MAX_PIVOTS
+    assert group.stats["acks_sent"] == 64
     assert len(group.open_dependencies()) == 3
     counter = {"i": 0}
 

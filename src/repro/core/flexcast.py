@@ -23,34 +23,25 @@ dependency information that could order another message before ``m``:
   down to the destinations of ``m``.  Notified groups are carried in the
   envelopes so destinations know to wait for their acks as well.
 
-On top of the paper's protocol a group holds two ordering authorities, and
-:meth:`FlexCastGroup._blocker` sends every message past exactly one of them
-(DESIGN.md "Ordering: pivot guard + exposure"):
+  A notif ack is a snapshot of ``d``'s history when it answers, so ``d``
+  answers *every* notifier, not only the first: a notified entry is a
+  ``(group, notifier)`` pair and a destination waits for one ack per pair
+  (this repo's reading of the paper's ``m.notifList``; DESIGN.md
+  "Ordering: one ack per notifier").  Answering only the first notifier let
+  a later notifier's pre-pivot orders go unreported and close global cycles.
 
-* ``self.guard`` (:class:`~repro.core.pivot_guard.PivotGuard`) orders what
-  nothing exposes.  It closes the Strategy (c) ack race: a notif-ack
-  promises the pivot's destinations that this group's dependency
-  contribution is final, so later local deliveries must not mint new
-  orderings before an acked pivot.  Two pivots can impose contradictory
-  waits, so the group keeps an escape timer and asks the guard which blocked
-  head to release once a stand-off provably cannot resolve, and a dependency
-  cycle that arrives in a merged delta is delivered through instead of
-  honoured (poison tolerance).  With the guard alone, global acyclic order
-  holds except under one conflict class — messages whose pairs each meet at
-  exactly one group — where it is a *detected* anomaly, never a lost
-  delivery.
-
-* ``self.ts`` (:class:`~repro.core.timestamps.TimestampAuthority`, present
-  iff the deployment's :class:`~repro.core.timestamps.Exposure` covers
-  anything) closes that class.  A global message whose destination set is
-  exposed additionally acquires a final Skeen timestamp from its destination
-  groups (proposals piggybacked on the msg/ack traffic), and contested
-  deliveries follow the global ``(final timestamp, id)`` order.  It needs
-  neither escape timer nor poison tolerance: a total order has no stand-offs
-  and no cycles.  The deployment picks what is exposed — nothing (the paper's
-  protocol, bit-identical to a group with no authority at all), the hot
-  conflict components of a declared shape universe, or every global message
-  — and pays the paper's convoy effect (§5) only for what it exposes.
+On top of the paper's protocol, ``self.ts``
+(:class:`~repro.core.timestamps.TimestampAuthority`, present iff the
+deployment's :class:`~repro.core.timestamps.Exposure` covers anything) can
+order a global message whose destination set is exposed: it acquires a final
+Skeen timestamp from its destination groups (proposals piggybacked on the
+msg/ack traffic), and contested deliveries follow the global ``(final
+timestamp, id)`` order.  The deployment picks what is exposed — nothing (the
+paper's protocol, bit-identical to a group with no authority at all), the hot
+conflict components of a declared shape universe, or every global message —
+and pays the paper's convoy effect (§5) only for what it exposes.  Outside
+the reliable-channel assumption (a lost envelope takes its history edges with
+it) only exposure keeps acyclic order strict.
 
 Also on top of the paper's protocol: **batch carriers**.  A client may
 coalesce same-destination submissions into one ordering unit
@@ -78,7 +69,6 @@ from ..obs import (
     STAGE_DELIVER,
     STAGE_ENQUEUE,
     STAGE_FANOUT,
-    STAGE_PIVOT_WAIT,
     STAGE_TS_WAIT,
     Observability,
     Tracer,
@@ -104,9 +94,9 @@ from .message import (
     HistoryDelta,
     HistorySnapshotFrame,
     Message,
+    NotifiedPair,
     TsProposal,
 )
-from .pivot_guard import PivotGuard
 from .timestamps import Exposure, TimestampAuthority
 
 #: Shared empty notified-set: the overwhelming majority of envelopes carry no
@@ -124,17 +114,15 @@ class PendingMessage:
     shared between simulated nodes and must stay immutable.
     """
 
-    #: Groups whose ack for this message has been received.
-    acks: Set[GroupId] = field(default_factory=set)
-    #: Groups that were notified (Strategy (c)) and therefore must also ack.
-    notified: Set[GroupId] = field(default_factory=set)
+    #: ``(group, notifier)`` of every ack received: the notifier a notif
+    #: ack answers, ``None`` for a destination's own ack.
+    acks: Set[NotifiedPair] = field(default_factory=set)
+    #: ``(group, notifier)`` of every Strategy (c) notif sent about this
+    #: message: each pair owes its own ack.
+    notified: Set[NotifiedPair] = field(default_factory=set)
     #: True once the message envelope itself arrived and was enqueued.
     enqueued: bool = False
 
-
-#: Trace stage recorded for a head :meth:`FlexCastGroup._blocker` found waiting
-#: on an ordering authority (the pivot guard, the ts-propose convoy).
-_WAIT_STAGES = {"guard": STAGE_PIVOT_WAIT, "ts": STAGE_TS_WAIT}
 
 #: Observe every Nth non-empty diff in the size histogram (weighted by N so
 #: the histogram still estimates the full population); see ``_diff_for``.
@@ -147,6 +135,8 @@ class PendingNotification:
 
     message: Message
     open_deps: Set[str]
+    #: The group the notif came from, which the ack names.
+    notifier: GroupId
 
 
 class FlexCastGroup(AtomicMulticastGroup):
@@ -185,14 +175,11 @@ class FlexCastGroup(AtomicMulticastGroup):
         self.ts: Optional[TimestampAuthority] = (
             TimestampAuthority(group_id) if exposure else None
         )
-        #: Orders every message the authority above does not: the Strategy
-        #: (c) pivots this group has acked and what they oblige it to.
-        self.guard = PivotGuard()
         self.history = History()
         #: One FIFO queue of not-yet-delivered messages per ancestor lca, plus
         #: a queue under this group's own id for client-submitted messages
-        #: (the lca usually delivers them in the same event, but the pivot
-        #: guard may briefly defer them behind an in-flight predecessor).
+        #: (the lca usually delivers them in the same event, but an open
+        #: dependency or a timestamp may briefly defer them).
         self.queues: Dict[GroupId, Deque[Message]] = {
             ancestor: deque() for ancestor in overlay.ancestors(group_id)
         }
@@ -219,9 +206,6 @@ class FlexCastGroup(AtomicMulticastGroup):
         #: Ancestor queues whose head may have become deliverable since the
         #: last :meth:`reprocess_queues` drain (dirty-set scheduling).
         self._dirty_queues: Set[GroupId] = set()
-        #: Handle of the guard's escape timer while a head is guard-blocked
-        #: (at most one in flight; see :meth:`_guard_escape_tick`).
-        self._escape_timer = None
         # Statistics (exposed for tests, ablations and Figure 8 style reports).
         self.stats = {
             "msgs_received": 0,
@@ -230,16 +214,11 @@ class FlexCastGroup(AtomicMulticastGroup):
             "notifs_received": 0,
             "notifs_sent": 0,
             "acks_sent": 0,
-            # Promise-maintenance re-acks (end of a_deliver), a subset of
-            # acks_sent: a delivery turned out to precede an acked pivot.
-            "reacks_sent": 0,
             "gc_pruned": 0,
             "journal_compacted": 0,
-            "guard_escapes": 0,
             "ts_proposals_sent": 0,
             "ts_proposals_received": 0,
             "reprocess_passes": 0,
-            "pivot_guard_stalls": 0,
             # Steady-state diffs are almost always empty (the tracker is up
             # to date); they are tallied here instead of as histogram
             # samples so per-send instrumentation stays a dict increment.
@@ -310,12 +289,6 @@ class FlexCastGroup(AtomicMulticastGroup):
             "Strategy (c) notifs parked behind open dependencies.",
             labels,
             fn=lambda: len(self.pending_notifications),
-        )
-        registry.gauge(
-            "flexcast_notif_pivots",
-            "Acked pivots the pivot-consistency guard is honouring.",
-            labels,
-            fn=lambda: len(self.guard.pivots),
         )
         registry.gauge(
             "flexcast_ts_pending",
@@ -427,12 +400,6 @@ class FlexCastGroup(AtomicMulticastGroup):
                     # propose now so its final timestamp converges early
                     # (the vertex carries everything a proposal needs).
                     self._acquire_timestamp(Message(msg_id=mid, dst=dst))
-        # A merge can *relax* a delivery condition, not only tighten it: a
-        # blocked candidate may gain its own path to a pivot (guard
-        # exemption), or a new edge may close a cycle that voids a blocker
-        # (poison tolerance).  Any queue head may therefore have become
-        # deliverable, not only the arriving envelope's own.
-        self._mark_all_queues_dirty()
 
     def _mark_all_queues_dirty(self) -> None:
         self._dirty_queues.update(g for g, q in self.queues.items() if q)
@@ -514,10 +481,9 @@ class FlexCastGroup(AtomicMulticastGroup):
         self._merge_history(envelope.history)
         if not self._resolved(message.msg_id):
             entry = self._pending_for(message)
-            entry.acks.add(envelope.from_group)
+            entry.acks.add((envelope.from_group, envelope.notifier))
             entry.notified.update(envelope.notified)
-        # _merge_history marked all queues dirty; the ack additionally
-        # relaxes this message's own ack-wait condition.
+        # The ack relaxes this message's own ack-wait condition.
         self._dirty_queues.add(self.lca_of(message))
         self.reprocess_queues()
 
@@ -531,19 +497,15 @@ class FlexCastGroup(AtomicMulticastGroup):
             # We must first deliver our own outstanding messages, otherwise the
             # acks we send would carry incomplete dependency information.
             self.pending_notifications.append(
-                PendingNotification(message=message, open_deps=open_deps)
+                PendingNotification(message, open_deps, envelope.from_group)
             )
         else:
-            self._ack_notif(message)
-        # The merged delta may have relaxed (or tightened) guard decisions.
+            self._ack_notif(message, envelope.from_group)
+        # The merged delta may have decided an exposed message's timestamp.
         self.reprocess_queues()
 
-    def _ack_notif(self, message: Message) -> None:
-        """Answer a notif with the promised ack (``send-descendants``).
-
-        The ack is a *promise*: the pivot's destinations will deliver relying
-        on this group's dependency contribution being final, so from here on
-        the pivot binds this group's delivery order (``self.guard``).
+    def _ack_notif(self, message: Message, notifier: GroupId) -> None:
+        """Answer ``notifier``'s notif with an ack (``send-descendants``).
 
         This group is *not* a destination of ``message``, so its local flush
         GC may have forgotten the pivot's id already (GC order is per group
@@ -551,8 +513,7 @@ class FlexCastGroup(AtomicMulticastGroup):
         for this very ack).  The ack therefore always goes out;
         :meth:`send_notifs` keeps no state for a forgotten id.
         """
-        self.guard.register(message)
-        self.send_descendants(message, ack=True)
+        self.send_descendants(message, ack=True, notifier=notifier)
 
     def _on_history_snapshot(self, envelope: HistorySnapshotFrame) -> None:
         """A packed live history in one frame: legacy input only.
@@ -654,21 +615,17 @@ class FlexCastGroup(AtomicMulticastGroup):
             self._mark_all_queues_dirty()
 
     def _timestamped(self, message: Message) -> bool:
-        """True iff ``message`` is ordered by the timestamp authority (and
-        therefore not by the pivot guard) — the only reader of the exposure
-        on the delivery path."""
+        """True iff ``message`` is ordered by the timestamp authority — the
+        only reader of the exposure on the delivery path."""
         return self.ts is not None and self.exposure.covers(message.dst)
 
     def _enqueue_local(self, message: Message) -> None:
         """Queue a client-submitted message at its lca and drain.
 
         The lca almost always delivers the message within this very call (it
-        is the first destination to order it).  The queue only matters when
-        the pivot guard defers it — or, for an exposed message, while its
-        final timestamp is still being acquired: delivering it *now* would
-        slot it before an in-flight message that this group already knows
-        precedes a notif pivot, retroactively invalidating an ack it has
-        sent.
+        is the first destination to order it).  The queue only matters while
+        an open dependency precedes it, or, for an exposed message, while its
+        final timestamp is still being acquired.
 
         The timestamp is acquired only for messages that actually enter the
         queue.  For every absorbed duplicate the acquisition was a no-op
@@ -713,16 +670,12 @@ class FlexCastGroup(AtomicMulticastGroup):
 
     def a_deliver(self, message: Message) -> None:
         """Deliver ``message`` and propagate ordering information (``a-deliver``)."""
-        # Promises made before this delivery; acks sent *during* it (parked
-        # notif flushes below) already carry this message in their diff.
-        prior_pivots = list(self.guard.pivots.values())
         if self._tracer is not None:
             self._tracer.record(
                 message.trace, STAGE_DELIVER, self.transport.now(), self._site
             )
         self.history.record_delivery(message)
         self._undelivered_to_me.discard(message.msg_id)
-        self.guard.delivered(message.msg_id)
         if message.members:
             # Batch fan-out: the carrier was ordered as one unit (one pivot,
             # one timestamp, one history vertex); the application observes
@@ -777,29 +730,23 @@ class FlexCastGroup(AtomicMulticastGroup):
             if notif.open_deps:
                 still_pending.append(notif)
             else:
-                self._ack_notif(notif.message)
+                self._ack_notif(notif.message, notif.notifier)
         self.pending_notifications = still_pending
 
         if message.is_flush:
             self._garbage_collect(message)
 
-        if prior_pivots:
-            # Promise maintenance: acks are idempotent and diffs incremental,
-            # so re-acking a pivot this delivery precedes is cheap and monotone.
-            first_acks = self.stats["acks_sent"]
-            for pivot in self.guard.reack_targets(
-                message.msg_id, prior_pivots, self.history
-            ):
-                self.send_descendants(pivot, ack=True)
-            self.stats["reacks_sent"] += self.stats["acks_sent"] - first_acks
-
         # Removing this message from the open-dependency set may have
         # unblocked the head of any queue.
         self._mark_all_queues_dirty()
 
-    def send_descendants(self, message: Message, ack: bool) -> None:
+    def send_descendants(
+        self, message: Message, ack: bool, notifier: Optional[GroupId] = None
+    ) -> None:
         """Send ``msg`` or ``ack`` envelopes to the destinations above us
-        (``send-descendants``), preceded by any required notifs."""
+        (``send-descendants``), preceded by any required notifs.  An ack
+        names the ``notifier`` it answers (``None``: this group is a
+        destination)."""
         groups = self.send_notifs(message)
         # Almost every envelope carries no notifications; skip the per-hop
         # frozenset copy for that common case.
@@ -818,6 +765,7 @@ class FlexCastGroup(AtomicMulticastGroup):
                     message=message,
                     history=delta,
                     from_group=self.group_id,
+                    notifier=notifier,
                     notified=notified,
                     ts_proposals=ts_proposals,
                 )
@@ -830,22 +778,27 @@ class FlexCastGroup(AtomicMulticastGroup):
                 self.stats["msgs_sent"] += 1
             self.send(dest, envelope)
 
-    def send_notifs(self, message: Message) -> Set[GroupId]:
+    def send_notifs(self, message: Message) -> Set[NotifiedPair]:
         """Strategy (c): notify non-destination descendants that must flush
         their dependencies toward ``message``'s destinations (``send-notifs``).
 
-        Returns every group notified about ``message`` so far.  The set lives
+        Returns every ``(group, notifier)`` pair known for ``message`` so
+        far.  A group another notifier already notified is notified again:
+        this notif carries this group's history, whose messages to the
+        notified group it must deliver before it acks, and its ack to the
+        other notifier was a snapshot that held none of them.  The set lives
         in the message's pending entry; a group acking a pivot it is not a
-        destination of has none, and gets one only when there is a notified
-        group to remember and the id is not resolved (the ack for a pivot the
-        local GC already forgot still carries the set, but keeps nothing).
+        destination of has none, and gets one only when there is a pair to
+        remember and the id is not resolved (the ack for a pivot the local
+        GC already forgot still carries the set, but keeps nothing).
         """
         entry = self.pending.get(message.msg_id)
-        notified: Set[GroupId] = entry.notified if entry is not None else set()
+        notified: Set[NotifiedPair] = entry.notified if entry is not None else set()
+        me = self.group_id
         # Only a descendant ranked below some other destination can hold
         # dependencies that destination must see: one rank slice.
-        for dest in self.overlay.descendants_below(self.group_id, message.dst):
-            if dest in message.dst or dest in notified:
+        for dest in self.overlay.descendants_below(me, message.dst):
+            if dest in message.dst or (dest, me) in notified:
                 continue
             if not self.history.contains_message_to(dest):
                 # We never communicated with `dest`; notifying it would break
@@ -858,10 +811,10 @@ class FlexCastGroup(AtomicMulticastGroup):
                 FlexCastNotif(
                     message=message,
                     history=delta,
-                    from_group=self.group_id,
+                    from_group=me,
                 ),
             )
-            notified.add(dest)
+            notified.add((dest, me))
             self.stats["notifs_sent"] += 1
         if entry is None and notified and not self._resolved(message.msg_id):
             self._pending_for(message).notified = notified
@@ -880,26 +833,15 @@ class FlexCastGroup(AtomicMulticastGroup):
         """
         self.stats["reprocess_passes"] += 1
         dirty = self._dirty_queues
-        guard_blocked = False
         while dirty:
             queue = self.queues.get(dirty.pop())
             if not queue:
                 continue
             blocker = self._drain(queue)
-            if blocker == "guard":
-                guard_blocked = True
-                self.stats["pivot_guard_stalls"] += 1
-            if blocker in _WAIT_STAGES and self._tracer is not None:
+            if blocker == "ts" and self._tracer is not None:
                 self._tracer.record(
-                    queue[0].trace,
-                    _WAIT_STAGES[blocker],
-                    self.transport.now(),
-                    self._site,
+                    queue[0].trace, STAGE_TS_WAIT, self.transport.now(), self._site
                 )
-        if guard_blocked and self._escape_timer is None:
-            self._escape_timer = self.transport.schedule(
-                PivotGuard.GRACE_MS, self._guard_escape_tick
-            )
 
     def _drain(self, queue: Deque[Message]) -> Optional[str]:
         """Deliver from ``queue`` while something in it can go; return what
@@ -943,47 +885,18 @@ class FlexCastGroup(AtomicMulticastGroup):
                 return head_blocker
         return None
 
-    def _guard_escape_tick(self) -> None:
-        """Break a guard stand-off that outlived the grace period: release
-        the head :meth:`PivotGuard.pick_escape` names, or keep waiting."""
-        self._escape_timer = None
-        blocked_heads = [
-            queue[0].msg_id
-            for queue in self.queues.values()
-            if queue and self._blocker(queue[0]) == "guard"
-        ]
-        released = self.guard.pick_escape(
-            blocked_heads, self._undelivered_to_me, self.history, self.delivered_count
-        )
-        if released is not None:
-            self.stats["guard_escapes"] += 1
-            self._mark_all_queues_dirty()
-            self.reprocess_queues()
-        elif blocked_heads:
-            self._escape_timer = self.transport.schedule(
-                PivotGuard.GRACE_MS, self._guard_escape_tick
-            )
-
     def _blocker(self, message: Message) -> Optional[str]:
         """The paper's ``can-deliver``, naming the first condition that holds
-        ``message`` back — ``"acks"``, ``"deps"``, ``"ts"`` or ``"guard"`` —
-        or ``None`` if it can go."""
+        ``message`` back — ``"acks"``, ``"deps"`` or ``"ts"`` — or ``None``
+        if it can go."""
         if not self._acks_satisfied(message):
             return "acks"
         if not self._dependencies_satisfied(message):
             return "deps"
         if self._timestamped(message):
-            # The timestamp authority subsumes the pivot guard for the
-            # messages it orders.  The convoy gate delivers contested
-            # messages in ``(final ts, id)`` order — a *global* total order
-            # — so any ordering this delivery mints is consistent
-            # everywhere and the guard's concern (a new pre-pivot ordering
-            # closing a cycle) cannot materialise.  Contradictory pivot
-            # waits, which the guard can only escape heuristically, are
-            # broken by the timestamp tie instead.  This is sound because
-            # exposure is component-closed: an exposed message never meets
-            # a guard-ordered one at any group, so skipping the guard here
-            # cannot invalidate a guard promise about a mixed pair.
+            # The convoy gate delivers contested messages in ``(final ts,
+            # id)`` order — a *global* total order — so any ordering this
+            # delivery mints is consistent everywhere.
             assert self.ts is not None
             if not self.ts.is_pending(message.msg_id):
                 # Every enqueue path proposes on first contact, and the
@@ -998,8 +911,6 @@ class FlexCastGroup(AtomicMulticastGroup):
                 )
             # Convoy gate: deliver in global ``(final ts, id)`` order.
             return None if self.ts.deliverable(message.msg_id) else "ts"
-        if not self.guard.allows(message.msg_id, self._undelivered_to_me, self.history):
-            return "guard"
         return None
 
     def _dependencies_satisfied(self, message: Message) -> bool:
@@ -1008,52 +919,34 @@ class FlexCastGroup(AtomicMulticastGroup):
 
         One forward walk shared by all open dependencies
         (:meth:`History.reached_from`): they sit at the new end of the DAG,
-        the candidate's ancestors are the whole history.
+        the candidate's ancestors are the whole history.  A blocker that sits
+        in a cycle with the candidate blocks it too: a merged cycle is a bug
+        upstream, and a queue that stays stuck is how it shows.
         """
         msg_id = message.msg_id
         blocking = self._undelivered_to_me
         if not blocking or (len(blocking) == 1 and msg_id in blocking):
             return True
-        history = self.history
-        others = blocking - {msg_id}
-        satisfied = not history.reached_from(others, (msg_id,))
-        if not satisfied and not self._timestamped(message):
-            # Poison tolerance: a blocking "predecessor" that is *also* a
-            # descendant of the candidate sits in a delivery cycle with it —
-            # a merged delta carried an upstream acyclic-order violation this
-            # group can neither verify nor repair.  Honouring contradictory
-            # constraints would block the queue forever and turn one ordering
-            # violation into an unbounded lost-delivery cascade (the pre-fix
-            # deadlock), so cycle-void blockers are ignored; genuine acyclic
-            # blockers still hold the candidate back.
-            #
-            # A timestamped candidate deliberately does NOT tolerate poison:
-            # the authority makes delivery cycles among the messages it
-            # orders impossible, so a cycle-contradictory blocker would
-            # indicate a genuine protocol bug — blocking (and failing the
-            # fuzz liveness oracle) is the loud outcome a guaranteed
-            # property wants, not deliver-through.
-            cyclic = history.reached_from((msg_id,), others)
-            satisfied = not history.reached_from(others - cyclic, (msg_id,))
-        return satisfied
+        return not self.history.reached_from(blocking - {msg_id}, (msg_id,))
 
     def _acks_satisfied(self, message: Message) -> bool:
         """``ancestors-to-ack ⊆ ancestors-that-acked`` without materialising
         either set — this runs once per queue-head check, every pass.
 
-        The groups to wait for are every ancestor destination except the
-        lca, and every notified group that is an ancestor of this one (a
-        notified group only acks to its own descendants)."""
+        The acks to wait for are every ancestor destination's own, except the
+        lca's, and one per ``(group, notifier)`` pair whose notified group is
+        an ancestor of this one (a notified group only acks to its own
+        descendants)."""
         entry = self._pending_for(message)
         acks = entry.acks
         rank = self.overlay.rank
         my_rank = rank(self.group_id)
         lca = self.lca_of(message)
         for g in message.dst:
-            if g != lca and g not in acks and rank(g) < my_rank:
+            if g != lca and (g, None) not in acks and rank(g) < my_rank:
                 return False
-        for g in entry.notified:
-            if g not in acks and rank(g) < my_rank:
+        for pair in entry.notified:
+            if pair not in acks and rank(pair[0]) < my_rank:
                 return False
         return True
 
@@ -1073,7 +966,6 @@ class FlexCastGroup(AtomicMulticastGroup):
             # (checked in _acquire_timestamp), so the authority can shed its
             # completed-memory for them.
             self.ts.forget(victims)
-        self.guard.forget(victims)
         for victim in victims:
             self.pending.pop(victim, None)
         if self._batch_members:

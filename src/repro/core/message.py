@@ -400,6 +400,11 @@ class NodeHello:
         return _HEADER_BYTES + _MSG_ID_BYTES + 18
 
 
+#: One Strategy (c) notification: ``(notified group, notifier)``.  A frame
+#: older than the pair names the group alone, which reads as ``(group, None)``.
+NotifiedPair = Tuple[GroupId, Optional[GroupId]]
+_NOTIFIED_PAIR_BYTES = 2 * _GROUP_ID_BYTES
+
 #: One piggybacked Skeen proposal: ``(proposing group, local timestamp)``.
 TsProposal = Tuple[GroupId, int]
 _TS_PROPOSAL_BYTES = _GROUP_ID_BYTES + _TIMESTAMP_BYTES
@@ -411,7 +416,7 @@ class FlexCastMsg(Envelope):
 
     message: Message
     history: HistoryDelta
-    notified: FrozenSet[GroupId] = frozenset()
+    notified: FrozenSet[NotifiedPair] = frozenset()
     #: Hybrid mode: Skeen proposals for ``message`` known to the sender,
     #: piggybacked so destinations converge on the final timestamp without
     #: waiting for every dedicated ``ts-propose`` envelope.
@@ -423,19 +428,23 @@ class FlexCastMsg(Envelope):
             _HEADER_BYTES
             + self.message.size_bytes()
             + self.history.size_bytes()
-            + len(self.notified) * _GROUP_ID_BYTES
+            + len(self.notified) * _NOTIFIED_PAIR_BYTES
             + len(self.ts_proposals) * _TS_PROPOSAL_BYTES
         )
 
 
 @dataclass(frozen=True, slots=True)
 class FlexCastAck(Envelope):
-    """FlexCast ``ack``: a destination informs its descendants of its history."""
+    """FlexCast ``ack``: a destination, or a group answering a notif, informs
+    its descendants of its history."""
 
     message: Message
     history: HistoryDelta
     from_group: GroupId
-    notified: FrozenSet[GroupId] = frozenset()
+    #: The group whose notif this ack answers; ``None`` when ``from_group``
+    #: is a destination of ``message`` acking for itself.
+    notifier: Optional[GroupId] = None
+    notified: FrozenSet[NotifiedPair] = frozenset()
     #: Hybrid mode: Skeen proposals for ``message`` known to the sender.
     ts_proposals: Tuple[TsProposal, ...] = ()
     kind: str = field(default="ack", init=False)
@@ -445,8 +454,9 @@ class FlexCastAck(Envelope):
             _HEADER_BYTES
             + _MSG_ID_BYTES
             + _GROUP_ID_BYTES
+            + (_GROUP_ID_BYTES if self.notifier is not None else 0)
             + self.history.size_bytes()
-            + len(self.notified) * _GROUP_ID_BYTES
+            + len(self.notified) * _NOTIFIED_PAIR_BYTES
             + len(self.ts_proposals) * _TS_PROPOSAL_BYTES
         )
 

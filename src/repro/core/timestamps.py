@@ -7,9 +7,8 @@ same tested implementation serves two deployments:
   protocol, where *every* message is ordered by final timestamps; and
 * FlexCast's *exposed* traffic (:mod:`repro.core.flexcast`): global messages
   whose destination set an :class:`Exposure` covers additionally acquire
-  final timestamps, so the delivery gate can order the conflicts the
-  c-DAG's down-only information flow cannot (DESIGN.md "Ordering: pivot
-  guard + exposure").
+  final timestamps, and the delivery gate orders them by those too
+  (DESIGN.md "Ordering: one ack per notifier + exposure").
 
 The authority implements the timestamp half of Skeen's algorithm for one
 group:
@@ -90,7 +89,7 @@ class Exposure:
     for the messages its peers expose).  Three constructors:
 
     * :meth:`none` — nothing is exposed: the paper's protocol, ordered by
-      histories, acks, notifs and the pivot guard alone.
+      histories, acks and notifs alone.
     * :meth:`declared` — the deployment declares its universe of global
       destination-set *shapes*.  Shapes that share groups form conflict
       components; a component containing a pair that meets at exactly one
@@ -100,8 +99,8 @@ class Exposure:
       hot component is exposed.  Closing over whole components — not only
       the single-intersecting shapes — is load-bearing: each group belongs
       to at most one component, so two messages that meet anywhere are
-      either both exposed or both guard-ordered, and a timestamp edge can
-      never compose with guard edges into a cycle (bounded exploration
+      either both exposed or both unexposed, and a timestamp edge can never
+      compose with history edges into a cycle (bounded exploration
       found exactly that wedge when exposure stopped at the shapes
       themselves).  A universe with no single-shared pair exposes nothing.
     * :meth:`all` — every global message is exposed (a declared universe in
@@ -159,7 +158,7 @@ class Exposure:
     def admits(self, dst: FrozenSet[GroupId]) -> bool:
         """May a message with this ``dst`` be submitted at all?  An
         undeclared global shape is outside the conflict analysis — it could
-        single-intersect a declared one and run guard-ordered next to it."""
+        single-intersect a declared one and run unexposed next to it."""
         return self.universe is None or len(dst) < 2 or dst in self.universe
 
 

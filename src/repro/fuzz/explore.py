@@ -28,11 +28,7 @@ Two reductions keep small topologies tractable without losing coverage:
   putting ``a`` to sleep.  Only genuinely conflicting orders (two deliveries
   racing into the *same* group) branch.
 
-Timers (the pivot-guard escape tick) fire deterministically and only when no
-delivery is enabled: the escape hatch exists to break quiescent stand-offs,
-so exploring its interleavings against in-flight traffic would multiply the
-state space with schedules where the timer merely loses the race.  A leaf is
-reached when no channel has traffic and no timer can make progress.
+FlexCast arms no timer, so a leaf is reached when no channel has traffic.
 
 CLI (see ``python -m repro.fuzz explore --help``)::
 
@@ -153,43 +149,16 @@ def _parse_node_pair(src: str, dst: str, case: ShapeCase) -> Channel:
 
 
 # -------------------------------------------------------------------- fabric
-def _dropped() -> None:
-    """The callback of a timer its fabric closed on (never runs)."""
-
-
-class _Timer:
-    __slots__ = ("due", "owner", "callback", "cancelled")
-
-    def __init__(
-        self, due: float, owner: Hashable, callback: Callable[[], None]
-    ) -> None:
-        self.due = due
-        self.owner = owner
-        self.callback = callback
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        self.cancelled = True
-
-
 class _Fabric:
-    """Explicit-choice message fabric: FIFO channels, a step-counter clock,
-    and deterministic quiescent-only timers.
-
-    Timer due times are the *delay alone* (not arm-time + delay) and ties
-    break on the owning node: the firing order is then a pure function of
-    which timers are live, never of the interleaving that armed them.  That
-    keeps the post-quiescence continuation a deterministic function of the
-    protocol state, which the DFS's state-deduplication relies on.  The
-    step-counter clock feeds only trace/sink timestamps.
-    """
+    """Explicit-choice message fabric: FIFO channels and a step-counter
+    clock, which feeds only trace/sink timestamps.  It has no timers: a
+    ``schedule`` call raises (:class:`~repro.sim.transport.Transport`)."""
 
     def __init__(self) -> None:
         self.time = 0.0
         self.channels: Dict[Channel, Deque[object]] = {}
         self.handlers: Dict[Hashable, Callable[[Hashable, object], None]] = {}
         self.sinks: Set[Hashable] = set()
-        self.timers: List[_Timer] = []
 
     def register(self, node: Hashable, handler) -> None:
         self.handlers[node] = handler
@@ -218,26 +187,9 @@ class _Fabric:
         self.time += 1.0
         self.handlers[channel[1]](channel[0], payload)
 
-    def fire_next_timer(self) -> bool:
-        """Quiescence only: fire the first live timer in the canonical
-        (due, owner) order.  Returns False when no timer is pending."""
-        live = [t for t in self.timers if not t.cancelled]
-        self.timers = live
-        if not live:
-            return False
-        timer = min(live, key=lambda t: (t.due, str(t.owner)))
-        self.timers.remove(timer)
-        self.time += 1.0
-        timer.callback()
-        return True
-
     def close(self) -> None:
-        """End the execution: drop the handlers and the timers' callbacks,
-        which lead back to the groups that hold the fabric and the timers."""
-        for timer in self.timers:
-            timer.cancel()
-            timer.callback = _dropped
-        self.timers.clear()
+        """End the execution: drop the handlers, which lead back to the
+        groups that hold the fabric."""
         self.handlers.clear()
 
 
@@ -251,11 +203,6 @@ class _ExploreTransport(Transport):
 
     def now(self) -> float:
         return self._fabric.time
-
-    def schedule(self, delay_ms: float, callback: Callable[[], None]) -> _Timer:
-        timer = _Timer(delay_ms, self.node_id, callback)
-        self._fabric.timers.append(timer)
-        return timer
 
 
 # ----------------------------------------------------------------- execution
@@ -336,10 +283,6 @@ def _execute(
     while True:
         enabled = fabric.enabled()
         if not enabled:
-            # Quiescent: let deterministic timers (guard escape) run until
-            # they produce traffic or nothing can make progress.
-            if fabric.fire_next_timer():
-                continue
             outcome.finished = True
             break
         if stop_after is not None and step >= stop_after:

@@ -66,19 +66,17 @@ class FuzzResult:
       liveness (no livelock).
       The sweep gate fails on any of these.
     * :attr:`ordering_anomalies` — global acyclic-order violations (and the
-      prefix-order shadows of the same underlying cycle).  Under extreme
-      cross-group conflict the c-DAG's down-only information flow lets
-      groups commit complementary halves of a delivery cycle no local rule
-      can see in time; the pivot guard makes this rare and poison tolerance
-      keeps it from ever losing messages, but it cannot be excluded — see
-      DESIGN.md "Ordering: pivot guard + exposure".  These are *reported*
-      (and shrinkable) so the limitation stays measured, not hidden.
+      prefix-order shadows of the same underlying cycle) in a run outside
+      the reliable-channel assumption: with nothing exposed, an envelope the
+      ``loss`` profile drops takes its history edges with it for good, and
+      groups can then order a cycle no rule of theirs can see.  These are
+      *reported* (and shrinkable) so the limitation stays measured, not
+      hidden (DESIGN.md "Ordering: one ack per notifier").
 
-    The second bucket only exists for ``exposure="none"`` runs (which
-    regression schedules use to demonstrate the hole exposure closes).  With
-    a declared universe or everything exposed, the timestamp authority makes
-    global acyclic order a guaranteed property, so an acyclic-order finding
-    is a genuine violation and stays in :attr:`violations`
+    The second bucket only exists for ``exposure="none"`` runs that may lose
+    envelopes (``expect_all_delivered=False``).  Everywhere else global
+    acyclic order is a guaranteed property, so an acyclic-order finding is a
+    genuine violation and stays in :attr:`violations`
     (``finalize_buckets(strict=True)``).
     """
 
@@ -94,11 +92,8 @@ class FuzzResult:
     #: order (empty when the scenario runs unbatched).  Input to the
     #: batch-atomicity oracle and to tests.
     batches: List[Tuple[str, Tuple[str, ...]]] = field(default_factory=list)
-    #: Guard stand-offs the escape timer broke, summed over the groups (at a
-    #: replicated group: its leader's protocol copy), and replicas rebooted
-    #: mid-run — a sweep reports both, since one that never does either
-    #: proves nothing about the timer or the recovery path.
-    guard_escapes: int = 0
+    #: Replicas rebooted mid-run — a sweep reports them, since one that never
+    #: reboots proves nothing about the recovery path.
     restarts: int = 0
 
     @property
@@ -116,14 +111,12 @@ class FuzzResult:
 
         When (and only when) a run contains an acyclic-order violation, any
         prefix-order disagreement is a downstream manifestation of that same
-        cycle (poison-tolerant delivery keeps going through contradictory
-        constraints instead of losing messages).  Without a cycle, a
-        prefix-order failure is a genuine guarantee breach and stays in
-        :attr:`violations`.
+        cycle.  Without a cycle, a prefix-order failure is a genuine
+        guarantee breach and stays in :attr:`violations`.
 
-        ``strict`` (any exposure but none) disables the re-bucketing
-        entirely: acyclic order is guaranteed there, so a cycle is a
-        first-class violation and the sweep gate must fail on it.
+        ``strict`` (any run but a lossy one with nothing exposed) disables
+        the re-bucketing entirely: acyclic order is guaranteed there, so a
+        cycle is a first-class violation and the sweep gate must fail on it.
         """
         if strict:
             return
@@ -192,10 +185,10 @@ def run_scenario(
     (:data:`EXPOSURE_MODES`) in place of the scenario's own
     :attr:`~FuzzScenario.exposure`; ``None`` (the default) follows the
     scenario.  ``"declared"`` derives the shape universe from the scenario's
-    own destination sets (:func:`scenario_conflict_shapes`).  It and
-    ``"all"`` make ``acyclic-order`` a *hard* property; ``"none"`` runs the
-    paper's protocol, where it is a reported anomaly (regression schedules
-    use it to demonstrate the 3-cycle exposure closes).
+    own destination sets (:func:`scenario_conflict_shapes`).  ``acyclic-order``
+    is a *hard* property everywhere except in a ``"none"`` run (the paper's
+    protocol) under a profile that loses envelopes, where it is a reported
+    anomaly.
     ``use_batching_client`` forces submissions through a
     :class:`~repro.core.batching.BatchingClient` even when the scenario's
     ``batch_window`` is 1 — the differential equivalence tests use this to
@@ -556,9 +549,6 @@ def _run_deployment(
         gid: host.leader.protocol_state if replicated else host
         for gid, host in hosts.items()
     }
-    result.guard_escapes = sum(
-        copy.stats["guard_escapes"] for copy in copies.values()
-    )
 
     if batcher is not None:
         # The gate fans batches out into per-member deliveries, so the
@@ -579,7 +569,7 @@ def _run_deployment(
             for v in report.violations
         )
 
-    result.finalize_buckets(strict=exposure != "none")
+    result.finalize_buckets(strict=exposure != "none" or expect_all)
     return result
 
 

@@ -36,8 +36,9 @@ class SweepSummary:
 
     ``failures`` are violations of guaranteed properties (sweep gate);
     ``anomalies`` are runs whose only findings are global acyclic-order
-    anomalies — the documented architectural limitation (DESIGN.md).  Both
-    get shrunk so the artifacts stay actionable.
+    anomalies — possible only in a lossy run with nothing exposed, outside
+    the reliable-channel assumption (DESIGN.md).  Both get shrunk so the
+    artifacts stay actionable.
     """
 
     runs: int = 0
@@ -45,9 +46,8 @@ class SweepSummary:
     failures: List[FuzzResult] = field(default_factory=list)
     anomalies: List[FuzzResult] = field(default_factory=list)
     shrunk: List[FuzzScenario] = field(default_factory=list)
-    #: Runs in which a guard escape fired / a replica rebooted mid-run: a
-    #: sweep that never does either says nothing about those paths.
-    escape_runs: int = 0
+    #: Runs in which a replica rebooted mid-run: a sweep that never does
+    #: says nothing about the recovery path.
     restart_runs: int = 0
     elapsed_s: float = 0.0
     timed_out: bool = False
@@ -69,9 +69,9 @@ def run_sweep(
     """Run every ``(seed, profile)`` scenario; shrink and collect failures.
 
     ``exposure`` forces what the timestamp authority orders for every run
-    and is recorded on each scenario, shrunk ones included: ``"all"`` and
-    ``"declared"`` make acyclic-order findings hard failures, ``"none"``
-    reports them as anomalies; ``None`` follows each scenario.
+    and is recorded on each scenario, shrunk ones included.  Acyclic-order
+    findings are hard failures except under ``"none"`` in a ``loss`` run,
+    which reports them as anomalies; ``None`` follows each scenario.
     ``batch_window`` likewise forces the client-side batching window for
     every run (``1`` = unbatched); ``None`` follows each scenario.
     """
@@ -105,7 +105,6 @@ def run_sweep(
                 scenario = replace(scenario, batch_window=batch_window)
             result = run_scenario(scenario)
             summary.runs += 1
-            summary.escape_runs += result.guard_escapes > 0
             summary.restart_runs += result.restarts > 0
             if result.strict_ok:
                 summary.clean += 1
@@ -153,9 +152,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         default=None,
         help="force what the Skeen-timestamp authority orders for every run: "
         "all global messages, the hot components of each scenario's declared "
-        "shapes, or none (the paper's protocol; acyclic-order findings are "
-        "then reported anomalies instead of hard failures).  Default: "
-        "follow each scenario",
+        "shapes, or none (the paper's protocol; acyclic-order findings in a "
+        "loss run are then reported anomalies instead of hard failures).  "
+        "Default: follow each scenario",
     )
     parser.add_argument(
         "--batch",
@@ -218,10 +217,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         + (" (time cap hit)" if summary.timed_out else "")
         + f", peak RSS {peak_rss_mib():.0f} MiB"
     )
-    print(
-        f"       {summary.escape_runs} runs fired a guard escape, "
-        f"{summary.restart_runs} restarted a replica"
-    )
+    print(f"       {summary.restart_runs} runs restarted a replica")
     if args.out_dir and summary.shrunk:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -246,7 +242,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for violation in failure.violations[:10]:
             print(f"  {violation}")
     for anomaly in summary.anomalies:
-        print(f"\n{anomaly.scenario.name} (known-limitation ordering anomaly):")
+        print(f"\n{anomaly.scenario.name} (ordering anomaly of a lossy run):")
         for violation in anomaly.ordering_anomalies[:5]:
             print(f"  {violation}")
     return 0 if summary.ok else 1

@@ -30,7 +30,6 @@ from .trace import (
     STAGE_DELIVER,
     STAGE_ENQUEUE,
     STAGE_FANOUT,
-    STAGE_PIVOT_WAIT,
     STAGE_SUBMIT,
     STAGE_TS_WAIT,
     Tracer,
@@ -46,7 +45,6 @@ __all__ = [
     "STAGE_SUBMIT",
     "STAGE_BATCH_FLUSH",
     "STAGE_ENQUEUE",
-    "STAGE_PIVOT_WAIT",
     "STAGE_TS_WAIT",
     "STAGE_DELIVER",
     "STAGE_FANOUT",

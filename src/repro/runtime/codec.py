@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import struct
 import sys
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core import message as msg
 from ..jsontext import json_text, json_value
 from ..smr import multipaxos as smr, paxos
-from ..smr.replica import OrderedEnvelope, TimerFired, Turn
+from ..smr.replica import OrderedEnvelope, Turn
 
 #: 4-byte big-endian length prefix.
 _LENGTH = struct.Struct(">I")
@@ -266,7 +266,20 @@ def _value_from_wire(wire: Any) -> Any:
 
 _MESSAGE = _field("message", _message_to_dict, _message_from_dict)
 _HISTORY = _field("history", _delta_to_dict, _delta_from_dict)
-_NOTIFIED = _field("notified", sorted, frozenset, default=())
+
+
+def _notified_from_wire(items: List[Any]) -> frozenset:
+    """``(group, notifier)`` pairs; a frame older than the pair lists bare
+    group ids, read as ``(group, None)``."""
+    return frozenset([(i, None) if type(i) is int else (i[0], i[1]) for i in items])
+
+
+_NOTIFIED = _field(
+    "notified",
+    lambda pairs: sorted(pairs, key=lambda p: (p[0], -1 if p[1] is None else p[1])),
+    _notified_from_wire,
+    default=(),
+)
 _TS_PROPOSALS = _field(
     "ts_proposals", None, lambda pairs: tuple([(g, ts) for g, ts in pairs]), default=()
 )
@@ -285,7 +298,8 @@ _SCHEMA: Tuple[tuple, ...] = (
     (msg.FlexCastMsg, "flexcast-msg",
      _MESSAGE, _HISTORY, _NOTIFIED, _TS_PROPOSALS),
     (msg.FlexCastAck, "flexcast-ack",
-     _MESSAGE, _HISTORY, "from_group", _NOTIFIED, _TS_PROPOSALS),
+     _MESSAGE, _HISTORY, "from_group", _field("notifier", default=None),
+     _NOTIFIED, _TS_PROPOSALS),
     (msg.HistorySnapshotFrame, "history-snapshot",
      "group", _field("delta", _delta_to_dict, _delta_from_dict, key="history")),
     (msg.FlexCastTsPropose, "flexcast-ts-propose",
@@ -301,9 +315,6 @@ _SCHEMA: Tuple[tuple, ...] = (
     (smr.Commit, "smr-commit", "instance", _BALLOT),
     (smr.Heartbeat, "smr-heartbeat", "leader"),
     (smr.CatchupRequest, "smr-catchup", "from_instance", "from_replica"),
-    # Only ever inside a log value: a replica reports a timer of its protocol
-    # copy due by ordering this through its group's log.
-    (TimerFired, "smr-timer", "index"),
     (smr.CatchupReply, "smr-catchup-reply",
      _field("entries",
             lambda entries: [[i, _value_text(v)] for i, v in entries],

@@ -21,18 +21,15 @@ replication ... groups do not fail as a whole".
   client responses — otherwise descendants/clients would receive duplicates;
   after a fail-over, the new leader's copy continues from the same applied
   state, because it applied the same log prefix;
-* a timer a protocol copy arms is an input like any other, so it too is
-  ordered through the log: when it is due the replica submits a
-  :class:`TimerFired` entry, and every copy runs the callback where that
-  entry commits — under the leader's gate, at one log position, once.
+* a protocol copy arms no timer: its state is a function of the log alone,
+  and its transport refuses ``schedule``.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from types import SimpleNamespace
-from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Hashable, List, Optional, Sequence, Tuple
 
 from ..core.message import Envelope, Message
 from ..obs import Observability
@@ -51,20 +48,6 @@ class OrderedEnvelope:
 
     def size_bytes(self) -> int:
         return 16 + self.envelope.size_bytes()
-
-
-@dataclass(frozen=True)
-class TimerFired(Envelope):
-    """Log entry: the ``index``-th timer the group's protocol copies armed is
-    due.  Every copy makes the same ``schedule`` calls at the same log
-    positions (arming only happens while an entry is applied), so the count
-    names the same timer on all of them."""
-
-    index: int
-    kind: str = field(default="smr-timer", init=False)
-
-    def size_bytes(self) -> int:
-        return 16
 
 
 class Turn:
@@ -143,21 +126,13 @@ class _GatedTransport(Transport):
 
     Replicas all apply every log entry to their protocol copy; only the
     leader may let the resulting outbound messages reach the network, so
-    ``send`` drops unless the gate is open.  ``schedule`` does not hand the
-    callback to the clock: it arms a real timer that reports the timer due
-    (``due(index)``, which orders a :class:`TimerFired` through the log) and
-    keeps the callback for :meth:`take` to hand out where that entry is
-    applied.
+    ``send`` drops unless the gate is open.  There is no ``schedule``: a
+    timer would make a copy's state depend on more than the log.
     """
 
-    def __init__(self, inner: Transport, due: Callable[[int], None]) -> None:
+    def __init__(self, inner: Transport) -> None:
         self._inner = inner
-        self._due = due
         self.open = False
-        #: ``schedule`` calls so far: the next timer's index.
-        self._armed = 0
-        #: index -> (callback, real timer) of every timer not yet run.
-        self._timers: Dict[int, Tuple[Callable[[], None], Any]] = {}
 
     def send(self, dst, payload) -> None:
         if self.open:
@@ -165,28 +140,6 @@ class _GatedTransport(Transport):
 
     def now(self) -> float:
         return self._inner.now()
-
-    def schedule(self, delay_ms: float, callback: Callable[[], None]):
-        index = self._armed
-        self._armed += 1
-        self._timers[index] = (
-            callback,
-            self._inner.schedule(delay_ms, lambda: self._due(index)),
-        )
-        return SimpleNamespace(cancel=lambda: self.take(index))
-
-    def take(self, index: int) -> Optional[Callable[[], None]]:
-        """Retire timer ``index`` and return its callback — ``None`` if it
-        already ran (each replica reports a timer due; the first report to
-        commit runs it) or was cancelled."""
-        callback, timer = self._timers.pop(index, (None, None))
-        if timer is not None:
-            timer.cancel()
-        return callback
-
-    def cancel_all(self) -> None:
-        for index in list(self._timers):
-            self.take(index)
 
 
 def _ignore(*args: Any) -> None:
@@ -210,8 +163,7 @@ class GroupReplica:
 
     Envelopes are collected per turn (:meth:`on_message`) and submitted to
     the log by one :meth:`_flush` behind them; :meth:`_apply` runs a decided
-    value's entries in order under one gate decision.  The protocol copy's
-    timers take the same road (:class:`TimerFired`).
+    value's entries in order under one gate decision.
     """
 
     def __init__(
@@ -227,7 +179,7 @@ class GroupReplica:
     ) -> None:
         self.group_id = group_id
         self.replica_id = replica_id
-        self._gated = _GatedTransport(transport, self._timer_due)
+        self._gated = _GatedTransport(transport)
         self._outer_transport = transport
         #: Deliveries already reported to the application, shared across the
         #: logical group's replicas.  Around a fail-over, the old leader may
@@ -316,20 +268,12 @@ class GroupReplica:
         else:
             self.smr.on_message(sender, payload)
 
-    def _timer_due(self, index: int) -> None:
-        """A real timer of this replica ran out: say so in the log.  Every
-        replica does (a follower's entry is forwarded like any command), so
-        the timer outlives any of them; the first entry to commit runs it."""
-        self.on_message(self.replica_id, TimerFired(index))
-
     def kill(self) -> None:
         """This incarnation is over (crash, or a graceful stop): it takes no
-        more input, reports nothing, and no timer of its outlives it.  The
-        callbacks it handed out, each leading back to it, are dropped, so a
-        dead replica is freed by reference counting."""
+        more input and reports nothing.  The callbacks it handed out, each
+        leading back to it, are dropped, so a dead replica is freed by
+        reference counting."""
         self.dead = True
-        self._gated.cancel_all()
-        self._gated._due = _ignore
         self.smr._apply = _ignore
         self.protocol_state._sink = _ignore
 
@@ -362,12 +306,7 @@ class GroupReplica:
                 # take its neighbours along: apply them all, then re-raise
                 # the first error — as loud, and the same on every replica.
                 try:
-                    if type(entry.envelope) is TimerFired:
-                        callback = self._gated.take(entry.envelope.index)
-                        if callback is not None:
-                            callback()
-                    else:
-                        self.protocol_state.on_envelope(entry.sender, entry.envelope)
+                    self.protocol_state.on_envelope(entry.sender, entry.envelope)
                 except Exception as exc:
                     failure = failure or exc
                 self.applied_envelopes += 1

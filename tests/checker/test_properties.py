@@ -286,20 +286,24 @@ class TestCycleWitnessIsDeterministic:
         ]
 
     def test_report_text_is_the_same_under_every_hash_seed(self):
-        """The committed inventory schedule is cyclic with nothing exposed;
-        the anomaly's text — what findings and shrunk artifacts carry — is
+        """A hand-built trace whose delivery relation holds two cycles through
+        ``x`` (every pair meets at one group, so prefix order holds): the
+        finding's text — what findings and shrunk artifacts carry — is
         compared across interpreters with different string hashing."""
-        schedule = (
-            Path(__file__).parent.parent
-            / "regression"
-            / "schedules"
-            / "inventory_seed3_full.json"
-        )
         script = (
-            "import sys\n"
-            "from repro.fuzz import FuzzScenario, run_scenario\n"
-            "result = run_scenario(FuzzScenario.load(sys.argv[1]), exposure='none')\n"
-            "print('\\n'.join(result.violations + result.ordering_anomalies))\n"
+            "from repro.checker import check_trace\n"
+            "from repro.core.message import Message\n"
+            "from repro.protocols.base import RecordingSink\n"
+            "sequences = [['z', 'x'], ['x', 'y'], ['y', 'z'],\n"
+            "             ['x', 'u'], ['u', 'v'], ['v', 'x']]\n"
+            "sink = RecordingSink()\n"
+            "for group, ids in enumerate(sequences):\n"
+            "    for mid in ids:\n"
+            "        dst = frozenset(g for g, s in enumerate(sequences) if mid in s)\n"
+            "        sink(group, Message(msg_id=mid, dst=dst))\n"
+            "messages = {r.message.msg_id: r.message for r in sink.records}\n"
+            "report = check_trace(sink, messages.values())\n"
+            "print('\\n'.join(map(str, report.violations)))\n"
         )
         reports = []
         for hash_seed in ("1", "2"):
@@ -308,7 +312,7 @@ class TestCycleWitnessIsDeterministic:
                 p for p in (str(Path(repro.__file__).parent.parent), env.get("PYTHONPATH")) if p
             )
             done = subprocess.run(
-                [sys.executable, "-c", script, str(schedule)],
+                [sys.executable, "-c", script],
                 env=env,
                 capture_output=True,
                 text=True,

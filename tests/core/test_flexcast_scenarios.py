@@ -99,13 +99,13 @@ class TestFigure3cNotifs:
         m1 = msg("m1", {B, C})
         m3 = msg("m3", {A, C})
         # A forwards m3 with its own history (m2 -> m3) and the fact that it
-        # notified B.
+        # notified B: the pair (B, A).
         group.on_envelope(
             A,
             FlexCastMsg(
                 message=m3,
                 history=delta([("m2", {A, B}), ("m3", {A, C})], edges=[("m2", "m3")]),
-                notified=frozenset({B}),
+                notified=frozenset({(B, A)}),
             ),
         )
         assert sink.sequence(C) == []  # waits for B's ack
@@ -117,6 +117,7 @@ class TestFigure3cNotifs:
                 message=m3,
                 history=delta([("m1", {B, C})], edges=[("m1", "m2")]),
                 from_group=B,
+                notifier=A,
             ),
         )
         assert sink.sequence(C) == []

@@ -196,9 +196,10 @@ class TestNotifLogic:
         group.on_client_request(msg("m3", {A, C}))
         notifs = [(dst, env) for dst, env in transport.sent if isinstance(env, FlexCastNotif)]
         assert [dst for dst, _ in notifs] == [B]
-        # The forwarded msg carries B in its notified list so C waits for B's ack.
+        # The forwarded msg carries the pair (B, A) in its notified list, so
+        # C waits for B's ack to A's notif.
         msgs = [env for dst, env in transport.sent if isinstance(env, FlexCastMsg) and dst == C]
-        assert msgs and B in msgs[0].notified
+        assert msgs and msgs[0].notified == {(B, A)}
 
     def test_no_notif_without_prior_communication(self, overlay):
         """Minimality: A never talked to B, so no notif may be sent to B."""
@@ -219,6 +220,7 @@ class TestNotifLogic:
         acks = [(dst, env) for dst, env in transport.sent if isinstance(env, FlexCastAck)]
         assert [dst for dst, _ in acks] == [C]
         assert {v[0] for v in acks[0][1].history.vertices} >= {"m1"}
+        assert acks[0][1].notifier == A
 
     def test_notif_with_open_dependency_waits_for_local_delivery(self, overlay):
         group, transport, sink = make_group(B, overlay)
@@ -241,11 +243,163 @@ class TestNotifLogic:
         m3 = msg("m3", {A, C})
         group.on_envelope(
             A,
-            FlexCastMsg(message=m3, history=EMPTY_DELTA, notified=frozenset({B})),
+            FlexCastMsg(message=m3, history=EMPTY_DELTA, notified=frozenset({(B, A)})),
         )
         assert sink.sequence(C) == []  # must wait for B (notified) to ack
-        group.on_envelope(B, FlexCastAck(message=m3, history=EMPTY_DELTA, from_group=B))
+        group.on_envelope(
+            B, FlexCastAck(message=m3, history=EMPTY_DELTA, from_group=B, notifier=A)
+        )
         assert sink.sequence(C) == ["m3"]
+
+    def test_notifs_go_only_to_groups_ranked_below_a_destination(self):
+        """A group ranked above every other destination cannot be an
+        ancestor of one, so it holds nothing they must wait for: A has talked
+        to B, D and E, and forwarding ``m`` to C notifies B alone."""
+        group, transport, sink = make_group("A", CDagOverlay(["A", "B", "C", "D", "E"]))
+        for contacted in ("B", "D", "E"):
+            group.on_client_request(msg(f"to-{contacted}", {"A", contacted}))
+        transport.clear()
+        group.on_client_request(msg("m", {"A", "C"}))
+        notifs = [dst for dst, env in transport.sent if isinstance(env, FlexCastNotif)]
+        assert notifs == ["B"]
+
+
+class TestOneAckPerNotifier:
+    """A group notified about one message by two notifiers owes each an ack
+    (DESIGN.md "Ordering: one ack per notifier").  Five groups: ``m`` is
+    addressed to A, C and E; both A and C have talked to D before, so each
+    notifies D on its way to E."""
+
+    ORDER = ("A", "B", "C", "D", "E")
+
+    @pytest.fixture
+    def five(self):
+        return CDagOverlay(list(self.ORDER))
+
+    m = msg("m", {"A", "C", "E"})
+
+    def test_second_notifier_notifies_a_group_already_notified(self, five):
+        group, transport, sink = make_group("C", five)
+        group.on_client_request(msg("m0", {"C", "D"}))  # C has now contacted D
+        transport.clear()
+        group.on_envelope(
+            "A",
+            FlexCastMsg(
+                message=self.m, history=EMPTY_DELTA,
+                notified=frozenset({("D", "A")}),
+            ),
+        )
+        assert sink.sequence("C") == ["m0", "m"]
+        notifs = [(dst, env) for dst, env in transport.sent if isinstance(env, FlexCastNotif)]
+        assert [(dst, env.from_group) for dst, env in notifs] == [("D", "C")]
+        (ack,) = [env for dst, env in transport.sent if isinstance(env, FlexCastAck)]
+        assert (ack.from_group, ack.notifier) == ("C", None)
+        assert ack.notified == {("D", "A"), ("D", "C")}
+
+    def test_notified_group_acks_each_notifier(self, five):
+        group, transport, sink = make_group("D", five)
+        for notifier in ("A", "C"):
+            group.on_envelope(
+                notifier,
+                FlexCastNotif(message=self.m, history=EMPTY_DELTA, from_group=notifier),
+            )
+        acks = [(dst, env) for dst, env in transport.sent if isinstance(env, FlexCastAck)]
+        assert [(dst, env.from_group, env.notifier) for dst, env in acks] == [
+            ("E", "D", "A"), ("E", "D", "C"),
+        ]
+
+    def test_destination_waits_for_the_ack_of_every_notifier(self, five):
+        group, transport, sink = make_group("E", five)
+        pairs = frozenset({("D", "A"), ("D", "C")})
+        group.on_envelope(
+            "A",
+            FlexCastMsg(message=self.m, history=EMPTY_DELTA, notified=frozenset({("D", "A")})),
+        )
+        group.on_envelope(
+            "C",
+            FlexCastAck(message=self.m, history=EMPTY_DELTA, from_group="C", notified=pairs),
+        )
+        group.on_envelope(
+            "D",
+            FlexCastAck(message=self.m, history=EMPTY_DELTA, from_group="D", notifier="A"),
+        )
+        assert sink.sequence("E") == []  # D's answer to C is still owed
+        assert group.queue_sizes()["A"] == 1
+        group.on_envelope(
+            "D",
+            FlexCastAck(message=self.m, history=EMPTY_DELTA, from_group="D", notifier="C"),
+        )
+        assert sink.sequence("E") == ["m"]
+
+    def test_a_notifier_notifies_a_group_once(self, five):
+        group, transport, sink = make_group("C", five)
+        group.on_client_request(msg("m0", {"C", "D"}))
+        transport.clear()
+        assert group.send_notifs(self.m) == {("D", "C")}
+        assert group.send_notifs(self.m) == {("D", "C")}
+        notifs = [dst for dst, env in transport.sent if isinstance(env, FlexCastNotif)]
+        assert notifs == ["D"]
+
+    def test_deferred_notifs_each_answer_their_own_notifier(self, five):
+        """D owes a delivery first; both notifs wait for it, and each is then
+        answered with an ack that names its own notifier."""
+        group, transport, sink = make_group("D", five)
+        x = msg("x", {"A", "D"})
+        history = delta([("x", {"A", "D"}), ("m", {"A", "C", "E"})], edges=[("x", "m")])
+        group.on_envelope("A", FlexCastNotif(message=self.m, history=history, from_group="A"))
+        group.on_envelope(
+            "C", FlexCastNotif(message=self.m, history=EMPTY_DELTA, from_group="C")
+        )
+        assert len(group.pending_notifications) == 2
+        assert not [env for _, env in transport.sent if isinstance(env, FlexCastAck)]
+        group.on_envelope("A", FlexCastMsg(message=x, history=EMPTY_DELTA))
+        acks = [(dst, env) for dst, env in transport.sent if isinstance(env, FlexCastAck)]
+        assert [(dst, env.from_group, env.notifier) for dst, env in acks] == [
+            ("E", "D", "A"), ("E", "D", "C"),
+        ]
+        assert group.pending_notifications == []
+
+    def test_a_repeated_ack_does_not_answer_another_notifier(self, five):
+        group, transport, sink = make_group("E", five)
+        pairs = frozenset({("D", "A"), ("D", "C")})
+        group.on_envelope("A", FlexCastMsg(message=self.m, history=EMPTY_DELTA, notified=pairs))
+        group.on_envelope("C", FlexCastAck(message=self.m, history=EMPTY_DELTA, from_group="C"))
+        answer_to_a = FlexCastAck(
+            message=self.m, history=EMPTY_DELTA, from_group="D", notifier="A"
+        )
+        group.on_envelope("D", answer_to_a)
+        group.on_envelope("D", answer_to_a)
+        assert sink.sequence("E") == []
+
+    def test_an_ack_naming_no_notifier_does_not_answer_a_notif(self, five):
+        """``notifier=None`` is a destination's own ack; it answers no
+        notif, even from the notified group."""
+        group, transport, sink = make_group("E", five)
+        group.on_envelope(
+            "A",
+            FlexCastMsg(message=self.m, history=EMPTY_DELTA, notified=frozenset({("D", "A")})),
+        )
+        group.on_envelope("C", FlexCastAck(message=self.m, history=EMPTY_DELTA, from_group="C"))
+        group.on_envelope("D", FlexCastAck(message=self.m, history=EMPTY_DELTA, from_group="D"))
+        assert sink.sequence("E") == []
+        group.on_envelope(
+            "D", FlexCastAck(message=self.m, history=EMPTY_DELTA, from_group="D", notifier="A")
+        )
+        assert sink.sequence("E") == ["m"]
+
+    def test_old_form_pairs_are_answered_by_an_old_form_ack(self, five):
+        """A frame written before the pairs decodes a bare notified group as
+        ``(group, None)`` and an ack without a notifier as ``notifier=None``
+        (``runtime/codec.py``), so a replayed pair still finds its ack."""
+        group, transport, sink = make_group("E", five)
+        group.on_envelope(
+            "A",
+            FlexCastMsg(message=self.m, history=EMPTY_DELTA, notified=frozenset({("D", None)})),
+        )
+        group.on_envelope("C", FlexCastAck(message=self.m, history=EMPTY_DELTA, from_group="C"))
+        assert sink.sequence("E") == []
+        group.on_envelope("D", FlexCastAck(message=self.m, history=EMPTY_DELTA, from_group="D"))
+        assert sink.sequence("E") == ["m"]
 
 
 class TestIncrementalDeliveryState:
@@ -318,6 +472,21 @@ class TestIncrementalDeliveryState:
         assert group.stats["gc_pruned"] > 0
         assert group.open_dependencies() == set()
         assert "m1" not in group.history
+
+    def test_candidate_whose_blocker_sits_in_a_merged_cycle_stays_queued(
+        self, overlay
+    ):
+        """A merged delta that carries a delivery cycle is a bug upstream:
+        the group honours both edges and stays blocked, where a stuck queue
+        shows it, instead of delivering through the cycle."""
+        group, transport, sink = make_group(C, overlay)
+        cycle = delta(
+            [("X", {A, C}), ("Y", {B, C})], edges=[("X", "Y"), ("Y", "X")]
+        )
+        group.on_envelope(A, FlexCastMsg(message=msg("X", {A, C}), history=cycle))
+        group.on_envelope(B, FlexCastMsg(message=msg("Y", {B, C}), history=EMPTY_DELTA))
+        assert sink.sequence(C) == []
+        assert group.queue_sizes() == {A: 1, B: 1, C: 0}
 
 
 class TestStats:

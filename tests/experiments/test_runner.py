@@ -105,14 +105,8 @@ class TestLongHorizonGtpcc:
             str(v) for v in report.violations if v.property_name != "acyclic-order"
         ] == []
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="run_experiment builds the claim-free plain protocol (no "
-        "conflict_shapes), and gTPC-C pairs that share exactly one group can "
-        "still close a delivery cycle there (ROADMAP 'No silent degradation' "
-        "(a)); identical at the parent commit, where the run took too long "
-        "for anyone to look",
-    )
     def test_delivery_relation_is_acyclic(self, run):
+        """Nothing exposed, and gTPC-C pairs share exactly one group; a
+        notified group acking every notifier keeps the order acyclic."""
         _, report = run
         report.raise_if_failed()

@@ -71,13 +71,24 @@ class TestCli:
             / "single_shared_group_3cycle.json"
         )
         assert main(["--replay", str(schedule)]) == 0
-        # With nothing exposed the 3-cycle the schedule pins is back.
-        assert main(["--replay", str(schedule), "--exposure", "none"]) == 1
+        # With nothing exposed the 3-cycle the schedule pins stays closed:
+        # a notified group acks every notifier.
+        assert main(["--replay", str(schedule), "--exposure", "none"]) == 0
 
-    def test_schedule_of_a_none_sweep_replays_under_none(self, tmp_path, capsys):
-        # Seed 27 closes an acyclic-order anomaly with nothing exposed: the
-        # sweep passes (anomalies do not gate it) and writes the shrunk run.
+    def test_a_none_sweep_is_strict(self, tmp_path, capsys):
+        # Seed 27 closed an acyclic-order cycle with nothing exposed under
+        # the old one-ack-per-group notif rule; now it is clean, so there is
+        # nothing to shrink.
         sweep = ["--seeds", "1", "--seed-base", "27", "--profiles", "none"]
+        assert main(sweep + ["--exposure", "none", "--out-dir", str(tmp_path), "--quiet"]) == 0
+        assert "1/1 clean" in capsys.readouterr().out
+        assert not list(tmp_path.glob("shrunk-*.json"))
+
+    def test_schedule_of_a_lossy_none_sweep_replays_under_none(self, tmp_path, capsys):
+        # Under loss a dropped envelope takes its history edges with it, and
+        # seed 276 closes a cycle with nothing exposed: the sweep reports the
+        # anomaly without failing and writes the shrunk run.
+        sweep = ["--seeds", "1", "--seed-base", "276", "--profiles", "loss"]
         assert main(sweep + ["--exposure", "none", "--out-dir", str(tmp_path), "--quiet"]) == 0
         (schedule,) = tmp_path.glob("shrunk-*.json")
         assert FuzzScenario.load(schedule).exposure == "none"

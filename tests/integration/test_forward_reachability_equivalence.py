@@ -1,21 +1,17 @@
 """Differential equivalence: forward reachability changes no delivery.
 
-The delivery gate asks three reachability questions — does the message just
-delivered precede an acked pivot (promise-maintenance re-ack), does another
-undelivered message precede a pivot the candidate does not (pivot guard,
-escape tick), does an undelivered message precede the candidate (dependency
-check).  ISSUE 12 turned all three around: one forward walk from the
-undelivered end (:meth:`History.reached_from`) instead of a backward walk
-from the pivot or the candidate.  ``m in ancestors_of(t)`` and
+The delivery gate asks one reachability question: does an undelivered
+message precede the candidate (the dependency check)?  It is answered by one
+forward walk from the undelivered end (:meth:`History.reached_from`) instead
+of a backward walk from the candidate.  ``m in ancestors_of(t)`` and
 ``t in reached_from([m], [t])`` are the same statement, so nothing the
 protocol does may move: not a delivery, not an ack.
 
-:class:`BackwardGuard` (substituted for ``group.guard``) and
-:class:`BackwardPredicates` carry the replaced code verbatim.  Every scenario
-runs once with the production group and once with the reference; per-group
-delivery sequences and *every* ``flexcast_*_total`` counter (``acks_sent``,
-``reacks_sent``, ``pivot_guard_stalls``, ``guard_escapes`` among them, read
-through the stats → ``/metrics`` bridge) must be equal.
+:class:`BackwardPredicates` carries the backward walk.  Every scenario runs
+once with the production group and once with the reference; per-group
+delivery sequences and *every* ``flexcast_*_total`` counter (``acks_sent``
+and ``notifs_sent`` among them, read through the stats → ``/metrics``
+bridge) must be equal.
 """
 
 from collections import deque
@@ -25,7 +21,6 @@ import pytest
 
 from repro.core.flexcast import FlexCastGroup
 from repro.core.message import reset_message_ids
-from repro.core.pivot_guard import PivotGuard
 from repro.experiments.config import flexcast_config
 from repro.experiments.runner import run_experiment
 from repro.fuzz import generate_scenario, run_scenario
@@ -33,66 +28,12 @@ from repro.fuzz.profiles import apply_profile
 from repro.obs import Observability
 
 
-class BackwardGuard(PivotGuard):
-    """The guard's reachability predicates as they were at PR 11: one full
-    backward ``ancestors_of`` set per acked pivot."""
-
-    def reack_targets(self, msg_id, prior, history):
-        return [
-            pivot
-            for pivot in prior
-            if (
-                pivot.msg_id in self.pivots
-                and pivot.msg_id in history
-                and msg_id in history.ancestors_of(pivot.msg_id)
-            )
-        ]
-
-    def allows(self, msg_id, open_deps, history):
-        if not self.pivots:
-            return True
-        if msg_id in self._exempt:
-            return True
-        blocking = open_deps
-        if not blocking or (len(blocking) == 1 and msg_id in blocking):
-            return True
-        for pivot in self.pivots:
-            if pivot not in history:
-                continue
-            ancestors = history.ancestors_of(pivot)
-            if msg_id in ancestors:
-                continue
-            for blocked in blocking:
-                if blocked != msg_id and blocked in ancestors:
-                    return False
-        return True
-
-    def blocked_by(self, msg_id, candidates, history):
-        """Escape tick: the old ``blockers_of(msg_id) <= blocked_heads`` is
-        ``not (blockers_of(msg_id) & (undelivered - blocked_heads))``; the
-        candidates passed in are that difference, a subset of the
-        undelivered set the old code collected ``found`` from."""
-        found: Set[str] = set()
-        for pivot in self.pivots:
-            if pivot not in history:
-                continue
-            ancestors = history.ancestors_of(pivot)
-            if msg_id in ancestors:
-                continue
-            found.update(
-                b for b in candidates if b != msg_id and b in ancestors
-            )
-        return bool(found)
-
-
 class BackwardPredicates:
-    """Builds the group around :class:`BackwardGuard` and answers the
-    dependency check backward from the candidate, as at PR 11 (minus its
-    per-epoch memo)."""
+    """Answers the dependency check backward from the candidate, as at PR 11
+    (minus its per-epoch memo and poison tolerance)."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.guard = BackwardGuard()
+    #: Times the reference answered "blocked", over every run of the module.
+    blocked = 0
 
     def _dependencies_satisfied(self, message):
         msg_id = message.msg_id
@@ -112,12 +53,7 @@ class BackwardPredicates:
                 satisfied = False
                 break
             queue.extend(predecessors.get(node, ()))
-        if not satisfied and not self._timestamped(message):
-            satisfied = all(
-                self.history.depends(later=node, earlier=msg_id)
-                for node in self.history.ancestors_of(msg_id)
-                if node in blocking and node != msg_id
-            )
+        BackwardPredicates.blocked += not satisfied
         return satisfied
 
 
@@ -143,9 +79,9 @@ def _total(counters, stat):
     return sum(v for k, v in counters.items() if k.startswith(prefix))
 
 
-#: ``exposure="none"`` sends every conflict through the guard; the harness
-#: default exposes hot components to the timestamp authority and leaves the
-#: guard the rest.
+#: ``exposure="none"`` orders every conflict by histories, acks and notifs
+#: alone; the harness default exposes hot components to the timestamp
+#: authority.
 FUZZ_CASES = [
     (seed, profile, exposure)
     for profile in ("none", "loss", "dup", "crash-restart", "cluster-crash-restart")
@@ -159,8 +95,8 @@ FUZZ_CASES = [
 
 class TestFuzzScenariosAreBitIdentical:
     #: What the cases exercised, summed as they pass, so a generator change
-    #: that stops building pivots fails loudly instead of proving nothing.
-    exercised = {"reacks_sent": 0, "pivot_guard_stalls": 0, "guard_escapes": 0}
+    #: that stops building notifs fails loudly instead of proving nothing.
+    exercised = {"notifs_sent": 0, "acks_sent": 0}
     cases_passed = 0
 
     @pytest.mark.parametrize("seed,profile,exposure", FUZZ_CASES)
@@ -187,6 +123,7 @@ class TestFuzzScenariosAreBitIdentical:
         if self.cases_passed < len(FUZZ_CASES):
             pytest.skip("needs every case above to have run and passed")
         assert all(self.exercised.values()), self.exercised
+        assert BackwardPredicates.blocked > 0
 
 
 class TestGtpccChunkIsBitIdentical:

@@ -2,26 +2,52 @@
 
 The committed JSON is the ddmin-shrunk form of the hypothesis-found witness
 from PR 9: three messages whose destination sets pairwise-intersect in
-exactly *one* group get their three pairwise orders decided at three
-independent groups, which closes a global delivery cycle
-(``h0-8 < h0-3 < h0-5 < h0-8``) that the pivot guard never observes — the
-order of each pair is forced the moment its shared group delivers the pair's
-first element, before that group has heard of the second.
+exactly *one* group, ``h0-3 < h0-5 < h0-8 < h0-3`` under the old notif rule.
+At 111 ms group 0 notifies group 5 about ``h0-8``, and 5 acks with nothing
+open.  Group 3 then delivers ``h0-8`` after ``h0-5`` and, 5 being notified
+already, does not notify it again; so group 4 delivers ``h0-8`` on 5's stale
+ack, before ``h0-3``, while 5 later delivers ``h0-3`` before ``h0-5``.
 
-``exposure="none"`` runs the protocol with nothing exposed, so the schedule
-still demonstrably fails there; with the scenario's shapes declared (the
-harness default) it must be *strictly* clean — ``acyclic-order`` is a hard
-property then.  Exposing everything was never affected (final timestamps
-order every global message) and stays clean too.
+A notified group now acks every notifier (DESIGN.md "Ordering: one ack per
+notifier"), and the schedule is *strictly* clean under every exposure,
+``none`` included.  :class:`OneAckPerGroup` restores the old rule as a
+test-only subclass, and on it the schedule still closes the cycle.
 """
 
 from pathlib import Path
+from typing import Set
 
 import pytest
 
+from repro.core.flexcast import FlexCastGroup
+from repro.core.message import FlexCastNotif, Message, NotifiedPair
 from repro.fuzz import FuzzScenario, run_scenario
 
 SCHEDULES = Path(__file__).parent / "schedules"
+
+
+class OneAckPerGroup(FlexCastGroup):
+    """The old rule: a group some notifier already notified about a message
+    is not notified again, so its first ack answers every notifier."""
+
+    def send_notifs(self, message: Message) -> Set[NotifiedPair]:
+        entry = self.pending.get(message.msg_id)
+        notified = entry.notified if entry is not None else set()
+        me = self.group_id
+        for dest in self.overlay.descendants_below(me, message.dst):
+            if dest in message.dst or dest in {g for g, _ in notified}:
+                continue
+            if not self.history.contains_message_to(dest):
+                continue
+            self.send(
+                dest,
+                FlexCastNotif(message=message, history=self._diff_for(dest), from_group=me),
+            )
+            notified.add((dest, me))
+            self.stats["notifs_sent"] += 1
+        if entry is None and notified and not self._resolved(message.msg_id):
+            self._pending_for(message).notified = notified
+        return notified
 
 
 @pytest.fixture(scope="module")
@@ -29,32 +55,29 @@ def shrunk():
     return FuzzScenario.load(SCHEDULES / "single_shared_group_3cycle.json")
 
 
+def assert_strictly_clean(result, shrunk):
+    assert result.strict_ok, result.violations + result.ordering_anomalies
+    assert result.delivered == sum(len(s.dst) for s in shrunk.submissions)
+
+
 class TestSingleSharedGroupCycleSchedule:
-    def test_fails_with_nothing_exposed(self, shrunk):
+    def test_strictly_clean_with_nothing_exposed(self, shrunk):
+        assert_strictly_clean(run_scenario(shrunk, exposure="none"), shrunk)
+
+    def test_one_ack_per_group_closes_the_cycle(self, shrunk, substitute_groups):
+        substitute_groups(OneAckPerGroup)
         result = run_scenario(shrunk, exposure="none")
-        assert not result.strict_ok
-        assert any(
-            "[acyclic-order]" in v
-            for v in result.violations + result.ordering_anomalies
-        )
-        # The hole never loses a delivery — poison tolerance turns
-        # the cycle into a detected anomaly, not a deadlock.
-        assert result.ok, result.violations
-        assert result.delivered == sum(len(s.dst) for s in shrunk.submissions)
+        assert any("[acyclic-order]" in v for v in result.violations)
 
     def test_passes_with_declared_shapes(self, shrunk):
-        result = run_scenario(shrunk)
-        assert result.strict_ok, result.violations + result.ordering_anomalies
-        assert result.delivered == sum(len(s.dst) for s in shrunk.submissions)
+        assert_strictly_clean(run_scenario(shrunk), shrunk)
 
     def test_passes_with_everything_exposed(self, shrunk):
-        result = run_scenario(shrunk, exposure="all")
-        assert result.strict_ok, result.violations + result.ordering_anomalies
-        assert result.delivered == sum(len(s.dst) for s in shrunk.submissions)
+        assert_strictly_clean(run_scenario(shrunk, exposure="all"), shrunk)
 
     def test_schedule_is_single_shared_group_shaped(self, shrunk):
         """The committed shape class: some pair of destination sets
-        intersects in exactly one group (what exposes it to the claims)."""
+        intersects in exactly one group."""
         shapes = [set(s.dst) for s in shrunk.submissions if len(s.dst) > 1]
         assert any(
             len(a & b) == 1

@@ -42,7 +42,7 @@ from repro.smr.multipaxos import (
     UnreadableValue,
 )
 from repro.smr.paxos import Accept, Accepted, Ballot, Nack, Prepare, Promise
-from repro.smr.replica import OrderedEnvelope, TimerFired, Turn
+from repro.smr.replica import OrderedEnvelope, Turn
 
 
 def round_trip(envelope, sender="node-1"):
@@ -83,15 +83,15 @@ class TestRoundTrips:
 
     def test_flexcast_msg_with_history(self):
         envelope = FlexCastMsg(
-            message=sample_message(), history=sample_delta(), notified=frozenset({2})
+            message=sample_message(), history=sample_delta(), notified=frozenset({(2, 1)})
         )
         decoded = round_trip(envelope)
         assert decoded == envelope
 
     def test_flexcast_ack_and_notif(self):
         ack = FlexCastAck(
-            message=sample_message(), history=sample_delta(), from_group=1,
-            notified=frozenset({2, 4}),
+            message=sample_message(), history=sample_delta(), from_group=2,
+            notifier=1, notified=frozenset({(4, 1), (4, 2)}),
         )
         notif = FlexCastNotif(message=sample_message(), history=EMPTY_DELTA, from_group=1)
         assert round_trip(ack) == ack
@@ -105,7 +105,7 @@ class TestRoundTrips:
         envelope = FlexCastMsg(
             message=sample_message(),
             history=sample_delta(),
-            notified=frozenset({2}),
+            notified=frozenset({(2, 1)}),
             ts_proposals=((1, 5), (3, 9)),
         )
         assert round_trip(envelope) == envelope
@@ -116,6 +116,22 @@ class TestRoundTrips:
             ts_proposals=((3, 9),),
         )
         assert round_trip(ack) == ack
+
+    def test_a_frame_older_than_the_notifier_pairs_still_decodes(self):
+        """Bare group ids in ``notified`` read as ``(group, None)``, and an
+        ack without ``notifier`` as a destination's own ack: every frame and
+        WAL written before the pairs replays."""
+        for kind, envelope in (
+            ("msg", FlexCastMsg(message=sample_message(), history=EMPTY_DELTA)),
+            ("ack", FlexCastAck(message=sample_message(), history=EMPTY_DELTA, from_group=1)),
+        ):
+            body = json.loads(encode_frame("node-1", envelope)[4:])
+            body["envelope"]["notified"] = [4, 2]
+            body["envelope"].pop("notifier", None)
+            _, decoded = decode_frame(json.dumps(body).encode("utf-8"))
+            assert decoded.notified == {(2, None), (4, None)}, kind
+            if kind == "ack":
+                assert decoded.notifier is None
 
     def test_skeen_envelopes(self):
         ts = SkeenTimestamp(msg_id="m42", timestamp=17, from_group=4)
@@ -260,7 +276,7 @@ deltas = st.builds(
     seq=st.none() | st.integers(0, 10**6),
 )
 ts_proposals = st.lists(st.tuples(groups, st.integers(0, 10**6)), max_size=3).map(tuple)
-notified = st.frozensets(groups, max_size=4)
+notified = st.frozensets(st.tuples(groups, st.none() | groups), max_size=4)
 
 #: Every envelope a FlexCast group sends or a client submits, over any content.
 FLEXCAST_ENVELOPES = {
@@ -289,6 +305,7 @@ FLEXCAST_ENVELOPES = {
         message=messages,
         history=deltas,
         from_group=groups,
+        notifier=st.none() | groups,
         notified=notified,
         ts_proposals=ts_proposals,
     ),
@@ -307,16 +324,14 @@ FLEXCAST_ENVELOPES = {
 instances = st.integers(0, 10**6)
 ballots = st.builds(Ballot, st.integers(-1, 50), st.integers(-1, 4))
 replicas = st.one_of(ids, st.text(max_size=12))
-#: A log value: a turn of entries (any FlexCast envelope, or a due timer),
-#: or a plain JSON command.
+#: A log value: a turn of entries (any FlexCast envelope), or a plain JSON
+#: command.
 values = st.one_of(
     st.lists(
         st.builds(
             OrderedEnvelope,
             sender=st.one_of(ids, groups),
-            envelope=st.one_of(
-                *FLEXCAST_ENVELOPES.values(), st.builds(TimerFired, index=instances)
-            ),
+            envelope=st.one_of(*FLEXCAST_ENVELOPES.values()),
         ),
         min_size=1,
         max_size=3,
@@ -341,7 +356,6 @@ ENVELOPES = {
     "smr-commit": st.builds(Commit, instance=instances, ballot=ballots),
     "smr-heartbeat": st.builds(Heartbeat, leader=replicas),
     "smr-catchup": st.builds(CatchupRequest, from_instance=instances, from_replica=replicas),
-    "smr-timer": st.builds(TimerFired, index=instances),
     "smr-catchup-reply": st.builds(
         CatchupReply, entries=st.lists(st.tuples(instances, values), max_size=3).map(tuple)
     ),
@@ -381,7 +395,7 @@ class TestAnyContentRoundTrips:
 #: The envelopes that carried an overlay ``epoch`` stamp, as written today.
 ONCE_EPOCH_STAMPED = {
     "msg": FlexCastMsg(
-        message=sample_message(), history=sample_delta(), notified=frozenset({2})
+        message=sample_message(), history=sample_delta(), notified=frozenset({(2, 1)})
     ),
     "ack": FlexCastAck(message=sample_message(), history=sample_delta(), from_group=1),
     "notif": FlexCastNotif(message=sample_message(), history=sample_delta(), from_group=1),
@@ -474,6 +488,15 @@ class TestErrors:
         body = json.dumps({"sender": "x", "envelope": {"type": "mystery"}}).encode()
         with pytest.raises(CodecError):
             decode_frame(body)
+
+    def test_a_turn_entry_of_a_retired_type_is_unreadable(self):
+        """A log entry whose type has no schema row — such as the replicated
+        protocol timer, which no committed WAL holds — makes its turn
+        unreadable, and WAL replay cuts the log there."""
+        entry = {"__oe__": 1, "sender": "r1", "envelope": {"type": "retired", "index": 7}}
+        with pytest.raises(UnreadableValue) as caught:
+            turn_entries(json.dumps(entry).encode())
+        assert isinstance(caught.value.__cause__, CodecError)
 
     def test_length_prefix_matches_body(self):
         frame = encode_frame("n", ClientResponse(msg_id="m1", group=1))

@@ -31,6 +31,12 @@ when envelopes lost their overlay ``epoch`` stamp; the key is all that went.
 Frames written before carry ``"epoch":0``, which decode ignores —
 :data:`EPOCH_STAMPED` pins one, and the inline corpus holds more.
 
+The ``flexcast-msg`` and ``flexcast-ack`` lines, and every frame nesting an
+ack, were rewritten when a notified entry became a ``(group, notifier)``
+pair and an ack gained ``notifier`` (``null`` for a destination's own ack);
+the timer line went with the replicated protocol timer.
+``data/wire_golden_bare_notified.tsv`` keeps the two old lines, decode-only.
+
 Regenerate only for a deliberate wire-format change; a new envelope type adds
 a sample here and one line to the corpus.
 """
@@ -55,12 +61,15 @@ from repro.smr.multipaxos import (
     Heartbeat,
 )
 from repro.smr.paxos import Accept, Accepted, Ballot, Nack, Prepare, Promise
-from repro.smr.replica import OrderedEnvelope, TimerFired, Turn
+from repro.smr.replica import OrderedEnvelope, Turn
 
 CORPUS = os.path.join(os.path.dirname(__file__), "data", "wire_golden.tsv")
 TURNS_CORPUS = os.path.join(os.path.dirname(__file__), "data", "wire_golden_turns.tsv")
 INLINE_CORPUS = os.path.join(
     os.path.dirname(__file__), "data", "wire_golden_inline_values.tsv"
+)
+BARE_NOTIFIED_CORPUS = os.path.join(
+    os.path.dirname(__file__), "data", "wire_golden_bare_notified.tsv"
 )
 SENDER = "group-0-replica-1"
 
@@ -122,7 +131,7 @@ SAMPLES = {
     "flexcast-msg": msg.FlexCastMsg(
         message=PLAIN,
         history=WARM,
-        notified=frozenset({4, 2}),
+        notified=frozenset({(4, 1), (2, 1)}),
         ts_proposals=((1, 5), (3, 9)),
     ),
     "flexcast-msg-defaults": msg.FlexCastMsg(message=PLAIN, history=msg.EMPTY_DELTA),
@@ -132,7 +141,8 @@ SAMPLES = {
         message=PLAIN,
         history=WARM,
         from_group=1,
-        notified=frozenset({2, 4}),
+        notifier=0,
+        notified=frozenset({(2, 1), (4, 1)}),
         ts_proposals=((3, 9),),
     ),
     "history-snapshot": msg.HistorySnapshotFrame(group=3, delta=COLD),
@@ -149,7 +159,6 @@ SAMPLES = {
     "smr-catchup": CatchupRequest(from_instance=3, from_replica="group-0-replica-2"),
     "smr-catchup-reply": CatchupReply(entries=((3, ORDERED), (4, "cmd-b"))),
     "smr-catchup-reply-empty": CatchupReply(entries=()),
-    "smr-timer": TimerFired(index=7),
     "paxos-prepare": Prepare(instance=5, ballot=Ballot(2, 1)),
     "paxos-promise": Promise(
         instance=5,
@@ -230,11 +239,25 @@ def test_a_frame_with_its_value_inside_the_json_still_decodes(name):
     body = _corpus(INLINE_CORPUS)[name].encode("utf-8")
     sample = TURN_SAMPLES[name[6:]] if name.startswith("turns:") else SAMPLES[name]
     assert b"\n" not in body and decode_frame(body) == (SENDER, sample)
-    # The value texts of today's frame are the ones inside the old, moved
-    # and without the epoch stamp.
-    today = encode_frame(SENDER, sample)[4:].split(b"\n")
+    # The value texts of today's frame are the ones inside the old, moved,
+    # without the epoch stamp, and with a destination ack's null notifier.
+    today = encode_frame(SENDER, sample)[4:].replace(b'"notifier":null,', b"")
     unstamped = body.replace(b',"epoch":0', b"")
-    assert all(line in unstamped for line in today[1:])
+    assert all(line in unstamped for line in today.split(b"\n")[1:])
+
+
+@pytest.mark.parametrize("name", sorted(_corpus(BARE_NOTIFIED_CORPUS)))
+def test_a_frame_with_bare_notified_group_ids_still_decodes(name):
+    """The ``flexcast-msg`` and ``flexcast-ack`` lines as written before a
+    notified entry named its notifier: each group reads as ``(group, None)``
+    and the ack, which has no ``notifier`` key, as a destination's own."""
+    body = _corpus(BARE_NOTIFIED_CORPUS)[name].encode("utf-8")
+    expected = dataclasses.replace(
+        SAMPLES[name], notified=frozenset({(2, None), (4, None)})
+    )
+    if name == "flexcast-ack":
+        expected = dataclasses.replace(expected, notifier=None)
+    assert decode_frame(body) == (SENDER, expected)
 
 
 def test_a_frame_with_an_epoch_stamp_still_decodes():
