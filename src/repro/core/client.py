@@ -33,7 +33,7 @@ class MulticastCall:
     @property
     def complete(self) -> bool:
         """True when every destination group responded."""
-        return set(self.responses) >= set(self.message.dst)
+        return self.responses.keys() >= self.message.dst
 
     def record_response(self, group: GroupId, at: float) -> bool:
         """Record a response; returns True if it completed the call."""
@@ -136,8 +136,7 @@ class MulticastClient:
         call = self.inflight.get(msg_id)
         if call is None:
             return None
-        call.record_response(group, self._clock())
-        if call.complete:
+        if call.record_response(group, self._clock()):
             del self.inflight[msg_id]
             self.completed.append(call)
             return call

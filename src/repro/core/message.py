@@ -145,6 +145,11 @@ class Message:
         GC ordering barriers and are never delayed or coalesced), and must
         not itself be a batch (no nesting: one fan-out level keeps the
         delivery gate and the oracles trivially per-message).
+
+        The carrier takes its first member's sender.  On the wire a member
+        that shares the carrier's destinations and sender is a row of its
+        id, payload and size (``runtime/codec.py``); a member with another
+        sender travels in full.
         """
         members = tuple(messages)
         if not members:

@@ -15,6 +15,14 @@ pickling code objects across trust boundaries; the simulator's size model
 (``size_bytes``) stays separate so simulated byte counts do not depend on
 JSON verbosity.
 
+A batch carrier writes its destination set and sender once, as the size
+model charges it: each member that shares them (and is neither a flush nor
+a carrier) is a row ``[msg_id, payload, payload_bytes]``, with ``trace_id``
+fourth only when set, decoded into a message that shares the carrier's
+``dst`` and ``sender`` objects.  Any other member is a message object in
+full.  The decoder takes either form per member, so frames and WAL records
+written while every member was an object still read.
+
 A frame that is not UTF-8, not JSON, or JSON of the wrong shape is a
 :class:`CodecError`, whatever part of it is wrong.
 """
@@ -62,24 +70,50 @@ def _message_to_dict(m: msg.Message) -> Dict[str, Any]:
         d["trace_id"] = m.trace_id
     if m.members:
         # Batch carrier: one level of member messages (batch_of forbids
-        # nesting, so the recursion is bounded at depth one).
-        d["members"] = [_message_to_dict(member) for member in m.members]
+        # nesting, so the recursion is bounded at depth one).  A member that
+        # shares the carrier's destinations and sender is a row of what it
+        # adds; any other member travels as an object of its own.
+        dst, sender = m.dst, m.sender
+        rows = d["members"] = []
+        for member in m.members:
+            if (member.dst == dst and member.sender == sender
+                    and not member.is_flush and not member.members):
+                row = [member.msg_id, member.payload, member.payload_bytes]
+                if member.trace_id is not None:
+                    row.append(member.trace_id)
+                rows.append(row)
+            else:
+                rows.append(_message_to_dict(member))
     return d
 
 
 def _message_from_dict(d: Dict[str, Any]) -> msg.Message:
     get = d.get
-    members = get("members")
+    dst, sender, members = frozenset(d["dst"]), d["sender"], get("members")
     return msg.Message(
         d["msg_id"],
-        frozenset(d["dst"]),
-        d["sender"],
+        dst,
+        sender,
         get("payload"),
         get("payload_bytes", 64),
         get("is_flush", False),
         get("trace_id"),
-        tuple(map(_message_from_dict, members)) if members else (),
+        tuple([_member_from_wire(item, dst, sender) for item in members])
+        if members else (),
     )
+
+
+def _member_from_wire(item: Any, dst: frozenset, sender: Any) -> msg.Message:
+    """A carrier's member: a row ``[msg_id, payload, payload_bytes]`` (and
+    ``trace_id`` when set) that takes the carrier's ``dst`` and ``sender``,
+    or a message object in full.  A row of any other length does not unpack."""
+    if type(item) is not list:
+        return _message_from_dict(item)
+    if len(item) == 3:
+        msg_id, payload, payload_bytes = item
+        return msg.Message(msg_id, dst, sender, payload, payload_bytes)
+    msg_id, payload, payload_bytes, trace_id = item
+    return msg.Message(msg_id, dst, sender, payload, payload_bytes, False, trace_id)
 
 
 def _snapshot_to_dict(snapshot: msg.HistorySnapshot) -> Dict[str, Any]:

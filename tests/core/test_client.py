@@ -73,6 +73,15 @@ class TestMulticastClient:
         assert client.outstanding == 0
         assert client.completed == [call]
 
+    def test_a_duplicate_after_completion_is_not_counted_again(self):
+        client, sent, clock = self._client()
+        message = client.multicast(["B", "C"])
+        client.on_response("B", message.msg_id)
+        call = client.on_response("C", message.msg_id)
+        assert client.on_response("C", message.msg_id) is None
+        assert client.on_response("B", message.msg_id) is None
+        assert client.completed == [call]
+
     def test_unknown_response_ignored(self):
         client, sent, clock = self._client()
         assert client.on_response("B", "not-a-message") is None

@@ -240,6 +240,29 @@ class TestRoundTrips:
         assert b"snapshot" not in frame
         assert round_trip(envelope).history.snapshot is None
 
+    def test_batch_members_travel_as_rows_under_the_carrier(self):
+        # Members that share the carrier's destinations and sender ship only
+        # what they add; one with a sender of its own travels in full.
+        dst = frozenset({1, 3})
+        members = [
+            Message(msg_id="row-a", dst=dst, sender="c", payload=[1], payload_bytes=8),
+            Message(msg_id="row-b", dst=dst, sender="c", payload=None, trace_id="t-9"),
+            Message(msg_id="own-sender", dst=dst, sender="d", payload="p"),
+        ]
+        envelope = FlexCastBatch(message=Message.batch_of(members, batch_id="b3"))
+        wire = envelope_to_dict(envelope)["message"]["members"]
+        assert wire[:2] == [["row-a", [1], 8], ["row-b", None, 64, "t-9"]]
+        assert wire[2]["sender"] == "d"
+        decoded = round_trip(envelope)
+        assert decoded == envelope
+        carrier = decoded.message
+        assert carrier.members[1].trace_id == "t-9"
+        assert all(m.dst is carrier.dst for m in carrier.members[:2])
+        assert carrier.members[0].sender is carrier.sender
+        import sys as _sys
+
+        assert all(m.msg_id is _sys.intern(m.msg_id) for m in carrier.members)
+
     def test_plain_message_has_no_members_key(self):
         # Pre-batching peers must keep decoding unchanged frames: ordinary
         # messages do not even mention the members field on the wire.
@@ -287,7 +310,11 @@ FLEXCAST_ENVELOPES = {
         ),
         st.lists(messages, min_size=1, max_size=3).map(
             lambda ms: [
-                Message(msg_id=f"{m.msg_id}.{i}", dst=ms[0].dst, payload=m.payload)
+                Message(
+                    msg_id=f"{m.msg_id}.{i}", dst=ms[0].dst, sender=m.sender,
+                    payload=m.payload, payload_bytes=m.payload_bytes,
+                    trace_id=m.trace_id,
+                )
                 for i, m in enumerate(ms)
             ]
         ),
@@ -471,6 +498,17 @@ WRONG_SHAPE = {
         b'{"sender":"x","envelope":{"type":"paxos-accept","instance":1,"ballot":[1]}}\n"v"'
     ),
 }
+# A batch member is a row of 3 or 4 items or a message object; nothing else.
+_CARRIER_WITH = (
+    b'{"sender":"x","envelope":{"type":"flexcast-batch","message":{"msg_id":"b1",'
+    b'"dst":[1],"sender":"c","members":[%s]}}}'
+)
+WRONG_SHAPE.update({
+    "batch-member-row-of-two": _CARRIER_WITH % b'["m1",null]',
+    "batch-member-row-of-five": _CARRIER_WITH % b'["m1",null,64,"t-1","extra"]',
+    "batch-member-a-number": _CARRIER_WITH % b'7',
+    "batch-member-a-string": _CARRIER_WITH % b'"m1"',
+})
 
 
 class TestErrors:

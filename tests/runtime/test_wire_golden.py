@@ -37,6 +37,16 @@ pair and an ack gained ``notifier`` (``null`` for a destination's own ack);
 the timer line went with the replicated protocol timer.
 ``data/wire_golden_bare_notified.tsv`` keeps the two old lines, decode-only.
 
+The ``flexcast-batch`` and ``flexcast-msg-batch-carrier`` lines were
+rewritten when a batch member that shares its carrier's destinations and
+sender became a row ``[msg_id, payload, payload_bytes]`` (and ``trace_id``
+when set) instead of an object of its own: the carrier ships its destination
+set and sender once, as the simulator's ``size_bytes`` always charged it.
+:data:`CARRIER`'s second member has a sender of its own, so it still travels
+as an object and the lines mix both forms.  ``paxos-accept-batch`` in the
+turns corpus pins the same rows inside a log value.
+``data/wire_golden_member_objects.tsv`` keeps the two old lines, decode-only.
+
 Regenerate only for a deliberate wire-format change; a new envelope type adds
 a sample here and one line to the corpus.
 """
@@ -70,6 +80,9 @@ INLINE_CORPUS = os.path.join(
 )
 BARE_NOTIFIED_CORPUS = os.path.join(
     os.path.dirname(__file__), "data", "wire_golden_bare_notified.tsv"
+)
+MEMBER_OBJECTS_CORPUS = os.path.join(
+    os.path.dirname(__file__), "data", "wire_golden_member_objects.tsv"
 )
 SENDER = "group-0-replica-1"
 
@@ -116,6 +129,9 @@ ENTRY = OrderedEnvelope(sender="client-7", envelope=msg.ClientRequest(message=PL
 ENTRY_PEER = OrderedEnvelope(
     sender=2,
     envelope=msg.FlexCastAck(message=TRACED, history=WARM, from_group=2),
+)
+ENTRY_BATCH = OrderedEnvelope(
+    sender="client-7", envelope=msg.FlexCastBatch(message=CARRIER)
 )
 # A log value is a Turn; a turn of one entry is that entry's bytes.
 ORDERED = Turn((ENTRY,))
@@ -195,6 +211,9 @@ TURN_SAMPLES = {
         from_replica="group-0-replica-2",
     ),
     "paxos-accept": Accept(instance=5, ballot=Ballot(2, 1), value=SEVERAL),
+    "paxos-accept-batch": Accept(
+        instance=6, ballot=Ballot(2, 1), value=Turn((ENTRY_BATCH, ENTRY_PEER))
+    ),
 }
 
 
@@ -258,6 +277,15 @@ def test_a_frame_with_bare_notified_group_ids_still_decodes(name):
     if name == "flexcast-ack":
         expected = dataclasses.replace(expected, notifier=None)
     assert decode_frame(body) == (SENDER, expected)
+
+
+@pytest.mark.parametrize("name", sorted(_corpus(MEMBER_OBJECTS_CORPUS)))
+def test_a_frame_with_batch_members_as_objects_still_decodes(name):
+    """The two carrier lines as written before members became rows: every
+    member an object with its own ``dst`` and ``sender``."""
+    body = _corpus(MEMBER_OBJECTS_CORPUS)[name].encode("utf-8")
+    assert decode_frame(body) == (SENDER, SAMPLES[name])
+    assert encode_frame(SENDER, SAMPLES[name])[4:] == _corpus()[name].encode("utf-8")
 
 
 def test_a_frame_with_an_epoch_stamp_still_decodes():
