@@ -3,8 +3,8 @@
 
 Times the operations that dominate per-delivery cost — ``diff_for``,
 ``merge_delta``, the full lca delivery round (plain, hybrid, batched and
-after 64 notif acks) and a coordinator re-planning pass — at several
-history sizes,
+after 64 notif acks), a WAL append and one batch frame's wire round trip
+— at several history sizes,
 plus a throughput-vs-batch-size sweep, and writes the numbers to
 ``BENCH_micro.json`` so the perf trajectory is tracked across PRs (see
 DESIGN.md for the complexity tables and amortization claims these numbers
@@ -38,6 +38,7 @@ from e2ebench.host import provenance  # noqa: E402
 from repro.core.flexcast import FlexCastGroup  # noqa: E402
 from repro.core.history import History, HistoryDiffTracker  # noqa: E402
 from repro.core.message import (  # noqa: E402
+    ClientResponse,
     FlexCastBatch,
     FlexCastNotif,
     FlexCastTsPropose,
@@ -48,6 +49,7 @@ from repro.core.timestamps import Exposure  # noqa: E402
 from repro.obs import Observability  # noqa: E402
 from repro.overlay.cdag import CDagOverlay  # noqa: E402
 from repro.protocols.base import RecordingSink  # noqa: E402
+from repro.runtime.codec import decode_frame, encode_frame  # noqa: E402
 from repro.sim.transport import RecordingTransport  # noqa: E402
 from repro.storage import FileStorage  # noqa: E402
 
@@ -430,6 +432,30 @@ def bench_delivery_round_obs(size: int) -> Callable[[], None]:
     return op
 
 
+def bench_batch_frame_roundtrip(size: int) -> Callable[[], None]:
+    """A leader's wire work for one full client batch of ``local_batched``:
+    decode one 128-member ``flexcast-batch`` frame, then encode the 128
+    ``response`` frames that answer its members.
+
+    Most of it is building records — a ``Message`` per member on the way
+    in, a ``ClientResponse`` per member on the way out — around the JSON C
+    code.  No history is involved: ``size`` is ignored, and every size
+    times the same frame.
+    """
+    members = [
+        Message(f"c1-{i}", frozenset({0}), "client-1", "x" * 64, 64) for i in range(128)
+    ]
+    carrier = Message.batch_of(members, batch_id="b-1")
+    body = encode_frame("client-1", FlexCastBatch(carrier))[4:]  # drop the length
+
+    def op() -> None:
+        _, batch = decode_frame(body)
+        for member in batch.message.members:
+            encode_frame(0, ClientResponse(member.msg_id, 0))
+
+    return op
+
+
 BENCHMARKS: Dict[str, Callable[[int], Callable[[], None]]] = {
     "diff_for": bench_diff_for,
     "diff_for_cold": bench_diff_for_cold,
@@ -441,6 +467,7 @@ BENCHMARKS: Dict[str, Callable[[int], Callable[[], None]]] = {
     "delivery_round_obs": bench_delivery_round_obs,
     "delivery_round_pivots": bench_delivery_round_pivots,
     "wal_append": bench_wal_append,
+    "batch_frame_roundtrip": bench_batch_frame_roundtrip,
 }
 
 #: Application messages processed per measured operation.  ``_measure`` times

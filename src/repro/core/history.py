@@ -645,13 +645,7 @@ class HistoryDiffTracker:
         self._watermarks[descendant] = version
         if not vertices and not edges and snapshot is None:
             return EMPTY_DELTA
-        return HistoryDelta(
-            vertices=vertices,
-            edges=edges,
-            last_delivered=history.last_delivered,
-            seq=version,
-            snapshot=snapshot,
-        )
+        return HistoryDelta(vertices, edges, history.last_delivered, version, snapshot)
 
     #: Retained journal entries are capped at ``_JOURNAL_SLACK × live size``
     #: (plus a small constant) at every :meth:`forget`; see below.

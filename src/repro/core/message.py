@@ -29,8 +29,10 @@ from __future__ import annotations
 
 import itertools
 import sys
-from dataclasses import dataclass, field
-from typing import Any, FrozenSet, Iterable, Iterator, Optional, Tuple
+from dataclasses import MISSING, dataclass, field, fields
+from typing import (
+    Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple, Type, TypeVar, cast,
+)
 
 from ..overlay.base import GroupId
 
@@ -58,6 +60,69 @@ def reset_message_ids() -> None:
     _id_counter = itertools.count()
 
 
+_R = TypeVar("_R")
+
+#: Field metadata asking :func:`record` to ``sys.intern`` the value it stores.
+INTERNED = {"intern": True}
+
+
+def record(cls: Type[_R]) -> Type[_R]:
+    """Give a frozen slotted dataclass one compiled constructor, ``__new__``.
+
+    The dataclass-generated ``__init__`` of a frozen class stores each field
+    with ``object.__setattr__``, one call per field.  The ``__new__`` built
+    here, once per class at import (as ``runtime/codec.py`` builds its
+    codecs), allocates a *layout twin* instead: a class with the same base
+    and ``__slots__`` and no frozen ``__setattr__``, whose instances take
+    every field as a plain attribute store.  Assigning ``__class__`` then
+    turns the twin into an instance of ``cls``, which CPython allows because
+    the two layouts are identical.  The ``__init__`` is deleted, so this is
+    the class's one construction path; the rest of the dataclass (fields,
+    ``replace``, ``==``, ``hash``, ``repr``, ``FrozenInstanceError``) stays
+    as generated.  ``__getnewargs__`` lets ``copy`` and ``pickle`` call the
+    new constructor.  A field whose metadata is :data:`INTERNED` is stored
+    ``sys.intern``-ed.
+    """
+    twin = type(f"{cls.__name__}Twin", cls.__bases__, {
+        "__slots__": cls.__dict__["__slots__"],
+        # Both: a frozen base's __delattr__ alone would route every store
+        # through a Python-level __setattr__ lookup.
+        "__setattr__": object.__setattr__, "__delattr__": object.__delattr__,
+    })
+    namespace: Dict[str, Any] = {"new": object.__new__, "twin": twin, "intern": sys.intern}
+    params: List[str] = []
+    stores: List[str] = []
+    args: List[str] = []
+    for f in fields(cast(Any, cls)):
+        if f.default_factory is not MISSING:
+            raise TypeError(f"{cls.__name__}.{f.name}: record fields take no default_factory")
+        value = f.name
+        if f.default is not MISSING:
+            namespace[f"default_{f.name}"] = f.default
+            if not f.init:
+                value = f"default_{f.name}"
+        if f.init:
+            params.append(f.name if f.default is MISSING else f"{f.name}=default_{f.name}")
+            args.append(f"self.{f.name}")
+        if f.metadata.get("intern"):
+            value = f"intern({value})"
+        stores.append(f"    self.{f.name} = {value}\n")
+    source = (
+        f"def __new__(cls, {', '.join(params)}):\n"
+        f"    self = new(twin)\n{''.join(stores)}"
+        f"    self.__class__ = cls\n    return self\n"
+        f"def __getnewargs__(self):\n    return ({''.join(a + ', ' for a in args)})\n"
+    )
+    exec(compile(source, f"<record {cls.__name__}>", "exec"), namespace)
+    for name in ("__new__", "__getnewargs__"):
+        namespace[name].__qualname__ = f"{cls.__qualname__}.{name}"
+    setattr(cls, "__new__", staticmethod(namespace["__new__"]))
+    setattr(cls, "__getnewargs__", namespace["__getnewargs__"])
+    delattr(cls, "__init__")
+    return cls
+
+
+@record
 @dataclass(frozen=True, slots=True)
 class Message:
     """An application-level atomic multicast message.
@@ -92,7 +157,11 @@ class Message:
         so members — never the carrier — are what applications observe.
     """
 
-    msg_id: str
+    # Message ids recur in every history vertex, edge, journal entry,
+    # pending-set key and wire frame a deployment ever touches; interning
+    # collapses the per-hop string copies a decode path would otherwise mint
+    # and turns the protocol's id-equality checks into pointer comparisons.
+    msg_id: str = field(metadata=INTERNED)
     dst: FrozenSet[GroupId]
     sender: Any = "client"
     payload: Any = None
@@ -100,14 +169,6 @@ class Message:
     is_flush: bool = False
     trace_id: Optional[str] = None
     members: Tuple["Message", ...] = ()
-
-    def __post_init__(self) -> None:
-        # Message ids recur in every history vertex, edge, journal entry,
-        # pending-set key and wire frame a deployment ever touches; interning
-        # collapses the per-hop string copies a decode path would otherwise
-        # mint and turns the protocol's id-equality checks into pointer
-        # comparisons.
-        object.__setattr__(self, "msg_id", sys.intern(self.msg_id))
 
     @staticmethod
     def create(
@@ -124,13 +185,8 @@ class Message:
         if not dst:
             raise ValueError("a multicast message needs at least one destination")
         return Message(
-            msg_id=msg_id if msg_id is not None else fresh_message_id(),
-            dst=dst,
-            sender=sender,
-            payload=payload,
-            payload_bytes=int(payload_bytes),
-            is_flush=is_flush,
-            trace_id=trace_id,
+            msg_id if msg_id is not None else fresh_message_id(),
+            dst, sender, payload, int(payload_bytes), is_flush, trace_id,
         )
 
     @staticmethod
@@ -166,13 +222,9 @@ class Message:
             if member.members:
                 raise ValueError(f"batch {member.msg_id} cannot be nested in a batch")
         return Message(
-            msg_id=batch_id if batch_id is not None else fresh_message_id("b"),
-            dst=dst,
-            sender=members[0].sender,
-            payload=None,
-            payload_bytes=sum(m.payload_bytes for m in members),
-            is_flush=False,
-            members=members,
+            batch_id if batch_id is not None else fresh_message_id("b"),
+            dst, members[0].sender, None,
+            sum(m.payload_bytes for m in members), False, None, members,
         )
 
     @property
@@ -216,6 +268,7 @@ class Message:
 
 
 # --------------------------------------------------------------------------- history delta
+@record
 @dataclass(frozen=True, slots=True)
 class HistorySnapshot:
     """A compact packed form of a history's entire live vertex+edge set.
@@ -264,6 +317,7 @@ class HistorySnapshot:
         )
 
 
+@record
 @dataclass(frozen=True, slots=True)
 class HistoryDelta:
     """The portion of a group's history shipped inside an envelope.
@@ -333,14 +387,16 @@ EMPTY_DELTA = HistoryDelta()
 
 
 # --------------------------------------------------------------------------- envelopes
-@dataclass(frozen=True, slots=True)
 class Envelope:
     """Base class for everything sent between nodes."""
+
+    __slots__ = ()
 
     def size_bytes(self) -> int:  # pragma: no cover - overridden
         return _HEADER_BYTES
 
 
+@record
 @dataclass(frozen=True, slots=True)
 class ClientRequest(Envelope):
     """Client -> group: submit a multicast message to the protocol."""
@@ -352,6 +408,7 @@ class ClientRequest(Envelope):
         return _HEADER_BYTES + self.message.size_bytes()
 
 
+@record
 @dataclass(frozen=True, slots=True)
 class FlexCastBatch(ClientRequest):
     """Client -> lca: a coalesced window of same-destination messages.
@@ -372,6 +429,7 @@ class FlexCastBatch(ClientRequest):
     kind: str = field(default="batch", init=False)
 
 
+@record
 @dataclass(frozen=True, slots=True)
 class ClientResponse(Envelope):
     """Group -> client: the group delivered the message."""
@@ -384,6 +442,7 @@ class ClientResponse(Envelope):
         return _HEADER_BYTES + _MSG_ID_BYTES + _GROUP_ID_BYTES
 
 
+@record
 @dataclass(frozen=True, slots=True)
 class NodeHello:
     """Node -> server: register my network address before first use.
@@ -415,6 +474,7 @@ TsProposal = Tuple[GroupId, int]
 _TS_PROPOSAL_BYTES = _GROUP_ID_BYTES + _TIMESTAMP_BYTES
 
 
+@record
 @dataclass(frozen=True, slots=True)
 class FlexCastMsg(Envelope):
     """FlexCast ``msg``: lca -> other destinations, with a history delta."""
@@ -438,6 +498,7 @@ class FlexCastMsg(Envelope):
         )
 
 
+@record
 @dataclass(frozen=True, slots=True)
 class FlexCastAck(Envelope):
     """FlexCast ``ack``: a destination, or a group answering a notif, informs
@@ -466,6 +527,7 @@ class FlexCastAck(Envelope):
         )
 
 
+@record
 @dataclass(frozen=True, slots=True)
 class FlexCastNotif(Envelope):
     """FlexCast ``notif``: ask a non-destination group to flush its dependencies."""
@@ -484,6 +546,7 @@ class FlexCastNotif(Envelope):
         )
 
 
+@record
 @dataclass(frozen=True, slots=True)
 class HistorySnapshotFrame(Envelope):
     """A group's cold-sync transfer: its packed live history as one frame.
@@ -503,6 +566,7 @@ class HistorySnapshotFrame(Envelope):
         return _HEADER_BYTES + _GROUP_ID_BYTES + self.delta.size_bytes()
 
 
+@record
 @dataclass(frozen=True, slots=True)
 class FlexCastTsPropose(Envelope):
     """Hybrid mode: one destination's Skeen proposal for a global message.
@@ -536,6 +600,7 @@ class FlexCastTsPropose(Envelope):
         )
 
 
+@record
 @dataclass(frozen=True, slots=True)
 class SkeenTimestamp(Envelope):
     """Skeen: a destination's local timestamp for a message."""
@@ -549,6 +614,7 @@ class SkeenTimestamp(Envelope):
         return _HEADER_BYTES + _MSG_ID_BYTES + _TIMESTAMP_BYTES + _GROUP_ID_BYTES
 
 
+@record
 @dataclass(frozen=True, slots=True)
 class SkeenPropose(Envelope):
     """Skeen: the message as disseminated to every destination group."""
@@ -560,6 +626,7 @@ class SkeenPropose(Envelope):
         return _HEADER_BYTES + self.message.size_bytes()
 
 
+@record
 @dataclass(frozen=True, slots=True)
 class TreeForward(Envelope):
     """Hierarchical: a message ordered by a group and pushed to a child."""

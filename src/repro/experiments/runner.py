@@ -136,7 +136,7 @@ def _run(config: ExperimentConfig, network: Network) -> ExperimentResult:
         sender = message.sender
         if network.is_registered(sender):
             network.send(
-                group_node(group_id), sender, ClientResponse(msg_id=message.msg_id, group=group_id)
+                group_node(group_id), sender, ClientResponse(message.msg_id, group_id)
             )
 
     # ------------------------------------------------------------- groups

@@ -19,25 +19,27 @@ OS processes with per-replica WAL durability and an HTTP admin plane —
 see ``docs/OPERATIONS.md``.
 """
 
-from .client import AsyncMulticastClient
-from .cluster import LocalCluster
-from .codec import CodecError, decode_frame, encode_frame, read_frame
-from .node import FrameServer, GroupServer
-from .proc import ClusterSpec, ProcessCluster, ReplicaServer
-from .transport import AddressBook, AsyncioTransport
+from .. import lazy_exports
 
-__all__ = [
-    "AsyncMulticastClient",
-    "LocalCluster",
-    "ClusterSpec",
-    "ProcessCluster",
-    "ReplicaServer",
-    "FrameServer",
-    "CodecError",
-    "decode_frame",
-    "encode_frame",
-    "read_frame",
-    "GroupServer",
-    "AddressBook",
-    "AsyncioTransport",
-]
+#: Public name -> the submodule defining it.  The package imports none of
+#: them itself: a name is imported on first use (PEP 562), so a process that
+#: needs one subsystem does not load the others.
+_EXPORTS = {
+    "AsyncMulticastClient": ".client",
+    "LocalCluster": ".cluster",
+    "CodecError": ".codec",
+    "decode_frame": ".codec",
+    "encode_frame": ".codec",
+    "read_frame": ".codec",
+    "FrameServer": ".node",
+    "GroupServer": ".node",
+    "ClusterSpec": ".proc",
+    "ProcessCluster": ".proc",
+    "ReplicaServer": ".proc",
+    "AddressBook": ".transport",
+    "AsyncioTransport": ".transport",
+}
+
+__all__ = [*_EXPORTS]
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

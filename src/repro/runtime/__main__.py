@@ -1,10 +1,10 @@
 """``python -m repro.runtime --spec spec.json --group G --replica I``: run one
 replica of a process cluster (:func:`repro.runtime.proc.main`).
 
-The entry point is the package's, not :mod:`repro.runtime.proc`'s: the
-package imports ``proc``, so running ``proc`` itself as ``__main__`` would
-execute that module a second time and give the child two ``ReplicaServer``
-classes (and a ``RuntimeWarning`` saying so).
+The entry point is the package's, not :mod:`repro.runtime.proc`'s: a module
+run as ``__main__`` is a second copy of itself beside any import of it by
+name.  The package imports none of its submodules eagerly, so a replica
+loads only what ``proc`` needs.
 """
 
 import sys

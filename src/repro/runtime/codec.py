@@ -29,6 +29,7 @@ A frame that is not UTF-8, not JSON, or JSON of the wrong shape is a
 
 from __future__ import annotations
 
+import dataclasses
 import struct
 import sys
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -157,7 +158,7 @@ def _delta_to_dict(delta: msg.HistoryDelta) -> Dict[str, Any]:
 def _delta_from_dict(d: Dict[str, Any]) -> msg.HistoryDelta:
     # Delta vertex/edge ids recur across every index and pending-set on the
     # receiving group; interning at the decode boundary makes the in-memory
-    # copies pointer-identical (see Message.__post_init__).
+    # copies pointer-identical (see Message.msg_id).
     intern = sys.intern
     get = d.get
     vertices, edges, snapshot = get("vertices"), get("edges"), get("snapshot")
@@ -204,12 +205,15 @@ def _compile(
 
     As ``dataclasses`` generates ``__init__``, both are written out as source
     and compiled once: every key is a literal, every converter and default a
-    name bound to its object, and the decoder calls the class itself.  A
-    frame then costs one dictionary display to build and one call to read.
-    A bare string names a field that travels as it stands.
+    name bound to its object, and the decoder calls the class itself with
+    its arguments in the class's field order (a positional call into the
+    record's compiled ``__new__`` costs about half a keyword one).  A frame
+    then costs one dictionary display to build and one call to read.  A
+    bare string names a field that travels as it stands; the fields listed
+    must be every field the class's constructor takes.
     """
     namespace: Dict[str, Any] = {"cls": cls}
-    items, kwargs = [f"{tag_key!r}: {tag!r}"], []
+    items, raws = [f"{tag_key!r}: {tag!r}"], {}
     for spec in fields:
         attr, key, to_wire, from_wire, default = (
             _field(spec) if isinstance(spec, str) else spec
@@ -225,10 +229,14 @@ def _compile(
             namespace[f"from_{attr}"] = from_wire
             raw = f"from_{attr}({raw})"
         items.append(f"{key!r}: {value}")
-        kwargs.append(f"{attr}={raw}")
+        raws[attr] = raw
+    names = [f.name for f in dataclasses.fields(cls) if f.init]
+    if sorted(names) != sorted(raws):
+        raise TypeError(f"a row of {cls.__name__} names {sorted(raws)}, not {names}")
+    args = [raws[name] for name in names]
     source = (
         f"def encode(obj):\n    return {{{', '.join(items)}}}\n"
-        f"def decode(data):\n    return cls({', '.join(kwargs)})\n"
+        f"def decode(data):\n    return cls({', '.join(args)})\n"
     )
     exec(compile(source, f"<wire codec of {cls.__name__}>", "exec"), namespace)
     return namespace["encode"], namespace["decode"]

@@ -159,7 +159,7 @@ class FrameServer:
         self.reported_deliveries += 1
         try:
             self.transport.send(
-                message.sender, ClientResponse(msg_id=message.msg_id, group=group_id)
+                message.sender, ClientResponse(message.msg_id, group_id)
             )
         except KeyError:
             pass

@@ -44,6 +44,7 @@ from typing import (
     Tuple,
 )
 
+from ..core.message import record
 from ..jsontext import json_text, json_value
 from ..obs.registry import MetricsRegistry
 from ..sim.network import payload_size
@@ -64,7 +65,8 @@ class UnreadableValue(ValueError):
     when the value is applied."""
 
 
-@dataclass(frozen=True)
+@record
+@dataclass(frozen=True, slots=True)
 class ClientCommand:
     """A command submitted to the replicated log."""
 
@@ -75,7 +77,8 @@ class ClientCommand:
         return 32 + payload_size(self.payload)
 
 
-@dataclass(frozen=True)
+@record
+@dataclass(frozen=True, slots=True)
 class Commit:
     """Leader -> followers: what was accepted for ``instance`` at ``ballot``
     (or any later ballot: those carry the same value) is decided."""
@@ -88,7 +91,8 @@ class Commit:
         return 48
 
 
-@dataclass(frozen=True)
+@record
+@dataclass(frozen=True, slots=True)
 class Heartbeat:
     """Leader liveness signal (also re-announces the current leader)."""
 
@@ -99,7 +103,8 @@ class Heartbeat:
         return 24
 
 
-@dataclass(frozen=True)
+@record
+@dataclass(frozen=True, slots=True)
 class CatchupRequest:
     """Rejoining replica -> peer: send me every decision from ``from_instance``."""
 
@@ -123,7 +128,8 @@ CATCHUP_CHUNK = 2048
 CATCHUP_CHUNK_BYTES = 2 * 1024 * 1024
 
 
-@dataclass(frozen=True)
+@record
+@dataclass(frozen=True, slots=True)
 class CatchupReply:
     """Peer -> rejoining replica: the requested ``(instance, value)`` decisions."""
 
@@ -469,7 +475,7 @@ class MultiPaxosReplica:
         phase 1 the leadership is over, nothing is sent and the Nack is
         returned.
         """
-        accept = Accept(instance=instance, ballot=self.ballot, value=value)
+        accept = Accept(instance, self.ballot, value)
         reply = self.acceptor.on_accept(accept)
         if isinstance(reply, Nack):
             return reply
@@ -635,7 +641,7 @@ class MultiPaxosReplica:
             self._chosen(accepted.instance, slot[0])
 
     def _chosen(self, instance: int, value: Any) -> None:
-        commit = Commit(instance=instance, ballot=self.ballot)
+        commit = Commit(instance, self.ballot)
         self.stats["committed"] += 1
         try:
             self._learn(instance, value)

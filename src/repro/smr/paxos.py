@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from ..core.message import record
 from ..jsontext import json_text, json_value
 
 ReplicaId = Any
@@ -30,7 +31,8 @@ def stored_text(stored: Any) -> bytes:
     return stored if type(stored) is bytes else json_text(stored)
 
 
-@dataclass(frozen=True)
+@record
+@dataclass(frozen=True, slots=True)
 class Ballot:
     """A totally ordered ballot number: (round, proposer id)."""
 
@@ -52,7 +54,8 @@ ZERO_BALLOT = Ballot(-1, -1)
 
 
 # ------------------------------------------------------------------ wire types
-@dataclass(frozen=True)
+@record
+@dataclass(frozen=True, slots=True)
 class Prepare:
     """Phase 1a: a new leader asks for one log-wide promise of ``ballot`` and
     for everything accepted from ``instance`` on."""
@@ -65,7 +68,8 @@ class Prepare:
         return 48
 
 
-@dataclass(frozen=True)
+@record
+@dataclass(frozen=True, slots=True)
 class Promise:
     """Phase 1b: an acceptor promises ``ballot`` for the whole log.
 
@@ -88,7 +92,8 @@ class Promise:
         return 64 + sum(24 + payload_size(value) for _, _, value in self.accepted)
 
 
-@dataclass(frozen=True)
+@record
+@dataclass(frozen=True, slots=True)
 class Accept:
     """Phase 2a: the leader asks acceptors to accept ``value`` at ``ballot``."""
 
@@ -101,7 +106,8 @@ class Accept:
         return 64
 
 
-@dataclass(frozen=True)
+@record
+@dataclass(frozen=True, slots=True)
 class Accepted:
     """Phase 2b: an acceptor accepted the value it was sent at ``ballot``."""
 
@@ -114,7 +120,8 @@ class Accepted:
         return 48
 
 
-@dataclass(frozen=True)
+@record
+@dataclass(frozen=True, slots=True)
 class Nack:
     """An acceptor refused a ballot because it promised a higher one."""
 
@@ -262,11 +269,7 @@ class Acceptor:
                     self._encode(accept.value),
                 ]
             )
-        return Accepted(
-            instance=accept.instance,
-            ballot=accept.ballot,
-            from_replica=self.replica_id,
-        )
+        return Accepted(accept.instance, accept.ballot, self.replica_id)
 
     def accepted(self, instance: int) -> Optional[Tuple[Ballot, Any]]:
         """The ``(ballot, value)`` last accepted for ``instance``, if any."""

@@ -31,7 +31,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable, List, Optional, Sequence, Tuple
 
-from ..core.message import Envelope, Message
+from ..core.message import Envelope, Message, record
 from ..obs import Observability
 from ..overlay.base import GroupId
 from ..protocols.base import AtomicMulticastGroup, AtomicMulticastProtocol, DeliverySink
@@ -39,7 +39,8 @@ from ..sim.transport import Transport
 from .multipaxos import MultiPaxosReplica, ReplicaId
 
 
-@dataclass(frozen=True)
+@record
+@dataclass(frozen=True, slots=True)
 class OrderedEnvelope:
     """Log entry: an envelope (plus its original sender) ordered by the group."""
 
@@ -266,7 +267,7 @@ class GroupReplica:
         if isinstance(payload, Envelope):
             if not self._turn:
                 self._outer_transport.schedule(0, self._flush)
-            self._turn.append(OrderedEnvelope(sender=sender, envelope=payload))
+            self._turn.append(OrderedEnvelope(sender, payload))
         else:
             self.smr.on_message(sender, payload)
 

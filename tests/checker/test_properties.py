@@ -254,6 +254,63 @@ class TestCheckTraceIsTheSequentialReplay:
         assert report.ok == expected, [str(v) for v in report.violations]
 
 
+def pairwise_prefix_violations(messages, sequences):
+    """The prefix-order check as one comparison per pair of common messages:
+    the reference the checker's in-order shortcut must agree with."""
+    dst = {m.msg_id: m.dst for m in messages}
+    position = {
+        g: {m.msg_id: i for i, m in enumerate(seq)} for g, seq in sequences.items()
+    }
+    found = []
+    groups = list(sequences)
+    for i, g in enumerate(groups):
+        for h in groups[i + 1 :]:
+            common = [
+                m for m in set(position[g]) & set(position[h])
+                if m in dst and {g, h} <= dst[m]
+            ]
+            ordered = sorted(common, key=lambda m: position[g][m])
+            for a_idx, a in enumerate(ordered):
+                for b in ordered[a_idx + 1 :]:
+                    if position[h][a] > position[h][b]:
+                        found.append(f"groups {g} and {h} disagree on {a} vs {b}")
+    return found
+
+
+def random_trace(rng, num_messages, groups="ABC"):
+    """Every group delivers its messages in one shared total order."""
+    messages = [
+        msg(f"r{i}", rng.sample(groups, rng.randint(1, len(groups))))
+        for i in range(num_messages)
+    ]
+    sequences = {g: [m for m in messages if g in m.dst] for g in groups}
+    return sequences, messages
+
+
+class TestPrefixOrderAgreesWithThePairwiseCheck:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_same_report_on_random_traces_with_swapped_pairs(self, seed):
+        rng = random.Random(seed)
+        sequences, messages = random_trace(rng, rng.randint(2, 40))
+        for _ in range(seed % 4):  # seeds 0, 4, 8, ... stay clean
+            sequence = sequences[rng.choice(sorted(sequences))]
+            if len(sequence) > 1:
+                i, j = rng.sample(range(len(sequence)), 2)
+                sequence[i], sequence[j] = sequence[j], sequence[i]
+        report = check_trace(sink_from(sequences), messages)
+        found = [
+            v.description for v in report.violations if v.property_name == "prefix-order"
+        ]
+        assert found == pairwise_prefix_violations(messages, sequences)
+
+    def test_a_clean_two_group_trace_of_20k_common_messages(self):
+        # One comparison per pair would be 2 * 10^8 of them; the in-order
+        # shortcut reads each position once.
+        messages = [msg(f"c{i}", {"A", "B"}) for i in range(20_000)]
+        report = check_trace(sink_from({"A": messages, "B": messages}), messages)
+        assert report.ok and report.checked_messages == 20_000
+
+
 class TestGenuineness:
     def test_equal_counts_pass(self):
         report = check_genuineness({1: 10, 2: 5}, {1: 10, 2: 5}, groups=[1, 2])

@@ -10,12 +10,16 @@ the envelope hierarchy, and the id interning that makes history indexes
 share one string per message id.
 """
 
+import copy
+import dataclasses
+import pickle
 import sys
 
 import pytest
 
 from repro.core import message as msg
 from repro.core.message import HistoryDelta, HistorySnapshot, Message
+from repro.smr import multipaxos, paxos, replica
 
 #: Upper bound on the bare Message object (CPython 3.10-3.12 measures 96
 #: bytes with 10 slots; the headroom absorbs interpreter layout changes
@@ -70,3 +74,142 @@ class TestSlottedCore:
         members = [Message(msg_id=f"mm{i}", dst=frozenset({1})) for i in range(3)]
         carrier = Message.batch_of(members, batch_id="b1")
         assert carrier.members[0].msg_id is sys.intern("mm0")
+
+
+# ------------------------------------------------------------ record semantics
+# Every record class builds through one compiled ``__new__`` (``record`` in
+# core/message.py) instead of the dataclass ``__init__``; what a frozen
+# slotted dataclass promises must hold for each of them all the same.
+M = Message("m7", frozenset({1, 2}), "c", "p", 3)
+B0, B1 = paxos.Ballot(0, 1), paxos.Ballot(2, 0)
+DELTA = HistoryDelta((("m7", frozenset({1, 2})),), (("m6", "m7"),), "m6", 4)
+
+#: One sample per record class: its constructor's arguments, in field order.
+RECORDS = {
+    Message: ("m1", frozenset({1}), "c", "p", 3, False, "t1", ()),
+    HistorySnapshot: (("m7",), (frozenset({1}),), ("m6",), ("m7",), "m6", 5),
+    HistoryDelta: DELTA.__getnewargs__(),
+    msg.ClientRequest: (M,),
+    msg.FlexCastBatch: (Message.batch_of([M], batch_id="b1"),),
+    msg.ClientResponse: ("m7", 2),
+    msg.NodeHello: ("n1", "127.0.0.1", 4000),
+    msg.FlexCastMsg: (M, DELTA, frozenset({(3, 1)}), ((1, 5),)),
+    msg.FlexCastAck: (M, DELTA, 2, 1, frozenset({(3, 2)}), ((2, 6),)),
+    msg.FlexCastNotif: (M, DELTA, 1),
+    msg.HistorySnapshotFrame: (1, DELTA),
+    msg.FlexCastTsPropose: (M, 7, 1),
+    msg.SkeenTimestamp: ("m7", 7, 1),
+    msg.SkeenPropose: (M,),
+    msg.TreeForward: (M, 9),
+    paxos.Ballot: (3, 1),
+    paxos.Prepare: (4, B1),
+    paxos.Promise: (4, B1, ((4, B0, "v"),), "r1"),
+    paxos.Accept: (4, B1, "v"),
+    paxos.Accepted: (4, B1, "r1"),
+    paxos.Nack: (4, B0, B1, "r1"),
+    multipaxos.ClientCommand: ("v",),
+    multipaxos.Commit: (4, B1),
+    multipaxos.Heartbeat: ("r0",),
+    multipaxos.CatchupRequest: (4, "r2"),
+    multipaxos.CatchupReply: (((4, "v"),),),
+    replica.OrderedEnvelope: ("c", msg.ClientResponse("m7", 2)),
+}
+
+
+def init_names(cls):
+    return [f.name for f in dataclasses.fields(cls) if f.init]
+
+
+def keywords(cls):
+    return dict(zip(init_names(cls), RECORDS[cls]))
+
+
+record_classes = pytest.mark.parametrize("cls", list(RECORDS), ids=lambda c: c.__name__)
+
+
+def test_the_sweep_covers_every_record_class():
+    defined = {
+        obj
+        for module in (msg, paxos, multipaxos, replica)
+        for obj in vars(module).values()
+        if isinstance(obj, type)
+        and dataclasses.is_dataclass(obj)
+        and obj.__module__ == module.__name__
+    }
+    assert defined == set(RECORDS)
+
+
+@record_classes
+class TestRecordSemantics:
+    def test_construction_builds_the_class_itself_without_a_dict(self, cls):
+        obj = cls(*RECORDS[cls])
+        assert type(obj) is cls
+        assert not hasattr(obj, "__dict__")
+
+    def test_every_field_is_frozen(self, cls):
+        obj = cls(*RECORDS[cls])
+        for f in dataclasses.fields(cls):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, f.name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(obj, f.name)
+
+    def test_positional_and_keyword_construction_agree(self, cls):
+        by_position, by_name = cls(*RECORDS[cls]), cls(**keywords(cls))
+        assert by_position == by_name
+        assert hash(by_position) == hash(by_name)
+        for name, value in keywords(cls).items():
+            assert getattr(by_position, name) == value
+
+    def test_replace_round_trips(self, cls):
+        obj = cls(*RECORDS[cls])
+        copy_ = dataclasses.replace(obj)
+        assert copy_ == obj and copy_ is not obj and type(copy_) is cls
+        first = init_names(cls)[0]
+        changed = dataclasses.replace(obj, **{first: RECORDS[cls][0]})
+        assert changed == obj
+
+    def test_copy_and_pickle_round_trip(self, cls):
+        obj = cls(*RECORDS[cls])
+        assert copy.copy(obj) == obj
+        assert copy.deepcopy(obj) == obj
+        assert pickle.loads(pickle.dumps(obj)) == obj
+
+    def test_init_false_fields_hold_their_default(self, cls):
+        obj = cls(*RECORDS[cls])
+        for f in dataclasses.fields(cls):
+            if not f.init:
+                assert getattr(obj, f.name) == f.default
+
+    def test_missing_or_unknown_arguments_raise_type_error(self, cls):
+        args = RECORDS[cls]
+        with pytest.raises(TypeError):
+            cls(*args, no_such_field=1)
+        with pytest.raises(TypeError):
+            cls(*args, None)  # one more than the constructor takes
+        required = [
+            f for f in dataclasses.fields(cls)
+            if f.init and f.default is dataclasses.MISSING
+        ]
+        if required:
+            with pytest.raises(TypeError):
+                cls()
+
+
+def test_equality_depends_on_the_class():
+    carrier = Message.batch_of([M], batch_id="b1")
+    assert msg.FlexCastBatch(carrier) != msg.ClientRequest(carrier)
+    assert msg.SkeenPropose(M) != msg.ClientRequest(M)
+    assert paxos.Accepted(4, B1, "r1") != multipaxos.Commit(4, B1)
+
+
+def test_message_ids_are_interned_on_both_paths():
+    # Ids joined at run time: the compiler would share equal literals.
+    def fresh(text):
+        return "".join(list(text))
+
+    by_position = Message(fresh("by-position"), frozenset({1}))
+    by_name = Message(msg_id=fresh("by-name"), dst=frozenset({1}))
+    replaced = dataclasses.replace(M, msg_id=fresh("by-replace"))
+    for message in (by_position, by_name, replaced):
+        assert message.msg_id is sys.intern(fresh(message.msg_id))

@@ -512,6 +512,15 @@ WRONG_SHAPE.update({
 
 
 class TestErrors:
+    def test_a_schema_row_must_name_every_constructor_field(self):
+        # The decoder calls the record positionally, in its field order.
+        with pytest.raises(TypeError):
+            codec._compile(ClientResponse, "type", "response", "msg_id")
+        with pytest.raises(TypeError):
+            codec._compile(ClientResponse, "type", "response", "msg_id", "group", "kind")
+        encode, decode = codec._compile(ClientResponse, "type", "r", "group", "msg_id")
+        assert decode(encode(ClientResponse("m1", 2))) == ClientResponse("m1", 2)
+
     def test_unknown_envelope_type_rejected_on_encode(self):
         with pytest.raises(CodecError):
             encode_frame("n", object())
