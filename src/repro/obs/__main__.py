@@ -3,9 +3,9 @@
 Two subcommands over the two artifact kinds the stack can emit:
 
 - ``dashboard SNAPSHOT.json`` — a text dashboard over a metrics
-  snapshot (``MetricsRegistry.dump_json`` / the fuzz harness /
-  ``LocalCluster.scrape``-captured Prometheus text is *not* needed:
-  the JSON snapshot is the canonical offline form).
+  snapshot (``MetricsRegistry.dump_json``, e.g. the ``metrics-*.json``
+  file a failing fuzz seed writes; a replica's ``/metrics`` text is for
+  live scrapers, the JSON snapshot is the canonical offline form).
 - ``trace DUMP.json [--id TRACE]`` — per-message timelines from a
   trace dump (``Tracer.dump_json``), e.g. the ``trace-*.json`` file a
   failing fuzz seed writes next to its shrunk schedule.

@@ -1,20 +1,20 @@
-"""Runtime nodes: the frame server every listener shares, and the group server.
+"""The frame server every listener of the runtime shares.
 
-:class:`FrameServer` is the only reader of wire frames in the runtime;
-:class:`GroupServer` runs one protocol group on top of it.
+:class:`FrameServer` is the only reader of wire frames in the runtime: the
+replica server (:class:`~repro.runtime.proc.ReplicaServer`) and the
+multicast client are its subclasses.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Callable, Dict, Hashable, Optional, Tuple
+from typing import Any, Dict, Hashable, Optional, Tuple
 
 from ..core.message import ClientResponse, Message, NodeHello
 from ..obs import Observability
 from ..overlay.base import GroupId
-from ..protocols.base import AtomicMulticastProtocol
 from .codec import CodecError, read_frame
-from .transport import AddressBook, AsyncioTransport
+from .transport import AsyncioTransport
 
 #: First bytes of an HTTP GET.  As a frame length prefix this would claim a
 #: ~1.2 GB frame — far above ``MAX_FRAME_BYTES`` — so no legitimate frame
@@ -28,16 +28,15 @@ HttpResponse = Tuple[bytes, bytes, bytes]
 class FrameServer:
     """The runtime's one TCP front end: length-prefixed frames + HTTP on one port.
 
-    Everything that listens — :class:`GroupServer` (one process per *group*),
-    :class:`~repro.runtime.proc.ReplicaServer` (one process per *replica*)
-    and the multicast client — is a subclass, so frames are read in
-    exactly one place.  A port accepts two kinds of traffic:
+    Everything that listens — :class:`~repro.runtime.proc.ReplicaServer`
+    (one per *replica*) and the multicast client — is a subclass, so frames
+    are read in exactly one place.  A port accepts two kinds of traffic:
 
     * wire frames (:mod:`repro.runtime.codec`), fed to :meth:`handle_frame`
       one by one for as long as the peer keeps the connection open; and
     * plain HTTP ``GET`` requests, answered by :meth:`handle_http` —
-      ``/metrics`` scrapes, readiness probes, and (for the process runtime)
-      the supervisor's admin plane.
+      ``/metrics`` scrapes, readiness probes, and (for a replica) the
+      supervisor's admin plane.
 
     The first four bytes of every connection decide which it is.
 
@@ -249,69 +248,3 @@ async def _http_get(
     status_parts = head.split(b"\r\n", 1)[0].split(b" ")
     status = int(status_parts[1]) if len(status_parts) >= 2 else 0
     return status, body
-
-
-class GroupServer(FrameServer):
-    """One group of any atomic multicast protocol, served over TCP.
-
-    The server accepts frames from clients and from other groups, feeds them
-    to the group's protocol logic, and sends a :class:`ClientResponse` back to
-    the message's sender whenever the group delivers a message.  An optional
-    ``on_deliver`` callback lets applications consume deliveries directly
-    (that is the integration point for building replicated services on top).
-
-    Nothing here is durable: a group that must survive a restart runs as
-    replicas of a replicated log (:class:`~repro.runtime.proc.ReplicaServer`,
-    one replica is enough).
-    """
-
-    def __init__(
-        self,
-        group_id: GroupId,
-        protocol: AtomicMulticastProtocol,
-        addresses: AddressBook,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        on_deliver: Optional[Callable[[GroupId, Message], None]] = None,
-        latencies=None,
-        sites: Optional[Dict[Hashable, int]] = None,
-        obs: Optional[Observability] = None,
-    ) -> None:
-        super().__init__(host=host, port=port)
-        self.group_id = group_id
-        self._on_deliver = on_deliver
-        self.transport = AsyncioTransport(
-            node_id=group_id, addresses=addresses, latencies=latencies, sites=sites
-        )
-        self.group = protocol.create_group(group_id, self.transport, self._sink)
-        self.delivered: list = []
-        if obs is not None:
-            self.attach_obs(obs)
-
-    def attach_obs(self, obs: Observability) -> None:
-        """Attach an observability hub: group instrumentation + ``/metrics``.
-
-        Once attached, an HTTP ``GET /metrics`` on the server's port answers
-        with the registry in Prometheus text exposition format (regular frame
-        traffic on the same port is unaffected — see ``_HTTP_GET``).
-        """
-        self.group.attach_obs(obs)
-        self._register_metrics(obs, {"group": str(self.group_id)})
-
-    # ----------------------------------------------------------------- server
-    async def start(self) -> Tuple[str, int]:
-        """Start listening; returns the bound (host, port)."""
-        host, port = await super().start()
-        self.transport.register_address(self.group_id, host, port)
-        return host, port
-
-    # ------------------------------------------------------------------ hooks
-    def handle_frame(self, sender: Hashable, envelope: Any) -> None:
-        self.group.on_envelope(sender, envelope)
-
-    # --------------------------------------------------------------- delivery
-    def _sink(self, group_id: GroupId, message: Message) -> None:
-        self.delivered.append(message)
-        if self._on_deliver is not None:
-            self._on_deliver(group_id, message)
-        super()._sink(group_id, message)

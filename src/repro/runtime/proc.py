@@ -12,9 +12,9 @@ durability.  What this module adds is the topology and the supervision:
   ``/ready``, ``/delivered``, ``/stop`` and the ``/admin/*`` failure-detector
   endpoints) on a single TCP port.  Run it with
   ``python -m repro.runtime --spec spec.json --group G --replica I``.
-* :class:`ProcessCluster` — the parent side.  Allocates ports, writes the
-  cluster spec, spawns the children, polls readiness, and drives
-  kill/restart through WAL replay and the rejoin catch-up.
+* :class:`ProcessCluster` — the parent side.  Has the cluster spec
+  allocate ports, writes it, spawns the children, polls readiness, and
+  drives kill/restart through WAL replay and the rejoin catch-up.
 
 Topology conventions (documented for operators in ``docs/OPERATIONS.md``):
 
@@ -54,6 +54,7 @@ from ..core.timestamps import Exposure
 from ..obs import Observability
 from ..overlay.base import GroupId
 from ..overlay.cdag import CDagOverlay
+from ..sim.latencies import LatencyMatrix
 from ..smr.replica import GroupReplica, replica_node
 from ..storage.file import FileStorage
 from .client import AsyncMulticastClient
@@ -70,6 +71,12 @@ class ClusterSpec:
     handed the file path plus its own ``(group, replica)`` coordinates.
     Addresses are stored as ``[node_id, host, port]`` triples so int group
     ids survive the JSON round-trip (a JSON object would stringify them).
+
+    ``latencies`` emulates a WAN: one-way milliseconds as matrix rows, with
+    group ``g`` and its replicas at site ``g``.  Every replica's transport
+    holds each inter-site frame for its delay, the technique the paper uses
+    on CloudLab; clients sit at no site and pay none.  ``None`` (the
+    default) sends at loopback speed.
     """
 
     groups: List[GroupId]
@@ -77,6 +84,7 @@ class ClusterSpec:
     storage_root: str
     host: str = "127.0.0.1"
     addresses: List[Tuple[Hashable, str, int]] = field(default_factory=list)
+    latencies: Optional[List[List[float]]] = None
 
     # ----------------------------------------------------------- derived views
     def address_book(self) -> AddressBook:
@@ -89,6 +97,12 @@ class ClusterSpec:
     def replica_address(self, group_id: GroupId, index: int) -> Tuple[str, int]:
         return self.address_book()[replica_node(group_id, index)]
 
+    def sites(self) -> Dict[Hashable, int]:
+        """The emulated WAN's site of every node: group g's, and its replicas'."""
+        return {
+            node: gid for gid in self.groups for node in (gid, *self.replica_ids(gid))
+        }
+
     def replica_dir(self, group_id: GroupId, index: int) -> str:
         return os.path.join(
             self.storage_root, f"group-{group_id}", f"replica-{index}"
@@ -100,6 +114,33 @@ class ClusterSpec:
             CDagOverlay(list(self.groups)), exposure=Exposure.none()
         )
 
+    def allocate_addresses(self) -> None:
+        """Pick one free port per replica, then map group ids to replica 0.
+
+        All probe sockets stay open until every port is picked, so the OS
+        cannot hand the same port out twice within one allocation pass.  A
+        spec that already has addresses keeps them.
+        """
+        if self.addresses:
+            return
+        probes: List[socket.socket] = []
+        triples: List[Tuple[Hashable, str, int]] = []
+        try:
+            for gid in self.groups:
+                for node in self.replica_ids(gid):
+                    probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+                    probe.bind((self.host, 0))
+                    probes.append(probe)
+                    triples.append((node, self.host, probe.getsockname()[1]))
+        finally:
+            for probe in probes:
+                probe.close()
+        book = {node_id: (host, port) for node_id, host, port in triples}
+        for gid in self.groups:
+            host, port = book[replica_node(gid, 0)]
+            triples.append((gid, host, port))
+        self.addresses = triples
+
     # -------------------------------------------------------------------- json
     def to_json(self) -> str:
         return json.dumps(
@@ -109,6 +150,7 @@ class ClusterSpec:
                 "storage_root": self.storage_root,
                 "host": self.host,
                 "addresses": [list(triple) for triple in self.addresses],
+                "latencies": self.latencies,
             },
             indent=2,
         )
@@ -122,6 +164,7 @@ class ClusterSpec:
             storage_root=data["storage_root"],
             host=data.get("host", "127.0.0.1"),
             addresses=[tuple(triple) for triple in data["addresses"]],
+            latencies=data.get("latencies"),
         )
 
 
@@ -176,7 +219,12 @@ class ReplicaServer(FrameServer):
         host, port = addresses[self.replica_id]
         super().__init__(host=host, port=port)
         obs = obs if obs is not None else Observability()
-        self.transport = AsyncioTransport(node_id=self.replica_id, addresses=addresses)
+        self.transport = AsyncioTransport(
+            node_id=self.replica_id,
+            addresses=addresses,
+            latencies=None if spec.latencies is None else LatencyMatrix(spec.latencies),
+            sites=spec.sites(),
+        )
         self._storage = FileStorage(spec.replica_dir(group_id, index), obs=obs)
         # Deliveries are only counted (the base's ``reported_deliveries``):
         # a soak run pushes millions of messages through one process, and
@@ -323,6 +371,7 @@ class ProcessCluster:
         replication: int = 3,
         storage_root: Optional[str] = None,
         host: str = "127.0.0.1",
+        latencies: Optional[List[List[float]]] = None,
     ) -> None:
         if groups < 1 or replication < 1:
             raise ValueError("need at least one group and one replica")
@@ -335,6 +384,7 @@ class ProcessCluster:
                 else tempfile.mkdtemp(prefix="repro-cluster-")
             ),
             host=host,
+            latencies=latencies,
         )
         self.protocol = self.spec.build_protocol()
         self.processes: Dict[Tuple[GroupId, int], subprocess.Popen] = {}
@@ -358,14 +408,10 @@ class ProcessCluster:
             and proc.poll() is None
         ]
 
-    def replica_address(self, group_id: GroupId, index: int) -> Tuple[str, int]:
-        """The (host, port) a replica serves frames *and* HTTP on."""
-        return self.spec.replica_address(group_id, index)
-
     # --------------------------------------------------------------- lifecycle
     async def start(self, ready_timeout: float = 30.0) -> None:
         """Allocate ports, write the spec, spawn every replica, await ready."""
-        self._allocate_addresses()
+        self.spec.allocate_addresses()
         os.makedirs(self.spec.storage_root, exist_ok=True)
         self._spec_path = os.path.join(self.spec.storage_root, "spec.json")
         with open(self._spec_path, "w", encoding="utf-8") as handle:
@@ -514,32 +560,6 @@ class ProcessCluster:
         return body.decode("utf-8")
 
     # ----------------------------------------------------------------- helpers
-    def _allocate_addresses(self) -> None:
-        """Pick one free port per replica, then map group ids to replica 0.
-
-        All probe sockets stay open until every port is picked, so the OS
-        cannot hand the same port out twice within one allocation pass.
-        """
-        if self.spec.addresses:
-            return
-        probes: List[socket.socket] = []
-        triples: List[Tuple[Hashable, str, int]] = []
-        try:
-            for gid, index in self.replica_coords():
-                probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-                probe.bind((self.spec.host, 0))
-                probes.append(probe)
-                port = probe.getsockname()[1]
-                triples.append((replica_node(gid, index), self.spec.host, port))
-        finally:
-            for probe in probes:
-                probe.close()
-        book = {node_id: (host, port) for node_id, host, port in triples}
-        for gid in self.spec.groups:
-            host, port = book[replica_node(gid, 0)]
-            triples.append((gid, host, port))
-        self.spec.addresses = triples
-
     def _spawn(self, group_id: GroupId, index: int) -> None:
         assert self._spec_path is not None, "start() writes the spec first"
         log_dir = os.path.join(self.spec.storage_root, "logs")

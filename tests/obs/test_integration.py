@@ -1,19 +1,20 @@
 """End-to-end observability: instrumented protocol, live export.
 
-Covers the three export paths — Prometheus text over the frame port,
-``LocalCluster.scrape``, JSON snapshot — plus the leak gauges the fuzz
-oracle reads.
+Covers the export paths — Prometheus text over each replica's frame port
+and the JSON snapshot — plus the leak gauges the fuzz oracle reads.
 """
 
 import asyncio
 
-from repro.core.flexcast import FlexCastGroup, FlexCastProtocol
+from repro.core.flexcast import FlexCastGroup
 from repro.core.message import Message
 from repro.obs import Observability, STAGE_DELIVER, STAGE_ENQUEUE
 from repro.overlay.cdag import CDagOverlay
 from repro.protocols.base import RecordingSink
-from repro.runtime.cluster import LocalCluster
+from repro.runtime.client import AsyncMulticastClient
+from repro.runtime.node import _http_get
 from repro.sim.transport import RecordingTransport
+from runtime.conftest import ReplicaCluster
 
 
 def run(coro):
@@ -67,39 +68,32 @@ class TestInstrumentedGroup:
 
 
 class TestLiveExport:
-    def test_metrics_endpoint_and_scrape(self):
+    def test_metrics_endpoint_and_scrape(self, tmp_path):
         async def scenario():
-            obs = Observability()
-            protocol = FlexCastProtocol(CDagOverlay([0, 1, 2]))
-            async with LocalCluster(protocol, obs=obs) as cluster:
+            async with ReplicaCluster(3, str(tmp_path)) as cluster:
                 client = await cluster.new_client("client-1")
                 await client.multicast([0, 2], payload="order")
-                bodies = await cluster.scrape()
-                assert set(bodies) == {0, 1, 2}
-                # One shared registry: any port's /metrics shows the whole
-                # cluster, labelled per group.
-                body = bodies[0]
-                assert "# TYPE group_delivered_total counter" in body
-                assert 'group_delivered_total{group="0"} 1' in body
-                assert 'group_delivered_total{group="2"} 1' in body
-                assert 'server_frames_received_total{group="0"}' in body
+                bodies = {}
+                for gid, server in cluster.servers.items():
+                    status, body = await _http_get(server.host, server.port, "/metrics")
+                    assert status == 200
+                    bodies[gid] = body.decode("utf-8")
+                # Each replica serves its own registry, labelled with its
+                # group and replica.
+                assert "# TYPE group_delivered_total counter" in bodies[0]
+                for gid, delivered in ((0, 1), (1, 0), (2, 1)):
+                    labels = f'{{group="{gid}"}}'
+                    assert f"group_delivered_total{labels} {delivered}" in bodies[gid]
+                    assert "server_frames_received_total{" in bodies[gid]
 
         run(scenario())
 
-    def test_unknown_path_is_404_and_frames_still_work(self):
+    def test_unknown_path_is_404_and_frames_still_work(self, tmp_path):
         async def scenario():
-            obs = Observability()
-            protocol = FlexCastProtocol(CDagOverlay([0, 1]))
-            async with LocalCluster(protocol, obs=obs) as cluster:
+            async with ReplicaCluster(2, str(tmp_path)) as cluster:
                 server = cluster.servers[0]
-                reader, writer = await asyncio.open_connection(
-                    server.host, server.port
-                )
-                writer.write(b"GET /nope HTTP/1.0\r\n\r\n")
-                await writer.drain()
-                raw = await reader.read(-1)
-                writer.close()
-                assert raw.startswith(b"HTTP/1.0 404")
+                status, _ = await _http_get(server.host, server.port, "/nope")
+                assert status == 404
                 # The HTTP detour must not break the frame protocol.
                 client = await cluster.new_client("client-1")
                 latencies = await client.multicast([0, 1])
@@ -109,16 +103,13 @@ class TestLiveExport:
 
     def test_metrics_404_without_observability(self):
         async def scenario():
-            protocol = FlexCastProtocol(CDagOverlay([0, 1]))
-            async with LocalCluster(protocol) as cluster:
-                server = cluster.servers[0]
-                reader, writer = await asyncio.open_connection(
-                    server.host, server.port
-                )
-                writer.write(b"GET /metrics HTTP/1.0\r\n\r\n")
-                await writer.drain()
-                raw = await reader.read(-1)
-                writer.close()
-                assert raw.startswith(b"HTTP/1.0 404")
+            # A client serves frames and HTTP on its port but carries no hub.
+            client = AsyncMulticastClient("client-1", protocol=None, addresses={})
+            host, port = await client.start()
+            try:
+                status, _ = await _http_get(host, port, "/metrics")
+            finally:
+                await client.stop()
+            assert status == 404
 
         run(scenario())

@@ -2,8 +2,8 @@
 
 ``repro`` and ``repro.runtime`` re-export their public names lazily (PEP
 562), so ``python -m repro.runtime`` — every replica of a process cluster —
-does not pay for the experiment runner, the metrics stack, the workload
-generators or the in-process cluster at start-up.
+does not pay for the experiment runner, the metrics stack or the workload
+generators at start-up.
 """
 
 import importlib
@@ -18,7 +18,7 @@ import pytest
 import repro
 
 #: Subsystems a replica never runs.
-NOT_A_REPLICA = ("repro.experiments", "repro.metrics", "repro.workload", "repro.runtime.cluster")
+NOT_A_REPLICA = ("repro.experiments", "repro.metrics", "repro.workload")
 
 
 def test_a_replica_loads_none_of_the_other_subsystems():
@@ -52,4 +52,4 @@ def test_every_exported_name_resolves(package):
 def test_star_import_binds_every_exported_name():
     namespace = {}
     exec("from repro.runtime import *", namespace)
-    assert {"ProcessCluster", "LocalCluster", "encode_frame"} <= set(namespace)
+    assert {"ProcessCluster", "ReplicaServer", "encode_frame"} <= set(namespace)

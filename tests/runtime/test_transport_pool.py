@@ -7,15 +7,13 @@ import asyncio
 import pytest
 
 import repro.runtime.transport as transport_module
-from repro.core.flexcast import FlexCastProtocol
 from repro.core.message import NodeHello
-from repro.obs import Observability
-from repro.overlay.cdag import CDagOverlay
-from repro.runtime.cluster import LocalCluster
 from repro.runtime.codec import encode_frame
-from repro.runtime.node import FrameServer
+from repro.runtime.node import FrameServer, _http_get
 from repro.runtime.transport import AsyncioTransport
 from repro.sim.latencies import LatencyMatrix
+
+from .conftest import ReplicaCluster
 
 
 def run(coro):
@@ -433,13 +431,16 @@ class TestQueueRules:
 
 
 class TestTransportMetrics:
-    def test_transport_series_on_metrics(self):
+    def test_transport_series_on_metrics(self, tmp_path):
         async def scenario():
-            protocol = FlexCastProtocol(CDagOverlay([0, 1]))
-            async with LocalCluster(protocol, obs=Observability()) as cluster:
+            async with ReplicaCluster(2, str(tmp_path)) as cluster:
                 client = await cluster.new_client("client-1")
                 await client.multicast([0, 1], payload="order")
-                body = (await cluster.scrape())[0]
+                server = cluster.servers[0]
+                status, body = await _http_get(server.host, server.port, "/metrics")
+                assert status == 200
+                body = body.decode("utf-8")
+                labels = '{group="0",replica="group-0-replica-0"}'
                 for series in (
                     "transport_frames_sent_total",
                     "transport_writes_total",
@@ -447,9 +448,9 @@ class TestTransportMetrics:
                     "transport_reconnects_total",
                     "transport_queued_frames",
                 ):
-                    assert f'{series}{{group="0"}}' in body, series
-                sent = cluster.servers[0].transport.sent_frames
+                    assert f"{series}{labels}" in body, series
+                sent = server.transport.sent_frames
                 assert sent >= 1
-                assert f'transport_frames_sent_total{{group="0"}} {sent}' in body
+                assert f"transport_frames_sent_total{labels} {sent}" in body
 
         run(scenario())
