@@ -2,8 +2,8 @@
 """Standalone micro-benchmark harness for the FlexCast core hot path.
 
 Times the operations that dominate per-delivery cost — ``diff_for``,
-``merge_delta``, the full lca delivery round (plain, hybrid, batched and
-after 64 notif acks), a WAL append and one batch frame's wire round trip
+``merge_delta``, the full lca delivery round (plain, batched and after 64
+notif acks), a WAL append and one batch frame's wire round trip
 — at several history sizes,
 plus a throughput-vs-batch-size sweep, and writes the numbers to
 ``BENCH_micro.json`` so the perf trajectory is tracked across PRs (see
@@ -41,11 +41,9 @@ from repro.core.message import (  # noqa: E402
     ClientResponse,
     FlexCastBatch,
     FlexCastNotif,
-    FlexCastTsPropose,
     HistoryDelta,
     Message,
 )
-from repro.core.timestamps import Exposure  # noqa: E402
 from repro.obs import Observability  # noqa: E402
 from repro.overlay.cdag import CDagOverlay  # noqa: E402
 from repro.protocols.base import RecordingSink  # noqa: E402
@@ -243,47 +241,6 @@ def bench_delivery_round(size: int) -> Callable[[], None]:
     return op
 
 
-def bench_delivery_round_hybrid(size: int) -> Callable[[], None]:
-    """One steady-state lca delivery round with the hybrid Skeen-timestamp
-    ordering authority on (|H| = ``size``).
-
-    Same shape as ``delivery_round`` plus the hybrid overhead: the client
-    request mints a local Skeen proposal (broadcast to the two peers), both
-    peers' proposals arrive, the final timestamp decides and the convoy gate
-    releases the delivery.  The gap to ``delivery_round`` is the paper's
-    convoy-effect cost on the gated hot path, which the CI gate bounds.
-    """
-    overlay = CDagOverlay(list(range(12)))
-    group = FlexCastGroup(
-        0, overlay, RecordingTransport(0), RecordingSink(), exposure=Exposure.all()
-    )
-    for i in range(size):
-        group.history.record_delivery(
-            Message(msg_id=f"fill-{i}", dst=frozenset({0, 3, 7}))
-        )
-    for dest in (3, 7):
-        group.diff_tracker.diff_for(dest, group.history)
-    counter = {"i": 0}
-
-    def op() -> None:
-        counter["i"] += 1
-        mid = f"bench-{counter['i']}"
-        message = Message(msg_id=mid, dst=frozenset({0, 3, 7}))
-        group.on_client_request(message)
-        assert group.ts is not None
-        local_ts = group.ts.pending[mid].local_timestamp
-        for peer in (3, 7):
-            group.on_envelope(
-                peer,
-                FlexCastTsPropose(
-                    message=message, timestamp=local_ts, from_group=peer
-                ),
-            )
-        assert group.has_delivered(mid)
-
-    return op
-
-
 #: Window the batched delivery benchmark coalesces under (and the size the
 #: CI gate's >=2x-throughput claim is made at; see DESIGN.md "batching the
 #: delivery path").
@@ -350,7 +307,9 @@ def bench_delivery_round_pivots(size: int) -> Callable[[], None]:
         delta = HistoryDelta(
             vertices=((pivot.msg_id, elsewhere),), edges=((last, pivot.msg_id),)
         )
-        group.on_envelope(0, FlexCastNotif(message=pivot, history=delta, from_group=0))
+        group.on_envelope(
+            0, FlexCastNotif(message=pivot, history=delta, from_group=0, seq=k + 1)
+        )
     vertices, edges = [], []
     for u in range(3):
         chain = [f"open-{u}"] + [f"after-{u}-{j}" for j in range(5)]
@@ -365,6 +324,7 @@ def bench_delivery_round_pivots(size: int) -> Callable[[], None]:
             message=parked,
             history=HistoryDelta(vertices=tuple(vertices), edges=tuple(edges)),
             from_group=0,
+            seq=65,
         ),
     )
     assert group.stats["acks_sent"] == 64
@@ -462,7 +422,6 @@ BENCHMARKS: Dict[str, Callable[[int], Callable[[], None]]] = {
     "merge_delta": bench_merge_delta,
     "cold_sync": bench_cold_sync,
     "delivery_round": bench_delivery_round,
-    "delivery_round_hybrid": bench_delivery_round_hybrid,
     "delivery_round_batched": bench_delivery_round_batched,
     "delivery_round_obs": bench_delivery_round_obs,
     "delivery_round_pivots": bench_delivery_round_pivots,
@@ -612,7 +571,7 @@ def main(argv: List[str] | None = None) -> int:
     )
     parser.add_argument(
         "--gate",
-        default="diff_for,delivery_round,delivery_round_hybrid,"
+        default="diff_for,delivery_round,"
         "delivery_round_batched,delivery_round_obs,"
         "delivery_round_pivots,wal_append",
         help="comma-separated benchmarks the --compare gate checks "

@@ -200,10 +200,12 @@ def test_flexcast_non_lca_delivery_round(benchmark):
 
     def run():
         counter["i"] += 1
-        message = Message(msg_id=f"bench-{counter['i']}", dst=frozenset({0, 3, 7}))
-        group.on_envelope(0, FlexCastMsg(message=message, history=EMPTY_DELTA))
+        seq = counter["i"]  # the next number on both channels into group 7
+        message = Message(msg_id=f"bench-{seq}", dst=frozenset({0, 3, 7}))
+        group.on_envelope(0, FlexCastMsg(message=message, history=EMPTY_DELTA, seq=seq))
         group.on_envelope(
-            3, FlexCastAck(message=message, history=EMPTY_DELTA, from_group=3)
+            3, FlexCastAck(message=message, history=EMPTY_DELTA, from_group=3, seq=seq)
         )
+        assert group.has_delivered(message.msg_id)
 
     benchmark(run)

@@ -181,8 +181,8 @@ def find_delivery_cycle(
     depth-first walk meets when start nodes are taken in the order given and
     successors in sorted order, so the witness is a function of the relation
     alone.  The acyclic-order check reports it so a violation names an
-    actual witness — with exposure promoting ``acyclic-order`` to a hard CI
-    failure, "a cycle exists" alone is not an actionable report.
+    actual witness — ``acyclic-order`` is a hard CI failure, and "a cycle
+    exists" alone is not an actionable report.
     """
     colors: Dict[str, int] = {}
     stack: List[str] = []

@@ -1,8 +1,7 @@
 """FlexCast core: messages, histories, the protocol itself, GC, clients and batching.
 
 Main entry points: :class:`FlexCastProtocol` (deploy the protocol on a C-DAG
-overlay; ``exposure=`` an :class:`Exposure` picks what the Skeen-timestamp
-authority orders), :class:`Message` (the application multicast unit),
+overlay), :class:`Message` (the application multicast unit),
 :class:`MulticastClient` / :class:`BatchingClient` (submission + response
 tracking, unbatched and window-coalesced), and :class:`FlushCoordinator`
 (periodic garbage-collection flush multicasts).
@@ -31,7 +30,6 @@ from .message import (
     fresh_message_id,
     reset_message_ids,
 )
-from .timestamps import Exposure
 
 __all__ = [
     "BatchingClient",
@@ -41,7 +39,6 @@ __all__ = [
     "FlexCastProtocol",
     "PendingMessage",
     "FlushCoordinator",
-    "Exposure",
     "History",
     "HistoryDiffTracker",
     "ClientRequest",

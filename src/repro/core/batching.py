@@ -1,17 +1,16 @@
 """Client-side adaptive message batching.
 
 Every submission in the base client pays its own envelope: one client
-request, one msg/ack round per destination, one Skeen-timestamp convoy when
-exposed, one codec pass and one simulator event per hop.  Under heavy
-traffic that per-message overhead — not the ordering logic — dominates the
-delivery path (PR 1 made the history work O(affected); PR 4 bounded the
-convoy cost).  :class:`BatchingClient` amortizes it the standard middleware
+request, one msg/ack round per destination, one codec pass and one
+simulator event per hop.  Under heavy traffic that per-message overhead —
+not the ordering logic — dominates the delivery path (PR 1 made the history
+work O(affected)).  :class:`BatchingClient` amortizes it the standard middleware
 way: submissions to the *same destination set* are coalesced under a
 size/time window and shipped as one :class:`~repro.core.message.FlexCastBatch`
 carrying a batch carrier (:meth:`~repro.core.message.Message.batch_of`).
 
-The protocol orders the carrier exactly like a single message — one pivot,
-one timestamp convoy, one history vertex, one msg/ack per destination — and
+The protocol orders the carrier exactly like a single message — one history
+vertex, one msg/ack per destination — and
 the delivery gate fans it out into per-member application deliveries
 (:mod:`repro.core.flexcast`), so batching is invisible to applications, to
 the checker, and to every ordering guarantee.  See DESIGN.md "batching the

@@ -30,26 +30,27 @@ dependency information that could order another message before ``m``:
   "Ordering: one ack per notifier").  Answering only the first notifier let
   a later notifier's pre-pivot orders go unreported and close global cycles.
 
-On top of the paper's protocol, ``self.ts``
-(:class:`~repro.core.timestamps.TimestampAuthority`, present iff the
-deployment's :class:`~repro.core.timestamps.Exposure` covers anything) can
-order a global message whose destination set is exposed: it acquires a final
-Skeen timestamp from its destination groups (proposals piggybacked on the
-msg/ack traffic), and contested deliveries follow the global ``(final
-timestamp, id)`` order.  The deployment picks what is exposed — nothing (the
-paper's protocol, bit-identical to a group with no authority at all), the hot
-conflict components of a declared shape universe, or every global message —
-and pays the paper's convoy effect (§5) only for what it exposes.  Outside
-the reliable-channel assumption (a lost envelope takes its history edges with
-it) only exposure keeps acyclic order strict.
+The paper assumes reliable FIFO links between groups; this module does not
+rely on the transport for them.  **Numbered channels**: every ``msg``,
+``ack`` and ``notif`` a group sends to another group carries the next number
+of that channel (one send counter per receiving group), and a receiver takes
+from each sending group — a ``msg``'s lca, an ``ack``'s or ``notif``'s
+``from_group`` — only the number after the last one it took.  A repeated
+number is a duplicate and is dropped; a higher one is a gap: it is dropped
+and counted (``stats["channel_gaps"]``), and since the sender's numbers only
+climb, that channel stays stopped.  So a run that loses envelopes is a prefix
+of a run on reliable FIFO links — the paper's model — and a lost envelope
+costs liveness, never acyclic order (DESIGN.md "Ordering: one ack per
+notifier over numbered channels").  Both counters are group state, rebuilt by
+log replay like the rest of it; client requests are not numbered.
 
-Also on top of the paper's protocol: **batch carriers**.  A client may
+On top of the paper's protocol: **batch carriers**.  A client may
 coalesce same-destination submissions into one ordering unit
 (:meth:`~repro.core.message.Message.batch_of`, shipped as a
 :class:`~repro.core.message.FlexCastBatch` request by
 :class:`~repro.core.batching.BatchingClient`).  The carrier flows through
-every rule below as a single message — one pivot, one timestamp convoy, one
-history vertex, one msg/ack per destination — and
+every rule below as a single message — one history vertex, one msg/ack per
+destination — and
 :meth:`FlexCastGroup.a_deliver` fans it out into per-member application
 deliveries, so batching amortizes envelope overhead without touching the
 ordering logic (DESIGN.md "batching the delivery path").
@@ -63,16 +64,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Deque, Dict, Hashable, List, Optional, Set
 
-from ..obs import (
-    STAGE_DELIVER,
-    STAGE_ENQUEUE,
-    STAGE_FANOUT,
-    STAGE_TS_WAIT,
-    Observability,
-    Tracer,
-)
+from ..obs import STAGE_DELIVER, STAGE_ENQUEUE, STAGE_FANOUT, Observability, Tracer
 from ..obs.registry import SIZE_BUCKETS, Histogram
 from ..overlay.base import GroupId
 from ..overlay.cdag import CDagOverlay
@@ -90,14 +84,11 @@ from .message import (
     FlexCastAck,
     FlexCastMsg,
     FlexCastNotif,
-    FlexCastTsPropose,
     HistoryDelta,
     HistorySnapshotFrame,
     Message,
     NotifiedPair,
-    TsProposal,
 )
-from .timestamps import Exposure, TimestampAuthority
 
 #: Shared empty notified-set: the overwhelming majority of envelopes carry no
 #: Strategy (c) notifications, so the send path reuses one immutable instance
@@ -152,8 +143,6 @@ class FlexCastGroup(AtomicMulticastGroup):
         Outbound communication channel (simulated or asyncio).
     sink:
         Application delivery callback.
-    exposure:
-        What the timestamp authority orders (default: nothing).
     """
 
     def __init__(
@@ -162,24 +151,14 @@ class FlexCastGroup(AtomicMulticastGroup):
         overlay: CDagOverlay,
         transport: Transport,
         sink: DeliverySink,
-        exposure: Exposure = Exposure.none(),
     ) -> None:
         super().__init__(group_id, transport, sink)
         self.overlay = overlay
-        #: Which destination sets the timestamp authority orders (module
-        #: docstring); one value shared by every group of the deployment.
-        self.exposure = exposure
-        #: Skeen-timestamp ordering authority, present iff something is
-        #: exposed; :meth:`_timestamped` decides per message.  With nothing
-        #: exposed the code path is bit-identical to the paper's protocol.
-        self.ts: Optional[TimestampAuthority] = (
-            TimestampAuthority(group_id) if exposure else None
-        )
         self.history = History()
         #: One FIFO queue of not-yet-delivered messages per ancestor lca, plus
         #: a queue under this group's own id for client-submitted messages
         #: (the lca usually delivers them in the same event, but an open
-        #: dependency or a timestamp may briefly defer them).
+        #: dependency may briefly defer them).
         self.queues: Dict[GroupId, Deque[Message]] = {
             ancestor: deque() for ancestor in overlay.ancestors(group_id)
         }
@@ -198,6 +177,10 @@ class FlexCastGroup(AtomicMulticastGroup):
         self.pending_notifications: List[PendingNotification] = []
         #: ``diff-hst`` bookkeeping per descendant.
         self.diff_tracker = HistoryDiffTracker()
+        #: Numbered channels (module docstring): the last number sent to
+        #: each receiving group, and the last one taken from each sender.
+        self._sent: Dict[GroupId, int] = {}
+        self._taken: Dict[GroupId, int] = {}
         #: Incrementally maintained ``open-dependencies`` set: ids of history
         #: vertices addressed to this group that it has not delivered yet.
         #: Updated on merge (additions), delivery (removal) and GC (removal),
@@ -216,9 +199,9 @@ class FlexCastGroup(AtomicMulticastGroup):
             "acks_sent": 0,
             "gc_pruned": 0,
             "journal_compacted": 0,
-            "ts_proposals_sent": 0,
-            "ts_proposals_received": 0,
             "reprocess_passes": 0,
+            # Envelopes refused because their channel skipped a number.
+            "channel_gaps": 0,
             # Steady-state diffs are almost always empty (the tracker is up
             # to date); they are tallied here instead of as histogram
             # samples so per-send instrumentation stays a dict increment.
@@ -289,12 +272,6 @@ class FlexCastGroup(AtomicMulticastGroup):
             "Strategy (c) notifs parked behind open dependencies.",
             labels,
             fn=lambda: len(self.pending_notifications),
-        )
-        registry.gauge(
-            "flexcast_ts_pending",
-            "Timestamp entries awaiting a final timestamp.",
-            labels,
-            fn=lambda: self.ts.pending_count() if self.ts is not None else 0,
         )
         registry.gauge(
             "flexcast_leaked_pending_entries",
@@ -394,12 +371,6 @@ class FlexCastGroup(AtomicMulticastGroup):
         for mid, dst in delta.iter_vertices():
             if me in dst and mid not in delivered and mid in self.history:
                 self._undelivered_to_me.add(mid)
-                if self.ts is not None and len(dst) > 1:
-                    # A merged delta revealed a global message addressed to
-                    # us before its own envelope arrived: if it is exposed,
-                    # propose now so its final timestamp converges early
-                    # (the vertex carries everything a proposal needs).
-                    self._acquire_timestamp(Message(msg_id=mid, dst=dst))
 
     def _mark_all_queues_dirty(self) -> None:
         self._dirty_queues.update(g for g, q in self.queues.items() if q)
@@ -421,34 +392,54 @@ class FlexCastGroup(AtomicMulticastGroup):
                 f"client sent {message.msg_id} to {self.group_id}, "
                 f"but its lca is {self.lca_of(message)}"
             )
-        if not self.exposure.admits(message.dst):
-            raise ProtocolError(
-                f"{message.msg_id} is addressed to {sorted(message.dst)}, "
-                f"which is not a shape of the declared universe "
-                f"{sorted(map(sorted, self.exposure.universe or ()))}"
-            )
         self._enqueue_local(message)
 
     def on_envelope(self, sender: Hashable, envelope: Envelope) -> None:
-        """Dispatch protocol envelopes (Algorithm 2)."""
+        """Dispatch protocol envelopes (Algorithm 2); a group's envelope is
+        processed only in its channel's order (:meth:`_in_order`)."""
         if isinstance(envelope, ClientRequest):
             self.on_client_request(envelope.message)
         elif isinstance(envelope, FlexCastMsg):
-            self._on_msg(envelope)
+            lca = self.lca_of(envelope.message)
+            if self._in_order(lca, envelope.seq):
+                self._on_msg(envelope, lca)
         elif isinstance(envelope, FlexCastAck):
-            self._on_ack(envelope)
+            if self._in_order(envelope.from_group, envelope.seq):
+                self._on_ack(envelope)
         elif isinstance(envelope, FlexCastNotif):
-            self._on_notif(envelope)
-        elif isinstance(envelope, FlexCastTsPropose):
-            self._on_ts_propose(envelope)
+            if self._in_order(envelope.from_group, envelope.seq):
+                self._on_notif(envelope)
         elif isinstance(envelope, HistorySnapshotFrame):
             self._on_history_snapshot(envelope)
         else:
             raise ProtocolError(f"FlexCast group got unexpected envelope {envelope!r}")
 
+    # ----------------------------------------------------------------- channels
+    def _in_order(self, source: GroupId, seq: int) -> bool:
+        """Take envelope number ``seq`` from ``source`` iff it is the next one.
+
+        A number already taken is a duplicate, dropped without a trace.  A
+        higher one is a gap: an envelope before it was lost, and taking this
+        one could order what the lost one would have ordered differently.
+        It is dropped and counted, and so is every later one from
+        ``source``.  So is a number below 1: a frame written before
+        envelopes were numbered."""
+        last = self._taken.get(source, 0)
+        if seq == last + 1:
+            self._taken[source] = seq
+            return True
+        if seq > last or seq < 1:
+            self.stats["channel_gaps"] += 1
+        return False
+
+    def _next_seq(self, dest: GroupId) -> int:
+        """The number of the next envelope to ``dest``."""
+        seq = self._sent[dest] = self._sent.get(dest, 0) + 1
+        return seq
+
     # -------------------------------------------------------- msg / ack / notif
-    def _on_msg(self, envelope: FlexCastMsg) -> None:
-        """``upon receiving [msg, m, history]`` at a non-lca destination."""
+    def _on_msg(self, envelope: FlexCastMsg, lca: GroupId) -> None:
+        """``upon receiving [msg, m, history]`` from its lca ``lca``."""
         message = envelope.message
         self.stats["msgs_received"] += 1
         if self.group_id not in message.dst:
@@ -456,28 +447,20 @@ class FlexCastGroup(AtomicMulticastGroup):
                 f"group {self.group_id} received msg {message.msg_id} "
                 f"not addressed to it (violates genuineness)"
             )
-        if self.lca_of(message) == self.group_id:
-            # Only clients submit at the lca; other groups never forward here.
-            self._enqueue_local(message)
-            return
-        self._acquire_timestamp(message)
-        self._observe_proposals(message, envelope.ts_proposals)
         self._merge_history(envelope.history)
         msg_id = message.msg_id
         if not (self._resolved(msg_id) or msg_id in self._batch_members):
             entry = self._pending_for(message)
             entry.notified.update(envelope.notified)
             if not entry.enqueued:
-                self._enqueue(entry, message, self.lca_of(message), "msg")
-        self._dirty_queues.add(self.lca_of(message))
+                self._enqueue(entry, message, lca, "msg")
+        self._dirty_queues.add(lca)
         self.reprocess_queues()
 
     def _on_ack(self, envelope: FlexCastAck) -> None:
         """``upon receiving [ack, m, history] from ancestor a``."""
         message = envelope.message
         self.stats["acks_received"] += 1
-        self._acquire_timestamp(message)
-        self._observe_proposals(message, envelope.ts_proposals)
         self._merge_history(envelope.history)
         if not self._resolved(message.msg_id):
             entry = self._pending_for(message)
@@ -501,7 +484,6 @@ class FlexCastGroup(AtomicMulticastGroup):
             )
         else:
             self._ack_notif(message, envelope.from_group)
-        # The merged delta may have decided an exposed message's timestamp.
         self.reprocess_queues()
 
     def _ack_notif(self, message: Message, notifier: GroupId) -> None:
@@ -525,121 +507,18 @@ class FlexCastGroup(AtomicMulticastGroup):
         self._merge_history(envelope.delta)
         self.reprocess_queues()
 
-    def _on_ts_propose(self, envelope: FlexCastTsPropose) -> None:
-        """Another destination's Skeen proposal for an exposed ``message``.
-
-        Proposals are rank-independent (they depend only on the destination
-        set), so this handler has no rank preconditions.
-        """
-        message = envelope.message
-        self.stats["ts_proposals_received"] += 1
-        if self.group_id not in message.dst:
-            raise ProtocolError(
-                f"group {self.group_id} received a timestamp proposal for "
-                f"{message.msg_id} addressed to {sorted(message.dst)}"
-            )
-        if self.ts is None:
-            # Groups that disagree on the exposure are an invalid deployment:
-            # one that never proposes blocks every timestamp decision forever.
-            raise ProtocolError(
-                f"group {self.group_id} exposes nothing but received "
-                f"a timestamp proposal for {message.msg_id}"
-            )
-        self._acquire_timestamp(message)
-        self._observe_proposals(message, ((envelope.from_group, envelope.timestamp),))
-        self.reprocess_queues()
-
-    def _acquire_timestamp(self, message: Message) -> None:
-        """First-contact Skeen proposal for an exposed message.
-
-        Piggybacks on whatever made this group learn of ``message`` (client
-        request, msg/ack envelope, merged history vertex, or a peer's
-        proposal) and broadcasts the local timestamp to every other
-        destination.  Duplicate contacts are absorbed by the authority, so
-        re-routes, bounces and duplicated envelopes never mint a second
-        proposal.
-        """
-        if not self._timestamped(message):
-            return
-        if self._resolved(message.msg_id):
-            return
-        local_ts = self.ts.propose(message.msg_id, message.dst)
-        if local_ts is None:
-            return
-        # Proposing needs only the message's identity and destination set, so
-        # the payload is stripped from the broadcast — re-shipping it |dst|-1
-        # times per proposer would dwarf the ~41-byte envelope the traffic
-        # accounting (and DESIGN.md's overhead claim) budget for.  The `msg`
-        # envelope remains the single payload carrier.
-        probe = Message(msg_id=message.msg_id, dst=message.dst)
-        for dest in message.dst:
-            if dest == self.group_id:
-                continue
-            self.send(
-                dest,
-                FlexCastTsPropose(
-                    message=probe,
-                    timestamp=local_ts,
-                    from_group=self.group_id,
-                ),
-            )
-            self.stats["ts_proposals_sent"] += 1
-        # Proposing can decide immediately (early proposals completed the
-        # set), which may relax any queue head's timestamp gate.
-        self._mark_all_queues_dirty()
-
-    def _observe_proposals(
-        self, message: Message, proposals: Sequence[TsProposal]
-    ) -> None:
-        """Max-merge piggybacked/direct proposals for ``message``.
-
-        A recorded proposal *raises* the message's effective timestamp (or
-        decides it), which can unblock a head in **any** queue — the convoy
-        gate compares across the whole pending set — so every queue is
-        re-marked dirty on change.
-        """
-        if self.ts is None or not proposals:
-            return
-        if self._resolved(message.msg_id):
-            # Late/duplicated proposals for a resolved (possibly already
-            # garbage-collected) message: advance the clock (Lamport receive
-            # rule) but never buffer state that nothing would clean up.
-            self.ts.clock = max(
-                self.ts.clock, max(timestamp for _, timestamp in proposals)
-            )
-            return
-        changed = False
-        for group, timestamp in proposals:
-            changed = self.ts.observe(message.msg_id, group, timestamp) or changed
-        if changed:
-            self._mark_all_queues_dirty()
-
-    def _timestamped(self, message: Message) -> bool:
-        """True iff ``message`` is ordered by the timestamp authority — the
-        only reader of the exposure on the delivery path."""
-        return self.ts is not None and self.exposure.covers(message.dst)
-
     def _enqueue_local(self, message: Message) -> None:
         """Queue a client-submitted message at its lca and drain.
 
         The lca almost always delivers the message within this very call (it
         is the first destination to order it).  The queue only matters while
-        an open dependency precedes it, or, for an exposed message, while its
-        final timestamp is still being acquired.
-
-        The timestamp is acquired only for messages that actually enter the
-        queue.  For every absorbed duplicate the acquisition was a no-op
-        anyway (the authority refuses duplicate proposals; delivered and
-        forgotten ids are rejected up front) — except a retried batch
-        *member*, a fresh id that will never be delivered as its own unit:
-        proposing for it would park an undeliverable entry at the convoy
-        gate's head and stall every later global message.
+        an open dependency precedes it.  A retried batch *member* is
+        absorbed: it will never be delivered as its own unit.
         """
         msg_id = message.msg_id
         if not (self._resolved(msg_id) or msg_id in self._batch_members):
             entry = self._pending_for(message)
             if not entry.enqueued:
-                self._acquire_timestamp(message)
                 self._enqueue(entry, message, self.group_id, "local")
         self._dirty_queues.add(self.group_id)
         self.reprocess_queues()
@@ -677,12 +556,12 @@ class FlexCastGroup(AtomicMulticastGroup):
         self.history.record_delivery(message)
         self._undelivered_to_me.discard(message.msg_id)
         if message.members:
-            # Batch fan-out: the carrier was ordered as one unit (one pivot,
-            # one timestamp, one history vertex); the application observes
-            # its members, delivered back-to-back in submission order.  The
-            # fan-out is atomic within this event, so a group delivers a
-            # batch all-or-nothing — a lost batch degrades exactly like N
-            # lost messages, never into a partial delivery.
+            # Batch fan-out: the carrier was ordered as one unit (one history
+            # vertex); the application observes its members, delivered
+            # back-to-back in submission order.  The fan-out is atomic within
+            # this event, so a group delivers a batch all-or-nothing — a lost
+            # batch degrades exactly like N lost messages, never into a
+            # partial delivery.
             for member in message.members:
                 # The delivered-guard is unreachable for compliant clients
                 # (the enqueue guard's member index absorbs retries before
@@ -709,19 +588,10 @@ class FlexCastGroup(AtomicMulticastGroup):
         else:
             self.deliver(message)
 
-        # Usually the head; exposed messages deliver in (final ts, id) order,
-        # which may legally invert the FIFO arrival order within a queue.
-        queue = self.queues[self.lca_of(message)]
-        for index, queued in enumerate(queue):
-            if queued.msg_id == message.msg_id:
-                del queue[index]
-                break
-        self.send_descendants(message, ack=(self.lca_of(message) != self.group_id))
-        if self._timestamped(message):
-            # Retire the timestamp entry only after the outgoing msg/ack
-            # envelopes were built, so they still piggyback the full
-            # proposal set for destinations that missed a direct proposal.
-            self.ts.complete(message.msg_id)
+        # The head of its queue: a queue delivers in arrival order.
+        lca = self.lca_of(message)
+        self.queues[lca].popleft()
+        self.send_descendants(message, ack=(lca != self.group_id))
 
         # Delivering this message may unblock pending notifications.
         still_pending: List[PendingNotification] = []
@@ -751,11 +621,6 @@ class FlexCastGroup(AtomicMulticastGroup):
         # Almost every envelope carries no notifications; skip the per-hop
         # frozenset copy for that common case.
         notified = frozenset(groups) if groups else _NO_NOTIFIED
-        ts_proposals: Tuple[TsProposal, ...] = (
-            self.ts.proposals_of(message.msg_id)
-            if self._timestamped(message)
-            else ()
-        )
         for dest in self.overlay.descendants(self.group_id):
             if dest not in message.dst:
                 continue
@@ -765,15 +630,17 @@ class FlexCastGroup(AtomicMulticastGroup):
                     message=message,
                     history=delta,
                     from_group=self.group_id,
+                    seq=self._next_seq(dest),
                     notifier=notifier,
                     notified=notified,
-                    ts_proposals=ts_proposals,
                 )
                 self.stats["acks_sent"] += 1
             else:
                 envelope = FlexCastMsg(
-                    message=message, history=delta, notified=notified,
-                    ts_proposals=ts_proposals,
+                    message=message,
+                    history=delta,
+                    seq=self._next_seq(dest),
+                    notified=notified,
                 )
                 self.stats["msgs_sent"] += 1
             self.send(dest, envelope)
@@ -812,6 +679,7 @@ class FlexCastGroup(AtomicMulticastGroup):
                     message=message,
                     history=delta,
                     from_group=me,
+                    seq=self._next_seq(dest),
                 ),
             )
             notified.add((dest, me))
@@ -835,83 +703,15 @@ class FlexCastGroup(AtomicMulticastGroup):
         dirty = self._dirty_queues
         while dirty:
             queue = self.queues.get(dirty.pop())
-            if not queue:
-                continue
-            blocker = self._drain(queue)
-            if blocker == "ts" and self._tracer is not None:
-                self._tracer.record(
-                    queue[0].trace, STAGE_TS_WAIT, self.transport.now(), self._site
-                )
-
-    def _drain(self, queue: Deque[Message]) -> Optional[str]:
-        """Deliver from ``queue`` while something in it can go; return what
-        blocks the head that is left (``None`` once the queue is empty)."""
-        ts = self.ts
-        blocker: Optional[str] = None
-        if ts is None or not ts.pending_count():
-            while queue and (blocker := self._blocker(queue[0])) is None:
-                # a_deliver pops the head and re-marks all queues dirty.
+            # a_deliver pops the head and re-marks all queues dirty.
+            while queue and self._can_deliver(queue[0]):
                 self.a_deliver(queue[0])
-            return blocker
-        # Some undelivered message is timestamped, and the timestamp order
-        # may invert the FIFO arrival order within a queue (a later arrival
-        # can hold a smaller final timestamp), so a blocked head must not
-        # wall off a deliverable message behind it — scan the whole queue
-        # and restart after every delivery.
-        while queue:
-            # Only the authority's unique minimum-key message can pass the
-            # convoy gate, so other timestamped candidates are skipped
-            # without running the full O(|pending|) gate per entry (a
-            # contested burst would otherwise make each dirty pass quadratic
-            # in the queue).  Non-pending timestamped entries fall through so
-            # _blocker can flag the invariant breach.
-            nxt = ts.next_deliverable()
-            head_blocker: Optional[str] = None
-            for message in list(queue):
-                if (
-                    message.msg_id != nxt
-                    and self._timestamped(message)
-                    and ts.is_pending(message.msg_id)
-                ):
-                    blocker = "ts"
-                else:
-                    blocker = self._blocker(message)
-                if blocker is None:
-                    # a_deliver unlinks the message from the queue.
-                    self.a_deliver(message)
-                    break
-                head_blocker = head_blocker or blocker
-            else:
-                return head_blocker
-        return None
 
-    def _blocker(self, message: Message) -> Optional[str]:
-        """The paper's ``can-deliver``, naming the first condition that holds
-        ``message`` back — ``"acks"``, ``"deps"`` or ``"ts"`` — or ``None``
-        if it can go."""
-        if not self._acks_satisfied(message):
-            return "acks"
-        if not self._dependencies_satisfied(message):
-            return "deps"
-        if self._timestamped(message):
-            # The convoy gate delivers contested messages in ``(final ts,
-            # id)`` order — a *global* total order — so any ordering this
-            # delivery mints is consistent everywhere.
-            assert self.ts is not None
-            if not self.ts.is_pending(message.msg_id):
-                # Every enqueue path proposes on first contact, and the
-                # authority completes a message only at delivery (which also
-                # unlinks it from its queue), so a queued global message
-                # without a pending entry is an invariant breach.  Fail
-                # loudly: delivering it anyway would be exactly the unordered
-                # delivery exposure exists to rule out.
-                raise ProtocolError(
-                    f"group {self.group_id}: queued global message "
-                    f"{message.msg_id} has no timestamp entry"
-                )
-            # Convoy gate: deliver in global ``(final ts, id)`` order.
-            return None if self.ts.deliverable(message.msg_id) else "ts"
-        return None
+    def _can_deliver(self, message: Message) -> bool:
+        """The paper's ``can-deliver``."""
+        return self._acks_satisfied(message) and self._dependencies_satisfied(
+            message
+        )
 
     def _dependencies_satisfied(self, message: Message) -> bool:
         """True iff no undelivered message addressed to this group precedes
@@ -961,11 +761,6 @@ class FlexCastGroup(AtomicMulticastGroup):
         victims = self.history.collect_garbage(flush.msg_id)
         compacted = self.diff_tracker.forget(victims, history=self.history)
         self._undelivered_to_me -= victims
-        if self.ts is not None:
-            # The history's forgotten-set keeps pruned ids from re-proposing
-            # (checked in _acquire_timestamp), so the authority can shed its
-            # completed-memory for them.
-            self.ts.forget(victims)
         for victim in victims:
             self.pending.pop(victim, None)
         if self._batch_members:
@@ -996,27 +791,15 @@ class FlexCastProtocol(AtomicMulticastProtocol):
     name = "FlexCast"
     genuine = True
 
-    def __init__(
-        self,
-        overlay: CDagOverlay,
-        exposure: Exposure = Exposure.none(),
-    ) -> None:
+    def __init__(self, overlay: CDagOverlay) -> None:
         if not isinstance(overlay, CDagOverlay):
             raise TypeError("FlexCast requires a complete-DAG overlay")
         super().__init__(overlay)
-        #: What the timestamp authority orders (module docstring).  Built
-        #: once here and handed to every group: exposure is a pure function
-        #: of a message's shape, so sharing it is what makes the decision
-        #: consistent deployment-wide.  A declared universe must cover every
-        #: global destination set the workload can submit.
-        self.exposure = exposure
 
     def create_group(
         self, group_id: GroupId, transport: Transport, sink: DeliverySink
     ) -> FlexCastGroup:
-        return FlexCastGroup(
-            group_id, self.overlay, transport, sink, exposure=self.exposure
-        )
+        return FlexCastGroup(group_id, self.overlay, transport, sink)
 
     def entry_groups(self, message: Message) -> List[GroupId]:
         """Clients submit a message to its lca only."""

@@ -490,7 +490,6 @@ class History:
             vertices=vertices,
             edges=edges,
             last_delivered=self.last_delivered,
-            seq=self.version,
             snapshot=snapshot,
         )
 
@@ -645,7 +644,7 @@ class HistoryDiffTracker:
         self._watermarks[descendant] = version
         if not vertices and not edges and snapshot is None:
             return EMPTY_DELTA
-        return HistoryDelta(vertices, edges, history.last_delivered, version, snapshot)
+        return HistoryDelta(vertices, edges, history.last_delivered, snapshot)
 
     #: Retained journal entries are capped at ``_JOURNAL_SLACK × live size``
     #: (plus a small constant) at every :meth:`forget`; see below.

@@ -19,10 +19,9 @@ A third, optional shape sits between the two: a **batch**.  A
 *batch carrier* — an ordering unit that stands in for N same-destination
 application messages (built with :meth:`Message.batch_of`, submitted with a
 :class:`FlexCastBatch` envelope).  The protocol orders the carrier exactly
-like any other message — one pivot, one Skeen-timestamp convoy, one
-msg/ack round, one history vertex — and the delivery gate fans it out into
-per-member application deliveries (see DESIGN.md "batching the delivery
-path").
+like any other message — one msg/ack round, one history vertex — and the
+delivery gate fans it out into per-member application deliveries (see
+DESIGN.md "batching the delivery path").
 """
 
 from __future__ import annotations
@@ -327,11 +326,6 @@ class HistoryDelta:
     yet (§4.3).  A delta is an immutable snapshot taken at send time, so the
     sender can keep mutating its own history safely.
 
-    ``seq`` is the sender-side journal version this delta brings the receiver
-    up to (the watermark contract in DESIGN.md).  It is observability
-    metadata: receivers merge deltas purely by content, and the size model
-    counts it as part of the envelope header, not the delta payload.
-
     A *cold* delta additionally carries a :class:`HistorySnapshot` — the
     sender's packed live history as of ``snapshot.version`` — with
     ``vertices``/``edges`` reduced to the journal suffix past it.  The
@@ -344,7 +338,6 @@ class HistoryDelta:
     vertices: Tuple[Tuple[str, FrozenSet[GroupId]], ...] = ()
     edges: Tuple[Tuple[str, str], ...] = ()
     last_delivered: Optional[str] = None
-    seq: Optional[int] = None
     snapshot: Optional[HistorySnapshot] = None
 
     @property
@@ -469,23 +462,21 @@ class NodeHello:
 NotifiedPair = Tuple[GroupId, Optional[GroupId]]
 _NOTIFIED_PAIR_BYTES = 2 * _GROUP_ID_BYTES
 
-#: One piggybacked Skeen proposal: ``(proposing group, local timestamp)``.
-TsProposal = Tuple[GroupId, int]
-_TS_PROPOSAL_BYTES = _GROUP_ID_BYTES + _TIMESTAMP_BYTES
 
 
 @record
 @dataclass(frozen=True, slots=True)
 class FlexCastMsg(Envelope):
-    """FlexCast ``msg``: lca -> other destinations, with a history delta."""
+    """FlexCast ``msg``: lca -> other destinations, with a history delta.
+
+    ``seq`` (here and on ``ack`` and ``notif``) numbers the envelope on its
+    channel, the sending group -> the receiving group; the size model counts
+    it as part of the header."""
 
     message: Message
     history: HistoryDelta
+    seq: int
     notified: FrozenSet[NotifiedPair] = frozenset()
-    #: Hybrid mode: Skeen proposals for ``message`` known to the sender,
-    #: piggybacked so destinations converge on the final timestamp without
-    #: waiting for every dedicated ``ts-propose`` envelope.
-    ts_proposals: Tuple[TsProposal, ...] = ()
     kind: str = field(default="msg", init=False)
 
     def size_bytes(self) -> int:
@@ -494,7 +485,6 @@ class FlexCastMsg(Envelope):
             + self.message.size_bytes()
             + self.history.size_bytes()
             + len(self.notified) * _NOTIFIED_PAIR_BYTES
-            + len(self.ts_proposals) * _TS_PROPOSAL_BYTES
         )
 
 
@@ -507,12 +497,11 @@ class FlexCastAck(Envelope):
     message: Message
     history: HistoryDelta
     from_group: GroupId
+    seq: int
     #: The group whose notif this ack answers; ``None`` when ``from_group``
     #: is a destination of ``message`` acking for itself.
     notifier: Optional[GroupId] = None
     notified: FrozenSet[NotifiedPair] = frozenset()
-    #: Hybrid mode: Skeen proposals for ``message`` known to the sender.
-    ts_proposals: Tuple[TsProposal, ...] = ()
     kind: str = field(default="ack", init=False)
 
     def size_bytes(self) -> int:
@@ -523,7 +512,6 @@ class FlexCastAck(Envelope):
             + (_GROUP_ID_BYTES if self.notifier is not None else 0)
             + self.history.size_bytes()
             + len(self.notified) * _NOTIFIED_PAIR_BYTES
-            + len(self.ts_proposals) * _TS_PROPOSAL_BYTES
         )
 
 
@@ -535,6 +523,7 @@ class FlexCastNotif(Envelope):
     message: Message
     history: HistoryDelta
     from_group: GroupId
+    seq: int
     kind: str = field(default="notif", init=False)
 
     def size_bytes(self) -> int:
@@ -564,40 +553,6 @@ class HistorySnapshotFrame(Envelope):
 
     def size_bytes(self) -> int:
         return _HEADER_BYTES + _GROUP_ID_BYTES + self.delta.size_bytes()
-
-
-@record
-@dataclass(frozen=True, slots=True)
-class FlexCastTsPropose(Envelope):
-    """Hybrid mode: one destination's Skeen proposal for a global message.
-
-    Sent by a destination to every *other* destination of ``message`` on
-    first contact (the lca proposes when the client submits; the others when
-    the proposal or the ``msg`` envelope reaches them).  It carries the
-    message's identity *and destination set* — not just its id — because a
-    destination may hear a proposal *before* FlexCast's own ``msg`` envelope
-    and must still be able to propose for the right destination set (Skeen's
-    early-proposal path).  The payload is stripped by the sender: proposing
-    never needs it, and the ``msg`` envelope remains the single payload
-    carrier (see :data:`PAYLOAD_KINDS`).
-
-    Only destinations of ``message`` exchange these, so genuineness is
-    preserved.
-    """
-
-    message: Message
-    timestamp: int
-    from_group: GroupId
-    kind: str = field(default="ts-propose", init=False)
-
-    def size_bytes(self) -> int:
-        return (
-            _HEADER_BYTES
-            + _MSG_ID_BYTES
-            + len(self.message.dst) * _GROUP_ID_BYTES
-            + _TIMESTAMP_BYTES
-            + _GROUP_ID_BYTES
-        )
 
 
 @record

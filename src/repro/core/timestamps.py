@@ -1,14 +1,9 @@
-"""Skeen-style timestamp ordering authority (shared core).
+"""Skeen-style timestamp ordering authority.
 
-Extracted from the Distributed baseline (:mod:`repro.protocols.skeen`) so the
-same tested implementation serves two deployments:
-
-* :class:`~repro.protocols.skeen.SkeenGroup` — the paper's Distributed
-  protocol, where *every* message is ordered by final timestamps; and
-* FlexCast's *exposed* traffic (:mod:`repro.core.flexcast`): global messages
-  whose destination set an :class:`Exposure` covers additionally acquire
-  final timestamps, and the delivery gate orders them by those too
-  (DESIGN.md "Ordering: one ack per notifier + exposure").
+The ordering core of the paper's Distributed baseline
+(:class:`~repro.protocols.skeen.SkeenGroup`), where *every* message is
+ordered by final timestamps.  FlexCast does not use it: it orders by
+histories, acks and notifs alone (:mod:`repro.core.flexcast`).
 
 The authority implements the timestamp half of Skeen's algorithm for one
 group:
@@ -35,7 +30,7 @@ a message's destination set, not of any rank order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..overlay.base import GroupId
 
@@ -43,123 +38,6 @@ from ..overlay.base import GroupId
 #: component makes the order total — two messages can tie on the timestamp
 #: but never on the key.
 TimestampKey = Tuple[int, str]
-
-def _hot_conflict_groups(shapes: Sequence[FrozenSet[GroupId]]) -> FrozenSet[GroupId]:
-    """Union of the groups of every *hot* conflict component.
-
-    Declared shapes are nodes of a graph with an edge wherever two shapes
-    share a group; a connected component is hot when some pair inside it
-    intersects in exactly one group (the 3-cycle conflict class).  Groups of
-    different components are disjoint by construction, so membership of a
-    destination set in a hot component reduces to intersecting the returned
-    group set.
-    """
-    # Union-find keyed by group id: shapes sharing a group merge their roots.
-    parent: Dict[GroupId, GroupId] = {}
-
-    def find(g: GroupId) -> GroupId:
-        while parent[g] != g:
-            parent[g] = parent[parent[g]]
-            g = parent[g]
-        return g
-
-    for shape in shapes:
-        anchor = None
-        for g in shape:
-            parent.setdefault(g, g)
-            if anchor is None:
-                anchor = find(g)
-            else:
-                parent[find(g)] = anchor
-    hot_roots = {
-        find(next(iter(a & b)))
-        for i, a in enumerate(shapes)
-        for b in shapes[i:]
-        if len(a & b) == 1
-    }
-    return frozenset(g for g in parent if find(g) in hot_roots)
-
-
-@dataclass(frozen=True)
-class Exposure:
-    """Which destination sets the timestamp authority orders.
-
-    One immutable value shared by every group of a deployment (they must
-    agree: a group that never proposes would block every timestamp decision
-    for the messages its peers expose).  Three constructors:
-
-    * :meth:`none` — nothing is exposed: the paper's protocol, ordered by
-      histories, acks and notifs alone.
-    * :meth:`declared` — the deployment declares its universe of global
-      destination-set *shapes*.  Shapes that share groups form conflict
-      components; a component containing a pair that meets at exactly one
-      group is **hot** (three such messages get their pairwise orders
-      decided at three independent groups, and no down-flowing history can
-      relate those decisions in time), and every message addressed into a
-      hot component is exposed.  Closing over whole components — not only
-      the single-intersecting shapes — is load-bearing: each group belongs
-      to at most one component, so two messages that meet anywhere are
-      either both exposed or both unexposed, and a timestamp edge can never
-      compose with history edges into a cycle (bounded exploration
-      found exactly that wedge when exposure stopped at the shapes
-      themselves).  A universe with no single-shared pair exposes nothing.
-    * :meth:`all` — every global message is exposed (a declared universe in
-      which every group is hot, without having to enumerate it).
-
-    Local (single-group) destination sets are never exposed and never part
-    of a universe.
-    """
-
-    #: Declared global shapes; ``None`` = no declaration, every shape admitted.
-    universe: Optional[FrozenSet[FrozenSet[GroupId]]] = None
-    #: Every global destination set is exposed.
-    everything: bool = False
-    #: Groups owned by hot components of :attr:`universe` (derived).
-    hot_groups: FrozenSet[GroupId] = field(init=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.everything and self.universe is not None:
-            raise ValueError("exposure-all takes no declared universe")
-        universe = self.universe
-        if universe is not None:
-            universe = frozenset(
-                shape for shape in map(frozenset, universe) if len(shape) > 1
-            )
-            object.__setattr__(self, "universe", universe)
-        object.__setattr__(
-            self, "hot_groups", _hot_conflict_groups(tuple(universe or ()))
-        )
-
-    @classmethod
-    def none(cls) -> "Exposure":
-        return cls()
-
-    @classmethod
-    def all(cls) -> "Exposure":
-        return cls(everything=True)
-
-    @classmethod
-    def declared(cls, shapes: Iterable[Iterable[GroupId]]) -> "Exposure":
-        return cls(universe=shapes)
-
-    def __bool__(self) -> bool:
-        """Non-empty: some destination set is exposed."""
-        return self.everything or bool(self.hot_groups)
-
-    def covers(self, dst: FrozenSet[GroupId]) -> bool:
-        """Is a message with this ``dst`` ordered by the timestamp authority?
-
-        Pure in ``dst``, symmetric and transitively closed: every message
-        that can meet an exposed one at some group is itself exposed."""
-        return len(dst) > 1 and (
-            self.everything or not self.hot_groups.isdisjoint(dst)
-        )
-
-    def admits(self, dst: FrozenSet[GroupId]) -> bool:
-        """May a message with this ``dst`` be submitted at all?  An
-        undeclared global shape is outside the conflict analysis — it could
-        single-intersect a declared one and run unexposed next to it."""
-        return self.universe is None or len(dst) < 2 or dst in self.universe
 
 
 @dataclass
@@ -291,7 +169,7 @@ class TimestampAuthority:
         return entry.final_timestamp if entry is not None else None
 
     def proposals_of(self, msg_id: str) -> Tuple[Tuple[GroupId, int], ...]:
-        """Known proposals for ``msg_id`` (piggybacked on FlexCast envelopes)."""
+        """Known proposals for ``msg_id``, ordered by group."""
         entry = self.pending.get(msg_id)
         if entry is None:
             return ()

@@ -23,19 +23,22 @@ machine-driven state-space sweep, in the spirit of the CADP line of work:
   its CLI (``python -m repro.fuzz.sweep``).
 """
 
-from .harness import FuzzResult, run_scenario
-from .scenario import FuzzScenario, Submission
-from .shrink import shrink_scenario
-from .sweep import SweepSummary, run_sweep
-from .workload import generate_scenario
+from .. import lazy_exports
 
-__all__ = [
-    "FuzzResult",
-    "FuzzScenario",
-    "Submission",
-    "generate_scenario",
-    "run_scenario",
-    "run_sweep",
-    "shrink_scenario",
-    "SweepSummary",
-]
+#: Public name -> the submodule defining it, imported on first use (PEP 562):
+#: ``python -m repro.fuzz.sweep`` must not find its own module imported by
+#: the package before it runs.
+_EXPORTS = {
+    "FuzzResult": ".harness",
+    "run_scenario": ".harness",
+    "FuzzScenario": ".scenario",
+    "Submission": ".scenario",
+    "shrink_scenario": ".shrink",
+    "SweepSummary": ".sweep",
+    "run_sweep": ".sweep",
+    "generate_scenario": ".workload",
+}
+
+__all__ = [*_EXPORTS]
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -32,17 +32,13 @@ FlexCast arms no timer, so a leaf is reached when no channel has traffic.
 
 CLI (see ``python -m repro.fuzz explore --help``)::
 
-    # exhaustive sweep of every single-shared-group shape up to 3 msgs x 3
-    # groups, each case declaring its own shapes (the default exposure):
-    python -m repro.fuzz explore --max-msgs 3 --max-groups 3
-
-    # the same sweep with nothing exposed (the paper's protocol) writes each
-    # violating interleaving as a schedule.  Over 3 messages x 3 groups it
-    # is clean (164 leaves): the single-shared-group 3-cycle needs more
-    # groups than this bound, and tests/regression/
-    # test_single_shared_group_cycle.py pins it through the fuzz harness.
-    python -m repro.fuzz explore --max-msgs 3 --max-groups 3 \
-        --exposure none --out-dir explore-artifacts
+    # exhaustive sweep of every shape up to 3 msgs x 3 groups (the CI gate:
+    # 26 shapes, 623 leaves); each violating interleaving is written as a
+    # schedule.  The single-shared-group 3-cycle needs more groups than this
+    # bound, and tests/regression/test_single_shared_group_cycle.py pins it
+    # through the fuzz harness.
+    python -m repro.fuzz explore --max-msgs 3 --max-groups 3 --all-shapes \
+        --out-dir explore-artifacts
 
     # replay one committed interleaving:
     python -m repro.fuzz explore --replay <schedule.json>
@@ -77,7 +73,7 @@ from ..core.message import ClientRequest, Message
 from ..overlay.cdag import CDagOverlay
 from ..protocols.base import RecordingSink
 from ..sim.transport import Transport
-from .harness import EXPOSURE_MODES, check_deliveries, exposure_for, peak_rss_mib
+from .harness import check_deliveries, peak_rss_mib
 
 CLIENT = "explore-client"
 
@@ -107,9 +103,6 @@ class ShapeCase:
 
     num_groups: int
     destinations: Tuple[Tuple[int, ...], ...]
-    #: What the timestamp authority orders (``EXPOSURE_MODES``); the
-    #: universe ``"declared"`` declares is :attr:`destinations` itself.
-    mode: str = "declared"
 
     @property
     def order(self) -> Tuple[int, ...]:
@@ -117,25 +110,25 @@ class ShapeCase:
 
     def label(self) -> str:
         dsts = "+".join("".join(map(str, d)) for d in self.destinations)
-        return f"g{self.num_groups}[{dsts}]-{self.mode}"
+        return f"g{self.num_groups}[{dsts}]"
 
     def to_dict(self, choices: Sequence[Channel]) -> dict:
         return {
             "schema": SCHEMA,
             "num_groups": self.num_groups,
             "destinations": [list(d) for d in self.destinations],
-            "exposure": self.mode,
             "choices": [[str(s), str(d)] for s, d in choices],
         }
 
     @staticmethod
     def from_dict(data: dict) -> Tuple["ShapeCase", List[Channel]]:
+        """A committed schedule's case and choices; the ``exposure`` key of
+        a schedule recorded while the explorer had one is ignored."""
         if data.get("schema") != SCHEMA:
             raise ValueError(f"not an explorer schedule: {data.get('schema')!r}")
         case = ShapeCase(
             num_groups=int(data["num_groups"]),
             destinations=tuple(tuple(d) for d in data["destinations"]),
-            mode=data["exposure"],
         )
         choices = [_parse_node_pair(s, d, case) for s, d in data["choices"]]
         return case, choices
@@ -256,7 +249,7 @@ def _execute(
 ) -> RunOutcome:
     overlay = CDagOverlay(list(case.order))
     dsts = [frozenset(d) for d in case.destinations]
-    protocol = FlexCastProtocol(overlay, exposure=exposure_for(case.mode, dsts))
+    protocol = FlexCastProtocol(overlay)
     sink = RecordingSink(clock=lambda: fabric.time)
     groups = {}
     for gid in case.order:
@@ -455,7 +448,6 @@ def explore_shape(
 def enumerate_shapes(
     max_msgs: int,
     max_groups: int,
-    mode: str = "declared",
     single_shared_only: bool = True,
 ) -> Iterator[ShapeCase]:
     """All labelled destination-set multisets up to the given bounds.
@@ -486,7 +478,6 @@ def enumerate_shapes(
                 yield ShapeCase(
                     num_groups=k,
                     destinations=tuple(tuple(sorted(d)) for d in combo),
-                    mode=mode,
                 )
 
 
@@ -498,14 +489,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument("--max-msgs", type=int, default=3)
     parser.add_argument("--max-groups", type=int, default=3)
-    parser.add_argument(
-        "--exposure",
-        choices=EXPOSURE_MODES,
-        default="declared",
-        help="what the timestamp authority orders: the hot components of "
-        "each case's own shapes (default), all global messages, or none "
-        "(the paper's protocol)",
-    )
     parser.add_argument(
         "--all-shapes",
         action="store_true",
@@ -561,7 +544,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         enumerate_shapes(
             args.max_msgs,
             args.max_groups,
-            mode=args.exposure,
             single_shared_only=not args.all_shapes,
         )
     )

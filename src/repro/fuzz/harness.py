@@ -34,7 +34,6 @@ from ..checker.recovery import check_recovery
 from ..core.batching import BatchingClient
 from ..core.flexcast import FlexCastGroup, FlexCastProtocol
 from ..core.message import ClientRequest, Message
-from ..core.timestamps import Exposure
 from ..obs import Observability
 from ..overlay.base import GroupId
 from ..overlay.cdag import CDagOverlay
@@ -59,30 +58,15 @@ MAX_EVENTS = 3_000_000
 class FuzzResult:
     """Outcome of one scenario run.
 
-    Violations are split into two buckets:
-
-    * :attr:`violations` — breaches of the properties the protocol
-      *guarantees*: integrity, no-loss (validity/agreement), prefix order,
-      liveness (no livelock).
-      The sweep gate fails on any of these.
-    * :attr:`ordering_anomalies` — global acyclic-order violations (and the
-      prefix-order shadows of the same underlying cycle) in a run outside
-      the reliable-channel assumption: with nothing exposed, an envelope the
-      ``loss`` profile drops takes its history edges with it for good, and
-      groups can then order a cycle no rule of theirs can see.  These are
-      *reported* (and shrinkable) so the limitation stays measured, not
-      hidden (DESIGN.md "Ordering: one ack per notifier").
-
-    The second bucket only exists for ``exposure="none"`` runs that may lose
-    envelopes (``expect_all_delivered=False``).  Everywhere else global
-    acyclic order is a guaranteed property, so an acyclic-order finding is a
-    genuine violation and stays in :attr:`violations`
-    (``finalize_buckets(strict=True)``).
+    :attr:`violations` holds every finding of every oracle the run got: each
+    property the protocol guarantees, under every profile, liveness (no
+    livelock) included.  A lost envelope stops its channel
+    (:mod:`repro.core.flexcast`), so a ``loss`` run is held to acyclic order
+    like any other; only full delivery is waived there.
     """
 
     scenario: FuzzScenario
     violations: List[str] = field(default_factory=list)
-    ordering_anomalies: List[str] = field(default_factory=list)
     submitted: int = 0
     delivered: int = 0
     events: int = 0
@@ -100,37 +84,6 @@ class FuzzResult:
     def ok(self) -> bool:
         """No violation of a guaranteed property."""
         return not self.violations
-
-    @property
-    def strict_ok(self) -> bool:
-        """No violation of any checked property, ordering anomalies included."""
-        return not self.violations and not self.ordering_anomalies
-
-    def finalize_buckets(self, strict: bool = False) -> None:
-        """Move cycle-shadow violations into :attr:`ordering_anomalies`.
-
-        When (and only when) a run contains an acyclic-order violation, any
-        prefix-order disagreement is a downstream manifestation of that same
-        cycle.  Without a cycle, a prefix-order failure is a genuine
-        guarantee breach and stays in :attr:`violations`.
-
-        ``strict`` (any run but a lossy one with nothing exposed) disables
-        the re-bucketing entirely: acyclic order is guaranteed there, so a
-        cycle is a first-class violation and the sweep gate must fail on it.
-        """
-        if strict:
-            return
-        has_cycle = any("[acyclic-order]" in v for v in self.violations)
-        if not has_cycle:
-            return
-        shadows = ("[acyclic-order]", "[prefix-order]")
-        keep: List[str] = []
-        for violation in self.violations:
-            if any(violation.startswith(s) for s in shadows):
-                self.ordering_anomalies.append(violation)
-            else:
-                keep.append(violation)
-        self.violations = keep
 
 
 def peak_rss_mib() -> float:
@@ -175,20 +128,11 @@ def _flush_submissions(scenario: FuzzScenario) -> List[Submission]:
 
 def run_scenario(
     scenario: FuzzScenario,
-    exposure: Optional[str] = None,
     use_batching_client: bool = False,
     obs: Optional[Observability] = None,
 ) -> FuzzResult:
     """Execute ``scenario`` deterministically and return the checked result.
 
-    ``exposure`` names what the timestamp authority orders
-    (:data:`EXPOSURE_MODES`) in place of the scenario's own
-    :attr:`~FuzzScenario.exposure`; ``None`` (the default) follows the
-    scenario.  ``"declared"`` derives the shape universe from the scenario's
-    own destination sets (:func:`scenario_conflict_shapes`).  ``acyclic-order``
-    is a *hard* property everywhere except in a ``"none"`` run (the paper's
-    protocol) under a profile that loses envelopes, where it is a reported
-    anomaly.
     ``use_batching_client`` forces submissions through a
     :class:`~repro.core.batching.BatchingClient` even when the scenario's
     ``batch_window`` is 1 — the differential equivalence tests use this to
@@ -199,9 +143,7 @@ def run_scenario(
     failing schedule).  Timestamps are virtual simulator milliseconds, so a
     trace is as deterministic as the run itself.
     """
-    return _run_flexcast(
-        scenario, exposure or scenario.exposure, use_batching_client, obs
-    )
+    return _run_flexcast(scenario, use_batching_client, obs)
 
 
 def check_deliveries(
@@ -272,7 +214,7 @@ def _check_leaks(
 
     After a run where every submission was delivered and the loop went idle,
     the per-message machinery must have wound down: no queued messages, no
-    parked notifications, no undecided timestamp entries, no open windows —
+    parked notifications, no open windows —
     and the two standing leak invariants (pending entries the history
     forgot; member-index entries without a carrier) must hold.  The raw
     pending-set *size* is deliberately not asserted: entries legitimately
@@ -289,10 +231,6 @@ def _check_leaks(
             ("queue depth", sum(len(q) for q in group.queues.values())),
             ("open dependencies", len(group.open_dependencies())),
             ("parked notifications", len(group.pending_notifications)),
-            (
-                "undecided timestamp entries",
-                group.ts.pending_count() if group.ts is not None else 0,
-            ),
             ("leaked pending entries", group._leaked_pending_entries()),
             ("member-index orphans", group._member_index_orphans()),
         ]
@@ -311,38 +249,8 @@ def _check_leaks(
 
 
 # ------------------------------------------------------------------ flexcast
-def scenario_conflict_shapes(scenario: FuzzScenario) -> Tuple[frozenset, ...]:
-    """The destination-shape universe a scenario declares: every global
-    destination set it can submit, plus the all-groups shape used by GC
-    flushes."""
-    shapes = {frozenset(sub.dst) for sub in scenario.submissions}
-    shapes.add(frozenset(scenario.order))
-    return tuple(sorted(
-        (s for s in shapes if len(s) > 1),
-        key=lambda s: sorted(map(str, s)),
-    ))
-
-
-#: Names of the three :class:`Exposure` constructors, for the fuzz surfaces
-#: that pick one by name (harness, explorer, their CLIs).
-EXPOSURE_MODES = ("none", "declared", "all")
-
-
-def exposure_for(mode: str, shapes: Iterable[frozenset]) -> Exposure:
-    """The exposure named ``mode``; ``shapes`` is the universe to declare,
-    read only by ``"declared"``."""
-    if mode == "none":
-        return Exposure.none()
-    if mode == "declared":
-        return Exposure.declared(shapes)
-    if mode == "all":
-        return Exposure.all()
-    raise ValueError(f"unknown exposure {mode!r} (know {EXPOSURE_MODES})")
-
-
 def _run_flexcast(
     scenario: FuzzScenario,
-    exposure: str,
     use_batching_client: bool = False,
     obs: Optional[Observability] = None,
 ) -> FuzzResult:
@@ -359,9 +267,7 @@ def _run_flexcast(
     #: copies of it, the way ``ProcessCluster`` hosts it.
     hosts: Dict[GroupId, object] = {}
     try:
-        return _run_deployment(
-            scenario, exposure, use_batching_client, obs, network, hosts
-        )
+        return _run_deployment(scenario, use_batching_client, obs, network, hosts)
     finally:
         # The result holds none of the deployment: closed, it is freed by
         # reference counting (DESIGN.md, "Lifetimes").
@@ -374,7 +280,6 @@ def _run_flexcast(
 
 def _run_deployment(
     scenario: FuzzScenario,
-    exposure: str,
     use_batching_client: bool,
     obs: Optional[Observability],
     network: Network,
@@ -385,11 +290,7 @@ def _run_deployment(
     replicated = scenario.replication_factor > 1
     loop = network.loop
     latencies = network.latencies
-    overlay = CDagOverlay(list(scenario.order))
-    protocol = FlexCastProtocol(
-        overlay,
-        exposure=exposure_for(exposure, scenario_conflict_shapes(scenario)),
-    )
+    protocol = FlexCastProtocol(CDagOverlay(list(scenario.order)))
 
     sink = RecordingSink(clock=lambda: loop.now)
     #: Delivered at some destination, hence ordered by its entry group.
@@ -568,8 +469,6 @@ def _run_deployment(
             for report in _check_replicas(hosts, pre_crash, restarted)
             for v in report.violations
         )
-
-    result.finalize_buckets(strict=exposure != "none" or expect_all)
     return result
 
 

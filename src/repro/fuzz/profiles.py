@@ -7,10 +7,12 @@ the matching oracle expectations:
 * ``dup`` — a seeded fraction of FlexCast protocol envelopes is duplicated
   through ``Network.set_drop_filter`` (idempotence must absorb them; full
   delivery is still expected);
-* ``loss`` — a seeded fraction of protocol envelopes is dropped.  FlexCast
-  assumes reliable channels, so liveness is forfeit by design; the oracle
-  switches to safety-only mode (everything that *was* delivered must still
-  satisfy integrity/prefix/acyclic order and replay consistency);
+* ``loss`` — a seeded fraction of protocol envelopes is dropped.  A lost
+  inter-group envelope stops its numbered channel (the receiver refuses
+  every later one from that sender; :mod:`repro.core.flexcast`), so
+  liveness is forfeit by design; the oracle switches to safety-only mode
+  (everything that *was* delivered must still satisfy integrity and prefix
+  and acyclic order, as strictly as in any other profile);
 * ``crash`` — one multi-Paxos replicated group
   (:class:`repro.smr.replica.ReplicatedGroup`, 3 replicas) absorbs the whole
   submission stream and a seeded victim replica — leader or follower —
@@ -25,8 +27,9 @@ the matching oracle expectations:
   (``ProcessCluster``: groups × replicas): the base scenario's groups and
   destination sets are kept and every group gets 3 replicas; the victim is a
   *follower* of a seeded group, because inter-group traffic is addressed to
-  replica 0 of a group and a crashed replica 0 would take the channel with
-  it (leader crashes are the single-group profiles' coverage).
+  replica 0 of a group and a crashed replica 0 would stop the channels into
+  it, with nothing to resend (leader crashes are the single-group profiles'
+  coverage).
 """
 
 from __future__ import annotations
@@ -34,13 +37,7 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 
-from ..core.message import (
-    FlexCastAck,
-    FlexCastBatch,
-    FlexCastMsg,
-    FlexCastNotif,
-    FlexCastTsPropose,
-)
+from ..core.message import FlexCastAck, FlexCastBatch, FlexCastMsg, FlexCastNotif
 from .scenario import Crash, FuzzScenario, Restart
 
 PROFILES = (
@@ -52,13 +49,8 @@ PROFILES = (
 #: :class:`repro.workload.clients.BoundedResubmitter`).
 _CRASH_CLIENT_RETRIES = 4
 
-#: Envelope kinds subject to fault injection, per fault mode.  Hybrid-mode
-#: timestamp proposals are *duplicated* (exercising the authority's
-#: duplicate-propose absorption) but never *dropped*: FlexCast assumes
-#: reliable channels either way, and a lost proposal head-of-line-blocks the
-#: entire convoy — every later global message at that destination stalls
-#: behind the undecided entry, so loss runs would degenerate into checking
-#: ever-emptier delivery prefixes instead of exploring msg/ack/notif loss.
+#: Envelope kinds subject to fault injection, dropped or duplicated alike.
+#: A duplicated msg/ack/notif repeats its channel number and is absorbed.
 #: Batch submissions (client -> lca) are both droppable and duplicable: a
 #: dropped batch must degrade exactly like N dropped messages (all-or-
 #: nothing, checked by the harness's batch-atomicity oracle) and a
@@ -66,8 +58,7 @@ _CRASH_CLIENT_RETRIES = 4
 #: Plain ClientRequests stay exempt, so the seeded fault schedule of every
 #: pre-batching scenario is unchanged; batch envelopes only exist when a
 #: scenario's ``batch_window`` > 1.
-_DROPPABLE_ENVELOPES = (FlexCastMsg, FlexCastAck, FlexCastNotif, FlexCastBatch)
-_DUPLICABLE_ENVELOPES = _DROPPABLE_ENVELOPES + (FlexCastTsPropose,)
+_FAULTED_ENVELOPES = (FlexCastMsg, FlexCastAck, FlexCastNotif, FlexCastBatch)
 
 
 def apply_profile(scenario: FuzzScenario, profile: str) -> FuzzScenario:
@@ -159,11 +150,10 @@ class EnvelopeFaultFilter:
         self._rate = float(rate)
         self._rng = random.Random(seed)
         self._mode = mode
-        self._kinds = _DROPPABLE_ENVELOPES if mode == "drop" else _DUPLICABLE_ENVELOPES
         self._resending = False
 
     def __call__(self, src, dst, payload) -> bool:
-        if self._resending or not isinstance(payload, self._kinds):
+        if self._resending or not isinstance(payload, _FAULTED_ENVELOPES):
             return False
         if self._rng.random() >= self._rate:
             return False

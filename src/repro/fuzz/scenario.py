@@ -89,10 +89,6 @@ class FuzzScenario:
     #: channels FlexCast assumes reliable), so the oracle checks that what
     #: *was* delivered is consistent, not that everything was delivered.
     expect_all_delivered: bool = True
-    #: What the Skeen-timestamp authority orders, by name
-    #: (``repro.fuzz.harness.EXPOSURE_MODES``): nothing, the hot components of
-    #: the scenario's own shapes, or every global message.
-    exposure: str = "declared"
     #: Client-side batching window (repro.core.batching.BatchingClient):
     #: same-destination submissions are coalesced up to this many per
     #: FlexCastBatch.  ``1`` (the default, and the value every pre-batching
@@ -120,8 +116,12 @@ class FuzzScenario:
         data["submissions"] = tuple(
             Submission(**{**s, "dst": tuple(s["dst"])}) for s in data["submissions"]
         )
-        # A key no field reads any more loads only while it is empty: a
-        # schedule that used it cannot be replayed without it.
+        # ``exposure`` named what a Skeen-timestamp authority beside the
+        # protocol ordered; no run has one, so a schedule that set it replays
+        # the protocol alone.
+        data.pop("exposure", None)
+        # Any other key no field reads any more loads only while it is
+        # empty: a schedule that used it cannot be replayed without it.
         for key in data.keys() - {f.name for f in fields(FuzzScenario)}:
             if data.pop(key):
                 raise ValueError(f"scenario sets {key!r}, which no run can replay")

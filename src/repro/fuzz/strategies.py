@@ -10,13 +10,11 @@ meet at exactly one dedicated group and nowhere else (extra per-message
 groups are drawn from disjoint pools, so they can never widen an
 intersection), plus optional unconstrained filler traffic.
 
-This is the adversarial input class for exposure
-(:class:`repro.core.timestamps.Exposure`): each pairwise order in the cycle
-is decided at an independent group, which is exactly what lets the protocol
-compose a global delivery cycle with nothing exposed.  Property tests drive
-these scenarios with their shapes declared, with everything exposed, and
-batched, and assert ``strict_ok`` — ``acyclic-order`` is a hard property in
-all three.
+Each pairwise order in the cycle is decided at an independent group, the
+input class that can compose a global delivery cycle if the protocol's
+acks and notifs miss one of those decisions.  Property tests drive these
+scenarios unbatched and batched and assert ``ok`` — ``acyclic-order`` is a
+hard property in both.
 
 Hypothesis is a dev-only dependency: this module is imported by tests, never
 by the runtime package.
@@ -117,8 +115,8 @@ def batched_single_shared_group_scenarios(
     """The same conflict class, shipped through the batching client.
 
     A batch carrier is one ordering unit, so coalescing same-destination
-    members must not re-open the cycle the claims close (nor may a claims
-    deadlock wedge a carrier and break batch atomicity).
+    members must not open a cycle (nor wedge a carrier and break batch
+    atomicity).
     """
     scenario = draw(single_shared_group_scenarios())
     return replace(

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from ..obs import Observability
-from .harness import EXPOSURE_MODES, FuzzResult, peak_rss_mib, run_scenario
+from .harness import FuzzResult, peak_rss_mib, run_scenario
 from .profiles import PROFILES, apply_profile
 from .scenario import FuzzScenario
 from .shrink import default_predicate, shrink_scenario
@@ -34,17 +34,13 @@ from .workload import generate_scenario
 class SweepSummary:
     """Aggregate outcome of a sweep.
 
-    ``failures`` are violations of guaranteed properties (sweep gate);
-    ``anomalies`` are runs whose only findings are global acyclic-order
-    anomalies — possible only in a lossy run with nothing exposed, outside
-    the reliable-channel assumption (DESIGN.md).  Both get shrunk so the
-    artifacts stay actionable.
+    ``failures`` are the runs with any finding (the sweep gate); each gets
+    shrunk so the artifacts stay actionable.
     """
 
     runs: int = 0
     clean: int = 0
     failures: List[FuzzResult] = field(default_factory=list)
-    anomalies: List[FuzzResult] = field(default_factory=list)
     shrunk: List[FuzzScenario] = field(default_factory=list)
     #: Runs in which a replica rebooted mid-run: a sweep that never does
     #: says nothing about the recovery path.
@@ -63,15 +59,10 @@ def run_sweep(
     shrink_failures: bool = True,
     time_cap_s: Optional[float] = None,
     progress=None,
-    exposure: Optional[str] = None,
     batch_window: Optional[int] = None,
 ) -> SweepSummary:
     """Run every ``(seed, profile)`` scenario; shrink and collect failures.
 
-    ``exposure`` forces what the timestamp authority orders for every run
-    and is recorded on each scenario, shrunk ones included.  Acyclic-order
-    findings are hard failures except under ``"none"`` in a ``loss`` run,
-    which reports them as anomalies; ``None`` follows each scenario.
     ``batch_window`` likewise forces the client-side batching window for
     every run (``1`` = unbatched); ``None`` follows each scenario.
     """
@@ -97,19 +88,15 @@ def run_sweep(
                 summary.elapsed_s = time.monotonic() - started
                 return summary
             scenario = apply_profile(generate_scenario(seed, profile), profile)
-            if exposure is not None:
-                # Recorded on the scenario, so its shrunk schedule replays
-                # under the mode that found it.
-                scenario = replace(scenario, exposure=exposure)
             if batch_window is not None:
                 scenario = replace(scenario, batch_window=batch_window)
             result = run_scenario(scenario)
             summary.runs += 1
             summary.restart_runs += result.restarts > 0
-            if result.strict_ok:
+            if result.ok:
                 summary.clean += 1
             else:
-                (summary.anomalies if result.ok else summary.failures).append(result)
+                summary.failures.append(result)
                 if shrink_failures:
                     try:
                         summary.shrunk.append(
@@ -147,16 +134,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--time-cap-s", type=float, default=None)
     parser.add_argument("--no-shrink", action="store_true")
     parser.add_argument(
-        "--exposure",
-        choices=EXPOSURE_MODES,
-        default=None,
-        help="force what the Skeen-timestamp authority orders for every run: "
-        "all global messages, the hot components of each scenario's declared "
-        "shapes, or none (the paper's protocol; acyclic-order findings in a "
-        "loss run are then reported anomalies instead of hard failures).  "
-        "Default: follow each scenario",
-    )
-    parser.add_argument(
         "--batch",
         dest="batch_window",
         type=int,
@@ -171,16 +148,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.replay:
         scenario = FuzzScenario.load(args.replay)
-        result = run_scenario(scenario, exposure=args.exposure)
+        result = run_scenario(scenario)
         print(
             f"replayed {scenario.name}: submitted={result.submitted} "
-            f"delivered={result.delivered} violations={len(result.violations)} "
-            f"ordering anomalies={len(result.ordering_anomalies)}"
+            f"delivered={result.delivered} violations={len(result.violations)}"
         )
-        for violation in result.violations + result.ordering_anomalies:
+        for violation in result.violations:
             print(f"  {violation}")
-        # A replayed regression schedule reports *any* checked finding.
-        return 0 if result.strict_ok else 1
+        return 0 if result.ok else 1
 
     profiles = [p.strip() for p in args.profiles.split(",") if p.strip()]
     seeds = range(args.seed_base, args.seed_base + args.seeds)
@@ -188,12 +163,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     def progress(seed, profile, result):
         if args.quiet:
             return
-        if not result.ok:
-            status = f"FAIL({len(result.violations)})"
-        elif result.ordering_anomalies:
-            status = f"anomaly({len(result.ordering_anomalies)})"
-        else:
-            status = "ok"
+        status = "ok" if result.ok else f"FAIL({len(result.violations)})"
         print(
             f"seed={seed:<4} profile={profile:<21} delivered="
             f"{result.delivered:<5} {status}",
@@ -206,14 +176,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         shrink_failures=not args.no_shrink,
         time_cap_s=args.time_cap_s,
         progress=progress,
-        exposure=args.exposure,
         batch_window=args.batch_window,
     )
     print(
         f"\nsweep: {summary.clean}/{summary.runs} clean, "
-        f"{len(summary.failures)} guarantee violations, "
-        f"{len(summary.anomalies)} ordering anomalies in "
-        f"{summary.elapsed_s:.1f}s"
+        f"{len(summary.failures)} failing in {summary.elapsed_s:.1f}s"
         + (" (time cap hit)" if summary.timed_out else "")
         + f", peak RSS {peak_rss_mib():.0f} MiB"
     )
@@ -240,10 +207,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     for failure in summary.failures:
         print(f"\n{failure.scenario.name}:")
         for violation in failure.violations[:10]:
-            print(f"  {violation}")
-    for anomaly in summary.anomalies:
-        print(f"\n{anomaly.scenario.name} (ordering anomaly of a lossy run):")
-        for violation in anomaly.ordering_anomalies[:5]:
             print(f"  {violation}")
     return 0 if summary.ok else 1
 

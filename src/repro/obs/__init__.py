@@ -31,7 +31,6 @@ from .trace import (
     STAGE_ENQUEUE,
     STAGE_FANOUT,
     STAGE_SUBMIT,
-    STAGE_TS_WAIT,
     Tracer,
 )
 
@@ -45,7 +44,6 @@ __all__ = [
     "STAGE_SUBMIT",
     "STAGE_BATCH_FLUSH",
     "STAGE_ENQUEUE",
-    "STAGE_TS_WAIT",
     "STAGE_DELIVER",
     "STAGE_FANOUT",
 ]

@@ -2,7 +2,7 @@
 
 A trace is the ordered set of stage events one multicast passes through:
 
-    submit -> batch_flush -> enqueue -> ts_wait -> deliver
+    submit -> batch_flush -> enqueue -> deliver
            -> fanout
 
 Each event is a plain tuple ``(trace_id, stage, at_ms, site, detail)``
@@ -29,7 +29,6 @@ from typing import Deque, Dict, List, Optional, Tuple
 STAGE_SUBMIT = "submit"
 STAGE_BATCH_FLUSH = "batch_flush"
 STAGE_ENQUEUE = "enqueue"
-STAGE_TS_WAIT = "ts_wait"
 STAGE_DELIVER = "deliver"
 STAGE_FANOUT = "fanout"
 
@@ -37,7 +36,6 @@ STAGES: Tuple[str, ...] = (
     STAGE_SUBMIT,
     STAGE_BATCH_FLUSH,
     STAGE_ENQUEUE,
-    STAGE_TS_WAIT,
     STAGE_DELIVER,
     STAGE_FANOUT,
 )

@@ -21,9 +21,8 @@ The protocol is genuine (only destinations exchange messages) and delivers in
 two communication steps after the client's send, which is optimal.
 
 The timestamp machinery itself — clock, proposal max-merge, the convoy-wait
-delivery gate — lives in :class:`repro.core.timestamps.TimestampAuthority`,
-shared with FlexCast's exposed traffic so both deployments run one tested
-implementation; this module only adds the wire protocol around it.
+delivery gate — lives in :class:`repro.core.timestamps.TimestampAuthority`;
+this module only adds the wire protocol around it.
 """
 
 from __future__ import annotations

@@ -145,7 +145,6 @@ def _delta_to_dict(delta: msg.HistoryDelta) -> Dict[str, Any]:
         "vertices": [[mid, sorted(dst)] for mid, dst in delta.vertices],
         "edges": [list(edge) for edge in delta.edges],
         "last_delivered": delta.last_delivered,
-        "seq": delta.seq,
     }
     if delta.snapshot is not None:
         # Cold-sync deltas only: warm diffs keep their historical
@@ -158,7 +157,8 @@ def _delta_to_dict(delta: msg.HistoryDelta) -> Dict[str, Any]:
 def _delta_from_dict(d: Dict[str, Any]) -> msg.HistoryDelta:
     # Delta vertex/edge ids recur across every index and pending-set on the
     # receiving group; interning at the decode boundary makes the in-memory
-    # copies pointer-identical (see Message.msg_id).
+    # copies pointer-identical (see Message.msg_id).  A delta written before
+    # it lost its journal ``seq`` still carries that key, which is ignored.
     intern = sys.intern
     get = d.get
     vertices, edges, snapshot = get("vertices"), get("edges"), get("snapshot")
@@ -166,7 +166,6 @@ def _delta_from_dict(d: Dict[str, Any]) -> msg.HistoryDelta:
         tuple([(intern(mid), frozenset(dst)) for mid, dst in vertices]) if vertices else (),
         tuple([(intern(a), intern(b)) for a, b in edges]) if edges else (),
         get("last_delivered"),
-        get("seq"),
         None if snapshot is None else _snapshot_from_dict(snapshot),
     )
 
@@ -322,9 +321,9 @@ _NOTIFIED = _field(
     _notified_from_wire,
     default=(),
 )
-_TS_PROPOSALS = _field(
-    "ts_proposals", None, lambda pairs: tuple([(g, ts) for g, ts in pairs]), default=()
-)
+#: A channel number; a FlexCast frame written before envelopes were numbered
+#: reads as 0, which no channel takes (``FlexCastGroup._in_order``).
+_SEQ = _field("seq", default=0)
 _BALLOT = _field("ballot", _ballot_to_list, _ballot_from_list)
 _VALUE = _field("value", _value_text, _value_from_wire)
 
@@ -332,21 +331,19 @@ _VALUE = _field("value", _value_text, _value_from_wire)
 #: an envelope is one row.  Field order is wire order
 #: (tests/runtime/test_wire_golden.py pins it byte for byte).  A key a row
 #: does not name is ignored on decode: older FlexCast frames carry an
-#: ``epoch`` that no envelope has any more.
+#: ``epoch`` and piggybacked timestamp proposals that no envelope has any
+#: more.
 _SCHEMA: Tuple[tuple, ...] = (
     (msg.ClientRequest, "request", _MESSAGE),
     (msg.FlexCastBatch, "flexcast-batch", _MESSAGE),
     (msg.ClientResponse, "response", "msg_id", "group"),
-    (msg.FlexCastMsg, "flexcast-msg",
-     _MESSAGE, _HISTORY, _NOTIFIED, _TS_PROPOSALS),
+    (msg.FlexCastMsg, "flexcast-msg", _MESSAGE, _HISTORY, _SEQ, _NOTIFIED),
     (msg.FlexCastAck, "flexcast-ack",
-     _MESSAGE, _HISTORY, "from_group", _field("notifier", default=None),
-     _NOTIFIED, _TS_PROPOSALS),
+     _MESSAGE, _HISTORY, "from_group", _SEQ, _field("notifier", default=None),
+     _NOTIFIED),
     (msg.HistorySnapshotFrame, "history-snapshot",
      "group", _field("delta", _delta_to_dict, _delta_from_dict, key="history")),
-    (msg.FlexCastTsPropose, "flexcast-ts-propose",
-     _MESSAGE, "timestamp", "from_group"),
-    (msg.FlexCastNotif, "flexcast-notif", _MESSAGE, _HISTORY, "from_group"),
+    (msg.FlexCastNotif, "flexcast-notif", _MESSAGE, _HISTORY, "from_group", _SEQ),
     (msg.SkeenTimestamp, "skeen-timestamp", "msg_id", "timestamp", "from_group"),
     (msg.SkeenPropose, "skeen-propose", _MESSAGE),
     (msg.TreeForward, "tree-forward", _MESSAGE, "sequence"),

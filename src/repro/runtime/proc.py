@@ -23,8 +23,11 @@ Topology conventions (documented for operators in ``docs/OPERATIONS.md``):
 * A *group-level* destination (an int group id, as used by clients and by
   inter-group protocol traffic) is routed to that group's replica 0 — the
   default multi-Paxos leader.  While replica 0 is down, frames addressed to
-  the group are lost until it restarts; client resubmission covers the gap
-  (the same asynchronous-model loss the protocol already tolerates).
+  the group are lost until it restarts.  Client resubmission covers a lost
+  request; a lost inter-group envelope stops its channel for good: the
+  receiver refuses every later envelope from that sender and counts each in
+  ``flexcast_channel_gaps_total`` (nothing resends yet).  Order holds; the
+  channel's liveness does not.
 * Storage lives under ``<storage_root>/group-G/replica-I/`` — the acceptor
   WAL and commit log of that replica, nothing else.  Replica protocol state
   is a pure function of the replicated log, so a SIGKILL'd process restarts
@@ -50,7 +53,6 @@ from urllib.parse import parse_qs, quote, urlsplit
 
 from ..core.flexcast import FlexCastProtocol
 from ..core.message import NodeHello
-from ..core.timestamps import Exposure
 from ..obs import Observability
 from ..overlay.base import GroupId
 from ..overlay.cdag import CDagOverlay
@@ -110,9 +112,7 @@ class ClusterSpec:
 
     def build_protocol(self) -> FlexCastProtocol:
         """The (deterministic) protocol instance every process agrees on."""
-        return FlexCastProtocol(
-            CDagOverlay(list(self.groups)), exposure=Exposure.none()
-        )
+        return FlexCastProtocol(CDagOverlay(list(self.groups)))
 
     def allocate_addresses(self) -> None:
         """Pick one free port per replica, then map group ids to replica 0.

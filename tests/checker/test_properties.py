@@ -18,7 +18,6 @@ from repro.checker.properties import (
 )
 from repro.core.flexcast import FlexCastProtocol
 from repro.core.message import ClientRequest, Message
-from repro.core.timestamps import Exposure
 from repro.overlay.builders import build_o1
 from repro.protocols.base import RecordingSink
 from repro.sim.events import EventLoop
@@ -99,14 +98,14 @@ class TestViolations:
 
 
 def flexcast_trace(seed, num_messages=60):
-    """A real FlexCast delivery trace on the simulated WAN (O1, shapes
-    declared, so it satisfies every property): ``(sequences, messages)``."""
+    """A real FlexCast delivery trace on the simulated WAN (O1), which
+    satisfies every property: ``(sequences, messages)``."""
     rng = random.Random(seed)
     latencies = aws_latency_matrix()
     destinations = [
         frozenset(rng.sample(range(12), rng.choice([2, 2, 3]))) for _ in range(num_messages)
     ]
-    protocol = FlexCastProtocol(build_o1(latencies), exposure=Exposure.declared(destinations))
+    protocol = FlexCastProtocol(build_o1(latencies))
     loop = EventLoop()
     network = Network(loop, latencies, jitter_ms=3.0, seed=seed)
     sink = RecordingSink()

@@ -54,6 +54,20 @@ def substitute_groups(monkeypatch):
     return enable
 
 
+@pytest.fixture
+def seq():
+    """Channel numbers for hand-built FlexCast envelopes, as the sending
+    group assigns them: ``seq(sender, receiver)`` is the next number on that
+    channel, counted from 1 in each test."""
+    last = {}
+
+    def next_seq(sender, receiver):
+        last[sender, receiver] = last.get((sender, receiver), 0) + 1
+        return last[sender, receiver]
+
+    return next_seq
+
+
 @pytest.fixture(scope="session")
 def latencies():
     """The default 12-region AWS latency matrix."""

@@ -6,7 +6,6 @@ import pytest
 from repro.core.batching import BatchingClient
 from repro.core.message import ClientRequest, FlexCastBatch, Message
 from repro.core.flexcast import FlexCastProtocol
-from repro.core.timestamps import Exposure
 from repro.overlay.cdag import CDagOverlay
 from repro.protocols.base import RecordingSink
 from repro.sim.transport import RecordingTransport
@@ -173,28 +172,14 @@ class TestBatchFanOutAtGate:
         assert "b0" in group.history
         assert len(transport.sent_to(1)) == 1
 
-    def test_one_timestamp_convoy_per_batch(self):
-        # Hybrid mode: the carrier — not the members — acquires the final
-        # timestamp, so a batch of N costs |dst|-1 ts-propose envelopes
-        # total, not N * (|dst|-1).
-        overlay = CDagOverlay([0, 1, 2])
-        group = FlexCastProtocol(overlay, exposure=Exposure.all()).create_group(
-            0, RecordingTransport(0), RecordingSink()
-        )
-        members = [make_message(i, dst=(0, 1, 2)) for i in range(8)]
-        carrier = Message.batch_of(members, batch_id="b0")
-        group.on_envelope("client", FlexCastBatch(message=carrier))
-        assert group.stats["ts_proposals_sent"] == 2  # one per peer destination
-        assert group.ts is not None and group.ts.is_pending("b0")
-        # No member ever enters the timestamp authority.
-        assert not any(group.ts.is_pending(m.msg_id) for m in members)
+    def test_duplicate_msg_after_gc_leaks_no_state(self, seq):
+        # A FlexCastMsg for a carrier the group already delivered *and
+        # garbage-collected* must not resurrect pending state: forgotten ids
+        # never re-enter the history, so an entry (or member-index row)
+        # created by it could never be pruned by any later GC pass.  It
+        # comes on a new number, so the channel does not absorb it first.
+        from dataclasses import replace
 
-    def test_duplicate_msg_after_gc_leaks_no_state(self):
-        # A duplicated/delayed FlexCastMsg for a carrier the group already
-        # delivered *and garbage-collected* must not resurrect pending
-        # state: forgotten ids never re-enter the history, so an entry (or
-        # member-index row) created by the duplicate could never be pruned
-        # by any later GC pass.
         from repro.core.message import EMPTY_DELTA, FlexCastMsg
 
         overlay = CDagOverlay([0, 1, 2])
@@ -204,7 +189,7 @@ class TestBatchFanOutAtGate:
         )
         members = [make_message(i, dst=(0, 1)) for i in range(2)]
         carrier = Message.batch_of(members, batch_id="b0")
-        envelope = FlexCastMsg(message=carrier, history=EMPTY_DELTA)
+        envelope = FlexCastMsg(message=carrier, history=EMPTY_DELTA, seq=seq(0, 1))
         group.on_envelope(0, envelope)
         assert sink.sequence(1) == ["m0", "m1"]
         # A flush addressed to this group collects the carrier.
@@ -213,7 +198,8 @@ class TestBatchFanOutAtGate:
         )
         assert group.history.is_forgotten("b0")
         assert "b0" not in group.pending
-        group.on_envelope(0, envelope)  # late duplicate of the pruned batch
+        # A late copy of the pruned batch.
+        group.on_envelope(0, replace(envelope, seq=seq(0, 1)))
         assert sink.sequence(1) == ["m0", "m1", "f0"]  # nothing re-delivered
         assert "b0" not in group.pending
         assert not group._batch_members
@@ -251,37 +237,3 @@ class TestBatchFanOutAtGate:
         # vertices, so an entry created here could never be GC'd.
         assert "m1" not in group.pending
 
-    def test_member_retry_while_batch_in_flight_absorbed(self):
-        # The retry can also arrive while the batch is still undelivered —
-        # here at a hybrid lca whose carrier waits in the convoy for the
-        # peer's proposal.  The member index must absorb the retry before
-        # it becomes a second ordering unit, and crucially before it mints
-        # a timestamp proposal: an undeliverable entry at the convoy gate's
-        # head would stall every later global message.
-        from repro.core.message import FlexCastTsPropose
-
-        overlay = CDagOverlay([0, 1, 2])
-        sink = RecordingSink()
-        group = FlexCastProtocol(overlay, exposure=Exposure.all()).create_group(
-            0, RecordingTransport(0), sink
-        )
-        members = [make_message(i, dst=(0, 1)) for i in range(2)]
-        carrier = Message.batch_of(members, batch_id="b0")
-        group.on_envelope("client", FlexCastBatch(message=carrier))
-        assert sink.sequence(0) == []  # convoy: waiting on group 1's proposal
-        group.on_envelope("client", ClientRequest(message=members[0]))  # retry
-        assert sink.sequence(0) == []  # absorbed, not ordered solo
-        assert group.ts is not None
-        assert not group.ts.is_pending("m0")  # authority not poisoned
-        # The peer's proposal decides the carrier; the batch delivers as
-        # one contiguous unit.
-        local_ts = group.ts.pending["b0"].local_timestamp
-        group.on_envelope(
-            1,
-            FlexCastTsPropose(
-                message=Message(msg_id="b0", dst=frozenset({0, 1})),
-                timestamp=local_ts + 1,
-                from_group=1,
-            ),
-        )
-        assert sink.sequence(0) == ["m0", "m1"]

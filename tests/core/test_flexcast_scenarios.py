@@ -50,7 +50,7 @@ class TestFigure3aHistories:
     """Scenario (a): m1 ≺ m2 at A and m2 ≺ m3 at B force m1 ≺ m3 at C,
     even though C receives m3 (from B) before m1 (from A)."""
 
-    def test_c_delivers_m1_before_m3(self, overlay):
+    def test_c_delivers_m1_before_m3(self, overlay, seq):
         group, sink = make_c(overlay)
         m1 = msg("m1", {A, C})
         m3 = msg("m3", {B, C})
@@ -59,9 +59,13 @@ class TestFigure3aHistories:
             [("m1", {A, C}), ("m2", {A, B}), ("m3", {B, C})],
             edges=[("m1", "m2"), ("m2", "m3")],
         )
-        group.on_envelope(B, FlexCastMsg(message=m3, history=history_from_b))
+        group.on_envelope(
+            B, FlexCastMsg(message=m3, history=history_from_b, seq=seq(B, C))
+        )
         assert sink.sequence(C) == []  # m3 must wait: m1 precedes it and is addressed to C
-        group.on_envelope(A, FlexCastMsg(message=m1, history=delta([("m1", {A, C})])))
+        group.on_envelope(
+            A, FlexCastMsg(message=m1, history=delta([("m1", {A, C})]), seq=seq(A, C))
+        )
         assert sink.sequence(C) == ["m1", "m3"]
 
 
@@ -69,13 +73,18 @@ class TestFigure3bAcks:
     """Scenario (b): B delivers m1 before m2; C hears about m2 (from A) first
     and must wait for B's ack before delivering it."""
 
-    def test_c_delivers_m1_before_m2(self, overlay):
+    def test_c_delivers_m1_before_m2(self, overlay, seq):
         group, sink = make_c(overlay)
         m1 = msg("m1", {B, C})
         m2 = msg("m2", {A, B, C})
-        group.on_envelope(A, FlexCastMsg(message=m2, history=delta([("m2", {A, B, C})])))
+        group.on_envelope(
+            A,
+            FlexCastMsg(message=m2, history=delta([("m2", {A, B, C})]), seq=seq(A, C)),
+        )
         assert sink.sequence(C) == []  # waiting for B's ack on m2
-        group.on_envelope(B, FlexCastMsg(message=m1, history=delta([("m1", {B, C})])))
+        group.on_envelope(
+            B, FlexCastMsg(message=m1, history=delta([("m1", {B, C})]), seq=seq(B, C))
+        )
         assert sink.sequence(C) == ["m1"]
         group.on_envelope(
             B,
@@ -85,6 +94,7 @@ class TestFigure3bAcks:
                     [("m1", {B, C}), ("m2", {A, B, C})], edges=[("m1", "m2")]
                 ),
                 from_group=B,
+                seq=seq(B, C),
             ),
         )
         assert sink.sequence(C) == ["m1", "m2"]
@@ -94,7 +104,7 @@ class TestFigure3cNotifs:
     """Scenario (c): the dependency m1 -> m2 is created at B *after* B talked
     to C, so only a notif from A makes B push its history (and an ack) to C."""
 
-    def test_c_delivers_m1_before_m3(self, overlay):
+    def test_c_delivers_m1_before_m3(self, overlay, seq):
         group, sink = make_c(overlay)
         m1 = msg("m1", {B, C})
         m3 = msg("m3", {A, C})
@@ -106,6 +116,7 @@ class TestFigure3cNotifs:
                 message=m3,
                 history=delta([("m2", {A, B}), ("m3", {A, C})], edges=[("m2", "m3")]),
                 notified=frozenset({(B, A)}),
+                seq=seq(A, C),
             ),
         )
         assert sink.sequence(C) == []  # waits for B's ack
@@ -118,14 +129,17 @@ class TestFigure3cNotifs:
                 history=delta([("m1", {B, C})], edges=[("m1", "m2")]),
                 from_group=B,
                 notifier=A,
+                seq=seq(B, C),
             ),
         )
         assert sink.sequence(C) == []
         # m1 finally arrives from its lca B; everything unblocks in order.
-        group.on_envelope(B, FlexCastMsg(message=m1, history=EMPTY_DELTA))
+        group.on_envelope(
+            B, FlexCastMsg(message=m1, history=EMPTY_DELTA, seq=seq(B, C))
+        )
         assert sink.sequence(C) == ["m1", "m3"]
 
-    def test_without_waiting_for_notified_ack_order_would_break(self, overlay):
+    def test_without_waiting_for_notified_ack_order_would_break(self, overlay, seq):
         """Ablation guard: if C ignored the notified list it would deliver m3
         before learning that m1 precedes it — exactly the violation Strategy
         (c) exists to prevent.  This documents why the mechanism is needed."""
@@ -137,6 +151,7 @@ class TestFigure3cNotifs:
                 message=m3,
                 history=delta([("m2", {A, B}), ("m3", {A, C})], edges=[("m2", "m3")]),
                 notified=frozenset(),  # pretend A never notified B
+                seq=seq(A, C),
             ),
         )
         # Without the notified entry C has no reason to wait and delivers m3

@@ -5,6 +5,8 @@ RecordingTransport, which gives the tests full control over arrival order —
 including the adversarial orderings of Figure 3 in the paper.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.flexcast import FlexCastGroup, FlexCastProtocol
@@ -14,11 +16,9 @@ from repro.core.message import (
     FlexCastAck,
     FlexCastMsg,
     FlexCastNotif,
-    FlexCastTsPropose,
     HistoryDelta,
     Message,
 )
-from repro.core.timestamps import Exposure
 from repro.overlay.cdag import CDagOverlay
 from repro.protocols.base import ProtocolError, RecordingSink
 from repro.sim.transport import RecordingTransport
@@ -80,44 +80,11 @@ class TestLcaBehaviour:
         with pytest.raises(ProtocolError):
             group.on_client_request(msg("m1", {A, C}))
 
-    def test_undeclared_global_shape_rejected(self, overlay):
-        """An out-of-universe shape is outside the conflict analysis: it
-        must not run guard-ordered next to a single-shared partner."""
-        exposure = Exposure.declared([{A, B}, {B, C}])
-        group = FlexCastGroup(
-            A, overlay, RecordingTransport(A), RecordingSink(), exposure=exposure
-        )
-        with pytest.raises(ProtocolError) as excinfo:
-            group.on_client_request(msg("m1", {A, C}))
-        # The error names the offending shape and the declared universe.
-        assert "['A', 'C']" in str(excinfo.value)
-        assert "[['A', 'B'], ['B', 'C']]" in str(excinfo.value)
-        assert group.delivered_count == 0
-        # Declared shapes and local messages pass.
-        group.on_client_request(msg("m2", {A, B}))
-        group.on_client_request(msg("m3", {A}))
-        assert group.has_delivered("m3")
-
-    @pytest.mark.parametrize("exposure", [Exposure.none(), Exposure.all()])
-    def test_without_a_declared_universe_every_shape_is_admitted(
-        self, overlay, exposure
-    ):
-        group = FlexCastGroup(
-            A, overlay, RecordingTransport(A), RecordingSink(), exposure=exposure
-        )
+    def test_every_shape_is_admitted(self, overlay):
+        group, _, _ = make_group(A, overlay)
         group.on_client_request(msg("m1", {A, C}))
         group.on_client_request(msg("m2", {A, B, C}))
         assert group.pending.keys() == {"m1", "m2"}
-
-    def test_exposure_has_one_degree_of_freedom_per_mode(self):
-        """``hot_groups`` is derived, and all + a universe is contradictory."""
-        raw = Exposure(universe=[{A}, {A, B}, {B, C}])
-        assert raw == Exposure.declared([{A, B}, {B, C}])
-        assert raw.hot_groups == {A, B, C}
-        with pytest.raises(TypeError):
-            Exposure(hot_groups=frozenset({A}))
-        with pytest.raises(ValueError):
-            Exposure(universe=[{A, B}], everything=True)
 
     def test_forwarded_msg_carries_history_diff(self, overlay):
         group, transport, _ = make_group(A, overlay)
@@ -132,57 +99,74 @@ class TestLcaBehaviour:
 
 
 class TestNonLcaDelivery:
-    def test_single_ancestor_message_delivers_immediately(self, overlay):
+    def test_single_ancestor_message_delivers_immediately(self, overlay, seq):
         group, transport, sink = make_group(C, overlay)
-        group.on_envelope(A, FlexCastMsg(message=msg("m1", {A, C}), history=EMPTY_DELTA))
+        group.on_envelope(
+            A,
+            FlexCastMsg(message=msg("m1", {A, C}), history=EMPTY_DELTA, seq=seq(A, C)),
+        )
         assert sink.sequence(C) == ["m1"]
 
-    def test_non_destination_msg_rejected(self, overlay):
+    def test_non_destination_msg_rejected(self, overlay, seq):
         group, _, _ = make_group(B, overlay)
         with pytest.raises(ProtocolError):
-            group.on_envelope(A, FlexCastMsg(message=msg("m1", {A, C}), history=EMPTY_DELTA))
+            group.on_envelope(
+                A,
+                FlexCastMsg(
+                    message=msg("m1", {A, C}), history=EMPTY_DELTA, seq=seq(A, B),
+                ),
+            )
 
-    def test_middle_destination_sends_ack_to_higher_destinations(self, overlay):
+    def test_middle_destination_sends_ack_to_higher_destinations(self, overlay, seq):
         group, transport, sink = make_group(B, overlay)
-        group.on_envelope(A, FlexCastMsg(message=msg("m1", {A, B, C}), history=EMPTY_DELTA))
+        group.on_envelope(
+            A,
+            FlexCastMsg(
+                message=msg("m1", {A, B, C}), history=EMPTY_DELTA, seq=seq(A, B),
+            ),
+        )
         assert sink.sequence(B) == ["m1"]
         acks = [(dst, env) for dst, env in transport.sent if isinstance(env, FlexCastAck)]
         assert [dst for dst, _ in acks] == [C]
         assert acks[0][1].from_group == B
 
-    def test_highest_destination_waits_for_middle_ack(self, overlay):
+    def test_highest_destination_waits_for_middle_ack(self, overlay, seq):
         group, transport, sink = make_group(C, overlay)
         m = msg("m1", {A, B, C})
-        group.on_envelope(A, FlexCastMsg(message=m, history=EMPTY_DELTA))
+        group.on_envelope(A, FlexCastMsg(message=m, history=EMPTY_DELTA, seq=seq(A, C)))
         assert sink.sequence(C) == []  # blocked on B's ack
-        group.on_envelope(B, FlexCastAck(message=m, history=EMPTY_DELTA, from_group=B))
+        group.on_envelope(
+            B, FlexCastAck(message=m, history=EMPTY_DELTA, from_group=B, seq=seq(B, C))
+        )
         assert sink.sequence(C) == ["m1"]
 
-    def test_ack_arriving_before_msg_is_buffered(self, overlay):
+    def test_ack_arriving_before_msg_is_buffered(self, overlay, seq):
         group, transport, sink = make_group(C, overlay)
         m = msg("m1", {A, B, C})
-        group.on_envelope(B, FlexCastAck(message=m, history=EMPTY_DELTA, from_group=B))
+        group.on_envelope(
+            B, FlexCastAck(message=m, history=EMPTY_DELTA, from_group=B, seq=seq(B, C))
+        )
         assert sink.sequence(C) == []
-        group.on_envelope(A, FlexCastMsg(message=m, history=EMPTY_DELTA))
+        group.on_envelope(A, FlexCastMsg(message=m, history=EMPTY_DELTA, seq=seq(A, C)))
         assert sink.sequence(C) == ["m1"]
 
-    def test_duplicate_acks_are_idempotent(self, overlay):
+    def test_duplicate_acks_are_idempotent(self, overlay, seq):
         group, transport, sink = make_group(C, overlay)
         m = msg("m1", {A, B, C})
-        group.on_envelope(A, FlexCastMsg(message=m, history=EMPTY_DELTA))
-        ack = FlexCastAck(message=m, history=EMPTY_DELTA, from_group=B)
+        group.on_envelope(A, FlexCastMsg(message=m, history=EMPTY_DELTA, seq=seq(A, C)))
+        ack = FlexCastAck(message=m, history=EMPTY_DELTA, from_group=B, seq=seq(B, C))
         group.on_envelope(B, ack)
         group.on_envelope(B, ack)
         assert sink.sequence(C) == ["m1"]
         assert group.delivered_count == 1
 
-    def test_messages_from_same_lca_delivered_in_fifo_order(self, overlay):
+    def test_messages_from_same_lca_delivered_in_fifo_order(self, overlay, seq):
         group, transport, sink = make_group(C, overlay)
         m1, m2 = msg("m1", {A, C}), msg("m2", {A, C})
         d1 = delta([("m1", {A, C})])
         d2 = delta([("m2", {A, C})], edges=[("m1", "m2")])
-        group.on_envelope(A, FlexCastMsg(message=m1, history=d1))
-        group.on_envelope(A, FlexCastMsg(message=m2, history=d2))
+        group.on_envelope(A, FlexCastMsg(message=m1, history=d1, seq=seq(A, C)))
+        group.on_envelope(A, FlexCastMsg(message=m2, history=d2, seq=seq(A, C)))
         assert sink.sequence(C) == ["m1", "m2"]
 
 
@@ -208,46 +192,67 @@ class TestNotifLogic:
         notifs = [env for _, env in transport.sent if isinstance(env, FlexCastNotif)]
         assert notifs == []
 
-    def test_notified_group_acks_destinations_above_it(self, overlay):
+    def test_notified_group_acks_destinations_above_it(self, overlay, seq):
         group, transport, sink = make_group(B, overlay)
         # B has delivered something already (so it has dependencies to share).
-        group.on_envelope(A, FlexCastMsg(message=msg("m1", {A, B}), history=EMPTY_DELTA))
+        group.on_envelope(
+            A,
+            FlexCastMsg(message=msg("m1", {A, B}), history=EMPTY_DELTA, seq=seq(A, B)),
+        )
         transport.clear()
         m3 = msg("m3", {A, C})
         group.on_envelope(
-            A, FlexCastNotif(message=m3, history=delta([("m3", {A, C})]), from_group=A)
+            A,
+            FlexCastNotif(
+                message=m3, history=delta([("m3", {A, C})]), from_group=A,
+                seq=seq(A, B),
+            ),
         )
         acks = [(dst, env) for dst, env in transport.sent if isinstance(env, FlexCastAck)]
         assert [dst for dst, _ in acks] == [C]
         assert {v[0] for v in acks[0][1].history.vertices} >= {"m1"}
         assert acks[0][1].notifier == A
 
-    def test_notif_with_open_dependency_waits_for_local_delivery(self, overlay):
+    def test_notif_with_open_dependency_waits_for_local_delivery(self, overlay, seq):
         group, transport, sink = make_group(B, overlay)
         # B learns (from the notif's history) about a message addressed to B
         # that it has not delivered yet: the ack must be deferred.
         m1 = msg("m1", {A, B})
         m3 = msg("m3", {A, C})
         notif_history = delta([("m1", {A, B}), ("m3", {A, C})], edges=[("m1", "m3")])
-        group.on_envelope(A, FlexCastNotif(message=m3, history=notif_history, from_group=A))
+        group.on_envelope(
+            A,
+            FlexCastNotif(
+                message=m3, history=notif_history, from_group=A, seq=seq(A, B),
+            ),
+        )
         assert not [env for _, env in transport.sent if isinstance(env, FlexCastAck)]
         assert len(group.pending_notifications) == 1
         # Delivering m1 unblocks the pending notification.
-        group.on_envelope(A, FlexCastMsg(message=m1, history=EMPTY_DELTA))
+        group.on_envelope(
+            A, FlexCastMsg(message=m1, history=EMPTY_DELTA, seq=seq(A, B))
+        )
         acks = [(dst, env) for dst, env in transport.sent if isinstance(env, FlexCastAck)]
         assert [dst for dst, _ in acks] == [C]
         assert group.pending_notifications == []
 
-    def test_highest_destination_waits_for_notified_group_ack(self, overlay):
+    def test_highest_destination_waits_for_notified_group_ack(self, overlay, seq):
         group, transport, sink = make_group(C, overlay)
         m3 = msg("m3", {A, C})
         group.on_envelope(
             A,
-            FlexCastMsg(message=m3, history=EMPTY_DELTA, notified=frozenset({(B, A)})),
+            FlexCastMsg(
+                message=m3, history=EMPTY_DELTA, notified=frozenset({(B, A)}),
+                seq=seq(A, C),
+            ),
         )
         assert sink.sequence(C) == []  # must wait for B (notified) to ack
         group.on_envelope(
-            B, FlexCastAck(message=m3, history=EMPTY_DELTA, from_group=B, notifier=A)
+            B,
+            FlexCastAck(
+                message=m3, history=EMPTY_DELTA, from_group=B, notifier=A,
+                seq=seq(B, C),
+            ),
         )
         assert sink.sequence(C) == ["m3"]
 
@@ -278,7 +283,7 @@ class TestOneAckPerNotifier:
 
     m = msg("m", {"A", "C", "E"})
 
-    def test_second_notifier_notifies_a_group_already_notified(self, five):
+    def test_second_notifier_notifies_a_group_already_notified(self, five, seq):
         group, transport, sink = make_group("C", five)
         group.on_client_request(msg("m0", {"C", "D"}))  # C has now contacted D
         transport.clear()
@@ -287,6 +292,7 @@ class TestOneAckPerNotifier:
             FlexCastMsg(
                 message=self.m, history=EMPTY_DELTA,
                 notified=frozenset({("D", "A")}),
+                seq=seq("A", "C"),
             ),
         )
         assert sink.sequence("C") == ["m0", "m"]
@@ -296,38 +302,53 @@ class TestOneAckPerNotifier:
         assert (ack.from_group, ack.notifier) == ("C", None)
         assert ack.notified == {("D", "A"), ("D", "C")}
 
-    def test_notified_group_acks_each_notifier(self, five):
+    def test_notified_group_acks_each_notifier(self, five, seq):
         group, transport, sink = make_group("D", five)
         for notifier in ("A", "C"):
             group.on_envelope(
                 notifier,
-                FlexCastNotif(message=self.m, history=EMPTY_DELTA, from_group=notifier),
+                FlexCastNotif(
+                    message=self.m, history=EMPTY_DELTA, from_group=notifier,
+                    seq=seq(notifier, "D"),
+                ),
             )
         acks = [(dst, env) for dst, env in transport.sent if isinstance(env, FlexCastAck)]
         assert [(dst, env.from_group, env.notifier) for dst, env in acks] == [
             ("E", "D", "A"), ("E", "D", "C"),
         ]
 
-    def test_destination_waits_for_the_ack_of_every_notifier(self, five):
+    def test_destination_waits_for_the_ack_of_every_notifier(self, five, seq):
         group, transport, sink = make_group("E", five)
         pairs = frozenset({("D", "A"), ("D", "C")})
         group.on_envelope(
             "A",
-            FlexCastMsg(message=self.m, history=EMPTY_DELTA, notified=frozenset({("D", "A")})),
+            FlexCastMsg(
+                message=self.m, history=EMPTY_DELTA, notified=frozenset({("D", "A")}),
+                seq=seq("A", "E"),
+            ),
         )
         group.on_envelope(
             "C",
-            FlexCastAck(message=self.m, history=EMPTY_DELTA, from_group="C", notified=pairs),
+            FlexCastAck(
+                message=self.m, history=EMPTY_DELTA, from_group="C", notified=pairs,
+                seq=seq("C", "E"),
+            ),
         )
         group.on_envelope(
             "D",
-            FlexCastAck(message=self.m, history=EMPTY_DELTA, from_group="D", notifier="A"),
+            FlexCastAck(
+                message=self.m, history=EMPTY_DELTA, from_group="D", notifier="A",
+                seq=seq("D", "E"),
+            ),
         )
         assert sink.sequence("E") == []  # D's answer to C is still owed
         assert group.queue_sizes()["A"] == 1
         group.on_envelope(
             "D",
-            FlexCastAck(message=self.m, history=EMPTY_DELTA, from_group="D", notifier="C"),
+            FlexCastAck(
+                message=self.m, history=EMPTY_DELTA, from_group="D", notifier="C",
+                seq=seq("D", "E"),
+            ),
         )
         assert sink.sequence("E") == ["m"]
 
@@ -340,87 +361,143 @@ class TestOneAckPerNotifier:
         notifs = [dst for dst, env in transport.sent if isinstance(env, FlexCastNotif)]
         assert notifs == ["D"]
 
-    def test_deferred_notifs_each_answer_their_own_notifier(self, five):
+    def test_deferred_notifs_each_answer_their_own_notifier(self, five, seq):
         """D owes a delivery first; both notifs wait for it, and each is then
         answered with an ack that names its own notifier."""
         group, transport, sink = make_group("D", five)
         x = msg("x", {"A", "D"})
         history = delta([("x", {"A", "D"}), ("m", {"A", "C", "E"})], edges=[("x", "m")])
-        group.on_envelope("A", FlexCastNotif(message=self.m, history=history, from_group="A"))
         group.on_envelope(
-            "C", FlexCastNotif(message=self.m, history=EMPTY_DELTA, from_group="C")
+            "A",
+            FlexCastNotif(
+                message=self.m, history=history, from_group="A", seq=seq("A", "D"),
+            ),
+        )
+        group.on_envelope(
+            "C",
+            FlexCastNotif(
+                message=self.m, history=EMPTY_DELTA, from_group="C",
+                seq=seq("C", "D"),
+            ),
         )
         assert len(group.pending_notifications) == 2
         assert not [env for _, env in transport.sent if isinstance(env, FlexCastAck)]
-        group.on_envelope("A", FlexCastMsg(message=x, history=EMPTY_DELTA))
+        group.on_envelope(
+            "A", FlexCastMsg(message=x, history=EMPTY_DELTA, seq=seq("A", "D"))
+        )
         acks = [(dst, env) for dst, env in transport.sent if isinstance(env, FlexCastAck)]
         assert [(dst, env.from_group, env.notifier) for dst, env in acks] == [
             ("E", "D", "A"), ("E", "D", "C"),
         ]
         assert group.pending_notifications == []
 
-    def test_a_repeated_ack_does_not_answer_another_notifier(self, five):
+    def test_a_repeated_ack_does_not_answer_another_notifier(self, five, seq):
         group, transport, sink = make_group("E", five)
         pairs = frozenset({("D", "A"), ("D", "C")})
-        group.on_envelope("A", FlexCastMsg(message=self.m, history=EMPTY_DELTA, notified=pairs))
-        group.on_envelope("C", FlexCastAck(message=self.m, history=EMPTY_DELTA, from_group="C"))
+        group.on_envelope(
+            "A",
+            FlexCastMsg(
+                message=self.m, history=EMPTY_DELTA, notified=pairs, seq=seq("A", "E"),
+            ),
+        )
+        group.on_envelope(
+            "C",
+            FlexCastAck(
+                message=self.m, history=EMPTY_DELTA, from_group="C", seq=seq("C", "E"),
+            ),
+        )
         answer_to_a = FlexCastAck(
-            message=self.m, history=EMPTY_DELTA, from_group="D", notifier="A"
+            message=self.m, history=EMPTY_DELTA, from_group="D", notifier="A",
+            seq=seq("D", "E"),
         )
         group.on_envelope("D", answer_to_a)
-        group.on_envelope("D", answer_to_a)
+        # Repeated as a new envelope, so the channel does not absorb it.
+        group.on_envelope("D", replace(answer_to_a, seq=seq("D", "E")))
         assert sink.sequence("E") == []
 
-    def test_an_ack_naming_no_notifier_does_not_answer_a_notif(self, five):
+    def test_an_ack_naming_no_notifier_does_not_answer_a_notif(self, five, seq):
         """``notifier=None`` is a destination's own ack; it answers no
         notif, even from the notified group."""
         group, transport, sink = make_group("E", five)
         group.on_envelope(
             "A",
-            FlexCastMsg(message=self.m, history=EMPTY_DELTA, notified=frozenset({("D", "A")})),
+            FlexCastMsg(
+                message=self.m, history=EMPTY_DELTA, notified=frozenset({("D", "A")}),
+                seq=seq("A", "E"),
+            ),
         )
-        group.on_envelope("C", FlexCastAck(message=self.m, history=EMPTY_DELTA, from_group="C"))
-        group.on_envelope("D", FlexCastAck(message=self.m, history=EMPTY_DELTA, from_group="D"))
+        group.on_envelope(
+            "C",
+            FlexCastAck(
+                message=self.m, history=EMPTY_DELTA, from_group="C", seq=seq("C", "E"),
+            ),
+        )
+        group.on_envelope(
+            "D",
+            FlexCastAck(
+                message=self.m, history=EMPTY_DELTA, from_group="D", seq=seq("D", "E"),
+            ),
+        )
         assert sink.sequence("E") == []
         group.on_envelope(
-            "D", FlexCastAck(message=self.m, history=EMPTY_DELTA, from_group="D", notifier="A")
+            "D",
+            FlexCastAck(
+                message=self.m, history=EMPTY_DELTA, from_group="D", notifier="A",
+                seq=seq("D", "E"),
+            ),
         )
         assert sink.sequence("E") == ["m"]
 
-    def test_old_form_pairs_are_answered_by_an_old_form_ack(self, five):
+    def test_old_form_pairs_are_answered_by_an_old_form_ack(self, five, seq):
         """A frame written before the pairs decodes a bare notified group as
         ``(group, None)`` and an ack without a notifier as ``notifier=None``
         (``runtime/codec.py``), so a replayed pair still finds its ack."""
         group, transport, sink = make_group("E", five)
         group.on_envelope(
             "A",
-            FlexCastMsg(message=self.m, history=EMPTY_DELTA, notified=frozenset({("D", None)})),
+            FlexCastMsg(
+                message=self.m, history=EMPTY_DELTA, notified=frozenset({("D", None)}),
+                seq=seq("A", "E"),
+            ),
         )
-        group.on_envelope("C", FlexCastAck(message=self.m, history=EMPTY_DELTA, from_group="C"))
+        group.on_envelope(
+            "C",
+            FlexCastAck(
+                message=self.m, history=EMPTY_DELTA, from_group="C", seq=seq("C", "E"),
+            ),
+        )
         assert sink.sequence("E") == []
-        group.on_envelope("D", FlexCastAck(message=self.m, history=EMPTY_DELTA, from_group="D"))
+        group.on_envelope(
+            "D",
+            FlexCastAck(
+                message=self.m, history=EMPTY_DELTA, from_group="D", seq=seq("D", "E"),
+            ),
+        )
         assert sink.sequence("E") == ["m"]
 
 
 class TestIncrementalDeliveryState:
     """The incrementally maintained open-dependency set and dirty queues."""
 
-    def test_open_dependencies_tracks_merged_undelivered_messages(self, overlay):
+    def test_open_dependencies_tracks_merged_undelivered_messages(self, overlay, seq):
         group, transport, sink = make_group(C, overlay)
         m3 = msg("m3", {A, C})
         # A's history says m1 (lca B, addressed to C) was ordered before m3.
         notif_history = delta([("m1", {B, C}), ("m3", {A, C})], edges=[("m1", "m3")])
         group.on_envelope(
-            A, FlexCastMsg(message=m3, history=notif_history)
+            A, FlexCastMsg(message=m3, history=notif_history, seq=seq(A, C))
         )
         # m3 is blocked: its history says m1 (addressed to C) precedes it.
         assert sink.sequence(C) == []
         assert group.open_dependencies() == {"m1", "m3"}
-        group.on_envelope(B, FlexCastMsg(message=msg("m1", {B, C}), history=EMPTY_DELTA))
+        group.on_envelope(
+            B,
+            FlexCastMsg(message=msg("m1", {B, C}), history=EMPTY_DELTA, seq=seq(B, C)),
+        )
         assert sink.sequence(C) == ["m1", "m3"]
         assert group.open_dependencies() == set()
 
-    def test_open_dependencies_ignores_other_groups_messages(self, overlay):
+    def test_open_dependencies_ignores_other_groups_messages(self, overlay, seq):
         group, transport, sink = make_group(B, overlay)
         group.on_envelope(
             A,
@@ -428,32 +505,43 @@ class TestIncrementalDeliveryState:
                 message=msg("m3", {A, C}),
                 history=delta([("m3", {A, C}), ("mC", {C})]),
                 from_group=A,
+                seq=seq(A, B),
             ),
         )
         assert group.open_dependencies() == set()
 
-    def test_delivery_clears_queue_dirty_state(self, overlay):
+    def test_delivery_clears_queue_dirty_state(self, overlay, seq):
         group, transport, sink = make_group(C, overlay)
-        group.on_envelope(A, FlexCastMsg(message=msg("m1", {A, C}), history=EMPTY_DELTA))
+        group.on_envelope(
+            A,
+            FlexCastMsg(message=msg("m1", {A, C}), history=EMPTY_DELTA, seq=seq(A, C)),
+        )
         assert sink.sequence(C) == ["m1"]
         # Nothing left to examine: the dirty set must drain with the queues.
         assert group._dirty_queues == set()
         assert all(len(q) == 0 for q in group.queues.values())
 
-    def test_blocked_head_stays_queued_until_ack(self, overlay):
+    def test_blocked_head_stays_queued_until_ack(self, overlay, seq):
         group, transport, sink = make_group(C, overlay)
         m = msg("m1", {A, B, C})
-        group.on_envelope(A, FlexCastMsg(message=m, history=EMPTY_DELTA))
+        group.on_envelope(A, FlexCastMsg(message=m, history=EMPTY_DELTA, seq=seq(A, C)))
         assert group.queue_sizes()[A] == 1
         # Unrelated acks must not deliver the blocked head.
         other = msg("m9", {A, B, C})
-        group.on_envelope(B, FlexCastAck(message=other, history=EMPTY_DELTA, from_group=B))
+        group.on_envelope(
+            B,
+            FlexCastAck(
+                message=other, history=EMPTY_DELTA, from_group=B, seq=seq(B, C),
+            ),
+        )
         assert sink.sequence(C) == []
-        group.on_envelope(B, FlexCastAck(message=m, history=EMPTY_DELTA, from_group=B))
+        group.on_envelope(
+            B, FlexCastAck(message=m, history=EMPTY_DELTA, from_group=B, seq=seq(B, C))
+        )
         assert sink.sequence(C) == ["m1"]
         assert group.queue_sizes()[A] == 0
 
-    def test_gc_keeps_open_dependency_set_consistent(self, overlay):
+    def test_gc_keeps_open_dependency_set_consistent(self, overlay, seq):
         group, transport, sink = make_group(C, overlay)
         # C learns (via an ancestor's history) about m1 before receiving it.
         flush = msg("f1", {A, C}, is_flush=True)
@@ -462,11 +550,15 @@ class TestIncrementalDeliveryState:
             FlexCastMsg(
                 message=flush,
                 history=delta([("m1", {B, C}), ("f1", {A, C})], edges=[("m1", "f1")]),
+                seq=seq(A, C),
             ),
         )
         assert sink.sequence(C) == []  # flush blocked behind m1
         assert group.open_dependencies() == {"m1", "f1"}
-        group.on_envelope(B, FlexCastMsg(message=msg("m1", {B, C}), history=EMPTY_DELTA))
+        group.on_envelope(
+            B,
+            FlexCastMsg(message=msg("m1", {B, C}), history=EMPTY_DELTA, seq=seq(B, C)),
+        )
         assert sink.sequence(C) == ["m1", "f1"]
         # The flush garbage-collected m1; every index must agree.
         assert group.stats["gc_pruned"] > 0
@@ -474,7 +566,7 @@ class TestIncrementalDeliveryState:
         assert "m1" not in group.history
 
     def test_candidate_whose_blocker_sits_in_a_merged_cycle_stays_queued(
-        self, overlay
+        self, overlay, seq
     ):
         """A merged delta that carries a delivery cycle is a bug upstream:
         the group honours both edges and stays blocked, where a stuck queue
@@ -483,21 +575,128 @@ class TestIncrementalDeliveryState:
         cycle = delta(
             [("X", {A, C}), ("Y", {B, C})], edges=[("X", "Y"), ("Y", "X")]
         )
-        group.on_envelope(A, FlexCastMsg(message=msg("X", {A, C}), history=cycle))
-        group.on_envelope(B, FlexCastMsg(message=msg("Y", {B, C}), history=EMPTY_DELTA))
+        group.on_envelope(
+            A, FlexCastMsg(message=msg("X", {A, C}), history=cycle, seq=seq(A, C))
+        )
+        group.on_envelope(
+            B, FlexCastMsg(message=msg("Y", {B, C}), history=EMPTY_DELTA, seq=seq(B, C))
+        )
         assert sink.sequence(C) == []
         assert group.queue_sizes() == {A: 1, B: 1, C: 0}
 
 
 class TestStats:
-    def test_stats_track_messages(self, overlay):
+    def test_stats_track_messages(self, overlay, seq):
         group, transport, sink = make_group(B, overlay)
-        group.on_envelope(A, FlexCastMsg(message=msg("m1", {A, B, C}), history=EMPTY_DELTA))
+        group.on_envelope(
+            A,
+            FlexCastMsg(
+                message=msg("m1", {A, B, C}), history=EMPTY_DELTA, seq=seq(A, B),
+            ),
+        )
         assert group.stats["msgs_received"] == 1
         assert group.stats["acks_sent"] == 1
         # Every ancestor queue plus the group's own client queue.
         assert group.queue_sizes() == {A: 0, B: 0}
         assert group.history_size() == 1
+
+
+class TestNumberedChannels:
+    """A group numbers its msg, ack and notif envelopes per receiving group,
+    and takes from each sending group only the next number."""
+
+    def test_numbers_count_per_receiving_group(self, overlay):
+        group, transport, _ = make_group(A, overlay)
+        group.on_client_request(msg("m1", {A, B}))
+        group.on_client_request(msg("m2", {A, B, C}))
+        group.on_client_request(msg("m3", {A, C}))  # notifies B first
+        numbered = [
+            (dst, type(env).__name__, env.seq) for dst, env in transport.sent
+        ]
+        assert numbered == [
+            (B, "FlexCastMsg", 1),
+            (B, "FlexCastMsg", 2),
+            (C, "FlexCastMsg", 1),
+            (B, "FlexCastNotif", 3),
+            (C, "FlexCastMsg", 2),
+        ]
+
+    def test_a_repeated_number_is_absorbed_without_a_trace(self, overlay, seq):
+        group, transport, sink = make_group(C, overlay)
+        first = FlexCastMsg(
+            message=msg("m1", {A, B, C}), history=delta([("m1", {A, B, C})]),
+            seq=seq(A, C),
+        )
+        group.on_envelope(A, first)
+
+        def state():
+            return (
+                dict(group.stats), group.queue_sizes(), set(group.pending),
+                len(group.history), list(transport.sent),
+            )
+
+        before = state()
+        group.on_envelope(A, first)
+        # A taken number refuses any envelope, not only the same one.
+        group.on_envelope(
+            A,
+            FlexCastMsg(
+                message=msg("m2", {A, C}), history=delta([("m2", {A, C})]),
+                seq=first.seq,
+            ),
+        )
+        assert state() == before
+        assert group.stats["channel_gaps"] == 0
+        assert sink.sequence(C) == []
+
+    def test_a_gap_stops_its_channel_and_no_other(self, overlay, seq):
+        group, _, sink = make_group(C, overlay)
+        seq(A, C)  # lost on the way
+        for mid in ("m2", "m3"):
+            group.on_envelope(
+                A,
+                FlexCastMsg(
+                    message=msg(mid, {A, C}), history=delta([(mid, {A, C})]),
+                    seq=seq(A, C),
+                ),
+            )
+        group.on_envelope(
+            B,
+            FlexCastMsg(
+                message=msg("m4", {B, C}), history=delta([("m4", {B, C})]),
+                seq=seq(B, C),
+            ),
+        )
+        assert sink.sequence(C) == ["m4"]
+        assert "m2" not in group.history and "m3" not in group.history
+        assert group.queue_sizes() == {A: 0, B: 0, C: 0}
+
+    def test_the_counter_reads_the_number_of_gaps(self, overlay, seq):
+        from repro.obs import Observability
+
+        group, _, _ = make_group(C, overlay)
+        obs = Observability()
+        group.attach_obs(obs)
+        seq(B, C)  # lost on the way
+        for _ in range(3):
+            group.on_envelope(
+                B,
+                FlexCastAck(
+                    message=msg("m1", {A, B, C}), history=EMPTY_DELTA,
+                    from_group=B, seq=seq(B, C),
+                ),
+            )
+        # A frame written before envelopes were numbered decodes as 0.
+        group.on_envelope(
+            A,
+            FlexCastNotif(
+                message=msg("m2", {A, B}), history=EMPTY_DELTA, from_group=A, seq=0
+            ),
+        )
+        assert group.stats["channel_gaps"] == 4
+        counters = obs.registry.snapshot()["counters"]
+        assert counters['flexcast_channel_gaps_total{group="C"}'] == 4
+        assert group.pending == {}
 
 
 class TestFlexCastProtocol:
@@ -521,29 +720,23 @@ class TestFlexCastProtocol:
 
 # --------------------------------------------------------- duplicate arrivals
 #: Every way an id can reach a group again ...
-ARRIVALS = ("msg", "ack", "notif", "ts-propose", "retry")
+ARRIVALS = ("msg", "ack", "notif", "retry")
 #: ... and every way the group can already be past it.  ``in-flight`` is a
 #: batch *member* retried while its carrier is still queued: it has no
 #: pending entry or history vertex of its own, only the member index sees it.
 STATES = ("delivered", "forgotten", "in-flight")
 
 #: What an arrival legitimately moves, by (arrival, state); everything else
-#: in :func:`_observable` must come out as it went in.  An envelope about a
-#: member id means some group ordered that member as a unit of its own (a
-#: non-compliant client submitted it both ways), so the authority proposes
-#: for it like for any first contact, and an ack — which may precede its
-#: msg — is kept.
-MAY_CHANGE = {
-    ("msg", "in-flight"): {"ts"},
-    ("ts-propose", "in-flight"): {"ts"},
-    ("ack", "in-flight"): {"ts", "pending"},
-}
+#: in :func:`_observable` must come out as it went in.  An ack about a member
+#: id means some group ordered that member as a unit of its own (a
+#: non-compliant client submitted it both ways), and an ack — which may
+#: precede its msg — is kept.
+MAY_CHANGE = {("ack", "in-flight"): {"pending"}}
 
 
 def _observable(group, sink, obs):
     gauges = obs.registry.snapshot()["gauges"]
     label = f'{{group="{group.group_id}"}}'
-    ts = group.ts
     return {
         "pending": {
             mid: (set(e.acks), set(e.notified), e.enqueued)
@@ -551,13 +744,6 @@ def _observable(group, sink, obs):
         },
         "members": dict(group._batch_members),
         "queues": group.queue_sizes(),
-        # The clock is left out: the Lamport receive rule moves it.
-        "ts": ts
-        and (
-            sorted(ts.pending),
-            {mid: dict(known) for mid, known in ts._early.items()},
-            set(ts._completed),
-        ),
         "leaked": gauges["flexcast_leaked_pending_entries" + label],
         "orphans": gauges["flexcast_member_index_orphans" + label],
         "delivered": sink.sequence(group.group_id),
@@ -566,37 +752,25 @@ def _observable(group, sink, obs):
 
 class TestDuplicateArrivalMatrix:
     """An arrival about an id the group is already past leaves no trace:
-    no pending entry, no member-index row, no timestamp state, both leak
-    gauges at zero — whether the id was delivered, delivered and then pruned
-    by the flush GC (the history's forgotten set is then the only record of
-    it), or rides in a batch that is still in flight.
+    no pending entry, no member-index row, both leak gauges at zero —
+    whether the id was delivered, delivered and then pruned by the flush GC
+    (the history's forgotten set is then the only record of it), or rides in
+    a batch that is still in flight.  Each envelope takes a new number on its
+    channel, so it is the protocol, not the channel, that absorbs it.
 
     ``retry`` runs at the lca ``A`` (clients submit there), the envelopes at
     the highest destination ``C``; the subject is addressed to all three
-    groups, so ``C`` waits for ``B``'s ack and, when exposed, for everyone's
-    proposal.
+    groups, so ``C`` waits for ``B``'s ack.  The lca delivers a batch on
+    submission, so no member of one is in flight there.
     """
 
     DST = {A, B, C}
 
-    def _exposed_everywhere(self, group, message):
-        for peer in self.DST - {group.group_id}:
-            group.on_envelope(
-                peer,
-                FlexCastTsPropose(
-                    message=msg(message.msg_id, message.dst),
-                    timestamp=1,
-                    from_group=peer,
-                ),
-            )
-
-    def _build(self, site, state, exposure, overlay):
+    def _build(self, site, state, overlay, seq):
         from repro.obs import Observability
 
-        sink, obs = RecordingSink(), Observability()
-        group = FlexCastGroup(
-            site, overlay, RecordingTransport(site), sink, exposure=exposure
-        )
+        group, _, sink = make_group(site, overlay)
+        obs = Observability()
         group.attach_obs(obs)
         subject = msg("m1", self.DST)
         unit = subject
@@ -605,16 +779,19 @@ class TestDuplicateArrivalMatrix:
         if site == A:
             group.on_envelope("client", ClientRequest(message=unit))
         else:
-            group.on_envelope(A, FlexCastMsg(message=unit, history=EMPTY_DELTA))
+            group.on_envelope(
+                A, FlexCastMsg(message=unit, history=EMPTY_DELTA, seq=seq(A, site))
+            )
         if state == "in-flight":
             assert sink.sequence(site) == []
             return group, sink, obs, subject
         if site == C:
             group.on_envelope(
-                B, FlexCastAck(message=unit, history=EMPTY_DELTA, from_group=B)
+                B,
+                FlexCastAck(
+                    message=unit, history=EMPTY_DELTA, from_group=B, seq=seq(B, site)
+                ),
             )
-        if exposure:
-            self._exposed_everywhere(group, unit)
         assert sink.sequence(site) == ["m1"]
         if state == "forgotten":
             flush = msg("f1", {A, C}, is_flush=True)
@@ -628,46 +805,40 @@ class TestDuplicateArrivalMatrix:
                         history=delta(
                             [("m1", self.DST), ("f1", {A, C})], edges=[("m1", "f1")]
                         ),
+                        seq=seq(A, site),
                     ),
                 )
-            if exposure:
-                self._exposed_everywhere(group, flush)
             assert sink.sequence(site) == ["m1", "f1"]
             assert group.history.is_forgotten("m1") and "m1" not in group.pending
         return group, sink, obs, subject
 
     @pytest.mark.parametrize(
-        "exposure", [Exposure.none(), Exposure.all()], ids=["unexposed", "exposed"]
+        "arrival,state",
+        [
+            (arrival, state)
+            for arrival in ARRIVALS
+            for state in STATES
+            if (arrival, state) != ("retry", "in-flight")
+        ],
     )
-    @pytest.mark.parametrize("state", STATES)
-    @pytest.mark.parametrize("arrival", ARRIVALS)
-    def test_arrival_leaves_no_trace(self, arrival, state, exposure, overlay):
-        if arrival == "ts-propose" and not exposure:
-            pytest.skip("a group that exposes nothing rejects proposals")
+    def test_arrival_leaves_no_trace(self, arrival, state, overlay, seq):
         site = A if arrival == "retry" else C
-        if state == "in-flight" and site == A and not exposure:
-            pytest.skip("an unexposed lca delivers the batch on submission")
-        group, sink, obs, subject = self._build(site, state, exposure, overlay)
+        group, sink, obs, subject = self._build(site, state, overlay, seq)
         before = _observable(group, sink, obs)
-        proposals = ((B, 1),) if exposure else ()
-        envelope = {
-            "msg": FlexCastMsg(
-                message=subject, history=EMPTY_DELTA, ts_proposals=proposals
-            ),
-            "ack": FlexCastAck(
-                message=subject,
-                history=EMPTY_DELTA,
-                from_group=B,
-                ts_proposals=proposals,
-            ),
-            "notif": FlexCastNotif(
-                message=subject, history=EMPTY_DELTA, from_group=A
-            ),
-            "ts-propose": FlexCastTsPropose(
-                message=msg("m1", self.DST), timestamp=7, from_group=B
-            ),
-            "retry": ClientRequest(message=subject),
-        }[arrival]
+        if arrival == "msg":
+            envelope = FlexCastMsg(
+                message=subject, history=EMPTY_DELTA, seq=seq(A, site)
+            )
+        elif arrival == "ack":
+            envelope = FlexCastAck(
+                message=subject, history=EMPTY_DELTA, from_group=B, seq=seq(B, site)
+            )
+        elif arrival == "notif":
+            envelope = FlexCastNotif(
+                message=subject, history=EMPTY_DELTA, from_group=A, seq=seq(A, site)
+            )
+        else:
+            envelope = ClientRequest(message=subject)
         group.on_envelope("client" if arrival == "retry" else B, envelope)
         after = _observable(group, sink, obs)
         assert after["leaked"] == after["orphans"] == 0

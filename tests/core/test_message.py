@@ -84,9 +84,11 @@ class TestEnvelopes:
         m = Message.create([1, 2])
         assert ClientRequest(message=m).kind == "request"
         assert ClientResponse(msg_id=m.msg_id, group=1).kind == "response"
-        assert FlexCastMsg(message=m, history=EMPTY_DELTA).kind == "msg"
-        assert FlexCastAck(message=m, history=EMPTY_DELTA, from_group=1).kind == "ack"
-        assert FlexCastNotif(message=m, history=EMPTY_DELTA, from_group=1).kind == "notif"
+        assert FlexCastMsg(message=m, history=EMPTY_DELTA, seq=1).kind == "msg"
+        ack = FlexCastAck(message=m, history=EMPTY_DELTA, from_group=1, seq=1)
+        notif = FlexCastNotif(message=m, history=EMPTY_DELTA, from_group=1, seq=1)
+        assert ack.kind == "ack"
+        assert notif.kind == "notif"
         assert SkeenTimestamp(msg_id=m.msg_id, timestamp=1, from_group=1).kind == "timestamp"
         assert SkeenPropose(message=m).kind == "msg"
         assert TreeForward(message=m, sequence=1).kind == "msg"
@@ -102,15 +104,15 @@ class TestEnvelopes:
             vertices=tuple((f"m{i}", frozenset({1})) for i in range(10)),
             edges=tuple((f"m{i}", f"m{i+1}") for i in range(9)),
         )
-        with_history = FlexCastMsg(message=m, history=delta)
-        without = FlexCastMsg(message=m, history=EMPTY_DELTA)
+        with_history = FlexCastMsg(message=m, history=delta, seq=1)
+        without = FlexCastMsg(message=m, history=EMPTY_DELTA, seq=1)
         assert with_history.size_bytes() > without.size_bytes()
 
     def test_ack_smaller_than_msg_with_same_history(self):
         m = Message.create([1, 2], payload_bytes=300)
         assert (
-            FlexCastAck(message=m, history=EMPTY_DELTA, from_group=1).size_bytes()
-            < FlexCastMsg(message=m, history=EMPTY_DELTA).size_bytes()
+            FlexCastAck(message=m, history=EMPTY_DELTA, from_group=1, seq=1).size_bytes()
+            < FlexCastMsg(message=m, history=EMPTY_DELTA, seq=1).size_bytes()
         )
 
     def test_all_envelopes_report_positive_size(self):
@@ -118,9 +120,9 @@ class TestEnvelopes:
         envelopes = [
             ClientRequest(message=m),
             ClientResponse(msg_id=m.msg_id, group=1),
-            FlexCastMsg(message=m, history=EMPTY_DELTA),
-            FlexCastAck(message=m, history=EMPTY_DELTA, from_group=1),
-            FlexCastNotif(message=m, history=EMPTY_DELTA, from_group=1),
+            FlexCastMsg(message=m, history=EMPTY_DELTA, seq=1),
+            FlexCastAck(message=m, history=EMPTY_DELTA, from_group=1, seq=1),
+            FlexCastNotif(message=m, history=EMPTY_DELTA, from_group=1, seq=1),
             SkeenTimestamp(msg_id=m.msg_id, timestamp=3, from_group=2),
             SkeenPropose(message=m),
             TreeForward(message=m, sequence=7),

@@ -82,7 +82,7 @@ class TestSlottedCore:
 # slotted dataclass promises must hold for each of them all the same.
 M = Message("m7", frozenset({1, 2}), "c", "p", 3)
 B0, B1 = paxos.Ballot(0, 1), paxos.Ballot(2, 0)
-DELTA = HistoryDelta((("m7", frozenset({1, 2})),), (("m6", "m7"),), "m6", 4)
+DELTA = HistoryDelta((("m7", frozenset({1, 2})),), (("m6", "m7"),), "m6")
 
 #: One sample per record class: its constructor's arguments, in field order.
 RECORDS = {
@@ -93,11 +93,10 @@ RECORDS = {
     msg.FlexCastBatch: (Message.batch_of([M], batch_id="b1"),),
     msg.ClientResponse: ("m7", 2),
     msg.NodeHello: ("n1", "127.0.0.1", 4000),
-    msg.FlexCastMsg: (M, DELTA, frozenset({(3, 1)}), ((1, 5),)),
-    msg.FlexCastAck: (M, DELTA, 2, 1, frozenset({(3, 2)}), ((2, 6),)),
-    msg.FlexCastNotif: (M, DELTA, 1),
+    msg.FlexCastMsg: (M, DELTA, 5, frozenset({(3, 1)})),
+    msg.FlexCastAck: (M, DELTA, 2, 6, 1, frozenset({(3, 2)})),
+    msg.FlexCastNotif: (M, DELTA, 1, 3),
     msg.HistorySnapshotFrame: (1, DELTA),
-    msg.FlexCastTsPropose: (M, 7, 1),
     msg.SkeenTimestamp: ("m7", 7, 1),
     msg.SkeenPropose: (M,),
     msg.TreeForward: (M, 9),

@@ -10,8 +10,8 @@ applying the same logical content through either path must produce
 * identical indexes (destinations, successors/predecessors, per-group index)
   and identical ``version`` (so descendants' diff watermarks line up);
 * bit-identical per-group delivery sequences when whole protocol runs are
-  driven with the snapshot path forced on vs forced off, with the
-  scenario's shapes declared, everything exposed, and batched.
+  driven with the snapshot path forced on vs forced off, unbatched and
+  batched.
 """
 
 from dataclasses import replace
@@ -136,26 +136,26 @@ class TestDeliverySequenceEquivalence:
     delivery sequences, not just the same sets.
     """
 
-    def _run(self, seed, exposure, batch_window, monkeypatch, cold_min):
+    def _run(self, seed, batch_window, monkeypatch, cold_min, profile="none"):
         monkeypatch.setattr(
             "repro.core.history.COLD_SYNC_MIN_ENTRIES", cold_min
         )
-        scenario = apply_profile(generate_scenario(seed, "none"), "none")
-        scenario = replace(scenario, exposure=exposure, batch_window=batch_window)
+        scenario = apply_profile(generate_scenario(seed, profile), profile)
+        scenario = replace(scenario, batch_window=batch_window)
         return run_scenario(scenario)
 
-    @pytest.mark.parametrize("exposure", ["declared", "all"])
+    @pytest.mark.parametrize("profile", ("none", "dup"))
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_sequences_identical(self, seed, exposure, monkeypatch):
-        snap = self._run(seed, exposure, 1, monkeypatch, cold_min=1)
-        item = self._run(seed, exposure, 1, monkeypatch, cold_min=10**9)
+    def test_sequences_identical(self, seed, profile, monkeypatch):
+        snap = self._run(seed, 1, monkeypatch, cold_min=1, profile=profile)
+        item = self._run(seed, 1, monkeypatch, cold_min=10**9, profile=profile)
         assert snap.sequences == item.sequences
         assert snap.violations == item.violations
-        assert snap.ordering_anomalies == item.ordering_anomalies
 
+    @pytest.mark.parametrize("profile", ("none", "dup"))
     @pytest.mark.parametrize("seed", SEEDS[:2])
-    def test_sequences_identical_batched(self, seed, monkeypatch):
-        snap = self._run(seed, "declared", 16, monkeypatch, cold_min=1)
-        item = self._run(seed, "declared", 16, monkeypatch, cold_min=10**9)
+    def test_sequences_identical_batched(self, seed, profile, monkeypatch):
+        snap = self._run(seed, 16, monkeypatch, cold_min=1, profile=profile)
+        item = self._run(seed, 16, monkeypatch, cold_min=10**9, profile=profile)
         assert snap.sequences == item.sequences
         assert snap.violations == item.violations

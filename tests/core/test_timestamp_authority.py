@@ -1,10 +1,9 @@
-"""Unit tests for the shared Skeen timestamp ordering authority.
+"""Unit tests for the Skeen timestamp ordering authority.
 
-:class:`repro.core.timestamps.TimestampAuthority` is the one implementation
-behind both the Distributed baseline (``protocols/skeen.py``) and FlexCast's
-hybrid mode (``core/flexcast.py``), so these tests pin the three behaviours
-both deployments lean on: proposal **max-merge**, the **convoy wait**, and
-**duplicate-propose** absorption (what makes envelope duplication and
+:class:`repro.core.timestamps.TimestampAuthority` is the ordering core of
+the Distributed baseline (``protocols/skeen.py``), so these tests pin the
+three behaviours it leans on: proposal **max-merge**, the **convoy wait**,
+and **duplicate-propose** absorption (what makes envelope duplication and
 re-submission harmless).
 """
 

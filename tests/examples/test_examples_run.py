@@ -41,16 +41,11 @@ class TestReplicatedInventory:
         """The observability gap that let the bug escape: the example never
         ran the checker over its own trace.  Close it here.
 
-        Integrity, validity/agreement (the lost-delivery bug class) and
-        prefix order — the properties the inventory's correctness rests on —
-        must hold outright.  Global acyclic order across chains of
-        disjoint-destination transfers is the protocol's documented residual
-        limitation (DESIGN.md "Ordering: pivot guard + exposure"); it is reported
-        but does not affect per-pair stock consistency.
+        Integrity, validity/agreement (the lost-delivery bug class), prefix
+        order and global acyclic order all hold outright.
         """
         report = check_trace(part1["trace"], part1["messages"], expect_all_delivered=True)
-        hard = [v for v in report.violations if v.property_name != "acyclic-order"]
-        assert hard == []
+        assert [str(v) for v in report.violations] == []
 
     def test_part2_failover(self):
         result = load_example("replicated_inventory").run_replicated_failover()

@@ -106,7 +106,7 @@ class TestLongHorizonGtpcc:
         ] == []
 
     def test_delivery_relation_is_acyclic(self, run):
-        """Nothing exposed, and gTPC-C pairs share exactly one group; a
-        notified group acking every notifier keeps the order acyclic."""
+        """gTPC-C pairs share exactly one group; a notified group acking
+        every notifier keeps the order acyclic."""
         _, report = run
         report.raise_if_failed()

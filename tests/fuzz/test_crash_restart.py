@@ -141,12 +141,12 @@ class TestClusterProfile:
             == apply_profile(base, "crash").crashes[0].at_ms
         )
 
-    def test_seeds_run_clean_under_every_exposure(self):
+    def test_seeds_run_clean(self):
         restarted = 0
-        for seed, exposure in ((0, "none"), (1, "declared"), (2, "all"), (4, "none")):
+        for seed in (0, 1, 2, 4):
             scenario = apply_profile(generate_scenario(seed), "cluster-crash-restart")
-            result = run_scenario(scenario, exposure=exposure)
-            assert result.ok, (seed, exposure, result.violations[:3])
+            result = run_scenario(scenario)
+            assert result.ok, (seed, result.violations[:3])
             flushes = result.submitted - len(scenario.submissions)
             assert result.delivered == sum(
                 len(s.dst) for s in scenario.submissions

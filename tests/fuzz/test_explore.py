@@ -1,13 +1,13 @@
-"""Unit tests for the bounded-exhaustive schedule explorer (ISSUE 10).
+"""Unit tests for the bounded-exhaustive schedule explorer.
 
 The headline regression here is the **component-closure** one: exhaustive
-exploration of the shape ``{0,2}, {1,2}, {0,1,2}`` is what exposed that
-order claims scoped to the single-intersecting shapes alone are unsound —
-the claim edge (e0 < e1 by timestamp) composed with two guard-ordered
-covered edges (e2 < e0 at group 0, e1 < e2 at group 1) into a constraint
-cycle that wedged group 2 forever.  Claims now expose whole conflict
-components, and this file pins both the clean exploration of that shape and
-the explorer machinery that found it.
+exploration of the shape ``{0,2}, {1,2}, {0,1,2}`` is what exposed that a
+timestamp order scoped to the single-intersecting shapes alone was unsound —
+a timestamp edge (e0 < e1) composed with two guard-ordered edges (e2 < e0 at
+group 0, e1 < e2 at group 1) into a constraint cycle that wedged group 2
+forever.  Both mechanisms are gone; the explorer runs the paper's protocol
+alone, and this file pins the clean exhaustive exploration of that shape,
+the committed schedule's replay and the explorer machinery that found it.
 """
 
 import json
@@ -72,12 +72,10 @@ class TestExploreShape:
         assert stats.leaves > 1  # genuinely branched
 
     def test_component_closure_regression_shape_is_clean(self):
-        # Bounded, not exhaustive — the deadlock this pins was found within
-        # the first few hundred leaves, so a capped re-exploration keeps the
-        # regression cheap while still covering the racy region.
-        stats = explore_shape(CLOSURE_REGRESSION, max_leaves=400)
+        stats = explore_shape(CLOSURE_REGRESSION)
+        assert not stats.truncated
         assert stats.ok, dict(stats.violations)
-        assert stats.leaves >= 400
+        assert stats.leaves > 1
 
     def test_sleep_sets_preserve_verdict_and_shrink_tree(self):
         # Two messages keep the unpruned tree small enough to enumerate in
@@ -94,13 +92,11 @@ class TestExploreShape:
         # End-to-end oracle wiring: blackhole one message's delivery
         # condition so it wedges at every destination, and the explorer's
         # per-leaf oracles must flag the quiescent-but-undelivered state.
-        orig = FlexCastGroup._blocker
+        orig = FlexCastGroup._can_deliver
         monkeypatch.setattr(
             FlexCastGroup,
-            "_blocker",
-            lambda self, message: "acks"
-            if message.msg_id == "e2"
-            else orig(self, message),
+            "_can_deliver",
+            lambda self, message: message.msg_id != "e2" and orig(self, message),
         )
         stats = explore_shape(TRIANGLE, max_leaves=50)
         assert not stats.ok
@@ -135,10 +131,11 @@ class TestShapeEnumeration:
         assert default < everything
 
     def test_three_by_three_count_is_stable(self):
-        # The explore_smoke CI step sweeps exactly these shapes; a change in
-        # the enumeration is a change in what "exhaustive 3x3" means and
-        # must be conscious.
+        # The explore_smoke CI step sweeps every 3x3 shape (--all-shapes); a
+        # change in the enumeration is a change in what "exhaustive 3x3"
+        # means and must be conscious.
         assert len(list(enumerate_shapes(3, 3))) == 13
+        assert len(list(enumerate_shapes(3, 3, single_shared_only=False))) == 26
 
 
 class TestScheduleRoundtrip:

@@ -2,8 +2,6 @@
 
 import dataclasses
 
-import pytest
-
 from repro.fuzz import (
     FuzzScenario,
     Submission,
@@ -52,23 +50,13 @@ class TestDeterminism:
 class TestOracles:
     def test_clean_run_has_no_violations(self):
         result = run_scenario(small_scenario())
-        assert result.strict_ok
+        assert result.ok, result.violations
         assert result.delivered == 9  # sum of |dst|
 
     def test_gc_flushes_are_injected_and_checked(self):
         result = run_scenario(small_scenario(gc_interval_ms=20.0))
-        assert result.strict_ok
+        assert result.ok, result.violations
         assert result.submitted > 4  # flush multicasts counted too
-
-    def test_flushes_are_inside_the_declared_universe(self):
-        """The universe the harness declares includes the all-groups shape,
-        so the GC flushes it injects are admitted."""
-        scenario = small_scenario(order=(0, 1, 2, 3), gc_interval_ms=20.0)
-        assert (0, 1, 2, 3) not in {s.dst for s in scenario.submissions}
-        result = run_scenario(scenario, exposure="declared")
-        assert result.strict_ok, result.violations
-        everywhere = set.intersection(*map(set, result.sequences.values()))
-        assert any("flush" in mid for mid in everywhere)
 
     def test_crash_scenario_survivors_agree(self):
         scenario = small_scenario(
@@ -112,22 +100,3 @@ class TestOracles:
             scenario = apply_profile(generate_scenario(2, profile), profile)
             result = run_scenario(scenario)
             assert result.ok, (profile, result.violations)
-
-
-class TestBuckets:
-    def test_prefix_violation_without_cycle_is_a_guarantee_breach(self):
-        result = run_scenario(small_scenario())
-        result.violations = ["[prefix-order] groups 0 and 1 disagree on a vs b"]
-        result.finalize_buckets()
-        assert not result.ok  # no cycle present: stays enforced
-
-    def test_cycle_shadows_move_to_anomalies(self):
-        result = run_scenario(small_scenario())
-        result.violations = [
-            "[acyclic-order] the delivery relation contains a cycle (3 nodes involved)",
-            "[prefix-order] groups 0 and 1 disagree on a vs b",
-            "[integrity] group 0 delivered m0 twice",
-        ]
-        result.finalize_buckets()
-        assert result.violations == ["[integrity] group 0 delivered m0 twice"]
-        assert len(result.ordering_anomalies) == 2

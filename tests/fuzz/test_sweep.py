@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from repro.fuzz import FuzzScenario, run_sweep
+from repro.fuzz import run_sweep
 from repro.fuzz.profiles import PROFILES
 from repro.fuzz.sweep import main
 
@@ -63,35 +63,41 @@ class TestCli:
         )
         assert main(["--replay", str(schedule)]) == 0
 
-    def test_cli_exposure_flag_overrides_the_scenario(self, capsys):
+    def test_a_committed_schedule_replays_without_its_exposure_key(self, capsys):
         from pathlib import Path
 
         schedule = (
             Path(__file__).parents[1] / "regression" / "schedules"
             / "single_shared_group_3cycle.json"
         )
+        # Recorded while a timestamp authority ran beside the protocol; the
+        # key is ignored, and a notified group acks every notifier, which
+        # keeps the 3-cycle the schedule pins closed.
+        assert '"exposure": "declared"' in schedule.read_text()
         assert main(["--replay", str(schedule)]) == 0
-        # With nothing exposed the 3-cycle the schedule pins stays closed:
-        # a notified group acks every notifier.
-        assert main(["--replay", str(schedule), "--exposure", "none"]) == 0
 
     def test_a_none_sweep_is_strict(self, tmp_path, capsys):
-        # Seed 27 closed an acyclic-order cycle with nothing exposed under
-        # the old one-ack-per-group notif rule; now it is clean, so there is
-        # nothing to shrink.
+        # Seed 27 closed an acyclic-order cycle under the old one-ack-per-group
+        # notif rule; now it is clean, so there is nothing to shrink.
         sweep = ["--seeds", "1", "--seed-base", "27", "--profiles", "none"]
-        assert main(sweep + ["--exposure", "none", "--out-dir", str(tmp_path), "--quiet"]) == 0
+        assert main(sweep + ["--out-dir", str(tmp_path), "--quiet"]) == 0
         assert "1/1 clean" in capsys.readouterr().out
         assert not list(tmp_path.glob("shrunk-*.json"))
 
-    def test_schedule_of_a_lossy_none_sweep_replays_under_none(self, tmp_path, capsys):
-        # Under loss a dropped envelope takes its history edges with it, and
-        # seed 276 closes a cycle with nothing exposed: the sweep reports the
-        # anomaly without failing and writes the shrunk run.
+    def test_schedule_of_a_lossy_sweep_replays_strictly(self, tmp_path, capsys):
+        # Seed 276 closed a cycle under loss while a dropped envelope took its
+        # history edges with it for good.  A lost envelope now stops its
+        # channel: the sweep is clean, and the schedule that seed shrank to
+        # replays with every property checked.
+        from pathlib import Path
+
         sweep = ["--seeds", "1", "--seed-base", "276", "--profiles", "loss"]
-        assert main(sweep + ["--exposure", "none", "--out-dir", str(tmp_path), "--quiet"]) == 0
-        (schedule,) = tmp_path.glob("shrunk-*.json")
-        assert FuzzScenario.load(schedule).exposure == "none"
-        # The replay needs no flag to reproduce it; declared shapes close it.
-        assert main(["--replay", str(schedule)]) == 1
-        assert main(["--replay", str(schedule), "--exposure", "declared"]) == 0
+        assert main(sweep + ["--out-dir", str(tmp_path), "--quiet"]) == 0
+        assert "1/1 clean" in capsys.readouterr().out
+        assert not list(tmp_path.glob("shrunk-*.json"))
+        schedule = (
+            Path(__file__).parents[1] / "regression" / "schedules"
+            / "lossy_channel_cycle_276.json"
+        )
+        assert main(["--replay", str(schedule)]) == 0
+        assert "violations=0" in capsys.readouterr().out

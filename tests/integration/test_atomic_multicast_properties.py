@@ -10,12 +10,11 @@ import itertools
 import random
 
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.checker import check_genuineness, check_trace
 from repro.core.flexcast import FlexCastProtocol
 from repro.core.message import ClientRequest, ClientResponse, Message, PAYLOAD_KINDS
-from repro.core.timestamps import Exposure
 from repro.overlay.builders import build_complete, build_o1, build_t1
 from repro.overlay.cdag import CDagOverlay
 from repro.protocols.base import RecordingSink
@@ -119,8 +118,8 @@ class TestSafetyProperties:
 class TestEveryCDagOrder:
     """FlexCast asks only for *a* complete DAG, not a good one: on each of the
     24 orders of four groups (O1 and O2 are two such orders of twelve), a
-    random workload whose shapes are declared satisfies every property, is
-    delivered in full, and stays genuine."""
+    random workload satisfies every property, is delivered in full, and
+    stays genuine."""
 
     GROUPS = (0, 3, 5, 9)
 
@@ -136,9 +135,7 @@ class TestEveryCDagOrder:
             frozenset(rng.sample(self.GROUPS, rng.choice([2, 2, 3, 4])))
             for _ in range(40)
         ]
-        protocol = FlexCastProtocol(
-            CDagOverlay(list(order)), exposure=Exposure.declared(destinations)
-        )
+        protocol = FlexCastProtocol(CDagOverlay(list(order)))
         loop, network, groups, sink = deploy(protocol, seed=seed)
         network.register("client", site=rng.randrange(12), handler=lambda s, p: None)
         messages = []
@@ -168,7 +165,6 @@ class TestEveryCDagOrder:
 
 
 class TestHypothesisDrivenOrdering:
-    @pytest.mark.parametrize("declare", [False, True], ids=["none", "declared"])
     @given(
         destinations=st.lists(
             st.sets(st.integers(0, 5), min_size=2, max_size=3), min_size=5, max_size=20
@@ -177,10 +173,9 @@ class TestHypothesisDrivenOrdering:
     )
     @settings(max_examples=20, deadline=None)
     def test_flexcast_prefix_and_acyclic_order_hold_for_arbitrary_destination_sets(
-        self, declare, destinations, data
+        self, destinations, data
     ):
-        exposure = Exposure.declared(destinations) if declare else Exposure.none()
-        protocol = FlexCastProtocol(build_o1(LATENCIES), exposure=exposure)
+        protocol = FlexCastProtocol(build_o1(LATENCIES))
         seed = data.draw(st.integers(0, 1_000))
         loop, network, groups, sink = deploy(protocol, seed=seed)
         network.register("client", site=0, handler=lambda s, p: None)
@@ -197,18 +192,7 @@ class TestHypothesisDrivenOrdering:
                 ),
             )
         loop.run_until_idle()
-        report = check_trace(sink, messages, expect_all_delivered=True)
-        if not declare:
-            # With nothing exposed acyclic order is not guaranteed (about 1
-            # random example in 125 closes a cycle): report it as an anomaly
-            # the way the fuzz harness does, and hold everything else.
-            guaranteed = [
-                v for v in report.violations if v.property_name != "acyclic-order"
-            ]
-            if len(guaranteed) < len(report.violations):
-                event("acyclic-order anomaly with nothing exposed")
-            report.violations = guaranteed
-        report.raise_if_failed()
+        check_trace(sink, messages, expect_all_delivered=True).raise_if_failed()
 
     #: The hypothesis-found witness (PR 9): three messages whose pairs each
     #: share exactly ONE group get their pairwise orders decided at three
@@ -219,9 +203,10 @@ class TestHypothesisDrivenOrdering:
         {3, 5}, {0, 1}, {0, 1}, {1, 3, 4},
     ]
 
-    def _run_three_cycle_witness(self, exposure):
+    def test_three_cycle_witness_is_clean(self):
+        """A notified group acks every notifier, which closes the hole."""
         seed = 0
-        protocol = FlexCastProtocol(build_o1(LATENCIES), exposure=exposure)
+        protocol = FlexCastProtocol(build_o1(LATENCIES))
         loop, network, groups, sink = deploy(protocol, seed=seed)
         network.register("client", site=0, handler=lambda s, p: None)
         messages = []
@@ -237,15 +222,4 @@ class TestHypothesisDrivenOrdering:
                 ),
             )
         loop.run_until_idle()
-        return check_trace(sink, messages, expect_all_delivered=True)
-
-    def test_single_shared_group_three_cycle_counterexample(self):
-        """Deterministic replay of a hypothesis-found acyclic-order violation,
-        closed by declaring the shapes (ISSUE 10; was xfail)."""
-        exposure = Exposure.declared(self.THREE_CYCLE_DESTINATIONS)
-        self._run_three_cycle_witness(exposure).raise_if_failed()
-
-    def test_three_cycle_witness_is_clean_with_nothing_exposed(self):
-        """The same schedule with nothing exposed: a notified group acks
-        every notifier, which closes the hole without exposure."""
-        self._run_three_cycle_witness(Exposure.none()).raise_if_failed()
+        check_trace(sink, messages, expect_all_delivered=True).raise_if_failed()

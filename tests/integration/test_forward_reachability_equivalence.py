@@ -24,7 +24,7 @@ from repro.core.message import reset_message_ids
 from repro.experiments.config import flexcast_config
 from repro.experiments.runner import run_experiment
 from repro.fuzz import generate_scenario, run_scenario
-from repro.fuzz.profiles import apply_profile
+from repro.fuzz.profiles import PROFILES, apply_profile
 from repro.obs import Observability
 
 
@@ -67,10 +67,10 @@ def backward(substitute_groups):
     return lambda: substitute_groups(BackwardGroup)
 
 
-def _fuzz_run(scenario, exposure):
+def _fuzz_run(scenario):
     reset_message_ids()  # batch ids draw from the process-wide counter
     obs = Observability()
-    result = run_scenario(scenario, obs=obs, exposure=exposure)
+    result = run_scenario(scenario, obs=obs)
     return result, obs.registry.snapshot()["counters"]
 
 
@@ -79,18 +79,9 @@ def _total(counters, stat):
     return sum(v for k, v in counters.items() if k.startswith(prefix))
 
 
-#: ``exposure="none"`` orders every conflict by histories, acks and notifs
-#: alone; the harness default exposes hot components to the timestamp
-#: authority.
-FUZZ_CASES = [
-    (seed, profile, exposure)
-    for profile in ("none", "loss", "dup", "crash-restart", "cluster-crash-restart")
-    for seed in range(1, 9)
-    for exposure in (None, "none")
-    # ``crash-restart`` runs one replicated group: no exposure axis there.
-    # ``cluster-crash-restart`` replicates every group of the base scenario.
-    if not (profile == "crash-restart" and exposure == "none")
-]
+#: ``crash`` and ``crash-restart`` run one replicated group; the
+#: ``cluster-*`` profiles replicate every group of the base scenario.
+FUZZ_CASES = [(seed, profile) for profile in PROFILES for seed in range(1, 13)]
 
 
 class TestFuzzScenariosAreBitIdentical:
@@ -99,20 +90,17 @@ class TestFuzzScenariosAreBitIdentical:
     exercised = {"notifs_sent": 0, "acks_sent": 0}
     cases_passed = 0
 
-    @pytest.mark.parametrize("seed,profile,exposure", FUZZ_CASES)
-    def test_sequences_and_counters_identical(
-        self, seed, profile, exposure, backward
-    ):
+    @pytest.mark.parametrize("seed,profile", FUZZ_CASES)
+    def test_sequences_and_counters_identical(self, seed, profile, backward):
         scenario = apply_profile(generate_scenario(seed, profile), profile)
-        if profile != "crash-restart":
+        if profile not in ("crash", "crash-restart"):
             assert len(scenario.order) >= 3
-        forward, forward_counters = _fuzz_run(scenario, exposure)
+        forward, forward_counters = _fuzz_run(scenario)
         backward()
-        reference, reference_counters = _fuzz_run(scenario, exposure)
+        reference, reference_counters = _fuzz_run(scenario)
         assert forward.sequences == reference.sequences
         assert forward_counters == reference_counters
         assert forward.violations == reference.violations
-        assert forward.ordering_anomalies == reference.ordering_anomalies
         assert forward.events == reference.events
         cls = type(self)
         cls.cases_passed += 1

@@ -1,9 +1,10 @@
 """A replica process imports only what it runs.
 
-``repro`` and ``repro.runtime`` re-export their public names lazily (PEP
-562), so ``python -m repro.runtime`` — every replica of a process cluster —
-does not pay for the experiment runner, the metrics stack or the workload
-generators at start-up.
+``repro``, ``repro.runtime`` and ``repro.fuzz`` re-export their public names
+lazily (PEP 562), so ``python -m repro.runtime`` — every replica of a process
+cluster — does not pay for the experiment runner, the metrics stack or the
+workload generators at start-up, and ``python -m repro.fuzz.sweep`` does not
+find its own module imported by its package before it runs.
 """
 
 import importlib
@@ -21,18 +22,22 @@ import repro
 NOT_A_REPLICA = ("repro.experiments", "repro.metrics", "repro.workload")
 
 
+def _env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(repro.__file__).parent.parent), env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
 def test_a_replica_loads_none_of_the_other_subsystems():
     script = (
         "import json, sys\n"
         "import repro.runtime.proc\n"
         "print(json.dumps(sorted(m for m in sys.modules if m.startswith('repro'))))\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(Path(repro.__file__).parent.parent), env.get("PYTHONPATH")) if p
-    )
     done = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+        [sys.executable, "-c", script], env=_env(), capture_output=True, text=True,
         timeout=120, check=True,
     )
     loaded = json.loads(done.stdout)
@@ -40,7 +45,16 @@ def test_a_replica_loads_none_of_the_other_subsystems():
     assert [m for m in loaded if m.startswith(NOT_A_REPLICA)] == []
 
 
-@pytest.mark.parametrize("package", ["repro", "repro.runtime"])
+def test_the_sweep_module_runs_without_a_runtime_warning():
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "repro.fuzz.sweep",
+         "--help"],
+        env=_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("package", ["repro", "repro.runtime", "repro.fuzz"])
 def test_every_exported_name_resolves(package):
     module = importlib.import_module(package)
     for name in module.__all__:

@@ -2,13 +2,12 @@
 
 A group that must survive a restart runs as a replicated log even when it has
 one replica — ``ReplicatedGroup(replication_factor=1, storage=…)`` — so its
-whole protocol state (history, queues, pending entries, timestamp-authority
-state) comes back by replaying the log, not from a private journal of the
-history alone.  The restart cases run four such groups on AWS latencies with
-jitter, bounce one of them mid-run with zero downtime while two- and
+whole protocol state (history, queues, pending entries, channel numbers)
+comes back by replaying the log, not from a private journal of the history
+alone.  The restart cases run four such groups on AWS latencies with jitter,
+bounce one of them mid-run with zero downtime while two- and
 three-destination messages are in flight, and hold the recovery oracle plus
-the full trace checker — with nothing exposed and with everything exposed to
-the timestamp authority, whose state a history-only recovery cannot rebuild.
+the full trace checker, every property of it.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from repro.checker.properties import check_trace
 from repro.checker.recovery import check_recovery
 from repro.core.flexcast import FlexCastProtocol
 from repro.core.message import ClientRequest, Message
-from repro.core.timestamps import Exposure
 from repro.overlay.cdag import CDagOverlay
 from repro.protocols.base import RecordingSink
 from repro.sim.events import EventLoop
@@ -31,19 +29,16 @@ from repro.smr.replica import ReplicatedGroup, replica_node
 from repro.storage import InMemoryStorage
 
 GROUPS = (0, 1, 2, 3)
-EXPOSURES = pytest.mark.parametrize(
-    "exposure", [Exposure.none(), Exposure.all()], ids=["none", "all"]
-)
 
 
-def run_with_restarts(exposure, seed, victim, restart_times):
+def run_with_restarts(seed, victim, restart_times):
     """120 global messages over 600 virtual ms, re-submitted at +400/+900 ms
     while undelivered; ``victim`` is rebuilt from its storage at each of
     ``restart_times``.  Returns the trace report, the victim's delivery
     sequence at each restart, and its final one."""
     loop = EventLoop()
     network = Network(loop, aws_latency_matrix(), jitter_ms=2.0, seed=seed)
-    protocol = FlexCastProtocol(CDagOverlay(list(GROUPS)), exposure=exposure)
+    protocol = FlexCastProtocol(CDagOverlay(list(GROUPS)))
     sink = RecordingSink(clock=lambda: loop.now)
     groups = {
         gid: ReplicatedGroup(
@@ -86,15 +81,8 @@ def run_with_restarts(exposure, seed, victim, restart_times):
     return report, pre_crash, groups[victim].replicas[0].local_deliveries
 
 
-def assert_clean(report, exposure):
-    # With nothing exposed acyclic order is not guaranteed (DESIGN.md); the
-    # restart must not cost any of the properties that are.
-    violations = [
-        str(v)
-        for v in report.violations
-        if exposure.everything or v.property_name != "acyclic-order"
-    ]
-    assert violations == []
+def assert_clean(report):
+    assert [str(v) for v in report.violations] == []
 
 
 def test_cold_start_recovers_nothing():
@@ -110,21 +98,20 @@ def test_cold_start_recovers_nothing():
     assert len(replica.protocol_state.history) == 0
 
 
-@EXPOSURES
-@pytest.mark.parametrize("victim", [0, 1, 2])
-@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
-def test_restarted_group_resumes_its_delivered_sequence(exposure, seed, victim):
-    report, pre_crash, final = run_with_restarts(exposure, seed, victim, [300.0])
-    assert_clean(report, exposure)
+@pytest.mark.parametrize("victim", GROUPS)
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_restarted_group_resumes_its_delivered_sequence(seed, victim):
+    report, pre_crash, final = run_with_restarts(seed, victim, [300.0])
+    assert_clean(report)
     assert pre_crash[0], "restart landed before the victim delivered anything"
     assert len(final) > len(pre_crash[0])
     check_recovery(pre_crash[0], final).raise_if_failed()
 
 
-@EXPOSURES
-def test_twice_restarted_group_keeps_delivering_and_never_repeats(exposure):
-    report, pre_crash, final = run_with_restarts(exposure, 7, 1, [200.0, 450.0])
-    assert_clean(report, exposure)
+@pytest.mark.parametrize("victim", [1, 2])
+def test_twice_restarted_group_keeps_delivering_and_never_repeats(victim):
+    report, pre_crash, final = run_with_restarts(7, victim, [200.0, 450.0])
+    assert_clean(report)
     first, second = pre_crash
     assert 0 < len(first) < len(second) < len(final)
     assert len(set(final)) == len(final)

@@ -5,7 +5,6 @@ from collections import Counter
 
 import pytest
 
-from repro.core.timestamps import Exposure
 from repro.workload.gtpcc import GTPCCConfig, GTPCCWorkload
 
 
@@ -115,20 +114,3 @@ class TestWarehouseSubsets:
     def test_needs_at_least_two_warehouses(self, latencies):
         with pytest.raises(ValueError):
             GTPCCWorkload(latencies, warehouses=[0])
-
-
-class TestDeclaredExposure:
-    def test_declared_shapes_make_every_group_hot(self, latencies):
-        """The paper's latency workload chains all twelve warehouses into one
-        hot conflict component, so ``Exposure.declared`` over its shapes
-        exposes every global message, as ``Exposure.all`` does.  What that
-        costs ``sim_gtpcc`` is in DESIGN.md, "Ordering: pivot guard +
-        exposure"."""
-        workload = GTPCCWorkload(latencies, GTPCCConfig(locality=0.90, global_only=True))
-        rng = random.Random(11)
-        shapes = {
-            workload.next_transaction(home, rng).destinations
-            for home in workload.warehouses
-            for _ in range(200)
-        }
-        assert Exposure.declared(shapes).hot_groups == frozenset(range(12))
