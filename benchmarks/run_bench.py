@@ -146,17 +146,15 @@ def bench_diff_for(size: int) -> Callable[[], None]:
 def bench_diff_for_cold(size: int) -> Callable[[], None]:
     """First contact: a brand-new descendant asks for the entire history.
 
-    Past :data:`~repro.core.history.COLD_SYNC_MIN_ENTRIES` this takes the
-    packed-snapshot path: the snapshot is built once, cached on the history
-    and shared by reference across cold callers, so each further cold diff is
-    O(suffix) — flat in |H| (the ``--flat`` gate enforces it).  The old path
-    re-materialised every vertex/edge tuple per reconnect.
+    It gets the retained journal as one slice of vertex and edge tuples,
+    as a first contact runs in the protocol.  O(|H|)/op by design, like
+    ``cold_sync``, so it is *not* in the ``--flat`` gate.
     """
     history = build_chain_history(size)
-    history.live_snapshot()  # build + cache once, outside the timed op
+    entries = history.version
 
     def op() -> None:
-        assert HistoryDiffTracker().diff_for("peer", history).snapshot is not None
+        assert len(HistoryDiffTracker().diff_for("peer", history)) == entries
 
     return op
 
@@ -198,14 +196,14 @@ def bench_merge_delta(size: int) -> Callable[[], None]:
 
 
 def bench_cold_sync(size: int) -> Callable[[], None]:
-    """One full cold sync: packed snapshot bulk-installed into a new history.
+    """One full cold sync: a whole history's delta merged into a new one.
 
-    O(|H|)/op by design — this measures the per-entry constant of the
-    wholesale index swap (:meth:`History.merge_delta`'s fresh fast
-    path), not flatness, so it is *not* in the ``--flat`` gate; divide
-    op/s by |H| to compare per-entry rates across sizes.
+    O(|H|)/op by design — this measures the per-entry constant of
+    :meth:`History.merge_delta`, not flatness, so it is *not* in the
+    ``--flat`` gate; divide op/s by |H| to compare per-entry rates across
+    sizes.
     """
-    delta = build_chain_history(size).cold_delta()
+    delta = build_chain_history(size).full_delta()
 
     def op() -> None:
         target = History()
@@ -607,7 +605,7 @@ def main(argv: List[str] | None = None) -> int:
     )
     parser.add_argument(
         "--flat",
-        default="merge_delta,diff_for_cold,delivery_round_pivots",
+        default="merge_delta,delivery_round_pivots",
         help="with --compare: comma-separated benchmarks whose op/s at the "
         "largest history size must stay within --max-flat-ratio of the "
         "smallest size — i.e. the operation is flat in |H| "

@@ -85,7 +85,6 @@ from .message import (
     FlexCastMsg,
     FlexCastNotif,
     HistoryDelta,
-    HistorySnapshotFrame,
     Message,
     NotifiedPair,
 )
@@ -368,7 +367,7 @@ class FlexCastGroup(AtomicMulticastGroup):
         self.history.merge_delta(delta)
         me = self.group_id
         delivered = self._delivered_ids
-        for mid, dst in delta.iter_vertices():
+        for mid, dst in delta.vertices:
             if me in dst and mid not in delivered and mid in self.history:
                 self._undelivered_to_me.add(mid)
 
@@ -409,8 +408,6 @@ class FlexCastGroup(AtomicMulticastGroup):
         elif isinstance(envelope, FlexCastNotif):
             if self._in_order(envelope.from_group, envelope.seq):
                 self._on_notif(envelope)
-        elif isinstance(envelope, HistorySnapshotFrame):
-            self._on_history_snapshot(envelope)
         else:
             raise ProtocolError(f"FlexCast group got unexpected envelope {envelope!r}")
 
@@ -496,16 +493,6 @@ class FlexCastGroup(AtomicMulticastGroup):
         :meth:`send_notifs` keeps no state for a forgotten id.
         """
         self.send_descendants(message, ack=True, notifier=notifier)
-
-    def _on_history_snapshot(self, envelope: HistorySnapshotFrame) -> None:
-        """A packed live history in one frame: legacy input only.
-
-        Nothing sends one any more; a WAL written while replica restarts
-        ordered one through the log still holds it, and replays it here.
-        Merging is idempotent (duplicates and forgotten ids are filtered).
-        """
-        self._merge_history(envelope.delta)
-        self.reprocess_queues()
 
     def _enqueue_local(self, message: Message) -> None:
         """Queue a client-submitted message at its lca and drain.

@@ -23,15 +23,13 @@ invariants):
   vertex/edge insertion; diff computation is a slice of the journal past a
   descendant's watermark (:meth:`History.changes_since`), not a rescan of the
   whole DAG.  Each entry is the very tuple a delta ships (a merge journals
-  the received tuples themselves), so a warm diff is split by kind and builds
+  the received tuples themselves), so a diff is split by kind and builds
   no per-entry tuple; only entries older than the last garbage collection
   are checked for liveness;
-* the *cold* path (a brand-new or long-gone descendant whose watermark
-  predates the retained journal) ships a packed
-  :class:`~repro.core.message.HistorySnapshot` plus the journal suffix past
-  the snapshot's version instead of re-materialising per-vertex tuples, and
-  :meth:`History.merge_delta` batch-applies the whole delta — so reconnects
-  and rejoins cost O(affected), not O(|H|) python object churn.
+* a descendant whose watermark predates the retained journal (the journal
+  below it was compacted) is shipped the whole live history once, as the
+  same vertex and edge tuples :meth:`History.full_delta` builds.  That is
+  O(|H|) by design: it happens on first contact after a compaction.
 
 A history is not durable by itself: it is part of a replica's protocol state,
 which :mod:`repro.smr` rebuilds by replaying the replicated log.
@@ -44,18 +42,14 @@ from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..obs.registry import MetricsRegistry
 from ..overlay.base import GroupId
-from .message import EMPTY_DELTA, HistoryDelta, HistorySnapshot, Message
+from .message import EMPTY_DELTA, HistoryDelta, Message
 
 #: A journal entry is the very tuple a delta ships: ``(msg_id, dst)`` for a
 #: vertex, ``(before, after)`` for an edge.  Its second item tells the kind:
 #: a destination set for a vertex, a message id (``str``) for an edge.
 _Entry = Tuple[str, Any]
-
-#: A diff request at watermark 0 switches from the journal slice to the
-#: packed-snapshot cold path once the history's version reaches this many
-#: journal entries; below it, slicing a short journal is cheaper than
-#: building/caching a snapshot.
-COLD_SYNC_MIN_ENTRIES = 256
+_Vertices = Tuple[Tuple[str, FrozenSet[GroupId]], ...]
+_Edges = Tuple[Tuple[str, str], ...]
 
 
 class History:
@@ -94,7 +88,6 @@ class History:
         "_journal",
         "_journal_base",
         "_pruned_at",
-        "_snapshot_cache",
     )
 
     def __init__(self) -> None:
@@ -117,10 +110,6 @@ class History:
         # The version at the last garbage collection that removed anything:
         # journal entries from this sequence number on are all live.
         self._pruned_at = 0
-        # Packed snapshot reused across cold diffs.  Valid while no vertex has
-        # been removed since it was built (the journal suffix past its version
-        # then reconstructs the live DAG exactly); GC invalidates it.
-        self._snapshot_cache: Optional[HistorySnapshot] = None
 
     # ---------------------------------------------------------------- basics
     def __contains__(self, msg_id: str) -> bool:
@@ -199,77 +188,20 @@ class History:
     def merge_delta(self, delta: HistoryDelta) -> None:
         """Integrate an ancestor's history delta (``update-hst``).
 
-        The packed snapshot (cold sync) is applied first, then the journal
-        suffix; indexes are updated incrementally per entry.
+        Vertices and edges apply with :meth:`add_vertex`/:meth:`add_edge`
+        semantics (idempotent, forgotten-filtered, journaled), with the
+        per-entry attribute lookups hoisted out of the loops.  The received
+        tuples themselves become the journal entries.
         """
         if delta is None or delta.is_empty:
             return
-        if delta.snapshot is not None:
-            self._install_snapshot_content(delta.snapshot)
-        self._bulk_apply(delta.vertices, delta.edges)
-
-    def _install_snapshot_content(self, snapshot: HistorySnapshot) -> None:
-        if snapshot.is_empty:
-            return
-        fresh = (
-            not self.destinations
-            and not self._forgotten
-            and not self._journal
-            and self._journal_base == 0
-        )
-        if not fresh:
-            self._bulk_apply(
-                zip(snapshot.ids, snapshot.dsts),
-                zip(snapshot.edges_a, snapshot.edges_b),
-            )
-            return
-        # Brand-new history: swap the indexes in wholesale.  The installed
-        # entries are treated as pre-compacted journal history (journal_base
-        # advances past them), so this node's own descendants fall below the
-        # base and get the cold snapshot path — no per-entry journal replay
-        # anywhere.
-        ids, dsts = snapshot.ids, snapshot.dsts
-        self.destinations = dict(zip(ids, dsts))
-        self.successors = {mid: set() for mid in ids}
-        self.predecessors = {mid: set() for mid in ids}
-        by_group = self._by_group
-        for mid, dst in zip(ids, dsts):
-            for group in dst:
-                members = by_group.get(group)
-                if members is None:
-                    by_group[group] = members = set()
-                members.add(mid)
-        edge_count = 0
-        successors = self.successors
-        predecessors = self.predecessors
-        for a, b in zip(snapshot.edges_a, snapshot.edges_b):
-            succ = successors.get(a)
-            if succ is None or b not in predecessors or a == b or b in succ:
-                continue
-            succ.add(b)
-            predecessors[b].add(a)
-            edge_count += 1
-        self._journal_base = len(ids) + edge_count
-        self._snapshot_cache = None
-
-    def _bulk_apply(
-        self,
-        vertices: Iterable[Tuple[str, FrozenSet[GroupId]]],
-        edges: Iterable[Tuple[str, str]],
-    ) -> None:
-        """Apply vertices/edges with :meth:`add_vertex`/:meth:`add_edge`
-        semantics (idempotent, forgotten-filtered, journaled), with the
-        per-entry attribute lookups hoisted out of the loops.
-
-        The received tuples themselves become the journal entries.
-        """
         destinations = self.destinations
         forgotten = self._forgotten
         successors = self.successors
         predecessors = self.predecessors
         by_group = self._by_group
         journal = self._journal
-        for vertex in vertices:
+        for vertex in delta.vertices:
             msg_id, dst = vertex
             if msg_id in destinations or msg_id in forgotten:
                 continue
@@ -282,7 +214,7 @@ class History:
                     by_group[group] = members = set()
                 members.add(msg_id)
             journal.append(vertex)
-        for edge in edges:
+        for edge in delta.edges:
             before, after = edge
             # A forgotten id is never live: successors.get refuses it.
             succ = successors.get(before)
@@ -373,52 +305,28 @@ class History:
         return any(colors.get(n, 0) == 0 and visit(n) for n in self.destinations)
 
     # ----------------------------------------------------------- journal/diff
-    def changes_since(
-        self, watermark: int
-    ) -> Tuple[
-        Tuple[Tuple[str, FrozenSet[GroupId]], ...],
-        Tuple[Tuple[str, str], ...],
-        Optional[HistorySnapshot],
-        int,
-    ]:
+    def changes_since(self, watermark: int) -> Tuple[_Vertices, _Edges, int]:
         """Changes journaled at or after ``watermark``.
 
-        Returns ``(vertices, edges, snapshot, version)`` where ``version`` is
-        the new watermark for the caller.  Entries whose vertices were pruned
-        in the meantime are filtered out, so a forgotten message can never
-        reappear in a delta.
-
-        The *warm* path (watermark within the retained journal, modest gap)
-        returns a journal slice with ``snapshot is None``.  The *cold* path —
-        the watermark predates the retained journal, or a brand-new caller
-        (watermark 0) faces a long journal — returns the cached packed
-        :class:`HistorySnapshot` plus the short journal suffix past the
-        snapshot's version.  Both carry exactly the live content the caller
-        is missing; the cold form just avoids re-materialising O(|H|)
-        per-vertex tuples for every reconnect.
+        Returns ``(vertices, edges, version)`` where ``version`` is the new
+        watermark for the caller.  A watermark inside the retained journal
+        gets a journal slice; entries whose vertices were pruned in the
+        meantime are filtered out, so a forgotten message can never reappear
+        in a delta.  One below it gets the whole live history
+        (:meth:`_live_content`): the journal there was compacted, so what
+        such a caller lacks can no longer be told apart, and overshipping is
+        safe (merges are idempotent).
         """
         version = self.version
         if watermark >= version:
-            return (), (), None, version
-        cold = watermark < self._journal_base or (
-            watermark == 0 and version >= COLD_SYNC_MIN_ENTRIES
-        )
-        if not cold:
+            return (), (), version
+        if watermark < self._journal_base:
+            vertices, edges = self._live_content()
+        else:
             vertices, edges = self._journal_slice(watermark)
-            return vertices, edges, None, version
-        # The journal below the base was compacted because every tracked
-        # descendant had already seen it; a caller this far behind has never
-        # been sent anything (or lost what it had), so ship the whole live
-        # history once — as a packed snapshot shared across such callers.
-        snapshot = self.live_snapshot()
-        if snapshot.version >= version:
-            return (), (), snapshot, version
-        vertices, edges = self._journal_slice(snapshot.version)
-        return vertices, edges, snapshot, version
+        return vertices, edges, version
 
-    def _journal_slice(
-        self, since: int
-    ) -> Tuple[Tuple[Tuple[str, FrozenSet[GroupId]], ...], Tuple[Tuple[str, str], ...]]:
+    def _journal_slice(self, since: int) -> Tuple[_Vertices, _Edges]:
         """Live vertices/edges journaled at or after ``since`` (>= base).
 
         The journal's own tuples are shipped, split by kind.  Only entries
@@ -448,50 +356,9 @@ class History:
                 vertices.append(entry)
         return tuple(vertices), tuple(edges)
 
-    def live_snapshot(self) -> HistorySnapshot:
-        """The live history as a packed snapshot (parallel arrays), cached.
-
-        The cache stays valid while the history only *grows* — new entries
-        land in the journal past ``snapshot.version``, so cold diffs are
-        ``cached snapshot + short suffix``.  Garbage collection invalidates
-        it (a pruned vertex must never ship: the receiver would park it in
-        its pending set forever), and it is rebuilt when compaction passes
-        its version or the suffix outgrows the live size.
-        """
-        snapshot = self._snapshot_cache
-        version = self.version
-        if (
-            snapshot is None
-            or snapshot.version < self._journal_base
-            or version - snapshot.version > max(COLD_SYNC_MIN_ENTRIES, len(self.destinations))
-        ):
-            edges_a: List[str] = []
-            edges_b: List[str] = []
-            for a, succ in self.successors.items():
-                for b in succ:
-                    edges_a.append(a)
-                    edges_b.append(b)
-            snapshot = HistorySnapshot(
-                ids=tuple(self.destinations),
-                dsts=tuple(self.destinations.values()),
-                edges_a=tuple(edges_a),
-                edges_b=tuple(edges_b),
-                last_delivered=self.last_delivered,
-                version=version,
-            )
-            self._snapshot_cache = snapshot
-        return snapshot
-
-    def cold_delta(self) -> HistoryDelta:
-        """The full live history as a snapshot-bearing delta (cold sync)."""
-        snapshot = self.live_snapshot()
-        vertices, edges = self._journal_slice(snapshot.version)
-        return HistoryDelta(
-            vertices=vertices,
-            edges=edges,
-            last_delivered=self.last_delivered,
-            snapshot=snapshot,
-        )
+    def _live_content(self) -> Tuple[_Vertices, _Edges]:
+        """Every live vertex and edge, as the tuples a delta ships."""
+        return tuple(self.destinations.items()), tuple(self.edges())
 
     def compact_journal(self, upto: int) -> int:
         """Drop journal entries below sequence number ``upto``.
@@ -533,10 +400,9 @@ class History:
         for victim in victims:
             self._remove_vertex(victim)
         self._forgotten.update(victims)
-        # A pruned vertex must never appear in a future delta: the packed
-        # snapshot (if any) is stale from here on, and journal entries from
-        # before this point are checked for liveness when they ship.
-        self._snapshot_cache = None
+        # A pruned vertex must never appear in a future delta: journal
+        # entries from before this point are checked for liveness when they
+        # ship.
         self._pruned_at = self.version
         return victims
 
@@ -613,12 +479,8 @@ class History:
 
     # ----------------------------------------------------------------- export
     def full_delta(self) -> HistoryDelta:
-        """Snapshot of the entire history as a delta (tests, bootstrap)."""
-        return HistoryDelta(
-            vertices=tuple((mid, dst) for mid, dst in self.destinations.items()),
-            edges=tuple(self.edges()),
-            last_delivered=self.last_delivered,
-        )
+        """The entire live history as a delta (tests, benchmarks)."""
+        return HistoryDelta(*self._live_content())
 
 
 class HistoryDiffTracker:
@@ -640,11 +502,11 @@ class HistoryDiffTracker:
     def diff_for(self, descendant: GroupId, history: History) -> HistoryDelta:
         """Compute the delta for ``descendant`` and advance its watermark."""
         watermark = self._watermarks.get(descendant, 0)
-        vertices, edges, snapshot, version = history.changes_since(watermark)
+        vertices, edges, version = history.changes_since(watermark)
         self._watermarks[descendant] = version
-        if not vertices and not edges and snapshot is None:
+        if not vertices and not edges:
             return EMPTY_DELTA
-        return HistoryDelta(vertices, edges, history.last_delivered, snapshot)
+        return HistoryDelta(vertices, edges)
 
     #: Retained journal entries are capped at ``_JOURNAL_SLACK × live size``
     #: (plus a small constant) at every :meth:`forget`; see below.
@@ -662,9 +524,10 @@ class HistoryDiffTracker:
         in a future diff.  A descendant this group has stopped sending to
         must not pin the journal forever, so compaction additionally enforces
         a cap proportional to the *live* history size; a descendant whose
-        watermark falls below the compacted base simply receives a full live
-        snapshot on its next diff (overshipping is safe: merges are idempotent
-        and forgotten ids are filtered).  Returns the number of journal
+        watermark falls below the compacted base simply receives the whole
+        live history, as vertex and edge tuples, on its next diff
+        (overshipping is safe: merges are idempotent and forgotten ids are
+        filtered).  Returns the number of journal
         entries dropped.
         """
         if history is None:

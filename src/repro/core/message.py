@@ -30,7 +30,7 @@ import itertools
 import sys
 from dataclasses import MISSING, dataclass, field, fields
 from typing import (
-    Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple, Type, TypeVar, cast,
+    Any, Dict, FrozenSet, Iterable, List, Optional, Tuple, Type, TypeVar, cast,
 )
 
 from ..overlay.base import GroupId
@@ -269,55 +269,6 @@ class Message:
 # --------------------------------------------------------------------------- history delta
 @record
 @dataclass(frozen=True, slots=True)
-class HistorySnapshot:
-    """A compact packed form of a history's entire live vertex+edge set.
-
-    This is the cold-sync payload: when a descendant's diff watermark falls
-    below the sender's retained journal (or the descendant has never been
-    sent anything), the sender ships one prebuilt snapshot instead of
-    re-materialising per-entry tuples of the whole live history on every
-    call.  The shape is parallel arrays — ``ids[i]`` is addressed to
-    ``dsts[i]``, and ``edges_a[j] -> edges_b[j]`` is a dependency edge —
-    mirroring the PR-6 durable-snapshot schema, so one builder serves both
-    the wire and the storage layer.
-
-    ``version`` is the sender-side journal version the snapshot was taken
-    at: journal entries past it are shipped as an ordinary suffix next to
-    the snapshot inside the same :class:`HistoryDelta`, which is what makes
-    a cached snapshot exact between garbage collections (the history only
-    grows through the journal).
-    """
-
-    ids: Tuple[str, ...] = ()
-    dsts: Tuple[FrozenSet[GroupId], ...] = ()
-    edges_a: Tuple[str, ...] = ()
-    edges_b: Tuple[str, ...] = ()
-    last_delivered: Optional[str] = None
-    version: int = 0
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.ids and not self.edges_a
-
-    def __len__(self) -> int:
-        return len(self.ids) + len(self.edges_a)
-
-    def iter_vertices(self) -> Iterator[Tuple[str, FrozenSet[GroupId]]]:
-        return zip(self.ids, self.dsts)
-
-    def iter_edges(self) -> Iterator[Tuple[str, str]]:
-        return zip(self.edges_a, self.edges_b)
-
-    def size_bytes(self) -> int:
-        return (
-            len(self.ids) * _HISTORY_VERTEX_BYTES
-            + len(self.edges_a) * _HISTORY_EDGE_BYTES
-            + (_MSG_ID_BYTES if self.last_delivered else 0)
-        )
-
-
-@record
-@dataclass(frozen=True, slots=True)
 class HistoryDelta:
     """The portion of a group's history shipped inside an envelope.
 
@@ -326,54 +277,25 @@ class HistoryDelta:
     yet (§4.3).  A delta is an immutable snapshot taken at send time, so the
     sender can keep mutating its own history safely.
 
-    A *cold* delta additionally carries a :class:`HistorySnapshot` — the
-    sender's packed live history as of ``snapshot.version`` — with
-    ``vertices``/``edges`` reduced to the journal suffix past it.  The
-    logical content is ``snapshot ∪ suffix`` (:meth:`iter_vertices` /
-    :meth:`iter_edges`); receivers bulk-install the snapshot and then apply
-    the suffix, which is what makes the cold path O(affected) instead of a
-    per-entry replay of the sender's whole history.
+    A first contact after the sender compacted its journal ships the
+    sender's whole live history, in the same two tuples.
     """
 
     vertices: Tuple[Tuple[str, FrozenSet[GroupId]], ...] = ()
     edges: Tuple[Tuple[str, str], ...] = ()
-    last_delivered: Optional[str] = None
-    snapshot: Optional[HistorySnapshot] = None
 
     @property
     def is_empty(self) -> bool:
-        return (
-            not self.vertices
-            and not self.edges
-            and (self.snapshot is None or self.snapshot.is_empty)
-        )
-
-    def iter_vertices(self) -> Iterator[Tuple[str, FrozenSet[GroupId]]]:
-        """All shipped vertices: snapshot contents first, then the suffix."""
-        if self.snapshot is not None:
-            yield from self.snapshot.iter_vertices()
-        yield from self.vertices
-
-    def iter_edges(self) -> Iterator[Tuple[str, str]]:
-        """All shipped edges: snapshot contents first, then the suffix."""
-        if self.snapshot is not None:
-            yield from self.snapshot.iter_edges()
-        yield from self.edges
+        return not self.vertices and not self.edges
 
     def size_bytes(self) -> int:
         return (
             len(self.vertices) * _HISTORY_VERTEX_BYTES
             + len(self.edges) * _HISTORY_EDGE_BYTES
-            + (_MSG_ID_BYTES if self.last_delivered else 0)
-            + (self.snapshot.size_bytes() if self.snapshot is not None else 0)
         )
 
     def __len__(self) -> int:
-        return (
-            len(self.vertices)
-            + len(self.edges)
-            + (len(self.snapshot) if self.snapshot is not None else 0)
-        )
+        return len(self.vertices) + len(self.edges)
 
 
 EMPTY_DELTA = HistoryDelta()
@@ -533,26 +455,6 @@ class FlexCastNotif(Envelope):
             + _GROUP_ID_BYTES
             + self.history.size_bytes()
         )
-
-
-@record
-@dataclass(frozen=True, slots=True)
-class HistorySnapshotFrame(Envelope):
-    """A group's cold-sync transfer: its packed live history as one frame.
-
-    Legacy input only: nothing sends one any more.  A replica restart used
-    to order one through the group's log after the rejoin; the log alone
-    rebuilds a rejoiner, so the frame added nothing.  WALs written then hold
-    one such entry, and replaying them must still apply it: receivers merge
-    it like any other delta (idempotent; forgotten ids are filtered).
-    """
-
-    group: GroupId
-    delta: HistoryDelta
-    kind: str = field(default="history-snapshot", init=False)
-
-    def size_bytes(self) -> int:
-        return _HEADER_BYTES + _GROUP_ID_BYTES + self.delta.size_bytes()
 
 
 @record

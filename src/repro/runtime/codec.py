@@ -117,56 +117,31 @@ def _member_from_wire(item: Any, dst: frozenset, sender: Any) -> msg.Message:
     return msg.Message(msg_id, dst, sender, payload, payload_bytes, False, trace_id)
 
 
-def _snapshot_to_dict(snapshot: msg.HistorySnapshot) -> Dict[str, Any]:
-    return {
-        "ids": list(snapshot.ids),
-        "dsts": [sorted(dst) for dst in snapshot.dsts],
-        "edges_a": list(snapshot.edges_a),
-        "edges_b": list(snapshot.edges_b),
-        "last_delivered": snapshot.last_delivered,
-        "version": snapshot.version,
-    }
-
-
-def _snapshot_from_dict(d: Dict[str, Any]) -> msg.HistorySnapshot:
-    intern = sys.intern
-    return msg.HistorySnapshot(
-        ids=tuple(intern(mid) for mid in d.get("ids", [])),
-        dsts=tuple(frozenset(dst) for dst in d.get("dsts", [])),
-        edges_a=tuple(intern(a) for a in d.get("edges_a", [])),
-        edges_b=tuple(intern(b) for b in d.get("edges_b", [])),
-        last_delivered=d.get("last_delivered"),
-        version=d.get("version", 0),
-    )
-
-
 def _delta_to_dict(delta: msg.HistoryDelta) -> Dict[str, Any]:
-    d = {
+    return {
         "vertices": [[mid, sorted(dst)] for mid, dst in delta.vertices],
         "edges": [list(edge) for edge in delta.edges],
-        "last_delivered": delta.last_delivered,
     }
-    if delta.snapshot is not None:
-        # Cold-sync deltas only: warm diffs keep their historical
-        # byte-for-byte frame shape (same emit-only-when-set discipline as
-        # trace_id/members).
-        d["snapshot"] = _snapshot_to_dict(delta.snapshot)
-    return d
 
 
 def _delta_from_dict(d: Dict[str, Any]) -> msg.HistoryDelta:
     # Delta vertex/edge ids recur across every index and pending-set on the
     # receiving group; interning at the decode boundary makes the in-memory
-    # copies pointer-identical (see Message.msg_id).  A delta written before
-    # it lost its journal ``seq`` still carries that key, which is ignored.
+    # copies pointer-identical (see Message.msg_id).  Keys of older deltas
+    # are ignored: a journal ``seq`` and a ``last_delivered``.  A first
+    # contact written as a packed ``snapshot`` (parallel ``ids``/``dsts`` and
+    # ``edges_a``/``edges_b`` arrays) reads as those entries ahead of the
+    # delta's own.
     intern = sys.intern
     get = d.get
     vertices, edges, snapshot = get("vertices"), get("edges"), get("snapshot")
+    if snapshot is not None:
+        sget = snapshot.get
+        vertices = [*zip(sget("ids", ()), sget("dsts", ())), *(vertices or ())]
+        edges = [*zip(sget("edges_a", ()), sget("edges_b", ())), *(edges or ())]
     return msg.HistoryDelta(
         tuple([(intern(mid), frozenset(dst)) for mid, dst in vertices]) if vertices else (),
         tuple([(intern(a), intern(b)) for a, b in edges]) if edges else (),
-        get("last_delivered"),
-        None if snapshot is None else _snapshot_from_dict(snapshot),
     )
 
 
@@ -341,8 +316,6 @@ _SCHEMA: Tuple[tuple, ...] = (
     (msg.FlexCastAck, "flexcast-ack",
      _MESSAGE, _HISTORY, "from_group", _SEQ, _field("notifier", default=None),
      _NOTIFIED),
-    (msg.HistorySnapshotFrame, "history-snapshot",
-     "group", _field("delta", _delta_to_dict, _delta_from_dict, key="history")),
     (msg.FlexCastNotif, "flexcast-notif", _MESSAGE, _HISTORY, "from_group", _SEQ),
     (msg.SkeenTimestamp, "skeen-timestamp", "msg_id", "timestamp", "from_group"),
     (msg.SkeenPropose, "skeen-propose", _MESSAGE),

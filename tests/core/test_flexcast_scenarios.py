@@ -38,11 +38,10 @@ def msg(mid, dst):
     return Message(msg_id=mid, dst=frozenset(dst))
 
 
-def delta(vertices, edges=(), last=None):
+def delta(vertices, edges=()):
     return HistoryDelta(
         vertices=tuple((mid, frozenset(dst)) for mid, dst in vertices),
         edges=tuple(edges),
-        last_delivered=last,
     )
 
 

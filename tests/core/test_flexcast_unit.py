@@ -42,11 +42,10 @@ def msg(mid, dst, **kwargs):
     return Message(msg_id=mid, dst=frozenset(dst), **kwargs)
 
 
-def delta(vertices, edges=(), last=None):
+def delta(vertices, edges=()):
     return HistoryDelta(
         vertices=tuple((mid, frozenset(dst)) for mid, dst in vertices),
         edges=tuple(edges),
-        last_delivered=last,
     )
 
 

@@ -65,7 +65,7 @@ class TestMergeDelta:
     def test_merge_does_not_change_last_delivered(self):
         h = History()
         h.record_delivery(msg("mine", {1}))
-        h.merge_delta(HistoryDelta(vertices=(("other", frozenset({2})),), last_delivered="other"))
+        h.merge_delta(HistoryDelta(vertices=(("other", frozenset({2})),)))
         assert h.last_delivered == "mine"
 
 
@@ -226,12 +226,11 @@ class TestJournal:
         h.record_delivery(msg("m1", {1}))
         watermark = h.version
         h.record_delivery(msg("m2", {1}))
-        vertices, edges, snapshot, version = h.changes_since(watermark)
+        vertices, edges, version = h.changes_since(watermark)
         assert [mid for mid, _ in vertices] == ["m2"]
         assert edges == (("m1", "m2"),)
-        assert snapshot is None
         assert version == h.version
-        assert h.changes_since(version) == ((), (), None, version)
+        assert h.changes_since(version) == ((), (), version)
 
     def test_compaction_keeps_full_snapshot_for_new_descendants(self):
         h = History()
@@ -239,14 +238,31 @@ class TestJournal:
             h.record_delivery(msg(f"m{i}", {1}))
         h.compact_journal(h.version)
         assert h.journal_len == 0
-        vertices, edges, snapshot, _ = h.changes_since(0)
-        assert snapshot is not None and not vertices and not edges
-        assert set(snapshot.ids) == {"m0", "m1", "m2", "m3"}
-        assert set(snapshot.iter_edges()) == {
-            ("m0", "m1"),
-            ("m1", "m2"),
-            ("m2", "m3"),
-        }
+        # Below the compacted base: the whole live history, as the tuples
+        # full_delta ships.
+        vertices, edges, version = h.changes_since(0)
+        assert version == h.version
+        assert set(vertices) == {(f"m{i}", frozenset({1})) for i in range(4)}
+        assert set(edges) == {("m0", "m1"), ("m1", "m2"), ("m2", "m3")}
+        full = h.full_delta()
+        assert (set(vertices), set(edges)) == (set(full.vertices), set(full.edges))
+
+    def test_the_journal_base_splits_slices_from_the_live_history(self):
+        h = History()
+        for i in range(4):
+            h.record_delivery(msg(f"m{i}", {1}))
+        base = h.version
+        h.compact_journal(base)
+        h.record_delivery(msg("m4", {1}))
+        # At the base: the retained journal past it, nothing older.
+        vertices, edges, version = h.changes_since(base)
+        assert vertices == (("m4", frozenset({1})),)
+        assert edges == (("m3", "m4"),)
+        # One below: that entry was compacted, so everything live ships.
+        vertices, edges, below = h.changes_since(base - 1)
+        assert below == version == h.version
+        assert {mid for mid, _ in vertices} == {f"m{i}" for i in range(5)}
+        assert set(edges) == {(f"m{i}", f"m{i + 1}") for i in range(4)}
 
 
 class TestGcDiffTrackerInteraction:
@@ -316,7 +332,7 @@ class TestGcDiffTrackerInteraction:
         # A descendant this group stopped sending to must not make the
         # journal grow without bound: compaction is capped relative to the
         # live history size and the stale descendant falls back to a full
-        # live snapshot on its next diff.
+        # live history on its next diff.
         h = History()
         tracker = HistoryDiffTracker()
         h.record_delivery(msg("m0", {1}))
@@ -329,10 +345,9 @@ class TestGcDiffTrackerInteraction:
         live = len(h) + h.num_edges
         assert h.journal_len <= HistoryDiffTracker._JOURNAL_SLACK * live + HistoryDiffTracker._JOURNAL_MIN
         assert h.journal_base > stale_watermark
-        # The lapsed descendant still converges: full live snapshot once
-        # (shipped in packed form on the cold path).
+        # The lapsed descendant still converges: the full live history once.
         delta = tracker.diff_for(9, h)
-        assert {v[0] for v in delta.iter_vertices()} == set(h.message_ids())
+        assert {v[0] for v in delta.vertices} == set(h.message_ids())
         assert tracker.diff_for(9, h).is_empty
 
     def test_new_descendant_after_gc_gets_only_live_history(self):
@@ -342,5 +357,5 @@ class TestGcDiffTrackerInteraction:
         victims = h.collect_garbage("m3", keep=set())
         tracker.forget(victims, history=h)
         delta = tracker.diff_for(8, h)  # brand-new descendant
-        assert {v[0] for v in delta.iter_vertices()} == {"m3"}
-        assert tuple(delta.iter_edges()) == ()
+        assert {v[0] for v in delta.vertices} == {"m3"}
+        assert delta.edges == ()

@@ -10,7 +10,9 @@ for several descendants), asserting at every step that queries and shipped
 deltas are identical.  Shipped deltas are compared twice: as sets against
 the seed's sent-set diff, and entry for entry, in order, against a slice of
 the naive model's list journal (the simulator's bit-identity rests on that
-order).
+order).  A diff for a descendant whose watermark is below the compacted
+journal ships the whole live history, which no journal slice can name, so
+it is compared as sets only.
 
 The forward point query the delivery gate asks (``reached_from``) is pinned
 against the backward set it replaced (``ancestors_of``) the same way.
@@ -189,6 +191,23 @@ _DIFF_PRUNE_DIFF = [
 ]
 
 
+def assert_same_diff(descendant, indexed, tracker, naive, naive_tracker):
+    """Diff ``descendant`` on both sides and compare what ships."""
+    below_base = tracker.watermark(descendant) < indexed.journal_base
+    delta = tracker.diff_for(descendant, indexed)
+    vertices, edges = naive_tracker.diff_for(descendant, naive)
+    ordered = naive_tracker.ordered_diff_for(descendant, naive)
+    if below_base:
+        # The whole live history: what the descendant was sent before ships
+        # again (the seed's diff, for a first contact).
+        vertices, edges = set(naive.destinations.items()), naive.edge_set
+    assert set(delta.vertices) == vertices
+    assert set(delta.edges) == edges
+    assert delta.is_empty == (not vertices and not edges)
+    if not below_base:
+        assert (delta.vertices, delta.edges) == ordered
+
+
 def apply_op(op, indexed, tracker, naive, naive_tracker):
     """Apply one operation to both implementations; compare shipped deltas."""
     kind = op[0]
@@ -217,20 +236,8 @@ def apply_op(op, indexed, tracker, naive, naive_tracker):
         tracker.forget(victims, history=indexed)
         naive_tracker.forget(naive_victims)
     else:  # diff
-        _, descendant = op
-        delta = tracker.diff_for(descendant, indexed)
-        vertices, edges = naive_tracker.diff_for(descendant, naive)
-        # iter_vertices/iter_edges cover both delta forms: a warm journal
-        # slice and a cold packed snapshot + suffix must carry the same
-        # logical content the naive tracker computes.
-        assert set(delta.iter_vertices()) == vertices
-        assert set(delta.iter_edges()) == edges
-        assert delta.is_empty == (not vertices and not edges)
-        ordered = naive_tracker.ordered_diff_for(descendant, naive)
-        if delta.snapshot is None:
-            assert (delta.vertices, delta.edges) == ordered
-    # No snapshot is ever installed here, so both journals count the same
-    # effective insertions.
+        assert_same_diff(op[1], indexed, tracker, naive, naive_tracker)
+    # Both journals count the same effective insertions.
     assert indexed.version == len(naive.journal)
 
 
@@ -272,16 +279,78 @@ class TestDifferentialEquivalence:
         for op in ops:
             apply_op(op, indexed, tracker, naive, naive_tracker)
         for descendant in DESCENDANTS:
-            delta = tracker.diff_for(descendant, indexed)
-            vertices, edges = naive_tracker.diff_for(descendant, naive)
-            assert set(delta.iter_vertices()) == vertices
-            assert set(delta.iter_edges()) == edges
-            ordered = naive_tracker.ordered_diff_for(descendant, naive)
-            if delta.snapshot is None:
-                assert (delta.vertices, delta.edges) == ordered
+            assert_same_diff(descendant, indexed, tracker, naive, naive_tracker)
         # Both descendants are now fully caught up.
         for descendant in DESCENDANTS:
             assert tracker.diff_for(descendant, indexed).is_empty
+
+
+class TightTracker(HistoryDiffTracker):
+    """A tracker whose journal cap is zero: every garbage collection compacts
+    the journal to its head, so each descendant that is behind then takes
+    the below-base diff."""
+
+    _JOURNAL_SLACK = 0
+    _JOURNAL_MIN = 0
+
+
+#: Two descendants fall behind, a collection compacts past both, and each
+#: is shipped the live history, which re-sends what it already had.
+_BEHIND_COMPACTED = [
+    ("deliver", 1, {0}),
+    ("diff", "d1"),
+    ("deliver", 2, {1}),
+    ("diff", "d2"),
+    ("deliver", 3, {0}),
+    ("deliver", 4, {2}),
+    ("prune", 2),
+    ("diff", "d1"),
+    ("diff", "d2"),
+]
+
+
+class TestBelowBaseDiffs:
+    """The same sequences under :class:`TightTracker`: a below-base diff is
+    the naive model's whole live history, and the next diff is a warm slice
+    again."""
+
+    @given(operations)
+    @example(_BEHIND_COMPACTED)
+    @example(_DIFF_PRUNE_DIFF)
+    @settings(max_examples=120, deadline=None)
+    def test_random_sequences_agree(self, ops):
+        indexed, tracker = History(), TightTracker()
+        naive, naive_tracker = NaiveHistory(), NaiveDiffTracker()
+        for op in ops:
+            apply_op(op, indexed, tracker, naive, naive_tracker)
+        assert set(indexed.message_ids()) == set(naive.destinations)
+        assert set(indexed.edges()) == naive.edge_set
+
+    @given(operations)
+    @example(_BEHIND_COMPACTED)
+    @settings(max_examples=60, deadline=None)
+    def test_final_diff_flushes_the_live_remainder(self, ops):
+        indexed, tracker = History(), TightTracker()
+        naive, naive_tracker = NaiveHistory(), NaiveDiffTracker()
+        for op in ops:
+            apply_op(op, indexed, tracker, naive, naive_tracker)
+        for descendant in DESCENDANTS:
+            assert_same_diff(descendant, indexed, tracker, naive, naive_tracker)
+        for descendant in DESCENDANTS:
+            assert tracker.diff_for(descendant, indexed).is_empty
+
+    def test_a_lapsed_descendant_is_sent_the_live_history(self):
+        indexed, tracker = History(), TightTracker()
+        naive, naive_tracker = NaiveHistory(), NaiveDiffTracker()
+        for op in _BEHIND_COMPACTED[:-2]:
+            apply_op(op, indexed, tracker, naive, naive_tracker)
+        assert indexed.journal_len == 0
+        assert tracker.watermark("d1") < indexed.journal_base
+        assert tracker.watermark("d2") < indexed.journal_base
+        delta = tracker.diff_for("d1", indexed)
+        assert set(delta.vertices) == set(naive.destinations.items())
+        assert {mid for mid, _ in delta.vertices} == {"m2", "m3", "m4"}
+        assert set(delta.edges) == naive.edge_set == {("m2", "m3"), ("m3", "m4")}
 
 
 # ------------------------------------------------- forward vs backward query

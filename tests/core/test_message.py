@@ -72,11 +72,22 @@ class TestHistoryDelta:
         delta = HistoryDelta(
             vertices=(("m1", frozenset({1})), ("m2", frozenset({1, 2}))),
             edges=(("m1", "m2"),),
-            last_delivered="m2",
         )
         assert not delta.is_empty
         assert len(delta) == 3
         assert delta.size_bytes() > 0
+
+    def test_size_counts_vertices_and_edges_only(self):
+        # A first contact's whole live history is priced like any slice of
+        # the same entries: nothing rides along beside them.
+        vertex = HistoryDelta(vertices=(("m1", frozenset({1})),))
+        edge = HistoryDelta(edges=(("m1", "m2"),))
+        delta = HistoryDelta(
+            vertices=(("m1", frozenset({1})), ("m2", frozenset({1, 2}))),
+            edges=(("m1", "m2"),),
+        )
+        assert delta.size_bytes() == 2 * vertex.size_bytes() + edge.size_bytes()
+        assert vertex.size_bytes() > 0 and edge.size_bytes() > 0
 
 
 class TestEnvelopes:

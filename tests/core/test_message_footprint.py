@@ -18,7 +18,7 @@ import sys
 import pytest
 
 from repro.core import message as msg
-from repro.core.message import HistoryDelta, HistorySnapshot, Message
+from repro.core.message import HistoryDelta, Message
 from repro.smr import multipaxos, paxos, replica
 
 #: Upper bound on the bare Message object (CPython 3.10-3.12 measures 96
@@ -53,7 +53,7 @@ class TestSlottedCore:
             obj
             for obj in vars(msg).values()
             if isinstance(obj, type)
-            and issubclass(obj, (msg.Envelope, Message, HistoryDelta, HistorySnapshot))
+            and issubclass(obj, (msg.Envelope, Message, HistoryDelta))
         ]
         assert len(classes) > 10
         for cls in classes:
@@ -82,12 +82,11 @@ class TestSlottedCore:
 # slotted dataclass promises must hold for each of them all the same.
 M = Message("m7", frozenset({1, 2}), "c", "p", 3)
 B0, B1 = paxos.Ballot(0, 1), paxos.Ballot(2, 0)
-DELTA = HistoryDelta((("m7", frozenset({1, 2})),), (("m6", "m7"),), "m6")
+DELTA = HistoryDelta((("m7", frozenset({1, 2})),), (("m6", "m7"),))
 
 #: One sample per record class: its constructor's arguments, in field order.
 RECORDS = {
     Message: ("m1", frozenset({1}), "c", "p", 3, False, "t1", ()),
-    HistorySnapshot: (("m7",), (frozenset({1}),), ("m6",), ("m7",), "m6", 5),
     HistoryDelta: DELTA.__getnewargs__(),
     msg.ClientRequest: (M,),
     msg.FlexCastBatch: (Message.batch_of([M], batch_id="b1"),),
@@ -96,7 +95,6 @@ RECORDS = {
     msg.FlexCastMsg: (M, DELTA, 5, frozenset({(3, 1)})),
     msg.FlexCastAck: (M, DELTA, 2, 6, 1, frozenset({(3, 2)})),
     msg.FlexCastNotif: (M, DELTA, 1, 3),
-    msg.HistorySnapshotFrame: (1, DELTA),
     msg.SkeenTimestamp: ("m7", 7, 1),
     msg.SkeenPropose: (M,),
     msg.TreeForward: (M, 9),

@@ -16,8 +16,6 @@ from repro.core.message import (
     FlexCastMsg,
     FlexCastNotif,
     HistoryDelta,
-    HistorySnapshot,
-    HistorySnapshotFrame,
     Message,
     NodeHello,
     SkeenPropose,
@@ -68,8 +66,17 @@ def sample_delta():
     return HistoryDelta(
         vertices=(("m1", frozenset({1})), ("m2", frozenset({1, 3}))),
         edges=(("m1", "m2"),),
-        last_delivered="m2",
     )
+
+
+def decode_old_delta(envelope, **keys):
+    """``envelope`` decoded from a frame whose history delta also carries
+    ``keys``, as deltas written before they shed them did."""
+    body = json.loads(encode_frame("node-1", envelope)[4:])
+    body["envelope"]["history"].update(keys)
+    sender, decoded = decode_frame(json.dumps(body).encode("utf-8"))
+    assert sender == "node-1"
+    return decoded
 
 
 class TestRoundTrips:
@@ -184,62 +191,74 @@ class TestRoundTrips:
         assert decoded == envelope
         assert decoded.message.members == tuple(members)
 
-    def test_history_snapshot_frame(self):
-        snapshot = HistorySnapshot(
-            ids=("m1", "m2", "m3"),
-            dsts=(frozenset({1}), frozenset({1, 3}), frozenset({3})),
-            edges_a=("m1", "m2"),
-            edges_b=("m2", "m3"),
-            last_delivered="m3",
-            version=5,
+    def test_decoded_delta_ids_are_interned(self):
+        # The decode boundary interns every history id so the receiving
+        # group's indexes hold pointer-identical strings.
+        delta = HistoryDelta(
+            (("delta-vertex-1", frozenset({1})),), (("m1", "delta-vertex-1"),)
         )
-        frame = HistorySnapshotFrame(
-            group=3,
-            delta=HistoryDelta(
-                vertices=(("m4", frozenset({1})),),
-                edges=(("m3", "m4"),),
-                last_delivered="m4",
-                snapshot=snapshot,
-            ),
-        )
-        decoded = round_trip(frame)
-        assert type(decoded) is HistorySnapshotFrame
-        assert decoded == frame
-        # Installing the decoded delta must see the full logical content.
-        assert set(decoded.delta.iter_vertices()) == set(frame.delta.iter_vertices())
-        assert set(decoded.delta.iter_edges()) == {("m1", "m2"), ("m2", "m3"), ("m3", "m4")}
-
-    def test_snapshot_bearing_delta_inside_msg_envelope(self):
-        snapshot = HistorySnapshot(
-            ids=("m1",), dsts=(frozenset({1}),), last_delivered="m1", version=1
-        )
-        cold = HistoryDelta(last_delivered="m1", snapshot=snapshot)
-        envelope = FlexCastMsg(message=sample_message(), history=cold, seq=1)
-        decoded = round_trip(envelope)
-        assert decoded == envelope
-        assert decoded.history.snapshot == snapshot
-
-    def test_decoded_snapshot_ids_are_interned(self):
-        # The decode boundary interns every id so the receiving group's
-        # indexes hold pointer-identical strings.
-        snapshot = HistorySnapshot(
-            ids=("snap-vertex-1",), dsts=(frozenset({1}),), version=1
-        )
-        frame = HistorySnapshotFrame(
-            group=1, delta=HistoryDelta(snapshot=snapshot)
-        )
-        decoded = round_trip(frame)
+        decoded = round_trip(FlexCastMsg(message=sample_message(), history=delta, seq=1))
         import sys as _sys
 
-        assert decoded.delta.snapshot.ids[0] is _sys.intern("snap-vertex-1")
+        (vertex,), (edge,) = decoded.history.vertices, decoded.history.edges
+        assert vertex[0] is _sys.intern("delta-vertex-1") and edge[1] is vertex[0]
+
+    def test_history_snapshot_frame(self):
+        # The retired frame that ordered a packed history through a group's
+        # log has no schema row: decoding refuses it by name.
+        assert "history-snapshot" not in [row[1] for row in codec._SCHEMA]
+        body = {
+            "sender": "n",
+            "envelope": {
+                "type": "history-snapshot",
+                "group": 3,
+                "history": codec._delta_to_dict(sample_delta()),
+            },
+        }
+        with pytest.raises(CodecError, match="history-snapshot"):
+            decode_frame(json.dumps(body).encode())
+
+    def test_snapshot_bearing_delta_inside_msg_envelope(self):
+        # A first contact written as a packed snapshot plus a suffix reads as
+        # one plain delta: the snapshot's entries ahead of the suffix's.
+        snapshot = {
+            "ids": ["m1", "m2"], "dsts": [[1], [1, 3]],
+            "edges_a": ["m1"], "edges_b": ["m2"],
+            "last_delivered": "m2", "version": 3,
+        }
+        suffix = HistoryDelta((("m3", frozenset({3})),), (("m2", "m3"),))
+        envelope = FlexCastMsg(message=sample_message(), history=suffix, seq=1)
+        decoded = decode_old_delta(envelope, last_delivered="m3", snapshot=snapshot)
+        assert decoded == dataclasses.replace(
+            envelope,
+            history=HistoryDelta(
+                (("m1", frozenset({1})), ("m2", frozenset({1, 3})), ("m3", frozenset({3}))),
+                (("m1", "m2"), ("m2", "m3")),
+            ),
+        )
+        # Written again, it is today's shape.
+        assert round_trip(decoded) == decoded
+
+    def test_decoded_snapshot_ids_are_interned(self):
+        # The old snapshot arrays cross the same decode boundary as any
+        # delta's entries, so their ids are interned too.
+        snapshot = {"ids": ["snap-vertex-1"], "dsts": [[1]], "version": 1}
+        envelope = FlexCastMsg(message=sample_message(), history=EMPTY_DELTA, seq=1)
+        decoded = decode_old_delta(envelope, snapshot=snapshot)
+        import sys as _sys
+
+        ((mid, dst),) = decoded.history.vertices
+        assert mid is _sys.intern("snap-vertex-1") and dst == frozenset({1})
 
     def test_warm_delta_has_no_snapshot_key(self):
-        # Warm diffs must keep their historical byte-for-byte frame shape:
-        # the snapshot field is emitted only when set.
+        # A delta is written as its vertices and edges alone: neither the
+        # retired snapshot nor the unread last_delivered reaches the wire.
         envelope = FlexCastMsg(message=sample_message(), history=sample_delta(), seq=1)
         frame = encode_frame("n", envelope)
-        assert b"snapshot" not in frame
-        assert round_trip(envelope).history.snapshot is None
+        assert b"snapshot" not in frame and b"last_delivered" not in frame
+        history = json.loads(frame[4:])["envelope"]["history"]
+        assert sorted(history) == ["edges", "vertices"]
+        assert round_trip(envelope) == envelope
 
     def test_batch_members_travel_as_rows_under_the_carrier(self):
         # Members that share the carrier's destinations and sender ship only
@@ -296,7 +315,6 @@ deltas = st.builds(
     HistoryDelta,
     vertices=st.lists(st.tuples(ids, destinations), max_size=5).map(tuple),
     edges=st.lists(st.tuples(ids, ids), max_size=5).map(tuple),
-    last_delivered=st.none() | ids,
 )
 seqs = st.integers(0, 10**6)
 notified = st.frozensets(st.tuples(groups, st.none() | groups), max_size=4)
@@ -339,7 +357,6 @@ FLEXCAST_ENVELOPES = {
     "flexcast-notif": st.builds(
         FlexCastNotif, message=messages, history=deltas, from_group=groups, seq=seqs
     ),
-    "history-snapshot": st.builds(HistorySnapshotFrame, group=groups, delta=deltas),
 }
 
 instances = st.integers(0, 10**6)
@@ -425,7 +442,6 @@ ONCE_EPOCH_STAMPED = {
     "notif": FlexCastNotif(
         message=sample_message(), history=sample_delta(), from_group=1, seq=1
     ),
-    "history-snapshot": HistorySnapshotFrame(group=3, delta=sample_delta()),
 }
 
 
@@ -438,6 +454,34 @@ class TestOldEpochStamp:
         body["envelope"]["epoch"] = 0
         stamped = json.dumps(body).encode("utf-8")
         assert decode_frame(stamped) == ("node-1", envelope)
+
+
+class TestOldSnapshotDeltas:
+    """WALs hold FlexCast envelopes whose delta was written as a packed
+    ``snapshot`` plus a suffix; replaying them must read every entry."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(packed=deltas, suffix=deltas, last_delivered=st.none() | ids)
+    def test_a_packed_snapshot_reads_ahead_of_its_suffix(
+        self, packed, suffix, last_delivered
+    ):
+        snapshot = {
+            "ids": [mid for mid, _ in packed.vertices],
+            "dsts": [sorted(dst) for _, dst in packed.vertices],
+            "edges_a": [a for a, _ in packed.edges],
+            "edges_b": [b for _, b in packed.edges],
+            "last_delivered": last_delivered,
+            "version": len(packed),
+        }
+        envelope = FlexCastAck(
+            message=sample_message(), history=suffix, from_group=1, seq=1
+        )
+        decoded = decode_old_delta(
+            envelope, last_delivered=last_delivered, snapshot=snapshot
+        )
+        assert decoded.history == HistoryDelta(
+            packed.vertices + suffix.vertices, packed.edges + suffix.edges
+        )
 
 
 class TestTraceIdPropagation:

@@ -55,6 +55,16 @@ timestamp proposals; a history delta lost its journal ``seq``, and the
 decodes with ``seq`` 0, which no channel takes (:func:`_unnumbered`): every
 older corpus here still decodes that way.
 
+Every FlexCast line, and every frame nesting one, was rewritten when a
+history delta lost ``last_delivered``, which no receiver read, and its
+packed ``snapshot``: a first contact now ships the sender's live history as
+the same ``vertices`` and ``edges`` every delta has, and the
+``history-snapshot`` line went with it.  ``data/wire_golden_snapshots.tsv``
+keeps the old ``flexcast-msg-cold`` and ``history-snapshot`` lines,
+decode-only: the cold line reads as its snapshot's entries ahead of its
+suffix, the content of today's ``flexcast-msg-cold`` (:data:`COLD`), and the
+retired frame is refused.
+
 Regenerate only for a deliberate wire-format change; a new envelope type adds
 a sample here and one line to the corpus.
 """
@@ -92,6 +102,7 @@ BARE_NOTIFIED_CORPUS = os.path.join(
 MEMBER_OBJECTS_CORPUS = os.path.join(
     os.path.dirname(__file__), "data", "wire_golden_member_objects.tsv"
 )
+SNAPSHOTS_CORPUS = os.path.join(os.path.dirname(__file__), "data", "wire_golden_snapshots.tsv")
 SENDER = "group-0-replica-1"
 
 PLAIN = msg.Message(
@@ -115,21 +126,15 @@ CARRIER = msg.Message.batch_of(
 WARM = msg.HistoryDelta(
     vertices=(("m1", frozenset({1})), ("m2", frozenset({3, 1}))),
     edges=(("m1", "m2"),),
-    last_delivered="m2",
 )
-SNAPSHOT = msg.HistorySnapshot(
-    ids=("m1", "m2", "m3"),
-    dsts=(frozenset({1}), frozenset({1, 3}), frozenset({3})),
-    edges_a=("m1", "m2"),
-    edges_b=("m2", "m3"),
-    last_delivered="m3",
-    version=5,
-)
+#: A first contact's delta: the content of the old ``flexcast-msg-cold``
+#: line, a snapshot of m1..m3 then a suffix of m4 and its edge, as tuples.
 COLD = msg.HistoryDelta(
-    vertices=(("m4", frozenset({1})),),
-    edges=(("m3", "m4"),),
-    last_delivered="m4",
-    snapshot=SNAPSHOT,
+    vertices=(
+        ("m1", frozenset({1})), ("m2", frozenset({1, 3})), ("m3", frozenset({3})),
+        ("m4", frozenset({1})),
+    ),
+    edges=(("m1", "m2"), ("m2", "m3"), ("m3", "m4")),
 )
 ENTRY = OrderedEnvelope(sender="client-7", envelope=msg.ClientRequest(message=PLAIN))
 ENTRY_PEER = OrderedEnvelope(
@@ -169,7 +174,6 @@ SAMPLES = {
         notifier=0,
         notified=frozenset({(2, 1), (4, 1)}),
     ),
-    "history-snapshot": msg.HistorySnapshotFrame(group=3, delta=COLD),
     "flexcast-notif": msg.FlexCastNotif(
         message=TRACED, history=WARM, from_group=1, seq=2
     ),
@@ -318,6 +322,17 @@ def test_a_frame_with_batch_members_as_objects_still_decodes(name):
     member an object with its own ``dst`` and ``sender``."""
     body = _corpus(MEMBER_OBJECTS_CORPUS)[name].encode("utf-8")
     assert decode_frame(body) == (SENDER, _unnumbered(SAMPLES[name]))
+
+
+def test_a_cold_snapshot_delta_still_decodes_as_plain_tuples():
+    body = _corpus(SNAPSHOTS_CORPUS)["flexcast-msg-cold"].encode("utf-8")
+    assert decode_frame(body) == (SENDER, SAMPLES["flexcast-msg-cold"])
+
+
+def test_the_retired_history_snapshot_frame_is_refused():
+    body = _corpus(SNAPSHOTS_CORPUS)["history-snapshot"].encode("utf-8")
+    with pytest.raises(codec.CodecError, match="history-snapshot"):
+        decode_frame(body)
 
 
 def test_a_frame_with_an_epoch_stamp_still_decodes():

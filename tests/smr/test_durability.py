@@ -10,14 +10,13 @@ import shutil
 import pytest
 
 from repro.core.flexcast import FlexCastProtocol
-from repro.core.message import HistorySnapshotFrame
 from repro.overlay.cdag import CDagOverlay
-from repro.runtime.codec import turn_entries, turn_text
+from repro.runtime.codec import CodecError, turn_entries, turn_text
 from repro.sim.events import EventLoop
 from repro.sim.latencies import LatencyMatrix
 from repro.sim.network import Network
 from repro.sim.transport import SimTransport
-from repro.smr.multipaxos import MultiPaxosReplica
+from repro.smr.multipaxos import MultiPaxosReplica, UnreadableValue
 from repro.smr.paxos import (
     ZERO_BALLOT, Accept, Acceptor, Ballot, Nack, Prepare, Promise, json_text, stored_text,
 )
@@ -258,6 +257,26 @@ def copy_corpus(data, tmp_path):
         return json.load(fh)
 
 
+#: The instance of the retired ``history-snapshot`` frame that ends the older
+#: corpora.  No binary reads it any more: a replay cuts the commit WAL before
+#: it, as at a torn tail, and catch-up would refill the rest.
+FRAME = 10
+
+
+def replay_cut(data, tmp_path, open_storage, caplog, index=0, cut=1):
+    """Replay replica ``index`` of corpus ``data``; returns it and
+    ``expected.json``.  A corpus that ends with the frame (``cut=1``) loses
+    that instance, with one warning naming it; ``cut=0`` loses none."""
+    expected = copy_corpus(data, tmp_path)
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="repro.smr.multipaxos"):
+        replica = replay(open_storage(tmp_path), index=index)
+    cuts = [r.getMessage() for r in caplog.records if "commit WAL cut" in r.getMessage()]
+    assert len(cuts) == cut
+    assert all(f"commit WAL cut before instance {FRAME}," in c for c in cuts)
+    return replica, expected
+
+
 def replay(storage, index=0):
     """Replica ``index`` of the corpora's group, rebuilt from ``storage`` alone."""
     network = Network(EventLoop(), LatencyMatrix([[0.1]], ["s0"]))
@@ -285,7 +304,9 @@ def wal_records(directory, name):
 def unstamped(text):
     """``text`` less what its envelopes carried and no envelope has any more:
     the ``"epoch":0`` of the overlay-epoch stamp every FlexCast envelope in a
-    value once had, and a history delta's journal ``"seq"``."""
+    value once had, and a history delta's journal ``"seq"`` and
+    ``"last_delivered"``."""
+    text = re.sub(rb',"last_delivered":("[^"]*"|null)', b"", text)
     return re.sub(rb',"seq":(\d+|null)', b"", text.replace(b',"epoch":0', b""))
 
 
@@ -296,18 +317,25 @@ def assert_value_texts_unchanged(records, payloads):
     byte for byte the text *inside* the old record, where it sat between the
     record's other fields and the closing bracket, less its envelopes' epoch
     stamps; only its framing moved — the same fields, a newline, the same
-    text.  A record without a value is written as it always was.  Returns
-    how many records carried a value.
+    text.  A record without a value is written as it always was.  The value
+    of instance :data:`FRAME`, the retired ``history-snapshot`` frame, no
+    longer decodes at all.  Returns how many records carried a value that
+    does.
     """
     valued = 0
     for record, payload in zip(records, payloads):
-        if len(record) > 2 and record[0] in "ac":
+        if not (len(record) > 2 and record[0] in "ac"):
+            assert _encode_record(record)[8:] == payload
+        elif record[1] == FRAME:
+            with pytest.raises(UnreadableValue) as refused:
+                turn_entries(stored_text(record[-1]))
+            assert isinstance(refused.value.__cause__, CodecError)
+            assert "history-snapshot" in str(refused.value.__cause__)
+        else:
             head, text = json_text(record[:-1]), turn_text(turn_entries(stored_text(record[-1])))
             assert unstamped(payload) == head[:-1] + b"," + text + b"]"
             assert _encode_record(record[:-1] + [text])[8:] == head + b"\n" + text
             valued += 1
-        else:
-            assert _encode_record(record)[8:] == payload
     return valued
 
 
@@ -315,24 +343,29 @@ class TestParentCommitWal:
     """``data/parent_wal`` was written by the commit before the codec became
     a registry and ``FileWAL`` stopped mirroring its records (replica 0 of a
     3-replica FlexCast group: ten requests, a peer crash, its restart and the
-    snapshot frame ordered for it).  New code must replay old files."""
+    snapshot frame ordered for it).  New code must replay old files, as far
+    as the frame."""
 
     DATA = os.path.join(os.path.dirname(__file__), "data", "parent_wal")
+    #: Instances a replay cuts: the snapshot frame's.
+    CUT = 1
 
     def test_replica_replays_a_wal_written_by_the_parent_commit(
-        self, tmp_path, open_storage
+        self, tmp_path, open_storage, caplog
     ):
-        expected = copy_corpus(self.DATA, tmp_path)
-        replica = replay(open_storage(tmp_path))
+        replica, expected = replay_cut(
+            self.DATA, tmp_path, open_storage, caplog, cut=self.CUT
+        )
         assert replica.local_deliveries == expected["local_deliveries"]
-        assert replica.smr.applied_count == expected["applied"]
-        assert replica.smr.recovered_instances == expected["applied"]
+        assert replica.smr.applied_count == expected["applied"] - self.CUT
+        assert replica.smr.recovered_instances == expected["applied"] - self.CUT
 
     def test_log_entries_re_encode_to_the_parent_commits_bytes(self):
         # Restated when the value got a line of its own: the value text is
-        # the parent commit's, byte for byte (every record here is a full c).
+        # the parent commit's, byte for byte (every record here is a full
+        # c), but for the snapshot frame's, which decoding refuses.
         records, payloads = wal_records(self.DATA, "group-0-replica-0.log")
-        assert assert_value_texts_unchanged(records, payloads) == len(records)
+        assert assert_value_texts_unchanged(records, payloads) == len(records) - 1
 
 
 LEADERSHIP_WAL = os.path.join(os.path.dirname(__file__), "data", "leadership_wal")
@@ -373,7 +406,8 @@ def write_corpus(directory):
     rejoiner, which learns it by catch-up (``turns_wal``; since
     ``snapshot_frame_wal`` every value is a line of text after its record).
     The older corpora end with one more instance, the ``history-snapshot``
-    frame a restart used to order; ``text_wal`` has none.
+    frame a restart used to order, which a replay now cuts
+    (:func:`replay_cut`); ``text_wal`` has none.
 
     ``python tests/smr/test_durability.py --write-corpus DIR``; the output is
     a function of the commit alone, and CI diffs it against the newest
@@ -440,6 +474,7 @@ class TestLeadershipWal:
     ``a`` per instance, and a commit log of references into them."""
 
     DATA = LEADERSHIP_WAL
+    CUT = 1
 
     def _records(self, kind):
         return wal_records(LEADERSHIP_WAL, f"group-0-replica-0.{kind}")
@@ -457,8 +492,9 @@ class TestLeadershipWal:
         assert [r for r in accepts if r[0] == "p"] == [["p", [0, 0]]]
 
     def test_records_re_encode_to_identical_bytes(self):
-        # Restated: value texts identical, value-free records identical.
-        assert assert_value_texts_unchanged(*self._records("acceptor")) == 11
+        # Restated: value texts identical, value-free records identical, and
+        # the snapshot frame's accepted value refused.
+        assert assert_value_texts_unchanged(*self._records("acceptor")) == 10
         assert assert_value_texts_unchanged(*self._records("log")) == 0
 
     def test_the_writer_still_produces_a_replayable_corpus(self, tmp_path):
@@ -486,16 +522,18 @@ class TestTurnsWal:
 
     DATA = TURNS_WAL
     SEVERAL = 9  # the instance whose turn held two requests
+    CUT = 1
 
     test_replica_replays_its_own_format = (
         TestParentCommitWal.test_replica_replays_a_wal_written_by_the_parent_commit
     )
 
-    def test_the_rejoiner_replays_its_full_records(self, tmp_path, open_storage):
-        expected = copy_corpus(self.DATA, tmp_path)
-        rejoiner = replay(open_storage(tmp_path), index=2)
+    def test_the_rejoiner_replays_its_full_records(self, tmp_path, open_storage, caplog):
+        rejoiner, expected = replay_cut(
+            self.DATA, tmp_path, open_storage, caplog, index=2, cut=self.CUT
+        )
         assert rejoiner.local_deliveries == expected["local_deliveries"]
-        assert rejoiner.smr.recovered_instances == expected["rejoiner_applied"]
+        assert rejoiner.smr.recovered_instances == expected["rejoiner_applied"] - self.CUT
         assert len(rejoiner.smr.log[self.SEVERAL].entries) == 2
 
     def test_a_turn_of_one_is_the_leadership_corpus_byte_for_byte(self):
@@ -521,14 +559,15 @@ class TestTurnsWal:
         assert sum(isinstance(value, list) for value in others) == 2
 
     def test_records_re_encode_to_identical_bytes(self):
-        # Restated: value texts identical, value-free records identical.
+        # Restated: value texts identical, value-free records identical, and
+        # the snapshot frame's value refused.
         valued = {
             (index, kind): assert_value_texts_unchanged(
                 *wal_records(TURNS_WAL, f"group-0-replica-{index}.{kind}")
             )
             for index in (0, 2) for kind in ("acceptor", "log")
         }
-        assert valued[0, "acceptor"] == 11 and valued[0, "log"] == 0
+        assert valued[0, "acceptor"] == 10 and valued[0, "log"] == 0
         assert valued[2, "log"] >= 1  # what the rejoiner learned by catch-up
 
 
@@ -543,10 +582,11 @@ class TestSnapshotFrameWal:
     of ``turns_wal``, each value moved out of its record's JSON onto a line
     of its own, and the rejoiner's acceptor WAL folded once.  Its last
     instance is the ``history-snapshot`` frame a restart then ordered through
-    the log; nothing writes one any more, and a replay must still apply it."""
+    the log; nothing writes or reads one any more, and a replay cuts it."""
 
     DATA = SNAPSHOT_FRAME_WAL
     SEVERAL = TestTurnsWal.SEVERAL
+    CUT = 1
 
     test_replica_replays_its_own_format = (
         TestParentCommitWal.test_replica_replays_a_wal_written_by_the_parent_commit
@@ -555,11 +595,13 @@ class TestSnapshotFrameWal:
         TestTurnsWal.test_the_rejoiner_replays_its_full_records
     )
 
-    def test_a_replay_applies_the_snapshot_frame(self, tmp_path, open_storage):
-        copy_corpus(self.DATA, tmp_path)
-        replica = replay(open_storage(tmp_path))
-        (entry,) = replica.smr.log[-1].entries
-        assert type(entry.envelope) is HistorySnapshotFrame
+    def test_a_replay_cuts_the_snapshot_frame_from_the_commit_log(
+        self, tmp_path, open_storage, caplog
+    ):
+        replica, _ = replay_cut(self.DATA, tmp_path, open_storage, caplog)
+        records, _ = wal_records(str(tmp_path), "group-0-replica-0.log")
+        assert [record[1] for record in records] == list(range(FRAME))
+        assert len(replica.smr.log) == FRAME
         assert set(replica.protocol_state.history.message_ids()) == set(
             replica.local_deliveries
         )
@@ -604,7 +646,7 @@ class TestTextWal:
 
     DATA = TEXT_WAL
     SEVERAL = TestTurnsWal.SEVERAL
-    FRAME = 10  # the snapshot frame's instance in the older corpus
+    CUT = 0
 
     test_replica_replays_its_own_format = (
         TestParentCommitWal.test_replica_replays_a_wal_written_by_the_parent_commit
@@ -630,7 +672,7 @@ class TestTextWal:
         for name in CORPUS_FILES:
             ours, _ = wal_records(TEXT_WAL, name)
             theirs, _ = wal_records(SNAPSHOT_FRAME_WAL, name)
-            frame = (["a", self.FRAME], ["c", self.FRAME])
+            frame = (["a", FRAME], ["c", FRAME])
             assert ours == [r for r in theirs if r[:2] not in frame], name
 
 

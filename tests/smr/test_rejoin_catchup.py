@@ -9,15 +9,14 @@ themselves went through the log.
 
 import pytest
 
-from repro.core.flexcast import FlexCastGroup, FlexCastProtocol
-from repro.core.message import ClientRequest, HistorySnapshotFrame, Message
+from repro.core.flexcast import FlexCastProtocol
+from repro.core.message import ClientRequest, Message
 from repro.overlay.cdag import CDagOverlay
 from repro.protocols.base import RecordingSink
 from repro.runtime.proc import _sequence_digest
 from repro.sim.events import EventLoop
 from repro.sim.latencies import LatencyMatrix
 from repro.sim.network import Network
-from repro.sim.transport import RecordingTransport
 from repro.smr.replica import ReplicatedGroup
 from repro.storage import InMemoryStorage
 
@@ -104,29 +103,6 @@ class TestRejoinFromTheLogAlone:
         assert {tuple(r.local_deliveries) for r in group.replicas} == {
             ("a0", "a1", "b0", "b1", "c0", "c1")
         }
-
-
-class TestLegacySnapshotFrame:
-    """Nothing orders a ``history-snapshot`` frame any more, but WALs written
-    while a restart did still hold one: applying it stays an idempotent
-    merge."""
-
-    def test_application_is_idempotent(self):
-        loop, network, group, sink = deploy()
-        submit(network, group.leader.replica_id, [f"m{i}" for i in range(8)])
-        loop.run_until_idle()
-        source = group.leader.protocol_state
-        frame = HistorySnapshotFrame(group=0, delta=source.history.cold_delta())
-
-        target = FlexCastGroup(
-            1, CDagOverlay([0, 1]), RecordingTransport(1), RecordingSink()
-        )
-        target.on_envelope("recovery", frame)
-        installed = (set(target.history.message_ids()), target.history.version)
-        assert installed[0] == set(source.history.message_ids())
-        assert set(target.history.edges()) == set(source.history.edges())
-        target.on_envelope("recovery", frame)
-        assert (set(target.history.message_ids()), target.history.version) == installed
 
 
 class TestRunningDeliveryDigest:
