@@ -24,7 +24,6 @@ from .message import (
     HistoryDelta,
     Message,
     PAYLOAD_KINDS,
-    SkeenPropose,
     SkeenTimestamp,
     TreeForward,
     fresh_message_id,
@@ -52,7 +51,6 @@ __all__ = [
     "HistoryDelta",
     "Message",
     "PAYLOAD_KINDS",
-    "SkeenPropose",
     "SkeenTimestamp",
     "TreeForward",
     "fresh_message_id",

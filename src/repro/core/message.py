@@ -473,18 +473,6 @@ class SkeenTimestamp(Envelope):
 
 @record
 @dataclass(frozen=True, slots=True)
-class SkeenPropose(Envelope):
-    """Skeen: the message as disseminated to every destination group."""
-
-    message: Message
-    kind: str = field(default="msg", init=False)
-
-    def size_bytes(self) -> int:
-        return _HEADER_BYTES + self.message.size_bytes()
-
-
-@record
-@dataclass(frozen=True, slots=True)
 class TreeForward(Envelope):
     """Hierarchical: a message ordered by a group and pushed to a child."""
 

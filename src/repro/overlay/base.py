@@ -52,11 +52,6 @@ class Overlay(ABC):
     def can_send(self, src: GroupId, dst: GroupId) -> bool:
         """True iff the overlay has a directed edge ``src -> dst``."""
 
-    @abstractmethod
-    def entry_group(self, destinations: Iterable[GroupId]) -> GroupId:
-        """The group at which a message addressed to ``destinations`` enters
-        the overlay (FlexCast/hierarchical: the lca; distributed: unused)."""
-
     def validate_destinations(self, destinations: Iterable[GroupId]) -> FrozenSet[GroupId]:
         """Normalize and validate a destination set."""
         dst = frozenset(destinations)
@@ -77,17 +72,11 @@ class CompleteGraphOverlay(Overlay):
 
     Every group can send to every other group; there is no notion of rank and
     the entry point of a message is the set of destinations themselves (the
-    client sends directly to each destination).  ``entry_group`` returns the
-    smallest destination id purely as a stable representative — Skeen's client
-    actually broadcasts to all destinations.
+    client sends directly to each destination).
     """
 
     def can_send(self, src: GroupId, dst: GroupId) -> bool:
         return src in self and dst in self and src != dst
-
-    def entry_group(self, destinations: Iterable[GroupId]) -> GroupId:
-        dst = self.validate_destinations(destinations)
-        return min(dst)
 
     def describe(self) -> str:
         return f"complete graph ({self.num_groups} groups)"

@@ -101,9 +101,6 @@ class CDagOverlay(Overlay):
             lca = self._lca[dst] = min(self.validate_destinations(dst), key=self.rank)
             return lca
 
-    def entry_group(self, destinations: Iterable[GroupId]) -> GroupId:
-        return self.lca(destinations)
-
     def sorted_by_rank(self, groups: Iterable[GroupId]) -> List[GroupId]:
         """Sort an arbitrary collection of groups by rank (ascending)."""
         return sorted(groups, key=self.rank)

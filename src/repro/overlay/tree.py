@@ -121,9 +121,6 @@ class TreeOverlay(Overlay):
                 break
         return lca
 
-    def entry_group(self, destinations: Iterable[GroupId]) -> GroupId:
-        return self.lca(destinations)
-
     def next_hops(self, at: GroupId, destinations: Iterable[GroupId]) -> List[GroupId]:
         """Children of ``at`` whose subtree contains at least one destination.
 

@@ -12,25 +12,29 @@ Algorithm (for a message ``m`` multicast to groups ``m.dst``):
    destinations — the protocol assumes a fully connected overlay);
 3. when a destination holds local timestamps from *all* destinations, the
    final timestamp of ``m`` is their maximum;
-4. messages are delivered in final-timestamp order; a message with a final
-   timestamp can only be delivered once no pending message could still obtain
-   a smaller final timestamp (this wait is the source of the *convoy effect*
+4. messages are delivered in ``(final timestamp, msg_id)`` order; a message
+   with a final timestamp can only be delivered once no pending message could
+   still obtain a smaller key (this wait is the source of the *convoy effect*
    discussed in the paper).
 
 The protocol is genuine (only destinations exchange messages) and delivers in
 two communication steps after the client's send, which is optimal.
 
-The timestamp machinery itself — clock, proposal max-merge, the convoy-wait
-delivery gate — lives in :class:`repro.core.timestamps.TimestampAuthority`;
-this module only adds the wire protocol around it.
+This module holds the algorithm whole: the Lamport clock, the per-message
+proposals (max-merged, so a duplicated envelope can never lower a bound) and
+the convoy wait.  Each group's clock is max-merged past every timestamp it
+sees, so a message proposed later can never undercut one already delivered:
+the delivered sequence at each group is strictly increasing in
+``(ts, msg_id)``, one global total order.  A message's state is dropped when
+it is delivered; from then on the group's delivered-record alone absorbs its
+duplicates.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List
+from typing import Dict, Hashable, List, Optional, Tuple
 
-from ..core.message import ClientRequest, Envelope, Message, SkeenPropose, SkeenTimestamp
-from ..core.timestamps import TimestampAuthority
+from ..core.message import ClientRequest, Envelope, Message, SkeenTimestamp
 from ..overlay.base import GroupId, Overlay
 from ..sim.transport import Transport
 from .base import (
@@ -40,7 +44,34 @@ from .base import (
     ProtocolError,
 )
 
-__all__ = ["SkeenGroup", "SkeenProtocol", "TimestampAuthority"]
+__all__ = ["SkeenGroup", "SkeenProtocol"]
+
+
+class _Pending:
+    """Timestamp state of one proposed-but-undelivered message."""
+
+    __slots__ = ("message", "local", "proposals", "final")
+
+    def __init__(self, message: Message, local: int) -> None:
+        self.message = message
+        #: Timestamp this group proposed.
+        self.local = local
+        #: Proposals received so far (this group's own included), max-merged.
+        self.proposals: Dict[GroupId, int] = {}
+        #: Final (maximum) timestamp; ``None`` while proposals are missing.
+        self.final: Optional[int] = None
+
+    def key(self) -> Tuple[int, str]:
+        """Delivery sort key: the local proposal, a lower bound on the final
+        timestamp, stands in until the final is decided.  The id makes the
+        order total."""
+        ts = self.local if self.final is None else self.final
+        return (ts, self.message.msg_id)
+
+
+def _merge(proposals: Dict[GroupId, int], group: GroupId, timestamp: int) -> None:
+    """Record ``group``'s proposal, keeping the max on duplicates."""
+    proposals[group] = max(timestamp, proposals.get(group, timestamp))
 
 
 class SkeenGroup(AtomicMulticastGroup):
@@ -55,16 +86,12 @@ class SkeenGroup(AtomicMulticastGroup):
     ) -> None:
         super().__init__(group_id, transport, sink)
         self.overlay = overlay
-        #: Timestamp state: Lamport clock, proposals, convoy-wait gate.
-        self.authority = TimestampAuthority(group_id)
-        #: msg_id -> message, for proposed-but-undelivered messages.
-        self._messages: Dict[str, Message] = {}
-        self.stats = {"proposals_sent": 0, "timestamps_received": 0}
-
-    @property
-    def clock(self) -> int:
-        """The group's logical clock (exposed for tests/diagnostics)."""
-        return self.authority.clock
+        #: Lamport clock every local timestamp is drawn from.
+        self.clock = 0
+        #: msg_id -> timestamp state, for proposed-but-undelivered messages.
+        self._pending: Dict[str, _Pending] = {}
+        #: Proposals that arrived before this group's own first contact.
+        self._early: Dict[str, Dict[GroupId, int]] = {}
 
     # ------------------------------------------------------------ entry points
     def on_client_request(self, message: Message) -> None:
@@ -75,7 +102,7 @@ class SkeenGroup(AtomicMulticastGroup):
         self._propose(message)
 
     def on_envelope(self, sender: Hashable, envelope: Envelope) -> None:
-        if isinstance(envelope, (ClientRequest, SkeenPropose)):
+        if isinstance(envelope, ClientRequest):
             self.on_client_request(envelope.message)
         elif isinstance(envelope, SkeenTimestamp):
             self._on_timestamp(envelope)
@@ -84,56 +111,60 @@ class SkeenGroup(AtomicMulticastGroup):
 
     # ---------------------------------------------------------------- algorithm
     def _propose(self, message: Message) -> None:
-        if self.has_delivered(message.msg_id):
-            return  # duplicate submission of a resolved message
-        local_timestamp = self.authority.propose(message.msg_id, message.dst)
-        if local_timestamp is None:
-            return  # duplicate submission of a pending message
-        self._messages[message.msg_id] = message
-        self.stats["proposals_sent"] += 1
+        msg_id = message.msg_id
+        if msg_id in self._pending or self.has_delivered(msg_id):
+            return  # a duplicate must not mint a second proposal
+        self.clock += 1
+        entry = self._pending[msg_id] = _Pending(message, self.clock)
+        entry.proposals[self.group_id] = self.clock
+        for group, timestamp in self._early.pop(msg_id, {}).items():
+            _merge(entry.proposals, group, timestamp)
+        self._decide(entry)
         for dest in message.dst:
             if dest == self.group_id:
                 continue
             self.send(
                 dest,
                 SkeenTimestamp(
-                    msg_id=message.msg_id,
-                    timestamp=local_timestamp,
-                    from_group=self.group_id,
+                    msg_id=msg_id, timestamp=entry.local, from_group=self.group_id
                 ),
             )
         self._try_deliver()
 
     def _on_timestamp(self, envelope: SkeenTimestamp) -> None:
-        self.stats["timestamps_received"] += 1
-        if self.has_delivered(envelope.msg_id):
-            # Late duplicate for a delivered message: advance the clock
-            # (Lamport receive rule) without touching per-message state —
-            # the authority's entry was dropped at delivery (see
-            # _try_deliver), so observe() would re-buffer it as an early
-            # proposal that nothing ever cleans up.
-            self.authority.clock = max(self.authority.clock, envelope.timestamp)
+        msg_id, timestamp = envelope.msg_id, envelope.timestamp
+        self.clock = max(self.clock, timestamp)  # Lamport receive rule
+        if self.has_delivered(msg_id):
+            return  # late duplicate: only the clock learns from it
+        entry = self._pending.get(msg_id)
+        if entry is None:
+            # Raced ahead of our own first contact; buffer until _propose.
+            _merge(self._early.setdefault(msg_id, {}), envelope.from_group, timestamp)
             return
-        self.authority.observe(envelope.msg_id, envelope.from_group, envelope.timestamp)
+        _merge(entry.proposals, envelope.from_group, timestamp)
+        self._decide(entry)
         self._try_deliver()
 
+    def _decide(self, entry: _Pending) -> None:
+        """Fix the final timestamp once every destination has proposed.  The
+        clock has already passed every proposal, so it passes the final."""
+        if entry.final is None and entry.proposals.keys() >= entry.message.dst:
+            entry.final = max(entry.proposals.values())
+
     def _try_deliver(self) -> None:
-        """Deliver decided messages whose timestamp can no longer be undercut."""
-        while True:
-            msg_id = self.authority.next_deliverable()
-            if msg_id is None:
+        """Deliver while the smallest key is decided: keys are unique, so
+        nothing pending can undercut it.  An undecided smallest key is the
+        convoy wait."""
+        while self._pending:
+            entry = min(self._pending.values(), key=_Pending.key)
+            if entry.final is None:
                 return
-            self.authority.complete(msg_id)
-            # The base class's delivered-record is this protocol's duplicate
-            # guard, so the authority's completed-memory is shed immediately
-            # and its state stays O(pending) for the group's lifetime
-            # (FlexCast, by contrast, sheds it on flush GC).
-            self.authority.forget((msg_id,))
-            self.deliver(self._messages.pop(msg_id))
+            del self._pending[entry.message.msg_id]
+            self.deliver(entry.message)
 
     # --------------------------------------------------------------- inspection
     def pending_count(self) -> int:
-        return self.authority.pending_count()
+        return len(self._pending)
 
 
 class SkeenProtocol(AtomicMulticastProtocol):
@@ -141,9 +172,6 @@ class SkeenProtocol(AtomicMulticastProtocol):
 
     name = "Distributed"
     genuine = True
-
-    def __init__(self, overlay: Overlay) -> None:
-        super().__init__(overlay)
 
     def create_group(
         self, group_id: GroupId, transport: Transport, sink: DeliverySink

@@ -318,7 +318,6 @@ _SCHEMA: Tuple[tuple, ...] = (
      _NOTIFIED),
     (msg.FlexCastNotif, "flexcast-notif", _MESSAGE, _HISTORY, "from_group", _SEQ),
     (msg.SkeenTimestamp, "skeen-timestamp", "msg_id", "timestamp", "from_group"),
-    (msg.SkeenPropose, "skeen-propose", _MESSAGE),
     (msg.TreeForward, "tree-forward", _MESSAGE, "sequence"),
     (msg.NodeHello, "node-hello", "node_id", "host", "port"),
     # SMR / Paxos: the process runtime replicates each group over real TCP,

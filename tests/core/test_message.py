@@ -12,7 +12,6 @@ from repro.core.message import (
     HistoryDelta,
     Message,
     PAYLOAD_KINDS,
-    SkeenPropose,
     SkeenTimestamp,
     TreeForward,
     fresh_message_id,
@@ -101,7 +100,6 @@ class TestEnvelopes:
         assert ack.kind == "ack"
         assert notif.kind == "notif"
         assert SkeenTimestamp(msg_id=m.msg_id, timestamp=1, from_group=1).kind == "timestamp"
-        assert SkeenPropose(message=m).kind == "msg"
         assert TreeForward(message=m, sequence=1).kind == "msg"
 
     def test_payload_kinds_cover_payload_carriers_only(self):
@@ -135,7 +133,6 @@ class TestEnvelopes:
             FlexCastAck(message=m, history=EMPTY_DELTA, from_group=1, seq=1),
             FlexCastNotif(message=m, history=EMPTY_DELTA, from_group=1, seq=1),
             SkeenTimestamp(msg_id=m.msg_id, timestamp=3, from_group=2),
-            SkeenPropose(message=m),
             TreeForward(message=m, sequence=7),
         ]
         assert all(e.size_bytes() > 0 for e in envelopes)

@@ -96,7 +96,6 @@ RECORDS = {
     msg.FlexCastAck: (M, DELTA, 2, 6, 1, frozenset({(3, 2)})),
     msg.FlexCastNotif: (M, DELTA, 1, 3),
     msg.SkeenTimestamp: ("m7", 7, 1),
-    msg.SkeenPropose: (M,),
     msg.TreeForward: (M, 9),
     paxos.Ballot: (3, 1),
     paxos.Prepare: (4, B1),
@@ -196,7 +195,6 @@ class TestRecordSemantics:
 def test_equality_depends_on_the_class():
     carrier = Message.batch_of([M], batch_id="b1")
     assert msg.FlexCastBatch(carrier) != msg.ClientRequest(carrier)
-    assert msg.SkeenPropose(M) != msg.ClientRequest(M)
     assert paxos.Accepted(4, B1, "r1") != multipaxos.Commit(4, B1)
 
 

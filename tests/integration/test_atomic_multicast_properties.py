@@ -80,9 +80,11 @@ class TestSafetyProperties:
         loop.run_until_idle()
         check_trace(sink, messages, expect_all_delivered=True).raise_if_failed()
 
+    @pytest.mark.parametrize("name", ["distributed", "flexcast"])
     @pytest.mark.parametrize("seed", [4, 5])
-    def test_flexcast_is_genuine_under_random_workloads(self, seed):
-        protocol = PROTOCOL_BUILDERS["flexcast"]()
+    def test_genuine_protocol_is_genuine_under_random_workloads(self, name, seed):
+        protocol = PROTOCOL_BUILDERS[name]()
+        assert protocol.genuine
         loop, network, groups, sink = deploy(protocol, seed=seed)
         submit_random_workload(protocol, loop, network, seed)
         loop.run_until_idle()

@@ -71,8 +71,8 @@ class TestLca:
         assert dag.lca({"B", "C", "D"}) == "B"
         assert dag.lca({"C"}) == "C"
 
-    def test_entry_group_matches_lca(self, dag):
-        assert dag.entry_group({"D", "C"}) == dag.lca({"D", "C"})
+    def test_lca_is_the_same_for_any_iterable(self, dag):
+        assert dag.lca({"D", "C"}) == dag.lca(("C", "D")) == dag.lca(["D", "C"])
 
     def test_lca_rejects_unknown_or_empty_destinations(self, dag):
         with pytest.raises(OverlayError):
@@ -102,7 +102,7 @@ class TestLca:
                 assert dag.lca(dst) == expected
                 assert dag.lca(sorted(dst, reverse=True)) == expected
                 assert dag.lca(set(dst)) == expected
-                assert dag.entry_group(tuple(dst)) == expected
+                assert dag.lca(tuple(dst)) == expected
 
     def test_sorted_by_rank(self, dag):
         assert dag.sorted_by_rank({"C", "A", "E"}) == ["A", "E", "C"]

@@ -62,10 +62,10 @@ class TestRouting:
         assert tree.lca({"C", "E"}) == "A"
         assert tree.lca({"D"}) == "D"
 
-    def test_entry_group_is_tree_lca_even_if_not_destination(self, tree):
+    def test_lca_is_the_entry_group_even_if_not_destination(self, tree):
         # Key non-genuineness example from the paper: a message to {B, C}
         # enters at A, which is not a destination.
-        assert tree.entry_group({"B", "C"}) == "A"
+        assert tree.lca({"B", "C"}) == "A"
 
     def test_next_hops_only_toward_destinations(self, tree):
         assert tree.next_hops("A", {"D", "C"}) == ["B", "C"]

@@ -18,7 +18,6 @@ from repro.core.message import (
     HistoryDelta,
     Message,
     NodeHello,
-    SkeenPropose,
     SkeenTimestamp,
     TreeForward,
 )
@@ -144,9 +143,7 @@ class TestRoundTrips:
 
     def test_skeen_envelopes(self):
         ts = SkeenTimestamp(msg_id="m42", timestamp=17, from_group=4)
-        propose = SkeenPropose(message=sample_message())
         assert round_trip(ts) == ts
-        assert round_trip(propose) == propose
 
     def test_tree_forward(self):
         forward = TreeForward(message=sample_message(), sequence=9)
@@ -385,7 +382,6 @@ ENVELOPES = {
     "skeen-timestamp": st.builds(
         SkeenTimestamp, msg_id=ids, timestamp=instances, from_group=groups
     ),
-    "skeen-propose": st.builds(SkeenPropose, message=messages),
     "tree-forward": st.builds(TreeForward, message=messages, sequence=instances),
     "node-hello": st.builds(
         NodeHello, node_id=ids, host=st.text(max_size=15), port=st.integers(0, 65535)
@@ -505,7 +501,6 @@ class TestTraceIdPropagation:
             FlexCastMsg(message=m, history=sample_delta(), seq=1),
             FlexCastAck(message=m, history=sample_delta(), from_group=1, seq=1),
             FlexCastNotif(message=m, history=sample_delta(), from_group=1, seq=1),
-            SkeenPropose(message=m),
             TreeForward(message=m, sequence=9),
         ]
         for envelope in envelopes:

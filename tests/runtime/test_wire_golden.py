@@ -65,6 +65,10 @@ decode-only: the cold line reads as its snapshot's entries ahead of its
 suffix, the content of today's ``flexcast-msg-cold`` (:data:`COLD`), and the
 retired frame is refused.
 
+The ``skeen-propose`` line moved to the same decode-only corpus when its
+envelope went: nothing ever sent it (a Skeen client submits a plain
+``request`` to every destination), and the frame is refused.
+
 Regenerate only for a deliberate wire-format change; a new envelope type adds
 a sample here and one line to the corpus.
 """
@@ -178,7 +182,6 @@ SAMPLES = {
         message=TRACED, history=WARM, from_group=1, seq=2
     ),
     "skeen-timestamp": msg.SkeenTimestamp(msg_id="m42", timestamp=17, from_group=4),
-    "skeen-propose": msg.SkeenPropose(message=PLAIN),
     "tree-forward": msg.TreeForward(message=PLAIN, sequence=9),
     "node-hello": msg.NodeHello(node_id="soak-client-3", host="127.0.0.1", port=45123),
     "smr-command-oe": ClientCommand(payload=ORDERED),
@@ -332,6 +335,12 @@ def test_a_cold_snapshot_delta_still_decodes_as_plain_tuples():
 def test_the_retired_history_snapshot_frame_is_refused():
     body = _corpus(SNAPSHOTS_CORPUS)["history-snapshot"].encode("utf-8")
     with pytest.raises(codec.CodecError, match="history-snapshot"):
+        decode_frame(body)
+
+
+def test_the_retired_skeen_propose_frame_is_refused():
+    body = _corpus(SNAPSHOTS_CORPUS)["skeen-propose"].encode("utf-8")
+    with pytest.raises(codec.CodecError, match="skeen-propose"):
         decode_frame(body)
 
 
