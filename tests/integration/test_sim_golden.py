@@ -1,9 +1,9 @@
-"""Simulator golden: gTPC-C repeats to the bit, for FlexCast and Skeen.
+"""Simulator golden: gTPC-C repeats to the bit, for FlexCast and both baselines.
 
 Two short runs of the shape the ``sim_gtpcc`` benchmark simulates (12
 groups, 48 clients, 90 % locality, global transactions only) on overlay O1,
 and the same two runs of the Distributed (Skeen) baseline on its complete
-graph, are reduced to a SHA-256 of ``(issued, completed, latencies_ms)`` and
+graph and of the Hierarchical baseline on tree T1, are reduced to a SHA-256 of ``(issued, completed, latencies_ms)`` and
 compared with the committed ``data/sim_golden.json``.  Virtual latencies
 depend on the order every envelope, delta, notification and timestamp is
 produced in, so a refactor of an ordering core that is meant to change
@@ -28,14 +28,16 @@ from repro.core.message import reset_message_ids
 from repro.experiments.config import (
     PROTOCOL_DISTRIBUTED,
     PROTOCOL_FLEXCAST,
+    PROTOCOL_HIERARCHICAL,
     distributed_config,
     flexcast_config,
+    hierarchical_config,
 )
 from repro.experiments.runner import run_experiment
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "sim_golden.json")
 SEEDS = ((1, 300.0), (2, 300.0))
-PROTOCOLS = (PROTOCOL_FLEXCAST, PROTOCOL_DISTRIBUTED)
+PROTOCOLS = (PROTOCOL_FLEXCAST, PROTOCOL_DISTRIBUTED, PROTOCOL_HIERARCHICAL)
 
 
 def _config(protocol, seed, duration_ms):
@@ -43,6 +45,8 @@ def _config(protocol, seed, duration_ms):
                   global_only=True, seed=seed)
     if protocol == PROTOCOL_FLEXCAST:
         return flexcast_config(overlay="O1", **common)
+    if protocol == PROTOCOL_HIERARCHICAL:
+        return hierarchical_config(overlay="T1", **common)
     return distributed_config(**common)
 
 
@@ -82,6 +86,14 @@ def test_gtpcc_o1_run_matches_the_golden(seed, duration_ms):
 def test_gtpcc_distributed_run_matches_the_golden(seed, duration_ms):
     expected = _golden()[(PROTOCOL_DISTRIBUTED, seed, duration_ms)]
     issued, completed, sha256 = digest(PROTOCOL_DISTRIBUTED, seed, duration_ms)
+    assert (issued, completed) == (expected["issued"], expected["completed"])
+    assert sha256 == expected["sha256"]
+
+
+@pytest.mark.parametrize("seed,duration_ms", SEEDS)
+def test_gtpcc_hierarchical_t1_run_matches_the_golden(seed, duration_ms):
+    expected = _golden()[(PROTOCOL_HIERARCHICAL, seed, duration_ms)]
+    issued, completed, sha256 = digest(PROTOCOL_HIERARCHICAL, seed, duration_ms)
     assert (issued, completed) == (expected["issued"], expected["completed"])
     assert sha256 == expected["sha256"]
 
