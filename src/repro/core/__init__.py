@@ -28,6 +28,7 @@ from .message import (
     TreeForward,
     fresh_message_id,
     reset_message_ids,
+    scoped_message_ids,
 )
 
 __all__ = [
@@ -55,4 +56,5 @@ __all__ = [
     "TreeForward",
     "fresh_message_id",
     "reset_message_ids",
+    "scoped_message_ids",
 ]

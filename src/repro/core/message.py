@@ -28,9 +28,10 @@ from __future__ import annotations
 
 import itertools
 import sys
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields
 from typing import (
-    Any, Dict, FrozenSet, Iterable, List, Optional, Tuple, Type, TypeVar, cast,
+    Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple, Type, TypeVar, cast,
 )
 
 from ..overlay.base import GroupId
@@ -57,6 +58,24 @@ def reset_message_ids() -> None:
     """Reset the id counter (tests only, to keep ids short and readable)."""
     global _id_counter
     _id_counter = itertools.count()
+
+
+@contextmanager
+def scoped_message_ids() -> Iterator[None]:
+    """Number the ids minted inside the block from 0, whatever ran before.
+
+    A simulated run mints all its ids inside one scope, so the same run
+    gets the same ids in any process, and Skeen's ``msg_id`` tie-break
+    orders it the same way.  The process-wide counter resumes where it was
+    when the block ends.
+    """
+    global _id_counter
+    outer = _id_counter
+    _id_counter = itertools.count()
+    try:
+        yield
+    finally:
+        _id_counter = outer
 
 
 _R = TypeVar("_R")

@@ -15,7 +15,9 @@ from typing import Dict, List, Optional
 
 from ..core.flexcast import FlexCastProtocol
 from ..core.garbage import FlushCoordinator
-from ..core.message import ClientRequest, ClientResponse, Message, PAYLOAD_KINDS
+from ..core.message import (
+    ClientRequest, ClientResponse, Message, PAYLOAD_KINDS, scoped_message_ids,
+)
 from ..metrics import LatencyCollector
 from ..metrics.overhead import OverheadReport, compute_overhead
 from ..overlay.base import GroupId
@@ -104,10 +106,12 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run one experiment and return its measurements.
 
-    The run is deterministic for a given (config, latency matrix) pair.  The
-    deployment is closed before this returns, so the result reaches neither
-    the loop's pending events nor the network's nodes, and dropping it frees
-    the whole run by reference counting.
+    The run is deterministic for a given (config, latency matrix) pair, in
+    any process: its message ids are numbered from 0 in a scope of their
+    own (:func:`~repro.core.message.scoped_message_ids`).  The deployment is
+    closed before this returns, so the result reaches neither the loop's
+    pending events nor the network's nodes, and dropping it frees the whole
+    run by reference counting.
     """
     network = Network(
         EventLoop(),
@@ -116,7 +120,8 @@ def run_experiment(
         seed=config.seed,
     )
     try:
-        return _run(config, network)
+        with scoped_message_ids():
+            return _run(config, network)
     finally:
         network.close()
         network.loop.close()
@@ -130,7 +135,7 @@ def _run(config: ExperimentConfig, network: Network) -> ExperimentResult:
     recording = RecordingSink(clock=lambda: loop.now) if config.record_deliveries else None
 
     def sink(group_id: GroupId, message: Message) -> None:
-        delivered_by_group[group_id] = delivered_by_group.get(group_id, 0) + 1
+        delivered_by_group[group_id] += 1
         if recording is not None:
             recording(group_id, message)
         sender = message.sender
@@ -146,12 +151,8 @@ def _run(config: ExperimentConfig, network: Network) -> ExperimentResult:
         transport = SimTransport(network, node_id)
         group = protocol.create_group(gid, transport, sink)
         groups[gid] = group
-
-        def handler(sender, envelope, group=group):
-            group.on_envelope(sender, envelope)
-
         # Group `gid` is deployed in region `gid` (one warehouse per region).
-        network.register(node_id, site=gid, handler=handler)
+        network.register(node_id, site=gid, handler=group.on_envelope)
 
     # ------------------------------------------------------------- workload
     workload = GTPCCWorkload(

@@ -33,6 +33,9 @@ class Overlay(ABC):
         if not groups:
             raise OverlayError("overlay must contain at least one group")
         self._groups: List[GroupId] = groups
+        #: The same groups as a set, built once: every message is checked
+        #: against it.
+        self._group_set: FrozenSet[GroupId] = frozenset(groups)
 
     # ------------------------------------------------------------ properties
     @property
@@ -45,7 +48,7 @@ class Overlay(ABC):
         return len(self._groups)
 
     def __contains__(self, group: GroupId) -> bool:
-        return group in set(self._groups)
+        return group in self._group_set
 
     # ------------------------------------------------------------- interface
     @abstractmethod
@@ -57,8 +60,8 @@ class Overlay(ABC):
         dst = frozenset(destinations)
         if not dst:
             raise OverlayError("destination set must not be empty")
-        unknown = dst - set(self._groups)
-        if unknown:
+        if not dst <= self._group_set:
+            unknown = dst - self._group_set
             raise OverlayError(f"unknown destination groups: {sorted(unknown)}")
         return dst
 

@@ -10,12 +10,17 @@ executed in scheduling order (FIFO tie-breaking through a monotonically
 increasing sequence number).  Determinism makes every benchmark and test
 reproducible from its random seed alone.
 
-A queued event is the plain list ``[time, seq, callback]``, so the heap
-orders entries with the list comparison :mod:`heapq` runs in C; the
-sequence number is unique, so the callback is never compared.  Cancelling
-an event sets its callback to ``None`` at once: the entry stays in the heap
-until its time comes round, but what the callback closed over is freed at
-``cancel()``.
+A queued event is the plain list ``[time, seq, callback, args]``, so the
+heap orders entries with the list comparison :mod:`heapq` runs in C; the
+sequence number is unique, so nothing past it is ever compared.  Its time
+comes round as ``callback(*args)``.  :meth:`EventLoop.schedule` and
+:meth:`EventLoop.schedule_at` queue a callback with no arguments and hand
+back an :class:`EventHandle`; :meth:`EventLoop.post_at` queues a callback
+with its arguments and hands back nothing, for events nobody cancels (every
+network delivery is one), so such an event costs one list and no handle or
+closure.  Cancelling an event sets its callback to ``None`` at once: the
+entry stays in the heap until its time comes round, but what the callback
+closed over is freed at ``cancel()``.
 
 A run ends with :meth:`EventLoop.close`.  A pending event holds its callback,
 and the callback usually leads back to whoever holds the event's handle (a
@@ -30,7 +35,8 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import Any, Callable, List, Optional
 
-#: A heap entry: ``[time, seq, callback]``, callback ``None`` once cancelled.
+#: A heap entry: ``[time, seq, callback, args]``, callback ``None`` once
+#: cancelled.
 _Entry = List[Any]
 
 
@@ -106,10 +112,21 @@ class EventLoop:
         """Schedule ``callback`` at absolute virtual time ``when``."""
         if when < self._now:
             when = self._now
-        entry = [when, self._seq, callback]
+        entry = [when, self._seq, callback, ()]
         self._seq += 1
         heappush(self._heap, entry)
         return EventHandle(entry)
+
+    def post_at(self, when: float, callback: Callable[..., None], *args: Any) -> None:
+        """Run ``callback(*args)`` at absolute virtual time ``when``.
+
+        :meth:`schedule_at` for an event that is never cancelled: it takes
+        the same place in the ``(time, seq)`` order and returns no handle.
+        """
+        if when < self._now:
+            when = self._now
+        heappush(self._heap, [when, self._seq, callback, args])
+        self._seq += 1
 
     def call_soon(self, callback: Callable[[], None]) -> EventHandle:
         """Schedule ``callback`` at the current virtual time."""
@@ -136,12 +153,12 @@ class EventLoop:
         """
         heap = self._heap
         while heap:
-            when, _, callback = heappop(heap)
+            when, _, callback, args = heappop(heap)
             if callback is None:
                 continue
             self._now = when
             self._events_processed += 1
-            callback()
+            callback(*args)
             return True
         return False
 
@@ -158,17 +175,18 @@ class EventLoop:
         """
         self._stopped = False
         processed = 0
+        heap = self._heap
         while not self._stopped:
             if max_events is not None and processed >= max_events:
                 break
-            next_event = self._peek()
-            if next_event is None:
+            while heap and heap[0][2] is None:
+                heappop(heap)  # cancelled: drop it before reading the time
+            if not heap:
                 break
-            if until is not None and next_event[0] > until:
+            if until is not None and heap[0][0] > until:
                 self._now = max(self._now, until)
                 break
-            if not self.step():
-                break
+            self.step()  # the head is live, so it runs
             processed += 1
         if until is not None and self._now < until and not self._stopped:
             self._now = until
@@ -187,13 +205,6 @@ class EventLoop:
                     f"event budget of {max_events} exceeded; possible livelock"
                 )
         return processed
-
-    # ------------------------------------------------------------- internals
-    def _peek(self) -> Optional[_Entry]:
-        heap = self._heap
-        while heap and heap[0][2] is None:
-            heappop(heap)
-        return heap[0] if heap else None
 
 
 class PeriodicTimer:

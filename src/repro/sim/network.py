@@ -19,6 +19,12 @@ node through its handler, and every node reaches it back through its
 transport.  :meth:`Network.close` ends the run by dropping the nodes, their
 handlers, the observers and the drop filter; the traffic counters stay
 readable.
+
+A send is the simulator's commonest event, so it does its bookkeeping once:
+a node holds the latency row of its site, built with the network; the size
+comes from the payload's own ``size_bytes()``; and the delivery is queued
+with :meth:`~repro.sim.events.EventLoop.post_at` as a bound method and its
+arguments, with no handle or closure.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from __future__ import annotations
 import random
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Hashable, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 from .events import EventLoop
 from .latencies import LatencyMatrix
@@ -71,12 +77,16 @@ class NodeTraffic:
 
 
 class _Node:
-    __slots__ = ("node_id", "site", "handler")
+    __slots__ = ("node_id", "site", "handler", "latencies")
 
-    def __init__(self, node_id: NodeId, site: int, handler: MessageHandler) -> None:
+    def __init__(
+        self, node_id: NodeId, site: int, handler: MessageHandler, latencies: List[float]
+    ) -> None:
         self.node_id = node_id
         self.site = site
         self.handler = handler
+        #: One-way latency from this node's site to each site.
+        self.latencies = latencies
 
 
 class Network:
@@ -106,6 +116,8 @@ class Network:
     ) -> None:
         self._loop = loop
         self._latencies = latencies
+        sites = range(latencies.num_sites)
+        self._rows = [[latencies.latency(a, b) for b in sites] for a in sites]
         self._jitter = float(jitter_ms)
         self._rng = random.Random(seed)
         self._nodes: Dict[NodeId, _Node] = {}
@@ -141,11 +153,19 @@ class Network:
             raise ValueError(f"node {node_id!r} already registered")
         if not 0 <= site < self._latencies.num_sites:
             raise ValueError(f"site {site} out of range")
-        self._nodes[node_id] = _Node(node_id, site, handler)
+        self._nodes[node_id] = _Node(node_id, site, handler, self._rows[site])
         self._crashed.discard(node_id)
 
     def unregister(self, node_id: NodeId) -> None:
-        """Crash a node: in-flight and future messages to it are silently lost."""
+        """Crash a node: messages to it are lost while it is away.
+
+        A send to the crashed node is counted at the sender and dropped.  A
+        message already in flight is looked up by id when its delivery time
+        comes: it is lost if the node is still away then, and delivered to
+        the new handler if the node was registered again before it.  Crash
+        and restart fault profiles, and the schedules they committed, replay
+        through that rule.
+        """
         if self._nodes.pop(node_id, None) is not None:
             self._crashed.add(node_id)
 
@@ -184,17 +204,18 @@ class Network:
         ``KeyError`` if either endpoint is unknown.
         """
         src_node = self._nodes[src]
-        size = payload_size(payload)
+        size_bytes = getattr(payload, "size_bytes", None)
+        size = size_bytes() if size_bytes is not None else payload_size(payload)
         src_stats = self._traffic[src]
 
-        if dst not in self._nodes:
+        dst_node = self._nodes.get(dst)
+        if dst_node is None:
             if dst in self._crashed:
                 # Sending to a crashed node is legal; the message is simply lost.
                 src_stats.messages_sent += 1
                 src_stats.bytes_sent += size
                 return self._loop.now
             raise KeyError(f"unknown destination node {dst!r}")
-        dst_node = self._nodes[dst]
 
         src_stats.messages_sent += 1
         src_stats.bytes_sent += size
@@ -202,9 +223,10 @@ class Network:
         if self._drop_filter is not None and self._drop_filter(src, dst, payload):
             return self._loop.now
 
-        delay = self._latencies.latency(src_node.site, dst_node.site)
+        delay = src_node.latencies[dst_node.site]
         if self._jitter > 0.0:
-            delay += self._rng.uniform(0.0, self._jitter)
+            # ``uniform(0, jitter)`` to the bit, without its call.
+            delay += self._rng.random() * self._jitter
 
         deliver_at = self._loop.now + delay
         channel = (src, dst)
@@ -214,12 +236,12 @@ class Network:
         self._channel_clock[channel] = deliver_at
 
         self._total_messages += 1
-        self._loop.schedule_at(
-            deliver_at, lambda: self._deliver(src, dst, payload, size)
-        )
+        self._loop.post_at(deliver_at, self._deliver, src, dst, payload, size)
         return deliver_at
 
     def _deliver(self, src: NodeId, dst: NodeId, payload: Any, size: int) -> None:
+        # By id, at delivery time: a node registered again under ``dst``
+        # since the send receives the message (see ``unregister``).
         node = self._nodes.get(dst)
         if node is None:
             return  # destination departed (crash injection)
@@ -228,8 +250,8 @@ class Network:
         stats.bytes_received += size
         kind = getattr(payload, "kind", None)
         if kind is not None:
-            stats.received_by_kind[str(kind)] += 1
-            stats.bytes_received_by_kind[str(kind)] += size
+            stats.received_by_kind[kind] += 1
+            stats.bytes_received_by_kind[kind] += size
         node.handler(src, payload)
         for observer in self._delivery_observers:
             observer(self._loop.now, src, dst, payload)

@@ -24,6 +24,7 @@ from .tpcc import (
     PAYLOAD_BYTES,
     SINGLE_WAREHOUSE_TYPES,
     STANDARD_MIX,
+    TransactionMix,
     TransactionProfile,
     TransactionType,
     choose_transaction_type,
@@ -45,6 +46,7 @@ __all__ = [
     "PAYLOAD_BYTES",
     "SINGLE_WAREHOUSE_TYPES",
     "STANDARD_MIX",
+    "TransactionMix",
     "TransactionProfile",
     "TransactionType",
     "choose_transaction_type",

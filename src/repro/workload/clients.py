@@ -20,14 +20,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 from ..core.client import MulticastCall, MulticastClient
 from ..core.message import ClientRequest, ClientResponse
 from ..overlay.base import GroupId
 from ..protocols.base import AtomicMulticastProtocol
 from ..sim.network import Network, NodeId
-from .gtpcc import GTPCCWorkload, Transaction
+from .gtpcc import GTPCCWorkload
 
 
 @dataclass
@@ -124,7 +124,7 @@ class ClosedLoopClient:
         self.home = home
         self._protocol = protocol
         self._workload = workload
-        self._network = network
+        self._loop = loop = network.loop
         self._rng = rng
         self._on_complete = on_complete
         self._stop_after_ms = stop_after_ms
@@ -133,7 +133,6 @@ class ClosedLoopClient:
         self.issued = 0
         self.completed = 0
         self._active = False
-        self._current: Optional[Transaction] = None
 
         # A plain function, not a bound method: the multicast client this
         # client owns must not lead back to it.
@@ -144,7 +143,7 @@ class ClosedLoopClient:
             client_id=client_id,
             protocol=protocol,
             send_request=send_request,
-            clock=lambda: network.loop.now,
+            clock=lambda: loop.now,
         )
         network.register(client_id, site=home, handler=self._on_network_message)
 
@@ -162,17 +161,16 @@ class ClosedLoopClient:
         that all clients do not fire at exactly the same virtual instant)."""
         self._active = True
         jitter = self._rng.uniform(0.0, self._start_jitter_ms)
-        self._network.loop.schedule(jitter, self._issue_next)
+        self._loop.schedule(jitter, self._issue_next)
 
     def stop(self) -> None:
         """Stop issuing new transactions (in-flight ones still complete)."""
         self._active = False
 
     def _issue_next(self) -> None:
-        if not self._active or self._network.loop.now >= self._stop_after_ms:
+        if not self._active or self._loop.now >= self._stop_after_ms:
             return
         txn = self._workload.next_transaction(self.home, self._rng)
-        self._current = txn
         self.issued += 1
         self._mc.multicast(
             destinations=txn.destinations, payload_bytes=txn.payload_bytes
@@ -180,19 +178,18 @@ class ClosedLoopClient:
 
     def _finish(self, call: MulticastCall) -> None:
         self.completed += 1
-        txn = self._current
-        record = CompletedTransaction(
+        destinations = len(call.message.dst)
+        self._on_complete(CompletedTransaction(
             client_id=self.client_id,
             home=self.home,
-            destinations=len(call.message.dst),
+            destinations=destinations,
             submitted_at=call.submitted_at,
-            completed_at=self._network.loop.now,
+            completed_at=self._loop.now,
             latencies_by_arrival=call.latencies_by_arrival(),
-            is_global=len(call.message.dst) > 1,
-        )
-        self._on_complete(record)
-        if txn is not None and self._think_time_ms > 0:
-            self._network.loop.schedule(self._think_time_ms, self._issue_next)
+            is_global=destinations > 1,
+        ))
+        if self._think_time_ms > 0:
+            self._loop.schedule(self._think_time_ms, self._issue_next)
         else:
             self._issue_next()
 

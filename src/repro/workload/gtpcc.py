@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence
+from typing import AbstractSet, Dict, FrozenSet, List, Optional, Sequence, Set
 
 from ..overlay.base import GroupId
 from ..sim.latencies import LatencyMatrix
@@ -89,14 +89,15 @@ class GTPCCWorkload:
         if len(self._warehouses) < 2:
             raise ValueError("gTPC-C needs at least two warehouses")
         # Precompute, for every home warehouse, the other warehouses ordered
-        # from nearest to farthest — the backbone of the locality rule.
+        # from nearest to farthest — the backbone of the locality rule — and
+        # the destination set of a transaction that stays home.
+        known = set(self._warehouses)
         self._nearness: Dict[GroupId, List[GroupId]] = {
-            w: [
-                s
-                for s in latencies.nearest_sites(w)
-                if s in set(self._warehouses)
-            ]
+            w: [s for s in latencies.nearest_sites(w) if s in known]
             for w in self._warehouses
+        }
+        self._home_only: Dict[GroupId, FrozenSet[GroupId]] = {
+            w: frozenset((w,)) for w in self._warehouses
         }
         self.generated = 0
         self.generated_global = 0
@@ -108,38 +109,55 @@ class GTPCCWorkload:
         return list(self._warehouses)
 
     def pick_remote_warehouse(
-        self, home: GroupId, rng: random.Random, exclude: FrozenSet[GroupId] = frozenset()
+        self, home: GroupId, rng: random.Random, exclude: AbstractSet[GroupId] = frozenset()
     ) -> GroupId:
         """Pick an additional warehouse for a client homed at ``home``.
 
-        Walk the warehouses from nearest to farthest; at each step pick the
-        current candidate with probability ``locality``, otherwise move on.
-        The farthest candidate absorbs the residual probability, exactly as
-        described in §5.3.
+        Walk the warehouses from nearest to farthest, skipping ``exclude``;
+        at each step pick the current candidate with probability
+        ``locality``, otherwise move on.  The farthest candidate absorbs the
+        residual probability, exactly as described in §5.3, so it costs no
+        draw.  ``exclude`` is only read: the caller's live set will do.
         """
-        candidates = [w for w in self._nearness[home] if w not in exclude]
-        if not candidates:
-            raise ValueError(f"no remote warehouse available for home {home}")
-        for candidate in candidates[:-1]:
-            if rng.random() < self.config.locality:
+        locality = self.config.locality
+        draw = rng.random
+        candidate = None
+        for warehouse in self._nearness[home]:
+            if warehouse in exclude:
+                continue
+            # ``warehouse`` is a further candidate, so ``candidate`` is not
+            # the last one: it gets its draw.
+            if candidate is not None and draw() < locality:
                 return candidate
-        return candidates[-1]
+            candidate = warehouse
+        if candidate is None:
+            raise ValueError(f"no remote warehouse available for home {home}")
+        return candidate
 
     # ------------------------------------------------------------- generation
     def next_transaction(self, home: GroupId, rng: random.Random) -> Transaction:
-        """Generate the next transaction for a client homed at ``home``."""
+        """Generate the next transaction for a client homed at ``home``.
+
+        Under ``global_only`` a profile with no remote access is redrawn
+        before anything is built for it: it could only name ``home``.
+        """
         if home not in self._nearness:
             raise ValueError(f"unknown home warehouse {home}")
-        mix = GLOBAL_ONLY_MIX if self.config.global_only else STANDARD_MIX
-        for _ in range(self.config.max_attempts):
+        config = self.config
+        global_only = config.global_only
+        mix = GLOBAL_ONLY_MIX if global_only else STANDARD_MIX
+        for _ in range(config.max_attempts):
             profile = sample_profile(rng, mix)
-            destinations = self._destinations_for(home, profile, rng)
-            if len(destinations) > self.config.max_destinations:
+            if profile.remote_accesses:
+                destinations = self._destinations_for(home, profile, rng)
+            elif global_only:
+                # Latency experiments only use global messages; resample.
+                continue
+            else:
+                destinations = self._home_only[home]
+            if len(destinations) > config.max_destinations:
                 # The paper drops the very rare >3-group messages.
                 self.dropped_wide += 1
-                continue
-            if self.config.global_only and len(destinations) < 2:
-                # Latency experiments only use global messages; resample.
                 continue
             self.generated += 1
             if len(destinations) > 1:
@@ -147,7 +165,7 @@ class GTPCCWorkload:
             return Transaction(
                 txn_type=profile.txn_type,
                 home=home,
-                destinations=frozenset(destinations),
+                destinations=destinations,
                 payload_bytes=profile.payload_bytes,
             )
         raise RuntimeError(
@@ -158,16 +176,14 @@ class GTPCCWorkload:
     def _destinations_for(
         self, home: GroupId, profile: TransactionProfile, rng: random.Random
     ) -> FrozenSet[GroupId]:
-        destinations = {home}
+        destinations: Set[GroupId] = {home}
+        max_destinations = self.config.max_destinations
         for _ in range(profile.remote_accesses):
-            if len(destinations) >= self.config.max_destinations:
+            if len(destinations) >= max_destinations:
                 # Additional remote accesses fold into already chosen
                 # warehouses (an item shipped from a warehouse already used).
                 break
-            remote = self.pick_remote_warehouse(
-                home, rng, exclude=frozenset(destinations)
-            )
-            destinations.add(remote)
+            destinations.add(self.pick_remote_warehouse(home, rng, destinations))
         return frozenset(destinations)
 
     # -------------------------------------------------------------- statistics

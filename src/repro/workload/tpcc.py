@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import enum
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 
 class TransactionType(enum.Enum):
@@ -26,23 +27,67 @@ class TransactionType(enum.Enum):
     STOCK_LEVEL = "stock_level"
 
 
+class TransactionMix(Mapping[TransactionType, float]):
+    """A transaction mix: the weight of each type, in draw order.
+
+    It reads as the ``{type: weight}`` mapping it was built from, and it
+    holds that mapping's cumulative table, built once here: a draw is one
+    ``rng.random()`` scaled by the total weight and a bisection, never a
+    pass over the weights.  The bounds are summed in the mapping's order
+    and the total with :func:`sum`, so a draw picks the type the running
+    sum ``roll <= acc`` picks, to the bit.
+    """
+
+    __slots__ = ("_weights", "_bounds", "_choices", "_total")
+
+    def __init__(self, weights: Mapping[TransactionType, float]) -> None:
+        self._weights = dict(weights)
+        if not self._weights:
+            raise ValueError("a transaction mix needs at least one type")
+        if any(weight < 0 for weight in self._weights.values()):
+            raise ValueError("transaction mix weights must not be negative")
+        bounds: List[float] = []
+        acc = 0.0
+        for weight in self._weights.values():
+            acc += weight
+            bounds.append(acc)
+        self._bounds = bounds
+        types = tuple(self._weights)
+        # A roll past the last bound (floating point) takes the last type.
+        self._choices = types + types[-1:]
+        self._total = sum(self._weights.values())
+
+    def __getitem__(self, txn_type: TransactionType) -> float:
+        return self._weights[txn_type]
+
+    def __iter__(self) -> Iterator[TransactionType]:
+        return iter(self._weights)
+
+    def __len__(self) -> int:
+        return len(self._weights)
+
+    def choose(self, rng: random.Random) -> TransactionType:
+        """Draw one transaction type (one ``rng.random()``)."""
+        return self._choices[bisect_left(self._bounds, rng.random() * self._total)]
+
+
 #: Standard TPC-C transaction mix (probability of each type), §5.3.
-STANDARD_MIX: Dict[TransactionType, float] = {
+STANDARD_MIX = TransactionMix({
     TransactionType.NEW_ORDER: 0.45,
     TransactionType.PAYMENT: 0.43,
     TransactionType.ORDER_STATUS: 0.04,
     TransactionType.DELIVERY: 0.04,
     TransactionType.STOCK_LEVEL: 0.04,
-}
+})
 
 #: Mix used for the latency experiments: only the transaction types that can be
 #: global (multi-warehouse), renormalised — order status, delivery and stock
 #: level are always single-warehouse and "all multicast protocols perform the
 #: same when ordering a message multicast to a single group".
-GLOBAL_ONLY_MIX: Dict[TransactionType, float] = {
+GLOBAL_ONLY_MIX = TransactionMix({
     TransactionType.NEW_ORDER: 0.45 / 0.88,
     TransactionType.PAYMENT: 0.43 / 0.88,
-}
+})
 
 #: New-order transactions touch between 5 and 15 items (TPC-C spec).
 NEW_ORDER_MIN_ITEMS = 5
@@ -98,33 +143,59 @@ class TransactionProfile:
         return self.remote_accesses == 0
 
 
+#: Every profile a sample can return, built once: a sample is a lookup.
+#: New-order profiles are indexed ``[items][remote_accesses]``.
+_NEW_ORDER_PROFILES: Tuple[Tuple[TransactionProfile, ...], ...] = tuple(
+    tuple(
+        TransactionProfile(TransactionType.NEW_ORDER, items, remote)
+        for remote in range(items + 1)
+    )
+    for items in range(NEW_ORDER_MAX_ITEMS + 1)
+)
+_PAYMENT_PROFILES = (
+    TransactionProfile(TransactionType.PAYMENT, 1, 0),
+    TransactionProfile(TransactionType.PAYMENT, 1, 1),
+)
+_SINGLE_WAREHOUSE_PROFILES = {
+    txn_type: TransactionProfile(txn_type, 1, 0) for txn_type in SINGLE_WAREHOUSE_TYPES
+}
+
+
+def _as_mix(mix: Optional[Mapping[TransactionType, float]]) -> TransactionMix:
+    if isinstance(mix, TransactionMix):
+        return mix
+    return TransactionMix(mix) if mix else STANDARD_MIX
+
+
 def choose_transaction_type(
-    rng: random.Random, mix: Dict[TransactionType, float] = None
+    rng: random.Random, mix: Optional[Mapping[TransactionType, float]] = None
 ) -> TransactionType:
-    """Sample a transaction type from ``mix`` (standard TPC-C mix by default)."""
-    mix = mix or STANDARD_MIX
-    roll = rng.random() * sum(mix.values())
-    acc = 0.0
-    for txn_type, weight in mix.items():
-        acc += weight
-        if roll <= acc:
-            return txn_type
-    return next(reversed(list(mix)))  # floating point edge; return last type
+    """Sample a transaction type from ``mix`` (standard TPC-C mix by default).
+
+    A plain mapping builds its :class:`TransactionMix` per call; pass one
+    to build the table once.
+    """
+    return _as_mix(mix).choose(rng)
 
 
 def sample_profile(
-    rng: random.Random, mix: Dict[TransactionType, float] = None
+    rng: random.Random, mix: Optional[Mapping[TransactionType, float]] = None
 ) -> TransactionProfile:
-    """Sample one transaction's type and warehouse-access shape."""
-    txn_type = choose_transaction_type(rng, mix)
-    if txn_type in SINGLE_WAREHOUSE_TYPES:
-        return TransactionProfile(txn_type=txn_type, items=1, remote_accesses=0)
+    """Sample one transaction's type and warehouse-access shape.
+
+    The draws, in order: the type; then for a payment one remote roll, for
+    a new-order the item count and one remote roll per item.  Profiles are
+    values, so the one returned is shared, never built.
+    """
+    txn_type = _as_mix(mix).choose(rng)
+    if txn_type is TransactionType.NEW_ORDER:
+        items = rng.randint(NEW_ORDER_MIN_ITEMS, NEW_ORDER_MAX_ITEMS)
+        draw = rng.random
+        remote = 0
+        for _ in range(items):
+            if draw() < NEW_ORDER_REMOTE_ITEM_PROB:
+                remote += 1
+        return _NEW_ORDER_PROFILES[items][remote]
     if txn_type is TransactionType.PAYMENT:
-        remote = 1 if rng.random() < PAYMENT_REMOTE_PROB else 0
-        return TransactionProfile(txn_type=txn_type, items=1, remote_accesses=remote)
-    # New order.
-    items = rng.randint(NEW_ORDER_MIN_ITEMS, NEW_ORDER_MAX_ITEMS)
-    remote = sum(
-        1 for _ in range(items) if rng.random() < NEW_ORDER_REMOTE_ITEM_PROB
-    )
-    return TransactionProfile(txn_type=txn_type, items=items, remote_accesses=remote)
+        return _PAYMENT_PROFILES[rng.random() < PAYMENT_REMOTE_PROB]
+    return _SINGLE_WAREHOUSE_PROFILES[txn_type]

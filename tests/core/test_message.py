@@ -16,6 +16,7 @@ from repro.core.message import (
     TreeForward,
     fresh_message_id,
     reset_message_ids,
+    scoped_message_ids,
 )
 
 
@@ -28,6 +29,16 @@ class TestMessage:
     def test_reset_message_ids_restarts_counter(self):
         reset_message_ids()
         assert Message.create([1]).msg_id == "m0"
+
+    def test_scoped_ids_start_at_zero_and_the_outer_counter_resumes(self):
+        reset_message_ids()
+        assert [Message.create([1]).msg_id for _ in range(3)] == ["m0", "m1", "m2"]
+        with scoped_message_ids():
+            assert Message.create([1]).msg_id == "m0"
+            with scoped_message_ids():
+                assert fresh_message_id("b") == "b0"
+            assert Message.create([1]).msg_id == "m1"
+        assert Message.create([1]).msg_id == "m3"
 
     def test_local_vs_global(self):
         assert Message.create([3]).is_local

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.flexcast import FlexCastProtocol
+from repro.core.message import Message
 from repro.experiments.config import (
     distributed_config,
     flexcast_config,
@@ -110,3 +111,20 @@ class TestLongHorizonGtpcc:
         every notifier keeps the order acyclic."""
         _, report = run
         report.raise_if_failed()
+
+
+class TestRepeatability:
+    def test_same_seed_distributed_runs_deliver_in_one_order_in_one_process(self):
+        # Skeen breaks timestamp ties by message id; ids minted before or
+        # between the runs must not move them.
+        config = distributed_config(
+            locality=0.90, num_clients=48, duration_ms=300.0, global_only=True,
+            seed=1, record_deliveries=True,
+        )
+        Message.create([0])
+        first = run_experiment(config)
+        Message.create([0])
+        second = run_experiment(config)
+        assert (second.issued, second.completed) == (first.issued, first.completed)
+        for group in first.groups:
+            assert second.deliveries.sequence(group) == first.deliveries.sequence(group)

@@ -3,8 +3,9 @@
 Two short runs of the shape the ``sim_gtpcc`` benchmark simulates (12
 groups, 48 clients, 90 % locality, global transactions only) on overlay O1,
 and the same two runs of the Distributed (Skeen) baseline on its complete
-graph and of the Hierarchical baseline on tree T1, are reduced to a SHA-256 of ``(issued, completed, latencies_ms)`` and
-compared with the committed ``data/sim_golden.json``.  Virtual latencies
+graph and of the Hierarchical baseline on tree T1, are reduced to a SHA-256
+of ``(issued, completed, latencies_ms)`` and compared with the committed
+``data/sim_golden.json``.  Virtual latencies
 depend on the order every envelope, delta, notification and timestamp is
 produced in, so a refactor of an ordering core that is meant to change
 nothing must leave the hashes alone; one that changes behaviour on purpose
@@ -12,8 +13,10 @@ says so and regenerates the file::
 
     PYTHONPATH=src python tests/integration/test_sim_golden.py --write
 
-The hashes do not depend on ``PYTHONHASHSEED`` or on what ran before in the
-process.
+The hashes do not depend on ``PYTHONHASHSEED`` (CI runs this file under
+two fixed values) or on what ran before in the process: ``run_experiment``
+numbers each run's message ids from 0, which Skeen's ``msg_id`` tie-break
+needs.
 """
 
 import hashlib
@@ -24,7 +27,6 @@ import sys
 
 import pytest
 
-from repro.core.message import reset_message_ids
 from repro.experiments.config import (
     PROTOCOL_DISTRIBUTED,
     PROTOCOL_FLEXCAST,
@@ -52,9 +54,6 @@ def _config(protocol, seed, duration_ms):
 
 def digest(protocol, seed, duration_ms):
     """``(issued, completed, sha256)`` of one run."""
-    # Skeen breaks timestamp ties by message id, and ids come from a
-    # process-wide counter: start it afresh so the run repeats in any process.
-    reset_message_ids()
     result = run_experiment(_config(protocol, seed, duration_ms))
     latencies = [
         t.latencies_by_arrival[-1]

@@ -41,6 +41,25 @@ class TestScheduling:
         loop.run()
         assert order == [0, 1, 2, 3, 4]
 
+    def test_posted_events_share_one_time_and_sequence_order_with_scheduled_ones(self):
+        loop = EventLoop()
+        order = []
+        loop.post_at(10.0, order.append, "posted first")
+        loop.schedule_at(10.0, lambda: order.append("scheduled"))
+        loop.post_at(10.0, order.append, "posted last")
+        loop.post_at(5.0, lambda *args: order.append(args), 1, 2)
+        assert loop.post_at(1.0, order.append, "x") is None  # no handle
+        loop.run()
+        assert order == ["x", (1, 2), "posted first", "scheduled", "posted last"]
+        assert loop.events_processed == 5
+
+    def test_post_at_in_the_past_runs_now(self):
+        loop = EventLoop(start_time=50.0)
+        fired = []
+        loop.post_at(10.0, lambda: fired.append(loop.now))
+        loop.run()
+        assert fired == [50.0]
+
     def test_negative_delay_clamped_to_now(self):
         loop = EventLoop()
         fired = []

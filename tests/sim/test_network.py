@@ -101,6 +101,48 @@ class TestDelivery:
         loop.run_until_idle()
         assert sink.received == []
 
+    def test_in_flight_message_reaches_a_node_registered_again_before_it_lands(self):
+        loop, net = make_network()
+        old, new = Sink(), Sink()
+        net.register("n0", 0, lambda s, p: None)
+        net.register("n1", 1, old)
+        net.send("n0", "n1", "in flight")  # lands at 10.0
+        net.unregister("n1")
+        loop.run(until=5.0)
+        net.register("n1", 2, new)  # back, at another site
+        loop.run_until_idle()
+        assert old.received == []
+        assert new.received == [("n0", "in flight")]
+        assert loop.now == pytest.approx(10.0)
+        assert net.traffic("n1").messages_received == 1
+
+    def test_in_flight_message_is_lost_if_the_node_returns_after_it_lands(self):
+        loop, net = make_network()
+        sink = Sink()
+        net.register("n0", 0, lambda s, p: None)
+        net.register("n1", 1, lambda s, p: None)
+        net.send("n0", "n1", "in flight")  # lands at 10.0
+        net.unregister("n1")
+        loop.run(until=20.0)
+        net.register("n1", 1, sink)
+        loop.run_until_idle()
+        assert sink.received == []
+        assert net.traffic("n1").messages_received == 0
+
+    def test_send_to_a_crashed_node_is_counted_at_the_sender_and_lost(self):
+        loop, net = make_network()
+        sink = Sink()
+        net.register("n0", 0, lambda s, p: None)
+        net.register("n1", 1, lambda s, p: None)
+        net.unregister("n1")
+        assert net.send("n0", "n1", "abc") == loop.now
+        net.register("n1", 1, sink)
+        loop.run_until_idle()
+        assert sink.received == []
+        assert net.traffic("n0").messages_sent == 1
+        assert net.traffic("n0").bytes_sent == 3
+        assert net.total_messages == 0
+
 
 class TestTrafficAccounting:
     def test_counts_messages_and_bytes(self):

@@ -11,6 +11,7 @@ from repro.workload.tpcc import (
     NEW_ORDER_MIN_ITEMS,
     SINGLE_WAREHOUSE_TYPES,
     STANDARD_MIX,
+    TransactionMix,
     TransactionType,
     choose_transaction_type,
     sample_profile,
@@ -32,6 +33,47 @@ class TestMixes:
         assert counts[TransactionType.PAYMENT] / 20_000 == pytest.approx(0.43, abs=0.02)
         for single in SINGLE_WAREHOUSE_TYPES:
             assert counts[single] / 20_000 == pytest.approx(0.04, abs=0.01)
+
+
+class TestTransactionMix:
+    def test_reads_as_the_mapping_it_was_built_from(self):
+        weights = {TransactionType.PAYMENT: 0.25, TransactionType.NEW_ORDER: 0.75}
+        mix = TransactionMix(weights)
+        assert dict(mix) == weights
+        assert list(mix) == [TransactionType.PAYMENT, TransactionType.NEW_ORDER]
+        assert mix == weights
+        assert len(mix) == 2
+
+    def test_draws_what_the_running_sum_over_the_mapping_draws(self):
+        def running_sum(rng, mix):
+            roll = rng.random() * sum(mix.values())
+            acc = 0.0
+            for txn_type, weight in mix.items():
+                acc += weight
+                if roll <= acc:
+                    return txn_type
+            return list(mix)[-1]
+
+        for weights in (STANDARD_MIX, GLOBAL_ONLY_MIX, {TransactionType.DELIVERY: 3.0},
+                        {TransactionType.PAYMENT: 0.1, TransactionType.DELIVERY: 0.0,
+                         TransactionType.NEW_ORDER: 0.2}):
+            mix = TransactionMix(weights)
+            ours, theirs = random.Random(11), random.Random(11)
+            for _ in range(2_000):
+                assert mix.choose(ours) == running_sum(theirs, weights)
+
+    def test_a_plain_mapping_samples_like_its_mix(self):
+        weights = dict(STANDARD_MIX)
+        a, b = random.Random(5), random.Random(5)
+        assert [sample_profile(a, weights) for _ in range(500)] == [
+            sample_profile(b, STANDARD_MIX) for _ in range(500)
+        ]
+
+    def test_rejects_empty_and_negative_weights(self):
+        with pytest.raises(ValueError):
+            TransactionMix({})
+        with pytest.raises(ValueError):
+            TransactionMix({TransactionType.PAYMENT: -0.1})
 
 
 class TestProfiles:
