@@ -27,7 +27,6 @@ from .tpcc import (
     TransactionMix,
     TransactionProfile,
     TransactionType,
-    choose_transaction_type,
     sample_profile,
 )
 
@@ -49,6 +48,5 @@ __all__ = [
     "TransactionMix",
     "TransactionProfile",
     "TransactionType",
-    "choose_transaction_type",
     "sample_profile",
 ]

@@ -89,15 +89,11 @@ class GTPCCWorkload:
         if len(self._warehouses) < 2:
             raise ValueError("gTPC-C needs at least two warehouses")
         # Precompute, for every home warehouse, the other warehouses ordered
-        # from nearest to farthest — the backbone of the locality rule — and
-        # the destination set of a transaction that stays home.
+        # from nearest to farthest — the backbone of the locality rule.
         known = set(self._warehouses)
         self._nearness: Dict[GroupId, List[GroupId]] = {
             w: [s for s in latencies.nearest_sites(w) if s in known]
             for w in self._warehouses
-        }
-        self._home_only: Dict[GroupId, FrozenSet[GroupId]] = {
-            w: frozenset((w,)) for w in self._warehouses
         }
         self.generated = 0
         self.generated_global = 0
@@ -148,13 +144,10 @@ class GTPCCWorkload:
         mix = GLOBAL_ONLY_MIX if global_only else STANDARD_MIX
         for _ in range(config.max_attempts):
             profile = sample_profile(rng, mix)
-            if profile.remote_accesses:
-                destinations = self._destinations_for(home, profile, rng)
-            elif global_only:
+            if global_only and not profile.remote_accesses:
                 # Latency experiments only use global messages; resample.
                 continue
-            else:
-                destinations = self._home_only[home]
+            destinations = self._destinations_for(home, profile, rng)
             if len(destinations) > config.max_destinations:
                 # The paper drops the very rare >3-group messages.
                 self.dropped_wide += 1

@@ -167,17 +167,6 @@ def _as_mix(mix: Optional[Mapping[TransactionType, float]]) -> TransactionMix:
     return TransactionMix(mix) if mix else STANDARD_MIX
 
 
-def choose_transaction_type(
-    rng: random.Random, mix: Optional[Mapping[TransactionType, float]] = None
-) -> TransactionType:
-    """Sample a transaction type from ``mix`` (standard TPC-C mix by default).
-
-    A plain mapping builds its :class:`TransactionMix` per call; pass one
-    to build the table once.
-    """
-    return _as_mix(mix).choose(rng)
-
-
 def sample_profile(
     rng: random.Random, mix: Optional[Mapping[TransactionType, float]] = None
 ) -> TransactionProfile:

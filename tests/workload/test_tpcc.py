@@ -13,7 +13,6 @@ from repro.workload.tpcc import (
     STANDARD_MIX,
     TransactionMix,
     TransactionType,
-    choose_transaction_type,
     sample_profile,
 )
 
@@ -28,7 +27,7 @@ class TestMixes:
 
     def test_choose_transaction_type_follows_mix(self):
         rng = random.Random(7)
-        counts = Counter(choose_transaction_type(rng) for _ in range(20_000))
+        counts = Counter(STANDARD_MIX.choose(rng) for _ in range(20_000))
         assert counts[TransactionType.NEW_ORDER] / 20_000 == pytest.approx(0.45, abs=0.02)
         assert counts[TransactionType.PAYMENT] / 20_000 == pytest.approx(0.43, abs=0.02)
         for single in SINGLE_WAREHOUSE_TYPES:
