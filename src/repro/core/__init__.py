@@ -27,7 +27,6 @@ from .message import (
     SkeenTimestamp,
     TreeForward,
     fresh_message_id,
-    reset_message_ids,
     scoped_message_ids,
 )
 
@@ -55,6 +54,5 @@ __all__ = [
     "SkeenTimestamp",
     "TreeForward",
     "fresh_message_id",
-    "reset_message_ids",
     "scoped_message_ids",
 ]

@@ -54,12 +54,6 @@ def fresh_message_id(prefix: str = "m") -> str:
     return f"{prefix}{next(_id_counter)}"
 
 
-def reset_message_ids() -> None:
-    """Reset the id counter (tests only, to keep ids short and readable)."""
-    global _id_counter
-    _id_counter = itertools.count()
-
-
 @contextmanager
 def scoped_message_ids() -> Iterator[None]:
     """Number the ids minted inside the block from 0, whatever ran before.

@@ -5,9 +5,9 @@ points are :class:`ExperimentConfig` (one fully specified run: protocol,
 overlay, workload, scale) with the :func:`flexcast_config` /
 :func:`distributed_config` / :func:`hierarchical_config` builders,
 :func:`run_experiment` (deploy on the simulator, drive closed-loop
-clients, return an :class:`ExperimentResult`), and :func:`run_all` /
-``ALL_FIGURES`` in :mod:`~repro.experiments.figures` to regenerate every
-figure/table at reduced scale.
+clients, return an :class:`ExperimentResult`), and :func:`run_all` in
+:mod:`~repro.experiments.figures`, the one path that regenerates every
+figure/table at reduced scale (each distinct configuration runs once).
 """
 
 from .config import (
@@ -19,14 +19,16 @@ from .config import (
     flexcast_config,
     hierarchical_config,
 )
-from .figures import ALL_FIGURES, FigureResult, run_all
-from .runner import ExperimentResult, build_protocol, run_experiment
-from .scenarios import (
+from .figures import (
+    ALL_FIGURES,
     DEFAULT_SCALE,
+    FigureResult,
     LOCALITY_RATES,
     Scale,
     THROUGHPUT_CLIENT_COUNTS,
+    run_all,
 )
+from .runner import ExperimentResult, build_protocol, run_experiment
 
 __all__ = [
     "ExperimentConfig",

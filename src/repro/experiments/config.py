@@ -2,9 +2,9 @@
 
 One :class:`ExperimentConfig` fully describes a run: which protocol, on which
 overlay, with which gTPC-C locality, how many closed-loop clients, for how
-long, and with which random seed.  Every benchmark builds its configurations
-through :mod:`repro.experiments.scenarios`, so the mapping from the paper's
-experiments to code is explicit and auditable.
+long, and with which random seed.  Every figure of the paper builds its
+configurations in :mod:`repro.experiments.figures`, beside its renderer, so
+the mapping from the paper's experiments to code is explicit and auditable.
 """
 
 from __future__ import annotations

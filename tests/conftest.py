@@ -10,7 +10,7 @@ import pytest
 from hypothesis import settings as hypothesis_settings
 
 import repro.core.flexcast as flexcast_module
-from repro.core.message import reset_message_ids
+from repro.core.message import scoped_message_ids
 from repro.overlay.builders import standard_overlays
 from repro.sim.latencies import aws_latency_matrix
 
@@ -28,8 +28,8 @@ hypothesis_settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "ci"))
 @pytest.fixture(autouse=True)
 def _fresh_message_ids():
     """Keep message ids short and deterministic within each test."""
-    reset_message_ids()
-    yield
+    with scoped_message_ids():
+        yield
 
 
 @pytest.fixture

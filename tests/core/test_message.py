@@ -15,7 +15,6 @@ from repro.core.message import (
     SkeenTimestamp,
     TreeForward,
     fresh_message_id,
-    reset_message_ids,
     scoped_message_ids,
 )
 
@@ -26,12 +25,11 @@ class TestMessage:
         m2 = Message.create([1, 2])
         assert m1.msg_id != m2.msg_id
 
-    def test_reset_message_ids_restarts_counter(self):
-        reset_message_ids()
+    def test_ids_restart_at_zero_in_each_test(self):
+        # The autouse fixture runs every test in a scope of its own.
         assert Message.create([1]).msg_id == "m0"
 
     def test_scoped_ids_start_at_zero_and_the_outer_counter_resumes(self):
-        reset_message_ids()
         assert [Message.create([1]).msg_id for _ in range(3)] == ["m0", "m1", "m2"]
         with scoped_message_ids():
             assert Message.create([1]).msg_id == "m0"

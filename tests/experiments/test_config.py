@@ -1,4 +1,4 @@
-"""Tests for experiment configuration and scenario builders."""
+"""Tests for experiment configuration and the figures' scenario builders."""
 
 import pytest
 
@@ -8,7 +8,7 @@ from repro.experiments.config import (
     flexcast_config,
     hierarchical_config,
 )
-from repro.experiments.scenarios import (
+from repro.experiments.figures import (
     DEFAULT_SCALE,
     Scale,
     figure1_scenario,
@@ -69,7 +69,7 @@ class TestScenarios:
         assert overlays == {"O1", "O2", "T1", "T2", "T3"}
 
     def test_figure6_covers_three_protocols_and_client_sweep(self):
-        configs = figure6_scenarios(client_counts=(4, 8))
+        configs = figure6_scenarios(Scale(client_counts=(4, 8)))
         protocols = {c.protocol for c in configs}
         assert protocols == {"flexcast", "hierarchical", "distributed"}
         assert all(not c.global_only and c.locality == 0.99 for c in configs)

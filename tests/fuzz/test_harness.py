@@ -8,6 +8,7 @@ from repro.fuzz import (
     generate_scenario,
     run_scenario,
 )
+from repro.core.message import fresh_message_id
 from repro.fuzz.profiles import PROFILES, apply_profile
 from repro.fuzz.scenario import Crash
 
@@ -35,6 +36,18 @@ class TestDeterminism:
         b = run_scenario(small_scenario())
         assert a.sequences == b.sequences
         assert a.events == b.events
+
+    def test_batch_ids_do_not_depend_on_ids_minted_before(self):
+        # The batching client names its carriers itself (``<client>-b<n>``),
+        # so a batched run repeats whatever the process counter holds.
+        scenario = apply_profile(generate_scenario(3, "crash-restart"), "crash-restart")
+        scenario = dataclasses.replace(scenario, batch_window=16)
+        first = run_scenario(scenario)
+        fresh_message_id("m"), fresh_message_id("b")  # unrelated ids
+        second = run_scenario(scenario)
+        assert first.batches
+        assert second.batches == first.batches
+        assert second.sequences == first.sequences
 
     def test_generated_scenarios_are_pure_functions_of_seed(self):
         assert generate_scenario(5) == generate_scenario(5)

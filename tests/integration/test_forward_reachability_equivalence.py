@@ -20,7 +20,6 @@ from typing import Set
 import pytest
 
 from repro.core.flexcast import FlexCastGroup
-from repro.core.message import reset_message_ids
 from repro.experiments.config import flexcast_config
 from repro.experiments.runner import run_experiment
 from repro.fuzz import generate_scenario, run_scenario
@@ -68,7 +67,6 @@ def backward(substitute_groups):
 
 
 def _fuzz_run(scenario):
-    reset_message_ids()  # batch ids draw from the process-wide counter
     obs = Observability()
     result = run_scenario(scenario, obs=obs)
     return result, obs.registry.snapshot()["counters"]
@@ -127,10 +125,8 @@ class TestGtpccChunkIsBitIdentical:
             seed=12,
             record_deliveries=True,
         )
-        reset_message_ids()
         forward = run_experiment(config)
         backward()
-        reset_message_ids()
         reference = run_experiment(config)
         assert all(isinstance(g, BackwardGroup) for g in reference.groups.values())
         assert forward.groups.keys() == reference.groups.keys()

@@ -15,7 +15,6 @@ from collections import defaultdict
 import pytest
 
 from repro.core.flexcast import FlexCastGroup
-from repro.core.message import reset_message_ids
 from repro.fuzz import generate_scenario, run_scenario
 from repro.fuzz.profiles import apply_profile
 from repro.obs import Observability
@@ -59,7 +58,6 @@ def recorded(substitute_groups):
 
 
 def _run(seed, profile):
-    reset_message_ids()  # batch ids draw from the process-wide counter
     scenario = apply_profile(generate_scenario(seed, profile), profile)
     obs = Observability()
     result = run_scenario(scenario, obs=obs)
