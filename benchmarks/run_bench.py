@@ -36,9 +36,10 @@ sys.path[:0] = [str(REPO_ROOT / "src"), str(REPO_ROOT / "benchmarks" / "e2e")]
 
 from e2ebench.host import provenance  # noqa: E402
 from repro.core.flexcast import FlexCastGroup  # noqa: E402
-from repro.core.history import History, HistoryDiffTracker  # noqa: E402
+from repro.core.history import History  # noqa: E402
 from repro.core.message import (  # noqa: E402
     ClientResponse,
+    EMPTY_DELTA,
     FlexCastBatch,
     FlexCastNotif,
     HistoryDelta,
@@ -127,18 +128,28 @@ def _measure_paired(
 
 
 # ------------------------------------------------------------- benchmark defs
+def _group_with_chain(size: int) -> FlexCastGroup:
+    """Group 0 of a 12-group C-DAG holding a chain history of ``size``."""
+    group = FlexCastGroup(
+        0, CDagOverlay(list(range(12))), RecordingTransport(0), RecordingSink()
+    )
+    group.history = build_chain_history(size)
+    return group
+
+
 def bench_diff_for(size: int) -> Callable[[], None]:
     """Steady state: the descendant is up to date, the diff is empty.
 
     This is the per-send cost on the delivery hot path once a descendant has
-    been bootstrapped — the acceptance metric for the incremental indexes.
+    been bootstrapped — the acceptance metric for the incremental indexes:
+    one ``FlexCastGroup._outgoing``, which numbers the envelope and finds
+    the peer already shipped the current history version.
     """
-    history = build_chain_history(size)
-    tracker = HistoryDiffTracker()
-    tracker.diff_for("peer", history)
+    group = _group_with_chain(size)
+    group._outgoing(3)
 
     def op() -> None:
-        assert tracker.diff_for("peer", history).is_empty
+        assert group._outgoing(3)[1] is EMPTY_DELTA
 
     return op
 
@@ -147,14 +158,17 @@ def bench_diff_for_cold(size: int) -> Callable[[], None]:
     """First contact: a brand-new descendant asks for the entire history.
 
     It gets the retained journal as one slice of vertex and edge tuples,
-    as a first contact runs in the protocol.  O(|H|)/op by design, like
-    ``cold_sync``, so it is *not* in the ``--flat`` gate.
+    as a first contact runs in the protocol (the peer's channel record is
+    dropped after each op, so every op is a first contact).  O(|H|)/op by
+    design, like ``cold_sync``, so it is *not* in the ``--flat`` gate.
     """
-    history = build_chain_history(size)
-    entries = history.version
+    group = _group_with_chain(size)
+    entries = group.history.version
 
     def op() -> None:
-        assert len(HistoryDiffTracker().diff_for("peer", history)) == entries
+        _, delta = group._outgoing(3)
+        del group.channels[3]
+        assert len(delta) == entries
 
     return op
 
@@ -227,7 +241,7 @@ def bench_delivery_round(size: int) -> Callable[[], None]:
             Message(msg_id=f"fill-{i}", dst=frozenset({0, 3, 7}))
         )
     for dest in (3, 7):
-        group.diff_tracker.diff_for(dest, group.history)
+        group._outgoing(dest)
     counter = {"i": 0}
 
     def op() -> None:
@@ -265,7 +279,7 @@ def bench_delivery_round_batched(
     for i in range(size):
         group.history.record_delivery(Message(msg_id=f"fill-{i}", dst=dst))
     for dest in (3, 7):
-        group.diff_tracker.diff_for(dest, group.history)
+        group._outgoing(dest)
     counter = {"i": 0}
 
     def op() -> None:
@@ -297,7 +311,7 @@ def bench_delivery_round_pivots(size: int) -> Callable[[], None]:
     for i in range(size):
         group.history.record_delivery(Message(msg_id=f"fill-{i}", dst=dst))
     for dest in (7, 9):
-        group.diff_tracker.diff_for(dest, group.history)
+        group._outgoing(dest)
     last = f"fill-{size - 1}"
     elsewhere = frozenset({0, 9})
     for k in range(64):
@@ -378,7 +392,7 @@ def bench_delivery_round_obs(size: int) -> Callable[[], None]:
             Message(msg_id=f"fill-{i}", dst=frozenset({0, 3, 7}))
         )
     for dest in (3, 7):
-        group.diff_tracker.diff_for(dest, group.history)
+        group._outgoing(dest)
     counter = {"i": 0}
 
     def op() -> None:

@@ -14,7 +14,7 @@ op/sec trajectory in ``BENCH_micro.json``.
 import pytest
 
 from repro.core.flexcast import FlexCastGroup
-from repro.core.history import History, HistoryDiffTracker
+from repro.core.history import History
 from repro.core.message import EMPTY_DELTA, FlexCastAck, FlexCastMsg, Message
 from repro.overlay.cdag import CDagOverlay
 from repro.protocols.base import RecordingSink
@@ -52,6 +52,16 @@ def build_fanout_history(width=200, hubs=8):
         history.add_vertex(mid, frozenset({i % 4}))
         history.add_edge(hub_ids[i % hubs], mid)
     return history
+
+
+def group_with_history(history):
+    """Group 0 of a 12-group C-DAG holding ``history``; its diffs go through
+    the per-peer channel path the protocol sends on."""
+    group = FlexCastGroup(
+        0, CDagOverlay(list(range(12))), RecordingTransport(0), RecordingSink()
+    )
+    group.history = history
+    return group
 
 
 @pytest.mark.benchmark(group="micro-history")
@@ -101,11 +111,11 @@ def test_history_depends_wide_fanout(benchmark):
 @pytest.mark.parametrize("size", SIZES)
 def test_history_diff_tracking_bootstrap(benchmark, size):
     """First diff for a new descendant: must ship the whole history."""
-    history = build_chain_history(size)
+    group = group_with_history(build_chain_history(size))
 
     def run():
-        tracker = HistoryDiffTracker()
-        tracker.diff_for("peer", history)
+        group._outgoing(3)
+        del group.channels[3]
 
     benchmark(run)
 
@@ -118,12 +128,11 @@ def test_history_diff_tracking_steady_state(benchmark, size):
     The acceptance metric for the journal/watermark design: flat in |H|
     instead of a rescan of every vertex and edge per send.
     """
-    history = build_chain_history(size)
-    tracker = HistoryDiffTracker()
-    tracker.diff_for("peer", history)
+    group = group_with_history(build_chain_history(size))
+    group._outgoing(3)
 
     def run():
-        assert tracker.diff_for("peer", history).is_empty
+        assert group._outgoing(3)[1] is EMPTY_DELTA
 
     benchmark(run)
 
@@ -131,9 +140,9 @@ def test_history_diff_tracking_steady_state(benchmark, size):
 @pytest.mark.benchmark(group="micro-history")
 def test_history_diff_tracking_fanout(benchmark):
     """Steady-state diffs over the wide-fanout shape."""
-    history = build_fanout_history(width=1000)
-    tracker = HistoryDiffTracker()
-    tracker.diff_for("peer", history)
+    group = group_with_history(build_fanout_history(width=1000))
+    history = group.history
+    group._outgoing(3)
     counter = {"i": 0}
 
     def run():
@@ -141,7 +150,7 @@ def test_history_diff_tracking_fanout(benchmark):
         mid = f"extra{counter['i']}"
         history.add_vertex(mid, frozenset({1}))
         history.add_edge("hub0", mid)
-        delta = tracker.diff_for("peer", history)
+        _, delta = group._outgoing(3)
         assert len(delta.vertices) == 1 and len(delta.edges) == 1
 
     benchmark(run)
@@ -179,7 +188,7 @@ def test_flexcast_lca_delivery_round_loaded(benchmark, size):
             Message(msg_id=f"fill-{i}", dst=frozenset({0, 3, 7}))
         )
     for dest in (3, 7):
-        group.diff_tracker.diff_for(dest, group.history)
+        group._outgoing(dest)
     counter = {"i": 0}
 
     def run():

@@ -11,7 +11,7 @@ from .batching import BatchingClient
 from .client import MulticastCall, MulticastClient
 from .flexcast import FlexCastGroup, FlexCastProtocol, PendingMessage
 from .garbage import FlushCoordinator
-from .history import History, HistoryDiffTracker
+from .history import History
 from .message import (
     ClientRequest,
     ClientResponse,
@@ -39,7 +39,6 @@ __all__ = [
     "PendingMessage",
     "FlushCoordinator",
     "History",
-    "HistoryDiffTracker",
     "ClientRequest",
     "ClientResponse",
     "EMPTY_DELTA",

@@ -33,16 +33,18 @@ dependency information that could order another message before ``m``:
 The paper assumes reliable FIFO links between groups; this module does not
 rely on the transport for them.  **Numbered channels**: every ``msg``,
 ``ack`` and ``notif`` a group sends to another group carries the next number
-of that channel (one send counter per receiving group), and a receiver takes
-from each sending group — a ``msg``'s lca, an ``ack``'s or ``notif``'s
-``from_group`` — only the number after the last one it took.  A repeated
-number is a duplicate and is dropped; a higher one is a gap: it is dropped
-and counted (``stats["channel_gaps"]``), and since the sender's numbers only
-climb, that channel stays stopped.  So a run that loses envelopes is a prefix
-of a run on reliable FIFO links — the paper's model — and a lost envelope
-costs liveness, never acyclic order (DESIGN.md "Ordering: one ack per
-notifier over numbered channels").  Both counters are group state, rebuilt by
-log replay like the rest of it; client requests are not numbered.
+of that channel, and a receiver takes from each sending group — a ``msg``'s
+lca, an ``ack``'s or ``notif``'s ``from_group`` — only the number after the
+last one it took.  A repeated number is a duplicate and is dropped; a higher
+one is a gap: it is dropped and counted (``stats["channel_gaps"]``), and
+since the sender's numbers only climb, that channel stays stopped.  So a
+run that loses envelopes is a prefix of a run on reliable FIFO links — the
+paper's model — and a lost envelope costs liveness, never acyclic order
+(DESIGN.md "Ordering: one ack per notifier over numbered channels").  A
+group keeps one :class:`Channel` record per peer group: the last number
+sent, the last number taken, and the history version shipped (``diff-hst``).
+The records are group state, rebuilt by log replay like the rest of it;
+client requests are not numbered.
 
 On top of the paper's protocol: **batch carriers**.  A client may
 coalesce same-destination submissions into one ordering unit
@@ -62,9 +64,9 @@ echo the pseudo-code (``a_deliver`` = ``a-deliver``, ``reprocess_queues``
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Hashable, List, Optional, Set
+from typing import DefaultDict, Deque, Dict, Hashable, List, Optional, Set, Tuple
 
 from ..obs import STAGE_DELIVER, STAGE_ENQUEUE, STAGE_FANOUT, Observability, Tracer
 from ..obs.registry import SIZE_BUCKETS, Histogram
@@ -77,9 +79,10 @@ from ..protocols.base import (
     ProtocolError,
 )
 from ..sim.transport import Transport
-from .history import History, HistoryDiffTracker
+from .history import History
 from .message import (
     ClientRequest,
+    EMPTY_DELTA,
     Envelope,
     FlexCastAck,
     FlexCastMsg,
@@ -115,8 +118,21 @@ class PendingMessage:
 
 
 #: Observe every Nth non-empty diff in the size histogram (weighted by N so
-#: the histogram still estimates the full population); see ``_diff_for``.
+#: the histogram still estimates the full population); see ``_outgoing``.
 DIFF_SAMPLE_EVERY = 4
+
+
+@dataclass(slots=True)
+class Channel:
+    """This group's record of one peer group: the numbered channel both
+    ways and the ``diff-hst`` position toward it."""
+
+    #: Number of the last envelope sent to the peer.
+    sent: int = 0
+    #: Number of the last envelope taken from the peer.
+    taken: int = 0
+    #: History journal version shipped to the peer so far.
+    shipped: int = 0
 
 
 @dataclass(slots=True)
@@ -174,12 +190,9 @@ class FlexCastGroup(AtomicMulticastGroup):
         self._batch_members: Dict[str, str] = {}
         #: Notifications waiting for open dependencies (``pendNotif``).
         self.pending_notifications: List[PendingNotification] = []
-        #: ``diff-hst`` bookkeeping per descendant.
-        self.diff_tracker = HistoryDiffTracker()
-        #: Numbered channels (module docstring): the last number sent to
-        #: each receiving group, and the last one taken from each sender.
-        self._sent: Dict[GroupId, int] = {}
-        self._taken: Dict[GroupId, int] = {}
+        #: One :class:`Channel` per peer group this group has sent to or
+        #: taken from (numbered channels, module docstring).
+        self.channels: DefaultDict[GroupId, Channel] = defaultdict(Channel)
         #: Incrementally maintained ``open-dependencies`` set: ids of history
         #: vertices addressed to this group that it has not delivered yet.
         #: Updated on merge (additions), delivery (removal) and GC (removal),
@@ -333,28 +346,6 @@ class FlexCastGroup(AtomicMulticastGroup):
         """The lowest common ancestor (entry group) of ``message``."""
         return self.overlay.lca(message.dst)
 
-    def _diff_for(self, dest: GroupId) -> HistoryDelta:
-        """``diff-hst`` for ``dest``, observing the delta size when attached.
-
-        This sits on the per-send hot path, so the bookkeeping is budgeted:
-        empty diffs go to the ``empty_diffs`` stat (a dict increment), and
-        non-empty sizes are observed 1-in-:data:`DIFF_SAMPLE_EVERY` with a
-        compensating weight — an unbiased estimate of the distribution at a
-        quarter of the histogram cost.  This split is what holds per-send
-        instrumentation inside the <=5% budget the CI bench gate enforces.
-        """
-        delta = self.diff_tracker.diff_for(dest, self.history)
-        if not delta.vertices and not delta.edges:
-            self.stats["empty_diffs"] += 1
-        elif self._diff_size_hist is not None:
-            self._diff_sample_tick += 1
-            if self._diff_sample_tick >= DIFF_SAMPLE_EVERY:
-                self._diff_sample_tick = 0
-                self._diff_size_hist.observe(
-                    float(len(delta)), weight=DIFF_SAMPLE_EVERY
-                )
-        return delta
-
     def _merge_history(self, delta: HistoryDelta) -> None:
         """Merge an incoming delta and index its new open dependencies.
 
@@ -421,18 +412,45 @@ class FlexCastGroup(AtomicMulticastGroup):
         It is dropped and counted, and so is every later one from
         ``source``.  So is a number below 1: a frame written before
         envelopes were numbered."""
-        last = self._taken.get(source, 0)
+        channel = self.channels[source]
+        last = channel.taken
         if seq == last + 1:
-            self._taken[source] = seq
+            channel.taken = seq
             return True
         if seq > last or seq < 1:
             self.stats["channel_gaps"] += 1
         return False
 
-    def _next_seq(self, dest: GroupId) -> int:
-        """The number of the next envelope to ``dest``."""
-        seq = self._sent[dest] = self._sent.get(dest, 0) + 1
-        return seq
+    def _outgoing(self, dest: GroupId) -> Tuple[int, HistoryDelta]:
+        """The number and the ``diff-hst`` of the next envelope to ``dest``.
+
+        The diff is the history journal past the version already shipped to
+        ``dest``; a peer already shipped the current version (the common
+        case) skips the journal.  This sits on the per-send hot path, so the
+        bookkeeping is budgeted: empty diffs go to the ``empty_diffs`` stat
+        (a dict increment), and non-empty sizes are observed 1-in-
+        :data:`DIFF_SAMPLE_EVERY` with a compensating weight — an unbiased
+        estimate of the distribution at a quarter of the histogram cost.
+        This split is what holds per-send instrumentation inside the <=5%
+        budget the CI bench gate enforces.
+        """
+        channel = self.channels[dest]
+        channel.sent += 1
+        history = self.history
+        if channel.shipped < history.version:
+            vertices, edges, channel.shipped = history.changes_since(channel.shipped)
+            if vertices or edges:
+                delta = HistoryDelta(vertices, edges)
+                if self._diff_size_hist is not None:
+                    self._diff_sample_tick += 1
+                    if self._diff_sample_tick >= DIFF_SAMPLE_EVERY:
+                        self._diff_sample_tick = 0
+                        self._diff_size_hist.observe(
+                            float(len(delta)), weight=DIFF_SAMPLE_EVERY
+                        )
+                return channel.sent, delta
+        self.stats["empty_diffs"] += 1
+        return channel.sent, EMPTY_DELTA
 
     # -------------------------------------------------------- msg / ack / notif
     def _on_msg(self, envelope: FlexCastMsg, lca: GroupId) -> None:
@@ -611,13 +629,13 @@ class FlexCastGroup(AtomicMulticastGroup):
         for dest in self.overlay.descendants(self.group_id):
             if dest not in message.dst:
                 continue
-            delta = self._diff_for(dest)
+            seq, delta = self._outgoing(dest)
             if ack:
                 envelope: Envelope = FlexCastAck(
                     message=message,
                     history=delta,
                     from_group=self.group_id,
-                    seq=self._next_seq(dest),
+                    seq=seq,
                     notifier=notifier,
                     notified=notified,
                 )
@@ -626,7 +644,7 @@ class FlexCastGroup(AtomicMulticastGroup):
                 envelope = FlexCastMsg(
                     message=message,
                     history=delta,
-                    seq=self._next_seq(dest),
+                    seq=seq,
                     notified=notified,
                 )
                 self.stats["msgs_sent"] += 1
@@ -659,15 +677,10 @@ class FlexCastGroup(AtomicMulticastGroup):
                 # minimality (genuineness) — and is unnecessary, because it
                 # cannot hold dependencies we created.
                 continue
-            delta = self._diff_for(dest)
+            seq, delta = self._outgoing(dest)
             self.send(
                 dest,
-                FlexCastNotif(
-                    message=message,
-                    history=delta,
-                    from_group=me,
-                    seq=self._next_seq(dest),
-                ),
+                FlexCastNotif(message=message, history=delta, from_group=me, seq=seq),
             )
             notified.add((dest, me))
             self.stats["notifs_sent"] += 1
@@ -742,11 +755,15 @@ class FlexCastGroup(AtomicMulticastGroup):
         """Prune everything ordered before a delivered flush message (§4.3).
 
         O(victims): the history hands back the removed ids directly (no
-        before/after snapshot diff) and the diff tracker compacts the change
-        journal up to the lowest descendant watermark.
+        before/after snapshot diff) and compacts its change journal up to the
+        lowest version shipped to a peer this group has sent to.  Only those
+        count: in a C-DAG a group takes only from ancestors, which it never
+        ships a diff to, so their channels must not pin the journal.
         """
         victims = self.history.collect_garbage(flush.msg_id)
-        compacted = self.diff_tracker.forget(victims, history=self.history)
+        compacted = self.history.compact_journal(
+            min((c.shipped for c in self.channels.values() if c.sent), default=None)
+        )
         self._undelivered_to_me -= victims
         for victim in victims:
             self.pending.pop(victim, None)

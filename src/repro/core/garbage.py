@@ -13,10 +13,12 @@ client of the protocol (it submits ordinary multicast messages flagged
 
 Beyond the history vertices themselves, a flush also bounds the *incremental*
 bookkeeping (DESIGN.md): the per-group destination index sheds the pruned
-ids, the diff tracker's per-descendant watermarks stay valid as-is, and the
-history's change journal is compacted up to the lowest watermark — so every
-index the hot path relies on stays O(live history), making the flush interval
-the single knob that trades memory for (tiny) extra protocol traffic.
+ids, the history version each channel has shipped stays valid as-is, and the
+history's change journal is compacted up to the lowest of those versions
+among the peers the group has sent to (within a cap proportional to the live
+history) — so every index the hot path relies on stays O(live history),
+making the flush interval the single knob that trades memory for (tiny)
+extra protocol traffic.
 """
 
 from __future__ import annotations

@@ -8,8 +8,9 @@ before ``m2`` somewhere, so every group must respect that order.  Each group:
 * records every message it delivers in its history, chained after the
   previously delivered message (building a per-group total order);
 * merges the history deltas it receives from ancestors;
-* ships *diffs* of its history to descendants (tracked per descendant by
-  :class:`HistoryDiffTracker`) so the ever-growing history is never resent;
+* ships *diffs* of its history to descendants (the version shipped to each
+  is a field of the group's record of it, :class:`repro.core.flexcast.Channel`)
+  so the ever-growing history is never resent;
 * prunes the history when a garbage-collection ``flush`` message is delivered
   (§4.3).
 
@@ -20,15 +21,15 @@ invariants):
 * a per-group destination index makes ``contains_message_to`` an O(1)
   lookup instead of a full scan;
 * an append-only, monotonically versioned *change journal* records every
-  vertex/edge insertion; diff computation is a slice of the journal past a
-  descendant's watermark (:meth:`History.changes_since`), not a rescan of the
-  whole DAG.  Each entry is the very tuple a delta ships (a merge journals
-  the received tuples themselves), so a diff is split by kind and builds
-  no per-entry tuple; only entries older than the last garbage collection
-  are checked for liveness;
-* a descendant whose watermark predates the retained journal (the journal
-  below it was compacted) is shipped the whole live history once, as the
-  same vertex and edge tuples :meth:`History.full_delta` builds.  That is
+  vertex/edge insertion; diff computation is a slice of the journal past
+  the version shipped to a descendant (:meth:`History.changes_since`), not a
+  rescan of the whole DAG.  Each entry is the very tuple a delta ships (a
+  merge journals the received tuples themselves), so a diff is split by kind
+  and builds no per-entry tuple; only entries older than the last garbage
+  collection are checked for liveness;
+* a descendant whose shipped version predates the retained journal (the
+  journal below it was compacted) is shipped the whole live history once, as
+  the same vertex and edge tuples :meth:`History.full_delta` builds.  That is
   O(|H|) by design: it happens on first contact after a compaction.
 
 A history is not durable by itself: it is part of a replica's protocol state,
@@ -42,7 +43,7 @@ from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..obs.registry import MetricsRegistry
 from ..overlay.base import GroupId
-from .message import EMPTY_DELTA, HistoryDelta, Message
+from .message import HistoryDelta, Message
 
 #: A journal entry is the very tuple a delta ships: ``(msg_id, dst)`` for a
 #: vertex, ``(before, after)`` for an edge.  Its second item tells the kind:
@@ -104,7 +105,8 @@ class History:
         self._by_group: Dict[GroupId, Set[str]] = {}
         # Append-only change journal; _journal_base is the sequence number of
         # the first retained entry (entries below it were compacted away once
-        # every tracked descendant's watermark had passed them).
+        # every descendant had been shipped past them, or they fell out of
+        # the cap; see compact_journal).
         self._journal: List[_Entry] = []
         self._journal_base = 0
         # The version at the last garbage collection that removed anything:
@@ -317,14 +319,11 @@ class History:
         such a caller lacks can no longer be told apart, and overshipping is
         safe (merges are idempotent).
         """
-        version = self.version
-        if watermark >= version:
-            return (), (), version
         if watermark < self._journal_base:
             vertices, edges = self._live_content()
         else:
             vertices, edges = self._journal_slice(watermark)
-        return vertices, edges, version
+        return vertices, edges, self.version
 
     def _journal_slice(self, since: int) -> Tuple[_Vertices, _Edges]:
         """Live vertices/edges journaled at or after ``since`` (>= base).
@@ -360,14 +359,31 @@ class History:
         """Every live vertex and edge, as the tuples a delta ships."""
         return tuple(self.destinations.items()), tuple(self.edges())
 
-    def compact_journal(self, upto: int) -> int:
-        """Drop journal entries below sequence number ``upto``.
+    #: Retained journal entries are capped at ``_JOURNAL_SLACK × live size``
+    #: (plus a small constant) at every :meth:`compact_journal`.
+    _JOURNAL_SLACK = 2
+    _JOURNAL_MIN = 64
 
-        Only safe when every tracked descendant's watermark is >= ``upto``
-        (enforced by :meth:`HistoryDiffTracker.forget`, the sole caller on the
-        protocol path).  Returns the number of entries dropped.
+    def compact_journal(self, floor: Optional[int]) -> int:
+        """Drop the journal entries below ``floor`` after a garbage collection.
+
+        ``floor`` is the lowest version shipped to any descendant (``None``:
+        there is none, and the whole journal goes); entries below it can
+        never appear in a future slice.  A descendant the group has stopped
+        sending to must not pin the journal forever, so the retained journal
+        is also capped in proportion to the *live* history; a descendant left
+        below the new base is shipped the whole live history on its next
+        diff (:meth:`changes_since`; overshipping is safe, merges are
+        idempotent and forgotten ids are filtered).  Returns the number of
+        entries dropped.
         """
-        upto = min(upto, self.version)
+        version = self.version
+        if floor is None:
+            upto = version
+        else:
+            live = len(self) + self.num_edges
+            cap = self._JOURNAL_SLACK * live + self._JOURNAL_MIN
+            upto = min(max(floor, version - cap), version)
         if upto <= self._journal_base:
             return 0
         dropped = upto - self._journal_base
@@ -376,16 +392,9 @@ class History:
         return dropped
 
     # --------------------------------------------------------------- pruning
-    def prune_before(self, pivot_id: str, keep: Optional[Set[str]] = None) -> int:
-        """Garbage-collect every message the pivot transitively depends on.
-
-        Returns the number of vertices removed; see :meth:`collect_garbage`
-        for the victim set itself.
-        """
-        return len(self.collect_garbage(pivot_id, keep=keep))
-
     def collect_garbage(self, pivot_id: str, keep: Optional[Set[str]] = None) -> Set[str]:
-        """Prune like :meth:`prune_before` but return the removed ids.
+        """Garbage-collect every message the pivot transitively depends on,
+        and return the removed ids.
 
         Called when a ``flush`` message is delivered (§4.3): everything ordered
         before the flush has been resolved at every group that needed it and
@@ -481,62 +490,3 @@ class History:
     def full_delta(self) -> HistoryDelta:
         """The entire live history as a delta (tests, benchmarks)."""
         return HistoryDelta(*self._live_content())
-
-
-class HistoryDiffTracker:
-    """Tracks which part of the local history each descendant already knows.
-
-    Implements ``diff-hst`` (§4.2 line 11 and §4.3) as a *watermark* over the
-    history's change journal: for each descendant the tracker remembers the
-    journal sequence number it has shipped up to; a new delta is the journal
-    slice past that watermark (:meth:`History.changes_since`), so computing a
-    diff costs O(new entries) instead of rescanning every vertex and
-    re-materializing every edge.  After garbage collection the journal is
-    compacted up to the lowest watermark, so it does not grow without bound.
-    """
-
-    def __init__(self) -> None:
-        #: descendant -> journal sequence number shipped so far.
-        self._watermarks: Dict[GroupId, int] = {}
-
-    def diff_for(self, descendant: GroupId, history: History) -> HistoryDelta:
-        """Compute the delta for ``descendant`` and advance its watermark."""
-        watermark = self._watermarks.get(descendant, 0)
-        vertices, edges, version = history.changes_since(watermark)
-        self._watermarks[descendant] = version
-        if not vertices and not edges:
-            return EMPTY_DELTA
-        return HistoryDelta(vertices, edges)
-
-    #: Retained journal entries are capped at ``_JOURNAL_SLACK × live size``
-    #: (plus a small constant) at every :meth:`forget`; see below.
-    _JOURNAL_SLACK = 2
-    _JOURNAL_MIN = 64
-
-    def forget(self, msg_ids: Iterable[str], history: Optional[History] = None) -> int:
-        """Compact the journal after a garbage-collection round.
-
-        The tracker holds nothing per message — watermarks are absolute
-        sequence numbers and stay valid as-is — so ``msg_ids`` needs no
-        bookkeeping of its own.
-        When ``history`` is provided its journal is compacted up to the lowest
-        watermark — entries every descendant has already seen can never appear
-        in a future diff.  A descendant this group has stopped sending to
-        must not pin the journal forever, so compaction additionally enforces
-        a cap proportional to the *live* history size; a descendant whose
-        watermark falls below the compacted base simply receives the whole
-        live history, as vertex and edge tuples, on its next diff
-        (overshipping is safe: merges are idempotent and forgotten ids are
-        filtered).  Returns the number of journal
-        entries dropped.
-        """
-        if history is None:
-            return 0
-        floor = min(self._watermarks.values(), default=history.version)
-        cap = self._JOURNAL_SLACK * (len(history) + history.num_edges) + self._JOURNAL_MIN
-        floor = max(floor, history.version - cap)
-        return history.compact_journal(floor)
-
-    def watermark(self, descendant: GroupId) -> int:
-        """Journal sequence shipped to ``descendant`` so far (introspection)."""
-        return self._watermarks.get(descendant, 0)

@@ -1,6 +1,6 @@
 """Differential tests: a below-base first contact vs the per-item path.
 
-A descendant whose diff watermark is below the sender's compacted journal
+A descendant whose shipped version is below the sender's compacted journal
 receives the sender's whole live history, as the same ``vertices`` and
 ``edges`` tuples a journal slice ships (:meth:`History.changes_since`).  This
 module pins what that form must guarantee:
@@ -20,8 +20,8 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core.history import History, HistoryDiffTracker
-from repro.core.message import Message
+from repro.core.history import History
+from repro.core.message import HistoryDelta, Message
 from repro.fuzz.harness import run_scenario
 from repro.fuzz.profiles import apply_profile
 from repro.fuzz.workload import generate_scenario
@@ -43,9 +43,10 @@ def build_source(length=40, extra_edges=True, prune=False):
 def first_contact(source):
     """The delta a brand-new descendant receives after ``source`` compacted
     its whole journal: the below-base branch of ``changes_since``."""
-    source.compact_journal(source.version)
+    source.compact_journal(None)
     assert source.journal_len == 0
-    return HistoryDiffTracker().diff_for("peer", source)
+    vertices, edges, _ = source.changes_since(0)
+    return HistoryDelta(vertices, edges)
 
 
 def per_item_copy(delta, target=None):
@@ -73,7 +74,7 @@ class TestIndexEquivalence:
         merged.merge_delta(delta)
         reference = per_item_copy(delta)
         assert_same_dag(merged, reference)
-        # Same version: a descendant's watermark advanced by either path
+        # Same version: a descendant's shipped version advanced by either path
         # slices the same journal suffix afterwards.
         assert merged.version == reference.version
 
@@ -140,9 +141,10 @@ PROFILES = ("none", "dup", "loss")
 
 
 def compact_before(serve):
-    """``History.changes_since`` that first compacts the journal just past
-    each watermark ``serve`` picks, so that caller takes the below-base
-    branch (the whole live history) instead of a journal slice."""
+    """``History.changes_since`` that first compacts the journal at least
+    just past each shipped version ``serve`` picks (the journal cap may take
+    it further), so that caller takes the below-base branch (the whole live
+    history) instead of a journal slice."""
     changes_since = History.changes_since
 
     def patched(self, watermark):

@@ -1,13 +1,19 @@
-"""Unit tests for FlexCast histories and diff tracking."""
+"""Unit tests for FlexCast histories, their diffs and a group's channels."""
 
 import pytest
 
-from repro.core.history import History, HistoryDiffTracker
-from repro.core.message import HistoryDelta, Message
+from repro.core.flexcast import FlexCastGroup
+from repro.core.history import History
+from repro.core.message import EMPTY_DELTA, FlexCastMsg, HistoryDelta, Message
+from repro.overlay.cdag import CDagOverlay
+from repro.protocols.base import RecordingSink
+from repro.sim.transport import RecordingTransport
+
+A, B, C, D = "A", "B", "C", "D"
 
 
-def msg(mid, dst):
-    return Message(msg_id=mid, dst=frozenset(dst))
+def msg(mid, dst, **kwargs):
+    return Message(msg_id=mid, dst=frozenset(dst), **kwargs)
 
 
 class TestRecordDelivery:
@@ -122,20 +128,20 @@ class TestPruning:
             h.record_delivery(msg(f"m{i}", {1}))
         return h
 
-    def test_prune_before_removes_ancestors_of_pivot(self):
+    def test_collect_garbage_removes_ancestors_of_pivot(self):
         h = self._history_with_chain()
-        removed = h.prune_before("m3")
-        assert removed == 3
+        removed = h.collect_garbage("m3")
+        assert removed == {"m0", "m1", "m2"}
         assert set(h.message_ids()) == {"m3", "m4"}
 
     def test_prune_keeps_protected_ids(self):
         h = self._history_with_chain()
-        h.prune_before("m4", keep={"m2"})
+        h.collect_garbage("m4", keep={"m2"})
         assert "m2" in h and "m1" not in h
 
     def test_pruned_messages_are_forgotten_on_merge(self):
         h = self._history_with_chain()
-        h.prune_before("m3")
+        h.collect_garbage("m3")
         h.merge_delta(HistoryDelta(vertices=(("m1", frozenset({1})),), edges=(("m1", "m3"),)))
         assert "m1" not in h
         assert h.forgotten_count == 3
@@ -143,7 +149,7 @@ class TestPruning:
 
     def test_prune_updates_edges(self):
         h = self._history_with_chain()
-        h.prune_before("m3")
+        h.collect_garbage("m3")
         assert all("m1" not in edge and "m2" not in edge for edge in h.edges())
 
     def test_full_delta_round_trip(self):
@@ -154,55 +160,80 @@ class TestPruning:
         assert set(other.edges()) == set(h.edges())
 
 
-class TestDiffTracker:
+class TestDiffs:
+    """``History.changes_since`` past a shipped version, and
+    ``compact_journal``'s floor."""
+
     def test_first_diff_ships_everything(self):
         h = History()
         h.record_delivery(msg("m1", {1}))
         h.record_delivery(msg("m2", {1}))
-        tracker = HistoryDiffTracker()
-        delta = tracker.diff_for(7, h)
-        assert {v[0] for v in delta.vertices} == {"m1", "m2"}
-        assert ("m1", "m2") in delta.edges
+        vertices, edges, _ = h.changes_since(0)
+        assert {v[0] for v in vertices} == {"m1", "m2"}
+        assert ("m1", "m2") in edges
 
     def test_second_diff_ships_only_new_content(self):
         h = History()
         h.record_delivery(msg("m1", {1}))
-        tracker = HistoryDiffTracker()
-        tracker.diff_for(7, h)
+        _, _, shipped = h.changes_since(0)
         h.record_delivery(msg("m2", {1}))
-        delta = tracker.diff_for(7, h)
-        assert {v[0] for v in delta.vertices} == {"m2"}
+        vertices, _, _ = h.changes_since(shipped)
+        assert {v[0] for v in vertices} == {"m2"}
 
-    def test_diff_tracked_per_descendant(self):
+    def test_no_reader_compacts_the_whole_journal(self):
+        # With no version shipped anywhere (floor None) nothing can ever ask
+        # for a slice: the whole journal goes, and what a later first
+        # contact gets is the live history.
         h = History()
         h.record_delivery(msg("m1", {1}))
-        tracker = HistoryDiffTracker()
-        tracker.diff_for(7, h)
-        delta_for_other = tracker.diff_for(8, h)
-        assert {v[0] for v in delta_for_other.vertices} == {"m1"}
+        h.record_delivery(msg("m2", {1}))
+        assert h.compact_journal(None) == 3
+        assert h.journal_len == 0 and h.journal_base == h.version
+        assert h.changes_since(h.version) == ((), (), h.version)
+        vertices, edges, _ = h.changes_since(0)
+        assert {v[0] for v in vertices} == {"m1", "m2"}
+        assert edges == (("m1", "m2"),)
 
-    def test_no_change_returns_empty_delta(self):
-        h = History()
-        h.record_delivery(msg("m1", {1}))
-        tracker = HistoryDiffTracker()
-        tracker.diff_for(7, h)
-        assert tracker.diff_for(7, h).is_empty
 
-    def test_forget_holds_no_per_message_state(self):
-        # What forget guarantees is journal compaction (TestJournal below);
-        # the tracker itself keeps only absolute watermarks, so forgetting
-        # ids without a history to compact changes nothing a diff can see.
-        h = History()
-        h.record_delivery(msg("m1", {1}))
-        tracker = HistoryDiffTracker()
-        tracker.diff_for(7, h)
-        assert tracker.forget(["m1"]) == 0
-        assert tracker.watermark(7) == h.version
-        assert tracker.diff_for(7, h).is_empty
+def group_at(group_id):
+    """A FlexCast group on the C-DAG ranked A < B < C < D."""
+    transport = RecordingTransport(group_id)
+    overlay = CDagOverlay([A, B, C, D])
+    group = FlexCastGroup(group_id, overlay, transport, RecordingSink())
+    return group, transport
+
+
+def chain_at(group, n):
+    """Record ``m0 .. m{n-1}`` as the group's own deliveries."""
+    for i in range(n):
+        group.history.record_delivery(msg(f"m{i}", {A}))
+
+
+class TestChannels:
+    """A group's per-peer ``Channel`` records (``FlexCastGroup._outgoing``)."""
+
+    def test_diff_tracked_per_peer(self):
+        group, _ = group_at(A)
+        chain_at(group, 1)
+        group._outgoing(B)
+        seq, delta = group._outgoing(C)
+        assert seq == 1
+        assert {v[0] for v in delta.vertices} == {"m0"}
+        assert group.channels[B].shipped == group.channels[C].shipped == 1
+
+    def test_no_change_sends_the_empty_delta(self):
+        group, _ = group_at(A)
+        chain_at(group, 1)
+        group._outgoing(B)
+        seq, delta = group._outgoing(B)
+        assert delta is EMPTY_DELTA
+        assert seq == group.channels[B].sent == 2
+        assert group.stats["empty_diffs"] == 1
 
 
 class TestJournal:
-    """The change journal / watermark contract (DESIGN.md)."""
+    """The change journal contract (DESIGN.md "Channels: one record per
+    peer")."""
 
     def test_version_counts_every_new_vertex_and_edge(self):
         h = History()
@@ -265,8 +296,9 @@ class TestJournal:
         assert set(edges) == {(f"m{i}", f"m{i + 1}") for i in range(4)}
 
 
-class TestGcDiffTrackerInteraction:
-    """Regression tests: pruning must never leak into later deltas."""
+class TestGcCompaction:
+    """Regression tests: pruning must never leak into later deltas, and the
+    compaction floor follows the peers a group has sent to."""
 
     def _chain(self, n):
         h = History()
@@ -275,57 +307,54 @@ class TestGcDiffTrackerInteraction:
         return h
 
     def test_pruned_message_never_reappears_in_a_later_diff(self):
-        # Vertices journaled *after* the descendant's watermark and then
-        # pruned before the next diff must not be shipped.
+        # Vertices journaled *after* the version shipped to a descendant and
+        # then pruned before the next diff must not be shipped.
         h = self._chain(3)
-        tracker = HistoryDiffTracker()
-        tracker.diff_for(7, h)  # descendant knows m0..m2
+        _, _, shipped = h.changes_since(0)  # descendant knows m0..m2
         for i in range(3, 6):
             h.record_delivery(msg(f"m{i}", {1}))
         victims = h.collect_garbage("m5", keep={h.last_delivered})
         assert victims == {"m0", "m1", "m2", "m3", "m4"}
-        tracker.forget(victims, history=h)
-        delta = tracker.diff_for(7, h)
-        shipped = {v[0] for v in delta.vertices}
-        assert not (shipped & victims)
-        assert all(a not in victims and b not in victims for a, b in delta.edges)
+        h.compact_journal(shipped)
+        vertices, edges, _ = h.changes_since(shipped)
+        assert not ({v[0] for v in vertices} & victims)
+        assert all(a not in victims and b not in victims for a, b in edges)
 
-    def test_forget_leaves_watermarks_consistent(self):
-        h = self._chain(4)
-        tracker = HistoryDiffTracker()
-        tracker.diff_for(7, h)
-        watermark = tracker.watermark(7)
-        victims = h.collect_garbage("m3", keep={h.last_delivered})
-        tracker.forget(victims, history=h)
-        # Watermarks are absolute sequence numbers: compaction must not move
-        # them, and a subsequent diff ships exactly the new content.
-        assert tracker.watermark(7) == watermark
-        h.record_delivery(msg("m4", {1}))
-        delta = tracker.diff_for(7, h)
+    def test_collection_leaves_shipped_versions_consistent(self):
+        group, _ = group_at(A)
+        chain_at(group, 4)
+        group._outgoing(B)
+        shipped = group.channels[B].shipped
+        group._garbage_collect(msg("m3", {A}))
+        # Shipped versions are absolute sequence numbers: compaction must
+        # not move them, and a subsequent diff ships exactly the new content.
+        assert group.channels[B].shipped == shipped
+        group.history.record_delivery(msg("m4", {A}))
+        _, delta = group._outgoing(B)
         assert {v[0] for v in delta.vertices} == {"m4"}
         assert delta.edges == (("m3", "m4"),)
 
-    def test_forget_compacts_the_journal_up_to_the_lowest_watermark(self):
-        h = self._chain(5)
-        tracker = HistoryDiffTracker()
-        tracker.diff_for(7, h)
-        assert h.journal_len == 9  # 5 vertices + 4 edges
-        victims = h.collect_garbage("m4", keep=set())
-        dropped = tracker.forget(victims, history=h)
-        assert dropped == 9
-        assert h.journal_len == 0 and h.journal_base == 9
+    def test_collection_compacts_the_journal_up_to_the_lowest_shipped(self):
+        group, _ = group_at(A)
+        chain_at(group, 5)
+        group._outgoing(B)
+        assert group.history.journal_len == 9  # 5 vertices + 4 edges
+        group._garbage_collect(msg("m4", {A}))
+        assert group.stats["journal_compacted"] == 9
+        assert group.history.journal_len == 0
+        assert group.history.journal_base == 9
 
-    def test_lagging_descendant_blocks_compaction(self):
-        h = self._chain(3)
-        tracker = HistoryDiffTracker()
-        tracker.diff_for(7, h)
-        lag_watermark = 1
-        tracker._watermarks[8] = lag_watermark  # descendant 8 saw only m0
-        victims = h.collect_garbage("m2", keep=set())
-        tracker.forget(victims, history=h)
-        assert h.journal_base == lag_watermark
-        # Descendant 8 still receives everything live it has not seen.
-        delta = tracker.diff_for(8, h)
+    def test_lagging_peer_blocks_compaction(self):
+        group, _ = group_at(A)
+        chain_at(group, 1)
+        group._outgoing(C)  # C saw only m0
+        group.history.record_delivery(msg("m1", {A}))
+        group.history.record_delivery(msg("m2", {A}))
+        group._outgoing(B)
+        group._garbage_collect(msg("m2", {A}))
+        assert group.history.journal_base == group.channels[C].shipped == 1
+        # C still receives everything live it has not seen.
+        _, delta = group._outgoing(C)
         assert {v[0] for v in delta.vertices} == {"m2"}
 
     def test_stale_descendant_cannot_pin_the_journal_forever(self):
@@ -334,28 +363,68 @@ class TestGcDiffTrackerInteraction:
         # live history size and the stale descendant falls back to a full
         # live history on its next diff.
         h = History()
-        tracker = HistoryDiffTracker()
         h.record_delivery(msg("m0", {1}))
-        tracker.diff_for(9, h)  # descendant 9 never contacted again
-        stale_watermark = tracker.watermark(9)
+        _, _, stale = h.changes_since(0)  # descendant never contacted again
         for i in range(1, 400):
             h.record_delivery(msg(f"m{i}", {1}))
-        victims = h.collect_garbage(h.last_delivered, keep={h.last_delivered})
-        tracker.forget(victims, history=h)
+        h.collect_garbage(h.last_delivered, keep={h.last_delivered})
+        h.compact_journal(stale)
         live = len(h) + h.num_edges
-        assert h.journal_len <= HistoryDiffTracker._JOURNAL_SLACK * live + HistoryDiffTracker._JOURNAL_MIN
-        assert h.journal_base > stale_watermark
+        assert h.journal_len <= History._JOURNAL_SLACK * live + History._JOURNAL_MIN
+        assert h.journal_base > stale
         # The lapsed descendant still converges: the full live history once.
-        delta = tracker.diff_for(9, h)
-        assert {v[0] for v in delta.vertices} == set(h.message_ids())
-        assert tracker.diff_for(9, h).is_empty
+        vertices, _, shipped = h.changes_since(stale)
+        assert {v[0] for v in vertices} == set(h.message_ids())
+        assert h.changes_since(shipped) == ((), (), shipped)
 
-    def test_new_descendant_after_gc_gets_only_live_history(self):
-        h = self._chain(4)
-        tracker = HistoryDiffTracker()
-        tracker.diff_for(7, h)
-        victims = h.collect_garbage("m3", keep=set())
-        tracker.forget(victims, history=h)
-        delta = tracker.diff_for(8, h)  # brand-new descendant
+    def test_new_peer_after_gc_gets_only_live_history(self):
+        group, _ = group_at(A)
+        chain_at(group, 4)
+        group._outgoing(B)
+        group._garbage_collect(msg("m3", {A}))
+        _, delta = group._outgoing(C)  # brand-new peer
         assert {v[0] for v in delta.vertices} == {"m3"}
         assert delta.edges == ()
+
+    def test_the_floor_counts_only_peers_sent_to(self):
+        """B takes from its ancestor A and sends to C and D; D lags.  At a
+        flush the journal is compacted to D's shipped version: A's record,
+        which B never shipped to, does not hold it at 0.  Left behind by more
+        than the cap, D then gets the whole live history once."""
+        group, transport = group_at(B)
+        group.on_client_request(msg("m1", {B, C, D}))
+        group.on_client_request(msg("m2", {B, C}))
+
+        def flush(mid, seq):
+            vertices = ((mid, frozenset({A, B, C})),)
+            group.on_envelope(A, FlexCastMsg(
+                message=msg(mid, {A, B, C}, is_flush=True),
+                history=HistoryDelta(vertices=vertices), seq=seq,
+            ))
+            assert group.has_delivered(mid)
+
+        flush("f1", 1)
+        channels = group.channels
+        assert channels[A].taken == 1 and channels[A].sent == 0
+        assert channels[C].shipped == group.history.version
+        assert 0 < channels[D].shipped < channels[C].shipped
+        assert group.history.journal_base == channels[D].shipped
+
+        for i in range(100):
+            group.on_client_request(msg(f"b{i}", {B, C}))
+        flush("f2", 2)
+        assert group.history.journal_base > channels[D].shipped
+        transport.sent.clear()
+
+        def sent_to_d(mid):
+            group.on_client_request(msg(mid, {B, D}))
+            (envelope,) = [e for d, e in transport.sent if d == D]
+            transport.sent.clear()
+            return envelope.history
+
+        first = sent_to_d("late-1")
+        assert set(first.vertices) == set(group.history.destinations.items())
+        assert set(first.edges) == set(group.history.edges()) == {("f2", "late-1")}
+        second = sent_to_d("late-2")
+        assert second.vertices == (("late-2", frozenset({B, D})),)
+        assert second.edges == (("late-1", "late-2"),)

@@ -1,18 +1,20 @@
 """Differential tests: indexed ``History`` vs a naive reference model.
 
 The production :class:`~repro.core.history.History` maintains incremental
-indexes (per-group destination index, change journal, watermark-based diff
-tracking — see DESIGN.md).  This module re-implements the *seed* semantics in
-the most obvious way possible — full scans everywhere, sent-sets instead of
-watermarks — and drives both implementations through the same randomly
-generated operation sequences (deliveries, merges, prunes, interleaved diffs
-for several descendants), asserting at every step that queries and shipped
-deltas are identical.  Shipped deltas are compared twice: as sets against
-the seed's sent-set diff, and entry for entry, in order, against a slice of
-the naive model's list journal (the simulator's bit-identity rests on that
-order).  A diff for a descendant whose watermark is below the compacted
-journal ships the whole live history, which no journal slice can name, so
-it is compared as sets only.
+indexes (per-group destination index, change journal, diffs sliced past the
+version shipped to each descendant — see DESIGN.md).  This module
+re-implements the *seed* semantics in the most obvious way possible — full
+scans everywhere, sent-sets instead of shipped versions — and drives both
+implementations through the same randomly generated operation sequences
+(deliveries, merges, prunes, interleaved diffs for several descendants),
+asserting at every step that queries and shipped deltas are identical.
+Shipped deltas are compared twice: as sets against the seed's sent-set diff,
+and entry for entry, in order, against a slice of the naive model's list
+journal (the simulator's bit-identity rests on that order).  A diff for a descendant whose shipped version is below the
+compacted journal ships the whole live history, which no journal slice can
+name, so it is compared as sets only.  The indexed side makes the calls a
+group's channels make: ``changes_since`` from each descendant's shipped
+version, and ``compact_journal`` at the lowest of them.
 
 The forward point query the delivery gate asks (``reached_from``) is pinned
 against the backward set it replaced (``ancestors_of``) the same way.
@@ -20,7 +22,7 @@ against the backward set it replaced (``ancestors_of``) the same way.
 
 from hypothesis import example, given, settings, strategies as st
 
-from repro.core.history import History, HistoryDiffTracker
+from repro.core.history import History
 from repro.core.message import HistoryDelta, Message
 
 
@@ -154,6 +156,26 @@ class NaiveDiffTracker:
             sent -= {e for e in sent if e[0] in victims or e[1] in victims}
 
 
+class Shipped:
+    """The indexed side's channels: the journal version shipped to each
+    descendant, as ``Channel.shipped``, diffed and compacted with the
+    production calls."""
+
+    def __init__(self):
+        self.versions = {}
+
+    def diff_for(self, descendant, history):
+        vertices, edges, self.versions[descendant] = history.changes_since(
+            self.versions.get(descendant, 0)
+        )
+        return vertices, edges
+
+    def compact(self, history):
+        """What a group's collection does: every descendant here was diffed,
+        so every one was sent to."""
+        return history.compact_journal(min(self.versions.values(), default=None))
+
+
 # ---------------------------------------------------------------- operations
 GROUPS = list(range(5))
 DESCENDANTS = ["d1", "d2"]
@@ -191,24 +213,23 @@ _DIFF_PRUNE_DIFF = [
 ]
 
 
-def assert_same_diff(descendant, indexed, tracker, naive, naive_tracker):
+def assert_same_diff(descendant, indexed, shipped, naive, naive_tracker):
     """Diff ``descendant`` on both sides and compare what ships."""
-    below_base = tracker.watermark(descendant) < indexed.journal_base
-    delta = tracker.diff_for(descendant, indexed)
+    below_base = shipped.versions.get(descendant, 0) < indexed.journal_base
+    delta = shipped.diff_for(descendant, indexed)
     vertices, edges = naive_tracker.diff_for(descendant, naive)
     ordered = naive_tracker.ordered_diff_for(descendant, naive)
     if below_base:
         # The whole live history: what the descendant was sent before ships
         # again (the seed's diff, for a first contact).
         vertices, edges = set(naive.destinations.items()), naive.edge_set
-    assert set(delta.vertices) == vertices
-    assert set(delta.edges) == edges
-    assert delta.is_empty == (not vertices and not edges)
+    assert set(delta[0]) == vertices
+    assert set(delta[1]) == edges
     if not below_base:
-        assert (delta.vertices, delta.edges) == ordered
+        assert delta == ordered
 
 
-def apply_op(op, indexed, tracker, naive, naive_tracker):
+def apply_op(op, indexed, shipped, naive, naive_tracker):
     """Apply one operation to both implementations; compare shipped deltas."""
     kind = op[0]
     if kind == "deliver":
@@ -233,10 +254,10 @@ def apply_op(op, indexed, tracker, naive, naive_tracker):
         victims = indexed.collect_garbage(pivot, keep=set(keep))
         naive_victims = naive.prune_before(pivot, keep=keep)
         assert victims == naive_victims
-        tracker.forget(victims, history=indexed)
+        shipped.compact(indexed)
         naive_tracker.forget(naive_victims)
     else:  # diff
-        assert_same_diff(op[1], indexed, tracker, naive, naive_tracker)
+        assert_same_diff(op[1], indexed, shipped, naive, naive_tracker)
     # Both journals count the same effective insertions.
     assert indexed.version == len(naive.journal)
 
@@ -246,10 +267,10 @@ class TestDifferentialEquivalence:
     @example(_DIFF_PRUNE_DIFF)
     @settings(max_examples=120, deadline=None)
     def test_random_sequences_agree(self, ops):
-        indexed, tracker = History(), HistoryDiffTracker()
+        indexed, shipped = History(), Shipped()
         naive, naive_tracker = NaiveHistory(), NaiveDiffTracker()
         for op in ops:
-            apply_op(op, indexed, tracker, naive, naive_tracker)
+            apply_op(op, indexed, shipped, naive, naive_tracker)
 
         # Structural equality.
         assert set(indexed.message_ids()) == set(naive.destinations)
@@ -274,19 +295,19 @@ class TestDifferentialEquivalence:
     @settings(max_examples=60, deadline=None)
     def test_final_diff_flushes_identical_remainder(self, ops):
         """After any sequence, one more diff ships the same remainder."""
-        indexed, tracker = History(), HistoryDiffTracker()
+        indexed, shipped = History(), Shipped()
         naive, naive_tracker = NaiveHistory(), NaiveDiffTracker()
         for op in ops:
-            apply_op(op, indexed, tracker, naive, naive_tracker)
+            apply_op(op, indexed, shipped, naive, naive_tracker)
         for descendant in DESCENDANTS:
-            assert_same_diff(descendant, indexed, tracker, naive, naive_tracker)
+            assert_same_diff(descendant, indexed, shipped, naive, naive_tracker)
         # Both descendants are now fully caught up.
         for descendant in DESCENDANTS:
-            assert tracker.diff_for(descendant, indexed).is_empty
+            assert shipped.diff_for(descendant, indexed) == ((), ())
 
 
-class TightTracker(HistoryDiffTracker):
-    """A tracker whose journal cap is zero: every garbage collection compacts
+class TightHistory(History):
+    """A history whose journal cap is zero: every garbage collection compacts
     the journal to its head, so each descendant that is behind then takes
     the below-base diff."""
 
@@ -310,7 +331,7 @@ _BEHIND_COMPACTED = [
 
 
 class TestBelowBaseDiffs:
-    """The same sequences under :class:`TightTracker`: a below-base diff is
+    """The same sequences under :class:`TightHistory`: a below-base diff is
     the naive model's whole live history, and the next diff is a warm slice
     again."""
 
@@ -319,10 +340,10 @@ class TestBelowBaseDiffs:
     @example(_DIFF_PRUNE_DIFF)
     @settings(max_examples=120, deadline=None)
     def test_random_sequences_agree(self, ops):
-        indexed, tracker = History(), TightTracker()
+        indexed, shipped = TightHistory(), Shipped()
         naive, naive_tracker = NaiveHistory(), NaiveDiffTracker()
         for op in ops:
-            apply_op(op, indexed, tracker, naive, naive_tracker)
+            apply_op(op, indexed, shipped, naive, naive_tracker)
         assert set(indexed.message_ids()) == set(naive.destinations)
         assert set(indexed.edges()) == naive.edge_set
 
@@ -330,27 +351,27 @@ class TestBelowBaseDiffs:
     @example(_BEHIND_COMPACTED)
     @settings(max_examples=60, deadline=None)
     def test_final_diff_flushes_the_live_remainder(self, ops):
-        indexed, tracker = History(), TightTracker()
+        indexed, shipped = TightHistory(), Shipped()
         naive, naive_tracker = NaiveHistory(), NaiveDiffTracker()
         for op in ops:
-            apply_op(op, indexed, tracker, naive, naive_tracker)
+            apply_op(op, indexed, shipped, naive, naive_tracker)
         for descendant in DESCENDANTS:
-            assert_same_diff(descendant, indexed, tracker, naive, naive_tracker)
+            assert_same_diff(descendant, indexed, shipped, naive, naive_tracker)
         for descendant in DESCENDANTS:
-            assert tracker.diff_for(descendant, indexed).is_empty
+            assert shipped.diff_for(descendant, indexed) == ((), ())
 
     def test_a_lapsed_descendant_is_sent_the_live_history(self):
-        indexed, tracker = History(), TightTracker()
+        indexed, shipped = TightHistory(), Shipped()
         naive, naive_tracker = NaiveHistory(), NaiveDiffTracker()
         for op in _BEHIND_COMPACTED[:-2]:
-            apply_op(op, indexed, tracker, naive, naive_tracker)
+            apply_op(op, indexed, shipped, naive, naive_tracker)
         assert indexed.journal_len == 0
-        assert tracker.watermark("d1") < indexed.journal_base
-        assert tracker.watermark("d2") < indexed.journal_base
-        delta = tracker.diff_for("d1", indexed)
-        assert set(delta.vertices) == set(naive.destinations.items())
-        assert {mid for mid, _ in delta.vertices} == {"m2", "m3", "m4"}
-        assert set(delta.edges) == naive.edge_set == {("m2", "m3"), ("m3", "m4")}
+        assert shipped.versions["d1"] < indexed.journal_base
+        assert shipped.versions["d2"] < indexed.journal_base
+        vertices, edges = shipped.diff_for("d1", indexed)
+        assert set(vertices) == set(naive.destinations.items())
+        assert {mid for mid, _ in vertices} == {"m2", "m3", "m4"}
+        assert set(edges) == naive.edge_set == {("m2", "m3"), ("m3", "m4")}
 
 
 # ------------------------------------------------- forward vs backward query
@@ -377,10 +398,10 @@ class TestReachedFromEqualsAncestorMembership:
     def test_agrees_after_every_operation(self, ops, queries):
         """Merged edges are arbitrary pairs, so the DAGs include cycles
         (``m == t`` reachable from itself); prunes leave forgotten ids."""
-        indexed, tracker = History(), HistoryDiffTracker()
+        indexed, shipped = History(), Shipped()
         naive, naive_tracker = NaiveHistory(), NaiveDiffTracker()
         for index, op in enumerate(ops):
-            apply_op(op, indexed, tracker, naive, naive_tracker)
+            apply_op(op, indexed, shipped, naive, naive_tracker)
             sources, targets = queries[index % len(queries)]
             expected = _backward(indexed, sources, targets)
             assert indexed.reached_from(sources, targets) == expected

@@ -2,7 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.history import History, HistoryDiffTracker
+from repro.core.history import History
 from repro.core.message import HistoryDelta, Message
 
 
@@ -60,7 +60,7 @@ class TestHistoryInvariants:
         history = build_history(sequence)
         ids = [f"m{idx}" for idx, _ in sequence]
         pivot = ids[len(ids) // 2]
-        history.prune_before(pivot)
+        history.collect_garbage(pivot)
         survivors = ids[len(ids) // 2 :]
         # The surviving suffix still forms a total order.
         for i in range(len(survivors) - 1):
@@ -71,18 +71,17 @@ class TestHistoryInvariants:
 
     @given(deliveries(min_size=2), st.integers(1, 4))
     @settings(max_examples=60, deadline=None)
-    def test_diff_tracker_never_resends_vertices(self, sequence, split):
+    def test_diffs_never_resend_vertices(self, sequence, split):
         split = min(split, len(sequence) - 1)
         history = History()
-        tracker = HistoryDiffTracker()
         for idx, dst in sequence[:split]:
             history.record_delivery(Message(msg_id=f"m{idx}", dst=frozenset(dst)))
-        first = tracker.diff_for("peer", history)
+        first, _, shipped = history.changes_since(0)
         for idx, dst in sequence[split:]:
             history.record_delivery(Message(msg_id=f"m{idx}", dst=frozenset(dst)))
-        second = tracker.diff_for("peer", history)
-        first_ids = {v[0] for v in first.vertices}
-        second_ids = {v[0] for v in second.vertices}
+        second, _, _ = history.changes_since(shipped)
+        first_ids = {v[0] for v in first}
+        second_ids = {v[0] for v in second}
         assert not (first_ids & second_ids)
         assert first_ids | second_ids == {f"m{idx}" for idx, _ in sequence}
 

@@ -75,10 +75,12 @@ def _channels(groups):
     crashed and stayed down never raises either side."""
     sent, taken = defaultdict(int), defaultdict(int)
     for group in groups:
-        for dest, n in group._sent.items():
-            sent[group.group_id, dest] = max(sent[group.group_id, dest], n)
-        for source, n in group._taken.items():
-            taken[source, group.group_id] = max(taken[source, group.group_id], n)
+        me = group.group_id
+        for peer, channel in group.channels.items():
+            if channel.sent:
+                sent[me, peer] = max(sent[me, peer], channel.sent)
+            if channel.taken:
+                taken[peer, me] = max(taken[peer, me], channel.taken)
     return {ch: (sent[ch], taken[ch]) for ch in set(sent) | set(taken)}
 
 

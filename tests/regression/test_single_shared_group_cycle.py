@@ -39,12 +39,10 @@ class OneAckPerGroup(FlexCastGroup):
                 continue
             if not self.history.contains_message_to(dest):
                 continue
+            seq, delta = self._outgoing(dest)
             self.send(
                 dest,
-                FlexCastNotif(
-                    message=message, history=self._diff_for(dest), from_group=me,
-                    seq=self._next_seq(dest),
-                ),
+                FlexCastNotif(message=message, history=delta, from_group=me, seq=seq),
             )
             notified.add((dest, me))
             self.stats["notifs_sent"] += 1
