@@ -755,15 +755,12 @@ class FlexCastGroup(AtomicMulticastGroup):
         """Prune everything ordered before a delivered flush message (§4.3).
 
         O(victims): the history hands back the removed ids directly (no
-        before/after snapshot diff) and compacts its change journal up to the
-        lowest version shipped to a peer this group has sent to.  Only those
-        count: in a C-DAG a group takes only from ancestors, which it never
-        ships a diff to, so their channels must not pin the journal.
+        before/after snapshot diff) and empties its change journal.  The
+        flush was just shipped to every descendant (``a_deliver`` fans out
+        first), so each peer this group sends to is at the current version.
         """
+        compacted = self.history.journal_len
         victims = self.history.collect_garbage(flush.msg_id)
-        compacted = self.history.compact_journal(
-            min((c.shipped for c in self.channels.values() if c.sent), default=None)
-        )
         self._undelivered_to_me -= victims
         for victim in victims:
             self.pending.pop(victim, None)

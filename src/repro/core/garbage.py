@@ -14,11 +14,10 @@ client of the protocol (it submits ordinary multicast messages flagged
 Beyond the history vertices themselves, a flush also bounds the *incremental*
 bookkeeping (DESIGN.md): the per-group destination index sheds the pruned
 ids, the history version each channel has shipped stays valid as-is, and the
-history's change journal is compacted up to the lowest of those versions
-among the peers the group has sent to (within a cap proportional to the live
-history) — so every index the hot path relies on stays O(live history),
-making the flush interval the single knob that trades memory for (tiny)
-extra protocol traffic.
+history's change journal is emptied (the group has just shipped the flush,
+and with it the current version, to every descendant) — so every index the
+hot path relies on stays O(live history), making the flush interval the
+single knob that trades memory for (tiny) extra protocol traffic.
 """
 
 from __future__ import annotations

@@ -25,12 +25,13 @@ invariants):
   the version shipped to a descendant (:meth:`History.changes_since`), not a
   rescan of the whole DAG.  Each entry is the very tuple a delta ships (a
   merge journals the received tuples themselves), so a diff is split by kind
-  and builds no per-entry tuple; only entries older than the last garbage
-  collection are checked for liveness;
-* a descendant whose shipped version predates the retained journal (the
-  journal below it was compacted) is shipped the whole live history once, as
-  the same vertex and edge tuples :meth:`History.full_delta` builds.  That is
-  O(|H|) by design: it happens on first contact after a compaction.
+  and builds no per-entry tuple.  A garbage collection empties the journal,
+  so every retained entry is live;
+* a descendant whose shipped version predates the retained journal (it was
+  not shipped the version at the last collection) is shipped the whole live
+  history once, as the same vertex and edge tuples :meth:`History.full_delta`
+  builds.  That is O(|H|) by design: it happens on first contact after a
+  collection.
 
 A history is not durable by itself: it is part of a replica's protocol state,
 which :mod:`repro.smr` rebuilds by replaying the replicated log.
@@ -72,11 +73,9 @@ class History:
     * ``_journal`` — the append-only change journal, each entry the tuple a
       delta ships (:data:`_Entry`).  ``version`` is the sequence number of
       the next entry; removals are never journaled (diffs only ship
-      additions, exactly like the seed implementation).  Entries journaled
-      before the last garbage collection (``_pruned_at``) may name pruned
-      vertices: they are filtered lazily in :meth:`changes_since` and
-      dropped for good when the journal is compacted.  Entries journaled
-      since are live and ship as they are.
+      additions, exactly like the seed implementation).  A garbage
+      collection empties it, so every retained entry is live and ships as
+      it is.
     """
 
     __slots__ = (
@@ -88,7 +87,6 @@ class History:
         "_by_group",
         "_journal",
         "_journal_base",
-        "_pruned_at",
     )
 
     def __init__(self) -> None:
@@ -104,14 +102,9 @@ class History:
         # group -> ids of live vertices addressed to that group.
         self._by_group: Dict[GroupId, Set[str]] = {}
         # Append-only change journal; _journal_base is the sequence number of
-        # the first retained entry (entries below it were compacted away once
-        # every descendant had been shipped past them, or they fell out of
-        # the cap; see compact_journal).
+        # the first retained entry (the version at the last collection).
         self._journal: List[_Entry] = []
         self._journal_base = 0
-        # The version at the last garbage collection that removed anything:
-        # journal entries from this sequence number on are all live.
-        self._pruned_at = 0
 
     # ---------------------------------------------------------------- basics
     def __contains__(self, msg_id: str) -> bool:
@@ -312,107 +305,48 @@ class History:
 
         Returns ``(vertices, edges, version)`` where ``version`` is the new
         watermark for the caller.  A watermark inside the retained journal
-        gets a journal slice; entries whose vertices were pruned in the
-        meantime are filtered out, so a forgotten message can never reappear
-        in a delta.  One below it gets the whole live history
-        (:meth:`_live_content`): the journal there was compacted, so what
-        such a caller lacks can no longer be told apart, and overshipping is
-        safe (merges are idempotent).
+        gets a journal slice, the journal's own tuples split by kind.  One
+        below it gets the whole live history (:meth:`_live_content`): the
+        journal there was dropped by a collection, so what such a caller
+        lacks can no longer be told apart, and overshipping is safe (merges
+        are idempotent and forgotten ids are filtered).
         """
         if watermark < self._journal_base:
             vertices, edges = self._live_content()
-        else:
-            vertices, edges = self._journal_slice(watermark)
-        return vertices, edges, self.version
-
-    def _journal_slice(self, since: int) -> Tuple[_Vertices, _Edges]:
-        """Live vertices/edges journaled at or after ``since`` (>= base).
-
-        The journal's own tuples are shipped, split by kind.  Only entries
-        older than the last garbage collection are checked for liveness;
-        the rest are live by construction.
-        """
-        journal = self._journal
-        start = since - self._journal_base
-        live_from = self._pruned_at - self._journal_base
-        vertices: List[Tuple[str, FrozenSet[GroupId]]] = []
-        edges: List[Tuple[str, str]] = []
-        if start < live_from:
-            destinations = self.destinations
-            for entry in journal[start:live_from]:
-                first, second = entry
-                if isinstance(second, str):
-                    if first in destinations and second in destinations:
-                        edges.append(entry)
-                elif first in destinations:
-                    vertices.append(entry)
-        else:
-            live_from = start
-        for entry in journal[live_from:]:
+            return vertices, edges, self.version
+        vertex_list: List[Tuple[str, FrozenSet[GroupId]]] = []
+        edge_list: List[Tuple[str, str]] = []
+        for entry in self._journal[watermark - self._journal_base :]:
             if isinstance(entry[1], str):
-                edges.append(entry)
+                edge_list.append(entry)
             else:
-                vertices.append(entry)
-        return tuple(vertices), tuple(edges)
+                vertex_list.append(entry)
+        return tuple(vertex_list), tuple(edge_list), self.version
 
     def _live_content(self) -> Tuple[_Vertices, _Edges]:
         """Every live vertex and edge, as the tuples a delta ships."""
         return tuple(self.destinations.items()), tuple(self.edges())
 
-    #: Retained journal entries are capped at ``_JOURNAL_SLACK × live size``
-    #: (plus a small constant) at every :meth:`compact_journal`.
-    _JOURNAL_SLACK = 2
-    _JOURNAL_MIN = 64
-
-    def compact_journal(self, floor: Optional[int]) -> int:
-        """Drop the journal entries below ``floor`` after a garbage collection.
-
-        ``floor`` is the lowest version shipped to any descendant (``None``:
-        there is none, and the whole journal goes); entries below it can
-        never appear in a future slice.  A descendant the group has stopped
-        sending to must not pin the journal forever, so the retained journal
-        is also capped in proportion to the *live* history; a descendant left
-        below the new base is shipped the whole live history on its next
-        diff (:meth:`changes_since`; overshipping is safe, merges are
-        idempotent and forgotten ids are filtered).  Returns the number of
-        entries dropped.
-        """
-        version = self.version
-        if floor is None:
-            upto = version
-        else:
-            live = len(self) + self.num_edges
-            cap = self._JOURNAL_SLACK * live + self._JOURNAL_MIN
-            upto = min(max(floor, version - cap), version)
-        if upto <= self._journal_base:
-            return 0
-        dropped = upto - self._journal_base
-        del self._journal[:dropped]
-        self._journal_base = upto
-        return dropped
-
     # --------------------------------------------------------------- pruning
-    def collect_garbage(self, pivot_id: str, keep: Optional[Set[str]] = None) -> Set[str]:
+    def collect_garbage(self, pivot_id: str) -> Set[str]:
         """Garbage-collect every message the pivot transitively depends on,
-        and return the removed ids.
+        empty the journal, and return the removed ids.
 
         Called when a ``flush`` message is delivered (§4.3): everything ordered
         before the flush has been resolved at every group that needed it and
-        can be forgotten.  ``keep`` protects specific ids (e.g. the group's
-        ``last_delivered``).  Returning the victim set lets callers update
+        can be forgotten.  The group has just shipped the current version to
+        every descendant, so no journal entry can ship again as a slice; a
+        peer left below the new base is shipped the live history once
+        (:meth:`changes_since`).  Returning the victim set lets callers update
         their own indexes in O(victims) instead of diffing two snapshots.
         """
-        keep = keep or set()
-        victims = self.ancestors_of(pivot_id) - keep - {pivot_id}
-        if not victims:
-            return victims
+        victims = self.ancestors_of(pivot_id)
+        victims.discard(pivot_id)
         for victim in victims:
             self._remove_vertex(victim)
         self._forgotten.update(victims)
-        # A pruned vertex must never appear in a future delta: journal
-        # entries from before this point are checked for liveness when they
-        # ship.
-        self._pruned_at = self.version
+        self._journal_base = self.version
+        self._journal.clear()
         return victims
 
     def _remove_vertex(self, msg_id: str) -> None:
@@ -463,7 +397,7 @@ class History:
         )
         registry.gauge(
             "history_journal_len",
-            "Entries in the append-only change journal (post-compaction).",
+            "Entries in the change journal since the last garbage collection.",
             labels,
             fn=lambda: self.journal_len,
         )

@@ -290,8 +290,9 @@ class HistoryDelta:
     yet (§4.3).  A delta is an immutable snapshot taken at send time, so the
     sender can keep mutating its own history safely.
 
-    A first contact after the sender compacted its journal ships the
-    sender's whole live history, in the same two tuples.
+    A first contact after the sender's last garbage collection (which
+    empties its journal) ships the sender's whole live history, in the same
+    two tuples.
     """
 
     vertices: Tuple[Tuple[str, FrozenSet[GroupId]], ...] = ()

@@ -18,7 +18,6 @@ from .report import (
     LatencyCollector,
     NodeTrafficReport,
     format_latency_comparison,
-    format_latency_percentiles,
     format_overhead_report,
     format_table,
     format_throughput_series,
@@ -35,7 +34,6 @@ __all__ = [
     "OverheadReport",
     "compute_overhead",
     "format_latency_comparison",
-    "format_latency_percentiles",
     "format_overhead_report",
     "format_table",
     "format_throughput_series",

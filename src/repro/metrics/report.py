@@ -89,11 +89,6 @@ class LatencyCollector:
             if len(t.latencies_by_arrival) >= rank
         ]
 
-    def completion_latencies(self, global_only: bool = False) -> List[float]:
-        """End-to-end latency (last response) for each transaction."""
-        source = self.global_transactions() if global_only else self.transactions
-        return [t.latencies_by_arrival[-1] for t in source if t.latencies_by_arrival]
-
     def percentile_table(
         self, ranks: Sequence[int] = (1, 2, 3), ps: Sequence[float] = (90, 95, 99)
     ) -> Dict[int, Dict[float, float]]:
@@ -169,26 +164,6 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> st
     lines = [fmt(list(headers)), fmt(["-" * w for w in widths])]
     lines.extend(fmt(row) for row in rows)
     return "\n".join(lines)
-
-
-def format_latency_percentiles(
-    label: str,
-    table: Mapping[int, Mapping[float, float]],
-    ps: Sequence[float] = (90, 95, 99),
-) -> str:
-    """One row of the paper's latency tables (Tables 2 and 3).
-
-    ``table`` maps destination rank -> {percentile -> latency ms}.
-    """
-    headers = ["config"]
-    for rank in sorted(table):
-        for p in ps:
-            headers.append(f"dst{rank}-{int(p)}p")
-    row: List[object] = [label]
-    for rank in sorted(table):
-        for p in ps:
-            row.append(f"{table[rank].get(p, float('nan')):.1f}")
-    return format_table(headers, [row])
 
 
 def format_latency_comparison(

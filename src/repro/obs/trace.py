@@ -73,10 +73,6 @@ class Tracer:
     def __len__(self) -> int:
         return len(self.events)
 
-    def clear(self) -> None:
-        """Drop all recorded events."""
-        self.events.clear()
-
     # --------------------------------------------------------------- views
     def timelines(self) -> Dict[str, List[TraceEvent]]:
         """Events grouped per trace id, each group in stable time order."""

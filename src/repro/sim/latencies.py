@@ -93,9 +93,6 @@ class LatencyMatrix:
     def names(self) -> List[str]:
         return list(self._names)
 
-    def name(self, site: int) -> str:
-        return self._names[site]
-
     # --------------------------------------------------------------- queries
     def latency(self, src: int, dst: int) -> float:
         """One-way latency in milliseconds from ``src`` to ``dst``.

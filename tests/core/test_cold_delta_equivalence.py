@@ -1,9 +1,10 @@
 """Differential tests: a below-base first contact vs the per-item path.
 
-A descendant whose shipped version is below the sender's compacted journal
-receives the sender's whole live history, as the same ``vertices`` and
-``edges`` tuples a journal slice ships (:meth:`History.changes_since`).  This
-module pins what that form must guarantee:
+A descendant whose shipped version is below the sender's journal base (the
+version at its last garbage collection) receives the sender's whole live
+history, as the same ``vertices`` and ``edges`` tuples a journal slice ships
+(:meth:`History.changes_since`).  This module pins what that form must
+guarantee:
 
 * merging it gives the same indexes, and the same ``version``, as applying
   its entries one by one with :meth:`History.add_vertex` /
@@ -36,15 +37,22 @@ def build_source(length=40, extra_edges=True, prune=False):
         for i in range(0, length - 5, 5):
             history.add_edge(f"m{i}", f"m{i + 5}")
     if prune:
-        history.collect_garbage(f"m{length // 2}", keep={history.last_delivered})
+        history.collect_garbage(f"m{length // 2}")
     return history
 
 
+def empty_journal(history):
+    """Empty ``history``'s journal with a collection that removes nothing:
+    its pivot is a vertex with no ancestors."""
+    root = next(mid for mid, before in history.predecessors.items() if not before)
+    assert history.collect_garbage(root) == set()
+    assert history.journal_len == 0
+
+
 def first_contact(source):
-    """The delta a brand-new descendant receives after ``source`` compacted
-    its whole journal: the below-base branch of ``changes_since``."""
-    source.compact_journal(None)
-    assert source.journal_len == 0
+    """The delta a brand-new descendant receives after a collection emptied
+    ``source``'s journal: the below-base branch of ``changes_since``."""
+    empty_journal(source)
     vertices, edges, _ = source.changes_since(0)
     return HistoryDelta(vertices, edges)
 
@@ -97,7 +105,7 @@ class TestIndexEquivalence:
         merged = per_item_copy(build_source(length=20, extra_edges=False).full_delta())
         reference = per_item_copy(build_source(length=20, extra_edges=False).full_delta())
         for target in (merged, reference):
-            target.collect_garbage("m10", keep=set())
+            target.collect_garbage("m10")
         merged.merge_delta(delta)
         per_item_copy(delta, target=reference)
         assert_same_dag(merged, reference)
@@ -117,7 +125,7 @@ class TestIndexEquivalence:
         assert set(merged.edges()) == set(source.edges())
 
     def test_merged_history_serves_full_cold_diff_to_descendants(self):
-        # A history built from a first contact, once compacted itself, hands
+        # A history built from a first contact, once collected itself, hands
         # its own new descendants the complete live content the same way.
         source = build_source()
         merged = History()
@@ -140,16 +148,16 @@ SEEDS = (3, 7, 11)
 PROFILES = ("none", "dup", "loss")
 
 
-def compact_before(serve):
-    """``History.changes_since`` that first compacts the journal at least
-    just past each shipped version ``serve`` picks (the journal cap may take
-    it further), so that caller takes the below-base branch (the whole live
-    history) instead of a journal slice."""
+def empty_before(serve):
+    """``History.changes_since`` that first empties the journal for each
+    shipped version ``serve`` picks, so that caller (and every other peer
+    behind the version) takes the below-base branch (the whole live history)
+    instead of a journal slice."""
     changes_since = History.changes_since
 
     def patched(self, watermark):
         if watermark < self.version and serve(watermark):
-            self.compact_journal(watermark + 1)
+            empty_journal(self)
         return changes_since(self, watermark)
 
     return patched
@@ -158,8 +166,8 @@ def compact_before(serve):
 class TestDeliverySequenceEquivalence:
     """The form a diff takes must not change any delivery.
 
-    Compacting the journal just before a first contact sends that contact
-    the whole live history; left alone, it gets the journal slice.  Both
+    Emptying the journal just before a first contact sends that contact the
+    whole live history; left alone, it gets the journal slice.  Both
     carry the same logical content, so whole runs must be *bit-identical* —
     same per-group delivery sequences, not just the same sets.
     """
@@ -167,7 +175,7 @@ class TestDeliverySequenceEquivalence:
     def _run(self, seed, batch_window, monkeypatch, serve=None, profile="none",
              gc_interval_ms=None):
         if serve is not None:
-            monkeypatch.setattr(History, "changes_since", compact_before(serve))
+            monkeypatch.setattr(History, "changes_since", empty_before(serve))
         scenario = apply_profile(generate_scenario(seed, profile), profile)
         scenario = replace(scenario, batch_window=batch_window)
         if gc_interval_ms is not None:

@@ -133,11 +133,7 @@ class TestPruning:
         removed = h.collect_garbage("m3")
         assert removed == {"m0", "m1", "m2"}
         assert set(h.message_ids()) == {"m3", "m4"}
-
-    def test_prune_keeps_protected_ids(self):
-        h = self._history_with_chain()
-        h.collect_garbage("m4", keep={"m2"})
-        assert "m2" in h and "m1" not in h
+        assert h.journal_len == 0 and h.journal_base == h.version
 
     def test_pruned_messages_are_forgotten_on_merge(self):
         h = self._history_with_chain()
@@ -161,8 +157,7 @@ class TestPruning:
 
 
 class TestDiffs:
-    """``History.changes_since`` past a shipped version, and
-    ``compact_journal``'s floor."""
+    """``History.changes_since`` past a shipped version."""
 
     def test_first_diff_ships_everything(self):
         h = History()
@@ -180,15 +175,14 @@ class TestDiffs:
         vertices, _, _ = h.changes_since(shipped)
         assert {v[0] for v in vertices} == {"m2"}
 
-    def test_no_reader_compacts_the_whole_journal(self):
-        # With no version shipped anywhere (floor None) nothing can ever ask
-        # for a slice: the whole journal goes, and what a later first
-        # contact gets is the live history.
+    def test_a_collection_empties_the_whole_journal(self):
+        # Even one that removes nothing (the pivot has no ancestors): what a
+        # later first contact gets is the live history.
         h = History()
         h.record_delivery(msg("m1", {1}))
         h.record_delivery(msg("m2", {1}))
-        assert h.compact_journal(None) == 3
-        assert h.journal_len == 0 and h.journal_base == h.version
+        assert h.collect_garbage("m1") == set()
+        assert h.journal_len == 0 and h.journal_base == h.version == 3
         assert h.changes_since(h.version) == ((), (), h.version)
         vertices, edges, _ = h.changes_since(0)
         assert {v[0] for v in vertices} == {"m1", "m2"}
@@ -267,9 +261,9 @@ class TestJournal:
         h = History()
         for i in range(4):
             h.record_delivery(msg(f"m{i}", {1}))
-        h.compact_journal(h.version)
+        h.collect_garbage("m0")
         assert h.journal_len == 0
-        # Below the compacted base: the whole live history, as the tuples
+        # Below the base: the whole live history, as the tuples
         # full_delta ships.
         vertices, edges, version = h.changes_since(0)
         assert version == h.version
@@ -283,13 +277,13 @@ class TestJournal:
         for i in range(4):
             h.record_delivery(msg(f"m{i}", {1}))
         base = h.version
-        h.compact_journal(base)
+        h.collect_garbage("m0")
         h.record_delivery(msg("m4", {1}))
         # At the base: the retained journal past it, nothing older.
         vertices, edges, version = h.changes_since(base)
         assert vertices == (("m4", frozenset({1})),)
         assert edges == (("m3", "m4"),)
-        # One below: that entry was compacted, so everything live ships.
+        # One below: that entry was dropped, so everything live ships.
         vertices, edges, below = h.changes_since(base - 1)
         assert below == version == h.version
         assert {mid for mid, _ in vertices} == {f"m{i}" for i in range(5)}
@@ -297,8 +291,8 @@ class TestJournal:
 
 
 class TestGcCompaction:
-    """Regression tests: pruning must never leak into later deltas, and the
-    compaction floor follows the peers a group has sent to."""
+    """Regression tests: pruning must never leak into later deltas, and a
+    peer below the journal base converges."""
 
     def _chain(self, n):
         h = History()
@@ -313,11 +307,10 @@ class TestGcCompaction:
         _, _, shipped = h.changes_since(0)  # descendant knows m0..m2
         for i in range(3, 6):
             h.record_delivery(msg(f"m{i}", {1}))
-        victims = h.collect_garbage("m5", keep={h.last_delivered})
+        victims = h.collect_garbage("m5")
         assert victims == {"m0", "m1", "m2", "m3", "m4"}
-        h.compact_journal(shipped)
         vertices, edges, _ = h.changes_since(shipped)
-        assert not ({v[0] for v in vertices} & victims)
+        assert {v[0] for v in vertices} == {"m5"}
         assert all(a not in victims and b not in victims for a, b in edges)
 
     def test_collection_leaves_shipped_versions_consistent(self):
@@ -326,7 +319,7 @@ class TestGcCompaction:
         group._outgoing(B)
         shipped = group.channels[B].shipped
         group._garbage_collect(msg("m3", {A}))
-        # Shipped versions are absolute sequence numbers: compaction must
+        # Shipped versions are absolute sequence numbers: a collection must
         # not move them, and a subsequent diff ships exactly the new content.
         assert group.channels[B].shipped == shipped
         group.history.record_delivery(msg("m4", {A}))
@@ -334,7 +327,7 @@ class TestGcCompaction:
         assert {v[0] for v in delta.vertices} == {"m4"}
         assert delta.edges == (("m3", "m4"),)
 
-    def test_collection_compacts_the_journal_up_to_the_lowest_shipped(self):
+    def test_collection_empties_the_journal(self):
         group, _ = group_at(A)
         chain_at(group, 5)
         group._outgoing(B)
@@ -343,39 +336,6 @@ class TestGcCompaction:
         assert group.stats["journal_compacted"] == 9
         assert group.history.journal_len == 0
         assert group.history.journal_base == 9
-
-    def test_lagging_peer_blocks_compaction(self):
-        group, _ = group_at(A)
-        chain_at(group, 1)
-        group._outgoing(C)  # C saw only m0
-        group.history.record_delivery(msg("m1", {A}))
-        group.history.record_delivery(msg("m2", {A}))
-        group._outgoing(B)
-        group._garbage_collect(msg("m2", {A}))
-        assert group.history.journal_base == group.channels[C].shipped == 1
-        # C still receives everything live it has not seen.
-        _, delta = group._outgoing(C)
-        assert {v[0] for v in delta.vertices} == {"m2"}
-
-    def test_stale_descendant_cannot_pin_the_journal_forever(self):
-        # A descendant this group stopped sending to must not make the
-        # journal grow without bound: compaction is capped relative to the
-        # live history size and the stale descendant falls back to a full
-        # live history on its next diff.
-        h = History()
-        h.record_delivery(msg("m0", {1}))
-        _, _, stale = h.changes_since(0)  # descendant never contacted again
-        for i in range(1, 400):
-            h.record_delivery(msg(f"m{i}", {1}))
-        h.collect_garbage(h.last_delivered, keep={h.last_delivered})
-        h.compact_journal(stale)
-        live = len(h) + h.num_edges
-        assert h.journal_len <= History._JOURNAL_SLACK * live + History._JOURNAL_MIN
-        assert h.journal_base > stale
-        # The lapsed descendant still converges: the full live history once.
-        vertices, _, shipped = h.changes_since(stale)
-        assert {v[0] for v in vertices} == set(h.message_ids())
-        assert h.changes_since(shipped) == ((), (), shipped)
 
     def test_new_peer_after_gc_gets_only_live_history(self):
         group, _ = group_at(A)
@@ -386,34 +346,24 @@ class TestGcCompaction:
         assert {v[0] for v in delta.vertices} == {"m3"}
         assert delta.edges == ()
 
-    def test_the_floor_counts_only_peers_sent_to(self):
-        """B takes from its ancestor A and sends to C and D; D lags.  At a
-        flush the journal is compacted to D's shipped version: A's record,
-        which B never shipped to, does not hold it at 0.  Left behind by more
-        than the cap, D then gets the whole live history once."""
+    def test_a_peer_below_the_base_gets_the_live_history_once(self):
+        """B takes from its ancestor A and sends to C and D.  A flush that
+        skips D empties the journal, so D, which was shipped less, falls
+        below the base: it gets the whole live history once and journal
+        slices after that."""
         group, transport = group_at(B)
         group.on_client_request(msg("m1", {B, C, D}))
         group.on_client_request(msg("m2", {B, C}))
-
-        def flush(mid, seq):
-            vertices = ((mid, frozenset({A, B, C})),)
-            group.on_envelope(A, FlexCastMsg(
-                message=msg(mid, {A, B, C}, is_flush=True),
-                history=HistoryDelta(vertices=vertices), seq=seq,
-            ))
-            assert group.has_delivered(mid)
-
-        flush("f1", 1)
+        group.on_envelope(A, FlexCastMsg(
+            message=msg("f", {A, B, C}, is_flush=True),
+            history=HistoryDelta(vertices=(("f", frozenset({A, B, C})),)), seq=1,
+        ))
+        assert group.has_delivered("f")
         channels = group.channels
         assert channels[A].taken == 1 and channels[A].sent == 0
         assert channels[C].shipped == group.history.version
-        assert 0 < channels[D].shipped < channels[C].shipped
-        assert group.history.journal_base == channels[D].shipped
-
-        for i in range(100):
-            group.on_client_request(msg(f"b{i}", {B, C}))
-        flush("f2", 2)
-        assert group.history.journal_base > channels[D].shipped
+        assert group.history.journal_base == group.history.version
+        assert channels[D].shipped < group.history.journal_base
         transport.sent.clear()
 
         def sent_to_d(mid):
@@ -424,7 +374,7 @@ class TestGcCompaction:
 
         first = sent_to_d("late-1")
         assert set(first.vertices) == set(group.history.destinations.items())
-        assert set(first.edges) == set(group.history.edges()) == {("f2", "late-1")}
+        assert set(first.edges) == set(group.history.edges()) == {("f", "late-1")}
         second = sent_to_d("late-2")
         assert second.vertices == (("late-2", frozenset({B, D})),)
         assert second.edges == (("late-1", "late-2"),)

@@ -10,11 +10,12 @@ implementations through the same randomly generated operation sequences
 asserting at every step that queries and shipped deltas are identical.
 Shipped deltas are compared twice: as sets against the seed's sent-set diff,
 and entry for entry, in order, against a slice of the naive model's list
-journal (the simulator's bit-identity rests on that order).  A diff for a descendant whose shipped version is below the
-compacted journal ships the whole live history, which no journal slice can
-name, so it is compared as sets only.  The indexed side makes the calls a
-group's channels make: ``changes_since`` from each descendant's shipped
-version, and ``compact_journal`` at the lowest of them.
+journal (the simulator's bit-identity rests on that order).  Every
+collection empties the journal, so a descendant shipped less than the
+version at the last collection is below the journal base: it is shipped the
+whole live history, which no journal slice can name, so that diff is
+compared as sets only.  The indexed side makes the call a group's channels
+make: ``changes_since`` from each descendant's shipped version.
 
 The forward point query the delivery gate asks (``reached_from``) is pinned
 against the backward set it replaced (``ancestors_of``) the same way.
@@ -108,8 +109,8 @@ class NaiveHistory:
     def messages_addressed_to(self, group):
         return {mid for mid, dst in self.destinations.items() if group in dst}
 
-    def prune_before(self, pivot, keep=frozenset()):
-        victims = self.ancestors_of(pivot) - set(keep) - {pivot}
+    def prune_before(self, pivot):
+        victims = self.ancestors_of(pivot) - {pivot}
         for victim in victims:
             self.destinations.pop(victim, None)
             if self.last_delivered == victim:
@@ -158,8 +159,7 @@ class NaiveDiffTracker:
 
 class Shipped:
     """The indexed side's channels: the journal version shipped to each
-    descendant, as ``Channel.shipped``, diffed and compacted with the
-    production calls."""
+    descendant, as ``Channel.shipped``, diffed with the production call."""
 
     def __init__(self):
         self.versions = {}
@@ -169,11 +169,6 @@ class Shipped:
             self.versions.get(descendant, 0)
         )
         return vertices, edges
-
-    def compact(self, history):
-        """What a group's collection does: every descendant here was diffed,
-        so every one was sent to."""
-        return history.compact_journal(min(self.versions.values(), default=None))
 
 
 # ---------------------------------------------------------------- operations
@@ -210,6 +205,22 @@ _DIFF_PRUNE_DIFF = [
     ("deliver", 3, {0}),
     ("prune", 3),
     ("diff", "d1"),
+]
+
+
+#: Two descendants fall behind, a collection empties the journal past
+#: both, and each is shipped the live history, which re-sends what it
+#: already had.
+_BEHIND_COMPACTED = [
+    ("deliver", 1, {0}),
+    ("diff", "d1"),
+    ("deliver", 2, {1}),
+    ("diff", "d2"),
+    ("deliver", 3, {0}),
+    ("deliver", 4, {2}),
+    ("prune", 2),
+    ("diff", "d1"),
+    ("diff", "d2"),
 ]
 
 
@@ -250,11 +261,10 @@ def apply_op(op, indexed, shipped, naive, naive_tracker):
         pivot = f"m{idx}"
         if pivot not in indexed:
             return
-        keep = {indexed.last_delivered} if indexed.last_delivered else set()
-        victims = indexed.collect_garbage(pivot, keep=set(keep))
-        naive_victims = naive.prune_before(pivot, keep=keep)
+        victims = indexed.collect_garbage(pivot)
+        naive_victims = naive.prune_before(pivot)
         assert victims == naive_victims
-        shipped.compact(indexed)
+        assert indexed.journal_len == 0
         naive_tracker.forget(naive_victims)
     else:  # diff
         assert_same_diff(op[1], indexed, shipped, naive, naive_tracker)
@@ -264,6 +274,7 @@ def apply_op(op, indexed, shipped, naive, naive_tracker):
 
 class TestDifferentialEquivalence:
     @given(operations)
+    @example(_BEHIND_COMPACTED)
     @example(_DIFF_PRUNE_DIFF)
     @settings(max_examples=120, deadline=None)
     def test_random_sequences_agree(self, ops):
@@ -292,9 +303,11 @@ class TestDifferentialEquivalence:
                 ), (later, earlier)
 
     @given(operations)
+    @example(_BEHIND_COMPACTED)
     @settings(max_examples=60, deadline=None)
     def test_final_diff_flushes_identical_remainder(self, ops):
-        """After any sequence, one more diff ships the same remainder."""
+        """After any sequence, one more diff ships the same remainder (the
+        live history, for a descendant below the journal base)."""
         indexed, shipped = History(), Shipped()
         naive, naive_tracker = NaiveHistory(), NaiveDiffTracker()
         for op in ops:
@@ -305,63 +318,8 @@ class TestDifferentialEquivalence:
         for descendant in DESCENDANTS:
             assert shipped.diff_for(descendant, indexed) == ((), ())
 
-
-class TightHistory(History):
-    """A history whose journal cap is zero: every garbage collection compacts
-    the journal to its head, so each descendant that is behind then takes
-    the below-base diff."""
-
-    _JOURNAL_SLACK = 0
-    _JOURNAL_MIN = 0
-
-
-#: Two descendants fall behind, a collection compacts past both, and each
-#: is shipped the live history, which re-sends what it already had.
-_BEHIND_COMPACTED = [
-    ("deliver", 1, {0}),
-    ("diff", "d1"),
-    ("deliver", 2, {1}),
-    ("diff", "d2"),
-    ("deliver", 3, {0}),
-    ("deliver", 4, {2}),
-    ("prune", 2),
-    ("diff", "d1"),
-    ("diff", "d2"),
-]
-
-
-class TestBelowBaseDiffs:
-    """The same sequences under :class:`TightHistory`: a below-base diff is
-    the naive model's whole live history, and the next diff is a warm slice
-    again."""
-
-    @given(operations)
-    @example(_BEHIND_COMPACTED)
-    @example(_DIFF_PRUNE_DIFF)
-    @settings(max_examples=120, deadline=None)
-    def test_random_sequences_agree(self, ops):
-        indexed, shipped = TightHistory(), Shipped()
-        naive, naive_tracker = NaiveHistory(), NaiveDiffTracker()
-        for op in ops:
-            apply_op(op, indexed, shipped, naive, naive_tracker)
-        assert set(indexed.message_ids()) == set(naive.destinations)
-        assert set(indexed.edges()) == naive.edge_set
-
-    @given(operations)
-    @example(_BEHIND_COMPACTED)
-    @settings(max_examples=60, deadline=None)
-    def test_final_diff_flushes_the_live_remainder(self, ops):
-        indexed, shipped = TightHistory(), Shipped()
-        naive, naive_tracker = NaiveHistory(), NaiveDiffTracker()
-        for op in ops:
-            apply_op(op, indexed, shipped, naive, naive_tracker)
-        for descendant in DESCENDANTS:
-            assert_same_diff(descendant, indexed, shipped, naive, naive_tracker)
-        for descendant in DESCENDANTS:
-            assert shipped.diff_for(descendant, indexed) == ((), ())
-
-    def test_a_lapsed_descendant_is_sent_the_live_history(self):
-        indexed, shipped = TightHistory(), Shipped()
+    def test_a_descendant_below_the_base_is_sent_the_live_history(self):
+        indexed, shipped = History(), Shipped()
         naive, naive_tracker = NaiveHistory(), NaiveDiffTracker()
         for op in _BEHIND_COMPACTED[:-2]:
             apply_op(op, indexed, shipped, naive, naive_tracker)
@@ -420,7 +378,7 @@ class TestReachedFromEqualsAncestorMembership:
         assert history.reached_from(["ghost"], ["a", "b"]) == set()
         assert history.reached_from(["a", "b"], ["b"]) == {"b"}
         assert history.reached_from([], ["a", "b"]) == set()
-        history.collect_garbage("c", keep={"c"})
+        history.collect_garbage("c")
         assert history.is_forgotten("a")
         assert history.reached_from(["a"], ["c"]) == set()
         assert history.reached_from(["c"], ["a", "b"]) == set()

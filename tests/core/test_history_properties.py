@@ -121,8 +121,7 @@ class TestBackwardAgreesWithForward:
                     HistoryDelta(vertices=tuple(mutation[1]), edges=tuple(mutation[2]))
                 )
             elif mutation[1] in history:
-                keep = {history.last_delivered} - {None}
-                history.collect_garbage(mutation[1], keep=keep)
+                history.collect_garbage(mutation[1])
             live = history.message_ids()
             for later in live:
                 ancestors = history.ancestors_of(later)

@@ -42,11 +42,6 @@ class TestLatencyCollector:
         assert set(table) == {1, 2}
         assert table[1][90] == 10
 
-    def test_completion_latency_uses_last_response(self):
-        collector = LatencyCollector()
-        collector.record(txn(100, [10, 30]))
-        assert collector.completion_latencies() == [30]
-
     def test_throughput(self):
         collector = LatencyCollector()
         for i in range(11):

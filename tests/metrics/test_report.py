@@ -4,7 +4,6 @@ from repro.metrics import NodeTrafficReport
 from repro.metrics.overhead import compute_overhead
 from repro.metrics.report import (
     format_latency_comparison,
-    format_latency_percentiles,
     format_overhead_report,
     format_table,
     format_throughput_series,
@@ -26,11 +25,6 @@ class TestFormatTable:
 
 
 class TestLatencyTables:
-    def test_single_config(self):
-        table = {1: {90: 10.0, 95: 20.0, 99: 30.0}}
-        text = format_latency_percentiles("FlexCast O1", table)
-        assert "FlexCast O1" in text and "10.0" in text and "dst1-99p" in text
-
     def test_comparison_with_missing_ranks(self):
         tables = {
             "FlexCast O1": {1: {90: 10.0, 95: 20.0, 99: 30.0}},
