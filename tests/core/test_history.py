@@ -135,6 +135,16 @@ class TestPruning:
         assert set(h.message_ids()) == {"m3", "m4"}
         assert h.journal_len == 0 and h.journal_base == h.version
 
+    def test_prune_keeps_messages_not_ordered_before_the_pivot(self):
+        # Only the pivot's ancestors go: a merged vertex with no path to the
+        # pivot, and the pivot itself, stay live.
+        h = self._history_with_chain()
+        h.merge_delta(HistoryDelta(vertices=(("other", frozenset({2})),)))
+        removed = h.collect_garbage("m4")
+        assert removed == {"m0", "m1", "m2", "m3"}
+        assert set(h.message_ids()) == {"m4", "other"}
+        assert not h.is_forgotten("other")
+
     def test_pruned_messages_are_forgotten_on_merge(self):
         h = self._history_with_chain()
         h.collect_garbage("m3")
@@ -336,6 +346,39 @@ class TestGcCompaction:
         assert group.stats["journal_compacted"] == 9
         assert group.history.journal_len == 0
         assert group.history.journal_base == 9
+
+    def test_a_lagging_peer_does_not_block_the_collection(self):
+        group, _ = group_at(A)
+        chain_at(group, 1)
+        group._outgoing(C)  # C saw only m0
+        group.history.record_delivery(msg("m1", {A}))
+        group.history.record_delivery(msg("m2", {A}))
+        group._outgoing(B)
+        group._garbage_collect(msg("m2", {A}))
+        assert group.history.journal_len == 0
+        assert group.channels[C].shipped < group.history.journal_base
+        # C still receives everything live it has not seen, and no more.
+        _, delta = group._outgoing(C)
+        assert {v[0] for v in delta.vertices} == {"m2"}
+        assert delta.edges == ()
+
+    def test_stale_descendant_cannot_pin_the_journal_forever(self):
+        # A descendant this group stopped sending to must not make the
+        # journal grow without bound: a collection empties it whatever was
+        # shipped, and the stale descendant falls back to a full live
+        # history on its next diff.
+        h = History()
+        h.record_delivery(msg("m0", {1}))
+        _, _, stale = h.changes_since(0)  # descendant never contacted again
+        for i in range(1, 400):
+            h.record_delivery(msg(f"m{i}", {1}))
+        h.collect_garbage(h.last_delivered)
+        assert h.journal_len == 0
+        assert h.journal_base > stale
+        # The lapsed descendant still converges: the full live history once.
+        vertices, _, shipped = h.changes_since(stale)
+        assert {v[0] for v in vertices} == set(h.message_ids()) == {"m399"}
+        assert h.changes_since(shipped) == ((), (), shipped)
 
     def test_new_peer_after_gc_gets_only_live_history(self):
         group, _ = group_at(A)

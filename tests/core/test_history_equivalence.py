@@ -318,6 +318,23 @@ class TestDifferentialEquivalence:
         for descendant in DESCENDANTS:
             assert shipped.diff_for(descendant, indexed) == ((), ())
 
+    @given(operations)
+    @example(_BEHIND_COMPACTED)
+    @example(_DIFF_PRUNE_DIFF)
+    @settings(max_examples=60, deadline=None)
+    def test_every_retained_journal_entry_is_live(self, ops):
+        """A collection empties the journal, so a slice needs no liveness
+        filter: after every step each retained entry is a live vertex or
+        edge, exactly as the history holds it."""
+        indexed, shipped = History(), Shipped()
+        naive, naive_tracker = NaiveHistory(), NaiveDiffTracker()
+        for op in ops:
+            apply_op(op, indexed, shipped, naive, naive_tracker)
+            vertices, edges, _ = indexed.changes_since(indexed.journal_base)
+            assert len(vertices) + len(edges) == indexed.journal_len
+            assert set(vertices) <= set(indexed.destinations.items())
+            assert set(edges) <= set(indexed.edges())
+
     def test_a_descendant_below_the_base_is_sent_the_live_history(self):
         indexed, shipped = History(), Shipped()
         naive, naive_tracker = NaiveHistory(), NaiveDiffTracker()
