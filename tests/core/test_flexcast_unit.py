@@ -564,6 +564,50 @@ class TestIncrementalDeliveryState:
         assert group.open_dependencies() == set()
         assert "m1" not in group.history
 
+    def test_a_merge_indexes_exactly_the_new_vertices_addressed_here(
+        self, overlay, seq
+    ):
+        """A vertex a merge journals was neither live nor forgotten, so this
+        group never delivered it: the open-dependency set gains exactly the
+        new vertices addressed here.  Known vertices (delivered or not),
+        forgotten ones and new ones addressed elsewhere add nothing."""
+        group, _, sink = make_group(C, overlay)
+        group.on_envelope(
+            A,
+            FlexCastMsg(
+                message=msg("m1", {A, C}), history=delta([("m1", {A, C})]),
+                seq=seq(A, C),
+            ),
+        )
+        group.on_envelope(
+            A,
+            FlexCastMsg(
+                message=msg("f1", {A, C}, is_flush=True),
+                history=delta(
+                    [("m2", {B, C}), ("f1", {A, C})], edges=[("m1", "f1")]
+                ),
+                seq=seq(A, C),
+            ),
+        )
+        assert sink.sequence(C) == ["m1", "f1"]
+        assert group.history.is_forgotten("m1")
+        assert group.open_dependencies() == {"m2"}
+
+        group._merge_history(
+            delta(
+                [
+                    ("m1", {A, C}),  # forgotten
+                    ("f1", {A, C}),  # known, delivered here
+                    ("m2", {B, C}),  # known, not delivered yet
+                    ("n1", {B, C}),  # new, addressed here
+                    ("n2", {A, B}),  # new, addressed elsewhere
+                ],
+                edges=[("f1", "n1"), ("f1", "n2")],
+            )
+        )
+        assert group.open_dependencies() == {"m2", "n1"}
+        assert "n2" in group.history and "m1" not in group.history
+
     def test_candidate_whose_blocker_sits_in_a_merged_cycle_stays_queued(
         self, overlay, seq
     ):
