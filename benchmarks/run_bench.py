@@ -4,7 +4,7 @@
 Times the operations that dominate per-delivery cost — ``diff_for``,
 ``merge_delta``, the full lca delivery round (plain, batched and after 64
 notif acks), a WAL append and one batch frame's wire round trip
-— at several history sizes,
+— and a flush's garbage collection at several history sizes,
 plus a throughput-vs-batch-size sweep, and writes the numbers to
 ``BENCH_micro.json`` so the perf trajectory is tracked across PRs (see
 DESIGN.md for the complexity tables and amortization claims these numbers
@@ -29,7 +29,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Union
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(REPO_ROOT / "src"), str(REPO_ROOT / "benchmarks" / "e2e")]
@@ -66,21 +66,45 @@ def build_chain_history(length: int) -> History:
     return history
 
 
-def _measure(op: Callable[[], None], repeat: int) -> Dict[str, float]:
-    """Run ``op`` until ~TARGET_SECONDS, ``repeat`` times; keep the best run."""
-    # Calibrate the iteration count on a short warm-up.
-    op()
-    start = time.perf_counter()
-    op()
-    single = max(time.perf_counter() - start, 1e-9)
-    iters = max(MIN_ITERS, int(TARGET_SECONDS / single))
-    best = float("inf")
-    for _ in range(repeat):
+class Staged:
+    """An operation that consumes its input: ``setup`` builds a fresh one
+    before every call, and :func:`_measure` times ``op`` alone.  Called
+    plainly (as ``benchmarks/profile_round.py`` does) it runs both."""
+
+    def __init__(self, setup: Callable[[], Any], op: Callable[[Any], None]) -> None:
+        self.setup = setup
+        self.op = op
+
+    def __call__(self) -> None:
+        self.op(self.setup())
+
+    def timed(self) -> float:
+        """One call; the seconds ``op`` took."""
+        state = self.setup()
         start = time.perf_counter()
-        for _ in range(iters):
+        self.op(state)
+        return time.perf_counter() - start
+
+
+Bench = Union[Callable[[], None], Staged]
+
+
+def _measure(op: Bench, repeat: int) -> Dict[str, float]:
+    """Run ``op`` until ~TARGET_SECONDS, ``repeat`` times; keep the best run."""
+
+    def run(n: int) -> float:
+        if isinstance(op, Staged):
+            return sum(op.timed() for _ in range(n))
+        start = time.perf_counter()
+        for _ in range(n):
             op()
-        elapsed = time.perf_counter() - start
-        best = min(best, elapsed / iters)
+        return time.perf_counter() - start
+
+    # Calibrate the iteration count on a short warm-up.
+    run(1)
+    single = max(run(1), 1e-9)
+    iters = max(MIN_ITERS, int(TARGET_SECONDS / single))
+    best = min(run(iters) / iters for _ in range(repeat))
     return {"ops_per_sec": 1.0 / best, "seconds_per_op": best, "iters": iters}
 
 
@@ -157,10 +181,11 @@ def bench_diff_for(size: int) -> Callable[[], None]:
 def bench_diff_for_cold(size: int) -> Callable[[], None]:
     """First contact: a brand-new descendant asks for the entire history.
 
-    It gets the retained journal as one slice of vertex and edge tuples,
-    as a first contact runs in the protocol (the peer's channel record is
-    dropped after each op, so every op is a first contact).  O(|H|)/op by
-    design, like ``cold_sync``, so it is *not* in the ``--flat`` gate.
+    It gets the retained journals as two slices, one of vertex tuples and
+    one of edge tuples, as a first contact runs in the protocol (the peer's
+    channel record is dropped after each op, so every op is a first
+    contact).  O(|H|)/op by design, like ``cold_sync``, so it is *not* in
+    the ``--flat`` gate.
     """
     group = _group_with_chain(size)
     entries = group.history.version
@@ -352,6 +377,38 @@ def bench_delivery_round_pivots(size: int) -> Callable[[], None]:
     return op
 
 
+#: Messages the flush in ``bench_collect_garbage`` is not ordered after.
+GC_SURVIVORS = 16
+
+
+def bench_collect_garbage(size: int) -> Staged:
+    """One flush's collection (:meth:`History.collect_garbage`) of a
+    ``size``-vertex history.
+
+    The group delivered ``size - 1`` messages and then the flush, and holds
+    :data:`GC_SURVIVORS` more messages that were ordered after the flush
+    elsewhere: the collection finds the flush's ancestors and forgets them,
+    the rest survive.  Each op collects a history built untimed
+    (:class:`Staged`).  O(|H|)/op by design.
+    """
+    flush = Message(msg_id="flush", dst=frozenset(range(4)), is_flush=True)
+    after = HistoryDelta(
+        vertices=tuple((f"after-{j}", frozenset({j % 4})) for j in range(GC_SURVIVORS)),
+        edges=tuple(("flush", f"after-{j}") for j in range(GC_SURVIVORS)),
+    )
+
+    def setup() -> History:
+        history = build_chain_history(size - 1)
+        history.record_delivery(flush)
+        history.merge_delta(after)
+        return history
+
+    def op(history: History) -> None:
+        assert len(history.collect_garbage("flush")) == size - 1
+
+    return Staged(setup, op)
+
+
 def bench_wal_append(size: int) -> Callable[[], None]:
     """One durable WAL append (FileStorage, default fsync batching).
 
@@ -428,7 +485,7 @@ def bench_batch_frame_roundtrip(size: int) -> Callable[[], None]:
     return op
 
 
-BENCHMARKS: Dict[str, Callable[[int], Callable[[], None]]] = {
+BENCHMARKS: Dict[str, Callable[[int], Bench]] = {
     "diff_for": bench_diff_for,
     "diff_for_cold": bench_diff_for_cold,
     "merge_delta": bench_merge_delta,
@@ -437,6 +494,7 @@ BENCHMARKS: Dict[str, Callable[[int], Callable[[], None]]] = {
     "delivery_round_batched": bench_delivery_round_batched,
     "delivery_round_obs": bench_delivery_round_obs,
     "delivery_round_pivots": bench_delivery_round_pivots,
+    "collect_garbage": bench_collect_garbage,
     "wal_append": bench_wal_append,
     "batch_frame_roundtrip": bench_batch_frame_roundtrip,
 }

@@ -42,9 +42,11 @@ run that loses envelopes is a prefix of a run on reliable FIFO links — the
 paper's model — and a lost envelope costs liveness, never acyclic order
 (DESIGN.md "Ordering: one ack per notifier over numbered channels").  A
 group keeps one :class:`Channel` record per peer group: the last number
-sent, the last number taken, and the history version shipped (``diff-hst``).
-The records are group state, rebuilt by log replay like the rest of it;
-client requests are not numbered.
+sent, the last number taken, and the history journal positions shipped
+(``diff-hst``).  The records are group state, rebuilt by log replay like
+the rest of it; client requests are not numbered.  What the rules ask of
+the overlay depends on a message's destinations alone, so a group resolves
+it once per destination set (:class:`Route`).
 
 On top of the paper's protocol: **batch carriers**.  A client may
 coalesce same-destination submissions into one ordering unit
@@ -66,7 +68,9 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import DefaultDict, Deque, Dict, Hashable, List, Optional, Set, Tuple
+from typing import (
+    DefaultDict, Deque, Dict, FrozenSet, Hashable, List, Optional, Set, Tuple,
+)
 
 from ..obs import STAGE_DELIVER, STAGE_ENQUEUE, STAGE_FANOUT, Observability, Tracer
 from ..obs.registry import SIZE_BUCKETS, Histogram
@@ -125,14 +129,59 @@ DIFF_SAMPLE_EVERY = 4
 @dataclass(slots=True)
 class Channel:
     """This group's record of one peer group: the numbered channel both
-    ways and the ``diff-hst`` position toward it."""
+    ways and the ``diff-hst`` positions toward it: how far into the
+    history's vertex journal and edge journal the peer was shipped."""
 
     #: Number of the last envelope sent to the peer.
     sent: int = 0
     #: Number of the last envelope taken from the peer.
     taken: int = 0
-    #: History journal version shipped to the peer so far.
+    #: History journal entries shipped to the peer, of both kinds: "the peer
+    #: is up to date" is one comparison with ``History.version``.
     shipped: int = 0
+    #: Of which vertices; the edge journal's position is the rest.
+    shipped_vertices: int = 0
+
+
+@dataclass(slots=True)
+class Route:
+    """What one group does with a message to one destination set."""
+
+    #: The lowest-ranked destination, where the message enters.
+    lca: GroupId
+    #: Destinations ranked above this group, in rank order: where its msgs
+    #: and acks go (``send-descendants``).
+    descendants: Tuple[GroupId, ...]
+    #: ``(g, None)`` for each destination ``g`` ranked below this group but
+    #: the lca: the destinations' own acks it waits for.
+    awaited_acks: Tuple[NotifiedPair, ...]
+    #: Non-destinations ranked above this group and below the highest
+    #: destination, in rank order: Strategy (c)'s notif candidates, the only
+    #: groups that can hold dependencies some destination must see.
+    notif_candidates: Tuple[GroupId, ...]
+
+
+class Routes(Dict[FrozenSet[GroupId], Route]):
+    """One group's :class:`Route` per destination set, resolved on first use."""
+
+    def __init__(self, overlay: CDagOverlay, group: GroupId) -> None:
+        super().__init__()
+        self.overlay = overlay
+        self.group = group
+
+    def __missing__(self, dst: FrozenSet[GroupId]) -> Route:
+        overlay = self.overlay
+        lca, order = overlay.lca(dst), overlay.order
+        mine, top = overlay.rank(self.group), max(map(overlay.rank, dst))
+        route = self[dst] = Route(
+            lca=lca,
+            descendants=tuple(g for g in order[mine + 1 :] if g in dst),
+            awaited_acks=tuple(
+                (g, None) for g in order[:mine] if g in dst and g != lca
+            ),
+            notif_candidates=tuple(g for g in order[mine + 1 : top] if g not in dst),
+        )
+        return route
 
 
 @dataclass(slots=True)
@@ -170,6 +219,9 @@ class FlexCastGroup(AtomicMulticastGroup):
         super().__init__(group_id, transport, sink)
         self.overlay = overlay
         self.history = History()
+        self.routes = Routes(overlay, group_id)
+        #: Groups ranked below this one (for notified groups' acks).
+        self._ancestors = frozenset(overlay.ancestors(group_id))
         #: One FIFO queue of not-yet-delivered messages per ancestor lca, plus
         #: a queue under this group's own id for client-submitted messages
         #: (the lca usually delivers them in the same event, but an open
@@ -342,25 +394,21 @@ class FlexCastGroup(AtomicMulticastGroup):
         """
         return self.has_delivered(msg_id) or self.history.is_forgotten(msg_id)
 
-    def lca_of(self, message: Message) -> GroupId:
-        """The lowest common ancestor (entry group) of ``message``."""
-        return self.overlay.lca(message.dst)
-
     def _merge_history(self, delta: HistoryDelta) -> None:
         """Merge an incoming delta and index its new open dependencies.
 
-        Scanning only the delta's vertices keeps the update O(|delta|); the
-        membership check filters duplicates and forgotten (GC'd) vertices
-        that :meth:`History.merge_delta` refused to re-add.
+        Only the vertices the merge journaled are looked at.  Such a vertex
+        was neither live nor forgotten here, and a delivery records its
+        vertex, so this group never delivered it: each one addressed here
+        is an open dependency.
         """
         if delta is None or delta.is_empty:
             return
-        self.history.merge_delta(delta)
         me = self.group_id
-        delivered = self._delivered_ids
-        for mid, dst in delta.vertices:
-            if me in dst and mid not in delivered and mid in self.history:
-                self._undelivered_to_me.add(mid)
+        undelivered = self._undelivered_to_me
+        for mid, dst in self.history.merge_delta(delta):
+            if me in dst:
+                undelivered.add(mid)
 
     def _mark_all_queues_dirty(self) -> None:
         self._dirty_queues.update(g for g, q in self.queues.items() if q)
@@ -377,10 +425,11 @@ class FlexCastGroup(AtomicMulticastGroup):
                 f"group {self.group_id} received client message {message.msg_id} "
                 f"addressed to {sorted(message.dst)}"
             )
-        if self.lca_of(message) != self.group_id:
+        lca = self.routes[message.dst].lca
+        if lca != self.group_id:
             raise ProtocolError(
                 f"client sent {message.msg_id} to {self.group_id}, "
-                f"but its lca is {self.lca_of(message)}"
+                f"but its lca is {lca}"
             )
         self._enqueue_local(message)
 
@@ -390,7 +439,7 @@ class FlexCastGroup(AtomicMulticastGroup):
         if isinstance(envelope, ClientRequest):
             self.on_client_request(envelope.message)
         elif isinstance(envelope, FlexCastMsg):
-            lca = self.lca_of(envelope.message)
+            lca = self.routes[envelope.message.dst].lca
             if self._in_order(lca, envelope.seq):
                 self._on_msg(envelope, lca)
         elif isinstance(envelope, FlexCastAck):
@@ -424,11 +473,11 @@ class FlexCastGroup(AtomicMulticastGroup):
     def _outgoing(self, dest: GroupId) -> Tuple[int, HistoryDelta]:
         """The number and the ``diff-hst`` of the next envelope to ``dest``.
 
-        The diff is the history journal past the version already shipped to
-        ``dest``; a peer already shipped the current version (the common
-        case) skips the journal.  This sits on the per-send hot path, so the
-        bookkeeping is budgeted: empty diffs go to the ``empty_diffs`` stat
-        (a dict increment), and non-empty sizes are observed 1-in-
+        The diff is the tail of each history journal past what was already
+        shipped to ``dest``; a peer already shipped the current version (the
+        common case) skips the journals.  This sits on the per-send hot path,
+        so the bookkeeping is budgeted: empty diffs go to the ``empty_diffs``
+        stat (a dict increment), and non-empty sizes are observed 1-in-
         :data:`DIFF_SAMPLE_EVERY` with a compensating weight — an unbiased
         estimate of the distribution at a quarter of the histogram cost.
         This split is what holds per-send instrumentation inside the <=5%
@@ -438,7 +487,9 @@ class FlexCastGroup(AtomicMulticastGroup):
         channel.sent += 1
         history = self.history
         if channel.shipped < history.version:
-            vertices, edges, channel.shipped = history.changes_since(channel.shipped)
+            vertices, edges, channel.shipped, channel.shipped_vertices = (
+                history.changes_since(channel.shipped, channel.shipped_vertices)
+            )
             if vertices or edges:
                 delta = HistoryDelta(vertices, edges)
                 if self._diff_size_hist is not None:
@@ -482,7 +533,7 @@ class FlexCastGroup(AtomicMulticastGroup):
             entry.acks.add((envelope.from_group, envelope.notifier))
             entry.notified.update(envelope.notified)
         # The ack relaxes this message's own ack-wait condition.
-        self._dirty_queues.add(self.lca_of(message))
+        self._dirty_queues.add(self.routes[message.dst].lca)
         self.reprocess_queues()
 
     def _on_notif(self, envelope: FlexCastNotif) -> None:
@@ -594,7 +645,7 @@ class FlexCastGroup(AtomicMulticastGroup):
             self.deliver(message)
 
         # The head of its queue: a queue delivers in arrival order.
-        lca = self.lca_of(message)
+        lca = self.routes[message.dst].lca
         self.queues[lca].popleft()
         self.send_descendants(message, ack=(lca != self.group_id))
 
@@ -626,9 +677,7 @@ class FlexCastGroup(AtomicMulticastGroup):
         # Almost every envelope carries no notifications; skip the per-hop
         # frozenset copy for that common case.
         notified = frozenset(groups) if groups else _NO_NOTIFIED
-        for dest in self.overlay.descendants(self.group_id):
-            if dest not in message.dst:
-                continue
+        for dest in self.routes[message.dst].descendants:
             seq, delta = self._outgoing(dest)
             if ack:
                 envelope: Envelope = FlexCastAck(
@@ -667,10 +716,8 @@ class FlexCastGroup(AtomicMulticastGroup):
         entry = self.pending.get(message.msg_id)
         notified: Set[NotifiedPair] = entry.notified if entry is not None else set()
         me = self.group_id
-        # Only a descendant ranked below some other destination can hold
-        # dependencies that destination must see: one rank slice.
-        for dest in self.overlay.descendants_below(me, message.dst):
-            if dest in message.dst or (dest, me) in notified:
+        for dest in self.routes[message.dst].notif_candidates:
+            if (dest, me) in notified:
                 continue
             if not self.history.contains_message_to(dest):
                 # We never communicated with `dest`; notifying it would break
@@ -734,19 +781,17 @@ class FlexCastGroup(AtomicMulticastGroup):
         either set — this runs once per queue-head check, every pass.
 
         The acks to wait for are every ancestor destination's own, except the
-        lca's, and one per ``(group, notifier)`` pair whose notified group is
-        an ancestor of this one (a notified group only acks to its own
-        descendants)."""
+        lca's (the route's ``awaited_acks``), and one per ``(group,
+        notifier)`` pair whose notified group is an ancestor of this one (a
+        notified group only acks to its own descendants)."""
         entry = self._pending_for(message)
         acks = entry.acks
-        rank = self.overlay.rank
-        my_rank = rank(self.group_id)
-        lca = self.lca_of(message)
-        for g in message.dst:
-            if g != lca and (g, None) not in acks and rank(g) < my_rank:
+        for pair in self.routes[message.dst].awaited_acks:
+            if pair not in acks:
                 return False
+        ancestors = self._ancestors
         for pair in entry.notified:
-            if pair not in acks and rank(pair[0]) < my_rank:
+            if pair not in acks and pair[0] in ancestors:
                 return False
         return True
 

@@ -8,9 +8,9 @@ before ``m2`` somewhere, so every group must respect that order.  Each group:
 * records every message it delivers in its history, chained after the
   previously delivered message (building a per-group total order);
 * merges the history deltas it receives from ancestors;
-* ships *diffs* of its history to descendants (the version shipped to each
-  is a field of the group's record of it, :class:`repro.core.flexcast.Channel`)
-  so the ever-growing history is never resent;
+* ships *diffs* of its history to descendants (the positions shipped to
+  each are fields of the group's :class:`repro.core.flexcast.Channel` to
+  it) so the ever-growing history is never resent;
 * prunes the history when a garbage-collection ``flush`` message is delivered
   (§4.3).
 
@@ -18,16 +18,15 @@ The structure is maintained *incrementally* so the delivery hot path scales
 with the delta, not with ``|H|`` (see DESIGN.md for the complexity table and
 invariants):
 
+* one adjacency map, :attr:`History.successors`: a collection finds its
+  victims from the successor sets alone;
 * a per-group destination index makes ``contains_message_to`` an O(1)
   lookup instead of a full scan;
-* an append-only, monotonically versioned *change journal* records every
-  vertex/edge insertion; diff computation is a slice of the journal past
-  the version shipped to a descendant (:meth:`History.changes_since`), not a
-  rescan of the whole DAG.  Each entry is the very tuple a delta ships (a
-  merge journals the received tuples themselves), so a diff is split by kind
-  and builds no per-entry tuple.  A garbage collection empties the journal,
-  so every retained entry is live;
-* a descendant whose shipped version predates the retained journal (it was
+* two append-only *change journals*, of vertices and of edges, each entry
+  the very tuple a delta ships.  A diff is two list slices past the
+  positions shipped to a descendant (:meth:`History.changes_since`).  A
+  garbage collection empties both, so every retained entry is live;
+* a descendant whose shipped version predates the retained journals (it was
   not shipped the version at the last collection) is shipped the whole live
   history once, as the same vertex and edge tuples :meth:`History.full_delta`
   builds.  That is O(|H|) by design: it happens on first contact after a
@@ -39,19 +38,18 @@ which :mod:`repro.smr` rebuilds by replaying the replicated log.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..obs.registry import MetricsRegistry
 from ..overlay.base import GroupId
 from .message import HistoryDelta, Message
 
-#: A journal entry is the very tuple a delta ships: ``(msg_id, dst)`` for a
-#: vertex, ``(before, after)`` for an edge.  Its second item tells the kind:
-#: a destination set for a vertex, a message id (``str``) for an edge.
-_Entry = Tuple[str, Any]
-_Vertices = Tuple[Tuple[str, FrozenSet[GroupId]], ...]
-_Edges = Tuple[Tuple[str, str], ...]
+#: Journal entries are the very tuples a delta ships: ``(msg_id, dst)`` for a
+#: vertex, ``(before, after)`` for an edge.
+_Vertex = Tuple[str, FrozenSet[GroupId]]
+_Edge = Tuple[str, str]
+_Vertices = Tuple[_Vertex, ...]
+_Edges = Tuple[_Edge, ...]
 
 
 class History:
@@ -60,40 +58,41 @@ class History:
     The structure mirrors the paper's ``H = (M, D, lastDlvd)``:
 
     * ``M`` — :attr:`destinations`, mapping message id to destination set;
-    * ``D`` — :attr:`successors` (and the mirrored :attr:`predecessors`),
-      where an edge ``(a, b)`` means *b depends on a* (a was ordered first);
+    * ``D`` — :attr:`successors`, where an edge ``(a, b)`` means *b depends
+      on a* (a was ordered first);
     * ``lastDlvd`` — :attr:`last_delivered`, the id of the last message this
       group itself delivered.
 
-    On top of the paper structure, two incremental indexes are maintained on
-    every mutation (the invariants are spelled out in DESIGN.md):
+    On top of the paper structure, these indexes are maintained on every
+    mutation (the invariants are spelled out in DESIGN.md):
 
     * ``_by_group`` — ``group -> {msg_id}`` over the *live* vertices, kept in
-      sync by :meth:`add_vertex` / :meth:`_remove_vertex`;
-    * ``_journal`` — the append-only change journal, each entry the tuple a
-      delta ships (:data:`_Entry`).  ``version`` is the sequence number of
-      the next entry; removals are never journaled (diffs only ship
-      additions, exactly like the seed implementation).  A garbage
-      collection empties it, so every retained entry is live and ships as
-      it is.
+      sync by :meth:`add_vertex`, :meth:`merge_delta` and
+      :meth:`collect_garbage`;
+    * ``_vertex_journal`` and ``_edge_journal`` — the append-only change
+      journals.  :attr:`version` counts every entry ever journaled, of both
+      kinds; removals are never journaled (diffs only ship additions).
     """
 
     __slots__ = (
         "destinations",
         "successors",
-        "predecessors",
         "last_delivered",
+        "version",
         "_forgotten",
         "_by_group",
-        "_journal",
-        "_journal_base",
+        "_vertex_journal",
+        "_edge_journal",
+        "_vertex_base",
+        "_edge_base",
     )
 
     def __init__(self) -> None:
         self.destinations: Dict[str, FrozenSet[GroupId]] = {}
         self.successors: Dict[str, Set[str]] = {}
-        self.predecessors: Dict[str, Set[str]] = {}
         self.last_delivered: Optional[str] = None
+        #: Entries journaled since birth, vertices and edges (monotonic).
+        self.version = 0
         # Messages removed by garbage collection.  Ancestors may still mention
         # them in later deltas; re-adding them would resurrect already-resolved
         # dependencies and block delivery forever, so they are remembered and
@@ -101,10 +100,12 @@ class History:
         self._forgotten: Set[str] = set()
         # group -> ids of live vertices addressed to that group.
         self._by_group: Dict[GroupId, Set[str]] = {}
-        # Append-only change journal; _journal_base is the sequence number of
-        # the first retained entry (the version at the last collection).
-        self._journal: List[_Entry] = []
-        self._journal_base = 0
+        # Append-only change journals; a base counts the entries of its kind
+        # journaled before the last collection emptied the journal.
+        self._vertex_journal: List[_Vertex] = []
+        self._edge_journal: List[_Edge] = []
+        self._vertex_base = 0
+        self._edge_base = 0
 
     # ---------------------------------------------------------------- basics
     def __contains__(self, msg_id: str) -> bool:
@@ -118,24 +119,24 @@ class History:
         return sum(len(s) for s in self.successors.values())
 
     @property
-    def version(self) -> int:
-        """Sequence number of the next journal entry (monotonic)."""
-        return self._journal_base + len(self._journal)
+    def vertex_version(self) -> int:
+        """Vertices journaled since birth: the vertex journal's end."""
+        return self._vertex_base + len(self._vertex_journal)
 
     @property
     def journal_len(self) -> int:
         """Number of journal entries currently retained (introspection)."""
-        return len(self._journal)
+        return len(self._vertex_journal) + len(self._edge_journal)
 
     @property
     def journal_base(self) -> int:
-        """Sequence number of the oldest retained journal entry."""
-        return self._journal_base
+        """The version at the last collection: the oldest retained entry's."""
+        return self._vertex_base + self._edge_base
 
     def message_ids(self) -> List[str]:
         return list(self.destinations)
 
-    def edges(self) -> List[Tuple[str, str]]:
+    def edges(self) -> List[_Edge]:
         return [(a, b) for a, succ in self.successors.items() for b in succ]
 
     # -------------------------------------------------------------- mutation
@@ -145,10 +146,10 @@ class History:
             return
         self.destinations[msg_id] = dst
         self.successors[msg_id] = set()
-        self.predecessors[msg_id] = set()
         for group in dst:
             self._by_group.setdefault(group, set()).add(msg_id)
-        self._journal.append((msg_id, dst))
+        self._vertex_journal.append((msg_id, dst))
+        self.version += 1
 
     def add_edge(self, before: str, after: str) -> None:
         """Record that ``before`` was ordered before ``after``.
@@ -164,8 +165,8 @@ class History:
         if after not in self.destinations:
             return
         succ.add(after)
-        self.predecessors[after].add(before)
-        self._journal.append((before, after))
+        self._edge_journal.append((before, after))
+        self.version += 1
 
     def record_delivery(self, message: Message) -> None:
         """Append a locally delivered message to the group's total order.
@@ -180,35 +181,38 @@ class History:
             self.add_edge(self.last_delivered, message.msg_id)
         self.last_delivered = message.msg_id
 
-    def merge_delta(self, delta: HistoryDelta) -> None:
-        """Integrate an ancestor's history delta (``update-hst``).
+    def merge_delta(self, delta: HistoryDelta) -> List[_Vertex]:
+        """Integrate an ancestor's history delta (``update-hst``) and return
+        the vertices it journaled, in order.
 
         Vertices and edges apply with :meth:`add_vertex`/:meth:`add_edge`
         semantics (idempotent, forgotten-filtered, journaled), with the
         per-entry attribute lookups hoisted out of the loops.  The received
-        tuples themselves become the journal entries.
+        tuples themselves become the journal entries, so the vertices
+        journaled are the vertex journal's tail.
         """
         if delta is None or delta.is_empty:
-            return
+            return []
         destinations = self.destinations
         forgotten = self._forgotten
         successors = self.successors
-        predecessors = self.predecessors
         by_group = self._by_group
-        journal = self._journal
+        vertex_journal = self._vertex_journal
+        start = len(vertex_journal)
         for vertex in delta.vertices:
             msg_id, dst = vertex
             if msg_id in destinations or msg_id in forgotten:
                 continue
             destinations[msg_id] = dst
             successors[msg_id] = set()
-            predecessors[msg_id] = set()
             for group in dst:
                 members = by_group.get(group)
                 if members is None:
                     by_group[group] = members = set()
                 members.add(msg_id)
-            journal.append(vertex)
+            vertex_journal.append(vertex)
+        edge_journal = self._edge_journal
+        edges_before = len(edge_journal)
         for edge in delta.edges:
             before, after = edge
             # A forgotten id is never live: successors.get refuses it.
@@ -218,31 +222,48 @@ class History:
             if after not in destinations:
                 continue
             succ.add(after)
-            predecessors[after].add(before)
-            journal.append(edge)
+            edge_journal.append(edge)
+        added = vertex_journal[start:]
+        self.version += len(added) + len(edge_journal) - edges_before
+        return added
 
     # --------------------------------------------------------------- queries
     def depends(self, later: str, earlier: str) -> bool:
         """True iff ``later`` (transitively) depends on ``earlier``.
 
         Implements the paper's ``depend(m, m')``: there is a path of
-        dependency edges from ``earlier`` to ``later``.  (The delivery gate
-        asks :meth:`reached_from` instead.)
+        dependency edges from ``earlier`` to ``later``, found by the walk
+        the delivery gate asks (:meth:`reached_from`).
         """
-        return earlier != later and earlier in self.ancestors_of(later)
+        return earlier != later and bool(self.reached_from((earlier,), (later,)))
 
     def ancestors_of(self, msg_id: str) -> Set[str]:
-        """All messages ``msg_id`` transitively depends on (one backward
-        walk; garbage collection's victim set and the tests' reference)."""
-        result: Set[str] = set()
-        queue = deque(self.predecessors.get(msg_id, ()))
-        while queue:
-            node = queue.popleft()
-            if node in result:
-                continue
-            result.add(node)
-            queue.extend(self.predecessors.get(node, ()))
-        return result
+        """All messages ``msg_id`` transitively depends on: the vertices with
+        a path of one or more edges to it (``msg_id`` itself only on a
+        cycle).  Garbage collection's victim set and the tests' reference.
+
+        A least fixpoint over :attr:`successors`: a vertex is an ancestor iff
+        a successor is ``msg_id`` or an ancestor.  A pass tests each vertex
+        not found yet (one set disjointness test, in C), newest first, and
+        the walk ends on a pass that finds none; a path against insertion
+        order costs a pass more per turn (DESIGN.md, "`History`").
+        """
+        found: Set[str] = set()
+        targets = {msg_id}
+        rest = list(self.successors.items())
+        rest.reverse()
+        while rest:
+            kept: List[Tuple[str, Set[str]]] = []
+            for item in rest:
+                if targets.isdisjoint(item[1]):
+                    kept.append(item)
+                else:
+                    found.add(item[0])
+                    targets.add(item[0])
+            if len(kept) == len(rest):
+                break
+            rest = kept
+        return found
 
     def reached_from(self, sources: Iterable[str], targets: Iterable[str]) -> Set[str]:
         """The ``targets`` that transitively depend on any of ``sources``.
@@ -300,28 +321,27 @@ class History:
         return any(colors.get(n, 0) == 0 and visit(n) for n in self.destinations)
 
     # ----------------------------------------------------------- journal/diff
-    def changes_since(self, watermark: int) -> Tuple[_Vertices, _Edges, int]:
-        """Changes journaled at or after ``watermark``.
+    def changes_since(
+        self, shipped: int, shipped_vertices: int
+    ) -> Tuple[_Vertices, _Edges, int, int]:
+        """Changes journaled since a descendant was shipped ``shipped``
+        entries, ``shipped_vertices`` of them vertices: ``(vertices, edges,
+        version, vertex_version)``, the last two its new positions.
 
-        Returns ``(vertices, edges, version)`` where ``version`` is the new
-        watermark for the caller.  A watermark inside the retained journal
-        gets a journal slice, the journal's own tuples split by kind.  One
-        below it gets the whole live history (:meth:`_live_content`): the
-        journal there was dropped by a collection, so what such a caller
-        lacks can no longer be told apart, and overshipping is safe (merges
-        are idempotent and forgotten ids are filtered).
+        Inside the retained journals that is one slice of each.  Below them
+        it is the whole live history (:meth:`_live_content`): a collection
+        dropped what tells such a caller's lack apart, and overshipping is
+        safe (merges are idempotent and forgotten ids are filtered).
         """
-        if watermark < self._journal_base:
+        vertex_base = self._vertex_base
+        if shipped < vertex_base + self._edge_base:
             vertices, edges = self._live_content()
-            return vertices, edges, self.version
-        vertex_list: List[Tuple[str, FrozenSet[GroupId]]] = []
-        edge_list: List[Tuple[str, str]] = []
-        for entry in self._journal[watermark - self._journal_base :]:
-            if isinstance(entry[1], str):
-                edge_list.append(entry)
-            else:
-                vertex_list.append(entry)
-        return tuple(vertex_list), tuple(edge_list), self.version
+        else:
+            vertices = tuple(self._vertex_journal[shipped_vertices - vertex_base :])
+            edges = tuple(
+                self._edge_journal[shipped - shipped_vertices - self._edge_base :]
+            )
+        return vertices, edges, self.version, self.vertex_version
 
     def _live_content(self) -> Tuple[_Vertices, _Edges]:
         """Every live vertex and edge, as the tuples a delta ships."""
@@ -330,7 +350,7 @@ class History:
     # --------------------------------------------------------------- pruning
     def collect_garbage(self, pivot_id: str) -> Set[str]:
         """Garbage-collect every message the pivot transitively depends on,
-        empty the journal, and return the removed ids.
+        empty the journals, and return the removed ids.
 
         Called when a ``flush`` message is delivered (§4.3): everything ordered
         before the flush has been resolved at every group that needed it and
@@ -339,31 +359,34 @@ class History:
         peer left below the new base is shipped the live history once
         (:meth:`changes_since`).  Returning the victim set lets callers update
         their own indexes in O(victims) instead of diffing two snapshots.
+
+        Victims are closed under "depends on", so a survivor pointing at a
+        victim is the pivot's ancestor: the pivot itself, on a cycle (a bug
+        upstream).  Only its successors need mending.
         """
         victims = self.ancestors_of(pivot_id)
         victims.discard(pivot_id)
+        successors = self.successors
+        destinations = self.destinations
         for victim in victims:
-            self._remove_vertex(victim)
-        self._forgotten.update(victims)
-        self._journal_base = self.version
-        self._journal.clear()
-        return victims
-
-    def _remove_vertex(self, msg_id: str) -> None:
-        for succ in self.successors.pop(msg_id, set()):
-            self.predecessors.get(succ, set()).discard(msg_id)
-        for pred in self.predecessors.pop(msg_id, set()):
-            self.successors.get(pred, set()).discard(msg_id)
-        dst = self.destinations.pop(msg_id, None)
-        if dst:
-            for group in dst:
-                members = self._by_group.get(group)
-                if members is not None:
-                    members.discard(msg_id)
-                    if not members:
-                        del self._by_group[group]
-        if self.last_delivered == msg_id:
+            del successors[victim]
+            del destinations[victim]
+        by_group = self._by_group
+        for group, members in list(by_group.items()):
+            members -= victims
+            if not members:
+                del by_group[group]
+        survivor = successors.get(pivot_id)
+        if survivor and not survivor.isdisjoint(victims):
+            survivor -= victims
+        if self.last_delivered in victims:
             self.last_delivered = None
+        self._forgotten |= victims
+        self._vertex_base += len(self._vertex_journal)
+        self._edge_base += len(self._edge_journal)
+        self._vertex_journal.clear()
+        self._edge_journal.clear()
+        return victims
 
     @property
     def forgotten_count(self) -> int:

@@ -41,47 +41,16 @@ class CDagOverlay(Overlay):
         except KeyError:
             raise OverlayError(f"group {group} not in overlay") from None
 
-    def group_at_rank(self, rank: int) -> GroupId:
-        if not 0 <= rank < self.num_groups:
-            raise OverlayError(f"rank {rank} out of range")
-        return self._groups[rank]
-
     @property
     def order(self) -> List[GroupId]:
         """Groups from lowest to highest rank."""
         return list(self._groups)
 
     # ----------------------------------------------------------- relationships
-    def is_ancestor(self, a: GroupId, b: GroupId) -> bool:
-        """True iff ``a`` is an ancestor of ``b`` (strictly lower rank)."""
-        return self.rank(a) < self.rank(b)
-
-    def is_descendant(self, a: GroupId, b: GroupId) -> bool:
-        """True iff ``a`` is a descendant of ``b`` (strictly higher rank)."""
-        return self.rank(a) > self.rank(b)
-
     def ancestors(self, group: GroupId) -> List[GroupId]:
         """All groups with lower rank than ``group`` (rank order)."""
         r = self.rank(group)
         return self._groups[:r]
-
-    def descendants(self, group: GroupId) -> List[GroupId]:
-        """All groups with higher rank than ``group`` (rank order)."""
-        r = self.rank(group)
-        return self._groups[r + 1 :]
-
-    def descendants_below(
-        self, group: GroupId, destinations: FrozenSet[GroupId]
-    ) -> List[GroupId]:
-        """Descendants of ``group`` that are ancestors of some member of
-        ``destinations`` (rank order).
-
-        On a complete DAG that is one rank slice: everything ranked above
-        ``group`` and below the highest-ranked destination (``group`` may
-        be a destination itself; no descendant is its ancestor).
-        """
-        top = max(map(self.rank, destinations))
-        return self._groups[self.rank(group) + 1 : top]
 
     def can_send(self, src: GroupId, dst: GroupId) -> bool:
         """Edges go from lower to higher rank only."""
@@ -100,10 +69,6 @@ class CDagOverlay(Overlay):
         except KeyError:
             lca = self._lca[dst] = min(self.validate_destinations(dst), key=self.rank)
             return lca
-
-    def sorted_by_rank(self, groups: Iterable[GroupId]) -> List[GroupId]:
-        """Sort an arbitrary collection of groups by rank (ascending)."""
-        return sorted(groups, key=self.rank)
 
     def describe(self) -> str:
         return "C-DAG " + " -> ".join(str(g) for g in self._groups)

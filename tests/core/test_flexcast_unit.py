@@ -5,11 +5,12 @@ RecordingTransport, which gives the tests full control over arrival order —
 including the adversarial orderings of Figure 3 in the paper.
 """
 
+import itertools
 from dataclasses import replace
 
 import pytest
 
-from repro.core.flexcast import FlexCastGroup, FlexCastProtocol
+from repro.core.flexcast import FlexCastGroup, FlexCastProtocol, Routes
 from repro.core.message import (
     ClientRequest,
     EMPTY_DELTA,
@@ -740,6 +741,84 @@ class TestNumberedChannels:
         counters = obs.registry.snapshot()["counters"]
         assert counters['flexcast_channel_gaps_total{group="C"}'] == 4
         assert group.pending == {}
+
+
+class TestRoutes:
+    """A group's :class:`Route` for a destination set: what the rules ask of
+    the overlay's ranks, resolved once per set."""
+
+    @staticmethod
+    def _by_rank(overlay, group, dst):
+        """The reference, one rank comparison at a time."""
+        rank = overlay.rank
+        lca = min(dst, key=rank)
+        descendants = [d for d in overlay.order if rank(d) > rank(group)]
+        return {
+            "lca": lca,
+            "descendants": [d for d in descendants if d in dst],
+            "awaited_acks": [
+                (g, None)
+                for g in sorted(dst, key=rank)
+                if g != lca and rank(g) < rank(group)
+            ],
+            # Strategy (c): every non-destination descendant that is an
+            # ancestor of some other destination.
+            "notif_candidates": [
+                d
+                for d in descendants
+                if d not in dst
+                and any(rank(d) < rank(other) for other in dst if other != group)
+            ],
+        }
+
+    @pytest.mark.parametrize("name", ["O1", "O2", "complete"])
+    def test_route_equals_the_rank_comparisons(self, latencies, name):
+        from repro.overlay.builders import build_complete, build_o1, build_o2
+
+        if name == "complete":
+            # The complete graph has no ranks; take its groups in listed order.
+            overlay = CDagOverlay(build_complete(latencies).groups)
+        else:
+            overlay = {"O1": build_o1, "O2": build_o2}[name](latencies)
+        groups = overlay.groups
+        checked = 0
+        for size in (1, 2, 3):
+            for dst in map(frozenset, itertools.combinations(groups, size)):
+                for group in groups:
+                    route = Routes(overlay, group)[dst]
+                    expected = self._by_rank(overlay, group, dst)
+                    assert {
+                        "lca": route.lca,
+                        "descendants": list(route.descendants),
+                        "awaited_acks": list(route.awaited_acks),
+                        "notif_candidates": list(route.notif_candidates),
+                    } == expected, (group, dst)
+                    checked += bool(expected["notif_candidates"])
+        assert checked > 0
+
+    def test_figure_shape(self):
+        # Paper Figure 2(c): A, B, D, E, C from lowest to highest rank.
+        dag = CDagOverlay(["A", "B", "D", "E", "C"])
+        route = Routes(dag, "A")[frozenset({"A", "E"})]
+        assert route.notif_candidates == ("B", "D")
+        assert route.descendants == ("E",)
+        route = Routes(dag, "B")[frozenset({"A", "C"})]
+        assert route.notif_candidates == ("D", "E")
+        assert route.lca == "A" and route.descendants == ("C",)
+        route = Routes(dag, "C")[frozenset({"A", "E", "C"})]
+        assert route.awaited_acks == (("E", None),)
+        assert route.notif_candidates == route.descendants == ()
+
+    def test_a_group_resolves_each_destination_set_once(self, overlay, seq):
+        group, _, _ = make_group(C, overlay)
+        for i in range(3):
+            group.on_envelope(
+                A,
+                FlexCastMsg(
+                    message=msg(f"m{i}", {A, C}), history=EMPTY_DELTA, seq=seq(A, C)
+                ),
+            )
+        assert list(group.routes) == [frozenset({A, C})]
 
 
 class TestFlexCastProtocol:

@@ -128,7 +128,9 @@ class TestCollectionPrecondition:
     still need as a slice.  That holds because a flush is addressed to every
     group and ``a_deliver`` fans it out to every descendant before it
     collects: each peer this group has sent to was just shipped the current
-    version.  Pinned over fuzz runs with a flush every 100 ms."""
+    version, both journals' positions.  The victims are closed under
+    "depends on", so no survivor's successors name one.  Pinned over fuzz
+    runs with a flush every 100 ms."""
 
     @pytest.mark.parametrize("profile", ("none", "dup", "cluster-crash-restart"))
     def test_every_peer_sent_to_is_at_the_version_when_a_collection_starts(
@@ -138,17 +140,22 @@ class TestCollectionPrecondition:
         collections, faults = [], []
 
         def checked(group, flush):
-            version = group.history.version
+            history = group.history
+            version = (history.version, history.vertex_version)
             behind = {
-                peer: channel.shipped
+                peer: (channel.shipped, channel.shipped_vertices)
                 for peer, channel in group.channels.items()
-                if channel.sent and channel.shipped != version
+                if channel.sent
+                and (channel.shipped, channel.shipped_vertices) != version
             }
             if behind:
                 faults.append((group.group_id, flush.msg_id, version, behind))
             collect(group, flush)
-            if group.history.journal_len:
+            if history.journal_len:
                 faults.append((group.group_id, flush.msg_id, "journal left"))
+            named = set().union(*history.successors.values())
+            if any(map(history.is_forgotten, named)):
+                faults.append((group.group_id, flush.msg_id, "victim left"))
             collections.append(flush.msg_id)
 
         monkeypatch.setattr(FlexCastGroup, "_garbage_collect", checked)

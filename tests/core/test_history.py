@@ -167,22 +167,22 @@ class TestPruning:
 
 
 class TestDiffs:
-    """``History.changes_since`` past a shipped version."""
+    """``History.changes_since`` past the shipped journal positions."""
 
     def test_first_diff_ships_everything(self):
         h = History()
         h.record_delivery(msg("m1", {1}))
         h.record_delivery(msg("m2", {1}))
-        vertices, edges, _ = h.changes_since(0)
+        vertices, edges, _, _ = h.changes_since(0, 0)
         assert {v[0] for v in vertices} == {"m1", "m2"}
         assert ("m1", "m2") in edges
 
     def test_second_diff_ships_only_new_content(self):
         h = History()
         h.record_delivery(msg("m1", {1}))
-        _, _, shipped = h.changes_since(0)
+        _, _, *shipped = h.changes_since(0, 0)
         h.record_delivery(msg("m2", {1}))
-        vertices, _, _ = h.changes_since(shipped)
+        vertices, _, _, _ = h.changes_since(*shipped)
         assert {v[0] for v in vertices} == {"m2"}
 
     def test_a_collection_empties_the_whole_journal(self):
@@ -193,8 +193,9 @@ class TestDiffs:
         h.record_delivery(msg("m2", {1}))
         assert h.collect_garbage("m1") == set()
         assert h.journal_len == 0 and h.journal_base == h.version == 3
-        assert h.changes_since(h.version) == ((), (), h.version)
-        vertices, edges, _ = h.changes_since(0)
+        now = (h.version, h.vertex_version)
+        assert h.changes_since(*now) == ((), (), *now)
+        vertices, edges, _, _ = h.changes_since(0, 0)
         assert {v[0] for v in vertices} == {"m1", "m2"}
         assert edges == (("m1", "m2"),)
 
@@ -224,6 +225,7 @@ class TestChannels:
         assert seq == 1
         assert {v[0] for v in delta.vertices} == {"m0"}
         assert group.channels[B].shipped == group.channels[C].shipped == 1
+        assert group.channels[B].shipped_vertices == 1
 
     def test_no_change_sends_the_empty_delta(self):
         group, _ = group_at(A)
@@ -256,16 +258,20 @@ class TestJournal:
         h.add_edge("m1", "m2")
         assert h.version == before
 
-    def test_changes_since_slices_past_the_watermark(self):
+    def test_changes_since_slices_each_journal_past_its_position(self):
         h = History()
         h.record_delivery(msg("m1", {1}))
-        watermark = h.version
         h.record_delivery(msg("m2", {1}))
-        vertices, edges, version = h.changes_since(watermark)
-        assert [mid for mid, _ in vertices] == ["m2"]
-        assert edges == (("m1", "m2"),)
-        assert version == h.version
-        assert h.changes_since(version) == ((), (), version)
+        shipped = (h.version, h.vertex_version)
+        assert shipped == (3, 2)
+        h.record_delivery(msg("m3", {1}))
+        h.merge_delta(HistoryDelta(vertices=(("x", frozenset({2})),)))
+        h.add_edge("m1", "m3")
+        vertices, edges, *now = h.changes_since(*shipped)
+        assert [mid for mid, _ in vertices] == ["m3", "x"]
+        assert edges == (("m2", "m3"), ("m1", "m3"))
+        assert now == [h.version, h.vertex_version] == [7, 4]
+        assert h.changes_since(*now) == ((), (), *now)
 
     def test_compaction_keeps_full_snapshot_for_new_descendants(self):
         h = History()
@@ -275,7 +281,7 @@ class TestJournal:
         assert h.journal_len == 0
         # Below the base: the whole live history, as the tuples
         # full_delta ships.
-        vertices, edges, version = h.changes_since(0)
+        vertices, edges, version, _ = h.changes_since(0, 0)
         assert version == h.version
         assert set(vertices) == {(f"m{i}", frozenset({1})) for i in range(4)}
         assert set(edges) == {("m0", "m1"), ("m1", "m2"), ("m2", "m3")}
@@ -286,15 +292,16 @@ class TestJournal:
         h = History()
         for i in range(4):
             h.record_delivery(msg(f"m{i}", {1}))
-        base = h.version
+        base = (h.version, h.vertex_version)
         h.collect_garbage("m0")
+        assert h.journal_base == base[0]
         h.record_delivery(msg("m4", {1}))
-        # At the base: the retained journal past it, nothing older.
-        vertices, edges, version = h.changes_since(base)
+        # At the base: the retained journals past it, nothing older.
+        vertices, edges, version, _ = h.changes_since(*base)
         assert vertices == (("m4", frozenset({1})),)
         assert edges == (("m3", "m4"),)
-        # One below: that entry was dropped, so everything live ships.
-        vertices, edges, below = h.changes_since(base - 1)
+        # One edge below: that entry was dropped, so everything live ships.
+        vertices, edges, below, _ = h.changes_since(base[0] - 1, base[1])
         assert below == version == h.version
         assert {mid for mid, _ in vertices} == {f"m{i}" for i in range(5)}
         assert set(edges) == {(f"m{i}", f"m{i + 1}") for i in range(4)}
@@ -314,12 +321,12 @@ class TestGcCompaction:
         # Vertices journaled *after* the version shipped to a descendant and
         # then pruned before the next diff must not be shipped.
         h = self._chain(3)
-        _, _, shipped = h.changes_since(0)  # descendant knows m0..m2
+        _, _, *shipped = h.changes_since(0, 0)  # descendant knows m0..m2
         for i in range(3, 6):
             h.record_delivery(msg(f"m{i}", {1}))
         victims = h.collect_garbage("m5")
         assert victims == {"m0", "m1", "m2", "m3", "m4"}
-        vertices, edges, _ = h.changes_since(shipped)
+        vertices, edges, _, _ = h.changes_since(*shipped)
         assert {v[0] for v in vertices} == {"m5"}
         assert all(a not in victims and b not in victims for a, b in edges)
 
@@ -327,11 +334,12 @@ class TestGcCompaction:
         group, _ = group_at(A)
         chain_at(group, 4)
         group._outgoing(B)
-        shipped = group.channels[B].shipped
+        channel = group.channels[B]
+        shipped = (channel.shipped, channel.shipped_vertices)
         group._garbage_collect(msg("m3", {A}))
-        # Shipped versions are absolute sequence numbers: a collection must
+        # Shipped positions are absolute sequence numbers: a collection must
         # not move them, and a subsequent diff ships exactly the new content.
-        assert group.channels[B].shipped == shipped
+        assert (channel.shipped, channel.shipped_vertices) == shipped
         group.history.record_delivery(msg("m4", {A}))
         _, delta = group._outgoing(B)
         assert {v[0] for v in delta.vertices} == {"m4"}
@@ -369,16 +377,16 @@ class TestGcCompaction:
         # history on its next diff.
         h = History()
         h.record_delivery(msg("m0", {1}))
-        _, _, stale = h.changes_since(0)  # descendant never contacted again
+        _, _, *stale = h.changes_since(0, 0)  # descendant never contacted again
         for i in range(1, 400):
             h.record_delivery(msg(f"m{i}", {1}))
         h.collect_garbage(h.last_delivered)
         assert h.journal_len == 0
-        assert h.journal_base > stale
+        assert h.journal_base > stale[0]
         # The lapsed descendant still converges: the full live history once.
-        vertices, _, shipped = h.changes_since(stale)
+        vertices, _, *shipped = h.changes_since(*stale)
         assert {v[0] for v in vertices} == set(h.message_ids()) == {"m399"}
-        assert h.changes_since(shipped) == ((), (), shipped)
+        assert h.changes_since(*shipped) == ((), (), *shipped)
 
     def test_new_peer_after_gc_gets_only_live_history(self):
         group, _ = group_at(A)

@@ -15,7 +15,13 @@ collection empties the journal, so a descendant shipped less than the
 version at the last collection is below the journal base: it is shipped the
 whole live history, which no journal slice can name, so that diff is
 compared as sets only.  The indexed side makes the call a group's channels
-make: ``changes_since`` from each descendant's shipped version.
+make: ``changes_since`` from each descendant's shipped positions.
+
+After every step, two structural checks run as well: no live vertex's
+successor set names a vertex that is not live (a collection removes victims
+closed under "depends on", so it needs no fix-up pass), and the diff still
+pending for each descendant is the naive single journal split by kind, in
+order (the indexed side keeps one journal per kind).
 
 The forward point query the delivery gate asks (``reached_from``) is pinned
 against the backward set it replaced (``ancestors_of``) the same way.
@@ -158,15 +164,19 @@ class NaiveDiffTracker:
 
 
 class Shipped:
-    """The indexed side's channels: the journal version shipped to each
-    descendant, as ``Channel.shipped``, diffed with the production call."""
+    """The indexed side's channels: the journal positions shipped to each
+    descendant, as ``Channel.shipped`` and ``Channel.shipped_vertices``,
+    diffed with the production call."""
 
     def __init__(self):
-        self.versions = {}
+        self.positions = {}
+
+    def position(self, descendant):
+        return self.positions.get(descendant, (0, 0))
 
     def diff_for(self, descendant, history):
-        vertices, edges, self.versions[descendant] = history.changes_since(
-            self.versions.get(descendant, 0)
+        vertices, edges, *self.positions[descendant] = history.changes_since(
+            *self.position(descendant)
         )
         return vertices, edges
 
@@ -224,9 +234,20 @@ _BEHIND_COMPACTED = [
 ]
 
 
+#: A merged edge closes a cycle through the pivot: the pivot is its own
+#: ancestor and survives, and its successor set must lose the victim.
+_PIVOT_ON_A_CYCLE = [
+    ("deliver", 1, {0}),
+    ("deliver", 2, {0}),
+    ("merge", [], [(2, 1)]),
+    ("prune", 2),
+    ("diff", "d1"),
+]
+
+
 def assert_same_diff(descendant, indexed, shipped, naive, naive_tracker):
     """Diff ``descendant`` on both sides and compare what ships."""
-    below_base = shipped.versions.get(descendant, 0) < indexed.journal_base
+    below_base = shipped.position(descendant)[0] < indexed.journal_base
     delta = shipped.diff_for(descendant, indexed)
     vertices, edges = naive_tracker.diff_for(descendant, naive)
     ordered = naive_tracker.ordered_diff_for(descendant, naive)
@@ -264,18 +285,41 @@ def apply_op(op, indexed, shipped, naive, naive_tracker):
         victims = indexed.collect_garbage(pivot)
         naive_victims = naive.prune_before(pivot)
         assert victims == naive_victims
+        assert all(succ.isdisjoint(victims) for succ in indexed.successors.values())
         assert indexed.journal_len == 0
         naive_tracker.forget(naive_victims)
     else:  # diff
         assert_same_diff(op[1], indexed, shipped, naive, naive_tracker)
-    # Both journals count the same effective insertions.
+    # Both sides count the same effective insertions.
     assert indexed.version == len(naive.journal)
+    live = indexed.destinations
+    assert all(live.keys() >= succ for succ in indexed.successors.values())
+    for descendant in DESCENDANTS:
+        assert_pending_diff_is_the_kind_split(
+            descendant, indexed, shipped, naive, naive_tracker
+        )
+
+
+def assert_pending_diff_is_the_kind_split(
+    descendant, indexed, shipped, naive, naive_tracker
+):
+    """Without shipping it: the diff pending for ``descendant`` is the
+    naive single journal past its position, split by kind, in order."""
+    position = shipped.position(descendant)
+    if position[0] < indexed.journal_base:
+        return  # the live history ships; assert_same_diff compares it as sets
+    vertices, edges, version, _ = indexed.changes_since(*position)
+    assert version == indexed.version
+    assert (vertices, edges) == naive.journal_since(
+        naive_tracker.position.get(descendant, 0)
+    )
 
 
 class TestDifferentialEquivalence:
     @given(operations)
     @example(_BEHIND_COMPACTED)
     @example(_DIFF_PRUNE_DIFF)
+    @example(_PIVOT_ON_A_CYCLE)
     @settings(max_examples=120, deadline=None)
     def test_random_sequences_agree(self, ops):
         indexed, shipped = History(), Shipped()
@@ -330,7 +374,7 @@ class TestDifferentialEquivalence:
         naive, naive_tracker = NaiveHistory(), NaiveDiffTracker()
         for op in ops:
             apply_op(op, indexed, shipped, naive, naive_tracker)
-            vertices, edges, _ = indexed.changes_since(indexed.journal_base)
+            vertices, edges = indexed._vertex_journal, indexed._edge_journal
             assert len(vertices) + len(edges) == indexed.journal_len
             assert set(vertices) <= set(indexed.destinations.items())
             assert set(edges) <= set(indexed.edges())
@@ -341,8 +385,8 @@ class TestDifferentialEquivalence:
         for op in _BEHIND_COMPACTED[:-2]:
             apply_op(op, indexed, shipped, naive, naive_tracker)
         assert indexed.journal_len == 0
-        assert shipped.versions["d1"] < indexed.journal_base
-        assert shipped.versions["d2"] < indexed.journal_base
+        assert shipped.position("d1")[0] < indexed.journal_base
+        assert shipped.position("d2")[0] < indexed.journal_base
         vertices, edges = shipped.diff_for("d1", indexed)
         assert set(vertices) == set(naive.destinations.items())
         assert {mid for mid, _ in vertices} == {"m2", "m3", "m4"}

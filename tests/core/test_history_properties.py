@@ -76,10 +76,10 @@ class TestHistoryInvariants:
         history = History()
         for idx, dst in sequence[:split]:
             history.record_delivery(Message(msg_id=f"m{idx}", dst=frozenset(dst)))
-        first, _, shipped = history.changes_since(0)
+        first, _, *shipped = history.changes_since(0, 0)
         for idx, dst in sequence[split:]:
             history.record_delivery(Message(msg_id=f"m{idx}", dst=frozenset(dst)))
-        second, _, _ = history.changes_since(shipped)
+        second, _, _, _ = history.changes_since(*shipped)
         first_ids = {v[0] for v in first}
         second_ids = {v[0] for v in second}
         assert not (first_ids & second_ids)

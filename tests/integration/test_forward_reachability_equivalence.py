@@ -40,7 +40,11 @@ class BackwardPredicates:
         if not blocking or (len(blocking) == 1 and msg_id in blocking):
             return True
         satisfied = True
-        predecessors = self.history.predecessors
+        # The history keeps successors only; the reference inverts them.
+        predecessors = {}
+        for before, after_set in self.history.successors.items():
+            for after in after_set:
+                predecessors.setdefault(after, []).append(before)
         queue = deque(predecessors.get(msg_id, ()))
         seen: Set[str] = set()
         while queue:

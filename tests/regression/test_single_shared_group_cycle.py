@@ -34,8 +34,8 @@ class OneAckPerGroup(FlexCastGroup):
         entry = self.pending.get(message.msg_id)
         notified = entry.notified if entry is not None else set()
         me = self.group_id
-        for dest in self.overlay.descendants_below(me, message.dst):
-            if dest in message.dst or dest in {g for g, _ in notified}:
+        for dest in self.routes[message.dst].notif_candidates:
+            if dest in {g for g, _ in notified}:
                 continue
             if not self.history.contains_message_to(dest):
                 continue
