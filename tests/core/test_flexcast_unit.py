@@ -20,6 +20,7 @@ from repro.core.message import (
     HistoryDelta,
     Message,
 )
+from repro.overlay.base import OverlayError
 from repro.overlay.cdag import CDagOverlay
 from repro.protocols.base import ProtocolError, RecordingSink
 from repro.sim.transport import RecordingTransport
@@ -808,6 +809,13 @@ class TestRoutes:
         route = Routes(dag, "C")[frozenset({"A", "E", "C"})]
         assert route.awaited_acks == (("E", None),)
         assert route.notif_candidates == route.descendants == ()
+
+    def test_an_unknown_destination_is_refused_and_not_remembered(self):
+        routes = Routes(CDagOverlay(["A", "B", "C"]), "B")
+        for _ in range(2):
+            with pytest.raises(OverlayError):
+                routes[frozenset({"A", "Z"})]
+        assert not routes
 
     def test_a_group_resolves_each_destination_set_once(self, overlay, seq):
         group, _, _ = make_group(C, overlay)

@@ -20,6 +20,17 @@ class TestRanks:
         assert dag.rank("C") == 4
         assert dag.order == ["A", "B", "D", "E", "C"]
 
+    def test_rank_is_each_groups_position_in_order(self, dag):
+        assert sorted(map(dag.rank, dag.groups)) == list(range(len(dag.groups)))
+        for group in dag.groups:
+            assert dag.order[dag.rank(group)] == group
+
+    def test_order_is_a_copy(self, dag):
+        # A route slices ``order``; a caller's edit must not reorder the overlay.
+        dag.order.reverse()
+        assert dag.order == ["A", "B", "D", "E", "C"]
+        assert dag.rank("A") == 0
+
     def test_unknown_group_raises(self, dag):
         with pytest.raises(OverlayError):
             dag.rank("Z")
@@ -37,6 +48,15 @@ class TestRelationships:
     def test_ancestors(self, dag):
         assert dag.ancestors("D") == ["A", "B"]
         assert dag.ancestors("A") == []
+
+    def test_ancestors_are_exactly_the_groups_that_can_send_here(self, dag):
+        # A group tells a notifier ranked above it from one below by this set.
+        for group in dag.groups:
+            assert set(dag.ancestors(group)) == {
+                other for other in dag.groups if dag.can_send(other, group)
+            }
+        with pytest.raises(OverlayError):
+            dag.ancestors("Z")
 
     def test_edges_go_from_lower_to_higher_rank_only(self, dag):
         assert dag.can_send("A", "C")
