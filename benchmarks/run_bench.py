@@ -3,8 +3,8 @@
 
 Times the operations that dominate per-delivery cost — ``diff_for``,
 ``merge_delta``, the full lca delivery round (plain, batched and after 64
-notif acks), a WAL append and one batch frame's wire round trip
-— and a flush's garbage collection at several history sizes,
+notif acks), a WAL append, one batch frame's wire round trip and one
+turn's decode — and a flush's garbage collection at several history sizes,
 plus a throughput-vs-batch-size sweep, and writes the numbers to
 ``BENCH_micro.json`` so the perf trajectory is tracked across PRs (see
 DESIGN.md for the complexity tables and amortization claims these numbers
@@ -41,6 +41,7 @@ from repro.core.message import (  # noqa: E402
     ClientResponse,
     EMPTY_DELTA,
     FlexCastBatch,
+    FlexCastMsg,
     FlexCastNotif,
     HistoryDelta,
     Message,
@@ -48,8 +49,9 @@ from repro.core.message import (  # noqa: E402
 from repro.obs import Observability  # noqa: E402
 from repro.overlay.cdag import CDagOverlay  # noqa: E402
 from repro.protocols.base import RecordingSink  # noqa: E402
-from repro.runtime.codec import decode_frame, encode_frame  # noqa: E402
+from repro.runtime.codec import decode_frame, encode_frame, turn_entries  # noqa: E402
 from repro.sim.transport import RecordingTransport  # noqa: E402
+from repro.smr.replica import OrderedEnvelope, Turn  # noqa: E402
 from repro.storage import FileStorage  # noqa: E402
 
 DEFAULT_SIZES = (200, 1000, 5000)
@@ -485,6 +487,30 @@ def bench_batch_frame_roundtrip(size: int) -> Callable[[], None]:
     return op
 
 
+def bench_turn_decode(size: int) -> Callable[[], None]:
+    """A follower's read of one log value shaped like ``global_unbatched``'s:
+    a turn of 64 ``flexcast-msg`` entries, each a 1 KiB payload to both
+    groups and a delta of one vertex and one edge, from its text.
+
+    The codec alone: the text is parsed and every entry built, as a replica
+    does for each value it accepts.  ``size`` is ignored.
+    """
+    entries = tuple(
+        OrderedEnvelope(0, FlexCastMsg(
+            Message(f"m{i}", frozenset({0, 1}), "client-1", "x" * 1024, 1024),
+            HistoryDelta(((f"m{i - 1}", frozenset({0, 1})),), ((f"m{i - 2}", f"m{i - 1}"),)),
+            seq=i + 1,
+        ))
+        for i in range(64)
+    )
+    text = Turn(entries).text
+
+    def op() -> None:
+        turn_entries(text)
+
+    return op
+
+
 BENCHMARKS: Dict[str, Callable[[int], Bench]] = {
     "diff_for": bench_diff_for,
     "diff_for_cold": bench_diff_for_cold,
@@ -497,6 +523,7 @@ BENCHMARKS: Dict[str, Callable[[int], Bench]] = {
     "collect_garbage": bench_collect_garbage,
     "wal_append": bench_wal_append,
     "batch_frame_roundtrip": bench_batch_frame_roundtrip,
+    "turn_decode": bench_turn_decode,
 }
 
 #: Application messages processed per measured operation.  ``_measure`` times

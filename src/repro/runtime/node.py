@@ -171,9 +171,11 @@ class FrameServer:
         try:
             # Peek at the first 4 bytes: an HTTP GET (scrape/probe/admin) or
             # the length prefix of the first frame.
+            # A peer that resets the connection has gone as surely as one
+            # that closed it: a reset is read as end of stream.
             try:
                 probe = await reader.readexactly(len(_HTTP_GET))
-            except asyncio.IncompleteReadError:
+            except (asyncio.IncompleteReadError, ConnectionError):
                 return
             if probe == _HTTP_GET:
                 await self._serve_http(reader, writer)
@@ -182,7 +184,7 @@ class FrameServer:
             while True:
                 try:
                     sender, envelope = await read_frame(reader, preread=preread)
-                except (asyncio.IncompleteReadError, CodecError):
+                except (asyncio.IncompleteReadError, ConnectionError, CodecError):
                     break
                 preread = b""
                 self.frames_received += 1
@@ -215,6 +217,8 @@ class FrameServer:
                 request += chunk
         except asyncio.TimeoutError:
             pass
+        except ConnectionError:  # reset: nobody is left to answer
+            return
         parts = request.split(b"\r\n", 1)[0].split(b" ")
         path = parts[1].decode("latin-1", "replace") if len(parts) >= 2 else "/"
         status, body, ctype = self.handle_http(path)

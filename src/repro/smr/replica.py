@@ -65,9 +65,8 @@ class Turn:
     the turn itself go — the WALs hold it — and one without keeps flat bytes,
     not a graph of messages.
 
-    A turn of one costs what its entry costs — in the size model here, and on
-    the wire and in the WALs, where its text *is* the entry's object (several
-    entries are an array of them: ``runtime/codec.py``).
+    A turn costs what its entries cost in the size model here; its text is
+    the array of its entries' rows after a marker (``runtime/codec.py``).
     """
 
     __slots__ = ("_entries", "_text")
@@ -118,9 +117,9 @@ class Turn:
 
 #: Modelled size (``size_bytes``) at which a flush closes a value and starts
 #: the next; the entry that crosses it still goes.  A turn's JSON runs to
-#: about 1.7 times its modelled size for small plain messages and to about
+#: about 0.9 times its modelled size for small plain messages and to about
 #: its modelled size for a batch carrier, whose members travel as rows, so an
-#: ``Accept`` stays under 0.5 MB against the 16 MiB frame cap.  Not an option.
+#: ``Accept`` stays under 0.3 MB against the 16 MiB frame cap.  Not an option.
 _TURN_VALUE_BYTES = 256 * 1024
 
 

@@ -3,6 +3,8 @@
 import asyncio
 import dataclasses
 import json
+import socket
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,10 +28,10 @@ from repro.runtime.codec import (
     CodecError,
     decode_frame,
     encode_frame,
-    envelope_to_dict,
+    envelope_to_row,
     turn_entries,
 )
-from repro.runtime.node import FrameServer
+from repro.runtime.node import FrameServer, _http_get
 from repro.smr.multipaxos import (
     CatchupReply,
     CatchupRequest,
@@ -68,10 +70,73 @@ def sample_delta():
     )
 
 
+#: A message row's items, in row order: the keys of a message object.
+MESSAGE_KEYS = (
+    "msg_id", "dst", "sender", "payload", "payload_bytes", "is_flush", "trace_id", "members",
+)
+
+
+def message_object(row):
+    """A message row as the object written before envelopes were rows."""
+    message = dict(zip(MESSAGE_KEYS, row))
+    message.setdefault("is_flush", False)
+    if message.get("trace_id", 0) is None:
+        del message["trace_id"]
+    if "members" in message:
+        message["members"] = [
+            item if len(item) < 5 else message_object(item) for item in message["members"]
+        ]
+    return message
+
+
+def envelope_object(row):
+    """An envelope row as the object written before rows: its schema row's
+    field names as keys (a value that left the row for a line of its own
+    stays out of the object too)."""
+    ((_, tag, *fields),) = [entry for entry in codec._SCHEMA if entry[1] == row[0]]
+    envelope = {"type": tag}
+    for spec, value in zip(fields, row[1:]):
+        if spec is codec._MESSAGE:
+            value = message_object(value)
+        elif spec is codec._HISTORY:
+            value = {"vertices": value[0], "edges": value[1]}
+        envelope[spec if isinstance(spec, str) else spec[0]] = value
+    return envelope
+
+
+def compact(value):
+    return json.dumps(value, separators=(",", ":")).encode("utf-8")
+
+
+def object_frame(body):
+    """A frame body as written before envelopes were rows: the head an
+    object, the value lines as they are."""
+    head, *lines = body.split(b"\n")
+    sender, row = json.loads(head)
+    return b"\n".join([compact({"sender": sender, "envelope": envelope_object(row)}), *lines])
+
+
+def turn_object(text):
+    """A turn's text as written before rows: one entry its object, several
+    an array of them."""
+    marker, *entries = json.loads(text)
+    assert marker == "__oe__"
+    objects = [
+        {"__oe__": 1, "sender": sender, "envelope": envelope_object(row)}
+        for sender, row in entries
+    ]
+    return compact(objects[0] if len(objects) == 1 else objects)
+
+
+def old_frame(envelope):
+    """``envelope``'s frame as written before rows, its head parsed."""
+    return json.loads(object_frame(encode_frame("node-1", envelope)[4:]))
+
+
 def decode_old_delta(envelope, **keys):
     """``envelope`` decoded from a frame whose history delta also carries
     ``keys``, as deltas written before they shed them did."""
-    body = json.loads(encode_frame("node-1", envelope)[4:])
+    body = old_frame(envelope)
     body["envelope"]["history"].update(keys)
     sender, decoded = decode_frame(json.dumps(body).encode("utf-8"))
     assert sender == "node-1"
@@ -114,7 +179,7 @@ class TestRoundTrips:
         envelope = FlexCastAck(
             message=sample_message(), history=sample_delta(), from_group=3, seq=5
         )
-        body = json.loads(encode_frame("node-1", envelope)[4:])
+        body = old_frame(envelope)
         del body["envelope"]["seq"]
         body["envelope"]["history"]["seq"] = 4
         _, decoded = decode_frame(json.dumps(body).encode("utf-8"))
@@ -133,7 +198,7 @@ class TestRoundTrips:
                 ),
             ),
         ):
-            body = json.loads(encode_frame("node-1", envelope)[4:])
+            body = old_frame(envelope)
             body["envelope"]["notified"] = [4, 2]
             body["envelope"].pop("notifier", None)
             _, decoded = decode_frame(json.dumps(body).encode("utf-8"))
@@ -209,7 +274,7 @@ class TestRoundTrips:
             "envelope": {
                 "type": "history-snapshot",
                 "group": 3,
-                "history": codec._delta_to_dict(sample_delta()),
+                "history": {"vertices": [["m1", [1]], ["m2", [1, 3]]], "edges": [["m1", "m2"]]},
             },
         }
         with pytest.raises(CodecError, match="history-snapshot"):
@@ -253,8 +318,8 @@ class TestRoundTrips:
         envelope = FlexCastMsg(message=sample_message(), history=sample_delta(), seq=1)
         frame = encode_frame("n", envelope)
         assert b"snapshot" not in frame and b"last_delivered" not in frame
-        history = json.loads(frame[4:])["envelope"]["history"]
-        assert sorted(history) == ["edges", "vertices"]
+        history = json.loads(frame[4:])[1][2]
+        assert history == [[["m1", [1]], ["m2", [1, 3]]], [["m1", "m2"]]]
         assert round_trip(envelope) == envelope
 
     def test_batch_members_travel_as_rows_under_the_carrier(self):
@@ -267,9 +332,9 @@ class TestRoundTrips:
             Message(msg_id="own-sender", dst=dst, sender="d", payload="p"),
         ]
         envelope = FlexCastBatch(message=Message.batch_of(members, batch_id="b3"))
-        wire = envelope_to_dict(envelope)["message"]["members"]
+        wire = envelope_to_row(envelope)[1][7]
         assert wire[:2] == [["row-a", [1], 8], ["row-b", None, 64, "t-9"]]
-        assert wire[2]["sender"] == "d"
+        assert wire[2] == ["own-sender", [1, 3], "d", "p", 64]
         decoded = round_trip(envelope)
         assert decoded == envelope
         carrier = decoded.message
@@ -420,10 +485,24 @@ class TestAnyContentRoundTrips:
     def test_envelope_round_trips(self, kind, data):
         envelope = data.draw(ENVELOPES[kind])
         sender = data.draw(st.one_of(ids, groups))
-        assert envelope_to_dict(envelope)["type"] == kind
+        assert envelope_to_row(envelope)[0] == kind
         decoded = round_trip(envelope, sender=sender)
         assert type(decoded) is type(envelope)
         assert decoded == envelope
+
+    @pytest.mark.parametrize("kind", [row[1] for row in codec._SCHEMA])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_the_row_and_the_object_form_decode_alike(self, kind, data):
+        # Frames and WALs written before rows hold every envelope as an
+        # object of the same fields; they decode to the same envelope, and
+        # a turn's old text to the same entries.
+        envelope = data.draw(ENVELOPES[kind])
+        body = encode_frame("node-1", envelope)[4:]
+        assert decode_frame(object_frame(body)) == decode_frame(body) == ("node-1", envelope)
+        for line in body.split(b"\n")[1:]:
+            if line.startswith(b'["__oe__",'):
+                assert turn_entries(turn_object(line)) == turn_entries(line)
 
 
 #: The envelopes that carried an overlay ``epoch`` stamp, as written today.
@@ -445,8 +524,7 @@ class TestOldEpochStamp:
     @pytest.mark.parametrize("kind", sorted(ONCE_EPOCH_STAMPED))
     def test_a_stamped_frame_decodes_to_the_unstamped_envelope(self, kind):
         envelope = ONCE_EPOCH_STAMPED[kind]
-        body = json.loads(encode_frame("node-1", envelope)[4:])
-        assert "epoch" not in body["envelope"]
+        body = old_frame(envelope)
         body["envelope"]["epoch"] = 0
         stamped = json.dumps(body).encode("utf-8")
         assert decode_frame(stamped) == ("node-1", envelope)
@@ -545,17 +623,48 @@ WRONG_SHAPE.update({
     "batch-member-a-number": _CARRIER_WITH % b'7',
     "batch-member-a-string": _CARRIER_WITH % b'"m1"',
 })
+_ACCEPT = b'["x",["paxos-accept",1,[1,0]]]'
+#: Frame bodies of the row form with the wrong shape: a tag no schema row
+#: has, a row of the wrong length, a piece that is not an array, value lines
+#: that do not fit the row.
+WRONG_SHAPE.update({"row-" + name: body for name, body in {
+    "unknown-tag": b'["x",["mystery",1]]',
+    "response-of-one-field": b'["x",["response","m1"]]',
+    "response-of-three-fields": b'["x",["response","m1",1,2]]',
+    "envelope-an-object": b'["x",{"type":"response","msg_id":"m1","group":1}]',
+    "envelope-empty": b'["x",[]]',
+    "envelope-a-string": b'["x","response"]',
+    "head-of-three": b'["x",["response","m1",1],"y"]',
+    "head-of-one": b'[["response","m1",1]]',
+    "message-an-object": b'["x",["request",{"msg_id":"m1","dst":[1],"sender":"c"}]]',
+    "message-of-four": b'["x",["request",["m1",[1],"c",null]]]',
+    "message-of-nine": b'["x",["request",["m1",[1],"c",null,64,false,null,[],0]]]',
+    "delta-an-object": (
+        b'["x",["flexcast-msg",["m1",[1],"c",null,64],{"vertices":[],"edges":[]},1,[]]]'
+    ),
+    "value-without-its-line": _ACCEPT,
+    "two-lines-for-one-value": _ACCEPT + b'\n"v"\n"w"',
+    "value-inline-and-on-a-line": b'["x",["paxos-accept",1,[1,0],"v"]]\n"w"',
+    "one-line-for-two-values": b'["x",["smr-catchup-reply",[[1],[2]]]]\n"v"',
+    "a-line-for-a-frame-without-values": b'["x",["smr-commit",1,[1,0]]]\n"v"',
+    "turn-entry-of-one": _ACCEPT + b'\n["__oe__",["c"]]',
+    "turn-entry-an-object": (
+        _ACCEPT + b'\n["__oe__",["c",{"type":"response","msg_id":"m1","group":1}]]'
+    ),
+}.items()})
 
 
 class TestErrors:
     def test_a_schema_row_must_name_every_constructor_field(self):
-        # The decoder calls the record positionally, in its field order.
+        # The decoders call the record positionally, in its field order.
         with pytest.raises(TypeError):
-            codec._compile(ClientResponse, "type", "response", "msg_id")
+            codec._compile(ClientResponse, "response", "msg_id")
         with pytest.raises(TypeError):
-            codec._compile(ClientResponse, "type", "response", "msg_id", "group", "kind")
-        encode, decode = codec._compile(ClientResponse, "type", "r", "group", "msg_id")
-        assert decode(encode(ClientResponse("m1", 2))) == ClientResponse("m1", 2)
+            codec._compile(ClientResponse, "response", "msg_id", "group", "kind")
+        encode, decode_row, decode_dict = codec._compile(ClientResponse, "r", "group", "msg_id")
+        assert encode(ClientResponse("m1", 2)) == ["r", 2, "m1"]
+        assert decode_row(["r", 2, "m1"]) == ClientResponse("m1", 2)
+        assert decode_dict({"type": "r", "msg_id": "m1", "group": 2}) == ClientResponse("m1", 2)
 
     def test_unknown_envelope_type_rejected_on_encode(self):
         with pytest.raises(CodecError):
@@ -566,20 +675,21 @@ class TestErrors:
             decode_frame(b"this is not json")
 
     def test_unknown_type_rejected_on_decode(self):
-        import json
-
         body = json.dumps({"sender": "x", "envelope": {"type": "mystery"}}).encode()
-        with pytest.raises(CodecError):
+        with pytest.raises(CodecError, match="mystery"):
             decode_frame(body)
+        with pytest.raises(CodecError, match="mystery"):
+            decode_frame(b'["x",["mystery"]]')
 
     def test_a_turn_entry_of_a_retired_type_is_unreadable(self):
         """A log entry whose type has no schema row — such as the replicated
         protocol timer, which no committed WAL holds — makes its turn
         unreadable, and WAL replay cuts the log there."""
         entry = {"__oe__": 1, "sender": "r1", "envelope": {"type": "retired", "index": 7}}
-        with pytest.raises(UnreadableValue) as caught:
-            turn_entries(json.dumps(entry).encode())
-        assert isinstance(caught.value.__cause__, CodecError)
+        for text in (json.dumps(entry).encode(), b'["__oe__",["r1",["retired",7]]]'):
+            with pytest.raises(UnreadableValue) as caught:
+                turn_entries(text)
+            assert isinstance(caught.value.__cause__, CodecError)
 
     def test_length_prefix_matches_body(self):
         frame = encode_frame("n", ClientResponse(msg_id="m1", group=1))
@@ -603,6 +713,10 @@ class TestErrors:
         b'{"__oe__":1,"sender":"c","envelope":[]}',          # envelope a list
         b'{"__oe__":1,"sender":"c","envelope":{"type":"request","message":{"dst":[1]}}}',
         b'[{"__oe__":1,"sender":"c","envelope":{"type":"response"}}]',
+        b'["__oe__",["c"]]',                                  # an entry of one
+        b'["__oe__",["c",["response","m1"]]]',               # a row too short
+        b'["__oe__",["c",{"type":"response","msg_id":"m1","group":1}]]',
+        b'["__oe__",["c",["request",["m1",[1],"c"]]]]',      # a message too short
     ])
     def test_a_turn_of_the_wrong_shape_is_unreadable(self, text):
         with pytest.raises(UnreadableValue):
@@ -647,6 +761,81 @@ class TestErrors:
         # The frame after the bad one on the first connection is never read.
         assert closed == b"" and frames == [good] and unhandled == []
 
+    def test_no_frame_of_the_wrong_shape_reaches_handle_frame(self):
+        frames = []
+
+        class Server(FrameServer):
+            def handle_frame(self, sender, envelope):
+                frames.append(envelope)
+
+        good = encode_frame("x", ClientResponse(msg_id="m1", group=1))
+
+        async def scenario():
+            server = Server()
+            host, port = await server.start()
+            closed = []
+            try:
+                for body in WRONG_SHAPE.values():
+                    reader, writer = await asyncio.open_connection(host, port)
+                    writer.write(len(body).to_bytes(4, "big") + body + good)
+                    await writer.drain()
+                    closed.append(await asyncio.wait_for(reader.read(), timeout=5.0))
+                    writer.close()
+                    await writer.wait_closed()
+            finally:
+                await server.stop()
+            return closed
+
+        # Each connection closes at its bad frame; the good one after it is
+        # never read.
+        assert asyncio.run(scenario()) == [b""] * len(WRONG_SHAPE) and frames == []
+
+    @pytest.mark.parametrize("kind", ["frame", "http"])
+    def test_a_peer_that_resets_mid_frame_is_an_end_of_stream(self, kind):
+        """A reset while the server waits for the rest of a frame, or of an
+        HTTP request, ends that connection as end of stream does: nothing
+        reaches the event loop's exception handler, and the server still
+        answers."""
+        frames = []
+
+        class Server(FrameServer):
+            def handle_frame(self, sender, envelope):
+                frames.append(envelope)
+
+        frame = encode_frame("x", ClientResponse(msg_id="m1", group=1))
+
+        async def scenario():
+            unhandled = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: unhandled.append(context))
+            server = Server()
+            host, port = await server.start()
+            try:
+                _, writer = await asyncio.open_connection(host, port)
+                writer.write(frame[: len(frame) // 2] if kind == "frame" else b"GET /rea")
+                await writer.drain()
+                for _ in range(200):  # the server holds the connection
+                    if server._conn_writers:
+                        break
+                    await asyncio.sleep(0.01)
+                await asyncio.sleep(0.05)  # ... and waits for the rest
+                # Linger on, timeout 0: close sends RST, not FIN.
+                writer.get_extra_info("socket").setsockopt(
+                    socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+                writer.close()
+                for _ in range(200):
+                    if not server._conn_writers:
+                        break
+                    await asyncio.sleep(0.01)
+                ready = await _http_get(host, port, "/ready")
+            finally:
+                await server.stop()
+            return unhandled, ready
+
+        unhandled, ready = asyncio.run(scenario())
+        assert unhandled == [] and frames == []
+        assert ready == (200, b"ready\n")
+
 
 class TestSmrRoundTrips:
     """The process-cluster runtime replicates groups over TCP: every
@@ -679,18 +868,23 @@ class TestSmrRoundTrips:
         # the wire in the Accept.
         commit = Commit(instance=7, ballot=Ballot(2, 1))
         assert round_trip(commit) == commit
-        assert "value" not in envelope_to_dict(commit)
+        assert envelope_to_row(commit) == ["smr-commit", 7, [2, 1]]
 
     def test_plain_values_pass_through(self):
         # Tests submit plain JSON-able commands; they must not be wrapped.
-        # (In the dictionary a log value is its JSON text, to be spliced in.)
+        # (In the row a log value is its JSON text, to be spliced in.)
         from repro.smr.multipaxos import ClientCommand
         from repro.smr.paxos import Accept, Ballot
 
-        assert envelope_to_dict(ClientCommand(payload="cmd-a"))["payload"] == b'"cmd-a"'
+        assert envelope_to_row(ClientCommand(payload="cmd-a")) == ["smr-command", b'"cmd-a"']
         accept = Accept(instance=0, ballot=Ballot(0, 0), value="cmd-a")
-        assert envelope_to_dict(accept)["value"] == b'"cmd-a"'
+        assert envelope_to_row(accept) == ["paxos-accept", 0, [0, 0], b'"cmd-a"']
         assert round_trip(accept) == accept
+        # Nor is an array mistaken for a turn, not even one of entry rows:
+        # a turn is marked by its first item.
+        for plain in ([], [1, 2], ["c", ["response", "m1", 1]], [["c", ["response", "m1", 1]]]):
+            accept = Accept(instance=0, ballot=Ballot(0, 0), value=plain)
+            assert round_trip(accept).value == plain
 
     def test_heartbeat_and_catchup(self):
         from repro.smr.multipaxos import CatchupReply, CatchupRequest, Heartbeat
@@ -733,7 +927,7 @@ class TestSmrRoundTrips:
         assert round_trip(accept) == accept
         accepted = Accepted(instance=1, ballot=ballot, from_replica="group-0-replica-2")
         assert round_trip(accepted) == accepted
-        assert "value" not in envelope_to_dict(accepted)
+        assert envelope_to_row(accepted) == ["paxos-accepted", 1, [2, 1], "group-0-replica-2"]
         nack = Nack(instance=1, ballot=ballot, promised=Ballot(3, 0),
                     from_replica="group-0-replica-2")
         assert round_trip(nack) == nack

@@ -1,10 +1,9 @@
 """Golden wire corpus: every registered frame, byte for byte.
 
 ``data/wire_golden.tsv`` holds one ``name<TAB>frame body`` line per sample
-below.  It was written by the commit *before* the codec became a registry
-(``PYTHONPATH=<parent checkout>/src python tests/runtime/test_wire_golden.py``),
-so passing here means old and new peers — and old and new WAL files, whose
-log entries are the same dictionaries — read each other's bytes.  The
+below.  It was first written by the commit *before* the codec became a
+registry, so passing here meant old and new peers — and old and new WAL
+files, whose log entries are the same envelopes — read each other's bytes.  The
 ``paxos-promise*``, ``paxos-accepted`` and ``smr-commit`` lines are the
 exception: they were rewritten when phase 1 became once per leadership and
 the value stopped riding in phase-2 replies (a deliberate format change; a
@@ -69,8 +68,21 @@ The ``skeen-propose`` line moved to the same decode-only corpus when its
 envelope went: nothing ever sent it (a Skeen client submits a plain
 ``request`` to every destination), and the frame is refused.
 
-Regenerate only for a deliberate wire-format change; a new envelope type adds
-a sample here and one line to the corpus.
+Every line of both corpora was rewritten when envelopes became rows: a
+frame's head ``[sender, envelope]``, an envelope ``[tag, field, …]`` in its
+schema row's order, a message ``[msg_id, dst, sender, payload,
+payload_bytes]`` and what is set of ``is_flush``, ``trace_id`` and
+``members`` after it, a delta ``[vertices, edges]``, and a turn
+``["__oe__", [sender, envelope], …]`` whatever its length (a deliberate
+format change: rows take about half the decoding time of objects).
+``data/wire_golden_dict_form.tsv`` keeps the old lines of both corpora,
+those of the turns corpus named ``turns:…``, decode-only: each decodes to
+its sample, every turn to the same entries.
+
+``python tests/runtime/test_wire_golden.py --write-corpus DIR`` writes both
+corpora into ``DIR``, and CI diffs them against the committed ones.
+Regenerate the committed ones only for a deliberate wire-format change; a
+new envelope type adds a sample here and one line to the corpus.
 """
 
 import dataclasses
@@ -107,6 +119,7 @@ MEMBER_OBJECTS_CORPUS = os.path.join(
     os.path.dirname(__file__), "data", "wire_golden_member_objects.tsv"
 )
 SNAPSHOTS_CORPUS = os.path.join(os.path.dirname(__file__), "data", "wire_golden_snapshots.tsv")
+DICT_FORM_CORPUS = os.path.join(os.path.dirname(__file__), "data", "wire_golden_dict_form.tsv")
 SENDER = "group-0-replica-1"
 
 PLAIN = msg.Message(
@@ -243,31 +256,38 @@ EPOCH_STAMPED = (
 )
 
 
-def _unnumbered(value):
-    """``value`` as decoded from a frame written before envelopes were
-    numbered: each FlexCast envelope in it, log values included, at seq 0."""
+def _rebuilt(value, envelope=lambda envelope: envelope):
+    """``value`` with ``envelope`` applied to each FlexCast envelope in it,
+    log values included, and every turn rebuilt from its entries: a turn
+    compares by text, and one rebuilt has today's."""
     replace = dataclasses.replace
     if isinstance(value, (msg.FlexCastMsg, msg.FlexCastAck, msg.FlexCastNotif)):
-        return replace(value, seq=0)
+        return envelope(value)
     if isinstance(value, Turn):
         return Turn(tuple(
-            replace(entry, envelope=_unnumbered(entry.envelope))
+            replace(entry, envelope=_rebuilt(entry.envelope, envelope))
             for entry in value.entries
         ))
     if isinstance(value, ClientCommand):
-        return replace(value, payload=_unnumbered(value.payload))
+        return replace(value, payload=_rebuilt(value.payload, envelope))
     if isinstance(value, Accept):
-        return replace(value, value=_unnumbered(value.value))
+        return replace(value, value=_rebuilt(value.value, envelope))
     if isinstance(value, CatchupReply):
         return replace(
-            value, entries=tuple((i, _unnumbered(v)) for i, v in value.entries)
+            value, entries=tuple((i, _rebuilt(v, envelope)) for i, v in value.entries)
         )
     if isinstance(value, Promise):
         return replace(
             value,
-            accepted=tuple((i, b, _unnumbered(v)) for i, b, v in value.accepted),
+            accepted=tuple((i, b, _rebuilt(v, envelope)) for i, b, v in value.accepted),
         )
     return value
+
+
+def _unnumbered(value):
+    """``value`` as decoded from a frame written before envelopes were
+    numbered: each FlexCast envelope in it, log values included, at seq 0."""
+    return _rebuilt(value, lambda envelope: dataclasses.replace(envelope, seq=0))
 
 
 def _corpus(path=CORPUS):
@@ -280,6 +300,8 @@ def _corpus(path=CORPUS):
 def test_corpus_and_samples_name_the_same_frames():
     assert sorted(_corpus()) == sorted(SAMPLES)
     assert sorted(_corpus(TURNS_CORPUS)) == sorted(TURN_SAMPLES)
+    assert sorted(_corpus(DICT_FORM_CORPUS)) == sorted(
+        [*SAMPLES, *(f"turns:{name}" for name in TURN_SAMPLES)])
 
 
 @pytest.mark.parametrize("name", sorted(SAMPLES))
@@ -344,16 +366,29 @@ def test_the_retired_skeen_propose_frame_is_refused():
         decode_frame(body)
 
 
+@pytest.mark.parametrize("name", sorted(_corpus(DICT_FORM_CORPUS)))
+def test_a_frame_written_before_rows_still_decodes(name):
+    """Both corpora as written while envelopes, messages, deltas and turn
+    entries were objects: every frame decodes to its sample, and every turn
+    in it, which keeps its old text, to the sample's entries."""
+    body = _corpus(DICT_FORM_CORPUS)[name].encode("utf-8")
+    sample = TURN_SAMPLES[name[6:]] if name.startswith("turns:") else SAMPLES[name]
+    sender, envelope = decode_frame(body)
+    assert (sender, _rebuilt(envelope)) == (SENDER, sample)
+    assert encode_frame(sender, sample) == encode_frame(SENDER, _rebuilt(envelope))
+
+
 def test_a_frame_with_an_epoch_stamp_still_decodes():
     body = EPOCH_STAMPED.encode("utf-8")
     expected = _unnumbered(SAMPLES["flexcast-msg-defaults"])
     assert decode_frame(body) == (SENDER, expected)
 
 
-def test_several_entries_are_an_array_of_the_one_entry_object():
-    one = json.loads(ORDERED.text)
-    assert one["__oe__"] == 1 and codec._value_from_wire(one) == ORDERED
-    assert json.loads(SEVERAL.text) == [one, json.loads(ORDERED_PEER.text), one]
+def test_a_turn_is_an_array_of_entry_rows_after_its_marker():
+    marker, one = json.loads(ORDERED.text)
+    assert marker == "__oe__" and one == [ENTRY.sender, codec.envelope_to_row(ENTRY.envelope)]
+    assert codec._value_from_wire(json.loads(ORDERED.text)) == ORDERED
+    assert json.loads(SEVERAL.text) == ["__oe__", one, json.loads(ORDERED_PEER.text)[1], one]
     assert codec._value_from_wire(SEVERAL.text) == SEVERAL
     # Plain commands (multi-Paxos driven directly), lists included, are plain JSON.
     for plain in ("cmd", [], [1, 2], [{"k": 1}], {"k": [1, None]}):
@@ -392,10 +427,21 @@ def test_every_wire_class_has_a_schema_row_and_a_golden_sample():
     assert len(set(tags)) == len(tags)
 
 
-if __name__ == "__main__":
-    os.makedirs(os.path.dirname(CORPUS), exist_ok=True)
+def write_corpus(directory):
+    """Write both corpora, as this commit encodes the samples, into
+    ``directory``."""
+    os.makedirs(directory, exist_ok=True)
     for corpus_path, samples in ((CORPUS, SAMPLES), (TURNS_CORPUS, TURN_SAMPLES)):
-        with open(corpus_path, "w", encoding="utf-8") as out:
+        with open(os.path.join(directory, os.path.basename(corpus_path)), "w",
+                  encoding="utf-8") as out:
             for sample_name, envelope in samples.items():
                 body = encode_frame(SENDER, envelope)[4:].decode("utf-8")
                 out.write(sample_name + "\t" + body.replace("\n", "\t") + "\n")
+
+
+if __name__ == "__main__":
+    import argparse
+
+    parser = argparse.ArgumentParser(description=write_corpus.__doc__)
+    parser.add_argument("--write-corpus", metavar="DIR", required=True)
+    write_corpus(parser.parse_args().write_corpus)

@@ -313,14 +313,14 @@ def unstamped(text):
 def assert_value_texts_unchanged(records, payloads):
     """What a corpus written before a value had a line of its own still pins.
 
-    The text this commit makes of a value (decoded, then serialised again) is
-    byte for byte the text *inside* the old record, where it sat between the
-    record's other fields and the closing bracket, less its envelopes' epoch
-    stamps; only its framing moved — the same fields, a newline, the same
-    text.  A record without a value is written as it always was.  The value
-    of instance :data:`FRAME`, the retired ``history-snapshot`` frame, no
-    longer decodes at all.  Returns how many records carried a value that
-    does.
+    A record without a value is written as it always was.  A record with one
+    is written as the same fields, a newline and the value's text, which
+    this commit makes as a row (decoded, then serialised again) of the same
+    entries as the text the old record held; up to the commit that made
+    envelopes rows it was that text byte for byte, less its envelopes'
+    epoch stamps.  The value of instance :data:`FRAME`, the retired
+    ``history-snapshot`` frame, no longer decodes at all.  Returns how many
+    records carried a value that does.
     """
     valued = 0
     for record, payload in zip(records, payloads):
@@ -332,8 +332,9 @@ def assert_value_texts_unchanged(records, payloads):
             assert isinstance(refused.value.__cause__, CodecError)
             assert "history-snapshot" in str(refused.value.__cause__)
         else:
-            head, text = json_text(record[:-1]), turn_text(turn_entries(stored_text(record[-1])))
-            assert unstamped(payload) == head[:-1] + b"," + text + b"]"
+            entries = turn_entries(stored_text(record[-1]))
+            head, text = json_text(record[:-1]), turn_text(entries)
+            assert turn_entries(text) == entries and text.startswith(b'["__oe__",')
             assert _encode_record(record[:-1] + [text])[8:] == head + b"\n" + text
             valued += 1
     return valued
@@ -572,6 +573,7 @@ class TestTurnsWal:
 
 
 SNAPSHOT_FRAME_WAL = os.path.join(os.path.dirname(__file__), "data", "snapshot_frame_wal")
+DICT_FORM_WAL = os.path.join(os.path.dirname(__file__), "data", "dict_form_wal")
 TEXT_WAL = os.path.join(os.path.dirname(__file__), "data", "text_wal")
 CORPUS_FILES = [f"group-0-replica-{i}.{kind}" for i in (0, 2) for kind in ("acceptor", "log")]
 
@@ -617,7 +619,11 @@ class TestSnapshotFrameWal:
                     if valued:
                         assert payload == json_text(record[:-1]) + b"\n" + record[-1]
                         assert b"\n" not in record[-1] and json.loads(record[-1])
-                        seen.add((record[0], isinstance(json.loads(record[-1]), list)))
+                        value = json.loads(record[-1])
+                        if isinstance(value, list) and value[:1] == ["__oe__"]:
+                            value = value[1:]  # a row turn's entries
+                        # Before rows one entry was an object, several an array.
+                        seen.add((record[0], isinstance(value, list) and len(value) > 1))
         # a and full c records, of turns of one and of several: all four.
         assert seen == {("a", False), ("a", True), ("c", False), ("c", True)}
 
@@ -638,11 +644,45 @@ class TestSnapshotFrameWal:
         assert len(records) < 79  # the prepares alone were more
 
 
+class TestDictFormWal:
+    """``data/dict_form_wal`` was written by :func:`write_corpus` from the
+    commit that made a restarted replica recover from the log alone to the
+    one before envelopes became rows: the records of ``snapshot_frame_wal``
+    less the snapshot frame's instance, in the same format."""
+
+    DATA = DICT_FORM_WAL
+    SEVERAL = TestTurnsWal.SEVERAL
+    CUT = 0
+
+    test_replica_replays_its_own_format = (
+        TestParentCommitWal.test_replica_replays_a_wal_written_by_the_parent_commit
+    )
+    test_the_rejoiner_replays_its_full_records = (
+        TestTurnsWal.test_the_rejoiner_replays_its_full_records
+    )
+    test_a_value_is_a_line_of_json_text_after_its_record = (
+        TestSnapshotFrameWal.test_a_value_is_a_line_of_json_text_after_its_record
+    )
+    test_the_rejoiners_acceptor_wal_was_folded = (
+        TestSnapshotFrameWal.test_the_rejoiners_acceptor_wal_was_folded
+    )
+
+    def test_the_records_are_the_snapshot_frame_corpus_less_the_frame(self):
+        for name in CORPUS_FILES:
+            ours, _ = wal_records(DICT_FORM_WAL, name)
+            theirs, _ = wal_records(SNAPSHOT_FRAME_WAL, name)
+            frame = (["a", FRAME], ["c", FRAME])
+            assert ours == [r for r in theirs if r[:2] not in frame], name
+
+    def test_records_re_encode_to_rows_of_the_same_entries(self):
+        for name in CORPUS_FILES:
+            assert_value_texts_unchanged(*wal_records(DICT_FORM_WAL, name))
+
+
 class TestTextWal:
-    """``data/text_wal`` is what :func:`write_corpus` writes since a restarted
-    replica recovers from the log alone: the records of
-    ``snapshot_frame_wal`` less the snapshot frame's instance, in the same
-    format."""
+    """``data/text_wal`` is what :func:`write_corpus` writes since envelopes
+    became rows: the records of ``dict_form_wal``, each value the row form
+    of the same entries."""
 
     DATA = TEXT_WAL
     SEVERAL = TestTurnsWal.SEVERAL
@@ -668,12 +708,33 @@ class TestTextWal:
             with open(os.path.join(TEXT_WAL, name), "rb") as ours:
                 assert (tmp_path / name).read_bytes() == ours.read(), name
 
-    def test_the_records_are_the_snapshot_frame_corpus_less_the_frame(self):
+    def test_the_records_are_the_dict_form_corpus_with_each_value_a_row(self):
+        def entries(record):
+            return record[:-1] + [turn_entries(record[-1])] if len(record) > 2 else record
+
         for name in CORPUS_FILES:
             ours, _ = wal_records(TEXT_WAL, name)
-            theirs, _ = wal_records(SNAPSHOT_FRAME_WAL, name)
-            frame = (["a", FRAME], ["c", FRAME])
-            assert ours == [r for r in theirs if r[:2] not in frame], name
+            theirs, _ = wal_records(DICT_FORM_WAL, name)
+            assert [entries(r) for r in ours] == [entries(r) for r in theirs], name
+            assert all(r[-1].startswith(b'["__oe__",') for r in ours if len(r) > 2), name
+
+    @pytest.mark.parametrize("index", [0, 2])
+    def test_the_dict_form_corpus_replays_to_the_same_state(
+        self, index, tmp_path, open_storage
+    ):
+        replicas = []
+        for data in (TEXT_WAL, DICT_FORM_WAL):
+            directory = tmp_path / os.path.basename(data)
+            directory.mkdir()
+            copy_corpus(data, directory)
+            replicas.append(replay(open_storage(directory), index=index))
+        ours, theirs = replicas
+        assert ours.local_deliveries == theirs.local_deliveries
+        assert ours.delivery_hash.hexdigest() == theirs.delivery_hash.hexdigest()
+        assert ours.smr.applied_count == theirs.smr.applied_count > 0
+        assert [value.entries for value in ours.smr.log] == [
+            value.entries for value in theirs.smr.log
+        ]
 
 
 def deploy_one_with_log(storage):

@@ -39,7 +39,7 @@ from repro.smr.replica import OrderedEnvelope, ReplicatedGroup, Turn, replica_no
 from repro.storage import InMemoryStorage
 from repro.storage.file import _scan_frames
 
-LEADERSHIP_WAL = os.path.join(os.path.dirname(__file__), "data", "leadership_wal")
+TEXT_WAL = os.path.join(os.path.dirname(__file__), "data", "text_wal")
 SMR_FRAMES = (Accept, Accepted, Commit, ClientCommand)
 
 
@@ -123,10 +123,11 @@ class TestTurnCost:
 
     # -------------------------------------------- (b) a turn of one is today's bytes
     def test_five_envelopes_at_five_instants_are_the_committed_golden_bytes(self):
-        # The leadership_wal corpus was written by the commit that ordered
-        # one envelope per instance; its first requests are a0..a4 from
-        # "client" to this very deployment.
-        with open(os.path.join(LEADERSHIP_WAL, "group-0-replica-0.acceptor.wal"), "rb") as fh:
+        # The text_wal corpus orders one request per instance as the
+        # leadership_wal corpus did when each instance held one envelope;
+        # its first requests are a0..a4 from "client" to this very
+        # deployment.
+        with open(os.path.join(TEXT_WAL, "group-0-replica-0.acceptor.wal"), "rb") as fh:
             golden, _ = _scan_frames(fh.read())
         golden = [record for record in golden if record[0] == "a"][:5]
         d = Deployment(storage=InMemoryStorage())
@@ -137,7 +138,7 @@ class TestTurnCost:
         assert d.instances() == 5
         leader = d.replicas[0].replica_id
         # Restated when a value got a line of its own: the same record, its
-        # value the text that sat inside the golden one, byte for byte.
+        # value the text on the golden one's line, byte for byte.
         written = [r for r in d.storage.wal(f"{leader}.acceptor").records() if r[0] == "a"]
         assert written == [r[:3] + [stored_text(r[3])] for r in golden]
         accepts = [
@@ -147,9 +148,7 @@ class TestTurnCost:
         assert len(accepts) == 5
         for accept, record in zip(accepts, golden):
             body = json.dumps(
-                {"sender": leader, "envelope": {
-                    "type": "paxos-accept", "instance": record[1], "ballot": record[2]}},
-                separators=(",", ":"),
+                [leader, ["paxos-accept", record[1], record[2]]], separators=(",", ":"),
             ).encode("utf-8") + b"\n" + stored_text(record[3])
             assert encode_frame(leader, accept) == struct.pack(">I", len(body)) + body
             assert len(accept.value.entries) == 1
