@@ -24,12 +24,13 @@ contribution):
 * below ``apply`` a value is its JSON text (``encode_value``): what a WAL
   record and a frame carry beside their own small JSON, and what a catch-up
   chunk is measured in;
-* the commit log records such a decision as a reference to the acceptor's
-  record; a full ``["c", instance, text]`` record is written only for
-  decisions learned by catch-up or when no acceptor WAL is attached;
-* with a commit log, an applied instance lives in the two WALs alone: memory
-  holds the un-applied window, and catch-up (and :attr:`log`) read the
-  applied prefix back from the files, a chunk of text at a time;
+* every replica keeps two WALs in its ``storage``: the acceptor's and a
+  commit log.  The commit log records such a decision as a reference to the
+  acceptor's record; a full ``["c", instance, text]`` record is written only
+  for decisions learned by catch-up;
+* an applied instance lives in the two WALs alone: memory holds the
+  un-applied window, and catch-up (and :attr:`log`) read the applied prefix
+  back from the files, a chunk of text at a time;
 * a ``Nack`` ends a leadership; leader failure is handled by an explicit
   ``mark_failed`` trigger (tests, the supervisor's admin plane).
 """
@@ -49,6 +50,7 @@ from ..jsontext import json_text, json_value
 from ..obs.registry import MetricsRegistry
 from ..sim.network import payload_size
 from ..sim.transport import Transport
+from ..storage.base import Storage
 from .paxos import (
     ZERO_BALLOT, Accept, Accepted, Acceptor, Ballot, Nack, Prepare, Promise, stored_text,
 )
@@ -155,6 +157,13 @@ class MultiPaxosReplica:
     apply:
         Callback ``apply(instance, command_payload)`` invoked exactly once per
         committed log position, in order.
+    storage:
+        Where the replica keeps its WALs, ``<replica_id>.acceptor`` and
+        ``<replica_id>.log``; a replica built on a storage that already holds
+        them replays them first.
+    encode_value, decode_value:
+        The value codec: a value to its JSON text (``bytes``) and back.
+        Plain JSON by default, fine for JSON-able commands.
     """
 
     def __init__(
@@ -163,8 +172,7 @@ class MultiPaxosReplica:
         peers: Sequence[ReplicaId],
         transport: Transport,
         apply: ApplyCallback,
-        acceptor_wal: Optional[Any] = None,
-        log_wal: Optional[Any] = None,
+        storage: Storage,
         encode_value: Optional[Callable[[Any], bytes]] = None,
         decode_value: Optional[Callable[[bytes], Any]] = None,
     ) -> None:
@@ -181,15 +189,15 @@ class MultiPaxosReplica:
         self._decode_value = decode_value or json_value
         # Durable acceptor state (Paxos safety across restarts) and a commit
         # log of decided instances (so a restarted replica re-applies its
-        # prefix without touching the network).  Both optional.
+        # prefix without touching the network).
+        self._acceptor_wal = storage.wal(f"{replica_id}.acceptor")
+        self._log_wal = storage.wal(f"{replica_id}.log")
         self.acceptor = Acceptor(
             replica_id,
-            wal=acceptor_wal,
+            wal=self._acceptor_wal,
             encode_value=self._encode_value,
             decode_value=self._decode_value,
         )
-        self._acceptor_wal = acceptor_wal
-        self._log_wal = log_wal
         self._proposer_index = self.peers.index(replica_id)
         #: Ballot of this replica's latest leadership (none yet: ZERO_BALLOT).
         self.ballot: Ballot = ZERO_BALLOT
@@ -210,12 +218,9 @@ class MultiPaxosReplica:
         #: then *displaced* and must be re-proposed at a fresh instance, or it
         #: would be silently lost.
         self._submitted: Dict[int, Any] = {}
-        #: instance -> decided value.  With a commit log, only the instances
-        #: not yet applied: an applied one is read back from the WALs.
+        #: instance -> decided value, for the instances not yet applied: an
+        #: applied one is read back from the WALs.
         self._decided: Dict[int, Any] = {}
-        #: One past the highest decided instance (the decided set can have
-        #: holes above the applied prefix; catch-up serves up to here).
-        self._decided_end = 0
         self._applied_up_to = -1
         #: Commands handed to this replica and not known decided, in
         #: submission order.  A leader's wait here for phase 1; a follower's
@@ -243,10 +248,9 @@ class MultiPaxosReplica:
         }
         #: Log length recovered from the commit WAL at construction.
         self.recovered_instances = 0
-        if log_wal is not None:
-            self._replay(log_wal)
+        self._replay()
 
-    def _replay(self, log_wal: Any) -> None:
+    def _replay(self) -> None:
         """Re-apply the decided prefix of the commit WAL, as it is read.
 
         The acceptor has replayed its own WAL by now, which a reference
@@ -259,6 +263,7 @@ class MultiPaxosReplica:
         wire schema this one does not read); that cut drops decisions the
         file held, so it is logged as a warning.
         """
+        log_wal = self._log_wal
         records = log_wal.records()
         try:
             for position, record in enumerate(records):
@@ -267,11 +272,6 @@ class MultiPaxosReplica:
                 if len(record) > 2:
                     value = self._decode_value(stored_text(record[2]))
                 else:
-                    if not self.acceptor.durable:
-                        raise ValueError(
-                            "commit WAL holds references: attach the acceptor WAL "
-                            "it was written beside"
-                        )
                     accepted = self.acceptor.accepted(record[1])
                     if accepted is None:
                         records = records[:position]
@@ -294,7 +294,7 @@ class MultiPaxosReplica:
             log_wal.reset(records)
         instances = {record[1] for record in records}
         if instances:
-            self._decided_end = self._next_instance = max(instances) + 1
+            self._next_instance = max(instances) + 1
         self.recovered_instances = len(instances)
 
     # ---------------------------------------------------------- observability
@@ -323,13 +323,12 @@ class MultiPaxosReplica:
             "Log instances this replica knows the decision for: the applied "
             "prefix and the decided instances above it.",
             labels,
-            fn=lambda: len(self._decided)
-            + (self.applied_count if self._log_wal is not None else 0),
+            fn=lambda: len(self._decided) + self.applied_count,
         )
         registry.gauge(
             "smr_decided_in_memory",
-            "Decided values this replica holds in memory; with a commit log, "
-            "only those not yet applied.",
+            "Decided values this replica holds in memory: those not yet "
+            "applied.",
             labels,
             fn=lambda: len(self._decided),
         )
@@ -413,9 +412,10 @@ class MultiPaxosReplica:
     def _start_leadership(self) -> None:
         """Phase 1, once: ask every acceptor for one log-wide promise.
 
-        The round is above this replica's own durable promise and above every
-        round a Nack has shown it, so a restarted replica never reuses a
-        ballot it may already have proposed a value under.
+        The round is above this replica's own promise (which its acceptor
+        WAL keeps across restarts) and above every round a Nack has shown it,
+        so a restarted replica never reuses a ballot it may already have
+        proposed a value under.
         """
         self.ballot = Ballot(
             max(self._seen_round, self.acceptor.promised.round) + 1,
@@ -494,7 +494,7 @@ class MultiPaxosReplica:
         """Network entry point: dispatch every SMR-related message."""
         if isinstance(message, Accept):
             self.transport.send(sender, self.acceptor.on_accept(message))
-            if message.instance <= self._applied_up_to and self._log_wal is not None:
+            if message.instance <= self._applied_up_to:
                 # A new leader re-drove an instance applied here: the WALs
                 # already hold its (one possible) value.
                 self.acceptor.forget(message.instance)
@@ -528,9 +528,9 @@ class MultiPaxosReplica:
         the one being filled is all the value text held for it at a time."""
         entries: List[Tuple[int, Any]] = []
         size = sent = 0
-        for instance, value, length in self._decisions(request.from_instance):
-            entries.append((instance, value))
-            size += length
+        for instance, text in self._stored(request.from_instance):
+            entries.append((instance, self._decode_value(text)))
+            size += len(text)
             if len(entries) >= CATCHUP_CHUNK or size >= CATCHUP_CHUNK_BYTES:
                 sent += self._reply(request.from_replica, entries)
                 entries, size = [], 0
@@ -544,19 +544,6 @@ class MultiPaxosReplica:
         self.transport.send(to, CatchupReply(entries=tuple(entries)))
         return len(entries)
 
-    def _decisions(self, start: int) -> Iterator[Tuple[int, Any, int]]:
-        """``(instance, value, length of its text)`` of every decision from
-        ``start`` on: from memory without a commit log, else from the WALs."""
-        if self._log_wal is None:
-            decided = self._decided
-            for instance in range(start, self._decided_end):
-                if instance in decided:
-                    value = decided[instance]
-                    yield instance, value, len(self._encode_value(value))
-            return
-        for instance, text in self._stored(start):
-            yield instance, self._decode_value(text), len(text)
-
     def _stored(self, start: int) -> Iterator[Tuple[int, bytes]]:
         """``(instance, value text)`` of every decision from ``start`` on, in
         commit-log order, read from the WALs a record at a time.
@@ -566,10 +553,9 @@ class MultiPaxosReplica:
         values), and each is read when its turn in the commit log comes.
         """
         last_accept: Dict[int, int] = {}
-        if self._acceptor_wal is not None:
-            for position, record in self._acceptor_wal.scan():
-                if record[0] == "a" and record[1] >= start:
-                    last_accept[record[1]] = position
+        for position, record in self._acceptor_wal.scan():
+            if record[0] == "a" and record[1] >= start:
+                last_accept[record[1]] = position
         for _, record in self._log_wal.scan():
             instance = record[1]
             if instance < start:
@@ -696,20 +682,17 @@ class MultiPaxosReplica:
         if instance <= self._applied_up_to or instance in self._decided:
             return
         self._decided[instance] = value
-        if instance >= self._decided_end:
-            self._decided_end = instance + 1
         # Decided is decided, whoever drove it: stop driving.  Late replies
         # for the instance find nothing in flight and are dropped.
         self._proposers.pop(instance, None)
-        if self._log_wal is not None:
-            # Persist the decision before applying it: after a restart the
-            # replica replays exactly the prefix it already exposed.  When
-            # the durable acceptor holds this very value, name it instead of
-            # writing it a second time.
-            if self.acceptor.durable and self.acceptor.accepted_value(instance) is value:
-                self._log_wal.append(["c", instance])
-            else:
-                self._log_wal.append(["c", instance, self._encode_value(value)])
+        # Persist the decision before applying it: after a restart the
+        # replica replays exactly the prefix it already exposed.  When the
+        # acceptor holds this very value, name it instead of writing it a
+        # second time.
+        if self.acceptor.accepted_value(instance) is value:
+            self._log_wal.append(["c", instance])
+        else:
+            self._log_wal.append(["c", instance, self._encode_value(value)])
         if self._pending_commands:
             # Once decided, a command must not be proposed again.
             self._pending_commands = deque(
@@ -733,19 +716,16 @@ class MultiPaxosReplica:
     def _apply_decided(self) -> None:
         """Apply every contiguous decided instance exactly once, in order.
 
-        With a commit log, which holds the instance by now, an applied value
-        leaves memory: ``_decided`` and the acceptor let it go.
+        The commit log holds the instance by now, so an applied value leaves
+        memory: ``_decided`` and the acceptor let it go.
         """
         decided = self._decided
         while self._applied_up_to + 1 in decided:
             self._applied_up_to += 1
             instance = self._applied_up_to
-            if self._log_wal is None:
-                self._apply(instance, decided[instance])
-            else:
-                # Let go first: an apply that raises still applied it.
-                self.acceptor.forget(instance)
-                self._apply(instance, decided.pop(instance))
+            # Let go first: an apply that raises still applied it.
+            self.acceptor.forget(instance)
+            self._apply(instance, decided.pop(instance))
 
     # ------------------------------------------------------------- inspection
     @property
@@ -757,7 +737,5 @@ class MultiPaxosReplica:
     def log(self) -> List[Any]:
         """The applied prefix of the replicated log (tests, inspection)."""
         applied = self.applied_count
-        if self._log_wal is None:
-            return [self._decided[i] for i in range(applied)]
         texts = {i: text for i, text in self._stored(0) if i < applied}
         return [self._decode_value(texts[i]) for i in range(applied)]

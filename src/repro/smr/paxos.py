@@ -8,9 +8,10 @@ log in :mod:`repro.smr.multipaxos` and the five messages of the synod
 protocol as that log runs it: phase 1 (prepare/promise) covers *every*
 instance from a given one on, phase 2 (accept/accepted) one instance.
 
-The :class:`Acceptor` is a pure, transport-agnostic state machine and is
-deliberately free of timers; leadership, retries and learning live one level
-up.
+The :class:`Acceptor` is a transport-agnostic state machine, deliberately
+free of timers, that writes every promise and accept to its WAL before it
+answers; leadership, retries and learning live one level up, in the replica
+that hands it the WAL and its value codec.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.message import record
-from ..jsontext import json_text, json_value
+from ..jsontext import json_text
+from ..storage.base import WAL
 
 ReplicaId = Any
 
@@ -140,12 +142,12 @@ class Acceptor:
     """Paxos acceptor state for a sequence of instances.
 
     The promise is one ballot for the whole log; accepted values are kept per
-    instance.  When constructed with a ``wal``, the acceptor satisfies the
-    Paxos stable-storage requirement: ``promised``/``accepted`` transitions
-    are persisted *before* the corresponding Promise/Accepted reply is handed
-    back to the caller, and a restarted acceptor replays the log on
-    construction — so it can never promise or accept below a ballot it
-    already answered for, no matter how many times it crashes.
+    instance.  The ``wal`` satisfies the Paxos stable-storage requirement:
+    ``promised``/``accepted`` transitions are written to it *before* the
+    corresponding Promise/Accepted reply is handed back to the caller, and a
+    restarted acceptor replays it on construction — so it can never promise
+    or accept below a ballot it already answered for, no matter how many
+    times it crashes.
 
     WAL records (JSON-able):
 
@@ -161,38 +163,34 @@ class Acceptor:
     where its replica reads an applied value back from once :meth:`forget`
     let it go from memory.
 
-    ``encode_value``/``decode_value`` translate accepted values to/from their
-    JSON text (``bytes``; plain JSON by default — fine for JSON-able
-    commands).  The text is what a record holds, handed to the WAL as it is;
-    a value that remembers its text (:class:`~repro.smr.replica.Turn`) is
-    therefore never serialised to be stored, and ``decode_value`` may put off
-    the parse until somebody reads the value.
+    ``encode_value``/``decode_value`` are the replica's value codec: they
+    translate accepted values to/from their JSON text (``bytes``).  The text
+    is what a record holds, handed to the WAL as it is; a value that
+    remembers its text (:class:`~repro.smr.replica.Turn`) is therefore never
+    serialised to be stored, and ``decode_value`` may put off the parse until
+    somebody reads the value.
     """
 
     def __init__(
         self,
         replica_id: ReplicaId,
-        wal: Optional[Any] = None,
-        encode_value: Optional[Callable[[Any], bytes]] = None,
-        decode_value: Optional[Callable[[bytes], Any]] = None,
+        wal: WAL,
+        encode_value: Callable[[Any], bytes],
+        decode_value: Callable[[bytes], Any],
     ) -> None:
         self.replica_id = replica_id
         #: Highest ballot promised, for every instance of the log.
         self.promised: Ballot = ZERO_BALLOT
         self._accepted: Dict[int, Tuple[Ballot, Any]] = {}
+        # Only ever appended to: an applied instance's value is kept here
+        # alone, where its replica's commit-log reference points.
         self._wal = wal
-        self._encode = encode_value or json_text
-        self._decode = decode_value or json_value
-        if wal is not None:
-            for record in wal.records():
-                self._replay(record)
+        self._encode = encode_value
+        self._decode = decode_value
+        for record in wal.records():
+            self._replay(record)
 
     # ------------------------------------------------------------- durability
-    @property
-    def durable(self) -> bool:
-        """Whether accepted values survive a restart (a WAL is attached)."""
-        return self._wal is not None
-
     def _replay(self, record: List[Any]) -> None:
         kind = record[0]
         if kind not in ("p", "a"):
@@ -203,22 +201,11 @@ class Acceptor:
         if kind == "a":
             self._accepted[record[1]] = (ballot, self._decode(stored_text(record[3])))
 
-    def _persist(self, record: List[Any]) -> None:
-        # Never rewritten: a replica with a commit log keeps an applied
-        # instance's value here only, where the log's references point.
-        if self._wal is not None:
-            self._wal.append(record)
-
     def forget(self, instance: int) -> None:
         """``instance`` is applied and on its replica's commit log: let the
         value go from memory (the WAL keeps it).  A promise never reports it —
         it starts at the applied prefix."""
         self._accepted.pop(instance, None)
-
-    def promised_ballot(self, instance: int) -> Ballot:
-        """Highest ballot promised for ``instance`` (introspection/tests); the
-        promise is log-wide, so every instance answers alike."""
-        return self.promised
 
     # --------------------------------------------------------------- protocol
     def on_prepare(self, prepare: Prepare, applied: int = 0):
@@ -237,7 +224,7 @@ class Acceptor:
                 from_replica=self.replica_id,
             )
         self.promised = prepare.ballot
-        self._persist(["p", [prepare.ballot.round, prepare.ballot.proposer]])
+        self._wal.append(["p", [prepare.ballot.round, prepare.ballot.proposer]])
         start = max(prepare.instance, applied)
         return Promise(
             instance=start,
@@ -260,15 +247,14 @@ class Acceptor:
             )
         self.promised = accept.ballot
         self._accepted[accept.instance] = (accept.ballot, accept.value)
-        if self.durable:  # else nobody needs the value's text here
-            self._persist(
-                [
-                    "a",
-                    accept.instance,
-                    [accept.ballot.round, accept.ballot.proposer],
-                    self._encode(accept.value),
-                ]
-            )
+        self._wal.append(
+            [
+                "a",
+                accept.instance,
+                [accept.ballot.round, accept.ballot.proposer],
+                self._encode(accept.value),
+            ]
+        )
         return Accepted(accept.instance, accept.ballot, self.replica_id)
 
     def accepted(self, instance: int) -> Optional[Tuple[Ballot, Any]]:

@@ -36,6 +36,7 @@ from ..obs import Observability
 from ..overlay.base import GroupId
 from ..protocols.base import AtomicMulticastGroup, AtomicMulticastProtocol, DeliverySink
 from ..sim.transport import Transport
+from ..storage import InMemoryStorage, Storage
 from .multipaxos import MultiPaxosReplica, ReplicaId
 
 
@@ -61,9 +62,8 @@ class Turn:
     read from a frame keeps the line it was parsed from, and one read from a
     WAL is not parsed until somebody wants its ``entries``.  Once applied, a
     turn that has its text lets the entries go (:meth:`release`) and re-makes
-    them for the rare reader that asks; a replica with a commit log then lets
-    the turn itself go — the WALs hold it — and one without keeps flat bytes,
-    not a graph of messages.
+    them for the rare reader that asks; the replica then lets the turn itself
+    go — the WALs hold it.
 
     A turn costs what its entries cost in the size model here; its text is
     the array of its entries' rows after a marker (``runtime/codec.py``).
@@ -176,8 +176,8 @@ class GroupReplica:
         protocol: AtomicMulticastProtocol,
         transport: Transport,
         sink: DeliverySink,
+        storage: Storage,
         reported: Optional[ReportedCount] = None,
-        storage: Optional[Any] = None,
     ) -> None:
         self.group_id = group_id
         self.replica_id = replica_id
@@ -212,10 +212,6 @@ class GroupReplica:
         self.protocol_state: AtomicMulticastGroup = protocol.create_group(
             group_id, self._gated, self._make_sink(sink)
         )
-        acceptor_wal = log_wal = None
-        if storage is not None:
-            acceptor_wal = storage.wal(f"{replica_id}.acceptor")
-            log_wal = storage.wal(f"{replica_id}.log")
         # While the commit WAL replays (inside the MultiPaxosReplica
         # constructor) the replica re-applies its pre-crash log prefix: the
         # outbound gate stays shut and nothing is reported — peers and
@@ -226,8 +222,7 @@ class GroupReplica:
             peers=peer_replicas,
             transport=transport,
             apply=self._apply,
-            acceptor_wal=acceptor_wal,
-            log_wal=log_wal,
+            storage=storage,
             encode_value=lambda turn: turn.text,
             decode_value=lambda text: Turn(text=text),
         )
@@ -360,7 +355,10 @@ class ReplicatedGroup:
 
     This is the deployment helper used by tests and the fault-tolerance
     example: it registers every replica on the simulated network and exposes
-    the logical group through its current leader.
+    the logical group through its current leader.  The replicas keep their
+    WALs in ``storage`` — an :class:`~repro.storage.InMemoryStorage` of the
+    group's own when none is given — so a restarted replica replays its own
+    log either way.
     """
 
     def __init__(
@@ -371,7 +369,7 @@ class ReplicatedGroup:
         site: int,
         sink: DeliverySink,
         replication_factor: int = 3,
-        storage: Optional[Any] = None,
+        storage: Optional[Storage] = None,
     ) -> None:
         if replication_factor < 1:
             raise ValueError("replication factor must be at least 1")
@@ -387,7 +385,7 @@ class ReplicatedGroup:
         self._sink = sink
         self._reported = reported
         self._replica_ids = replica_ids
-        self._storage = storage
+        self._storage = storage if storage is not None else InMemoryStorage()
         self._obs: Optional[Observability] = None
         for replica_id in replica_ids:
             transport = _ReplicaTransport(network, replica_id, group_id, replica_ids)
@@ -399,7 +397,7 @@ class ReplicatedGroup:
                 transport=transport,
                 sink=sink,
                 reported=reported,
-                storage=storage,
+                storage=self._storage,
             )
             self.replicas.append(replica)
             network.register(replica_id, site=site, handler=replica.on_message)

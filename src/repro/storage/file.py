@@ -17,9 +17,11 @@ are untouched, records after it never existed durably.
 Durability knob: ``fsync_every`` batches fsyncs — an fsync is issued every
 N appends instead of on every append.  That caps the worst-case loss on a
 *machine* crash at the last N records (a mere process crash loses nothing:
-the OS still has the written pages).  Callers that need a hard durability
-point (the Paxos acceptor before replying) call :meth:`FileWAL.sync`
-explicitly or use ``fsync_every=1``.
+the OS still has the written pages).  The Paxos acceptor takes that risk: it
+replies once a record is written to the OS, not once it is synced — nothing
+in :mod:`repro.smr` calls :meth:`FileWAL.sync`, and ``ReplicaServer`` keeps
+the default ``fsync_every=64``.  DESIGN.md "fsync batching" states the
+trade-off; ``fsync_every=1`` makes every append a hard durability point.
 
 :meth:`FileWAL.reset` writes the replacement to a temporary file, fsyncs it,
 then atomically renames it over the old WAL, so a reader sees the old or the

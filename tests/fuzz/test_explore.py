@@ -157,3 +157,9 @@ class TestScheduleRoundtrip:
         # All three messages fully delivered (the old bug wedged group 2
         # with zero deliveries).
         assert outcome.delivered == 7
+        # Today's traffic follows only the first 4 of the 14 recorded
+        # choices; the rest of the run is first-enabled.  Pinned, so that
+        # any further drift shows.  Every interleaving of the shape is
+        # covered anyway: it is one of the 26 the exhaustive 3x3 sweep runs.
+        assert len(choices) == 14 and outcome.choices_honored == 4
+        assert case in enumerate_shapes(3, 3, single_shared_only=False)

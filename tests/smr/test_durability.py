@@ -10,6 +10,7 @@ import shutil
 import pytest
 
 from repro.core.flexcast import FlexCastProtocol
+from repro.jsontext import json_value
 from repro.overlay.cdag import CDagOverlay
 from repro.runtime.codec import CodecError, turn_entries, turn_text
 from repro.sim.events import EventLoop
@@ -26,6 +27,11 @@ from repro.storage.file import _encode_record, _payloads, _scan_frames
 
 
 # ----------------------------------------------------------------- acceptor WAL
+def acceptor_on(wal):
+    """Acceptor ``r0`` replaying ``wal``, with the plain-JSON value codec."""
+    return Acceptor("r0", wal, json_text, json_value)
+
+
 class TestAcceptorDurability:
     def test_restarted_acceptor_never_repromises_below_durable_ballot(self):
         """The Paxos stable-storage requirement, pinned.
@@ -35,13 +41,13 @@ class TestAcceptorDurability:
         both believe they own the instance and safety is gone.
         """
         storage = InMemoryStorage()
-        acceptor = Acceptor("r0", wal=storage.wal("r0.acceptor"))
+        acceptor = acceptor_on(storage.wal("r0.acceptor"))
         high = Ballot(round=5, proposer=1)
         assert isinstance(acceptor.on_prepare(Prepare(instance=0, ballot=high)), Promise)
 
         # Crash: the object dies, the storage survives.
-        restarted = Acceptor("r0", wal=storage.wal("r0.acceptor"))
-        assert restarted.promised_ballot(0) == high
+        restarted = acceptor_on(storage.wal("r0.acceptor"))
+        assert restarted.promised == high
         low = Ballot(round=3, proposer=0)
         assert isinstance(restarted.on_prepare(Prepare(instance=0, ballot=low)), Nack)
         assert isinstance(
@@ -50,12 +56,12 @@ class TestAcceptorDurability:
 
     def test_accepted_value_survives_restart_and_feeds_recovery(self):
         storage = InMemoryStorage()
-        acceptor = Acceptor("r0", wal=storage.wal("w"))
+        acceptor = acceptor_on(storage.wal("w"))
         ballot = Ballot(round=2, proposer=0)
         acceptor.on_prepare(Prepare(instance=3, ballot=ballot))
         acceptor.on_accept(Accept(instance=3, ballot=ballot, value={"cmd": "x"}))
 
-        restarted = Acceptor("r0", wal=storage.wal("w"))
+        restarted = acceptor_on(storage.wal("w"))
         assert restarted.accepted_value(3) == {"cmd": "x"}
         # A later prepare must report the accepted value (Paxos adoption rule).
         promise = restarted.on_prepare(Prepare(instance=3, ballot=Ballot(9, 1)))
@@ -65,7 +71,7 @@ class TestAcceptorDurability:
     def test_persist_happens_before_reply(self):
         """The WAL already holds the promise when on_prepare returns."""
         storage = InMemoryStorage()
-        acceptor = Acceptor("r0", wal=storage.wal("w"))
+        acceptor = acceptor_on(storage.wal("w"))
         acceptor.on_prepare(Prepare(instance=0, ballot=Ballot(1, 0)))
         assert ["p", [1, 0]] in storage.wal("w").records()
         acceptor.on_accept(Accept(instance=0, ballot=Ballot(1, 0), value="v"))
@@ -74,7 +80,7 @@ class TestAcceptorDurability:
     def test_restart_after_many_reaccepts_keeps_the_last_accept_and_highest_promise(self):
         storage = InMemoryStorage()
         wal = storage.wal("w")
-        acceptor = Acceptor("r0", wal=wal)
+        acceptor = acceptor_on(wal)
         # Many generations of retried ballots re-accepting a few instances,
         # each with a value of its generation.
         for round_no in range(120):
@@ -85,7 +91,7 @@ class TestAcceptorDurability:
         # Append-only: nothing is folded away, whatever the log's length.
         assert len(wal) == 2 * 120 + 1
 
-        restarted = Acceptor("r0", wal=storage.wal("w"))
+        restarted = acceptor_on(storage.wal("w"))
         assert restarted.promised == acceptor.promised == Ballot(200, 1)
         for instance in range(3):
             assert restarted.accepted(instance) == acceptor.accepted(instance)
@@ -95,7 +101,7 @@ class TestAcceptorDurability:
         storage = InMemoryStorage()
         acceptor = Acceptor(
             "r0",
-            wal=storage.wal("w"),
+            storage.wal("w"),
             encode_value=lambda v: json_text({"wire": v}),
             decode_value=lambda text: json.loads(text)["wire"],
         )
@@ -104,7 +110,7 @@ class TestAcceptorDurability:
         assert storage.wal("w").records() == [["a", 0, [0, 0], b'{"wire":"native"}']]
         restarted = Acceptor(
             "r0",
-            wal=storage.wal("w"),
+            storage.wal("w"),
             encode_value=lambda v: json_text({"wire": v}),
             decode_value=lambda text: json.loads(text)["wire"],
         )
@@ -114,7 +120,7 @@ class TestAcceptorDurability:
         storage = InMemoryStorage()
         storage.wal("w").append(["z", 0, [0, 0]])
         with pytest.raises(ValueError):
-            Acceptor("r0", wal=storage.wal("w"))
+            acceptor_on(storage.wal("w"))
 
 
 # ------------------------------------------------------------------- multipaxos
@@ -129,14 +135,13 @@ def deploy(storage_by_id=None, n=3):
     applied = {rid: [] for rid in ids}
     replicas = {}
     for i, rid in enumerate(ids):
-        storage = (storage_by_id or {}).get(rid)
+        storage = (storage_by_id or {}).get(rid) or InMemoryStorage()
         replicas[rid] = MultiPaxosReplica(
             rid,
             ids,
             SimTransport(network, rid),
             apply=lambda inst, value, rid=rid: applied[rid].append(value),
-            acceptor_wal=storage.wal(f"{rid}.acceptor") if storage else None,
-            log_wal=storage.wal(f"{rid}.log") if storage else None,
+            storage=storage,
         )
         network.register(rid, site=i, handler=replicas[rid].on_message)
     return loop, network, replicas, applied
@@ -158,8 +163,7 @@ class TestCommitLogReplay:
             ["r0"],
             SimTransport(Network(EventLoop(), LatencyMatrix([[0.1]], ["s0"])), "r0"),
             apply=lambda inst, value: replay.append(value),
-            acceptor_wal=storage["r0"].wal("r0.acceptor"),
-            log_wal=storage["r0"].wal("r0.log"),
+            storage=storage["r0"],
         )
         assert replay == applied["r0"]
         assert rebuilt.recovered_instances == 4
@@ -168,7 +172,7 @@ class TestCommitLogReplay:
 
     def test_unknown_commit_record_rejected(self):
         storage = InMemoryStorage()
-        storage.wal("log").append(["x", 0, "v"])
+        storage.wal("r0.log").append(["x", 0, "v"])
         with pytest.raises(ValueError):
             deploy_one_with_log(storage)
 
@@ -194,8 +198,7 @@ class TestCommitLogReplay:
             ["r0", "r1", "r2"],
             SimTransport(network, "r2"),
             apply=lambda inst, value: rebuilt_applied.append(value),
-            acceptor_wal=storage["r2"].wal("r2.acceptor"),
-            log_wal=storage["r2"].wal("r2.log"),
+            storage=storage["r2"],
         )
         assert rebuilt_applied == ["before"]  # local replay only
         network.register("r2", site=2, handler=rebuilt.on_message)
@@ -222,8 +225,7 @@ class TestCommitLogReplay:
             ["r0", "r1", "r2"],
             SimTransport(network, "r1"),
             apply=lambda inst, value: rebuilt_applied.append(value),
-            acceptor_wal=storage["r1"].wal("r1.acceptor"),
-            log_wal=storage["r1"].wal("r1.log"),
+            storage=storage["r1"],
         )
         network.register("r1", site=1, handler=rebuilt.on_message)
         rebuilt.rejoin()
@@ -745,7 +747,7 @@ def deploy_one_with_log(storage):
         ["r0"],
         SimTransport(network, "r0"),
         apply=lambda inst, value: None,
-        log_wal=storage.wal("log"),
+        storage=storage,
     )
 
 

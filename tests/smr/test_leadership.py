@@ -34,14 +34,14 @@ class Cluster:
     """Three replicas on the simulator, each with its own WAL pair in one
     :class:`InMemoryStorage` — the disk that survives :meth:`crash`."""
 
-    def __init__(self, durable=True):
+    def __init__(self):
         self.loop = EventLoop()
         matrix = LatencyMatrix(
             matrix=[[1.0 if a != b else 0.1 for b in range(3)] for a in range(3)],
             names=["s0", "s1", "s2"],
         )
         self.network = Network(self.loop, matrix)
-        self.storage = InMemoryStorage() if durable else None
+        self.storage = InMemoryStorage()
         self.applied = {rid: [] for rid in IDS}
         self.replicas = {}
         self.crashed = set()
@@ -51,16 +51,10 @@ class Cluster:
     def boot(self, rid):
         """(Re)build ``rid`` from whatever its WALs hold and register it."""
         self.applied[rid] = []
-        wals = {}
-        if self.storage is not None:
-            wals = {
-                "acceptor_wal": self.storage.wal(f"{rid}.acceptor"),
-                "log_wal": self.storage.wal(f"{rid}.log"),
-            }
         replica = MultiPaxosReplica(
             rid, IDS, SimTransport(self.network, rid),
             apply=lambda inst, value, log=self.applied[rid]: log.append(value),
-            **wals,
+            storage=self.storage,
         )
         self.replicas[rid] = replica
         self.network.register(rid, site=IDS.index(rid), handler=replica.on_message)
@@ -93,6 +87,14 @@ class Cluster:
 def kib(tag):
     """A 1 KiB command that can be found again in a frame or a record."""
     return f"<{tag}>".ljust(1024, "x")
+
+
+class _WatchedDict(dict):
+    """A dict that shows each assignment to ``on_set(key, value)`` first."""
+
+    def __setitem__(self, key, value):
+        self.on_set(key, value)
+        super().__setitem__(key, value)
 
 
 # ------------------------------------------------------- (a) steady-state cost
@@ -148,18 +150,22 @@ class TestSteadyStateCost:
     def test_decided_and_accepted_value_are_one_object_on_every_replica(self):
         # A follower used to hold two decoded copies of every value (the
         # Accept's and the Commit's); now the decision *is* the accepted entry.
-        # (With a commit log neither keeps an applied value: test_log_floor.)
-        cluster = Cluster(durable=False)
+        # Applied, neither is kept (test_log_floor), so watch each decision
+        # as it is learned.
+        cluster = Cluster()
+        one_object = []
+        for replica in cluster.replicas.values():
+            decided = replica._decided = _WatchedDict()
+            decided.on_set = lambda instance, value, replica=replica: one_object.append(
+                value is replica.acceptor.accepted_value(instance)
+            )
         for i in range(3):
             cluster.replicas["r0"].submit({"cmd": i})
         cluster.run()
-        for replica in cluster.replicas.values():
-            for instance in range(3):
-                decided = replica._decided[instance]
-                assert decided is replica.acceptor.accepted_value(instance)
+        assert one_object == [True] * 9
 
     def test_no_leader_counters_move_in_steady_state(self):
-        cluster = Cluster(durable=False)
+        cluster = Cluster()
         registry = MetricsRegistry()
         cluster.replicas["r0"].register_metrics(registry)
         for i in range(10):
@@ -222,12 +228,11 @@ class TestRestartedLeaderBallot:
         # already carry "first" on some acceptor.
         assert prepared and all(b.round > durable_round for b in prepared)
         assert r0.ballot.round > durable_round
+        # Read from each replica's WALs: an applied value is not kept in
+        # memory.
+        decided = [replica.log for replica in cluster.replicas.values()]
         for instance in range(3):
-            values = {
-                json.dumps(replica._decided[instance])
-                for replica in cluster.replicas.values()
-                if instance in replica._decided
-            }
+            values = {json.dumps(log[instance]) for log in decided if instance < len(log)}
             assert len(values) <= 1, f"instance {instance} decided as {values}"
         logs = list(cluster.applied.values())
         assert logs[0] == logs[1] == logs[2]
@@ -300,7 +305,8 @@ class TestCommitWithoutAccept:
         # Chosen at b => every later ballot carries the same value, so an
         # entry re-accepted at a higher ballot answers an older Commit.
         replica = MultiPaxosReplica(
-            "r1", ["r0", "r1"], RecordingTransport(), apply=lambda instance, value: None
+            "r1", ["r0", "r1"], RecordingTransport(), apply=lambda instance, value: None,
+            storage=InMemoryStorage(),
         )
         replica.on_message("r0", Accept(0, Ballot(3, 0), "v"))
         replica.on_message("r0", Commit(instance=0, ballot=Ballot(1, 0)))
@@ -355,25 +361,6 @@ class TestLeaderFarBehind:
 
 # ------------------------------------------------- (e) dangling reference record
 class TestReferenceRecords:
-    def test_log_without_an_acceptor_wal_keeps_full_records(self):
-        storage = InMemoryStorage()
-        replica = MultiPaxosReplica(
-            "r0", ["r0"], RecordingTransport(), apply=lambda instance, value: None,
-            log_wal=storage.wal("log"),
-        )
-        replica.submit("solo")
-        assert storage.wal("log").records() == [["c", 0, b'"solo"']]
-
-    def test_references_without_the_acceptor_wal_are_refused_not_dropped(self):
-        storage = InMemoryStorage()
-        storage.wal("log").append(["c", 0])
-        with pytest.raises(ValueError, match="acceptor WAL"):
-            MultiPaxosReplica(
-                "r0", ["r0"], RecordingTransport(), apply=lambda instance, value: None,
-                log_wal=storage.wal("log"),
-            )
-        assert storage.wal("log").records() == [["c", 0]]
-
     def test_reference_whose_accept_was_cut_off_ends_the_replay_there(self):
         cluster = Cluster()
         for i in range(6):
@@ -400,55 +387,48 @@ class TestReferenceRecords:
         assert cluster.records("r2.log")[4:] == [["c", 4, b'"cmd-4"'], ["c", 5, b'"cmd-5"']]
 
     def test_old_per_instance_promise_records_replay_as_their_maximum(self):
+        from repro.jsontext import json_text, json_value
         from repro.smr.paxos import Acceptor
 
         storage = InMemoryStorage()
         wal = storage.wal("w")
         for record in (["p", 0, [3, 1]], ["p", 7, [1, 0]], ["a", 2, [2, 2], "v"]):
             wal.append(record)
-        acceptor = Acceptor("r0", wal=storage.wal("w"))
+        acceptor = Acceptor("r0", storage.wal("w"), json_text, json_value)
         assert acceptor.promised == Ballot(3, 1)
         assert acceptor.accepted(2) == (Ballot(2, 2), "v")
 
 
 # ----------------------------------------------- satellite: catch-up serving
-class _CountingDict(dict):
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.lookups = 0
-
-    def __getitem__(self, key):
-        self.lookups += 1
-        return super().__getitem__(key)
-
-    def __contains__(self, key):
-        self.lookups += 1
-        return super().__contains__(key)
-
-    def items(self):  # the whole-dict walk the handler used to sort
-        self.lookups += len(self)
-        return super().items()
-
-
 class TestCatchupServingCost:
     def _replica_with_log(self, n):
         outbox = RecordingTransport()
+        decoded = []
+
+        def decode(text):
+            decoded.append(text)
+            return json.loads(text)
+
         replica = MultiPaxosReplica(
-            "r1", ["r0", "r1"], outbox, apply=lambda instance, value: None
+            "r1", ["r0", "r1"], outbox, apply=lambda instance, value: None,
+            storage=InMemoryStorage(), decode_value=decode,
         )
         replica.on_message(
             "r0", CatchupReply(entries=tuple((i, f"v{i}") for i in range(n)))
         )
-        replica._decided = _CountingDict(replica._decided)
+        replica.decoded = decoded
         return replica, outbox
 
-    def test_a_suffix_request_touches_only_the_suffix(self):
+    def test_a_suffix_request_decodes_only_the_suffix(self):
+        # The WALs are read a record at a time; only the values served are
+        # parsed.
         n, k = 20_000, 19_900
         replica, outbox = self._replica_with_log(n)
+        assert replica.decoded == []
         replica.on_message("rx", CatchupRequest(from_instance=k, from_replica="rx"))
         served = [entry for _, reply in outbox.sent for entry in reply.entries]
         assert served == [(i, f"v{i}") for i in range(k, n)]
-        assert replica._decided.lookups <= 2 * (n - k)
+        assert len(replica.decoded) == n - k
 
     def test_holes_above_the_applied_prefix_are_skipped_not_invented(self):
         replica, outbox = self._replica_with_log(0)

@@ -1,4 +1,4 @@
-"""With a commit log, a replica keeps only the un-applied window in memory.
+"""A replica keeps only the un-applied window in memory.
 
 An applied instance lives in the two WALs alone: ``_decided`` and the
 acceptor let it go as it is applied, and catch-up, ``log`` and a restart read
@@ -56,18 +56,6 @@ class TestTheUnappliedWindow:
         # ... yet the log is all there, read back from the files.
         logged = [turn.entries[0].envelope.message.msg_id for turn in d.replicas[2].smr.log]
         assert logged == [f"m{i}" for i in range(LONG)]
-
-    def test_without_a_commit_log_every_decided_value_stays(self):
-        d = Deployment()
-        registry = MetricsRegistry()
-        d.replicas[1].smr.register_metrics(registry)
-        drive(d, [f"m{i}" for i in range(10)])
-        smr = d.replicas[1].smr
-        assert sorted(smr._decided) == list(range(10))
-        gauges = registry.snapshot()["gauges"]
-        label = f'{{replica="{smr.replica_id}"}}'
-        assert gauges[f"smr_decided_instances{label}"] == 10
-        assert gauges[f"smr_decided_in_memory{label}"] == 10
 
 
 class TestReadBackFromTheWals:

@@ -9,11 +9,12 @@ from repro.protocols.base import RecordingSink
 from repro.sim.events import EventLoop
 from repro.sim.latencies import LatencyMatrix
 from repro.sim.network import Network
-from repro.sim.transport import SimTransport
+from repro.sim.transport import RecordingTransport, SimTransport
 from repro.obs import MetricsRegistry
-from repro.smr.multipaxos import MultiPaxosReplica
+from repro.smr.multipaxos import CatchupReply, MultiPaxosReplica
 from repro.smr.paxos import Accept, Ballot
 from repro.smr.replica import ReplicatedGroup
+from repro.storage import InMemoryStorage
 
 
 def deploy_replicas(n=3):
@@ -31,6 +32,7 @@ def deploy_replicas(n=3):
         replica = MultiPaxosReplica(
             rid, ids, SimTransport(network, rid),
             apply=lambda inst, value, rid=rid: applied[rid].append(value),
+            storage=InMemoryStorage(),
         )
         replicas[rid] = replica
         network.register(rid, site=min(i, size - 1), handler=replica.on_message)
@@ -63,7 +65,10 @@ class TestReplication:
     def test_replica_must_be_listed_in_peers(self):
         loop, network, _, _ = deploy_replicas()
         with pytest.raises(ValueError):
-            MultiPaxosReplica("rx", ["r0", "r1"], SimTransport(network, "rx"), apply=lambda i, v: None)
+            MultiPaxosReplica(
+                "rx", ["r0", "r1"], SimTransport(network, "rx"), apply=lambda i, v: None,
+                storage=InMemoryStorage(),
+            )
 
     def test_leader_failover_preserves_and_continues_the_log(self):
         loop, network, replicas, applied = deploy_replicas()
@@ -201,6 +206,41 @@ class TestReplication:
         assert replicas["r0"].log == ["solo"]
 
 
+class TestStorage:
+    def test_a_replica_keeps_its_two_wals_under_its_own_id(self):
+        # The names the committed corpora were written under.
+        storage = InMemoryStorage()
+        replica = MultiPaxosReplica(
+            "r0", ["r0"], RecordingTransport(), apply=lambda i, v: None, storage=storage
+        )
+        assert storage.wal_names() == ["r0.acceptor", "r0.log"]
+        replica.submit("solo")
+        assert storage.wal("r0.acceptor").records() == [
+            ["p", [0, 0]], ["a", 0, [0, 0], b'"solo"'],
+        ]
+        assert storage.wal("r0.log").records() == [["c", 0]]
+
+    def test_decided_instances_count_the_applied_prefix_and_any_above_a_hole(self):
+        replica = MultiPaxosReplica(
+            "r1", ["r0", "r1"], RecordingTransport(), apply=lambda i, v: None,
+            storage=InMemoryStorage(),
+        )
+        registry = MetricsRegistry()
+        replica.register_metrics(registry)
+
+        def gauges():
+            snapshot = registry.snapshot()["gauges"]
+            return [
+                snapshot[f'smr_decided_{name}{{replica="r1"}}']
+                for name in ("instances", "in_memory")
+            ]
+
+        replica.on_message("r0", CatchupReply(entries=((0, "a"), (1, "b"), (3, "d"))))
+        assert replica.applied_count == 2 and gauges() == [3, 1]
+        replica.on_message("r0", CatchupReply(entries=((2, "c"),)))
+        assert replica.log == ["a", "b", "c", "d"] and gauges() == [4, 0]
+
+
 class TestReplicatedGroup:
     def test_replicated_flexcast_group_delivers_once_and_replicas_agree(self):
         loop = EventLoop()
@@ -266,6 +306,7 @@ class TestCatchupChunking:
         transport = self._RecordingTransport()
         replica = MultiPaxosReplica(
             "r1", ["r0", "r1"], transport, apply=lambda i, v: None,
+            storage=InMemoryStorage(),
         )
         # A Commit names the decision, the Accept before it carried it.
         ballot = Ballot(0, 0)
@@ -304,6 +345,7 @@ class TestCatchupChunking:
         lapsed = MultiPaxosReplica(
             "rx", ["r1", "rx"], self._RecordingTransport(),
             apply=lambda i, v: applied.append((i, v)),
+            storage=InMemoryStorage(),
         )
         for _, reply in transport.sent:
             lapsed.on_message("r1", reply)

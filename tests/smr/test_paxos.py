@@ -2,6 +2,7 @@
 
 import dataclasses
 
+from repro.jsontext import json_text, json_value
 from repro.smr.multipaxos import Commit
 from repro.smr.paxos import (
     Accept,
@@ -13,6 +14,12 @@ from repro.smr.paxos import (
     Promise,
     ZERO_BALLOT,
 )
+from repro.storage import InMemoryStorage
+
+
+def new_acceptor() -> Acceptor:
+    """An acceptor on a WAL of its own, with the plain-JSON value codec."""
+    return Acceptor("a", InMemoryStorage().wal("a.acceptor"), json_text, json_value)
 
 
 class TestBallot:
@@ -28,13 +35,13 @@ class TestBallot:
 
 class TestAcceptor:
     def test_promises_higher_ballots(self):
-        acceptor = Acceptor("a")
+        acceptor = new_acceptor()
         reply = acceptor.on_prepare(Prepare(instance=0, ballot=Ballot(1, 0)))
         assert isinstance(reply, Promise)
         assert reply.instance == 0 and reply.accepted == ()
 
     def test_nacks_lower_or_equal_ballots(self):
-        acceptor = Acceptor("a")
+        acceptor = new_acceptor()
         acceptor.on_prepare(Prepare(instance=0, ballot=Ballot(5, 0)))
         for ballot in (Ballot(2, 0), Ballot(5, 0)):
             reply = acceptor.on_prepare(Prepare(instance=0, ballot=ballot))
@@ -42,7 +49,7 @@ class TestAcceptor:
             assert reply.promised == Ballot(5, 0)
 
     def test_accepts_at_promised_ballot(self):
-        acceptor = Acceptor("a")
+        acceptor = new_acceptor()
         acceptor.on_prepare(Prepare(instance=0, ballot=Ballot(1, 0)))
         reply = acceptor.on_accept(Accept(instance=0, ballot=Ballot(1, 0), value="v"))
         assert reply == Accepted(instance=0, ballot=Ballot(1, 0), from_replica="a")
@@ -50,14 +57,14 @@ class TestAcceptor:
         assert acceptor.accepted(0) == (Ballot(1, 0), "v")
 
     def test_rejects_accept_below_promise(self):
-        acceptor = Acceptor("a")
+        acceptor = new_acceptor()
         acceptor.on_prepare(Prepare(instance=0, ballot=Ballot(5, 0)))
         reply = acceptor.on_accept(Accept(instance=0, ballot=Ballot(1, 0), value="v"))
         assert isinstance(reply, Nack)
         assert acceptor.accepted_value(0) is None
 
     def test_previously_accepted_value_reported_in_promise(self):
-        acceptor = Acceptor("a")
+        acceptor = new_acceptor()
         acceptor.on_prepare(Prepare(instance=0, ballot=Ballot(1, 0)))
         acceptor.on_accept(Accept(instance=0, ballot=Ballot(1, 0), value="old"))
         promise = acceptor.on_prepare(Prepare(instance=0, ballot=Ballot(2, 1)))
@@ -67,7 +74,7 @@ class TestAcceptor:
         # Was test_instances_are_independent: promises no longer are (one
         # ballot covers the log — that is what makes phase 1 a once-per-
         # leadership cost); accepted values still are.
-        acceptor = Acceptor("a")
+        acceptor = new_acceptor()
         acceptor.on_prepare(Prepare(instance=0, ballot=Ballot(9, 0)))
         reply = acceptor.on_prepare(Prepare(instance=1, ballot=Ballot(1, 0)))
         assert isinstance(reply, Nack) and reply.promised == Ballot(9, 0)
@@ -80,8 +87,16 @@ class TestAcceptor:
         assert acceptor.accepted_value(1) == "one"
         assert acceptor.accepted_value(2) is None
 
+    def test_a_refused_prepare_or_accept_writes_nothing(self):
+        wal = InMemoryStorage().wal("a.acceptor")
+        acceptor = Acceptor("a", wal, json_text, json_value)
+        acceptor.on_prepare(Prepare(instance=0, ballot=Ballot(5, 0)))
+        assert isinstance(acceptor.on_prepare(Prepare(0, Ballot(4, 0))), Nack)
+        assert isinstance(acceptor.on_accept(Accept(0, Ballot(4, 0), "v")), Nack)
+        assert wal.records() == [["p", [5, 0]]]
+
     def test_an_accept_at_a_higher_ballot_is_also_a_promise(self):
-        acceptor = Acceptor("a")
+        acceptor = new_acceptor()
         acceptor.on_accept(Accept(instance=3, ballot=Ballot(4, 1), value="v"))
         assert acceptor.promised == Ballot(4, 1)
         assert isinstance(
@@ -95,7 +110,7 @@ class TestPromiseWindow:
     promise is bounded by the un-applied window, not by the log."""
 
     def _acceptor_with(self, instances, ballot=Ballot(0, 0)):
-        acceptor = Acceptor("a")
+        acceptor = new_acceptor()
         for instance in instances:
             acceptor.on_accept(Accept(instance, ballot, f"v{instance}"))
         return acceptor
@@ -139,7 +154,7 @@ class TestValueCrossesTheWireOnce:
 
     def test_sizes_do_not_depend_on_the_value(self):
         big = "x" * 4096
-        acceptor = Acceptor("a")
+        acceptor = new_acceptor()
         accepted = acceptor.on_accept(Accept(0, Ballot(0, 0), big))
         assert accepted.size_bytes() == 48
         assert Commit(instance=0, ballot=Ballot(0, 0)).size_bytes() == 48

@@ -117,6 +117,45 @@ class TestReportedWatermark:
         assert group.replicas[0]._reported.count == 8
 
 
+class TestRestartWithoutStorageArgument:
+    def test_a_group_built_without_storage_restarts_a_replica_from_its_wals(self):
+        # No storage is passed: the group keeps its replicas' WALs in memory
+        # of its own, and a restarted replica replays them like a process
+        # replica replays its files, instead of fetching its log from peers.
+        loop, network, group, sink = deploy()
+        for i in range(10):
+            send(network, group.replicas[0], f"m{i}")
+            loop.run_until_idle()  # one turn, so one instance, per message
+        before = list(group.replicas[2].local_deliveries)
+        assert before == [f"m{i}" for i in range(10)]
+
+        group.crash_replica(2, network)
+        rebooted = group.restart_replica(2, network)
+        assert rebooted.smr.recovered_instances == 10
+        assert rebooted.local_deliveries == before  # no event has run yet
+        loop.run_until_idle()
+        assert rebooted.smr.stats["catchup_entries_applied"] == 0
+        assert rebooted.local_deliveries == sink.sequence(0) == before
+
+    def test_a_restarted_replica_fetches_only_what_it_missed(self):
+        loop, network, group, sink = deploy()
+        for i in range(5):
+            send(network, group.replicas[0], f"a{i}")
+            loop.run_until_idle()
+        group.crash_replica(2, network)
+        for i in range(5):
+            send(network, group.replicas[0], f"b{i}")
+            loop.run_until_idle()
+
+        rebooted = group.restart_replica(2, network)
+        assert rebooted.smr.recovered_instances == 5
+        loop.run_until_idle()
+        # Both survivors answer the rejoin with the five it missed.
+        assert rebooted.smr.stats["catchup_entries_applied"] == 2 * 5
+        assert rebooted.local_deliveries == sink.sequence(0)
+        assert len(rebooted.local_deliveries) == 10
+
+
 class TestClose:
     def test_close_kills_every_replica_and_a_closed_run_is_freed(self, refcount_only):
         loop, network, group, sink = deploy()

@@ -348,9 +348,13 @@ class TestCatchupReplySize:
         ),))
         n = 2_100
         outbox = RecordingTransport()
-        codec = {"encode_value": lambda turn: turn.text, "decode_value": None}
+        codec = {
+            "encode_value": lambda turn: turn.text,
+            "decode_value": lambda text: Turn(text=text),
+        }
         server = MultiPaxosReplica(
-            "r1", ["r0", "r1"], outbox, apply=lambda instance, value: None, **codec
+            "r1", ["r0", "r1"], outbox, apply=lambda instance, value: None,
+            storage=InMemoryStorage(), **codec
         )
         server.on_message("r0", CatchupReply(entries=tuple((i, value) for i in range(n))))
         assert server.applied_count == n
@@ -362,7 +366,8 @@ class TestCatchupReplySize:
         assert server.stats["catchup_entries_sent"] == n
 
         rejoiner = MultiPaxosReplica(
-            "r0", ["r0", "r1"], RecordingTransport(), apply=lambda instance, value: None, **codec
+            "r0", ["r0", "r1"], RecordingTransport(), apply=lambda instance, value: None,
+            storage=InMemoryStorage(), **codec
         )
         for frame in frames:
             rejoiner.on_message(*decode_frame(frame[4:]))

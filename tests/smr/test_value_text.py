@@ -3,9 +3,10 @@
 Exact counts, in the style of ``test_replica_turns.TestTurnCost``, for what a
 value costs now: it is serialised by the replica that received it and by
 nobody else, and one byte string is what the leader's WAL, the ``Accept`` and
-every follower's WAL hold.  Then what is left once a value is applied (its
-text — no message graph), the rare paths that must work from that state, and
-what a damaged frame, a damaged record and an oversized value do.
+every follower's WAL hold.  Then what is left once a value is applied
+(nothing in memory: the WALs hold it), the rare paths that must work from
+that state, and what a damaged frame, a damaged record and an oversized value
+do.
 
 Every frame here crosses the real codec (:class:`WireDeployment`): on the
 simulator replicas share Python objects, and sharing would hide exactly what
@@ -15,16 +16,13 @@ these tests are about.
 from __future__ import annotations
 
 import asyncio
-import gc
 import json
-import types
 
 import pytest
 from test_replica_turns import Deployment, request
 
 import repro.runtime.codec as codec
 import repro.storage.file as file_module
-from repro.core.message import Message
 from repro.runtime.codec import MAX_FRAME_BYTES, CodecError, decode_frame, encode_frame
 from repro.runtime.proc import ClusterSpec, ReplicaServer
 from repro.sim.transport import RecordingTransport
@@ -178,25 +176,9 @@ def test_opening_a_wal_checks_sums_and_parses_nothing(tmp_path, monkeypatch):
 
 
 # ------------------------------------------------- what is left of an applied value
-def messages_reachable_from(root):
-    """Instances of ``Message`` that ``root`` keeps alive (classes, modules
-    and code are not walked into: they lead to the whole program)."""
-    seen, stack, found = set(), [root], []
-    skip = (type, types.ModuleType, types.FunctionType, types.MethodType)
-    while stack:
-        obj = stack.pop()
-        if id(obj) in seen or isinstance(obj, skip):
-            continue
-        seen.add(id(obj))
-        if isinstance(obj, Message):
-            found.append(obj)
-        stack.extend(gc.get_referents(obj))
-    return found
-
-
 class TestTextOnlyOnceApplied:
-    def run(self, storage):
-        d = WireDeployment(storage=storage)
+    def run(self):
+        d = WireDeployment(storage=InMemoryStorage())
         applied = {id(replica): [] for replica in d.replicas}
         for replica in d.replicas:
             apply = replica.smr._apply
@@ -209,27 +191,8 @@ class TestTextOnlyOnceApplied:
         d.run()
         return d, applied
 
-    def test_no_message_is_reachable_from_the_decided_log_or_the_acceptor(self):
-        # No commit log: the decided log keeps every value, as its text.
-        d, applied = self.run(None)
-        for replica in d.replicas:
-            smr = replica.smr
-            assert smr.applied_count == 3 and len(smr._decided) == 3
-            assert messages_reachable_from(smr._decided) == []
-            assert messages_reachable_from(smr.acceptor._accepted) == []
-            for instance in range(3):
-                # One holder, one form: the text.
-                assert smr._decided[instance] is smr.acceptor.accepted_value(instance)
-                assert smr._decided[instance]._entries is None
-            # ... and the rare reader gets the entries back, made anew.
-            assert [turn.entries for turn in smr.log] == applied[id(replica)]
-            assert smr.log[1].entries is not smr.log[1].entries
-        assert d.replicas[2].local_deliveries == [
-            "warm", "m0", "m1", "m2", "m3", "f0",
-        ]
-
     def test_with_a_commit_log_an_applied_value_is_held_nowhere(self, serialised):
-        d, applied = self.run(InMemoryStorage())
+        d, applied = self.run()
         del serialised[:]
         for replica in d.replicas:
             smr = replica.smr
@@ -239,14 +202,6 @@ class TestTextOnlyOnceApplied:
             # serialised by nobody.
             assert [turn.entries for turn in smr.log] == applied[id(replica)]
         assert serialised == []
-
-    def test_a_value_nobody_needed_as_text_keeps_its_entries_instead(self):
-        # No WAL and no wire (the plain simulator): nothing asked for the
-        # text, so nothing is serialised just to be kept.  One form either way.
-        d = Deployment()
-        d.warm_up()
-        (turn,) = d.replicas[0].smr.log
-        assert turn._text is None and turn._entries is not None
 
 
 # ------------------------------------------------------ rare paths, from text only
@@ -476,7 +431,9 @@ class TestOversizedValues:
         values = [f"<{i}>".ljust(512 * 1024, "x") for i in range(40)]
         assert sum(len(json.dumps(v)) for v in values) > MAX_FRAME_BYTES
         outbox = RecordingTransport()
-        server = MultiPaxosReplica("r1", ["r0", "r1"], outbox, apply=lambda i, v: None)
+        server = MultiPaxosReplica(
+            "r1", ["r0", "r1"], outbox, apply=lambda i, v: None, storage=InMemoryStorage()
+        )
         server.on_message("r0", multipaxos.CatchupReply(entries=tuple(enumerate(values))))
         server.on_message("r0", CatchupRequest(from_instance=0, from_replica="r0"))
         frames = [encode_frame("r1", reply) for _, reply in outbox.sent]
@@ -485,7 +442,8 @@ class TestOversizedValues:
         for frame in frames:
             assert bound <= len(frame) < bound + 512 * 1024 + 1024 < MAX_FRAME_BYTES
         rejoiner = MultiPaxosReplica(
-            "r0", ["r0", "r1"], RecordingTransport(), apply=lambda i, v: None
+            "r0", ["r0", "r1"], RecordingTransport(), apply=lambda i, v: None,
+            storage=InMemoryStorage(),
         )
         for frame in frames:
             rejoiner.on_message(*decode_frame(frame[4:]))

@@ -8,8 +8,11 @@ schedules — 3 and 5 replicas, network jitter 0 and 0.5 ms, 60 seeds each,
 every schedule a burst of commands at each duellist at seeded times — and
 reports how many exhaust the event budget (ROADMAP, correctness (c)).
 
-Uses only ``MultiPaxosReplica``'s public surface, so the same file runs
-against any commit:  ``PYTHONPATH=<checkout>/src python tools/duel_sweep.py``
+Each replica keeps its WALs in an ``InMemoryStorage`` of its own:
+``storage`` is a required argument of ``MultiPaxosReplica``, so the file runs
+against this commit and later ones, not against a checkout from before the
+constructor changed:  ``PYTHONPATH=<checkout>/src python tools/duel_sweep.py``.
+Exits 1 if any schedule ends with replicas that disagree.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from repro.sim.latencies import LatencyMatrix
 from repro.sim.network import Network
 from repro.sim.transport import SimTransport
 from repro.smr.multipaxos import MultiPaxosReplica
+from repro.storage import InMemoryStorage
 
 SEEDS = 60
 BUDGET = 20_000
@@ -43,6 +47,7 @@ def run_schedule(n: int, jitter_ms: float, seed: int) -> str:
         replicas[rid] = MultiPaxosReplica(
             rid, ids, SimTransport(network, rid),
             apply=lambda inst, value, rid=rid: applied[rid].append(value),
+            storage=InMemoryStorage(),
         )
         network.register(rid, site=i, handler=replicas[rid].on_message)
     # r1 wrongly suspects r0: both lead.  Odd seeds spread the bursts over a
