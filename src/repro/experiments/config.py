@@ -9,7 +9,7 @@ the mapping from the paper's experiments to code is explicit and auditable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 #: Protocol identifiers accepted by the runner.
@@ -42,22 +42,14 @@ class ExperimentConfig:
     num_clients: int = 48
     #: Virtual time during which clients issue transactions (milliseconds).
     duration_ms: float = 8_000.0
-    #: Seed for all randomness (workload, jitter, client staggering).
+    #: Seed for all randomness (workload, link jitter, client staggering).
     seed: int = 1
     #: Latency experiments use only global (multi-warehouse) transactions.
     global_only: bool = True
-    #: Uniform jitter added to each link delay (0 keeps runs fully deterministic).
-    jitter_ms: float = 2.0
     #: FlexCast flush/garbage-collection period (None disables GC).
     gc_interval_ms: Optional[float] = 2_000.0
-    #: Per-client think time between transactions.
-    think_time_ms: float = 0.0
-    #: Fraction of the run trimmed at each end before computing statistics.
-    warmup_fraction: float = 0.10
     #: Record every delivery for the correctness checker (costs memory).
     record_deliveries: bool = False
-    #: Friendly label used in reports; defaults to "<protocol> <overlay>".
-    label: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.protocol not in VALID_PROTOCOLS:
@@ -80,21 +72,14 @@ class ExperimentConfig:
             raise ValueError("need at least one client")
         if self.duration_ms <= 0:
             raise ValueError("duration must be positive")
-        if not 0.0 <= self.warmup_fraction < 0.5:
-            raise ValueError("warmup fraction must be in [0, 0.5)")
 
     @property
     def display_label(self) -> str:
-        if self.label:
-            return self.label
+        """The label reports use: "Distributed" or "<protocol> <overlay>"."""
         if self.protocol == PROTOCOL_DISTRIBUTED:
             return "Distributed"
         pretty = {"flexcast": "FlexCast", "hierarchical": "Hierarchical"}[self.protocol]
         return f"{pretty} {self.overlay}"
-
-    def with_overrides(self, **kwargs) -> "ExperimentConfig":
-        """A copy with some fields replaced (used by scenario scaling)."""
-        return replace(self, **kwargs)
 
 
 def flexcast_config(**kwargs) -> ExperimentConfig:

@@ -63,7 +63,8 @@ class Scale:
     client_counts: Tuple[int, ...] = THROUGHPUT_CLIENT_COUNTS
 
     def apply(self, config: ExperimentConfig) -> ExperimentConfig:
-        return config.with_overrides(
+        return replace(
+            config,
             duration_ms=self.duration_ms,
             num_clients=self.num_clients,
             seed=self.seed,

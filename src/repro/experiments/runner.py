@@ -29,7 +29,7 @@ from ..sim.events import EventLoop
 from ..sim.latencies import LatencyMatrix, aws_latency_matrix
 from ..sim.network import Network, NodeTraffic
 from ..sim.transport import SimTransport
-from ..workload.clients import ClosedLoopClient, CompletedTransaction
+from ..workload.clients import ClosedLoopClient
 from ..workload.gtpcc import GTPCCConfig, GTPCCWorkload
 from .config import (
     ExperimentConfig,
@@ -37,6 +37,9 @@ from .config import (
     PROTOCOL_FLEXCAST,
     PROTOCOL_HIERARCHICAL,
 )
+
+#: Uniform jitter (ms) added to each simulated link delay.
+LINK_JITTER_MS = 2.0
 
 
 def group_node(group_id: GroupId) -> GroupId:
@@ -116,7 +119,7 @@ def run_experiment(
     network = Network(
         EventLoop(),
         latencies or aws_latency_matrix(),
-        jitter_ms=config.jitter_ms,
+        jitter_ms=LINK_JITTER_MS,
         seed=config.seed,
     )
     try:
@@ -160,10 +163,6 @@ def _run(config: ExperimentConfig, network: Network) -> ExperimentResult:
         GTPCCConfig(locality=config.locality, global_only=config.global_only),
     )
     collector = LatencyCollector()
-
-    def on_complete(txn: CompletedTransaction) -> None:
-        collector.record(txn)
-
     clients: List[ClosedLoopClient] = []
     num_groups = len(protocol.groups)
     for i in range(config.num_clients):
@@ -176,9 +175,8 @@ def _run(config: ExperimentConfig, network: Network) -> ExperimentResult:
             network=network,
             rng=random.Random(config.seed * 100_003 + i),
             group_node=group_node,
-            on_complete=on_complete,
+            on_complete=collector.record,
             stop_after_ms=config.duration_ms,
-            think_time_ms=config.think_time_ms,
         )
         clients.append(client)
 
@@ -225,7 +223,7 @@ def _run(config: ExperimentConfig, network: Network) -> ExperimentResult:
         )
 
     overhead = compute_overhead(delivered_by_group, payload_received, protocol.groups)
-    trimmed = collector.trimmed(config.warmup_fraction)
+    trimmed = collector.trimmed()
 
     return ExperimentResult(
         config=config,

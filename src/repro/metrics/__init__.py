@@ -2,8 +2,9 @@
 
 This package is the **one documented surface** for everything that turns
 raw runs into numbers — import from ``repro.metrics``, not its submodules.
-The main entry points are :class:`LatencyCollector` (per-delivery latency
-samples), :func:`traffic_report`
+The main entry points are :class:`LatencyCollector` (one record per
+finished transaction: its completion time and its per-destination
+latencies), :func:`traffic_report`
 (per-node byte/envelope accounting behind the Figure 8 traffic numbers),
 :func:`compute_overhead` (payload vs protocol bytes, Figures 1/9), the
 ``format_*`` renderers, and the summary statistics in

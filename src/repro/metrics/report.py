@@ -5,9 +5,10 @@ is ``repro.metrics``; import from there):
 
 * :class:`LatencyCollector` — accumulates completed transactions and answers
   the per-destination latency / throughput queries behind Figures 5-7 and
-  Tables 2-3.  The paper discards the first and last 10% of each run to
-  exclude warm-up and cool-down noise; :meth:`LatencyCollector.trimmed`
-  implements the same rule.
+  Tables 2-3.  Each transaction is one slim record: its completion time and
+  its latencies sorted by arrival.  The paper discards the first and last
+  10% of each run to exclude warm-up and cool-down noise;
+  :meth:`LatencyCollector.trimmed` implements the same rule.
 * :func:`traffic_report` / :class:`NodeTrafficReport` — per-node messages/s,
   average message size and KB/s from the network's byte counters (Figure 8).
 * the ``format_*`` helpers — fixed-width text tables in the same layout as
@@ -32,6 +33,10 @@ from ..workload.clients import CompletedTransaction
 from .overhead import OverheadReport
 from .stats import cdf_points, percentiles
 
+#: Share of the measured span dropped at each end before computing
+#: statistics: the paper discards the first and last 10% of each run.
+WARMUP_FRACTION = 0.10
+
 
 class LatencyCollector:
     """Accumulates completed transactions and answers latency queries."""
@@ -47,19 +52,19 @@ class LatencyCollector:
         return len(self.transactions)
 
     # ---------------------------------------------------------------- trimming
-    def trimmed(self, warmup_fraction: float = 0.10) -> "LatencyCollector":
+    def trimmed(self) -> "LatencyCollector":
         """Return a collector holding only the middle of the run.
 
         Drops the transactions completed in the first and last
-        ``warmup_fraction`` of the measured time span (the paper's 10%).
+        :data:`WARMUP_FRACTION` of the measured time span (the paper's 10%).
         """
-        if not self.transactions or warmup_fraction <= 0.0:
+        if not self.transactions:
             return self
         times = [t.completed_at for t in self.transactions]
         start, end = min(times), max(times)
         span = end - start
-        lo = start + warmup_fraction * span
-        hi = end - warmup_fraction * span
+        lo = start + WARMUP_FRACTION * span
+        hi = end - WARMUP_FRACTION * span
         trimmed = LatencyCollector()
         trimmed.transactions = [
             t for t in self.transactions if lo <= t.completed_at <= hi
@@ -70,23 +75,20 @@ class LatencyCollector:
         return trimmed
 
     # ----------------------------------------------------------------- queries
-    def global_transactions(self) -> List[CompletedTransaction]:
-        return [t for t in self.transactions if t.is_global]
-
-    def latencies_for_destination(self, rank: int, global_only: bool = True) -> List[float]:
+    def latencies_for_destination(self, rank: int) -> List[float]:
         """Latency samples for the ``rank``-th response (1-based).
 
-        Only transactions that actually had at least ``rank`` destinations
-        contribute, mirroring how the paper separates 1st/2nd/3rd destination
-        charts.
+        Only global transactions (more than one latency) that had at least
+        ``rank`` destinations contribute, mirroring how the paper separates
+        1st/2nd/3rd destination charts.
         """
         if rank < 1:
             raise ValueError("destination rank is 1-based")
-        source = self.global_transactions() if global_only else self.transactions
+        least = max(rank, 2)
         return [
             t.latencies_by_arrival[rank - 1]
-            for t in source
-            if len(t.latencies_by_arrival) >= rank
+            for t in self.transactions
+            if len(t.latencies_by_arrival) >= least
         ]
 
     def percentile_table(

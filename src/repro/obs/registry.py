@@ -24,11 +24,12 @@ LabelItems = Tuple[Tuple[str, str], ...]
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 
-#: Default histogram bucket upper bounds: log-scale (powers of two) from
-#: 1 microsecond to ~134 seconds when values are in milliseconds.  The
-#: 28 finite buckets give <= 2x relative error on any latency the stack
-#: can plausibly produce; anything beyond lands in the overflow bucket.
-DEFAULT_BUCKETS: Tuple[float, ...] = tuple(0.001 * (2.0**i) for i in range(28))
+#: Default histogram bucket upper bounds: log-scale, eight per octave
+#: (each bound 2**(1/8) ~ 1.09 times the last), from 1 microsecond to ~134
+#: seconds when values are in milliseconds.  A percentile read from them is
+#: at most ~9 % above the true value on any latency the stack can plausibly
+#: produce; anything beyond lands in the overflow bucket.
+DEFAULT_BUCKETS: Tuple[float, ...] = tuple(0.001 * 2.0 ** (i / 8) for i in range(27 * 8 + 1))
 
 #: Bucket bounds for *size* histograms (delta sizes, window occupancy):
 #: powers of two from 1 to ~1M items.
@@ -155,8 +156,8 @@ class Histogram:
     value (one bisect over a shared bounds tuple); values above the last
     bound land in the overflow bucket.  ``percentile`` walks the
     cumulative counts and reports the matched bucket's upper bound —
-    i.e. a conservative (over-) estimate with <= 2x relative error given
-    the power-of-two default bounds — except for the overflow bucket,
+    i.e. a conservative (over-) estimate, at most ~9 % high with the
+    default bounds (eight per octave) — except for the overflow bucket,
     where the exact observed maximum is reported instead.
     """
 

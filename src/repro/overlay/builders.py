@@ -50,9 +50,12 @@ def nearest_neighbour_order(latencies: LatencyMatrix, seed: GroupId) -> List[Gro
 def build_o1(latencies: LatencyMatrix) -> CDagOverlay:
     """Overlay O1: nearest-neighbour C-DAG seeded at the central node.
 
-    The central node is the site with the minimum total latency to all other
-    sites (a European region in the AWS deployment), matching the paper's
-    "central node" choice.
+    The central node is taken to be the site with the minimum total latency
+    to all other sites.  On the AWS matrix that is site 1, ``us-east-2``, not
+    a European region (5 of the 12 sites are American), so O1 is
+    ``[1, 0, 2, 3, 8, 9, 11, 7, 6, 5, 4, 10]``.  Seeding O1 as the paper
+    describes it is an open item in ROADMAP.md ("Build O1 as the paper
+    describes it").
     """
     return CDagOverlay(nearest_neighbour_order(latencies, latencies.centroid_site()))
 

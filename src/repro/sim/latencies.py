@@ -121,8 +121,10 @@ class LatencyMatrix:
     def centroid_site(self) -> int:
         """Site minimising the sum of latencies to all other sites.
 
-        The paper seeds overlay O1 at the "central node"; with the AWS matrix
-        this is a European region.
+        The paper seeds overlay O1 at the "central node", and ``build_o1``
+        seeds it here.  With the AWS matrix this is site 1, ``us-east-2``
+        (613.8 ms summed), not a European region; see ROADMAP.md, "Build O1
+        as the paper describes it".
         """
         best = min(
             range(self.num_sites),

@@ -9,7 +9,7 @@ client therefore:
    whether that means one entry group or all destinations),
 3. waits until **every** destination has responded, recording the latency of
    the 1st/2nd/3rd response (the paper's per-destination latency metric),
-4. optionally waits a think time, then goes back to 1.
+4. goes straight back to 1.
 
 Clients stop issuing new transactions when the configured experiment duration
 has elapsed; in-flight transactions are allowed to finish so the simulation
@@ -19,29 +19,34 @@ drains cleanly.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Callable, List
+from dataclasses import dataclass
+from typing import Callable, List, Tuple
 
 from ..core.client import MulticastCall, MulticastClient
-from ..core.message import ClientRequest, ClientResponse
+from ..core.message import ClientRequest, ClientResponse, record
 from ..overlay.base import GroupId
 from ..protocols.base import AtomicMulticastProtocol
 from ..sim.network import Network, NodeId
 from .gtpcc import GTPCCWorkload
 
 
-@dataclass
-class CompletedTransaction:
-    """One finished transaction, as recorded for the metrics pipeline."""
+#: Upper bound (ms) of each client's random start offset.
+START_JITTER_MS = 5.0
 
-    client_id: str
-    home: GroupId
-    destinations: int
-    submitted_at: float
+
+@record
+@dataclass(frozen=True, slots=True)
+class CompletedTransaction:
+    """One finished transaction, as recorded for the metrics pipeline.
+
+    A call completes only once every destination has answered, so a
+    transaction is global exactly when it carries more than one latency.
+    """
+
     completed_at: float
-    #: Latency of the 1st, 2nd, ... response (ms), sorted by arrival.
-    latencies_by_arrival: List[float] = field(default_factory=list)
-    is_global: bool = True
+    #: Latency of the 1st, 2nd, ... response (ms), sorted by arrival; a
+    #: tuple, which is smaller than the sorted list it is made from.
+    latencies_by_arrival: Tuple[float, ...]
 
 
 class BoundedResubmitter:
@@ -117,8 +122,6 @@ class ClosedLoopClient:
         group_node: Callable[[GroupId], NodeId],
         on_complete: Callable[[CompletedTransaction], None],
         stop_after_ms: float,
-        think_time_ms: float = 0.0,
-        start_jitter_ms: float = 5.0,
     ) -> None:
         self.client_id = client_id
         self.home = home
@@ -128,8 +131,6 @@ class ClosedLoopClient:
         self._rng = rng
         self._on_complete = on_complete
         self._stop_after_ms = stop_after_ms
-        self._think_time_ms = think_time_ms
-        self._start_jitter_ms = start_jitter_ms
         self.issued = 0
         self.completed = 0
         self._active = False
@@ -160,7 +161,7 @@ class ClosedLoopClient:
         """Schedule the first transaction (with a small per-client jitter so
         that all clients do not fire at exactly the same virtual instant)."""
         self._active = True
-        jitter = self._rng.uniform(0.0, self._start_jitter_ms)
+        jitter = self._rng.uniform(0.0, START_JITTER_MS)
         self._loop.schedule(jitter, self._issue_next)
 
     def stop(self) -> None:
@@ -178,20 +179,10 @@ class ClosedLoopClient:
 
     def _finish(self, call: MulticastCall) -> None:
         self.completed += 1
-        destinations = len(call.message.dst)
-        self._on_complete(CompletedTransaction(
-            client_id=self.client_id,
-            home=self.home,
-            destinations=destinations,
-            submitted_at=call.submitted_at,
-            completed_at=self._loop.now,
-            latencies_by_arrival=call.latencies_by_arrival(),
-            is_global=destinations > 1,
-        ))
-        if self._think_time_ms > 0:
-            self._loop.schedule(self._think_time_ms, self._issue_next)
-        else:
-            self._issue_next()
+        self._on_complete(
+            CompletedTransaction(self._loop.now, tuple(call.latencies_by_arrival()))
+        )
+        self._issue_next()
 
     # --------------------------------------------------------------- inspection
     @property

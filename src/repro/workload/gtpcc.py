@@ -13,7 +13,7 @@ Properties inherited from the paper:
 
 * most global messages are addressed to exactly two warehouses, a few to
   three, and messages to more than three groups are so rare that they are
-  dropped from the experiments (``max_destinations``);
+  dropped from the experiments (:data:`MAX_DESTINATIONS`);
 * the latency experiments use only global (multi-warehouse) new-order and
   payment transactions; the throughput experiment uses the full mix.
 """
@@ -35,6 +35,14 @@ from .tpcc import (
 )
 
 
+#: The widest transaction generated: the paper drops the very rare messages
+#: to more than three warehouses.
+MAX_DESTINATIONS = 3
+
+#: Safety valve for rejection sampling of global transactions.
+MAX_ATTEMPTS = 1000
+
+
 @dataclass(frozen=True)
 class Transaction:
     """One generated gTPC-C transaction, ready to become a multicast message."""
@@ -51,25 +59,20 @@ class Transaction:
 
 @dataclass
 class GTPCCConfig:
-    """Tunable knobs of the gTPC-C generator.
+    """The two settings the paper's runs vary.
 
     ``locality`` is the paper's locality rate (0.90 / 0.95 / 0.99 in the
     evaluation); ``global_only`` restricts generation to multi-warehouse
-    new-order/payment transactions (latency experiments); ``max_destinations``
-    drops the very rare wide transactions exactly as the paper does.
+    new-order/payment transactions (latency experiments).  The width cap is
+    :data:`MAX_DESTINATIONS` for every run.
     """
 
     locality: float = 0.90
     global_only: bool = False
-    max_destinations: int = 3
-    #: Safety valve for rejection sampling of global transactions.
-    max_attempts: int = 1000
 
     def __post_init__(self) -> None:
         if not 0.0 < self.locality <= 1.0:
             raise ValueError("locality must be in (0, 1]")
-        if self.max_destinations < 2:
-            raise ValueError("max_destinations must allow at least 2 groups")
 
 
 class GTPCCWorkload:
@@ -139,16 +142,15 @@ class GTPCCWorkload:
         """
         if home not in self._nearness:
             raise ValueError(f"unknown home warehouse {home}")
-        config = self.config
-        global_only = config.global_only
+        global_only = self.config.global_only
         mix = GLOBAL_ONLY_MIX if global_only else STANDARD_MIX
-        for _ in range(config.max_attempts):
+        for _ in range(MAX_ATTEMPTS):
             profile = sample_profile(rng, mix)
             if global_only and not profile.remote_accesses:
                 # Latency experiments only use global messages; resample.
                 continue
             destinations = self._destinations_for(home, profile, rng)
-            if len(destinations) > config.max_destinations:
+            if len(destinations) > MAX_DESTINATIONS:
                 # The paper drops the very rare >3-group messages.
                 self.dropped_wide += 1
                 continue
@@ -162,17 +164,16 @@ class GTPCCWorkload:
                 payload_bytes=profile.payload_bytes,
             )
         raise RuntimeError(
-            "could not generate a transaction within max_attempts; "
-            "check locality / max_destinations configuration"
+            f"could not generate a transaction within {MAX_ATTEMPTS} attempts; "
+            "check the locality configuration"
         )
 
     def _destinations_for(
         self, home: GroupId, profile: TransactionProfile, rng: random.Random
     ) -> FrozenSet[GroupId]:
         destinations: Set[GroupId] = {home}
-        max_destinations = self.config.max_destinations
         for _ in range(profile.remote_accesses):
-            if len(destinations) >= max_destinations:
+            if len(destinations) >= MAX_DESTINATIONS:
                 # Additional remote accesses fold into already chosen
                 # warehouses (an item shipped from a warehouse already used).
                 break

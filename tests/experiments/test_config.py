@@ -42,20 +42,11 @@ class TestValidation:
             ExperimentConfig(num_clients=0)
         with pytest.raises(ValueError):
             ExperimentConfig(duration_ms=0)
-        with pytest.raises(ValueError):
-            ExperimentConfig(warmup_fraction=0.6)
 
     def test_display_label(self):
         assert flexcast_config(overlay="O2").display_label == "FlexCast O2"
         assert hierarchical_config().display_label == "Hierarchical T1"
         assert distributed_config().display_label == "Distributed"
-        assert ExperimentConfig(label="custom").display_label == "custom"
-
-    def test_with_overrides_returns_new_config(self):
-        config = flexcast_config()
-        scaled = config.with_overrides(num_clients=7)
-        assert scaled.num_clients == 7
-        assert config.num_clients != 7 or config is not scaled
 
 
 class TestScenarios:

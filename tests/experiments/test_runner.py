@@ -48,7 +48,7 @@ class TestRunExperiment:
         assert result.overhead.mean_percent > 0.0
 
     def test_deterministic_given_seed(self):
-        config = flexcast_config(num_clients=4, duration_ms=600.0, seed=11, jitter_ms=0.0)
+        config = flexcast_config(num_clients=4, duration_ms=600.0, seed=11)
         first = run_experiment(config)
         second = run_experiment(config)
         assert first.completed == second.completed

@@ -7,17 +7,8 @@ from repro.sim.network import NodeTraffic
 from repro.workload.clients import CompletedTransaction
 
 
-def txn(completed_at, latencies, destinations=None, is_global=True):
-    latencies = sorted(latencies)
-    return CompletedTransaction(
-        client_id="c",
-        home=0,
-        destinations=destinations or len(latencies),
-        submitted_at=completed_at - latencies[-1],
-        completed_at=completed_at,
-        latencies_by_arrival=latencies,
-        is_global=is_global,
-    )
+def txn(completed_at, latencies):
+    return CompletedTransaction(completed_at, tuple(sorted(latencies)))
 
 
 class TestLatencyCollector:
@@ -25,11 +16,10 @@ class TestLatencyCollector:
         collector = LatencyCollector()
         collector.record(txn(100, [10, 30]))
         collector.record(txn(200, [20, 40, 90]))
-        collector.record(txn(300, [15], is_global=False))
+        collector.record(txn(300, [15]))  # local: one destination
         assert collector.latencies_for_destination(1) == [10, 20]
         assert collector.latencies_for_destination(2) == [30, 40]
         assert collector.latencies_for_destination(3) == [90]
-        assert collector.latencies_for_destination(1, global_only=False) == [10, 20, 15]
 
     def test_rank_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -59,7 +49,7 @@ class TestLatencyCollector:
         collector = LatencyCollector()
         for i in range(100):
             collector.record(txn(float(i), [1.0]))
-        trimmed = collector.trimmed(0.10)
+        trimmed = collector.trimmed()
         times = [t.completed_at for t in trimmed.transactions]
         assert min(times) >= 9.9 - 1e-9
         assert max(times) <= 89.1 + 1e-9
@@ -67,8 +57,10 @@ class TestLatencyCollector:
 
     def test_trimming_keeps_data_for_tiny_runs(self):
         collector = LatencyCollector()
+        collector.record(txn(0, [10]))
         collector.record(txn(100, [10]))
-        assert len(collector.trimmed(0.4)) == 1
+        # Both ends fall in the trimmed 10 %: keep them rather than nothing.
+        assert len(collector.trimmed()) == 2
 
     def test_cdf_for_destination(self):
         collector = LatencyCollector()

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.flexcast import FlexCastProtocol
 from repro.core.message import ClientResponse
+from repro.metrics import LatencyCollector
 from repro.overlay.cdag import CDagOverlay
 from repro.sim.events import EventLoop
 from repro.sim.latencies import LatencyMatrix
@@ -15,7 +16,7 @@ from repro.workload.clients import ClosedLoopClient
 from repro.workload.gtpcc import GTPCCConfig, GTPCCWorkload
 
 
-def deploy(num_groups=3, stop_after_ms=500.0, think_time_ms=0.0):
+def deploy(num_groups=3, stop_after_ms=500.0, global_only=True):
     loop = EventLoop()
     matrix = LatencyMatrix(
         matrix=[[1 if a == b else 10 for b in range(num_groups)] for a in range(num_groups)],
@@ -34,7 +35,7 @@ def deploy(num_groups=3, stop_after_ms=500.0, think_time_ms=0.0):
         group = protocol.create_group(gid, SimTransport(network, gid), sink)
         network.register(gid, site=gid, handler=group.on_envelope)
 
-    workload = GTPCCWorkload(matrix, GTPCCConfig(locality=0.9, global_only=True))
+    workload = GTPCCWorkload(matrix, GTPCCConfig(locality=0.9, global_only=global_only))
     completed = []
     client = ClosedLoopClient(
         client_id="client-0",
@@ -46,7 +47,6 @@ def deploy(num_groups=3, stop_after_ms=500.0, think_time_ms=0.0):
         group_node=lambda gid: gid,
         on_complete=completed.append,
         stop_after_ms=stop_after_ms,
-        think_time_ms=think_time_ms,
     )
     return loop, network, client, completed
 
@@ -71,20 +71,44 @@ class TestClosedLoop:
         loop, network, client, completed = deploy(stop_after_ms=300.0)
         client.start()
         loop.run_until_idle()
+        previous = 0.0
         for record in completed:
-            assert record.latencies_by_arrival == sorted(record.latencies_by_arrival)
-            assert record.is_global and record.destinations >= 2
-            assert record.completed_at >= record.submitted_at
-            assert record.home == 0
+            assert list(record.latencies_by_arrival) == sorted(record.latencies_by_arrival)
+            assert len(record.latencies_by_arrival) >= 2
+            # Closed loop: each transaction is submitted when the last one
+            # completed, and completes when its last response arrives.
+            submitted_at = record.completed_at - record.latencies_by_arrival[-1]
+            assert submitted_at >= previous - 1e-9
+            previous = record.completed_at
 
-    def test_think_time_reduces_throughput(self):
-        loop1, _, busy, _ = deploy(stop_after_ms=400.0, think_time_ms=0.0)
-        busy.start()
-        loop1.run_until_idle()
-        loop2, _, idle, _ = deploy(stop_after_ms=400.0, think_time_ms=50.0)
-        idle.start()
-        loop2.run_until_idle()
-        assert idle.issued < busy.issued
+    def test_standard_mix_local_transactions_leave_the_rank_queries(self, monkeypatch):
+        widths = []
+        generate = GTPCCWorkload.next_transaction
+
+        def next_transaction(self, home, rng):
+            txn = generate(self, home, rng)
+            widths.append(len(txn.destinations))
+            return txn
+
+        monkeypatch.setattr(GTPCCWorkload, "next_transaction", next_transaction)
+        loop, network, client, completed = deploy(
+            stop_after_ms=2_000.0, global_only=False
+        )
+        client.start()
+        loop.run_until_idle()
+        # One latency per destination, one transaction in flight at a time:
+        # a record is global exactly when its transaction named more than
+        # one warehouse.
+        assert [len(r.latencies_by_arrival) for r in completed] == widths
+        local = [r for r in completed if len(r.latencies_by_arrival) == 1]
+        global_ = [r for r in completed if len(r.latencies_by_arrival) > 1]
+        assert local and global_
+        collector = LatencyCollector()
+        for record in completed:
+            collector.record(record)
+        assert collector.latencies_for_destination(1) == [
+            r.latencies_by_arrival[0] for r in global_
+        ]
 
     def test_stop_prevents_further_transactions(self):
         loop, network, client, completed = deploy(stop_after_ms=10_000.0)

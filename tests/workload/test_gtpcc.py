@@ -15,10 +15,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             GTPCCConfig(locality=1.5)
 
-    def test_rejects_bad_max_destinations(self):
-        with pytest.raises(ValueError):
-            GTPCCConfig(max_destinations=1)
-
 
 class TestDestinationSelection:
     def test_home_always_included(self, latencies):
