@@ -103,7 +103,8 @@ def run_geo_distributed(
         }
         transfers.append(transfer)
         message = Message.create(
-            [src, dst], sender="coordinator", payload=transfer, payload_bytes=96
+            [src, dst], sender="coordinator", payload=transfer, payload_bytes=96,
+            msg_id=transfer["id"],
         )
         messages.append(message)
         entry = protocol.entry_groups(message)[0]

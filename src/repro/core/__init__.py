@@ -26,8 +26,6 @@ from .message import (
     PAYLOAD_KINDS,
     SkeenTimestamp,
     TreeForward,
-    fresh_message_id,
-    scoped_message_ids,
 )
 
 __all__ = [
@@ -52,6 +50,4 @@ __all__ = [
     "PAYLOAD_KINDS",
     "SkeenTimestamp",
     "TreeForward",
-    "fresh_message_id",
-    "scoped_message_ids",
 ]

@@ -8,6 +8,12 @@ clients (:mod:`repro.workload.clients`) and the batching client
 (:class:`repro.core.batching.BatchingClient`) build on.  The asyncio
 runtime's :class:`repro.runtime.client.AsyncMulticastClient` is a frame
 server of its own and does not use it.
+
+As a sender in the paper, every client names its own messages
+(``<client_id>-<n>``, and a batching client its carriers
+``<client_id>-b<n>``): no id comes from state shared across clients, so
+a run is a function of its inputs and ids stay unique across processes
+as long as client ids do.
 """
 
 from __future__ import annotations
@@ -73,6 +79,8 @@ class MulticastClient:
         self._protocol = protocol
         self._send_request = send_request
         self._clock = clock
+        #: Messages this client has named: the next is ``<client_id>-<n + 1>``.
+        self._named = 0
         self.inflight: Dict[str, MulticastCall] = {}
         self.completed: List[MulticastCall] = []
         #: Lifecycle tracer (``None`` = off); see :meth:`attach_obs`.
@@ -89,12 +97,18 @@ class MulticastClient:
         payload: Any = None,
         payload_bytes: int = 64,
     ) -> Message:
-        """Multicast a fresh message and start tracking its responses."""
+        """Multicast a fresh message and start tracking its responses.
+
+        The message is named ``<client_id>-<n>``, with ``n`` counted from 1
+        per client, so ids are unique as long as client ids are.
+        """
+        self._named += 1
         message = Message.create(
             destinations=destinations,
             sender=self.client_id,
             payload=payload,
             payload_bytes=payload_bytes,
+            msg_id=f"{self.client_id}-{self._named}",
         )
         self.submit(message)
         return message

@@ -76,15 +76,19 @@ class FlushCoordinator:
             self._timer = None
 
     def flush_now(self) -> None:
-        """Multicast a single flush message to all groups immediately."""
+        """Multicast a single flush message to all groups immediately.
+
+        The coordinator names its flushes ``<sender_id>-<n>``, counted from 1.
+        """
+        self.flushes_sent += 1
         flush = Message.create(
             destinations=self._groups,
             sender=self._sender_id,
             payload="flush",
             payload_bytes=8,
+            msg_id=f"{self._sender_id}-{self.flushes_sent}",
             is_flush=True,
         )
-        self.flushes_sent += 1
         self._submit(flush)
 
     @property

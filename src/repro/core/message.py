@@ -26,12 +26,10 @@ DESIGN.md "batching the delivery path").
 
 from __future__ import annotations
 
-import itertools
 import sys
-from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields
 from typing import (
-    Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple, Type, TypeVar, cast,
+    Any, Dict, FrozenSet, Iterable, List, Optional, Tuple, Type, TypeVar, cast,
 )
 
 from ..overlay.base import GroupId
@@ -45,32 +43,6 @@ _GROUP_ID_BYTES = 2         # group ids are small integers
 _HISTORY_VERTEX_BYTES = _MSG_ID_BYTES + 4   # id + destination bitmap
 _HISTORY_EDGE_BYTES = 2 * _MSG_ID_BYTES
 _TIMESTAMP_BYTES = 8
-
-_id_counter = itertools.count()
-
-
-def fresh_message_id(prefix: str = "m") -> str:
-    """Globally unique (per-process) message identifier."""
-    return f"{prefix}{next(_id_counter)}"
-
-
-@contextmanager
-def scoped_message_ids() -> Iterator[None]:
-    """Number the ids minted inside the block from 0, whatever ran before.
-
-    A simulated run mints all its ids inside one scope, so the same run
-    gets the same ids in any process, and Skeen's ``msg_id`` tie-break
-    orders it the same way.  The process-wide counter resumes where it was
-    when the block ends.
-    """
-    global _id_counter
-    outer = _id_counter
-    _id_counter = itertools.count()
-    try:
-        yield
-    finally:
-        _id_counter = outer
-
 
 _R = TypeVar("_R")
 
@@ -142,7 +114,8 @@ class Message:
     Attributes
     ----------
     msg_id:
-        Globally unique identifier (``m.id`` in the paper).
+        Globally unique identifier (``m.id`` in the paper), named by the
+        sender.
     dst:
         Destination groups (``m.dst``).  ``|dst| == 1`` makes it a *local*
         message, ``|dst| > 1`` a *global* message.
@@ -188,24 +161,25 @@ class Message:
         sender: Any = "client",
         payload: Any = None,
         payload_bytes: int = 64,
-        msg_id: Optional[str] = None,
+        *,
+        msg_id: str,
         is_flush: bool = False,
         trace_id: Optional[str] = None,
     ) -> "Message":
-        """Build a message with a fresh id and a normalized destination set."""
+        """Build a message named ``msg_id`` with a normalized destination set.
+
+        The sender names its own messages (a client as ``<client_id>-<n>``),
+        so an id is unique as long as sender ids are.
+        """
         dst = frozenset(destinations)
         if not dst:
             raise ValueError("a multicast message needs at least one destination")
         return Message(
-            msg_id if msg_id is not None else fresh_message_id(),
-            dst, sender, payload, int(payload_bytes), is_flush, trace_id,
+            msg_id, dst, sender, payload, int(payload_bytes), is_flush, trace_id
         )
 
     @staticmethod
-    def batch_of(
-        messages: Iterable["Message"],
-        batch_id: Optional[str] = None,
-    ) -> "Message":
+    def batch_of(messages: Iterable["Message"], *, batch_id: str) -> "Message":
         """Build a batch carrier standing in for ``messages``.
 
         Every member must share one destination set (the window key the
@@ -234,8 +208,7 @@ class Message:
             if member.members:
                 raise ValueError(f"batch {member.msg_id} cannot be nested in a batch")
         return Message(
-            batch_id if batch_id is not None else fresh_message_id("b"),
-            dst, members[0].sender, None,
+            batch_id, dst, members[0].sender, None,
             sum(m.payload_bytes for m in members), False, None, members,
         )
 

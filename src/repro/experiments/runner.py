@@ -15,9 +15,7 @@ from typing import Dict, List, Optional
 
 from ..core.flexcast import FlexCastProtocol
 from ..core.garbage import FlushCoordinator
-from ..core.message import (
-    ClientRequest, ClientResponse, Message, PAYLOAD_KINDS, scoped_message_ids,
-)
+from ..core.message import ClientRequest, ClientResponse, Message, PAYLOAD_KINDS
 from ..metrics import LatencyCollector
 from ..metrics.overhead import OverheadReport, compute_overhead
 from ..overlay.base import GroupId
@@ -104,27 +102,21 @@ class ExperimentResult:
         return self.latency.percentile_table(ranks=ranks, ps=ps)
 
 
-def run_experiment(
-    config: ExperimentConfig, latencies: Optional[LatencyMatrix] = None
-) -> ExperimentResult:
-    """Run one experiment and return its measurements.
+def run_experiment(config: ExperimentConfig) -> ExperimentResult:
+    """Run one experiment on the AWS matrix and return its measurements.
 
-    The run is deterministic for a given (config, latency matrix) pair, in
-    any process: its message ids are numbered from 0 in a scope of their
-    own (:func:`~repro.core.message.scoped_message_ids`).  The deployment is
-    closed before this returns, so the result reaches neither the loop's
-    pending events nor the network's nodes, and dropping it frees the whole
-    run by reference counting.
+    The run is a function of ``config`` alone, in any process: every client
+    and the flush coordinator name their own messages, so no state shared
+    across runs reaches it.  The deployment is closed before this returns,
+    so the result reaches neither the loop's pending events nor the
+    network's nodes, and dropping it frees the whole run by reference
+    counting.
     """
     network = Network(
-        EventLoop(),
-        latencies or aws_latency_matrix(),
-        jitter_ms=LINK_JITTER_MS,
-        seed=config.seed,
+        EventLoop(), aws_latency_matrix(), jitter_ms=LINK_JITTER_MS, seed=config.seed
     )
     try:
-        with scoped_message_ids():
-            return _run(config, network)
+        return _run(config, network)
     finally:
         network.close()
         network.loop.close()

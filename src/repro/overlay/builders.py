@@ -16,6 +16,8 @@ Paper §5.4 describes how the evaluated overlays are built:
 
 Exact node identities in Figure 4 are not published; these builders follow the
 written construction rules, which is what the reproduced trends depend on.
+The trees are laid out by continent, so they need the AWS matrix's cluster
+metadata; any other matrix makes them raise ``ValueError``.
 """
 
 from __future__ import annotations
@@ -71,17 +73,17 @@ def build_o2(latencies: LatencyMatrix, seed: GroupId = 0) -> CDagOverlay:
 
 # --------------------------------------------------------------------------- trees
 def _clusters(latencies: LatencyMatrix) -> Dict[str, List[GroupId]]:
-    """Group sites by geographic cluster.
+    """Group sites by geographic cluster (the AWS region metadata).
 
-    For the default AWS matrix this uses the region metadata; for custom
-    matrices all sites fall into a single cluster and the tree builders
-    degenerate to sensible latency-driven trees.
+    Raises ``ValueError`` for a matrix without the america, europe and asia
+    clusters: the trees are laid out by continent.
     """
     clusters: Dict[str, List[GroupId]] = {}
     for site in range(latencies.num_sites):
         clusters.setdefault(latencies.cluster(site), []).append(site)
-    if list(clusters) == ["unknown"]:
-        clusters = {"all": clusters["unknown"]}
+    missing = [name for name in ("america", "europe", "asia") if name not in clusters]
+    if missing:
+        raise ValueError(f"the tree overlays need the {', '.join(missing)} cluster(s)")
     return clusters
 
 
@@ -101,6 +103,31 @@ def _chain_children(order: Sequence[GroupId]) -> Dict[GroupId, List[GroupId]]:
     return children
 
 
+def _continental_tree(latencies: LatencyMatrix, chain: bool) -> TreeOverlay:
+    """The skeleton T1 and T2 share: a European root over Europe and over
+    one subtree each for America and Asia.
+
+    The root and each subtree's head are the member closest to the rest of
+    their cluster.  With ``chain`` a subtree is a path from its head, nearest
+    member first (T1); without, every member is a child of the head (T2).
+    """
+    clusters = _clusters(latencies)
+    europe = clusters["europe"]
+    root = _cluster_root(latencies, europe)
+    children: Dict[GroupId, List[GroupId]] = {root: [e for e in europe if e != root]}
+    for continent in ("america", "asia"):
+        members = clusters[continent]
+        head = _cluster_root(latencies, members)
+        children[root].append(head)
+        rest = [m for m in members if m != head]
+        if chain:
+            rest.sort(key=lambda s: (latencies.latency(head, s), s))
+            children.update(_chain_children([head] + rest))
+        else:
+            children[head] = rest
+    return TreeOverlay(root, children)
+
+
 def build_t1(latencies: LatencyMatrix) -> TreeOverlay:
     """Tree T1: geographic tree with *many* inner nodes.
 
@@ -111,36 +138,7 @@ def build_t1(latencies: LatencyMatrix) -> TreeOverlay:
     nodes.  The continental subtree roots are the analogue of the paper's
     groups 5 and 9, which absorb the largest overhead in T1.
     """
-    clusters = _clusters(latencies)
-    if set(clusters) >= {"america", "europe", "asia"}:
-        europe = clusters["europe"]
-        america = clusters["america"]
-        asia = clusters["asia"]
-        root = latencies.centroid_site()
-        if root not in europe:
-            root = _cluster_root(latencies, europe)
-        children: Dict[GroupId, List[GroupId]] = {root: []}
-        for e in europe:
-            if e != root:
-                children[root].append(e)
-
-        def attach_chain(members: List[GroupId]) -> GroupId:
-            head = _cluster_root(latencies, members)
-            rest = sorted(
-                (m for m in members if m != head),
-                key=lambda s: (latencies.latency(head, s), s),
-            )
-            order = [head] + rest
-            for parent, child in zip(order, order[1:]):
-                children.setdefault(parent, []).append(child)
-            return head
-
-        children[root].append(attach_chain(america))
-        children[root].append(attach_chain(asia))
-        return TreeOverlay(root, children)
-    # Fallback for custom matrices: one nearest-neighbour chain.
-    order = nearest_neighbour_order(latencies, latencies.centroid_site())
-    return TreeOverlay(order[0], _chain_children(order))
+    return _continental_tree(latencies, chain=True)
 
 
 def build_t2(latencies: LatencyMatrix) -> TreeOverlay:
@@ -151,26 +149,7 @@ def build_t2(latencies: LatencyMatrix) -> TreeOverlay:
     only the root and the two continental roots are inner nodes besides the
     European root.
     """
-    clusters = _clusters(latencies)
-    if set(clusters) >= {"america", "europe", "asia"}:
-        europe = clusters["europe"]
-        america = clusters["america"]
-        asia = clusters["asia"]
-        root = latencies.centroid_site()
-        if root not in europe:
-            root = _cluster_root(latencies, europe)
-        children: Dict[GroupId, List[GroupId]] = {root: []}
-        for e in europe:
-            if e != root:
-                children[root].append(e)
-        for members in (america, asia):
-            head = _cluster_root(latencies, members)
-            children[root].append(head)
-            children[head] = sorted(m for m in members if m != head)
-        return TreeOverlay(root, children)
-    order = nearest_neighbour_order(latencies, latencies.centroid_site())
-    root = order[0]
-    return TreeOverlay(root, {root: order[1:]})
+    return _continental_tree(latencies, chain=False)
 
 
 def build_t3(latencies: LatencyMatrix) -> TreeOverlay:
@@ -178,13 +157,9 @@ def build_t3(latencies: LatencyMatrix) -> TreeOverlay:
 
     The root is the European region closest to the rest of Europe (the paper's
     T3 root is a European group that endures 56% overhead while every other
-    group has none); for non-AWS matrices it falls back to the global centroid.
+    group has none).
     """
-    clusters = _clusters(latencies)
-    if "europe" in clusters:
-        root = _cluster_root(latencies, clusters["europe"])
-    else:
-        root = latencies.centroid_site()
+    root = _cluster_root(latencies, _clusters(latencies)["europe"])
     leaves = sorted(s for s in range(latencies.num_sites) if s != root)
     return TreeOverlay(root, {root: leaves})
 

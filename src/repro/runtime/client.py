@@ -32,6 +32,10 @@ class AsyncMulticastClient(FrameServer):
         super().__init__(host=host, port=port)
         self.client_id = client_id
         self._protocol = protocol
+        #: Messages and carriers named so far (``<client_id>-<n>``,
+        #: ``<client_id>-b<n>``).
+        self._named = 0
+        self._batches = 0
         self.transport = AsyncioTransport(node_id=client_id, addresses=addresses)
         #: msg_id -> (expected destination count, responses received, done event)
         self._waiting: Dict[str, Tuple[int, Dict[GroupId, float], asyncio.Event]] = {}
@@ -93,6 +97,14 @@ class AsyncMulticastClient(FrameServer):
             for msg_id, responses in all_responses.items()
         }
 
+    def _message(self, destinations: Iterable[GroupId], payload: Any) -> Message:
+        """A fresh message named ``<client_id>-<n>``."""
+        self._named += 1
+        return Message.create(
+            destinations, self.client_id, payload,
+            msg_id=f"{self.client_id}-{self._named}",
+        )
+
     # ----------------------------------------------------------------- public
     async def multicast(
         self,
@@ -105,9 +117,7 @@ class AsyncMulticastClient(FrameServer):
         Returns the per-group response latencies in milliseconds.  Raises
         ``asyncio.TimeoutError`` if some destination does not respond in time.
         """
-        message = Message.create(
-            destinations=destinations, sender=self.client_id, payload=payload
-        )
+        message = self._message(destinations, payload)
         latencies = await self._send_and_await(
             [message], ClientRequest(message=message), message, timeout
         )
@@ -130,11 +140,11 @@ class AsyncMulticastClient(FrameServer):
         ``asyncio.TimeoutError`` if some response does not arrive in time.
         """
         dst = frozenset(destinations)
-        messages: List[Message] = [
-            Message.create(destinations=dst, sender=self.client_id, payload=payload)
-            for payload in payloads
-        ]
-        carrier = Message.batch_of(messages)
+        messages = [self._message(dst, payload) for payload in payloads]
+        self._batches += 1
+        carrier = Message.batch_of(
+            messages, batch_id=f"{self.client_id}-b{self._batches}"
+        )
         return await self._send_and_await(
             messages, FlexCastBatch(message=carrier), carrier, timeout
         )

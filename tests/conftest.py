@@ -10,7 +10,6 @@ import pytest
 from hypothesis import settings as hypothesis_settings
 
 import repro.core.flexcast as flexcast_module
-from repro.core.message import scoped_message_ids
 from repro.overlay.builders import standard_overlays
 from repro.sim.latencies import aws_latency_matrix
 
@@ -23,13 +22,6 @@ hypothesis_settings.register_profile(
     "nightly", max_examples=150, deadline=None
 )
 hypothesis_settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "ci"))
-
-
-@pytest.fixture(autouse=True)
-def _fresh_message_ids():
-    """Keep message ids short and deterministic within each test."""
-    with scoped_message_ids():
-        yield
 
 
 @pytest.fixture

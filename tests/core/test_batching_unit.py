@@ -33,24 +33,27 @@ class TestBatchOf:
 
     def test_rejects_mixed_destinations(self):
         with pytest.raises(ValueError, match="destination set"):
-            Message.batch_of([make_message(0, dst=(0, 1)), make_message(1, dst=(0, 2))])
+            Message.batch_of(
+                [make_message(0, dst=(0, 1)), make_message(1, dst=(0, 2))],
+                batch_id="b0",
+            )
 
     def test_rejects_flush_members(self):
         flush = Message.create(destinations=(0, 1), msg_id="f0", is_flush=True)
         with pytest.raises(ValueError, match="flush"):
-            Message.batch_of([make_message(0), flush])
+            Message.batch_of([make_message(0), flush], batch_id="b0")
 
     def test_rejects_nesting_and_empty(self):
         inner = Message.batch_of([make_message(0)], batch_id="b-in")
         with pytest.raises(ValueError, match="nested"):
-            Message.batch_of([inner])
+            Message.batch_of([inner], batch_id="b0")
         with pytest.raises(ValueError, match="at least one"):
-            Message.batch_of([])
+            Message.batch_of([], batch_id="b0")
 
     def test_batch_envelope_is_a_client_request(self):
         # Submission validation and idempotent re-submission of batches
         # rest on this subtyping.
-        envelope = FlexCastBatch(message=Message.batch_of([make_message(0)]))
+        envelope = FlexCastBatch(message=Message.batch_of([make_message(0)], batch_id="b0"))
         assert isinstance(envelope, ClientRequest)
         assert envelope.kind == "batch"
 
@@ -114,7 +117,7 @@ class TestBatchingClient:
     def test_flush_messages_bypass_batching(self):
         client, transport = make_client(max_batch=16)
         client.multicast((0, 1), payload="app")
-        flush = Message.create(destinations=(0, 1, 2), is_flush=True)
+        flush = Message.create(destinations=(0, 1, 2), msg_id="f0", is_flush=True)
         client.submit(flush)
         # The flush left immediately as its own request; the app message is
         # still buffered behind it.
@@ -139,6 +142,21 @@ class TestBatchingClient:
         batch_ids = [e.message.msg_id for _, e in transport.sent]
         assert batch_ids == ["client-b1", "client-b2"]
         assert [len(e.message.members) for _, e in transport.sent] == [2, 2]
+
+    def test_member_and_carrier_ids_never_collide(self):
+        client, transport = make_client(max_batch=3, schedule=None)
+        for i in range(20):
+            client.multicast((0, 1) if i % 3 else (1, 2), payload=i)
+        client.flush()
+        carriers = [e.message.msg_id for _, e in transport.sent if e.message.is_batch]
+        members = [
+            m.msg_id
+            for _, e in transport.sent
+            for m in (e.message.members or (e.message,))
+        ]
+        assert carriers == [f"client-b{n}" for n in range(1, 7)]
+        assert sorted(members) == sorted(f"client-{n}" for n in range(1, 21))
+        assert not set(carriers) & set(members)
 
     def test_response_tracking_is_per_member(self):
         client, transport = make_client(max_batch=2)

@@ -40,13 +40,13 @@ class TestMulticastCall:
 
 
 class TestMulticastClient:
-    def _client(self):
+    def _client(self, client_id="c1"):
         overlay = CDagOverlay(["A", "B", "C"])
         protocol = FlexCastProtocol(overlay)
         sent = []
         clock = {"now": 0.0}
         client = MulticastClient(
-            client_id="c1",
+            client_id=client_id,
             protocol=protocol,
             send_request=lambda group, req: sent.append((group, req)),
             clock=lambda: clock["now"],
@@ -60,6 +60,15 @@ class TestMulticastClient:
         assert isinstance(sent[0][1], ClientRequest)
         assert client.outstanding == 1
         assert message.sender == "c1"
+
+    def test_a_client_names_its_messages_whatever_others_minted_first(self):
+        other, _, _ = self._client("c1")
+        for _ in range(3):
+            other.multicast(["A", "B"])
+        client, _, _ = self._client("c")
+        names = [client.multicast(["B", "C"]).msg_id for _ in range(3)]
+        assert names == ["c-1", "c-2", "c-3"]
+        assert other.multicast(["A"]).msg_id == "c1-4"
 
     def test_responses_complete_the_call(self):
         client, sent, clock = self._client()
@@ -88,6 +97,6 @@ class TestMulticastClient:
 
     def test_submit_prebuilt_message(self):
         client, sent, clock = self._client()
-        message = Message.create(["A", "C"], sender="c1")
+        message = Message.create(["A", "C"], sender="c1", msg_id="c1-x")
         client.submit(message)
         assert [group for group, _ in sent] == ["A"]

@@ -46,6 +46,11 @@ class TestFlushCoordinator:
         flush = submitted[0]
         assert flush.is_flush and flush.dst == frozenset({A, B, C})
         assert coordinator.flushes_sent == 1
+        # The coordinator names its flushes ``<sender_id>-<n>``.
+        coordinator.flush_now()
+        assert [m.msg_id for m in submitted] == [
+            "flush-coordinator-1", "flush-coordinator-2",
+        ]
 
     def test_periodic_flushing_until_stopped(self):
         loop, *_ = deploy()
@@ -85,7 +90,7 @@ class TestHistoryPruning:
         self._run_workload(groups, loop)
         size_before = groups[C].history_size()
         assert size_before >= 10
-        flush = Message.create([A, B, C], is_flush=True, payload_bytes=8)
+        flush = Message.create([A, B, C], payload_bytes=8, msg_id="f1", is_flush=True)
         groups[overlay.lca(flush.dst)].on_client_request(flush)
         loop.run_until_idle()
         assert groups[C].history_size() < size_before
@@ -95,7 +100,7 @@ class TestHistoryPruning:
     def test_ordering_still_correct_after_gc(self):
         loop, network, overlay, groups, sink = deploy()
         self._run_workload(groups, loop, count=5)
-        flush = Message.create([A, B, C], is_flush=True)
+        flush = Message.create([A, B, C], msg_id="f1", is_flush=True)
         groups[A].on_client_request(flush)
         loop.run_until_idle()
         # Messages multicast after the flush still respect ordering.
@@ -109,7 +114,7 @@ class TestHistoryPruning:
     def test_forgotten_messages_not_resurrected_by_late_histories(self):
         loop, network, overlay, groups, sink = deploy()
         self._run_workload(groups, loop, count=3)
-        flush = Message.create([A, B, C], is_flush=True)
+        flush = Message.create([A, B, C], msg_id="f1", is_flush=True)
         groups[A].on_client_request(flush)
         loop.run_until_idle()
         forgotten = groups[C].history.forgotten_count

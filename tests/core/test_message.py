@@ -14,60 +14,47 @@ from repro.core.message import (
     PAYLOAD_KINDS,
     SkeenTimestamp,
     TreeForward,
-    fresh_message_id,
-    scoped_message_ids,
 )
 
 
 class TestMessage:
-    def test_create_assigns_unique_ids(self):
-        m1 = Message.create([1, 2])
-        m2 = Message.create([1, 2])
-        assert m1.msg_id != m2.msg_id
-
-    def test_ids_restart_at_zero_in_each_test(self):
-        # The autouse fixture runs every test in a scope of its own.
-        assert Message.create([1]).msg_id == "m0"
-
-    def test_scoped_ids_start_at_zero_and_the_outer_counter_resumes(self):
-        assert [Message.create([1]).msg_id for _ in range(3)] == ["m0", "m1", "m2"]
-        with scoped_message_ids():
-            assert Message.create([1]).msg_id == "m0"
-            with scoped_message_ids():
-                assert fresh_message_id("b") == "b0"
-            assert Message.create([1]).msg_id == "m1"
-        assert Message.create([1]).msg_id == "m3"
+    def test_create_and_batch_of_require_an_id(self):
+        # The sender names every message; there is no id to fall back on.
+        with pytest.raises(TypeError):
+            Message.create([1, 2])
+        member = Message.create([1, 2], msg_id="m1")
+        with pytest.raises(TypeError):
+            Message.batch_of([member])
+        assert Message.create([1, 2], msg_id="c-1").msg_id == "c-1"
+        assert Message.batch_of([member], batch_id="c-b1").msg_id == "c-b1"
 
     def test_local_vs_global(self):
-        assert Message.create([3]).is_local
-        assert not Message.create([3]).is_global
-        assert Message.create([3, 4]).is_global
+        assert Message.create([3], msg_id="m1").is_local
+        assert not Message.create([3], msg_id="m1").is_global
+        assert Message.create([3, 4], msg_id="m1").is_global
 
     def test_empty_destination_rejected(self):
         with pytest.raises(ValueError):
-            Message.create([])
+            Message.create([], msg_id="m1")
 
     def test_destinations_normalised_to_frozenset(self):
-        m = Message.create([2, 1, 2])
+        m = Message.create([2, 1, 2], msg_id="m1")
         assert m.dst == frozenset({1, 2})
 
     def test_size_grows_with_payload_and_destinations(self):
-        small = Message.create([1], payload_bytes=10)
-        large = Message.create([1, 2, 3], payload_bytes=500)
+        small = Message.create([1], payload_bytes=10, msg_id="m1")
+        large = Message.create([1, 2, 3], payload_bytes=500, msg_id="m2")
         assert large.size_bytes() > small.size_bytes()
 
     def test_flush_flag_and_repr(self):
-        flush = Message.create([1, 2], is_flush=True)
+        flush = Message.create([1, 2], msg_id="f1", is_flush=True)
         assert flush.is_flush
         assert "flush" in repr(flush)
 
     def test_messages_are_immutable(self):
-        m = Message.create([1])
+        m = Message.create([1], msg_id="m1")
         with pytest.raises(AttributeError):
             m.msg_id = "other"
-
-    def test_fresh_message_id_prefix(self):
-        assert fresh_message_id("x").startswith("x")
 
 
 class TestHistoryDelta:
@@ -100,7 +87,7 @@ class TestHistoryDelta:
 
 class TestEnvelopes:
     def test_kinds(self):
-        m = Message.create([1, 2])
+        m = Message.create([1, 2], msg_id="m1")
         assert ClientRequest(message=m).kind == "request"
         assert ClientResponse(msg_id=m.msg_id, group=1).kind == "response"
         assert FlexCastMsg(message=m, history=EMPTY_DELTA, seq=1).kind == "msg"
@@ -117,7 +104,7 @@ class TestEnvelopes:
         assert PAYLOAD_KINDS == {"request", "msg", "batch"}
 
     def test_flexcast_msg_size_includes_history(self):
-        m = Message.create([1, 2], payload_bytes=50)
+        m = Message.create([1, 2], payload_bytes=50, msg_id="m1")
         delta = HistoryDelta(
             vertices=tuple((f"m{i}", frozenset({1})) for i in range(10)),
             edges=tuple((f"m{i}", f"m{i+1}") for i in range(9)),
@@ -127,14 +114,14 @@ class TestEnvelopes:
         assert with_history.size_bytes() > without.size_bytes()
 
     def test_ack_smaller_than_msg_with_same_history(self):
-        m = Message.create([1, 2], payload_bytes=300)
+        m = Message.create([1, 2], payload_bytes=300, msg_id="m1")
         assert (
             FlexCastAck(message=m, history=EMPTY_DELTA, from_group=1, seq=1).size_bytes()
             < FlexCastMsg(message=m, history=EMPTY_DELTA, seq=1).size_bytes()
         )
 
     def test_all_envelopes_report_positive_size(self):
-        m = Message.create([1, 2])
+        m = Message.create([1, 2], msg_id="m1")
         envelopes = [
             ClientRequest(message=m),
             ClientResponse(msg_id=m.msg_id, group=1),

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.flexcast import FlexCastProtocol
-from repro.core.message import Message
+from repro.core.client import MulticastClient
 from repro.experiments.config import (
     distributed_config,
     flexcast_config,
@@ -115,16 +115,24 @@ class TestLongHorizonGtpcc:
 
 class TestRepeatability:
     def test_same_seed_distributed_runs_deliver_in_one_order_in_one_process(self):
-        # Skeen breaks timestamp ties by message id; ids minted before or
-        # between the runs must not move them.
+        # Skeen breaks timestamp ties by message id.  Every client names its
+        # own messages, so FlexCast runs and a client of the same name
+        # multicasting between the two runs must not move them.
         config = distributed_config(
             locality=0.90, num_clients=48, duration_ms=300.0, global_only=True,
             seed=1, record_deliveries=True,
         )
-        Message.create([0])
         first = run_experiment(config)
-        Message.create([0])
+        run_experiment(flexcast_config(**FAST))
+        bystander = MulticastClient(
+            "client-0", build_protocol(config, aws_latency_matrix()),
+            send_request=lambda group, request: None, clock=lambda: 0.0,
+        )
+        for _ in range(5):
+            bystander.multicast([0, 1])
+        run_experiment(flexcast_config(overlay="O2", **FAST))
         second = run_experiment(config)
         assert (second.issued, second.completed) == (first.issued, first.completed)
+        assert second.raw_latency.transactions == first.raw_latency.transactions
         for group in first.groups:
             assert second.deliveries.sequence(group) == first.deliveries.sequence(group)

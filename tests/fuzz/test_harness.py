@@ -8,7 +8,6 @@ from repro.fuzz import (
     generate_scenario,
     run_scenario,
 )
-from repro.core.message import fresh_message_id
 from repro.fuzz.profiles import PROFILES, apply_profile
 from repro.fuzz.scenario import Crash
 
@@ -39,11 +38,11 @@ class TestDeterminism:
 
     def test_batch_ids_do_not_depend_on_ids_minted_before(self):
         # The batching client names its carriers itself (``<client>-b<n>``),
-        # so a batched run repeats whatever the process counter holds.
+        # so a batched run repeats whatever ran between.
         scenario = apply_profile(generate_scenario(3, "crash-restart"), "crash-restart")
         scenario = dataclasses.replace(scenario, batch_window=16)
         first = run_scenario(scenario)
-        fresh_message_id("m"), fresh_message_id("b")  # unrelated ids
+        run_scenario(dataclasses.replace(generate_scenario(4), batch_window=16))
         second = run_scenario(scenario)
         assert first.batches
         assert second.batches == first.batches

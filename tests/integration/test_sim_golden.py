@@ -14,9 +14,10 @@ says so and regenerates the file::
     PYTHONPATH=src python tests/integration/test_sim_golden.py --write
 
 The hashes do not depend on ``PYTHONHASHSEED`` (CI runs this file under
-two fixed values) or on what ran before in the process: ``run_experiment``
-numbers each run's message ids from 0, which Skeen's ``msg_id`` tie-break
-needs.
+two fixed values) or on what ran before in the process: every client names
+its own messages ``<client_id>-<n>`` and the flush coordinator its flushes,
+so the ids Skeen's ``msg_id`` tie-break compares are the same in any
+process.
 """
 
 import hashlib

@@ -17,6 +17,7 @@ from repro.overlay.builders import (
 )
 from repro.overlay.cdag import CDagOverlay
 from repro.overlay.tree import TreeOverlay
+from repro.sim.latencies import LatencyMatrix
 
 
 class TestNearestNeighbourOrder:
@@ -87,6 +88,27 @@ class TestTreeBuilders:
         t3 = build_t3(latencies)
         assert t3.inner_groups() == [t3.root]
         assert len(t3.children(t3.root)) == 11
+
+    def test_t1_and_t2_exact_shapes(self, latencies):
+        # London (6) roots both, Ohio (1) heads America and Singapore (9)
+        # heads Asia.  T1 chains each continent nearest first; T2 hangs every
+        # member off its head.
+        t1, t2 = build_t1(latencies), build_t2(latencies)
+        assert t1.root == t2.root == 6
+        assert {g: t1.children(g) for g in t1.inner_groups()} == {
+            6: [5, 7, 1, 9],
+            1: [0], 0: [2], 2: [3], 3: [4],
+            9: [11], 11: [8], 8: [10],
+        }
+        assert {g: t2.children(g) for g in t2.inner_groups()} == {
+            6: [5, 7, 1, 9], 1: [0, 2, 3, 4], 9: [8, 10, 11],
+        }
+
+    def test_a_matrix_without_the_aws_clusters_is_rejected(self):
+        custom = LatencyMatrix(matrix=[[0, 5, 9], [5, 0, 7], [9, 7, 0]])
+        for builder in (build_t1, build_t2, build_t3):
+            with pytest.raises(ValueError, match="cluster"):
+                builder(custom)
 
     def test_t1_continental_subtrees(self, latencies):
         t1 = build_t1(latencies)

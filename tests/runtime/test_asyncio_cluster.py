@@ -102,6 +102,8 @@ class TestBatchedCluster:
                 assert cluster.delivered_at(0) == cluster.delivered_at(1)
                 seq0 = cluster.delivered_at(0)
                 assert len(seq0) == 4 and seq0[1:3] == list(batch)
+                # The client names batch members like any other message.
+                assert seq0 == [f"client-1-{n}" for n in range(1, 5)]
 
         run(scenario())
 
