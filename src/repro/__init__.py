@@ -5,7 +5,7 @@ The public API is intentionally small; most users need only:
 * :class:`repro.core.FlexCastProtocol` (and the baselines in :mod:`repro.protocols`),
 * an overlay from :mod:`repro.overlay` (``build_o1`` et al.),
 * :class:`repro.core.BatchingClient` to amortize envelope overhead under
-  heavy traffic (size/time-window submission batching),
+  heavy traffic (submission batching while earlier messages are in flight),
 * :func:`repro.experiments.run_experiment` with an
   :class:`repro.experiments.ExperimentConfig` to reproduce the paper's
   experiments, or

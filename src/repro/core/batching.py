@@ -5,9 +5,10 @@ request, one msg/ack round per destination, one codec pass and one
 simulator event per hop.  Under heavy traffic that per-message overhead —
 not the ordering logic — dominates the delivery path (PR 1 made the history
 work O(affected)).  :class:`BatchingClient` amortizes it the standard middleware
-way: submissions to the *same destination set* are coalesced under a
-size/time window and shipped as one :class:`~repro.core.message.FlexCastBatch`
-carrying a batch carrier (:meth:`~repro.core.message.Message.batch_of`).
+way: submissions to the *same destination set* made while earlier ones are
+in flight are coalesced in a window and shipped as one
+:class:`~repro.core.message.FlexCastBatch` carrying a batch carrier
+(:meth:`~repro.core.message.Message.batch_of`).
 
 The protocol orders the carrier exactly like a single message — one history
 vertex, one msg/ack per destination — and
@@ -18,10 +19,21 @@ delivery path" for the lifecycle and the batch=1 bit-identity argument.
 
 Windows close on whichever trigger fires first:
 
+* **idle** — nothing dispatched to the destination set is still waiting
+  for its responses: a submission to an idle set ships at once, and the
+  response that completes a set's last in-flight message ships the window
+  that gathered behind it (batching with pipelining: batch only while
+  something is in flight);
 * **size** — the buffer for a destination set reaches ``max_batch``;
 * **time** — ``max_delay_ms`` elapsed since the buffer's first message
-  (requires a ``schedule`` callback; without one, only the size trigger and
-  explicit :meth:`BatchingClient.flush` calls close windows).
+  (requires a ``schedule`` callback; without one, only the size and idle
+  triggers and explicit :meth:`BatchingClient.flush` calls close windows).
+
+Size and time still bound every window, so the idle trigger never makes a
+message wait longer; it only ships earlier whatever would otherwise wait
+on a link with nothing to amortize against.  A message whose responses
+never all arrive keeps its set busy, and that set's later windows close on
+size or time again.
 
 A window holding a single message is shipped as a plain
 :class:`~repro.core.message.ClientRequest` — bit-identical to the unbatched
@@ -33,13 +45,13 @@ or coalesced.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..obs import STAGE_BATCH_FLUSH, Observability
 from ..obs.registry import SIZE_BUCKETS, Histogram
 from ..overlay.base import GroupId
 from ..protocols.base import AtomicMulticastProtocol
-from .client import MulticastClient
+from .client import MulticastCall, MulticastClient
 from .message import ClientRequest, FlexCastBatch, Message
 
 #: ``schedule(delay_ms, callback)`` -> handle with an optional ``cancel()``.
@@ -53,7 +65,9 @@ class BatchingClient(MulticastClient):
 
     Drop-in replacement for :class:`~repro.core.client.MulticastClient`:
     response tracking (``inflight`` / ``on_response`` / ``completed``) is
-    per *member* message and unchanged — only the dispatch path differs.
+    per *member* message and unchanged — only the dispatch path differs,
+    and :meth:`on_response` also closes the window of a destination set
+    whose last in-flight message it completed (the idle trigger).
     Requires a protocol whose groups understand
     :class:`~repro.core.message.FlexCastBatch` (the FlexCast family; the
     envelope subclasses ``ClientRequest``, so groups deduplicate batches
@@ -80,6 +94,11 @@ class BatchingClient(MulticastClient):
         self._schedule = schedule
         self._buffers: Dict[FrozenSet[GroupId], List[Message]] = {}
         self._timers: Dict[FrozenSet[GroupId], Any] = {}
+        #: Per destination set, the ids of dispatched messages still waiting
+        #: for responses.  An empty (or absent) set is idle.  GC flushes are
+        #: never counted, and a member that completed before its window
+        #: shipped (a re-submission) is not counted again.
+        self._unanswered: Dict[FrozenSet[GroupId], Set[str]] = {}
         self._batch_seq = 0
         #: Every batch shipped: ``(batch_id, member msg_ids)`` in send order.
         #: The fuzz harness uses this to run the batch-atomicity oracle (a
@@ -89,10 +108,11 @@ class BatchingClient(MulticastClient):
             "batches_sent": 0,
             "singles_sent": 0,
             "messages_batched": 0,
-            # Why each window closed (size trigger / delay timer / explicit
-            # flush call).
+            # Why each window closed (size trigger / delay timer / nothing
+            # of its destination set in flight / explicit flush call).
             "flush_size": 0,
             "flush_timer": 0,
+            "flush_idle": 0,
             "flush_explicit": 0,
         }
         #: Window-occupancy histogram (``None`` until attach_obs).
@@ -141,6 +161,8 @@ class BatchingClient(MulticastClient):
         buffer.append(message)
         if len(buffer) >= self.max_batch:
             self._flush_window(key, reason="size")
+        elif not self._unanswered.get(key):
+            self._flush_window(key, reason="idle")
         elif self._schedule is not None and key not in self._timers:
             self._timers[key] = self._schedule(
                 self.max_delay_ms, lambda key=key: self._on_timer(key)
@@ -169,6 +191,10 @@ class BatchingClient(MulticastClient):
                 self._tracer.record(
                     member.trace, STAGE_BATCH_FLUSH, now, self.client_id, reason
                 )
+        inflight = self.inflight
+        self._unanswered.setdefault(key, set()).update(
+            m.msg_id for m in buffer if m.msg_id in inflight
+        )
         if len(buffer) == 1:
             # A window of one is shipped exactly as the unbatched client
             # would — same envelope, same route — so partially filled
@@ -188,6 +214,21 @@ class BatchingClient(MulticastClient):
         request = FlexCastBatch(message=carrier)
         for entry in self._protocol.entry_groups(carrier):
             self._send_request(entry, request)
+
+    # -------------------------------------------------------------- responses
+    def on_response(self, group: GroupId, msg_id: str) -> Optional[MulticastCall]:
+        """Record a delivery confirmation (see the base class); the one that
+        completes a destination set's last in-flight message ships the
+        window waiting behind it."""
+        call = super().on_response(group, msg_id)
+        if call is not None:
+            key = call.message.dst
+            unanswered = self._unanswered.get(key)
+            if unanswered:
+                unanswered.discard(msg_id)
+                if not unanswered and key in self._buffers:
+                    self._flush_window(key, reason="idle")
+        return call
 
     # --------------------------------------------------------------- control
     def flush(self) -> None:

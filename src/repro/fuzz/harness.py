@@ -274,6 +274,9 @@ def _run_flexcast(
         for host in hosts.values():
             if isinstance(host, ReplicatedGroup):
                 host.close()
+        # Every host's sink answers the client, whose requests find the
+        # hosts through this dict: drop the dict's half of that cycle.
+        hosts.clear()
         network.close()
         network.loop.close()
 
@@ -293,12 +296,16 @@ def _run_deployment(
     protocol = FlexCastProtocol(CDagOverlay(list(scenario.order)))
 
     sink = RecordingSink(clock=lambda: loop.now)
+    batcher: Optional[BatchingClient] = None
     #: Delivered at some destination, hence ordered by its entry group.
     delivered_ids: Set[str] = set()
 
     def recording_sink(group_id, message):
         sink(group_id, message)
         delivered_ids.add(message.msg_id)
+        if batcher is not None:
+            # The group's response, as the client's idle trigger hears it.
+            batcher.on_response(group_id, message.msg_id)
 
     # The disks: one store for every replica's WALs, which outlives a crash.
     storage = InMemoryStorage()
@@ -396,7 +403,6 @@ def _run_deployment(
         if resubmitter is not None:
             resubmitter.track(request.message.msg_id)
 
-    batcher: Optional[BatchingClient] = None
     if use_batching_client or scenario.batch_window > 1:
         batcher = BatchingClient(
             CLIENT,

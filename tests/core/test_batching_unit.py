@@ -74,9 +74,25 @@ def make_client(max_batch=4, max_delay_ms=10.0, schedule="transport"):
     return client, transport
 
 
+def occupy(client, transport, dst=(0, 1)):
+    """Put one unanswered message in flight to ``dst``, so that later
+    submissions to that set wait in a window, and forget its send."""
+    first = client.multicast(dst, payload="in flight")
+    [(_, envelope)] = transport.sent
+    assert envelope.message is first
+    transport.clear()
+    return first
+
+
+def answer(client, message):
+    """Every destination of ``message`` responds; returns the last result."""
+    return [client.on_response(g, message.msg_id) for g in sorted(message.dst)][-1]
+
+
 class TestBatchingClient:
     def test_size_trigger_ships_one_batch(self):
         client, transport = make_client(max_batch=3)
+        occupy(client, transport)
         for i in range(3):
             client.multicast((0, 1), payload=i)
         [(dst, envelope)] = transport.sent
@@ -86,9 +102,11 @@ class TestBatchingClient:
         assert client.buffered == 0
         assert client.stats["batches_sent"] == 1
         assert client.stats["messages_batched"] == 3
+        assert client.stats["flush_size"] == 1
 
     def test_time_trigger_flushes_partial_window(self):
         client, transport = make_client(max_batch=16, max_delay_ms=5.0)
+        occupy(client, transport)
         client.multicast((0, 1), payload="a")
         client.multicast((0, 1), payload="b")
         assert transport.sent == [] and client.buffered == 2
@@ -96,10 +114,13 @@ class TestBatchingClient:
         [(_, envelope)] = transport.sent
         assert isinstance(envelope, FlexCastBatch)
         assert len(envelope.message.members) == 2
+        assert client.stats["flush_timer"] == 1
 
     def test_single_message_window_ships_plain_request(self):
         client, transport = make_client(max_batch=16, max_delay_ms=5.0)
+        occupy(client, transport)
         client.multicast((0, 1), payload="solo")
+        assert transport.sent == []
         transport.advance(5.0)
         [(_, envelope)] = transport.sent
         assert type(envelope) is ClientRequest  # not a FlexCastBatch
@@ -107,6 +128,8 @@ class TestBatchingClient:
 
     def test_windows_are_per_destination_set(self):
         client, transport = make_client(max_batch=2)
+        occupy(client, transport, (0, 1))
+        occupy(client, transport, (1, 2))
         client.multicast((0, 1), payload=1)
         client.multicast((1, 2), payload=2)
         assert transport.sent == []  # two open windows, neither full
@@ -116,6 +139,7 @@ class TestBatchingClient:
 
     def test_flush_messages_bypass_batching(self):
         client, transport = make_client(max_batch=16)
+        occupy(client, transport)
         client.multicast((0, 1), payload="app")
         flush = Message.create(destinations=(0, 1, 2), msg_id="f0", is_flush=True)
         client.submit(flush)
@@ -134,6 +158,8 @@ class TestBatchingClient:
 
     def test_explicit_flush_and_deterministic_ids(self):
         client, transport = make_client(max_batch=16, schedule=None)
+        occupy(client, transport, (0, 1))
+        occupy(client, transport, (1, 2))
         for i in range(2):
             client.multicast((0, 1), payload=i)
         for i in range(2):
@@ -171,6 +197,117 @@ class TestBatchingClient:
             first.msg_id,
             second.msg_id,
         }
+
+
+class TestIdleTrigger:
+    """A window closes as soon as nothing of its destination set is in
+    flight: batch only while something is outstanding."""
+
+    def test_first_submission_to_an_idle_set_ships_at_once(self):
+        client, transport = make_client(max_batch=16, max_delay_ms=1000.0)
+        message = client.multicast((0, 1), payload="solo")
+        [(dst, envelope)] = transport.sent
+        assert dst == 0 and type(envelope) is ClientRequest
+        assert envelope.message is message
+        assert client.buffered == 0
+        assert client.stats["flush_idle"] == 1 and client.stats["singles_sent"] == 1
+
+    def test_window_behind_an_outstanding_one_ships_on_its_last_response(self):
+        client, transport = make_client(max_batch=16, max_delay_ms=1000.0)
+        first = occupy(client, transport)
+        waiting = [client.multicast((0, 1), payload=i) for i in range(3)]
+        assert transport.sent == [] and client.buffered == 3
+        assert client.on_response(0, first.msg_id) is None  # not complete yet
+        assert transport.sent == []
+        call = client.on_response(1, first.msg_id)
+        assert call is not None and call.message is first  # contract kept
+        [(_, envelope)] = transport.sent
+        assert isinstance(envelope, FlexCastBatch)
+        assert envelope.message.members == tuple(waiting)
+        assert client.stats["flush_idle"] == 2
+        # The carrier is now what is in flight: one more submission waits
+        # until every one of its members has completed.
+        transport.clear()
+        late = client.multicast((0, 1), payload="late")
+        for member in waiting[:2]:
+            answer(client, member)
+        assert transport.sent == [] and client.buffered == 1
+        answer(client, waiting[2])
+        [(_, envelope)] = transport.sent
+        assert type(envelope) is ClientRequest and envelope.message is late
+
+    def test_a_response_releases_only_its_own_sets_window(self):
+        client, transport = make_client(max_batch=16, max_delay_ms=1000.0)
+        first = occupy(client, transport, (0, 1))
+        occupy(client, transport, (1, 2))
+        client.multicast((0, 1), payload="a")
+        client.multicast((1, 2), payload="b")
+        assert client.buffered == 2
+        answer(client, first)
+        [(_, envelope)] = transport.sent
+        assert envelope.message.dst == frozenset({0, 1})
+        assert client.buffered == 1  # {1, 2} still waits for its own
+
+    def test_timer_closes_a_window_whose_predecessor_never_completes(self):
+        client, transport = make_client(max_batch=16, max_delay_ms=5.0)
+        occupy(client, transport)  # its response is lost
+        for round_ in range(2):
+            client.multicast((0, 1), payload=f"{round_}a")
+            client.multicast((0, 1), payload=f"{round_}b")
+            assert transport.sent == []
+            transport.advance(5.0)
+            [(_, envelope)] = transport.sent
+            assert len(envelope.message.members) == 2
+            transport.clear()
+        assert client.stats["flush_timer"] == 2 and client.stats["flush_idle"] == 1
+
+    def test_gc_flush_neither_waits_nor_counts(self):
+        client, transport = make_client(max_batch=16, max_delay_ms=1000.0)
+        flush = Message.create(destinations=(0, 1), msg_id="f0", is_flush=True)
+        client.submit(flush)
+        transport.clear()
+        # The unanswered flush does not make the set busy ...
+        first = client.multicast((0, 1), payload="app")
+        [(_, envelope)] = transport.sent
+        assert envelope.message is first
+        transport.clear()
+        # ... a flush behind a busy set does not wait ...
+        client.multicast((0, 1), payload="waits")
+        client.submit(Message.create(destinations=(0, 1), msg_id="f1", is_flush=True))
+        [(_, envelope)] = transport.sent
+        assert envelope.message.msg_id == "f1"
+        transport.clear()
+        # ... and its completion releases nothing.
+        assert answer(client, flush) is not None
+        assert transport.sent == [] and client.buffered == 1
+        answer(client, first)
+        [(_, envelope)] = transport.sent
+        assert envelope.message.payload == "waits"
+
+    def test_a_resubmitted_member_does_not_wedge_the_count(self):
+        client, transport = make_client(max_batch=16, max_delay_ms=5.0)
+        # Re-submitted while its first copy is in flight, shipped by the
+        # timer: the id is counted once, so one completion frees the set.
+        first = occupy(client, transport)
+        client.submit(first)
+        transport.advance(5.0)
+        assert [e.message for _, e in transport.sent] == [first]
+        transport.clear()
+        answer(client, first)
+        second = client.multicast((0, 1), payload="second")
+        [(_, envelope)] = transport.sent
+        assert envelope.message is second
+        transport.clear()
+        # Re-submitted behind itself: the completion that ships the copy
+        # also settles it, so the copy is not counted as in flight.
+        client.submit(second)
+        assert transport.sent == []
+        answer(client, second)
+        assert [e.message for _, e in transport.sent] == [second]
+        transport.clear()
+        third = client.multicast((0, 1), payload="third")
+        [(_, envelope)] = transport.sent
+        assert envelope.message is third
 
 
 class TestBatchFanOutAtGate:

@@ -5,8 +5,12 @@ import json
 
 import pytest
 
-from repro.core.message import ClientRequest, Message
+from repro.core.batching import BatchingClient
+from repro.core.message import ClientRequest, ClientResponse, FlexCastBatch, Message, NodeHello
+from repro.runtime.node import FrameServer
 from repro.runtime.proc import ClusterSpec
+from repro.runtime.transport import AsyncioTransport
+from repro.smr.replica import replica_node
 
 from .conftest import ReplicaCluster
 
@@ -104,6 +108,93 @@ class TestBatchedCluster:
                 assert len(seq0) == 4 and seq0[1:3] == list(batch)
                 # The client names batch members like any other message.
                 assert seq0 == [f"client-1-{n}" for n in range(1, 5)]
+
+        run(scenario())
+
+
+class BatchingFront(FrameServer):
+    """A :class:`BatchingClient` on an :class:`AsyncioTransport`, answered
+    by the cluster on a port of its own (the load generator's shape)."""
+
+    def __init__(self, cluster: ReplicaCluster, max_batch: int, max_delay_ms: float) -> None:
+        super().__init__()
+        self.cluster = cluster
+        self.transport = AsyncioTransport("batcher", cluster.spec.address_book())
+        #: Every request put on the wire: (loop time in ms, request).
+        self.sent = []
+        self.batcher = BatchingClient(
+            "batcher",
+            cluster.protocol,
+            send_request=self._send,
+            clock=self.transport.now,
+            max_batch=max_batch,
+            max_delay_ms=max_delay_ms,
+            schedule=self.transport.schedule,
+        )
+
+    async def __aenter__(self) -> "BatchingFront":
+        host, port = await self.start()
+        hello = NodeHello(node_id="batcher", host=host, port=port)
+        for gid in self.cluster.spec.groups:
+            self.transport.send(replica_node(gid, 0), hello)
+        await asyncio.sleep(0.05)
+        return self
+
+    async def __aexit__(self, *exc_info) -> None:
+        await self.stop()
+
+    def _send(self, group, request) -> None:
+        self.sent.append((self.transport.now(), request))
+        self.transport.send(group, request)
+
+    def handle_frame(self, sender, envelope) -> None:
+        if isinstance(envelope, ClientResponse):
+            self.batcher.on_response(envelope.group, envelope.msg_id)
+
+    async def settled(self) -> None:
+        while self.batcher.inflight:
+            await asyncio.sleep(0.002)
+
+
+class TestBatchingClientIdleTrigger:
+    """Over real TCP, a window of a second is not a second of latency: a
+    submission to a destination set with nothing in flight leaves at once,
+    and what gathers behind it leaves when it completes."""
+
+    def test_a_lone_submission_does_not_wait_for_the_timer(self, tmp_path):
+        async def scenario():
+            async with ReplicaCluster(2, str(tmp_path)) as cluster:
+                async with BatchingFront(cluster, 128, 1000.0) as front:
+                    started = front.transport.now()
+                    front.batcher.multicast([0, 1], payload="solo")
+                    await asyncio.wait_for(front.settled(), timeout=5.0)
+                    [call] = front.batcher.completed
+                    assert max(call.latencies_by_arrival()) < 500.0
+                    [(at, request)] = front.sent
+                    assert type(request) is ClientRequest and at - started < 100.0
+
+        run(scenario())
+
+    def test_submissions_behind_it_leave_as_one_carrier_when_it_completes(self, tmp_path):
+        async def scenario():
+            async with ReplicaCluster(2, str(tmp_path)) as cluster:
+                async with BatchingFront(cluster, 128, 1000.0) as front:
+                    started = front.transport.now()
+                    first = front.batcher.multicast([0, 1], payload="first")
+                    behind = [front.batcher.multicast([0, 1], payload=i) for i in range(3)]
+                    await asyncio.wait_for(front.settled(), timeout=5.0)
+                    (_, lone), (at, carrier) = front.sent
+                    assert lone.message is first
+                    assert isinstance(carrier, FlexCastBatch)
+                    assert carrier.message.members == tuple(behind)
+                    # It left when the first completed, not when its timer was due.
+                    first_call = front.batcher.completed[0]
+                    assert first_call.message is first
+                    done = first_call.submitted_at + max(first_call.latencies_by_arrival())
+                    assert done <= at < started + 500.0
+                    assert front.batcher.stats["flush_idle"] == 2
+                    assert cluster.delivered_at(0) == cluster.delivered_at(1)
+                    assert cluster.delivered_at(0) == [m.msg_id for m in [first, *behind]]
 
         run(scenario())
 

@@ -51,6 +51,23 @@ def test_medians_wins_and_the_parents_iqr():
     assert throughput["parent_iqr"] == pytest.approx(15.0)
     assert cpu["wins"] == 3
     assert cpu["change_median"] == pytest.approx(0.405)
+    # +12.5 % is inside the 25 % bound; the parent's CPU spreads 26 %.
+    assert throughput["verdict"] == "unchanged"
+    assert cpu["verdict"] == "unresolved"
+
+
+def test_each_metric_reads_as_run_py_compare_would():
+    pairs = _pairs(
+        ((100.0, 0.50), (140.0, 0.80)),
+        ((100.0, 0.50), (140.0, 0.80)),
+        ((100.0, 0.50), (140.0, 0.80)),
+    )
+    throughput, cpu = ab_pairs.summarise(pairs, END_TO_END)
+    assert throughput["verdict"] == "improved"  # +40 % against a 25 % bound
+    assert cpu["verdict"] == "regressed"  # +60 % on a lower-is-better metric
+    noisy = _pairs(((100.0, 0.5), (100.0, 0.5)), ((50.0, 0.5), (100.0, 0.5)),
+                   ((200.0, 0.5), (100.0, 0.5)))
+    assert ab_pairs.summarise(noisy, END_TO_END)[0]["verdict"] == "unresolved"
 
 
 def test_one_pair_has_no_spread():

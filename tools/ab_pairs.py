@@ -7,7 +7,9 @@ This runs ``benchmarks/e2e/run.py --workload W --seed S --trace 0`` once
 from each checkout per seed, the parent first on odd pairs and the change
 first on even ones, and prints every end-to-end metric of ``BENCHMARK.json``
 for each pair, then per metric the two medians, how many pairs the change
-won and the inter-quartile distance of the parent's runs::
+won, the inter-quartile distance of the parent's runs and the verdict
+``run.py --compare`` would give the two sets of runs under the metric's
+bound (``stats.verdict``: improved, unchanged, regressed or unresolved)::
 
     python tools/ab_pairs.py --parent ../parent --change . \\
         --workload local_batched --seed-base 861 --pairs 10
@@ -54,7 +56,9 @@ def summarise(
     """One row per declared end-to-end metric over ``(parent, change)`` pairs.
 
     A pair is won when the change's value is strictly better in the metric's
-    direction; ``parent_iqr`` is ``q3 - q1`` of the parent's values.
+    direction; ``parent_iqr`` is ``q3 - q1`` of the parent's values and
+    ``verdict`` is :func:`stats.verdict` of the two sets under the metric's
+    ``bound``.
     """
     rows = []
     for metric in end_to_end:
@@ -72,6 +76,7 @@ def summarise(
             "change_median": statistics.median(change),
             "wins": sum((c < p) if lower else (c > p) for p, c in zip(parent, change)),
             "parent_iqr": q3 - q1,
+            "verdict": stats.verdict(parent, change, metric["better"], metric["bound"])["verdict"],
         })
     return rows
 
@@ -130,11 +135,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"\n== {args.workload}: {len(pairs)} pairs, seeds {args.seed_base}-"
               f"{args.seed_base + args.pairs - 1} ==")
         print(f"{'metric':<20} {'unit':<6} {'better':<7} {'parent med':>14} "
-              f"{'change med':>14} {'won':>7} {'parent IQR':>12}")
+              f"{'change med':>14} {'won':>7} {'parent IQR':>12}  verdict")
         for row in summarise(pairs, end_to_end):
             print(f"{row['name']:<20} {row['unit']:<6} {row['better']:<7} "
                   f"{row['parent_median']:>14.4f} {row['change_median']:>14.4f} "
-                  f"{row['wins']:>3}/{len(pairs):<3} {row['parent_iqr']:>12.4f}")
+                  f"{row['wins']:>3}/{len(pairs):<3} {row['parent_iqr']:>12.4f}  "
+                  f"{row['verdict']}")
     if not correct:
         print("a run reported correct: false or no result")
     return 0 if correct else 1
