@@ -10,11 +10,18 @@ durability.  What this module adds is the topology and the supervision:
 * :class:`ReplicaServer` — the child side.  One OS process runs exactly one
   replica of one group, serving frames and a small HTTP plane (``/metrics``,
   ``/ready``, ``/delivered``, ``/stop`` and the ``/admin/*`` failure-detector
-  endpoints) on a single TCP port.  Run it with
+  endpoints) on a single TCP port.  Run one by hand with
   ``python -m repro.runtime --spec spec.json --group G --replica I``.
 * :class:`ProcessCluster` — the parent side.  Has the cluster spec
-  allocate ports, writes it, spawns the children, polls readiness, and
+  allocate ports, writes it, forks the children, polls readiness, and
   drives kill/restart through WAL replay and the rejoin catch-up.
+* The *template* between them: one interpreter per cluster that imports
+  this module and nothing else, then forks (``os.fork()``) every replica
+  the cluster spawns, restarts included (:func:`_run_template`).  The whole
+  cluster pays one start-up import, and a restart pays none.  The template
+  reaps its children and reports each exit status to the supervisor, whose
+  :class:`ReplicaProcess` handles answer ``poll()`` and ``wait()`` from
+  those reports.
 
 Topology conventions (documented for operators in ``docs/OPERATIONS.md``):
 
@@ -42,11 +49,14 @@ import asyncio
 import hashlib
 import json
 import os
+import select
 import signal
 import socket
 import subprocess
 import sys
 import tempfile
+import time
+import traceback
 from dataclasses import dataclass, field
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 from urllib.parse import parse_qs, quote, urlsplit
@@ -346,6 +356,282 @@ def main(argv: Optional[List[str]] = None) -> int:
     return 0
 
 
+# ------------------------------------------------------------------ template
+#: What the supervisor runs as a cluster's template: this module and nothing
+#: else, so every replica forked from it inherits exactly that heap.
+_TEMPLATE_CODE = "from repro.runtime.proc import _run_template; _run_template()"
+#: Longest wait for the template's answer to one spawn request; the first
+#: one waits for its start-up import.
+SPAWN_TIMEOUT_S = 30.0
+
+
+def _run_template() -> None:
+    """The template's loop: fork a replica per request, report every exit.
+
+    A request is one JSON line on stdin, ``[spec_path, group, index,
+    log_path]``.  Each is answered on stdout with ``spawned PID``, in order;
+    each child reaped is reported as ``exited PID CODE``, ``CODE`` read the
+    way :attr:`subprocess.Popen.returncode` reads it.  On stdin's EOF the
+    template takes no more requests and exits once its last child is
+    reaped.  It runs no event loop and no thread: a child is forked from a
+    process with one thread and nothing scheduled.
+    """
+    wake = os.pipe()
+    for fd in wake:
+        os.set_blocking(fd, False)
+    inherited = {
+        sig: signal.getsignal(sig) for sig in (signal.SIGCHLD, signal.SIGINT)
+    }
+    # A SIGCHLD writes a byte to the wake pipe, so ``select`` returns for it.
+    signal.set_wakeup_fd(wake[1])
+    signal.signal(signal.SIGCHLD, lambda signum, frame: None)
+    # Ctrl-C reaches the whole foreground process group.  The replicas stop
+    # on it; the template stays to report their exits.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    children = set()
+    pending = b""
+    requests_open = True
+    while True:
+        for pid, code in _reap():
+            children.discard(pid)
+            _report(f"exited {pid} {code}")
+        if not requests_open and not children:
+            return
+        watched = [0, wake[0]] if requests_open else [wake[0]]
+        ready, _, _ = select.select(watched, [], [])
+        if wake[0] in ready:
+            os.read(wake[0], 4096)  # what is left wakes the next select
+        if 0 in ready:
+            chunk = os.read(0, 65536)
+            requests_open = bool(chunk)
+            *lines, pending = (pending + chunk).split(b"\n")
+            for line in lines:
+                pid = _fork_replica(json.loads(line), wake, inherited)
+                children.add(pid)
+                _report(f"spawned {pid}")
+
+
+def _reap() -> List[Tuple[int, int]]:
+    """Every exited child of this process: ``(pid, Popen-style returncode)``."""
+    reaped = []
+    while True:
+        try:
+            pid, status = os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:
+            return reaped
+        if pid == 0:
+            return reaped
+        reaped.append((pid, os.waitstatus_to_exitcode(status)))
+
+
+def _report(line: str) -> None:
+    try:
+        os.write(1, line.encode("ascii") + b"\n")
+    except OSError:
+        pass  # the supervisor is gone; keep reaping all the same
+
+
+def _fork_replica(
+    request: List[Any], wake: Tuple[int, int], inherited: Dict[int, Any]
+) -> int:
+    """Fork one replica off the template; returns its pid in the template.
+
+    The child puts back the signal dispositions the template changed,
+    closes the template's pipes (its stdin reads ``/dev/null``, its stdout
+    and stderr append to the replica's log) and runs the same
+    :func:`_serve_child` that ``python -m repro.runtime`` runs.  It never
+    returns into the template's loop.
+    """
+    spec_path, group_id, index, log_path = request
+    pid = os.fork()
+    if pid:
+        return pid
+    code = 1
+    # Whatever happens here ends in ``os._exit``: an exception that
+    # unwound into the template's loop would make a second template.
+    try:
+        signal.set_wakeup_fd(-1)
+        for sig, handler in inherited.items():
+            signal.signal(sig, handler)
+        for fd in wake:
+            os.close(fd)
+        log = os.open(log_path, os.O_WRONLY | os.O_APPEND)
+        null = os.open(os.devnull, os.O_RDONLY)
+        os.dup2(null, 0)
+        os.dup2(log, 1)
+        os.dup2(log, 2)
+        os.close(null)
+        os.close(log)
+        asyncio.run(_serve_child(spec_path, group_id, index))
+        code = 0
+    except Exception:
+        traceback.print_exc()
+    finally:
+        for stream in (sys.stdout, sys.stderr):
+            try:
+                stream.flush()
+            except (OSError, ValueError):
+                pass
+        os._exit(code)
+
+
+def _pid_gone(pid: int) -> bool:
+    """Whether no process runs as ``pid``: none exists, or a zombie does."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    try:
+        with open(f"/proc/{pid}/stat", "rb") as handle:
+            state = handle.read().rsplit(b")", 1)[1].split()[0]
+    except (OSError, IndexError):
+        return False
+    return state in (b"Z", b"X")
+
+
+class _Template:
+    """The supervisor's end of one cluster's template interpreter.
+
+    Requests go down the template's stdin; its reports come up its stdout,
+    a pipe read without blocking, so a handle's ``poll()`` costs one
+    ``read`` that usually finds nothing.  Its stderr is the supervisor's.
+    """
+
+    def __init__(self, env: Dict[str, str]) -> None:
+        self.process = subprocess.Popen(
+            [sys.executable, "-c", _TEMPLATE_CODE],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            env=env,
+        )
+        assert self.process.stdin is not None and self.process.stdout is not None
+        self._stdin = self.process.stdin
+        self._stdout = self.process.stdout
+        os.set_blocking(self._stdout.fileno(), False)
+        self._partial = b""
+        self._spawned: List[int] = []
+        #: Exit codes of the reaped children, by pid.
+        self.exit_codes: Dict[int, int] = {}
+        #: False once no report can come: the template's stdout is at EOF.
+        self.reporting = True
+
+    def spawn(self, request: List[Any]) -> int:
+        """Ask for one replica; returns its pid."""
+        try:
+            self._stdin.write(json.dumps(request).encode("utf-8") + b"\n")
+            self._stdin.flush()
+        except (OSError, ValueError) as exc:
+            raise RuntimeError(
+                f"the cluster's template (pid {self.process.pid}) is gone"
+            ) from exc
+        deadline = time.monotonic() + SPAWN_TIMEOUT_S
+        while not self._spawned:
+            remaining = deadline - time.monotonic()
+            if not self.reporting or remaining <= 0:
+                raise RuntimeError(
+                    f"the cluster's template (pid {self.process.pid}) forked no replica "
+                    f"(exit status {self.process.poll()})"
+                )
+            self.read(remaining)
+        return self._spawned.pop(0)
+
+    def read(self, timeout: float = 0.0) -> None:
+        """Take in every report written so far, waiting up to ``timeout``
+        for the first."""
+        if not self.reporting:
+            return
+        fd = self._stdout.fileno()
+        if timeout > 0:
+            select.select([fd], [], [], timeout)
+        while True:
+            try:
+                chunk = os.read(fd, 65536)
+            except BlockingIOError:
+                return
+            if not chunk:
+                self.reporting = False
+                return
+            *lines, self._partial = (self._partial + chunk).split(b"\n")
+            for line in lines:
+                kind, pid, *code = line.split()
+                if kind == b"spawned":
+                    self._spawned.append(int(pid))
+                else:
+                    self.exit_codes[int(pid)] = int(code[0])
+
+    def close(self, timeout: float = 5.0) -> None:
+        """End the template: close its stdin, wait for it, keep its reports."""
+        try:
+            self._stdin.close()
+        except OSError:
+            pass  # it died with requests unread
+        try:
+            self.process.wait(timeout)
+        except subprocess.TimeoutExpired:
+            self.process.kill()
+            self.process.wait()
+        self.read()
+        self.reporting = False
+        self._stdout.close()
+
+
+class ReplicaProcess:
+    """One forked replica as its supervisor sees it.
+
+    The part of :class:`subprocess.Popen` the supervisor and its callers use:
+    ``pid``, ``returncode``, ``poll()``, ``wait(timeout)`` (which raises
+    :class:`subprocess.TimeoutExpired`), ``send_signal()``, ``terminate()``
+    and ``kill()``.  The exit status is the one the template reports when it
+    reaps the child; a handle keeps answering after the template has ended.
+    Once no report can come (the template died first), a handle reads its
+    pid being gone as an exit with status 0 — what :mod:`subprocess` reads
+    for a child it cannot wait for.
+    """
+
+    def __init__(self, template: _Template, pid: int, name: str) -> None:
+        self._template = template
+        self.pid = pid
+        self.name = name
+        self.returncode: Optional[int] = None
+
+    def poll(self) -> Optional[int]:
+        if self.returncode is None:
+            self._template.read()
+            code = self._template.exit_codes.get(self.pid)
+            if code is None and not self._template.reporting and _pid_gone(self.pid):
+                code = 0
+            self.returncode = code
+        return self.returncode
+
+    def wait(self, timeout: Optional[float] = None) -> int:
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while (code := self.poll()) is None:
+            pause = 0.05
+            if deadline is not None:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise subprocess.TimeoutExpired(self.name, timeout or 0.0)
+                pause = min(pause, remaining)
+            if self._template.reporting:
+                self._template.read(pause)
+            else:
+                time.sleep(pause)
+        return code
+
+    def send_signal(self, sig: int) -> None:
+        if self.poll() is None:
+            try:
+                os.kill(self.pid, sig)
+            except ProcessLookupError:
+                pass
+
+    def terminate(self) -> None:
+        self.send_signal(signal.SIGTERM)
+
+    def kill(self) -> None:
+        self.send_signal(signal.SIGKILL)
+
+
 # --------------------------------------------------------------- parent side
 class ProcessCluster:
     """Supervisor for N groups × M replicas running as real OS processes.
@@ -355,6 +641,13 @@ class ProcessCluster:
     not talk to each other until traffic arrives, and the supervisor gates
     :meth:`start` on every child's ``/ready`` endpoint.  Shutdown is
     graceful-first (``/stop``), escalating to SIGTERM then SIGKILL.
+
+    The children are not started as interpreters of their own: :meth:`start`
+    starts the cluster's template, which imports this module once, and
+    every replica (restarts too) is forked from it.  :attr:`processes` maps
+    ``(group, index)`` to a :class:`ReplicaProcess` handle.  :meth:`stop`
+    ends the template after the replicas; the template also ends on its
+    own once the supervisor is gone and its last replica has exited.
 
     Crash handling follows the PR-6/PR-8 model, driven over the admin plane:
     :meth:`kill_replica` SIGKILLs one child and tells its group's survivors
@@ -387,9 +680,10 @@ class ProcessCluster:
             latencies=latencies,
         )
         self.protocol = self.spec.build_protocol()
-        self.processes: Dict[Tuple[GroupId, int], subprocess.Popen] = {}
+        self.processes: Dict[Tuple[GroupId, int], ReplicaProcess] = {}
         self.clients: List[AsyncMulticastClient] = []
         self._spec_path: Optional[str] = None
+        self._template: Optional[_Template] = None
 
     # -------------------------------------------------------------- inventory
     def replica_coords(self) -> List[Tuple[GroupId, int]]:
@@ -410,12 +704,20 @@ class ProcessCluster:
 
     # --------------------------------------------------------------- lifecycle
     async def start(self, ready_timeout: float = 30.0) -> None:
-        """Allocate ports, write the spec, spawn every replica, await ready."""
+        """Allocate ports, write the spec, start the template, fork every
+        replica from it, await ready."""
         self.spec.allocate_addresses()
         os.makedirs(self.spec.storage_root, exist_ok=True)
         self._spec_path = os.path.join(self.spec.storage_root, "spec.json")
         with open(self._spec_path, "w", encoding="utf-8") as handle:
             handle.write(self.spec.to_json())
+        env = dict(os.environ)
+        # The template must import the same ``repro`` this supervisor runs.
+        package_root = os.path.dirname(
+            os.path.dirname(os.path.abspath(os.path.join(__file__, "..")))
+        )
+        env["PYTHONPATH"] = package_root + os.pathsep + env.get("PYTHONPATH", "")
+        self._template = _Template(env)
         for gid, index in self.replica_coords():
             self._spawn(gid, index)
         await asyncio.gather(
@@ -426,7 +728,8 @@ class ProcessCluster:
         )
 
     async def stop(self) -> None:
-        """Stop clients, then every replica process (graceful, then forceful)."""
+        """Stop clients, then every replica process (graceful, then
+        forceful), then the template."""
         for client in self.clients:
             await client.stop()
         self.clients.clear()
@@ -450,6 +753,9 @@ class ProcessCluster:
                     break
                 await asyncio.sleep(0.02)
         self.processes.clear()
+        if self._template is not None:
+            self._template.close()
+            self._template = None
 
     async def __aenter__(self) -> "ProcessCluster":
         await self.start()
@@ -561,34 +867,21 @@ class ProcessCluster:
 
     # ----------------------------------------------------------------- helpers
     def _spawn(self, group_id: GroupId, index: int) -> None:
-        assert self._spec_path is not None, "start() writes the spec first"
+        """Have the template fork replica ``index`` of group ``group_id``.
+
+        The child appends its stdout and stderr to
+        ``<storage_root>/logs/group-G-replica-I.log``, which is made here,
+        so the log exists even when the child dies before it runs anything.
+        """
+        assert self._template is not None, "start() starts the template first"
         log_dir = os.path.join(self.spec.storage_root, "logs")
         os.makedirs(log_dir, exist_ok=True)
         log_path = os.path.join(log_dir, f"group-{group_id}-replica-{index}.log")
-        env = dict(os.environ)
-        # The child must import the same ``repro`` this supervisor runs.
-        package_root = os.path.dirname(
-            os.path.dirname(os.path.abspath(os.path.join(__file__, "..")))
+        open(log_path, "ab").close()
+        pid = self._template.spawn([self._spec_path, group_id, index, log_path])
+        self.processes[(group_id, index)] = ReplicaProcess(
+            self._template, pid, replica_node(group_id, index)
         )
-        env["PYTHONPATH"] = package_root + os.pathsep + env.get("PYTHONPATH", "")
-        with open(log_path, "ab") as log:
-            proc = subprocess.Popen(
-                [
-                    sys.executable,
-                    "-m",
-                    "repro.runtime",
-                    "--spec",
-                    self._spec_path,
-                    "--group",
-                    str(group_id),
-                    "--replica",
-                    str(index),
-                ],
-                stdout=log,
-                stderr=log,
-                env=env,
-            )
-        self.processes[(group_id, index)] = proc
 
     async def _await_ready(
         self, group_id: GroupId, index: int, timeout: float
@@ -611,5 +904,7 @@ class ProcessCluster:
                     return
             except OSError:
                 pass
-            await asyncio.sleep(0.05)
+            # A forked replica listens some 10–50 ms after its fork: a
+            # refused connect is cheap, a coarse step is a share of start().
+            await asyncio.sleep(0.01)
         raise TimeoutError(f"replica {group_id}/{index} not ready in {timeout}s")

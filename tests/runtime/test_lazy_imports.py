@@ -1,12 +1,15 @@
 """A replica process imports only what it runs.
 
 ``repro``, ``repro.runtime`` and ``repro.fuzz`` re-export their public names
-lazily (PEP 562), so ``python -m repro.runtime`` — every replica of a process
-cluster — does not pay for the experiment runner, the metrics stack or the
-workload generators at start-up, and ``python -m repro.fuzz.sweep`` does not
-find its own module imported by its package before it runs.
+lazily (PEP 562), so ``python -m repro.runtime`` and a process cluster's
+template — whose heap every replica it forks inherits, and which
+``peak_rss_mb`` counts once per replica — do not pay for the experiment
+runner, the metrics stack or the workload generators at start-up, and
+``python -m repro.fuzz.sweep`` does not find its own module imported by its
+package before it runs.
 """
 
+import asyncio
 import importlib
 import json
 import os
@@ -17,6 +20,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.runtime.proc import ProcessCluster
 
 #: Subsystems a replica never runs.
 NOT_A_REPLICA = ("repro.experiments", "repro.metrics", "repro.workload")
@@ -43,6 +47,33 @@ def test_a_replica_loads_none_of_the_other_subsystems():
     loaded = json.loads(done.stdout)
     assert "repro.runtime.proc" in loaded
     assert [m for m in loaded if m.startswith(NOT_A_REPLICA)] == []
+
+
+def _imported(stderr):
+    """Module names in ``-X importtime`` output, in import order."""
+    return [
+        line.rpartition("|")[2].strip() for line in stderr.splitlines()
+        if line.startswith("import time:") and "imported package" not in line
+    ]
+
+
+def test_the_template_loads_exactly_what_the_module_loads(tmp_path, monkeypatch, capfd):
+    # The template writes its import profile to its stderr, the supervisor's.
+    monkeypatch.setenv("PYTHONPROFILEIMPORTTIME", "1")
+
+    async def scenario():
+        async with ProcessCluster(groups=1, replication=1, storage_root=str(tmp_path)):
+            pass
+
+    asyncio.run(scenario())
+    template = _imported(capfd.readouterr().err)
+    done = subprocess.run(
+        [sys.executable, "-c", "import repro.runtime.proc"], env=_env(),
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert "repro.runtime.proc" in template
+    assert sorted(template) == sorted(_imported(done.stderr))
+    assert [m for m in template if m.startswith(NOT_A_REPLICA)] == []
 
 
 def test_the_sweep_module_runs_without_a_runtime_warning():

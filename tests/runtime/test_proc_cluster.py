@@ -3,7 +3,8 @@
 Three layers, each sized for tier-1 wall-clock budgets:
 
 - lifecycle: a 2×3 cluster starts, reports ready, serves multicasts and
-  metrics, and shuts down cleanly;
+  metrics, and shuts down cleanly; its replica handles answer like
+  ``Popen``, and no process of it (template or replica) outlives it;
 - crash/restart: one follower is SIGKILL'd mid-stream and restarted; the
   PR-6 recovery oracle (:func:`repro.checker.recovery.check_recovery`)
   checks its post-rejoin sequence against its own pre-crash prefix and a
@@ -17,18 +18,23 @@ docs/OPERATIONS.md.
 
 import asyncio
 import json
+import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.checker.recovery import check_recovery
 from repro.core.message import ClientRequest, Message
 from repro.runtime.proc import (
     ClusterSpec,
     ProcessCluster,
     ReplicaServer,
+    _pid_gone,
     _sequence_digest,
 )
 from repro.smr.multipaxos import CATCHUP_CHUNK_BYTES
@@ -109,6 +115,117 @@ class TestClusterLifecycle:
             await cluster.stop()
 
         run(scenario())
+
+
+class TestReplicaHandles:
+    """``cluster.processes`` answers the part of ``Popen`` its callers use."""
+
+    def test_kill_poll_wait_and_answers_after_stop(self, tmp_path):
+        async def scenario():
+            async with ProcessCluster(
+                groups=1, replication=2, storage_root=str(tmp_path)
+            ) as cluster:
+                live, victim = cluster.processes[(0, 0)], cluster.processes[(0, 1)]
+                with pytest.raises(subprocess.TimeoutExpired):
+                    live.wait(timeout=0.1)
+                assert live.poll() is None
+                victim.kill()
+                assert victim.wait(timeout=10.0) == -signal.SIGKILL
+                assert victim.poll() == victim.returncode == -signal.SIGKILL
+            return live, victim
+
+        live, victim = run(scenario())
+        # stop() ended the template; the handles answer from its reports.
+        assert live.poll() == live.wait(timeout=0.0) == 0
+        assert victim.poll() == -signal.SIGKILL
+
+    def test_handles_answer_after_the_template_was_killed(self, tmp_path):
+        async def scenario():
+            cluster = ProcessCluster(groups=1, replication=2, storage_root=str(tmp_path))
+            await cluster.start()
+            first, second = cluster.processes.values()
+            os.kill(cluster._template.process.pid, signal.SIGKILL)
+            try:
+                # The replicas run on, with nobody left to report their exits.
+                with pytest.raises(subprocess.TimeoutExpired):
+                    first.wait(timeout=0.2)
+                assert first.poll() is None
+                first.kill()
+                assert first.wait(timeout=10.0) is not None
+                await cluster.stop()
+                assert second.poll() is not None
+                assert second.wait(timeout=0.0) == second.returncode
+            finally:
+                for proc in (first, second):
+                    if not _pid_gone(proc.pid):
+                        os.kill(proc.pid, signal.SIGKILL)
+
+        run(scenario())
+
+
+def _repro_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(repro.__file__).parent.parent), env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
+#: Starts a 1×2 cluster, prints the template's pid and the replicas', and
+#: exits without calling ``stop()``.
+ABANDONING_SUPERVISOR = """
+import asyncio, json, os, sys
+from repro.runtime.proc import ProcessCluster
+
+async def main():
+    cluster = ProcessCluster(groups=1, replication=2, storage_root=sys.argv[1])
+    await cluster.start()
+    pids = [cluster._template.process.pid, *(p.pid for p in cluster.processes.values())]
+    print(json.dumps(pids), flush=True)
+
+asyncio.run(main())
+os._exit(0)
+"""
+
+
+class TestNoProcessOutlivesACluster:
+    def test_stop_leaves_no_pid_not_even_a_zombie(self, tmp_path):
+        async def scenario():
+            async with ProcessCluster(
+                groups=1, replication=2, storage_root=str(tmp_path)
+            ) as cluster:
+                pids = [cluster._template.process.pid]
+                pids += [proc.pid for proc in cluster.processes.values()]
+                await cluster.kill_replica(0, 1)
+                await cluster.restart_replica(0, 1)
+                pids.append(cluster.processes[(0, 1)].pid)
+            return pids
+
+        for pid in run(scenario()):
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+    def test_a_template_ends_with_the_replicas_of_a_vanished_supervisor(self, tmp_path):
+        done = subprocess.run(
+            [sys.executable, "-c", ABANDONING_SUPERVISOR, str(tmp_path)],
+            env=_repro_env(), stdout=subprocess.PIPE, text=True, timeout=120,
+        )
+        assert done.returncode == 0
+        template, *replicas = json.loads(done.stdout)
+        try:
+            # Its supervisor is gone; the template stays to reap the replicas.
+            time.sleep(0.5)
+            assert not _pid_gone(template)
+            for pid in replicas:
+                os.kill(pid, signal.SIGKILL)
+            deadline = time.monotonic() + 10.0
+            while not _pid_gone(template):
+                assert time.monotonic() < deadline, "the template outlived its replicas"
+                time.sleep(0.05)
+        finally:
+            for pid in (template, *replicas):
+                if not _pid_gone(pid):
+                    os.kill(pid, signal.SIGKILL)
 
 
 class TestGracefulStop:
