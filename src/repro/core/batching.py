@@ -52,7 +52,7 @@ from ..obs.registry import SIZE_BUCKETS, Histogram
 from ..overlay.base import GroupId
 from ..protocols.base import AtomicMulticastProtocol
 from .client import MulticastCall, MulticastClient
-from .message import ClientRequest, FlexCastBatch, Message
+from .message import ClientRequest, Message
 
 #: ``schedule(delay_ms, callback)`` -> handle with an optional ``cancel()``.
 #: The simulator passes ``EventLoop.schedule``; the asyncio runtime wraps
@@ -99,7 +99,6 @@ class BatchingClient(MulticastClient):
         #: never counted, and a member that completed before its window
         #: shipped (a re-submission) is not counted again.
         self._unanswered: Dict[FrozenSet[GroupId], Set[str]] = {}
-        self._batch_seq = 0
         #: Every batch shipped: ``(batch_id, member msg_ids)`` in send order.
         #: The fuzz harness uses this to run the batch-atomicity oracle (a
         #: lost batch must degrade exactly like N lost messages).
@@ -202,18 +201,15 @@ class BatchingClient(MulticastClient):
             self.stats["singles_sent"] += 1
             super()._dispatch(buffer[0])
             return
-        self._batch_seq += 1
-        carrier = Message.batch_of(
-            buffer, batch_id=f"{self.client_id}-b{self._batch_seq}"
-        )
-        self.batch_log.append(
-            (carrier.msg_id, tuple(m.msg_id for m in buffer))
-        )
+        self._send_batch(buffer)
+
+    def _send_batch(self, members: List[Message]) -> Message:
+        """Ship one carrier (see the base class) and log it."""
+        carrier = super()._send_batch(members)
+        self.batch_log.append((carrier.msg_id, tuple(m.msg_id for m in members)))
         self.stats["batches_sent"] += 1
-        self.stats["messages_batched"] += len(buffer)
-        request = FlexCastBatch(message=carrier)
-        for entry in self._protocol.entry_groups(carrier):
-            self._send_request(entry, request)
+        self.stats["messages_batched"] += len(members)
+        return carrier
 
     # -------------------------------------------------------------- responses
     def on_response(self, group: GroupId, msg_id: str) -> Optional[MulticastCall]:

@@ -3,17 +3,17 @@
 A client in the paper's system model multicasts a message and, in the
 evaluation, receives one response from each destination group when that group
 delivers the message.  :class:`MulticastCall` tracks one in-flight multicast;
-:class:`MulticastClient` is what the simulator's closed-loop workload
-clients (:mod:`repro.workload.clients`) and the batching client
-(:class:`repro.core.batching.BatchingClient`) build on.  The asyncio
-runtime's :class:`repro.runtime.client.AsyncMulticastClient` is a frame
-server of its own and does not use it.
+:class:`MulticastClient` names, tracks and completes every multicast of the
+repo: the simulator's closed-loop workload clients
+(:mod:`repro.workload.clients`), the batching client
+(:class:`repro.core.batching.BatchingClient`) and the asyncio runtime's
+:class:`repro.runtime.client.AsyncMulticastClient`, which awaits the calls
+of one of them over TCP.
 
 As a sender in the paper, every client names its own messages
-(``<client_id>-<n>``, and a batching client its carriers
-``<client_id>-b<n>``): no id comes from state shared across clients, so
-a run is a function of its inputs and ids stay unique across processes
-as long as client ids do.
+(``<client_id>-<n>``, and its batch carriers ``<client_id>-b<n>``): no id
+comes from state shared across clients, so a run is a function of its
+inputs and ids stay unique across processes as long as client ids do.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional
 from ..obs import STAGE_SUBMIT, Observability, Tracer
 from ..overlay.base import GroupId
 from ..protocols.base import AtomicMulticastProtocol
-from .message import ClientRequest, Message
+from .message import ClientRequest, FlexCastBatch, Message
 
 
 @dataclass
@@ -79,8 +79,10 @@ class MulticastClient:
         self._protocol = protocol
         self._send_request = send_request
         self._clock = clock
-        #: Messages this client has named: the next is ``<client_id>-<n + 1>``.
+        #: Messages and batch carriers this client has named: the next are
+        #: ``<client_id>-<n + 1>`` and ``<client_id>-b<n + 1>``.
         self._named = 0
+        self._carriers = 0
         self.inflight: Dict[str, MulticastCall] = {}
         self.completed: List[MulticastCall] = []
         #: Lifecycle tracer (``None`` = off); see :meth:`attach_obs`.
@@ -102,16 +104,43 @@ class MulticastClient:
         The message is named ``<client_id>-<n>``, with ``n`` counted from 1
         per client, so ids are unique as long as client ids are.
         """
+        message = self._message(destinations, payload, payload_bytes)
+        self.submit(message)
+        return message
+
+    def multicast_batch(
+        self,
+        destinations: Iterable[GroupId],
+        payloads: Iterable[Any],
+        payload_bytes: int = 64,
+    ) -> List[Message]:
+        """Multicast ``payloads`` as one batch; returns the member messages.
+
+        Each payload becomes a message named and tracked like one of
+        :meth:`multicast`; all of them travel as one
+        :class:`~repro.core.message.FlexCastBatch` carrier, which the lca
+        orders as one unit and every destination fans out into per-member
+        deliveries, so every member gets one response from every destination.
+        """
+        dst = frozenset(destinations)
+        members = [self._message(dst, payload, payload_bytes) for payload in payloads]
+        for member in members:
+            self._track(member)
+        self._send_batch(members)
+        return members
+
+    def _message(
+        self, destinations: Iterable[GroupId], payload: Any, payload_bytes: int
+    ) -> Message:
+        """A fresh message named ``<client_id>-<n>``."""
         self._named += 1
-        message = Message.create(
+        return Message.create(
             destinations=destinations,
             sender=self.client_id,
             payload=payload,
             payload_bytes=payload_bytes,
             msg_id=f"{self.client_id}-{self._named}",
         )
-        self.submit(message)
-        return message
 
     def submit(self, message: Message) -> None:
         """Submit an already-built message to the protocol's entry group(s)."""
@@ -135,7 +164,19 @@ class MulticastClient:
         what envelope* a tracked message reaches the protocol — the batching
         client (:class:`repro.core.batching.BatchingClient`) buffers here.
         """
-        request = ClientRequest(message=message)
+        self._send(message, ClientRequest(message=message))
+
+    def _send_batch(self, members: List[Message]) -> Message:
+        """Ship ``members`` in one carrier named ``<client_id>-b<n>``."""
+        self._carriers += 1
+        carrier = Message.batch_of(
+            members, batch_id=f"{self.client_id}-b{self._carriers}"
+        )
+        self._send(carrier, FlexCastBatch(message=carrier))
+        return carrier
+
+    def _send(self, message: Message, request: ClientRequest) -> None:
+        """Hand ``request`` to ``message``'s entry group(s)."""
         for entry in self._protocol.entry_groups(message):
             self._send_request(entry, request)
 

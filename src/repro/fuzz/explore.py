@@ -33,10 +33,11 @@ FlexCast arms no timer, so a leaf is reached when no channel has traffic.
 CLI (see ``python -m repro.fuzz explore --help``)::
 
     # exhaustive sweep of every shape up to 3 msgs x 3 groups (the CI gate:
-    # 26 shapes, 623 leaves); each violating interleaving is written as a
-    # schedule.  The single-shared-group 3-cycle needs more groups than this
-    # bound, and tests/regression/test_single_shared_group_cycle.py pins it
-    # through the fuzz harness.
+    # 26 shapes, 623 leaves, 4802 nodes); each violating interleaving is
+    # written as a schedule.  The single-shared-group 3-cycle needs more
+    # groups than this bound, and
+    # tests/regression/test_single_shared_group_cycle.py pins it through the
+    # fuzz harness.
     python -m repro.fuzz explore --max-msgs 3 --max-groups 3 --all-shapes \
         --out-dir explore-artifacts
 
@@ -326,7 +327,6 @@ class ExploreStats:
     leaves: int = 0
     nodes: int = 0
     pruned: int = 0
-    deduped: int = 0
     max_depth: int = 0
     #: Distinct violation messages with one witness path each.
     violations: Dict[str, Tuple[Channel, ...]] = field(default_factory=dict)
@@ -343,26 +343,6 @@ def _independent(a: Channel, b: Channel) -> bool:
     only its receiver's state and appends to that receiver's *outgoing*
     channels, and popping one channel's head never disables another's."""
     return a[1] != b[1]
-
-
-def _state_key(prefix: Sequence[Channel]) -> Tuple:
-    """Canonical form of the state reached by ``prefix``.
-
-    Each node's behaviour is a deterministic function of the *sequence of
-    channels it consumed from* (per-channel FIFO pins which payload the k-th
-    delivery from a channel carries, and timer firings are a deterministic
-    function of state — see :class:`_Fabric`).  Two prefixes with equal
-    per-receiver consumption sequences are therefore Mazurkiewicz-trace
-    equivalent and land in the *same* global state, so the DFS can fold
-    them: the interleaving of different receivers' timelines is forgotten,
-    only each receiver's own history is kept.
-    """
-    per: Dict[Hashable, List[Hashable]] = {}
-    for src, dst in prefix:
-        per.setdefault(dst, []).append(src)
-    return tuple(
-        sorted((str(dst), tuple(map(str, srcs))) for dst, srcs in per.items())
-    )
 
 
 def explore_shape(
@@ -382,14 +362,6 @@ def explore_shape(
     """
     stats = ExploreStats(case=case)
     started = time.monotonic()
-    # State dedup: visited canonical states, each with the sleep sets it was
-    # expanded under.  A revisit is skipped only when some recorded sleep set
-    # is a subset of the current one — then every move we would explore now
-    # was explored (or transitively covered) on the recorded visit.  The
-    # subset condition is what keeps sleep sets + state caching sound
-    # (Godefroid): a smaller recorded sleep set means *more* transitions
-    # were taken from that state, never fewer.
-    memo: Dict[Tuple, List[FrozenSet[Channel]]] = {}
 
     def over_budget() -> bool:
         if max_leaves is not None and stats.leaves >= max_leaves:
@@ -402,13 +374,6 @@ def explore_shape(
         if stats.truncated or over_budget():
             stats.truncated = True
             return
-        if prune:
-            key = _state_key(prefix)
-            seen = memo.setdefault(key, [])
-            if any(recorded <= sleep for recorded in seen):
-                stats.deduped += 1
-                return
-            seen.append(sleep)
         stats.nodes += 1
         stats.max_depth = max(stats.max_depth, len(prefix))
         probe = execute(case, prefix, stop_after=len(prefix))
@@ -547,7 +512,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             single_shared_only=not args.all_shapes,
         )
     )
-    total_leaves = total_violations = 0
+    total_leaves = total_nodes = total_violations = 0
     truncated_shapes = 0
     dirty: List[ExploreStats] = []
     swept_all = True
@@ -583,6 +548,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             on_violation=save_violation,
         )
         total_leaves += stats.leaves
+        total_nodes += stats.nodes
         total_violations += len(stats.violations)
         if stats.truncated:
             truncated_shapes += 1
@@ -601,7 +567,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     exhaustive = swept_all and truncated_shapes == 0
     print(
         f"\nexplore: {len(shapes)} shapes, {total_leaves} leaves, "
-        f"{total_violations} distinct violations in {elapsed:.1f}s"
+        f"{total_nodes} nodes, {total_violations} distinct violations in "
+        f"{elapsed:.1f}s"
         + ("" if exhaustive else f" — PARTIAL ({truncated_shapes} shapes truncated)")
         + f", peak RSS {peak_rss_mib():.0f} MiB"
     )

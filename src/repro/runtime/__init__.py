@@ -6,7 +6,8 @@ N groups × M replicas as separate OS processes, each a
 :class:`ReplicaServer` with per-replica WAL durability and an HTTP admin
 plane (see ``docs/OPERATIONS.md``); a test hosts the same servers in one
 event loop from a :class:`ClusterSpec`, whose optional latency matrix
-emulates a WAN.  :class:`AsyncMulticastClient` submits multicasts — single
+emulates a WAN.  :class:`AsyncMulticastClient`, the asyncio front of
+:class:`~repro.core.client.MulticastClient`, submits multicasts — single
 or batched via ``multicast_batch`` — and awaits every destination's
 response.  Frames are length-prefixed JSON whose shape one schema table
 decides for both directions (:mod:`~repro.runtime.codec`);

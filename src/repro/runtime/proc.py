@@ -62,7 +62,6 @@ from typing import Any, Dict, Hashable, List, Optional, Tuple
 from urllib.parse import parse_qs, quote, urlsplit
 
 from ..core.flexcast import FlexCastProtocol
-from ..core.message import NodeHello
 from ..obs import Observability
 from ..overlay.base import GroupId
 from ..overlay.cdag import CDagOverlay
@@ -766,26 +765,19 @@ class ProcessCluster:
 
     # ----------------------------------------------------------------- clients
     async def new_client(self, client_id: str) -> AsyncMulticastClient:
-        """Create a client and announce its response address to every replica.
+        """A started client, stopped with the cluster.
 
-        The client routes requests by group id (→ the group's replica 0, the
-        default leader); the :class:`~repro.core.message.NodeHello` announce
-        lets *any* replica — including one that takes over leadership later —
-        push :class:`ClientResponse` frames back to it.
+        It routes requests by group id (→ the group's replica 0, the default
+        leader); its start announces it to every replica, so any of them —
+        one that takes over leadership later too — can answer it.
         """
         client = AsyncMulticastClient(
             client_id=client_id,
             protocol=self.protocol,
             addresses=self.spec.address_book(),
         )
-        host, port = await client.start()
-        hello = NodeHello(node_id=client_id, host=host, port=port)
-        for gid, index in self.replica_coords():
-            client.transport.send(replica_node(gid, index), hello)
+        await client.start()
         self.clients.append(client)
-        # One scheduler tick + a breath so the hello frames get on the wire
-        # before the first request's responses could possibly come back.
-        await asyncio.sleep(0.05)
         return client
 
     # ------------------------------------------------------------ kill/restart

@@ -4,7 +4,8 @@ import pytest
 
 from repro.core.client import MulticastCall, MulticastClient
 from repro.core.flexcast import FlexCastProtocol
-from repro.core.message import ClientRequest, Message
+from repro.core.batching import BatchingClient
+from repro.core.message import ClientRequest, FlexCastBatch, Message
 from repro.overlay.cdag import CDagOverlay
 
 
@@ -100,3 +101,35 @@ class TestMulticastClient:
         message = Message.create(["A", "C"], sender="c1", msg_id="c1-x")
         client.submit(message)
         assert [group for group, _ in sent] == ["A"]
+
+    def test_a_batch_names_tracks_and_ships_its_members_in_one_carrier(self):
+        client, sent, clock = self._client()
+        client.multicast(["B", "C"])
+        members = client.multicast_batch(["B", "C"], payloads=["x", "y", "z"])
+        assert [m.msg_id for m in members] == ["c1-2", "c1-3", "c1-4"]
+        assert [m.payload for m in members] == ["x", "y", "z"]
+        [(group, request)] = sent[1:]
+        assert group == "B" and type(request) is FlexCastBatch
+        assert request.message.msg_id == "c1-b1"
+        assert request.message.members == tuple(members)
+        assert set(client.inflight) == {"c1-1", "c1-2", "c1-3", "c1-4"}
+        for group in ("B", "C"):
+            client.on_response(group, "c1-3")
+        assert [call.message for call in client.completed] == [members[1]]
+
+    def test_batching_windows_and_explicit_batches_share_one_carrier_counter(self):
+        sent = []
+        client = BatchingClient(
+            "c1", FlexCastProtocol(CDagOverlay(["A", "B", "C"])),
+            send_request=lambda group, req: sent.append(req),
+            clock=lambda: 0.0, max_batch=2,
+        )
+        client.multicast(["B", "C"])  # idle set: ships at once
+        client.multicast(["B", "C"])
+        client.multicast(["B", "C"])  # window of two: a carrier
+        client.multicast_batch(["A", "B"], payloads=[1, 2])
+        assert [r.message.msg_id for r in sent] == ["c1-1", "c1-b1", "c1-b2"]
+        assert client.batch_log == [
+            ("c1-b1", ("c1-2", "c1-3")), ("c1-b2", ("c1-4", "c1-5"))
+        ]
+        assert client.stats["batches_sent"] == 2

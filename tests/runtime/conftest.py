@@ -7,12 +7,9 @@ reach into each replica, and a run costs milliseconds.
 
 from __future__ import annotations
 
-import asyncio
 from typing import Dict, List, Optional
 
-from repro.core.message import NodeHello
 from repro.runtime import AsyncMulticastClient, ClusterSpec, ReplicaServer
-from repro.smr.replica import replica_node
 
 
 class ReplicaCluster:
@@ -50,17 +47,12 @@ class ReplicaCluster:
             await server.stop()
 
     async def new_client(self, client_id: str) -> AsyncMulticastClient:
-        """A started client that every replica can answer, announced with a
-        ``NodeHello`` the way ``ProcessCluster.new_client`` announces it."""
+        """A started client, stopped with the cluster."""
         client = AsyncMulticastClient(
             client_id, protocol=self.protocol, addresses=self.spec.address_book()
         )
         self.clients.append(client)
-        host, port = await client.start()
-        hello = NodeHello(node_id=client_id, host=host, port=port)
-        for gid in self.spec.groups:
-            client.transport.send(replica_node(gid, 0), hello)
-        await asyncio.sleep(0.05)
+        await client.start()
         return client
 
     def delivered_at(self, group_id: int) -> List[str]:

@@ -6,11 +6,9 @@ import json
 import pytest
 
 from repro.core.batching import BatchingClient
-from repro.core.message import ClientRequest, ClientResponse, FlexCastBatch, Message, NodeHello
-from repro.runtime.node import FrameServer
+from repro.core.message import ClientRequest, FlexCastBatch, Message
+from repro.runtime.client import AsyncMulticastClient
 from repro.runtime.proc import ClusterSpec
-from repro.runtime.transport import AsyncioTransport
-from repro.smr.replica import replica_node
 
 from .conftest import ReplicaCluster
 
@@ -112,17 +110,15 @@ class TestBatchedCluster:
         run(scenario())
 
 
-class BatchingFront(FrameServer):
-    """A :class:`BatchingClient` on an :class:`AsyncioTransport`, answered
-    by the cluster on a port of its own (the load generator's shape)."""
+class BatchingFront(AsyncMulticastClient):
+    """The front with a :class:`BatchingClient` swapped in (the load
+    generator's shape); the test submits to :attr:`batcher` directly."""
 
     def __init__(self, cluster: ReplicaCluster, max_batch: int, max_delay_ms: float) -> None:
-        super().__init__()
-        self.cluster = cluster
-        self.transport = AsyncioTransport("batcher", cluster.spec.address_book())
+        super().__init__("batcher", cluster.protocol, cluster.spec.address_book())
         #: Every request put on the wire: (loop time in ms, request).
         self.sent = []
-        self.batcher = BatchingClient(
+        self.batcher = self.client = BatchingClient(
             "batcher",
             cluster.protocol,
             send_request=self._send,
@@ -133,11 +129,7 @@ class BatchingFront(FrameServer):
         )
 
     async def __aenter__(self) -> "BatchingFront":
-        host, port = await self.start()
-        hello = NodeHello(node_id="batcher", host=host, port=port)
-        for gid in self.cluster.spec.groups:
-            self.transport.send(replica_node(gid, 0), hello)
-        await asyncio.sleep(0.05)
+        await self.start()
         return self
 
     async def __aexit__(self, *exc_info) -> None:
@@ -146,10 +138,6 @@ class BatchingFront(FrameServer):
     def _send(self, group, request) -> None:
         self.sent.append((self.transport.now(), request))
         self.transport.send(group, request)
-
-    def handle_frame(self, sender, envelope) -> None:
-        if isinstance(envelope, ClientResponse):
-            self.batcher.on_response(envelope.group, envelope.msg_id)
 
     async def settled(self) -> None:
         while self.batcher.inflight:
